@@ -8,10 +8,10 @@
 //! (`length`, `position`, `level`) trim the streams *before* ingest — the
 //! ~98%-selective level floor means the 20 000-row assay CSV contributes a
 //! few hundred ingested rows instead of all of them. With pushdown off
-//! (`WOL_PUSHDOWN=0`) the same predicates run as plan filters over a full
-//! ingest; the produced target is bit-identical either way (asserted here
-//! before measuring, and guarded by `tests/perf_regression.rs` and the
-//! property suite).
+//! (`PipelineOptions::pushdown` false) the same predicates run as plan
+//! filters over a full ingest; the produced target is bit-identical either
+//! way (asserted here before measuring, and guarded by
+//! `tests/perf_regression.rs` and the property suite).
 //!
 //! Results land in `BENCH_e13.json`: pushdown-on vs pushdown-off latency,
 //! the ratio, and the provider row counters behind it.

@@ -26,17 +26,17 @@
 //!   build/probe sides and insert evaluation downstream see the usual rows
 //!   having paid columnar cost only for survivors.
 //! * **Chunk-granular dispatch**: ranges come from the same
-//!   [`wol_model::chunk_ranges`] morsel partitioning and run on the shared
-//!   [`wol_model::WorkerPool`] via [`exec::run_partitioned`], with results
-//!   reassembled in submission order. Per-stage survivor totals are
-//!   partition-invariant, so the merged [`ExecStats`] equal the sequential
-//!   and row-at-a-time ones at every thread count — the differential
-//!   proptests in `tests/properties.rs` pin this down.
+//!   [`wol_model::chunk_ranges`] morsel partitioning and the same
+//!   partition-count rule as every row operator, and run through
+//!   [`exec::run_partitioned`] (one range inline, several on the shared
+//!   [`wol_model::WorkerPool`]), with results reassembled in submission
+//!   order. Per-stage survivor totals are partition-invariant, so the merged
+//!   [`ExecStats`] equal the row-at-a-time ones at every thread count — the
+//!   differential proptests in `tests/properties.rs` pin this down.
 //!
 //! The columnar path is on by default and can be disabled per context
-//! ([`EvalCtx::set_columnar`]) or process-wide (`WOL_COLUMNAR=0`), which
-//! keeps the row path alive as the differential baseline and the bench
-//! comparison anchor.
+//! ([`EvalCtx::set_columnar`]), which keeps the row path alive as the
+//! differential baseline and the bench comparison anchor.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -584,41 +584,31 @@ pub(crate) fn try_run(
     stats.record_operator_output(n);
     ctx.record_columnar(n, bound.cols.len().max(1) * n.div_ceil(CHUNK_ROWS));
 
-    let no_exprs = std::iter::empty::<&Expr>();
-    let (stage_totals, out_rows) = match exec::parallel_workers(ctx, n, false, no_exprs) {
-        Some(workers) => {
-            let bound = &bound;
-            let (parts, _claims) = exec::run_partitioned(
-                ctx,
-                stats,
-                chunk_ranges(n, workers),
-                false,
-                move |range: Range<usize>, _wctx, ws: &mut ExecStats| {
-                    ws.rows_scanned += range.len();
-                    ws.record_operator_output(range.len());
-                    let (counts, sel) = bound.run_range(range);
-                    for &c in &counts {
-                        ws.record_operator_output(c);
-                    }
-                    Ok((counts, bound.materialize(&sel)))
-                },
-            )?;
-            let mut totals = vec![0usize; pipe.stages.len()];
-            let mut merged = Vec::new();
-            for (counts, chunk_rows) in parts {
-                for (slot, c) in totals.iter_mut().zip(counts) {
-                    *slot += c;
-                }
-                merged.extend(chunk_rows);
+    let parts = exec::partition_count(ctx, n, false, std::iter::empty());
+    let bound = &bound;
+    let (chunks, _claims) = exec::run_partitioned(
+        ctx,
+        stats,
+        chunk_ranges(n, parts),
+        false,
+        move |range: Range<usize>, _wctx, ws: &mut ExecStats| {
+            ws.rows_scanned += range.len();
+            ws.record_operator_output(range.len());
+            let (counts, sel) = bound.run_range(range);
+            for &c in &counts {
+                ws.record_operator_output(c);
             }
-            (totals, merged)
+            Ok((counts, bound.materialize(&sel)))
+        },
+    )?;
+    let mut stage_totals = vec![0usize; pipe.stages.len()];
+    let mut out_rows = Vec::new();
+    for (counts, chunk_rows) in chunks {
+        for (slot, c) in stage_totals.iter_mut().zip(counts) {
+            *slot += c;
         }
-        None => {
-            let (counts, sel) = bound.run_range(0..n);
-            let rows = bound.materialize(&sel);
-            (counts, rows)
-        }
-    };
+        out_rows.extend(chunk_rows);
+    }
     // Per-stage outputs, recorded once over the merged totals — the same
     // trailing accounting each row-path operator performs.
     for &count in &stage_totals {

@@ -5,28 +5,46 @@
 //! (Section 5: "A transformation program in which all the transformation
 //! clauses are in normal form can easily be implemented in a single pass").
 //!
-//! ## Parallel execution
+//! ## Partitioned execution
 //!
-//! Operators over enough input rows run morsel-style over
-//! [`std::thread::scope`] workers, governed by the context's
-//! [`wol_model::Parallelism`] knob ([`EvalCtx::set_parallelism`]):
+//! Every operator has **one body**, written over *partitions* of its input.
+//! How many partitions it gets is one rule (`partition_count`) over three
+//! things the executor can observe:
 //!
-//! * **scan+filter** partitions the class extent into contiguous chunks;
-//! * **map**, **nested-loop** and **cross joins** partition the (left) input
-//!   rows into contiguous chunks;
-//! * **hash joins** partition the *build side by key hash* into per-worker
-//!   shards and probe in parallel; on the index fast path the *driving* rows
-//!   are sharded by key hash, so each distinct key — and its probe-side
-//!   cache entry — is owned by exactly one worker.
+//! * the **budget** — the context's [`wol_model::Parallelism`]
+//!   ([`EvalCtx::set_parallelism`]); a one-thread budget means one partition;
+//! * the **input size** — under [`EvalCtx::parallel_min_rows`] rows a pool
+//!   dispatch costs more than it saves, so the input stays whole;
+//! * **claim safety** — an expression that creates Skolem identities (whose
+//!   numbering depends on first-call order) somewhere the two-phase
+//!   key-claim protocol cannot cover pins its operator to one partition;
 //!
-//! Parallelism never changes results, only wall-clock: chunks are merged in
-//! input order, a key's matches live wholly in one shard in build order, and
-//! expressions that create Skolem identities (whose numbering depends on
-//! first-call order) pin their operator to the sequential path. The output
-//! row stream — and therefore the target instance built from it — is
-//! bit-identical at every thread count, and the merged [`ExecStats`] equal
-//! the sequential run's totals (per-worker breakdowns are additionally kept
-//! as [`EvalCtx::shard_stats`]).
+//! and `threads.min(rows)` otherwise. `run_partitioned` runs a single
+//! partition **inline on the calling context** — no pool dispatch, no worker
+//! context, no claim arena, nothing added to [`EvalCtx::shard_stats`] — so
+//! "sequential execution" is not a second implementation, only the
+//! one-partition case of the same operator. Several partitions go to the
+//! persistent [`wol_model::WorkerPool`], each on a worker context of its
+//! own. What a partition is depends on the operator:
+//!
+//! * **scan+filter** splits the class extent into contiguous chunks;
+//! * **filter**, **map**, **nested-loop** and **cross joins** split the
+//!   (left) input rows into contiguous chunks;
+//! * **hash joins** split the *build side by key hash* into per-partition
+//!   shard tables and probe in contiguous chunks; on the index fast path the
+//!   *driving* rows are sharded by key hash, so each distinct key — and its
+//!   one index probe — is owned by exactly one partition;
+//! * **insert actions** evaluate contiguous row chunks and always apply on
+//!   the calling thread, in row order.
+//!
+//! The partition count never changes results, only wall-clock: chunks merge
+//! in input order, a key's matches live wholly in one shard in build order,
+//! and Skolem identities minted off the calling thread are provisional
+//! claims replayed in input order afterwards. The output row stream — and
+//! therefore the target instance built from it — is bit-identical at every
+//! thread count, and the merged [`ExecStats`] are equal (per-partition
+//! breakdowns of multi-partition operators are additionally kept as
+//! [`EvalCtx::shard_stats`]).
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -100,10 +118,9 @@ impl ExecStats {
         self.max_intermediate_rows = self.max_intermediate_rows.max(rows);
     }
 
-    /// Merge a parallel worker's probe counters. Row accounting is *not*
-    /// merged here: the owning operator records its merged output once,
-    /// exactly like its sequential counterpart, so parallel and sequential
-    /// totals stay equal by construction.
+    /// Merge one partition's probe counters. Row accounting is *not* merged
+    /// here: the owning operator records its merged output once, whatever
+    /// the partition count, so the totals are equal by construction.
     fn absorb_probe_counters(&mut self, other: &ExecStats) {
         self.index_probes += other.index_probes;
         self.probe_cache_hits += other.probe_cache_hits;
@@ -139,56 +156,66 @@ impl ColumnarStats {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel scaffolding: partition, spawn, merge in input order.
+// Partition scaffolding: count, run, merge in input order.
 // ---------------------------------------------------------------------------
 
-/// Decide whether an operator over `rows` input items may run in parallel,
-/// given the expressions its workers would evaluate. Returns the worker count
-/// (>= 2) or `None` for the sequential path.
+/// How many partitions an operator over `rows` input items runs on, given
+/// the expressions its partitions would evaluate: always at least 1, and
+/// more than 1 only when there is a thread budget to use, enough input to
+/// repay a pool dispatch, and nothing that must see the real Skolem factory.
 ///
 /// Skolem creation mutates the shared factory, whose identity numbering
 /// depends on first-call order, so a Skolem-bearing expression is only
-/// admitted when the operator supports the two-phase key-claim protocol
-/// (`claims_ok` — [`Plan::Map`] and the insert actions) *and* every Skolem
-/// sits in value position ([`Expr::skolem_parallel_safe`]); otherwise the
-/// operator pins itself to the sequential path.
-pub(crate) fn parallel_workers<'e>(
+/// admitted off the calling context when the operator supports the two-phase
+/// key-claim protocol (`claims_ok` — [`Plan::Map`] and the insert actions)
+/// *and* every Skolem sits in value position
+/// ([`Expr::skolem_parallel_safe`]); otherwise the operator is pinned to one
+/// partition, which evaluates against the real factory.
+pub(crate) fn partition_count<'e>(
     ctx: &EvalCtx<'_>,
     rows: usize,
     claims_ok: bool,
     exprs: impl IntoIterator<Item = &'e Expr>,
-) -> Option<usize> {
+) -> usize {
     let threads = ctx.parallelism().threads();
     if threads <= 1 || rows < 2 || rows < ctx.parallel_min_rows() {
-        return None;
+        return 1;
     }
     for expr in exprs {
         if expr.contains_skolem() && !(claims_ok && expr.skolem_parallel_safe()) {
-            return None;
+            return 1;
         }
     }
-    Some(threads.min(rows))
+    threads.min(rows)
 }
 
-/// Dispatch one job per partition to the context's persistent
-/// [`wol_model::WorkerPool`], each with a fresh *sequential* context over the
-/// same shared sources and its own [`ExecStats`], and collect each
-/// partition's result in partition order. With `with_claims`, each worker
-/// context carries a [`SkolemClaims`] arena (the claim phase of the
-/// two-phase protocol) and the arenas come back partition-ordered for the
-/// caller to resolve; without it, workers cannot touch the Skolem factory at
-/// all, which [`parallel_workers`] already guaranteed is never needed.
+/// Run `work` once per partition and collect the results in partition order.
 ///
-/// The workers' probe counters are merged into `stats` (row accounting stays
-/// with the calling operator) and the full per-worker stats are accumulated
-/// into the context's per-shard breakdown. The error of the *earliest*
-/// partition propagates — the same error a sequential left-to-right run
-/// would have hit first.
+/// A single partition runs **inline** on the calling context: `work` sees
+/// the caller's own sources, restrictions, factory (or claim arena, on a
+/// claim context) — exactly what a plain loop over the input would have
+/// seen — and nothing is dispatched, allocated per worker, or recorded in
+/// the per-shard breakdown.
+///
+/// Several partitions become one job each on the persistent
+/// [`wol_model::WorkerPool`], each with a fresh one-thread context over the
+/// same shared sources. With `with_claims`, each worker context carries a
+/// [`SkolemClaims`] arena (the claim phase of the two-phase protocol) and
+/// the arenas come back partition-ordered for the caller to resolve;
+/// without it, workers cannot touch the Skolem factory at all, which
+/// [`partition_count`] already guaranteed is never needed. The full
+/// per-worker stats are accumulated into the context's per-shard breakdown.
+///
+/// Either way each partition counts into an [`ExecStats`] of its own, of
+/// which only the probe counters are merged into `stats` — row accounting
+/// stays with the calling operator, which records its merged output once.
+/// The error of the *earliest* partition propagates — the same error a
+/// left-to-right run over the whole input would have hit first.
 #[allow(clippy::type_complexity)]
 pub(crate) fn run_partitioned<T, A, F>(
     ctx: &mut EvalCtx<'_>,
     stats: &mut ExecStats,
-    partitions: Vec<A>,
+    mut partitions: Vec<A>,
     with_claims: bool,
     work: F,
 ) -> Result<(Vec<T>, Vec<Option<SkolemClaims>>)>
@@ -197,7 +224,13 @@ where
     A: Send,
     F: Fn(A, &mut EvalCtx<'_>, &mut ExecStats) -> Result<T> + Sync,
 {
-    let pool = ctx.pool();
+    if partitions.len() == 1 {
+        let partition = partitions.pop().expect("one partition");
+        let mut share = ExecStats::default();
+        let result = work(partition, ctx, &mut share);
+        stats.absorb_probe_counters(&share);
+        return Ok((vec![result?], vec![None]));
+    }
     let sources = ctx.sources().to_vec();
     let sources = &sources;
     let restrictions = ctx.scan_restrictions_map().clone();
@@ -216,38 +249,39 @@ where
             }) as wol_model::Job<'_, _>
         })
         .collect();
-    let outcomes = pool.scope(jobs);
+    let outcomes = wol_model::WorkerPool::shared(ctx.parallelism()).scope(jobs);
     let worker_stats: Vec<ExecStats> = outcomes.iter().map(|(ws, _, _)| *ws).collect();
     ctx.absorb_shard_stats(&worker_stats);
     for ws in &worker_stats {
         stats.absorb_probe_counters(ws);
     }
-    let mut arenas = Vec::with_capacity(outcomes.len());
-    let mut results = Vec::with_capacity(outcomes.len());
-    for (_, claims, result) in outcomes {
-        arenas.push(claims);
-        results.push(result);
-    }
-    let results: Result<Vec<T>> = results.into_iter().collect();
-    Ok((results?, arenas))
+    let (arenas, results): (Vec<_>, Vec<_>) = outcomes
+        .into_iter()
+        .map(|(_, claims, result)| (claims, result))
+        .unzip();
+    Ok((results.into_iter().collect::<Result<_>>()?, arenas))
 }
 
-/// Run `work` over contiguous chunks of `0..n` on `workers` pool workers
-/// and concatenate the chunk results in input order. Claim-free: the callers
-/// of this helper never evaluate Skolem-bearing expressions.
-fn run_chunked<T, F>(
-    ctx: &mut EvalCtx<'_>,
-    stats: &mut ExecStats,
-    n: usize,
-    workers: usize,
-    work: F,
-) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(Range<usize>, &mut EvalCtx<'_>, &mut ExecStats) -> Result<Vec<T>> + Sync,
-{
-    let (chunks, _) = run_partitioned(ctx, stats, chunk_ranges(n, workers), false, work)?;
-    Ok(chunks.into_iter().flatten().collect())
+/// Split `rows` into at most `parts` contiguous chunks (the [`chunk_ranges`]
+/// split) that *own* their rows, so a partition consumes its input instead
+/// of cloning out of a shared slice; the first chunk reuses `rows` itself.
+fn owned_chunks(mut rows: Vec<Row>, parts: usize) -> Vec<Vec<Row>> {
+    let mut chunks: Vec<Vec<Row>> = chunk_ranges(rows.len(), parts)
+        .into_iter()
+        .skip(1)
+        .rev()
+        .map(|range| rows.split_off(range.start))
+        .collect();
+    if !rows.is_empty() {
+        chunks.push(rows);
+    }
+    chunks.reverse();
+    chunks
+}
+
+/// Concatenate per-partition outputs in partition (= input) order.
+fn concat<T>(chunks: Vec<Vec<T>>) -> Vec<T> {
+    chunks.into_iter().flatten().collect()
 }
 
 /// Whether a `Map`'s bindings, evaluated in order against one claim arena,
@@ -255,7 +289,7 @@ where
 /// laundered through an *earlier binding of the same Map* (a later binding
 /// inspecting `Var(t)` where `t` was bound to a Skolem-bearing expression
 /// would observe the provisional, not the memoised real identity a
-/// sequential run sees). Input rows are already resolved by the upstream
+/// one-partition run sees). Input rows are already resolved by the upstream
 /// operator's resolution barrier, so only the Map's own bindings can taint
 /// — the taint set starts empty.
 fn map_bindings_claim_safe(bindings: &[(String, Expr)]) -> bool {
@@ -266,7 +300,7 @@ fn map_bindings_claim_safe(bindings: &[(String, Expr)]) -> bool {
 /// order = input order) and rewrite every provisional identity in `rows` to
 /// its final one. After this, no provisional identity survives in the
 /// operator's output — downstream operators and the target only ever see the
-/// identities a sequential run would have produced.
+/// identities a one-partition run would have produced.
 fn resolve_rows(rows: &mut [Row], arenas: Vec<Option<SkolemClaims>>, ctx: &mut EvalCtx<'_>) {
     let arenas: Vec<SkolemClaims> = arenas.into_iter().flatten().collect();
     if arenas.is_empty() {
@@ -295,25 +329,24 @@ fn key_tuple_hash(values: &[Value]) -> u64 {
     hasher.finish()
 }
 
-/// Evaluate one side's key tuples for every row, in parallel chunks when
-/// worth it. `None` entries are rows whose keys hit a missing optional
-/// attribute — unjoinable, exactly as the sequential paths treat them.
+/// Evaluate one side's key tuples for every row, over `parts` contiguous
+/// chunks. `None` entries are rows whose keys hit a missing optional
+/// attribute — unjoinable.
 fn eval_key_tuples(
     rows: &[Row],
     keys: &[&Expr],
-    workers: usize,
+    parts: usize,
     ctx: &mut EvalCtx<'_>,
     stats: &mut ExecStats,
 ) -> Result<Vec<Option<Vec<Value>>>> {
-    if rows.len() < 2 * workers {
-        return rows.iter().map(|row| eval_keys(keys, row, ctx)).collect();
-    }
-    run_chunked(ctx, stats, rows.len(), workers, |range, wctx, _ws| {
+    let ranges = chunk_ranges(rows.len(), parts);
+    let (chunks, _) = run_partitioned(ctx, stats, ranges, false, |range, wctx, _ws| {
         rows[range]
             .iter()
             .map(|row| eval_keys(keys, row, wctx))
-            .collect()
-    })
+            .collect::<Result<Vec<_>>>()
+    })?;
+    Ok(concat(chunks))
 }
 
 /// One executed join operator's actual output row count, recorded (in
@@ -341,6 +374,21 @@ pub(crate) struct IndexableSide {
     key_index: usize,
 }
 
+/// Whether the index fast path could answer `plan` through key number
+/// `key_index` of its side: the plan is a bare class scan and the key a
+/// single attribute projection off the scanned variable.
+fn indexable_key(plan: &Plan, key_index: usize, key: &Expr) -> Option<IndexableSide> {
+    let (Plan::Scan { class, var }, Expr::Proj(base, attr)) = (plan, key) else {
+        return None;
+    };
+    matches!(base.as_ref(), Expr::Var(v) if v == var).then(|| IndexableSide {
+        class: class.clone(),
+        var: var.clone(),
+        attr: attr.clone(),
+        key_index,
+    })
+}
+
 /// Detect an indexable side. `keys` yields this side's key expression from
 /// each `(left, right)` pair. Shared with the planner
 /// ([`crate::optimizer`]), which orients hash-join sides precisely so this
@@ -351,22 +399,8 @@ pub(crate) fn indexable_side<'p>(
     plan: &Plan,
     keys: impl Iterator<Item = &'p Expr>,
 ) -> Option<IndexableSide> {
-    let Plan::Scan { class, var } = plan else {
-        return None;
-    };
-    for (key_index, key) in keys.enumerate() {
-        if let Expr::Proj(base, attr) = key {
-            if matches!(base.as_ref(), Expr::Var(v) if v == var) {
-                return Some(IndexableSide {
-                    class: class.clone(),
-                    var: var.clone(),
-                    attr: attr.clone(),
-                    key_index,
-                });
-            }
-        }
-    }
-    None
+    keys.enumerate()
+        .find_map(|(key_index, key)| indexable_key(plan, key_index, key))
 }
 
 /// Among a composite key's probe-able attributes, pick the one whose index
@@ -377,63 +411,40 @@ pub(crate) fn indexable_side<'p>(
 /// candidate lists, over and over) and probing a uniform one; plain ndv
 /// cannot see it. Histograms are only consulted when there is a genuine
 /// choice (two or more probe-able keys) — the common single-key join keeps
-/// the old O(1) detection.
+/// the O(1) detection.
 fn best_indexable_side(
     plan: &Plan,
     keys: &[&Expr],
     sources: &[&Instance],
 ) -> Option<IndexableSide> {
-    let Plan::Scan { class, var } = plan else {
-        return None;
-    };
-    let candidates: Vec<(usize, &String)> = keys
+    let mut candidates: Vec<IndexableSide> = keys
         .iter()
         .enumerate()
-        .filter_map(|(key_index, key)| match key {
-            Expr::Proj(base, attr) if matches!(base.as_ref(), Expr::Var(v) if v == var) => {
-                Some((key_index, attr))
-            }
-            _ => None,
-        })
+        .filter_map(|(key_index, key)| indexable_key(plan, key_index, key))
         .collect();
     if candidates.len() <= 1 {
-        return candidates
-            .into_iter()
-            .next()
-            .map(|(key_index, attr)| IndexableSide {
-                class: class.clone(),
-                var: var.clone(),
-                attr: attr.clone(),
-                key_index,
-            });
+        return candidates.pop();
     }
-    let mut best: Option<(f64, IndexableSide)> = None;
-    for (key_index, attr) in candidates {
+    let expected = |side: &IndexableSide| {
         let mut self_join_rows = 0.0;
         let mut entries = 0.0;
         for source in sources {
-            let histogram = source.attr_histogram(class, attr);
+            let histogram = source.attr_histogram(&side.class, &side.attr);
             self_join_rows += histogram.eq_join_rows(&histogram);
             entries += histogram.entries() as f64;
         }
-        let expected = if entries > 0.0 {
+        if entries > 0.0 {
             self_join_rows / entries
         } else {
             f64::INFINITY
-        };
-        if best.as_ref().is_none_or(|(cost, _)| expected < *cost) {
-            best = Some((
-                expected,
-                IndexableSide {
-                    class: class.clone(),
-                    var: var.clone(),
-                    attr: attr.clone(),
-                    key_index,
-                },
-            ));
         }
-    }
-    best.map(|(_, side)| side)
+    };
+    // `min_by` keeps the first of equally cheap keys.
+    candidates
+        .into_iter()
+        .map(|side| (expected(&side), side))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .map(|(_, side)| side)
 }
 
 /// The number of identities a plan side's underlying scan can emit under
@@ -522,10 +533,15 @@ pub fn scan_order_trace(plan: &Plan) -> Option<Vec<String>> {
 /// key pairs against each candidate.
 ///
 /// Repeated composite keys — the common case on skewed data, where a few hot
-/// values dominate the driving side — are answered from a probe-side cache:
-/// the verified identity list for a key tuple is computed once and replayed
-/// for every later driving row carrying the same tuple
-/// ([`ExecStats::probe_cache_hits`]).
+/// values dominate the driving side — are probed **once**: driving rows are
+/// grouped by key tuple, the verified identity list of a group is computed
+/// for its first row and replayed for every other
+/// ([`ExecStats::probe_cache_hits`]). Groups are sharded *by key hash*, so a
+/// distinct key and its one probe belong to exactly one partition and the
+/// merged probe and cache-hit counts do not depend on the partition count.
+/// Each partition emits `(driving row index, produced rows)` pairs;
+/// reassembling them in driving-row order gives the output stream of a
+/// row-by-row loop, whatever the grouping and sharding were.
 fn probe_join(
     driving: &Plan,
     driving_keys: &[&Expr],
@@ -536,210 +552,135 @@ fn probe_join(
 ) -> Result<Vec<Row>> {
     let driving_rows = run_plan(driving, ctx, stats)?;
     let gate = driving_keys.iter().chain(scan_keys.iter()).copied();
-    if let Some(workers) = parallel_workers(ctx, driving_rows.len(), false, gate) {
-        return par_probe_join(
-            &driving_rows,
-            driving_keys,
-            scan_keys,
-            side,
-            workers,
-            ctx,
-            stats,
-        );
+    let parts = partition_count(ctx, driving_rows.len(), false, gate);
+    let key_tuples = eval_key_tuples(&driving_rows, driving_keys, parts, ctx, stats)?;
+    /// The driving rows (ascending indices) that share one probe: all rows
+    /// carrying `key`, or a contiguous sub-range of a *hot* key's rows.
+    struct ProbeGroup<'k> {
+        key: &'k [Value],
+        rows: Vec<usize>,
+        /// A hot key's pre-probed match list, shared by its sub-ranges; the
+        /// flag marks the lead sub-range, which accounts for the one probe.
+        shared: Option<(std::sync::Arc<Vec<Oid>>, bool)>,
     }
-    let sources = ctx.sources().to_vec();
-    // The cache is sound only when every scan-side key expression ranges
-    // over the scanned variable alone — then the verified identity list is a
-    // function of the key tuple. The planner only emits such keys, but the
-    // join shape is public API, so the executor re-checks.
+    // One probe per key is sound only when every scan-side key expression
+    // ranges over the scanned variable alone — then the verified identity
+    // list is a function of the key tuple. The planner only emits such keys,
+    // but the join shape is public API, so the executor re-checks.
     let cacheable = scan_keys
         .iter()
         .all(|k| k.var_set().iter().all(|v| v == &side.var));
-    let mut cache: HashMap<Vec<Value>, Vec<Oid>> = HashMap::new();
-    let mut rows = Vec::new();
-    'rows: for row in &driving_rows {
-        let mut key_values = Vec::with_capacity(driving_keys.len());
-        for key in driving_keys {
-            match eval(key, row, ctx) {
-                Ok(value) => key_values.push(value),
-                Err(CplError::BadValue(_)) => continue 'rows,
-                Err(other) => return Err(other),
-            }
-        }
-        if cacheable {
-            let matched = match cache.get(&key_values) {
-                Some(hit) => {
-                    stats.probe_cache_hits += 1;
-                    hit
-                }
-                None => {
-                    let fresh = verified_candidates(
-                        &Row::new(),
-                        &key_values,
-                        scan_keys,
-                        side,
-                        &sources,
-                        ctx,
-                        stats,
-                    )?;
-                    cache.entry(key_values.clone()).or_insert(fresh)
-                }
-            };
-            for oid in matched {
-                let mut combined = row.clone();
-                combined.insert(side.var.clone(), Value::Oid(oid.clone()));
-                rows.push(combined);
-            }
-        } else {
-            for oid in verified_candidates(row, &key_values, scan_keys, side, &sources, ctx, stats)?
-            {
-                let mut combined = row.clone();
-                combined.insert(side.var.clone(), Value::Oid(oid));
-                rows.push(combined);
-            }
-        }
-    }
-    ctx.record_join("HashJoin", rows.len());
-    stats.record_operator_output(rows.len());
-    Ok(rows)
-}
-
-/// The parallel index fast path: driving rows are sharded *by key hash* when
-/// the probe cache is usable — a distinct key, its index probe and its cache
-/// entry then belong to exactly one worker, so the merged probe and cache-hit
-/// counts equal the sequential run's — and by contiguous chunks otherwise
-/// (every row probes regardless, so ownership is irrelevant). Each worker
-/// emits `(driving row index, produced rows)` pairs; reassembling them in
-/// driving-row order reproduces the sequential output stream exactly.
-#[allow(clippy::too_many_arguments)]
-fn par_probe_join(
-    driving_rows: &[Row],
-    driving_keys: &[&Expr],
-    scan_keys: &[&Expr],
-    side: &IndexableSide,
-    workers: usize,
-    ctx: &mut EvalCtx<'_>,
-    stats: &mut ExecStats,
-) -> Result<Vec<Row>> {
-    let key_tuples = eval_key_tuples(driving_rows, driving_keys, workers, ctx, stats)?;
-    // Same soundness condition as the sequential cache (see `probe_join`).
-    let cacheable = scan_keys
-        .iter()
-        .all(|k| k.var_set().iter().all(|v| v == &side.var));
-    /// One unit of probe work: a hash-owned set of driving rows (the worker
-    /// probes and caches the keys it owns), or a stolen contiguous sub-range
-    /// of one *hot* key's rows sharing a pre-probed match list.
-    enum ProbeShard {
-        Owned(Vec<usize>),
-        Hot {
-            indices: Vec<usize>,
-            matched: std::sync::Arc<Vec<Oid>>,
-            lead: bool,
-        },
-    }
-    let mut shards: Vec<ProbeShard> = Vec::new();
+    let mut shards: Vec<Vec<ProbeGroup<'_>>> = Vec::new();
     if cacheable {
         // Group keyed rows per key tuple, in first-occurrence order.
-        let mut groups: Vec<(&[Value], Vec<usize>)> = Vec::new();
+        let mut groups: Vec<ProbeGroup<'_>> = Vec::new();
         let mut group_of: HashMap<&[Value], usize> = HashMap::new();
         let mut keyed = 0usize;
-        for (idx, key) in key_tuples.iter().enumerate() {
-            if let Some(values) = key {
-                keyed += 1;
-                match group_of.get(values.as_slice()) {
-                    Some(&g) => groups[g].1.push(idx),
-                    None => {
-                        group_of.insert(values.as_slice(), groups.len());
-                        groups.push((values.as_slice(), vec![idx]));
-                    }
-                }
+        for (idx, values) in key_tuples.iter().enumerate() {
+            let Some(values) = values else { continue };
+            keyed += 1;
+            let g = *group_of.entry(values.as_slice()).or_insert(groups.len());
+            if g == groups.len() {
+                groups.push(ProbeGroup {
+                    key: values,
+                    rows: Vec::new(),
+                    shared: None,
+                });
             }
+            groups[g].rows.push(idx);
         }
         // A zipfian heavy hitter hashes all of its rows into one shard and
         // serializes the join behind one worker. Keys holding at least twice
         // a fair share of the rows are split into contiguous sub-ranges that
         // idle workers steal; everyone shares the key's single pre-probed
-        // match list, and the lead sub-job accounts for the one probe the
-        // sequential run would have paid (the rest are cache hits), so the
-        // merged totals are unchanged. Submission-order reassembly is
-        // untouched — sub-jobs still emit per-driving-row slots.
-        let hot_threshold = (2 * keyed.div_ceil(workers)).max(8);
-        let mut owned: Vec<Vec<usize>> = vec![Vec::new(); workers];
-        for (values, indices) in groups {
-            if indices.len() >= hot_threshold {
-                let mut scratch = ExecStats::default();
-                let wsources = ctx.sources().to_vec();
-                let matched = std::sync::Arc::new(verified_candidates(
-                    &Row::new(),
-                    values,
-                    scan_keys,
-                    side,
-                    &wsources,
-                    ctx,
-                    &mut scratch,
-                )?);
-                for (part, range) in chunk_ranges(indices.len(), workers).into_iter().enumerate() {
-                    shards.push(ProbeShard::Hot {
-                        indices: indices[range].to_vec(),
-                        matched: matched.clone(),
-                        lead: part == 0,
-                    });
-                }
-            } else {
-                owned[(key_tuple_hash(values) % workers as u64) as usize].extend(indices);
+        // match list, and the lead sub-range accounts for that one probe
+        // (every other row is a cache hit), so the merged totals are
+        // unchanged. With one partition a fair share is every row, and no
+        // key is hot.
+        let hot_threshold = (2 * keyed.div_ceil(parts)).max(8);
+        let mut owned: Vec<Vec<ProbeGroup<'_>>> = (0..parts).map(|_| Vec::new()).collect();
+        for group in groups {
+            if group.rows.len() < hot_threshold {
+                owned[(key_tuple_hash(group.key) % parts as u64) as usize].push(group);
+                continue;
+            }
+            let sources = ctx.sources().to_vec();
+            let matched = std::sync::Arc::new(verified_candidates(
+                &Row::new(),
+                group.key,
+                scan_keys,
+                side,
+                &sources,
+                ctx,
+                &mut ExecStats::default(),
+            )?);
+            for (part, range) in chunk_ranges(group.rows.len(), parts)
+                .into_iter()
+                .enumerate()
+            {
+                shards.push(vec![ProbeGroup {
+                    key: group.key,
+                    rows: group.rows[range].to_vec(),
+                    shared: Some((matched.clone(), part == 0)),
+                }]);
             }
         }
-        shards.extend(
-            owned
-                .into_iter()
-                .filter(|indices| !indices.is_empty())
-                .map(ProbeShard::Owned),
-        );
+        shards.extend(owned.into_iter().filter(|groups| !groups.is_empty()));
     } else {
-        // Every row probes regardless, so ownership is irrelevant: plain
-        // contiguous chunks, dropping unkeyed rows and empty chunks.
-        shards.extend(
-            chunk_ranges(key_tuples.len(), workers)
-                .into_iter()
-                .map(|range| {
-                    range
-                        .filter(|idx| key_tuples[*idx].is_some())
-                        .collect::<Vec<_>>()
+        // Every keyed row probes for itself, so ownership is irrelevant:
+        // plain contiguous chunks of single-row groups.
+        for range in chunk_ranges(key_tuples.len(), parts) {
+            let groups: Vec<ProbeGroup<'_>> = range
+                .filter_map(|idx| {
+                    key_tuples[idx].as_ref().map(|values| ProbeGroup {
+                        key: values,
+                        rows: vec![idx],
+                        shared: None,
+                    })
                 })
-                .filter(|indices| !indices.is_empty())
-                .map(ProbeShard::Owned),
-        );
+                .collect();
+            if !groups.is_empty() {
+                shards.push(groups);
+            }
+        }
     }
-    let key_tuples = &key_tuples;
+    let driving_rows = &driving_rows;
     /// Rows produced for one driving-row slot, keyed for order-preserving
     /// reassembly.
     type SlotRows = Vec<(usize, Vec<Row>)>;
     let (per_shard, _): (Vec<SlotRows>, _) =
         run_partitioned(ctx, stats, shards, false, |shard, wctx, ws| {
-            let indices = match &shard {
-                ProbeShard::Owned(indices) => indices,
-                ProbeShard::Hot { indices, .. } => indices,
-            };
-            let mut out = Vec::with_capacity(indices.len());
-            if let ProbeShard::Hot {
-                indices,
-                matched,
-                lead,
-            } = &shard
-            {
-                // The lead sub-job carries the key's one probe; every other
-                // row of the key — here and in sibling sub-jobs — is a cache
-                // hit, exactly matching the sequential accounting.
-                if *lead {
-                    ws.index_probes += 1;
-                    ws.probe_cache_hits += indices.len() - 1;
-                } else {
-                    ws.probe_cache_hits += indices.len();
-                }
-                for &idx in indices {
+            let sources = wctx.sources().to_vec();
+            let unbound = Row::new();
+            let mut out = Vec::new();
+            for group in &shard {
+                let fresh;
+                let matched: &[Oid] = match &group.shared {
+                    Some((matched, lead)) => {
+                        ws.index_probes += usize::from(*lead);
+                        ws.probe_cache_hits += group.rows.len() - usize::from(*lead);
+                        matched.as_slice()
+                    }
+                    None => {
+                        // A cacheable key's candidates depend on the key
+                        // alone; otherwise the (single) row is the base the
+                        // remaining scan keys are verified against.
+                        let base = if cacheable {
+                            &unbound
+                        } else {
+                            &driving_rows[group.rows[0]]
+                        };
+                        fresh = verified_candidates(
+                            base, group.key, scan_keys, side, &sources, wctx, ws,
+                        )?;
+                        ws.probe_cache_hits += group.rows.len() - 1;
+                        &fresh
+                    }
+                };
+                for &idx in &group.rows {
                     let row = &driving_rows[idx];
                     let mut produced = Vec::with_capacity(matched.len());
-                    for oid in matched.iter() {
+                    for oid in matched {
                         let mut combined = row.clone();
                         combined.insert(side.var.clone(), Value::Oid(oid.clone()));
                         produced.push(combined);
@@ -747,56 +688,14 @@ fn par_probe_join(
                     ws.rows_produced += produced.len();
                     out.push((idx, produced));
                 }
-                return Ok(out);
-            }
-            let wsources = wctx.sources().to_vec();
-            let mut cache: HashMap<&[Value], Vec<Oid>> = HashMap::new();
-            for &idx in indices {
-                let key_values = key_tuples[idx]
-                    .as_ref()
-                    .expect("only keyed rows are partitioned");
-                let row = &driving_rows[idx];
-                let matched: Vec<Oid> = if cacheable {
-                    match cache.get(key_values.as_slice()) {
-                        Some(hit) => {
-                            ws.probe_cache_hits += 1;
-                            hit.clone()
-                        }
-                        None => {
-                            let fresh = verified_candidates(
-                                &Row::new(),
-                                key_values,
-                                scan_keys,
-                                side,
-                                &wsources,
-                                wctx,
-                                ws,
-                            )?;
-                            cache.insert(key_values.as_slice(), fresh.clone());
-                            fresh
-                        }
-                    }
-                } else {
-                    verified_candidates(row, key_values, scan_keys, side, &wsources, wctx, ws)?
-                };
-                let mut produced = Vec::with_capacity(matched.len());
-                for oid in matched {
-                    let mut combined = row.clone();
-                    combined.insert(side.var.clone(), Value::Oid(oid));
-                    produced.push(combined);
-                }
-                ws.rows_produced += produced.len();
-                out.push((idx, produced));
             }
             Ok(out)
         })?;
     let mut per_row: Vec<Vec<Row>> = vec![Vec::new(); driving_rows.len()];
-    for shard in per_shard {
-        for (idx, produced) in shard {
-            per_row[idx] = produced;
-        }
+    for (idx, produced) in per_shard.into_iter().flatten() {
+        per_row[idx] = produced;
     }
-    let rows: Vec<Row> = per_row.into_iter().flatten().collect();
+    let rows = concat(per_row);
     ctx.record_join("HashJoin", rows.len());
     stats.record_operator_output(rows.len());
     Ok(rows)
@@ -848,24 +747,24 @@ fn verified_candidates(
     Ok(matched)
 }
 
-/// The parallel generic hash join. The *build side* is partitioned by key
-/// hash into per-worker shard tables (each worker builds the table for the
-/// keys it owns, scanning the pre-evaluated key tuples), then the probe side
-/// is processed in contiguous chunks: each probe row looks up the shard that
+/// The generic hash join. The *build side* is partitioned by key hash into
+/// per-partition shard tables (each partition builds the table for the keys
+/// it owns, scanning the pre-evaluated key tuples), then the probe side is
+/// processed in contiguous chunks: each probe row looks up the shard that
 /// owns its key's hash. A key's build rows all live in one shard, in build
-/// order, and probe chunks merge in probe order — so the output row stream is
-/// identical to the sequential build-then-probe loop.
-fn par_hash_join(
+/// order, and probe chunks merge in probe order — so the output row stream
+/// is that of a single build-then-probe loop at every partition count.
+fn hash_join(
     left_rows: &[Row],
     right_rows: &[Row],
     left_keys: &[&Expr],
     right_keys: &[&Expr],
-    workers: usize,
+    parts: usize,
     ctx: &mut EvalCtx<'_>,
     stats: &mut ExecStats,
 ) -> Result<Vec<Row>> {
-    let left_tuples = eval_key_tuples(left_rows, left_keys, workers, ctx, stats)?;
-    let right_tuples = eval_key_tuples(right_rows, right_keys, workers, ctx, stats)?;
+    let left_tuples = eval_key_tuples(left_rows, left_keys, parts, ctx, stats)?;
+    let right_tuples = eval_key_tuples(right_rows, right_keys, parts, ctx, stats)?;
     let left_hashes: Vec<u64> = left_tuples
         .iter()
         .map(|tuple| tuple.as_ref().map_or(0, |values| key_tuple_hash(values)))
@@ -876,13 +775,13 @@ fn par_hash_join(
     let (shard_tables, _): (Vec<HashMap<&[Value], Vec<usize>>>, _) = run_partitioned(
         ctx,
         stats,
-        (0..workers).collect(),
+        (0..parts).collect(),
         false,
         |shard, _wctx, _ws| {
             let mut table: HashMap<&[Value], Vec<usize>> = HashMap::new();
             for (idx, tuple) in left_tuples.iter().enumerate() {
                 if let Some(values) = tuple {
-                    if left_hashes[idx] % workers as u64 == shard as u64 {
+                    if left_hashes[idx] % parts as u64 == shard as u64 {
                         table.entry(values.as_slice()).or_default().push(idx);
                     }
                 }
@@ -891,13 +790,14 @@ fn par_hash_join(
         },
     )?;
     let (shard_tables, right_tuples) = (&shard_tables, &right_tuples);
-    run_chunked(ctx, stats, right_rows.len(), workers, |range, _wctx, ws| {
+    let ranges = chunk_ranges(right_rows.len(), parts);
+    let (chunks, _) = run_partitioned(ctx, stats, ranges, false, |range, _wctx, ws| {
         let mut out = Vec::new();
         for idx in range {
             let Some(values) = &right_tuples[idx] else {
                 continue;
             };
-            let table = &shard_tables[(key_tuple_hash(values) % workers as u64) as usize];
+            let table = &shard_tables[(key_tuple_hash(values) % parts as u64) as usize];
             if let Some(matches) = table.get(values.as_slice()) {
                 for &left_idx in matches {
                     let mut combined = left_rows[left_idx].clone();
@@ -908,7 +808,8 @@ fn par_hash_join(
         }
         ws.rows_produced += out.len();
         Ok(out)
-    })
+    })?;
+    Ok(concat(chunks))
 }
 
 /// Evaluate all keys of one join side against a row; `None` when a missing
@@ -925,6 +826,31 @@ fn eval_keys(keys: &[&Expr], row: &Row, ctx: &mut EvalCtx<'_>) -> Result<Option<
     Ok(Some(values))
 }
 
+/// What a scan of `class` bound to `var` emits, as `emit` renders each
+/// identity: every source's extent in order, narrowed by the variable's
+/// delta restriction if one is active, and counted as scanned.
+fn scan_extent<T>(
+    class: &wol_model::ClassName,
+    var: &str,
+    ctx: &EvalCtx<'_>,
+    stats: &mut ExecStats,
+    emit: impl FnMut(&Oid) -> T,
+) -> Vec<T> {
+    let restriction = ctx.scan_restriction(var);
+    if restriction.is_some() {
+        stats.restricted_scans += 1;
+    }
+    let scanned: Vec<T> = ctx
+        .sources()
+        .iter()
+        .flat_map(|instance| instance.extent(class))
+        .filter(|oid| restriction.is_none_or(|keep| keep.contains(*oid)))
+        .map(emit)
+        .collect();
+    stats.rows_scanned += scanned.len();
+    scanned
+}
+
 /// Run a plan against the context, returning its rows.
 pub fn run_plan(plan: &Plan, ctx: &mut EvalCtx<'_>, stats: &mut ExecStats) -> Result<Vec<Row>> {
     // Scan→filter→project towers over a single source run batch-at-a-time on
@@ -934,163 +860,90 @@ pub fn run_plan(plan: &Plan, ctx: &mut EvalCtx<'_>, stats: &mut ExecStats) -> Re
         return Ok(rows);
     }
     let rows = match plan {
-        Plan::Scan { class, var } => {
-            let restriction = ctx.scan_restriction(var).cloned();
-            if restriction.is_some() {
-                stats.restricted_scans += 1;
-            }
-            let mut rows = Vec::new();
-            for instance in ctx.sources().to_vec() {
-                for oid in instance.extent(class) {
-                    if let Some(keep) = &restriction {
-                        if !keep.contains(oid) {
-                            continue;
-                        }
-                    }
-                    let mut row = Row::new();
-                    row.insert(var.clone(), Value::Oid(oid.clone()));
-                    rows.push(row);
-                }
-            }
-            stats.rows_scanned += rows.len();
-            rows
-        }
+        Plan::Scan { class, var } => scan_extent(class, var, ctx, stats, |oid| {
+            Row::from([(var.clone(), Value::Oid(oid.clone()))])
+        }),
         Plan::Filter { input, predicate } => {
             // Fused scan+filter: partition the class extent itself into
             // contiguous chunks, so row construction and the predicate both
-            // run on the workers.
+            // run on the partitions.
             if let Plan::Scan { class, var } = input.as_ref() {
                 let extent_total: usize = ctx.sources().iter().map(|i| i.extent_size(class)).sum();
-                if let Some(workers) = parallel_workers(ctx, extent_total, false, [predicate]) {
-                    let restriction = ctx.scan_restriction(var).cloned();
-                    if restriction.is_some() {
-                        stats.restricted_scans += 1;
-                    }
-                    let oids: Vec<Oid> = ctx
-                        .sources()
-                        .iter()
-                        .flat_map(|instance| instance.extent(class))
-                        .filter(|oid| restriction.as_ref().is_none_or(|keep| keep.contains(*oid)))
-                        .cloned()
-                        .collect();
-                    // Account for the scan exactly like the sequential path
-                    // would have: every extent row is scanned and produced by
-                    // the scan operator before the filter keeps its subset.
-                    stats.rows_scanned += oids.len();
-                    stats.record_operator_output(oids.len());
-                    let oids = &oids;
-                    let rows = run_chunked(ctx, stats, oids.len(), workers, |range, wctx, ws| {
-                        ws.rows_scanned += range.len();
-                        let mut kept = Vec::new();
-                        for oid in &oids[range] {
-                            let row = Row::from([(var.clone(), Value::Oid(oid.clone()))]);
-                            if eval_predicate(predicate, &row, wctx)? {
-                                kept.push(row);
-                            }
-                        }
-                        ws.rows_produced += kept.len();
-                        Ok(kept)
-                    })?;
-                    stats.record_operator_output(rows.len());
-                    return Ok(rows);
-                }
-            }
-            let input_rows = run_plan(input, ctx, stats)?;
-            match parallel_workers(ctx, input_rows.len(), false, [predicate]) {
-                Some(workers) => {
-                    let input_rows = &input_rows;
-                    run_chunked(ctx, stats, input_rows.len(), workers, |range, wctx, ws| {
-                        let mut kept = Vec::new();
-                        for row in &input_rows[range] {
-                            if eval_predicate(predicate, row, wctx)? {
-                                kept.push(row.clone());
-                            }
-                        }
-                        ws.rows_produced += kept.len();
-                        Ok(kept)
-                    })?
-                }
-                None => {
-                    let mut rows = Vec::new();
-                    for row in input_rows {
-                        if eval_predicate(predicate, &row, ctx)? {
-                            rows.push(row);
+                let parts = partition_count(ctx, extent_total, false, [predicate]);
+                // The scan operator's own output, recorded as the `Scan` arm
+                // would have: every extent row is scanned and produced
+                // before the filter keeps its subset.
+                let oids = scan_extent(class, var, ctx, stats, Oid::clone);
+                stats.record_operator_output(oids.len());
+                let oids = &oids;
+                let ranges = chunk_ranges(oids.len(), parts);
+                let (chunks, _) = run_partitioned(ctx, stats, ranges, false, |range, wctx, ws| {
+                    ws.rows_scanned += range.len();
+                    let mut kept = Vec::new();
+                    for oid in &oids[range] {
+                        let row = Row::from([(var.clone(), Value::Oid(oid.clone()))]);
+                        if eval_predicate(predicate, &row, wctx)? {
+                            kept.push(row);
                         }
                     }
-                    rows
-                }
+                    ws.rows_produced += kept.len();
+                    Ok(kept)
+                })?;
+                concat(chunks)
+            } else {
+                let input_rows = run_plan(input, ctx, stats)?;
+                let parts = partition_count(ctx, input_rows.len(), false, [predicate]);
+                let chunks = owned_chunks(input_rows, parts);
+                let (chunks, _) = run_partitioned(ctx, stats, chunks, false, |chunk, wctx, ws| {
+                    let mut kept = Vec::new();
+                    for row in chunk {
+                        if eval_predicate(predicate, &row, wctx)? {
+                            kept.push(row);
+                        }
+                    }
+                    ws.rows_produced += kept.len();
+                    Ok(kept)
+                })?;
+                concat(chunks)
             }
         }
         Plan::Map { input, bindings } => {
             let input_rows = run_plan(input, ctx, stats)?;
             let gate = bindings.iter().map(|(_, e)| e);
             let claims_ok = map_bindings_claim_safe(bindings);
-            match parallel_workers(ctx, input_rows.len(), claims_ok, gate) {
-                Some(workers) => {
-                    // Skolem-bearing bindings run under the two-phase
-                    // key-claim protocol: workers mint provisional
-                    // identities into per-worker arenas, and the arenas are
-                    // resolved in partition (= input) order afterwards, so
-                    // the final numbering — and the rewritten rows — are
-                    // bit-identical to a sequential evaluation.
-                    let with_claims = bindings.iter().any(|(_, e)| e.contains_skolem());
-                    let input_rows = &input_rows;
-                    let (chunks, arenas) = run_partitioned(
-                        ctx,
-                        stats,
-                        chunk_ranges(input_rows.len(), workers),
-                        with_claims,
-                        |range, wctx, ws| {
-                            let mut out = Vec::new();
-                            'rows: for row in &input_rows[range] {
-                                let mut extended = row.clone();
-                                for (var, expr) in bindings {
-                                    match eval(expr, &extended, wctx) {
-                                        Ok(value) => {
-                                            extended.insert(var.clone(), value);
-                                        }
-                                        // Missing optional attribute: the row
-                                        // does not contribute.
-                                        Err(CplError::BadValue(_)) => continue 'rows,
-                                        Err(other) => return Err(other),
-                                    }
-                                }
-                                out.push(extended);
-                            }
-                            ws.rows_produced += out.len();
-                            Ok(out)
-                        },
-                    )?;
-                    let mut rows: Vec<Row> = chunks.into_iter().flatten().collect();
-                    resolve_rows(&mut rows, arenas, ctx);
-                    rows
-                }
-                None => {
-                    let mut rows = Vec::new();
-                    for mut row in input_rows {
-                        let mut ok = true;
+            let parts = partition_count(ctx, input_rows.len(), claims_ok, gate);
+            // Off the calling context, Skolem-bearing bindings run under the
+            // two-phase key-claim protocol: partitions mint provisional
+            // identities into per-worker arenas, and the arenas are resolved
+            // in partition (= input) order afterwards, so the final
+            // numbering — and the rewritten rows — are bit-identical to an
+            // evaluation against the real factory.
+            let with_claims = bindings.iter().any(|(_, e)| e.contains_skolem());
+            let chunks = owned_chunks(input_rows, parts);
+            let (chunks, arenas) =
+                run_partitioned(ctx, stats, chunks, with_claims, |chunk, wctx, ws| {
+                    let mut out = Vec::with_capacity(chunk.len());
+                    'rows: for mut row in chunk {
                         for (var, expr) in bindings {
-                            match eval(expr, &row, ctx) {
+                            match eval(expr, &row, wctx) {
                                 Ok(value) => {
                                     row.insert(var.clone(), value);
                                 }
-                                Err(CplError::BadValue(_)) => {
-                                    // A missing optional attribute: the row
-                                    // does not contribute (mirrors
-                                    // clause-matching semantics).
-                                    ok = false;
-                                    break;
-                                }
+                                // A missing optional attribute: the row does
+                                // not contribute (mirrors clause-matching
+                                // semantics).
+                                Err(CplError::BadValue(_)) => continue 'rows,
                                 Err(other) => return Err(other),
                             }
                         }
-                        if ok {
-                            rows.push(row);
-                        }
+                        out.push(row);
                     }
-                    rows
-                }
-            }
+                    ws.rows_produced += out.len();
+                    Ok(out)
+                })?;
+            let mut rows = concat(chunks);
+            resolve_rows(&mut rows, arenas, ctx);
+            rows
         }
         Plan::NestedLoopJoin {
             left,
@@ -1099,80 +952,50 @@ pub fn run_plan(plan: &Plan, ctx: &mut EvalCtx<'_>, stats: &mut ExecStats) -> Re
         } => {
             let left_rows = run_plan(left, ctx, stats)?;
             let right_rows = run_plan(right, ctx, stats)?;
-            let rows = match parallel_workers(ctx, left_rows.len(), false, predicate.iter()) {
-                Some(workers) => {
-                    let (left_rows, right_rows) = (&left_rows, &right_rows);
-                    run_chunked(ctx, stats, left_rows.len(), workers, |range, wctx, ws| {
-                        let mut out = Vec::new();
-                        for l in &left_rows[range] {
-                            for r in right_rows {
-                                let mut combined = l.clone();
-                                combined.extend(r.clone());
-                                let keep = match predicate {
-                                    Some(p) => eval_predicate(p, &combined, wctx)?,
-                                    None => true,
-                                };
-                                if keep {
-                                    out.push(combined);
-                                }
-                            }
-                        }
-                        ws.rows_produced += out.len();
-                        Ok(out)
-                    })?
-                }
-                None => {
-                    let mut rows = Vec::new();
-                    for l in &left_rows {
-                        for r in &right_rows {
-                            let mut combined = l.clone();
-                            combined.extend(r.clone());
-                            let keep = match predicate {
-                                Some(p) => eval_predicate(p, &combined, ctx)?,
-                                None => true,
-                            };
-                            if keep {
-                                rows.push(combined);
-                            }
+            let parts = partition_count(ctx, left_rows.len(), false, predicate.iter());
+            let (left_rows, right_rows) = (&left_rows, &right_rows);
+            let ranges = chunk_ranges(left_rows.len(), parts);
+            let (chunks, _) = run_partitioned(ctx, stats, ranges, false, |range, wctx, ws| {
+                let mut out = Vec::new();
+                for l in &left_rows[range] {
+                    for r in right_rows {
+                        let mut combined = l.clone();
+                        combined.extend(r.clone());
+                        let keep = match predicate {
+                            Some(p) => eval_predicate(p, &combined, wctx)?,
+                            None => true,
+                        };
+                        if keep {
+                            out.push(combined);
                         }
                     }
-                    rows
                 }
-            };
+                ws.rows_produced += out.len();
+                Ok(out)
+            })?;
+            let rows = concat(chunks);
             ctx.record_join("NestedLoopJoin", rows.len());
             rows
         }
         Plan::CrossJoin { left, right } => {
             let left_rows = run_plan(left, ctx, stats)?;
             let right_rows = run_plan(right, ctx, stats)?;
-            let rows = match parallel_workers(ctx, left_rows.len(), false, std::iter::empty()) {
-                Some(workers) => {
-                    let (left_rows, right_rows) = (&left_rows, &right_rows);
-                    run_chunked(ctx, stats, left_rows.len(), workers, |range, _wctx, ws| {
-                        let mut out = Vec::with_capacity(range.len() * right_rows.len());
-                        for l in &left_rows[range] {
-                            for r in right_rows {
-                                let mut combined = l.clone();
-                                combined.extend(r.clone());
-                                out.push(combined);
-                            }
-                        }
-                        ws.rows_produced += out.len();
-                        Ok(out)
-                    })?
-                }
-                None => {
-                    let mut rows = Vec::with_capacity(left_rows.len() * right_rows.len());
-                    for l in &left_rows {
-                        for r in &right_rows {
-                            let mut combined = l.clone();
-                            combined.extend(r.clone());
-                            rows.push(combined);
-                        }
+            let parts = partition_count(ctx, left_rows.len(), false, std::iter::empty());
+            let (left_rows, right_rows) = (&left_rows, &right_rows);
+            let ranges = chunk_ranges(left_rows.len(), parts);
+            let (chunks, _) = run_partitioned(ctx, stats, ranges, false, |range, _wctx, ws| {
+                let mut out = Vec::with_capacity(range.len() * right_rows.len());
+                for l in &left_rows[range] {
+                    for r in right_rows {
+                        let mut combined = l.clone();
+                        combined.extend(r.clone());
+                        out.push(combined);
                     }
-                    rows
                 }
-            };
+                ws.rows_produced += out.len();
+                Ok(out)
+            })?;
+            let rows = concat(chunks);
             ctx.record_join("CrossJoin", rows.len());
             rows
         }
@@ -1224,41 +1047,16 @@ pub fn run_plan(plan: &Plan, ctx: &mut EvalCtx<'_>, stats: &mut ExecStats) -> Re
             let left_rows = run_plan(left, ctx, stats)?;
             let right_rows = run_plan(right, ctx, stats)?;
             let gate = keys.iter().flat_map(|(l, r)| [l, r]);
-            let rows =
-                match parallel_workers(ctx, left_rows.len().max(right_rows.len()), false, gate) {
-                    Some(workers) => par_hash_join(
-                        &left_rows,
-                        &right_rows,
-                        &left_keys,
-                        &right_keys,
-                        workers,
-                        ctx,
-                        stats,
-                    )?,
-                    None => {
-                        // Build on the left, probe with the right.
-                        let mut table: BTreeMap<Vec<Value>, Vec<&Row>> = BTreeMap::new();
-                        for l in &left_rows {
-                            if let Some(key) = eval_keys(&left_keys, l, ctx)? {
-                                table.entry(key).or_default().push(l);
-                            }
-                        }
-                        let mut rows = Vec::new();
-                        for r in &right_rows {
-                            let Some(key) = eval_keys(&right_keys, r, ctx)? else {
-                                continue;
-                            };
-                            if let Some(matches) = table.get(&key) {
-                                for l in matches {
-                                    let mut combined = (*l).clone();
-                                    combined.extend(r.clone());
-                                    rows.push(combined);
-                                }
-                            }
-                        }
-                        rows
-                    }
-                };
+            let parts = partition_count(ctx, left_rows.len().max(right_rows.len()), false, gate);
+            let rows = hash_join(
+                &left_rows,
+                &right_rows,
+                &left_keys,
+                &right_keys,
+                parts,
+                ctx,
+                stats,
+            )?;
             ctx.record_join("HashJoin", rows.len());
             rows
         }
@@ -1280,8 +1078,8 @@ pub fn run_plan(plan: &Plan, ctx: &mut EvalCtx<'_>, stats: &mut ExecStats) -> Re
 /// One row's evaluated insert actions from the claim phase: the key and
 /// record *values* (possibly holding provisional identities) plus the claim
 /// ranges their evaluation recorded, so the apply phase can interleave claim
-/// resolution with the per-row `Mk_C` calls exactly as a sequential run
-/// interleaved them.
+/// resolution with the per-row `Mk_C` calls exactly as the one-partition
+/// loop of [`execute_query`] interleaves them.
 #[derive(Debug)]
 struct EvaluatedInsert {
     key: Value,
@@ -1320,10 +1118,10 @@ impl EvaluatedQuery {
 }
 
 /// The claim-phase insert-evaluation loop shared by [`evaluate_query`] and
-/// the partitioned path of [`execute_query`]: evaluate every insert's key
-/// and attributes per row, delimiting the Skolem claims each evaluation
+/// the partitions of [`execute_query`]: evaluate every insert's key and
+/// attributes per row, delimiting the Skolem claims each evaluation
 /// recorded. Stops at the first erroring row (recording the error in its
-/// slot), exactly where the sequential loop would have stopped.
+/// slot), exactly where the one-partition loop would have stopped.
 fn evaluate_insert_rows<'r>(
     query: &Query,
     rows: impl Iterator<Item = &'r Row>,
@@ -1498,11 +1296,20 @@ fn write_object(
 
 /// Execute one query: run its plan and apply its insert actions to `target`.
 ///
-/// With enough rows and a worker budget, the insert *evaluation* — key and
-/// attribute expressions per row, the expensive part of Skolem-heavy loads —
-/// runs partitioned on the pool under the two-phase key-claim protocol, while
-/// application stays on the calling thread in row order; the target is
-/// bit-identical to the sequential loop at every thread count.
+/// The insert *evaluation* — key and attribute expressions per row, the
+/// expensive part of Skolem-heavy loads — is partitioned like any operator;
+/// application always stays on the calling thread, in row order.
+///
+/// This is the one operator whose single partition is not the partitioned
+/// body run inline. The partitions evaluate **all** their rows before any
+/// `Mk_C` of the insert identities, which is only sound on claim arenas:
+/// against the real factory the numbering depends on the per-row interleaving
+/// *key → `Mk_C` → attributes → write*, and reproducing that from
+/// pre-evaluated rows would take the very claim-and-replay machinery a
+/// single partition exists to avoid. So one partition runs the interleaved
+/// loop directly — it is also where inserts pinned by a Skolem in inspection
+/// position see the real factory — and the target is bit-identical either
+/// way.
 pub fn execute_query(
     query: &Query,
     ctx: &mut EvalCtx<'_>,
@@ -1511,56 +1318,37 @@ pub fn execute_query(
 ) -> Result<()> {
     let rows = run_plan(&query.plan, ctx, stats)?;
     stats.rows_output += rows.len();
-    let gate = query
-        .inserts
-        .iter()
-        .flat_map(|i| std::iter::once(&i.key).chain(i.attrs.iter().map(|(_, e)| e)));
-    if let Some(workers) = parallel_workers(ctx, rows.len(), true, gate) {
-        return parallel_inserts(query, &rows, workers, ctx, target, stats);
-    }
-    for row in rows {
-        for insert in &query.inserts {
-            let key = eval(&insert.key, &row, ctx)?;
-            let oid = ctx.mk_skolem(&insert.class, &key);
-            let mut fields = BTreeMap::new();
-            for (label, expr) in &insert.attrs {
-                fields.insert(label.clone(), eval(expr, &row, ctx)?);
+    let exprs = || {
+        query
+            .inserts
+            .iter()
+            .flat_map(|i| std::iter::once(&i.key).chain(i.attrs.iter().map(|(_, e)| e)))
+    };
+    let parts = partition_count(ctx, rows.len(), true, exprs());
+    if parts == 1 {
+        for row in rows {
+            for insert in &query.inserts {
+                let key = eval(&insert.key, &row, ctx)?;
+                let oid = ctx.mk_skolem(&insert.class, &key);
+                let mut fields = BTreeMap::new();
+                for (label, expr) in &insert.attrs {
+                    fields.insert(label.clone(), eval(expr, &row, ctx)?);
+                }
+                write_object(target, oid, Value::Record(fields), &query.name, stats)?;
             }
-            write_object(target, oid, Value::Record(fields), &query.name, stats)?;
         }
+        return Ok(());
     }
-    Ok(())
-}
-
-/// The partitioned insert-evaluation path of [`execute_query`]: workers
-/// evaluate contiguous row chunks (claiming Skolem identities into
-/// per-worker arenas), then the claims resolve and the records apply on the
-/// calling thread in row order — parallel Skolem insertion, deterministic by
-/// the two-phase protocol.
-fn parallel_inserts(
-    query: &Query,
-    rows: &[Row],
-    workers: usize,
-    ctx: &mut EvalCtx<'_>,
-    target: &mut Instance,
-    stats: &mut ExecStats,
-) -> Result<()> {
-    let with_claims = query
-        .inserts
-        .iter()
-        .any(|i| i.key.contains_skolem() || i.attrs.iter().any(|(_, e)| e.contains_skolem()));
-    let (chunks, arenas) = run_partitioned(
-        ctx,
-        stats,
-        chunk_ranges(rows.len(), workers),
-        with_claims,
-        |range, wctx, _ws| Ok(evaluate_insert_rows(query, rows[range].iter(), wctx)),
-    )?;
-    let mut resolved = BTreeMap::new();
+    let with_claims = exprs().any(Expr::contains_skolem);
+    let rows = &rows;
+    let ranges = chunk_ranges(rows.len(), parts);
+    let (chunks, arenas) = run_partitioned(ctx, stats, ranges, with_claims, |range, wctx, _ws| {
+        Ok(evaluate_insert_rows(query, rows[range].iter(), wctx))
+    })?;
     apply_insert_rows(
         query,
         arenas.into_iter().zip(chunks).collect(),
-        &mut resolved,
+        &mut BTreeMap::new(),
         ctx,
         target,
         stats,
@@ -1572,6 +1360,7 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::plan::InsertAction;
+    use std::collections::BTreeSet;
     use wol_model::{ClassName, Oid, Parallelism};
 
     fn euro_instance() -> Instance {
@@ -1986,124 +1775,463 @@ mod tests {
         assert!(ctx.take_join_trace().is_empty());
     }
 
-    /// Run `plan` sequentially and at each of the given thread counts (with
-    /// the parallel threshold lowered so tiny inputs still exercise the
-    /// partitioned paths), asserting the parallel run reproduces the
-    /// sequential row *stream* (same rows, same order) and that the merged
-    /// [`ExecStats`] equal the sequential totals. Returns the sequential
-    /// rows and stats for further assertions.
-    fn assert_parallel_matches_sequential(
-        plan: &Plan,
-        inst: &Instance,
-        thread_counts: &[usize],
-    ) -> (Vec<Row>, ExecStats) {
-        let refs = [inst];
-        let mut seq_ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
-        let mut seq_stats = ExecStats::default();
-        let seq_rows = run_plan(plan, &mut seq_ctx, &mut seq_stats).expect("sequential run");
-        assert!(
-            seq_ctx.shard_stats().is_empty(),
-            "a sequential run must not spawn workers"
-        );
-        for &threads in thread_counts {
-            let mut par_ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(threads));
-            par_ctx.set_parallel_min_rows(1);
-            let mut par_stats = ExecStats::default();
-            let par_rows = run_plan(plan, &mut par_ctx, &mut par_stats).expect("parallel run");
-            assert_eq!(
-                par_rows, seq_rows,
-                "row stream diverged at {threads} threads"
-            );
-            assert_eq!(
-                par_stats, seq_stats,
-                "merged ExecStats diverged at {threads} threads"
+    /// A source with every partitioning hazard in one place: countries and
+    /// cities (one city without a country, so rows drop mid-`Map`), a
+    /// single-row class, and a zipfian marker→clone key (32 of 40 markers
+    /// share the `hot` clone) so probe shards are unbalanced and the hot key
+    /// gets split.
+    fn partition_fixture() -> Instance {
+        let mut inst = Instance::new("src");
+        let countries: Vec<Oid> = (0..4)
+            .map(|i| {
+                inst.insert_fresh(
+                    &ClassName::new("CountryE"),
+                    Value::record([
+                        ("name", Value::str(format!("country{i}"))),
+                        ("language", Value::str(format!("lang{}", i % 2))),
+                    ]),
+                )
+            })
+            .collect();
+        for i in 0..24 {
+            inst.insert_fresh(
+                &ClassName::new("CityE"),
+                Value::record([
+                    ("name", Value::str(format!("city{i}"))),
+                    ("is_capital", Value::bool(i % 6 == 0)),
+                    ("country", Value::oid(countries[i % 4].clone())),
+                ]),
             );
         }
-        (seq_rows, seq_stats)
-    }
-
-    /// Partition edge case: empty extents. Scan+filter and a hash join whose
-    /// build side is empty must behave identically in parallel — including
-    /// producing zero rows, zero probes, and equal stats.
-    #[test]
-    fn parallel_partitioning_handles_empty_extents() {
-        let inst = euro_instance();
-        let filter = Plan::scan("GhostClass", "G").filter(Expr::var("G").proj("is_capital"));
-        let (rows, _) = assert_parallel_matches_sequential(&filter, &inst, &[2, 4, 8]);
-        assert!(rows.is_empty());
-        let join = Plan::scan("CityE", "E").map(vec![]).hash_join(
-            Plan::scan("GhostClass", "G"),
-            Expr::var("E").proj("name"),
-            Expr::var("G").proj("name"),
+        inst.insert_fresh(
+            &ClassName::new("CityE"),
+            Value::record([
+                ("name", Value::str("Atlantis")),
+                ("is_capital", Value::bool(false)),
+            ]),
         );
-        let (rows, _) = assert_parallel_matches_sequential(&join, &inst, &[2, 4, 8]);
-        assert!(rows.is_empty());
-    }
-
-    /// Partition edge case: a single-row build side still joins correctly
-    /// from every shard, and the merged stats equal the sequential run's.
-    #[test]
-    fn parallel_partitioning_handles_single_row_build_sides() {
-        let mut inst = euro_instance();
         inst.insert_fresh(
             &ClassName::new("Capital"),
-            Value::record([("of", Value::str("France"))]),
+            Value::record([("of", Value::str("country2"))]),
         );
-        // The Capital side is a single-row bare scan probed by index.
-        let probed = Plan::scan("CityE", "E").hash_join(
-            Plan::scan("Capital", "K"),
-            Expr::var("E").path("country.name"),
-            Expr::var("K").proj("of"),
-        );
-        let (rows, stats) = assert_parallel_matches_sequential(&probed, &inst, &[2, 4, 8]);
-        assert_eq!(rows.len(), 1); // only Paris reaches the single capital row
-        assert!(stats.index_probes > 0);
-        // The generic path (build side behind a Map) over the same data.
-        let generic = Plan::scan("CityE", "E").map(vec![]).hash_join(
-            Plan::scan("Capital", "K").map(vec![("O".to_string(), Expr::var("K").proj("of"))]),
-            Expr::var("E").path("country.name"),
-            Expr::var("O"),
-        );
-        let (rows, stats) = assert_parallel_matches_sequential(&generic, &inst, &[2, 4, 8]);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(stats.index_probes, 0);
-    }
-
-    /// Partition edge case: a zipfian heavy hitter — every driving row
-    /// carries the same key, so every row hashes to one shard. The other
-    /// shards go idle, the hot key is probed exactly once (all later rows hit
-    /// the one worker's cache), and the totals equal the sequential run's.
-    #[test]
-    fn parallel_partitioning_handles_all_rows_hashing_to_one_shard() {
-        let mut inst = Instance::new("skew");
-        inst.insert_fresh(
-            &ClassName::new("CloneS"),
-            Value::record([("name", Value::str("hot"))]),
-        );
-        for i in 0..12 {
+        for name in ["hot", "cold0", "cold1", "cold2", "cold3"] {
+            inst.insert_fresh(
+                &ClassName::new("CloneS"),
+                Value::record([("name", Value::str(name))]),
+            );
+        }
+        for i in 0..40 {
+            let clone = if i < 32 {
+                "hot".to_string()
+            } else {
+                format!("cold{}", i % 4)
+            };
             inst.insert_fresh(
                 &ClassName::new("MarkerS"),
                 Value::record([
                     ("name", Value::str(format!("m{i}"))),
-                    ("clone_name", Value::str("hot")),
+                    ("clone_name", Value::str(clone)),
                 ]),
             );
         }
-        let probed = Plan::scan("MarkerS", "M").map(vec![]).hash_join(
-            Plan::scan("CloneS", "C"),
-            Expr::var("M").proj("clone_name"),
-            Expr::var("C").proj("name"),
-        );
-        let (rows, stats) = assert_parallel_matches_sequential(&probed, &inst, &[2, 4, 8]);
-        assert_eq!(rows.len(), 12);
-        assert_eq!(stats.index_probes, 1); // the hot key probes once, ever
-        assert_eq!(stats.probe_cache_hits, 11);
+        inst
+    }
+
+    /// One row of the partition-invariance table.
+    struct Shape {
+        name: &'static str,
+        query: Query,
+        /// Delta restriction installed before running, as `(var, kept)`.
+        restrict: Option<(&'static str, BTreeSet<Oid>)>,
+        /// Whether some operator of the plan gets more than one partition
+        /// once there is a budget (false: empty input, or pinned throughout).
+        partitions: bool,
+    }
+
+    fn shape(name: &'static str, plan: Plan) -> Shape {
+        Shape {
+            name,
+            query: Query {
+                name: name.to_string(),
+                plan,
+                inserts: Vec::new(),
+            },
+            restrict: None,
+            partitions: true,
+        }
+    }
+
+    fn mk(class: &str, key: Expr) -> Expr {
+        Expr::Skolem(ClassName::new(class), Box::new(key))
+    }
+
+    fn bind(var: &str, expr: Expr) -> (String, Expr) {
+        (var.to_string(), expr)
+    }
+
+    /// **Partition invariance**, one table for every operator: each plan
+    /// shape runs at 1, 2, 3 and 8 partitions (the threshold lowered so the
+    /// tiny fixture partitions at all) and must reproduce the one-partition
+    /// run exactly — the same row *stream*, a bit-identical target, the same
+    /// Skolem numbering, equal [`ExecStats`] — while the per-shard breakdown
+    /// stays empty exactly when nothing was dispatched.
+    #[test]
+    fn every_plan_shape_is_partition_invariant() {
+        let inst = partition_fixture();
+        let cities: Vec<Oid> = inst.extent(&ClassName::new("CityE")).cloned().collect();
+        let countries: Vec<Oid> = inst.extent(&ClassName::new("CountryE")).cloned().collect();
+        let country_name = || Expr::var("E").path("country.name");
+        let city_country = || {
+            Plan::scan("CityE", "E").hash_join(
+                Plan::scan("CountryE", "C"),
+                country_name(),
+                Expr::var("C").proj("name"),
+            )
+        };
+        let marker_clone = || {
+            Plan::scan("MarkerS", "M").map(vec![]).hash_join(
+                Plan::scan("CloneS", "C"),
+                Expr::var("M").proj("clone_name"),
+                Expr::var("C").proj("name"),
+            )
+        };
+        let pinned_binding = || {
+            bind(
+                "B",
+                mk("CityT", Expr::var("E").proj("name")).eq(Expr::var("E")),
+            )
+        };
+        let shapes = vec![
+            // Multi-hop predicate: out of the columnar executor's scope, so
+            // this is the fused scan+filter.
+            shape(
+                "scan+filter",
+                Plan::scan("CityE", "E").filter(country_name().eq(Expr::constant("country1"))),
+            ),
+            shape(
+                "columnar tower",
+                Plan::scan("CityE", "E")
+                    .filter(Expr::var("E").proj("is_capital"))
+                    .map(vec![bind("N", Expr::var("E").proj("name"))]),
+            ),
+            shape(
+                "filter over join",
+                Plan::scan("CityE", "E")
+                    .join(Plan::scan("CountryE", "C"), None)
+                    .filter(country_name().eq(Expr::var("C").proj("name"))),
+            ),
+            shape(
+                "map dropping rows",
+                Plan::scan("CityE", "E").map(vec![bind("N", country_name())]),
+            ),
+            shape(
+                "claim-safe skolem map",
+                Plan::scan("CityE", "E")
+                    .filter(Expr::var("E").proj("is_capital").eq(Expr::constant(false)))
+                    .map(vec![
+                        bind("T", mk("CityT", Expr::var("E").proj("name"))),
+                        // Few distinct keys: partitions claim the same ones.
+                        bind("L", mk("LangT", Expr::var("E").path("country.language"))),
+                        bind(
+                            "P",
+                            mk("PairT", Expr::Record(vec![bind("l", Expr::var("L"))])),
+                        ),
+                    ]),
+            ),
+            Shape {
+                partitions: false,
+                ..shape(
+                    "pinned skolem map",
+                    Plan::scan("CityE", "E").map(vec![pinned_binding()]),
+                )
+            },
+            shape(
+                "pinned map over a claim-safe map",
+                Plan::scan("CityE", "E")
+                    .map(vec![bind("T", mk("CityT", Expr::var("E").proj("name")))])
+                    .map(vec![
+                        bind("T2", mk("CityT", Expr::var("E").proj("name"))),
+                        bind("B", Expr::var("T2").eq(Expr::var("T"))),
+                    ]),
+            ),
+            shape(
+                "nested-loop join",
+                Plan::scan("CityE", "E").join(
+                    Plan::scan("CountryE", "C"),
+                    Some(country_name().eq(Expr::var("C").proj("name"))),
+                ),
+            ),
+            shape(
+                "cross join",
+                Plan::scan("CountryE", "C").cross(Plan::scan("CloneS", "K")),
+            ),
+            shape(
+                "generic hash join",
+                Plan::scan("CityE", "E").map(vec![]).hash_join(
+                    Plan::scan("CountryE", "C").map(vec![bind("N", Expr::var("C").proj("name"))]),
+                    country_name(),
+                    Expr::var("N"),
+                ),
+            ),
+            shape(
+                "generic hash join, single-row build side",
+                Plan::scan("Capital", "K")
+                    .map(vec![bind("O", Expr::var("K").proj("of"))])
+                    .hash_join(
+                        Plan::scan("CityE", "E").map(vec![]),
+                        Expr::var("O"),
+                        country_name(),
+                    ),
+            ),
+            shape("probe join", city_country()),
+            shape("probe join with a hot key", marker_clone()),
+            shape(
+                "multi-key probe join",
+                Plan::scan("CityE", "E").hash_join_multi(
+                    Plan::scan("CountryE", "C"),
+                    vec![
+                        (country_name(), Expr::var("C").proj("name")),
+                        (
+                            Expr::var("E").path("country.language"),
+                            Expr::var("C").proj("language"),
+                        ),
+                    ],
+                ),
+            ),
+            // A scan-side key ranging over the *driving* variable: no probe
+            // may be shared between rows.
+            shape(
+                "uncacheable probe join",
+                Plan::scan("MarkerS", "M").map(vec![]).hash_join_multi(
+                    Plan::scan("CloneS", "C"),
+                    vec![
+                        (
+                            Expr::var("M").proj("clone_name"),
+                            Expr::var("C").proj("name"),
+                        ),
+                        (Expr::var("M").proj("name"), Expr::var("M").proj("name")),
+                    ],
+                ),
+            ),
+            shape(
+                "probe join against a single-row class",
+                Plan::scan("CityE", "E").hash_join(
+                    Plan::scan("Capital", "K"),
+                    country_name(),
+                    Expr::var("K").proj("of"),
+                ),
+            ),
+            Shape {
+                partitions: false,
+                ..shape(
+                    "filter over an empty extent",
+                    Plan::scan("GhostClass", "G").filter(Expr::var("G").proj("is_capital")),
+                )
+            },
+            shape(
+                "probe join against an empty extent",
+                Plan::scan("CityE", "E").map(vec![]).hash_join(
+                    Plan::scan("GhostClass", "G"),
+                    Expr::var("E").proj("name"),
+                    Expr::var("G").proj("name"),
+                ),
+            ),
+            Shape {
+                restrict: Some(("E", cities.iter().step_by(3).cloned().collect())),
+                ..shape("restricted driving scan", city_country())
+            },
+            Shape {
+                restrict: Some(("C", countries[..2].iter().cloned().collect())),
+                ..shape("restricted probed scan", city_country())
+            },
+            Shape {
+                restrict: Some(("E", cities.iter().skip(1).step_by(2).cloned().collect())),
+                ..shape(
+                    "restricted scan+filter",
+                    Plan::scan("CityE", "E").filter(Expr::var("E").proj("is_capital")),
+                )
+            },
+            shape(
+                "distinct over a map",
+                Plan::scan("MarkerS", "M")
+                    .map(vec![bind("K", Expr::var("M").proj("clone_name"))])
+                    .distinct(),
+            ),
+            // The Skolem-heavy insertion shape of the genome load: a keyed
+            // insert whose attributes mint further identities, with few
+            // distinct country keys so partitions claim the same ones.
+            Shape {
+                query: Query {
+                    name: "skolem inserts".to_string(),
+                    plan: Plan::scan("CityE", "E").map(vec![bind("CN", country_name())]),
+                    inserts: vec![
+                        InsertAction {
+                            class: ClassName::new("CityT"),
+                            key: Expr::var("E").proj("name"),
+                            attrs: vec![
+                                bind("name", Expr::var("E").proj("name")),
+                                bind("country", mk("CountryT", Expr::var("CN"))),
+                            ],
+                        },
+                        InsertAction {
+                            class: ClassName::new("CountryT"),
+                            key: Expr::var("CN"),
+                            attrs: vec![bind("name", Expr::var("CN"))],
+                        },
+                    ],
+                },
+                ..shape("skolem inserts", Plan::scan("CityE", "E"))
+            },
+            // An insert pinned by a Skolem in inspection position.
+            Shape {
+                query: Query {
+                    name: "pinned inserts".to_string(),
+                    plan: Plan::scan("CityE", "E"),
+                    inserts: vec![InsertAction {
+                        class: ClassName::new("CityT"),
+                        key: Expr::var("E").proj("name"),
+                        attrs: vec![pinned_binding()],
+                    }],
+                },
+                partitions: false,
+                ..shape("pinned inserts", Plan::scan("CityE", "E"))
+            },
+        ];
+        let refs = [&inst];
+        let mut produced = BTreeMap::new();
+        for shape in &shapes {
+            let run = |threads: usize| {
+                let ctx = || {
+                    let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(threads));
+                    ctx.set_parallel_min_rows(1);
+                    if let Some((var, keep)) = &shape.restrict {
+                        ctx.restrict_scan(*var, std::sync::Arc::new(keep.clone()));
+                    }
+                    ctx
+                };
+                let mut plan_ctx = ctx();
+                let mut plan_stats = ExecStats::default();
+                let rows = run_plan(&shape.query.plan, &mut plan_ctx, &mut plan_stats)
+                    .unwrap_or_else(|e| panic!("{}: {e}", shape.name));
+                assert_eq!(
+                    plan_ctx.shard_stats().is_empty(),
+                    threads == 1 || !shape.partitions,
+                    "{} at {threads} thread(s): shard_stats must be empty exactly when \
+                     every operator had one partition",
+                    shape.name
+                );
+                let mut query_ctx = ctx();
+                let mut query_stats = ExecStats::default();
+                let mut target = Instance::new("target");
+                execute_query(&shape.query, &mut query_ctx, &mut target, &mut query_stats)
+                    .unwrap_or_else(|e| panic!("{}: {e}", shape.name));
+                let numbering = (
+                    format!("{:?}", plan_ctx.factory),
+                    format!("{:?}", query_ctx.factory),
+                );
+                (rows, plan_stats, target, query_stats, numbering)
+            };
+            let reference = run(1);
+            let totals = &reference.3;
+            produced.insert(
+                shape.name,
+                (
+                    totals.rows_output,
+                    totals.objects_written,
+                    totals.index_probes,
+                ),
+            );
+            for threads in [2, 3, 8] {
+                let (rows, plan_stats, target, query_stats, numbering) = run(threads);
+                let at = format!("`{}` at {threads} threads", shape.name);
+                assert_eq!(rows, reference.0, "row stream diverged: {at}");
+                assert_eq!(plan_stats, reference.1, "plan ExecStats diverged: {at}");
+                assert_eq!(target, reference.2, "target diverged: {at}");
+                assert_eq!(query_stats, reference.3, "query ExecStats diverged: {at}");
+                assert_eq!(numbering, reference.4, "Skolem numbering diverged: {at}");
+            }
+        }
+        // The table is not vacuous: the shapes produce rows and objects.
+        assert_eq!(produced["map dropping rows"].0, 24); // Atlantis dropped
+        assert_eq!(produced["probe join with a hot key"], (40, 0, 5));
+        assert_eq!(produced["uncacheable probe join"], (40, 0, 40));
+        assert_eq!(produced["skolem inserts"].1, 48);
+        assert_eq!(produced["restricted driving scan"].0, 8);
+    }
+
+    /// A cross-algorithm oracle that shares no body with the partitioned
+    /// operators' own reference run: on generated equi-joins (random sizes,
+    /// small key domains so keys repeat, missing key attributes, single and
+    /// composite keys) the **index-probe** path, the **generic hash** path
+    /// (the same plan with the scan side behind an identity `Map`) and a
+    /// **nested-loop join** with the equality as its predicate must produce
+    /// the same row multiset, at one partition and at several.
+    #[test]
+    fn probe_hash_and_nested_loop_joins_agree_on_generated_equi_joins() {
+        // A small deterministic generator (xorshift) — no dependency needed.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for case in 0..60 {
+            let mut inst = Instance::new("gen");
+            let (domain_a, domain_b) = (1 + next(6), 1 + next(3));
+            for (class, size) in [("L", next(30)), ("R", next(30))] {
+                for i in 0..size {
+                    let mut fields = vec![("id", Value::int(i as i64))];
+                    // One row in eight lacks the key attribute entirely.
+                    if next(8) != 0 {
+                        fields.push(("a", Value::int(next(domain_a) as i64)));
+                    }
+                    fields.push(("b", Value::str(format!("b{}", next(domain_b)))));
+                    inst.insert_fresh(&ClassName::new(class), Value::record(fields));
+                }
+            }
+            let composite = case % 2 == 1;
+            let mut keys = vec![(Expr::var("X").proj("a"), Expr::var("Y").proj("a"))];
+            if composite {
+                keys.push((Expr::var("X").proj("b"), Expr::var("Y").proj("b")));
+            }
+            let equality = Expr::and(keys.iter().map(|(l, r)| l.clone().eq(r.clone())).collect());
+            let probed = Plan::scan("L", "X")
+                .map(vec![])
+                .hash_join_multi(Plan::scan("R", "Y"), keys.clone());
+            let hashed = Plan::scan("L", "X")
+                .map(vec![])
+                .hash_join_multi(Plan::scan("R", "Y").map(vec![]), keys);
+            let looped = Plan::scan("L", "X").join(Plan::scan("R", "Y"), Some(equality));
+            let refs = [&inst];
+            for threads in [1, 4] {
+                let run = |plan: &Plan| {
+                    let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(threads));
+                    ctx.set_parallel_min_rows(1);
+                    let mut stats = ExecStats::default();
+                    let mut rows = run_plan(plan, &mut ctx, &mut stats).unwrap();
+                    rows.sort();
+                    (rows, stats.index_probes)
+                };
+                let (probe_rows, probes) = run(&probed);
+                let (hash_rows, hash_probes) = run(&hashed);
+                let (loop_rows, _) = run(&looped);
+                let at = format!("case {case} (composite: {composite}) at {threads} thread(s)");
+                assert_eq!(hash_probes, 0, "the generic path must not probe: {at}");
+                assert!(
+                    probes > 0 || probe_rows.is_empty(),
+                    "the fast path must have probed: {at}"
+                );
+                assert_eq!(probe_rows, loop_rows, "index-probe vs nested-loop: {at}");
+                assert_eq!(hash_rows, loop_rows, "generic hash vs nested-loop: {at}");
+            }
+        }
     }
 
     /// A zipfian hot key is split into stolen contiguous sub-ranges instead
     /// of serializing behind one hash-owned shard: the merged totals still
-    /// equal the sequential run's (one probe per distinct key), and several
-    /// shard slots report cache hits for the same key.
+    /// equal the one-partition run's (one probe per distinct key), and
+    /// several shard slots report cache hits for the same key.
     #[test]
     fn hot_key_probe_work_is_stolen_across_shards() {
         let mut inst = Instance::new("zipf");
@@ -2140,19 +2268,22 @@ mod tests {
             Expr::var("M").proj("clone_name"),
             Expr::var("C").proj("name"),
         );
-        let (rows, stats) = assert_parallel_matches_sequential(&probed, &inst, &[2, 4, 8]);
+        let refs = [&inst];
+        let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
+        let mut whole = ExecStats::default();
+        let rows = run_plan(&probed, &mut ctx, &mut whole).unwrap();
         assert_eq!(rows.len(), 72);
-        assert_eq!(stats.index_probes, 5); // one per distinct key, hot included
-        assert_eq!(stats.probe_cache_hits, 67);
-        // At 4 workers the hot key's 64 rows outweigh twice a fair share
+        assert_eq!(whole.index_probes, 5); // one per distinct key, hot included
+        assert_eq!(whole.probe_cache_hits, 67);
+        // At 4 partitions the hot key's 64 rows outweigh twice a fair share
         // (36), so its rows are split into sub-ranges stolen by idle
         // workers: more than one shard slot reports cache hits, instead of
         // one shard absorbing all 64 rows.
-        let refs = [&inst];
         let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(4));
         ctx.set_parallel_min_rows(1);
         let mut stats = ExecStats::default();
-        let _ = run_plan(&probed, &mut ctx, &mut stats).unwrap();
+        assert_eq!(run_plan(&probed, &mut ctx, &mut stats).unwrap(), rows);
+        assert_eq!(stats, whole);
         let stealing = ctx
             .take_shard_stats()
             .iter()
@@ -2164,109 +2295,10 @@ mod tests {
         );
     }
 
-    /// Partition edge case: more threads than rows. `chunk_ranges` never
-    /// emits empty chunks, so a 3-row input at 8 threads runs on 3 workers
-    /// and still reproduces the sequential stream and stats.
-    #[test]
-    fn parallel_partitioning_handles_more_threads_than_rows() {
-        let inst = euro_instance();
-        let filter = Plan::scan("CityE", "E").filter(Expr::var("E").proj("is_capital"));
-        let (rows, stats) = assert_parallel_matches_sequential(&filter, &inst, &[8, 16]);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(stats.rows_scanned, 3);
-        let cross = Plan::scan("CityE", "E").cross(Plan::scan("CountryE", "C"));
-        let (rows, _) = assert_parallel_matches_sequential(&cross, &inst, &[8]);
-        assert_eq!(rows.len(), 6);
-        let nested = Plan::scan("CityE", "E").join(
-            Plan::scan("CountryE", "C"),
-            Some(
-                Expr::var("E")
-                    .path("country.name")
-                    .eq(Expr::var("C").proj("name")),
-            ),
-        );
-        let (rows, _) = assert_parallel_matches_sequential(&nested, &inst, &[8]);
-        assert_eq!(rows.len(), 3);
-    }
-
-    /// Maps parallelise over row chunks, including rows dropped for missing
-    /// optional attributes, without disturbing order or stats.
-    #[test]
-    fn parallel_map_matches_sequential_including_dropped_rows() {
-        let mut inst = euro_instance();
-        // An object missing `country` drops out of the Map in both modes.
-        inst.insert_fresh(
-            &ClassName::new("CityE"),
-            Value::record([("name", Value::str("Atlantis"))]),
-        );
-        let plan = Plan::scan("CityE", "E")
-            .map(vec![("N".to_string(), Expr::var("E").path("country.name"))]);
-        let (rows, _) = assert_parallel_matches_sequential(&plan, &inst, &[2, 4, 8]);
-        assert_eq!(rows.len(), 3); // Atlantis contributed nothing
-    }
-
-    /// A value-position Skolem `Map` runs **parallel** under the two-phase
-    /// key-claim protocol: workers claim provisional identities, resolution
-    /// replays them in input order, and the produced rows — identities
-    /// included — are bit-identical to the sequential run at every thread
-    /// count, with the shared factory left in the identical state.
-    #[test]
-    fn skolem_maps_parallelise_under_the_key_claim_protocol() {
-        let inst = euro_instance();
-        let refs = [&inst];
-        // Duplicate keys across rows (all three cities share one country
-        // attribute path through `country.language` for UK cities), so
-        // claims collide across workers.
-        let plan = Plan::scan("CityE", "E").map(vec![
-            (
-                "T".to_string(),
-                Expr::Skolem(
-                    ClassName::new("CityT"),
-                    Box::new(Expr::var("E").proj("name")),
-                ),
-            ),
-            (
-                "L".to_string(),
-                Expr::Skolem(
-                    ClassName::new("LangT"),
-                    Box::new(Expr::var("E").path("country.language")),
-                ),
-            ),
-        ]);
-        let mut seq_ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
-        let mut seq_stats = ExecStats::default();
-        let seq_rows = run_plan(&plan, &mut seq_ctx, &mut seq_stats).unwrap();
-        assert_eq!(seq_rows.len(), 3);
-        assert_eq!(seq_ctx.factory.count(&ClassName::new("LangT")), 2);
-        for threads in [2usize, 4, 8] {
-            let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(threads));
-            ctx.set_parallel_min_rows(1);
-            let mut stats = ExecStats::default();
-            let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
-            assert!(
-                !ctx.shard_stats().is_empty(),
-                "the map must have gone parallel"
-            );
-            assert_eq!(rows, seq_rows, "rows diverged at {threads} threads");
-            assert_eq!(stats, seq_stats, "stats diverged at {threads} threads");
-            // The factory ended in the sequential state: same identities,
-            // numbered in sequential first-call order.
-            assert_eq!(ctx.factory.count(&ClassName::new("CityT")), 3);
-            assert_eq!(ctx.factory.count(&ClassName::new("LangT")), 2);
-            assert_eq!(
-                ctx.factory
-                    .lookup(&ClassName::new("LangT"), &Value::str("English")),
-                seq_ctx
-                    .factory
-                    .lookup(&ClassName::new("LangT"), &Value::str("English"))
-            );
-        }
-    }
-
-    /// Intra-Map taint laundering pins the operator sequential: a later
-    /// binding of the same Map comparing an *earlier* Skolem-bearing
+    /// Intra-Map taint laundering pins the operator to one partition: a
+    /// later binding of the same Map comparing an *earlier* Skolem-bearing
     /// binding's variable contains no Skolem node itself, but would observe
-    /// the provisional identity on a worker. Sequentially, factory
+    /// the provisional identity on a worker. Against the real factory,
     /// memoisation makes the comparison true; the gate must keep it that
     /// way at every thread count.
     #[test]
@@ -2299,7 +2331,7 @@ mod tests {
         let mut stats = ExecStats::default();
         let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows, seq_rows);
-        // The first (laundering-free) Map may parallelise, but the second
+        // The first (laundering-free) Map may partition, but the second
         // must not have: every B is still true.
         assert!(rows.iter().all(|r| r["B"] == Value::Bool(true)));
         assert!(!map_bindings_claim_safe(&[
@@ -2309,8 +2341,8 @@ mod tests {
     }
 
     /// A Skolem in *inspection position* — under a comparison — still pins
-    /// its operator to the sequential path: provisional identities must
-    /// never be compared.
+    /// its operator to one partition on the calling context: provisional
+    /// identities must never be compared.
     #[test]
     fn skolem_comparisons_still_pin_to_the_sequential_path() {
         let inst = euro_instance();
@@ -2328,70 +2360,10 @@ mod tests {
         let mut stats = ExecStats::default();
         let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows.len(), 3);
-        // The factory was exercised on the main thread: the identities exist
-        // and no parallel worker ran for this operator.
+        // The calling context's real factory was exercised: the identities
+        // exist and nothing was dispatched for this operator.
         assert_eq!(ctx.factory.count(&ClassName::new("CityT")), 3);
         assert!(ctx.shard_stats().is_empty());
-    }
-
-    /// Parallel Skolem **insertion**: with enough rows, `execute_query`
-    /// evaluates insert keys and attributes on the pool (claiming provisional
-    /// identities) and applies them in row order — the target instance is
-    /// bit-identical to the sequential loop at every thread count, duplicate
-    /// keys across workers included.
-    #[test]
-    fn parallel_skolem_insertion_is_bit_identical_to_sequential() {
-        let mut inst = Instance::new("src");
-        for i in 0..40 {
-            inst.insert_fresh(
-                &ClassName::new("CityE"),
-                Value::record([
-                    ("name", Value::str(format!("city{i}"))),
-                    // 8 distinct country keys, repeated across the extent so
-                    // different workers claim the same key.
-                    ("cname", Value::str(format!("country{}", i % 8))),
-                ]),
-            );
-        }
-        let refs = [&inst];
-        let query = Query {
-            name: "skolem_insert".to_string(),
-            plan: Plan::scan("CityE", "E"),
-            inserts: vec![InsertAction {
-                class: ClassName::new("CityT"),
-                key: Expr::var("E").proj("name"),
-                attrs: vec![
-                    ("name".to_string(), Expr::var("E").proj("name")),
-                    (
-                        // The attribute mints a CountryT identity per row —
-                        // the Skolem-heavy insertion shape of E6.
-                        "country".to_string(),
-                        Expr::Skolem(
-                            ClassName::new("CountryT"),
-                            Box::new(Expr::var("E").proj("cname")),
-                        ),
-                    ),
-                ],
-            }],
-        };
-        let mut seq_ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
-        let mut seq_stats = ExecStats::default();
-        let mut seq_target = Instance::new("target");
-        execute_query(&query, &mut seq_ctx, &mut seq_target, &mut seq_stats).unwrap();
-        assert_eq!(seq_target.extent_size(&ClassName::new("CityT")), 40);
-        for threads in [2usize, 4, 8] {
-            let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(threads));
-            ctx.set_parallel_min_rows(1);
-            let mut stats = ExecStats::default();
-            let mut target = Instance::new("target");
-            execute_query(&query, &mut ctx, &mut target, &mut stats).unwrap();
-            assert_eq!(target, seq_target, "target diverged at {threads} threads");
-            assert_eq!(stats, seq_stats, "stats diverged at {threads} threads");
-            assert_eq!(
-                ctx.factory.count(&ClassName::new("CountryT")),
-                seq_ctx.factory.count(&ClassName::new("CountryT"))
-            );
-        }
     }
 
     /// The split evaluate/apply API (query-level parallelism's building

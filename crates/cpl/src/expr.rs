@@ -5,9 +5,8 @@
 //! and a Skolem factory (for `Mk_C` object creation).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use wol_model::{ClassName, Instance, Label, Oid, SkolemClaims, SkolemFactory, Value, WorkerPool};
+use wol_model::{ClassName, Instance, Label, Oid, SkolemClaims, SkolemFactory, Value};
 
 use crate::error::CplError;
 use crate::Result;
@@ -106,11 +105,12 @@ impl Expr {
     /// Whether the expression (or any sub-expression) creates object
     /// identities through a Skolem function. Skolem creation mutates the
     /// query-wide [`wol_model::SkolemFactory`], whose identity numbering
-    /// depends on first-call order — so parallel workers may only evaluate
+    /// depends on first-call order — so pool workers may only evaluate
     /// Skolem-bearing expressions through the two-phase key-claim protocol
     /// ([`wol_model::SkolemClaims`]), and only where that is sound
-    /// ([`Expr::skolem_parallel_safe`]); everywhere else the operator falls
-    /// back to its sequential path, keeping targets bit-identical.
+    /// ([`Expr::skolem_parallel_safe`]); everywhere else the operator runs
+    /// as one partition on the calling context, against the real factory,
+    /// keeping targets bit-identical.
     pub fn contains_skolem(&self) -> bool {
         match self {
             Expr::Skolem(_, _) => true,
@@ -136,8 +136,8 @@ impl Expr {
     /// workers hold different provisionals for one key; a provisional never
     /// equals the real identity an earlier query created) or projecting
     /// through it would observe the placeholder and diverge from sequential
-    /// evaluation. Expressions that fail this predicate keep the sequential
-    /// pin. Skolem-free expressions are trivially safe.
+    /// evaluation. Expressions that fail this predicate pin their operator
+    /// to one partition. Skolem-free expressions are trivially safe.
     pub fn skolem_parallel_safe(&self) -> bool {
         self.skolem_claim_safe(&std::collections::BTreeSet::new())
     }
@@ -250,25 +250,27 @@ pub struct EvalCtx<'a> {
     /// row count here, in post-order — the same order
     /// [`crate::optimizer::estimate_join_outputs`] emits estimates in.
     join_trace: Option<Vec<crate::exec::JoinActual>>,
-    /// How many worker threads parallel operators may use (see
-    /// [`crate::exec`]'s module docs for the partitioning scheme). Defaults
+    /// The thread budget operators partition their input against (see
+    /// [`crate::exec`]'s module docs for the one partitioning rule). Defaults
     /// to [`Parallelism::from_env`]: the machine's cores, overridable via
-    /// `WOL_THREADS`. The persistent pool operators dispatch to is fetched
-    /// lazily from the process-wide registry ([`EvalCtx::pool`]), so a
-    /// sequential run never spawns a thread.
+    /// `WOL_THREADS`. The persistent pool is only fetched — from the
+    /// process-wide registry — by an operator that actually has more than
+    /// one partition, so a one-thread budget never spawns a thread.
+    ///
+    /// [`Parallelism::from_env`]: wol_model::Parallelism::from_env
     parallelism: wol_model::Parallelism,
-    /// Minimum input rows before an operator goes parallel; below it the
-    /// per-operator dispatch costs more than it saves. Tests lower it to
-    /// exercise the partitioned paths on tiny inputs (results are identical
-    /// either way — the threshold is purely a performance choice).
+    /// Minimum input rows before an operator gets more than one partition;
+    /// below it a pool dispatch costs more than it saves. Tests lower it to
+    /// partition tiny inputs (results are identical either way — the
+    /// threshold is purely a performance choice).
     parallel_min_rows: usize,
-    /// Per-worker-slot statistics accumulated across every parallel operator
-    /// this context executed (slot `i` collects what worker `i` did).
+    /// Per-worker-slot statistics accumulated across every operator this
+    /// context ran on more than one partition (slot `i` collects what
+    /// partition `i` did).
     shard_stats: Vec<crate::exec::ExecStats>,
     /// Whether scan→filter→project towers may run on the columnar executor
-    /// ([`crate::columnar`]). Defaults to the `WOL_COLUMNAR` environment
-    /// toggle (on unless set to `0`/`off`/`false`); the row path stays
-    /// available as the differential baseline.
+    /// ([`crate::columnar`]). On by default; [`EvalCtx::set_columnar`] turns
+    /// it off to keep the row path available as the differential baseline.
     columnar: bool,
     /// Telemetry of the columnar executor (kept out of [`ExecStats`] so the
     /// columnar/row differential contract — equal `ExecStats` — is not
@@ -285,48 +287,27 @@ pub struct EvalCtx<'a> {
     scan_restrictions: BTreeMap<String, std::sync::Arc<std::collections::BTreeSet<wol_model::Oid>>>,
 }
 
-/// Process-wide default for the columnar executor: on, unless `WOL_COLUMNAR`
-/// is set to `0`, `off`, or `false`.
-fn columnar_default() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| {
-        !matches!(
-            std::env::var("WOL_COLUMNAR").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        )
-    })
-}
-
 /// Default minimum input rows before an operator is worth partitioning.
 /// Dispatching a round of closures to the persistent pool costs a few
 /// microseconds (PR 4's per-operator `std::thread::scope` cost ~100µs, which
 /// forced this threshold up to 1024); rows below this still process faster
-/// than even that small dispatch, so tiny operators skip straight to the
-/// sequential path.
+/// than even that small dispatch, so tiny operators get a single partition,
+/// which runs inline on the calling context.
 const PARALLEL_MIN_ROWS: usize = 128;
 
 impl<'a> EvalCtx<'a> {
-    /// Create a context over the given source instances.
+    /// Create a context over the given source instances, with the
+    /// environment's thread budget ([`wol_model::Parallelism::from_env`]).
     pub fn new(sources: &[&'a Instance]) -> Self {
-        EvalCtx {
-            sources: sources.to_vec(),
-            factory: SkolemFactory::new(),
-            claims: None,
-            join_trace: None,
-            parallelism: wol_model::Parallelism::from_env(),
-            parallel_min_rows: PARALLEL_MIN_ROWS,
-            shard_stats: Vec::new(),
-            columnar: columnar_default(),
-            columnar_stats: crate::exec::ColumnarStats::default(),
-            scan_restrictions: BTreeMap::new(),
-        }
+        Self::worker(sources, None).with_parallelism(wol_model::Parallelism::from_env())
     }
 
-    /// A sequential worker context over the given sources, as dispatched by
-    /// the parallel operators: no env lookup (unlike [`EvalCtx::new`]) and
-    /// never spawns nested workers. With `claims`, Skolem evaluation records
-    /// provisional claims into the given arena (the claim phase of the
-    /// two-phase protocol) instead of touching the worker's (unused) factory.
+    /// A one-thread context over the given sources, as built for each
+    /// partition of a multi-partition operator: no env lookup (unlike
+    /// [`EvalCtx::new`]) and its own operators never partition further. With
+    /// `claims`, Skolem evaluation records provisional claims into the given
+    /// arena (the claim phase of the two-phase protocol) instead of touching
+    /// the worker's (unused) factory.
     pub(crate) fn worker(sources: &[&'a Instance], claims: Option<SkolemClaims>) -> Self {
         EvalCtx {
             sources: sources.to_vec(),
@@ -336,7 +317,7 @@ impl<'a> EvalCtx<'a> {
             parallelism: wol_model::Parallelism::sequential(),
             parallel_min_rows: PARALLEL_MIN_ROWS,
             shard_stats: Vec::new(),
-            columnar: columnar_default(),
+            columnar: true,
             columnar_stats: crate::exec::ColumnarStats::default(),
             scan_restrictions: BTreeMap::new(),
         }
@@ -345,10 +326,10 @@ impl<'a> EvalCtx<'a> {
     /// A **claim-phase** context over the given sources, for evaluating a
     /// whole query off the main thread (query-level parallelism): Skolem
     /// evaluation records provisional claims instead of touching a shared
-    /// factory. Sequential by default; give it a worker budget with
-    /// [`EvalCtx::with_parallelism`] and its operators run pool morsels
-    /// *inside* the concurrently evaluated query — nested claim arenas
-    /// resolve into this context's arena, preserving input order. Pair with
+    /// factory. One thread by default; give it a budget with
+    /// [`EvalCtx::with_parallelism`] and its operators partition *inside*
+    /// the concurrently evaluated query — nested claim arenas resolve into
+    /// this context's arena, preserving input order. Pair with
     /// [`crate::exec::evaluate_query`] / [`crate::exec::apply_evaluated_query`].
     pub fn claim_worker(sources: &[&'a Instance]) -> Self {
         Self::worker(sources, Some(SkolemClaims::new()))
@@ -368,19 +349,9 @@ impl<'a> EvalCtx<'a> {
         self
     }
 
-    /// Set the worker-thread budget; parallel operators will dispatch to the
-    /// shared persistent pool of that size.
+    /// Set the thread budget operators partition against.
     pub fn set_parallelism(&mut self, parallelism: wol_model::Parallelism) {
         self.parallelism = parallelism;
-    }
-
-    /// The persistent worker pool parallel operators dispatch to: the
-    /// process-wide [`WorkerPool::shared`] pool for this context's
-    /// parallelism, fetched lazily — a cheap registry lookup per parallel
-    /// operator, and no threads are ever spawned for a context that never
-    /// goes parallel.
-    pub fn pool(&self) -> Arc<WorkerPool> {
-        WorkerPool::shared(self.parallelism)
     }
 
     /// Apply `Mk_class(key)` through this context: provisionally via the
@@ -413,25 +384,25 @@ impl<'a> EvalCtx<'a> {
         resolved
     }
 
-    /// The worker-thread budget parallel operators honour.
+    /// The thread budget operators partition against.
     pub fn parallelism(&self) -> wol_model::Parallelism {
         self.parallelism
     }
 
-    /// Lower (or raise) the minimum input rows before an operator goes
-    /// parallel. Intended for tests that exercise the partitioned paths on
-    /// tiny, hand-checkable inputs.
+    /// Lower (or raise) the minimum input rows before an operator gets more
+    /// than one partition. Intended for tests that partition tiny,
+    /// hand-checkable inputs.
     pub fn set_parallel_min_rows(&mut self, min_rows: usize) {
         self.parallel_min_rows = min_rows;
     }
 
-    /// The current minimum input rows for parallel operators.
+    /// The current minimum input rows for a multi-partition operator.
     pub fn parallel_min_rows(&self) -> usize {
         self.parallel_min_rows
     }
 
-    /// Merge one parallel operator's — or a finished worker context's —
-    /// per-worker statistics into the context-wide per-shard accumulators
+    /// Merge one multi-partition operator's — or a finished worker context's
+    /// — per-worker statistics into the context-wide per-shard accumulators
     /// (slot-wise). The pipeline driver uses this to roll the operator-level
     /// shard breakdown of concurrently evaluated queries back into the main
     /// context's view.
@@ -445,8 +416,8 @@ impl<'a> EvalCtx<'a> {
         }
     }
 
-    /// Per-worker-slot statistics accumulated across all parallel operators
-    /// run so far (empty if nothing ran in parallel).
+    /// Per-worker-slot statistics accumulated across all multi-partition
+    /// operators run so far (empty if every operator had one partition).
     pub fn shard_stats(&self) -> &[crate::exec::ExecStats] {
         &self.shard_stats
     }
@@ -533,9 +504,9 @@ impl<'a> EvalCtx<'a> {
         !self.scan_restrictions.is_empty()
     }
 
-    /// The full restriction map, for handing to worker contexts (the
-    /// parallel operators evaluate probe candidates off the main context and
-    /// must observe the same deltas).
+    /// The full restriction map, for handing to worker contexts (partitions
+    /// evaluate probe candidates off the calling context and must observe
+    /// the same deltas).
     pub(crate) fn scan_restrictions_map(
         &self,
     ) -> &BTreeMap<String, std::sync::Arc<std::collections::BTreeSet<wol_model::Oid>>> {
@@ -653,18 +624,13 @@ fn truthy(value: &Value) -> Result<bool> {
 }
 
 fn compare(a: &Value, b: &Value) -> Result<std::cmp::Ordering> {
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) => Ok(x.cmp(y)),
-        (Value::Real(x), Value::Real(y)) => Ok(x.cmp(y)),
-        (Value::Str(x), Value::Str(y)) => Ok(x.cmp(y)),
-        (Value::Int(x), Value::Real(y)) => Ok(wol_model::RealVal(*x as f64).cmp(y)),
-        (Value::Real(x), Value::Int(y)) => Ok(x.cmp(&wol_model::RealVal(*y as f64))),
-        _ => Err(CplError::BadValue(format!(
+    a.ordered_cmp(b).ok_or_else(|| {
+        CplError::BadValue(format!(
             "cannot compare values of kinds `{}` and `{}`",
             a.kind(),
             b.kind()
-        ))),
-    }
+        ))
+    })
 }
 
 #[cfg(test)]

@@ -27,43 +27,56 @@
 //!
 //! ## Threading model
 //!
-//! The executor runs morsel-style partitioned parallelism over a
-//! **persistent worker pool** ([`wol_model::WorkerPool`]; long-lived
-//! channel-fed workers, caller participation, panic propagation on join),
-//! governed by a [`Parallelism`] knob (default: available cores, overridable
-//! via the `WOL_THREADS` environment variable) threaded through
-//! [`expr::EvalCtx`]. Because a pool dispatch round costs microseconds where
-//! a `std::thread::scope` spawn round cost ~100µs, operators go parallel
-//! from ~128 input rows instead of 1024. The contract:
+//! There is one rule, and every operator in [`exec`] (and the columnar
+//! tower in [`columnar`]) is written against it: an operator runs over
+//! **partitions** of its input, and the *number* of partitions is decided
+//! from three things the executor can observe —
+//!
+//! * the **budget**: the context's [`Parallelism`] (default: available
+//!   cores, overridable via the `WOL_THREADS` environment variable), threaded
+//!   through [`expr::EvalCtx`]; one thread means one partition;
+//! * the **input size**: a dispatch round to the persistent pool costs
+//!   microseconds, which inputs under ~128 rows do not repay;
+//! * **claim safety**: an expression that creates Skolem identities where
+//!   the key-claim protocol below cannot cover it keeps its operator whole.
+//!
+//! **One partition runs inline** on the calling context — no pool dispatch,
+//! no worker context, no claim arena. That is the whole of "sequential
+//! execution": not a second implementation of each operator, but the
+//! one-partition case of the only one, so a budget of one thread never
+//! spawns a thread and a small operator never pays for a big one's
+//! machinery. Several partitions run on the **persistent worker pool**
+//! ([`wol_model::WorkerPool`]; long-lived channel-fed workers, caller
+//! participation, panic propagation on join), each on a worker context of its
+//! own. The contract:
 //!
 //! * **Shared immutably** — the source [`wol_model::Instance`]s. Extents,
 //!   attribute indexes and histograms are read concurrently from every
 //!   worker; the lazy index cache sits behind an `RwLock` inside `Instance`,
-//!   and mutation requires `&mut`, so a parallel section can never observe a
-//!   write.
+//!   and mutation requires `&mut`, so a partition can never observe a write.
 //! * **Partitioned** — hash-join *build sides* and index-probed *driving
-//!   rows* are sharded by key hash (a distinct key, its probe and its
-//!   probe-cache entry belong to exactly one worker); scans+filters, maps and
-//!   loop joins are split into contiguous input chunks.
+//!   rows* are sharded by key hash (a distinct key and its one index probe
+//!   belong to exactly one partition); scans+filters, maps, loop joins and
+//!   insert evaluation are split into contiguous input chunks.
 //! * **Deterministic by construction** — partition results are reassembled
 //!   in input order (chunk concatenation, or per-driving-row slots), and a
 //!   key's build rows stay in build order within their shard. Skolem
 //!   creation — whose identity numbering depends on first-call order — runs
-//!   off the main thread only under the **two-phase key-claim protocol**
-//!   ([`wol_model::SkolemClaims`]): workers record `(class, key)` claims and
-//!   mint provisional identities, then a resolution pass on the owning
+//!   off the calling context only under the **two-phase key-claim protocol**
+//!   ([`wol_model::SkolemClaims`]): partitions record `(class, key)` claims
+//!   and mint provisional identities, then a resolution pass on the owning
 //!   thread replays the claims in input order against the shared factory
-//!   and rewrites the outputs, so the final numbering equals the sequential
-//!   run's exactly. The protocol covers `Map` bindings and the insert
-//!   actions (where compiled programs put their Skolems — both restricted
-//!   to *value position*, [`Expr::skolem_parallel_safe`]); Skolems anywhere
-//!   else pin their operator to the sequential path. Insert actions always
-//!   *apply* on the owning thread in row order. The output row stream, the
-//!   target instance, and the merged [`ExecStats`] totals are therefore
-//!   bit-identical at every thread count; this is enforced by the
-//!   thread-matrix differential tests in `tests/properties.rs` (including
-//!   the Skolem-insertion soak proptest) and the partition edge-case tests
-//!   in [`exec`].
+//!   and rewrites the outputs, so the final numbering equals the
+//!   one-partition run's exactly. The protocol covers `Map` bindings and the
+//!   insert actions (where compiled programs put their Skolems — both
+//!   restricted to *value position*, [`Expr::skolem_parallel_safe`]);
+//!   Skolems anywhere else pin their operator to one partition, which sees
+//!   the real factory. Insert actions always *apply* on the owning thread in
+//!   row order. The output row stream, the target instance, and the merged
+//!   [`ExecStats`] totals are therefore bit-identical at every partition
+//!   count; this is enforced by the thread-matrix differential tests in
+//!   `tests/properties.rs` (including the Skolem-insertion soak proptest)
+//!   and the partition-invariance table in [`exec`].
 
 pub mod columnar;
 pub mod error;

@@ -774,22 +774,9 @@ impl Component {
 // Predicate pushdown into scan backends.
 // ---------------------------------------------------------------------------
 
-/// A comparison a scan backend can evaluate natively on one attribute.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PushCmp {
-    /// `attr = const`.
-    Eq,
-    /// `attr != const`.
-    Neq,
-    /// `attr < const`.
-    Lt,
-    /// `attr =< const`.
-    Leq,
-    /// `attr > const` (normalised from `const < attr`).
-    Gt,
-    /// `attr >= const` (normalised from `const =< attr`).
-    Geq,
-}
+/// A comparison a scan backend can evaluate natively on one attribute: the
+/// one operator type the backends themselves take (`storage`'s `PushOp`).
+pub use wol_model::PushOp as PushCmp;
 
 /// One conjunct the planner diverted from a scan's filter into the scan's
 /// backend: `var.attr cmp value`. The conjunct is still *costed* exactly

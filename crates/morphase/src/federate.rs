@@ -32,7 +32,7 @@
 //! Both modes execute the **same plans**: a pushed conjunct stays in its
 //! plan as a residual re-check that admits every row the provider already
 //! filtered (see [`cpl::optimize_with_pushdown`]). With pushdown off
-//! (`WOL_PUSHDOWN=0` or [`crate::PipelineOptions::pushdown`] false) ingest
+//! ([`crate::PipelineOptions::pushdown`] false) ingest
 //! streams unfiltered and the very same filter does the trimming at run
 //! time instead; because [`storage::PushedFilter::matches`] mirrors the
 //! executor's comparison semantics, the surviving rows, their order, the
@@ -50,7 +50,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use cpl::{Expr, Plan};
-use storage::provider::{PushOp, Pushdown, PushedFilter, ScanProvider, DEFAULT_CHUNK_ROWS};
+use storage::provider::{Pushdown, PushedFilter, ScanProvider, DEFAULT_CHUNK_ROWS};
 use wol_lang::program::Program;
 use wol_model::{ClassName, Instance};
 
@@ -134,7 +134,7 @@ pub(crate) fn transform_federated(
         let entry = filters.entry(predicate.class.clone()).or_default();
         let filter = PushedFilter {
             attr: predicate.attr,
-            op: convert_cmp(predicate.cmp),
+            op: predicate.cmp,
             value: predicate.value,
         };
         if !entry.contains(&filter) {
@@ -353,19 +353,6 @@ fn record_expr_attrs(
                 record_expr_attrs(e, var_class, needed, whole);
             }
         }
-    }
-}
-
-/// Planner comparison → provider comparison (structurally identical; `cpl`
-/// and `storage` cannot share the type without a dependency between them).
-fn convert_cmp(cmp: cpl::PushCmp) -> PushOp {
-    match cmp {
-        cpl::PushCmp::Eq => PushOp::Eq,
-        cpl::PushCmp::Neq => PushOp::Neq,
-        cpl::PushCmp::Lt => PushOp::Lt,
-        cpl::PushCmp::Leq => PushOp::Leq,
-        cpl::PushCmp::Gt => PushOp::Gt,
-        cpl::PushCmp::Geq => PushOp::Geq,
     }
 }
 

@@ -63,8 +63,8 @@ pub use error::MorphaseError;
 pub use maintain::{BatchOutcome, BatchReport, MaintainMode, MaintainStats, MaterializedPipeline};
 pub use metadata::generate_key_clauses;
 pub use pipeline::{
-    pushdown_default, BatchConstraintMode, DurabilityStats, DurableOptions, JoinStat, Morphase,
-    MorphaseRun, PipelineOptions, QueryStat, StageTimings,
+    BatchConstraintMode, DurabilityStats, DurableOptions, JoinStat, Morphase, MorphaseRun,
+    PipelineOptions, QueryStat, StageTimings,
 };
 pub use report::{render_maintenance_report, render_report};
 pub use schedule::{plan_schedule, QueryNode, QuerySchedule};

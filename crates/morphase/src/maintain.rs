@@ -190,11 +190,26 @@ struct MintPos {
     stage: u32,
     /// Trace key of the row being evaluated.
     key: Vec<Oid>,
-    /// Evaluation unit within the stage: the binding index for a deferred
-    /// level; `action*1000 + {0: key, 1: mk, 2+i: attr i}` for inserts.
-    slot: u32,
+    /// Evaluation unit within the stage: `(binding index, 0)` for a deferred
+    /// level; `(action, unit)` with units `{0: key, 1: mk, 2+i: attr i}` for
+    /// inserts — a pair, so no attribute count can alias the next action.
+    slot: (u32, u32),
     /// Index among one unit's fresh mints of the same class.
     sub: u32,
+}
+
+impl MintPos {
+    /// The insert-phase position of `unit` (`{0: key, 1: mk, 2+i: attr i}`)
+    /// of insert action `action`, for the row with trace key `key`.
+    fn insert_unit(query: usize, key: &[Oid], action: usize, unit: usize) -> MintPos {
+        MintPos {
+            query,
+            stage: u32::MAX,
+            key: key.to_vec(),
+            slot: (action as u32, unit as u32),
+            sub: 0,
+        }
+    }
 }
 
 /// Reference-counted contributions to one target object: how many rows
@@ -679,7 +694,7 @@ impl Replayer<'_, '_> {
                         query: rank,
                         stage: level as u32,
                         key: w.key.clone(),
-                        slot: slot as u32,
+                        slot: (slot as u32, 0),
                         sub: 0,
                     };
                     match self.eval_unit(expr, &w.row, pos, &mut w.first_mints) {
@@ -704,27 +719,20 @@ impl Replayer<'_, '_> {
                 continue;
             }
             for (ai, action) in query.inserts.iter().enumerate() {
-                let base = (ai as u32) * 1000;
-                let at = |slot: u32| MintPos {
-                    query: rank,
-                    stage: u32::MAX,
-                    key: w.key.clone(),
-                    slot,
-                    sub: 0,
-                };
+                let at = |unit: usize| MintPos::insert_unit(rank, &w.key, ai, unit);
                 // The executor's insert loop propagates every error,
                 // BadValue included.
                 let key_val = self
-                    .eval_unit(&action.key, &w.row, at(base), &mut w.first_mints)
+                    .eval_unit(&action.key, &w.row, at(0), &mut w.first_mints)
                     .map_err(MorphaseError::from)?;
                 let counter_before = self.ctx.factory.counter(&action.class);
                 let oid = self.ctx.mk_skolem(&action.class, &key_val);
                 let fresh = self.ctx.factory.counter(&action.class) > counter_before;
-                self.note_identity(&oid, fresh, at(base + 1), &mut w.first_mints);
+                self.note_identity(&oid, fresh, at(1), &mut w.first_mints);
                 let mut fields = BTreeMap::new();
                 for (i, (label, expr)) in action.attrs.iter().enumerate() {
                     let v = self
-                        .eval_unit(expr, &w.row, at(base + 2 + i as u32), &mut w.first_mints)
+                        .eval_unit(expr, &w.row, at(2 + i), &mut w.first_mints)
                         .map_err(MorphaseError::from)?;
                     fields.insert(label.clone(), v);
                 }
@@ -1682,6 +1690,25 @@ mod tests {
         if let Some(report) = pipeline.target().deep_eq_report(&oracle.target) {
             panic!("maintained target diverged from the oracle: {report}");
         }
+    }
+
+    /// Insert units order by `(action, unit)`, never aliasing across
+    /// actions however many attributes one action has: attribute 998 of
+    /// action 0 (unit 1000) precedes the key of action 1, and the mk unit
+    /// sits between an action's key and its first attribute.
+    #[test]
+    fn mint_positions_order_wide_actions_before_the_next_action() {
+        let at = |action, unit| MintPos::insert_unit(0, &[], action, unit);
+        assert!(at(0, 2 + 998) < at(1, 0));
+        assert!(at(0, 2 + 5000) < at(1, 0));
+        assert!(at(1, 0) < at(1, 1) && at(1, 1) < at(1, 2));
+        // The insert phase follows every deferred level of its query.
+        let deferred = MintPos {
+            stage: 3,
+            slot: (7, 0),
+            ..at(0, 0)
+        };
+        assert!(deferred < at(0, 0));
     }
 
     #[test]

@@ -72,24 +72,11 @@ pub struct PipelineOptions {
     pub batch_constraints: BatchConstraintMode,
     /// Push eligible filters (and projections) into backend scan providers on
     /// federated runs ([`Morphase::transform_federated`]); non-federated runs
-    /// ignore it. Defaults to the environment: on, unless `WOL_PUSHDOWN` is
-    /// set to `0`, `off`, or `false`. The produced target is bit-identical
-    /// either way — pushdown only moves the same predicate evaluation from
-    /// the executor into the ingest scan.
+    /// ignore it. On by default; the produced target is bit-identical either
+    /// way — pushdown only moves the same predicate evaluation from the
+    /// executor into the ingest scan — so turning it off is the differential
+    /// baseline.
     pub pushdown: bool,
-}
-
-/// Process-wide default for federated pushdown: on, unless `WOL_PUSHDOWN` is
-/// set to `0`, `off`, or `false` (the differential-testing knob, mirroring
-/// `WOL_COLUMNAR`).
-pub fn pushdown_default() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| {
-        !matches!(
-            std::env::var("WOL_PUSHDOWN").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        )
-    })
 }
 
 impl Default for PipelineOptions {
@@ -104,7 +91,7 @@ impl Default for PipelineOptions {
             check_source_constraints: false,
             parallelism: cpl::Parallelism::from_env(),
             batch_constraints: BatchConstraintMode::default(),
-            pushdown: pushdown_default(),
+            pushdown: true,
         }
     }
 }
@@ -268,7 +255,7 @@ pub struct MorphaseRun {
     /// Columnar-executor statistics merged across every query context:
     /// pipelines taken off the row-at-a-time path, batch rows they covered,
     /// and column chunks visited. All zero when the columnar path is
-    /// disabled (`WOL_COLUMNAR=0`) or no plan shape qualified.
+    /// disabled (`EvalCtx::set_columnar`) or no plan shape qualified.
     pub columnar: cpl::ColumnarStats,
     /// Rendered CPL plans, one per normal clause.
     pub plans: Vec<String>,

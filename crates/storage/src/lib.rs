@@ -121,7 +121,7 @@
 //!   *not* push (multi-variable joins, computed expressions) remains a
 //!   residual obligation of the executor. Projection, when requested, must be
 //!   applied identically whether or not filters are pushed — the
-//!   `WOL_PUSHDOWN` differential relies on it.
+//!   pushdown-on/off differential relies on it.
 //!
 //! [`Instance`]: wol_model::Instance
 

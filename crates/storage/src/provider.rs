@@ -40,7 +40,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use wol_model::histogram::SAMPLE_THRESHOLD;
 use wol_model::index::{value_hash, AttrIndex};
-use wol_model::{AttrHistogram, ClassName, Instance, Oid, RealVal, Value};
+use wol_model::{AttrHistogram, ClassName, Instance, Oid, Value};
 
 use crate::acedb::{AceMapping, AceStore, AceValue};
 use crate::csv::CsvReader;
@@ -51,24 +51,9 @@ use crate::Result;
 /// Default number of surviving rows per streamed chunk.
 pub const DEFAULT_CHUNK_ROWS: usize = 4096;
 
-/// A comparison a backend evaluates natively on one attribute. Mirrors the
-/// planner's pushdown operators (`cpl::PushCmp`); the attribute is always on
-/// the left.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PushOp {
-    /// `attr = const`.
-    Eq,
-    /// `attr != const`.
-    Neq,
-    /// `attr < const`.
-    Lt,
-    /// `attr =< const`.
-    Leq,
-    /// `attr > const`.
-    Gt,
-    /// `attr >= const`.
-    Geq,
-}
+/// A comparison a backend evaluates natively on one attribute (the attribute
+/// always on the left): the planner's pushdown operator, shared with `cpl`.
+pub use wol_model::PushOp;
 
 /// One pushed conjunct: `attr op value`.
 #[derive(Clone, Debug, PartialEq)]
@@ -92,32 +77,16 @@ impl PushedFilter {
             return false;
         };
         use std::cmp::Ordering;
+        let ordered =
+            |holds: fn(Ordering) -> bool| value.ordered_cmp(&self.value).is_some_and(holds);
         match self.op {
             PushOp::Eq => value == &self.value,
             PushOp::Neq => value != &self.value,
-            PushOp::Lt => compare(value, &self.value) == Some(Ordering::Less),
-            PushOp::Leq => {
-                matches!(compare(value, &self.value), Some(o) if o != Ordering::Greater)
-            }
-            PushOp::Gt => compare(value, &self.value) == Some(Ordering::Greater),
-            PushOp::Geq => {
-                matches!(compare(value, &self.value), Some(o) if o != Ordering::Less)
-            }
+            PushOp::Lt => ordered(Ordering::is_lt),
+            PushOp::Leq => ordered(Ordering::is_le),
+            PushOp::Gt => ordered(Ordering::is_gt),
+            PushOp::Geq => ordered(Ordering::is_ge),
         }
-    }
-}
-
-/// Ordered comparison with the executor's exact domain: integers, reals
-/// (including the int/real mixes) and strings; everything else is
-/// uncomparable.
-fn compare(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) => Some(x.cmp(y)),
-        (Value::Real(x), Value::Real(y)) => Some(x.cmp(y)),
-        (Value::Str(x), Value::Str(y)) => Some(x.cmp(y)),
-        (Value::Int(x), Value::Real(y)) => Some(RealVal(*x as f64).cmp(y)),
-        (Value::Real(x), Value::Int(y)) => Some(x.cmp(&RealVal(*y as f64))),
-        _ => None,
     }
 }
 

@@ -645,6 +645,7 @@ pub fn check_batch(
         .collect();
 
     let threads = parallelism.threads();
+    let pool = WorkerPool::shared(parallelism);
 
     // Phase A: delta detection, chunk-partitioned over the pool. Chunks are
     // processed exhaustively (no early exit), so `checked`/`probes` are
@@ -670,7 +671,7 @@ pub fn check_batch(
             Plan::Skip | Plan::Full => {}
         }
     }
-    let detection_results = run_jobs(parallelism, jobs);
+    let detection_results = pool.scope(jobs);
     let mut detections: Vec<Detection> = vec![Detection::default(); clauses.len()];
     for (idx, result) in detection_results {
         detections[idx].merge(result?);
@@ -694,7 +695,7 @@ pub fn check_batch(
         }
     }
     let mut full_results: BTreeMap<usize, (Vec<Violation>, u64)> = BTreeMap::new();
-    for (idx, result) in run_jobs(parallelism, full_jobs) {
+    for (idx, result) in pool.scope(full_jobs) {
         full_results.insert(idx, result?);
     }
 
@@ -736,16 +737,6 @@ pub fn check_batch(
         violations,
         certificate: ConstraintCertificate { entries },
     })
-}
-
-/// Run jobs inline when sequential (or trivial), otherwise on the shared
-/// pool. Either way results come back in submission order.
-fn run_jobs<T: Send>(parallelism: Parallelism, jobs: Vec<Job<'_, T>>) -> Vec<T> {
-    if parallelism.is_sequential() || jobs.len() <= 1 {
-        jobs.into_iter().map(|job| job()).collect()
-    } else {
-        WorkerPool::shared(parallelism).scope(jobs)
-    }
 }
 
 /// Replay a certificate against a snapshot: every entry's recorded outcome

@@ -61,7 +61,7 @@ pub use parallel::{chunk_ranges, Job, Parallelism, WorkerPool};
 pub use path::Path;
 pub use schema::Schema;
 pub use types::{BaseType, ClassName, Label, Type};
-pub use values::{RealVal, SharedValue, Value};
+pub use values::{PushOp, RealVal, SharedValue, Value};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ModelError>;

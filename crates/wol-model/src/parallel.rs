@@ -25,6 +25,10 @@
 //!   (query-level parallelism nesting operator-level parallelism) can always
 //!   drain its own jobs even when every other worker is busy. There is no
 //!   configuration in which `scope` deadlocks waiting for a worker.
+//! * A batch nobody could share — one job, or a pool with no workers — runs
+//!   on the calling thread with no lock, latch or channel round. This is the
+//!   single home of the "inline when trivial" rule: callers submit whatever
+//!   batch they have and never special-case its size themselves.
 //! * Results come back **in submission order**, whatever order jobs actually
 //!   ran in, so pool execution is as deterministic as the scoped-thread
 //!   rounds it replaces.
@@ -292,10 +296,14 @@ impl WorkerPool {
     /// stolen by workers finish. If any job panicked, the first panic (by
     /// submission index — the one a sequential left-to-right run would have
     /// hit first) is re-raised here after the whole batch has completed.
+    ///
+    /// A batch nobody could share — a single job, or a pool without workers
+    /// — runs left to right on the calling thread with no synchronisation
+    /// round at all; a panic then propagates as it happens.
     pub fn scope<'env, T: Send + 'env>(&self, jobs: Vec<Job<'env, T>>) -> Vec<T> {
         let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
+        if n <= 1 || self.workers.is_empty() {
+            return jobs.into_iter().map(|job| job()).collect();
         }
         let state = Arc::new(ScopeState {
             jobs: Mutex::new(jobs.into_iter().enumerate().collect()),
@@ -305,31 +313,29 @@ impl WorkerPool {
         });
         // Offer at most (jobs - 1) tickets to the workers — the caller will
         // run at least one job itself — capped at the worker count.
-        let tickets = self.worker_count().min(n.saturating_sub(1));
-        if tickets > 0 {
-            let sender = self.sender.as_ref().expect("pool is live");
-            for _ in 0..tickets {
-                let state = Arc::clone(&state);
-                // SAFETY: the ticket borrows `'env` data only through the
-                // queued jobs. `scope` does not return until `remaining`
-                // reaches zero, i.e. until every job has *finished running*
-                // (panics included — `run_one` counts them); a ticket that
-                // fires after that pops nothing and touches no borrowed
-                // data. So no `'env` borrow is ever used after `scope`
-                // returns, which is the invariant the lifetime erasure
-                // needs.
-                //
-                // Each ticket *drains* the queue rather than running a
-                // single job: with more jobs than workers (a wide query
-                // stage), every worker keeps pulling until the batch is
-                // empty instead of leaving the surplus to the caller.
-                let ticket: Box<dyn FnOnce() + Send + 'env> =
-                    Box::new(move || while state.run_one() {});
-                let ticket: Ticket = unsafe { std::mem::transmute(ticket) };
-                // A send error means the pool is mid-drop; impossible while
-                // `&self` is alive, but harmless: the caller runs every job.
-                let _ = sender.send(ticket);
-            }
+        let tickets = self.worker_count().min(n - 1);
+        let sender = self.sender.as_ref().expect("pool is live");
+        for _ in 0..tickets {
+            let state = Arc::clone(&state);
+            // SAFETY: the ticket borrows `'env` data only through the
+            // queued jobs. `scope` does not return until `remaining`
+            // reaches zero, i.e. until every job has *finished running*
+            // (panics included — `run_one` counts them); a ticket that
+            // fires after that pops nothing and touches no borrowed
+            // data. So no `'env` borrow is ever used after `scope`
+            // returns, which is the invariant the lifetime erasure
+            // needs.
+            //
+            // Each ticket *drains* the queue rather than running a
+            // single job: with more jobs than workers (a wide query
+            // stage), every worker keeps pulling until the batch is
+            // empty instead of leaving the surplus to the caller.
+            let ticket: Box<dyn FnOnce() + Send + 'env> =
+                Box::new(move || while state.run_one() {});
+            let ticket: Ticket = unsafe { std::mem::transmute(ticket) };
+            // A send error means the pool is mid-drop; impossible while
+            // `&self` is alive, but harmless: the caller runs every job.
+            let _ = sender.send(ticket);
         }
         // Caller participation: drain the queue, then wait for stragglers.
         while state.run_one() {}
@@ -449,6 +455,22 @@ mod tests {
         for (i, (square, thread)) in results.iter().enumerate() {
             assert_eq!(*square, i * i);
             assert_eq!(*thread, caller, "sequential jobs must run on the caller");
+        }
+    }
+
+    /// The inline rule: a single-job batch runs on the calling thread even on
+    /// a pool that has workers to offer it to — no ticket is sent, so no
+    /// worker can have picked it up.
+    #[test]
+    fn single_job_runs_on_the_calling_thread_of_a_multi_worker_pool() {
+        let pool = WorkerPool::new(Parallelism::new(4));
+        assert_eq!(pool.worker_count(), 3);
+        let caller = std::thread::current().id();
+        for _ in 0..200 {
+            let ran_on = pool.scope(vec![
+                Box::new(|| std::thread::current().id()) as Job<'_, std::thread::ThreadId>
+            ]);
+            assert_eq!(ran_on, vec![caller]);
         }
     }
 

@@ -73,6 +73,26 @@ impl From<f64> for RealVal {
     }
 }
 
+/// A comparison of one attribute against a constant, the attribute always on
+/// the left: what the planner diverts from a scan's filter (`cpl::PushCmp`)
+/// and a scan backend evaluates natively (`storage::provider::PushOp`) — one
+/// type, so the two layers cannot drift apart.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PushOp {
+    /// `attr = const`.
+    Eq,
+    /// `attr != const`.
+    Neq,
+    /// `attr < const`.
+    Lt,
+    /// `attr =< const`.
+    Leq,
+    /// `attr > const` (normalised from `const < attr`).
+    Gt,
+    /// `attr >= const` (normalised from `const =< attr`).
+    Geq,
+}
+
 /// A value of the WOL data model.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Value {
@@ -302,6 +322,22 @@ impl Value {
             Value::Variant(_, _) => "variant",
             Value::Unit => "unit",
             Value::Absent => "absent",
+        }
+    }
+
+    /// The query language's ordered comparison (`<`, `=<` and their pushed
+    /// forms): integers, reals — including the int/real mixes, the integer
+    /// promoted — and strings compare; every other pairing is uncomparable
+    /// (`None`). Distinct from the derived structural [`Ord`], which orders
+    /// *all* values so they can key canonical sets and maps.
+    pub fn ordered_cmp(&self, other: &Value) -> Option<std::cmp::Ordering> {
+        match (self, other) {
+            (Value::Int(x), Value::Int(y)) => Some(x.cmp(y)),
+            (Value::Real(x), Value::Real(y)) => Some(x.cmp(y)),
+            (Value::Str(x), Value::Str(y)) => Some(x.cmp(y)),
+            (Value::Int(x), Value::Real(y)) => Some(RealVal(*x as f64).cmp(y)),
+            (Value::Real(x), Value::Int(y)) => Some(x.cmp(&RealVal(*y as f64))),
+            _ => None,
         }
     }
 
