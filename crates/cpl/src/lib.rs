@@ -92,8 +92,8 @@ pub use exec::{
 };
 pub use expr::Expr;
 pub use optimizer::{
-    estimate_join_outputs, estimate_rows, optimize, optimize_reference, optimize_with_pushdown,
-    optimize_with_stats, CostModel, ExternalClassStats, JoinEstimate, PushCmp, PushdownCatalog,
+    estimate_join_outputs, estimate_rows, optimize_reference, optimize_with_stats,
+    pushable_predicates, CostModel, ExternalClassStats, JoinEstimate, PushCmp, PushdownCatalog,
     PushedPredicate, Statistics,
 };
 pub use plan::{InsertAction, Plan, Query};

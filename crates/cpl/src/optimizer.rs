@@ -601,24 +601,6 @@ impl Estimator<'_, '_> {
     }
 }
 
-/// Map every scan variable in the plan to its class (for ndv lookups).
-fn collect_scan_classes(plan: &Plan, out: &mut BTreeMap<String, ClassName>) {
-    match plan {
-        Plan::Scan { class, var } => {
-            out.insert(var.clone(), class.clone());
-        }
-        Plan::Filter { input, .. } | Plan::Map { input, .. } | Plan::Distinct { input } => {
-            collect_scan_classes(input, out)
-        }
-        Plan::NestedLoopJoin { left, right, .. }
-        | Plan::HashJoin { left, right, .. }
-        | Plan::CrossJoin { left, right } => {
-            collect_scan_classes(left, out);
-            collect_scan_classes(right, out);
-        }
-    }
-}
-
 /// One join operator's estimated output, in the executor's evaluation order
 /// (post-order over the plan tree). Paired with the actual per-join row
 /// counts the executor traces, so estimate-vs-actual error is visible per
@@ -725,8 +707,7 @@ fn estimate_plan(
 /// model the planner plans with. Reported by the Morphase pipeline next to
 /// the actual row counts.
 pub fn estimate_rows(plan: &Plan, stats: &Statistics<'_>) -> f64 {
-    let mut var_class = BTreeMap::new();
-    collect_scan_classes(plan, &mut var_class);
+    let var_class = plan.scan_classes();
     let est = Estimator {
         var_class: &var_class,
         stats,
@@ -738,8 +719,7 @@ pub fn estimate_rows(plan: &Plan, stats: &Statistics<'_>) -> f64 {
 /// with the executor's join trace ([`crate::expr::EvalCtx::enable_join_trace`])
 /// to report estimate-vs-actual error per join.
 pub fn estimate_join_outputs(plan: &Plan, stats: &Statistics<'_>) -> Vec<JoinEstimate> {
-    let mut var_class = BTreeMap::new();
-    collect_scan_classes(plan, &mut var_class);
+    let var_class = plan.scan_classes();
     let est = Estimator {
         var_class: &var_class,
         stats,
@@ -778,11 +758,11 @@ impl Component {
 /// one operator type the backends themselves take (`storage`'s `PushOp`).
 pub use wol_model::PushOp as PushCmp;
 
-/// One conjunct the planner diverted from a scan's filter into the scan's
-/// backend: `var.attr cmp value`. The conjunct is still *costed* exactly
-/// like the filter it replaces (via the same selectivity estimate over the
-/// backend statistics), so join ordering is unchanged between pushdown-on
-/// and pushdown-off plans — only where the predicate runs differs.
+/// One `var.attr cmp value` conjunct a scan's backend can evaluate at the
+/// source, as read off a planned tree by [`pushable_predicates`]. The conjunct
+/// stays in the plan as a `Filter` over its scan either way, so plans — and
+/// with them join paths, row order and Skolem numbering — do not depend on
+/// whether anything is pushed; only where the predicate first runs differs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PushedPredicate {
     /// The scan variable the conjunct ranged over.
@@ -797,9 +777,9 @@ pub struct PushedPredicate {
     pub value: Value,
 }
 
-/// Which `(class, attribute)` pairs scan backends can filter natively. The
-/// planner diverts only single-scan `attr cmp const` conjuncts listed here;
-/// everything else stays an executor [`Plan::Filter`].
+/// Which `(class, attribute)` pairs scan backends can filter natively:
+/// [`pushable_predicates`] reports only `attr cmp const` conjuncts listed
+/// here.
 #[derive(Clone, Debug, Default)]
 pub struct PushdownCatalog {
     classes: BTreeMap<ClassName, BTreeSet<String>>,
@@ -868,51 +848,61 @@ fn as_pushable(
     })
 }
 
-/// Optimise a plan with the join-graph planner, falling back to
-/// [`optimize_reference`] for shapes the decomposer does not understand.
-/// Without instance statistics every estimate uses fixed defaults; prefer
-/// [`optimize_with_stats`] whenever the source instances are at hand.
-pub fn optimize(plan: Plan) -> Plan {
-    optimize_with_stats(plan, &Statistics::empty())
+/// The predicates scan backends could evaluate at the source, read off a
+/// *planned* tree: every catalog-allowed `var.attr cmp const` conjunct of a
+/// `Filter` chain sitting directly on a `Scan`, scans in plan order and each
+/// scan's conjuncts innermost filter first. The planner sinks every
+/// single-variable conjunct (map definitions inlined) onto its scan, so for a
+/// planned tree these are exactly the single-scan constant comparisons of the
+/// query; a filter anywhere else (over a join, above a `Map`) is not reported.
+/// Pure: the plan is not changed, which is what keeps a pushdown-on run
+/// bit-identical to a pushdown-off one — the reported conjunct still runs in
+/// the executor as a residual re-check that admits every row the backend
+/// already filtered.
+pub fn pushable_predicates(plan: &Plan, catalog: &PushdownCatalog) -> Vec<PushedPredicate> {
+    /// Walks `plan`; returns the scan it is a pure filter chain over, if any.
+    fn walk<'p>(
+        plan: &'p Plan,
+        catalog: &PushdownCatalog,
+        out: &mut Vec<PushedPredicate>,
+    ) -> Option<(&'p ClassName, &'p str)> {
+        match plan {
+            Plan::Scan { class, var } => Some((class, var)),
+            Plan::Filter { input, predicate } => {
+                let (class, var) = walk(input, catalog, out)?;
+                for conjunct in split_conjuncts(predicate.clone()) {
+                    out.extend(as_pushable(&conjunct, var, class, catalog));
+                }
+                Some((class, var))
+            }
+            Plan::Map { input, .. } | Plan::Distinct { input } => {
+                walk(input, catalog, out);
+                None
+            }
+            Plan::NestedLoopJoin { left, right, .. }
+            | Plan::HashJoin { left, right, .. }
+            | Plan::CrossJoin { left, right } => {
+                walk(left, catalog, out);
+                walk(right, catalog, out);
+                None
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(plan, catalog, &mut out);
+    out
 }
 
 /// Optimise a plan with the join-graph planner, fed by extent and
-/// distinct-value statistics over the live source instances.
+/// distinct-value statistics over the live source instances
+/// ([`Statistics::empty`] when none are at hand: every estimate then uses
+/// fixed defaults), falling back to [`optimize_reference`] for shapes the
+/// decomposer does not understand.
 pub fn optimize_with_stats(plan: Plan, stats: &Statistics<'_>) -> Plan {
-    let mut pushed = Vec::new();
-    optimize_inner(plan, stats, None, &mut pushed)
-}
-
-/// Like [`optimize_with_stats`], but additionally *splits* each scan's
-/// single-variable conjunct pool into backend-pushable predicates (returned,
-/// for the caller to hand its scan providers) and residual predicates (the
-/// rest). The produced plan is **identical** to the [`optimize_with_stats`]
-/// plan: a pushed conjunct stays in the plan as a residual re-check that
-/// admits every row the provider already filtered. Keeping the shape
-/// identical is what makes a pushdown-on run bit-identical to a
-/// pushdown-off run — the executor takes the same join paths, so row order
-/// and Skolem numbering cannot drift — while the actual saving happens
-/// upstream, in the rows never streamed, ingested, or indexed.
-pub fn optimize_with_pushdown(
-    plan: Plan,
-    stats: &Statistics<'_>,
-    catalog: &PushdownCatalog,
-) -> (Plan, Vec<PushedPredicate>) {
-    let mut pushed = Vec::new();
-    let plan = optimize_inner(plan, stats, Some(catalog), &mut pushed);
-    (plan, pushed)
-}
-
-fn optimize_inner(
-    plan: Plan,
-    stats: &Statistics<'_>,
-    catalog: Option<&PushdownCatalog>,
-    pushed: &mut Vec<PushedPredicate>,
-) -> Plan {
     // Distinct is a planning barrier: plan what is underneath it.
     if let Plan::Distinct { input } = plan {
         return Plan::Distinct {
-            input: Box::new(optimize_inner(*input, stats, catalog, pushed)),
+            input: Box::new(optimize_with_stats(*input, stats)),
         };
     }
     let mut pool = Pool::default();
@@ -928,16 +918,11 @@ fn optimize_inner(
     if !pool.maps.iter().all(|(var, _)| seen.insert(var)) {
         return optimize_reference(plan);
     }
-    plan_pool(pool, stats, catalog, pushed)
+    plan_pool(pool, stats)
 }
 
 /// Build the cheapest plan the greedy strategy finds for a decomposed pool.
-fn plan_pool(
-    pool: Pool,
-    stats: &Statistics<'_>,
-    catalog: Option<&PushdownCatalog>,
-    pushed: &mut Vec<PushedPredicate>,
-) -> Plan {
+fn plan_pool(pool: Pool, stats: &Statistics<'_>) -> Plan {
     // Resolve map definitions transitively, so each ranges over scan
     // variables only, then inline them into the conjunct pool.
     let mut defs: BTreeMap<String, Expr> = BTreeMap::new();
@@ -973,18 +958,6 @@ fn plan_pool(
                 card.rows *= estimator.conjunct_selectivity(conjunct, &[&card], &mut updates);
                 card.apply_updates(updates);
                 used[i] = true;
-                // Report backend-evaluable conjuncts for the scan provider,
-                // but KEEP each one in the plan as a residual re-check: it
-                // admits every row the provider already filtered (costing
-                // next to nothing over the trimmed extent), and an identical
-                // plan shape means the executor takes identical join paths —
-                // so row order, and with it Skolem numbering, cannot drift
-                // between pushdown modes.
-                if let Some(catalog) = catalog {
-                    if let Some(predicate) = as_pushable(conjunct, var, class, catalog) {
-                        pushed.push(predicate);
-                    }
-                }
                 plan = plan.filter(conjunct.clone());
             }
         }
@@ -1390,6 +1363,11 @@ mod tests {
     use crate::exec::{run_plan, ExecStats};
     use crate::expr::EvalCtx;
     use wol_model::{ClassName, Instance, Value};
+
+    /// The planner with no statistics at hand.
+    fn optimize(plan: Plan) -> Plan {
+        optimize_with_stats(plan, &Statistics::empty())
+    }
 
     fn instance() -> Instance {
         let mut inst = Instance::new("euro");
@@ -1837,5 +1815,217 @@ mod tests {
         assert_eq!(estimate_rows(&join, &stats), 3.0);
         let cross = Plan::scan("CityE", "E").cross(Plan::scan("CountryE", "C"));
         assert_eq!(estimate_rows(&cross, &stats), 6.0);
+    }
+
+    // -- Reading pushable predicates off planned trees ----------------------
+
+    /// What the enumeration below expects a predicate to read back as.
+    type Expected = (String, &'static str, &'static str, PushCmp, Value);
+
+    /// A raw chain-join plan in the shape the planner proptests build
+    /// (`tests/properties.rs`): `k` scans alternating `CityE` / `CountryE`,
+    /// cross-joined starting at `rotation`, one `Map`, every edge and filter
+    /// at the very top — plus constant comparisons on every scan, cycling
+    /// through all operators and both operand orders, one of them written
+    /// through the `Map`-defined variable. Returns the plan and, built
+    /// alongside it (not derived from it), every single-variable
+    /// `attr cmp const` conjunct normalised attribute-left.
+    fn chain_with_constant_comparisons(k: usize, rotation: usize) -> (Plan, Vec<Expected>) {
+        let class_of = |i: usize| {
+            if i.is_multiple_of(2) {
+                "CityE"
+            } else {
+                "CountryE"
+            }
+        };
+        let var_of = |i: usize| format!("V{i}");
+        let mut plan: Option<Plan> = None;
+        for step in 0..k {
+            let i = (step + rotation) % k;
+            let scan = Plan::scan(class_of(i), var_of(i));
+            plan = Some(match plan {
+                None => scan,
+                Some(p) => p.join(scan, None),
+            });
+        }
+        let mut plan = plan.expect("k >= 2").map(vec![
+            ("N".to_string(), Expr::var(var_of(0)).proj("country")),
+            ("M".to_string(), Expr::var(var_of(1)).proj("name")),
+        ]);
+        let mut expected: Vec<Expected> = Vec::new();
+        // Through the Map: `M = "France"` is `V1.name = "France"` once inlined.
+        plan = plan.filter(Expr::var("M").eq(Expr::constant("France")));
+        expected.push((
+            var_of(1),
+            "CountryE",
+            "name",
+            PushCmp::Eq,
+            Value::str("France"),
+        ));
+        for i in 0..k {
+            let attr = if class_of(i) == "CityE" {
+                ["name", "is_capital"][(i / 2 + rotation) % 2]
+            } else {
+                ["name", "language"][(i / 2 + rotation) % 2]
+            };
+            let constant = if attr == "is_capital" {
+                Value::bool(true)
+            } else {
+                Value::str(format!("c{i}"))
+            };
+            let side = || Box::new(Expr::var(var_of(i)).proj(attr));
+            let konst = || Box::new(Expr::Const(constant.clone()));
+            let (conjunct, cmp) = match (i + rotation + k) % 7 {
+                0 => (Expr::Eq(side(), konst()), PushCmp::Eq),
+                1 => (Expr::Eq(konst(), side()), PushCmp::Eq),
+                2 => (Expr::Neq(side(), konst()), PushCmp::Neq),
+                3 => (Expr::Lt(side(), konst()), PushCmp::Lt),
+                4 => (Expr::Lt(konst(), side()), PushCmp::Gt),
+                5 => (Expr::Leq(side(), konst()), PushCmp::Leq),
+                _ => (Expr::Leq(konst(), side()), PushCmp::Geq),
+            };
+            plan = plan.filter(conjunct);
+            expected.push((var_of(i), class_of(i), attr, cmp, constant));
+        }
+        // Noise that must never be reported: a bare boolean test, an
+        // attribute-to-attribute comparison on one variable, a constant-only
+        // predicate, and the join edges themselves.
+        plan = plan.filter(Expr::var(var_of(0)).proj("is_capital"));
+        plan = plan.filter(
+            Expr::var(var_of(1))
+                .proj("name")
+                .eq(Expr::var(var_of(1)).proj("language")),
+        );
+        plan = plan.filter(Expr::constant(1i64).eq(Expr::constant(1i64)));
+        for i in 1..k {
+            let edge = if i % 2 == 1 {
+                if i == 1 {
+                    Expr::var("N").eq(Expr::var(var_of(1)))
+                } else {
+                    Expr::var(var_of(i - 1))
+                        .proj("country")
+                        .eq(Expr::var(var_of(i)))
+                }
+            } else {
+                Expr::var(var_of(i))
+                    .path("country.name")
+                    .eq(Expr::var(var_of(i - 1)).proj("name"))
+            };
+            plan = plan.filter(edge);
+        }
+        (plan, expected)
+    }
+
+    /// Order-free, comparable form of what was read back / expected.
+    fn normalised(
+        predicates: impl IntoIterator<Item = (String, String, String, PushCmp, Value)>,
+    ) -> Vec<(String, String, String, String, Value)> {
+        let mut out: Vec<_> = predicates
+            .into_iter()
+            .map(|(var, class, attr, cmp, value)| (var, class, attr, format!("{cmp:?}"), value))
+            .collect();
+        out.sort();
+        out
+    }
+
+    fn read_back(
+        plan: &Plan,
+        catalog: &PushdownCatalog,
+    ) -> Vec<(String, String, String, String, Value)> {
+        normalised(
+            pushable_predicates(plan, catalog)
+                .into_iter()
+                .map(|p| (p.var, p.class.to_string(), p.attr, p.cmp, p.value)),
+        )
+    }
+
+    #[test]
+    fn pushable_predicates_match_an_independent_enumeration_of_the_raw_plan() {
+        let inst = instance();
+        let refs = [&inst];
+        let stats = Statistics::from_instances(&refs);
+        // `CityE.is_capital` is deliberately not in the catalog.
+        let allowed = [
+            ("CityE", "name"),
+            ("CountryE", "name"),
+            ("CountryE", "language"),
+        ];
+        let mut catalog = PushdownCatalog::default();
+        for (class, attr) in allowed {
+            catalog.allow(&ClassName::new(class), attr);
+        }
+        for k in 2..=5usize {
+            for rotation in 0..k {
+                let (raw, expected) = chain_with_constant_comparisons(k, rotation);
+                let planned = optimize_with_stats(raw.clone(), &stats);
+                let want = normalised(
+                    expected
+                        .into_iter()
+                        .filter(|(_, class, attr, ..)| allowed.contains(&(class, attr)))
+                        .map(|(var, class, attr, cmp, value)| {
+                            (var, class.to_string(), attr.to_string(), cmp, value)
+                        }),
+                );
+                assert!(!want.is_empty());
+                // Exactly the allowed conjuncts, each once (the sorted lists
+                // are multisets: a conjunct reported twice would differ).
+                assert_eq!(
+                    read_back(&planned, &catalog),
+                    want,
+                    "k={k} rotation={rotation}\n{}",
+                    planned.render()
+                );
+                // Reading is pure and repeatable, and a catalog that allows
+                // nothing yields nothing.
+                assert_eq!(read_back(&planned, &catalog), want);
+                assert!(pushable_predicates(&planned, &PushdownCatalog::default()).is_empty());
+                // The raw plan keeps every filter above the product: nothing
+                // sits on a scan, so nothing is read from it.
+                assert!(pushable_predicates(&raw, &catalog).is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn pushable_predicates_on_the_reference_fallback_are_only_filters_on_scans() {
+        // The Map rebinds scan variable `E`, so planning takes the
+        // `optimize_reference` path. Its rewriter sinks `C.name = "France"`
+        // through the join onto `C`'s scan; the filter above the Map refers
+        // to the *rebound* `E` and must stay there, unreported.
+        let plan = Plan::scan("CityE", "E")
+            .filter(Expr::var("E").proj("name").eq(Expr::constant("Paris")))
+            .join(Plan::scan("CountryE", "C"), None)
+            .filter(Expr::var("C").proj("name").eq(Expr::constant("France")))
+            .map(vec![("E".to_string(), Expr::var("E").proj("country"))])
+            .filter(Expr::var("E").proj("name").eq(Expr::constant("France")));
+        let inst = instance();
+        let refs = [&inst];
+        let stats = Statistics::from_instances(&refs);
+        let planned = optimize_with_stats(plan.clone(), &stats);
+        assert_eq!(planned, optimize_reference(plan), "fallback shape expected");
+        let mut catalog = PushdownCatalog::default();
+        catalog.allow(&ClassName::new("CityE"), "name");
+        catalog.allow(&ClassName::new("CountryE"), "name");
+        assert_eq!(
+            read_back(&planned, &catalog),
+            normalised([
+                (
+                    "C".into(),
+                    "CountryE".into(),
+                    "name".into(),
+                    PushCmp::Eq,
+                    Value::str("France")
+                ),
+                (
+                    "E".into(),
+                    "CityE".into(),
+                    "name".into(),
+                    PushCmp::Eq,
+                    Value::str("Paris")
+                ),
+            ]),
+            "{}",
+            planned.render()
+        );
     }
 }

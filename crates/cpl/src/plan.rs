@@ -151,15 +151,13 @@ impl Plan {
         }
     }
 
-    /// The classes this plan scans — a query's *read set*, used by the
-    /// pipeline's query scheduler to order queries that read an extent after
-    /// queries that write it.
-    pub fn scanned_classes(&self) -> std::collections::BTreeSet<ClassName> {
-        fn go(plan: &Plan, out: &mut std::collections::BTreeSet<ClassName>) {
+    /// Every scan in the plan as `(class, row variable)`, left to right. The
+    /// one walk behind the plan's read set and every variable → class map
+    /// (planner estimates, projection analysis, maintenance slots).
+    pub fn scans(&self) -> Vec<(&ClassName, &str)> {
+        fn go<'p>(plan: &'p Plan, out: &mut Vec<(&'p ClassName, &'p str)>) {
             match plan {
-                Plan::Scan { class, .. } => {
-                    out.insert(class.clone());
-                }
+                Plan::Scan { class, var } => out.push((class, var)),
                 Plan::Filter { input, .. } | Plan::Map { input, .. } | Plan::Distinct { input } => {
                     go(input, out)
                 }
@@ -171,9 +169,24 @@ impl Plan {
                 }
             }
         }
-        let mut out = std::collections::BTreeSet::new();
+        let mut out = Vec::new();
         go(self, &mut out);
         out
+    }
+
+    /// Each scan variable's class.
+    pub fn scan_classes(&self) -> std::collections::BTreeMap<String, ClassName> {
+        self.scans()
+            .into_iter()
+            .map(|(class, var)| (var.to_string(), class.clone()))
+            .collect()
+    }
+
+    /// The classes this plan scans — a query's *read set*, used by the
+    /// pipeline's query scheduler to order queries that read an extent after
+    /// queries that write it.
+    pub fn scanned_classes(&self) -> std::collections::BTreeSet<ClassName> {
+        self.scans().into_iter().map(|(c, _)| c.clone()).collect()
     }
 
     /// Every expression embedded in the plan (filter predicates, map

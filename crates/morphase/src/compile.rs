@@ -9,8 +9,11 @@
 //! atom pool) and hands the result to the CPL join-graph planner
 //! ([`cpl::optimize_with_stats`]), which reorders the scans by estimated
 //! cardinality and selectivity — the role the paper assigns to the Kleisli
-//! optimiser. Which planner runs (none, the legacy rule-based rewriter, or
-//! the statistics-fed planner) is chosen by [`PlanMode`].
+//! optimiser. [`PlanMode`] says whether the planner runs at all: the raw
+//! translation is the baseline the regression tests measure against. There
+//! is one way to plan; what a federated run pushes into its scan providers is
+//! read off the finished plans afterwards ([`cpl::pushable_predicates`]), and
+//! every pushed conjunct stays in its plan as a residual re-check.
 
 use std::collections::BTreeSet;
 
@@ -23,20 +26,14 @@ use crate::error::MorphaseError;
 use crate::Result;
 
 /// How compiled plans are optimised.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub enum PlanMode<'a> {
     /// Leave the raw left-deep translation untouched (the baseline the
     /// regression tests measure against).
     Raw,
-    /// The legacy rule-based rewriter ([`cpl::optimize_reference`]): filter
-    /// push-down and hash-join upgrade, no join reordering.
-    Reference,
-    /// The cost-based join-graph planner with default statistics (no
-    /// instances at hand).
-    #[default]
-    Planner,
     /// The cost-based join-graph planner fed by extent/ndv statistics over
-    /// the live source instances.
+    /// the live source instances ([`Statistics::empty`] when no instances
+    /// are at hand: every estimate then uses fixed defaults).
     PlannerWithStats(&'a Statistics<'a>),
 }
 
@@ -103,28 +100,9 @@ pub fn compile_clause(clause: &NormalClause, mode: PlanMode<'_>) -> Result<Query
     let mut query = translate_clause(clause)?;
     query.plan = match mode {
         PlanMode::Raw => query.plan,
-        PlanMode::Reference => cpl::optimize_reference(query.plan),
-        PlanMode::Planner => cpl::optimize(query.plan),
         PlanMode::PlannerWithStats(stats) => cpl::optimize_with_stats(query.plan, stats),
     };
     Ok(query)
-}
-
-/// Compile one normal clause with the statistics-fed planner *and* a
-/// pushdown catalog: single-variable `var.attr cmp const` conjuncts the
-/// catalog allows are diverted to the returned predicate list (for the
-/// backend scan provider serving the class) instead of becoming `Filter`
-/// operators. Join ordering is unaffected — a diverted conjunct is costed
-/// with exactly the selectivity its `Filter` would have had.
-pub fn compile_clause_pushdown(
-    clause: &NormalClause,
-    stats: &Statistics<'_>,
-    catalog: &cpl::PushdownCatalog,
-) -> Result<(Query, Vec<cpl::PushedPredicate>)> {
-    let mut query = translate_clause(clause)?;
-    let (plan, pushed) = cpl::optimize_with_pushdown(query.plan, stats, catalog);
-    query.plan = plan;
-    Ok((query, pushed))
 }
 
 /// Translate one normal clause into its raw (unoptimised) CPL query.
@@ -220,19 +198,6 @@ fn covered(term: &Term, produced: &BTreeSet<String>) -> bool {
     term.var_set().iter().all(|v| produced.contains(v))
 }
 
-/// Compile a whole normal-form program into CPL queries. `optimize_plans`
-/// selects the join-graph planner (without instance statistics); use
-/// [`compile_program_with`] to feed it live statistics or to pick another
-/// [`PlanMode`].
-pub fn compile_program(normal: &NormalProgram, optimize_plans: bool) -> Result<Vec<Query>> {
-    let mode = if optimize_plans {
-        PlanMode::Planner
-    } else {
-        PlanMode::Raw
-    };
-    compile_program_with(normal, mode)
-}
-
 /// Compile a whole normal-form program into CPL queries under the given
 /// planning mode.
 pub fn compile_program_with(normal: &NormalProgram, mode: PlanMode<'_>) -> Result<Vec<Query>> {
@@ -241,24 +206,6 @@ pub fn compile_program_with(normal: &NormalProgram, mode: PlanMode<'_>) -> Resul
         .iter()
         .map(|c| compile_clause(c, mode))
         .collect()
-}
-
-/// Compile a whole normal-form program with the statistics-fed planner and a
-/// pushdown catalog. Returns the queries plus, parallel to them, the
-/// predicates each query's planning diverted to backend scan providers.
-pub fn compile_program_pushdown(
-    normal: &NormalProgram,
-    stats: &Statistics<'_>,
-    catalog: &cpl::PushdownCatalog,
-) -> Result<(Vec<Query>, Vec<Vec<cpl::PushedPredicate>>)> {
-    let mut queries = Vec::with_capacity(normal.clauses.len());
-    let mut pushed = Vec::with_capacity(normal.clauses.len());
-    for clause in &normal.clauses {
-        let (query, predicates) = compile_clause_pushdown(clause, stats, catalog)?;
-        queries.push(query);
-        pushed.push(predicates);
-    }
-    Ok((queries, pushed))
 }
 
 #[cfg(test)]
@@ -275,7 +222,8 @@ mod tests {
         let w = CitiesWorkload::new();
         let program = w.euro_program();
         let normal = normalize(&program, &NormalizeOptions::default()).unwrap();
-        let queries = compile_program(&normal, true).unwrap();
+        let stats = Statistics::empty();
+        let queries = compile_program_with(&normal, PlanMode::PlannerWithStats(&stats)).unwrap();
         assert_eq!(queries.len(), normal.len());
 
         let source = generate_euro(4, 3, 17);
@@ -306,8 +254,9 @@ mod tests {
         let w = CitiesWorkload::new();
         let program = w.euro_program();
         let normal = normalize(&program, &NormalizeOptions::default()).unwrap();
-        let optimised = compile_program(&normal, true).unwrap();
-        let unoptimised = compile_program(&normal, false).unwrap();
+        let stats = Statistics::empty();
+        let optimised = compile_program_with(&normal, PlanMode::PlannerWithStats(&stats)).unwrap();
+        let unoptimised = compile_program_with(&normal, PlanMode::Raw).unwrap();
         let rendered_opt: String = optimised.iter().map(|q| q.plan.render()).collect();
         let rendered_raw: String = unoptimised.iter().map(|q| q.plan.render()).collect();
         assert!(rendered_opt.contains("HashJoin"));

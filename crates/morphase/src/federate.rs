@@ -1,37 +1,39 @@
-//! The federated pipeline path: backend scan providers as planner-visible
-//! sources, with filter/projection pushdown and streaming ingest.
+//! Source resolution for provider-backed runs: who serves which class, what
+//! the planner may know before any row moves, and what each provider is asked
+//! to filter and project while its rows are ingested.
 //!
-//! A plain [`crate::Morphase::transform`] needs its sources fully
-//! materialized before planning. [`transform_federated`] instead plans
-//! *first*, against the per-class cardinality and distinct-value statistics
-//! each [`storage::ScanProvider`] reports, then streams only the rows the
-//! plan actually needs:
+//! This module is *not* a pipeline driver. A federated run is the one pipeline
+//! body ([`crate::pipeline`]) given scan providers as its row source; the body
+//! calls in here twice:
 //!
-//! 1. **Compile** with provider statistics
-//!    ([`cpl::ExternalClassStats`]) — no rows have moved yet.
-//! 2. **Split** each scan's single-variable conjunct pool into predicates
-//!    the owning provider can evaluate at the source
-//!    ([`cpl::PushdownCatalog`]) and residual ones, and compute a per-class
-//!    projection from every attribute the compiled queries reference.
-//! 3. **Ingest** each provider class chunk-at-a-time
-//!    ([`storage::ingest_class`]), building attribute indexes and
-//!    histograms alongside the stream.
-//! 4. **Execute** the compiled queries against the ingested instance, via
-//!    the same stage-5/6 driver as a plain run.
+//! 1. `Federation::resolve` — before planning: build the class → provider
+//!    ownership map and collect the per-class cardinality and distinct-value
+//!    statistics each [`storage::ScanProvider`] reports
+//!    ([`cpl::ExternalClassStats`]), so stage 4 plans against sources that
+//!    have not been ingested yet.
+//! 2. `Federation::ingest` — after planning: read the pushable predicates
+//!    off the *finished* plans ([`cpl::pushable_predicates`]), keep those of
+//!    eligible classes, compute a per-class projection from every attribute
+//!    the compiled queries reference, and stream each provider class
+//!    chunk-at-a-time ([`storage::ingest_class`]) into one resident instance,
+//!    building attribute indexes and histograms alongside the stream.
+//!
+//! Everything after that — source-constraint check, execution, verification —
+//! is the body's, identical to a run over resident instances.
 //!
 //! ## Eligibility and bit-identity
 //!
 //! A class's predicates may be pushed only when **every scan of the class
-//! across the whole compiled program reports the identical predicate set**
+//! across the whole compiled program carries the identical predicate set**
 //! — the ingested extent is shared by every query, so a filter serving one
 //! scan must not starve another. (Normalisation unfolds clause bodies into
 //! their dependents, so a scan guard usually reappears verbatim at every
 //! scan of its class, keeping the class eligible even when scanned many
 //! times.)
 //!
-//! Both modes execute the **same plans**: a pushed conjunct stays in its
-//! plan as a residual re-check that admits every row the provider already
-//! filtered (see [`cpl::optimize_with_pushdown`]). With pushdown off
+//! There is one way to plan, so both modes execute the **same plans**: a
+//! pushed conjunct stays in its plan as a residual re-check that admits every
+//! row the provider already filtered. With pushdown off
 //! ([`crate::PipelineOptions::pushdown`] false) ingest
 //! streams unfiltered and the very same filter does the trimming at run
 //! time instead; because [`storage::PushedFilter::matches`] mirrors the
@@ -40,213 +42,155 @@
 //! both modes** — only scan-volume counters (and ingest work) differ.
 //! Projection is applied in *both* modes (it never changes the row set,
 //! only trims unreferenced attributes), and is disabled wholesale for a
-//! class whose objects are used whole by any expression.
+//! class whose objects are used whole by any expression. Raw
+//! (`optimize_plans` off) plans are the unplanned baseline and push nothing.
 //!
 //! Source-constraint checking (`check_source_constraints`) disables
 //! pushdown and projection entirely: constraints quantify over the full
 //! unprojected extents, so they are checked against a complete ingest.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
 
-use cpl::{Expr, Plan};
+use cpl::exec::ExecStats;
+use cpl::Expr;
 use storage::provider::{Pushdown, PushedFilter, ScanProvider, DEFAULT_CHUNK_ROWS};
 use wol_lang::program::Program;
 use wol_model::{ClassName, Instance};
 
-use crate::pipeline::{compile_stages_ext, execute_pipeline, MorphaseRun, PipelineOptions};
+use crate::pipeline::PipelineOptions;
 use crate::{MorphaseError, Result};
 
-/// Run the federated pipeline: compile against provider statistics, push
-/// eligible filters/projections, stream-ingest, execute. See the module docs
-/// for the contract; see [`crate::Morphase::transform_federated`] for the
-/// public entry point.
-pub(crate) fn transform_federated(
-    options: PipelineOptions,
-    program: &Program,
-    providers: &[&dyn ScanProvider],
-) -> Result<MorphaseRun> {
-    // Which provider serves which class, plus the planner-facing statistics.
-    let mut owner: BTreeMap<ClassName, usize> = BTreeMap::new();
-    let mut external: Vec<cpl::ExternalClassStats> = Vec::new();
-    for (index, provider) in providers.iter().enumerate() {
-        for class in provider.classes() {
-            if let Some(&other) = owner.get(&class) {
-                return Err(MorphaseError::Compilation(format!(
-                    "class `{class}` is served by both provider `{}` and provider `{}`",
-                    providers[other].name(),
-                    provider.name()
-                )));
-            }
-            let stats = provider.stats(&class).ok_or_else(|| {
-                MorphaseError::Compilation(format!(
-                    "provider `{}` lists class `{class}` but reports no statistics for it",
-                    provider.name()
-                ))
-            })?;
-            owner.insert(class.clone(), index);
-            external.push(cpl::ExternalClassStats {
-                class: stats.class,
-                rows: stats.rows,
-                ndvs: stats.ndvs,
-            });
-        }
-    }
-
-    // Compile once, with every provider attribute in the catalog when
-    // pushdown is on. The catalog does not change the produced plans — a
-    // pushable conjunct stays in its plan as a residual re-check (see
-    // `cpl::optimize_with_pushdown`) — it only *reports* which predicates
-    // each scan could evaluate at the source, so these are exactly the plans
-    // a pushdown-off run executes too.
-    let pushdown_on =
-        options.pushdown && options.optimize_plans && !options.check_source_constraints;
-    let catalog = if pushdown_on {
-        let mut catalog = cpl::PushdownCatalog::default();
-        for stats in &external {
-            for attr in stats.ndvs.keys() {
-                catalog.allow(&stats.class, attr);
-            }
-        }
-        Some(catalog)
-    } else {
-        None
-    };
-    let (compiled, pushed) =
-        compile_stages_ext(options, program, &[], &external, catalog.as_ref())?;
-
-    let mut scan_counts: BTreeMap<ClassName, usize> = BTreeMap::new();
-    for query in &compiled.queries {
-        count_scans(&query.plan, &mut scan_counts);
-    }
-    let projections = class_projections(&compiled.queries, &owner);
-
-    // Restrict the reported predicates to the eligible classes (the module
-    // docs' starvation condition: every scan of the class reported the same
-    // set), then deduplicate — any one scan's predicates stand for the
-    // class as a whole.
-    let eligible = eligible_classes(&pushed, &scan_counts);
-    let mut filters: BTreeMap<ClassName, Vec<PushedFilter>> = BTreeMap::new();
-    for predicate in pushed.into_iter().flatten() {
-        if !eligible.contains(&predicate.class) {
-            continue;
-        }
-        let entry = filters.entry(predicate.class.clone()).or_default();
-        let filter = PushedFilter {
-            attr: predicate.attr,
-            op: predicate.cmp,
-            value: predicate.value,
-        };
-        if !entry.contains(&filter) {
-            entry.push(filter);
-        }
-    }
-    let pushed_filters: usize = filters.values().map(Vec::len).sum();
-
-    // Ingest every provider class (in class order — deterministic), with its
-    // pushed filters and projection.
-    let start = Instant::now();
-    let schema_name = program
-        .sources
-        .first()
-        .map(|binding| binding.schema.name().to_string())
-        .unwrap_or_else(|| "federated".to_string());
-    let mut instance = Instance::new(schema_name);
-    let mut rows_in = 0usize;
-    let mut rows_out = 0usize;
-    let use_projection = !options.check_source_constraints;
-    for (class, &index) in &owner {
-        let class_filters = filters.remove(class).unwrap_or_default();
-        let pushdown = Pushdown {
-            filters: class_filters,
-            projection: if use_projection {
-                projections.get(class).cloned().flatten()
-            } else {
-                None
-            },
-        };
-        let stats = storage::ingest_class(
-            &mut instance,
-            providers[index],
-            class,
-            &pushdown,
-            DEFAULT_CHUNK_ROWS,
-        )
-        .map_err(|e| MorphaseError::Execution(e.to_string()))?;
-        rows_in += stats.rows_in;
-        rows_out += stats.rows_out;
-    }
-    let ingest = start.elapsed();
-
-    // Stage 1b ran against no instances at compile time; check the source
-    // constraints against the (complete, unprojected) ingest instead.
-    if options.check_source_constraints {
-        let constraints: Vec<&wol_lang::Clause> = compiled
-            .augmented
-            .source_constraints()
-            .into_iter()
-            .map(|(_, c)| c)
-            .collect();
-        let refs: Vec<&Instance> = vec![&instance];
-        let dbs = wol_engine::Databases::new(&refs);
-        wol_engine::enforce_constraints(&constraints, &dbs)
-            .map_err(|e| MorphaseError::Verification(e.to_string()))?;
-    }
-
-    let mut run = execute_pipeline(options, compiled, &[&instance], true, None)?;
-    run.timings.ingest = ingest;
-    run.exec.pushed_filters = pushed_filters;
-    run.exec.provider_rows_in = rows_in;
-    run.exec.provider_rows_out = rows_out;
-    Ok(run)
+/// The resolved row source of a provider-backed run: which provider serves
+/// which class, and the statistics the planner may consult before ingest.
+pub(crate) struct Federation<'a> {
+    providers: &'a [&'a dyn ScanProvider],
+    /// Owning provider (index into `providers`) per served class.
+    owner: BTreeMap<ClassName, usize>,
+    /// Provider-reported statistics, one entry per served class.
+    pub(crate) external: Vec<cpl::ExternalClassStats>,
 }
 
-/// The classes whose every scan reported an identical pushable predicate
-/// set. A scan is identified by `(query index, scan variable)` — variables
-/// are unique within one compiled query but reused across queries. A class
-/// scanned more times than it has reporting scans has a scan whose conjunct
-/// pool lacked the predicates; filtering the shared extent would starve it,
-/// so the class is ineligible.
-fn eligible_classes(
-    pushed: &[Vec<cpl::PushedPredicate>],
-    scan_counts: &BTreeMap<ClassName, usize>,
-) -> BTreeSet<ClassName> {
-    type PredKey = (String, String, wol_model::Value);
-    let mut per_scan: BTreeMap<ClassName, BTreeMap<(usize, String), BTreeSet<PredKey>>> =
-        BTreeMap::new();
-    for (query, predicates) in pushed.iter().enumerate() {
-        for p in predicates {
-            per_scan
-                .entry(p.class.clone())
-                .or_default()
-                .entry((query, p.var.clone()))
-                .or_default()
-                .insert((p.attr.clone(), format!("{:?}", p.cmp), p.value.clone()));
+impl<'a> Federation<'a> {
+    /// Build the ownership map; a class served twice, or listed without
+    /// statistics, is an error.
+    pub(crate) fn resolve(providers: &'a [&'a dyn ScanProvider]) -> Result<Self> {
+        let mut owner: BTreeMap<ClassName, usize> = BTreeMap::new();
+        let mut external: Vec<cpl::ExternalClassStats> = Vec::new();
+        for (index, provider) in providers.iter().enumerate() {
+            for class in provider.classes() {
+                if let Some(&other) = owner.get(&class) {
+                    return Err(MorphaseError::Compilation(format!(
+                        "class `{class}` is served by both provider `{}` and provider `{}`",
+                        providers[other].name(),
+                        provider.name()
+                    )));
+                }
+                let stats = provider.stats(&class).ok_or_else(|| {
+                    MorphaseError::Compilation(format!(
+                        "provider `{}` lists class `{class}` but reports no statistics for it",
+                        provider.name()
+                    ))
+                })?;
+                owner.insert(class.clone(), index);
+                external.push(cpl::ExternalClassStats {
+                    class: stats.class,
+                    rows: stats.rows,
+                    ndvs: stats.ndvs,
+                });
+            }
         }
-    }
-    per_scan
-        .into_iter()
-        .filter(|(class, scans)| {
-            scan_counts.get(class) == Some(&scans.len())
-                && scans.values().collect::<BTreeSet<_>>().len() == 1
+        Ok(Federation {
+            providers,
+            owner,
+            external,
         })
-        .map(|(class, _)| class)
-        .collect()
-}
+    }
 
-/// Count `Scan` operators per class across a plan.
-fn count_scans(plan: &Plan, counts: &mut BTreeMap<ClassName, usize>) {
-    match plan {
-        Plan::Scan { class, .. } => *counts.entry(class.clone()).or_default() += 1,
-        Plan::Filter { input, .. } | Plan::Map { input, .. } | Plan::Distinct { input } => {
-            count_scans(input, counts)
+    /// Stream every provider class (in class order — deterministic) into one
+    /// resident instance, with the filters the planned `queries` let its
+    /// provider evaluate and the projection their expressions allow. Returns
+    /// the instance and the provider-side counters (`pushed_filters`,
+    /// `provider_rows_in`, `provider_rows_out`; everything else zero).
+    pub(crate) fn ingest(
+        &self,
+        options: PipelineOptions,
+        program: &Program,
+        queries: &[cpl::Query],
+    ) -> Result<(Instance, ExecStats)> {
+        // Per class, the filter set of each of its scans across the whole
+        // program (every provider attribute is in the catalog). A class is
+        // eligible — the module docs' starvation condition — when all of its
+        // scans carry the same non-empty set; any one scan's then stands for
+        // the class as a whole.
+        let mut filters: BTreeMap<ClassName, Vec<PushedFilter>> = BTreeMap::new();
+        if options.pushdown && options.optimize_plans && !options.check_source_constraints {
+            let mut catalog = cpl::PushdownCatalog::default();
+            for stats in &self.external {
+                for attr in stats.ndvs.keys() {
+                    catalog.allow(&stats.class, attr);
+                }
+            }
+            let mut per_scan: BTreeMap<&ClassName, Vec<Vec<PushedFilter>>> = BTreeMap::new();
+            for query in queries {
+                let pushed = cpl::pushable_predicates(&query.plan, &catalog);
+                for (class, var) in query.plan.scans() {
+                    let mut set: Vec<PushedFilter> = Vec::new();
+                    for p in pushed.iter().filter(|p| p.var == var) {
+                        let filter = PushedFilter {
+                            attr: p.attr.clone(),
+                            op: p.cmp,
+                            value: p.value.clone(),
+                        };
+                        if !set.contains(&filter) {
+                            set.push(filter);
+                        }
+                    }
+                    per_scan.entry(class).or_default().push(set);
+                }
+            }
+            for (class, mut sets) in per_scan {
+                let first = sets.swap_remove(0);
+                let same = |set: &Vec<PushedFilter>| {
+                    set.len() == first.len() && set.iter().all(|f| first.contains(f))
+                };
+                if !first.is_empty() && sets.iter().all(same) {
+                    filters.insert(class.clone(), first);
+                }
+            }
         }
-        Plan::NestedLoopJoin { left, right, .. }
-        | Plan::HashJoin { left, right, .. }
-        | Plan::CrossJoin { left, right } => {
-            count_scans(left, counts);
-            count_scans(right, counts);
+        let mut stats = ExecStats {
+            pushed_filters: filters.values().map(Vec::len).sum(),
+            ..ExecStats::default()
+        };
+
+        let mut projections = if options.check_source_constraints {
+            BTreeMap::new()
+        } else {
+            class_projections(queries, &self.owner)
+        };
+        let schema_name = program
+            .sources
+            .first()
+            .map(|binding| binding.schema.name().to_string())
+            .unwrap_or_else(|| "federated".to_string());
+        let mut instance = Instance::new(schema_name);
+        for (class, &index) in &self.owner {
+            let pushdown = Pushdown {
+                filters: filters.remove(class).unwrap_or_default(),
+                projection: projections.remove(class).flatten(),
+            };
+            let ingested = storage::ingest_class(
+                &mut instance,
+                self.providers[index],
+                class,
+                &pushdown,
+                DEFAULT_CHUNK_ROWS,
+            )
+            .map_err(|e| MorphaseError::Execution(e.to_string()))?;
+            stats.provider_rows_in += ingested.rows_in;
+            stats.provider_rows_out += ingested.rows_out;
         }
+        Ok((instance, stats))
     }
 }
 
@@ -254,8 +198,8 @@ fn count_scans(plan: &Plan, counts: &mut BTreeMap<ClassName, usize>) {
 /// use of the class's objects is an attribute projection, `None` (keep
 /// everything) when any expression uses an object whole — as a record value,
 /// a Skolem key, an equality operand — or when the class is never scanned.
-/// Computed over the pass-A plans, whose filters still reference the
-/// pushable attributes, so the result is identical in both pushdown modes.
+/// The plans keep every pushed conjunct as a residual filter, so the result
+/// is identical in both pushdown modes.
 fn class_projections(
     queries: &[cpl::Query],
     owner: &BTreeMap<ClassName, usize>,
@@ -263,8 +207,7 @@ fn class_projections(
     let mut needed: BTreeMap<ClassName, BTreeSet<String>> = BTreeMap::new();
     let mut whole: BTreeSet<ClassName> = BTreeSet::new();
     for query in queries {
-        let mut var_class: BTreeMap<String, ClassName> = BTreeMap::new();
-        collect_scan_vars(&query.plan, &mut var_class);
+        let var_class = query.plan.scan_classes();
         let mut record = |expr: &Expr| {
             record_expr_attrs(expr, &var_class, &mut needed, &mut whole);
         };
@@ -288,24 +231,6 @@ fn class_projections(
             (class.clone(), projection)
         })
         .collect()
-}
-
-/// Map each scan variable to its class.
-fn collect_scan_vars(plan: &Plan, out: &mut BTreeMap<String, ClassName>) {
-    match plan {
-        Plan::Scan { class, var } => {
-            out.insert(var.clone(), class.clone());
-        }
-        Plan::Filter { input, .. } | Plan::Map { input, .. } | Plan::Distinct { input } => {
-            collect_scan_vars(input, out)
-        }
-        Plan::NestedLoopJoin { left, right, .. }
-        | Plan::HashJoin { left, right, .. }
-        | Plan::CrossJoin { left, right } => {
-            collect_scan_vars(left, out);
-            collect_scan_vars(right, out);
-        }
-    }
 }
 
 /// Walk an expression recording, per scanned class, the attributes projected
@@ -359,7 +284,7 @@ fn record_expr_attrs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Morphase;
+    use crate::pipeline::{Morphase, MorphaseRun};
     use workloads::federated as fed;
 
     fn run(pushdown: bool, check_source: bool) -> MorphaseRun {
@@ -414,6 +339,51 @@ mod tests {
         let run = run(true, true);
         assert_eq!(run.exec.pushed_filters, 0);
         assert_eq!(run.exec.provider_rows_in, run.exec.provider_rows_out);
+    }
+
+    /// One verdict on every path: providers whose rows violate a source
+    /// constraint are rejected with exactly the error a plain `transform`
+    /// raises over the same rows fully ingested.
+    #[test]
+    fn violating_provider_rows_are_rejected_like_resident_ones() {
+        let params = fed::FederatedParams {
+            clones: 12,
+            markers: 40,
+            assays: 400,
+            seed: 5,
+        };
+        let (csv, ace, rel) = fed::providers(&params);
+        let providers: [&dyn ScanProvider; 3] = [&csv, &ace, &rel];
+        // Labs repeat across clones, so "a lab has one clone" is violated.
+        let mut program = fed::program();
+        program
+            .add_text("SC: X = Y <= X in CloneR, Y in CloneR, X.lab = Y.lab;")
+            .unwrap();
+        let morphase = Morphase::with_options(PipelineOptions {
+            check_source_constraints: true,
+            ..PipelineOptions::default()
+        });
+        let federated = morphase
+            .transform_federated(&program, &providers)
+            .unwrap_err();
+        assert!(matches!(federated, MorphaseError::Verification(_)));
+
+        // The same rows, resident: every class ingested whole, in class order.
+        let federation = Federation::resolve(&providers).unwrap();
+        let mut resident = Instance::new("fedsrc");
+        for (class, &index) in &federation.owner {
+            storage::ingest_class(
+                &mut resident,
+                providers[index],
+                class,
+                &Pushdown::default(),
+                DEFAULT_CHUNK_ROWS,
+            )
+            .unwrap();
+        }
+        let plain = morphase.transform(&program, &[&resident]).unwrap_err();
+        assert_eq!(federated, plain);
+        assert!(plain.to_string().contains("SC"), "{plain}");
     }
 
     #[test]

@@ -5,24 +5,38 @@
 //! instances and meta-data, and produces the target database:
 //!
 //! ```text
-//! WOL transformation program + meta-data
-//!        │  (metadata: auto-generate key constraints)          [metadata]
+//!  FRONT HALF — depends on the program alone          [pipeline::Front::build]
+//!  ┌──────────────────────────────────────────────────────────────────────┐
+//!  │ WOL transformation program + meta-data                               │
+//!  │    │  0  auto-generate key / merge-key constraint clauses [metadata] │
+//!  │    │  1  validation                                      [wol_lang]  │
+//!  │    ▼  2  translator to snf                        [wol_engine::snf]  │
+//!  │    ▼  3  normalisation                      [wol_engine::normalize]  │
+//!  └──────────────────────────────────────────────────────────────────────┘
+//!        │  built once per one-shot run — once per *pipeline* when standing
 //!        ▼
-//! Translator to snf                                             [wol_engine::snf]
-//!        ▼
-//! Normalization                                                 [wol_engine::normalize]
-//!        ▼
-//! Translator to CPL                                             [compile]
-//!        ▼
-//! CPL execution against the source DBs → target DB              [cpl]
-//!        ▼
-//! Verification of target constraints and keys                   [pipeline]
+//!  BACK HALF — depends on the data                     [pipeline::run_pipeline]
+//!  ┌──────────────────────────────────────────────────────────────────────┐
+//!  │ rows from:  nowhere (compile) │ resident instances │ scan providers  │
+//!  │    │  4  translator to CPL + join-graph planner against the rows'    │
+//!  │    │     statistics (instances, or provider-reported)     [compile]  │
+//!  │    ▼     ingest — providers only: filters read off the finished      │
+//!  │    │     plans, projections, chunked streaming           [federate]  │
+//!  │    ▼     source-constraint check (optional), on resident rows        │
+//!  │    ▼  5  CPL execution, stage by stage → target DB             [cpl] │
+//!  │    │     └ journal each applied query (durable runs only)  [storage] │
+//!  │    ▼  6  verification of target keys and constraints      [pipeline] │
+//!  └──────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! The [`pipeline::Morphase`] driver runs these stages, timing each one and
-//! reporting program-size metrics — the quantities the paper's evaluation
-//! discusses (compile time of normalised vs non-normalised programs, size of
-//! the resulting normal-form program, effect of omitting constraints).
+//! There is exactly one body: [`Morphase::compile`], [`Morphase::transform`],
+//! [`Morphase::transform_durable`] and [`Morphase::transform_federated`]
+//! differ only in where the rows come from and whether a journal is
+//! attached, and the body picks its steps from that. The
+//! [`pipeline::Morphase`] driver times each stage and reports program-size
+//! metrics — the quantities the paper's evaluation discusses (compile time of
+//! normalised vs non-normalised programs, size of the resulting normal-form
+//! program, effect of omitting constraints).
 //!
 //! ## Maintenance semantics
 //!
@@ -40,7 +54,8 @@
 //! * **Repair identity** — a mint-position ledger and per-object support
 //!   counts tie the standing state to the fresh run's Skolem numbering; any
 //!   batch that cannot be absorbed while preserving that tie escalates to a
-//!   rebuild (recompile + full replay), which is bit-identical by
+//!   rebuild (re-plan against the mutated sources + full replay, over the
+//!   front half the pipeline built once), which is bit-identical by
 //!   construction. Incremental in-place repairs skip per-batch target
 //!   verification; verification re-runs at every full-build boundary.
 //! * **Reader consistency** — [`PipelineService`] runs the pipeline on a
@@ -58,7 +73,7 @@ pub mod report;
 pub mod schedule;
 pub mod service;
 
-pub use compile::{compile_program, compile_program_pushdown, compile_program_with, PlanMode};
+pub use compile::{compile_program_with, PlanMode};
 pub use error::MorphaseError;
 pub use maintain::{BatchOutcome, BatchReport, MaintainMode, MaintainStats, MaterializedPipeline};
 pub use metadata::generate_key_clauses;

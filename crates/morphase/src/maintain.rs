@@ -14,7 +14,7 @@
 //! cost but never correctness.
 //!
 //! **Delta propagation.** Every compiled query is analysed once per
-//! (re-)compile:
+//! (re-)plan:
 //!
 //! * [`cpl::scan_order_trace`] must describe the plan's output as the
 //!   lexicographic order of a tuple of scanned object identities — the
@@ -54,11 +54,16 @@
 //! run cannot be re-established locally — a displaced first mint is not
 //! restored at the same position, a fresh mint would not be the class's
 //! latest, an object loses all contributions, or two rows disagree on an
-//! attribute — the pipeline **rebuilds**: it recompiles against the mutated
-//! sources (fresh statistics, exactly like a fresh run) and replays
-//! everything with a fresh Skolem factory. A rebuild is bit-identical to the
-//! oracle by construction; in-place batches preserve the factory/ledger
-//! equivalence, so the standing state always equals the rebuilt state.
+//! attribute — the pipeline **rebuilds**: it re-plans against the mutated
+//! sources (fresh statistics, exactly like a fresh run) and re-fills —
+//! replays everything with a fresh Skolem factory. A rebuild never
+//! re-normalises: meta-data generation, validation, snf and the normal form
+//! depend on the program alone, so the pipeline builds that front half once,
+//! at construction ([`crate::pipeline`]'s `Front`), and every initial build,
+//! rebuild, `Rerun`-mode batch and oracle run borrows it. A rebuild is
+//! bit-identical to the oracle by construction; in-place batches preserve the
+//! factory/ledger equivalence, so the standing state always equals the
+//! rebuilt state.
 //!
 //! **Reader consistency.** The pipeline itself is single-writer; the
 //! concurrent front end ([`crate::PipelineService`]) runs it on a maintainer
@@ -73,6 +78,7 @@
 //! valid precisely because the standing state is always equivalent to a
 //! rebuild from current sources.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -90,8 +96,8 @@ use wol_model::{
 };
 
 use crate::pipeline::{
-    compile_stages, verify_target_instance, BatchConstraintMode, DurableOptions, Morphase,
-    MorphaseRun, PipelineOptions,
+    plan_queries, run_pipeline, verify_target_instance, BatchConstraintMode, DurableOptions,
+    Fingerprint, Front, MorphaseRun, PipelineOptions, Rows,
 };
 use crate::schedule::plan_schedule;
 use crate::{MorphaseError, Result};
@@ -112,7 +118,7 @@ pub enum MaintainMode {
 pub enum BatchOutcome {
     /// Stale rows swept, delta rows replayed, touched objects repaired.
     InPlace,
-    /// A repair invariant tripped: recompiled and replayed from scratch.
+    /// A repair invariant tripped: re-planned and replayed from scratch.
     Rebuild,
     /// The pipeline is in [`MaintainMode::Rerun`].
     FullRerun,
@@ -551,8 +557,7 @@ fn analyze_query(query: &Query, schemas: &[&Schema]) -> Option<QueryAnalysis> {
     if stripped.expressions().iter().any(|e| e.contains_skolem()) {
         return None;
     }
-    let mut scan_classes: BTreeMap<String, ClassName> = BTreeMap::new();
-    collect_scans(&query.plan, &mut scan_classes);
+    let scan_classes = query.plan.scan_classes();
     let slots: Vec<Slot> = trace
         .iter()
         .map(|var| {
@@ -588,23 +593,6 @@ fn analyze_query(query: &Query, schemas: &[&Schema]) -> Option<QueryAnalysis> {
         foreign: scan.foreign,
         opaque: scan.opaque,
     })
-}
-
-fn collect_scans(plan: &Plan, out: &mut BTreeMap<String, ClassName>) {
-    match plan {
-        Plan::Scan { class, var } => {
-            out.insert(var.clone(), class.clone());
-        }
-        Plan::Filter { input, .. } | Plan::Map { input, .. } | Plan::Distinct { input } => {
-            collect_scans(input, out)
-        }
-        Plan::NestedLoopJoin { left, right, .. }
-        | Plan::HashJoin { left, right, .. }
-        | Plan::CrossJoin { left, right } => {
-            collect_scans(left, out);
-            collect_scans(right, out);
-        }
-    }
 }
 
 /// One cached row of one query's stripped plan.
@@ -925,59 +913,46 @@ enum CoreState {
     Rerun { target: Box<Instance> },
 }
 
-/// Compile against the current sources and build the standing state from
-/// scratch: the one entry point for initial builds *and* rebuilds, so a
-/// rebuilt pipeline is a fresh run by construction. Also returns the
-/// augmented program's source constraints — the clauses per-batch
-/// validation checks.
+/// Plan against the current sources and build the standing state from
+/// scratch over the pipeline's retained front half: the one entry point for
+/// initial builds *and* rebuilds, so a rebuilt pipeline is a fresh run by
+/// construction — fresh statistics, fresh plans, fresh Skolem factory — while
+/// the program-only stages (meta-data, validation, snf, normal form) are
+/// never repeated.
 fn build_state(
-    program: &Program,
+    front: &Front,
     options: PipelineOptions,
     sources: &[Instance],
     exec: &mut ExecStats,
-) -> Result<(CoreState, Vec<Clause>)> {
+) -> Result<CoreState> {
     let refs: Vec<&Instance> = sources.iter().collect();
-    let compiled = compile_stages(options, program, &refs)?;
-    let augmented = compiled.augmented;
-    let constraints: Vec<Clause> = augmented
-        .source_constraints()
-        .into_iter()
-        .map(|(_, c)| c.clone())
-        .collect();
-    let queries = compiled.queries;
+    let augmented = &front.augmented;
+    let stats = cpl::Statistics::from_instances(&refs).with_cost_model(options.cost_model);
+    let queries = plan_queries(options, &front.normal, &stats)?;
     let target_classes: BTreeSet<ClassName> =
         augmented.target.schema.class_names().into_iter().collect();
     let schemas: Vec<&Schema> = augmented.sources.iter().map(|b| &b.schema).collect();
     let mut analyses = Vec::with_capacity(queries.len());
-    let mut capable = true;
     for query in &queries {
-        if query
+        let reads_target = query
             .plan
             .scanned_classes()
             .iter()
-            .any(|c| target_classes.contains(c))
-        {
-            capable = false;
-            break;
-        }
+            .any(|c| target_classes.contains(c));
         match analyze_query(query, &schemas) {
-            Some(a) => analyses.push(a),
-            None => {
-                capable = false;
-                break;
+            Some(analysis) if !reads_target => analyses.push(analysis),
+            _ => {
+                // Not incrementally capable: the standing state is just the
+                // target of a plain run of the body over the same front.
+                let run = run_pipeline(options, Cow::Borrowed(front), Rows::Resident(&refs), None)?;
+                exec.absorb(run.exec);
+                return Ok(CoreState::Rerun {
+                    target: Box::new(run.target),
+                });
             }
         }
     }
-    if !capable {
-        let run = Morphase::with_options(options).transform(program, &refs)?;
-        exec.absorb(run.exec);
-        return Ok((
-            CoreState::Rerun {
-                target: Box::new(run.target),
-            },
-            constraints,
-        ));
-    }
+    front.check_sources(options, &refs)?;
     let schedule = plan_schedule(&queries);
     let order: Vec<usize> = schedule.stages.iter().flatten().copied().collect();
 
@@ -1028,22 +1003,17 @@ fn build_state(
         }
         factory = std::mem::replace(&mut ctx.factory, SkolemFactory::new());
     }
-    if options.verify_target {
-        verify_target_instance(&augmented, &target)?;
-    }
-    Ok((
-        CoreState::Incremental(Box::new(Core {
-            queries,
-            analyses,
-            order,
-            caches,
-            ledger,
-            factory,
-            target,
-            target_classes,
-        })),
-        constraints,
-    ))
+    verify_target_instance(augmented, &target)?;
+    Ok(CoreState::Incremental(Box::new(Core {
+        queries,
+        analyses,
+        order,
+        caches,
+        ledger,
+        factory,
+        target,
+        target_classes,
+    })))
 }
 
 enum RepairOutcome {
@@ -1238,30 +1208,23 @@ fn repair_incremental(
 /// The journal stores *source* data, so only the dataset-shaping inputs are
 /// hashed: program name, schema names, and clause count.
 fn maintenance_fingerprint(program: &Program) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(PRIME);
-        }
-        hash ^= 0xFF;
-        hash = hash.wrapping_mul(PRIME);
-    };
-    eat(b"maintenance");
-    eat(program.name.as_bytes());
-    eat(program.target.schema.name().as_bytes());
+    let mut hash = Fingerprint::new();
+    hash.eat(b"maintenance");
+    hash.eat(program.name.as_bytes());
+    hash.eat(program.target.schema.name().as_bytes());
     for binding in &program.sources {
-        eat(binding.schema.name().as_bytes());
+        hash.eat(binding.schema.name().as_bytes());
     }
-    eat(&(program.clauses.len() as u64).to_le_bytes());
-    hash
+    hash.eat(&(program.clauses.len() as u64).to_le_bytes());
+    hash.finish()
 }
 
 /// A standing, incrementally maintained Morphase pipeline (see the module
 /// docs for the maintenance semantics).
 pub struct MaterializedPipeline {
-    program: Program,
+    /// The program-only front half, built once per pipeline; every build,
+    /// rebuild and re-run plans and fills against it.
+    front: Front,
     options: PipelineOptions,
     sources: Vec<Instance>,
     state: CoreState,
@@ -1288,22 +1251,7 @@ impl MaterializedPipeline {
         sources: Vec<Instance>,
         options: PipelineOptions,
     ) -> Result<MaterializedPipeline> {
-        let mut stats = MaintainStats::default();
-        let (state, constraints) = build_state(program, options, &sources, &mut stats.delta_exec)?;
-        Ok(MaterializedPipeline {
-            source_classes: Self::source_classes(program),
-            program: program.clone(),
-            options,
-            sources,
-            state,
-            stats,
-            constraints,
-            suspects: BTreeSet::new(),
-            journal: None,
-            next_batch: 0,
-            recovered: 0,
-            poisoned: false,
-        })
+        Self::stand_up(program, sources, options, None, 0, 0)
     }
 
     /// Build a durable pipeline journalling its (single) source into
@@ -1348,19 +1296,40 @@ impl MaterializedPipeline {
             (source, 0, 1)
         };
         source.begin_mutation_log();
-        let sources = vec![source];
+        Self::stand_up(
+            program,
+            vec![source],
+            options,
+            Some(journal),
+            next_batch,
+            recovered,
+        )
+    }
+
+    /// The one constructor: build the front half — the only time this
+    /// pipeline validates and normalises its program — then plan and fill
+    /// the standing state against it.
+    fn stand_up(
+        program: &Program,
+        sources: Vec<Instance>,
+        options: PipelineOptions,
+        journal: Option<PipelineJournal>,
+        next_batch: u64,
+        recovered: u64,
+    ) -> Result<MaterializedPipeline> {
+        let front = Front::build(options, program)?;
         let mut stats = MaintainStats::default();
-        let (state, constraints) = build_state(program, options, &sources, &mut stats.delta_exec)?;
+        let state = build_state(&front, options, &sources, &mut stats.delta_exec)?;
         Ok(MaterializedPipeline {
             source_classes: Self::source_classes(program),
-            program: program.clone(),
+            constraints: front.source_constraints().into_iter().cloned().collect(),
+            front,
             options,
             sources,
             state,
             stats,
-            constraints,
             suspects: BTreeSet::new(),
-            journal: Some(journal),
+            journal,
             next_batch,
             recovered,
             poisoned: false,
@@ -1542,25 +1511,23 @@ impl MaterializedPipeline {
     }
 
     fn maintain(&mut self, source: usize, delta: &BatchDelta) -> Result<BatchReport> {
-        if matches!(self.state, CoreState::Rerun { .. }) {
-            let refs: Vec<&Instance> = self.sources.iter().collect();
-            let run = Morphase::with_options(self.options).transform(&self.program, &refs)?;
+        // A full re-run's report as is; the other outcomes fill theirs in.
+        let rerun = BatchReport {
+            outcome: BatchOutcome::FullRerun,
+            rows_removed: 0,
+            rows_added: 0,
+            objects_repaired: 0,
+            rebuild_reason: None,
+            constraints: None,
+        };
+        let CoreState::Incremental(core) = &mut self.state else {
+            let run = self.rerun_oracle()?;
             self.stats.full_reruns += 1;
             self.stats.delta_exec.absorb(run.exec);
             self.state = CoreState::Rerun {
                 target: Box::new(run.target),
             };
-            return Ok(BatchReport {
-                outcome: BatchOutcome::FullRerun,
-                rows_removed: 0,
-                rows_added: 0,
-                objects_repaired: 0,
-                rebuild_reason: None,
-                constraints: None,
-            });
-        }
-        let CoreState::Incremental(core) = &mut self.state else {
-            unreachable!("checked above");
+            return Ok(rerun);
         };
         let outcome = repair_incremental(
             &self.sources,
@@ -1585,27 +1552,21 @@ impl MaterializedPipeline {
                     rows_removed,
                     rows_added,
                     objects_repaired,
-                    rebuild_reason: None,
-                    constraints: None,
+                    ..rerun
                 })
             }
             RepairOutcome::Rebuild(reason) => {
-                let (state, constraints) = build_state(
-                    &self.program,
+                self.state = build_state(
+                    &self.front,
                     self.options,
                     &self.sources,
                     &mut self.stats.delta_exec,
                 )?;
-                self.state = state;
-                self.constraints = constraints;
                 self.stats.rebuild_batches += 1;
                 Ok(BatchReport {
                     outcome: BatchOutcome::Rebuild,
-                    rows_removed: 0,
-                    rows_added: 0,
-                    objects_repaired: 0,
                     rebuild_reason: Some(reason),
-                    constraints: None,
+                    ..rerun
                 })
             }
         }
@@ -1667,16 +1628,24 @@ impl MaterializedPipeline {
     }
 
     /// Run the program from scratch over the current sources — the oracle
-    /// the maintained target is bit-identical to.
+    /// the maintained target is bit-identical to. "From scratch" is the whole
+    /// data-dependent half (plan, execute, verify) of the one pipeline body;
+    /// the program-only front half is the pipeline's retained one.
     pub fn rerun_oracle(&self) -> Result<MorphaseRun> {
         let refs: Vec<&Instance> = self.sources.iter().collect();
-        Morphase::with_options(self.options).transform(&self.program, &refs)
+        run_pipeline(
+            self.options,
+            Cow::Borrowed(&self.front),
+            Rows::Resident(&refs),
+            None,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Morphase;
     use workloads::genome::{self, GenomeParams};
 
     fn genome_pipeline(params: &GenomeParams) -> MaterializedPipeline {

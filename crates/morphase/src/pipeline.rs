@@ -1,17 +1,34 @@
-//! The Morphase pipeline driver (Figure 6).
+//! The Morphase pipeline (Figure 6): one body, two halves (diagram in the
+//! crate docs).
+//!
+//! * The **front half** depends on the *program alone* — meta-data clauses,
+//!   validation, snf, normal form (stages 0–3). Exactly one function builds
+//!   it, `Front::build`; [`crate::MaterializedPipeline`] retains it.
+//! * The **back half** depends on the *data* — planning against
+//!   [`cpl::Statistics`] (stage 4), ingest, the source-constraint check,
+//!   execution (5), verification (6). Exactly one function sequences it,
+//!   `run_pipeline`, choosing its steps from what it is given: where the
+//!   rows come from (`Rows`) and whether a journal is attached.
+//!
+//! Every entry point is a single call into that body, so program errors are
+//! reported before data errors on every path.
 
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use cpl::exec::{apply_evaluated_query, evaluate_query, execute_query, ExecStats};
 use cpl::expr::EvalCtx;
 use storage::persist::{FaultPolicy, PipelineJournal};
+use storage::ScanProvider;
 use wol_engine::normalize::{NormalProgram, NormalizeOptions};
 use wol_engine::snf::{program_to_snf, snf_stats, SnfStats};
 use wol_lang::program::Program;
-use wol_model::{Instance, Job, SkolemFactory, WorkerPool};
+use wol_model::{ClassName, Instance, Job, SkolemFactory, WorkerPool};
 
 use crate::compile::{compile_program_with, PlanMode};
+use crate::federate::Federation;
 use crate::metadata::{generate_key_clauses, generate_merge_key_clauses};
 use crate::schedule::plan_schedule;
 use crate::Result;
@@ -51,10 +68,13 @@ pub struct PipelineOptions {
     /// selectable so skew regressions can be measured differentially (the E7
     /// tests and bench run both over identical sources).
     pub cost_model: cpl::CostModel,
-    /// Validate the produced target against the target schema and keys.
-    pub verify_target: bool,
-    /// Check the source constraints against the source instances before
-    /// transforming.
+    /// Check the program's source constraints against the source data before
+    /// executing. The check runs once, at the point where the sources are
+    /// resident — for provider-backed runs after a complete, unprojected
+    /// ingest — and after the program itself has compiled: on every path
+    /// program errors (validation, normalisation, translation) are reported
+    /// before a source-constraint violation, and the violation text is the
+    /// same whichever way the rows arrived.
     pub check_source_constraints: bool,
     /// Worker threads the executors may use (see `cpl`'s threading-model
     /// docs). Defaults to the environment ([`cpl::Parallelism::from_env`]):
@@ -87,7 +107,6 @@ impl Default for PipelineOptions {
             generate_metadata_constraints: true,
             optimize_plans: true,
             cost_model: cpl::CostModel::default(),
-            verify_target: true,
             check_source_constraints: false,
             parallelism: cpl::Parallelism::from_env(),
             batch_constraints: BatchConstraintMode::default(),
@@ -303,13 +322,13 @@ impl Morphase {
     /// translation) without executing it. Returns the run with an empty
     /// target; useful for the compile-time experiments (E1, E2).
     pub fn compile(&self, program: &Program) -> Result<MorphaseRun> {
-        self.run_inner(program, &[], false, None)
+        self.run(program, Rows::None, None)
     }
 
     /// Run the full pipeline: compile the program and execute it against the
     /// given source instances.
     pub fn transform(&self, program: &Program, sources: &[&Instance]) -> Result<MorphaseRun> {
-        self.run_inner(program, sources, true, None)
+        self.run(program, Rows::Resident(sources), None)
     }
 
     /// Run the full pipeline *durably*: like
@@ -326,121 +345,280 @@ impl Morphase {
         sources: &[&Instance],
         durable: &DurableOptions,
     ) -> Result<MorphaseRun> {
-        self.run_inner(program, sources, true, Some(durable))
+        self.run(program, Rows::Resident(sources), Some(durable))
     }
 
-    /// Run the full pipeline against *federated* backend sources: compile
-    /// with provider-reported statistics, push eligible filters and
-    /// projections into the providers (when [`PipelineOptions::pushdown`] is
-    /// on), stream-ingest the surviving rows, then execute. See
+    /// Run the full pipeline against *federated* backend sources: plan with
+    /// provider-reported statistics, push eligible filters and projections
+    /// into the providers (when [`PipelineOptions::pushdown`] is on),
+    /// stream-ingest the surviving rows, then execute. See
     /// [`crate::federate`] for the eligibility and bit-identity contract.
     pub fn transform_federated(
         &self,
         program: &Program,
-        providers: &[&dyn storage::ScanProvider],
+        providers: &[&dyn ScanProvider],
     ) -> Result<MorphaseRun> {
-        crate::federate::transform_federated(self.options, program, providers)
+        self.run(program, Rows::Providers(providers), None)
     }
 
-    fn run_inner(
+    /// A one-shot run: build the front half, hand it to the body.
+    fn run(
         &self,
         program: &Program,
-        sources: &[&Instance],
-        execute: bool,
+        rows: Rows<'_>,
         durable: Option<&DurableOptions>,
     ) -> Result<MorphaseRun> {
-        let compiled = compile_stages(self.options, program, sources)?;
-        execute_pipeline(self.options, compiled, sources, execute, durable)
+        let front = Front::build(self.options, program)?;
+        run_pipeline(self.options, Cow::Owned(front), rows, durable)
     }
 }
 
-/// Stages 5–6 of the pipeline (execution and verification), shared by
-/// [`Morphase::run_inner`] and the federated path
-/// ([`crate::federate::transform_federated`]), which compiles and ingests
-/// differently but executes identically.
-pub(crate) fn execute_pipeline(
+/// The program-only front half of the pipeline (stages 0–3): everything that
+/// can be computed from the program and the options without seeing a row.
+/// One-shot runs build it and hand it over; the standing
+/// [`crate::MaterializedPipeline`] builds it once and lends it to every
+/// (re)build, so an unchanged program is never re-normalised.
+#[derive(Clone, Debug)]
+pub(crate) struct Front {
+    /// The program with auto-generated key/merge constraint clauses added.
+    pub augmented: Program,
+    /// Number of auto-generated constraint clauses.
+    pub generated: usize,
+    /// Statistics of the snf rewriting stage.
+    pub snf: SnfStats,
+    /// The normal-form program.
+    pub normal: NormalProgram,
+    /// Front-half stage timings (everything from `compile` on still zero).
+    pub timings: StageTimings,
+}
+
+impl Front {
+    /// Stages 0–3: meta-data constraint generation, validation, snf
+    /// rewriting, normalisation.
+    pub(crate) fn build(options: PipelineOptions, program: &Program) -> Result<Front> {
+        let mut timings = StageTimings::default();
+
+        // Stage 0: meta-data constraint generation.
+        let start = Instant::now();
+        let mut augmented = program.clone();
+        let mut generated = 0usize;
+        if options.generate_metadata_constraints {
+            let mut clauses = generate_key_clauses(&program.target.schema, &program.target.keys);
+            for binding in &program.sources {
+                clauses.extend(generate_merge_key_clauses(&binding.schema, &binding.keys));
+            }
+            generated = clauses.len();
+            for clause in clauses {
+                augmented.add_clause(clause);
+            }
+        }
+        timings.metadata = start.elapsed();
+
+        // Stage 1: validation.
+        let start = Instant::now();
+        augmented.validate()?;
+        timings.validate = start.elapsed();
+
+        // Stage 2: semi-normal form.
+        let start = Instant::now();
+        let snf_clauses = program_to_snf(&augmented.clauses);
+        let snf = snf_stats(&augmented.clauses, &snf_clauses);
+        timings.snf = start.elapsed();
+
+        // Stage 3: normalisation.
+        let start = Instant::now();
+        let normalize_options = NormalizeOptions {
+            use_target_keys: options.use_target_keys,
+            use_source_constraints: options.use_source_constraints,
+            ..NormalizeOptions::default()
+        };
+        let normal = wol_engine::normalize(&augmented, &normalize_options)?;
+        timings.normalize = start.elapsed();
+
+        Ok(Front {
+            augmented,
+            generated,
+            snf,
+            normal,
+            timings,
+        })
+    }
+
+    /// The augmented program's source constraints, in check order.
+    pub(crate) fn source_constraints(&self) -> Vec<&wol_lang::Clause> {
+        self.augmented
+            .source_constraints()
+            .into_iter()
+            .map(|(_, c)| c)
+            .collect()
+    }
+
+    /// Enforce the source constraints against resident sources, when
+    /// [`PipelineOptions::check_source_constraints`] asks for it (and there
+    /// is anything to check them against).
+    pub(crate) fn check_sources(
+        &self,
+        options: PipelineOptions,
+        sources: &[&Instance],
+    ) -> Result<()> {
+        if options.check_source_constraints && !sources.is_empty() {
+            let dbs = wol_engine::Databases::new(sources);
+            wol_engine::enforce_constraints(&self.source_constraints(), &dbs)
+                .map_err(|e| crate::MorphaseError::Verification(e.to_string()))?;
+        }
+        Ok(())
+    }
+}
+
+/// Stage 4: translate the normal form to CPL and plan it. The planner is fed
+/// extent, distinct-value and histogram statistics of the data actually being
+/// transformed — including its skew, under the default histogram cost model.
+pub(crate) fn plan_queries(
     options: PipelineOptions,
-    compiled: CompiledPipeline,
-    sources: &[&Instance],
-    execute: bool,
+    normal: &NormalProgram,
+    stats: &cpl::Statistics<'_>,
+) -> Result<Vec<cpl::Query>> {
+    let mode = if options.optimize_plans {
+        PlanMode::PlannerWithStats(stats)
+    } else {
+        PlanMode::Raw
+    };
+    compile_program_with(normal, mode)
+}
+
+/// Where a run's rows come from — the one thing, besides an optional
+/// journal, that distinguishes the pipeline's entry points.
+#[derive(Clone, Copy)]
+pub(crate) enum Rows<'a> {
+    /// Nowhere: plan against default statistics and execute nothing
+    /// ([`Morphase::compile`]).
+    None,
+    /// Source instances already in memory.
+    Resident(&'a [&'a Instance]),
+    /// Backend scan providers: planned against their reported statistics,
+    /// then stream-ingested with whatever the plans let them filter.
+    Providers(&'a [&'a dyn ScanProvider]),
+}
+
+/// A durable run's journal, what it recovered and wrote, and the Skolem
+/// factory's per-class counters as of the last journalled query (the
+/// watermark the next query's fresh assignments are read against).
+struct Journalling {
+    journal: PipelineJournal,
+    stats: DurabilityStats,
+    mark: BTreeMap<ClassName, u64>,
+}
+
+/// The pipeline body: plan → ingest → source-constraint check → execute →
+/// verify, over a front half built by [`Front::build`]. The only function
+/// that sequences these steps; every entry point is a call into it.
+pub(crate) fn run_pipeline(
+    options: PipelineOptions,
+    front: Cow<'_, Front>,
+    rows: Rows<'_>,
     durable: Option<&DurableOptions>,
 ) -> Result<MorphaseRun> {
-    let CompiledPipeline {
-        augmented,
-        generated,
-        snf,
-        normal,
-        queries,
-        plans,
-        estimated_rows,
-        join_estimates,
-        mut timings,
-    } = compiled;
+    let mut timings = front.timings;
+    let (resident, federation): (&[&Instance], _) = match rows {
+        Rows::None => (&[], None),
+        Rows::Resident(sources) => (sources, None),
+        Rows::Providers(providers) => (&[], Some(Federation::resolve(providers)?)),
+    };
 
-    // Stage 5: execution, with per-join actual row counts traced so the
-    // run can report estimate-vs-actual error per join. Queries execute
-    // stage by stage under the dependency schedule: singleton stages run
-    // directly on the main context; multi-query stages *evaluate*
-    // concurrently on the worker pool (claim contexts) and *apply* in
-    // program order on the main context, so the target — Skolem
-    // numbering included — is bit-identical to a sequential run.
+    // Stage 4: translation to CPL, planned against the resident instances
+    // and whatever the providers report about rows not yet moved. Per-join
+    // estimates are pure planner work over the compiled plans; computing
+    // them here keeps the execute timing honest.
+    let start = Instant::now();
+    // `stats` deliberately lives to the end of the body: dropping the
+    // planner's memo right after planning measured 6–9 % slower per op on
+    // wolbench `compile_suite` (heap release order), for a few KB held.
+    let external = federation.as_ref().map(|f| f.external.clone());
+    let stats = cpl::Statistics::from_instances(resident)
+        .with_external(external.unwrap_or_default())
+        .with_cost_model(options.cost_model);
+    let queries = plan_queries(options, &front.normal, &stats)?;
+    let plans: Vec<String> = queries.iter().map(|q| q.plan.render()).collect();
+    let estimated_rows = queries
+        .iter()
+        .map(|q| cpl::estimate_rows(&q.plan, &stats).round() as u64)
+        .collect();
+    let join_estimates: Vec<Vec<cpl::JoinEstimate>> = queries
+        .iter()
+        .map(|q| cpl::estimate_join_outputs(&q.plan, &stats))
+        .collect();
+    timings.compile = start.elapsed();
+
     let mut exec = ExecStats::default();
     let mut columnar = cpl::ColumnarStats::default();
     let mut join_stats = Vec::new();
     let mut shard_stats = Vec::new();
     let mut query_stats = Vec::new();
-    let mut durability: Option<DurabilityStats> = None;
-    let mut target = Instance::new(augmented.target.schema.name());
-    if execute {
+    let mut journalling: Option<Journalling> = None;
+    let mut target = Instance::new(front.augmented.target.schema.name());
+
+    // Ingest: provider-backed rows become resident, filtered by what the
+    // finished plans allow.
+    let mut ingested = None;
+    if let Some(federation) = &federation {
+        let start = Instant::now();
+        let (instance, provider_stats) = federation.ingest(options, &front.augmented, &queries)?;
+        timings.ingest = start.elapsed();
+        exec.absorb(provider_stats);
+        ingested = Some(instance);
+    }
+    let ingested = ingested.as_ref();
+    let sources = if ingested.is_some() {
+        ingested.as_slice()
+    } else {
+        resident
+    };
+
+    front.check_sources(options, sources)?;
+
+    if !matches!(rows, Rows::None) {
+        // Stage 5: execution, with per-join actual row counts traced so the
+        // run can report estimate-vs-actual error per join. Queries execute
+        // stage by stage under the dependency schedule: singleton stages run
+        // directly on the main context; multi-query stages *evaluate*
+        // concurrently on the worker pool (claim contexts) and *apply* in
+        // program order on the main context, so the target — Skolem
+        // numbering included — is bit-identical to a sequential run.
         let start = Instant::now();
         let mut ctx = EvalCtx::new(sources).with_parallelism(options.parallelism);
         ctx.enable_join_trace();
         let schedule = plan_schedule(&queries);
-        // Durable mode: open (or resume) the journal keyed by the
-        // compiled program's fingerprint, restore the recovered target
-        // and Skolem factory, and stage further target mutations for
-        // per-query journalling. All factory growth and target mutation
-        // happen on this main context during program-ordered apply
-        // (overlapped stages evaluate on claim contexts), so the journal
-        // is sound at every thread count.
-        let mut journal: Option<PipelineJournal> = None;
+        // Durable mode: open (or resume) the journal keyed by the compiled
+        // program's fingerprint, restore the recovered target and Skolem
+        // factory, and stage further target mutations for per-query
+        // journalling. All factory growth and target mutation happen on
+        // this main context during program-ordered apply (overlapped stages
+        // evaluate on claim contexts), so the journal is sound at every
+        // thread count.
         if let Some(opts) = durable {
-            let fingerprint =
-                program_fingerprint(augmented.target.schema.name(), sources, &queries, &plans);
-            let (j, recovery) = PipelineJournal::open(
-                &opts.dir,
-                fingerprint,
-                augmented.target.schema.name(),
-                opts.fault,
-            )?;
+            let schema = front.augmented.target.schema.name();
+            let fingerprint = program_fingerprint(schema, sources, &queries, &plans);
+            let (journal, recovery) =
+                PipelineJournal::open(&opts.dir, fingerprint, schema, opts.fault)?;
             target = recovery.instance;
             ctx.factory = SkolemFactory::from_state(recovery.skolem);
             target.begin_mutation_log();
-            durability = Some(DurabilityStats {
-                resumed: recovery.completed > 0,
-                completed_before: recovery.completed,
-                reset: recovery.reset,
-                recovered_torn_tail: recovery.report.torn_tail.is_some(),
-                skipped: 0,
-                journaled: 0,
+            journalling = Some(Journalling {
+                journal,
+                stats: DurabilityStats {
+                    resumed: recovery.completed > 0,
+                    completed_before: recovery.completed,
+                    reset: recovery.reset,
+                    recovered_torn_tail: recovery.report.torn_tail.is_some(),
+                    skipped: 0,
+                    journaled: 0,
+                },
+                mark: ctx.factory.counter_snapshot(),
             });
-            journal = Some(j);
         }
-        let completed = journal.as_ref().map(|j| j.completed()).unwrap_or(0);
         let mut next_index: u64 = 0;
         let pool = WorkerPool::shared(options.parallelism);
         let overlap = options.parallelism.threads() > 1;
-        let record_joins =
-            |join_stats: &mut Vec<JoinStat>, qi: usize, actuals: &[cpl::exec::JoinActual]| {
-                join_stats.extend(join_estimates[qi].iter().zip(actuals.iter()).map(
-                    |(est, act)| JoinStat {
-                        query: queries[qi].name.clone(),
-                        kind: act.kind.to_string(),
-                        estimated: est.rows.round() as u64,
-                        actual: act.rows as u64,
-                    },
-                ));
-            };
         for (stage_index, stage) in schedule.stages.iter().enumerate() {
             // Durable resume: queries whose applied-order index falls
             // below the journal's completed count are already in the
@@ -449,39 +627,39 @@ pub(crate) fn execute_pipeline(
             let mut live: Vec<(usize, u64)> = Vec::new();
             for (pos, &qi) in stage.iter().enumerate() {
                 let k = next_index + pos as u64;
-                if k < completed {
-                    let stats = durability.as_mut().expect("skips only in durable mode");
-                    stats.skipped += 1;
-                    query_stats.push(QueryStat {
-                        query: queries[qi].name.clone(),
-                        stage: stage_index,
-                        overlapped: false,
-                        rows_output: 0,
-                        eval: Duration::ZERO,
-                        apply: Duration::ZERO,
-                    });
-                } else {
-                    live.push((qi, k));
+                match journalling.as_mut() {
+                    Some(j) if k < j.stats.completed_before => {
+                        j.stats.skipped += 1;
+                        query_stats.push(QueryStat {
+                            query: queries[qi].name.clone(),
+                            stage: stage_index,
+                            overlapped: false,
+                            rows_output: 0,
+                            eval: Duration::ZERO,
+                            apply: Duration::ZERO,
+                        });
+                    }
+                    _ => live.push((qi, k)),
                 }
             }
             next_index += stage.len() as u64;
-            if overlap && live.len() > 1 {
-                // Claim phase: evaluate every query of the stage
-                // concurrently, each on its own claim context. The claim
-                // contexts keep the full worker budget, so a big query
-                // still runs operator-level morsels *inside* its slot —
-                // the shared pool bounds total concurrency either way —
-                // and its per-shard breakdown rolls back into the main
-                // context's view.
-                type Evaluated = (
-                    cpl::Result<cpl::EvaluatedQuery>,
-                    ExecStats,
-                    Vec<ExecStats>,
-                    cpl::ColumnarStats,
-                    Vec<cpl::exec::JoinActual>,
-                    Duration,
-                );
-                let jobs: Vec<Job<'_, Evaluated>> = live
+
+            // Claim phase (overlapped stages only): evaluate every query of
+            // the stage concurrently, each on its own claim context. The
+            // claim contexts keep the full worker budget, so a big query
+            // still runs operator-level morsels *inside* its slot — the
+            // shared pool bounds total concurrency either way — and its
+            // per-shard breakdown rolls back into the main context's view.
+            type Claimed = (
+                cpl::Result<cpl::EvaluatedQuery>,
+                ExecStats,
+                Vec<ExecStats>,
+                cpl::ColumnarStats,
+                Vec<cpl::exec::JoinActual>,
+                Duration,
+            );
+            let mut claimed = if overlap && live.len() > 1 {
+                let jobs: Vec<Job<'_, Claimed>> = live
                     .iter()
                     .map(|&(qi, _)| {
                         let query = &queries[qi];
@@ -500,96 +678,93 @@ pub(crate) fn execute_pipeline(
                                 wctx.take_join_trace(),
                                 eval_start.elapsed(),
                             )
-                        }) as Job<'_, Evaluated>
+                        }) as Job<'_, Claimed>
                     })
                     .collect();
-                let outcomes = pool.scope(jobs);
-                // Resolution phase: absorb stats and apply in program
-                // order; the earliest query's error propagates, exactly
-                // like the sequential loop.
-                for (&(qi, k), (result, wstats, shards, wcolumnar, actuals, eval)) in
-                    live.iter().zip(outcomes)
-                {
-                    exec.absorb(wstats);
-                    ctx.absorb_shard_stats(&shards);
-                    columnar.absorb(&wcolumnar);
-                    let query = &queries[qi];
-                    let evaluated = result?;
-                    let rows_output = evaluated.rows_output() as u64;
-                    let apply_start = Instant::now();
-                    let factory_before = journal.as_ref().map(|_| ctx.factory.counter_snapshot());
-                    apply_evaluated_query(query, evaluated, &mut ctx, &mut target, &mut exec)?;
-                    if let Some(j) = journal.as_mut() {
-                        let mutations = target.take_mutation_log();
-                        let assignments = ctx
-                            .factory
-                            .assignments_since(&factory_before.expect("taken before apply"));
-                        j.record_query(k, mutations, assignments, &target)?;
-                        durability.as_mut().expect("durable mode").journaled += 1;
-                    }
-                    record_joins(&mut join_stats, qi, &actuals);
-                    query_stats.push(QueryStat {
-                        query: query.name.clone(),
-                        stage: stage_index,
-                        overlapped: true,
-                        rows_output,
-                        eval,
-                        apply: apply_start.elapsed(),
-                    });
-                }
+                pool.scope(jobs)
             } else {
-                for (qi, k) in live {
-                    let query = &queries[qi];
-                    let rows_before = exec.rows_output;
-                    let eval_start = Instant::now();
-                    let factory_before = journal.as_ref().map(|_| ctx.factory.counter_snapshot());
-                    execute_query(query, &mut ctx, &mut target, &mut exec)?;
-                    if let Some(j) = journal.as_mut() {
-                        let mutations = target.take_mutation_log();
-                        let assignments = ctx
-                            .factory
-                            .assignments_since(&factory_before.expect("taken before execute"));
-                        j.record_query(k, mutations, assignments, &target)?;
-                        durability.as_mut().expect("durable mode").journaled += 1;
+                Vec::new()
+            }
+            .into_iter();
+
+            // Apply in program order; the earliest query's error
+            // propagates. The one necessary fork: a claimed query absorbs
+            // its worker's stats and applies the evaluated inserts, an
+            // unclaimed one executes whole on the main context.
+            for (qi, k) in live {
+                let query = &queries[qi];
+                let rows_before = exec.rows_output;
+                let started = Instant::now();
+                let (worker_eval, actuals) = match claimed.next() {
+                    Some((result, wstats, shards, wcolumnar, actuals, eval)) => {
+                        exec.absorb(wstats);
+                        ctx.absorb_shard_stats(&shards);
+                        columnar.absorb(&wcolumnar);
+                        apply_evaluated_query(query, result?, &mut ctx, &mut target, &mut exec)?;
+                        (Some(eval), actuals)
                     }
-                    let actuals = ctx.take_join_trace();
-                    record_joins(&mut join_stats, qi, &actuals);
-                    query_stats.push(QueryStat {
-                        query: query.name.clone(),
-                        stage: stage_index,
-                        overlapped: false,
-                        rows_output: (exec.rows_output - rows_before) as u64,
-                        eval: eval_start.elapsed(),
-                        apply: Duration::ZERO,
-                    });
+                    None => {
+                        execute_query(query, &mut ctx, &mut target, &mut exec)?;
+                        (None, ctx.take_join_trace())
+                    }
+                };
+                if let Some(j) = journalling.as_mut() {
+                    let mutations = target.take_mutation_log();
+                    let assignments = ctx.factory.assignments_since(&j.mark);
+                    j.journal.record_query(k, mutations, assignments, &target)?;
+                    j.mark = ctx.factory.counter_snapshot();
+                    j.stats.journaled += 1;
                 }
+                join_stats.extend(join_estimates[qi].iter().zip(&actuals).map(|(est, act)| {
+                    JoinStat {
+                        query: query.name.clone(),
+                        kind: act.kind.to_string(),
+                        estimated: est.rows.round() as u64,
+                        actual: act.rows as u64,
+                    }
+                }));
+                // A claimed query's evaluation was timed on its worker and
+                // what ran here is the apply; an unclaimed one interleaves
+                // the two on this context.
+                let here = started.elapsed();
+                let (eval, apply) = match worker_eval {
+                    Some(eval) => (eval, here),
+                    None => (here, Duration::ZERO),
+                };
+                query_stats.push(QueryStat {
+                    query: query.name.clone(),
+                    stage: stage_index,
+                    overlapped: worker_eval.is_some(),
+                    rows_output: (exec.rows_output - rows_before) as u64,
+                    eval,
+                    apply,
+                });
             }
         }
         // Durable epilogue: fold the WAL into a final snapshot so the
         // journal directory holds the full target compactly.
-        if let Some(j) = journal.as_mut() {
+        if let Some(j) = journalling.as_mut() {
             target.end_mutation_log();
-            j.finish(&target, &ctx.factory.export_state())?;
+            j.journal.finish(&target, &ctx.factory.export_state())?;
         }
         shard_stats = ctx.take_shard_stats();
         columnar.absorb(&ctx.take_columnar_stats());
         timings.execute = start.elapsed();
 
         // Stage 6: verification.
-        if options.verify_target {
-            let start = Instant::now();
-            verify_target_instance(&augmented, &target)?;
-            timings.verify = start.elapsed();
-        }
+        let start = Instant::now();
+        verify_target_instance(&front.augmented, &target)?;
+        timings.verify = start.elapsed();
     }
 
+    let front = front.into_owned();
     Ok(MorphaseRun {
         target,
         timings,
-        snf,
-        normal,
-        input_clauses: augmented.clauses.len(),
-        generated_clauses: generated,
+        snf: front.snf,
+        input_clauses: front.augmented.clauses.len(),
+        generated_clauses: front.generated,
+        normal: front.normal,
         exec,
         columnar,
         plans,
@@ -598,14 +773,14 @@ pub(crate) fn execute_pipeline(
         threads: options.parallelism.threads(),
         shard_stats,
         query_stats,
-        durability,
+        durability: journalling.map(|j| j.stats),
     })
 }
 
 /// Stage 6 of the pipeline: validate a produced target against the augmented
 /// program's target schema, keys, and (non-Skolem-key) constraints. Shared by
-/// [`Morphase::run_inner`] and the standing [`crate::MaterializedPipeline`],
-/// which re-verifies at full-build boundaries.
+/// [`run_pipeline`] and the standing [`crate::MaterializedPipeline`], which
+/// re-verifies at full-build boundaries.
 pub(crate) fn verify_target_instance(augmented: &Program, target: &Instance) -> Result<()> {
     wol_model::validate::check_keyed_instance(
         target,
@@ -634,198 +809,51 @@ pub(crate) fn verify_target_instance(augmented: &Program, target: &Instance) -> 
     Ok(())
 }
 
-/// The output of the pipeline's compile side (stages 0–4): the augmented
-/// program, its normal form, and the compiled CPL queries with their planner
-/// estimates. Factored out of [`Morphase::run_inner`] so the standing
-/// [`crate::MaterializedPipeline`] compiles against (re-)mutated sources
-/// exactly the way a full run does — same metadata generation, same
-/// normalisation options, same statistics-fed planner.
-pub(crate) struct CompiledPipeline {
-    /// The program with auto-generated key/merge constraint clauses added.
-    pub augmented: Program,
-    /// Number of auto-generated constraint clauses.
-    pub generated: usize,
-    /// Statistics of the snf rewriting stage.
-    pub snf: SnfStats,
-    /// The normal-form program.
-    pub normal: NormalProgram,
-    /// The compiled CPL queries, one per normal clause.
-    pub queries: Vec<cpl::Query>,
-    /// Rendered plans, parallel to `queries`.
-    pub plans: Vec<String>,
-    /// The planner's estimated output rows per query.
-    pub estimated_rows: Vec<u64>,
-    /// Per-join output estimates per query (post-order).
-    pub join_estimates: Vec<Vec<cpl::JoinEstimate>>,
-    /// Compile-side stage timings (`execute`/`verify` still zero).
-    pub timings: StageTimings,
-}
+/// FNV-1a (64-bit) over a sequence of fields: what a journal is keyed by.
+pub(crate) struct Fingerprint(u64);
 
-/// Stages 0–4 of the pipeline: meta-data constraint generation, validation,
-/// optional source-constraint checking, snf rewriting, normalisation, and
-/// translation to CPL with statistics-fed planning.
-pub(crate) fn compile_stages(
-    options: PipelineOptions,
-    program: &Program,
-    sources: &[&Instance],
-) -> Result<CompiledPipeline> {
-    Ok(compile_stages_ext(options, program, sources, &[], None)?.0)
-}
+impl Fingerprint {
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// [`compile_stages`] with the federated extensions: `external` adds
-/// backend-provider statistics the planner consults before the live
-/// instances, and `catalog` (when given, and plan optimisation is on)
-/// switches stage 4 to the pushdown-aware planner, returning the predicates
-/// diverted per query.
-pub(crate) fn compile_stages_ext(
-    options: PipelineOptions,
-    program: &Program,
-    sources: &[&Instance],
-    external: &[cpl::ExternalClassStats],
-    catalog: Option<&cpl::PushdownCatalog>,
-) -> Result<(CompiledPipeline, Vec<Vec<cpl::PushedPredicate>>)> {
-    let mut timings = StageTimings::default();
-
-    // Stage 0: meta-data constraint generation.
-    let start = Instant::now();
-    let mut augmented = program.clone();
-    let mut generated = 0usize;
-    if options.generate_metadata_constraints {
-        let key_clauses = generate_key_clauses(&augmented.target.schema, &augmented.target.keys);
-        generated += key_clauses.len();
-        for clause in key_clauses {
-            augmented.add_clause(clause);
-        }
-        let source_bindings: Vec<(wol_model::Schema, wol_model::KeySpec)> = augmented
-            .sources
-            .iter()
-            .map(|b| (b.schema.clone(), b.keys.clone()))
-            .collect();
-        for (schema, keys) in source_bindings {
-            let merge_clauses = generate_merge_key_clauses(&schema, &keys);
-            generated += merge_clauses.len();
-            for clause in merge_clauses {
-                augmented.add_clause(clause);
-            }
-        }
-    }
-    timings.metadata = start.elapsed();
-
-    // Stage 1: validation.
-    let start = Instant::now();
-    augmented.validate()?;
-    timings.validate = start.elapsed();
-
-    // Stage 1b: source constraint checking (optional).
-    if options.check_source_constraints && !sources.is_empty() {
-        let constraints: Vec<&wol_lang::Clause> = augmented
-            .source_constraints()
-            .into_iter()
-            .map(|(_, c)| c)
-            .collect();
-        let dbs = wol_engine::Databases::new(sources);
-        wol_engine::enforce_constraints(&constraints, &dbs)
-            .map_err(|e| crate::MorphaseError::Verification(e.to_string()))?;
+    pub(crate) fn new() -> Self {
+        Fingerprint(0xCBF2_9CE4_8422_2325)
     }
 
-    // Stage 2: semi-normal form.
-    let start = Instant::now();
-    let snf_clauses = program_to_snf(&augmented.clauses);
-    let snf = snf_stats(&augmented.clauses, &snf_clauses);
-    timings.snf = start.elapsed();
-
-    // Stage 3: normalisation.
-    let start = Instant::now();
-    let normalize_options = NormalizeOptions {
-        use_target_keys: options.use_target_keys,
-        use_source_constraints: options.use_source_constraints,
-        ..NormalizeOptions::default()
-    };
-    let normal = wol_engine::normalize(&augmented, &normalize_options)?;
-    timings.normalize = start.elapsed();
-
-    // Stage 4: translation to CPL. The planner is fed extent,
-    // distinct-value and histogram statistics read from the live source
-    // instances, so join orders reflect the data actually being
-    // transformed — including its skew, under the default histogram
-    // cost model.
-    let start = Instant::now();
-    let stats = cpl::Statistics::from_instances(sources)
-        .with_external(external.to_vec())
-        .with_cost_model(options.cost_model);
-    let (queries, pushed) = match catalog {
-        Some(catalog) if options.optimize_plans => {
-            crate::compile::compile_program_pushdown(&normal, &stats, catalog)?
+    /// Hash one field, then a separator so concatenation ambiguities don't
+    /// collide.
+    pub(crate) fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes.iter().chain(&[0xFF]) {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
         }
-        _ => {
-            let mode = if options.optimize_plans {
-                PlanMode::PlannerWithStats(&stats)
-            } else {
-                PlanMode::Raw
-            };
-            (compile_program_with(&normal, mode)?, Vec::new())
-        }
-    };
-    let plans: Vec<String> = queries.iter().map(|q| q.plan.render()).collect();
-    let estimated_rows = queries
-        .iter()
-        .map(|q| cpl::estimate_rows(&q.plan, &stats).round() as u64)
-        .collect();
-    // Per-join estimates are pure planner work over the compiled plans;
-    // computing them here keeps the execute timing honest.
-    let join_estimates: Vec<Vec<cpl::JoinEstimate>> = queries
-        .iter()
-        .map(|q| cpl::estimate_join_outputs(&q.plan, &stats))
-        .collect();
-    timings.compile = start.elapsed();
+    }
 
-    Ok((
-        CompiledPipeline {
-            augmented,
-            generated,
-            snf,
-            normal,
-            queries,
-            plans,
-            estimated_rows,
-            join_estimates,
-            timings,
-        },
-        pushed,
-    ))
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
 }
 
-/// FNV-1a (64-bit) fingerprint of the *compiled* program a durable journal
-/// belongs to: target schema name, source schema names, and every compiled
-/// query's name and rendered plan. Any change to the program, the schemas it
-/// binds, or how it compiled produces a different fingerprint, which resets
-/// (rather than resumes) an existing journal.
+/// Fingerprint of the *compiled* program a durable journal belongs to:
+/// target schema name, source schema names, and every compiled query's name
+/// and rendered plan. Any change to the program, the schemas it binds, or
+/// how it compiled produces a different fingerprint, which resets (rather
+/// than resumes) an existing journal.
 fn program_fingerprint(
     target_schema: &str,
     sources: &[&Instance],
     queries: &[cpl::Query],
     plans: &[String],
 ) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    fn eat(hash: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *hash ^= u64::from(b);
-            *hash = hash.wrapping_mul(PRIME);
-        }
-        // Field separator so concatenation ambiguities don't collide.
-        *hash ^= 0xFF;
-        *hash = hash.wrapping_mul(PRIME);
-    }
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    eat(&mut hash, target_schema.as_bytes());
+    let mut hash = Fingerprint::new();
+    hash.eat(target_schema.as_bytes());
     for source in sources {
-        eat(&mut hash, source.schema_name().as_bytes());
+        hash.eat(source.schema_name().as_bytes());
     }
     for (query, plan) in queries.iter().zip(plans) {
-        eat(&mut hash, query.name.as_bytes());
-        eat(&mut hash, plan.as_bytes());
+        hash.eat(query.name.as_bytes());
+        hash.eat(plan.as_bytes());
     }
-    hash
+    hash.finish()
 }
 
 #[cfg(test)]
@@ -1046,14 +1074,8 @@ mod tests {
         assert!(run.timings.verify > Duration::ZERO);
     }
 
-    #[test]
-    fn source_constraint_checking_rejects_bad_sources() {
-        let w = CitiesWorkload::new();
-        let mut program = w.euro_program();
-        program
-            .add_text(CitiesWorkload::euro_constraints_text())
-            .unwrap();
-        // A source where one country has two capitals violates (C5).
+    /// A euro source where one country has two capitals: violates (C5).
+    fn two_capitals_source() -> Instance {
         let mut source = generate_euro(2, 2, 1);
         let second_city = source
             .objects(&ClassName::new("CityE"))
@@ -1065,6 +1087,17 @@ mod tests {
             fields.insert("is_capital".into(), Value::bool(true));
         }
         source.update(&second_city, v).unwrap();
+        source
+    }
+
+    #[test]
+    fn source_constraint_checking_rejects_bad_sources() {
+        let w = CitiesWorkload::new();
+        let mut program = w.euro_program();
+        program
+            .add_text(CitiesWorkload::euro_constraints_text())
+            .unwrap();
+        let source = two_capitals_source();
         let options = PipelineOptions {
             check_source_constraints: true,
             ..PipelineOptions::default()
@@ -1073,6 +1106,36 @@ mod tests {
             .transform(&program, &[&source][..])
             .unwrap_err();
         assert!(matches!(err, crate::MorphaseError::Verification(_)));
+    }
+
+    /// Program errors come before data errors: a program that cannot be
+    /// normalised (its creating clause never sets the key attribute) is
+    /// rejected as such even when the sources also violate a source
+    /// constraint — the source check runs in the data half, after the front.
+    #[test]
+    fn program_errors_are_reported_before_source_constraint_violations() {
+        let w = CitiesWorkload::new();
+        let mut program = wol_lang::program::Program::new(
+            "incomplete_key",
+            vec![wol_lang::program::SchemaBinding::keyed(
+                w.euro_schema.clone(),
+                w.euro_keys.clone(),
+            )],
+            wol_lang::program::SchemaBinding::keyed(w.target_schema.clone(), w.target_keys.clone()),
+        )
+        .with_text("T: X in CountryT, X.language = L <= Y in CountryE, Y.language = L;");
+        program
+            .add_text(CitiesWorkload::euro_constraints_text())
+            .unwrap();
+        let source = two_capitals_source();
+        let options = PipelineOptions {
+            check_source_constraints: true,
+            ..PipelineOptions::default()
+        };
+        let err = Morphase::with_options(options)
+            .transform(&program, &[&source][..])
+            .unwrap_err();
+        assert!(matches!(err, crate::MorphaseError::Engine(_)), "{err}");
     }
 
     #[test]

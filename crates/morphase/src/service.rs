@@ -16,7 +16,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 
 use wol_model::{Instance, MutationBatch};
@@ -51,7 +51,18 @@ fn maintainer(
                 let result = pipeline.apply_batch(&batch);
                 if result.is_ok() {
                     let fresh = Arc::new(pipeline.target().clone());
-                    *snapshot.write().expect("snapshot lock poisoned") = fresh;
+                    // The critical section only moves an `Arc`, so a
+                    // poisoned lock still guards a valid snapshot: recover
+                    // it rather than panic.
+                    let stale = {
+                        let mut published =
+                            snapshot.write().unwrap_or_else(PoisonError::into_inner);
+                        std::mem::replace(&mut *published, fresh)
+                    };
+                    // This may be the last reference to the whole previous
+                    // target: free it with the guard released, not while
+                    // every `snapshot()` reader is blocked.
+                    drop(stale);
                 } else {
                     poisoned.store(pipeline.is_poisoned(), Ordering::SeqCst);
                 }
@@ -92,9 +103,10 @@ impl PipelineService {
 
     /// The latest published target snapshot. Cheap: clones an `Arc` under a
     /// read lock. The snapshot is immutable and consistent at a batch
-    /// boundary.
+    /// boundary. A poisoned lock still holds the last published target
+    /// (writers only ever move an `Arc` under it), so readers recover it.
     pub fn snapshot(&self) -> Arc<Instance> {
-        Arc::clone(&self.snapshot.read().expect("snapshot lock poisoned"))
+        Arc::clone(&self.snapshot.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Apply a batch on the maintainer thread and wait for its report.
@@ -185,6 +197,31 @@ mod tests {
         assert!(before.populated_classes().len() <= after.populated_classes().len());
         let pipeline = service.shutdown().unwrap();
         assert_eq!(pipeline.stats().batches, 1);
+    }
+
+    /// A panic while a writer holds the snapshot lock poisons it; readers
+    /// still get the last published target and the maintainer still
+    /// publishes.
+    #[test]
+    fn poisoned_snapshot_lock_still_serves_the_last_published_target() {
+        let service = service();
+        let before = service.snapshot();
+        let cell = Arc::clone(&service.snapshot);
+        let writer = std::thread::spawn(move || {
+            let _held = cell.write().unwrap();
+            panic!("injected panic while holding the snapshot write lock");
+        });
+        assert!(writer.join().is_err());
+        assert!(service.snapshot.is_poisoned());
+        assert!(Arc::ptr_eq(&before, &service.snapshot()));
+        service
+            .apply(MutationBatch::new().insert(
+                ClassName::new("CloneS"),
+                Value::record([("name", Value::from("after-poison"))]),
+            ))
+            .unwrap();
+        assert!(!Arc::ptr_eq(&before, &service.snapshot()));
+        service.shutdown().unwrap();
     }
 
     #[test]

@@ -451,11 +451,6 @@ impl PipelineJournal {
         )))
     }
 
-    /// Number of leading queries already durable.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
     /// Durably record query `index` as applied: its target mutations, the
     /// Skolem assignments it minted, and the fresh-identity counters it
     /// advanced, as one committed batch ending in a `QueryDone` marker.
