@@ -20,8 +20,8 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use morphase::Morphase;
 use wol_engine::{
-    match_body_reference, match_body_with_stats, naive_transform, naive_transform_with_report,
-    Bindings, Databases, MatchStats, NaiveOptions,
+    match_body, match_body_reference, naive_transform, naive_transform_with_report, Bindings,
+    Databases, MatchStats, NaiveOptions,
 };
 use wol_lang::parse_clause;
 use wol_model::SkolemFactory;
@@ -118,7 +118,7 @@ fn bench_execution(c: &mut Criterion) {
     let mut factory = SkolemFactory::new();
     let mut indexed_stats = MatchStats::default();
     let t0 = std::time::Instant::now();
-    let indexed = match_body_with_stats(
+    let indexed = match_body(
         &body,
         &dbs,
         &mut factory,

@@ -10,78 +10,10 @@
 //! of the hot paths can be tracked across PRs without parsing criterion's
 //! human-oriented output.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Criterion sample size used by all benches.
 pub const SAMPLES: usize = 10;
-
-/// A counting wrapper around the system allocator, for benches that report
-/// peak memory next to wall-clock (E10). Install it per bench binary:
-///
-/// ```ignore
-/// #[global_allocator]
-/// static ALLOC: bench::CountingAlloc = bench::CountingAlloc;
-/// ```
-///
-/// The counters are plain relaxed atomics — a few percent of overhead on
-/// allocation-heavy paths, which is fine for the ratios the benches report
-/// (both sides of every comparison pay it equally).
-pub struct CountingAlloc;
-
-static ALLOC_CURRENT: AtomicUsize = AtomicUsize::new(0);
-static ALLOC_PEAK: AtomicUsize = AtomicUsize::new(0);
-
-impl CountingAlloc {
-    /// Bytes currently allocated.
-    pub fn current_bytes() -> usize {
-        ALLOC_CURRENT.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark since the last [`CountingAlloc::reset_peak`].
-    pub fn peak_bytes() -> usize {
-        ALLOC_PEAK.load(Ordering::Relaxed)
-    }
-
-    /// Reset the high-water mark to the current live size, so the next
-    /// measured region reports its own peak.
-    pub fn reset_peak() {
-        ALLOC_PEAK.store(ALLOC_CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-}
-
-fn alloc_track_grow(grown: usize) {
-    let now = ALLOC_CURRENT.fetch_add(grown, Ordering::Relaxed) + grown;
-    ALLOC_PEAK.fetch_max(now, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            alloc_track_grow(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) };
-        ALLOC_CURRENT.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
-        if !new_ptr.is_null() {
-            if new_size >= layout.size() {
-                alloc_track_grow(new_size - layout.size());
-            } else {
-                ALLOC_CURRENT.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
-        }
-        new_ptr
-    }
-}
 
 /// Criterion measurement time (seconds) used by all benches.
 pub const MEASURE_SECS: u64 = 2;

@@ -106,19 +106,10 @@ pub struct Statistics<'a> {
 }
 
 /// Cardinality and distinct-value statistics a scan backend reports for one
-/// of its classes, letting the planner cost scans (and decide join order and
-/// pushdown splits) *before* the class is ingested into an [`Instance`].
-/// Backends carry no histograms, so estimation over external classes uses
-/// the ndv fallback paths.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExternalClassStats {
-    /// The class the backend serves.
-    pub class: ClassName,
-    /// Total rows the backend would stream without any pushed filter.
-    pub rows: usize,
-    /// Approximate distinct values per attribute.
-    pub ndvs: BTreeMap<String, usize>,
-}
+/// of its classes, letting the planner cost scans *before* the class is
+/// ingested into an [`Instance`]: the record the backends themselves produce
+/// (`storage`'s `ClassStats`), defined once in `wol_model`.
+pub use wol_model::ClassStats as ExternalClassStats;
 
 /// The per-`(class, attribute)` histogram memo inside [`Statistics`].
 type HistogramMemo = BTreeMap<(ClassName, String), Rc<Vec<AttrHistogram>>>;

@@ -92,11 +92,7 @@ impl<'a> Federation<'a> {
                     ))
                 })?;
                 owner.insert(class.clone(), index);
-                external.push(cpl::ExternalClassStats {
-                    class: stats.class,
-                    rows: stats.rows,
-                    ndvs: stats.ndvs,
-                });
+                external.push(stats);
             }
         }
         Ok(Federation {

@@ -1003,7 +1003,7 @@ fn build_state(
         }
         factory = std::mem::replace(&mut ctx.factory, SkolemFactory::new());
     }
-    verify_target_instance(augmented, &target)?;
+    verify_target_instance(options, augmented, &target)?;
     Ok(CoreState::Incremental(Box::new(Core {
         queries,
         analyses,
@@ -1421,7 +1421,7 @@ impl MaterializedPipeline {
         let check = {
             let clause_refs: Vec<&Clause> = self.constraints.iter().collect();
             let refs: Vec<&Instance> = self.sources.iter().collect();
-            let dbs = Databases::new(&refs);
+            let dbs = Databases::new(&refs).with_parallelism(self.options.parallelism);
             match check_batch(
                 &clause_refs,
                 &dbs,

@@ -462,7 +462,7 @@ impl Front {
         sources: &[&Instance],
     ) -> Result<()> {
         if options.check_source_constraints && !sources.is_empty() {
-            let dbs = wol_engine::Databases::new(sources);
+            let dbs = wol_engine::Databases::new(sources).with_parallelism(options.parallelism);
             wol_engine::enforce_constraints(&self.source_constraints(), &dbs)
                 .map_err(|e| crate::MorphaseError::Verification(e.to_string()))?;
         }
@@ -753,7 +753,7 @@ pub(crate) fn run_pipeline(
 
         // Stage 6: verification.
         let start = Instant::now();
-        verify_target_instance(&front.augmented, &target)?;
+        verify_target_instance(options, &front.augmented, &target)?;
         timings.verify = start.elapsed();
     }
 
@@ -781,7 +781,11 @@ pub(crate) fn run_pipeline(
 /// program's target schema, keys, and (non-Skolem-key) constraints. Shared by
 /// [`run_pipeline`] and the standing [`crate::MaterializedPipeline`], which
 /// re-verifies at full-build boundaries.
-pub(crate) fn verify_target_instance(augmented: &Program, target: &Instance) -> Result<()> {
+pub(crate) fn verify_target_instance(
+    options: PipelineOptions,
+    augmented: &Program,
+    target: &Instance,
+) -> Result<()> {
     wol_model::validate::check_keyed_instance(
         target,
         &augmented.target.schema,
@@ -802,8 +806,7 @@ pub(crate) fn verify_target_instance(augmented: &Program, target: &Instance) -> 
             )
         })
         .collect();
-    let refs: Vec<&Instance> = vec![target];
-    let dbs = wol_engine::Databases::new(&refs);
+    let dbs = wol_engine::Databases::new(&[target]).with_parallelism(options.parallelism);
     wol_engine::enforce_constraints(&target_constraints, &dbs)
         .map_err(|e| crate::MorphaseError::Verification(e.to_string()))?;
     Ok(())

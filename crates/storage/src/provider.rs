@@ -114,16 +114,9 @@ impl Pushdown {
 }
 
 /// Per-class statistics a provider reports for planning, describing the
-/// *unfiltered* stream the backend would produce.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ClassStats {
-    /// The served class.
-    pub class: ClassName,
-    /// Total rows without any pushed filter.
-    pub rows: usize,
-    /// Approximate distinct values per attribute.
-    pub ndvs: BTreeMap<String, usize>,
-}
+/// *unfiltered* stream the backend would produce: the record the planner
+/// itself consumes (`cpl::ExternalClassStats`), defined once in `wol_model`.
+pub use wol_model::ClassStats;
 
 /// Row accounting of one `scan` call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

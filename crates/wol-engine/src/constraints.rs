@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use wol_lang::ast::{Atom, Clause, SkolemArgs, Term, Var};
 use wol_model::{ClassName, Label, Oid, Path, SkolemFactory, Value};
 
-use crate::env::{match_body, try_eval_term, Bindings, Databases};
+use crate::env::{match_body, try_eval_term, Bindings, Databases, MatchStats};
 use crate::error::EngineError;
 use crate::Result;
 
@@ -347,60 +347,78 @@ fn oid_witnesses<'a>(values: impl IntoIterator<Item = &'a Value>) -> Vec<Oid> {
     out
 }
 
-/// Check a single constraint clause against the given databases.
-pub fn check_constraint(clause: &Clause, dbs: &Databases<'_>) -> Result<Vec<Violation>> {
-    Ok(check_constraint_counted(clause, dbs)?.0)
-}
-
-/// [`check_constraint`], also reporting how many body bindings were examined
-/// (the work metric recorded in constraint certificates).
-pub(crate) fn check_constraint_counted(
-    clause: &Clause,
-    dbs: &Databases<'_>,
-) -> Result<(Vec<Violation>, u64)> {
-    let mut skolem = SkolemFactory::new();
-    let clause_name = clause
+/// The label violations and certificates name a clause by.
+pub(crate) fn clause_name(clause: &Clause) -> String {
+    clause
         .label
         .clone()
-        .unwrap_or_else(|| "<unlabelled>".to_string());
-    let mut violations = Vec::new();
+        .unwrap_or_else(|| "<unlabelled>".to_string())
+}
 
-    // Split the head: equalities with a Skolem side are interpreted as
-    // functional/injective key requirements; the rest need a witness.
+/// Check a single constraint clause against the given databases.
+pub fn check_constraint(clause: &Clause, dbs: &Databases<'_>) -> Result<Vec<Violation>> {
+    Ok(check_constraint_counted(clause, dbs, Bindings::new())?.0)
+}
+
+/// A head equality with a Skolem side, `object = Mk_class(args)`: read as a
+/// functional and injective key requirement rather than as an atom needing a
+/// witness.
+struct KeyAtom<'c> {
+    object: &'c Term,
+    class: &'c ClassName,
+    args: &'c SkolemArgs,
+}
+
+/// Split a clause head into its Skolem key atoms and the atoms that need a
+/// witness.
+fn split_head(head: &[Atom]) -> (Vec<KeyAtom<'_>>, Vec<Atom>) {
     let mut key_atoms = Vec::new();
     let mut witness_atoms = Vec::new();
-    for atom in &clause.head {
+    for atom in head {
         match atom {
-            Atom::Eq(s, t)
-                if matches!(s, Term::Skolem(_, _)) || matches!(t, Term::Skolem(_, _)) =>
-            {
-                key_atoms.push(atom.clone())
-            }
+            Atom::Eq(Term::Skolem(class, args), object)
+            | Atom::Eq(object, Term::Skolem(class, args)) => key_atoms.push(KeyAtom {
+                object,
+                class,
+                args,
+            }),
             _ => witness_atoms.push(atom.clone()),
         }
     }
+    (key_atoms, witness_atoms)
+}
+
+/// [`check_constraint`] restricted to the body bindings that extend
+/// `initial` — empty for the full check, `{var ↦ oid}` to examine one
+/// delta-touched object — also reporting how many body bindings were
+/// examined (the work metric recorded in constraint certificates).
+pub(crate) fn check_constraint_counted(
+    clause: &Clause,
+    dbs: &Databases<'_>,
+    initial: Bindings,
+) -> Result<(Vec<Violation>, u64)> {
+    let mut skolem = SkolemFactory::new();
+    let mut stats = MatchStats::default();
+    let clause_name = clause_name(clause);
+    let mut violations = Vec::new();
+    let (key_atoms, witness_atoms) = split_head(&clause.head);
 
     // Functionality/injectivity state for Skolem key atoms across all bindings.
     let mut key_to_obj: BTreeMap<(ClassName, Value), Value> = BTreeMap::new();
     let mut obj_to_key: BTreeMap<(ClassName, Value), Value> = BTreeMap::new();
 
-    let body_bindings = match_body(&clause.body, dbs, &mut skolem, Bindings::new())?;
+    let body_bindings = match_body(&clause.body, dbs, &mut skolem, initial, &mut stats)?;
     let mut checked: u64 = 0;
     for binding in body_bindings {
         checked += 1;
         // 1. Skolem key atoms.
-        for atom in &key_atoms {
-            let Atom::Eq(s, t) = atom else { unreachable!() };
-            let (object_term, class, args) = match (s, t) {
-                (Term::Skolem(c, a), other) => (other, c, a),
-                (other, Term::Skolem(c, a)) => (other, c, a),
-                _ => unreachable!(),
-            };
-            let key_value =
-                crate::env::eval_skolem_key(args, &binding, dbs, &mut skolem).map_err(|e| {
+        for key in &key_atoms {
+            let class = key.class;
+            let key_value = crate::env::eval_skolem_key(key.args, &binding, dbs, &mut skolem)
+                .map_err(|e| {
                     EngineError::Eval(format!("cannot evaluate Skolem key in {clause_name}: {e}"))
                 })?;
-            let Some(object_value) = try_eval_term(object_term, &binding, dbs, &mut skolem) else {
+            let Some(object_value) = try_eval_term(key.object, &binding, dbs, &mut skolem) else {
                 // The object is existential: the Skolem function always
                 // provides a witness, so nothing to check.
                 continue;
@@ -439,12 +457,14 @@ pub(crate) fn check_constraint_counted(
         if witness_atoms.is_empty() {
             continue;
         }
-        let witnesses = match_body(&witness_atoms, dbs, &mut skolem, binding.clone());
-        let satisfied = match witnesses {
-            Ok(list) => !list.is_empty(),
-            Err(_) => false,
-        };
-        if !satisfied {
+        let witnesses = match_body(
+            &witness_atoms,
+            dbs,
+            &mut skolem,
+            binding.clone(),
+            &mut stats,
+        );
+        if !witnesses.is_ok_and(|list| !list.is_empty()) {
             violations.push(Violation {
                 clause: clause_name.clone(),
                 detail: format!("no head witness for binding {}", describe_binding(&binding)),

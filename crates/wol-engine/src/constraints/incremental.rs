@@ -1,9 +1,21 @@
 //! Incremental, parallel constraint checking with auditable certificates.
 //!
 //! [`check_batch`] validates a [`BatchDelta`] against a set of constraint
-//! clauses without re-scanning the untouched extents, partitions the work
-//! over the shared [`WorkerPool`], and emits a [`ConstraintCertificate`]
-//! that an independent [`recheck`] can replay against a snapshot.
+//! clauses without re-scanning the untouched extents and emits a
+//! [`ConstraintCertificate`] that an independent [`recheck`] can replay
+//! against a snapshot.
+//!
+//! # Threading
+//!
+//! [`check_batch`]'s `parallelism` argument is the budget of the
+//! [`Databases`] view everything below it sees. Both phases split their work
+//! through the engine's one fan-out (`env::fan_out`): each Delta plan's
+//! changed objects, and the constraints needing a full re-check, are cut
+//! into at most one contiguous chunk per thread. A single chunk — the common
+//! case for a small batch — runs inline and keeps the whole budget (a lone
+//! full re-check may still partition its body match); several chunks are
+//! pool jobs on one-thread views. Detection is exhaustive and commutative
+//! and full re-checks are canonical, so chunking never shows in the result.
 //!
 //! # Contract
 //!
@@ -42,7 +54,11 @@
 //! makes the incremental violation list bit-identical to the full scan at
 //! every thread count — per-object detection is order-independent (a boolean
 //! OR plus commutative counters), and the canonical lists are concatenated
-//! in clause order.
+//! in clause order. Seeded detection *is* the full check restricted to the
+//! bindings through one changed object (`check_constraint_counted` with that
+//! object as the initial binding): "dirty" means its violation list is
+//! non-empty, so the two cannot disagree about what a missing head witness
+//! is.
 //!
 //! # Suspects
 //!
@@ -59,15 +75,12 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use storage::persist::codec::{self, ByteReader};
 use wol_lang::ast::{Atom, Clause, Term, Var};
-use wol_model::{
-    chunk_ranges, BatchDelta, ClassName, Job, Label, Oid, Parallelism, SkolemFactory, Value,
-    WorkerPool,
-};
+use wol_model::{BatchDelta, ClassName, Label, Oid, Parallelism, SkolemFactory, Value};
 
 use crate::constraints::{
-    check_constraint_counted, classify_constraint, ConstraintClass, Violation,
+    check_constraint_counted, classify_constraint, clause_name, ConstraintClass, Violation,
 };
-use crate::env::{match_body, Bindings, Databases};
+use crate::env::{fan_out, Bindings, Databases, MatchStats};
 use crate::error::EngineError;
 use crate::Result;
 
@@ -595,26 +608,14 @@ fn detect_key_probe(
     out
 }
 
+/// Whether any body binding through one of the `seeds` lacks a head witness:
+/// the full check of [`check_constraint_counted`], restricted to each seed.
 fn detect_seeded(dbs: &Databases<'_>, clause: &Clause, seeds: &[(Var, Oid)]) -> Result<Detection> {
     let mut out = Detection::default();
-    let mut skolem = SkolemFactory::new();
     for (var, oid) in seeds {
         out.checked += 1;
-        let mut init = Bindings::new();
-        init.insert(var.clone(), Value::Oid(oid.clone()));
-        let bindings = match_body(&clause.body, dbs, &mut skolem, init)?;
-        if clause.head.is_empty() {
-            continue;
-        }
-        for binding in bindings {
-            let satisfied = match match_body(&clause.head, dbs, &mut skolem, binding.clone()) {
-                Ok(list) => !list.is_empty(),
-                Err(_) => false,
-            };
-            if !satisfied {
-                out.dirty = true;
-            }
-        }
+        let seed = Bindings::from([(var.clone(), Value::Oid(oid.clone()))]);
+        out.dirty |= !check_constraint_counted(clause, dbs, seed)?.0.is_empty();
     }
     Ok(out)
 }
@@ -644,68 +645,74 @@ pub fn check_batch(
         .map(|(idx, a)| plan_constraint(idx, a, delta, suspects))
         .collect();
 
+    // Every job below sees `parallelism` as its budget; the checks mint
+    // their own factories, so the fan-out's factory and counters go unused.
+    let dbs = &dbs.clone().with_parallelism(parallelism);
     let threads = parallelism.threads();
-    let pool = WorkerPool::shared(parallelism);
+    let (mut skolem, mut stats) = (SkolemFactory::new(), MatchStats::default());
 
-    // Phase A: delta detection, chunk-partitioned over the pool. Chunks are
-    // processed exhaustively (no early exit), so `checked`/`probes` are
-    // partition-invariant sums and `dirty` a partition-invariant OR.
-    let mut jobs: Vec<Job<'_, (usize, Result<Detection>)>> = Vec::new();
-    for (idx, plan) in plans.iter().enumerate() {
-        match plan {
-            Plan::KeyProbe { class, attrs, oids } => {
-                for range in chunk_ranges(oids.len(), threads) {
-                    let chunk = &oids[range];
-                    jobs.push(Box::new(move || {
-                        (idx, Ok(detect_key_probe(dbs, class, attrs, chunk)))
-                    }));
-                }
-            }
-            Plan::Seeded { seeds } => {
-                let clause = clauses[idx];
-                for range in chunk_ranges(seeds.len(), threads) {
-                    let chunk = &seeds[range];
-                    jobs.push(Box::new(move || (idx, detect_seeded(dbs, clause, chunk))));
-                }
-            }
-            Plan::Skip | Plan::Full => {}
-        }
-    }
-    let detection_results = pool.scope(jobs);
+    // Phase A: delta detection, each plan's objects chunk-partitioned over
+    // the pool. Chunks are processed exhaustively (no early exit), so
+    // `checked`/`probes` are partition-invariant sums and `dirty` a
+    // partition-invariant OR.
     let mut detections: Vec<Detection> = vec![Detection::default(); clauses.len()];
-    for (idx, result) in detection_results {
-        detections[idx].merge(result?);
+    for (idx, plan) in plans.iter().enumerate() {
+        let chunks = match plan {
+            Plan::KeyProbe { class, attrs, oids } => fan_out(
+                oids,
+                threads,
+                dbs,
+                &mut skolem,
+                &mut stats,
+                |chunk, dbs, _, _| Ok(vec![detect_key_probe(dbs, class, attrs, chunk)]),
+            )?,
+            Plan::Seeded { seeds } => fan_out(
+                seeds,
+                threads,
+                dbs,
+                &mut skolem,
+                &mut stats,
+                |chunk, dbs, _, _| Ok(vec![detect_seeded(dbs, clauses[idx], chunk)?]),
+            )?,
+            Plan::Skip | Plan::Full => continue,
+        };
+        for chunk in chunks {
+            detections[idx].merge(chunk);
+        }
     }
 
     // Phase B: canonical full re-checks for Full plans and dirty detections,
-    // one job per constraint, results in clause (submission) order.
-    type FullJob<'a> = Job<'a, (usize, Result<(Vec<Violation>, u64)>)>;
-    let mut full_jobs: Vec<FullJob<'_>> = Vec::new();
-    for (idx, plan) in plans.iter().enumerate() {
-        let full = match plan {
+    // results in clause order.
+    let full: Vec<usize> = (0..plans.len())
+        .filter(|&idx| match plans[idx] {
             Plan::Full => true,
             Plan::KeyProbe { .. } | Plan::Seeded { .. } => detections[idx].dirty,
             Plan::Skip => false,
-        };
-        if full {
-            let clause = clauses[idx];
-            full_jobs.push(Box::new(move || {
-                (idx, check_constraint_counted(clause, dbs))
-            }));
-        }
-    }
-    let mut full_results: BTreeMap<usize, (Vec<Violation>, u64)> = BTreeMap::new();
-    for (idx, result) in pool.scope(full_jobs) {
-        full_results.insert(idx, result?);
-    }
+        })
+        .collect();
+    let mut full_results: BTreeMap<usize, (Vec<Violation>, u64)> = fan_out(
+        &full,
+        threads,
+        dbs,
+        &mut skolem,
+        &mut stats,
+        |chunk, dbs, _, _| {
+            chunk
+                .iter()
+                .map(|&idx| {
+                    let found = check_constraint_counted(clauses[idx], dbs, Bindings::new())?;
+                    Ok((idx, found))
+                })
+                .collect()
+        },
+    )?
+    .into_iter()
+    .collect();
 
     let mut entries = Vec::with_capacity(clauses.len());
     let mut violations = Vec::new();
     for (idx, (clause, plan)) in clauses.iter().zip(&plans).enumerate() {
-        let constraint = clause
-            .label
-            .clone()
-            .unwrap_or_else(|| "<unlabelled>".to_string());
+        let constraint = clause_name(clause);
         let detection = detections[idx];
         let entry = match (plan, full_results.remove(&idx)) {
             (Plan::Skip, _) => CertEntry {
@@ -757,17 +764,14 @@ pub fn recheck(
     }
     let mut violations = 0;
     for (entry, clause) in certificate.entries.iter().zip(clauses) {
-        let name = clause
-            .label
-            .clone()
-            .unwrap_or_else(|| "<unlabelled>".to_string());
+        let name = clause_name(clause);
         if entry.constraint != name {
             return Err(EngineError::Certificate(format!(
                 "certificate entry is for `{}` but the clause is `{name}`",
                 entry.constraint
             )));
         }
-        let (found, _) = check_constraint_counted(clause, dbs)?;
+        let (found, _) = check_constraint_counted(clause, dbs, Bindings::new())?;
         if found != entry.violations {
             return Err(EngineError::Certificate(format!(
                 "constraint `{name}`: certificate records {} violation(s) but the snapshot \
@@ -964,5 +968,90 @@ mod tests {
         .unwrap();
         assert_eq!(forced.certificate.entries[0].mode, CheckMode::Full);
         assert!(!forced.violations.is_empty());
+    }
+
+    /// Seeded detection is the full check restricted to one changed object:
+    /// over the constrained workload's clean, key-violating and
+    /// existence-violating batches, for every constraint the planner seeds,
+    /// the violations found through an object's seeds are exactly the full
+    /// check's violations that object takes part in — so "some seed is
+    /// dirty" and "the full list names a changed object" cannot disagree.
+    #[test]
+    fn seeded_detection_is_the_full_check_restricted_to_each_changed_object() {
+        use workloads::constrained::{self, ConstrainedGen, ConstrainedParams};
+
+        let program = constrained::program();
+        let mut clauses: Vec<Clause> = program
+            .source_constraints()
+            .into_iter()
+            .map(|(_, clause)| clause.clone())
+            .collect();
+        for extra in [
+            "G1: U.tier < 99 <= U in UserS",
+            "G2: P.nick = Q.nick <= P in ProfileS, Q in ProfileS, P.user = Q.user",
+        ] {
+            clauses.push(parse_clause(extra).unwrap());
+        }
+        let mut inst = constrained::generate_source(&ConstrainedParams::default());
+        let mut gen = ConstrainedGen::new(&inst, 7);
+        let ghost = Oid::new(ClassName::new("UserS"), 9_999_999);
+        let (mut seeded_plans, mut dirty_plans) = (0, BTreeSet::new());
+        for round in 0..48 {
+            // Violating batches are checked on a scratch copy, so the
+            // generator's shadow stays in step with `inst`.
+            let mut scratch = inst.clone();
+            let (state, batch) = match round % 4 {
+                1 => (&mut scratch, gen.violating_batch()),
+                3 => {
+                    let orphan = Value::record([
+                        ("nick", Value::str("orphan")),
+                        ("user", Value::Oid(ghost.clone())),
+                    ]);
+                    (
+                        &mut scratch,
+                        MutationBatch::new().insert("ProfileS", orphan),
+                    )
+                }
+                _ => (&mut inst, gen.next_batch(6)),
+            };
+            let delta = apply(state, batch);
+            let dbs = Databases::new(&[&*state]);
+            for (idx, clause) in clauses.iter().enumerate() {
+                let analysis = analyze_constraint(clause);
+                let Plan::Seeded { seeds } =
+                    plan_constraint(idx, &analysis, &delta, &BTreeSet::new())
+                else {
+                    continue;
+                };
+                seeded_plans += 1;
+                let (full, _) = check_constraint_counted(clause, &dbs, Bindings::new()).unwrap();
+                let mut dirty = false;
+                for oid in seeds.iter().map(|(_, oid)| oid).collect::<BTreeSet<_>>() {
+                    let mut through_seeds = Vec::new();
+                    for (var, _) in seeds.iter().filter(|(_, seed)| seed == oid) {
+                        let seed = Bindings::from([(var.clone(), Value::Oid(oid.clone()))]);
+                        through_seeds
+                            .extend(check_constraint_counted(clause, &dbs, seed).unwrap().0);
+                    }
+                    let in_full: Vec<&Violation> =
+                        full.iter().filter(|v| v.oids.contains(oid)).collect();
+                    assert!(
+                        through_seeds.iter().all(|v| in_full.contains(&v))
+                            && in_full.iter().all(|v| through_seeds.contains(v)),
+                        "round {round}, {:?}, {oid}: seeded {through_seeds:?} vs full {in_full:?}",
+                        clause.label
+                    );
+                    dirty |= !through_seeds.is_empty();
+                }
+                assert_eq!(detect_seeded(&dbs, clause, &seeds).unwrap().dirty, dirty);
+                if dirty {
+                    dirty_plans.insert(clause.label.clone().unwrap());
+                }
+            }
+        }
+        // Plans were seeded throughout, and every seeded constraint was
+        // caught dirty at least once.
+        assert!(seeded_plans > 48);
+        assert_eq!(Vec::from_iter(dirty_plans), ["G1", "G2", "S2"]);
     }
 }

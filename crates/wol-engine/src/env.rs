@@ -23,7 +23,29 @@
 //!   baseline the benchmarks measure speed-ups over.
 //!
 //! Both report [`MatchStats`] so callers (the naive evaluator, the Morphase
-//! pipeline, benches E2/E4/E6) can quantify the work done.
+//! pipeline, bench E4) can quantify the work done.
+//!
+//! # One matcher, one partition rule
+//!
+//! There is no sequential and no parallel matcher: [`match_body`] runs one
+//! plan, and a worker budget only changes how many contiguous ranges the
+//! plan's *opening* extent scan is cut into.
+//!
+//! * **Who decides.** The budget is a value on [`Databases`] (the
+//!   environment's, read once when the view is built, unless the caller set
+//!   one); `partition_count` turns it into a range count — 1 unless the plan
+//!   opens with a large enough scan, the budget has several threads and the
+//!   body applies no Skolem function. Later steps scan their whole extent.
+//! * **What a partition owns.** A binding frame, its undo trail, a
+//!   [`SkolemFactory`] and a [`MatchStats`]. One partition is the caller's
+//!   own: nothing is dispatched. Several go through `fan_out`, the crate's
+//!   only `WorkerPool` call site (shared with the semi-naive seed matches
+//!   and the batch constraint checker): a job per chunk with a fresh factory
+//!   and counters, merged in chunk order — the order one partition
+//!   enumerates in, so binding lists and stats are identical at every budget.
+//! * **Why nested chunks match sequentially.** A job that is itself a chunk
+//!   sees a one-thread view, so the pool is entered once per top-level
+//!   operation, never recursively.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -36,19 +58,38 @@ use wol_model::{
 use crate::error::EngineError;
 use crate::Result;
 
-/// A set of database instances visible to clause evaluation, in order.
+/// The evaluation context of clause matching: the database instances visible
+/// to a clause, in order, and the worker budget matching over them may use.
+///
+/// The budget is read from the environment **once**, when the view is built
+/// ([`Parallelism::from_env`]); a caller configured with a budget of its own
+/// sets it with [`Databases::with_parallelism`]. Nothing below reads the
+/// environment again.
 #[derive(Clone)]
 pub struct Databases<'a> {
     instances: Vec<&'a Instance>,
+    parallelism: Parallelism,
 }
 
 impl<'a> Databases<'a> {
     /// View over the given instances (sources first, target last by
-    /// convention).
+    /// convention), at the environment's default worker budget.
     pub fn new(instances: &[&'a Instance]) -> Self {
         Databases {
             instances: instances.to_vec(),
+            parallelism: Parallelism::from_env(),
         }
+    }
+
+    /// The same view with an explicit worker budget.
+    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
+        self.parallelism = parallelism;
+        self
+    }
+
+    /// The worker budget matching over this view may use.
+    pub fn parallelism(&self) -> Parallelism {
+        self.parallelism
     }
 
     /// Look up the value of an object identity in whichever instance holds it.
@@ -395,8 +436,8 @@ fn unwind_trail(bindings: &mut Bindings, trail: &mut Vec<Var>, mark: usize) {
 
 /// Whether the term (or any sub-term) applies a Skolem function. Skolem
 /// application mutates the clause-wide [`SkolemFactory`], whose identity
-/// numbering depends on first-call order, so the partitioned matcher refuses
-/// to run Skolem-bearing bodies off the main thread.
+/// numbering depends on first-call order, so a Skolem-bearing body is always
+/// matched as one partition (see [`partition_count`]).
 fn term_contains_skolem(term: &Term) -> bool {
     match term {
         Term::Skolem(_, _) => true,
@@ -450,47 +491,50 @@ fn compare_numeric(a: &Value, b: &Value) -> Result<std::cmp::Ordering> {
 // The indexed matcher: greedy join plans over an undo-trail frame.
 // ---------------------------------------------------------------------------
 
-/// How one body atom is processed by a join plan.
+/// One step of a join plan: how one body atom is processed, holding the
+/// operands of the atom it was built from.
 #[derive(Clone, Debug)]
-enum StepKind {
-    /// All variables bound: check the atom and keep or drop the binding.
-    Filter,
+enum Step<'a> {
+    /// All variables bound: check the atom and keep or drop the binding (for
+    /// a `Member` atom, an O(1) presence check).
+    Check(&'a Atom),
     /// Equality with one side evaluable and the other a pattern: evaluate,
     /// destructure, bind.
     BindEq {
-        /// Whether the evaluable side is the left one.
-        bound_is_left: bool,
+        evaluable: &'a Term,
+        pattern: &'a Term,
     },
-    /// Membership of a fully-determined object: an O(1) presence check.
-    MemberCheck,
     /// Membership enumerated from the class extent, matching the term as a
     /// pattern.
-    MemberScan,
-    /// Membership answered by probing the attribute index: the member
-    /// variable is equated to a bound value through `attr` by the consumed
-    /// equality atom.
+    MemberScan {
+        term: &'a Term,
+        class: &'a ClassName,
+    },
+    /// Membership of a variable (the `member` term) answered by probing the
+    /// attribute index: a consumed equality atom equates its `attr` to the
+    /// bound `key` term.
     MemberProbe {
-        /// The attribute the equality constrains.
-        attr: Label,
-        /// Index of the consumed equality atom in the body.
-        eq_atom: usize,
-        /// Whether the *key* (evaluable) side of that equality is its left
-        /// term.
-        key_is_left: bool,
+        member: &'a Term,
+        class: &'a ClassName,
+        attr: &'a Label,
+        key: &'a Term,
     },
     /// Set membership with a bound set: enumerate elements, bind the element
     /// pattern.
-    InSetBind,
+    InSetBind { elem: &'a Term, set: &'a Term },
     /// No remaining atom can ever be processed: the body is not
     /// range-restricted. Raised only if a binding actually reaches this step.
     Stuck,
 }
 
-/// One step of a join plan: which atom, processed how.
-#[derive(Clone, Debug)]
-struct Step {
-    atom: usize,
-    kind: StepKind,
+/// A processable atom as [`classify_atom`] prices it.
+struct Candidate<'a> {
+    cost: u64,
+    step: Step<'a>,
+    /// The variables the step binds.
+    binds: Vec<Var>,
+    /// An equality atom the step consumes (index probes only).
+    consumes: Option<usize>,
 }
 
 /// Cost assigned to a dead scan (an enumeration that cannot bind anything);
@@ -523,48 +567,40 @@ fn single_proj_attr<'t>(term: &'t Term, var: &str) -> Option<&'t Label> {
 /// Variable boundness depends only on *which* atoms have been processed, not
 /// on any particular binding, so the plan is valid for every branch of the
 /// search.
-fn build_plan(atoms: &[Atom], initially_bound: &BTreeSet<Var>, dbs: &Databases<'_>) -> Vec<Step> {
+fn build_plan<'a>(
+    atoms: &'a [Atom],
+    initially_bound: &BTreeSet<Var>,
+    dbs: &Databases<'_>,
+) -> Vec<Step<'a>> {
     let mut used = vec![false; atoms.len()];
     let mut bound = initially_bound.clone();
     let mut steps = Vec::new();
-
-    fn remaining(used: &[bool]) -> impl Iterator<Item = usize> + '_ {
-        used.iter()
-            .enumerate()
-            .filter(|(_, u)| !**u)
-            .map(|(i, _)| i)
-    }
-
-    while remaining(&used).next().is_some() {
-        let mut best: Option<(u64, Step, Vec<Var>, Option<usize>)> = None;
-        for i in remaining(&used) {
-            let Some(candidate) = classify_atom(i, &atoms[i], atoms, &used, &bound, dbs) else {
+    while used.contains(&false) {
+        let mut best: Option<(usize, Candidate<'a>)> = None;
+        for (i, atom) in atoms.iter().enumerate() {
+            if used[i] {
+                continue;
+            }
+            let Some(candidate) = classify_atom(i, atom, atoms, &used, &bound, dbs) else {
                 continue;
             };
-            if best.as_ref().is_none_or(|(cost, ..)| candidate.0 < *cost) {
-                best = Some(candidate);
+            if best.as_ref().is_none_or(|(_, b)| candidate.cost < b.cost) {
+                best = Some((i, candidate));
             }
         }
-        match best {
-            Some((_, step, binds, consumed)) => {
-                used[step.atom] = true;
-                if let Some(eq) = consumed {
-                    used[eq] = true;
-                }
-                bound.extend(binds);
-                steps.push(step);
-            }
-            None => {
-                // Whatever is left can never be processed; fail any binding
-                // that reaches this point (zero bindings fail nothing, which
-                // matches the dynamic matcher's behaviour).
-                steps.push(Step {
-                    atom: atoms.len(),
-                    kind: StepKind::Stuck,
-                });
-                break;
-            }
+        let Some((i, candidate)) = best else {
+            // Whatever is left can never be processed; fail any binding that
+            // reaches this point (zero bindings fail nothing, which matches
+            // the reference matcher's behaviour).
+            steps.push(Step::Stuck);
+            break;
+        };
+        used[i] = true;
+        if let Some(eq) = candidate.consumes {
+            used[eq] = true;
         }
+        bound.extend(candidate.binds);
+        steps.push(candidate.step);
     }
     steps
 }
@@ -573,14 +609,14 @@ fn build_plan(atoms: &[Atom], initially_bound: &BTreeSet<Var>, dbs: &Databases<'
 /// of processing it now, the step to run, the variables it binds, and an
 /// equality atom it consumes (for index probes). `None` if it cannot be
 /// processed yet.
-fn classify_atom(
+fn classify_atom<'a>(
     index: usize,
-    atom: &Atom,
-    atoms: &[Atom],
+    atom: &'a Atom,
+    atoms: &'a [Atom],
     used: &[bool],
     bound: &BTreeSet<Var>,
     dbs: &Databases<'_>,
-) -> Option<(u64, Step, Vec<Var>, Option<usize>)> {
+) -> Option<Candidate<'a>> {
     let term_bound = |t: &Term| t.var_set().iter().all(|v| bound.contains(v));
     let unbound_vars = |t: &Term| -> Vec<Var> {
         t.var_set()
@@ -588,16 +624,22 @@ fn classify_atom(
             .filter(|v| !bound.contains(v))
             .collect()
     };
-    let step = |kind: StepKind| Step { atom: index, kind };
+    let candidate = |cost: u64, step: Step<'a>, binds: Vec<Var>| Candidate {
+        cost,
+        step,
+        binds,
+        consumes: None,
+    };
+    let filter = || Some(candidate(0, Step::Check(atom), Vec::new()));
 
     match atom {
         Atom::Member(term, class) => {
             if term_bound(term) {
-                return Some((0, step(StepKind::MemberCheck), Vec::new(), None));
+                return filter();
             }
             let extent = dbs.extent_size(class) as u64;
-            if let Term::Var(v) = term {
-                // Probe partner: an unused equality `v.attr = key` (either
+            if let Term::Var(var) = term {
+                // Probe partner: an unused equality `var.attr = key` (either
                 // orientation) whose key side is already evaluable.
                 for (j, other) in atoms.iter().enumerate() {
                     if used[j] || j == index {
@@ -606,73 +648,53 @@ fn classify_atom(
                     let Atom::Eq(left, right) = other else {
                         continue;
                     };
-                    let probe = match (single_proj_attr(left, v), single_proj_attr(right, v)) {
-                        (Some(attr), _) if term_bound(right) => Some((attr, false)),
-                        (_, Some(attr)) if term_bound(left) => Some((attr, true)),
+                    let probe = match (single_proj_attr(left, var), single_proj_attr(right, var)) {
+                        (Some(attr), _) if term_bound(right) => Some((attr, right)),
+                        (_, Some(attr)) if term_bound(left) => Some((attr, left)),
                         _ => None,
                     };
-                    if let Some((attr, key_is_left)) = probe {
-                        return Some((
-                            1 + extent / 16,
-                            step(StepKind::MemberProbe {
-                                attr: attr.clone(),
-                                eq_atom: j,
-                                key_is_left,
-                            }),
-                            vec![v.clone()],
-                            Some(j),
-                        ));
+                    if let Some((attr, key)) = probe {
+                        return Some(Candidate {
+                            cost: 1 + extent / 16,
+                            step: Step::MemberProbe {
+                                member: term,
+                                class,
+                                attr,
+                                key,
+                            },
+                            binds: vec![var.clone()],
+                            consumes: Some(j),
+                        });
                     }
                 }
             }
+            let scan = Step::MemberScan { term, class };
             if is_pattern(term) {
-                Some((
-                    2 + extent,
-                    step(StepKind::MemberScan),
-                    unbound_vars(term),
-                    None,
-                ))
+                Some(candidate(2 + extent, scan, unbound_vars(term)))
             } else {
                 // Not a pattern and not evaluable: enumerating can only yield
                 // the empty result, and binds nothing. Do it last.
-                Some((
-                    DEAD_SCAN_COST + extent,
-                    step(StepKind::MemberScan),
-                    Vec::new(),
-                    None,
-                ))
+                Some(candidate(DEAD_SCAN_COST + extent, scan, Vec::new()))
             }
         }
         Atom::Eq(s, t) => {
             let (s_bound, t_bound) = (term_bound(s), term_bound(t));
             if s_bound && t_bound {
-                return Some((0, step(StepKind::Filter), Vec::new(), None));
+                return filter();
             }
-            if s_bound && is_pattern(t) {
-                return Some((
-                    1,
-                    step(StepKind::BindEq {
-                        bound_is_left: true,
-                    }),
-                    unbound_vars(t),
-                    None,
-                ));
-            }
-            if t_bound && is_pattern(s) {
-                return Some((
-                    1,
-                    step(StepKind::BindEq {
-                        bound_is_left: false,
-                    }),
-                    unbound_vars(s),
-                    None,
-                ));
-            }
-            None
+            let (evaluable, pattern) = if s_bound && is_pattern(t) {
+                (s, t)
+            } else if t_bound && is_pattern(s) {
+                (t, s)
+            } else {
+                return None;
+            };
+            let step = Step::BindEq { evaluable, pattern };
+            Some(candidate(1, step, unbound_vars(pattern)))
         }
         Atom::Neq(s, t) | Atom::Lt(s, t) | Atom::Leq(s, t) => {
             if term_bound(s) && term_bound(t) {
-                Some((0, step(StepKind::Filter), Vec::new(), None))
+                filter()
             } else {
                 None
             }
@@ -681,12 +703,13 @@ fn classify_atom(
             if !term_bound(set) {
                 return None;
             }
+            let step = Step::InSetBind { elem, set };
             if term_bound(elem) {
-                Some((0, step(StepKind::Filter), Vec::new(), None))
+                filter()
             } else if is_pattern(elem) {
-                Some((4, step(StepKind::InSetBind), unbound_vars(elem), None))
+                Some(candidate(4, step, unbound_vars(elem)))
             } else {
-                Some((DEAD_SCAN_COST, step(StepKind::InSetBind), Vec::new(), None))
+                Some(candidate(DEAD_SCAN_COST, step, Vec::new()))
             }
         }
     }
@@ -742,147 +765,109 @@ fn check_bound_atom(
     }
 }
 
-/// Execute the plan from `step_index` onwards, emitting complete bindings
-/// into `out`. The frame is mutated in place; every extension is recorded on
-/// `trail` and undone before returning, so the caller's frame is unchanged.
-#[allow(clippy::too_many_arguments)]
+/// What one partition of a match owns: a Skolem factory and counters (the
+/// caller's own when the match is one partition, fresh ones per chunk when
+/// [`fan_out`] dispatched it), the binding frame with its undo trail, and the
+/// complete bindings found so far.
+struct Partition<'p> {
+    skolem: &'p mut SkolemFactory,
+    stats: &'p mut MatchStats,
+    frame: Bindings,
+    trail: Vec<Var>,
+    out: Vec<Bindings>,
+}
+
+impl<'p> Partition<'p> {
+    fn new(frame: Bindings, skolem: &'p mut SkolemFactory, stats: &'p mut MatchStats) -> Self {
+        Partition {
+            skolem,
+            stats,
+            frame,
+            trail: Vec::new(),
+            out: Vec::new(),
+        }
+    }
+}
+
+/// Execute `steps` in order over the partition's frame, pushing every
+/// complete binding onto its `out`. The frame is mutated in place; every
+/// extension is recorded on the trail and undone before returning, so the
+/// frame is left as it was found. Only a plan's opening step is ever handed
+/// more than one of `partitions` (see [`partition_count`]).
 fn run_plan(
-    step_index: usize,
-    steps: &[Step],
-    atoms: &[Atom],
+    steps: &[Step<'_>],
+    partitions: usize,
     dbs: &Databases<'_>,
-    skolem: &mut SkolemFactory,
-    bindings: &mut Bindings,
-    trail: &mut Vec<Var>,
-    out: &mut Vec<Bindings>,
-    stats: &mut MatchStats,
+    part: &mut Partition<'_>,
 ) -> Result<()> {
-    let Some(step) = steps.get(step_index) else {
-        out.push(bindings.clone());
+    let Some((step, rest)) = steps.split_first() else {
+        part.out.push(part.frame.clone());
         return Ok(());
     };
-    match &step.kind {
-        StepKind::Stuck => Err(EngineError::Eval(
+    match step {
+        Step::Stuck => Err(EngineError::Eval(
             "no atom can be processed: the clause body is not range-restricted".to_string(),
         )),
-        StepKind::Filter | StepKind::MemberCheck => {
-            if check_bound_atom(&atoms[step.atom], bindings, dbs, skolem)? {
-                stats.bindings_considered += 1;
-                run_plan(
-                    step_index + 1,
-                    steps,
-                    atoms,
-                    dbs,
-                    skolem,
-                    bindings,
-                    trail,
-                    out,
-                    stats,
-                )?;
+        Step::Check(atom) => {
+            if check_bound_atom(atom, &part.frame, dbs, part.skolem)? {
+                part.stats.bindings_considered += 1;
+                run_plan(rest, 1, dbs, part)?;
             }
             Ok(())
         }
-        StepKind::BindEq { bound_is_left } => {
-            let Atom::Eq(left, right) = &atoms[step.atom] else {
-                unreachable!("BindEq steps are built from Eq atoms");
-            };
-            let (evaluable, pattern) = if *bound_is_left {
-                (left, right)
-            } else {
-                (right, left)
-            };
+        Step::BindEq { evaluable, pattern } => {
             // The evaluable side's variables are bound by construction; a
             // `None` here means a missing optional attribute, which simply
             // has no witness.
-            let Some(value) = try_eval_term(evaluable, bindings, dbs, skolem) else {
-                return Ok(());
-            };
-            let mark = trail.len();
-            if match_pattern_in_place(pattern, &value, bindings, trail, dbs, skolem) {
-                stats.bindings_considered += 1;
-                run_plan(
-                    step_index + 1,
-                    steps,
-                    atoms,
-                    dbs,
-                    skolem,
-                    bindings,
-                    trail,
-                    out,
-                    stats,
-                )?;
+            match try_eval_term(evaluable, &part.frame, dbs, part.skolem) {
+                Some(value) => extend_frame(pattern, &value, rest, dbs, part),
+                None => Ok(()),
             }
-            unwind_trail(bindings, trail, mark);
-            Ok(())
         }
-        StepKind::MemberProbe {
+        Step::MemberProbe {
+            member,
+            class,
             attr,
-            eq_atom,
-            key_is_left,
+            key,
         } => {
-            let Atom::Member(Term::Var(var), class) = &atoms[step.atom] else {
-                unreachable!("MemberProbe steps are built from variable Member atoms");
-            };
-            let Atom::Eq(left, right) = &atoms[*eq_atom] else {
-                unreachable!("MemberProbe consumes an Eq atom");
-            };
-            let key_term = if *key_is_left { left } else { right };
-            let Some(key) = try_eval_term(key_term, bindings, dbs, skolem) else {
+            let Some(key) = try_eval_term(key, &part.frame, dbs, part.skolem) else {
                 return Ok(());
             };
-            stats.index_probes += 1;
-            for oid in dbs.lookup_by_attr(class, attr, &key) {
-                stats.bindings_considered += 1;
-                let mark = trail.len();
-                bindings.insert(var.clone(), Value::Oid(oid));
-                trail.push(var.clone());
-                run_plan(
-                    step_index + 1,
-                    steps,
-                    atoms,
-                    dbs,
-                    skolem,
-                    bindings,
-                    trail,
-                    out,
-                    stats,
-                )?;
-                unwind_trail(bindings, trail, mark);
+            part.stats.index_probes += 1;
+            dbs.lookup_by_attr(class, attr, &key)
+                .into_iter()
+                .try_for_each(|oid| extend_frame(member, &Value::Oid(oid), rest, dbs, part))
+        }
+        Step::MemberScan { term, class } => {
+            part.stats.extents_scanned += 1;
+            let extent = dbs.extent(class);
+            // The extent loop, over any contiguous sub-range of the extent.
+            let scan = |oids: &[&Oid], dbs: &Databases<'_>, part: &mut Partition<'_>| {
+                oids.iter().try_for_each(|oid| {
+                    extend_frame(term, &Value::Oid((*oid).clone()), rest, dbs, part)
+                })
+            };
+            if partitions == 1 {
+                return scan(&extent, dbs, part);
             }
+            let frame = &part.frame;
+            let found = fan_out(
+                &extent,
+                partitions,
+                dbs,
+                part.skolem,
+                part.stats,
+                |oids, dbs, skolem, stats| {
+                    let mut chunk = Partition::new(frame.clone(), skolem, stats);
+                    scan(oids, dbs, &mut chunk)?;
+                    Ok(chunk.out)
+                },
+            )?;
+            part.out.extend(found);
             Ok(())
         }
-        StepKind::MemberScan => {
-            let Atom::Member(term, class) = &atoms[step.atom] else {
-                unreachable!("MemberScan steps are built from Member atoms");
-            };
-            stats.extents_scanned += 1;
-            for oid in dbs.extent(class) {
-                let value = Value::Oid(oid.clone());
-                let mark = trail.len();
-                if match_pattern_in_place(term, &value, bindings, trail, dbs, skolem) {
-                    stats.bindings_considered += 1;
-                    run_plan(
-                        step_index + 1,
-                        steps,
-                        atoms,
-                        dbs,
-                        skolem,
-                        bindings,
-                        trail,
-                        out,
-                        stats,
-                    )?;
-                }
-                unwind_trail(bindings, trail, mark);
-            }
-            Ok(())
-        }
-        StepKind::InSetBind => {
-            let Atom::InSet(elem, set) = &atoms[step.atom] else {
-                unreachable!("InSetBind steps are built from InSet atoms");
-            };
-            let set_value = eval_term(set, bindings, dbs, skolem)?;
-            let elements: Vec<Value> = match set_value {
+        Step::InSetBind { elem, set } => {
+            let elements: Vec<Value> = match eval_term(set, &part.frame, dbs, part.skolem)? {
                 Value::Set(items) => items.into_iter().collect(),
                 Value::List(items) => items,
                 other => {
@@ -892,178 +877,143 @@ fn run_plan(
                     )))
                 }
             };
-            for item in elements {
-                let mark = trail.len();
-                if match_pattern_in_place(elem, &item, bindings, trail, dbs, skolem) {
-                    stats.bindings_considered += 1;
-                    run_plan(
-                        step_index + 1,
-                        steps,
-                        atoms,
-                        dbs,
-                        skolem,
-                        bindings,
-                        trail,
-                        out,
-                        stats,
-                    )?;
-                }
-                unwind_trail(bindings, trail, mark);
-            }
-            Ok(())
+            elements
+                .iter()
+                .try_for_each(|item| extend_frame(elem, item, rest, dbs, part))
         }
     }
 }
 
-/// Minimum extent size before the partitioned matcher spawns workers; below
-/// it the per-body thread spawn costs more than the matching it divides.
+/// Destructure `value` against `pattern` on the partition's frame; if it
+/// matches, count the candidate binding and run the `rest` of the plan under
+/// the extension. The extension is undone either way.
+fn extend_frame(
+    pattern: &Term,
+    value: &Value,
+    rest: &[Step<'_>],
+    dbs: &Databases<'_>,
+    part: &mut Partition<'_>,
+) -> Result<()> {
+    let mark = part.trail.len();
+    let matched = match_pattern_in_place(
+        pattern,
+        value,
+        &mut part.frame,
+        &mut part.trail,
+        dbs,
+        part.skolem,
+    );
+    let result = if matched {
+        part.stats.bindings_considered += 1;
+        run_plan(rest, 1, dbs, part)
+    } else {
+        Ok(())
+    };
+    unwind_trail(&mut part.frame, &mut part.trail, mark);
+    result
+}
+
+/// Minimum extent size before an opening scan is split: below it, handing
+/// chunks to the shared [`WorkerPool`] costs more than the matching it
+/// divides.
 const PAR_MIN_EXTENT: usize = 64;
 
+/// How many contiguous ranges a body's *opening* step is matched over: the
+/// one decision between "sequential" and "parallel" matching. The budget's
+/// thread count when that is above one, the plan opens with an extent scan
+/// (`opening_scan` is the extent's size) of at least [`PAR_MIN_EXTENT`]
+/// objects, and the body applies no Skolem function (the factory numbers
+/// identities in first-call order, so it is never shared or forked); one —
+/// the whole match inline on the caller's frame and factory — otherwise.
+fn partition_count(budget: Parallelism, opening_scan: Option<usize>, body: &[Atom]) -> usize {
+    match opening_scan {
+        Some(extent)
+            if budget.threads() > 1
+                && extent >= PAR_MIN_EXTENT
+                && !body.iter().any(atom_contains_skolem) =>
+        {
+            budget.threads()
+        }
+        _ => 1,
+    }
+}
+
+/// The size of the extent the plan's first step enumerates, if it is a scan.
+fn opening_scan(plan: &[Step<'_>], dbs: &Databases<'_>) -> Option<usize> {
+    match plan.first() {
+        Some(Step::MemberScan { class, .. }) => Some(dbs.extent_size(class)),
+        _ => None,
+    }
+}
+
+/// Run `work` over `items` split into at most `partitions` contiguous chunks
+/// ([`chunk_ranges`]) and concatenate the results in chunk order — the one
+/// place the engine's matching goes to the [`WorkerPool`].
+///
+/// A single chunk is not dispatched: `work` runs on the calling thread with
+/// the caller's own view, factory and counters. Several chunks become one job
+/// each on the pool shared by the view's budget; each job works against a
+/// fresh [`SkolemFactory`] and [`MatchStats`] (so callers only ask for more
+/// than one partition where `work` applies no Skolem function) and a
+/// *one-thread* view, so a match that is already a chunk never fans out
+/// again. The jobs' counters are absorbed into `stats`, and the error of the
+/// earliest chunk wins — the one a left-to-right run would have met first.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    partitions: usize,
+    dbs: &Databases<'_>,
+    skolem: &mut SkolemFactory,
+    stats: &mut MatchStats,
+    work: impl Fn(&[T], &Databases<'_>, &mut SkolemFactory, &mut MatchStats) -> Result<Vec<R>> + Sync,
+) -> Result<Vec<R>> {
+    let ranges = chunk_ranges(items.len(), partitions);
+    if ranges.len() <= 1 {
+        return work(items, dbs, skolem, stats);
+    }
+    let chunk_dbs = dbs.clone().with_parallelism(Parallelism::sequential());
+    let (chunk_dbs, work) = (&chunk_dbs, &work);
+    let jobs: Vec<Job<'_, (MatchStats, Result<Vec<R>>)>> = ranges
+        .into_iter()
+        .map(|range| {
+            Box::new(move || {
+                let (mut factory, mut chunk_stats) = (SkolemFactory::new(), MatchStats::default());
+                let result = work(&items[range], chunk_dbs, &mut factory, &mut chunk_stats);
+                (chunk_stats, result)
+            }) as Job<'_, _>
+        })
+        .collect();
+    let mut all = Vec::new();
+    let mut first_err = None;
+    for (chunk_stats, result) in WorkerPool::shared(dbs.parallelism()).scope(jobs) {
+        stats.absorb(chunk_stats);
+        match result {
+            Ok(found) => all.extend(found),
+            Err(err) => first_err = first_err.or(Some(err)),
+        }
+    }
+    first_err.map_or(Ok(all), Err)
+}
+
 /// Enumerate every binding of the body's variables (extending `initial`) that
-/// makes all `atoms` true against `dbs`, using the indexed plan-based matcher
-/// at the environment's default parallelism ([`Parallelism::from_env`]).
+/// makes all `atoms` true against `dbs`, with the indexed plan-based matcher,
+/// accumulating [`MatchStats`].
+///
+/// The worker budget is the view's ([`Databases::parallelism`]); it decides
+/// only how many chunks the plan's opening extent scan is matched in (see the
+/// module docs), never the binding list, its order, or the stats.
 pub fn match_body(
     atoms: &[Atom],
     dbs: &Databases<'_>,
     skolem: &mut SkolemFactory,
     initial: Bindings,
-) -> Result<Vec<Bindings>> {
-    let mut stats = MatchStats::default();
-    match_body_partitioned(
-        atoms,
-        dbs,
-        skolem,
-        initial,
-        &mut stats,
-        Parallelism::from_env(),
-    )
-}
-
-/// [`match_body`], additionally accumulating [`MatchStats`].
-pub fn match_body_with_stats(
-    atoms: &[Atom],
-    dbs: &Databases<'_>,
-    skolem: &mut SkolemFactory,
-    initial: Bindings,
     stats: &mut MatchStats,
-) -> Result<Vec<Bindings>> {
-    match_body_partitioned(atoms, dbs, skolem, initial, stats, Parallelism::from_env())
-}
-
-/// [`match_body_with_stats`] with an explicit worker budget.
-///
-/// When the compiled join plan opens with an extent enumeration
-/// (`MemberScan`), the extent is split into contiguous chunks and each chunk
-/// is matched on the persistent [`WorkerPool`] by running the *rest of the
-/// same plan* over its own undo-trail [`Bindings`] frame. Results
-/// concatenate in chunk order, which is the extent order the sequential
-/// matcher enumerates in, so the binding list — and the accumulated
-/// [`MatchStats`] totals — are identical at every thread count. Bodies that
-/// apply Skolem functions (which mutate the shared factory in first-call
-/// order) and plans that do not open with a scan stay on the sequential
-/// path.
-pub fn match_body_partitioned(
-    atoms: &[Atom],
-    dbs: &Databases<'_>,
-    skolem: &mut SkolemFactory,
-    initial: Bindings,
-    stats: &mut MatchStats,
-    parallelism: Parallelism,
 ) -> Result<Vec<Bindings>> {
     let initially_bound: BTreeSet<Var> = initial.keys().cloned().collect();
-    let steps = build_plan(atoms, &initially_bound, dbs);
-    let threads = parallelism.threads();
-    if threads > 1 && !atoms.iter().any(atom_contains_skolem) {
-        if let Some(Step {
-            atom,
-            kind: StepKind::MemberScan,
-        }) = steps.first()
-        {
-            let Atom::Member(term, class) = &atoms[*atom] else {
-                unreachable!("MemberScan steps are built from Member atoms");
-            };
-            let extent = dbs.extent(class);
-            if extent.len() >= PAR_MIN_EXTENT {
-                stats.extents_scanned += 1;
-                let (extent, steps, initial) = (&extent, &steps, &initial);
-                let pool = WorkerPool::shared(parallelism);
-                let jobs: Vec<Job<'_, (MatchStats, Result<Vec<Bindings>>)>> =
-                    chunk_ranges(extent.len(), threads)
-                        .into_iter()
-                        .map(|range| {
-                            Box::new(move || {
-                                // Fresh factory per worker: sound because
-                                // Skolem-bearing bodies never get here.
-                                let mut factory = SkolemFactory::new();
-                                let mut worker_stats = MatchStats::default();
-                                let mut frame = initial.clone();
-                                let mut trail = Vec::new();
-                                let mut out = Vec::new();
-                                let result = (|| {
-                                    for oid in &extent[range] {
-                                        let value = Value::Oid((*oid).clone());
-                                        let mark = trail.len();
-                                        if match_pattern_in_place(
-                                            term,
-                                            &value,
-                                            &mut frame,
-                                            &mut trail,
-                                            dbs,
-                                            &mut factory,
-                                        ) {
-                                            worker_stats.bindings_considered += 1;
-                                            run_plan(
-                                                1,
-                                                steps,
-                                                atoms,
-                                                dbs,
-                                                &mut factory,
-                                                &mut frame,
-                                                &mut trail,
-                                                &mut out,
-                                                &mut worker_stats,
-                                            )?;
-                                        }
-                                        unwind_trail(&mut frame, &mut trail, mark);
-                                    }
-                                    Ok(())
-                                })();
-                                (worker_stats, result.map(|()| out))
-                            }) as Job<'_, _>
-                        })
-                        .collect();
-                let outcomes = pool.scope(jobs);
-                let mut all = Vec::new();
-                let mut first_err = None;
-                for (worker_stats, result) in outcomes {
-                    stats.absorb(worker_stats);
-                    match result {
-                        Ok(bindings) => all.extend(bindings),
-                        Err(err) => first_err = first_err.or(Some(err)),
-                    }
-                }
-                return match first_err {
-                    Some(err) => Err(err),
-                    None => Ok(all),
-                };
-            }
-        }
-    }
-    let mut bindings = initial;
-    let mut trail = Vec::new();
-    let mut out = Vec::new();
-    run_plan(
-        0,
-        &steps,
-        atoms,
-        dbs,
-        skolem,
-        &mut bindings,
-        &mut trail,
-        &mut out,
-        stats,
-    )?;
-    Ok(out)
+    let plan = build_plan(atoms, &initially_bound, dbs);
+    let partitions = partition_count(dbs.parallelism(), opening_scan(&plan, dbs), atoms);
+    let mut part = Partition::new(initial, skolem, stats);
+    run_plan(&plan, partitions, dbs, &mut part)?;
+    Ok(part.out)
 }
 
 // ---------------------------------------------------------------------------
@@ -1280,6 +1230,12 @@ mod tests {
     use super::*;
     use wol_lang::parse_clause;
 
+    /// Every binding of `body` over `dbs`, from an empty frame.
+    fn all_matches(body: &[Atom], dbs: &Databases<'_>) -> Vec<Bindings> {
+        let (mut sk, mut stats) = (SkolemFactory::new(), MatchStats::default());
+        match_body(body, dbs, &mut sk, Bindings::new(), &mut stats).unwrap()
+    }
+
     fn euro_instance() -> (Instance, Oid, Oid) {
         let mut inst = Instance::new("euro");
         let uk = inst.insert_fresh(
@@ -1397,12 +1353,11 @@ mod tests {
         // Find all (X country, Y capital city) pairs.
         let (inst, uk, fr) = euro_instance();
         let dbs = Databases::new(&[&inst][..]);
-        let mut sk = SkolemFactory::new();
         let clause = parse_clause(
             "Z = Y.name <= X in CountryE, Y in CityE, Y.country = X, Y.is_capital = true",
         )
         .unwrap();
-        let results = match_body(&clause.body, &dbs, &mut sk, Bindings::new()).unwrap();
+        let results = all_matches(&clause.body, &dbs);
         assert_eq!(results.len(), 2);
         let mut countries: Vec<&Value> = results.iter().map(|b| &b["X"]).collect();
         countries.sort();
@@ -1417,11 +1372,10 @@ mod tests {
         // Cities paired with the country record they reference by name.
         let (inst, _, _) = euro_instance();
         let dbs = Databases::new(&[&inst][..]);
-        let mut sk = SkolemFactory::new();
         let clause =
             parse_clause("Z = E.name <= E in CityE, X in CountryE, X.name = E.country.name")
                 .unwrap();
-        let results = match_body(&clause.body, &dbs, &mut sk, Bindings::new()).unwrap();
+        let results = all_matches(&clause.body, &dbs);
         assert_eq!(results.len(), 3);
     }
 
@@ -1432,7 +1386,14 @@ mod tests {
         let mut sk = SkolemFactory::new();
         let clause = parse_clause("Z = Y.name <= Y in CityE, Y.country = X").unwrap();
         let initial = Bindings::from([("X".to_string(), Value::oid(uk))]);
-        let results = match_body(&clause.body, &dbs, &mut sk, initial).unwrap();
+        let results = match_body(
+            &clause.body,
+            &dbs,
+            &mut sk,
+            initial,
+            &mut MatchStats::default(),
+        )
+        .unwrap();
         assert_eq!(results.len(), 2); // London and Manchester
     }
 
@@ -1446,19 +1407,18 @@ mod tests {
             );
         }
         let dbs = Databases::new(&[&inst][..]);
-        let mut sk = SkolemFactory::new();
         let clause =
             parse_clause("Z = X.name <= X in CityA, Y in CityA, X.population < Y.population")
                 .unwrap();
-        let results = match_body(&clause.body, &dbs, &mut sk, Bindings::new()).unwrap();
+        let results = all_matches(&clause.body, &dbs);
         assert_eq!(results.len(), 3); // (a,b), (a,c), (b,c)
         let leq =
             parse_clause("Z = X.name <= X in CityA, Y in CityA, X.population =< Y.population")
                 .unwrap();
-        let results = match_body(&leq.body, &dbs, &mut sk, Bindings::new()).unwrap();
+        let results = all_matches(&leq.body, &dbs);
         assert_eq!(results.len(), 6);
         let neq = parse_clause("Z = X.name <= X in CityA, Y in CityA, X != Y").unwrap();
-        let results = match_body(&neq.body, &dbs, &mut sk, Bindings::new()).unwrap();
+        let results = all_matches(&neq.body, &dbs);
         assert_eq!(results.len(), 6);
     }
 
@@ -1480,9 +1440,8 @@ mod tests {
             ]),
         );
         let dbs = Databases::new(&[&inst][..]);
-        let mut sk = SkolemFactory::new();
         let clause = parse_clause("Z = M <= X in Cluster, M member X.markers").unwrap();
-        let results = match_body(&clause.body, &dbs, &mut sk, Bindings::new()).unwrap();
+        let results = all_matches(&clause.body, &dbs);
         assert_eq!(results.len(), 3);
     }
 
@@ -1498,9 +1457,8 @@ mod tests {
             Value::record([("name", Value::str("Alan")), ("sex", Value::tag("male"))]),
         );
         let dbs = Databases::new(&[&inst][..]);
-        let mut sk = SkolemFactory::new();
         let clause = parse_clause("Z = Y.name <= Y in Person, Y.sex = ins_male()").unwrap();
-        let results = match_body(&clause.body, &dbs, &mut sk, Bindings::new()).unwrap();
+        let results = all_matches(&clause.body, &dbs);
         assert_eq!(results.len(), 1);
         assert_eq!(
             results[0].get("Y").and_then(|v| v.as_oid()).map(|o| o.id()),
@@ -1515,7 +1473,14 @@ mod tests {
         let mut sk = SkolemFactory::new();
         // Neither side of `A = B` can ever be evaluated.
         let clause = parse_clause("Z = 1 <= A = B").unwrap();
-        assert!(match_body(&clause.body, &dbs, &mut sk, Bindings::new()).is_err());
+        assert!(match_body(
+            &clause.body,
+            &dbs,
+            &mut sk,
+            Bindings::new(),
+            &mut MatchStats::default()
+        )
+        .is_err());
         let mut stats = MatchStats::default();
         assert!(
             match_body_reference(&clause.body, &dbs, &mut sk, Bindings::new(), &mut stats).is_err()
@@ -1581,7 +1546,7 @@ mod tests {
             let clause = parse_clause(body).unwrap();
             let mut sk = SkolemFactory::new();
             let mut indexed_stats = MatchStats::default();
-            let mut indexed = match_body_with_stats(
+            let mut indexed = match_body(
                 &clause.body,
                 &dbs,
                 &mut sk,
@@ -1618,9 +1583,7 @@ mod tests {
             parse_clause("Z = 1 <= X in CountryE, Y in CityE, Y.country = X, Y.is_capital = true")
                 .unwrap();
         let mut stats = MatchStats::default();
-        let results =
-            match_body_with_stats(&clause.body, &dbs, &mut sk, Bindings::new(), &mut stats)
-                .unwrap();
+        let results = match_body(&clause.body, &dbs, &mut sk, Bindings::new(), &mut stats).unwrap();
         assert_eq!(results.len(), 2);
         // The plan probes CityE on the constant `is_capital = true`, binds the
         // country through `Y.country = X`, and checks membership — no extent
@@ -1630,95 +1593,201 @@ mod tests {
         assert!(stats.bindings_considered > 0);
     }
 
-    /// The partitioned matcher enumerates a large extent over worker chunks
-    /// (each with its own undo-trail frame) and reproduces the sequential
-    /// matcher's binding *list* — same bindings, same order — with equal
-    /// stats, at every thread count.
-    #[test]
-    fn partitioned_matcher_equals_sequential_on_large_extents() {
+    /// `CountryE` × 10 and `CityE` × `cities`, with every attribute kind the
+    /// body shapes below touch.
+    fn scaled_instance(cities: usize) -> Instance {
         let mut inst = Instance::new("euro");
-        let mut countries = Vec::new();
-        for c in 0..10 {
-            countries.push(inst.insert_fresh(
-                &ClassName::new("CountryE"),
-                Value::record([("name", Value::str(format!("country{c}")))]),
-            ));
-        }
-        for i in 0..200 {
+        let countries: Vec<Oid> = (0..10)
+            .map(|c| {
+                inst.insert_fresh(
+                    &ClassName::new("CountryE"),
+                    Value::record([("name", Value::str(format!("country{c}")))]),
+                )
+            })
+            .collect();
+        for i in 0..cities {
+            let kind = if i % 3 == 0 {
+                Value::Variant("port".into(), Box::new(Value::int((i % 7) as i64)))
+            } else {
+                Value::tag("inland")
+            };
             inst.insert_fresh(
                 &ClassName::new("CityE"),
                 Value::record([
                     ("name", Value::str(format!("city{i}"))),
+                    ("twin", Value::str(format!("city{}", (i * 7 + 3) % cities))),
                     ("is_capital", Value::bool(i % 10 == 0)),
+                    ("population", Value::int((i * 37 % 101) as i64)),
                     ("country", Value::oid(countries[i % 10].clone())),
+                    ("tags", Value::set((0..i % 4).map(|t| Value::int(t as i64)))),
+                    ("kind", kind),
                 ]),
             );
         }
-        let dbs = Databases::new(&[&inst][..]);
-        for body in [
-            "Z = 1 <= E in CityE, E.is_capital = true",
-            "Z = 1 <= E in CityE, X in CountryE, X = E.country",
-            "Z = 1 <= E in CityE, F in CityE, E.country = F.country, F.is_capital = true",
+        inst
+    }
+
+    /// The one partition rule, as a table.
+    #[test]
+    fn partition_count_is_one_rule_over_budget_extent_and_body() {
+        let plain = parse_clause("Z = 1 <= E in CityE").unwrap().body;
+        let skolem = parse_clause("Z = 1 <= E in CityE, Y = Mk_CityT(E.name)")
+            .unwrap()
+            .body;
+        let four = Parallelism::new(4);
+        for (budget, opening, body, expected) in [
+            (Parallelism::sequential(), Some(1_000), &plain, 1),
+            (four, Some(PAR_MIN_EXTENT - 1), &plain, 1),
+            (four, Some(1_000), &skolem, 1),
+            // A plan that opens with a probe has no opening scan.
+            (four, None, &plain, 1),
+            (four, Some(PAR_MIN_EXTENT), &plain, 4),
+            (four, Some(1_000), &plain, 4),
         ] {
-            let clause = parse_clause(body).unwrap();
-            let mut sk = SkolemFactory::new();
-            let mut seq_stats = MatchStats::default();
-            let sequential = match_body_partitioned(
-                &clause.body,
-                &dbs,
-                &mut sk,
-                Bindings::new(),
-                &mut seq_stats,
-                Parallelism::sequential(),
-            )
-            .unwrap();
-            assert!(!sequential.is_empty());
-            for threads in [2, 4, 8] {
-                let mut sk = SkolemFactory::new();
-                let mut par_stats = MatchStats::default();
-                let parallel = match_body_partitioned(
-                    &clause.body,
-                    &dbs,
-                    &mut sk,
-                    Bindings::new(),
-                    &mut par_stats,
-                    Parallelism::new(threads),
-                )
-                .unwrap();
-                assert_eq!(parallel, sequential, "bindings diverged on `{body}`");
-                assert_eq!(par_stats, seq_stats, "stats diverged on `{body}`");
-            }
+            assert_eq!(
+                partition_count(budget, opening, body),
+                expected,
+                "budget {budget:?}, opening scan {opening:?}"
+            );
         }
     }
 
-    /// Skolem-bearing bodies stay on the sequential path (the factory is
-    /// shared, ordered state), and still match correctly at any requested
-    /// parallelism.
+    /// A one-chunk fan-out is not a dispatch: it runs on the calling thread
+    /// against the caller's view, factory and counters. Several chunks each
+    /// get a fresh factory and a one-thread view; results keep chunk order,
+    /// counters are summed, and the earliest chunk's error wins.
     #[test]
-    fn partitioned_matcher_gates_skolem_bodies_to_sequential() {
-        let mut inst = Instance::new("euro");
-        for i in 0..100 {
-            inst.insert_fresh(
-                &ClassName::new("CountryE"),
-                Value::record([("name", Value::str(format!("c{i}")))]),
-            );
-        }
-        let dbs = Databases::new(&[&inst][..]);
-        let clause = parse_clause("Z = 1 <= X in CountryE, Y = Mk_CountryT(X.name)").unwrap();
-        let mut sk = SkolemFactory::new();
-        let mut stats = MatchStats::default();
-        let results = match_body_partitioned(
-            &clause.body,
+    fn single_chunk_fan_out_runs_on_the_calling_thread_with_the_callers_factory() {
+        let inst = Instance::new("empty");
+        let dbs = Databases::new(&[&inst]).with_parallelism(Parallelism::new(4));
+        let class = ClassName::new("T");
+        let caller = std::thread::current().id();
+        let (mut sk, mut stats) = (SkolemFactory::new(), MatchStats::default());
+        let out = fan_out(
+            &[7i64],
+            4,
             &dbs,
             &mut sk,
-            Bindings::new(),
             &mut stats,
-            Parallelism::new(8),
+            |items, dbs, sk, stats| {
+                assert_eq!(std::thread::current().id(), caller);
+                assert_eq!(dbs.parallelism(), Parallelism::new(4));
+                sk.mk(&class, &Value::int(items[0]));
+                stats.index_probes += 1;
+                Ok(items.to_vec())
+            },
         )
         .unwrap();
-        assert_eq!(results.len(), 100);
-        // The shared factory minted the identities in extent order.
-        assert_eq!(sk.count(&ClassName::new("CountryT")), 100);
+        assert_eq!(out, vec![7]);
+        assert_eq!(sk.count(&class), 1);
+        assert_eq!(stats.index_probes, 1);
+
+        let items: Vec<i64> = (0..10).collect();
+        let out = fan_out(
+            &items,
+            4,
+            &dbs,
+            &mut sk,
+            &mut stats,
+            |items, dbs, sk, stats| {
+                assert!(dbs.parallelism().is_sequential());
+                assert_eq!(sk.count(&class), 0);
+                sk.mk(&class, &Value::int(items[0]));
+                stats.index_probes += items.len();
+                Ok(items.to_vec())
+            },
+        )
+        .unwrap();
+        assert_eq!(out, items);
+        assert_eq!(sk.count(&class), 1, "the caller's factory is not shared");
+        assert_eq!(stats.index_probes, 11);
+
+        let err = fan_out(&items, 4, &dbs, &mut sk, &mut stats, |items, _, _, _| {
+            Err::<Vec<i64>, _>(EngineError::Eval(format!("chunk at {}", items[0])))
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("chunk at 0"), "{err}");
+    }
+
+    /// Every body shape the planner produces matches to the same binding
+    /// *list* — same bindings, same order — with equal stats at every budget,
+    /// over extents on both sides of `PAR_MIN_EXTENT`; and a Skolem-bearing
+    /// body never leaves the caller's factory.
+    #[test]
+    fn every_body_shape_is_partition_invariant() {
+        // (body, variable bound by `initial` to the first country, whether a
+        // large extent under a budget above one splits the opening step)
+        let shapes: [(&str, Option<&str>, bool); 10] = [
+            ("Z = 1 <= E in CityE", None, true),
+            ("Z = 1 <= E in CityE, E.is_capital = true", None, false),
+            (
+                "Z = 1 <= E in CityE, F in CityE, F.name = E.twin",
+                None,
+                true,
+            ),
+            ("Z = 1 <= E in CityE, X = E.country", None, true),
+            (
+                "Z = 1 <= E in CityE, F in CityE, E.population < F.population",
+                None,
+                true,
+            ),
+            ("Z = 1 <= X in CountryE, E in CityE, X != E", None, false),
+            ("Z = 1 <= E in CityE, T member E.tags", None, true),
+            ("Z = 1 <= E in CityE, E.kind = ins_port(P)", None, true),
+            (
+                "Z = 1 <= E in CityE, E.population =< 60, 10 < E.population, E.population != 37",
+                None,
+                true,
+            ),
+            ("Z = 1 <= E in CityE, E.country = X", Some("X"), false),
+        ];
+        for cities in [PAR_MIN_EXTENT - 1, PAR_MIN_EXTENT, 150] {
+            let inst = scaled_instance(cities);
+            let first_country = inst
+                .extent(&ClassName::new("CountryE"))
+                .next()
+                .unwrap()
+                .clone();
+            let run = |body: &[Atom], seed: Option<&str>, threads: usize| {
+                let dbs = Databases::new(&[&inst]).with_parallelism(Parallelism::new(threads));
+                let initial: Bindings = seed
+                    .map(|var| (var.to_string(), Value::oid(first_country.clone())))
+                    .into_iter()
+                    .collect();
+                let bound: BTreeSet<Var> = initial.keys().cloned().collect();
+                let plan = build_plan(body, &bound, &dbs);
+                let split = partition_count(dbs.parallelism(), opening_scan(&plan, &dbs), body) > 1;
+                let (mut sk, mut stats) = (SkolemFactory::new(), MatchStats::default());
+                let found = match_body(body, &dbs, &mut sk, initial, &mut stats).unwrap();
+                (found, stats, split, sk)
+            };
+            for (text, seed, splits) in shapes {
+                let body = parse_clause(text).unwrap().body;
+                let (expected, expected_stats, split, _) = run(&body, seed, 1);
+                assert!(!expected.is_empty() && !split, "`{text}` over {cities}");
+                for threads in [2, 3, 8] {
+                    let (found, stats, split, _) = run(&body, seed, threads);
+                    assert_eq!(found, expected, "bindings of `{text}` at {threads} threads");
+                    assert_eq!(
+                        stats, expected_stats,
+                        "stats of `{text}` at {threads} threads"
+                    );
+                    assert_eq!(split, splits && cities >= PAR_MIN_EXTENT, "`{text}`");
+                }
+            }
+            // The Skolem-bearing body: one partition at every budget, every
+            // identity minted by the caller's factory in extent order.
+            let body = parse_clause("Z = 1 <= E in CityE, Y = Mk_CityT(E.name)")
+                .unwrap()
+                .body;
+            let (expected, expected_stats, ..) = run(&body, None, 1);
+            for threads in [2, 3, 8] {
+                let (found, stats, split, sk) = run(&body, None, threads);
+                assert_eq!((found, stats), (expected.clone(), expected_stats));
+                assert!(!split);
+                assert_eq!(sk.count(&ClassName::new("CityT")), cities);
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,37 @@
 //! * [`info_preserve`] — empirical information-preservation (injectivity)
 //!   checking (Section 4.3).
 //!
+//! # Threading
+//!
+//! The engine has one clause-body matcher ([`match_body`]) and one rule for
+//! threads; transformations, constraints, target verification and the naive
+//! oracle all go through both.
+//!
+//! * **The budget is a value on [`Databases`].** A view reads the
+//!   environment (`WOL_THREADS`, else the available cores) once, when it is
+//!   built; a caller configured with a budget of its own — `morphase`'s
+//!   `PipelineOptions.parallelism`, [`NaiveOptions::parallelism`],
+//!   [`check_batch`]'s argument — sets it with
+//!   [`Databases::with_parallelism`]. No match, binding or seed reads the
+//!   environment.
+//! * **A match is one or more partitions of its opening extent scan.** The
+//!   count is 1 unless the budget has several threads, the plan opens with a
+//!   scan of a large enough extent and the body applies no Skolem function;
+//!   one partition runs inline on the caller's frame and [`SkolemFactory`]
+//!   — "sequential matching" is that case, not a second matcher.
+//! * **One fan-out.** Everything that splits work — the opening scan, the
+//!   semi-naive delta seeds, the batch checker's detection and re-check
+//!   phases — cuts its items into contiguous chunks through one helper in
+//!   [`mod@env`]: a single chunk runs on the calling thread; several run on the
+//!   shared worker pool with a fresh factory and counters each, results
+//!   concatenated and counters summed in chunk order. A chunk's job sees a
+//!   one-thread view, so work that is already a chunk never splits again.
+//!
+//! Binding lists, [`MatchStats`], violation lists, certificate bytes and
+//! Skolem numbering are identical at every budget.
+//!
+//! [`SkolemFactory`]: wol_model::SkolemFactory
+//!
 //! # Constraint checking
 //!
 //! [`check_constraints`] validates constraint clauses by full extent scans;
@@ -29,9 +60,9 @@
 //! [`constraints::incremental`] validates a mutation batch by examining only
 //! the delta — read-set analysis decides per constraint whether to skip,
 //! probe the maintained attribute indexes / re-match seeded bindings, or
-//! re-check from scratch — partitioned over the shared worker pool with an
-//! output that is bit-identical to the full scan at every thread count (see
-//! the module docs for the exactness argument).
+//! re-check from scratch — with an output that is bit-identical to the full
+//! scan at every thread count (see the module docs for the exactness
+//! argument).
 //!
 //! Every batch validation emits a [`ConstraintCertificate`]: an auditable,
 //! independently re-checkable record in the spirit of "Rust emits, Lean
@@ -88,10 +119,7 @@ pub use constraints::{
     check_constraint, check_constraints, classify_constraint, enforce_constraints,
     extract_merge_keys, extract_object_keys, ConstraintClass, ObjectKey, Violation,
 };
-pub use env::{
-    eval_term, match_body, match_body_partitioned, match_body_reference, match_body_with_stats,
-    Bindings, Databases, MatchStats,
-};
+pub use env::{eval_term, match_body, match_body_reference, Bindings, Databases, MatchStats};
 pub use error::EngineError;
 pub use info_preserve::{canonical_form, check_injective, instances_equivalent, InjectivityReport};
 pub use normalize::{execute, normalize, NormalClause, NormalProgram, NormalizeOptions};

@@ -34,7 +34,7 @@ use wol_lang::typecheck::check_clause_types;
 use wol_model::{ClassName, Instance, Label, SkolemFactory, Value};
 
 use crate::constraints::{extract_merge_keys, extract_object_keys, ObjectKey};
-use crate::env::{eval_skolem_key, eval_term, match_body, Bindings, Databases};
+use crate::env::{eval_skolem_key, eval_term, match_body, Bindings, Databases, MatchStats};
 use crate::error::EngineError;
 use crate::headform::{analyze_head, HeadObject};
 use crate::optimize::{self, SourceKeys};
@@ -725,7 +725,13 @@ pub fn execute(
     let mut target = Instance::new(target_name);
     let dbs = Databases::new(sources);
     for clause in &normal.clauses {
-        let bindings = match_body(&clause.body, &dbs, &mut factory, Bindings::new())?;
+        let bindings = match_body(
+            &clause.body,
+            &dbs,
+            &mut factory,
+            Bindings::new(),
+            &mut MatchStats::default(),
+        )?;
         for binding in bindings {
             let key_value = eval_skolem_key(&clause.key, &binding, &dbs, &mut factory)?;
             let oid = factory.mk(&clause.class, &key_value);

@@ -32,12 +32,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use wol_lang::ast::{Atom, Term, Var};
 use wol_lang::program::Program;
 use wol_lang::typecheck::check_clause_types;
-use wol_model::{chunk_ranges, ClassName, Instance, Label, Oid, Parallelism, SkolemFactory, Value};
+use wol_model::{ClassName, Instance, Label, Oid, Parallelism, SkolemFactory, Value};
 
 use crate::constraints::{extract_object_keys, ObjectKey};
 use crate::env::{
-    eval_skolem_key, eval_term, match_body_partitioned, match_body_reference, Bindings, Databases,
-    MatchStats,
+    atom_contains_skolem, eval_skolem_key, eval_term, fan_out, match_body, match_body_reference,
+    Bindings, Databases, MatchStats,
 };
 use crate::error::EngineError;
 use crate::headform::{analyze_head, HeadAnalysis};
@@ -56,12 +56,12 @@ pub struct NaiveOptions {
     /// off uses the naive generate-and-test reference matcher, the pre-index
     /// baseline the benchmarks compare against.
     pub use_indexed_matching: bool,
-    /// Worker threads for partitioned body matching and the semi-naive delta
-    /// passes. Defaults to the environment ([`Parallelism::from_env`]:
-    /// available cores, overridable via `WOL_THREADS`). Parallelism never
-    /// changes the produced target — Skolem-bearing clause bodies pin
-    /// themselves to the sequential path, and delta matches are collected
-    /// into an ordered set before updates apply.
+    /// Worker budget of the [`Databases`] view every pass matches against
+    /// (body matching and the semi-naive delta seeds). Defaults to the
+    /// environment ([`Parallelism::from_env`]: available cores, overridable
+    /// via `WOL_THREADS`). The budget never changes the produced target —
+    /// Skolem-bearing clause bodies are always one partition, and delta
+    /// matches are collected into an ordered set before updates apply.
     pub parallelism: Parallelism,
 }
 
@@ -103,8 +103,8 @@ struct AnalysedClause {
 }
 
 /// Match one clause body, honouring the matcher choice. The indexed matcher
-/// partitions its extent scan over `parallelism` workers; the reference
-/// matcher is the sequential baseline and ignores the knob.
+/// takes its worker budget from `dbs`; the reference matcher is the
+/// sequential baseline and has none.
 fn match_clause_body(
     body: &[Atom],
     dbs: &Databases<'_>,
@@ -112,10 +112,9 @@ fn match_clause_body(
     initial: Bindings,
     indexed: bool,
     stats: &mut MatchStats,
-    parallelism: Parallelism,
 ) -> Result<Vec<Bindings>> {
     if indexed {
-        match_body_partitioned(body, dbs, factory, initial, stats, parallelism)
+        match_body(body, dbs, factory, initial, stats)
     } else {
         match_body_reference(body, dbs, factory, initial, stats)
     }
@@ -186,49 +185,35 @@ pub fn naive_transform_with_report(
         // the *start* of the pass (the clause-at-a-time recursive application
         // the paper describes); updates become visible in the next pass.
         let snapshot = target.clone();
+        let mut all: Vec<&Instance> = sources.to_vec();
+        all.push(&snapshot);
+        let dbs = Databases::new(&all).with_parallelism(options.parallelism);
+        let indexed = options.use_indexed_matching;
         for clause in &analysed {
             // Gather the updates with an immutable view of the target, then apply.
             let updates = {
-                let mut all: Vec<&Instance> = sources.to_vec();
-                all.push(&snapshot);
-                let dbs = Databases::new(&all);
-                let bindings: Vec<Bindings> = if full_pass {
-                    match_clause_body(
-                        &clause.body,
-                        &dbs,
-                        &mut factory,
-                        Bindings::new(),
-                        options.use_indexed_matching,
-                        &mut stats,
-                        options.parallelism,
-                    )?
-                } else if !clause.reads_target {
+                let bindings: Vec<Bindings> = if !full_pass && !clause.reads_target {
                     // A source-only clause matches exactly what it matched in
                     // the first pass; its updates are already applied.
                     report.clauses_skipped += 1;
                     continue;
-                } else if clause.target_member_vars.is_empty() {
-                    // Reads the target, but not through a plain variable
-                    // membership the delta restriction can attach to: fall
-                    // back to an unrestricted match.
+                } else if full_pass || clause.target_member_vars.is_empty() {
+                    // A full pass — or a clause that reads the target, but
+                    // not through a plain variable membership the delta
+                    // restriction can attach to: an unrestricted match.
                     match_clause_body(
                         &clause.body,
                         &dbs,
                         &mut factory,
                         Bindings::new(),
-                        options.use_indexed_matching,
+                        indexed,
                         &mut stats,
-                        options.parallelism,
                     )?
                 } else {
                     // Semi-naive: only bindings in which at least one target
                     // membership variable is bound to a delta object can be
                     // new. Seed each target membership variable with each
-                    // delta object of its class and take the union. The
-                    // per-seed matches are independent read-only queries, so
-                    // they run over scoped workers (each with its own binding
-                    // frame) when the clause body is Skolem-free; the union
-                    // is an ordered set, so the merge order cannot matter.
+                    // delta object of its class and take the union.
                     let mut seeds: Vec<(Var, Oid)> = Vec::new();
                     for (var, class) in &clause.target_member_vars {
                         for oid in delta.iter().filter(|oid| oid.class() == class) {
@@ -239,8 +224,8 @@ pub fn naive_transform_with_report(
                         &clause.body,
                         &dbs,
                         &mut factory,
-                        seeds,
-                        options,
+                        &seeds,
+                        indexed,
                         &mut stats,
                     )?;
                     collected.into_iter().collect()
@@ -318,86 +303,42 @@ pub fn naive_transform_with_report(
     Ok((target, report))
 }
 
-/// Match one clause body once per delta seed and take the union. Runs the
-/// seeds over contiguous chunks on the persistent [`wol_model::WorkerPool`]
-/// when the options allow it (a worker budget above one, at least two seeds,
-/// the indexed matcher, and a Skolem-free body — Skolem terms would mutate
-/// the shared factory in first-call order); otherwise matches the seeds
-/// sequentially. Either way the result is an ordered set, so the produced
-/// fixpoint is identical.
+/// Match one clause body once per delta seed and take the union. The seeds
+/// are independent read-only queries, so they are cut into one chunk per
+/// worker of the budget ([`fan_out`]) — unless the body applies a Skolem
+/// function, which must see the one shared factory in seed order. The result
+/// is an ordered set, so the produced fixpoint is identical either way.
 fn match_delta_seeds(
     body: &[Atom],
     dbs: &Databases<'_>,
     factory: &mut SkolemFactory,
-    seeds: Vec<(Var, Oid)>,
-    options: &NaiveOptions,
+    seeds: &[(Var, Oid)],
+    indexed: bool,
     stats: &mut MatchStats,
 ) -> Result<BTreeSet<Bindings>> {
-    let threads = options.parallelism.threads();
-    let parallel_ok = threads > 1
-        && seeds.len() >= 2
-        && options.use_indexed_matching
-        && !body.iter().any(crate::env::atom_contains_skolem);
-    if !parallel_ok {
-        let mut collected = BTreeSet::new();
-        for (var, oid) in seeds {
-            let initial = Bindings::from([(var, Value::Oid(oid))]);
-            collected.extend(match_clause_body(
-                body,
-                dbs,
-                factory,
-                initial,
-                options.use_indexed_matching,
-                stats,
-                Parallelism::sequential(),
-            )?);
-        }
-        return Ok(collected);
-    }
-    let seeds = &seeds;
-    let pool = wol_model::WorkerPool::shared(options.parallelism);
-    let jobs: Vec<wol_model::Job<'_, (MatchStats, Result<Vec<Bindings>>)>> =
-        chunk_ranges(seeds.len(), threads)
-            .into_iter()
-            .map(|range| {
-                Box::new(move || {
-                    // Fresh factory per worker: sound because Skolem-bearing
-                    // bodies never get here.
-                    let mut worker_factory = SkolemFactory::new();
-                    let mut worker_stats = MatchStats::default();
-                    let mut out = Vec::new();
-                    let result = (|| {
-                        for (var, oid) in &seeds[range] {
-                            let initial = Bindings::from([(var.clone(), Value::Oid(oid.clone()))]);
-                            out.extend(match_body_partitioned(
-                                body,
-                                dbs,
-                                &mut worker_factory,
-                                initial,
-                                &mut worker_stats,
-                                Parallelism::sequential(),
-                            )?);
-                        }
-                        Ok(())
-                    })();
-                    (worker_stats, result.map(|()| out))
-                }) as wol_model::Job<'_, _>
-            })
-            .collect();
-    let outcomes = pool.scope(jobs);
-    let mut collected = BTreeSet::new();
-    let mut first_err = None;
-    for (worker_stats, result) in outcomes {
-        stats.absorb(worker_stats);
-        match result {
-            Ok(bindings) => collected.extend(bindings),
-            Err(err) => first_err = first_err.or(Some(err)),
-        }
-    }
-    match first_err {
-        Some(err) => Err(err),
-        None => Ok(collected),
-    }
+    let partitions = if body.iter().any(atom_contains_skolem) {
+        1
+    } else {
+        dbs.parallelism().threads()
+    };
+    let found = fan_out(
+        seeds,
+        partitions,
+        dbs,
+        factory,
+        stats,
+        |chunk, dbs, factory, stats| {
+            let mut out = Vec::new();
+            for (var, oid) in chunk {
+                let initial = Bindings::from([(var.clone(), Value::Oid(oid.clone()))]);
+                out.extend(match_clause_body(
+                    body, dbs, factory, initial, indexed, stats,
+                )?);
+            }
+            Ok(out)
+        },
+    )?;
+    Ok(found.into_iter().collect())
 }
 
 /// Convenience wrapper returning only the target instance.

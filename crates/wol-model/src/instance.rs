@@ -29,6 +29,23 @@ pub struct AttrStats {
     pub distinct: usize,
 }
 
+/// Cardinality and distinct-value statistics of one class as a scan backend
+/// reports them — describing the *unfiltered* stream it would produce — so a
+/// planner can cost scans (and decide join order and pushdown splits)
+/// *before* the class is ingested into an [`Instance`]. Defined once here:
+/// the backends name it `storage::provider::ClassStats`, the planner
+/// `cpl::ExternalClassStats`. Backends carry no histograms, so estimation
+/// over such classes uses the ndv fallback paths.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ClassStats {
+    /// The served class.
+    pub class: ClassName,
+    /// Total rows without any pushed filter.
+    pub rows: usize,
+    /// Approximate distinct values per attribute.
+    pub ndvs: BTreeMap<String, usize>,
+}
+
 /// One applied change to an instance's object population, as recorded by the
 /// optional mutation log (see [`Instance::begin_mutation_log`]). The
 /// persistence layer in `storage` turns these into write-ahead-log records;

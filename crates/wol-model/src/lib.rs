@@ -53,7 +53,7 @@ pub mod values;
 pub use column::{AttrColumn, ColumnChunk, ColumnData, ColumnKind, StringInterner, CHUNK_ROWS};
 pub use error::ModelError;
 pub use histogram::{AttrHistogram, HistogramBucket};
-pub use instance::{AttrStats, Instance, Mutation};
+pub use instance::{AttrStats, ClassStats, Instance, Mutation};
 pub use keys::{rewrite_resolved, KeyExpr, KeySpec, SkolemClaims, SkolemFactory, SkolemState};
 pub use mutate::{BatchDelta, ClassDelta, MutationBatch, SourceOp};
 pub use oid::Oid;

@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use wol_repro::cpl::{self, Expr, Plan};
 use wol_repro::morphase::Morphase;
 use wol_repro::wol_engine::{
-    execute, instances_equivalent, match_body_reference, match_body_with_stats, normalize,
-    Bindings, Databases, MatchStats, NormalizeOptions,
+    execute, instances_equivalent, match_body, match_body_reference, normalize, Bindings,
+    Databases, MatchStats, NormalizeOptions,
 };
 use wol_repro::wol_lang::{parse_clause, render_clause};
 use wol_repro::wol_model::{ClassName, Instance, SkolemFactory, Value};
@@ -35,7 +35,7 @@ fn match_both(
     let clause = parse_clause(body).expect("body parses");
     let mut factory = SkolemFactory::new();
     let mut indexed_stats = MatchStats::default();
-    let mut indexed = match_body_with_stats(
+    let mut indexed = match_body(
         &clause.body,
         dbs,
         &mut factory,
