@@ -9,6 +9,17 @@
 //! boundary — never a half-repaired instance — and two reads from the same
 //! snapshot are trivially consistent with each other.
 //!
+//! **Publishing costs the batch, not the target.** A published snapshot is a
+//! *version* of the working target ([`Instance::snapshot`]): it shares every
+//! chunk of objects and every index shard the batch did not touch, so taking
+//! it is a pointer copy per class and per index, and a reader that holds on
+//! to an old snapshot pins only the chunks the maintainer has replaced since.
+//! Before each publish the maintainer *adopts* the attribute indexes readers
+//! built on the outgoing snapshot: each is built once more on the working
+//! target, maintained by its mutations from then on, and carried by every
+//! later snapshot — a reader's first probe after a publish is a hash lookup,
+//! and an index nobody probed is never built.
+//!
 //! Failure handling is deliberately loud: if the maintainer thread panics,
 //! pending and future requests error immediately (the channel closes), and
 //! [`PipelineService::shutdown`] re-raises the panic on the caller instead of
@@ -49,25 +60,19 @@ fn maintainer(
         match request {
             Request::Apply(batch, reply) => {
                 let result = pipeline.apply_batch(&batch);
-                if result.is_ok() {
-                    let fresh = Arc::new(pipeline.target().clone());
-                    // The critical section only moves an `Arc`, so a
-                    // poisoned lock still guards a valid snapshot: recover
-                    // it rather than panic.
-                    let stale = {
-                        let mut published =
-                            snapshot.write().unwrap_or_else(PoisonError::into_inner);
-                        std::mem::replace(&mut *published, fresh)
-                    };
-                    // This may be the last reference to the whole previous
-                    // target: free it with the guard released, not while
-                    // every `snapshot()` reader is blocked.
-                    drop(stale);
-                } else {
-                    poisoned.store(pipeline.is_poisoned(), Ordering::SeqCst);
-                }
+                let stale = match &result {
+                    Ok(_) => Some(publish(&pipeline, &snapshot)),
+                    Err(_) => {
+                        poisoned.store(pipeline.is_poisoned(), Ordering::SeqCst);
+                        None
+                    }
+                };
                 // A dropped requester is fine; the batch already applied.
                 let _ = reply.send(result);
+                // This may be the last reference to the chunks the batch
+                // replaced: free them after the writer has its answer, and
+                // with the snapshot lock long released.
+                drop(stale);
             }
             Request::Panic => panic!("injected maintainer panic"),
             Request::Shutdown(reply) => {
@@ -78,11 +83,25 @@ fn maintainer(
     }
 }
 
+/// Swap a fresh version of the pipeline's target into the snapshot cell and
+/// hand back the outgoing one. Indexes readers built on the outgoing version
+/// are adopted by the working target first, so the fresh version (and every
+/// later one) carries them.
+fn publish(pipeline: &MaterializedPipeline, snapshot: &RwLock<Arc<Instance>>) -> Arc<Instance> {
+    // The critical sections only clone or move an `Arc`, so a poisoned lock
+    // still guards a valid snapshot: recover it rather than panic.
+    let outgoing = Arc::clone(&snapshot.read().unwrap_or_else(PoisonError::into_inner));
+    pipeline.target().adopt_attr_indexes(&outgoing);
+    let fresh = Arc::new(pipeline.target().snapshot());
+    let mut published = snapshot.write().unwrap_or_else(PoisonError::into_inner);
+    std::mem::replace(&mut *published, fresh)
+}
+
 impl PipelineService {
     /// Stand the pipeline up behind a maintainer thread. The initial
     /// snapshot is the pipeline's current target.
     pub fn start(pipeline: MaterializedPipeline) -> PipelineService {
-        let snapshot = Arc::new(RwLock::new(Arc::new(pipeline.target().clone())));
+        let snapshot = Arc::new(RwLock::new(Arc::new(pipeline.target().snapshot())));
         let poisoned = Arc::new(AtomicBool::new(pipeline.is_poisoned()));
         let (tx, rx) = mpsc::channel();
         let handle = {
@@ -197,6 +216,60 @@ mod tests {
         assert!(before.populated_classes().len() <= after.populated_classes().len());
         let pipeline = service.shutdown().unwrap();
         assert_eq!(pipeline.stats().batches, 1);
+    }
+
+    /// What a reader had to build on one published version is there, built,
+    /// on the versions published after it — and an index no reader probed is
+    /// never built, on the working target or on any version.
+    #[test]
+    fn reader_built_indexes_are_adopted_and_nothing_else_is_built() {
+        let service = service();
+        let (class, probed, unprobed) = (ClassName::new("CloneD"), "name", "length");
+        let clone = |name: &str| {
+            MutationBatch::new().insert(
+                ClassName::new("CloneS"),
+                Value::record([("name", Value::from(name))]),
+            )
+        };
+        let first = service.snapshot();
+        assert!(!first.has_attr_index(&class, probed));
+        service.apply(clone("adopt-a")).unwrap();
+        // The reader probes the *second* version: the maintainer sees that
+        // only when it publishes the third.
+        let second = service.snapshot();
+        assert!(!second.has_attr_index(&class, probed));
+        assert!(
+            second
+                .lookup_by_attr(&class, probed, &Value::from("adopt-a"))
+                .len()
+                == 1
+        );
+        service.apply(clone("adopt-b")).unwrap();
+        let third = service.snapshot();
+        assert!(third.has_attr_index(&class, probed));
+        service.apply(clone("adopt-c")).unwrap();
+        let fourth = service.snapshot();
+        assert!(fourth.has_attr_index(&class, probed));
+        // The carried index is maintained, not stale: it finds what was
+        // inserted after it was adopted and still answers for the old.
+        for (version, names) in [(&third, 2), (&fourth, 3)] {
+            let found = ["adopt-a", "adopt-b", "adopt-c"]
+                .iter()
+                .filter(|name| {
+                    version
+                        .lookup_by_attr(&class, probed, &Value::from(**name))
+                        .len()
+                        == 1
+                })
+                .count();
+            assert_eq!(found, names);
+        }
+        for version in [&first, &second, &third, &fourth] {
+            assert!(!version.has_attr_index(&class, unprobed));
+        }
+        let pipeline = service.shutdown().unwrap();
+        assert!(pipeline.target().has_attr_index(&class, probed));
+        assert!(!pipeline.target().has_attr_index(&class, unprobed));
     }
 
     /// A panic while a writer holds the snapshot lock poisons it; readers

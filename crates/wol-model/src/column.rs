@@ -49,8 +49,9 @@
 //! The intern table is **append-only**: codes, once handed out, never change
 //! meaning. Column invalidation therefore never touches the table — a
 //! rebuilt column re-interns its strings and gets the same codes back. The
-//! table only resets when the whole derived cache is dropped (instance
-//! clone, or [`IndexCache::clear`](crate::index::IndexCache::clear)). A
+//! table only resets when the whole derived cache is dropped (an instance
+//! clone or snapshot starts with a fresh one, or
+//! [`IndexCache::clear`](crate::index::IndexCache::clear)). A
 //! capacity limit (normally `u32::MAX`) bounds the table; a column whose
 //! strings would overflow it falls back to the boxed layout rather than
 //! failing.
@@ -61,8 +62,8 @@
 //! attribute indexes and histograms ([`crate::index::IndexCache`]): **any**
 //! mutation of a class (insert / update / remove) drops that class's row
 //! index and all its columns wholesale, and the next scan rebuilds them
-//! lazily. Equality and cloning of instances ignore the columnar cache
-//! entirely.
+//! lazily. Equality ignores the columnar cache, and neither a clone nor a
+//! snapshot of an instance carries it.
 
 use std::collections::HashMap;
 use std::sync::Arc;

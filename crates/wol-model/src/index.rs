@@ -13,13 +13,19 @@
 //!   probed, by one pass over the class's extent. Workloads that never join on
 //!   an attribute never pay for indexing it.
 //! * **Maintained across single-object mutations** — insert / update /
-//!   remove adjust the affected entries of every built index of the class
-//!   in place, keeping buckets in ascending identity order so a maintained
-//!   index is bit-identical to a fresh rebuild. This keeps the standing
-//!   pipeline's per-batch delta joins O(batch) instead of O(extent). Bulk
-//!   loads still invalidate wholesale, and histograms / columns / row
-//!   indexes are always invalidated on any mutation (they are planner
-//!   statistics and batch projections, rebuilt lazily).
+//!   remove adjust the affected entries of every built index of the class,
+//!   keeping buckets in ascending identity order so a maintained index is
+//!   bit-identical to a fresh rebuild. This keeps the standing pipeline's
+//!   per-batch delta joins O(batch) instead of O(extent). Bulk loads drop
+//!   the class's indexes instead, and histograms / columns / row indexes are
+//!   dropped by any mutation of their class (they are planner statistics and
+//!   batch projections, rebuilt lazily).
+//! * **Versioned** — an [`AttrIndex`] spreads its buckets over hash shards,
+//!   each behind an `Arc`. An [`Instance::snapshot`](crate::Instance::snapshot)
+//!   carries its origin's built indexes by cloning them, which copies one
+//!   pointer per index; maintenance on either side afterwards replaces the
+//!   one shard it touches and leaves the other side's answers as they were.
+//!   Probes stay a hash lookup.
 //! * **Hash buckets, exact verification** — buckets are keyed by a 64-bit
 //!   hash of the attribute value; probes re-check candidates against the live
 //!   value, so hash collisions cost time but never correctness.
@@ -28,8 +34,11 @@
 //! probing takes `&self`, so the read path of the engine stays
 //! borrow-friendly, and shared references can be handed to scoped worker
 //! threads (the parallel executors probe one instance from many workers at
-//! once). Equality and cloning of instances deliberately ignore the cache (it
-//! is derived data).
+//! once). Every instance owns its cache: equality ignores it (it is derived
+//! data), a clone starts with an empty one, a snapshot with one holding only
+//! the origin's attribute indexes — so whatever a version builds lazily is
+//! installed in that version's cache alone and never becomes visible on the
+//! version it was copied from or on that version's other copies.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
@@ -49,25 +58,96 @@ pub fn value_hash(value: &Value) -> u64 {
     hasher.finish()
 }
 
+/// Entries one shard is sized for: an index grows (doubling its shard count)
+/// once it holds more than this many entries per shard, so a mutation of a
+/// shared index copies about this many buckets whatever the extent's size.
+const SHARD_ENTRIES: usize = 64;
+
+/// One hash shard of an index: value-hash → identities, ascending.
+type Shard = HashMap<u64, Vec<Oid>>;
+
 /// A single `(class, attribute)` index: value-hash → object identities whose
 /// attribute carries a value with that hash.
-#[derive(Clone, Debug, Default)]
+///
+/// The buckets are spread over a power-of-two number of hash shards, each
+/// behind its own `Arc` under an `Arc`'d spine. `clone` is therefore one
+/// pointer copy and shares every shard; [`insert_sorted`](Self::insert_sorted)
+/// and [`remove_entry`](Self::remove_entry) on either copy then replace only
+/// the spine and the one shard they touch, leaving the other copy's answers
+/// exactly as they were. Probes never copy.
+#[derive(Clone, Debug)]
 pub struct AttrIndex {
-    buckets: HashMap<u64, Vec<Oid>>,
+    shards: Arc<Vec<Arc<Shard>>>,
     entries: usize,
+    distinct: usize,
+}
+
+impl Default for AttrIndex {
+    fn default() -> Self {
+        AttrIndex::with_capacity(0)
+    }
 }
 
 impl AttrIndex {
-    /// Record that `oid`'s attribute value hashes to `hash`.
+    /// An empty index with enough shards for `entries` entries, so building
+    /// over an extent of known size never re-shards.
+    pub fn with_capacity(entries: usize) -> Self {
+        let shards = entries.div_ceil(SHARD_ENTRIES).max(1).next_power_of_two();
+        AttrIndex {
+            shards: Arc::new((0..shards).map(|_| Arc::default()).collect()),
+            entries: 0,
+            distinct: 0,
+        }
+    }
+
+    fn shard_of(&self, hash: u64) -> usize {
+        // The shard count is a power of two; the low bits pick the shard.
+        (hash as usize) & (self.shards.len() - 1)
+    }
+
+    /// The one shard `hash` lives in, unshared from every other copy.
+    fn shard_mut(&mut self, hash: u64) -> &mut Shard {
+        let at = self.shard_of(hash);
+        Arc::make_mut(&mut Arc::make_mut(&mut self.shards)[at])
+    }
+
+    /// Double the shard count once the shards run over their sized load. A
+    /// bucket's hash decides its shard, so probes answer the same before and
+    /// after.
+    fn grow_if_crowded(&mut self) {
+        let old = self.shards.len();
+        if self.entries <= old * SHARD_ENTRIES {
+            return;
+        }
+        let mut grown: Vec<Shard> = (0..old * 2).map(|_| Shard::new()).collect();
+        let shards = std::mem::take(&mut self.shards);
+        for shard in Arc::try_unwrap(shards).unwrap_or_else(|shared| (*shared).clone()) {
+            for (hash, bucket) in Arc::try_unwrap(shard).unwrap_or_else(|shared| (*shared).clone())
+            {
+                grown[(hash as usize) & (old * 2 - 1)].insert(hash, bucket);
+            }
+        }
+        self.shards = Arc::new(grown.into_iter().map(Arc::new).collect());
+    }
+
+    /// Record that `oid`'s attribute value hashes to `hash`. Builders call
+    /// this in extent (ascending identity) order.
     pub fn add(&mut self, hash: u64, oid: Oid) {
-        self.buckets.entry(hash).or_default().push(oid);
+        let bucket = self.shard_mut(hash).entry(hash).or_default();
+        let opened = bucket.is_empty();
+        bucket.push(oid);
         self.entries += 1;
+        self.distinct += usize::from(opened);
+        self.grow_if_crowded();
     }
 
     /// The candidate identities for a value hash. Candidates must be verified
     /// against the live attribute value by the caller.
     pub fn candidates(&self, hash: u64) -> &[Oid] {
-        self.buckets.get(&hash).map(Vec::as_slice).unwrap_or(&[])
+        self.shards[self.shard_of(hash)]
+            .get(&hash)
+            .map(Vec::as_slice)
+            .unwrap_or(&[])
     }
 
     /// Insert `oid` into `hash`'s bucket, keeping the bucket in ascending
@@ -75,25 +155,35 @@ impl AttrIndex {
     /// maintained index stays bit-identical to a rebuilt one. A no-op if the
     /// identity is already present.
     pub fn insert_sorted(&mut self, hash: u64, oid: Oid) {
-        let bucket = self.buckets.entry(hash).or_default();
-        if let Err(pos) = bucket.binary_search(&oid) {
-            bucket.insert(pos, oid);
-            self.entries += 1;
-        }
+        // Look before unsharing: a no-op must not copy a shard.
+        let Err(pos) = self.candidates(hash).binary_search(&oid) else {
+            return;
+        };
+        let bucket = self.shard_mut(hash).entry(hash).or_default();
+        let opened = bucket.is_empty();
+        bucket.insert(pos, oid);
+        self.entries += 1;
+        self.distinct += usize::from(opened);
+        self.grow_if_crowded();
     }
 
     /// Remove `oid` from `hash`'s bucket. Emptied buckets are dropped so
     /// [`distinct`](AttrIndex::distinct) matches a fresh rebuild.
     pub fn remove_entry(&mut self, hash: u64, oid: &Oid) {
-        if let Some(bucket) = self.buckets.get_mut(&hash) {
-            if let Ok(pos) = bucket.binary_search(oid) {
-                bucket.remove(pos);
-                self.entries -= 1;
-                if bucket.is_empty() {
-                    self.buckets.remove(&hash);
-                }
-            }
+        let Ok(pos) = self.candidates(hash).binary_search(oid) else {
+            return;
+        };
+        let shard = self.shard_mut(hash);
+        let Some(bucket) = shard.get_mut(&hash) else {
+            return;
+        };
+        bucket.remove(pos);
+        let emptied = bucket.is_empty();
+        if emptied {
+            shard.remove(&hash);
         }
+        self.entries -= 1;
+        self.distinct -= usize::from(emptied);
     }
 
     /// Number of indexed `(value, oid)` entries.
@@ -106,12 +196,27 @@ impl AttrIndex {
     /// attribute's number of distinct values — exactly the quantity the query
     /// planner's `1/ndv` equality selectivities need.
     pub fn distinct(&self) -> usize {
-        self.buckets.len()
+        self.distinct
     }
 
     /// True if nothing is indexed.
     pub fn is_empty(&self) -> bool {
         self.entries == 0
+    }
+
+    /// Shard count and how many of those shards `other` holds too (the same
+    /// allocation, not equal content).
+    pub(crate) fn shards_shared_with(&self, other: Option<&AttrIndex>) -> (usize, usize) {
+        let shared = match other {
+            Some(other) if other.shards.len() == self.shards.len() => self
+                .shards
+                .iter()
+                .zip(other.shards.iter())
+                .filter(|(mine, theirs)| Arc::ptr_eq(mine, theirs))
+                .count(),
+            _ => 0,
+        };
+        (self.shards.len(), shared)
     }
 }
 
@@ -147,6 +252,36 @@ impl IndexCache {
     /// Install a freshly built index.
     pub fn insert(&mut self, class: ClassName, attr: Label, index: AttrIndex) {
         self.indexes.entry(class).or_default().insert(attr, index);
+    }
+
+    /// The index for `(class, attr)`, installing `built` if none is there
+    /// yet: when two readers race to build, both end up probing the first.
+    pub fn get_or_insert(&mut self, class: &ClassName, attr: &str, built: AttrIndex) -> &AttrIndex {
+        self.indexes
+            .entry(class.clone())
+            .or_default()
+            .entry(attr.to_string())
+            .or_insert(built)
+    }
+
+    /// Every built `(class, attribute)` index, in key order.
+    pub fn indexes(&self) -> impl Iterator<Item = (&ClassName, &Label, &AttrIndex)> {
+        self.indexes.iter().flat_map(|(class, by_attr)| {
+            by_attr
+                .iter()
+                .map(move |(attr, index)| (class, attr, index))
+        })
+    }
+
+    /// A cache holding this one's attribute indexes *by reference* (each
+    /// shares its shards until either side next changes it) and nothing
+    /// else: histograms, columns, row indexes and the dictionary start empty
+    /// and are rebuilt lazily by whoever owns the new cache.
+    pub fn share_indexes(&self) -> IndexCache {
+        IndexCache {
+            indexes: self.indexes.clone(),
+            ..IndexCache::default()
+        }
     }
 
     /// The histogram for `(class, attr)`, if it has been built.
@@ -263,6 +398,79 @@ mod tests {
         assert_eq!(idx.candidates(h).len(), 2);
         assert_eq!(idx.len(), 2);
         assert!(idx.candidates(h ^ 1).is_empty());
+    }
+
+    /// Growing past the sized load re-shards without changing any answer, and
+    /// a pre-sized index never re-shards.
+    #[test]
+    fn resharding_keeps_every_bucket_and_count() {
+        let class = ClassName::new("C");
+        let n = 10 * SHARD_ENTRIES as u64;
+        let mut grown = AttrIndex::default();
+        let mut sized = AttrIndex::with_capacity(n as usize);
+        let shards_when_sized = sized.shards.len();
+        for id in 0..n {
+            // Two identities per value: half as many buckets as entries.
+            let hash = value_hash(&Value::int((id / 2) as i64));
+            grown.add(hash, Oid::new(class.clone(), id));
+            sized.add(hash, Oid::new(class.clone(), id));
+        }
+        assert!(grown.shards.len() > 1);
+        assert_eq!(sized.shards.len(), shards_when_sized);
+        for index in [&grown, &sized] {
+            assert_eq!(index.len(), n as usize);
+            assert_eq!(index.distinct(), n as usize / 2);
+            for key in 0..n / 2 {
+                let ids: Vec<u64> = index
+                    .candidates(value_hash(&Value::int(key as i64)))
+                    .iter()
+                    .map(Oid::id)
+                    .collect();
+                assert_eq!(ids, vec![2 * key, 2 * key + 1]);
+            }
+        }
+    }
+
+    /// Maintenance on one copy replaces the shard it touches and nothing
+    /// else; the other copy keeps answering as before.
+    #[test]
+    fn maintaining_a_copy_leaves_the_shared_original_untouched() {
+        let class = ClassName::new("C");
+        let n = 16 * SHARD_ENTRIES as u64;
+        let mut writer = AttrIndex::with_capacity(n as usize);
+        for id in 0..n {
+            writer.add(
+                value_hash(&Value::int(id as i64)),
+                Oid::new(class.clone(), id),
+            );
+        }
+        let held = writer.clone();
+        let total = writer.shards.len();
+        assert_eq!(writer.shards_shared_with(Some(&held)), (total, total));
+
+        let (moved, from, to) = (Oid::new(class.clone(), 7), 7i64, -7i64);
+        // No-ops copy nothing.
+        writer.insert_sorted(value_hash(&Value::int(from)), moved.clone());
+        writer.remove_entry(value_hash(&Value::int(to)), &moved);
+        assert_eq!(writer.shards_shared_with(Some(&held)), (total, total));
+        writer.remove_entry(value_hash(&Value::int(from)), &moved);
+        writer.insert_sorted(value_hash(&Value::int(to)), moved.clone());
+        let (_, shared) = writer.shards_shared_with(Some(&held));
+        assert!(
+            shared >= total - 2,
+            "{shared} of {total} shards still shared"
+        );
+        assert_eq!(writer.shards_shared_with(None), (total, 0));
+
+        assert_eq!(
+            held.candidates(value_hash(&Value::int(from))),
+            std::slice::from_ref(&moved)
+        );
+        assert!(held.candidates(value_hash(&Value::int(to))).is_empty());
+        assert!(writer.candidates(value_hash(&Value::int(from))).is_empty());
+        assert_eq!(writer.candidates(value_hash(&Value::int(to))), [moved]);
+        assert_eq!((held.len(), held.distinct()), (n as usize, n as usize));
+        assert_eq!((writer.len(), writer.distinct()), (n as usize, n as usize));
     }
 
     #[test]

@@ -4,6 +4,34 @@
 //! each class and a mapping from each identity to its associated value, such
 //! that every identity occurring inside a value belongs to one of the
 //! instance's extents (Section 2.1).
+//!
+//! ## Versions
+//!
+//! Extent and value map are one structure here: per declared class, a
+//! persistent ordered store of `(identity, value)` entries
+//! ([`crate::store`]). Copying an instance copies one pointer per class, and
+//! the copy and the original are from then on two *versions* that share every
+//! chunk of entries neither has changed since; a mutation copies the chunk it
+//! touches, never the class. Whoever holds a version keeps seeing exactly the
+//! objects it held when the version was taken.
+//!
+//! There are two ways to take a version, differing only in derived data:
+//!
+//! * [`Clone::clone`] carries the objects and the identity counters and
+//!   starts with **empty caches** — every index, histogram, column and row
+//!   index is rebuilt lazily on the copy, as if the instance had just been
+//!   loaded.
+//! * [`Instance::snapshot`] additionally carries the **built attribute
+//!   indexes**, by reference (they are versioned the same way, see
+//!   [`crate::index`]). Histograms, columns and row indexes still start
+//!   empty. This is what a standing service publishes: a reader's first probe
+//!   on a fresh snapshot is a hash lookup, not an extent scan.
+//!
+//! Neither kind of copy shares its *cache* with its origin, only immutable
+//! pieces inside it. A lazy build on one version installs into that
+//! version's cache alone, so it is never visible on the original or on a
+//! sibling, and maintenance on the writer's side replaces shared pieces
+//! instead of editing them.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, RwLock};
@@ -13,7 +41,8 @@ use crate::error::ModelError;
 use crate::histogram::{AttrHistogram, SAMPLE_THRESHOLD};
 use crate::index::{value_hash, AttrIndex, IndexCache};
 use crate::oid::{Oid, OidGen};
-use crate::types::ClassName;
+use crate::store::ClassStore;
+use crate::types::{ClassName, Label};
 use crate::values::Value;
 use crate::Result;
 
@@ -62,12 +91,29 @@ pub enum Mutation {
     Remove(Oid),
 }
 
+/// How much of one instance version's storage another version also holds:
+/// the same allocations, not merely equal content (see
+/// [`Instance::storage_shared_with`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StorageSharing {
+    /// Object-store chunks of this version.
+    pub chunks: usize,
+    /// Of those, chunks the other version holds too.
+    pub shared_chunks: usize,
+    /// Hash shards over this version's built attribute indexes.
+    pub index_shards: usize,
+    /// Of those, shards the other version's index of the same key holds too.
+    pub shared_index_shards: usize,
+}
+
 /// A database instance: extents of object identities per class, plus the value
 /// associated with each identity.
 ///
 /// Instances also carry a lazily built cache of secondary attribute indexes
 /// (see [`crate::index`]) used by the engine's join machinery; the cache is
-/// derived data and is ignored by equality and excluded from clones.
+/// derived data and is ignored by equality. A clone starts with an empty
+/// cache; a [`snapshot`](Instance::snapshot) carries the built attribute
+/// indexes and nothing else of it (see the [module docs](self)).
 ///
 /// The cache sits behind an [`RwLock`], so an `Instance` is [`Sync`]: the
 /// parallel executors share `&Instance` across [`std::thread::scope`] workers,
@@ -78,13 +124,14 @@ pub enum Mutation {
 #[derive(Debug, Default)]
 pub struct Instance {
     schema_name: String,
-    extents: BTreeMap<ClassName, BTreeSet<Oid>>,
-    values: BTreeMap<Oid, Value>,
+    /// Every declared class with its objects; a class emptied by removals
+    /// stays declared.
+    classes: BTreeMap<ClassName, ClassStore>,
     oid_gen: OidGen,
     index: RwLock<IndexCache>,
     /// Optional mutation log (see [`begin_mutation_log`](Self::begin_mutation_log)).
     /// Like the index cache this is bookkeeping, not data: it is ignored by
-    /// equality and excluded from clones.
+    /// equality and excluded from clones and snapshots.
     mutation_log: Option<Vec<Mutation>>,
 }
 
@@ -92,8 +139,7 @@ impl Clone for Instance {
     fn clone(&self) -> Self {
         Instance {
             schema_name: self.schema_name.clone(),
-            extents: self.extents.clone(),
-            values: self.values.clone(),
+            classes: self.classes.clone(),
             oid_gen: self.oid_gen.clone(),
             index: RwLock::new(IndexCache::default()),
             mutation_log: None,
@@ -104,8 +150,7 @@ impl Clone for Instance {
 impl PartialEq for Instance {
     fn eq(&self, other: &Self) -> bool {
         self.schema_name == other.schema_name
-            && self.extents == other.extents
-            && self.values == other.values
+            && self.classes == other.classes
             && self.oid_gen == other.oid_gen
     }
 }
@@ -118,8 +163,7 @@ impl Instance {
     pub fn new(schema_name: impl Into<String>) -> Self {
         Instance {
             schema_name: schema_name.into(),
-            extents: BTreeMap::new(),
-            values: BTreeMap::new(),
+            classes: BTreeMap::new(),
             oid_gen: OidGen::new(),
             index: RwLock::new(IndexCache::default()),
             mutation_log: None,
@@ -131,22 +175,39 @@ impl Instance {
         &self.schema_name
     }
 
+    /// A version of this instance that also carries its built attribute
+    /// indexes: [`clone`](Clone::clone) plus every `(class, attribute)` index
+    /// by reference. Costs one pointer per class and per index. Histograms,
+    /// columns and row indexes start empty on the snapshot, exactly as on a
+    /// clone. See the [module docs](self) for what the two versions share.
+    pub fn snapshot(&self) -> Instance {
+        let mut version = self.clone();
+        version.index = RwLock::new(self.cache_read().share_indexes());
+        version
+    }
+
     /// Insert an object with a caller-provided identity.
     ///
     /// The identity's class must match the extent it is inserted into, and the
     /// identity must not already be present.
     pub fn insert(&mut self, oid: Oid, value: Value) -> Result<()> {
-        let class = oid.class().clone();
-        if self.values.contains_key(&oid) {
+        if self.contains(&oid) {
             return Err(ModelError::DuplicateOid(oid.to_string()));
         }
+        self.insert_absent(oid, value);
+        Ok(())
+    }
+
+    /// The shared tail of every single-object insert: maintain the indexes,
+    /// log, store. The caller has established that `oid` is not present.
+    fn insert_absent(&mut self, oid: Oid, value: Value) {
         self.reindex(&oid, None, Some(&value));
-        self.extents.entry(class).or_default().insert(oid.clone());
         if let Some(log) = &mut self.mutation_log {
             log.push(Mutation::Insert(oid.clone(), value.clone()));
         }
-        self.values.insert(oid, value);
-        Ok(())
+        let store = self.classes.entry(oid.class().clone()).or_default();
+        let inserted = store.insert(oid, value);
+        debug_assert!(inserted, "insert_absent of a present identity");
     }
 
     /// Insert many objects of one class at once, paying the cache
@@ -161,18 +222,17 @@ impl Instance {
         let mut batch_seen = BTreeSet::new();
         for (oid, _) in &objects {
             debug_assert_eq!(oid.class(), class, "bulk_insert identity of foreign class");
-            if self.values.contains_key(oid) || !batch_seen.insert(oid.clone()) {
+            if self.contains(oid) || !batch_seen.insert(oid.id()) {
                 return Err(ModelError::DuplicateOid(oid.to_string()));
             }
         }
         self.cache_write().invalidate_class(class);
-        let extent = self.extents.entry(class.clone()).or_default();
+        let store = self.classes.entry(class.clone()).or_default();
         for (oid, value) in objects {
-            extent.insert(oid.clone());
             if let Some(log) = &mut self.mutation_log {
                 log.push(Mutation::Insert(oid.clone(), value.clone()));
             }
-            self.values.insert(oid, value);
+            store.insert(oid, value);
         }
         Ok(())
     }
@@ -181,107 +241,105 @@ impl Instance {
     /// Restoring a persisted instance uses this so a class whose objects were
     /// all removed round-trips to an equal instance.
     pub fn ensure_class(&mut self, class: &ClassName) {
-        self.extents.entry(class.clone()).or_default();
+        self.classes.entry(class.clone()).or_default();
     }
 
     /// Insert an object with a freshly generated identity, returning it.
     pub fn insert_fresh(&mut self, class: &ClassName, value: Value) -> Oid {
         let oid = self.oid_gen.fresh(class);
-        self.reindex(&oid, None, Some(&value));
-        self.extents
-            .entry(class.clone())
-            .or_default()
-            .insert(oid.clone());
-        if let Some(log) = &mut self.mutation_log {
-            log.push(Mutation::Insert(oid.clone(), value.clone()));
+        // The generator does not know identities inserted explicitly; minting
+        // one of those again replaces the object under it.
+        let displaced = self.classes.get_mut(class).and_then(|s| s.remove(oid.id()));
+        if let Some(old) = displaced {
+            self.reindex(&oid, Some(&old), None);
         }
-        self.values.insert(oid.clone(), value);
+        self.insert_absent(oid.clone(), value);
         oid
     }
 
     /// Replace the value of an existing object.
     pub fn update(&mut self, oid: &Oid, value: Value) -> Result<()> {
-        let Some(old) = self.values.get(oid) else {
+        let Some(old) = self.value(oid) else {
             return Err(ModelError::DanglingOid(oid.to_string()));
         };
         self.reindex(oid, Some(old), Some(&value));
         if let Some(log) = &mut self.mutation_log {
             log.push(Mutation::Update(oid.clone(), value.clone()));
         }
-        self.values.insert(oid.clone(), value);
+        if let Some(store) = self.classes.get_mut(oid.class()) {
+            store.replace(oid.id(), value);
+        }
         Ok(())
     }
 
     /// The value associated with an identity.
     pub fn value(&self, oid: &Oid) -> Option<&Value> {
-        self.values.get(oid)
+        self.classes.get(oid.class())?.get(oid.id())
     }
 
     /// The value associated with an identity, or an error if it is unknown.
     pub fn value_or_err(&self, oid: &Oid) -> Result<&Value> {
-        self.values
-            .get(oid)
+        self.value(oid)
             .ok_or_else(|| ModelError::DanglingOid(oid.to_string()))
     }
 
     /// Whether the identity is present in this instance.
     pub fn contains(&self, oid: &Oid) -> bool {
-        self.values.contains_key(oid)
+        self.value(oid).is_some()
     }
 
     /// The extent (set of identities) of a class; empty if the class has no
     /// objects.
     pub fn extent(&self, class: &ClassName) -> impl Iterator<Item = &Oid> {
-        self.extents.get(class).into_iter().flatten()
+        self.classes
+            .get(class)
+            .into_iter()
+            .flat_map(ClassStore::oids)
     }
 
     /// The number of objects in a class's extent.
     pub fn extent_size(&self, class: &ClassName) -> usize {
-        self.extents.get(class).map(BTreeSet::len).unwrap_or(0)
+        self.classes.get(class).map_or(0, ClassStore::len)
     }
 
     /// Iterate over `(oid, value)` pairs of a class's extent.
     pub fn objects(&self, class: &ClassName) -> impl Iterator<Item = (&Oid, &Value)> {
-        self.extent(class).map(move |oid| {
-            let value = self.values.get(oid).expect("extent oid always has a value");
-            (oid, value)
-        })
+        self.classes
+            .get(class)
+            .into_iter()
+            .flat_map(ClassStore::iter)
     }
 
-    /// Iterate over every `(oid, value)` pair in the instance.
+    /// Iterate over every `(oid, value)` pair in the instance, by class and
+    /// within a class by ascending identity.
     pub fn all_objects(&self) -> impl Iterator<Item = (&Oid, &Value)> {
-        self.values.iter()
+        self.classes.values().flat_map(ClassStore::iter)
     }
 
     /// The classes that have a (possibly empty) extent recorded.
     pub fn populated_classes(&self) -> Vec<ClassName> {
-        self.extents.keys().cloned().collect()
+        self.classes.keys().cloned().collect()
     }
 
     /// Total number of objects across all classes.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.classes.values().map(ClassStore::len).sum()
     }
 
     /// True if the instance holds no objects.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len() == 0
     }
 
     /// Remove an object from the instance. Dangling references left behind are
     /// detected by [`validate::check_instance`](crate::validate::check_instance).
     pub fn remove(&mut self, oid: &Oid) -> Option<Value> {
-        if let Some(ext) = self.extents.get_mut(oid.class()) {
-            ext.remove(oid);
+        let removed = self.classes.get_mut(oid.class())?.remove(oid.id())?;
+        self.reindex(oid, Some(&removed), None);
+        if let Some(log) = &mut self.mutation_log {
+            log.push(Mutation::Remove(oid.clone()));
         }
-        let removed = self.values.remove(oid);
-        if let Some(old) = &removed {
-            self.reindex(oid, Some(old), None);
-            if let Some(log) = &mut self.mutation_log {
-                log.push(Mutation::Remove(oid.clone()));
-            }
-        }
-        removed
+        Some(removed)
     }
 
     /// Look up an object of `class` by a projected field value, e.g. find the
@@ -301,23 +359,19 @@ impl Instance {
     /// [`crate::index`]). The first probe of a `(class, attr)` pair builds the
     /// index in one pass over the extent; subsequent probes are hash lookups.
     pub fn lookup_by_attr(&self, class: &ClassName, attr: &str, value: &Value) -> Vec<Oid> {
-        self.ensure_attr_index(class, attr);
-        let cache = self.cache_read();
-        let index = cache
-            .get(class, attr)
-            .expect("ensure_attr_index always installs the index");
-        index
-            .candidates(value_hash(value))
-            .iter()
-            // Hash buckets are candidates only: verify against the live value.
-            .filter(|oid| {
-                self.values
-                    .get(oid)
-                    .and_then(|v| v.project(attr))
-                    .is_some_and(|v| v == value)
-            })
-            .cloned()
-            .collect()
+        self.with_attr_index(class, attr, |index| {
+            index
+                .candidates(value_hash(value))
+                .iter()
+                // Hash buckets are candidates only: verify against the live value.
+                .filter(|oid| {
+                    self.value(oid)
+                        .and_then(|v| v.project(attr))
+                        .is_some_and(|v| v == value)
+                })
+                .cloned()
+                .collect()
+        })
     }
 
     /// Cheap per-attribute statistics for cost-based planning: the number of
@@ -327,15 +381,10 @@ impl Instance {
     /// statistics of an attribute that will later be joined on costs nothing
     /// extra — the one pass over the extent is shared.
     pub fn attr_stats(&self, class: &ClassName, attr: &str) -> AttrStats {
-        self.ensure_attr_index(class, attr);
-        let cache = self.cache_read();
-        let index = cache
-            .get(class, attr)
-            .expect("ensure_attr_index always installs the index");
-        AttrStats {
+        self.with_attr_index(class, attr, |index| AttrStats {
             entries: index.len(),
             distinct: index.distinct(),
-        }
+        })
     }
 
     /// Approximate number of distinct values attribute `attr` takes across
@@ -391,21 +440,15 @@ impl Instance {
         if let Some(col) = self.cache_read().get_column(class, attr) {
             return col.clone();
         }
-        let rows = self.class_row_index(class);
         let mut cache = self.cache_write();
         // Another reader may have built the column while we waited for the
         // write lock; keep the first build so Arc identity stays stable.
         if let Some(col) = cache.get_column(class, attr) {
             return col.clone();
         }
-        let values: Vec<Option<&Value>> = rows
-            .iter()
-            .map(|oid| {
-                self.values
-                    .get(oid)
-                    .expect("extent oid always has a value")
-                    .project(attr)
-            })
+        let values: Vec<Option<&Value>> = self
+            .objects(class)
+            .map(|(_, value)| value.project(attr))
             .collect();
         let built = Arc::new(AttrColumn::build(&values, cache.interner_mut()));
         cache.insert_column(class.clone(), attr.to_string(), built.clone());
@@ -525,18 +568,65 @@ impl Instance {
             .insert_histogram(class.clone(), attr.to_string(), histogram);
     }
 
-    fn ensure_attr_index(&self, class: &ClassName, attr: &str) {
-        if self.cache_read().contains(class, attr) {
-            return;
+    /// Run `probe` against the `(class, attr)` index, building it first — one
+    /// pass over the extent — if this version has none. `probe` runs under
+    /// the cache lock, so it must not reach back into the cache.
+    fn with_attr_index<R>(
+        &self,
+        class: &ClassName,
+        attr: &str,
+        probe: impl FnOnce(&AttrIndex) -> R,
+    ) -> R {
+        if let Some(index) = self.cache_read().get(class, attr) {
+            return probe(index);
         }
-        let mut built = AttrIndex::default();
+        let mut built = AttrIndex::with_capacity(self.extent_size(class));
         for (oid, value) in self.objects(class) {
             if let Some(attr_value) = value.project(attr) {
                 built.add(value_hash(attr_value), oid.clone());
             }
         }
-        self.cache_write()
-            .insert(class.clone(), attr.to_string(), built);
+        probe(self.cache_write().get_or_insert(class, attr, built))
+    }
+
+    /// The keys of every attribute index this version has built.
+    pub fn built_attr_indexes(&self) -> Vec<(ClassName, Label)> {
+        self.cache_read()
+            .indexes()
+            .map(|(class, attr, _)| (class.clone(), attr.clone()))
+            .collect()
+    }
+
+    /// Build, on this version, every attribute index `probed` has built and
+    /// this version lacks. A standing writer calls this with the version its
+    /// readers have been probing: what a reader had to build once is from
+    /// then on maintained by the writer's mutations and carried by its
+    /// [`snapshot`](Instance::snapshot)s. Nothing is built that nobody probed.
+    pub fn adopt_attr_indexes(&self, probed: &Instance) {
+        for (class, attr) in probed.built_attr_indexes() {
+            self.with_attr_index(&class, &attr, |_| ());
+        }
+    }
+
+    /// How many of this version's object-store chunks and attribute-index
+    /// shards `other` holds too. Exposed for tests and diagnostics: it is how
+    /// "a publish costs the batch, not the target" is checked by counting.
+    pub fn storage_shared_with(&self, other: &Instance) -> StorageSharing {
+        let mut sharing = StorageSharing::default();
+        for (class, store) in &self.classes {
+            let theirs = other.classes.get(class);
+            let (chunks, shared) = store.chunks_shared_with(theirs);
+            sharing.chunks += chunks;
+            sharing.shared_chunks += shared;
+        }
+        // Pointer copies, so the two cache locks are never held together.
+        let theirs = other.cache_read().share_indexes();
+        for (class, attr, index) in self.cache_read().indexes() {
+            let (shards, shared) = index.shards_shared_with(theirs.get(class, attr));
+            sharing.index_shards += shards;
+            sharing.shared_index_shards += shared;
+        }
+        sharing
     }
 
     /// Merge another instance into this one. Identities must be disjoint;
@@ -554,7 +644,7 @@ impl Instance {
     fn fresh_noncolliding(&mut self, class: &ClassName) -> Oid {
         loop {
             let oid = self.oid_gen.fresh(class);
-            if !self.values.contains_key(&oid) {
+            if !self.contains(&oid) {
                 return oid;
             }
         }
@@ -635,7 +725,7 @@ impl Instance {
     /// Total number of value-tree nodes stored; a rough size metric used by
     /// the benchmark harness.
     pub fn size_nodes(&self) -> usize {
-        self.values.values().map(Value::size).sum()
+        self.all_objects().map(|(_, value)| value.size()).sum()
     }
 
     // -----------------------------------------------------------------------
@@ -724,31 +814,33 @@ impl Instance {
         }
         // Extents: first class whose identity sets differ.
         let classes: BTreeSet<&ClassName> =
-            self.extents.keys().chain(other.extents.keys()).collect();
-        for class in &classes {
-            let left = self.extents.get(*class).cloned().unwrap_or_default();
-            let right = other.extents.get(*class).cloned().unwrap_or_default();
-            if let Some(oid) = left.difference(&right).next() {
+            self.classes.keys().chain(other.classes.keys()).collect();
+        for class in classes {
+            let sizes = || {
+                format!(
+                    "(left extent {}, right extent {})",
+                    self.extent_size(class),
+                    other.extent_size(class)
+                )
+            };
+            if let Some(oid) = self.extent(class).find(|oid| !other.contains(oid)) {
                 return Some(format!(
-                    "class `{class}`: {oid} present in left only \
-                     (left extent {}, right extent {})",
-                    left.len(),
-                    right.len()
+                    "class `{class}`: {oid} present in left only {}",
+                    sizes()
                 ));
             }
-            if let Some(oid) = right.difference(&left).next() {
+            if let Some(oid) = other.extent(class).find(|oid| !self.contains(oid)) {
                 return Some(format!(
-                    "class `{class}`: {oid} present in right only \
-                     (left extent {}, right extent {})",
-                    left.len(),
-                    right.len()
+                    "class `{class}`: {oid} present in right only {}",
+                    sizes()
                 ));
             }
         }
         // Values: first object whose value differs, drilled down to the first
-        // differing record attribute where possible.
-        for (oid, left) in &self.values {
-            let Some(right) = other.values.get(oid) else {
+        // differing record attribute where possible. (The extents agree, so
+        // every left object has a right counterpart.)
+        for (oid, left) in self.all_objects() {
+            let Some(right) = other.value(oid) else {
                 return Some(format!("{oid}: value present in left only"));
             };
             if left == right {
@@ -787,11 +879,6 @@ impl Instance {
                 brief(left),
                 brief(right)
             ));
-        }
-        for oid in other.values.keys() {
-            if !self.values.contains_key(oid) {
-                return Some(format!("{oid}: value present in right only"));
-            }
         }
         // Fresh-identity counters (part of instance equality).
         let counter_classes: BTreeSet<&ClassName> = self
@@ -1327,6 +1414,71 @@ mod tests {
         let copy = inst.clone();
         assert_eq!(copy.attr_index_count(), 0);
         assert_eq!(copy, inst);
+    }
+
+    #[test]
+    fn snapshots_carry_built_attr_indexes_and_stay_bit_identical_to_a_rebuild() {
+        let (mut inst, uk, fr) = euro_instance();
+        let country = ClassName::new("CountryE");
+        inst.lookup_by_attr(&country, "currency", &Value::str("franc"));
+        inst.attr_histogram(&country, "currency");
+        inst.attr_column(&country, "currency");
+        let held = inst.snapshot();
+        // The index came along by reference; statistics did not.
+        assert!(held.has_attr_index(&country, "currency"));
+        assert_eq!(held.built_attr_indexes(), inst.built_attr_indexes());
+        assert!(!held.has_attr_histogram(&country, "currency"));
+        assert!(!held.has_attr_column(&country, "currency"));
+        assert!(!held.is_logging_mutations());
+        assert_eq!(held, inst);
+        let sharing = held.storage_shared_with(&inst);
+        assert_eq!(sharing.shared_chunks, sharing.chunks);
+        assert_eq!(sharing.shared_index_shards, sharing.index_shards);
+        assert!(sharing.index_shards > 0);
+
+        // The writer moves on: an update, a removal, an insert.
+        let mut v = inst.value(&uk).unwrap().clone();
+        if let Value::Record(ref mut fields) = v {
+            fields.insert("currency".into(), Value::str("franc"));
+        }
+        inst.update(&uk, v).unwrap();
+        inst.remove(&fr);
+        let spain = inst.insert_fresh(
+            &country,
+            Value::record([
+                ("name", Value::str("Spain")),
+                ("currency", Value::str("peseta")),
+            ]),
+        );
+        // The held version answers as it did, exactly like a cold rebuild of
+        // the same objects; the writer's maintained index like a rebuild of
+        // the new ones.
+        for (version, expected) in [
+            (&held, [vec![uk.clone()], vec![fr.clone()], vec![]]),
+            (&inst, [vec![], vec![uk.clone()], vec![spain.clone()]]),
+        ] {
+            let rebuilt = version.clone();
+            assert_eq!(rebuilt.attr_index_count(), 0);
+            for (currency, hits) in ["sterling", "franc", "peseta"].iter().zip(&expected) {
+                let probe = Value::str(*currency);
+                assert_eq!(&version.lookup_by_attr(&country, "currency", &probe), hits);
+                assert_eq!(&rebuilt.lookup_by_attr(&country, "currency", &probe), hits);
+            }
+            assert_eq!(
+                version.attr_stats(&country, "currency"),
+                rebuilt.attr_stats(&country, "currency")
+            );
+        }
+        assert!(held.contains(&fr) && !held.contains(&spain));
+
+        // Adoption builds what the other version probed and this one lacks —
+        // and only that.
+        let reader = inst.snapshot();
+        reader.lookup_by_attr(&country, "name", &Value::str("Spain"));
+        assert!(!inst.has_attr_index(&country, "name"));
+        inst.adopt_attr_indexes(&reader);
+        assert!(inst.has_attr_index(&country, "name"));
+        assert_eq!(inst.attr_index_count(), 2);
     }
 
     /// The parallel executors rely on sharing `&Instance` across scoped

@@ -22,14 +22,19 @@
 //!
 //! An [`Instance`] stores its objects row-major — `Oid → Value` — because
 //! mutation, validation and the API boundary all speak whole complex values.
+//! The rows of a class sit in one persistent, chunked, identity-ordered
+//! store, so copying an instance is a pointer copy per class and a later
+//! mutation copies the chunk it touches: instances are cheap *versions* of
+//! one another (see [`instance`] for what `clone` and `snapshot` carry).
 //! Underneath, the lazy cache on each instance *derives* column-major views
 //! for the hot read paths: per-(class, attribute) typed column chunks with
 //! missing-value bitmaps and a shared string dictionary ([`column`],
 //! [`Instance::attr_column`]), per-attribute hash indexes, and equi-depth
 //! histograms (sampled above [`histogram::SAMPLE_THRESHOLD`] rows). All of
-//! them hang off the same [`index::IndexCache`] and are invalidated together
-//! on mutation, so a derived view can never outlive the rows it was built
-//! from. Row-major remains the source of truth; the columns are a cache.
+//! them hang off the same [`index::IndexCache`], owned by one version and
+//! maintained (attribute indexes) or dropped (the rest) on mutation, so a
+//! derived view can never outlive the rows it was built from. Row-major
+//! remains the source of truth; the columns are a cache.
 //!
 //! The crate is self-contained and has no dependency on the WOL language itself;
 //! it is the substrate every other crate in the workspace builds on.
@@ -46,6 +51,7 @@ pub mod oid;
 pub mod parallel;
 pub mod path;
 pub mod schema;
+mod store;
 pub mod types;
 pub mod validate;
 pub mod values;
@@ -53,7 +59,7 @@ pub mod values;
 pub use column::{AttrColumn, ColumnChunk, ColumnData, ColumnKind, StringInterner, CHUNK_ROWS};
 pub use error::ModelError;
 pub use histogram::{AttrHistogram, HistogramBucket};
-pub use instance::{AttrStats, ClassStats, Instance, Mutation};
+pub use instance::{AttrStats, ClassStats, Instance, Mutation, StorageSharing};
 pub use keys::{rewrite_resolved, KeyExpr, KeySpec, SkolemClaims, SkolemFactory, SkolemState};
 pub use mutate::{BatchDelta, ClassDelta, MutationBatch, SourceOp};
 pub use oid::Oid;

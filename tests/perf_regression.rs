@@ -628,3 +628,77 @@ fn e12_incremental_constraint_checks_are_at_least_5x_faster_than_full_rescans() 
          got {speedup:.1}x (full {full:?}, incremental {incremental:?})"
     );
 }
+
+/// The publish-cost guard, by counting instead of timing: a standing
+/// pipeline over the `serve_constrained` source (22.4k source objects, 6.4k
+/// in the target) publishes a version after every 6-op batch, and each new
+/// version must *share* — the same allocations, not equal copies — at least
+/// 95 % of its object-store chunks and index shards with the previous one,
+/// copying at most four chunks per target object the batch touched. The
+/// shards are those of the index a reader probed on an earlier version and
+/// the writer adopted, so index maintenance is held to the same bound.
+#[test]
+fn publishing_a_batch_shares_all_but_the_touched_chunks_with_the_previous_version() {
+    use wol_repro::morphase::MaterializedPipeline;
+    use wol_repro::wol_model::Value;
+    use wol_repro::workloads::constrained::{self, ConstrainedGen, ConstrainedParams};
+
+    let source = constrained::generate_source(&ConstrainedParams::scaled(16));
+    let mut pipeline = MaterializedPipeline::new(
+        &constrained::program(),
+        vec![source.clone()],
+        PipelineOptions::default(),
+    )
+    .expect("constrained pipeline builds");
+    let user = ClassName::new("UserD");
+    let mut previous = pipeline.target().snapshot();
+    // A reader's probe builds the index on the published version; the writer
+    // adopts it before the next publish, as `PipelineService` does.
+    previous.lookup_by_attr(&user, "email", &Value::str("nobody"));
+    assert_eq!(pipeline.target().attr_index_count(), 0);
+
+    let mut gen = ConstrainedGen::new(&source, 22);
+    let (mut touched_total, mut copied_total) = (0usize, 0usize);
+    for batch in 0..12 {
+        let report = pipeline
+            .apply_batch(&gen.next_batch(6))
+            .expect("clean batch commits");
+        pipeline.target().adopt_attr_indexes(&previous);
+        let version = pipeline.target().snapshot();
+        assert!(version.has_attr_index(&user, "email"));
+
+        // Objects the batch touched, counted from the two versions' content.
+        let changed = version
+            .all_objects()
+            .filter(|(oid, value)| previous.value(oid) != Some(value))
+            .count()
+            + previous
+                .all_objects()
+                .filter(|(oid, _)| !version.contains(oid))
+                .count();
+        let touched = changed.max(report.objects_repaired as usize);
+        let sharing = version.storage_shared_with(&previous);
+        let copied = sharing.chunks - sharing.shared_chunks;
+        assert!(
+            copied <= 4 * touched,
+            "batch {batch}: {copied} chunks copied for {touched} touched objects ({sharing:?})"
+        );
+        if batch > 0 {
+            // (Version 0 had no index to share: the reader built it there.)
+            let (all, shared) = (
+                sharing.chunks + sharing.index_shards,
+                sharing.shared_chunks + sharing.shared_index_shards,
+            );
+            assert!(sharing.chunks >= 100 && sharing.index_shards >= 100);
+            assert!(
+                shared * 100 >= all * 95,
+                "batch {batch}: only {shared} of {all} chunks and shards shared ({sharing:?})"
+            );
+        }
+        touched_total += touched;
+        copied_total += copied;
+        previous = version;
+    }
+    assert!(touched_total > 0, "the stream never touched the target");
+    eprintln!("[publish] {copied_total} chunks copied for {touched_total} touched objects");
+}

@@ -1051,3 +1051,180 @@ proptest! {
         }
     }
 }
+
+/// One published version as a reader would see it, copied out value by value
+/// at the moment it was taken: the declared classes and every object. Every
+/// other read (extents, probes, columns) is a function of these.
+struct VersionRecord {
+    version: Instance,
+    classes: Vec<ClassName>,
+    objects: Vec<(wol_repro::wol_model::Oid, Value)>,
+}
+
+impl VersionRecord {
+    fn take(version: Instance) -> VersionRecord {
+        VersionRecord {
+            classes: version.populated_classes(),
+            objects: version
+                .all_objects()
+                .map(|(oid, value)| (oid.clone(), value.clone()))
+                .collect(),
+            version,
+        }
+    }
+
+    /// The record attributes of each class, from its first recorded object.
+    fn keys(&self) -> Vec<(ClassName, String)> {
+        let mut keys = Vec::new();
+        for class in &self.classes {
+            let first = self.objects.iter().find(|(oid, _)| oid.class() == class);
+            if let Some((_, Value::Record(fields))) = first {
+                keys.extend(fields.keys().map(|attr| (class.clone(), attr.clone())));
+            }
+        }
+        keys
+    }
+
+    /// Hold `reader` — the recorded version itself, or a copy of it — to the
+    /// record: extents, values, probes of `probe_values` (answered by a scan
+    /// of the record) and columns.
+    fn check(&self, reader: &Instance, probe_values: &[Value]) -> Result<(), String> {
+        prop_assert_eq!(reader.populated_classes(), self.classes.clone());
+        let all: Vec<_> = reader
+            .all_objects()
+            .map(|(oid, value)| (oid.clone(), value.clone()))
+            .collect();
+        prop_assert!(all == self.objects, "objects of a held version changed");
+        for (class, attr) in self.keys() {
+            let of_class = || self.objects.iter().filter(|(oid, _)| oid.class() == &class);
+            let extent: Vec<_> = reader.extent(&class).cloned().collect();
+            let expected: Vec<_> = of_class().map(|(oid, _)| oid.clone()).collect();
+            prop_assert!(extent == expected, "extent of {} changed", class);
+            let held = of_class().filter_map(|(_, value)| value.project(&attr).cloned());
+            for probe in held.take(6).chain(probe_values.iter().cloned()) {
+                let expected: Vec<_> = of_class()
+                    .filter(|(_, value)| value.project(&attr) == Some(&probe))
+                    .map(|(oid, _)| oid.clone())
+                    .collect();
+                prop_assert!(
+                    reader.lookup_by_attr(&class, &attr, &probe) == expected,
+                    "probe of {}.{} = {:?} changed",
+                    class,
+                    attr,
+                    probe
+                );
+            }
+            let column = reader.attr_column(&class, &attr);
+            let dict = reader.dict_strings();
+            let cells: Vec<_> = (0..column.rows())
+                .map(|row| column.value_at(row, &dict))
+                .collect();
+            let expected: Vec<_> = of_class()
+                .map(|(_, value)| value.project(&attr).cloned())
+                .collect();
+            prop_assert!(cells == expected, "column {}.{} changed", class, attr);
+        }
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Snapshot isolation of the versioned `Instance`: a reader holding the
+    /// version published after batch *n* reads bit-identical extents, values,
+    /// `lookup_by_attr` answers and `attr_column`s after the writer has
+    /// applied and published up to eight more batches — through the version's
+    /// own (carried, writer-maintained) indexes and again through a cold
+    /// clone of it that re-derives everything from the shared chunks. Lazy
+    /// builds on a version never show up on the writer's target or on a
+    /// sibling version. Runs under the pipeline's default parallelism, so the
+    /// three CI thread-count passes each exercise it.
+    #[test]
+    fn held_snapshots_stay_bit_identical_while_the_writer_publishes(
+        constrained_kind in 0usize..2,
+        size in 1usize..4,
+        seed in 0u64..500,
+        stream_seed in 0u64..500,
+        batches in 1usize..9,
+        ops in 1usize..7,
+    ) {
+        use wol_repro::morphase::{MaterializedPipeline, PipelineOptions};
+        use wol_repro::wol_model::MutationBatch;
+        use wol_repro::workloads::constrained::{self, ConstrainedGen, ConstrainedParams};
+        use wol_repro::workloads::genome::{self, GenomeParams};
+        use wol_repro::workloads::traffic::{TrafficGen, TrafficWeights};
+
+        // Sources sized so the target classes span several store chunks.
+        let (program, source) = if constrained_kind == 1 {
+            let params = ConstrainedParams {
+                users: 70 * size,
+                profiles: 20,
+                accounts: 20,
+                seed,
+            };
+            (constrained::program(), constrained::generate_source(&params))
+        } else {
+            let params = GenomeParams { clones: 30 * size, markers: 60 * size, density: 0.5, seed };
+            (genome::program(), genome::generate_source(&params))
+        };
+        let mut next_batch: Box<dyn FnMut() -> MutationBatch> = if constrained_kind == 1 {
+            let mut gen = ConstrainedGen::new(&source, stream_seed);
+            Box::new(move || gen.next_batch(ops))
+        } else {
+            let mut gen = TrafficGen::new(&source, stream_seed, TrafficWeights::mixed());
+            Box::new(move || gen.next_batch(ops))
+        };
+        let mut pipeline =
+            MaterializedPipeline::new(&program, vec![source.clone()], PipelineOptions::default())
+                .unwrap();
+
+        // A reader probes every attribute of the first version; the writer
+        // adopts those indexes, so later versions carry them by reference
+        // while the writer keeps maintaining its own copy.
+        let first = VersionRecord::take(pipeline.target().snapshot());
+        first.check(&first.version, &[])?;
+        pipeline.target().adopt_attr_indexes(&first.version);
+        let keys = first.keys();
+        let mut held = vec![first];
+
+        for _ in 0..batches {
+            pipeline.apply_batch(&next_batch()).unwrap();
+            let version = pipeline.target().snapshot();
+            let sibling = pipeline.target().snapshot();
+            let cold = pipeline.target().clone();
+            prop_assert_eq!(cold.attr_index_count(), 0);
+            // Builds on one version stay on that version.
+            for (class, attr) in &keys {
+                version.attr_histogram(class, attr);
+                version.attr_column(class, attr);
+                cold.attr_stats(class, attr);
+                prop_assert!(!sibling.has_attr_histogram(class, attr));
+                prop_assert!(!sibling.has_attr_column(class, attr));
+                prop_assert!(!pipeline.target().has_attr_histogram(class, attr));
+                prop_assert!(!pipeline.target().has_attr_column(class, attr));
+            }
+            prop_assert_eq!(sibling.built_attr_indexes(), pipeline.target().built_attr_indexes());
+            held.push(VersionRecord::take(version));
+        }
+
+        // Values that only later versions know, plus one nobody has.
+        let mut probe_values = vec![Value::str("\u{0}absent")];
+        for (_, value) in pipeline.target().all_objects() {
+            if let Value::Record(fields) = value {
+                probe_values.extend(fields.values().take(1).cloned());
+            }
+            if probe_values.len() > 8 {
+                break;
+            }
+        }
+        for record in &held {
+            record.check(&record.version, &probe_values)?;
+            record.check(&record.version.clone(), &probe_values)?;
+            record.check(&record.version.snapshot(), &probe_values)?;
+        }
+        // And the writer's own maintained indexes answer like a rebuild.
+        let last = VersionRecord::take(pipeline.target().clone());
+        last.check(pipeline.target(), &probe_values)?;
+    }
+}
