@@ -72,11 +72,11 @@
 //! observe a half-repaired target, and a panicked maintainer propagates at
 //! shutdown instead of hanging its clients.
 //!
-//! Durability reuses [`storage::persist::PipelineJournal`], journalling the
-//! *source*: batch 0 is a full dump, every applied batch appends its
-//! mutations, and recovery rebuilds the pipeline from the recovered source —
-//! valid precisely because the standing state is always equivalent to a
-//! rebuild from current sources.
+//! Durability is the one durable store, [`storage::persist::PipelineJournal`],
+//! keeping the *source*: batch 0 is a full dump, every applied batch is one
+//! commit of what the batch changed, and recovery rebuilds the pipeline from
+//! the recovered source — valid precisely because the standing state is
+//! always equivalent to a rebuild from current sources.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -92,7 +92,7 @@ use wol_lang::program::Program;
 use wol_lang::Clause;
 use wol_model::{
     BatchDelta, ClassName, Instance, Label, Mutation, MutationBatch, Oid, Schema, SkolemFactory,
-    SkolemState, SourceOp, Type, Value,
+    SourceOp, Type, Value,
 };
 
 use crate::pipeline::{
@@ -1267,11 +1267,11 @@ impl MaterializedPipeline {
         options: PipelineOptions,
         durable: &DurableOptions,
     ) -> Result<MaterializedPipeline> {
-        if sources.len() != 1 {
+        let Ok([source]) = <[Instance; 1]>::try_from(sources) else {
             return Err(MorphaseError::Durability(
                 "durable maintenance supports exactly one source instance".into(),
             ));
-        }
+        };
         let source_schema = program
             .sources
             .first()
@@ -1287,12 +1287,13 @@ impl MaterializedPipeline {
                 recovery.completed,
             )
         } else {
-            let source = sources.into_iter().next().expect("length checked above");
+            // The given source was populated before any log recorded it:
+            // batch 0 spells its whole population out.
             let dump: Vec<Mutation> = source
                 .all_objects()
                 .map(|(oid, value)| Mutation::Insert(oid.clone(), value.clone()))
                 .collect();
-            journal.record_query(0, dump, Vec::new(), &source)?;
+            journal.append(0, dump, &source, None)?;
             (source, 0, 1)
         };
         source.begin_mutation_log();
@@ -1388,13 +1389,7 @@ impl MaterializedPipeline {
             }
         };
         if let Some(journal) = self.journal.as_mut() {
-            let mutations = self.sources[source].take_mutation_log();
-            if let Err(e) = journal.record_query(
-                self.next_batch,
-                mutations,
-                Vec::new(),
-                &self.sources[source],
-            ) {
+            if let Err(e) = journal.commit(self.next_batch, &mut self.sources[source], None) {
                 self.poisoned = true;
                 return Err(e.into());
             }
@@ -1622,7 +1617,7 @@ impl MaterializedPipeline {
     /// snapshot. The pipeline keeps accepting batches afterwards.
     pub fn checkpoint(&mut self) -> Result<()> {
         if let Some(journal) = self.journal.as_mut() {
-            journal.finish(&self.sources[0], &SkolemState::default())?;
+            journal.checkpoint(&self.sources[0], None)?;
         }
         Ok(())
     }

@@ -14,7 +14,6 @@
 //! reported before data errors on every path.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -25,7 +24,7 @@ use storage::ScanProvider;
 use wol_engine::normalize::{NormalProgram, NormalizeOptions};
 use wol_engine::snf::{program_to_snf, snf_stats, SnfStats};
 use wol_lang::program::Program;
-use wol_model::{ClassName, Instance, Job, SkolemFactory, WorkerPool};
+use wol_model::{Instance, Job, SkolemFactory, WorkerPool};
 
 use crate::compile::{compile_program_with, PlanMode};
 use crate::federate::Federation;
@@ -117,8 +116,9 @@ impl Default for PipelineOptions {
 
 /// Where (and how) a durable run journals its progress.
 ///
-/// Durable runs write a snapshot + write-ahead-log journal under `dir` (see
-/// `storage::persist::PipelineJournal`): each applied query becomes one
+/// Durable runs keep the one durable store, a snapshot + write-ahead log
+/// under `dir` (see `storage::persist::PipelineJournal`): each applied query
+/// — for a standing pipeline, each applied source batch — becomes one
 /// committed batch, so a run killed between queries resumes after the last
 /// completed one instead of re-running the whole program. The journal is
 /// keyed by a fingerprint of the compiled program; reusing the directory
@@ -500,13 +500,10 @@ pub(crate) enum Rows<'a> {
     Providers(&'a [&'a dyn ScanProvider]),
 }
 
-/// A durable run's journal, what it recovered and wrote, and the Skolem
-/// factory's per-class counters as of the last journalled query (the
-/// watermark the next query's fresh assignments are read against).
+/// A durable run's journal and what it recovered and wrote.
 struct Journalling {
     journal: PipelineJournal,
     stats: DurabilityStats,
-    mark: BTreeMap<ClassName, u64>,
 }
 
 /// The pipeline body: plan → ingest → source-constraint check → execute →
@@ -613,7 +610,6 @@ pub(crate) fn run_pipeline(
                     skipped: 0,
                     journaled: 0,
                 },
-                mark: ctx.factory.counter_snapshot(),
             });
         }
         let mut next_index: u64 = 0;
@@ -709,10 +705,7 @@ pub(crate) fn run_pipeline(
                     }
                 };
                 if let Some(j) = journalling.as_mut() {
-                    let mutations = target.take_mutation_log();
-                    let assignments = ctx.factory.assignments_since(&j.mark);
-                    j.journal.record_query(k, mutations, assignments, &target)?;
-                    j.mark = ctx.factory.counter_snapshot();
+                    j.journal.commit(k, &mut target, Some(&ctx.factory))?;
                     j.stats.journaled += 1;
                 }
                 join_stats.extend(join_estimates[qi].iter().zip(&actuals).map(|(est, act)| {
@@ -745,7 +738,7 @@ pub(crate) fn run_pipeline(
         // journal directory holds the full target compactly.
         if let Some(j) = journalling.as_mut() {
             target.end_mutation_log();
-            j.journal.finish(&target, &ctx.factory.export_state())?;
+            j.journal.checkpoint(&target, Some(&ctx.factory))?;
         }
         shard_stats = ctx.take_shard_stats();
         columnar.absorb(&ctx.take_columnar_stats());

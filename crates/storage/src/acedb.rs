@@ -220,8 +220,9 @@ pub fn parse_ace(source: &str, text: &str) -> Result<AceStore> {
             None => (line, ""),
         };
         let values = parse_ace_values(source, line_no, rest)?;
-        let value = match values.len() {
-            0 => {
+        let value = match <[AceValue; 1]>::try_from(values) {
+            Ok([single]) => single,
+            Err(values) if values.is_empty() => {
                 return Err(StorageError::corrupt_at_line(
                     source,
                     line_no,
@@ -229,8 +230,7 @@ pub fn parse_ace(source: &str, text: &str) -> Result<AceStore> {
                     "end of line",
                 ));
             }
-            1 => values.into_iter().next().expect("length checked"),
-            _ => AceValue::Many(values),
+            Err(values) => AceValue::Many(values),
         };
         object.tags.insert(tag.to_string(), value);
     }

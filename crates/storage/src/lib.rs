@@ -32,14 +32,27 @@
 //!
 //! # Durability
 //!
-//! The [`persist`] module stores an instance as a **snapshot** plus a
-//! **write-ahead log**; recovery loads the snapshot, replays every intact
-//! committed WAL batch, and discards the torn tail. This realises the
-//! paper's consistent-update-set semantics on disk: a recovered instance is
-//! always the result of a *prefix of whole update batches*, never a torn
-//! one.
+//! The [`persist`] module holds **one** durable store,
+//! [`PipelineJournal`]: an instance kept as a **snapshot** (`pipeline.snap`)
+//! plus a **write-ahead log** (`pipeline.wal`) under one directory, bound to
+//! one program by a fingerprint. The caller mutates its instance and commits;
+//! each commit appends one batch — fingerprint, the mutations, the Skolem
+//! assignments and fresh-identity counters that moved, a progress marker —
+//! and syncs it. Recovery loads the snapshot, replays every intact committed
+//! WAL batch, and discards the torn tail. This realises the paper's
+//! consistent-update-set semantics on disk: a recovered instance is always
+//! the result of a *prefix of whole update batches*, never a torn one.
 //!
-//! ## WAL layout (`store.wal` / `pipeline.wal`)
+//! A **checkpoint** folds the log into the snapshot in two steps: rename a
+//! fully written and synced new snapshot over the old one, then truncate the
+//! log. A crash *between* the steps leaves the new snapshot (`wal_seq = N`)
+//! beside the old log, whose batches are all numbered below `N`. Such a log
+//! is **superseded**, not torn: the snapshot already holds every one of its
+//! batches, so recovery skips them, reports how many
+//! ([`RecoveryReport::superseded_batches`], `torn_tail: None`) and truncates
+//! the log as the interrupted checkpoint would have.
+//!
+//! ## WAL layout (`pipeline.wal`)
 //!
 //! A WAL is a flat sequence of records; every integer is little-endian and
 //! `varint` is LEB128 (zigzag for signed):
@@ -63,12 +76,13 @@
 //! ```
 //!
 //! Records between commit markers form a **batch**; `seq` numbers batches
-//! consecutively starting from the snapshot's `wal_seq`. Replay stops at the
-//! first truncated header or body, checksum mismatch, undecodable payload,
+//! consecutively starting from the snapshot's `wal_seq` (leading batches
+//! numbered below it are superseded, see above). Replay stops at the first
+//! truncated header or body, checksum mismatch, undecodable payload,
 //! out-of-order commit, or uncommitted tail — everything before that point
 //! is applied, everything after is truncated away.
 //!
-//! ## Snapshot layout (`store.snap` / `pipeline.snap`)
+//! ## Snapshot layout (`pipeline.snap`)
 //!
 //! ```text
 //! snapshot := magic:"WOLSNAP\0"  version:u32  body  crc:u32
@@ -125,6 +139,18 @@
 //!
 //! [`Instance`]: wol_model::Instance
 
+// Library code reports; it does not panic. Malformed files, short reads and
+// "impossible" states are `StorageError`s — enforced here so it stays true.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod acedb;
 pub mod csv;
 pub mod error;
@@ -134,7 +160,7 @@ pub mod relational;
 
 pub use acedb::{AceObject, AceStore, AceValue};
 pub use error::StorageError;
-pub use persist::{DurableInstance, FaultKind, FaultPolicy, PipelineJournal, RecoveryReport};
+pub use persist::{FaultKind, FaultPolicy, PipelineJournal, RecoveryReport};
 pub use provider::{
     ingest_class, AceProvider, ClassStats, CsvDirProvider, IngestStats, PushOp, Pushdown,
     PushedFilter, RelationalProvider, ScanProvider, ScanSummary, DEFAULT_CHUNK_ROWS,

@@ -36,6 +36,13 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
+/// The little-endian `u32` at `bytes[at..at + 4]`; `None` when the input ends
+/// before it does.
+pub fn u32_at(bytes: &[u8], at: usize) -> Option<u32> {
+    let chunk = bytes.get(at..)?.first_chunk()?;
+    Some(u32::from_le_bytes(*chunk))
+}
+
 /// Compute the CRC-32 checksum of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
@@ -205,34 +212,44 @@ impl<'a> ByteReader<'a> {
         StorageError::corrupt_at_offset(&self.source, self.pos as u64, expected, found)
     }
 
+    fn short_read(&self, n: usize) -> StorageError {
+        self.corrupt(
+            format!("{n} more bytes"),
+            format!("only {} remaining", self.remaining()),
+        )
+    }
+
     /// Consume exactly `n` bytes; a short read is a corrupt-input error.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(self.corrupt(
-                format!("{n} more bytes"),
-                format!("only {} remaining", self.remaining()),
-            ));
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
+        let rest = &self.bytes[self.pos..];
+        let slice = rest.get(..n).ok_or_else(|| self.short_read(n))?;
         self.pos += n;
         Ok(slice)
     }
 
+    /// Consume exactly `N` bytes as a fixed-size array; a short read is the
+    /// same corrupt-input error [`take`](Self::take) reports.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let rest = &self.bytes[self.pos..];
+        let chunk = rest.first_chunk().ok_or_else(|| self.short_read(N))?;
+        self.pos += N;
+        Ok(*chunk)
+    }
+
     /// Read one byte.
     pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        let [byte] = self.array()?;
+        Ok(byte)
     }
 
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32> {
-        let bytes = self.take(4)?;
-        Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes taken")))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Read a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64> {
-        let bytes = self.take(8)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes taken")))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Read an LEB128 varint.

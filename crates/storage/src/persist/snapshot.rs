@@ -123,17 +123,20 @@ pub fn encode_snapshot(
 
 /// Decode and verify a snapshot image.
 pub fn decode_snapshot(bytes: &[u8], source: &str) -> Result<SnapshotData> {
-    if bytes.len() < SNAPSHOT_MAGIC.len() + 8 {
+    // Verify the whole-file checksum before decoding anything.
+    let min_len = SNAPSHOT_MAGIC.len() + 8;
+    let Some((covered, trailer)) = bytes
+        .split_last_chunk::<4>()
+        .filter(|_| bytes.len() >= min_len)
+    else {
         return Err(StorageError::corrupt_at_offset(
             source,
             0,
-            format!("a snapshot of at least {} bytes", SNAPSHOT_MAGIC.len() + 8),
+            format!("a snapshot of at least {min_len} bytes"),
             format!("{} bytes", bytes.len()),
         ));
-    }
-    // Verify the whole-file checksum before decoding anything.
-    let (covered, trailer) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
+    };
+    let stored = u32::from_le_bytes(*trailer);
     let actual = codec::crc32(covered);
     if stored != actual {
         return Err(StorageError::corrupt_at_offset(

@@ -240,6 +240,11 @@ pub struct WalReplay {
     pub committed_len: u64,
     /// Sequence number the next committed batch must carry.
     pub next_seq: u64,
+    /// Intact batches at the head of the log numbered *below* `first_seq`:
+    /// the snapshot the log is replayed over already holds them (a crash
+    /// between a checkpoint's snapshot rename and its log truncation leaves
+    /// them behind). Skipped, never replayed, and not a torn tail.
+    pub superseded: usize,
     /// Present when bytes past `committed_len` were discarded.
     pub tail: Option<TornTail>,
 }
@@ -247,7 +252,10 @@ pub struct WalReplay {
 /// Scan a log image, returning every intact committed batch and discarding
 /// the torn tail. Never fails: *any* malformation — truncated header or
 /// body, checksum mismatch, undecodable payload, out-of-order commit,
-/// uncommitted trailing records — ends the committed prefix there.
+/// uncommitted trailing records — ends the committed prefix there. Leading
+/// batches numbered below `first_seq` are *superseded*, not malformed: they
+/// are counted and skipped, and since `committed_len` only advances over
+/// replayed batches, a log holding nothing else is truncated to empty.
 pub fn replay_wal(bytes: &[u8], source: &str, first_seq: u64) -> WalReplay {
     let mut replay = WalReplay {
         next_seq: first_seq,
@@ -267,7 +275,8 @@ pub fn replay_wal(bytes: &[u8], source: &str, first_seq: u64) -> WalReplay {
             return replay;
         }
         let record_start = pos as u64;
-        if bytes.len() - pos < 8 {
+        let (Some(len), Some(crc)) = (codec::u32_at(bytes, pos), codec::u32_at(bytes, pos + 4))
+        else {
             replay.tail = Some(torn(
                 replay.committed_len,
                 format!(
@@ -277,9 +286,7 @@ pub fn replay_wal(bytes: &[u8], source: &str, first_seq: u64) -> WalReplay {
                 ),
             ));
             return replay;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
+        };
         if len > MAX_RECORD_LEN {
             replay.tail = Some(torn(
                 replay.committed_len,
@@ -315,6 +322,10 @@ pub fn replay_wal(bytes: &[u8], source: &str, first_seq: u64) -> WalReplay {
         };
         pos += 8 + len as usize;
         match record {
+            WalRecord::Commit { seq } if seq < first_seq && replay.batches.is_empty() => {
+                replay.superseded += 1;
+                pending.clear();
+            }
             WalRecord::Commit { seq } => {
                 if seq != replay.next_seq {
                     replay.tail = Some(torn(
@@ -471,6 +482,37 @@ mod tests {
             .contains("commit sequence mismatch"));
         // With the right starting seq it replays fine.
         assert_eq!(replay_wal(&bytes, "<t>", 5).batches.len(), 1);
+    }
+
+    #[test]
+    fn leading_batches_below_first_seq_are_superseded_not_torn() {
+        let mut writer = WalWriter::new(Vec::new(), 0, 0);
+        let records = sample_records();
+        writer.append_batch(&records[..3], "<t>").unwrap();
+        let end2 = writer.append_batch(&records[3..5], "<t>").unwrap();
+        let end3 = writer.append_batch(&records[5..], "<t>").unwrap();
+        let bytes = writer.into_sink();
+        // A snapshot at seq 3 holds all three batches: nothing to replay,
+        // nothing torn, and the log truncates to empty.
+        let replay = replay_wal(&bytes, "<t>", 3);
+        assert_eq!((replay.superseded, replay.batches.len()), (3, 0));
+        assert_eq!((replay.committed_len, replay.next_seq), (0, 3));
+        assert_eq!(replay.tail, None);
+        // A snapshot at seq 2 skips two and replays the third.
+        let replay = replay_wal(&bytes, "<t>", 2);
+        assert_eq!(replay.superseded, 2);
+        assert_eq!(replay.batches, vec![records[5..].to_vec()]);
+        assert_eq!((replay.committed_len, replay.next_seq), (end3, 3));
+        // A real tear after superseded batches is still reported as one.
+        let replay = replay_wal(&bytes[..end2 as usize + 5], "<t>", 3);
+        assert_eq!((replay.superseded, replay.committed_len), (2, 0));
+        assert!(replay.tail.is_some());
+        // Once a batch has replayed, a lower number is a mismatch again.
+        let mut writer = WalWriter::new(bytes, 1, end3);
+        writer.append_batch(&records[..1], "<t>").unwrap();
+        let replay = replay_wal(&writer.into_sink(), "<t>", 2);
+        assert_eq!((replay.superseded, replay.batches.len()), (2, 1));
+        assert!(replay.tail.unwrap().reason.contains("sequence mismatch"));
     }
 
     #[test]

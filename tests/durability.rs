@@ -1,26 +1,40 @@
 //! Durability integration tests: the crash matrix over the write-ahead log,
-//! bit-flip detection, snapshot round-trips across the thread matrix, and
-//! durable pipeline crash/resume through the public API.
+//! bit-flip detection, snapshot round-trips across the thread matrix, durable
+//! pipeline crash/resume through the public API, and a plain-map model the
+//! standing durable pipeline is checked against.
 //!
 //! The contract under test (storage crate docs, "Durability"): recovery
 //! yields exactly the committed batch prefix of the log — bit-identical
-//! extents, oids and Skolem counters — and a corrupted or torn record is
-//! detected via its checksum and cleanly discarded, never silently applied.
+//! extents, oids, Skolem counters and progress marker — and a corrupted or
+//! torn record is detected via its checksum and cleanly discarded, never
+//! silently applied. Every matrix drives [`PipelineJournal`], the one durable
+//! store and the one the pipelines ship with, so every cut and every flip
+//! lands in a log carrying `Fingerprint` and `QueryDone` records.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
 use wol_repro::cpl;
-use wol_repro::morphase::{DurableOptions, Morphase, MorphaseError, PipelineOptions};
+use wol_repro::morphase::{
+    BatchConstraintMode, DurableOptions, MaterializedPipeline, Morphase, MorphaseError,
+    PipelineOptions,
+};
 use wol_repro::storage::persist::snapshot::{
     decode_snapshot, encode_snapshot, load_snapshot_file, save_snapshot_file,
 };
-use wol_repro::storage::persist::{replay_wal, FaultPolicy};
-use wol_repro::storage::DurableInstance;
-use wol_repro::wol_model::{ClassName, Instance, Oid, SkolemFactory, SkolemState, Value};
+use wol_repro::storage::persist::{
+    codec, replay_wal, FaultPolicy, JournalRecovery, PipelineJournal,
+};
+use wol_repro::wol_model::{
+    ClassName, Instance, MutationBatch, Oid, SkolemFactory, SkolemState, SourceOp, Value,
+};
 use wol_repro::workloads::cities::{generate_euro, CitiesWorkload};
+use wol_repro::workloads::constrained::{self, ConstrainedGen, ConstrainedParams};
+use wol_repro::workloads::genome::{self, GenomeParams};
+use wol_repro::workloads::traffic::{TrafficGen, TrafficWeights};
 
 /// A fresh scratch directory, unique across parallel tests and proptest
 /// cases within this process.
@@ -33,136 +47,240 @@ fn temp_dir(label: &str) -> PathBuf {
     dir
 }
 
-/// State captured after each committed batch: the instance, the Skolem
-/// factory state, and the WAL end offset of the batch.
-struct Checkpoint {
-    instance: Instance,
-    skolem: SkolemState,
-    wal_end: u64,
-}
-
-/// Run a scripted session of `batches` commits against a [`DurableInstance`]
-/// in `dir`, returning the final WAL image and the checkpoint after every
-/// commit (index 0 is the empty store). The script is deterministic in
-/// `seed` and mixes every record kind the WAL knows: Skolem-minted inserts
-/// (`SkolemAssign` + `Insert`), updates, fresh-identity inserts
-/// (`OidCounter`), and removes — including removing a class down to empty.
-fn scripted_session(dir: &Path, batches: usize, seed: u64) -> (Vec<u8>, Vec<Checkpoint>) {
-    let country = ClassName::new("CountryT");
-    let marker = ClassName::new("MarkerT");
-    let (mut store, report) = DurableInstance::open(dir, "euro").expect("fresh open");
-    assert!(!report.snapshot_loaded);
-    assert_eq!(report.batches_replayed, 0);
-
+/// A deterministic stream of pseudo-random words for scripting sessions.
+fn lcg(seed: u64) -> impl FnMut() -> u64 {
     let mut state = seed.wrapping_mul(2).wrapping_add(1);
-    let mut next = move || {
+    move || {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         state >> 33
+    }
+}
+
+/// The scripted sessions have no program to tell apart, so the store's
+/// fingerprint is a constant.
+const FINGERPRINT: u64 = 0x574F_4C4D_4154_5258;
+const SCHEMA: &str = "euro";
+
+fn open_store(dir: &Path) -> (PipelineJournal, JournalRecovery) {
+    PipelineJournal::open(dir, FINGERPRINT, SCHEMA, None).expect("the store opens")
+}
+
+/// State captured after a committed batch: the instance, the Skolem factory
+/// state, the progress marker reached, and the WAL end offset of the batch.
+struct Committed {
+    instance: Instance,
+    skolem: SkolemState,
+    completed: u64,
+    wal_end: u64,
+}
+
+/// What a scripted session left behind.
+struct Session {
+    /// The snapshot the final log replays over: `None` for the empty
+    /// baseline the store writes for itself, the mid-session checkpoint's
+    /// image otherwise.
+    snapshot: Option<Vec<u8>>,
+    /// The final WAL image.
+    wal: Vec<u8>,
+    /// Sequence number of the first batch in `wal`.
+    first_seq: u64,
+    /// The state after every batch in `wal`; index 0 is the snapshot's own
+    /// state, at offset 0.
+    commits: Vec<Committed>,
+}
+
+/// Run a scripted session of `batches` commits against the durable store in
+/// `dir`, folding the log into the snapshot after `checkpoint_after` batches
+/// when asked. The script is deterministic in `seed` and mixes every record
+/// kind the WAL knows: Skolem-minted inserts (`SkolemAssign` + `Insert`),
+/// updates, fresh-identity inserts (`OidCounter`), and removes — including
+/// removing a class down to empty — each batch opened by `Fingerprint` and
+/// closed by `QueryDone` + `Commit`.
+fn scripted_session(
+    dir: &Path,
+    batches: usize,
+    seed: u64,
+    checkpoint_after: Option<usize>,
+) -> Session {
+    let country = ClassName::new("CountryT");
+    let marker = ClassName::new("MarkerT");
+    let (mut journal, rec) = open_store(dir);
+    assert!(!rec.report.snapshot_loaded && !rec.reset);
+    assert_eq!((rec.report.batches_replayed, rec.completed), (0, 0));
+    let mut instance = rec.instance;
+    let mut skolem = SkolemFactory::from_state(rec.skolem);
+    instance.begin_mutation_log();
+
+    let mut next = lcg(seed);
+    let committed = |instance: &Instance, skolem: &SkolemFactory, completed, wal_end| Committed {
+        instance: instance.clone(),
+        skolem: skolem.export_state(),
+        completed,
+        wal_end,
     };
-    let mut checkpoints = vec![Checkpoint {
-        instance: store.instance().clone(),
-        skolem: store.skolem().export_state(),
-        wal_end: 0,
-    }];
+    let mut session = Session {
+        snapshot: None,
+        wal: Vec::new(),
+        first_seq: 0,
+        commits: vec![committed(&instance, &skolem, 0, 0)],
+    };
     let mut markers: Vec<Oid> = Vec::new();
     for round in 0..batches {
         // A couple of keyed objects; repeated keys exercise the memo (no new
         // record), fresh keys mint an assignment and insert a value.
         for _ in 0..2 {
             let key = Value::str(format!("C{}", next() % 7));
-            let before = store.skolem().counter(&country);
-            let oid = store.mk(&country, &key);
+            let before = skolem.counter(&country);
+            let oid = skolem.mk(&country, &key);
             let value = Value::record([("name", key.clone()), ("round", Value::int(round as i64))]);
-            if store.skolem().counter(&country) > before {
-                store.instance_mut().insert(oid, value).expect("insert");
+            if skolem.counter(&country) > before {
+                instance.insert(oid, value).expect("insert");
             } else {
-                store.instance_mut().update(&oid, value).expect("update");
+                instance.update(&oid, value).expect("update");
             }
         }
         // A fresh-identity object in a class the factory never touches (the
         // two counters are independent and must not share a class).
-        let fresh = store
-            .instance_mut()
-            .insert_fresh(&marker, Value::int(next() as i64));
-        markers.push(fresh);
+        markers.push(instance.insert_fresh(&marker, Value::int(next() as i64)));
         // Occasionally remove a marker — on the last round remove them all,
         // so the matrix covers recovery of an emptied-but-present class.
         if round + 1 == batches {
             for oid in markers.drain(..) {
-                store.instance_mut().remove(&oid);
+                instance.remove(&oid);
             }
-        } else if next() % 2 == 0 && markers.len() > 1 {
+        } else if next().is_multiple_of(2) && markers.len() > 1 {
             let victim = markers.remove((next() as usize) % markers.len());
-            store.instance_mut().remove(&victim);
+            instance.remove(&victim);
         }
-        let wal_end = store.commit().expect("commit");
-        checkpoints.push(Checkpoint {
-            instance: store.instance().clone(),
-            skolem: store.skolem().export_state(),
-            wal_end,
-        });
+        let done = round as u64 + 1;
+        journal
+            .commit(round as u64, &mut instance, Some(&skolem))
+            .expect("commit");
+        session
+            .commits
+            .push(committed(&instance, &skolem, done, journal.wal_len()));
+        if checkpoint_after == Some(round + 1) {
+            journal
+                .checkpoint(&instance, Some(&skolem))
+                .expect("checkpoint");
+            assert_eq!(journal.wal_len(), 0, "a checkpoint empties the log");
+            let image = std::fs::read(dir.join(PipelineJournal::SNAPSHOT_FILE));
+            session.snapshot = Some(image.expect("read snapshot"));
+            session.first_seq = done;
+            // The log restarts: only the snapshot's own state precedes it.
+            session.commits = vec![committed(&instance, &skolem, done, 0)];
+        }
     }
-    let bytes = std::fs::read(store.wal_path()).expect("read wal");
+    session.wal = std::fs::read(dir.join(PipelineJournal::WAL_FILE)).expect("read wal");
     assert_eq!(
-        bytes.len() as u64,
-        checkpoints.last().expect("checkpoint").wal_end,
+        session.wal.len() as u64,
+        session.commits.last().expect("commit").wal_end,
         "the WAL must end exactly at the last committed batch"
     );
-    (bytes, checkpoints)
+    session
 }
 
 /// Kill the log at byte `cut` and recover: assert the recovered store holds
-/// exactly the longest committed prefix — batch count, extents, values, oid
-/// counters and Skolem state all bit-identical to the checkpoint taken at
-/// that commit — and that the next `mk` matches an uncrashed factory's.
-fn assert_prefix_recovery(scratch: &Path, bytes: &[u8], checkpoints: &[Checkpoint], cut: usize) {
-    let expected = checkpoints
+/// exactly the snapshot plus the longest committed prefix — batch count,
+/// progress marker, extents, values, oid counters and Skolem state all
+/// bit-identical to the state captured at that commit — that the next `mk`
+/// matches an uncrashed factory's, and that the recovered store keeps
+/// appending where the prefix ends.
+fn assert_prefix_recovery(scratch: &Path, session: &Session, cut: usize) {
+    let expected = session
+        .commits
         .iter()
         .filter(|c| c.wal_end as usize <= cut)
         .count()
-        - 1; // checkpoint 0 is the empty store at offset 0
-    let reference = &checkpoints[expected];
+        - 1; // commit 0 is the snapshot's own state at offset 0
+    let reference = &session.commits[expected];
+    let torn = cut as u64 != reference.wal_end;
 
     // Byte level: replay finds exactly the committed prefix.
-    let replay = replay_wal(&bytes[..cut], "matrix", 0);
+    let replay = replay_wal(&session.wal[..cut], "matrix", session.first_seq);
     assert_eq!(replay.batches.len(), expected, "cut {cut}");
     assert_eq!(replay.committed_len, reference.wal_end, "cut {cut}");
     assert_eq!(
         replay.tail.is_some(),
-        cut as u64 != reference.wal_end,
+        torn,
         "cut {cut}: a tail is discarded iff the cut is not a batch boundary"
     );
 
-    // End to end: a store opened over the truncated image recovers the
-    // checkpoint state bit-identically.
+    // End to end: the store opened over the truncated image recovers the
+    // captured state bit-identically.
     std::fs::create_dir_all(scratch).expect("scratch dir");
-    std::fs::write(scratch.join(DurableInstance::WAL_FILE), &bytes[..cut]).expect("write cut");
-    let (mut store, report) = DurableInstance::open(scratch, "euro").expect("recovery");
-    assert_eq!(report.batches_replayed, expected, "cut {cut}");
-    assert_eq!(report.committed_len, reference.wal_end, "cut {cut}");
+    let snap_path = scratch.join(PipelineJournal::SNAPSHOT_FILE);
+    match &session.snapshot {
+        Some(image) => std::fs::write(&snap_path, image).expect("write snapshot"),
+        None => drop(std::fs::remove_file(&snap_path)),
+    }
+    std::fs::write(scratch.join(PipelineJournal::WAL_FILE), &session.wal[..cut])
+        .expect("write cut");
+    let (mut journal, rec) = open_store(scratch);
+    assert!(!rec.reset, "cut {cut}: same program, never reset");
+    assert_eq!(rec.report.snapshot_loaded, session.snapshot.is_some());
+    assert_eq!(rec.report.batches_replayed, expected, "cut {cut}");
+    assert_eq!(rec.report.committed_len, reference.wal_end, "cut {cut}");
+    assert_eq!(rec.report.torn_tail.is_some(), torn, "cut {cut}");
+    assert_eq!(rec.report.superseded_batches, 0, "cut {cut}");
+    assert_eq!(rec.completed, reference.completed, "cut {cut}: progress");
     assert_eq!(
-        store.instance().deep_eq_report(&reference.instance),
+        rec.instance.deep_eq_report(&reference.instance),
         None,
         "cut {cut}: recovered instance diverged"
     );
+    // Uncommitted work is lost *and* the fresh-identity counters rewind
+    // with it (instance equality includes the generator).
+    assert_eq!(rec.instance, reference.instance, "cut {cut}");
     assert_eq!(
-        store.skolem().export_state(),
-        reference.skolem,
+        rec.skolem, reference.skolem,
         "cut {cut}: recovered Skolem state diverged"
     );
 
-    // Post-recovery minting is bit-identical to an uncrashed run that
-    // reached the same commit: same fresh identity for a never-seen key.
+    // The memo survives recovery — every key the prefix minted maps to its
+    // original identity — and post-recovery minting is bit-identical to an
+    // uncrashed run that reached the same commit: same fresh identity for a
+    // never-seen key.
     let country = ClassName::new("CountryT");
     let probe = Value::str("post-recovery-probe");
+    let mut recovered = SkolemFactory::from_state(rec.skolem);
     let mut uncrashed = SkolemFactory::from_state(reference.skolem.clone());
+    for (key, oid) in reference
+        .skolem
+        .assigned
+        .get(&country)
+        .into_iter()
+        .flatten()
+    {
+        assert_eq!(&recovered.mk(&country, key), oid, "cut {cut}: memo lost");
+    }
+    let minted = recovered.mk(&country, &probe);
     assert_eq!(
-        store.mk(&country, &probe),
+        minted,
         uncrashed.mk(&country, &probe),
         "cut {cut}: post-recovery mk diverged"
     );
+
+    // The recovered store keeps going: the next batch lands where the
+    // committed prefix ends, carries the next sequence number, and a second
+    // recovery replays it on top.
+    let mut instance = rec.instance;
+    instance.begin_mutation_log();
+    instance
+        .insert(minted, Value::record([("name", probe)]))
+        .expect("insert after recovery");
+    journal
+        .commit(reference.completed, &mut instance, Some(&recovered))
+        .expect("append after recovery");
+    drop(journal);
+    let (_, again) = open_store(scratch);
+    assert_eq!(again.report.batches_replayed, expected + 1, "cut {cut}");
+    assert_eq!(again.report.torn_tail, None, "cut {cut}");
+    assert_eq!(again.completed, reference.completed + 1, "cut {cut}");
+    assert_eq!(again.instance, instance, "cut {cut}: appended batch lost");
+    assert_eq!(again.skolem, recovered.export_state(), "cut {cut}");
 }
 
 /// The exhaustive crash matrix: one scripted multi-batch session, then kill
@@ -172,11 +290,30 @@ fn assert_prefix_recovery(scratch: &Path, bytes: &[u8], checkpoints: &[Checkpoin
 #[test]
 fn crash_matrix_every_cut_recovers_the_committed_prefix() {
     let base = temp_dir("matrix-base");
-    let (bytes, checkpoints) = scripted_session(&base, 4, 7);
-    assert!(checkpoints.len() == 5 && bytes.len() > 100);
+    let session = scripted_session(&base, 4, 7, None);
+    assert!(session.commits.len() == 5 && session.wal.len() > 100);
     let scratch = temp_dir("matrix-cut");
-    for cut in 0..=bytes.len() {
-        assert_prefix_recovery(&scratch, &bytes, &checkpoints, cut);
+    for cut in 0..=session.wal.len() {
+        assert_prefix_recovery(&scratch, &session, cut);
+    }
+    std::fs::remove_dir_all(&base).ok();
+    std::fs::remove_dir_all(&scratch).ok();
+}
+
+/// The matrix across a snapshot: checkpoint after two of five batches, then
+/// kill the post-checkpoint log at every byte offset. Recovery is the
+/// checkpoint's snapshot plus the committed prefix of what followed, with
+/// batch sequence numbers and progress continuing from the snapshot's.
+#[test]
+fn crash_matrix_across_a_checkpoint_recovers_snapshot_plus_prefix() {
+    let base = temp_dir("ckpt-base");
+    let session = scripted_session(&base, 5, 11, Some(2));
+    assert_eq!((session.first_seq, session.commits.len()), (2, 4));
+    assert_eq!(session.commits[0].completed, 2);
+    assert!(!session.commits[0].instance.is_empty() && session.wal.len() > 100);
+    let scratch = temp_dir("ckpt-cut");
+    for cut in 0..=session.wal.len() {
+        assert_prefix_recovery(&scratch, &session, cut);
     }
     std::fs::remove_dir_all(&base).ok();
     std::fs::remove_dir_all(&scratch).ok();
@@ -189,57 +326,46 @@ fn crash_matrix_every_cut_recovers_the_committed_prefix() {
 #[test]
 fn bit_flips_are_detected_and_never_silently_applied() {
     let base = temp_dir("flip-base");
-    let (bytes, checkpoints) = scripted_session(&base, 3, 21);
+    let session = scripted_session(&base, 3, 21, None);
+    let (bytes, commits) = (&session.wal, &session.commits);
     let scratch = temp_dir("flip-cut");
     for i in 0..bytes.len() {
+        // The flip lands inside batch b+1 (commits are 1-indexed by batch);
+        // every batch up to b replays, b+1 onward is discarded.
+        let intact = commits.iter().filter(|c| c.wal_end as usize <= i).count() - 1;
         for mask in [0x01u8, 0x80] {
             let mut image = bytes.clone();
             image[i] ^= mask;
-            // The flip lands inside batch b+1 (checkpoints are 1-indexed by
-            // batch); every batch up to b replays, b+1 onward is discarded.
-            let intact = checkpoints
-                .iter()
-                .filter(|c| c.wal_end as usize <= i)
-                .count()
-                - 1;
             let replay = replay_wal(&image, "flip", 0);
             assert_eq!(replay.batches.len(), intact, "flip at {i} mask {mask:#x}");
             assert!(
                 replay.tail.is_some(),
                 "flip at {i} mask {mask:#x}: the corrupted tail must be reported"
             );
-            let reference = replay_wal(
-                &bytes[..checkpoints[intact].wal_end as usize],
-                "reference",
-                0,
-            );
+            let reference = replay_wal(&bytes[..commits[intact].wal_end as usize], "reference", 0);
             assert_eq!(
                 replay.batches, reference.batches,
                 "flip at {i} mask {mask:#x}: surviving batches must be the intact prefix"
             );
         }
         // End to end (sampled — the byte-level check above runs at every
-        // offset): the recovered store equals the checkpoint before the flip.
+        // offset): the recovered store equals the state before the flip.
         if i % 5 == 0 {
             let mut image = bytes.clone();
             image[i] ^= 0x10;
-            let intact = checkpoints
-                .iter()
-                .filter(|c| c.wal_end as usize <= i)
-                .count()
-                - 1;
             std::fs::create_dir_all(&scratch).expect("scratch dir");
-            std::fs::write(scratch.join(DurableInstance::WAL_FILE), &image).expect("write");
-            let (store, report) = DurableInstance::open(&scratch, "euro").expect("recovery");
-            assert_eq!(report.batches_replayed, intact, "flip at {i}");
-            assert!(report.torn_tail.is_some(), "flip at {i}");
+            std::fs::write(scratch.join(PipelineJournal::WAL_FILE), &image).expect("write");
+            let (_, rec) = open_store(&scratch);
+            assert!(!rec.reset, "flip at {i}: a flip never forges a fingerprint");
+            assert_eq!(rec.report.batches_replayed, intact, "flip at {i}");
+            assert!(rec.report.torn_tail.is_some(), "flip at {i}");
+            assert_eq!(rec.completed, commits[intact].completed, "flip at {i}");
             assert_eq!(
-                store
-                    .instance()
-                    .deep_eq_report(&checkpoints[intact].instance),
+                rec.instance.deep_eq_report(&commits[intact].instance),
                 None,
                 "flip at {i}: recovered instance diverged"
             );
+            assert_eq!(rec.skolem, commits[intact].skolem, "flip at {i}");
         }
     }
     std::fs::remove_dir_all(&base).ok();
@@ -249,23 +375,27 @@ fn bit_flips_are_detected_and_never_silently_applied() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Randomized crash matrix: arbitrary session shapes (batch count and
-    /// content seed) and arbitrary cut offsets all recover the committed
-    /// prefix bit-identically. The exhaustive test pins one session at every
+    /// Randomized crash matrix: arbitrary session shapes (batch count,
+    /// content seed, and whether and where a checkpoint folds the log) and
+    /// arbitrary cut offsets all recover the committed prefix
+    /// bit-identically. The exhaustive tests pin two sessions at every
     /// offset; this one varies the session itself.
     #[test]
     fn randomized_sessions_recover_prefix_consistently(
         batches in 1usize..5,
         seed in 0u64..1000,
         cut_salt in 0u64..100_000,
+        checkpoint_salt in 0usize..8,
     ) {
         let base = temp_dir("prop-base");
-        let (bytes, checkpoints) = scripted_session(&base, batches, seed);
+        // Half the sessions checkpoint, somewhere in 1..=batches.
+        let checkpoint_after = (checkpoint_salt % 2 == 1).then(|| 1 + (checkpoint_salt / 2) % batches);
+        let session = scripted_session(&base, batches, seed, checkpoint_after);
         let scratch = temp_dir("prop-cut");
         // One salted mid-log cut plus the exact end (the no-tail case).
-        let cuts = [(cut_salt as usize) % (bytes.len() + 1), bytes.len()];
+        let cuts = [(cut_salt as usize) % (session.wal.len() + 1), session.wal.len()];
         for cut in cuts {
-            assert_prefix_recovery(&scratch, &bytes, &checkpoints, cut);
+            assert_prefix_recovery(&scratch, &session, cut);
         }
         std::fs::remove_dir_all(&base).ok();
         std::fs::remove_dir_all(&scratch).ok();
@@ -376,6 +506,388 @@ fn durable_pipeline_crash_resume_is_bit_identical_across_thread_counts() {
             plain.query_stats.len() as u64,
             "every query is either recovered or re-run at {threads} threads"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Stand a durable genome pipeline up over `dir` (the seed source is ignored
+/// when the journal already holds one).
+fn durable_genome(dir: &Path, seed_source: &Instance) -> MaterializedPipeline {
+    MaterializedPipeline::new_durable(
+        &genome::program(),
+        vec![seed_source.clone()],
+        PipelineOptions::default(),
+        &DurableOptions::new(dir),
+    )
+    .expect("durable pipeline stands up")
+}
+
+/// The standing pipeline over the crash matrix: journal the batch-0 dump and
+/// a 4-batch mixed stream, then kill the log at every record boundary and at
+/// one mid-record offset per record (not every byte: each reopen stands a
+/// pipeline up). Every recovery is bit-identical to the uncrashed prefix —
+/// source and maintained target — `recovered_batches()` is exact, and the
+/// resumed stream completes bit-identically.
+#[test]
+fn standing_pipeline_recovers_the_uncrashed_prefix_at_every_record_cut() {
+    let source = genome::generate_source(&GenomeParams {
+        clones: 5,
+        markers: 8,
+        ..GenomeParams::default()
+    });
+    let mut gen = TrafficGen::new(&source, 19, TrafficWeights::mixed());
+    let batches: Vec<MutationBatch> = (0..4).map(|_| gen.next_batch(3)).collect();
+
+    // The uncrashed session: (WAL end, source, target) after the dump and
+    // after every batch.
+    let base = temp_dir("standing-base");
+    let wal_path = base.join(PipelineJournal::WAL_FILE);
+    let wal_end = || std::fs::metadata(&wal_path).expect("WAL exists").len() as usize;
+    let mut pipeline = durable_genome(&base, &source);
+    let capture = |p: &MaterializedPipeline, end| {
+        let source = p.source(0).expect("one source").clone();
+        (end, source, p.target().clone())
+    };
+    let mut states = vec![capture(&pipeline, wal_end())];
+    for batch in &batches {
+        pipeline.apply_batch(batch).expect("uncrashed applies");
+        states.push(capture(&pipeline, wal_end()));
+    }
+    drop(pipeline);
+    let wal = std::fs::read(&wal_path).expect("read wal");
+    let baseline = std::fs::read(base.join(PipelineJournal::SNAPSHOT_FILE)).expect("read snap");
+
+    // Every record's start, one offset inside it, and the clean end.
+    let mut cuts = Vec::new();
+    let mut pos = 0usize;
+    while pos < wal.len() {
+        let len = codec::u32_at(&wal, pos).expect("a whole record header") as usize;
+        cuts.extend([pos, pos + (8 + len) / 2]);
+        pos += 8 + len;
+    }
+    cuts.push(wal.len());
+    assert!(cuts.len() > 60, "dump + 4 batches hold {} cuts", cuts.len());
+
+    let scratch = temp_dir("standing-cut");
+    for cut in cuts {
+        std::fs::create_dir_all(&scratch).expect("scratch dir");
+        std::fs::write(scratch.join(PipelineJournal::SNAPSHOT_FILE), &baseline).expect("snap");
+        std::fs::write(scratch.join(PipelineJournal::WAL_FILE), &wal[..cut]).expect("cut");
+        let mut resumed = durable_genome(&scratch, &source);
+        // Batches durable at the cut, the dump included; a lost dump is
+        // journalled again from the seed source.
+        let durable = states.iter().filter(|(end, _, _)| *end <= cut).count();
+        let recovered = durable.saturating_sub(1);
+        assert_eq!(resumed.recovered_batches(), recovered as u64, "cut {cut}");
+        let (_, source_then, target_then) = &states[recovered];
+        let resumed_source = resumed.source(0).expect("one source");
+        assert_eq!(
+            resumed_source.deep_eq_report(source_then),
+            None,
+            "cut {cut}: recovered source diverged"
+        );
+        assert_eq!(resumed_source, source_then, "cut {cut}");
+        assert_eq!(
+            resumed.target().deep_eq_report(target_then),
+            None,
+            "cut {cut}: recovered target diverged"
+        );
+        for batch in &batches[recovered..] {
+            resumed.apply_batch(batch).expect("resumed applies");
+        }
+        let (_, _, target_end) = states.last().expect("final state");
+        assert_eq!(
+            resumed.target().deep_eq_report(target_end),
+            None,
+            "cut {cut}: resumed stream diverged"
+        );
+        drop(resumed);
+        std::fs::remove_dir_all(&scratch).ok();
+    }
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// A crash between a checkpoint's snapshot rename and its WAL truncation —
+/// driven through `MaterializedPipeline::checkpoint` and through
+/// `transform_durable`'s closing checkpoint — leaves the new snapshot beside
+/// the whole old log. Nothing tore: recovery reports the log superseded (not
+/// a torn tail), lands on the snapshot, and the pipeline carries on.
+#[test]
+fn a_crash_inside_the_checkpoint_window_is_superseded_not_torn() {
+    let source = genome::generate_source(&GenomeParams::default());
+    let mut gen = TrafficGen::new(&source, 5, TrafficWeights::mixed());
+    let dir = temp_dir("window");
+    let wal_path = dir.join(PipelineJournal::WAL_FILE);
+    let mut pipeline = durable_genome(&dir, &source);
+    for _ in 0..3 {
+        pipeline.apply_batch(&gen.next_batch(3)).expect("applies");
+    }
+    let old_log = std::fs::read(&wal_path).expect("read wal");
+    pipeline.checkpoint().expect("checkpoint");
+    let (source_then, target_then) = (
+        pipeline.source(0).expect("source").clone(),
+        pipeline.target().clone(),
+    );
+    drop(pipeline);
+
+    // What the store reports, under the fingerprint its own snapshot carries.
+    std::fs::write(&wal_path, &old_log).expect("the truncation never happened");
+    let fingerprint = load_snapshot_file(&dir.join(PipelineJournal::SNAPSHOT_FILE))
+        .expect("load")
+        .and_then(|data| data.meta)
+        .expect("journal snapshot carries its meta")
+        .fingerprint;
+    let (journal, rec) =
+        PipelineJournal::open(&dir, fingerprint, source.schema_name(), None).expect("recovery");
+    drop(journal);
+    assert_eq!(rec.report.torn_tail, None, "nothing tore");
+    assert_eq!(
+        rec.report.superseded_batches, 4,
+        "the dump and three batches"
+    );
+    assert_eq!((rec.report.batches_replayed, rec.completed), (0, 4));
+    assert_eq!(rec.instance, source_then);
+    assert_eq!(std::fs::metadata(&wal_path).expect("wal").len(), 0);
+
+    // And the pipeline itself reopens over the same window and carries on.
+    std::fs::write(&wal_path, &old_log).expect("the truncation never happened");
+    let mut resumed = durable_genome(&dir, &source);
+    assert_eq!(resumed.recovered_batches(), 3);
+    assert_eq!(resumed.target().deep_eq_report(&target_then), None);
+    resumed.apply_batch(&gen.next_batch(3)).expect("applies");
+    drop(resumed);
+    assert_eq!(durable_genome(&dir, &source).recovered_batches(), 4);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // `transform_durable`: keep the committed prefix of the log a torn run
+    // left, let the resumed run finish (its epilogue checkpoints), put that
+    // log back, run again.
+    let w = CitiesWorkload::new();
+    let (program, euro) = (w.euro_program(), generate_euro(5, 3, 17));
+    let dir = temp_dir("window-transform");
+    let wal_path = dir.join(PipelineJournal::WAL_FILE);
+    let crashing = DurableOptions::new(&dir).with_fault(FaultPolicy::torn_at(900));
+    Morphase::new()
+        .transform_durable(&program, &[&euro][..], &crashing)
+        .expect_err("the injected fault must kill the run");
+    let mut old_log = std::fs::read(&wal_path).expect("read wal");
+    let kept = replay_wal(&old_log, "window", 0);
+    assert!(!kept.batches.is_empty() && kept.tail.is_some());
+    old_log.truncate(kept.committed_len as usize);
+    let first = Morphase::new()
+        .transform_durable(&program, &[&euro][..], &DurableOptions::new(&dir))
+        .expect("resumed run");
+    let d = first.durability.expect("durable run reports stats");
+    assert!(d.recovered_torn_tail && d.completed_before > 0 && d.journaled > 0);
+    assert_eq!(std::fs::metadata(&wal_path).expect("wal").len(), 0);
+    std::fs::write(&wal_path, &old_log).expect("the truncation never happened");
+    let again = Morphase::new()
+        .transform_durable(&program, &[&euro][..], &DurableOptions::new(&dir))
+        .expect("run over the superseded log");
+    let d = again.durability.expect("durable run reports stats");
+    assert!(!d.recovered_torn_tail, "a superseded log is not a torn log");
+    assert!(d.resumed && d.journaled == 0 && !d.reset);
+    assert_eq!(again.target.deep_eq_report(&first.target), None);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The model the durable pipeline is checked against: the database-ASM step
+/// over plain maps. A batch yields an update set, which fires atomically if the
+/// successor state is consistent and its commit durable; else nothing changes.
+#[derive(Clone)]
+struct Model {
+    objects: BTreeMap<Oid, Value>,
+    next_id: BTreeMap<ClassName, u64>,
+    committed: u64,
+}
+
+type Checked<T> = Result<T, String>;
+
+impl Model {
+    fn of(source: &Instance) -> Model {
+        let objects = source.all_objects().map(|(o, v)| (o.clone(), v.clone()));
+        let next_id = source.oid_counters().map(|(c, n)| (c.clone(), n));
+        Model {
+            objects: objects.collect(),
+            next_id: next_id.collect(),
+            committed: 0,
+        }
+    }
+
+    /// The state `batch`'s update set leads to, if that state is consistent.
+    fn successor(&self, batch: &MutationBatch) -> Option<Model> {
+        let mut next = self.clone();
+        for op in &batch.ops {
+            match op {
+                SourceOp::Insert { class, value } => {
+                    let id = next.next_id.entry(class.clone()).or_insert(0);
+                    let fresh = Oid::new(class.clone(), *id);
+                    next.objects.insert(fresh, value.clone());
+                    *id += 1;
+                }
+                SourceOp::Update { oid, value } => {
+                    drop(next.objects.insert(oid.clone(), value.clone()))
+                }
+                SourceOp::Remove { oid } => drop(next.objects.remove(oid)),
+            }
+        }
+        next.committed += 1;
+        next.consistent().then_some(next)
+    }
+
+    /// The registry's source constraints: `S1` user emails are unique, `S2`
+    /// every profile references a live user, `S3` account codes are unique.
+    fn consistent(&self) -> bool {
+        let field = |value: &Value, name: &str| match value {
+            Value::Record(fields) => fields.get(name).cloned(),
+            _ => None,
+        };
+        let of = |class: &'static str| {
+            let members = self.objects.iter();
+            members.filter(move |(oid, _)| oid.class().as_str() == class)
+        };
+        let unique = |class, attr| {
+            let mut seen = BTreeSet::new();
+            of(class).all(|(_, value)| seen.insert(field(value, attr)))
+        };
+        let live = |user| matches!(user, Some(Value::Oid(oid)) if self.objects.contains_key(&oid));
+        unique("UserS", "email")
+            && unique("AccountS", "code")
+            && of("ProfileS").all(|(_, profile)| live(field(profile, "user")))
+    }
+
+    fn instance(&self) -> Instance {
+        let mut instance = Instance::new("registry");
+        for (oid, value) in &self.objects {
+            instance.insert(oid.clone(), value.clone()).expect("insert");
+        }
+        for (class, n) in &self.next_id {
+            instance.restore_oid_counter(class, *n);
+        }
+        instance
+    }
+
+    /// The pipeline's source is the model's state, objects and counters.
+    fn check_source(&self, pipeline: &MaterializedPipeline) -> Checked<()> {
+        let source = pipeline.source(0).expect("one source");
+        prop_assert_eq!(&Model::of(source).objects, &self.objects);
+        for (class, n) in &self.next_id {
+            prop_assert_eq!(source.oid_counter(class), *n);
+        }
+        Ok(())
+    }
+
+    /// (Re)open the durable pipeline and hold it to the model: the committed
+    /// batches recovered, the model's source, a fresh `transform`'s target.
+    fn reopen(&self, dir: &Path, fault: Option<FaultPolicy>) -> Checked<MaterializedPipeline> {
+        let options = PipelineOptions {
+            batch_constraints: BatchConstraintMode::Enforce,
+            ..PipelineOptions::default()
+        };
+        let (program, state) = (constrained::program(), self.instance());
+        let mut durable = DurableOptions::new(dir);
+        durable.fault = fault;
+        let sources = vec![state.clone()];
+        let pipeline = MaterializedPipeline::new_durable(&program, sources, options, &durable)
+            .map_err(|e| format!("reopen: {e}"))?;
+        prop_assert_eq!(pipeline.recovered_batches(), self.committed);
+        self.check_source(&pipeline)?;
+        let fresh = Morphase::with_options(options)
+            .transform(&program, &[&state][..])
+            .map_err(|e| format!("fresh transform: {e}"))?;
+        prop_assert_eq!(pipeline.target().deep_eq_report(&fresh.target), None);
+        Ok(pipeline)
+    }
+
+    /// Offer `batch` to pipeline and model alike; say whether it fired. A
+    /// consistent successor commits and grows the log, an inconsistent one is
+    /// refused with the log untouched, a torn commit never happened (`None`).
+    fn offer(
+        &mut self,
+        pipeline: &mut MaterializedPipeline,
+        batch: &MutationBatch,
+        wal_len: impl Fn() -> u64,
+    ) -> Checked<Option<bool>> {
+        let before = wal_len();
+        match (pipeline.apply_batch(batch), self.successor(batch)) {
+            (Ok(_), Some(next)) => {
+                prop_assert!(wal_len() > before, "a commit grows the log");
+                *self = next;
+                Ok(Some(true))
+            }
+            (Err(MorphaseError::Verification(_)), None) => {
+                prop_assert!(!pipeline.is_poisoned() && wal_len() == before);
+                Ok(Some(false))
+            }
+            (Err(MorphaseError::Durability(_)), Some(_)) => {
+                prop_assert!(pipeline.is_poisoned());
+                Ok(None)
+            }
+            (outcome, expected) => Err(format!(
+                "engine {:?}, but the model fires: {}",
+                outcome.map(|report| report.outcome),
+                expected.is_some()
+            )),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Random interleavings of clean and refused batches, a commit torn at a
+    /// random byte, reopen and checkpoint: after every step the pipeline's
+    /// source is the model's state, after every reopen exactly the committed
+    /// batches are recovered and the target is a fresh transform of the
+    /// model. Default parallelism, so the CI thread passes vary it.
+    #[test]
+    fn durable_pipeline_matches_the_plain_map_model(steps in 6usize..14, seed in 0u64..1_000_000) {
+        let dir = temp_dir("model");
+        let wal_path = dir.join(PipelineJournal::WAL_FILE);
+        let wal_len = || std::fs::metadata(&wal_path).map_or(0, |m| m.len());
+        let mut model = Model::of(&constrained::generate_source(&ConstrainedParams::default()));
+        let mut pipeline = model.reopen(&dir, None)?;
+        let mut gen = ConstrainedGen::new(&model.instance(), seed);
+        let mut next = lcg(seed ^ ((steps as u64) << 32));
+        for step in 1..=steps as u64 {
+            let salt = next();
+            let ops = 1 + (salt / 8) as usize % 6;
+            let mut reopen = false;
+            match salt % 8 {
+                // A crash: reopen with a fault armed somewhere in the next
+                // few hundred bytes, then commit until it tears a batch.
+                4 => {
+                    drop(pipeline);
+                    let fault = FaultPolicy::torn_at((salt / 8) % 500);
+                    pipeline = model.reopen(&dir, Some(fault))?;
+                    gen = ConstrainedGen::new(&model.instance(), seed ^ (salt << 10));
+                    while model.offer(&mut pipeline, &gen.next_batch(ops), wal_len)?.is_some() {}
+                    reopen = true;
+                }
+                5 => reopen = true,
+                6 => {
+                    pipeline.checkpoint().map_err(|e| format!("checkpoint: {e}"))?;
+                    prop_assert_eq!(wal_len(), 0);
+                }
+                // A batch the model refuses (its successor is inconsistent),
+                // or a clean one.
+                kind => {
+                    let batch = if kind == 3 { gen.violating_batch() } else { gen.next_batch(ops) };
+                    let fired = model.offer(&mut pipeline, &batch, wal_len)?;
+                    prop_assert_eq!(fired, Some(kind != 3));
+                }
+            }
+            if reopen {
+                drop(pipeline);
+                pipeline = model.reopen(&dir, None)?;
+                // The generator restarts from the durable state: its shadow
+                // ran ahead of the batch the crash lost.
+                gen = ConstrainedGen::new(&model.instance(), seed ^ (step << 20));
+            }
+            model.check_source(&pipeline).map_err(|e| format!("step {step}: {e}"))?;
+        }
+        drop(pipeline);
+        model.reopen(&dir, None)?;
         std::fs::remove_dir_all(&dir).ok();
     }
 }
