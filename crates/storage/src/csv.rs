@@ -17,9 +17,15 @@
 //!   column's type and any later mismatch is rejected with a line-accurate
 //!   [`StorageError::Corrupt`] rather than silently coerced.
 //!
+//! Column names must be distinct once trimmed: a record with two `x` fields
+//! has no single value of `x`.
+//!
 //! [`CsvReader`] exposes the decoder as a streaming record iterator (quoted
 //! fields may span lines), used by the federated scan provider to ingest
-//! large files chunk-at-a-time without materializing a [`Table`].
+//! large files chunk-at-a-time without materializing a [`Table`]. It reports
+//! each record's byte offset and can be re-seated there, so the provider
+//! records the offsets in its one validating pass (`decode_checked`) and
+//! later lexes only the records a scan keeps.
 
 use wol_model::Value;
 
@@ -64,7 +70,8 @@ pub struct CsvRecord {
 /// counted for error line numbers); quoted fields may span lines.
 pub struct CsvReader<'a> {
     source: String,
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
+    text: &'a str,
+    chars: std::str::Chars<'a>,
     line: usize,
     columns: Vec<String>,
 }
@@ -92,7 +99,8 @@ impl<'a> CsvReader<'a> {
     pub fn new(source: &str, text: &'a str) -> Result<CsvReader<'a>> {
         let mut reader = CsvReader {
             source: source.to_string(),
-            chars: text.chars().peekable(),
+            text,
+            chars: text.chars(),
             line: 1,
             columns: Vec::new(),
         };
@@ -109,11 +117,12 @@ impl<'a> CsvReader<'a> {
             .iter()
             .map(|f| f.text.trim().to_string())
             .collect();
-        if names.iter().any(|n| n.is_empty()) {
+        let mut seen = std::collections::BTreeSet::new();
+        if names.iter().any(|n| n.is_empty() || !seen.insert(n)) {
             return Err(StorageError::corrupt_at_line(
                 source,
                 header.line,
-                "comma-separated non-empty column names",
+                "comma-separated distinct non-empty column names",
                 format!("`{}`", names.join(",")),
             ));
         }
@@ -124,6 +133,32 @@ impl<'a> CsvReader<'a> {
     /// The header's column names.
     pub fn columns(&self) -> &[String] {
         &self.columns
+    }
+
+    /// Byte offset of the next unread character; taken before
+    /// [`next_record`](Self::next_record), a record start.
+    pub fn position(&self) -> usize {
+        self.text.len() - self.chars.as_str().len()
+    }
+
+    /// Re-seat the reader at `offset`, a record start [`position`](Self::position)
+    /// reported. Line numbers stay exact: the newlines in between are
+    /// counted. An offset past the end or inside a character is an error.
+    pub fn seek(&mut self, offset: usize) -> Result<()> {
+        let rest = self.text.get(offset..).ok_or_else(|| {
+            let found = "an offset past the end or inside a character";
+            StorageError::corrupt_at_offset(&self.source, offset as u64, "a record start", found)
+        })?;
+        // Byte-wide sums over runs of ≤ 255 bytes cannot overflow and vectorise.
+        let newlines = |from: usize, to: usize| -> usize {
+            let bytes = self.text.as_bytes().get(from..to).unwrap_or_default();
+            let count = |run: &[u8]| run.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>();
+            bytes.chunks(255).map(|run| usize::from(count(run))).sum()
+        };
+        let here = self.position();
+        self.line = self.line + newlines(here, offset) - newlines(offset, here);
+        self.chars = rest.chars();
+        Ok(())
     }
 
     /// Decode the next non-blank record, or `None` at end of input.
@@ -144,7 +179,7 @@ impl<'a> CsvReader<'a> {
     }
 
     fn raw_record(&mut self) -> Result<Option<CsvRecord>> {
-        if self.chars.peek().is_none() {
+        if self.chars.as_str().is_empty() {
             return Ok(None);
         }
         let start_line = self.line;
@@ -153,6 +188,15 @@ impl<'a> CsvReader<'a> {
         let mut cur_quoted = false;
         let mut state = State::FieldStart;
         while let Some(c) = self.chars.next() {
+            // A line break outside quotes ends the record.
+            let crlf = c == '\r' && self.chars.as_str().starts_with('\n');
+            if state != State::InQuotes && (c == '\n' || crlf) {
+                if crlf {
+                    self.chars.next();
+                }
+                self.line += 1;
+                break;
+            }
             match state {
                 State::FieldStart => match c {
                     '"' => {
@@ -160,23 +204,6 @@ impl<'a> CsvReader<'a> {
                         state = State::InQuotes;
                     }
                     ',' => fields.push(finish_field(&mut cur, &mut cur_quoted)),
-                    '\n' => {
-                        self.line += 1;
-                        fields.push(finish_field(&mut cur, &mut cur_quoted));
-                        return Ok(Some(CsvRecord {
-                            line: start_line,
-                            fields,
-                        }));
-                    }
-                    '\r' if self.chars.peek() == Some(&'\n') => {
-                        self.chars.next();
-                        self.line += 1;
-                        fields.push(finish_field(&mut cur, &mut cur_quoted));
-                        return Ok(Some(CsvRecord {
-                            line: start_line,
-                            fields,
-                        }));
-                    }
                     other => {
                         cur.push(other);
                         state = State::Unquoted;
@@ -186,23 +213,6 @@ impl<'a> CsvReader<'a> {
                     ',' => {
                         fields.push(finish_field(&mut cur, &mut cur_quoted));
                         state = State::FieldStart;
-                    }
-                    '\n' => {
-                        self.line += 1;
-                        fields.push(finish_field(&mut cur, &mut cur_quoted));
-                        return Ok(Some(CsvRecord {
-                            line: start_line,
-                            fields,
-                        }));
-                    }
-                    '\r' if self.chars.peek() == Some(&'\n') => {
-                        self.chars.next();
-                        self.line += 1;
-                        fields.push(finish_field(&mut cur, &mut cur_quoted));
-                        return Ok(Some(CsvRecord {
-                            line: start_line,
-                            fields,
-                        }));
                     }
                     '"' => {
                         return Err(StorageError::corrupt_at_line(
@@ -216,7 +226,7 @@ impl<'a> CsvReader<'a> {
                 },
                 State::InQuotes => match c {
                     '"' => {
-                        if self.chars.peek() == Some(&'"') {
+                        if self.chars.as_str().starts_with('"') {
                             self.chars.next();
                             cur.push('"');
                         } else {
@@ -233,23 +243,6 @@ impl<'a> CsvReader<'a> {
                     ',' => {
                         fields.push(finish_field(&mut cur, &mut cur_quoted));
                         state = State::FieldStart;
-                    }
-                    '\n' => {
-                        self.line += 1;
-                        fields.push(finish_field(&mut cur, &mut cur_quoted));
-                        return Ok(Some(CsvRecord {
-                            line: start_line,
-                            fields,
-                        }));
-                    }
-                    '\r' if self.chars.peek() == Some(&'\n') => {
-                        self.chars.next();
-                        self.line += 1;
-                        fields.push(finish_field(&mut cur, &mut cur_quoted));
-                        return Ok(Some(CsvRecord {
-                            line: start_line,
-                            fields,
-                        }));
                     }
                     other => {
                         return Err(StorageError::corrupt_at_line(
@@ -305,10 +298,40 @@ pub fn load_csv_file(path: &std::path::Path) -> Result<Table> {
 /// column type fixed by the first row; the first mismatching row is rejected
 /// with its line number.
 pub fn parse_csv_from(name: &str, source: &str, text: &str) -> Result<Table> {
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    let (names, types) = decode_checked(source, text, |_, row| rows.push(row))?;
+    let columns = names
+        .iter()
+        .enumerate()
+        .map(|(i, n)| match types[i] {
+            Some(ColumnType::Int) => Column::int(n.clone()),
+            Some(ColumnType::Bool) => Column::bool(n.clone()),
+            _ => Column::str(n.clone()),
+        })
+        .collect();
+    let mut table = Table::new(TableSchema {
+        name: name.to_string(),
+        key_column: names[0].clone(),
+        columns,
+    });
+    for row in rows {
+        table.push_row(row)?;
+    }
+    Ok(table)
+}
+
+/// The one validating pass, behind [`parse_csv_from`] and the scan provider:
+/// `each` gets every record's start offset and typed values, in file order;
+/// returns the column names and the types the first row fixed.
+pub(crate) fn decode_checked(
+    source: &str,
+    text: &str,
+    mut each: impl FnMut(usize, Vec<Value>),
+) -> Result<(Vec<String>, Vec<Option<ColumnType>>)> {
     let mut reader = CsvReader::new(source, text)?;
     let names = reader.columns().to_vec();
     let mut types: Vec<Option<ColumnType>> = vec![None; names.len()];
-    let mut rows: Vec<Vec<Value>> = Vec::new();
+    let mut start = reader.position();
     while let Some(record) = reader.next_record()? {
         if record.fields.len() != names.len() {
             return Err(StorageError::corrupt_at_line(
@@ -336,26 +359,10 @@ pub fn parse_csv_from(name: &str, source: &str, text: &str) -> Result<Table> {
             }
             row.push(value);
         }
-        rows.push(row);
+        each(start, row);
+        start = reader.position();
     }
-    let columns = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| match types[i] {
-            Some(ColumnType::Int) => Column::int(n.clone()),
-            Some(ColumnType::Bool) => Column::bool(n.clone()),
-            _ => Column::str(n.clone()),
-        })
-        .collect();
-    let mut table = Table::new(TableSchema {
-        name: name.to_string(),
-        key_column: names[0].clone(),
-        columns,
-    });
-    for row in rows {
-        table.push_row(row)?;
-    }
-    Ok(table)
+    Ok((names, types))
 }
 
 /// Render a table as CSV text (header plus one line per row). Every string
@@ -575,6 +582,60 @@ mod tests {
             err,
             StorageError::Corrupt { ref path, .. } if path == "<memory>"
         ));
+    }
+
+    /// A header naming a column twice (after trimming) is rejected at line 1:
+    /// a record with two `x` fields has no single value of `x`, and a pushed
+    /// filter on `x` would otherwise read a different field than the record.
+    #[test]
+    fn duplicate_header_names_are_rejected() {
+        let expected = "comma-separated distinct non-empty column names";
+        let err = parse_csv_from("T", "t.csv", "k,x,x\n\"a\",1,5\n").unwrap_err();
+        assert_eq!(
+            err,
+            StorageError::corrupt_at_line("t.csv", 1, expected, "`k,x,x`")
+        );
+        let err = parse_csv_from("T", "t.csv", "\"x\", x ,k\n1,2,3\n").unwrap_err();
+        assert_eq!(
+            err,
+            StorageError::corrupt_at_line("t.csv", 1, expected, "`x,x,k`")
+        );
+        assert!(CsvReader::new("t.csv", "a,b,a\n").is_err());
+        let texts = vec![("T".into(), "t.csv".into(), "k,x,x\n\"a\",1,5\n".into())];
+        assert!(crate::provider::CsvDirProvider::from_texts(texts).is_err());
+    }
+
+    /// `position` taken before `next_record` is a record start; seeking back
+    /// to it (or forward past records) re-lexes the same record with the
+    /// same line number, and a bad offset is an error, not a panic.
+    #[test]
+    fn seek_re_lexes_records_at_reported_positions() {
+        let text = "k,v\r\n\"a\nb\",1\n\nc,2\n\"é\",3";
+        let mut reader = CsvReader::new("t.csv", text).unwrap();
+        let mut starts = Vec::new();
+        let mut records = Vec::new();
+        loop {
+            let start = reader.position();
+            let Some(record) = reader.next_record().unwrap() else {
+                break;
+            };
+            starts.push(start);
+            records.push((record.line, record.fields));
+        }
+        assert_eq!(
+            records.iter().map(|r| r.0).collect::<Vec<_>>(),
+            vec![2, 5, 6]
+        );
+        for i in [2, 0, 1, 2, 1] {
+            reader.seek(starts[i]).unwrap();
+            let record = reader.next_record().unwrap().unwrap();
+            assert_eq!((record.line, record.fields), records[i]);
+        }
+        let multibyte = text.rfind('é').unwrap() + 1;
+        assert!(reader.seek(multibyte).is_err());
+        assert!(reader.seek(text.len() + 1).is_err());
+        reader.seek(text.len()).unwrap();
+        assert!(reader.next_record().unwrap().is_none());
     }
 
     #[test]

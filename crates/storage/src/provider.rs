@@ -30,7 +30,9 @@
 //!   or not filters are pushed, or row identity between modes breaks.
 //! * **Stats freshness** — [`ScanProvider::stats`] describes the backend
 //!   state the *next* `scan` call will stream (unfiltered totals). Providers
-//!   over mutable backends must recompute or invalidate on mutation.
+//!   over mutable backends must recompute or invalidate on mutation. The
+//!   three here have no `&mut self` method, so each computes its statistics
+//!   once, at construction, and the contract holds trivially.
 //! * **Residual predicates** — a provider only sees the conjuncts the
 //!   planner chose to push; everything else (multi-variable predicates,
 //!   computed expressions) remains the executor's obligation. Pushing is an
@@ -43,9 +45,9 @@ use wol_model::index::{value_hash, AttrIndex};
 use wol_model::{AttrHistogram, ClassName, Instance, Oid, Value};
 
 use crate::acedb::{AceMapping, AceStore, AceValue};
-use crate::csv::CsvReader;
+use crate::csv::{decode_checked, CsvReader};
 use crate::error::StorageError;
-use crate::relational::{ColumnType, Table};
+use crate::relational::Table;
 use crate::Result;
 
 /// Default number of surviving rows per streamed chunk.
@@ -125,6 +127,9 @@ pub struct ScanSummary {
     pub rows_in: usize,
     /// Rows streamed to the sink (after pushed filters).
     pub rows_out: usize,
+    /// Records decoded from a serialized encoding (CSV: lexed from the text);
+    /// zero for backends holding decoded values (AceDB, relational).
+    pub decoded: usize,
 }
 
 /// A backend the planner can push filters and projections into. See the
@@ -165,6 +170,17 @@ fn push_chunked(
     Ok(())
 }
 
+/// The position of `filter`'s attribute among a class's column `names`.
+fn column_of<'a>(
+    mut names: impl Iterator<Item = &'a String>,
+    filter: &PushedFilter,
+    class: &ClassName,
+) -> Result<usize> {
+    names
+        .position(|name| name == &filter.attr)
+        .ok_or_else(|| StorageError::Missing(format!("column `{}` in `{class}`", filter.attr)))
+}
+
 /// Flush the final partial chunk.
 fn flush_chunk(
     chunk: &mut Vec<Value>,
@@ -180,22 +196,51 @@ fn flush_chunk(
 // CSV directory provider.
 // ---------------------------------------------------------------------------
 
+/// A column's values decoded at `open`, so pushed filters on it need no
+/// lexing: 8 bytes per row for an Int column, 1 for a Bool column. String
+/// columns have none; their filters are evaluated on the lexed record.
+enum Lane {
+    Int(Vec<i64>),
+    Bool(Vec<bool>),
+}
+
+impl Lane {
+    /// The lane of a column whose values have `value`'s kind.
+    fn of(value: &Value) -> Option<Lane> {
+        match value {
+            Value::Int(_) => Some(Lane::Int(Vec::new())),
+            Value::Bool(_) => Some(Lane::Bool(Vec::new())),
+            _ => None,
+        }
+    }
+
+    /// Row `row`'s value.
+    fn value(&self, row: usize) -> Option<Value> {
+        match self {
+            Lane::Int(lane) => lane.get(row).map(|i| Value::Int(*i)),
+            Lane::Bool(lane) => lane.get(row).map(|b| Value::Bool(*b)),
+        }
+    }
+}
+
 struct CsvClass {
-    class: ClassName,
+    stats: ClassStats,
     source: String,
     text: String,
     columns: Vec<String>,
-    rows: usize,
-    ndvs: BTreeMap<String, usize>,
+    /// Start offset into `text` of every record, in file order.
+    offsets: Vec<usize>,
+    /// Per column, its lane if it is an Int or Bool column.
+    lanes: Vec<Option<Lane>>,
 }
 
 /// A directory of `*.csv` files, one class per file (named by file stem),
-/// alphabetically ordered. Statistics come from one streaming pass at
-/// construction time (which also validates field counts and column-type
-/// consistency); scans re-decode the retained text record-at-a-time, so a
-/// pushed filter is evaluated on at most the filtered attributes before the
-/// row's record value is ever built — dropped rows cost a decode, not an
-/// allocation per attribute.
+/// alphabetically ordered. Construction makes the one validating pass over
+/// each text, keeping the statistics, each record's offset and a typed lane
+/// per Int or Bool column. A scan evaluates pushed filters on laned columns
+/// from the lanes, lexes only the records passing them all (one reader,
+/// re-seated over the gaps), and evaluates string-column filters on those:
+/// an unfiltered scan reads the text sequentially, once.
 pub struct CsvDirProvider {
     classes: Vec<CsvClass>,
 }
@@ -233,67 +278,48 @@ impl CsvDirProvider {
     }
 
     fn class(&self, class: &ClassName) -> Option<&CsvClass> {
-        self.classes.iter().find(|c| &c.class == class)
+        self.classes.iter().find(|c| &c.stats.class == class)
     }
 }
 
 impl CsvClass {
-    /// One streaming validation + statistics pass over the text.
+    /// The one validating pass over the text, keeping the statistics, the
+    /// record offsets and the lanes.
     fn build(name: &str, source: &str, text: String) -> Result<CsvClass> {
-        let mut rows = 0usize;
-        let mut distinct: Vec<BTreeSet<Value>>;
-        let columns: Vec<String>;
-        let mut types: Vec<Option<ColumnType>>;
-        {
-            let mut reader = CsvReader::new(source, &text)?;
-            columns = reader.columns().to_vec();
-            distinct = vec![BTreeSet::new(); columns.len()];
-            types = vec![None; columns.len()];
-            while let Some(record) = reader.next_record()? {
-                if record.fields.len() != columns.len() {
-                    return Err(StorageError::corrupt_at_line(
-                        source,
-                        record.line,
-                        format!("{} fields", columns.len()),
-                        format!("{} fields", record.fields.len()),
-                    ));
-                }
-                rows += 1;
-                for (i, field) in record.fields.iter().enumerate() {
-                    let value = field.value();
-                    let ty = match value {
-                        Value::Int(_) => ColumnType::Int,
-                        Value::Bool(_) => ColumnType::Bool,
-                        _ => ColumnType::Str,
-                    };
-                    match types[i] {
-                        None => types[i] = Some(ty),
-                        Some(expected) if expected != ty => {
-                            return Err(StorageError::corrupt_at_line(
-                                source,
-                                record.line,
-                                format!("a consistently typed column `{}`", columns[i]),
-                                format!("`{}`", field.text),
-                            ));
-                        }
-                        Some(_) => {}
-                    }
-                    distinct[i].insert(value);
-                }
+        let mut offsets = Vec::new();
+        let mut lanes: Vec<Option<Lane>> = Vec::new();
+        let mut distinct: Vec<BTreeSet<Value>> = Vec::new();
+        let (columns, _) = decode_checked(source, &text, |offset, row| {
+            if offsets.is_empty() {
+                lanes = row.iter().map(Lane::of).collect();
+                distinct = vec![BTreeSet::new(); row.len()];
             }
-        }
+            offsets.push(offset);
+            for ((value, lane), set) in row.into_iter().zip(&mut lanes).zip(&mut distinct) {
+                match (lane, &value) {
+                    (Some(Lane::Int(lane)), Value::Int(i)) => lane.push(*i),
+                    (Some(Lane::Bool(lane)), Value::Bool(b)) => lane.push(*b),
+                    _ => {}
+                }
+                set.insert(value);
+            }
+        })?;
         let ndvs = columns
             .iter()
-            .zip(distinct)
-            .map(|(name, set)| (name.clone(), set.len()))
+            .enumerate()
+            .map(|(i, name)| (name.clone(), distinct.get(i).map_or(0, BTreeSet::len)))
             .collect();
         Ok(CsvClass {
-            class: ClassName::new(name),
+            stats: ClassStats {
+                class: ClassName::new(name),
+                rows: offsets.len(),
+                ndvs,
+            },
             source: source.to_string(),
             text,
             columns,
-            rows,
-            ndvs,
+            offsets,
+            lanes,
         })
     }
 }
@@ -304,16 +330,11 @@ impl ScanProvider for CsvDirProvider {
     }
 
     fn classes(&self) -> Vec<ClassName> {
-        self.classes.iter().map(|c| c.class.clone()).collect()
+        self.classes.iter().map(|c| c.stats.class.clone()).collect()
     }
 
     fn stats(&self, class: &ClassName) -> Option<ClassStats> {
-        let c = self.class(class)?;
-        Some(ClassStats {
-            class: c.class.clone(),
-            rows: c.rows,
-            ndvs: c.ndvs.clone(),
-        })
+        self.class(class).map(|c| c.stats.clone())
     }
 
     fn scan(
@@ -326,27 +347,37 @@ impl ScanProvider for CsvDirProvider {
         let c = self
             .class(class)
             .ok_or_else(|| StorageError::Missing(format!("csv class `{class}`")))?;
-        // Column position of each filtered attribute, resolved once.
-        let filter_cols: Vec<(usize, &PushedFilter)> = pushdown
-            .filters
-            .iter()
-            .map(|f| {
-                c.columns
-                    .iter()
-                    .position(|name| name == &f.attr)
-                    .map(|i| (i, f))
-                    .ok_or_else(|| {
-                        StorageError::Missing(format!("csv column `{}` in `{class}`", f.attr))
-                    })
-            })
-            .collect::<Result<_>>()?;
+        // Each filter resolved once, to its column's lane or, for a string
+        // column, to the field's position in the lexed record.
+        let mut laned = Vec::new();
+        let mut lexed = Vec::new();
+        for filter in &pushdown.filters {
+            let i = column_of(c.columns.iter(), filter, class)?;
+            match c.lanes.get(i).and_then(Option::as_ref) {
+                Some(lane) => laned.push((lane, filter)),
+                None => lexed.push((i, filter)),
+            }
+        }
         let mut reader = CsvReader::new(&c.source, &c.text)?;
         let mut summary = ScanSummary::default();
         let mut chunk = Vec::new();
-        while let Some(record) = reader.next_record()? {
+        for (row, &offset) in c.offsets.iter().enumerate() {
             summary.rows_in += 1;
-            // Cheap pre-filter: decode only the filtered fields first.
-            let passes = filter_cols.iter().all(|(i, filter)| {
+            let keep =
+                |(lane, filter): &(&Lane, &PushedFilter)| filter.matches(lane.value(row).as_ref());
+            if !laned.iter().all(keep) {
+                continue;
+            }
+            // Having lexed record `row - 1`, the reader stands at `offset`.
+            if reader.position() != offset {
+                reader.seek(offset)?;
+            }
+            let Some(record) = reader.next_record()? else {
+                let missing = format!("csv record at byte {offset} of `{class}`");
+                return Err(StorageError::Missing(missing));
+            };
+            summary.decoded += 1;
+            let passes = lexed.iter().all(|(i, filter)| {
                 record
                     .fields
                     .get(*i)
@@ -381,12 +412,44 @@ impl ScanProvider for CsvDirProvider {
 pub struct AceProvider {
     store: AceStore,
     mappings: Vec<AceMapping>,
+    /// One record per mapping, in mapping order.
+    stats: Vec<ClassStats>,
 }
 
 impl AceProvider {
-    /// Serve `store` through `mappings`.
+    /// Serve `store` through `mappings`, computing their statistics.
     pub fn new(store: AceStore, mappings: Vec<AceMapping>) -> AceProvider {
-        AceProvider { store, mappings }
+        let stats = mappings
+            .iter()
+            .map(|mapping| {
+                let objects = store.of_class(&mapping.ace_class);
+                let mut distinct: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
+                for object in &objects {
+                    distinct
+                        .entry("name".to_string())
+                        .or_default()
+                        .insert(Value::str(&object.name));
+                    for (tag, label) in &mapping.tags {
+                        if let Some(value) = object.tags.get(tag) {
+                            distinct
+                                .entry(label.clone())
+                                .or_default()
+                                .insert(convert_keyed(value));
+                        }
+                    }
+                }
+                ClassStats {
+                    class: ClassName::new(&mapping.model_class),
+                    rows: objects.len(),
+                    ndvs: distinct.into_iter().map(|(a, s)| (a, s.len())).collect(),
+                }
+            })
+            .collect();
+        AceProvider {
+            store,
+            mappings,
+            stats,
+        }
     }
 
     fn mapping(&self, class: &ClassName) -> Option<&AceMapping> {
@@ -452,28 +515,7 @@ impl ScanProvider for AceProvider {
     }
 
     fn stats(&self, class: &ClassName) -> Option<ClassStats> {
-        let mapping = self.mapping(class)?;
-        let objects = self.store.of_class(&mapping.ace_class);
-        let mut distinct: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
-        for object in &objects {
-            distinct
-                .entry("name".to_string())
-                .or_default()
-                .insert(Value::str(&object.name));
-            for (tag, label) in &mapping.tags {
-                if let Some(value) = object.tags.get(tag) {
-                    distinct
-                        .entry(label.clone())
-                        .or_default()
-                        .insert(convert_keyed(value));
-                }
-            }
-        }
-        Some(ClassStats {
-            class: class.clone(),
-            rows: objects.len(),
-            ndvs: distinct.into_iter().map(|(a, s)| (a, s.len())).collect(),
-        })
+        self.stats.iter().find(|s| &s.class == class).cloned()
     }
 
     fn scan(
@@ -520,12 +562,34 @@ impl ScanProvider for AceProvider {
 /// sparse AceDB import.
 pub struct RelationalProvider {
     tables: Vec<Table>,
+    /// One record per table, in table order.
+    stats: Vec<ClassStats>,
 }
 
 impl RelationalProvider {
-    /// Serve the given tables.
+    /// Serve the given tables, computing their statistics.
     pub fn new(tables: Vec<Table>) -> RelationalProvider {
-        RelationalProvider { tables }
+        let stats = tables
+            .iter()
+            .map(|table| {
+                let mut ndvs = BTreeMap::new();
+                for (i, column) in table.schema.columns.iter().enumerate() {
+                    let distinct: BTreeSet<&Value> = table
+                        .rows
+                        .iter()
+                        .map(|row| &row[i])
+                        .filter(|v| !matches!(v, Value::Absent))
+                        .collect();
+                    ndvs.insert(column.name.clone(), distinct.len());
+                }
+                ClassStats {
+                    class: ClassName::new(&table.schema.name),
+                    rows: table.len(),
+                    ndvs,
+                }
+            })
+            .collect();
+        RelationalProvider { tables, stats }
     }
 
     fn table(&self, class: &ClassName) -> Option<&Table> {
@@ -546,22 +610,7 @@ impl ScanProvider for RelationalProvider {
     }
 
     fn stats(&self, class: &ClassName) -> Option<ClassStats> {
-        let table = self.table(class)?;
-        let mut ndvs = BTreeMap::new();
-        for (i, column) in table.schema.columns.iter().enumerate() {
-            let distinct: BTreeSet<&Value> = table
-                .rows
-                .iter()
-                .map(|row| &row[i])
-                .filter(|v| !matches!(v, Value::Absent))
-                .collect();
-            ndvs.insert(column.name.clone(), distinct.len());
-        }
-        Some(ClassStats {
-            class: class.clone(),
-            rows: table.len(),
-            ndvs,
-        })
+        self.stats.iter().find(|s| &s.class == class).cloned()
     }
 
     fn scan(
@@ -574,20 +623,11 @@ impl ScanProvider for RelationalProvider {
         let table = self
             .table(class)
             .ok_or_else(|| StorageError::Missing(format!("table `{class}`")))?;
+        let names = || table.schema.columns.iter().map(|c| &c.name);
         let filter_cols: Vec<(usize, &PushedFilter)> = pushdown
             .filters
             .iter()
-            .map(|f| {
-                table
-                    .schema
-                    .columns
-                    .iter()
-                    .position(|c| c.name == f.attr)
-                    .map(|i| (i, f))
-                    .ok_or_else(|| {
-                        StorageError::Missing(format!("column `{}` in table `{class}`", f.attr))
-                    })
-            })
+            .map(|f| Ok((column_of(names(), f, class)?, f)))
             .collect::<Result<_>>()?;
         let mut summary = ScanSummary::default();
         let mut chunk = Vec::new();
@@ -750,7 +790,8 @@ mod tests {
             summary,
             ScanSummary {
                 rows_in: 3,
-                rows_out: 3
+                rows_out: 3,
+                decoded: 3
             }
         );
         assert_eq!(seen, vec![2, 1]);
@@ -782,7 +823,8 @@ mod tests {
             summary,
             ScanSummary {
                 rows_in: 3,
-                rows_out: 2
+                rows_out: 2,
+                decoded: 2
             }
         );
         assert_eq!(rows.len(), 2);
@@ -790,6 +832,54 @@ mod tests {
         assert_eq!(rows[0].project("lab"), None);
         assert_eq!(rows[0].project("name"), Some(&Value::str("c1")));
         assert_eq!(rows[1].project("length"), Some(&Value::int(50)));
+    }
+
+    /// Filters on Int and Bool columns are evaluated from the lanes built at
+    /// `open`, so only the records passing them are lexed; a filter on a
+    /// string column is evaluated on the lexed record. Blank lines, CRLF and
+    /// a quoted field spanning lines sit between the survivors.
+    #[test]
+    fn scan_lexes_only_records_passing_the_laned_filters() {
+        let text = "k,n,ok\r\n\"a\",1,true\n\n\"b\nb\",5,true\r\n\"c\",7,false\n\"d\",9,true";
+        let provider =
+            CsvDirProvider::from_texts(vec![("T".into(), "t.csv".into(), text.into())]).unwrap();
+        let class = ClassName::new("T");
+        let filter = |attr: &str, op, value| PushedFilter {
+            attr: attr.to_string(),
+            op,
+            value,
+        };
+        let scan = |filters: Vec<PushedFilter>| {
+            let mut keys = Vec::new();
+            let pushdown = Pushdown {
+                filters,
+                projection: None,
+            };
+            let summary = provider
+                .scan(&class, &pushdown, 2, &mut |chunk| {
+                    keys.extend(chunk.iter().map(|row| row.project("k").cloned().unwrap()));
+                    Ok(())
+                })
+                .unwrap();
+            (summary.rows_out, summary.decoded, keys)
+        };
+        let (out, decoded, keys) = scan(vec![
+            filter("n", PushOp::Geq, Value::int(5)),
+            filter("ok", PushOp::Eq, Value::Bool(true)),
+        ]);
+        assert_eq!((out, decoded), (2, 2));
+        assert_eq!(keys, vec![Value::str("b\nb"), Value::str("d")]);
+        // A string-column filter lexes every laned survivor.
+        let (out, decoded, keys) = scan(vec![
+            filter("n", PushOp::Gt, Value::int(1)),
+            filter("k", PushOp::Neq, Value::str("c")),
+        ]);
+        assert_eq!((out, decoded), (2, 3));
+        assert_eq!(keys, vec![Value::str("b\nb"), Value::str("d")]);
+        // A constant of another kind: ordered comparisons fail, `!=` holds.
+        assert_eq!(scan(vec![filter("n", PushOp::Lt, Value::str("9"))]).0, 0);
+        assert_eq!(scan(vec![filter("ok", PushOp::Neq, Value::int(1))]).1, 4);
+        assert_eq!(scan(Vec::new()).1, 4);
     }
 
     #[test]
@@ -872,7 +962,8 @@ mod tests {
             summary,
             ScanSummary {
                 rows_in: 2,
-                rows_out: 1
+                rows_out: 1,
+                decoded: 0
             }
         );
         // The reference streamed as the referenced object's name.
@@ -927,7 +1018,8 @@ mod tests {
             summary,
             ScanSummary {
                 rows_in: 2,
-                rows_out: 1
+                rows_out: 1,
+                decoded: 0
             }
         );
         // Reference columns stream as string keys.

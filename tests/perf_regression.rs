@@ -509,6 +509,52 @@ fn e13_federated_pushdown_is_at_least_3x_full_ingest() {
     );
 }
 
+/// The CSV decode guard, by counting instead of timing: the pushed
+/// `LEVEL_FLOOR` filter on the federated assay CSV is evaluated from the
+/// `level` lane built at `open`, so the scan lexes exactly the records the
+/// filter keeps — not the other ~98 % — while an unfiltered scan lexes every
+/// record exactly once.
+#[test]
+fn csv_scan_lexes_only_the_records_its_laned_filters_keep() {
+    use wol_repro::storage::{
+        PushOp, Pushdown, PushedFilter, ScanProvider, ScanSummary, DEFAULT_CHUNK_ROWS,
+    };
+    use wol_repro::wol_model::Value;
+    use wol_repro::workloads::federated::{self, FederatedParams};
+
+    let params = FederatedParams::scaled(1); // 20 000 assays
+    let (csv, _, _) = federated::providers(&params);
+    let class = ClassName::new("AssayC");
+    let scan = |pushdown: &Pushdown| -> ScanSummary {
+        csv.scan(&class, pushdown, DEFAULT_CHUNK_ROWS, &mut |_| Ok(()))
+            .expect("assay scan runs")
+    };
+    let floor = Pushdown {
+        filters: vec![PushedFilter {
+            attr: "level".to_string(),
+            op: PushOp::Geq,
+            value: Value::Int(federated::LEVEL_FLOOR),
+        }],
+        projection: None,
+    };
+    let filtered = scan(&floor);
+    assert_eq!(filtered.rows_in, params.assays);
+    assert!(
+        filtered.rows_out > 0 && filtered.rows_out * 10 < filtered.rows_in,
+        "the floor should keep a few percent of the rows: {filtered:?}"
+    );
+    assert_eq!(
+        filtered.decoded, filtered.rows_out,
+        "the filtered scan lexed records its lane had already rejected: {filtered:?}"
+    );
+    let full = scan(&Pushdown::none());
+    assert_eq!(
+        (full.rows_in, full.rows_out, full.decoded),
+        (params.assays, params.assays, params.assays),
+        "an unfiltered scan lexes every record exactly once"
+    );
+}
+
 /// The full-size E6 acceptance check (100 clones x 300 markers): the genome
 /// join runs on index probes, the ~23M-row cross product is gone (peak
 /// operator output far below 1M rows), and the execute phase — ~20-60s

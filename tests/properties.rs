@@ -865,6 +865,331 @@ proptest! {
     }
 }
 
+/// Column kinds of a generated CSV text.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum CsvKind {
+    Int,
+    Bool,
+    Str,
+}
+
+const CSV_KINDS: [CsvKind; 3] = [CsvKind::Int, CsvKind::Bool, CsvKind::Str];
+
+/// Characters of quoted string fields: the separator, quotes and line breaks
+/// the lexer must carry through, and one- to four-byte UTF-8.
+const CSV_QUOTED: &[char] = &[
+    'a', 'z', ' ', ',', '"', '\n', '\r', 'é', 'ß', '日', '🦀', '7',
+];
+
+/// Characters after the first of an unquoted string field (the first is a
+/// letter, so the field never reads as an integer or a boolean).
+const CSV_UNQUOTED: &[char] = &['a', 'q', ' ', 'é', '日', '🦀', '5', '-'];
+
+fn pick<T: Copy>(g: &mut proptest::Gen, items: &[T]) -> T {
+    items[g.usize_in(0, items.len())]
+}
+
+/// True once in `n` draws.
+fn one_in(g: &mut proptest::Gen, n: usize) -> bool {
+    g.usize_in(0, n) == 0
+}
+
+/// `field`, sometimes padded with the spaces an unquoted field is trimmed of.
+fn csv_pad(g: &mut proptest::Gen, field: String) -> String {
+    if one_in(g, 3) {
+        format!(" {field}  ")
+    } else {
+        field
+    }
+}
+
+/// A valid CSV text over 1–4 columns `c0, c1, …` of random kinds and 0–19
+/// records: LF or CRLF endings, blank (and blank-looking) lines, padded
+/// unquoted fields, quoted fields holding `,`, `""` and line breaks,
+/// multi-byte text, and sometimes no final line break. Returns the text and
+/// every string value it holds (constants for generated filters).
+fn random_csv(g: &mut proptest::Gen) -> (String, Vec<String>) {
+    let kinds: Vec<CsvKind> = (0..g.usize_in(1, 5)).map(|_| pick(g, &CSV_KINDS)).collect();
+    let mut text = String::new();
+    if one_in(g, 4) {
+        text.push_str(pick(g, &["\n", " \r\n"]));
+    }
+    let header: Vec<String> = (0..kinds.len())
+        .map(|i| match g.usize_in(0, 3) {
+            0 => format!("\"c{i}\""),
+            1 => format!(" c{i} "),
+            _ => format!("c{i}"),
+        })
+        .collect();
+    text.push_str(&header.join(","));
+    let mut strings = Vec::new();
+    let rows = g.usize_in(0, 20);
+    for _ in 0..rows {
+        text.push_str(pick(g, &["\n", "\r\n"]));
+        if one_in(g, 4) {
+            text.push_str(pick(g, &["\n", "\r\n", "  \n"]));
+        }
+        let fields: Vec<String> = kinds
+            .iter()
+            .map(|kind| match kind {
+                CsvKind::Int => {
+                    let i = if one_in(g, 8) {
+                        pick(g, &[i64::MIN, i64::MAX])
+                    } else {
+                        g.usize_in(0, 41) as i64 - 20
+                    };
+                    csv_pad(g, i.to_string())
+                }
+                CsvKind::Bool => {
+                    let b = pick(g, &["true", "false", "True", "False"]);
+                    csv_pad(g, b.to_string())
+                }
+                CsvKind::Str if one_in(g, 3) => {
+                    let mut s = pick(g, &['x', 'é', '日']).to_string();
+                    for _ in 0..g.usize_in(0, 5) {
+                        s.push(pick(g, CSV_UNQUOTED));
+                    }
+                    strings.push(s.trim().to_string());
+                    csv_pad(g, s)
+                }
+                CsvKind::Str => {
+                    let s: String = (0..g.usize_in(0, 6)).map(|_| pick(g, CSV_QUOTED)).collect();
+                    strings.push(s.clone());
+                    format!("\"{}\"", s.replace('"', "\"\""))
+                }
+            })
+            .collect();
+        text.push_str(&fields.join(","));
+    }
+    if !one_in(g, 3) {
+        text.push_str(pick(g, &["\n", "\r\n"]));
+    }
+    (text, strings)
+}
+
+/// Byte-level damage to a valid corpus, one to three times: truncation, a bit
+/// flip, or an inserted `"`, `\r`, `,`, `\n` or multi-byte character — at any
+/// byte, so possibly inside another character (the lossy re-decode then
+/// yields U+FFFD, itself three bytes).
+fn mutate_csv(g: &mut proptest::Gen, text: &str) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for _ in 0..g.usize_in(1, 4) {
+        let at = g.usize_in(0, bytes.len() + 1);
+        match g.usize_in(0, 4) {
+            0 => bytes.truncate(at),
+            1 if at < bytes.len() => bytes[at] ^= 1 << g.usize_in(0, 8),
+            2 => bytes.insert(at, pick(g, b"\"\r,\n")),
+            _ => {
+                let c = pick(g, &['é', '日', '🦀']);
+                let mut buf = [0; 4];
+                bytes.splice(at..at, c.encode_utf8(&mut buf).bytes());
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// 0–3 filters over `columns` — every `PushOp`, constants of the column's own
+/// kind or another, string-column filters included — and a projection that
+/// is absent or a random (possibly empty) subset.
+fn random_pushdown(
+    g: &mut proptest::Gen,
+    columns: &[wol_repro::storage::Column],
+    strings: &[String],
+) -> wol_repro::storage::Pushdown {
+    use wol_repro::storage::{ColumnType, PushOp, Pushdown, PushedFilter};
+    let ops = [
+        PushOp::Eq,
+        PushOp::Neq,
+        PushOp::Lt,
+        PushOp::Leq,
+        PushOp::Gt,
+        PushOp::Geq,
+    ];
+    let filters = (0..g.usize_in(0, 4))
+        .map(|_| {
+            let column = &columns[g.usize_in(0, columns.len())];
+            let kind = match column.ty {
+                _ if one_in(g, 2) => pick(g, &CSV_KINDS),
+                ColumnType::Int => CsvKind::Int,
+                ColumnType::Bool => CsvKind::Bool,
+                _ => CsvKind::Str,
+            };
+            let value = match kind {
+                CsvKind::Int => Value::Int(g.usize_in(0, 41) as i64 - 20),
+                CsvKind::Bool => Value::Bool(one_in(g, 2)),
+                CsvKind::Str if !strings.is_empty() && one_in(g, 2) => {
+                    Value::str(strings[g.usize_in(0, strings.len())].clone())
+                }
+                CsvKind::Str => Value::str(pick(g, &["", "m", "x", "日"])),
+            };
+            PushedFilter {
+                attr: column.name.clone(),
+                op: pick(g, &ops),
+                value,
+            }
+        })
+        .collect();
+    let projection = if one_in(g, 3) {
+        None
+    } else {
+        Some(
+            columns
+                .iter()
+                .filter(|_| one_in(g, 2))
+                .map(|c| c.name.clone())
+                .collect(),
+        )
+    };
+    Pushdown {
+        filters,
+        projection,
+    }
+}
+
+/// Scan `text` through `CsvDirProvider` under a random pushdown and chunk
+/// size, and hold it to the reference: `parse_csv_from`, then
+/// `PushedFilter::matches` over the table rows. The two accept exactly the
+/// same texts; on an accepted one the rows (order included), the chunk sizes,
+/// the statistics and the `ScanSummary` are equal — `decoded` being the rows
+/// that pass the filters on Int and Bool columns, the ones the provider
+/// evaluates without lexing.
+fn scan_agrees_with_reference(
+    g: &mut proptest::Gen,
+    text: &str,
+    strings: &[String],
+) -> Result<(), String> {
+    use wol_repro::storage::csv::parse_csv_from;
+    use wol_repro::storage::{ColumnType, CsvDirProvider, PushedFilter, ScanProvider, ScanSummary};
+
+    let reference = parse_csv_from("T", "gen.csv", text);
+    let provider =
+        CsvDirProvider::from_texts(vec![("T".into(), "gen.csv".into(), text.to_string())]);
+    let (table, provider) = match (reference, provider) {
+        (Ok(table), Ok(provider)) => (table, provider),
+        (Err(_), Err(_)) => return Ok(()),
+        (reference, provider) => {
+            return Err(format!(
+                "validity differs: reference {:?}, provider {:?}",
+                reference.err(),
+                provider.err()
+            ))
+        }
+    };
+    let columns = &table.schema.columns;
+    let pushdown = random_pushdown(g, columns, strings);
+    let chunk_rows = g.usize_in(1, 8);
+
+    let class = ClassName::new("T");
+    let stats = provider.stats(&class).ok_or("no statistics")?;
+    prop_assert_eq!(stats.rows, table.len());
+    for (i, column) in columns.iter().enumerate() {
+        let distinct: std::collections::BTreeSet<&Value> =
+            table.rows.iter().map(|row| &row[i]).collect();
+        prop_assert_eq!(stats.ndvs.get(&column.name).copied(), Some(distinct.len()));
+    }
+
+    let position = |f: &PushedFilter| columns.iter().position(|c| c.name == f.attr);
+    let mut expected = Vec::new();
+    let mut decoded = 0;
+    for row in &table.rows {
+        let passes = |f: &PushedFilter| f.matches(position(f).map(|i| &row[i]));
+        let laned =
+            |f: &&PushedFilter| position(f).is_some_and(|i| columns[i].ty != ColumnType::Str);
+        if !pushdown.filters.iter().filter(laned).all(passes) {
+            continue;
+        }
+        decoded += 1;
+        if !pushdown.filters.iter().all(passes) {
+            continue;
+        }
+        let kept = columns
+            .iter()
+            .zip(row)
+            .filter(|(c, _)| {
+                pushdown
+                    .projection
+                    .as_ref()
+                    .is_none_or(|p| p.contains(&c.name))
+            })
+            .map(|(c, v)| (c.name.clone(), v.clone()));
+        expected.push(Value::Record(kept.collect()));
+    }
+
+    let (mut rows, mut chunks) = (Vec::new(), Vec::new());
+    let summary = provider
+        .scan(&class, &pushdown, chunk_rows, &mut |chunk| {
+            chunks.push(chunk.len());
+            rows.extend(chunk);
+            Ok(())
+        })
+        .map_err(|e| format!("scan failed: {e}"))?;
+    prop_assert_eq!(&rows, &expected);
+    let expected_chunks: Vec<usize> = expected.chunks(chunk_rows).map(<[Value]>::len).collect();
+    prop_assert_eq!(chunks, expected_chunks);
+    prop_assert_eq!(
+        summary,
+        ScanSummary {
+            rows_in: table.len(),
+            rows_out: expected.len(),
+            decoded,
+        }
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The CSV provider's scan — filters on Int / Bool columns evaluated from
+    /// the lanes built at `open`, only the surviving records lexed (re-seated
+    /// at their stored offsets), string-column filters on the lexed record —
+    /// is the reference decoder plus `PushedFilter::matches`, row for row,
+    /// chunk for chunk, counter for counter, over random texts and pushdowns.
+    #[test]
+    fn csv_scan_matches_the_reference_decoder(seed in 0u64..u64::MAX) {
+        let mut g = proptest::Gen::new(seed);
+        let (text, strings) = random_csv(&mut g);
+        if let Err(e) = wol_repro::storage::csv::parse_csv_from("T", "gen.csv", &text) {
+            prop_assert!(false, "generated text rejected: {}\n{:?}", e, text);
+        }
+        scan_agrees_with_reference(&mut g, &text, &strings)
+            .map_err(|e| format!("{e}\ntext: {text:?}"))?;
+    }
+
+    /// Hostile input: byte-damaged corpora never panic the lexer (read to the
+    /// end or the first error, then re-seated at stored and at arbitrary
+    /// offsets — off character boundaries and past the end included), the
+    /// reference decoder, `CsvDirProvider::from_texts` or a filtered scan;
+    /// whatever both sides accept, they still agree on.
+    #[test]
+    fn damaged_csv_is_an_error_or_a_value_never_a_panic(seed in 0u64..u64::MAX) {
+        use wol_repro::storage::csv::CsvReader;
+
+        let mut g = proptest::Gen::new(seed);
+        let (text, strings) = random_csv(&mut g);
+        let text = mutate_csv(&mut g, &text);
+        if let Ok(mut reader) = CsvReader::new("fuzz.csv", &text) {
+            let mut starts = vec![reader.position()];
+            while let Ok(Some(_)) = reader.next_record() {
+                starts.push(reader.position());
+            }
+            for _ in 0..4 {
+                let offset = if one_in(&mut g, 2) {
+                    pick(&mut g, &starts)
+                } else {
+                    g.usize_in(0, text.len() + 3)
+                };
+                if reader.seek(offset).is_ok() {
+                    let _ = reader.next_record();
+                }
+            }
+        }
+        scan_agrees_with_reference(&mut g, &text, &strings)
+            .map_err(|e| format!("{e}\ntext: {text:?}"))?;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
