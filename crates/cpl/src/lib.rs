@@ -20,9 +20,8 @@
 //!   connected pair, fed by extent statistics and per-attribute equi-depth
 //!   histograms over the live instances ([`optimizer::Statistics`],
 //!   [`optimizer::CostModel`]) with ndv propagated through join outputs; the
-//!   flat `1/ndv` model remains selectable as the differential baseline, and
-//!   the legacy rule-based rewriter survives as
-//!   [`optimizer::optimize_reference`];
+//!   flat `1/ndv` model remains selectable as the differential baseline. It
+//!   is the only optimiser: a shape it does not decompose runs as compiled;
 //! * execution statistics ([`exec::ExecStats`]) used by the benchmark harness.
 //!
 //! ## Threading model
@@ -92,9 +91,8 @@ pub use exec::{
 };
 pub use expr::Expr;
 pub use optimizer::{
-    estimate_join_outputs, estimate_rows, optimize_reference, optimize_with_stats,
-    pushable_predicates, CostModel, ExternalClassStats, JoinEstimate, PushCmp, PushdownCatalog,
-    PushedPredicate, Statistics,
+    estimate_join_outputs, estimate_rows, optimize_with_stats, pushable_predicates, CostModel,
+    ExternalClassStats, JoinEstimate, PushCmp, PushdownCatalog, PushedPredicate, Statistics,
 };
 pub use plan::{InsertAction, Plan, Query};
 pub use wol_model::{Parallelism, WorkerPool};

@@ -1,4 +1,4 @@
-//! A cost-based join-graph planner (plus the legacy rule-based rewriter).
+//! A cost-based join-graph planner.
 //!
 //! The paper relies on "the Kleisli optimizer [rewriting] the CPL code to a
 //! more efficient form" (Section 6). This module is that substitute. The
@@ -35,11 +35,10 @@
 //! executor then answers it with attribute-index probes instead of
 //! materialising the side at all ([`crate::exec`]).
 //!
-//! The old rule-based rewriter (filter push-down + hash-join upgrade) remains
-//! available as [`optimize_reference`], mirroring the engine's
-//! `match_body_reference`: it is the semantics baseline the planner is
-//! property-tested against, and the fallback for plan shapes the decomposer
-//! does not understand.
+//! A plan the decomposer does not take — a `Distinct` below the root, no scan
+//! at all, or a `Map` that rebinds a variable — is returned unchanged: the
+//! raw plan is the semantics every planner property test compares against,
+//! so it is also the safe answer. The translator emits none of these shapes.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -258,8 +257,8 @@ fn conjunction(mut exprs: Vec<Expr>) -> Option<Expr> {
 }
 
 /// Flatten a plan into the pool. Returns `false` on operators the planner
-/// does not decompose (currently `Distinct`), in which case the caller falls
-/// back to the rule-based rewriter.
+/// does not decompose (currently `Distinct`), in which case the caller keeps
+/// the plan as it is.
 fn decompose(plan: Plan, pool: &mut Pool) -> bool {
     match plan {
         Plan::Scan { class, var } => {
@@ -887,8 +886,8 @@ pub fn pushable_predicates(plan: &Plan, catalog: &PushdownCatalog) -> Vec<Pushed
 /// Optimise a plan with the join-graph planner, fed by extent and
 /// distinct-value statistics over the live source instances
 /// ([`Statistics::empty`] when none are at hand: every estimate then uses
-/// fixed defaults), falling back to [`optimize_reference`] for shapes the
-/// decomposer does not understand.
+/// fixed defaults). A shape the decomposer does not take comes back
+/// unchanged (see the module docs).
 pub fn optimize_with_stats(plan: Plan, stats: &Statistics<'_>) -> Plan {
     // Distinct is a planning barrier: plan what is underneath it.
     if let Plan::Distinct { input } = plan {
@@ -898,16 +897,16 @@ pub fn optimize_with_stats(plan: Plan, stats: &Statistics<'_>) -> Plan {
     }
     let mut pool = Pool::default();
     if !decompose(plan.clone(), &mut pool) || pool.scans.is_empty() {
-        return optimize_reference(plan);
+        return plan;
     }
     // Inlining map definitions into the conjunct pool is only sound when
     // every binding introduces a *fresh* variable: a binding that shadows a
     // scan variable (or an earlier binding) changes what conjuncts below it
     // referred to. The translator never emits such plans, but the planner is
-    // a public API — rebinding shapes take the rule-based path instead.
+    // a public API — rebinding shapes keep their raw form.
     let mut seen: BTreeSet<&String> = pool.scans.iter().map(|(_, var)| var).collect();
     if !pool.maps.iter().all(|(var, _)| seen.insert(var)) {
-        return optimize_reference(plan);
+        return plan;
     }
     plan_pool(pool, stats)
 }
@@ -1158,196 +1157,6 @@ fn join_components(
     Component { plan, card }
 }
 
-// ---------------------------------------------------------------------------
-// The legacy rule-based rewriter.
-// ---------------------------------------------------------------------------
-
-/// Iteration cap for the rule-based rewriter. Each pass either reaches a
-/// fixpoint or strictly sinks filters / upgrades joins, so well-formed plans
-/// converge in a handful of passes; the cap is a backstop against rewrite
-/// cycles, and hitting it is a bug that is loudly reported.
-const MAX_REWRITE_PASSES: usize = 64;
-
-/// Optimise a plan with the legacy rule-based rewriter: filter push-down and
-/// hash-join upgrade applied to a fixpoint. Kept (mirroring the engine's
-/// `match_body_reference`) as the baseline the planner is property-tested
-/// against, and used as the fallback for non-decomposable plan shapes.
-pub fn optimize_reference(plan: Plan) -> Plan {
-    let mut current = plan;
-    for _ in 0..MAX_REWRITE_PASSES {
-        let next = rewrite(current.clone());
-        if next == current {
-            return next;
-        }
-        current = next;
-    }
-    debug_assert!(
-        false,
-        "rule-based rewriter failed to converge within {MAX_REWRITE_PASSES} passes on:\n{}",
-        current.render()
-    );
-    eprintln!(
-        "warning: cpl::optimize_reference did not converge within {MAX_REWRITE_PASSES} passes; \
-         returning the last plan"
-    );
-    current
-}
-
-fn rewrite(plan: Plan) -> Plan {
-    match plan {
-        Plan::Filter { input, predicate } => {
-            let input = rewrite(*input);
-            push_filter(input, predicate)
-        }
-        Plan::Map { input, bindings } => Plan::Map {
-            input: Box::new(rewrite(*input)),
-            bindings,
-        },
-        Plan::Distinct { input } => Plan::Distinct {
-            input: Box::new(rewrite(*input)),
-        },
-        Plan::NestedLoopJoin {
-            left,
-            right,
-            predicate,
-        } => {
-            let left = rewrite(*left);
-            let right = rewrite(*right);
-            match predicate {
-                Some(p) => upgrade_join(left, right, p),
-                None => Plan::NestedLoopJoin {
-                    left: Box::new(left),
-                    right: Box::new(right),
-                    predicate: None,
-                },
-            }
-        }
-        Plan::CrossJoin { left, right } => Plan::CrossJoin {
-            left: Box::new(rewrite(*left)),
-            right: Box::new(rewrite(*right)),
-        },
-        Plan::HashJoin { left, right, keys } => Plan::HashJoin {
-            left: Box::new(rewrite(*left)),
-            right: Box::new(rewrite(*right)),
-            keys,
-        },
-        scan @ Plan::Scan { .. } => scan,
-    }
-}
-
-/// Push a filter as close to the scans as possible.
-fn push_filter(input: Plan, predicate: Expr) -> Plan {
-    let needed = predicate.var_set();
-    match input {
-        Plan::NestedLoopJoin {
-            left,
-            right,
-            predicate: join_pred,
-        } => {
-            let left_vars = left.produced_vars();
-            let right_vars = right.produced_vars();
-            if needed.iter().all(|v| left_vars.contains(v)) {
-                return Plan::NestedLoopJoin {
-                    left: Box::new(push_filter(*left, predicate)),
-                    right,
-                    predicate: join_pred,
-                };
-            }
-            if needed.iter().all(|v| right_vars.contains(v)) {
-                return Plan::NestedLoopJoin {
-                    left,
-                    right: Box::new(push_filter(*right, predicate)),
-                    predicate: join_pred,
-                };
-            }
-            // The predicate spans both sides: fold it into the join predicate
-            // and try to turn the result into a hash join.
-            let mut all = split_conjuncts(predicate);
-            if let Some(existing) = join_pred {
-                all.extend(split_conjuncts(existing));
-            }
-            let combined = conjunction(all).expect("at least one conjunct");
-            upgrade_join(*left, *right, combined)
-        }
-        Plan::HashJoin { left, right, keys } => {
-            let left_vars = left.produced_vars();
-            let right_vars = right.produced_vars();
-            if needed.iter().all(|v| left_vars.contains(v)) {
-                return Plan::HashJoin {
-                    left: Box::new(push_filter(*left, predicate)),
-                    right,
-                    keys,
-                };
-            }
-            if needed.iter().all(|v| right_vars.contains(v)) {
-                return Plan::HashJoin {
-                    left,
-                    right: Box::new(push_filter(*right, predicate)),
-                    keys,
-                };
-            }
-            Plan::Filter {
-                input: Box::new(Plan::HashJoin { left, right, keys }),
-                predicate,
-            }
-        }
-        other => Plan::Filter {
-            input: Box::new(other),
-            predicate,
-        },
-    }
-}
-
-/// Turn a nested-loop join into a hash join when equality conjuncts split
-/// cleanly across the two sides, folding **all** of them into the composite
-/// key.
-fn upgrade_join(left: Plan, right: Plan, predicate: Expr) -> Plan {
-    let left_vars = left.produced_vars();
-    let right_vars = right.produced_vars();
-    let mut keys: Vec<(Expr, Expr)> = Vec::new();
-    let mut residual = Vec::new();
-    for conjunct in split_conjuncts(predicate) {
-        if let Expr::Eq(a, b) = &conjunct {
-            let a_vars = a.var_set();
-            let b_vars = b.var_set();
-            if !a_vars.is_empty() && !b_vars.is_empty() {
-                let a_left = a_vars.iter().all(|v| left_vars.contains(v));
-                let a_right = a_vars.iter().all(|v| right_vars.contains(v));
-                let b_left = b_vars.iter().all(|v| left_vars.contains(v));
-                let b_right = b_vars.iter().all(|v| right_vars.contains(v));
-                if a_left && b_right {
-                    keys.push(((**a).clone(), (**b).clone()));
-                    continue;
-                }
-                if a_right && b_left {
-                    keys.push(((**b).clone(), (**a).clone()));
-                    continue;
-                }
-            }
-        }
-        residual.push(conjunct);
-    }
-    if keys.is_empty() {
-        return Plan::NestedLoopJoin {
-            left: Box::new(left),
-            right: Box::new(right),
-            predicate: conjunction(residual),
-        };
-    }
-    let join = Plan::HashJoin {
-        left: Box::new(left),
-        right: Box::new(right),
-        keys,
-    };
-    match conjunction(residual) {
-        Some(residual_pred) => Plan::Filter {
-            input: Box::new(join),
-            predicate: residual_pred,
-        },
-        None => join,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1412,9 +1221,7 @@ mod tests {
                     .eq(Expr::var("C").proj("name")),
             ),
         );
-        for optimised in [optimize(plan.clone()), optimize_reference(plan)] {
-            assert!(matches!(optimised, Plan::HashJoin { .. }));
-        }
+        assert!(matches!(optimize(plan), Plan::HashJoin { .. }));
     }
 
     #[test]
@@ -1428,17 +1235,14 @@ mod tests {
                 Expr::var("E").proj("is_capital"),
             ])),
         );
-        // Both paths push the one-sided capital test below the join.
-        for optimised in [optimize(plan.clone()), optimize_reference(plan)] {
-            match &optimised {
-                Plan::HashJoin { left, right, .. } => {
-                    assert!(
-                        matches!(**left, Plan::Filter { .. })
-                            || matches!(**right, Plan::Filter { .. })
-                    );
-                }
-                other => panic!("expected a hash join, got {other:?}"),
+        // The one-sided capital test is pushed below the join.
+        match optimize(plan) {
+            Plan::HashJoin { left, right, .. } => {
+                assert!(
+                    matches!(*left, Plan::Filter { .. }) || matches!(*right, Plan::Filter { .. })
+                );
             }
+            other => panic!("expected a hash join, got {other:?}"),
         }
     }
 
@@ -1447,11 +1251,6 @@ mod tests {
         let plan = Plan::scan("CityE", "E")
             .join(Plan::scan("CountryE", "C"), None)
             .filter(Expr::var("E").proj("is_capital"));
-        let optimised = optimize_reference(plan.clone());
-        match optimised {
-            Plan::NestedLoopJoin { left, .. } => assert!(matches!(*left, Plan::Filter { .. })),
-            other => panic!("expected join at the top, got {other:?}"),
-        }
         // The planner has no equality to join on: the graph is disconnected,
         // so it owns up to the product with an explicit CrossJoin (and still
         // pushes the filter down).
@@ -1486,7 +1285,6 @@ mod tests {
         let stats = Statistics::from_instances(&refs);
         for optimised in [
             optimize(original.clone()),
-            optimize_reference(original.clone()),
             optimize_with_stats(original.clone(), &stats),
         ] {
             assert_ne!(original, optimised);
@@ -1497,15 +1295,12 @@ mod tests {
     #[test]
     fn map_definitions_are_inlined_into_join_equalities() {
         // The E6 shape: the join equality goes through a Map-defined variable,
-        // which the rule-based rewriter cannot see past (it leaves a raw
-        // product) but the planner inlines into a hash-join key.
+        // which the planner inlines into a hash-join key.
         let inst = instance();
         let plan = Plan::scan("CityE", "E")
             .join(Plan::scan("CountryE", "C"), None)
             .map(vec![("N".to_string(), Expr::var("C").proj("name"))])
             .filter(Expr::var("E").path("country.name").eq(Expr::var("N")));
-        let reference = optimize_reference(plan.clone());
-        assert!(!reference.render().contains("HashJoin"));
         let refs = [&inst];
         let stats = Statistics::from_instances(&refs);
         let planned = optimize_with_stats(plan.clone(), &stats);
@@ -1530,13 +1325,12 @@ mod tests {
         let inst = instance();
         let expected = rows_of(&plan, &inst);
         assert_eq!(expected.len(), 3);
-        for optimised in [optimize(plan.clone()), optimize_reference(plan.clone())] {
-            match &optimised {
-                Plan::HashJoin { keys, .. } => assert_eq!(keys.len(), 2),
-                other => panic!("expected a composite-key hash join, got {other:?}"),
-            }
-            assert_eq!(rows_of(&optimised, &inst), expected);
+        let optimised = optimize(plan);
+        match &optimised {
+            Plan::HashJoin { keys, .. } => assert_eq!(keys.len(), 2),
+            other => panic!("expected a composite-key hash join, got {other:?}"),
         }
+        assert_eq!(rows_of(&optimised, &inst), expected);
     }
 
     #[test]
@@ -1591,11 +1385,9 @@ mod tests {
                 Box::new(Expr::var("C").proj("name")),
             )),
         );
-        for optimised in [optimize(plan.clone()), optimize_reference(plan)] {
-            match optimised {
-                Plan::NestedLoopJoin { predicate, .. } => assert!(predicate.is_some()),
-                other => panic!("expected nested loop join, got {other:?}"),
-            }
+        match optimize(plan) {
+            Plan::NestedLoopJoin { predicate, .. } => assert!(predicate.is_some()),
+            other => panic!("expected nested loop join, got {other:?}"),
         }
     }
 
@@ -1609,11 +1401,8 @@ mod tests {
                     .eq(Expr::var("C").proj("name")),
             ),
         );
-        let once = optimize(plan.clone());
+        let once = optimize(plan);
         let twice = optimize(once.clone());
-        assert_eq!(once, twice);
-        let once = optimize_reference(plan);
-        let twice = optimize_reference(once.clone());
         assert_eq!(once, twice);
     }
 
@@ -1621,7 +1410,7 @@ mod tests {
     fn rebinding_maps_are_not_inlined() {
         // A Map that rebinds a scan variable would make substitution unsound
         // (the filter below the Map refers to the *pre*-Map value); such
-        // shapes must keep their raw semantics via the rule-based path.
+        // shapes come back unchanged.
         let inst = instance();
         let plan = Plan::scan("CityE", "E")
             .filter(Expr::var("E").proj("is_capital"))
@@ -1630,7 +1419,11 @@ mod tests {
         assert_eq!(expected.len(), 2);
         let refs = [&inst];
         let stats = Statistics::from_instances(&refs);
-        for optimised in [optimize(plan.clone()), optimize_with_stats(plan, &stats)] {
+        for optimised in [
+            optimize(plan.clone()),
+            optimize_with_stats(plan.clone(), &stats),
+        ] {
+            assert_eq!(optimised, plan);
             assert_eq!(rows_of(&optimised, &inst), expected);
         }
     }
@@ -1979,10 +1772,10 @@ mod tests {
 
     #[test]
     fn pushable_predicates_on_the_reference_fallback_are_only_filters_on_scans() {
-        // The Map rebinds scan variable `E`, so planning takes the
-        // `optimize_reference` path. Its rewriter sinks `C.name = "France"`
-        // through the join onto `C`'s scan; the filter above the Map refers
-        // to the *rebound* `E` and must stay there, unreported.
+        // The Map rebinds scan variable `E`, so the planner returns the plan
+        // unchanged. Only `E.name = "Paris"` sits on a scan; `C.name =
+        // "France"` is above the product and the filter above the Map refers
+        // to the *rebound* `E` — neither is reported.
         let plan = Plan::scan("CityE", "E")
             .filter(Expr::var("E").proj("name").eq(Expr::constant("Paris")))
             .join(Plan::scan("CountryE", "C"), None)
@@ -1993,28 +1786,19 @@ mod tests {
         let refs = [&inst];
         let stats = Statistics::from_instances(&refs);
         let planned = optimize_with_stats(plan.clone(), &stats);
-        assert_eq!(planned, optimize_reference(plan), "fallback shape expected");
+        assert_eq!(planned, plan, "a rebinding shape comes back unchanged");
         let mut catalog = PushdownCatalog::default();
         catalog.allow(&ClassName::new("CityE"), "name");
         catalog.allow(&ClassName::new("CountryE"), "name");
         assert_eq!(
             read_back(&planned, &catalog),
-            normalised([
-                (
-                    "C".into(),
-                    "CountryE".into(),
-                    "name".into(),
-                    PushCmp::Eq,
-                    Value::str("France")
-                ),
-                (
-                    "E".into(),
-                    "CityE".into(),
-                    "name".into(),
-                    PushCmp::Eq,
-                    Value::str("Paris")
-                ),
-            ]),
+            normalised([(
+                "E".into(),
+                "CityE".into(),
+                "name".into(),
+                PushCmp::Eq,
+                Value::str("Paris")
+            )]),
             "{}",
             planned.render()
         );

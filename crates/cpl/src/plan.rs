@@ -131,26 +131,6 @@ impl Plan {
         }
     }
 
-    /// The row variables this plan is guaranteed to produce.
-    pub fn produced_vars(&self) -> std::collections::BTreeSet<String> {
-        match self {
-            Plan::Scan { var, .. } => std::collections::BTreeSet::from([var.clone()]),
-            Plan::Filter { input, .. } | Plan::Distinct { input } => input.produced_vars(),
-            Plan::Map { input, bindings } => {
-                let mut vars = input.produced_vars();
-                vars.extend(bindings.iter().map(|(v, _)| v.clone()));
-                vars
-            }
-            Plan::NestedLoopJoin { left, right, .. }
-            | Plan::HashJoin { left, right, .. }
-            | Plan::CrossJoin { left, right } => {
-                let mut vars = left.produced_vars();
-                vars.extend(right.produced_vars());
-                vars
-            }
-        }
-    }
-
     /// Every scan in the plan as `(class, row variable)`, left to right. The
     /// one walk behind the plan's read set and every variable → class map
     /// (planner estimates, projection analysis, maintenance slots).
@@ -320,26 +300,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builders_and_produced_vars() {
+    fn builders_and_operator_count() {
         let plan = Plan::scan("CountryE", "C")
             .map(vec![("N".to_string(), Expr::var("C").proj("name"))])
             .filter(Expr::var("C").proj("name").eq(Expr::Const("France".into())))
             .distinct();
-        let vars = plan.produced_vars();
-        assert!(vars.contains("C"));
-        assert!(vars.contains("N"));
+        assert_eq!(plan.scans(), vec![(&ClassName::new("CountryE"), "C")]);
+        assert_eq!(plan.expressions().len(), 2);
         assert_eq!(plan.operator_count(), 4);
     }
 
     #[test]
-    fn join_produced_vars_and_render() {
+    fn join_scans_and_render() {
         let plan = Plan::scan("CityE", "E").hash_join(
             Plan::scan("CountryE", "C"),
             Expr::var("E").path("country.name"),
             Expr::var("C").proj("name"),
         );
-        let vars = plan.produced_vars();
-        assert!(vars.contains("E") && vars.contains("C"));
+        let vars = plan.scan_classes();
+        assert!(vars.contains_key("E") && vars.contains_key("C"));
         let rendered = plan.render();
         assert!(rendered.contains("HashJoin"));
         assert!(rendered.contains("Scan CityE as E"));
@@ -354,8 +333,8 @@ mod tests {
         let cross = Plan::scan("A", "a").cross(Plan::scan("B", "b"));
         assert!(cross.render().contains("CrossJoin"));
         assert_eq!(cross.operator_count(), 3);
-        let vars = cross.produced_vars();
-        assert!(vars.contains("a") && vars.contains("b"));
+        let vars = cross.scan_classes();
+        assert!(vars.contains_key("a") && vars.contains_key("b"));
 
         let multi = Plan::scan("A", "a").hash_join_multi(
             Plan::scan("B", "b"),

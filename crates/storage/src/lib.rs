@@ -44,13 +44,13 @@
 //! the result of a *prefix of whole update batches*, never a torn one.
 //!
 //! A **checkpoint** folds the log into the snapshot in two steps: rename a
-//! fully written and synced new snapshot over the old one, then truncate the
-//! log. A crash *between* the steps leaves the new snapshot (`wal_seq = N`)
-//! beside the old log, whose batches are all numbered below `N`. Such a log
-//! is **superseded**, not torn: the snapshot already holds every one of its
-//! batches, so recovery skips them, reports how many
-//! ([`RecoveryReport::superseded_batches`], `torn_tail: None`) and truncates
-//! the log as the interrupted checkpoint would have.
+//! fully written and synced new snapshot over the old one and sync the
+//! directory, then truncate the log. A crash *between* the steps leaves the
+//! new snapshot (`wal_seq = N`) beside the old log, whose batches are all
+//! numbered below `N`. Such a log is **superseded**, not torn: the snapshot
+//! already holds every one of its batches, so recovery skips them, reports
+//! how many ([`RecoveryReport::superseded_batches`], `torn_tail: None`) and
+//! truncates the log as the interrupted checkpoint would have.
 //!
 //! ## WAL layout (`pipeline.wal`)
 //!
@@ -96,8 +96,8 @@
 //! ```
 //!
 //! The trailing CRC-32 covers every preceding byte (magic and version
-//! included). Saves are atomic (write `.tmp`, sync, rename), so a crash
-//! mid-save leaves the previous snapshot intact.
+//! included). Saves are atomic (write `.tmp`, sync, rename, sync the
+//! directory), so a crash mid-save leaves the previous snapshot intact.
 //!
 //! ## Version-bump rules
 //!

@@ -72,11 +72,24 @@ fn open_wal_sink(
         .map_err(|e| StorageError::io(&display, e))?;
     file.set_len(committed_len)
         .and_then(|()| file.seek(SeekFrom::End(0)).map(|_| ()))
+        .and_then(|()| sync_parent_dir(path))
         .map_err(|e| StorageError::io(&display, e))?;
     Ok(match fault {
         Some(policy) => FaultyFile::with_policy(file, policy),
         None => FaultyFile::new(file),
     })
+}
+
+/// Make the directory entry naming `path` durable. A file's own `sync_all`
+/// does not cover the entry a create or rename wrote into its directory:
+/// without this, a power cut can keep a checkpoint's WAL truncation yet lose
+/// the rename that installed its snapshot, or lose a just-created log.
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)?.sync_all()
 }
 
 fn read_file_or_empty(path: &Path) -> Result<Vec<u8>> {

@@ -15,8 +15,8 @@
 //! The trailing CRC-32 covers *everything* before it (magic and version
 //! included), so a truncated or bit-flipped snapshot is always rejected at
 //! load with an offset-carrying [`StorageError::Corrupt`]. Saves are atomic:
-//! write to a `.tmp` sibling, sync, then rename over the target — a crash
-//! mid-save leaves the previous snapshot untouched.
+//! write to a `.tmp` sibling, sync, rename over the target, then sync the
+//! directory — a crash mid-save leaves the previous snapshot untouched.
 
 use std::fs;
 use std::io::Write;
@@ -242,8 +242,9 @@ pub fn decode_snapshot(bytes: &[u8], source: &str) -> Result<SnapshotData> {
 }
 
 /// Atomically save a snapshot image to `path`: write a `.tmp` sibling
-/// (through the fault shim, if a policy is given), sync it, then rename it
-/// over the target. On any failure the previous snapshot at `path` is left
+/// (through the fault shim, if a policy is given), sync it, rename it over
+/// the target, then sync the directory so the rename itself is durable. On a
+/// failure before the rename the previous snapshot at `path` is left
 /// untouched.
 pub fn save_snapshot_file(path: &Path, bytes: &[u8], fault: Option<FaultPolicy>) -> Result<()> {
     let display = path.display().to_string();
@@ -257,7 +258,8 @@ pub fn save_snapshot_file(path: &Path, bytes: &[u8], fault: Option<FaultPolicy>)
         sink.write_all(bytes)?;
         sink.flush()?;
         sink.get_ref().sync_all()?;
-        fs::rename(&tmp, path)
+        fs::rename(&tmp, path)?;
+        super::sync_parent_dir(path)
     })();
     if let Err(e) = result {
         let _ = fs::remove_file(&tmp);

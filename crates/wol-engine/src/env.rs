@@ -6,24 +6,19 @@
 //! database built so far). The matcher enumerates all bindings of the body's
 //! variables that make every body atom true.
 //!
-//! Two matchers are provided:
-//!
-//! * [`match_body`] — the **indexed** matcher. It compiles each body into a
-//!   one-shot greedy join plan (cheap filters first, then atoms ordered by
-//!   estimated selectivity from extent sizes and bound-variable coverage),
-//!   answers `Member` atoms that are equated to a bound attribute value
-//!   through the instances' secondary attribute indexes
-//!   ([`wol_model::index`]) instead of enumerating extents, and executes the
-//!   plan over a single mutable [`Bindings`] frame with an undo trail, so
-//!   extending a binding never deep-clones the binding map.
-//! * [`match_body_reference`] — the naive generate-and-test matcher the paper
-//!   contrasts Morphase with: it scans full extents and clones the binding
-//!   set at every atom extension. It is kept as the reference semantics the
-//!   indexed matcher is property-tested against, and as the "pre-index"
-//!   baseline the benchmarks measure speed-ups over.
-//!
-//! Both report [`MatchStats`] so callers (the naive evaluator, the Morphase
-//! pipeline, bench E4) can quantify the work done.
+//! [`match_body`] is the engine's one matcher, and it is **indexed**: it
+//! compiles each body into a one-shot greedy join plan (cheap filters first,
+//! then atoms ordered by estimated selectivity from extent sizes and
+//! bound-variable coverage), answers `Member` atoms that are equated to a
+//! bound attribute value through the instances' secondary attribute indexes
+//! ([`wol_model::index`]) instead of enumerating extents, and executes the
+//! plan over a single mutable [`Bindings`] frame with an undo trail, so
+//! extending a binding never deep-clones the binding map. It reports
+//! [`MatchStats`] so callers (the naive evaluator, the Morphase pipeline, the
+//! constraint checkers) can quantify the work done. The naive
+//! generate-and-test matcher it is property-tested against lives in the
+//! test-only `wol-oracle` crate, built on [`eval_term`], [`try_eval_term`],
+//! [`match_pattern`] and [`is_pattern`].
 //!
 //! # One matcher, one partition rule
 //!
@@ -463,27 +458,12 @@ pub(crate) fn atom_contains_skolem(atom: &Atom) -> bool {
 /// Is the term usable as a *pattern* for destructuring (see
 /// [`match_pattern`]): variables, constants, and record/variant shapes over
 /// patterns? Projections and Skolem terms are not patterns.
-fn is_pattern(term: &Term) -> bool {
+pub fn is_pattern(term: &Term) -> bool {
     match term {
         Term::Var(_) | Term::Const(_) => true,
         Term::Record(fields) => fields.iter().all(|(_, t)| is_pattern(t)),
         Term::Variant(_, payload) => is_pattern(payload),
         Term::Proj(_, _) | Term::Skolem(_, _) => false,
-    }
-}
-
-fn compare_numeric(a: &Value, b: &Value) -> Result<std::cmp::Ordering> {
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) => Ok(x.cmp(y)),
-        (Value::Real(x), Value::Real(y)) => Ok(x.cmp(y)),
-        (Value::Int(x), Value::Real(y)) => Ok(wol_model::RealVal(*x as f64).cmp(y)),
-        (Value::Real(x), Value::Int(y)) => Ok(x.cmp(&wol_model::RealVal(*y as f64))),
-        (Value::Str(x), Value::Str(y)) => Ok(x.cmp(y)),
-        _ => Err(EngineError::Eval(format!(
-            "cannot compare values of kinds `{}` and `{}`",
-            a.kind(),
-            b.kind()
-        ))),
     }
 }
 
@@ -742,7 +722,13 @@ fn check_bound_atom(
         Atom::Lt(s, t) | Atom::Leq(s, t) => {
             let a = eval_term(s, bindings, dbs, skolem)?;
             let b = eval_term(t, bindings, dbs, skolem)?;
-            let ordering = compare_numeric(&a, &b)?;
+            let ordering = a.ordered_cmp(&b).ok_or_else(|| {
+                EngineError::Eval(format!(
+                    "cannot compare values of kinds `{}` and `{}`",
+                    a.kind(),
+                    b.kind()
+                ))
+            })?;
             Ok(match atom {
                 Atom::Lt(_, _) => ordering == std::cmp::Ordering::Less,
                 _ => ordering != std::cmp::Ordering::Greater,
@@ -1016,215 +1002,6 @@ pub fn match_body(
     Ok(part.out)
 }
 
-// ---------------------------------------------------------------------------
-// The reference matcher: naive generate-and-test, one clone per extension.
-// ---------------------------------------------------------------------------
-
-/// Can this atom be processed under the current bindings?
-fn atom_ready(atom: &Atom, bindings: &Bindings) -> bool {
-    let bound = |t: &Term| t.var_set().iter().all(|v| bindings.contains_key(v));
-    match atom {
-        // Membership can always be processed: either check (bound) or
-        // enumerate the extent (unbound variable / pattern).
-        Atom::Member(_, _) => true,
-        Atom::Eq(s, t) => {
-            (bound(s) && bound(t)) || (bound(s) && is_pattern(t)) || (bound(t) && is_pattern(s))
-        }
-        Atom::Neq(s, t) | Atom::Lt(s, t) | Atom::Leq(s, t) => bound(s) && bound(t),
-        Atom::InSet(_, set) => bound(set),
-    }
-}
-
-/// Extend `bindings` in every way that makes `atom` true, cloning the binding
-/// map once per extension (the naive strategy).
-fn match_atom(
-    atom: &Atom,
-    bindings: &Bindings,
-    dbs: &Databases<'_>,
-    skolem: &mut SkolemFactory,
-    stats: &mut MatchStats,
-) -> Result<Vec<Bindings>> {
-    match atom {
-        Atom::Member(term, class) => {
-            if let Some(value) = try_eval_term(term, bindings, dbs, skolem) {
-                // Check membership of an already-determined object.
-                match value {
-                    Value::Oid(oid) => {
-                        if oid.class() == class && dbs.contains(&oid) {
-                            Ok(vec![bindings.clone()])
-                        } else {
-                            Ok(vec![])
-                        }
-                    }
-                    _ => Ok(vec![]),
-                }
-            } else {
-                // Enumerate the extent and match the term as a pattern.
-                stats.extents_scanned += 1;
-                let mut out = Vec::new();
-                for oid in dbs.extent(class) {
-                    let value = Value::Oid(oid.clone());
-                    if let Some(extended) = match_pattern(term, &value, bindings, dbs, skolem) {
-                        out.push(extended);
-                    }
-                }
-                Ok(out)
-            }
-        }
-        Atom::Eq(s, t) => {
-            let sv = try_eval_term(s, bindings, dbs, skolem);
-            let tv = try_eval_term(t, bindings, dbs, skolem);
-            let bound = |term: &Term| term.var_set().iter().all(|v| bindings.contains_key(v));
-            match (sv, tv) {
-                (Some(a), Some(b)) => Ok(if a == b {
-                    vec![bindings.clone()]
-                } else {
-                    vec![]
-                }),
-                (Some(a), None) => {
-                    if bound(t) {
-                        // Fully bound but not evaluable (e.g. a missing
-                        // optional attribute): the equality simply fails.
-                        Ok(vec![])
-                    } else {
-                        Ok(match_pattern(t, &a, bindings, dbs, skolem)
-                            .into_iter()
-                            .collect())
-                    }
-                }
-                (None, Some(b)) => {
-                    if bound(s) {
-                        Ok(vec![])
-                    } else {
-                        Ok(match_pattern(s, &b, bindings, dbs, skolem)
-                            .into_iter()
-                            .collect())
-                    }
-                }
-                (None, None) => {
-                    if bound(s) || bound(t) {
-                        // At least one side is fully bound but cannot be
-                        // evaluated (e.g. a missing optional field): the
-                        // equality has no witness.
-                        Ok(vec![])
-                    } else {
-                        Err(EngineError::Eval(format!(
-                            "cannot orient equality {} = {}: neither side is evaluable",
-                            wol_lang::render_term(s),
-                            wol_lang::render_term(t)
-                        )))
-                    }
-                }
-            }
-        }
-        Atom::Neq(s, t) => {
-            let a = eval_term(s, bindings, dbs, skolem)?;
-            let b = eval_term(t, bindings, dbs, skolem)?;
-            Ok(if a != b {
-                vec![bindings.clone()]
-            } else {
-                vec![]
-            })
-        }
-        Atom::Lt(s, t) | Atom::Leq(s, t) => {
-            let a = eval_term(s, bindings, dbs, skolem)?;
-            let b = eval_term(t, bindings, dbs, skolem)?;
-            let ordering = compare_numeric(&a, &b)?;
-            let holds = match atom {
-                Atom::Lt(_, _) => ordering == std::cmp::Ordering::Less,
-                _ => ordering != std::cmp::Ordering::Greater,
-            };
-            Ok(if holds {
-                vec![bindings.clone()]
-            } else {
-                vec![]
-            })
-        }
-        Atom::InSet(elem, set) => {
-            let set_value = eval_term(set, bindings, dbs, skolem)?;
-            let elements: Vec<Value> = match set_value {
-                Value::Set(items) => items.into_iter().collect(),
-                Value::List(items) => items,
-                other => {
-                    return Err(EngineError::Eval(format!(
-                        "`member` applied to a non-set value of kind `{}`",
-                        other.kind()
-                    )))
-                }
-            };
-            let mut out = Vec::new();
-            for item in elements {
-                if let Some(extended) = match_pattern(elem, &item, bindings, dbs, skolem) {
-                    out.push(extended);
-                }
-            }
-            Ok(out)
-        }
-    }
-}
-
-/// The naive generate-and-test matcher: repeatedly picks a *ready* atom —
-/// preferring cheap filters over extent enumerations — and extends the
-/// binding set by cloning it at every extension. This is the "apply the
-/// clauses directly" strategy the paper contrasts Morphase with; it is kept
-/// as the reference semantics for the indexed [`match_body`] and as the
-/// pre-index baseline measured by the benchmarks.
-pub fn match_body_reference(
-    atoms: &[Atom],
-    dbs: &Databases<'_>,
-    skolem: &mut SkolemFactory,
-    initial: Bindings,
-    stats: &mut MatchStats,
-) -> Result<Vec<Bindings>> {
-    fn go(
-        remaining: &[Atom],
-        dbs: &Databases<'_>,
-        skolem: &mut SkolemFactory,
-        bindings: Bindings,
-        out: &mut Vec<Bindings>,
-        stats: &mut MatchStats,
-    ) -> Result<()> {
-        if remaining.is_empty() {
-            out.push(bindings);
-            return Ok(());
-        }
-        // Pick the best ready atom: prefer fully-bound filters, then oriented
-        // equalities, then memberships/enumerations.
-        let fully_bound = |atom: &Atom| atom.var_set().iter().all(|v| bindings.contains_key(v));
-        let position = remaining
-            .iter()
-            .position(fully_bound)
-            .or_else(|| {
-                remaining
-                    .iter()
-                    .position(|a| matches!(a, Atom::Eq(_, _)) && atom_ready(a, &bindings))
-            })
-            .or_else(|| remaining.iter().position(|a| atom_ready(a, &bindings)));
-        let Some(position) = position else {
-            return Err(EngineError::Eval(
-                "no atom can be processed: the clause body is not range-restricted".to_string(),
-            ));
-        };
-        let atom = &remaining[position];
-        let rest: Vec<Atom> = remaining
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != position)
-            .map(|(_, a)| a.clone())
-            .collect();
-        let extensions = match_atom(atom, &bindings, dbs, skolem, stats)?;
-        stats.bindings_considered += extensions.len();
-        for extended in extensions {
-            go(&rest, dbs, skolem, extended, out, stats)?;
-        }
-        Ok(())
-    }
-
-    let mut out = Vec::new();
-    go(atoms, dbs, skolem, initial, &mut out, stats)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1481,10 +1258,6 @@ mod tests {
             &mut MatchStats::default()
         )
         .is_err());
-        let mut stats = MatchStats::default();
-        assert!(
-            match_body_reference(&clause.body, &dbs, &mut sk, Bindings::new(), &mut stats).is_err()
-        );
     }
 
     #[test]
@@ -1528,50 +1301,6 @@ mod tests {
         assert!(match_pattern(&pattern, &value, &existing, &dbs, &mut sk).is_none());
         // Matching a non-record fails.
         assert!(match_pattern(&pattern, &Value::int(1), &Bindings::new(), &dbs, &mut sk).is_none());
-    }
-
-    /// The indexed matcher and the reference matcher agree on every body the
-    /// unit suite exercises, and the indexed one probes instead of scanning.
-    #[test]
-    fn indexed_and_reference_matchers_agree() {
-        let (inst, _, _) = euro_instance();
-        let dbs = Databases::new(&[&inst][..]);
-        for body in [
-            "Z = 1 <= X in CountryE, Y in CityE, Y.country = X, Y.is_capital = true",
-            "Z = 1 <= E in CityE, X in CountryE, X.name = E.country.name",
-            "Z = 1 <= X in CountryE",
-            "Z = 1 <= X in CountryE, X.language = \"French\"",
-            "Z = 1 <= X in CountryE, Y in CountryE, X != Y",
-        ] {
-            let clause = parse_clause(body).unwrap();
-            let mut sk = SkolemFactory::new();
-            let mut indexed_stats = MatchStats::default();
-            let mut indexed = match_body(
-                &clause.body,
-                &dbs,
-                &mut sk,
-                Bindings::new(),
-                &mut indexed_stats,
-            )
-            .unwrap();
-            let mut sk = SkolemFactory::new();
-            let mut reference_stats = MatchStats::default();
-            let mut reference = match_body_reference(
-                &clause.body,
-                &dbs,
-                &mut sk,
-                Bindings::new(),
-                &mut reference_stats,
-            )
-            .unwrap();
-            indexed.sort();
-            reference.sort();
-            assert_eq!(indexed, reference, "matchers disagree on `{body}`");
-            assert!(
-                indexed_stats.bindings_considered <= reference_stats.bindings_considered,
-                "indexed matcher considered more bindings on `{body}`"
-            );
-        }
     }
 
     #[test]

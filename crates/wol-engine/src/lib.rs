@@ -4,8 +4,9 @@
 //! composable analyses and rewrites over [`wol_lang`] programs and
 //! [`wol_model`] instances.
 //!
-//! * [`env`] — reference evaluation: databases, bindings, term evaluation and
-//!   body matching.
+//! * [`mod@env`] — evaluation: databases, bindings, term evaluation and the one
+//!   body matcher. Its generate-and-test reference lives in the test-only
+//!   `wol-oracle` crate, beside the flat Datalog baseline.
 //! * [`constraints`] — constraint checking and constraint analysis (key
 //!   extraction, classification).
 //! * [`snf`] — semi-normal form rewriting (Section 5).
@@ -119,7 +120,7 @@ pub use constraints::{
     check_constraint, check_constraints, classify_constraint, enforce_constraints,
     extract_merge_keys, extract_object_keys, ConstraintClass, ObjectKey, Violation,
 };
-pub use env::{eval_term, match_body, match_body_reference, Bindings, Databases, MatchStats};
+pub use env::{eval_term, match_body, Bindings, Databases, MatchStats};
 pub use error::EngineError;
 pub use info_preserve::{canonical_form, check_injective, instances_equivalent, InjectivityReport};
 pub use normalize::{execute, normalize, NormalClause, NormalProgram, NormalizeOptions};

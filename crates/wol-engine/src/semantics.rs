@@ -8,16 +8,13 @@
 //!
 //! This module implements that direct fixpoint strategy: clauses are applied
 //! repeatedly against the source databases *and* the target built so far,
-//! until a fixpoint is reached. It serves two purposes: it is the reference
-//! semantics the normalised/compiled execution path is tested against, and it
-//! is the baseline that benchmark E4 compares single-pass execution with.
+//! until a fixpoint is reached. It is the reference semantics the
+//! normalised/compiled execution path is tested against.
 //!
-//! Two refinements over the textbook strategy are available through
-//! [`NaiveOptions`] (both on by default):
+//! Clause bodies are matched with the engine's one matcher
+//! ([`crate::env::match_body`]). One refinement over the textbook strategy is
+//! available through [`NaiveOptions`] (on by default):
 //!
-//! * **indexed matching** — clause bodies are matched with the plan-based
-//!   indexed matcher ([`crate::env::match_body`]) instead of the naive
-//!   generate-and-test reference matcher;
 //! * **semi-naive passes** — after the first full pass, clauses that read
 //!   only source classes are never re-run (their matches cannot change), and
 //!   clauses that read target classes are re-matched only against bindings
@@ -36,8 +33,8 @@ use wol_model::{ClassName, Instance, Label, Oid, Parallelism, SkolemFactory, Val
 
 use crate::constraints::{extract_object_keys, ObjectKey};
 use crate::env::{
-    atom_contains_skolem, eval_skolem_key, eval_term, fan_out, match_body, match_body_reference,
-    Bindings, Databases, MatchStats,
+    atom_contains_skolem, eval_skolem_key, eval_term, fan_out, match_body, Bindings, Databases,
+    MatchStats,
 };
 use crate::error::EngineError;
 use crate::headform::{analyze_head, HeadAnalysis};
@@ -52,10 +49,6 @@ pub struct NaiveOptions {
     /// off re-runs every clause unrestricted in every pass (the paper's
     /// "apply the clauses recursively" strategy).
     pub semi_naive: bool,
-    /// Match clause bodies with the indexed plan-based matcher. Turning this
-    /// off uses the naive generate-and-test reference matcher, the pre-index
-    /// baseline the benchmarks compare against.
-    pub use_indexed_matching: bool,
     /// Worker budget of the [`Databases`] view every pass matches against
     /// (body matching and the semi-naive delta seeds). Defaults to the
     /// environment ([`Parallelism::from_env`]: available cores, overridable
@@ -70,7 +63,6 @@ impl Default for NaiveOptions {
         NaiveOptions {
             max_passes: 64,
             semi_naive: true,
-            use_indexed_matching: true,
             parallelism: Parallelism::from_env(),
         }
     }
@@ -100,24 +92,6 @@ struct AnalysedClause {
     target_member_vars: Vec<(Var, ClassName)>,
     /// Whether the body mentions any target class at all.
     reads_target: bool,
-}
-
-/// Match one clause body, honouring the matcher choice. The indexed matcher
-/// takes its worker budget from `dbs`; the reference matcher is the
-/// sequential baseline and has none.
-fn match_clause_body(
-    body: &[Atom],
-    dbs: &Databases<'_>,
-    factory: &mut SkolemFactory,
-    initial: Bindings,
-    indexed: bool,
-    stats: &mut MatchStats,
-) -> Result<Vec<Bindings>> {
-    if indexed {
-        match_body(body, dbs, factory, initial, stats)
-    } else {
-        match_body_reference(body, dbs, factory, initial, stats)
-    }
 }
 
 /// Apply the program's transformation clauses directly, repeatedly, until the
@@ -188,7 +162,6 @@ pub fn naive_transform_with_report(
         let mut all: Vec<&Instance> = sources.to_vec();
         all.push(&snapshot);
         let dbs = Databases::new(&all).with_parallelism(options.parallelism);
-        let indexed = options.use_indexed_matching;
         for clause in &analysed {
             // Gather the updates with an immutable view of the target, then apply.
             let updates = {
@@ -201,12 +174,11 @@ pub fn naive_transform_with_report(
                     // A full pass — or a clause that reads the target, but
                     // not through a plain variable membership the delta
                     // restriction can attach to: an unrestricted match.
-                    match_clause_body(
+                    match_body(
                         &clause.body,
                         &dbs,
                         &mut factory,
                         Bindings::new(),
-                        indexed,
                         &mut stats,
                     )?
                 } else {
@@ -220,14 +192,8 @@ pub fn naive_transform_with_report(
                             seeds.push((var.clone(), oid.clone()));
                         }
                     }
-                    let collected = match_delta_seeds(
-                        &clause.body,
-                        &dbs,
-                        &mut factory,
-                        &seeds,
-                        indexed,
-                        &mut stats,
-                    )?;
+                    let collected =
+                        match_delta_seeds(&clause.body, &dbs, &mut factory, &seeds, &mut stats)?;
                     collected.into_iter().collect()
                 };
                 let mut updates: Vec<(Oid, Label, Value)> = Vec::new();
@@ -313,7 +279,6 @@ fn match_delta_seeds(
     dbs: &Databases<'_>,
     factory: &mut SkolemFactory,
     seeds: &[(Var, Oid)],
-    indexed: bool,
     stats: &mut MatchStats,
 ) -> Result<BTreeSet<Bindings>> {
     let partitions = if body.iter().any(atom_contains_skolem) {
@@ -331,9 +296,7 @@ fn match_delta_seeds(
             let mut out = Vec::new();
             for (var, oid) in chunk {
                 let initial = Bindings::from([(var.clone(), Value::Oid(oid.clone()))]);
-                out.extend(match_clause_body(
-                    body, dbs, factory, initial, indexed, stats,
-                )?);
+                out.extend(match_body(body, dbs, factory, initial, stats)?);
             }
             Ok(out)
         },
@@ -634,27 +597,6 @@ mod tests {
         assert!(semi_report.clauses_skipped > 0);
         assert!(full_report.clauses_skipped == 0);
         assert!(semi_report.passes >= 4);
-    }
-
-    #[test]
-    fn indexed_and_reference_matching_agree_under_naive_evaluation() {
-        let program = cities_program();
-        let source = euro_instance();
-        let indexed = NaiveOptions::default();
-        let reference = NaiveOptions {
-            use_indexed_matching: false,
-            semi_naive: false,
-            ..NaiveOptions::default()
-        };
-        let (a, indexed_report) =
-            naive_transform_with_report(&program, &[&source][..], "target", &indexed).unwrap();
-        let (b, reference_report) =
-            naive_transform_with_report(&program, &[&source][..], "target", &reference).unwrap();
-        assert_eq!(a, b);
-        assert!(indexed_report.index_probes > 0);
-        assert_eq!(reference_report.index_probes, 0);
-        assert!(indexed_report.extents_scanned <= reference_report.extents_scanned);
-        assert!(indexed_report.bindings_considered <= reference_report.bindings_considered);
     }
 
     /// The parallel fixpoint (partitioned matching + parallel delta passes)

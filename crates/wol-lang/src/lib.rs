@@ -33,6 +33,18 @@
 //! Y.place = ins_euro_city(X) <= E in CityE, E.is_capital = true;
 //! ```
 
+// Malformed program text is a `LangError`, never a panic. `Program::with_text`
+// is the one stated exception (see its `# Panics`); the lint holds the rest.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod ast;
 pub mod error;
 pub mod lexer;

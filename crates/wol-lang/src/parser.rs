@@ -112,17 +112,15 @@ impl Parser {
 
     fn clause_allow_missing_semi(&mut self) -> Result<Clause> {
         // Optional clause label: IDENT ':'
-        let label =
-            if matches!(self.peek(), Token::Ident(_)) && matches!(self.peek2(), Token::Colon) {
-                let l = match self.bump() {
-                    Token::Ident(s) => s,
-                    _ => unreachable!(),
-                };
+        let label = match (self.peek(), self.peek2()) {
+            (Token::Ident(l), Token::Colon) => {
+                let l = l.clone();
+                self.bump();
                 self.bump(); // colon
                 Some(l)
-            } else {
-                None
-            };
+            }
+            _ => None,
+        };
 
         let head = self.atoms()?;
         let body = if matches!(self.peek(), Token::Arrow) {

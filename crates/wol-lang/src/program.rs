@@ -115,8 +115,16 @@ impl Program {
         Ok(())
     }
 
-    /// Builder-style variant of [`add_text`](Self::add_text) that panics on
-    /// parse errors; convenient for statically known programs.
+    /// Builder-style variant of [`add_text`](Self::add_text) for program
+    /// text fixed at compile time; text from outside the program goes
+    /// through the fallible [`add_text`](Self::add_text).
+    ///
+    /// # Panics
+    ///
+    /// If `text` does not parse.
+    // The one stated panic of this crate: a parse failure here is a bug in
+    // the program text written into the calling code, not bad input.
+    #[allow(clippy::expect_used)]
     pub fn with_text(mut self, text: &str) -> Self {
         self.add_text(text).expect("program text must parse");
         self

@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use wol_model::{ClassName, SkolemFactory, Value};
 
-use crate::ast::{DatalogAtom, DatalogProgram, DatalogTerm};
+use super::ast::{DatalogAtom, DatalogProgram, DatalogTerm};
 
 /// A database of flat relations: predicate name → set of tuples.
 pub type Database = BTreeMap<String, BTreeSet<Vec<Value>>>;
@@ -158,7 +158,7 @@ pub fn evaluate(program: &DatalogProgram, edb: &Database) -> (Database, EvalStat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::DatalogRule;
+    use crate::datalog::ast::DatalogRule;
 
     fn edge_db() -> Database {
         let mut db = Database::new();

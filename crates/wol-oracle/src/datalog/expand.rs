@@ -10,8 +10,8 @@
 
 use wol_model::{ClassName, Instance, Value};
 
-use crate::ast::{DatalogAtom, DatalogProgram, DatalogRule, DatalogTerm};
-use crate::engine::Database;
+use super::ast::{DatalogAtom, DatalogProgram, DatalogRule, DatalogTerm};
+use super::engine::Database;
 
 /// The complete-clause baseline program for V(k), together with its size
 /// metrics (compared against the WOL program's in benchmark E3).
@@ -82,7 +82,7 @@ pub fn variant_facts(instance: &Instance, k: usize) -> Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::evaluate;
+    use crate::datalog::engine::evaluate;
     use workloads::variants;
 
     #[test]

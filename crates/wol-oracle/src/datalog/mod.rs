@@ -1,7 +1,5 @@
-//! # datalog-baseline
-//!
-//! A Datalog/ILOG-style baseline engine used for the comparisons the paper
-//! makes in Sections 3.2–3.3:
+//! A Datalog/ILOG-style baseline engine for the comparisons the paper makes
+//! in Sections 3.2–3.3:
 //!
 //! * clauses are over **flat relations** with positional attributes;
 //! * Skolem terms provide ILOG's object-identity creation;
@@ -10,7 +8,7 @@
 //!   independent variant choices needs `2^k` clauses (one per combination),
 //!   whereas WOL needs `2k` partial clauses.
 //!
-//! The crate provides the rule language ([`ast`]), a semi-naive bottom-up
+//! The module provides the rule language ([`ast`]), a semi-naive bottom-up
 //! evaluator ([`engine`]), and a translator ([`expand`]) that builds the
 //! complete-clause baseline program for the variant family `V(k)` of the
 //! `workloads` crate, plus an importer/exporter between flat relations and the

@@ -1,7 +1,7 @@
 //! The Cities/States/Countries workload of Figures 1–3.
 //!
 //! Provides the exact schemas and clauses of the paper's running example plus
-//! a scalable instance generator used by the execution benchmarks (E4, E5).
+//! a scalable instance generator used by the execution tests and benchmarks.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -7,7 +7,7 @@
 //! `V(k)` has a source class `Src` with `k` boolean flags and a target class
 //! `Obj` with `k` variant-typed attributes. The WOL program uses `2k` partial
 //! clauses (one per attribute alternative) plus one key constraint; a
-//! complete-clause language (Datalog/ILOG — see the `datalog-baseline` crate)
+//! complete-clause language (Datalog/ILOG — see `wol_oracle::datalog`)
 //! needs `2^k` clauses, one per combination of alternatives.
 
 use rand::rngs::StdRng;

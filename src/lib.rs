@@ -1,8 +1,9 @@
-//! Umbrella crate for the WOL reproduction: re-exports every workspace member
-//! so that examples and integration tests can use a single dependency.
+//! Umbrella crate for the WOL reproduction: re-exports every production
+//! workspace member so that examples and integration tests can use a single
+//! dependency. The test-only `wol-oracle` crate is a dev-dependency and is
+//! not re-exported.
 
 pub use cpl;
-pub use datalog_baseline;
 pub use morphase;
 pub use storage;
 pub use wol_engine;

@@ -142,7 +142,7 @@ fn people_schema_evolution_preserves_information_under_constraints() {
 
 #[test]
 fn variant_family_agrees_with_the_datalog_baseline() {
-    use wol_repro::datalog_baseline::{evaluate, variant_baseline_program, variant_facts};
+    use wol_oracle::datalog::{evaluate, variant_baseline_program, variant_facts};
     let k = 4;
     let source = variants::generate_source(k, 40, 19);
     let normal = wol_engine::normalize(

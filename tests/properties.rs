@@ -2,12 +2,14 @@
 
 use proptest::prelude::*;
 
+use wol_oracle::match_body_reference;
 use wol_repro::cpl::{self, Expr, Plan};
 use wol_repro::morphase::Morphase;
 use wol_repro::wol_engine::{
-    execute, instances_equivalent, match_body, match_body_reference, normalize, Bindings,
-    Databases, MatchStats, NormalizeOptions,
+    execute, instances_equivalent, match_body, naive_transform, normalize, Bindings, Databases,
+    MatchStats, NormalizeOptions,
 };
+use wol_repro::wol_lang::ast::Atom;
 use wol_repro::wol_lang::{parse_clause, render_clause};
 use wol_repro::wol_model::{ClassName, Instance, SkolemFactory, Value};
 use wol_repro::workloads::cities::{generate_euro, CitiesWorkload};
@@ -21,6 +23,7 @@ const MATCHER_BODIES: &[&str] = &[
     "Z = 1 <= X in CountryE, X.language = \"French\"",
     "Z = 1 <= X in CountryE, Y in CityE, Y.country = X, Y.is_capital = true",
     "Z = 1 <= E in CityE, X in CountryE, X.name = E.country.name",
+    "Z = 1 <= X in CountryE, Y in CountryE, X != Y",
     "Z = 1 <= X in CountryE, Y in CountryE, X != Y, X.language = Y.language",
     "Z = 1 <= E in CityE, X in CountryE, X.name = E.country.name, \
              Y in CityE, Y.country = X, Y.is_capital = true",
@@ -29,24 +32,17 @@ const MATCHER_BODIES: &[&str] = &[
 /// Match `body` with both matchers against `dbs`, returning the sorted
 /// binding multisets and the two stats blocks.
 fn match_both(
-    body: &str,
+    body: &[Atom],
     dbs: &Databases<'_>,
 ) -> (Vec<Bindings>, Vec<Bindings>, MatchStats, MatchStats) {
-    let clause = parse_clause(body).expect("body parses");
     let mut factory = SkolemFactory::new();
     let mut indexed_stats = MatchStats::default();
-    let mut indexed = match_body(
-        &clause.body,
-        dbs,
-        &mut factory,
-        Bindings::new(),
-        &mut indexed_stats,
-    )
-    .expect("indexed matcher succeeds");
+    let mut indexed = match_body(body, dbs, &mut factory, Bindings::new(), &mut indexed_stats)
+        .expect("indexed matcher succeeds");
     let mut factory = SkolemFactory::new();
     let mut reference_stats = MatchStats::default();
     let mut reference = match_body_reference(
-        &clause.body,
+        body,
         dbs,
         &mut factory,
         Bindings::new(),
@@ -68,7 +64,8 @@ fn indexed_matcher_reduces_bindings_considered_at_least_5x_on_three_way_join() {
     let dbs = Databases::new(&refs[..]);
     let body = "Z = 1 <= E in CityE, X in CountryE, X.name = E.country.name, \
                         Y in CityE, Y.country = X, Y.is_capital = true";
-    let (indexed, reference, indexed_stats, reference_stats) = match_both(body, &dbs);
+    let body = parse_clause(body).expect("body parses").body;
+    let (indexed, reference, indexed_stats, reference_stats) = match_both(&body, &dbs);
     assert_eq!(indexed, reference);
     assert_eq!(indexed.len(), 900); // every city joined to its country's capital
     assert!(indexed_stats.index_probes > 0);
@@ -413,9 +410,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The join-graph planner (with live statistics) and the legacy
-    /// rule-based rewriter both produce exactly the raw plan's row multiset,
-    /// for every scan order of 2-5 scans over generated instances.
+    /// The join-graph planner (with live statistics) produces exactly the
+    /// row multiset of the raw plan — the reference semantics — for every
+    /// scan order of 2-5 scans over generated instances.
     #[test]
     fn planner_and_reference_preserve_raw_row_multisets(
         k in 2usize..6,
@@ -431,8 +428,6 @@ proptest! {
         let expected = sorted_rows(&raw, &refs[..]);
         let planned = cpl::optimize_with_stats(raw.clone(), &stats);
         prop_assert_eq!(&sorted_rows(&planned, &refs[..]), &expected);
-        let reference = cpl::optimize_reference(raw.clone());
-        prop_assert_eq!(&sorted_rows(&reference, &refs[..]), &expected);
         // The planner never leaves a product behind on this connected graph.
         let rendered = planned.render();
         prop_assert!(!rendered.contains("CrossJoin") && !rendered.contains("NestedLoopJoin"),
@@ -441,10 +436,10 @@ proptest! {
 
     /// The histogram-driven planner is differentially verified, not just
     /// benchmarked: over zipfian-skewed instances, for every scan order of
-    /// 2-5 scans, planning with histogram statistics, planning with flat
-    /// `1/ndv` statistics, and the legacy rule-based rewriter all produce
-    /// exactly the raw plan's row multiset — and the planner leaves no
-    /// product behind on these connected graphs under either cost model.
+    /// 2-5 scans, planning with histogram statistics and planning with flat
+    /// `1/ndv` statistics both produce exactly the raw plan's row multiset —
+    /// and the planner leaves no product behind on these connected graphs
+    /// under either cost model.
     #[test]
     fn histogram_and_flat_planners_preserve_raw_row_multisets_on_skew(
         k in 2usize..6,
@@ -475,16 +470,14 @@ proptest! {
             prop_assert!(!rendered.contains("CrossJoin") && !rendered.contains("NestedLoopJoin"),
                 "a product survived planning under {:?}:\n{}", cost_model, rendered);
         }
-        let reference = cpl::optimize_reference(raw.clone());
-        prop_assert_eq!(&sorted_rows(&reference, &refs[..]), &expected);
     }
 
     /// The thread-matrix differential: over zipf-skewed E7-style instances,
     /// parallel execution at every thread count in {1, 2, 4, 8} produces the
     /// *identical row stream and target instance* as the sequential executor
-    /// — for the cost-based plan under both cost models *and* for the legacy
-    /// `optimize_reference` plan — and the row multiset always equals the raw
-    /// plan's. Identity numbering in the target depends on row order, so
+    /// — for the cost-based plan under both cost models *and* for the raw plan
+    /// itself (products, predicate-less nested loops and filters above them)
+    /// — and the row multiset always equals the raw plan's. Identity numbering in the target depends on row order, so
     /// target equality here proves parallel row order is exactly sequential.
     #[test]
     fn parallel_execution_is_deterministic_across_the_thread_matrix(
@@ -508,11 +501,10 @@ proptest! {
         let refs = [&source];
         let raw = skew_chain_raw_plan(k, rotation % k);
         let raw_multiset = sorted_rows(&raw, &refs[..]);
-        let reference = cpl::optimize_reference(raw.clone());
         for cost_model in [cpl::CostModel::Histogram, cpl::CostModel::FlatNdv] {
             let stats = cpl::Statistics::from_instances(&refs[..]).with_cost_model(cost_model);
             let planned = cpl::optimize_with_stats(raw.clone(), &stats);
-            for plan in [&planned, &reference] {
+            for plan in [&planned, &raw] {
                 let (base_rows, base_target) = run_query_with_threads(plan, &refs[..], 1);
                 for threads in [2usize, 4, 8] {
                     let (rows, target) = run_query_with_threads(plan, &refs[..], threads);
@@ -666,9 +658,12 @@ proptest! {
     }
 
     /// The indexed plan-based matcher returns exactly the same binding
-    /// multiset as the naive reference matcher on generated instances, for a
-    /// family of bodies covering scans, probes, filters and inequality joins
-    /// — and never enumerates more candidates doing it.
+    /// multiset as the naive reference matcher on generated instances — for
+    /// a family of bodies covering scans, probes, filters and inequality
+    /// joins over the source, and for every transformation-clause body of the
+    /// cities program over the source *and* its naive target (the bodies
+    /// that read target classes included) — and never enumerates more
+    /// candidates doing it.
     #[test]
     fn indexed_matcher_equals_reference_on_generated_instances(
         countries in 1usize..8,
@@ -676,15 +671,24 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let source = generate_euro(countries, cities, seed);
-        let refs = [&source];
-        let dbs = Databases::new(&refs[..]);
-        for body in MATCHER_BODIES {
-            let (indexed, reference, indexed_stats, reference_stats) = match_both(body, &dbs);
-            prop_assert_eq!(&indexed, &reference);
+        let program = CitiesWorkload::new().euro_program();
+        let target = naive_transform(&program, &[&source][..], "target").unwrap();
+        let source_only = [&source];
+        let with_target = [&source, &target];
+        let bodies = MATCHER_BODIES
+            .iter()
+            .map(|text| (text.to_string(), parse_clause(text).unwrap().body, &source_only[..]))
+            .chain(program.transformation_clauses().into_iter().map(|(_, clause)| {
+                (render_clause(clause), clause.body.clone(), &with_target[..])
+            }));
+        for (name, body, instances) in bodies {
+            let dbs = Databases::new(instances);
+            let (indexed, reference, indexed_stats, reference_stats) = match_both(&body, &dbs);
+            prop_assert!(indexed == reference, "matchers disagree on `{}`", name);
             prop_assert!(
                 indexed_stats.bindings_considered <= reference_stats.bindings_considered,
                 "indexed matcher considered more bindings on `{}`: {} > {}",
-                body,
+                name,
                 indexed_stats.bindings_considered,
                 reference_stats.bindings_considered
             );
