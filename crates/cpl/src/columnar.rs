@@ -1,30 +1,33 @@
 //! Vectorized batch-at-a-time execution over columnar extents.
 //!
-//! The row-at-a-time executor in [`crate::exec`] evaluates an interpreted
-//! [`Expr`] per row, and every `x.attr` projection clones the whole object
-//! value out of the instance before projecting one field. For the dominant
+//! The row-at-a-time executor in [`crate::exec`] evaluates a lowered
+//! expression per row, and an `x.attr` projection dereferences `x` through
+//! the instance store to borrow one field of its record. For the dominant
 //! plan shape — scan → filter → project over one class — this module runs
 //! the same semantics over the column-major derived storage of
-//! [`wol_model::column`] instead:
+//! [`wol_model::column`] instead, a typed array per attribute:
 //!
 //! * **Extraction** ([`extract`]): a `Filter`/`Map` tower over a single
 //!   `Scan` compiles into a [`Pipeline`] of stages over *atoms* — the
 //!   scanned identity itself, a single-hop attribute column, or a constant.
 //!   Anything richer (Skolems, record/variant construction, multi-hop
 //!   projections, unknown variables, multi-source contexts) bails out to the
-//!   row-at-a-time path, so coverage grows without risking semantics.
+//!   row-at-a-time path, so coverage grows without risking semantics. So
+//!   does a truth test of a value that may not be a boolean — the row path
+//!   raises that as an error, in row order, which a batch cannot reproduce.
 //! * **Selection vectors**: each worker walks its contiguous row range as a
 //!   vector of surviving row ids; filter kernels evaluate tri-state
 //!   (true / false / error) comparison results against column chunks and
 //!   compact the vector. The tri-state replication matters: the row path
-//!   turns a missing attribute into a `BadValue` error that predicates
+//!   turns a missing attribute into a bad-value error that predicates
 //!   swallow as *false* and `Map` turns into a dropped row, and negation
 //!   must *not* resurrect such rows.
 //! * **Late materialization**: only rows surviving every stage are
-//!   materialized into `Row`s (dictionary codes resolved back to strings,
-//!   bit-identical to the values the row path would have produced), so join
-//!   build/probe sides and insert evaluation downstream see the usual rows
-//!   having paid columnar cost only for survivors.
+//!   materialized, as slot rows in the tower's [`exec::layout`] (dictionary
+//!   codes resolved back to strings, bit-identical to the values the row
+//!   path would have produced), so join build/probe sides and insert
+//!   evaluation downstream see the usual rows having paid columnar cost only
+//!   for survivors.
 //! * **Chunk-granular dispatch**: ranges come from the same
 //!   [`wol_model::chunk_ranges`] morsel partitioning and the same
 //!   partition-count rule as every row operator, and run through
@@ -42,11 +45,12 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use wol_model::column::{AttrColumn, ColumnData, CHUNK_ROWS};
+use wol_model::column::{AttrColumn, ColumnData, ColumnKind, CHUNK_ROWS};
 use wol_model::{chunk_ranges, ClassName, Label, Oid, RealVal, Value};
 
+use crate::error::CplError;
 use crate::exec::{self, ExecStats};
-use crate::expr::{EvalCtx, Expr, Row};
+use crate::expr::{EvalCtx, Expr, SlotRow};
 use crate::plan::Plan;
 use crate::Result;
 
@@ -98,7 +102,7 @@ enum StageOp {
     Filter(PredNode),
     /// Bind names to atoms; a row with any missing binding atom is dropped
     /// (the row path's `BadValue`-drops-the-row rule).
-    Map(Vec<(String, usize)>),
+    Map(Vec<usize>),
 }
 
 /// A scan→filter→project tower compiled for columnar execution.
@@ -108,9 +112,10 @@ pub(crate) struct Pipeline {
     attrs: Vec<Label>,
     atoms: Vec<Atom>,
     stages: Vec<StageOp>,
-    /// Final row content: name → atom, including the scan variable unless a
-    /// later binding shadowed it.
-    outputs: Vec<(String, usize)>,
+    /// Final row content: the atom behind each slot of the tower's layout.
+    outputs: Vec<usize>,
+    /// Atoms the filters use as booleans ([`PredNode::Truthy`]).
+    tested: Vec<usize>,
 }
 
 struct Compiler {
@@ -118,6 +123,7 @@ struct Compiler {
     attrs: Vec<Label>,
     atoms: Vec<Atom>,
     aliases: BTreeMap<String, usize>,
+    tested: Vec<usize>,
 }
 
 impl Compiler {
@@ -179,7 +185,11 @@ impl Compiler {
             Expr::Neq(a, b) => self.cmp_of(CmpOp::Neq, a, b),
             Expr::Lt(a, b) => self.cmp_of(CmpOp::Lt, a, b),
             Expr::Leq(a, b) => self.cmp_of(CmpOp::Leq, a, b),
-            other => self.atom_of(other).map(PredNode::Truthy),
+            other => {
+                let atom = self.atom_of(other)?;
+                self.tested.push(atom);
+                Some(PredNode::Truthy(atom))
+            }
         }
     }
 
@@ -223,6 +233,7 @@ pub(crate) fn extract(plan: &Plan) -> Option<Pipeline> {
         attrs: Vec::new(),
         atoms: Vec::new(),
         aliases: BTreeMap::new(),
+        tested: Vec::new(),
     };
     let self_atom = compiler.intern(Atom::SelfOid);
     let mut stages = Vec::with_capacity(layers.len());
@@ -233,7 +244,7 @@ pub(crate) fn extract(plan: &Plan) -> Option<Pipeline> {
                 let mut compiled = Vec::with_capacity(bindings.len());
                 for (name, expr) in bindings {
                     let atom = compiler.atom_of(expr)?;
-                    compiled.push((name.clone(), atom));
+                    compiled.push(atom);
                     // Later expressions see this binding (including shadowing
                     // the scan variable), exactly like the row path's
                     // in-order row extension.
@@ -243,21 +254,19 @@ pub(crate) fn extract(plan: &Plan) -> Option<Pipeline> {
             }
         }
     }
-    let mut outputs: BTreeMap<String, usize> = BTreeMap::new();
-    outputs.insert(scan_var, self_atom);
-    for stage in &stages {
-        if let StageOp::Map(bindings) = stage {
-            for (name, atom) in bindings {
-                outputs.insert(name.clone(), *atom);
-            }
-        }
-    }
+    // Each slot of the tower's layout holds the last binding of its name, or
+    // the scanned identity for the (unshadowed) scan variable.
+    let outputs = exec::layout(plan)
+        .iter()
+        .map(|name| compiler.aliases.get(name).copied().unwrap_or(self_atom))
+        .collect();
     Some(Pipeline {
         class,
         attrs: compiler.attrs,
         atoms: compiler.atoms,
         stages,
-        outputs: outputs.into_iter().collect(),
+        outputs,
+        tested: compiler.tested,
     })
 }
 
@@ -267,7 +276,11 @@ enum RunAtom<'p> {
     SelfOid,
     Col(usize),
     Const(&'p Value),
-    ConstStr { value: &'p Value, code: Option<u32> },
+    ConstStr {
+        value: &'p Value,
+        s: &'p str,
+        code: Option<u32>,
+    },
 }
 
 /// A typed view of one cell, borrowed from column storage.
@@ -276,11 +289,10 @@ enum Cell<'a> {
     Int(i64),
     Real(f64),
     Bool(bool),
-    /// A string, as a dictionary code and/or a borrowed `&str` (at least one
-    /// is always populated).
+    /// A string, with its dictionary code when it has one.
     Str {
         code: Option<u32>,
-        s: Option<&'a str>,
+        s: &'a str,
     },
     Oid(&'a Oid),
     /// A non-scalar value from a boxed column or constant.
@@ -292,10 +304,7 @@ fn cell_of_value(v: &Value) -> Cell<'_> {
         Value::Int(i) => Cell::Int(*i),
         Value::Real(r) => Cell::Real(r.get()),
         Value::Bool(b) => Cell::Bool(*b),
-        Value::Str(s) => Cell::Str {
-            code: None,
-            s: Some(s),
-        },
+        Value::Str(s) => Cell::Str { code: None, s },
         Value::Oid(o) => Cell::Oid(o),
         other => Cell::Other(other),
     }
@@ -317,13 +326,7 @@ impl<'p> BoundPipeline<'p> {
         match &self.atoms[atom] {
             RunAtom::SelfOid => Cell::Oid(&self.rows[row]),
             RunAtom::Const(v) => cell_of_value(v),
-            RunAtom::ConstStr { value, code } => match value {
-                Value::Str(s) => Cell::Str {
-                    code: *code,
-                    s: Some(s),
-                },
-                _ => unreachable!("ConstStr always wraps a string"),
-            },
+            RunAtom::ConstStr { s, code, .. } => Cell::Str { code: *code, s },
             RunAtom::Col(c) => {
                 let (chunk, local) = self.cols[*c].locate(row);
                 if chunk.is_missing(local) {
@@ -335,7 +338,7 @@ impl<'p> BoundPipeline<'p> {
                     ColumnData::Bool(v) => Cell::Bool(v[local]),
                     ColumnData::Str(v) => Cell::Str {
                         code: Some(v[local]),
-                        s: None,
+                        s: &self.dict[v[local] as usize],
                     },
                     ColumnData::Oid(v) => Cell::Oid(&v[local]),
                     ColumnData::Boxed(v) => cell_of_value(&v[local]),
@@ -354,13 +357,6 @@ impl<'p> BoundPipeline<'p> {
         }
     }
 
-    fn str_of<'a>(&'a self, code: Option<u32>, s: Option<&'a str>) -> &'a str {
-        match s {
-            Some(s) => s,
-            None => &self.dict[code.expect("string cell carries code or str") as usize],
-        }
-    }
-
     /// Equality with the row path's `Value` semantics: strict variant
     /// equality (`Int(1) != Real(1.0)`), reals by total order, kind
     /// mismatches are `false`, never errors.
@@ -372,7 +368,7 @@ impl<'p> BoundPipeline<'p> {
             (Cell::Str { code: ca, s: sa }, Cell::Str { code: cb, s: sb }) => match (ca, cb) {
                 // Codes come from the one shared dictionary: comparable directly.
                 (Some(x), Some(y)) => x == y,
-                _ => self.str_of(*ca, *sa) == self.str_of(*cb, *sb),
+                _ => sa == sb,
             },
             (Cell::Oid(x), Cell::Oid(y)) => x == y,
             (Cell::Other(x), Cell::Other(y)) => x == y,
@@ -389,9 +385,7 @@ impl<'p> BoundPipeline<'p> {
             (Cell::Real(x), Cell::Real(y)) => Some(RealVal(*x).cmp(&RealVal(*y))),
             (Cell::Int(x), Cell::Real(y)) => Some(RealVal(*x as f64).cmp(&RealVal(*y))),
             (Cell::Real(x), Cell::Int(y)) => Some(RealVal(*x).cmp(&RealVal(*y as f64))),
-            (Cell::Str { code: ca, s: sa }, Cell::Str { code: cb, s: sb }) => {
-                Some(self.str_of(*ca, *sa).cmp(self.str_of(*cb, *sb)))
-            }
+            (Cell::Str { s: sa, .. }, Cell::Str { s: sb, .. }) => Some(sa.cmp(sb)),
             _ => None,
         }
     }
@@ -487,7 +481,7 @@ impl<'p> BoundPipeline<'p> {
                     sel.retain(|&r| {
                         bindings
                             .iter()
-                            .all(|(_, atom)| self.atom_present(*atom, r as usize))
+                            .all(|&atom| self.atom_present(atom, r as usize))
                     });
                 }
             }
@@ -496,28 +490,30 @@ impl<'p> BoundPipeline<'p> {
         (counts, sel)
     }
 
-    fn value_of(&self, atom: usize, row: usize) -> Value {
+    /// The value of an output atom; `None` only for a missing cell, which
+    /// the `Map` stages have already dropped.
+    fn value_of(&self, atom: usize, row: usize) -> Option<Value> {
         match &self.atoms[atom] {
-            RunAtom::SelfOid => Value::Oid(self.rows[row].clone()),
-            RunAtom::Const(v) => (*v).clone(),
-            RunAtom::ConstStr { value, .. } => (*value).clone(),
-            RunAtom::Col(c) => self.cols[*c]
-                .value_at(row, &self.dict)
-                .expect("surviving rows carry every output attribute"),
+            RunAtom::SelfOid => Some(Value::Oid(self.rows[row].clone())),
+            RunAtom::Const(v) | RunAtom::ConstStr { value: v, .. } => Some((*v).clone()),
+            RunAtom::Col(c) => self.cols[*c].value_at(row, &self.dict),
         }
     }
 
-    /// Late materialization: build output rows only for survivors.
-    fn materialize(&self, sel: &[u32]) -> Vec<Row> {
-        sel.iter()
-            .map(|&r| {
-                let mut row = Row::new();
-                for (name, atom) in &self.pipe.outputs {
-                    row.insert(name.clone(), self.value_of(*atom, r as usize));
-                }
-                row
-            })
-            .collect()
+    /// Late materialization: build output slot rows, with room for `width`
+    /// slots, only for survivors.
+    fn materialize(&self, sel: &[u32], width: usize) -> Result<Vec<SlotRow>> {
+        let mut rows = Vec::with_capacity(sel.len());
+        for &r in sel {
+            let mut row = Vec::with_capacity(width);
+            for &atom in &self.pipe.outputs {
+                row.push(self.value_of(atom, r as usize).ok_or_else(|| {
+                    CplError::BadPlan("a surviving row lacks an output attribute".into())
+                })?);
+            }
+            rows.push(row);
+        }
+        Ok(rows)
     }
 }
 
@@ -531,13 +527,15 @@ impl Tri {
     }
 }
 
-/// Try to answer `plan` through the columnar executor. `Ok(None)` means the
-/// plan (or context) is out of scope and the row-at-a-time path must run.
+/// Try to answer `plan` through the columnar executor, with rows allocated
+/// for `width` slots. `Ok(None)` means the plan (or context) is out of scope
+/// and the row-at-a-time path must run.
 pub(crate) fn try_run(
     plan: &Plan,
+    width: usize,
     ctx: &mut EvalCtx<'_>,
     stats: &mut ExecStats,
-) -> Result<Option<Vec<Row>>> {
+) -> Result<Option<Vec<SlotRow>>> {
     if !ctx.columnar_enabled() || ctx.sources().len() != 1 {
         return Ok(None);
     }
@@ -566,11 +564,21 @@ pub(crate) fn try_run(
             Atom::Col(c) => RunAtom::Col(*c),
             Atom::Const(v @ Value::Str(s)) => RunAtom::ConstStr {
                 value: v,
+                s,
                 code: instance.dict_code(s),
             },
             Atom::Const(v) => RunAtom::Const(v),
         })
         .collect();
+    // A cell that may not be a boolean under a truth test: the row path's.
+    let non_boolean = |atom: &RunAtom<'_>| match atom {
+        RunAtom::Col(c) => cols[*c].kind() != ColumnKind::Bool && cols[*c].present() > 0,
+        RunAtom::Const(value) => !matches!(value, Value::Bool(_)),
+        RunAtom::SelfOid | RunAtom::ConstStr { .. } => true,
+    };
+    if pipe.tested.iter().any(|&atom| non_boolean(&atoms[atom])) {
+        return Ok(None);
+    }
     let bound = BoundPipeline {
         pipe: &pipe,
         rows: rows.clone(),
@@ -598,7 +606,7 @@ pub(crate) fn try_run(
             for &c in &counts {
                 ws.record_operator_output(c);
             }
-            Ok((counts, bound.materialize(&sel)))
+            Ok((counts, bound.materialize(&sel, width)?))
         },
     )?;
     let mut stage_totals = vec![0usize; pipe.stages.len()];

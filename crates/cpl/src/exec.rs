@@ -5,59 +5,45 @@
 //! (Section 5: "A transformation program in which all the transformation
 //! clauses are in normal form can easily be implemented in a single pass").
 //!
+//! ## Rows and layouts
+//!
+//! A normal-form query's binding structure is static, so every plan node has
+//! a **layout** ([`layout`]): its rows' variable names, ordered, each once.
+//! Rows are [`SlotRow`]s in layout order, and each operator lowers its
+//! expressions against its input's layout once per run
+//! ([`crate::expr::Lowered`]): no row is searched by name, and evaluation
+//! borrows instead of copying. Only [`run_plan`] names rows, at its return.
+//!
 //! ## Partitioned execution
 //!
-//! Every operator has **one body**, written over *partitions* of its input.
-//! How many partitions it gets is one rule (`partition_count`) over three
-//! things the executor can observe:
-//!
-//! * the **budget** — the context's [`wol_model::Parallelism`]
-//!   ([`EvalCtx::set_parallelism`]); a one-thread budget means one partition;
-//! * the **input size** — under [`EvalCtx::parallel_min_rows`] rows a pool
-//!   dispatch costs more than it saves, so the input stays whole;
-//! * **claim safety** — an expression that creates Skolem identities (whose
-//!   numbering depends on first-call order) somewhere the two-phase
-//!   key-claim protocol cannot cover pins its operator to one partition;
-//!
-//! and `threads.min(rows)` otherwise. `run_partitioned` runs a single
-//! partition **inline on the calling context** — no pool dispatch, no worker
-//! context, no claim arena, nothing added to [`EvalCtx::shard_stats`] — so
-//! "sequential execution" is not a second implementation, only the
-//! one-partition case of the same operator. Several partitions go to the
-//! persistent [`wol_model::WorkerPool`], each on a worker context of its
-//! own. What a partition is depends on the operator:
-//!
-//! * **scan+filter** splits the class extent into contiguous chunks;
-//! * **filter**, **map**, **nested-loop** and **cross joins** split the
-//!   (left) input rows into contiguous chunks;
-//! * **hash joins** split the *build side by key hash* into per-partition
-//!   shard tables and probe in contiguous chunks; on the index fast path the
-//!   *driving* rows are sharded by key hash, so each distinct key — and its
-//!   one index probe — is owned by exactly one partition;
-//! * **insert actions** evaluate contiguous row chunks and always apply on
-//!   the calling thread, in row order.
-//!
-//! The partition count never changes results, only wall-clock: chunks merge
-//! in input order, a key's matches live wholly in one shard in build order,
-//! and Skolem identities minted off the calling thread are provisional
-//! claims replayed in input order afterwards. The output row stream — and
-//! therefore the target instance built from it — is bit-identical at every
-//! thread count, and the merged [`ExecStats`] are equal (per-partition
-//! breakdowns of multi-partition operators are additionally kept as
-//! [`EvalCtx::shard_stats`]).
+//! Every operator has **one body**, written over *partitions* of its input
+//! under the crate's threading model: `partition_count` decides how many from
+//! the budget ([`EvalCtx::set_parallelism`]), the input size
+//! ([`EvalCtx::parallel_min_rows`]) and claim safety, and `run_partitioned`
+//! runs one partition inline on the calling context and several on the
+//! persistent [`wol_model::WorkerPool`]. Scan+filter splits the class extent,
+//! filters, maps, loop joins and insert evaluation split their (left) input
+//! rows into contiguous chunks, hash joins shard the build side — and, on the
+//! index path, the driving rows — by key hash. Chunks merge in input order
+//! and provisional Skolem identities are replayed in input order, so the row
+//! stream, the target and the merged [`ExecStats`] are bit-identical at every
+//! thread count (per-partition breakdowns: [`EvalCtx::shard_stats`]).
 
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
-use wol_model::{chunk_ranges, rewrite_resolved, Instance, Oid, SkolemClaims, Value};
+use wol_model::{
+    chunk_ranges, rewrite_resolved, ClassName, Instance, Label, Oid, SkolemClaims, Value,
+};
 
 use crate::error::CplError;
-use crate::expr::{eval, eval_predicate, EvalCtx, Expr};
-use crate::plan::{Plan, Query};
+use crate::expr::{bind_slot, lower_bindings, store, EvalCtx, Expr, Lowered};
+use crate::plan::{InsertAction, Plan, Query};
 use crate::Result;
 
-pub use crate::expr::Row;
+pub use crate::expr::{Row, SlotRow};
 
 /// Statistics collected while executing plans; reported by the Morphase
 /// pipeline and the benchmark harness.
@@ -212,24 +198,26 @@ pub(crate) fn partition_count<'e>(
 /// The error of the *earliest* partition propagates — the same error a
 /// left-to-right run over the whole input would have hit first.
 #[allow(clippy::type_complexity)]
-pub(crate) fn run_partitioned<T, A, F>(
-    ctx: &mut EvalCtx<'_>,
+pub(crate) fn run_partitioned<'a, T, A, F>(
+    ctx: &mut EvalCtx<'a>,
     stats: &mut ExecStats,
-    mut partitions: Vec<A>,
+    partitions: Vec<A>,
     with_claims: bool,
     work: F,
 ) -> Result<(Vec<T>, Vec<Option<SkolemClaims>>)>
 where
     T: Send,
     A: Send,
-    F: Fn(A, &mut EvalCtx<'_>, &mut ExecStats) -> Result<T> + Sync,
+    F: Fn(A, &mut EvalCtx<'a>, &mut ExecStats) -> Result<T> + Sync,
 {
     if partitions.len() == 1 {
-        let partition = partitions.pop().expect("one partition");
         let mut share = ExecStats::default();
-        let result = work(partition, ctx, &mut share);
+        let results: Result<Vec<T>> = partitions
+            .into_iter()
+            .map(|partition| work(partition, ctx, &mut share))
+            .collect();
         stats.absorb_probe_counters(&share);
-        return Ok((vec![result?], vec![None]));
+        return Ok((results?, vec![None]));
     }
     let sources = ctx.sources().to_vec();
     let sources = &sources;
@@ -265,8 +253,8 @@ where
 /// Split `rows` into at most `parts` contiguous chunks (the [`chunk_ranges`]
 /// split) that *own* their rows, so a partition consumes its input instead
 /// of cloning out of a shared slice; the first chunk reuses `rows` itself.
-fn owned_chunks(mut rows: Vec<Row>, parts: usize) -> Vec<Vec<Row>> {
-    let mut chunks: Vec<Vec<Row>> = chunk_ranges(rows.len(), parts)
+fn owned_chunks(mut rows: Vec<SlotRow>, parts: usize) -> Vec<Vec<SlotRow>> {
+    let mut chunks: Vec<Vec<SlotRow>> = chunk_ranges(rows.len(), parts)
         .into_iter()
         .skip(1)
         .rev()
@@ -301,7 +289,7 @@ fn map_bindings_claim_safe(bindings: &[(String, Expr)]) -> bool {
 /// its final one. After this, no provisional identity survives in the
 /// operator's output — downstream operators and the target only ever see the
 /// identities a one-partition run would have produced.
-fn resolve_rows(rows: &mut [Row], arenas: Vec<Option<SkolemClaims>>, ctx: &mut EvalCtx<'_>) {
+fn resolve_rows(rows: &mut [SlotRow], arenas: Vec<Option<SkolemClaims>>, ctx: &mut EvalCtx<'_>) {
     let arenas: Vec<SkolemClaims> = arenas.into_iter().flatten().collect();
     if arenas.is_empty() {
         return;
@@ -310,11 +298,9 @@ fn resolve_rows(rows: &mut [Row], arenas: Vec<Option<SkolemClaims>>, ctx: &mut E
     if resolved.is_empty() {
         return;
     }
-    for row in rows.iter_mut() {
-        for value in row.values_mut() {
-            if value.contains_oid() {
-                *value = rewrite_resolved(value, &resolved);
-            }
+    for value in rows.iter_mut().flatten() {
+        if value.contains_oid() {
+            *value = rewrite_resolved(value, &resolved);
         }
     }
 }
@@ -323,22 +309,24 @@ fn resolve_rows(rows: &mut [Row], arenas: Vec<Option<SkolemClaims>>, ctx: &mut E
 /// to shards. [`std::collections::hash_map::DefaultHasher`] is deterministic
 /// across processes, so shard assignment — and everything derived from it,
 /// like per-shard statistics — is reproducible.
-fn key_tuple_hash(values: &[Value]) -> u64 {
+fn key_tuple_hash(values: &[Cow<'_, Value>]) -> u64 {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     values.hash(&mut hasher);
     hasher.finish()
 }
 
-/// Evaluate one side's key tuples for every row, over `parts` contiguous
-/// chunks. `None` entries are rows whose keys hit a missing optional
-/// attribute — unjoinable.
-fn eval_key_tuples(
-    rows: &[Row],
-    keys: &[&Expr],
+/// One row's join-key values, borrowed where they exist; `None` when a
+/// missing optional attribute makes the row unjoinable.
+type KeyTuple<'r> = Option<Vec<Cow<'r, Value>>>;
+
+/// Evaluate one side's key tuples for every row, over `parts` chunks.
+fn eval_key_tuples<'r, 'a: 'r>(
+    rows: &'r [SlotRow],
+    keys: &'r [Lowered],
     parts: usize,
-    ctx: &mut EvalCtx<'_>,
+    ctx: &mut EvalCtx<'a>,
     stats: &mut ExecStats,
-) -> Result<Vec<Option<Vec<Value>>>> {
+) -> Result<Vec<KeyTuple<'r>>> {
     let ranges = chunk_ranges(rows.len(), parts);
     let (chunks, _) = run_partitioned(ctx, stats, ranges, false, |range, wctx, _ws| {
         rows[range]
@@ -347,6 +335,40 @@ fn eval_key_tuples(
             .collect::<Result<Vec<_>>>()
     })?;
     Ok(concat(chunks))
+}
+
+/// Where a join's left, then right, input slots land in its output layout:
+/// a name both sides bind keeps the right value (the probed identity).
+struct Splice {
+    slots: Vec<usize>,
+    width: usize,
+    capacity: usize,
+}
+
+impl Splice {
+    fn new(out: &[String], left: &[String], right: &[String], capacity: usize) -> Splice {
+        let mut names = out.to_vec();
+        let slots = left
+            .iter()
+            .chain(right)
+            .map(|n| bind_slot(&mut names, n))
+            .collect();
+        let width = names.len();
+        Splice {
+            slots,
+            width,
+            capacity,
+        }
+    }
+
+    fn join(&self, left: &[Value], right: &[Value]) -> SlotRow {
+        let mut row = Vec::with_capacity(self.capacity);
+        row.resize(self.width, Value::Absent);
+        for (value, &slot) in left.iter().chain(right).zip(&self.slots) {
+            row[slot] = value.clone();
+        }
+        row
+    }
 }
 
 /// One executed join operator's actual output row count, recorded (in
@@ -468,6 +490,42 @@ fn scan_cardinality(plan: &Plan, ctx: &EvalCtx<'_>) -> Option<usize> {
     }
 }
 
+/// The layout of a plan's rows: the variable each slot holds. A scan has one
+/// slot; a `Map` binding overwrites its name's slot or appends one; a join
+/// is left ++ right, a name on both sides keeping the right value in the left
+/// slot; an index-probe join (the path an unrestricted run takes whenever
+/// [`indexable_side`] finds one) appends, or overwrites, the probed variable
+/// to the driving side's layout — and a delta-restricted run that drives
+/// from the other side writes into the same layout.
+pub fn layout(plan: &Plan) -> Vec<String> {
+    let joined = |mut left: Vec<String>, right: Vec<String>| {
+        for name in &right {
+            bind_slot(&mut left, name);
+        }
+        left
+    };
+    match plan {
+        Plan::Scan { var, .. } => vec![var.clone()],
+        Plan::Filter { input, .. } | Plan::Distinct { input } => layout(input),
+        Plan::Map { input, bindings } => {
+            let names = bindings.iter().map(|(name, _)| name.clone()).collect();
+            joined(layout(input), names)
+        }
+        Plan::NestedLoopJoin { left, right, .. } | Plan::CrossJoin { left, right } => {
+            joined(layout(left), layout(right))
+        }
+        Plan::HashJoin { left, right, keys } => {
+            if let Some(side) = indexable_side(left, keys.iter().map(|(l, _)| l)) {
+                joined(layout(right), vec![side.var])
+            } else if let Some(side) = indexable_side(right, keys.iter().map(|(_, r)| r)) {
+                joined(layout(left), vec![side.var])
+            } else {
+                joined(layout(left), layout(right))
+            }
+        }
+    }
+}
+
 /// Describe the output order of a plan as a sequence of scan variables, or
 /// `None` if no such description exists.
 ///
@@ -539,25 +597,36 @@ pub fn scan_order_trace(plan: &Plan) -> Option<Vec<String>> {
 /// ([`ExecStats::probe_cache_hits`]). Groups are sharded *by key hash*, so a
 /// distinct key and its one probe belong to exactly one partition and the
 /// merged probe and cache-hit counts do not depend on the partition count.
-/// Each partition emits `(driving row index, produced rows)` pairs;
-/// reassembling them in driving-row order gives the output stream of a
-/// row-by-row loop, whatever the grouping and sharding were.
+/// Each partition emits rows, in `out` (the join's [`layout`]), tagged with
+/// their driving row; reassembling them in driving-row order gives the
+/// output stream of a row-by-row loop, whatever the grouping and sharding.
 fn probe_join(
     driving: &Plan,
     driving_keys: &[&Expr],
     scan_keys: &[&Expr],
     side: &IndexableSide,
+    (out, width): (&[String], usize),
     ctx: &mut EvalCtx<'_>,
     stats: &mut ExecStats,
-) -> Result<Vec<Row>> {
-    let driving_rows = run_plan(driving, ctx, stats)?;
+) -> Result<Vec<SlotRow>> {
+    let driving_rows = rows_of(driving, width, ctx, stats)?;
+    let mut probe_layout = layout(driving);
+    let splice = Splice::new(out, &probe_layout, std::slice::from_ref(&side.var), width);
+    let driving_lowered = lower_all(driving_keys, &probe_layout);
+    let slot = bind_slot(&mut probe_layout, &side.var);
+    let probe = Probe {
+        side,
+        keys: lower_all(scan_keys, &probe_layout),
+        slot,
+        width: probe_layout.len(),
+    };
     let gate = driving_keys.iter().chain(scan_keys.iter()).copied();
     let parts = partition_count(ctx, driving_rows.len(), false, gate);
-    let key_tuples = eval_key_tuples(&driving_rows, driving_keys, parts, ctx, stats)?;
+    let key_tuples = eval_key_tuples(&driving_rows, &driving_lowered, parts, ctx, stats)?;
     /// The driving rows (ascending indices) that share one probe: all rows
     /// carrying `key`, or a contiguous sub-range of a *hot* key's rows.
-    struct ProbeGroup<'k> {
-        key: &'k [Value],
+    struct ProbeGroup<'k, 'r> {
+        key: &'k [Cow<'r, Value>],
         rows: Vec<usize>,
         /// A hot key's pre-probed match list, shared by its sub-ranges; the
         /// flag marks the lead sub-range, which accounts for the one probe.
@@ -570,11 +639,11 @@ fn probe_join(
     let cacheable = scan_keys
         .iter()
         .all(|k| k.var_set().iter().all(|v| v == &side.var));
-    let mut shards: Vec<Vec<ProbeGroup<'_>>> = Vec::new();
+    let mut shards: Vec<Vec<ProbeGroup<'_, '_>>> = Vec::new();
     if cacheable {
         // Group keyed rows per key tuple, in first-occurrence order.
-        let mut groups: Vec<ProbeGroup<'_>> = Vec::new();
-        let mut group_of: HashMap<&[Value], usize> = HashMap::new();
+        let mut groups: Vec<ProbeGroup<'_, '_>> = Vec::new();
+        let mut group_of: HashMap<&[Cow<'_, Value>], usize> = HashMap::new();
         let mut keyed = 0usize;
         for (idx, values) in key_tuples.iter().enumerate() {
             let Some(values) = values else { continue };
@@ -598,19 +667,16 @@ fn probe_join(
         // unchanged. With one partition a fair share is every row, and no
         // key is hot.
         let hot_threshold = (2 * keyed.div_ceil(parts)).max(8);
-        let mut owned: Vec<Vec<ProbeGroup<'_>>> = (0..parts).map(|_| Vec::new()).collect();
+        let mut owned: Vec<Vec<ProbeGroup<'_, '_>>> = (0..parts).map(|_| Vec::new()).collect();
         for group in groups {
             if group.rows.len() < hot_threshold {
                 owned[(key_tuple_hash(group.key) % parts as u64) as usize].push(group);
                 continue;
             }
-            let sources = ctx.sources().to_vec();
-            let matched = std::sync::Arc::new(verified_candidates(
-                &Row::new(),
+            let matched = std::sync::Arc::new(probe.candidates(
+                None,
+                &mut Vec::new(),
                 group.key,
-                scan_keys,
-                side,
-                &sources,
                 ctx,
                 &mut ExecStats::default(),
             )?);
@@ -630,7 +696,7 @@ fn probe_join(
         // Every keyed row probes for itself, so ownership is irrelevant:
         // plain contiguous chunks of single-row groups.
         for range in chunk_ranges(key_tuples.len(), parts) {
-            let groups: Vec<ProbeGroup<'_>> = range
+            let groups: Vec<ProbeGroup<'_, '_>> = range
                 .filter_map(|idx| {
                     key_tuples[idx].as_ref().map(|values| ProbeGroup {
                         key: values,
@@ -644,14 +710,11 @@ fn probe_join(
             }
         }
     }
-    let driving_rows = &driving_rows;
-    /// Rows produced for one driving-row slot, keyed for order-preserving
-    /// reassembly.
-    type SlotRows = Vec<(usize, Vec<Row>)>;
-    let (per_shard, _): (Vec<SlotRows>, _) =
+    let (driving_rows, probe, splice) = (&driving_rows, &probe, &splice);
+    // Produced rows carry their driving row's index for reassembly.
+    let (per_shard, _): (Vec<Vec<(usize, SlotRow)>>, _) =
         run_partitioned(ctx, stats, shards, false, |shard, wctx, ws| {
-            let sources = wctx.sources().to_vec();
-            let unbound = Row::new();
+            let mut scratch = Vec::new();
             let mut out = Vec::new();
             for group in &shard {
                 let fresh;
@@ -665,86 +728,97 @@ fn probe_join(
                         // A cacheable key's candidates depend on the key
                         // alone; otherwise the (single) row is the base the
                         // remaining scan keys are verified against.
-                        let base = if cacheable {
-                            &unbound
-                        } else {
-                            &driving_rows[group.rows[0]]
-                        };
-                        fresh = verified_candidates(
-                            base, group.key, scan_keys, side, &sources, wctx, ws,
-                        )?;
+                        let base = (!cacheable).then(|| driving_rows[group.rows[0]].as_slice());
+                        fresh = probe.candidates(base, &mut scratch, group.key, wctx, ws)?;
                         ws.probe_cache_hits += group.rows.len() - 1;
                         &fresh
                     }
                 };
                 for &idx in &group.rows {
                     let row = &driving_rows[idx];
-                    let mut produced = Vec::with_capacity(matched.len());
-                    for oid in matched {
-                        let mut combined = row.clone();
-                        combined.insert(side.var.clone(), Value::Oid(oid.clone()));
-                        produced.push(combined);
-                    }
-                    ws.rows_produced += produced.len();
-                    out.push((idx, produced));
+                    let joined = matched
+                        .iter()
+                        .map(|oid| splice.join(row, &[Value::Oid(oid.clone())]));
+                    out.extend(joined.map(|produced| (idx, produced)));
                 }
             }
+            ws.rows_produced += out.len();
             Ok(out)
         })?;
-    let mut per_row: Vec<Vec<Row>> = vec![Vec::new(); driving_rows.len()];
-    for (idx, produced) in per_shard.into_iter().flatten() {
-        per_row[idx] = produced;
-    }
-    let rows = concat(per_row);
+    // A stable sort: each driving row's matches keep their extent order.
+    let mut produced = concat(per_shard);
+    produced.sort_by_key(|(idx, _)| *idx);
+    let rows: Vec<SlotRow> = produced.into_iter().map(|(_, row)| row).collect();
     ctx.record_join("HashJoin", rows.len());
     stats.record_operator_output(rows.len());
     Ok(rows)
 }
 
-/// Probe the attribute index for the scan-side candidates of one key tuple
-/// and verify every non-probed key pair against each candidate, extending
-/// `base` with the candidate's identity for the verification.
-fn verified_candidates(
-    base: &Row,
-    key_values: &[Value],
-    scan_keys: &[&Expr],
-    side: &IndexableSide,
-    sources: &[&Instance],
-    ctx: &mut EvalCtx<'_>,
-    stats: &mut ExecStats,
-) -> Result<Vec<Oid>> {
-    stats.index_probes += 1;
-    // The probed scan's delta restriction applies here, as a candidate
-    // filter: the index answers from the full extent, so membership in the
-    // restriction set is re-checked per candidate identity.
-    let restriction = ctx.scan_restriction(&side.var).cloned();
-    let mut matched = Vec::new();
-    for instance in sources {
-        'candidates: for oid in
-            instance.lookup_by_attr(&side.class, &side.attr, &key_values[side.key_index])
-        {
-            if restriction
-                .as_ref()
-                .is_some_and(|keep| !keep.contains(&oid))
-            {
-                continue 'candidates;
+fn lower_all(exprs: &[&Expr], layout: &[String]) -> Vec<Lowered> {
+    exprs.iter().map(|e| Lowered::new(e, layout)).collect()
+}
+
+/// The index-probed side of a probe join: its keys lowered over the probe
+/// row, the driving layout with the probed variable bound at `slot`.
+struct Probe<'s> {
+    side: &'s IndexableSide,
+    keys: Vec<Lowered>,
+    slot: usize,
+    width: usize,
+}
+
+impl Probe<'_> {
+    /// Probe the index for one key tuple's candidates and verify the other
+    /// key pairs against each, bound into scratch `row` (a copy of `base`,
+    /// or blanks when the keys read the probed variable alone).
+    fn candidates(
+        &self,
+        base: Option<&[Value]>,
+        row: &mut SlotRow,
+        key_values: &[Cow<'_, Value>],
+        ctx: &mut EvalCtx<'_>,
+        stats: &mut ExecStats,
+    ) -> Result<Vec<Oid>> {
+        stats.index_probes += 1;
+        let side = self.side;
+        let mut matched: Vec<Oid> = Vec::new();
+        for instance in ctx.sources() {
+            let found =
+                instance.lookup_by_attr(&side.class, &side.attr, &key_values[side.key_index]);
+            if matched.is_empty() {
+                matched = found;
+            } else {
+                matched.extend(found);
             }
-            let mut probe_row = base.clone();
-            probe_row.insert(side.var.clone(), Value::Oid(oid.clone()));
-            for (i, scan_key) in scan_keys.iter().enumerate() {
-                if i == side.key_index {
-                    continue;
-                }
-                match eval(scan_key, &probe_row, ctx) {
-                    Ok(value) if value == key_values[i] => {}
-                    Ok(_) | Err(CplError::BadValue(_)) => continue 'candidates,
-                    Err(other) => return Err(other),
-                }
-            }
-            matched.push(oid);
         }
+        // The probed scan's delta restriction applies here, as a candidate
+        // filter: the index answers from the full extent, so membership in
+        // the restriction set is re-checked per candidate identity.
+        let restriction = ctx.scan_restriction(&side.var).cloned();
+        row.clear();
+        row.extend_from_slice(base.unwrap_or_default());
+        row.resize(self.width, Value::Absent);
+        let mut failed = None;
+        matched.retain(|oid| {
+            if failed.is_some() || restriction.as_ref().is_some_and(|keep| !keep.contains(oid)) {
+                return false;
+            }
+            row[self.slot] = Value::Oid(oid.clone());
+            let mut unprobed = self
+                .keys
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != side.key_index);
+            unprobed.all(|(i, key)| match key.eval(row, ctx) {
+                Ok(value) => value == key_values[i],
+                Err(e) => {
+                    failed = (!e.is_bad_value()).then_some(e);
+                    false
+                }
+            })
+        });
+        failed.map_or(Ok(matched), Err)
     }
-    Ok(matched)
 }
 
 /// The generic hash join. The *build side* is partitioned by key hash into
@@ -754,15 +828,17 @@ fn verified_candidates(
 /// owns its key's hash. A key's build rows all live in one shard, in build
 /// order, and probe chunks merge in probe order — so the output row stream
 /// is that of a single build-then-probe loop at every partition count.
+#[allow(clippy::too_many_arguments)]
 fn hash_join(
-    left_rows: &[Row],
-    right_rows: &[Row],
-    left_keys: &[&Expr],
-    right_keys: &[&Expr],
+    left_rows: &[SlotRow],
+    right_rows: &[SlotRow],
+    left_keys: &[Lowered],
+    right_keys: &[Lowered],
+    splice: &Splice,
     parts: usize,
     ctx: &mut EvalCtx<'_>,
     stats: &mut ExecStats,
-) -> Result<Vec<Row>> {
+) -> Result<Vec<SlotRow>> {
     let left_tuples = eval_key_tuples(left_rows, left_keys, parts, ctx, stats)?;
     let right_tuples = eval_key_tuples(right_rows, right_keys, parts, ctx, stats)?;
     let left_hashes: Vec<u64> = left_tuples
@@ -770,15 +846,15 @@ fn hash_join(
         .map(|tuple| tuple.as_ref().map_or(0, |values| key_tuple_hash(values)))
         .collect();
     let (left_tuples, left_hashes) = (&left_tuples, &left_hashes);
-    // Shard tables map a key tuple to the build-row indices carrying it, in
-    // ascending (build) order.
-    let (shard_tables, _): (Vec<HashMap<&[Value], Vec<usize>>>, _) = run_partitioned(
+    /// A key tuple to the build-row indices carrying it, in build order.
+    type ShardTable<'k, 'r> = HashMap<&'k [Cow<'r, Value>], Vec<usize>>;
+    let (shard_tables, _): (Vec<ShardTable<'_, '_>>, _) = run_partitioned(
         ctx,
         stats,
         (0..parts).collect(),
         false,
         |shard, _wctx, _ws| {
-            let mut table: HashMap<&[Value], Vec<usize>> = HashMap::new();
+            let mut table: ShardTable<'_, '_> = HashMap::new();
             for (idx, tuple) in left_tuples.iter().enumerate() {
                 if let Some(values) = tuple {
                     if left_hashes[idx] % parts as u64 == shard as u64 {
@@ -800,9 +876,7 @@ fn hash_join(
             let table = &shard_tables[(key_tuple_hash(values) % parts as u64) as usize];
             if let Some(matches) = table.get(values.as_slice()) {
                 for &left_idx in matches {
-                    let mut combined = left_rows[left_idx].clone();
-                    combined.extend(right_rows[idx].clone());
-                    out.push(combined);
+                    out.push(splice.join(&left_rows[left_idx], &right_rows[idx]));
                 }
             }
         }
@@ -812,15 +886,18 @@ fn hash_join(
     Ok(concat(chunks))
 }
 
-/// Evaluate all keys of one join side against a row; `None` when a missing
-/// optional attribute makes the row unjoinable.
-fn eval_keys(keys: &[&Expr], row: &Row, ctx: &mut EvalCtx<'_>) -> Result<Option<Vec<Value>>> {
+/// Evaluate all keys of one join side against a row.
+fn eval_keys<'r, 'a: 'r>(
+    keys: &'r [Lowered],
+    row: &'r [Value],
+    ctx: &mut EvalCtx<'a>,
+) -> Result<KeyTuple<'r>> {
     let mut values = Vec::with_capacity(keys.len());
     for key in keys {
-        match eval(key, row, ctx) {
+        match key.eval(row, ctx) {
             Ok(value) => values.push(value),
-            Err(CplError::BadValue(_)) => return Ok(None),
-            Err(other) => return Err(other),
+            Err(e) if e.is_bad_value() => return Ok(None),
+            Err(e) => return Err(e),
         }
     }
     Ok(Some(values))
@@ -851,25 +928,62 @@ fn scan_extent<T>(
     scanned
 }
 
-/// Run a plan against the context, returning its rows.
+/// Run a plan against the context, returning its rows as named [`Row`]s —
+/// the slot rows of [`run_slots`], named once, here.
 pub fn run_plan(plan: &Plan, ctx: &mut EvalCtx<'_>, stats: &mut ExecStats) -> Result<Vec<Row>> {
+    let names = layout(plan);
+    let rows = run_slots(plan, ctx, stats)?;
+    Ok(rows
+        .into_iter()
+        .map(|row| names.iter().cloned().zip(row).collect())
+        .collect())
+}
+
+/// Run a plan against the context, returning its rows in the plan's
+/// [`layout`].
+pub fn run_slots(
+    plan: &Plan,
+    ctx: &mut EvalCtx<'_>,
+    stats: &mut ExecStats,
+) -> Result<Vec<SlotRow>> {
+    rows_of(plan, layout(plan).len(), ctx, stats)
+}
+
+/// A one-slot scan row with room for `width` slots.
+fn scan_row(oid: &Oid, width: usize) -> SlotRow {
+    let mut row = Vec::with_capacity(width);
+    row.push(Value::Oid(oid.clone()));
+    row
+}
+
+/// [`run_slots`] for a node of a plan whose root — its widest node — has
+/// `width` slots: rows are allocated once, with room for any `Map` above.
+fn rows_of(
+    plan: &Plan,
+    width: usize,
+    ctx: &mut EvalCtx<'_>,
+    stats: &mut ExecStats,
+) -> Result<Vec<SlotRow>> {
     // Scan→filter→project towers over a single source run batch-at-a-time on
     // the columnar executor (identical rows and stats, proven differentially);
     // everything else — and every bail-out — takes the row path below.
-    if let Some(rows) = crate::columnar::try_run(plan, ctx, stats)? {
+    if let Some(rows) = crate::columnar::try_run(plan, width, ctx, stats)? {
         return Ok(rows);
     }
     let rows = match plan {
-        Plan::Scan { class, var } => scan_extent(class, var, ctx, stats, |oid| {
-            Row::from([(var.clone(), Value::Oid(oid.clone()))])
-        }),
+        Plan::Scan { class, var } => {
+            scan_extent(class, var, ctx, stats, |oid| scan_row(oid, width))
+        }
         Plan::Filter { input, predicate } => {
+            let predicate_expr = predicate;
+            let predicate = Lowered::new(predicate, &layout(input));
+            let predicate = &predicate;
             // Fused scan+filter: partition the class extent itself into
             // contiguous chunks, so row construction and the predicate both
             // run on the partitions.
             if let Plan::Scan { class, var } = input.as_ref() {
                 let extent_total: usize = ctx.sources().iter().map(|i| i.extent_size(class)).sum();
-                let parts = partition_count(ctx, extent_total, false, [predicate]);
+                let parts = partition_count(ctx, extent_total, false, [predicate_expr]);
                 // The scan operator's own output, recorded as the `Scan` arm
                 // would have: every extent row is scanned and produced
                 // before the filter keeps its subset.
@@ -881,9 +995,8 @@ pub fn run_plan(plan: &Plan, ctx: &mut EvalCtx<'_>, stats: &mut ExecStats) -> Re
                     ws.rows_scanned += range.len();
                     let mut kept = Vec::new();
                     for oid in &oids[range] {
-                        let row = Row::from([(var.clone(), Value::Oid(oid.clone()))]);
-                        if eval_predicate(predicate, &row, wctx)? {
-                            kept.push(row);
+                        if predicate.eval_predicate(&[Value::Oid(oid.clone())], wctx)? {
+                            kept.push(scan_row(oid, width));
                         }
                     }
                     ws.rows_produced += kept.len();
@@ -891,13 +1004,13 @@ pub fn run_plan(plan: &Plan, ctx: &mut EvalCtx<'_>, stats: &mut ExecStats) -> Re
                 })?;
                 concat(chunks)
             } else {
-                let input_rows = run_plan(input, ctx, stats)?;
-                let parts = partition_count(ctx, input_rows.len(), false, [predicate]);
+                let input_rows = rows_of(input, width, ctx, stats)?;
+                let parts = partition_count(ctx, input_rows.len(), false, [predicate_expr]);
                 let chunks = owned_chunks(input_rows, parts);
                 let (chunks, _) = run_partitioned(ctx, stats, chunks, false, |chunk, wctx, ws| {
                     let mut kept = Vec::new();
                     for row in chunk {
-                        if eval_predicate(predicate, &row, wctx)? {
+                        if predicate.eval_predicate(&row, wctx)? {
                             kept.push(row);
                         }
                     }
@@ -908,7 +1021,9 @@ pub fn run_plan(plan: &Plan, ctx: &mut EvalCtx<'_>, stats: &mut ExecStats) -> Re
             }
         }
         Plan::Map { input, bindings } => {
-            let input_rows = run_plan(input, ctx, stats)?;
+            let input_rows = rows_of(input, width, ctx, stats)?;
+            let lowered = lower_bindings(bindings, &mut layout(input));
+            let lowered = &lowered;
             let gate = bindings.iter().map(|(_, e)| e);
             let claims_ok = map_bindings_claim_safe(bindings);
             let parts = partition_count(ctx, input_rows.len(), claims_ok, gate);
@@ -924,17 +1039,16 @@ pub fn run_plan(plan: &Plan, ctx: &mut EvalCtx<'_>, stats: &mut ExecStats) -> Re
                 run_partitioned(ctx, stats, chunks, with_claims, |chunk, wctx, ws| {
                     let mut out = Vec::with_capacity(chunk.len());
                     'rows: for mut row in chunk {
-                        for (var, expr) in bindings {
-                            match eval(expr, &row, wctx) {
-                                Ok(value) => {
-                                    row.insert(var.clone(), value);
-                                }
+                        for (slot, expr) in lowered {
+                            let value = match expr.eval(&row, wctx) {
+                                Ok(value) => value.into_owned(),
                                 // A missing optional attribute: the row does
                                 // not contribute (mirrors clause-matching
                                 // semantics).
-                                Err(CplError::BadValue(_)) => continue 'rows,
-                                Err(other) => return Err(other),
-                            }
+                                Err(e) if e.is_bad_value() => continue 'rows,
+                                Err(e) => return Err(e),
+                            };
+                            store(&mut row, *slot, value);
                         }
                         out.push(row);
                     }
@@ -950,19 +1064,22 @@ pub fn run_plan(plan: &Plan, ctx: &mut EvalCtx<'_>, stats: &mut ExecStats) -> Re
             right,
             predicate,
         } => {
-            let left_rows = run_plan(left, ctx, stats)?;
-            let right_rows = run_plan(right, ctx, stats)?;
+            let left_rows = rows_of(left, width, ctx, stats)?;
+            let right_rows = rows_of(right, width, ctx, stats)?;
+            let out = layout(plan);
+            let splice = Splice::new(&out, &layout(left), &layout(right), width);
+            let lowered = predicate.as_ref().map(|p| Lowered::new(p, &out));
             let parts = partition_count(ctx, left_rows.len(), false, predicate.iter());
-            let (left_rows, right_rows) = (&left_rows, &right_rows);
+            let (left_rows, right_rows, splice, lowered) =
+                (&left_rows, &right_rows, &splice, &lowered);
             let ranges = chunk_ranges(left_rows.len(), parts);
             let (chunks, _) = run_partitioned(ctx, stats, ranges, false, |range, wctx, ws| {
                 let mut out = Vec::new();
                 for l in &left_rows[range] {
                     for r in right_rows {
-                        let mut combined = l.clone();
-                        combined.extend(r.clone());
-                        let keep = match predicate {
-                            Some(p) => eval_predicate(p, &combined, wctx)?,
+                        let combined = splice.join(l, r);
+                        let keep = match lowered {
+                            Some(p) => p.eval_predicate(&combined, wctx)?,
                             None => true,
                         };
                         if keep {
@@ -978,18 +1095,17 @@ pub fn run_plan(plan: &Plan, ctx: &mut EvalCtx<'_>, stats: &mut ExecStats) -> Re
             rows
         }
         Plan::CrossJoin { left, right } => {
-            let left_rows = run_plan(left, ctx, stats)?;
-            let right_rows = run_plan(right, ctx, stats)?;
+            let left_rows = rows_of(left, width, ctx, stats)?;
+            let right_rows = rows_of(right, width, ctx, stats)?;
+            let splice = Splice::new(&layout(plan), &layout(left), &layout(right), width);
             let parts = partition_count(ctx, left_rows.len(), false, std::iter::empty());
-            let (left_rows, right_rows) = (&left_rows, &right_rows);
+            let (left_rows, right_rows, splice) = (&left_rows, &right_rows, &splice);
             let ranges = chunk_ranges(left_rows.len(), parts);
             let (chunks, _) = run_partitioned(ctx, stats, ranges, false, |range, _wctx, ws| {
                 let mut out = Vec::with_capacity(range.len() * right_rows.len());
                 for l in &left_rows[range] {
                     for r in right_rows {
-                        let mut combined = l.clone();
-                        combined.extend(r.clone());
-                        out.push(combined);
+                        out.push(splice.join(l, r));
                     }
                 }
                 ws.rows_produced += out.len();
@@ -1002,27 +1118,22 @@ pub fn run_plan(plan: &Plan, ctx: &mut EvalCtx<'_>, stats: &mut ExecStats) -> Re
         Plan::HashJoin { left, right, keys } => {
             let left_keys: Vec<&Expr> = keys.iter().map(|(l, _)| l).collect();
             let right_keys: Vec<&Expr> = keys.iter().map(|(_, r)| r).collect();
-            // Index fast path: when one side is a bare scan with a key that
-            // is a single attribute of the scanned object, skip materialising
-            // (and hash building over) that side entirely — drive the join
-            // from the other side's rows and answer each key with an
-            // attribute-index probe into the source instances, probing on
-            // the attribute with the smallest expected candidate lists.
-            // Delta restrictions keep the fast path: the driving side
-            // evaluates through `run_plan`, where its own restriction
-            // applies, and `verified_candidates` post-filters probe results
-            // by the indexed variable's set (the attribute indexes answer
-            // from the full extent and would otherwise resurrect filtered
-            // identities). This is exactly what keeps semi-naive delta
-            // joins O(delta): a handful of delta rows drive index probes
-            // instead of a full build/probe pass — even in the rotations
-            // that pin the indexed side to the "old" (near-full) extent.
+            // Index fast path: when one side is a bare scan keyed by a single
+            // attribute of the scanned object, never materialise it — drive
+            // from the other side and answer each key with an attribute-index
+            // probe, on the attribute with the smallest expected candidate
+            // lists. Delta restrictions keep the fast path (the driving side
+            // applies its own; `Probe::candidates` filters by the probed
+            // side's), which is what keeps semi-naive delta joins O(delta).
             let left_side = best_indexable_side(left, &left_keys, ctx.sources());
             let right_side = best_indexable_side(right, &right_keys, ctx.sources());
+            let out = layout(plan);
+            let out = (out.as_slice(), width);
             // When both orientations are available and a rotation is active,
             // drive from whichever side is pinned to the smaller identity
             // set — the pivot slot's Δ — so the delta rows do the probing,
-            // whichever side of the join they happen to land on.
+            // whichever side of the join they happen to land on. The rows
+            // still land in the join's one layout.
             if ctx.has_scan_restrictions() {
                 if let (Some(ls), Some(rs)) = (&left_side, &right_side) {
                     if let (Some(dl), Some(dr)) =
@@ -1034,25 +1145,27 @@ pub fn run_plan(plan: &Plan, ctx: &mut EvalCtx<'_>, stats: &mut ExecStats) -> Re
                         } else {
                             (right, &right_keys, &left_keys)
                         };
-                        return probe_join(driving, driving_keys, scan_keys, side, ctx, stats);
+                        return probe_join(driving, driving_keys, scan_keys, side, out, ctx, stats);
                     }
                 }
             }
             if let Some(side) = left_side {
-                return probe_join(right, &right_keys, &left_keys, &side, ctx, stats);
+                return probe_join(right, &right_keys, &left_keys, &side, out, ctx, stats);
             }
             if let Some(side) = right_side {
-                return probe_join(left, &left_keys, &right_keys, &side, ctx, stats);
+                return probe_join(left, &left_keys, &right_keys, &side, out, ctx, stats);
             }
-            let left_rows = run_plan(left, ctx, stats)?;
-            let right_rows = run_plan(right, ctx, stats)?;
+            let left_rows = rows_of(left, width, ctx, stats)?;
+            let right_rows = rows_of(right, width, ctx, stats)?;
+            let (left_layout, right_layout) = (layout(left), layout(right));
             let gate = keys.iter().flat_map(|(l, r)| [l, r]);
             let parts = partition_count(ctx, left_rows.len().max(right_rows.len()), false, gate);
             let rows = hash_join(
                 &left_rows,
                 &right_rows,
-                &left_keys,
-                &right_keys,
+                &lower_all(&left_keys, &left_layout),
+                &lower_all(&right_keys, &right_layout),
+                &Splice::new(out.0, &left_layout, &right_layout, width),
                 parts,
                 ctx,
                 stats,
@@ -1061,14 +1174,16 @@ pub fn run_plan(plan: &Plan, ctx: &mut EvalCtx<'_>, stats: &mut ExecStats) -> Re
             rows
         }
         Plan::Distinct { input } => {
-            let mut seen = std::collections::BTreeSet::new();
-            let mut rows = Vec::new();
-            for row in run_plan(input, ctx, stats)? {
-                if seen.insert(row.clone()) {
-                    rows.push(row);
-                }
-            }
-            rows
+            // Rows of one layout are equal exactly when their named views
+            // are; keep each row's first occurrence.
+            let rows = rows_of(input, width, ctx, stats)?;
+            let mut seen = HashSet::new();
+            let first: Vec<bool> = rows.iter().map(|row| seen.insert(row.as_slice())).collect();
+            drop(seen);
+            rows.into_iter()
+                .zip(first)
+                .filter_map(|(row, first)| first.then_some(row))
+                .collect()
         }
     };
     stats.record_operator_output(rows.len());
@@ -1123,45 +1238,71 @@ impl EvaluatedQuery {
 /// recorded. Stops at the first erroring row (recording the error in its
 /// slot), exactly where the one-partition loop would have stopped.
 fn evaluate_insert_rows<'r>(
-    query: &Query,
-    rows: impl Iterator<Item = &'r Row>,
+    inserts: &[LoweredInsert],
+    rows: impl Iterator<Item = &'r SlotRow>,
     ctx: &mut EvalCtx<'_>,
 ) -> Vec<Result<Vec<EvaluatedInsert>>> {
     let mut out = Vec::new();
-    'rows: for row in rows {
-        let mut evaluated = Vec::with_capacity(query.inserts.len());
-        for insert in &query.inserts {
-            let before_key = ctx.claims_mark();
-            let key = match eval(&insert.key, row, ctx) {
-                Ok(value) => value,
-                Err(err) => {
-                    out.push(Err(err));
-                    break 'rows;
-                }
-            };
-            let after_key = ctx.claims_mark();
-            let mut fields = BTreeMap::new();
-            for (label, expr) in &insert.attrs {
-                match eval(expr, row, ctx) {
-                    Ok(value) => {
-                        fields.insert(label.clone(), value);
-                    }
-                    Err(err) => {
-                        out.push(Err(err));
-                        break 'rows;
-                    }
-                }
-            }
-            evaluated.push(EvaluatedInsert {
-                key,
-                record: Value::Record(fields),
-                key_claims: before_key..after_key,
-                attr_claims: after_key..ctx.claims_mark(),
-            });
+    for row in rows {
+        let evaluated = inserts
+            .iter()
+            .map(|insert| {
+                let before_key = ctx.claims_mark();
+                let key = insert.key.eval(row, ctx)?.into_owned();
+                let after_key = ctx.claims_mark();
+                Ok(EvaluatedInsert {
+                    key,
+                    record: insert.record(row, ctx)?,
+                    key_claims: before_key..after_key,
+                    attr_claims: after_key..ctx.claims_mark(),
+                })
+            })
+            .collect::<Result<Vec<_>>>();
+        let failed = evaluated.is_err();
+        out.push(evaluated);
+        if failed {
+            break;
         }
-        out.push(Ok(evaluated));
     }
     out
+}
+
+/// An insert action lowered against its plan's layout.
+#[derive(Clone, Debug)]
+pub struct LoweredInsert {
+    /// Target class.
+    pub class: ClassName,
+    /// The key expression, whose value identifies the object.
+    pub key: Lowered,
+    /// The attribute expressions.
+    pub attrs: Vec<(Label, Lowered)>,
+}
+
+impl LoweredInsert {
+    /// Lower insert actions against the layout of the rows they read.
+    pub fn lower(inserts: &[InsertAction], layout: &[String]) -> Vec<LoweredInsert> {
+        inserts
+            .iter()
+            .map(|insert| LoweredInsert {
+                class: insert.class.clone(),
+                key: Lowered::new(&insert.key, layout),
+                attrs: insert
+                    .attrs
+                    .iter()
+                    .map(|(label, e)| (label.clone(), Lowered::new(e, layout)))
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// Evaluate the attributes, in order, into the inserted record.
+    fn record(&self, row: &[Value], ctx: &mut EvalCtx<'_>) -> Result<Value> {
+        let mut fields = BTreeMap::new();
+        for (label, expr) in &self.attrs {
+            fields.insert(label.clone(), expr.eval(row, ctx)?.into_owned());
+        }
+        Ok(Value::Record(fields))
+    }
 }
 
 /// Evaluate one query's rows and insert values without touching any shared
@@ -1176,10 +1317,11 @@ pub fn evaluate_query(
     ctx: &mut EvalCtx<'_>,
     stats: &mut ExecStats,
 ) -> Result<EvaluatedQuery> {
-    let rows = run_plan(&query.plan, ctx, stats)?;
+    let rows = run_slots(&query.plan, ctx, stats)?;
     stats.rows_output += rows.len();
     let plan_claims = 0..ctx.claims_mark();
-    let per_row = evaluate_insert_rows(query, rows.iter(), ctx);
+    let inserts = LoweredInsert::lower(&query.inserts, &layout(&query.plan));
+    let per_row = evaluate_insert_rows(&inserts, rows.iter(), ctx);
     Ok(EvaluatedQuery {
         arena: ctx.take_claims(),
         plan_claims,
@@ -1316,8 +1458,9 @@ pub fn execute_query(
     target: &mut Instance,
     stats: &mut ExecStats,
 ) -> Result<()> {
-    let rows = run_plan(&query.plan, ctx, stats)?;
+    let rows = run_slots(&query.plan, ctx, stats)?;
     stats.rows_output += rows.len();
+    let inserts = LoweredInsert::lower(&query.inserts, &layout(&query.plan));
     let exprs = || {
         query
             .inserts
@@ -1326,24 +1469,21 @@ pub fn execute_query(
     };
     let parts = partition_count(ctx, rows.len(), true, exprs());
     if parts == 1 {
-        for row in rows {
-            for insert in &query.inserts {
-                let key = eval(&insert.key, &row, ctx)?;
+        for row in &rows {
+            for insert in &inserts {
+                let key = insert.key.eval(row, ctx)?;
                 let oid = ctx.mk_skolem(&insert.class, &key);
-                let mut fields = BTreeMap::new();
-                for (label, expr) in &insert.attrs {
-                    fields.insert(label.clone(), eval(expr, &row, ctx)?);
-                }
-                write_object(target, oid, Value::Record(fields), &query.name, stats)?;
+                let record = insert.record(row, ctx)?;
+                write_object(target, oid, record, &query.name, stats)?;
             }
         }
         return Ok(());
     }
     let with_claims = exprs().any(Expr::contains_skolem);
-    let rows = &rows;
+    let (rows, inserts) = (&rows, &inserts);
     let ranges = chunk_ranges(rows.len(), parts);
     let (chunks, arenas) = run_partitioned(ctx, stats, ranges, with_claims, |range, wctx, _ws| {
-        Ok(evaluate_insert_rows(query, rows[range].iter(), wctx))
+        Ok(evaluate_insert_rows(inserts, rows[range].iter(), wctx))
     })?;
     apply_insert_rows(
         query,
@@ -2659,5 +2799,113 @@ mod tests {
         let mut stats = ExecStats::default();
         let restricted = run_plan(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(restricted, expected);
+    }
+
+    /// Run `plan` with the columnar tower on and off; both must agree.
+    fn run_both_ways(plan: &Plan, inst: &Instance) -> Result<Vec<Row>> {
+        let refs = [inst];
+        let run = |columnar: bool| {
+            let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
+            ctx.set_columnar(columnar);
+            run_plan(plan, &mut ctx, &mut ExecStats::default())
+        };
+        let (row_path, columnar) = (run(false), run(true));
+        assert_eq!(columnar, row_path, "columnar and row paths disagree");
+        row_path
+    }
+
+    /// A variable no layout binds is lowered to a node that raises
+    /// `UnknownVariable` when evaluated: over an empty extent no row reaches
+    /// it and the plan succeeds; over a non-empty one it fails by name.
+    #[test]
+    fn an_unknown_variable_errors_only_when_a_row_reaches_it() {
+        let inst = euro_instance();
+        for (class, expected) in [("GhostClass", Ok(0)), ("CityE", Err("Nowhere"))] {
+            let map = Plan::scan(class, "E").map(vec![("N".to_string(), Expr::var("Nowhere"))]);
+            let filter = Plan::scan(class, "E").filter(Expr::var("Nowhere").eq(Expr::var("E")));
+            for plan in [map, filter] {
+                let got = run_both_ways(&plan, &inst).map(|rows| rows.len());
+                let expected = expected.map_err(|v| CplError::UnknownVariable(v.to_string()));
+                assert_eq!(got, expected, "{}", plan.render());
+            }
+        }
+    }
+
+    /// A `Map` that rebinds the scanned variable overwrites its slot, so the
+    /// rows `Distinct` compares are the rebound ones: one per clone name.
+    #[test]
+    fn a_rebinding_map_under_distinct_compares_the_rebound_rows() {
+        let inst = partition_fixture();
+        let plan = Plan::scan("MarkerS", "M")
+            .map(vec![("M".to_string(), Expr::var("M").proj("clone_name"))])
+            .distinct();
+        assert_eq!(layout(&plan), ["M"]);
+        let rows = run_both_ways(&plan, &inst).unwrap();
+        let names: Vec<&Value> = rows.iter().map(|row| &row["M"]).collect();
+        let expected: Vec<Value> = ["hot", "cold0", "cold1", "cold2", "cold3"]
+            .map(Value::str)
+            .to_vec();
+        assert_eq!(names, expected.iter().collect::<Vec<_>>());
+        assert!(rows.iter().all(|row| row.len() == 1));
+    }
+
+    /// A name bound on both sides of a join keeps one slot, holding the
+    /// right side's value — on the nested-loop, cross and generic hash paths
+    /// — and the probed identity on the index-probe path.
+    #[test]
+    fn a_join_whose_sides_share_a_name_keeps_the_right_value() {
+        let inst = euro_instance();
+        let city_name = || bind("K", Expr::var("E").proj("name"));
+        let country_name = || bind("K", Expr::var("C").proj("name"));
+        let left = || Plan::scan("CityE", "E").map(vec![city_name()]);
+        let right = || Plan::scan("CountryE", "C").map(vec![country_name()]);
+        let countries: BTreeSet<Value> = ["United Kingdom", "France"].map(Value::str).into();
+        for (plan, rows) in [
+            (left().cross(right()), 6),
+            (left().join(right(), None), 6),
+            (
+                left().hash_join(right(), Expr::var("E").path("country.name"), Expr::var("K")),
+                3,
+            ),
+        ] {
+            assert_eq!(layout(&plan), ["E", "K", "C"]);
+            let out = run_both_ways(&plan, &inst).unwrap();
+            assert_eq!(out.len(), rows, "{}", plan.render());
+            assert!(out.iter().all(|row| countries.contains(&row["K"])));
+        }
+        // Index-probe path: the probed scan variable, bound on the driving
+        // side too, holds the probed identity.
+        let plan = Plan::scan("CityE", "E")
+            .map(vec![bind("C", Expr::constant("shadowed"))])
+            .hash_join(
+                Plan::scan("CountryE", "C"),
+                Expr::var("E").path("country.name"),
+                Expr::var("C").proj("name"),
+            );
+        assert_eq!(layout(&plan), ["E", "C"]);
+        let out = run_both_ways(&plan, &inst).unwrap();
+        assert_eq!(out.len(), 3);
+        assert!(out.iter().all(|row| matches!(row["C"], Value::Oid(_))));
+    }
+
+    /// A filter whose value is not a boolean is an error on the row path and
+    /// the columnar path alike, bare or nested under a connective — never an
+    /// empty result.
+    #[test]
+    fn a_non_boolean_filter_is_an_error_on_every_path() {
+        let inst = euro_instance();
+        let name = || Expr::var("C").proj("name");
+        for predicate in [name(), Expr::and(vec![name()]), Expr::Not(Box::new(name()))] {
+            let plan = Plan::scan("CountryE", "C").filter(predicate);
+            assert_eq!(
+                run_both_ways(&plan, &inst),
+                Err(CplError::NotBoolean("str")),
+                "{}",
+                plan.render()
+            );
+        }
+        // A missing attribute under a truth test is still `false`.
+        let plan = Plan::scan("CountryE", "C").filter(Expr::var("C").proj("is_capital"));
+        assert_eq!(run_both_ways(&plan, &inst), Ok(Vec::new()));
     }
 }

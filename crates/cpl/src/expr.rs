@@ -1,18 +1,29 @@
 //! Row expressions over complex values.
 //!
-//! An expression is evaluated against a *row* (a binding of row variables to
-//! values), a set of source instances (for dereferencing object identities),
-//! and a Skolem factory (for `Mk_C` object creation).
+//! An [`Expr`] names its row variables; before it runs it is *lowered*
+//! ([`Lowered`]) against the layout of the rows it reads
+//! ([`crate::exec::layout`]), so each variable is a slot index, resolved
+//! once per plan node rather than looked up per row. A lowered expression is
+//! evaluated against a [`SlotRow`], the source instances (to dereference
+//! object identities) and a Skolem factory (for `Mk_C`), **by reference**: a
+//! variable borrows its slot, a projection through an identity borrows the
+//! field inside the source instance. A value is owned only where it is built
+//! (a record, variant, Skolem identity or boolean) or stored.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use wol_model::{ClassName, Instance, Label, Oid, SkolemClaims, SkolemFactory, Value};
 
 use crate::error::CplError;
 use crate::Result;
 
-/// A row: named values produced by a plan operator.
+/// A named row, as [`crate::exec::run_plan`] returns it.
 pub type Row = BTreeMap<String, Value>;
+
+/// A row in slot form: one value per slot of its plan node's layout.
+pub type SlotRow = Vec<Value>;
 
 /// A complex-value expression.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -457,11 +468,6 @@ impl<'a> EvalCtx<'a> {
         std::mem::take(&mut self.columnar_stats)
     }
 
-    /// Merge another context's columnar telemetry into this one.
-    pub fn absorb_columnar_stats(&mut self, other: crate::exec::ColumnarStats) {
-        self.columnar_stats.absorb(&other);
-    }
-
     /// Look up the value of an object identity in the sources.
     pub fn deref(&self, oid: &Oid) -> Option<&'a Value> {
         self.sources.iter().find_map(|i| i.value(oid))
@@ -545,81 +551,190 @@ impl<'a> EvalCtx<'a> {
     }
 }
 
-/// Evaluate an expression against a row.
-pub fn eval(expr: &Expr, row: &Row, ctx: &mut EvalCtx<'_>) -> Result<Value> {
-    match expr {
-        Expr::Var(v) => row
-            .get(v)
-            .cloned()
-            .ok_or_else(|| CplError::UnknownVariable(v.clone())),
-        Expr::Const(value) => Ok(value.clone()),
-        Expr::Proj(base, label) => {
-            let base_value = eval(base, row, ctx)?;
-            let record = match &base_value {
-                Value::Oid(oid) => ctx
-                    .deref(oid)
-                    .cloned()
-                    .ok_or_else(|| CplError::BadValue(format!("dangling object identity {oid}")))?,
-                other => other.clone(),
-            };
-            record.project(label).cloned().ok_or_else(|| {
-                CplError::BadValue(format!(
-                    "value of kind `{}` has no attribute `{label}`",
-                    record.kind()
-                ))
-            })
-        }
-        Expr::Record(fields) => {
-            let mut out = BTreeMap::new();
-            for (label, sub) in fields {
-                out.insert(label.clone(), eval(sub, row, ctx)?);
-            }
-            Ok(Value::Record(out))
-        }
-        Expr::Variant(label, payload) => Ok(Value::Variant(
-            label.clone(),
-            Box::new(eval(payload, row, ctx)?),
-        )),
-        Expr::Skolem(class, key) => {
-            let key_value = eval(key, row, ctx)?;
-            Ok(Value::Oid(ctx.mk_skolem(class, &key_value)))
-        }
-        Expr::Eq(a, b) => Ok(Value::Bool(eval(a, row, ctx)? == eval(b, row, ctx)?)),
-        Expr::Neq(a, b) => Ok(Value::Bool(eval(a, row, ctx)? != eval(b, row, ctx)?)),
-        Expr::Lt(a, b) => compare(&eval(a, row, ctx)?, &eval(b, row, ctx)?)
-            .map(|o| Value::Bool(o == std::cmp::Ordering::Less)),
-        Expr::Leq(a, b) => compare(&eval(a, row, ctx)?, &eval(b, row, ctx)?)
-            .map(|o| Value::Bool(o != std::cmp::Ordering::Greater)),
-        Expr::And(es) => {
-            for e in es {
-                if !truthy(&eval(e, row, ctx)?)? {
-                    return Ok(Value::Bool(false));
-                }
-            }
-            Ok(Value::Bool(true))
-        }
-        Expr::Not(e) => Ok(Value::Bool(!truthy(&eval(e, row, ctx)?)?)),
+/// The slot a binding of `name` writes in `layout`: the name's own, which it
+/// overwrites, or a new one appended — a layout never holds a name twice.
+pub(crate) fn bind_slot(layout: &mut Vec<String>, name: &str) -> usize {
+    layout.iter().position(|n| n == name).unwrap_or_else(|| {
+        layout.push(name.to_string());
+        layout.len() - 1
+    })
+}
+
+/// Write `value` into `slot` of `row`, appending when the slot is new.
+pub fn store(row: &mut SlotRow, slot: usize, value: Value) {
+    match row.get_mut(slot) {
+        Some(cell) => *cell = value,
+        None => row.push(value),
     }
 }
 
-/// Evaluate a predicate expression to a boolean. Evaluation errors caused by
-/// missing optional attributes count as `false` (the row simply does not
-/// satisfy the predicate), mirroring the clause-matching semantics.
-pub fn eval_predicate(expr: &Expr, row: &Row, ctx: &mut EvalCtx<'_>) -> Result<bool> {
-    match eval(expr, row, ctx) {
-        Ok(value) => truthy(&value),
-        Err(CplError::BadValue(_)) => Ok(false),
-        Err(other) => Err(other),
+/// Lower a `Map`'s bindings in order — each sees the ones before it —
+/// extending `layout`; returns each binding's slot and lowered expression.
+pub fn lower_bindings(
+    bindings: &[(String, Expr)],
+    layout: &mut Vec<String>,
+) -> Vec<(usize, Lowered)> {
+    let mut lowered = Vec::with_capacity(bindings.len());
+    for (name, expr) in bindings {
+        let expr = Lowered::new(expr, layout);
+        lowered.push((bind_slot(layout, name), expr));
     }
+    lowered
+}
+
+/// An [`Expr`] lowered against a layout. A variable the layout lacks raises
+/// [`CplError::UnknownVariable`] *when evaluated*, so a plan whose rows never
+/// reach the expression runs exactly as if the name had been looked up.
+#[derive(Clone, Debug)]
+pub struct Lowered {
+    node: Node,
+    skolem: bool,
+}
+
+#[derive(Clone, Debug)]
+enum Node {
+    Slot(usize),
+    Unbound(String),
+    Const(Value),
+    Proj(Box<Node>, Arc<str>),
+    Record(Vec<(Label, Node)>),
+    Variant(Label, Box<Node>),
+    Skolem(ClassName, Box<Node>),
+    Cmp(fn(&Value, &Value) -> Result<bool>, Box<Node>, Box<Node>),
+    And(Vec<Node>),
+    Not(Box<Node>),
+}
+
+impl Lowered {
+    /// Lower `expr` against the row layout `layout`.
+    pub fn new(expr: &Expr, layout: &[String]) -> Lowered {
+        Lowered {
+            node: Node::lower(expr, layout),
+            skolem: expr.contains_skolem(),
+        }
+    }
+
+    /// Evaluate against a row of the layout this expression was lowered
+    /// against, borrowing wherever the value already exists.
+    pub fn eval<'r, 'c: 'r>(
+        &'r self,
+        row: &'r [Value],
+        ctx: &mut EvalCtx<'c>,
+    ) -> Result<Cow<'r, Value>> {
+        self.node.eval(row, ctx)
+    }
+
+    /// Evaluate a predicate. A bad value ([`CplError::is_bad_value`]) counts
+    /// as `false` — the row does not satisfy it, as in clause matching; a
+    /// non-boolean value is an error.
+    pub fn eval_predicate(&self, row: &[Value], ctx: &mut EvalCtx<'_>) -> Result<bool> {
+        match self.eval(row, ctx) {
+            Ok(value) => truthy(&value),
+            Err(e) if e.is_bad_value() => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Whether evaluating this expression may create Skolem identities.
+    pub fn contains_skolem(&self) -> bool {
+        self.skolem
+    }
+}
+
+impl Node {
+    fn lower(expr: &Expr, layout: &[String]) -> Node {
+        let lower = |e: &Expr| Box::new(Node::lower(e, layout));
+        match expr {
+            Expr::Var(v) => layout
+                .iter()
+                .position(|name| name == v)
+                .map_or_else(|| Node::Unbound(v.clone()), Node::Slot),
+            Expr::Const(value) => Node::Const(value.clone()),
+            Expr::Proj(base, label) => Node::Proj(lower(base), label.as_str().into()),
+            Expr::Record(fields) => Node::Record(
+                fields
+                    .iter()
+                    .map(|(label, e)| (label.clone(), Node::lower(e, layout)))
+                    .collect(),
+            ),
+            Expr::Variant(label, payload) => Node::Variant(label.clone(), lower(payload)),
+            Expr::Skolem(class, key) => Node::Skolem(class.clone(), lower(key)),
+            Expr::Eq(a, b) => Node::Cmp(|a, b| Ok(a == b), lower(a), lower(b)),
+            Expr::Neq(a, b) => Node::Cmp(|a, b| Ok(a != b), lower(a), lower(b)),
+            Expr::Lt(a, b) => Node::Cmp(|a, b| Ok(compare(a, b)?.is_lt()), lower(a), lower(b)),
+            Expr::Leq(a, b) => Node::Cmp(|a, b| Ok(compare(a, b)?.is_le()), lower(a), lower(b)),
+            Expr::And(es) => Node::And(es.iter().map(|e| Node::lower(e, layout)).collect()),
+            Expr::Not(e) => Node::Not(lower(e)),
+        }
+    }
+
+    fn eval<'r, 'c: 'r>(
+        &'r self,
+        row: &'r [Value],
+        ctx: &mut EvalCtx<'c>,
+    ) -> Result<Cow<'r, Value>> {
+        let boolean = |b: bool| Cow::Owned(Value::Bool(b));
+        Ok(match self {
+            Node::Slot(slot) => Cow::Borrowed(&row[*slot]),
+            Node::Unbound(name) => return Err(CplError::UnknownVariable(name.clone())),
+            Node::Const(value) => Cow::Borrowed(value),
+            Node::Proj(base, label) => match base.eval(row, ctx)? {
+                Cow::Borrowed(value) => Cow::Borrowed(project(value, label, ctx)?),
+                Cow::Owned(value) => Cow::Owned(project(&value, label, ctx)?.clone()),
+            },
+            Node::Record(fields) => {
+                let mut out = BTreeMap::new();
+                for (label, field) in fields {
+                    out.insert(label.clone(), field.eval(row, ctx)?.into_owned());
+                }
+                Cow::Owned(Value::Record(out))
+            }
+            Node::Variant(label, payload) => Cow::Owned(Value::Variant(
+                label.clone(),
+                Box::new(payload.eval(row, ctx)?.into_owned()),
+            )),
+            Node::Skolem(class, key) => {
+                let key = key.eval(row, ctx)?;
+                Cow::Owned(Value::Oid(ctx.mk_skolem(class, &key)))
+            }
+            Node::Cmp(op, a, b) => {
+                let (a, b) = (a.eval(row, ctx)?, b.eval(row, ctx)?);
+                boolean(op(&a, &b)?)
+            }
+            Node::And(conjuncts) => {
+                for conjunct in conjuncts {
+                    if !truthy(&*conjunct.eval(row, ctx)?)? {
+                        return Ok(boolean(false));
+                    }
+                }
+                boolean(true)
+            }
+            Node::Not(e) => boolean(!truthy(&*e.eval(row, ctx)?)?),
+        })
+    }
+}
+
+/// Project `label` out of `value`, dereferencing an object identity through
+/// the sources: the field is borrowed from the record, wherever it lives.
+fn project<'v, 'c: 'v>(value: &'v Value, label: &Arc<str>, ctx: &EvalCtx<'c>) -> Result<&'v Value> {
+    let record = match value {
+        Value::Oid(oid) => ctx
+            .deref(oid)
+            .ok_or_else(|| CplError::BadValue(format!("dangling object identity {oid}")))?,
+        other => other,
+    };
+    record
+        .project(label)
+        .ok_or_else(|| CplError::MissingAttribute {
+            kind: record.kind(),
+            label: Arc::clone(label),
+        })
 }
 
 fn truthy(value: &Value) -> Result<bool> {
     match value {
         Value::Bool(b) => Ok(*b),
-        other => Err(CplError::BadValue(format!(
-            "expected a boolean predicate value, found `{}`",
-            other.kind()
-        ))),
+        other => Err(CplError::NotBoolean(other.kind())),
     }
 }
 
@@ -636,6 +751,21 @@ fn compare(a: &Value, b: &Value) -> Result<std::cmp::Ordering> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Lower against the named row's own layout and evaluate.
+    fn eval(expr: &Expr, row: &Row, ctx: &mut EvalCtx<'_>) -> Result<Value> {
+        let layout: Vec<String> = row.keys().cloned().collect();
+        let slots: SlotRow = row.values().cloned().collect();
+        Lowered::new(expr, &layout)
+            .eval(&slots, ctx)
+            .map(Cow::into_owned)
+    }
+
+    fn eval_predicate(expr: &Expr, row: &Row, ctx: &mut EvalCtx<'_>) -> Result<bool> {
+        let layout: Vec<String> = row.keys().cloned().collect();
+        let slots: SlotRow = row.values().cloned().collect();
+        Lowered::new(expr, &layout).eval_predicate(&slots, ctx)
+    }
 
     fn sample() -> (Instance, Oid, Oid) {
         let mut inst = Instance::new("euro");
@@ -734,9 +864,40 @@ mod tests {
             .proj("population")
             .eq(Expr::Const(Value::int(1)));
         assert!(!eval_predicate(&expr, &row, &mut ctx).unwrap());
+        let err = eval(&Expr::var("C").proj("population"), &row, &mut ctx).unwrap_err();
+        assert!(err.is_bad_value());
+        assert_eq!(
+            err.to_string(),
+            "bad value: value of kind `record` has no attribute `population`"
+        );
+    }
+
+    /// Evaluation borrows: a variable is its slot, a projection through an
+    /// identity is the field inside the source instance; only built values
+    /// (here a comparison's boolean) are owned.
+    #[test]
+    fn evaluation_borrows_slots_and_instance_fields() {
+        let (inst, _, paris) = sample();
+        let refs = [&inst];
+        let mut ctx = EvalCtx::new(&refs);
+        let layout = ["E".to_string()];
+        let row: SlotRow = vec![Value::oid(paris.clone())];
+        let var = Lowered::new(&Expr::var("E"), &layout);
+        assert!(
+            matches!(var.eval(&row, &mut ctx), Ok(Cow::Borrowed(v)) if std::ptr::eq(v, &row[0]))
+        );
+        let name = Lowered::new(&Expr::var("E").proj("name"), &layout);
+        let field = inst.value(&paris).unwrap().project("name").unwrap();
+        assert!(
+            matches!(name.eval(&row, &mut ctx), Ok(Cow::Borrowed(v)) if std::ptr::eq(v, field))
+        );
+        let cmp = Lowered::new(
+            &Expr::var("E").proj("name").eq(Expr::constant("Paris")),
+            &layout,
+        );
         assert!(matches!(
-            eval(&Expr::var("C").proj("population"), &row, &mut ctx),
-            Err(CplError::BadValue(_))
+            cmp.eval(&row, &mut ctx),
+            Ok(Cow::Owned(Value::Bool(true)))
         ));
     }
 
@@ -800,5 +961,15 @@ mod tests {
         let row = Row::from([("C".to_string(), Value::oid(fr))]);
         let expr = Expr::var("C").proj("name");
         assert!(eval_predicate(&expr, &row, &mut ctx).is_err());
+        // Nested under a connective it is still an error, never `false`.
+        for nested in [
+            Expr::and(vec![expr.clone()]),
+            Expr::Not(Box::new(expr.clone())),
+        ] {
+            assert_eq!(
+                eval_predicate(&nested, &row, &mut ctx),
+                Err(CplError::NotBoolean("str"))
+            );
+        }
     }
 }

@@ -12,9 +12,9 @@
 //! * a physical algebra ([`plan::Plan`]): class scans, filters, binding maps,
 //!   nested-loop, hash (single- or composite-key) and cross joins, and
 //!   distinct;
-//! * a single-pass executor ([`exec`]) that runs a plan against a set of
-//!   source instances and applies *insert actions* to build the target
-//!   instance, merging partial inserts by Skolem key;
+//! * a single-pass executor ([`exec`]) over slot-addressed rows that runs a
+//!   plan against source instances and applies *insert actions* to build
+//!   the target instance, merging partial inserts by Skolem key;
 //! * a cost-based join-graph planner ([`optimizer`]): decomposes a compiled
 //!   plan into scans plus a conjunct pool and greedily re-joins the cheapest
 //!   connected pair, fed by extent statistics and per-attribute equi-depth
@@ -40,42 +40,40 @@
 //!   the key-claim protocol below cannot cover it keeps its operator whole.
 //!
 //! **One partition runs inline** on the calling context — no pool dispatch,
-//! no worker context, no claim arena. That is the whole of "sequential
-//! execution": not a second implementation of each operator, but the
-//! one-partition case of the only one, so a budget of one thread never
-//! spawns a thread and a small operator never pays for a big one's
-//! machinery. Several partitions run on the **persistent worker pool**
-//! ([`wol_model::WorkerPool`]; long-lived channel-fed workers, caller
-//! participation, panic propagation on join), each on a worker context of its
-//! own. The contract:
+//! no worker context, no claim arena: "sequential execution" is the
+//! one-partition case of the only implementation. Several partitions run on
+//! the **persistent worker pool** ([`wol_model::WorkerPool`]), each on a
+//! worker context of its own. The contract:
 //!
-//! * **Shared immutably** — the source [`wol_model::Instance`]s. Extents,
-//!   attribute indexes and histograms are read concurrently from every
-//!   worker; the lazy index cache sits behind an `RwLock` inside `Instance`,
-//!   and mutation requires `&mut`, so a partition can never observe a write.
-//! * **Partitioned** — hash-join *build sides* and index-probed *driving
-//!   rows* are sharded by key hash (a distinct key and its one index probe
-//!   belong to exactly one partition); scans+filters, maps, loop joins and
-//!   insert evaluation are split into contiguous input chunks.
-//! * **Deterministic by construction** — partition results are reassembled
-//!   in input order (chunk concatenation, or per-driving-row slots), and a
-//!   key's build rows stay in build order within their shard. Skolem
-//!   creation — whose identity numbering depends on first-call order — runs
-//!   off the calling context only under the **two-phase key-claim protocol**
-//!   ([`wol_model::SkolemClaims`]): partitions record `(class, key)` claims
-//!   and mint provisional identities, then a resolution pass on the owning
-//!   thread replays the claims in input order against the shared factory
-//!   and rewrites the outputs, so the final numbering equals the
-//!   one-partition run's exactly. The protocol covers `Map` bindings and the
-//!   insert actions (where compiled programs put their Skolems — both
-//!   restricted to *value position*, [`Expr::skolem_parallel_safe`]);
-//!   Skolems anywhere else pin their operator to one partition, which sees
-//!   the real factory. Insert actions always *apply* on the owning thread in
-//!   row order. The output row stream, the target instance, and the merged
-//!   [`ExecStats`] totals are therefore bit-identical at every partition
-//!   count; this is enforced by the thread-matrix differential tests in
-//!   `tests/properties.rs` (including the Skolem-insertion soak proptest)
-//!   and the partition-invariance table in [`exec`].
+//! * **Shared immutably** — the source [`wol_model::Instance`]s, read
+//!   concurrently (the lazy index cache sits behind an `RwLock`; mutation
+//!   needs `&mut`, so a partition never observes a write).
+//! * **Partitioned** — by key hash for hash-join build sides and index-probed
+//!   driving rows (a distinct key and its one probe belong to one
+//!   partition), in contiguous input chunks for everything else.
+//! * **Deterministic by construction** — results reassemble in input order,
+//!   and Skolem creation runs off the calling context only under the
+//!   **two-phase key-claim protocol** ([`wol_model::SkolemClaims`]):
+//!   partitions mint provisional identities for `(class, key)` claims, which
+//!   the owning thread replays in input order against the real factory,
+//!   rewriting the outputs. It covers `Map` bindings and insert actions with
+//!   Skolems in *value position* ([`Expr::skolem_parallel_safe`]); any other
+//!   Skolem pins its operator to one partition. Inserts always *apply* on the
+//!   owning thread in row order. Rows, target and merged [`ExecStats`] are
+//!   bit-identical at every partition count — held by the thread-matrix
+//!   differential tests in `tests/properties.rs` and the partition-invariance
+//!   table in [`exec`].
+
+// Library code reports errors; it does not panic. Tests may.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod columnar;
 pub mod error;
@@ -86,10 +84,10 @@ pub mod plan;
 
 pub use error::CplError;
 pub use exec::{
-    apply_evaluated_query, evaluate_query, execute_query, run_plan, scan_order_trace,
-    ColumnarStats, EvaluatedQuery, ExecStats, Row,
+    apply_evaluated_query, evaluate_query, execute_query, layout, run_plan, run_slots,
+    scan_order_trace, ColumnarStats, EvaluatedQuery, ExecStats, LoweredInsert, Row, SlotRow,
 };
-pub use expr::Expr;
+pub use expr::{Expr, Lowered};
 pub use optimizer::{
     estimate_join_outputs, estimate_rows, optimize_with_stats, pushable_predicates, CostModel,
     ExternalClassStats, JoinEstimate, PushCmp, PushdownCatalog, PushedPredicate, Statistics,

@@ -908,11 +908,12 @@ pub fn optimize_with_stats(plan: Plan, stats: &Statistics<'_>) -> Plan {
     if !pool.maps.iter().all(|(var, _)| seen.insert(var)) {
         return plan;
     }
-    plan_pool(pool, stats)
+    plan_pool(pool, stats).unwrap_or(plan)
 }
 
-/// Build the cheapest plan the greedy strategy finds for a decomposed pool.
-fn plan_pool(pool: Pool, stats: &Statistics<'_>) -> Plan {
+/// Build the cheapest plan the greedy strategy finds for a decomposed pool
+/// (`None` for a pool without scans).
+fn plan_pool(pool: Pool, stats: &Statistics<'_>) -> Option<Plan> {
     // Resolve map definitions transitively, so each ranges over scan
     // variables only, then inline them into the conjunct pool.
     let mut defs: BTreeMap<String, Expr> = BTreeMap::new();
@@ -1019,8 +1020,7 @@ fn plan_pool(pool: Pool, stats: &Statistics<'_>) -> Plan {
             }
         }
     }
-    let component = components.pop().expect("at least one scan");
-    let mut plan = component.plan;
+    let mut plan = components.pop()?.plan;
 
     // Anything left in the pool (variable-free predicates, or conjuncts over
     // variables no scan produces) runs as a final filter.
@@ -1040,7 +1040,7 @@ fn plan_pool(pool: Pool, stats: &Statistics<'_>) -> Plan {
     if !pool.maps.is_empty() {
         plan = plan.map(pool.maps);
     }
-    plan
+    Some(plan)
 }
 
 /// Indexes of the unused conjuncts that connect two components: fully

@@ -82,9 +82,9 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use cpl::exec::{run_plan, scan_order_trace, ExecStats};
-use cpl::expr::{eval, EvalCtx};
-use cpl::{CplError, Expr, Plan, Query, Row};
+use cpl::exec::{layout, run_slots, scan_order_trace, ExecStats, LoweredInsert};
+use cpl::expr::{lower_bindings, store, EvalCtx, Lowered, SlotRow};
+use cpl::{CplError, Expr, Plan, Query};
 use storage::persist::PipelineJournal;
 use wol_engine::rotation::{delta_rotations, Slot};
 use wol_engine::{check_batch, BatchCheck, Databases, EngineError};
@@ -328,10 +328,15 @@ impl TargetLedger {
 struct QueryAnalysis {
     /// Scan slots in trace order; the row key is their identity tuple.
     slots: Vec<Slot>,
+    /// Where each trace slot's identity sits in a stripped row.
+    key_slots: Vec<usize>,
     /// The Skolem-free plan below the deepest Skolem-bearing `Map`.
     stripped: Plan,
-    /// Skolem-bearing `Map` levels peeled off the root, bottom-up.
-    deferred: Vec<Vec<(String, Expr)>>,
+    /// Skolem-bearing `Map` levels peeled off the root, bottom-up, lowered
+    /// against the stripped plan's layout as extended by the levels below.
+    deferred: Vec<Vec<(usize, Lowered)>>,
+    /// The insert actions, lowered against the layout after every level.
+    inserts: Vec<LoweredInsert>,
     /// Classes read through dereferences not covered by the trace key.
     foreign: BTreeSet<ClassName>,
     /// True when some projection's base type is unresolvable: the query may
@@ -586,10 +591,21 @@ fn analyze_query(query: &Query, schemas: &[&Schema]) -> Option<QueryAnalysis> {
             scan.visit(expr);
         }
     }
+    let mut row_layout = layout(stripped);
+    let key_slots = slots
+        .iter()
+        .map(|s| row_layout.iter().position(|name| *name == s.var))
+        .collect::<Option<_>>()?;
+    let deferred = deferred
+        .iter()
+        .map(|level| lower_bindings(level, &mut row_layout))
+        .collect();
     Some(QueryAnalysis {
         slots,
+        key_slots,
         stripped: stripped.clone(),
         deferred,
+        inserts: LoweredInsert::lower(&query.inserts, &row_layout),
         foreign: scan.foreign,
         opaque: scan.opaque,
     })
@@ -599,7 +615,7 @@ fn analyze_query(query: &Query, schemas: &[&Schema]) -> Option<QueryAnalysis> {
 #[derive(Clone, Debug, Default)]
 struct CachedRow {
     /// The stripped plan's output row (no deferred bindings).
-    row: Row,
+    row: SlotRow,
     /// Target contributions this row's inserts performed, in action order.
     contribs: Vec<(Oid, Value)>,
     /// Target identities whose *first* mint this row performed.
@@ -610,16 +626,16 @@ struct CachedRow {
 struct RowWork {
     key: Vec<Oid>,
     /// The stripped row, preserved for the cache entry.
-    base: Row,
+    base: SlotRow,
     /// Working copy, extended by deferred bindings.
-    row: Row,
+    row: SlotRow,
     dropped: bool,
     contribs: Vec<(Oid, Value)>,
     first_mints: Vec<(Oid, MintPos)>,
 }
 
 impl RowWork {
-    fn seed(key: Vec<Oid>, row: Row) -> RowWork {
+    fn seed(key: Vec<Oid>, row: SlotRow) -> RowWork {
         RowWork {
             key,
             base: row.clone(),
@@ -650,7 +666,7 @@ struct Replayer<'a, 'e> {
     repair: Option<Repair<'a>>,
 }
 
-impl Replayer<'_, '_> {
+impl<'e> Replayer<'_, 'e> {
     fn triggered(&self) -> bool {
         self.repair.as_ref().is_some_and(|r| r.trigger.is_some())
     }
@@ -677,25 +693,24 @@ impl Replayer<'_, '_> {
                 if w.dropped {
                     continue;
                 }
-                for (slot, (var, expr)) in bindings.iter().enumerate() {
+                for (unit, (slot, expr)) in bindings.iter().enumerate() {
                     let pos = MintPos {
                         query: rank,
                         stage: level as u32,
                         key: w.key.clone(),
-                        slot: (slot as u32, 0),
+                        slot: (unit as u32, 0),
                         sub: 0,
                     };
-                    match self.eval_unit(expr, &w.row, pos, &mut w.first_mints) {
-                        Ok(v) => {
-                            w.row.insert(var.clone(), v);
-                        }
-                        // The executor's `Map` drops rows on BadValue.
-                        Err(CplError::BadValue(_)) => {
+                    let value = match self.eval_unit(expr, &w.row, pos, &mut w.first_mints) {
+                        Ok(v) => v.into_owned(),
+                        // The executor's `Map` drops rows on a bad value.
+                        Err(e) if e.is_bad_value() => {
                             w.dropped = true;
                             break;
                         }
                         Err(e) => return Err(e.into()),
-                    }
+                    };
+                    store(&mut w.row, *slot, value);
                 }
                 if self.triggered() {
                     return Ok(());
@@ -706,7 +721,7 @@ impl Replayer<'_, '_> {
             if w.dropped {
                 continue;
             }
-            for (ai, action) in query.inserts.iter().enumerate() {
+            for (ai, action) in analysis.inserts.iter().enumerate() {
                 let at = |unit: usize| MintPos::insert_unit(rank, &w.key, ai, unit);
                 // The executor's insert loop propagates every error,
                 // BadValue included.
@@ -722,7 +737,7 @@ impl Replayer<'_, '_> {
                     let v = self
                         .eval_unit(expr, &w.row, at(2 + i), &mut w.first_mints)
                         .map_err(MorphaseError::from)?;
-                    fields.insert(label.clone(), v);
+                    fields.insert(label.clone(), v.into_owned());
                 }
                 let record = Value::Record(fields);
                 self.ledger.add_support(&oid, &record);
@@ -743,16 +758,19 @@ impl Replayer<'_, '_> {
 
     /// Evaluate one unit, recording (and in repair mode checking) the fresh
     /// Skolem mints it performs and the target identities it references.
-    fn eval_unit(
+    fn eval_unit<'r>(
         &mut self,
-        expr: &Expr,
-        row: &Row,
+        expr: &'r Lowered,
+        row: &'r [Value],
         pos: MintPos,
         first_mints: &mut Vec<(Oid, MintPos)>,
-    ) -> std::result::Result<Value, CplError> {
+    ) -> std::result::Result<Cow<'r, Value>, CplError>
+    where
+        'e: 'r,
+    {
         let minting = expr.contains_skolem();
         let before = minting.then(|| self.ctx.factory.counter_snapshot());
-        let value = eval(expr, row, self.ctx)?;
+        let value = expr.eval(row, self.ctx)?;
         if let Some(before) = &before {
             let mut subs: BTreeMap<ClassName, u32> = BTreeMap::new();
             for (class, _key, oid) in self.ctx.factory.assignments_since(before) {
@@ -881,10 +899,12 @@ fn write_contribution(
     Ok(())
 }
 
-fn trace_key(slots: &[Slot], row: &Row) -> Result<Vec<Oid>> {
-    slots
+fn trace_key(analysis: &QueryAnalysis, row: &[Value]) -> Result<Vec<Oid>> {
+    analysis
+        .slots
         .iter()
-        .map(|s| match row.get(&s.var) {
+        .zip(&analysis.key_slots)
+        .map(|(s, &slot)| match row.get(slot) {
             Some(Value::Oid(oid)) => Ok(oid.clone()),
             _ => Err(MorphaseError::Execution(format!(
                 "scan variable `{}` missing from a produced row",
@@ -965,10 +985,10 @@ fn build_state(
     {
         let mut ctx = EvalCtx::new(&refs).with_parallelism(options.parallelism);
         for analysis in &analyses {
-            let rows = run_plan(&analysis.stripped, &mut ctx, exec)?;
+            let rows = run_slots(&analysis.stripped, &mut ctx, exec)?;
             let mut cache = BTreeMap::new();
             for row in rows {
-                let key = trace_key(&analysis.slots, &row)?;
+                let key = trace_key(analysis, &row)?;
                 cache.insert(
                     key,
                     CachedRow {
@@ -1101,20 +1121,20 @@ fn repair_incremental(
         let result = (|| -> Result<()> {
             for (rank, &qi) in core.order.iter().enumerate() {
                 let analysis = &core.analyses[qi];
-                let mut added: BTreeMap<Vec<Oid>, Row> = BTreeMap::new();
+                let mut added: BTreeMap<Vec<Oid>, SlotRow> = BTreeMap::new();
                 if churns[qi] {
-                    for row in run_plan(&analysis.stripped, &mut ctx, exec)? {
-                        added.insert(trace_key(&analysis.slots, &row)?, row);
+                    for row in run_slots(&analysis.stripped, &mut ctx, exec)? {
+                        added.insert(trace_key(analysis, &row)?, row);
                     }
                 } else {
                     for rotation in delta_rotations(&analysis.slots, delta, &sources[mutated]) {
                         for (var, set) in &rotation.restrictions {
                             ctx.restrict_scan(var.clone(), Arc::clone(set));
                         }
-                        let rows = run_plan(&analysis.stripped, &mut ctx, exec);
+                        let rows = run_slots(&analysis.stripped, &mut ctx, exec);
                         ctx.clear_scan_restrictions();
                         for row in rows? {
-                            added.insert(trace_key(&analysis.slots, &row)?, row);
+                            added.insert(trace_key(analysis, &row)?, row);
                         }
                     }
                 }

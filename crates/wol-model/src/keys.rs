@@ -7,8 +7,9 @@
 //! it deterministically creates (and memoises) an object identity for each
 //! distinct key value of a class.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::ModelError;
 use crate::instance::Instance;
@@ -204,14 +205,54 @@ impl KeySpec {
 /// cannot be shared across worker threads directly; workers record
 /// [`SkolemClaims`] instead and the claims are resolved against the factory
 /// in input order (see the two-phase key-claim protocol documented there).
-#[derive(Clone, Debug, Default)]
+///
+/// Per class, the memo is a hash map from key to identity — a repeated key,
+/// the common case on merging partial inserts, is one hash lookup, not a
+/// chain of record comparisons — beside an index of the same keys in
+/// identity order, so the assignments made since a watermark
+/// ([`assignments_since`](Self::assignments_since)) are a suffix of that
+/// index, not a walk of the whole memo. Everything observable — exported
+/// state, `Debug` output, assignment order — is sorted, never hash order.
+#[derive(Clone, Default)]
 pub struct SkolemFactory {
-    /// Per-class memo from key value to identity — nested so the hot-path
-    /// lookup (a repeated key, the common case on merging partial inserts)
-    /// borrows the class and key instead of cloning them into a composite
-    /// lookup key.
-    assigned: BTreeMap<ClassName, BTreeMap<Value, Oid>>,
+    assigned: BTreeMap<ClassName, ClassMemo>,
     counters: BTreeMap<ClassName, u64>,
+}
+
+/// One class's Skolem memo: key → identity by hash, and `(id, key)` in
+/// ascending identity order (each key stored once, shared by both).
+#[derive(Clone, Default)]
+struct ClassMemo {
+    by_key: HashMap<Arc<Value>, Oid>,
+    by_id: Vec<(u64, Arc<Value>)>,
+}
+
+impl ClassMemo {
+    /// Record `key → oid`. `mk` mints ascending identities, so the index
+    /// append is the common case; restores and seeds may arrive out of order
+    /// and re-point a key, which the sorted insert and the removal cover.
+    fn assign(&mut self, key: Value, oid: Oid) {
+        let key = Arc::new(key);
+        if let Some(previous) = self.by_key.insert(Arc::clone(&key), oid.clone()) {
+            self.by_id
+                .retain(|(id, k)| *id != previous.id() || **k != *key);
+        }
+        let at = self.by_id.partition_point(|(id, _)| *id <= oid.id());
+        self.by_id.insert(at, (oid.id(), key));
+    }
+
+    /// The assignments with identities at or past `watermark`, ascending.
+    fn since(&self, watermark: u64) -> &[(u64, Arc<Value>)] {
+        let start = self.by_id.partition_point(|(id, _)| *id < watermark);
+        &self.by_id[start..]
+    }
+
+    fn sorted(&self) -> BTreeMap<Value, Oid> {
+        self.by_key
+            .iter()
+            .map(|(key, oid)| ((**key).clone(), oid.clone()))
+            .collect()
+    }
 }
 
 impl SkolemFactory {
@@ -223,7 +264,7 @@ impl SkolemFactory {
     /// Apply `Mk_class(key)`: return the identity associated with the key
     /// value, creating it if necessary.
     pub fn mk(&mut self, class: &ClassName, key: &Value) -> Oid {
-        if let Some(existing) = self.assigned.get(class).and_then(|keys| keys.get(key)) {
+        if let Some(existing) = self.lookup(class, key) {
             return existing.clone();
         }
         let counter = self.counters.entry(class.clone()).or_insert(0);
@@ -232,39 +273,41 @@ impl SkolemFactory {
         self.assigned
             .entry(class.clone())
             .or_default()
-            .insert(key.clone(), oid.clone());
+            .assign(key.clone(), oid.clone());
         oid
     }
 
     /// Look up the identity for a key value without creating one.
     pub fn lookup(&self, class: &ClassName, key: &Value) -> Option<&Oid> {
-        self.assigned.get(class).and_then(|keys| keys.get(key))
+        self.assigned
+            .get(class)
+            .and_then(|memo| memo.by_key.get(key))
     }
 
     /// The key value that produced an identity, if the identity came from this
-    /// factory. (Inverse of [`mk`](Self::mk); linear in the number of
-    /// assignments.)
+    /// factory. (Inverse of [`mk`](Self::mk).)
     pub fn key_of(&self, oid: &Oid) -> Option<&Value> {
-        self.assigned.get(oid.class()).and_then(|keys| {
-            keys.iter()
-                .find(|(_, assigned)| *assigned == oid)
-                .map(|(key, _)| key)
-        })
+        let memo = self.assigned.get(oid.class())?;
+        memo.since(oid.id())
+            .iter()
+            .take_while(|(id, _)| *id == oid.id())
+            .map(|(_, key)| &**key)
+            .find(|key| memo.by_key.get(*key) == Some(oid))
     }
 
     /// Number of identities created for a class.
     pub fn count(&self, class: &ClassName) -> usize {
-        self.assigned.get(class).map_or(0, BTreeMap::len)
+        self.assigned.get(class).map_or(0, |memo| memo.by_key.len())
     }
 
     /// Total number of identities created.
     pub fn len(&self) -> usize {
-        self.assigned.values().map(BTreeMap::len).sum()
+        self.assigned.values().map(|memo| memo.by_key.len()).sum()
     }
 
     /// True if no identities have been created.
     pub fn is_empty(&self) -> bool {
-        self.assigned.values().all(BTreeMap::is_empty)
+        self.assigned.values().all(|memo| memo.by_key.is_empty())
     }
 
     /// Export the factory's full state for persistence. The state captures
@@ -274,7 +317,11 @@ impl SkolemFactory {
     /// the identity an uncrashed factory would have minted next.
     pub fn export_state(&self) -> SkolemState {
         SkolemState {
-            assigned: self.assigned.clone(),
+            assigned: self
+                .assigned
+                .iter()
+                .map(|(class, memo)| (class.clone(), memo.sorted()))
+                .collect(),
             counters: self.counters.clone(),
         }
     }
@@ -282,8 +329,22 @@ impl SkolemFactory {
     /// Rebuild a factory from exported state (inverse of
     /// [`export_state`](Self::export_state)).
     pub fn from_state(state: SkolemState) -> Self {
+        let assigned = state
+            .assigned
+            .into_iter()
+            .map(|(class, keys)| {
+                let mut memo = ClassMemo::default();
+                for (key, oid) in keys {
+                    let key = Arc::new(key);
+                    memo.by_id.push((oid.id(), Arc::clone(&key)));
+                    memo.by_key.insert(key, oid);
+                }
+                memo.by_id.sort_by_key(|(id, _)| *id);
+                (class, memo)
+            })
+            .collect();
         SkolemFactory {
-            assigned: state.assigned,
+            assigned,
             counters: state.counters,
         }
     }
@@ -304,21 +365,20 @@ impl SkolemFactory {
     /// was taken: every `(class, key, oid)` whose discriminator is at or past
     /// the snapshotted counter, in deterministic `(class, id)` order.
     /// Identity discriminators are minted monotonically per class, so the
-    /// watermark comparison is exact.
+    /// watermark comparison is exact, and the cost is the number of classes
+    /// plus the assignments returned.
     pub fn assignments_since(
         &self,
         before: &BTreeMap<ClassName, u64>,
     ) -> Vec<(ClassName, Value, Oid)> {
         let mut out = Vec::new();
-        for (class, keys) in &self.assigned {
+        for (class, memo) in &self.assigned {
             let watermark = before.get(class).copied().unwrap_or(0);
-            let mut fresh: Vec<(ClassName, Value, Oid)> = keys
-                .iter()
-                .filter(|(_, oid)| oid.id() >= watermark)
-                .map(|(key, oid)| (class.clone(), key.clone(), oid.clone()))
-                .collect();
-            fresh.sort_by_key(|(_, _, oid)| oid.id());
-            out.extend(fresh);
+            out.extend(
+                memo.since(watermark).iter().map(|(id, key)| {
+                    (class.clone(), (**key).clone(), Oid::new(class.clone(), *id))
+                }),
+            );
         }
         out
     }
@@ -332,7 +392,7 @@ impl SkolemFactory {
         self.assigned
             .entry(class.clone())
             .or_default()
-            .insert(key, oid);
+            .assign(key, oid);
     }
 
     /// Pre-register identities for every object of `class` in `instance`,
@@ -349,11 +409,23 @@ impl SkolemFactory {
             self.assigned
                 .entry(class.clone())
                 .or_default()
-                .insert(key, oid.clone());
+                .assign(key, oid.clone());
             let counter = self.counters.entry(class.clone()).or_insert(0);
             *counter = (*counter).max(oid.id() + 1);
         }
         Ok(())
+    }
+}
+
+impl fmt::Debug for SkolemFactory {
+    /// The sorted memo and counters — the exported state, never hash order,
+    /// so two factories with one numbering print identically.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let state = self.export_state();
+        f.debug_struct("SkolemFactory")
+            .field("assigned", &state.assigned)
+            .field("counters", &state.counters)
+            .finish()
     }
 }
 
@@ -442,11 +514,12 @@ const MAX_CLAIMS: u64 = 1 << ARENA_SHIFT;
 #[derive(Debug)]
 pub struct SkolemClaims {
     arena: u64,
-    /// Per-class memo of already-claimed keys — nested so the hot-path
-    /// lookup ([`SkolemClaims::mk`] on a repeated key) borrows the class and
-    /// key instead of cloning them into a composite lookup key.
-    assigned: BTreeMap<ClassName, BTreeMap<Value, Oid>>,
-    claims: Vec<(ClassName, Value)>,
+    /// Per-class memo of already-claimed keys, looked up by hash — nested so
+    /// the hot-path lookup ([`SkolemClaims::mk`] on a repeated key) borrows
+    /// the class and key instead of cloning them into a composite lookup key.
+    assigned: BTreeMap<ClassName, HashMap<Arc<Value>, Oid>>,
+    /// The claims in first-encounter order; each key shared with the memo.
+    claims: Vec<(ClassName, Arc<Value>)>,
 }
 
 impl SkolemClaims {
@@ -479,11 +552,12 @@ impl SkolemClaims {
         );
         let id = PROVISIONAL_TAG | (self.arena << ARENA_SHIFT) | index;
         let oid = Oid::new(class.clone(), id);
+        let key = Arc::new(key.clone());
         self.assigned
             .entry(class.clone())
             .or_default()
-            .insert(key.clone(), oid.clone());
-        self.claims.push((class.clone(), key.clone()));
+            .insert(Arc::clone(&key), oid.clone());
+        self.claims.push((class.clone(), key));
         oid
     }
 
@@ -515,12 +589,13 @@ impl SkolemClaims {
         mk: &mut impl FnMut(&ClassName, &Value) -> Oid,
     ) {
         for (index, (class, key)) in self.claims[range.clone()].iter().enumerate() {
-            let key = if key.contains_oid() {
-                key.map_oids(&mut |oid| resolved.get(oid).cloned().unwrap_or_else(|| oid.clone()))
+            let final_oid = if key.contains_oid() {
+                let key = key
+                    .map_oids(&mut |oid| resolved.get(oid).cloned().unwrap_or_else(|| oid.clone()));
+                mk(class, &key)
             } else {
-                key.clone()
+                mk(class, key)
             };
-            let final_oid = mk(class, &key);
             let id = PROVISIONAL_TAG | (self.arena << ARENA_SHIFT) | (range.start + index) as u64;
             resolved.insert(Oid::new(class.clone(), id), final_oid);
         }
@@ -876,6 +951,50 @@ mod tests {
             restored.restore_assignment(&class, key, oid);
         }
         assert_eq!(restored.export_state(), factory.export_state());
+    }
+
+    /// The memo is hashed, but nothing observable is in hash order: two
+    /// factories holding one numbering, built in different orders, export
+    /// and print identically, and `assignments_since` reads the identity
+    /// index — ascending identities, sparse or restored out of order.
+    #[test]
+    fn hashed_memo_reports_in_sorted_order() {
+        let class = ClassName::new("T");
+        let keys = ["d", "a", "c", "b", "e"];
+        let mut minted = SkolemFactory::new();
+        for key in keys {
+            minted.mk(&class, &Value::str(key));
+        }
+        let mut restored = SkolemFactory::new();
+        for (id, key) in keys.iter().enumerate().rev() {
+            restored.restore_assignment(
+                &class,
+                Value::str(*key),
+                Oid::new(class.clone(), id as u64),
+            );
+        }
+        assert_eq!(restored.export_state(), minted.export_state());
+        assert_eq!(format!("{restored:?}"), format!("{minted:?}"));
+        let mark = BTreeMap::from([(class.clone(), 2)]);
+        let ids: Vec<u64> = restored
+            .assignments_since(&mark)
+            .iter()
+            .map(|(_, _, o)| o.id())
+            .collect();
+        assert_eq!(ids, [2, 3, 4]);
+        assert_eq!(
+            restored.key_of(&Oid::new(class.clone(), 3)),
+            Some(&Value::str("b"))
+        );
+        // Re-pointing a key drops its old identity from the index.
+        restored.restore_assignment(&class, Value::str("a"), Oid::new(class.clone(), 9));
+        let fresh = restored.assignments_since(&mark);
+        assert_eq!(
+            fresh.iter().map(|(_, _, o)| o.id()).collect::<Vec<_>>(),
+            [2, 3, 4, 9]
+        );
+        assert_eq!(restored.key_of(&Oid::new(class.clone(), 1)), None);
+        assert_eq!(restored.count(&class), 5);
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! optional fields. Records and variants may have arbitrarily many labelled
 //! fields and may be nested arbitrarily deep.
 
+use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::sync::{OnceLock, PoisonError, RwLock};
 
 use crate::error::ModelError;
 use crate::Result;
@@ -16,32 +19,92 @@ pub type Label = String;
 
 /// The name of a class (an extent of object identities) in a schema.
 ///
-/// `ClassName` is cheap to clone (it shares its string storage) and has a
-/// total order so it can be used as a map key.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ClassName(Arc<str>);
+/// A class name is a pointer to an *interned* string: [`ClassName::new`]
+/// looks the text up in one process-wide interner, so cloning a name — and
+/// with it every [`Oid`](crate::Oid) — copies a pointer, and equality is a
+/// pointer comparison. Ordering and hashing still follow the *text*, so maps
+/// keyed by class names iterate, and hash-sharded work splits, exactly as
+/// they would over plain strings.
+///
+/// The interner never frees: each distinct name costs its bytes once per
+/// process. Names come from schemas, programs and decoded snapshots, so the
+/// bound is the number of distinct class names the process ever reads —
+/// for a hostile decoded file, at most that file's size.
+#[derive(Clone)]
+pub struct ClassName(&'static str);
 
 impl ClassName {
-    /// Create a class name.
+    /// Create (or look up) a class name.
     pub fn new(name: impl AsRef<str>) -> Self {
-        ClassName(Arc::from(name.as_ref()))
+        ClassName(intern(name.as_ref()))
     }
 
     /// The class name as a string slice.
     pub fn as_str(&self) -> &str {
-        &self.0
+        self.0
+    }
+}
+
+/// The process-wide class-name interner behind [`ClassName::new`].
+fn intern(name: &str) -> &'static str {
+    static NAMES: OnceLock<RwLock<HashSet<&'static str>>> = OnceLock::new();
+    let names = NAMES.get_or_init(Default::default);
+    if let Some(&interned) = names
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(name)
+    {
+        return interned;
+    }
+    let mut names = names.write().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&interned) = names.get(name) {
+        return interned;
+    }
+    let interned: &'static str = Box::leak(name.into());
+    names.insert(interned);
+    interned
+}
+
+impl PartialEq for ClassName {
+    /// Interned names are equal exactly when they are the same pointer.
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self.0, other.0)
+    }
+}
+
+impl Eq for ClassName {}
+
+impl PartialOrd for ClassName {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ClassName {
+    fn cmp(&self, other: &Self) -> Ordering {
+        if self == other {
+            Ordering::Equal
+        } else {
+            self.0.cmp(other.0)
+        }
+    }
+}
+
+impl Hash for ClassName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
     }
 }
 
 impl fmt::Display for ClassName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.0)
     }
 }
 
 impl fmt::Debug for ClassName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ClassName({})", &self.0)
+        write!(f, "ClassName({})", self.0)
     }
 }
 
@@ -282,6 +345,33 @@ mod tests {
         assert!(a < c);
         assert_eq!(a.as_str(), "CityA");
         assert_eq!(a.to_string(), "CityA");
+    }
+
+    #[test]
+    fn class_names_interned_across_threads_are_one_pointer_in_string_order() {
+        let words = ["Zeta", "alpha", "Beta", "", "CityA", "beta", "Alpha2"];
+        let intern_all = move || words.map(ClassName::new);
+        let here = intern_all();
+        let there = std::thread::spawn(intern_all).join().unwrap();
+        for (a, b) in here.iter().zip(&there) {
+            assert!(std::ptr::eq(a.as_str(), b.as_str()), "{a:?} interned twice");
+            assert_eq!(a, b);
+        }
+        let mut by_name = here.to_vec();
+        by_name.sort();
+        let mut by_text = words.to_vec();
+        by_text.sort();
+        assert_eq!(
+            by_name.iter().map(ClassName::as_str).collect::<Vec<_>>(),
+            by_text
+        );
+        // Hashing follows the text too, so hash-sharded work is reproducible.
+        let hash = |value: &dyn Fn(&mut std::collections::hash_map::DefaultHasher)| {
+            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            value(&mut hasher);
+            hasher.finish()
+        };
+        assert_eq!(hash(&|h| here[0].hash(h)), hash(&|h| "Zeta".hash(h)));
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //!   clause-body matcher. It is the reference for `wol_engine::match_body`,
 //!   the engine's one (indexed) matcher: the two must return the same
 //!   binding multiset, and the indexed one may consider no more bindings.
+//! * [`eval`] — the named-row CPL expression evaluator, the reference for
+//!   `cpl`'s lowered, slot-addressed evaluation by reference: the same value,
+//!   or an error of the same variant and text, on every expression.
 //! * [`datalog`] — a flat Datalog/ILOG engine and the complete-clause
 //!   translation of the variant family `V(k)`. It is the reference for the
 //!   paper's Section 3.2–3.3 comparison: `2^k` complete rules derive the same
@@ -19,6 +22,7 @@
 //! for the compiled pipeline.
 
 pub mod datalog;
+pub mod eval;
 pub mod matcher;
 
 pub use matcher::match_body_reference;
