@@ -592,13 +592,12 @@ pub(crate) fn try_run(
     stats.record_operator_output(n);
     ctx.record_columnar(n, bound.cols.len().max(1) * n.div_ceil(CHUNK_ROWS));
 
-    let parts = exec::partition_count(ctx, n, false, std::iter::empty());
+    let parts = exec::partition_count(ctx, n);
     let bound = &bound;
-    let (chunks, _claims) = exec::run_partitioned(
+    let chunks = exec::run_partitioned(
         ctx,
         stats,
         chunk_ranges(n, parts),
-        false,
         move |range: Range<usize>, _wctx, ws: &mut ExecStats| {
             ws.rows_scanned += range.len();
             ws.record_operator_output(range.len());

@@ -18,25 +18,24 @@
 //!
 //! Every operator has **one body**, written over *partitions* of its input
 //! under the crate's threading model: `partition_count` decides how many from
-//! the budget ([`EvalCtx::set_parallelism`]), the input size
-//! ([`EvalCtx::parallel_min_rows`]) and claim safety, and `run_partitioned`
-//! runs one partition inline on the calling context and several on the
-//! persistent [`wol_model::WorkerPool`]. Scan+filter splits the class extent,
-//! filters, maps, loop joins and insert evaluation split their (left) input
-//! rows into contiguous chunks, hash joins shard the build side — and, on the
-//! index path, the driving rows — by key hash. Chunks merge in input order
-//! and provisional Skolem identities are replayed in input order, so the row
-//! stream, the target and the merged [`ExecStats`] are bit-identical at every
-//! thread count (per-partition breakdowns: [`EvalCtx::shard_stats`]).
+//! the budget ([`EvalCtx::set_parallelism`]) and the input size
+//! ([`EvalCtx::parallel_min_rows`]), and `run_partitioned` runs one
+//! partition inline on the calling context and several on the persistent
+//! [`wol_model::WorkerPool`]. Scan+filter splits the class extent, filters,
+//! maps, loop joins and insert evaluation split their (left) input rows into
+//! contiguous chunks, hash joins shard the build side — and, on the index
+//! path, the driving rows — by key hash. A Skolem-bearing operator is no
+//! exception: an identity is a function of its key, so each worker mints
+//! through a factory of its own and the factories fold into the caller's in
+//! partition order. Chunks merge in input order, so the row stream, the
+//! target and the merged [`ExecStats`] are bit-identical at every thread
+//! count (per-partition breakdowns: [`EvalCtx::shard_stats`]).
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::ops::Range;
 
-use wol_model::{
-    chunk_ranges, rewrite_resolved, ClassName, Instance, Label, Oid, SkolemClaims, Value,
-};
+use wol_model::{chunk_ranges, ClassName, Instance, Label, Oid, SkolemFactory, Value};
 
 use crate::error::CplError;
 use crate::expr::{bind_slot, lower_bindings, store, EvalCtx, Expr, Lowered};
@@ -145,32 +144,13 @@ impl ColumnarStats {
 // Partition scaffolding: count, run, merge in input order.
 // ---------------------------------------------------------------------------
 
-/// How many partitions an operator over `rows` input items runs on, given
-/// the expressions its partitions would evaluate: always at least 1, and
-/// more than 1 only when there is a thread budget to use, enough input to
-/// repay a pool dispatch, and nothing that must see the real Skolem factory.
-///
-/// Skolem creation mutates the shared factory, whose identity numbering
-/// depends on first-call order, so a Skolem-bearing expression is only
-/// admitted off the calling context when the operator supports the two-phase
-/// key-claim protocol (`claims_ok` — [`Plan::Map`] and the insert actions)
-/// *and* every Skolem sits in value position
-/// ([`Expr::skolem_parallel_safe`]); otherwise the operator is pinned to one
-/// partition, which evaluates against the real factory.
-pub(crate) fn partition_count<'e>(
-    ctx: &EvalCtx<'_>,
-    rows: usize,
-    claims_ok: bool,
-    exprs: impl IntoIterator<Item = &'e Expr>,
-) -> usize {
+/// How many partitions an operator over `rows` input items runs on: always
+/// at least 1, and more than 1 only when there is a thread budget to use and
+/// enough input to repay a pool dispatch.
+pub(crate) fn partition_count(ctx: &EvalCtx<'_>, rows: usize) -> usize {
     let threads = ctx.parallelism().threads();
     if threads <= 1 || rows < 2 || rows < ctx.parallel_min_rows() {
         return 1;
-    }
-    for expr in exprs {
-        if expr.contains_skolem() && !(claims_ok && expr.skolem_parallel_safe()) {
-            return 1;
-        }
     }
     threads.min(rows)
 }
@@ -178,33 +158,28 @@ pub(crate) fn partition_count<'e>(
 /// Run `work` once per partition and collect the results in partition order.
 ///
 /// A single partition runs **inline** on the calling context: `work` sees
-/// the caller's own sources, restrictions, factory (or claim arena, on a
-/// claim context) — exactly what a plain loop over the input would have
-/// seen — and nothing is dispatched, allocated per worker, or recorded in
-/// the per-shard breakdown.
+/// the caller's own sources, restrictions and factory — exactly what a plain
+/// loop over the input would have seen — and nothing is dispatched,
+/// allocated per worker, or recorded in the per-shard breakdown.
 ///
 /// Several partitions become one job each on the persistent
 /// [`wol_model::WorkerPool`], each with a fresh one-thread context over the
-/// same shared sources. With `with_claims`, each worker context carries a
-/// [`SkolemClaims`] arena (the claim phase of the two-phase protocol) and
-/// the arenas come back partition-ordered for the caller to resolve;
-/// without it, workers cannot touch the Skolem factory at all, which
-/// [`partition_count`] already guaranteed is never needed. The full
-/// per-worker stats are accumulated into the context's per-shard breakdown.
+/// same shared sources and an empty factory. The workers' factories fold
+/// into the caller's in partition order ([`SkolemFactory::merge`], which
+/// detects a collision across workers), and the full per-worker stats are
+/// accumulated into the context's per-shard breakdown.
 ///
 /// Either way each partition counts into an [`ExecStats`] of its own, of
 /// which only the probe counters are merged into `stats` — row accounting
 /// stays with the calling operator, which records its merged output once.
 /// The error of the *earliest* partition propagates — the same error a
 /// left-to-right run over the whole input would have hit first.
-#[allow(clippy::type_complexity)]
 pub(crate) fn run_partitioned<'a, T, A, F>(
     ctx: &mut EvalCtx<'a>,
     stats: &mut ExecStats,
     partitions: Vec<A>,
-    with_claims: bool,
     work: F,
-) -> Result<(Vec<T>, Vec<Option<SkolemClaims>>)>
+) -> Result<Vec<T>>
 where
     T: Send,
     A: Send,
@@ -217,23 +192,22 @@ where
             .map(|partition| work(partition, ctx, &mut share))
             .collect();
         stats.absorb_probe_counters(&share);
-        return Ok((results?, vec![None]));
+        return results;
     }
     let sources = ctx.sources().to_vec();
     let sources = &sources;
     let restrictions = ctx.scan_restrictions_map().clone();
     let restrictions = &restrictions;
     let work = &work;
-    let jobs: Vec<wol_model::Job<'_, (ExecStats, Option<SkolemClaims>, Result<T>)>> = partitions
+    let jobs: Vec<wol_model::Job<'_, (ExecStats, SkolemFactory, Result<T>)>> = partitions
         .into_iter()
         .map(|partition| {
             Box::new(move || {
-                let claims = with_claims.then(SkolemClaims::new);
-                let mut worker_ctx = EvalCtx::worker(sources, claims);
+                let mut worker_ctx = EvalCtx::worker(sources);
                 worker_ctx.set_scan_restrictions(restrictions.clone());
                 let mut worker_stats = ExecStats::default();
                 let result = work(partition, &mut worker_ctx, &mut worker_stats);
-                (worker_stats, worker_ctx.take_claims(), result)
+                (worker_stats, worker_ctx.factory, result)
             }) as wol_model::Job<'_, _>
         })
         .collect();
@@ -243,11 +217,12 @@ where
     for ws in &worker_stats {
         stats.absorb_probe_counters(ws);
     }
-    let (arenas, results): (Vec<_>, Vec<_>) = outcomes
-        .into_iter()
-        .map(|(_, claims, result)| (claims, result))
-        .unzip();
-    Ok((results.into_iter().collect::<Result<_>>()?, arenas))
+    let mut results = Vec::with_capacity(outcomes.len());
+    for (_, factory, result) in outcomes {
+        ctx.factory.merge(factory)?;
+        results.push(result?);
+    }
+    Ok(results)
 }
 
 /// Split `rows` into at most `parts` contiguous chunks (the [`chunk_ranges`]
@@ -270,39 +245,6 @@ fn owned_chunks(mut rows: Vec<SlotRow>, parts: usize) -> Vec<Vec<SlotRow>> {
 /// Concatenate per-partition outputs in partition (= input) order.
 fn concat<T>(chunks: Vec<Vec<T>>) -> Vec<T> {
     chunks.into_iter().flatten().collect()
-}
-
-/// Whether a `Map`'s bindings, evaluated in order against one claim arena,
-/// keep every provisional identity in value position — including identities
-/// laundered through an *earlier binding of the same Map* (a later binding
-/// inspecting `Var(t)` where `t` was bound to a Skolem-bearing expression
-/// would observe the provisional, not the memoised real identity a
-/// one-partition run sees). Input rows are already resolved by the upstream
-/// operator's resolution barrier, so only the Map's own bindings can taint
-/// — the taint set starts empty.
-fn map_bindings_claim_safe(bindings: &[(String, Expr)]) -> bool {
-    crate::expr::bindings_claim_safe(bindings, &mut std::collections::BTreeSet::new())
-}
-
-/// Resolve the claim arenas a partitioned operator brought back (partition
-/// order = input order) and rewrite every provisional identity in `rows` to
-/// its final one. After this, no provisional identity survives in the
-/// operator's output — downstream operators and the target only ever see the
-/// identities a one-partition run would have produced.
-fn resolve_rows(rows: &mut [SlotRow], arenas: Vec<Option<SkolemClaims>>, ctx: &mut EvalCtx<'_>) {
-    let arenas: Vec<SkolemClaims> = arenas.into_iter().flatten().collect();
-    if arenas.is_empty() {
-        return;
-    }
-    let resolved = ctx.resolve_claim_arenas(&arenas);
-    if resolved.is_empty() {
-        return;
-    }
-    for value in rows.iter_mut().flatten() {
-        if value.contains_oid() {
-            *value = rewrite_resolved(value, &resolved);
-        }
-    }
 }
 
 /// Hash of a composite key tuple, used to assign build rows and driving rows
@@ -328,7 +270,7 @@ fn eval_key_tuples<'r, 'a: 'r>(
     stats: &mut ExecStats,
 ) -> Result<Vec<KeyTuple<'r>>> {
     let ranges = chunk_ranges(rows.len(), parts);
-    let (chunks, _) = run_partitioned(ctx, stats, ranges, false, |range, wctx, _ws| {
+    let chunks = run_partitioned(ctx, stats, ranges, |range, wctx, _ws| {
         rows[range]
             .iter()
             .map(|row| eval_keys(keys, row, wctx))
@@ -620,8 +562,7 @@ fn probe_join(
         slot,
         width: probe_layout.len(),
     };
-    let gate = driving_keys.iter().chain(scan_keys.iter()).copied();
-    let parts = partition_count(ctx, driving_rows.len(), false, gate);
+    let parts = partition_count(ctx, driving_rows.len());
     let key_tuples = eval_key_tuples(&driving_rows, &driving_lowered, parts, ctx, stats)?;
     /// The driving rows (ascending indices) that share one probe: all rows
     /// carrying `key`, or a contiguous sub-range of a *hot* key's rows.
@@ -712,8 +653,8 @@ fn probe_join(
     }
     let (driving_rows, probe, splice) = (&driving_rows, &probe, &splice);
     // Produced rows carry their driving row's index for reassembly.
-    let (per_shard, _): (Vec<Vec<(usize, SlotRow)>>, _) =
-        run_partitioned(ctx, stats, shards, false, |shard, wctx, ws| {
+    let per_shard: Vec<Vec<(usize, SlotRow)>> =
+        run_partitioned(ctx, stats, shards, |shard, wctx, ws| {
             let mut scratch = Vec::new();
             let mut out = Vec::new();
             for group in &shard {
@@ -848,12 +789,8 @@ fn hash_join(
     let (left_tuples, left_hashes) = (&left_tuples, &left_hashes);
     /// A key tuple to the build-row indices carrying it, in build order.
     type ShardTable<'k, 'r> = HashMap<&'k [Cow<'r, Value>], Vec<usize>>;
-    let (shard_tables, _): (Vec<ShardTable<'_, '_>>, _) = run_partitioned(
-        ctx,
-        stats,
-        (0..parts).collect(),
-        false,
-        |shard, _wctx, _ws| {
+    let shard_tables: Vec<ShardTable<'_, '_>> =
+        run_partitioned(ctx, stats, (0..parts).collect(), |shard, _wctx, _ws| {
             let mut table: ShardTable<'_, '_> = HashMap::new();
             for (idx, tuple) in left_tuples.iter().enumerate() {
                 if let Some(values) = tuple {
@@ -863,11 +800,10 @@ fn hash_join(
                 }
             }
             Ok(table)
-        },
-    )?;
+        })?;
     let (shard_tables, right_tuples) = (&shard_tables, &right_tuples);
     let ranges = chunk_ranges(right_rows.len(), parts);
-    let (chunks, _) = run_partitioned(ctx, stats, ranges, false, |range, _wctx, ws| {
+    let chunks = run_partitioned(ctx, stats, ranges, |range, _wctx, ws| {
         let mut out = Vec::new();
         for idx in range {
             let Some(values) = &right_tuples[idx] else {
@@ -975,7 +911,6 @@ fn rows_of(
             scan_extent(class, var, ctx, stats, |oid| scan_row(oid, width))
         }
         Plan::Filter { input, predicate } => {
-            let predicate_expr = predicate;
             let predicate = Lowered::new(predicate, &layout(input));
             let predicate = &predicate;
             // Fused scan+filter: partition the class extent itself into
@@ -983,7 +918,7 @@ fn rows_of(
             // run on the partitions.
             if let Plan::Scan { class, var } = input.as_ref() {
                 let extent_total: usize = ctx.sources().iter().map(|i| i.extent_size(class)).sum();
-                let parts = partition_count(ctx, extent_total, false, [predicate_expr]);
+                let parts = partition_count(ctx, extent_total);
                 // The scan operator's own output, recorded as the `Scan` arm
                 // would have: every extent row is scanned and produced
                 // before the filter keeps its subset.
@@ -991,7 +926,7 @@ fn rows_of(
                 stats.record_operator_output(oids.len());
                 let oids = &oids;
                 let ranges = chunk_ranges(oids.len(), parts);
-                let (chunks, _) = run_partitioned(ctx, stats, ranges, false, |range, wctx, ws| {
+                let chunks = run_partitioned(ctx, stats, ranges, |range, wctx, ws| {
                     ws.rows_scanned += range.len();
                     let mut kept = Vec::new();
                     for oid in &oids[range] {
@@ -1005,9 +940,9 @@ fn rows_of(
                 concat(chunks)
             } else {
                 let input_rows = rows_of(input, width, ctx, stats)?;
-                let parts = partition_count(ctx, input_rows.len(), false, [predicate_expr]);
+                let parts = partition_count(ctx, input_rows.len());
                 let chunks = owned_chunks(input_rows, parts);
-                let (chunks, _) = run_partitioned(ctx, stats, chunks, false, |chunk, wctx, ws| {
+                let chunks = run_partitioned(ctx, stats, chunks, |chunk, wctx, ws| {
                     let mut kept = Vec::new();
                     for row in chunk {
                         if predicate.eval_predicate(&row, wctx)? {
@@ -1024,40 +959,27 @@ fn rows_of(
             let input_rows = rows_of(input, width, ctx, stats)?;
             let lowered = lower_bindings(bindings, &mut layout(input));
             let lowered = &lowered;
-            let gate = bindings.iter().map(|(_, e)| e);
-            let claims_ok = map_bindings_claim_safe(bindings);
-            let parts = partition_count(ctx, input_rows.len(), claims_ok, gate);
-            // Off the calling context, Skolem-bearing bindings run under the
-            // two-phase key-claim protocol: partitions mint provisional
-            // identities into per-worker arenas, and the arenas are resolved
-            // in partition (= input) order afterwards, so the final
-            // numbering — and the rewritten rows — are bit-identical to an
-            // evaluation against the real factory.
-            let with_claims = bindings.iter().any(|(_, e)| e.contains_skolem());
+            let parts = partition_count(ctx, input_rows.len());
             let chunks = owned_chunks(input_rows, parts);
-            let (chunks, arenas) =
-                run_partitioned(ctx, stats, chunks, with_claims, |chunk, wctx, ws| {
-                    let mut out = Vec::with_capacity(chunk.len());
-                    'rows: for mut row in chunk {
-                        for (slot, expr) in lowered {
-                            let value = match expr.eval(&row, wctx) {
-                                Ok(value) => value.into_owned(),
-                                // A missing optional attribute: the row does
-                                // not contribute (mirrors clause-matching
-                                // semantics).
-                                Err(e) if e.is_bad_value() => continue 'rows,
-                                Err(e) => return Err(e),
-                            };
-                            store(&mut row, *slot, value);
-                        }
-                        out.push(row);
+            let chunks = run_partitioned(ctx, stats, chunks, |chunk, wctx, ws| {
+                let mut out = Vec::with_capacity(chunk.len());
+                'rows: for mut row in chunk {
+                    for (slot, expr) in lowered {
+                        let value = match expr.eval(&row, wctx) {
+                            Ok(value) => value.into_owned(),
+                            // A missing optional attribute: the row does not
+                            // contribute (mirrors clause-matching semantics).
+                            Err(e) if e.is_bad_value() => continue 'rows,
+                            Err(e) => return Err(e),
+                        };
+                        store(&mut row, *slot, value);
                     }
-                    ws.rows_produced += out.len();
-                    Ok(out)
-                })?;
-            let mut rows = concat(chunks);
-            resolve_rows(&mut rows, arenas, ctx);
-            rows
+                    out.push(row);
+                }
+                ws.rows_produced += out.len();
+                Ok(out)
+            })?;
+            concat(chunks)
         }
         Plan::NestedLoopJoin {
             left,
@@ -1069,11 +991,11 @@ fn rows_of(
             let out = layout(plan);
             let splice = Splice::new(&out, &layout(left), &layout(right), width);
             let lowered = predicate.as_ref().map(|p| Lowered::new(p, &out));
-            let parts = partition_count(ctx, left_rows.len(), false, predicate.iter());
+            let parts = partition_count(ctx, left_rows.len());
             let (left_rows, right_rows, splice, lowered) =
                 (&left_rows, &right_rows, &splice, &lowered);
             let ranges = chunk_ranges(left_rows.len(), parts);
-            let (chunks, _) = run_partitioned(ctx, stats, ranges, false, |range, wctx, ws| {
+            let chunks = run_partitioned(ctx, stats, ranges, |range, wctx, ws| {
                 let mut out = Vec::new();
                 for l in &left_rows[range] {
                     for r in right_rows {
@@ -1098,10 +1020,10 @@ fn rows_of(
             let left_rows = rows_of(left, width, ctx, stats)?;
             let right_rows = rows_of(right, width, ctx, stats)?;
             let splice = Splice::new(&layout(plan), &layout(left), &layout(right), width);
-            let parts = partition_count(ctx, left_rows.len(), false, std::iter::empty());
+            let parts = partition_count(ctx, left_rows.len());
             let (left_rows, right_rows, splice) = (&left_rows, &right_rows, &splice);
             let ranges = chunk_ranges(left_rows.len(), parts);
-            let (chunks, _) = run_partitioned(ctx, stats, ranges, false, |range, _wctx, ws| {
+            let chunks = run_partitioned(ctx, stats, ranges, |range, _wctx, ws| {
                 let mut out = Vec::with_capacity(range.len() * right_rows.len());
                 for l in &left_rows[range] {
                     for r in right_rows {
@@ -1158,8 +1080,7 @@ fn rows_of(
             let left_rows = rows_of(left, width, ctx, stats)?;
             let right_rows = rows_of(right, width, ctx, stats)?;
             let (left_layout, right_layout) = (layout(left), layout(right));
-            let gate = keys.iter().flat_map(|(l, r)| [l, r]);
-            let parts = partition_count(ctx, left_rows.len().max(right_rows.len()), false, gate);
+            let parts = partition_count(ctx, left_rows.len().max(right_rows.len()));
             let rows = hash_join(
                 &left_rows,
                 &right_rows,
@@ -1190,81 +1111,27 @@ fn rows_of(
     Ok(rows)
 }
 
-/// One row's evaluated insert actions from the claim phase: the key and
-/// record *values* (possibly holding provisional identities) plus the claim
-/// ranges their evaluation recorded, so the apply phase can interleave claim
-/// resolution with the per-row `Mk_C` calls exactly as the one-partition
-/// loop of [`execute_query`] interleaves them.
-#[derive(Debug)]
-struct EvaluatedInsert {
-    key: Value,
-    record: Value,
-    key_claims: Range<usize>,
-    attr_claims: Range<usize>,
-}
-
-/// Phase-1 product of one query evaluated on a claim context
-/// ([`EvalCtx::claim_worker`]): everything needed to rebuild the target
-/// bit-identically on the main thread, in program order. Queries whose rows
-/// are independent of each other can therefore be *evaluated* concurrently —
-/// the expensive part — while [`apply_evaluated_query`] keeps application
-/// (and with it Skolem numbering, merge conflicts, and `objects_written`
-/// accounting) strictly sequential.
+/// One query evaluated but not yet applied ([`evaluate_query`]): the objects
+/// its insert actions write, in row order, the factory that minted their
+/// identities, and the error that stopped the evaluation, if one did (the
+/// writes before it still apply, exactly like a loop that stops mid-way).
+/// Queries whose rows are independent of each other can therefore be
+/// *evaluated* concurrently — the expensive part — while
+/// [`apply_evaluated_query`] keeps application (merge conflicts and
+/// `objects_written` accounting) in program order.
 #[derive(Debug)]
 pub struct EvaluatedQuery {
-    /// The worker's claim arena, covering plan and insert evaluation.
-    arena: Option<SkolemClaims>,
-    /// Claims recorded while the plan ran; resolved before any insert (a
-    /// sequential run materialises all plan rows before inserting).
-    plan_claims: Range<usize>,
-    /// Per output row, in row order: the evaluated inserts, or the error the
-    /// evaluation hit (rows before it still apply, exactly like the
-    /// sequential loop that stops mid-way).
-    per_row: Vec<Result<Vec<EvaluatedInsert>>>,
-    /// Rows the plan emitted.
+    factory: SkolemFactory,
+    writes: Vec<(Oid, Value)>,
+    error: Option<CplError>,
     rows: usize,
 }
 
 impl EvaluatedQuery {
-    /// Rows the query's plan emitted during the claim phase.
+    /// Rows the query's plan emitted.
     pub fn rows_output(&self) -> usize {
         self.rows
     }
-}
-
-/// The claim-phase insert-evaluation loop shared by [`evaluate_query`] and
-/// the partitions of [`execute_query`]: evaluate every insert's key and
-/// attributes per row, delimiting the Skolem claims each evaluation
-/// recorded. Stops at the first erroring row (recording the error in its
-/// slot), exactly where the one-partition loop would have stopped.
-fn evaluate_insert_rows<'r>(
-    inserts: &[LoweredInsert],
-    rows: impl Iterator<Item = &'r SlotRow>,
-    ctx: &mut EvalCtx<'_>,
-) -> Vec<Result<Vec<EvaluatedInsert>>> {
-    let mut out = Vec::new();
-    for row in rows {
-        let evaluated = inserts
-            .iter()
-            .map(|insert| {
-                let before_key = ctx.claims_mark();
-                let key = insert.key.eval(row, ctx)?.into_owned();
-                let after_key = ctx.claims_mark();
-                Ok(EvaluatedInsert {
-                    key,
-                    record: insert.record(row, ctx)?,
-                    key_claims: before_key..after_key,
-                    attr_claims: after_key..ctx.claims_mark(),
-                })
-            })
-            .collect::<Result<Vec<_>>>();
-        let failed = evaluated.is_err();
-        out.push(evaluated);
-        if failed {
-            break;
-        }
-    }
-    out
 }
 
 /// An insert action lowered against its plan's layout.
@@ -1295,23 +1162,24 @@ impl LoweredInsert {
             .collect()
     }
 
-    /// Evaluate the attributes, in order, into the inserted record.
-    fn record(&self, row: &[Value], ctx: &mut EvalCtx<'_>) -> Result<Value> {
+    /// Evaluate the key, mint the object's identity and evaluate the
+    /// attributes, in that order, into the object the action writes.
+    pub fn evaluate(&self, row: &[Value], ctx: &mut EvalCtx<'_>) -> Result<(Oid, Value)> {
+        let key = self.key.eval(row, ctx)?;
+        let oid = ctx.mk_skolem(&self.class, &key)?;
         let mut fields = BTreeMap::new();
         for (label, expr) in &self.attrs {
             fields.insert(label.clone(), expr.eval(row, ctx)?.into_owned());
         }
-        Ok(Value::Record(fields))
+        Ok((oid, Value::Record(fields)))
     }
 }
 
-/// Evaluate one query's rows and insert values without touching any shared
-/// state: run the plan and the insert expressions on `ctx` — a claim context
-/// ([`EvalCtx::claim_worker`]) when called off the main thread — recording
-/// Skolem claims for the apply phase. `stats` (the worker's) absorbs the
-/// execution counters, including `rows_output`. The returned
-/// [`EvaluatedQuery`] must be applied with [`apply_evaluated_query`] on the
-/// owning (main) context.
+/// Evaluate one query's plan and insert actions without touching the
+/// target: the insert evaluation is partitioned like any operator. `stats`
+/// absorbs the execution counters, including `rows_output`; the returned
+/// [`EvaluatedQuery`] takes `ctx`'s factory with it and is applied with
+/// [`apply_evaluated_query`] on the owning context.
 pub fn evaluate_query(
     query: &Query,
     ctx: &mut EvalCtx<'_>,
@@ -1319,25 +1187,43 @@ pub fn evaluate_query(
 ) -> Result<EvaluatedQuery> {
     let rows = run_slots(&query.plan, ctx, stats)?;
     stats.rows_output += rows.len();
-    let plan_claims = 0..ctx.claims_mark();
     let inserts = LoweredInsert::lower(&query.inserts, &layout(&query.plan));
-    let per_row = evaluate_insert_rows(&inserts, rows.iter(), ctx);
+    let (rows_ref, inserts) = (&rows, &inserts);
+    let ranges = chunk_ranges(rows.len(), partition_count(ctx, rows.len()));
+    let chunks = run_partitioned(ctx, stats, ranges, |range, wctx, _ws| {
+        let mut writes = Vec::with_capacity(range.len() * inserts.len());
+        for row in &rows_ref[range] {
+            for insert in inserts {
+                match insert.evaluate(row, wctx) {
+                    Ok(write) => writes.push(write),
+                    Err(e) => return Ok((writes, Some(e))),
+                }
+            }
+        }
+        Ok((writes, None))
+    })?;
+    let mut writes = Vec::new();
+    let mut error = None;
+    for (chunk, failed) in chunks {
+        writes.extend(chunk);
+        if failed.is_some() {
+            error = failed;
+            break;
+        }
+    }
     Ok(EvaluatedQuery {
-        arena: ctx.take_claims(),
-        plan_claims,
-        per_row,
+        factory: std::mem::take(&mut ctx.factory),
+        writes,
+        error,
         rows: rows.len(),
     })
 }
 
-/// Phase 2 of query execution: resolve the evaluated query's Skolem claims
-/// against the owning context's factory — plan claims first, then per row
-/// interleaved with the insert-key `Mk_C` calls, reproducing the sequential
-/// first-call order exactly — and merge the rewritten records into `target`
-/// in row order. The produced target is bit-identical to running the whole
-/// query sequentially on `ctx`. `stats` gains the `objects_written` of the
-/// application; the evaluation counters (including `rows_output`) were
-/// already recorded by [`evaluate_query`] into the worker's stats.
+/// Apply an evaluated query: fold its factory into the owning context's
+/// (a collision is an error), then insert or key-merge its objects into
+/// `target` in row order, stopping at the first conflicting merge or at the
+/// error that stopped the evaluation. `stats` gains the `objects_written`
+/// of the application.
 pub fn apply_evaluated_query(
     query: &Query,
     evaluated: EvaluatedQuery,
@@ -1345,69 +1231,11 @@ pub fn apply_evaluated_query(
     target: &mut Instance,
     stats: &mut ExecStats,
 ) -> Result<()> {
-    let mut resolved: BTreeMap<Oid, Oid> = BTreeMap::new();
-    if let Some(arena) = &evaluated.arena {
-        let range = evaluated.plan_claims.clone();
-        arena.replay_range_into(range, &mut resolved, &mut |class, key| {
-            ctx.mk_skolem(class, key)
-        });
+    ctx.factory.merge(evaluated.factory)?;
+    for (oid, record) in evaluated.writes {
+        write_object(target, oid, record, &query.name, stats)?;
     }
-    apply_insert_rows(
-        query,
-        vec![(evaluated.arena, evaluated.per_row)],
-        &mut resolved,
-        ctx,
-        target,
-        stats,
-    )
-}
-
-/// The shared apply loop: for each worker's chunk in partition (= row)
-/// order, for each row in order, resolve the row's key claims, mint the
-/// insert identity, resolve its attribute claims, rewrite, and merge —
-/// stopping at the first row whose evaluation errored, after the rows before
-/// it have been applied, exactly like the sequential loop.
-#[allow(clippy::type_complexity)]
-fn apply_insert_rows(
-    query: &Query,
-    chunks: Vec<(Option<SkolemClaims>, Vec<Result<Vec<EvaluatedInsert>>>)>,
-    resolved: &mut BTreeMap<Oid, Oid>,
-    ctx: &mut EvalCtx<'_>,
-    target: &mut Instance,
-    stats: &mut ExecStats,
-) -> Result<()> {
-    for (arena, rows) in chunks {
-        for row in rows {
-            let evaluated = row?;
-            for (insert, ev) in query.inserts.iter().zip(evaluated) {
-                if let Some(arena) = &arena {
-                    arena.replay_range_into(ev.key_claims, resolved, &mut |class, key| {
-                        ctx.mk_skolem(class, key)
-                    });
-                }
-                // Move the evaluated values straight through when there is
-                // nothing to rewrite — the common claims-free case.
-                let key = if resolved.is_empty() || !ev.key.contains_oid() {
-                    ev.key
-                } else {
-                    rewrite_resolved(&ev.key, resolved)
-                };
-                let oid = ctx.mk_skolem(&insert.class, &key);
-                if let Some(arena) = &arena {
-                    arena.replay_range_into(ev.attr_claims, resolved, &mut |class, key| {
-                        ctx.mk_skolem(class, key)
-                    });
-                }
-                let record = if resolved.is_empty() || !ev.record.contains_oid() {
-                    ev.record
-                } else {
-                    rewrite_resolved(&ev.record, resolved)
-                };
-                write_object(target, oid, record, &query.name, stats)?;
-            }
-        }
-    }
-    Ok(())
+    evaluated.error.map_or(Ok(()), Err)
 }
 
 /// Insert or key-merge one evaluated object into the target.
@@ -1436,63 +1264,16 @@ fn write_object(
     Ok(())
 }
 
-/// Execute one query: run its plan and apply its insert actions to `target`.
-///
-/// The insert *evaluation* — key and attribute expressions per row, the
-/// expensive part of Skolem-heavy loads — is partitioned like any operator;
-/// application always stays on the calling thread, in row order.
-///
-/// This is the one operator whose single partition is not the partitioned
-/// body run inline. The partitions evaluate **all** their rows before any
-/// `Mk_C` of the insert identities, which is only sound on claim arenas:
-/// against the real factory the numbering depends on the per-row interleaving
-/// *key → `Mk_C` → attributes → write*, and reproducing that from
-/// pre-evaluated rows would take the very claim-and-replay machinery a
-/// single partition exists to avoid. So one partition runs the interleaved
-/// loop directly — it is also where inserts pinned by a Skolem in inspection
-/// position see the real factory — and the target is bit-identical either
-/// way.
+/// Execute one query: run its plan and apply its insert actions to `target`
+/// — [`evaluate_query`] then [`apply_evaluated_query`] on one context.
 pub fn execute_query(
     query: &Query,
     ctx: &mut EvalCtx<'_>,
     target: &mut Instance,
     stats: &mut ExecStats,
 ) -> Result<()> {
-    let rows = run_slots(&query.plan, ctx, stats)?;
-    stats.rows_output += rows.len();
-    let inserts = LoweredInsert::lower(&query.inserts, &layout(&query.plan));
-    let exprs = || {
-        query
-            .inserts
-            .iter()
-            .flat_map(|i| std::iter::once(&i.key).chain(i.attrs.iter().map(|(_, e)| e)))
-    };
-    let parts = partition_count(ctx, rows.len(), true, exprs());
-    if parts == 1 {
-        for row in &rows {
-            for insert in &inserts {
-                let key = insert.key.eval(row, ctx)?;
-                let oid = ctx.mk_skolem(&insert.class, &key);
-                let record = insert.record(row, ctx)?;
-                write_object(target, oid, record, &query.name, stats)?;
-            }
-        }
-        return Ok(());
-    }
-    let with_claims = exprs().any(Expr::contains_skolem);
-    let (rows, inserts) = (&rows, &inserts);
-    let ranges = chunk_ranges(rows.len(), parts);
-    let (chunks, arenas) = run_partitioned(ctx, stats, ranges, with_claims, |range, wctx, _ws| {
-        Ok(evaluate_insert_rows(inserts, rows[range].iter(), wctx))
-    })?;
-    apply_insert_rows(
-        query,
-        arenas.into_iter().zip(chunks).collect(),
-        &mut BTreeMap::new(),
-        ctx,
-        target,
-        stats,
-    )
+    let evaluated = evaluate_query(query, ctx, stats)?;
+    apply_evaluated_query(query, evaluated, ctx, target, stats)
 }
 
 #[cfg(test)]
@@ -2013,8 +1794,8 @@ mod tests {
     /// shape runs at 1, 2, 3 and 8 partitions (the threshold lowered so the
     /// tiny fixture partitions at all) and must reproduce the one-partition
     /// run exactly — the same row *stream*, a bit-identical target, the same
-    /// Skolem numbering, equal [`ExecStats`] — while the per-shard breakdown
-    /// stays empty exactly when nothing was dispatched.
+    /// Skolem memo, equal [`ExecStats`] — while the per-shard breakdown stays
+    /// empty exactly when nothing was dispatched.
     #[test]
     fn every_plan_shape_is_partition_invariant() {
         let inst = partition_fixture();
@@ -2035,7 +1816,7 @@ mod tests {
                 Expr::var("C").proj("name"),
             )
         };
-        let pinned_binding = || {
+        let compared_binding = || {
             bind(
                 "B",
                 mk("CityT", Expr::var("E").proj("name")).eq(Expr::var("E")),
@@ -2065,12 +1846,12 @@ mod tests {
                 Plan::scan("CityE", "E").map(vec![bind("N", country_name())]),
             ),
             shape(
-                "claim-safe skolem map",
+                "skolem map",
                 Plan::scan("CityE", "E")
                     .filter(Expr::var("E").proj("is_capital").eq(Expr::constant(false)))
                     .map(vec![
                         bind("T", mk("CityT", Expr::var("E").proj("name"))),
-                        // Few distinct keys: partitions claim the same ones.
+                        // Few distinct keys: partitions mint the same ones.
                         bind("L", mk("LangT", Expr::var("E").path("country.language"))),
                         bind(
                             "P",
@@ -2078,15 +1859,15 @@ mod tests {
                         ),
                     ]),
             ),
-            Shape {
-                partitions: false,
-                ..shape(
-                    "pinned skolem map",
-                    Plan::scan("CityE", "E").map(vec![pinned_binding()]),
-                )
-            },
+            // A Skolem compared against a source identity: it partitions like
+            // any other binding.
             shape(
-                "pinned map over a claim-safe map",
+                "skolem comparison map",
+                Plan::scan("CityE", "E").map(vec![compared_binding()]),
+            ),
+            // A later map re-minting the earlier map's keys and comparing.
+            shape(
+                "skolem comparison over a skolem map",
                 Plan::scan("CityE", "E")
                     .map(vec![bind("T", mk("CityT", Expr::var("E").proj("name")))])
                     .map(vec![
@@ -2199,7 +1980,7 @@ mod tests {
             ),
             // The Skolem-heavy insertion shape of the genome load: a keyed
             // insert whose attributes mint further identities, with few
-            // distinct country keys so partitions claim the same ones.
+            // distinct country keys so partitions mint the same ones.
             Shape {
                 query: Query {
                     name: "skolem inserts".to_string(),
@@ -2222,19 +2003,20 @@ mod tests {
                 },
                 ..shape("skolem inserts", Plan::scan("CityE", "E"))
             },
-            // An insert pinned by a Skolem in inspection position.
+            // An insert comparing a Skolem in an attribute, over a bare scan:
+            // only the insert evaluation partitions.
             Shape {
                 query: Query {
-                    name: "pinned inserts".to_string(),
+                    name: "comparing inserts".to_string(),
                     plan: Plan::scan("CityE", "E"),
                     inserts: vec![InsertAction {
                         class: ClassName::new("CityT"),
                         key: Expr::var("E").proj("name"),
-                        attrs: vec![pinned_binding()],
+                        attrs: vec![compared_binding()],
                     }],
                 },
                 partitions: false,
-                ..shape("pinned inserts", Plan::scan("CityE", "E"))
+                ..shape("comparing inserts", Plan::scan("CityE", "E"))
             },
         ];
         let refs = [&inst];
@@ -2265,6 +2047,14 @@ mod tests {
                 let mut target = Instance::new("target");
                 execute_query(&shape.query, &mut query_ctx, &mut target, &mut query_stats)
                     .unwrap_or_else(|e| panic!("{}: {e}", shape.name));
+                if !shape.query.inserts.is_empty() {
+                    assert_eq!(
+                        query_ctx.shard_stats().is_empty(),
+                        threads == 1,
+                        "{} at {threads} thread(s): insert evaluation partitions",
+                        shape.name
+                    );
+                }
                 let numbering = (
                     format!("{:?}", plan_ctx.factory),
                     format!("{:?}", query_ctx.factory),
@@ -2288,7 +2078,7 @@ mod tests {
                 assert_eq!(plan_stats, reference.1, "plan ExecStats diverged: {at}");
                 assert_eq!(target, reference.2, "target diverged: {at}");
                 assert_eq!(query_stats, reference.3, "query ExecStats diverged: {at}");
-                assert_eq!(numbering, reference.4, "Skolem numbering diverged: {at}");
+                assert_eq!(numbering, reference.4, "Skolem memo diverged: {at}");
             }
         }
         // The table is not vacuous: the shapes produce rows and objects.
@@ -2435,14 +2225,12 @@ mod tests {
         );
     }
 
-    /// Intra-Map taint laundering pins the operator to one partition: a
-    /// later binding of the same Map comparing an *earlier* Skolem-bearing
-    /// binding's variable contains no Skolem node itself, but would observe
-    /// the provisional identity on a worker. Against the real factory,
-    /// memoisation makes the comparison true; the gate must keep it that
-    /// way at every thread count.
+    /// A later binding of a Map comparing an *earlier* Skolem-bearing
+    /// binding's variable, over a Map that minted the same keys: the
+    /// comparison is true on every context, so the operators partition and
+    /// the rows equal the one-partition run's.
     #[test]
-    fn intra_map_skolem_laundering_pins_to_the_sequential_path() {
+    fn intra_map_skolem_comparisons_partition_and_equal_the_sequential_run() {
         let inst = euro_instance();
         let refs = [&inst];
         let mk = || {
@@ -2451,8 +2239,6 @@ mod tests {
                 Box::new(Expr::var("E").proj("name")),
             )
         };
-        // First Map resolves T to real identities (operator barrier); the
-        // second Map re-mints the same keys as T2 and compares T2 with T.
         let plan = Plan::scan("CityE", "E")
             .map(vec![("T".to_string(), mk())])
             .map(vec![
@@ -2462,29 +2248,25 @@ mod tests {
         let mut seq_ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
         let mut seq_stats = ExecStats::default();
         let seq_rows = run_plan(&plan, &mut seq_ctx, &mut seq_stats).unwrap();
-        assert!(
-            seq_rows.iter().all(|r| r["B"] == Value::Bool(true)),
-            "memoisation must make T2 equal T sequentially"
-        );
+        assert!(seq_rows.iter().all(|r| r["B"] == Value::Bool(true)));
         let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(8));
         ctx.set_parallel_min_rows(1);
         let mut stats = ExecStats::default();
         let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows, seq_rows);
-        // The first (laundering-free) Map may partition, but the second
-        // must not have: every B is still true.
-        assert!(rows.iter().all(|r| r["B"] == Value::Bool(true)));
-        assert!(!map_bindings_claim_safe(&[
-            ("T2".to_string(), mk()),
-            ("B".to_string(), Expr::var("T2").eq(Expr::var("T"))),
-        ]));
+        assert_eq!(stats, seq_stats);
+        assert!(!ctx.shard_stats().is_empty(), "the maps partitioned");
+        assert_eq!(
+            format!("{:?}", ctx.factory),
+            format!("{:?}", seq_ctx.factory)
+        );
     }
 
-    /// A Skolem in *inspection position* — under a comparison — still pins
-    /// its operator to one partition on the calling context: provisional
-    /// identities must never be compared.
+    /// A Skolem under a comparison partitions like any expression: the
+    /// workers' factories fold into the caller's, which ends up holding the
+    /// identities a one-partition run mints.
     #[test]
-    fn skolem_comparisons_still_pin_to_the_sequential_path() {
+    fn skolem_comparisons_partition_and_equal_the_sequential_run() {
         let inst = euro_instance();
         let refs = [&inst];
         let plan = Plan::scan("CityE", "E").map(vec![(
@@ -2495,19 +2277,24 @@ mod tests {
             )
             .eq(Expr::var("E")),
         )]);
+        let mut seq_ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
+        let seq_rows = run_plan(&plan, &mut seq_ctx, &mut ExecStats::default()).unwrap();
         let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(8));
         ctx.set_parallel_min_rows(1);
         let mut stats = ExecStats::default();
         let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows.len(), 3);
-        // The calling context's real factory was exercised: the identities
-        // exist and nothing was dispatched for this operator.
+        assert_eq!(rows, seq_rows);
         assert_eq!(ctx.factory.count(&ClassName::new("CityT")), 3);
-        assert!(ctx.shard_stats().is_empty());
+        assert_eq!(
+            format!("{:?}", ctx.factory),
+            format!("{:?}", seq_ctx.factory)
+        );
+        assert!(!ctx.shard_stats().is_empty(), "the map partitioned");
     }
 
     /// The split evaluate/apply API (query-level parallelism's building
-    /// block) reproduces `execute_query` exactly: evaluating on a claim
+    /// block) reproduces `execute_query` exactly: evaluating on a worker
     /// context and applying on the main context yields the identical target
     /// and factory state.
     #[test]
@@ -2551,7 +2338,7 @@ mod tests {
         let mut worker_stats = ExecStats::default();
         let evaluated = evaluate_query(&query, &mut worker_ctx, &mut worker_stats).unwrap();
         assert_eq!(evaluated.rows_output(), 3);
-        // The worker never touched a real factory.
+        // The evaluated query carries the worker's factory away.
         assert!(worker_ctx.factory.is_empty());
         let mut main_ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
         let mut main_stats = ExecStats::default();

@@ -9,12 +9,17 @@
 //! variable borrows its slot, a projection through an identity borrows the
 //! field inside the source instance. A value is owned only where it is built
 //! (a record, variant, Skolem identity or boolean) or stored.
+//!
+//! A Skolem identity is a function of its class and key
+//! ([`wol_model::skolem_id`]), so an expression evaluates to the same value
+//! on any context, whichever factory it mints through: a worker's factory
+//! only memoises, and folds into its owner's.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use wol_model::{ClassName, Instance, Label, Oid, SkolemClaims, SkolemFactory, Value};
+use wol_model::{ClassName, Instance, Label, Oid, SkolemFactory, Value};
 
 use crate::error::CplError;
 use crate::Result;
@@ -114,14 +119,7 @@ impl Expr {
     }
 
     /// Whether the expression (or any sub-expression) creates object
-    /// identities through a Skolem function. Skolem creation mutates the
-    /// query-wide [`wol_model::SkolemFactory`], whose identity numbering
-    /// depends on first-call order — so pool workers may only evaluate
-    /// Skolem-bearing expressions through the two-phase key-claim protocol
-    /// ([`wol_model::SkolemClaims`]), and only where that is sound
-    /// ([`Expr::skolem_parallel_safe`]); everywhere else the operator runs
-    /// as one partition on the calling context, against the real factory,
-    /// keeping targets bit-identical.
+    /// identities through a Skolem function.
     pub fn contains_skolem(&self) -> bool {
         match self {
             Expr::Skolem(_, _) => true,
@@ -132,59 +130,6 @@ impl Expr {
                 a.contains_skolem() || b.contains_skolem()
             }
             Expr::And(es) => es.iter().any(Expr::contains_skolem),
-        }
-    }
-
-    /// Whether every Skolem application in this expression sits in **value
-    /// position** — flowing only into the constructed output (directly, or
-    /// through [`Expr::Record`] / [`Expr::Variant`] / another Skolem's key) —
-    /// and never under a comparison, boolean connective, or projection.
-    ///
-    /// Value position is the soundness condition of the two-phase key-claim
-    /// protocol: a worker's *provisional* identity ([`SkolemClaims`]) is a
-    /// placeholder that gets rewritten to the real identity at resolution
-    /// time, so it may be stored but never *inspected* — comparing it (two
-    /// workers hold different provisionals for one key; a provisional never
-    /// equals the real identity an earlier query created) or projecting
-    /// through it would observe the placeholder and diverge from sequential
-    /// evaluation. Expressions that fail this predicate pin their operator
-    /// to one partition. Skolem-free expressions are trivially safe.
-    pub fn skolem_parallel_safe(&self) -> bool {
-        self.skolem_claim_safe(&std::collections::BTreeSet::new())
-    }
-
-    /// Whether this expression may *hold* a provisional identity when
-    /// evaluated on a claim context: it applies a Skolem function itself, or
-    /// it reads a variable in `tainted` — the set of row variables whose
-    /// bindings may carry one.
-    pub fn carries_provisional(&self, tainted: &std::collections::BTreeSet<String>) -> bool {
-        self.contains_skolem() || self.var_set().iter().any(|v| tainted.contains(v))
-    }
-
-    /// The flow-aware form of [`Expr::skolem_parallel_safe`]: safe iff every
-    /// *provisional-valued* position — a Skolem application **or a variable
-    /// in `tainted`**, i.e. one bound to a Skolem-bearing expression earlier
-    /// in the same claim scope — sits in value position, never under a
-    /// comparison, boolean connective, or projection. The per-expression
-    /// predicate cannot see taint laundered through a variable binding
-    /// (`T = Mk_C(…)` followed by `Eq(Var(T), …)` contains no Skolem node in
-    /// the equality), so callers that evaluate several binding expressions
-    /// against one claim arena must thread the taint set through.
-    pub fn skolem_claim_safe(&self, tainted: &std::collections::BTreeSet<String>) -> bool {
-        match self {
-            Expr::Var(_) | Expr::Const(_) => true,
-            // The skolem key itself is a value position (nested claims
-            // resolve inside-out), but it must be safe recursively.
-            Expr::Skolem(_, key) => key.skolem_claim_safe(tainted),
-            Expr::Record(fields) => fields.iter().all(|(_, e)| e.skolem_claim_safe(tainted)),
-            Expr::Variant(_, payload) => payload.skolem_claim_safe(tainted),
-            // Inspection positions: nothing provisional-valued below these.
-            Expr::Proj(base, _) => !base.carries_provisional(tainted),
-            Expr::Not(e) => !e.carries_provisional(tainted),
-            Expr::Eq(a, b) | Expr::Neq(a, b) | Expr::Lt(a, b) | Expr::Leq(a, b) => {
-                !a.carries_provisional(tainted) && !b.carries_provisional(tainted)
-            }
-            Expr::And(es) => es.iter().all(|e| !e.carries_provisional(tainted)),
         }
     }
 
@@ -220,43 +165,14 @@ impl Expr {
     }
 }
 
-/// Propagate claim-context taint through an ordered list of `(var, expr)`
-/// bindings (a [`crate::plan::Plan::Map`]'s bindings, evaluated in order
-/// against one claim arena): every binding must keep provisional-valued
-/// positions in value position w.r.t. the taint accumulated *so far* —
-/// including identities laundered through an earlier binding of the same
-/// list — and each Skolem-bearing (or taint-relaying) binding taints its own
-/// variable. Returns whether all bindings are safe; `tainted` is extended
-/// either way, so callers chaining several binding lists (the query-level
-/// scheduler walking a whole plan) can keep threading it. This is the single
-/// soundness condition both protocol gates — `cpl`'s operator-level Map gate
-/// and `morphase`'s query-level overlap gate — must agree on, which is why
-/// it lives here rather than in either caller.
-pub fn bindings_claim_safe(
-    bindings: &[(String, Expr)],
-    tainted: &mut std::collections::BTreeSet<String>,
-) -> bool {
-    for (var, expr) in bindings {
-        if !expr.skolem_claim_safe(tainted) {
-            return false;
-        }
-        if expr.carries_provisional(tainted) {
-            tainted.insert(var.clone());
-        }
-    }
-    true
-}
-
 /// The evaluation context: the source instances (searched in order when
 /// dereferencing object identities) and the Skolem factory.
 pub struct EvalCtx<'a> {
     sources: Vec<&'a Instance>,
-    /// Skolem factory shared across the whole query so identities are stable.
+    /// The Skolem factory this context mints through. Identities do not
+    /// depend on it; its memo detects collisions and is folded into the
+    /// owning context's when a worker finishes.
     pub factory: SkolemFactory,
-    /// When set, Skolem evaluation records provisional claims here instead of
-    /// touching `factory` — the worker side of the two-phase key-claim
-    /// protocol ([`wol_model::SkolemClaims`]). `None` on main-thread contexts.
-    claims: Option<SkolemClaims>,
     /// When enabled, the executor records each join operator's actual output
     /// row count here, in post-order — the same order
     /// [`crate::optimizer::estimate_join_outputs`] emits estimates in.
@@ -310,20 +226,17 @@ impl<'a> EvalCtx<'a> {
     /// Create a context over the given source instances, with the
     /// environment's thread budget ([`wol_model::Parallelism::from_env`]).
     pub fn new(sources: &[&'a Instance]) -> Self {
-        Self::worker(sources, None).with_parallelism(wol_model::Parallelism::from_env())
+        Self::worker(sources).with_parallelism(wol_model::Parallelism::from_env())
     }
 
-    /// A one-thread context over the given sources, as built for each
-    /// partition of a multi-partition operator: no env lookup (unlike
-    /// [`EvalCtx::new`]) and its own operators never partition further. With
-    /// `claims`, Skolem evaluation records provisional claims into the given
-    /// arena (the claim phase of the two-phase protocol) instead of touching
-    /// the worker's (unused) factory.
-    pub(crate) fn worker(sources: &[&'a Instance], claims: Option<SkolemClaims>) -> Self {
+    /// A one-thread context over the given sources with an empty factory,
+    /// as built for each partition of a multi-partition operator: no env
+    /// lookup (unlike [`EvalCtx::new`]) and its own operators never
+    /// partition further.
+    pub(crate) fn worker(sources: &[&'a Instance]) -> Self {
         EvalCtx {
             sources: sources.to_vec(),
             factory: SkolemFactory::new(),
-            claims,
             join_trace: None,
             parallelism: wol_model::Parallelism::sequential(),
             parallel_min_rows: PARALLEL_MIN_ROWS,
@@ -334,24 +247,16 @@ impl<'a> EvalCtx<'a> {
         }
     }
 
-    /// A **claim-phase** context over the given sources, for evaluating a
-    /// whole query off the main thread (query-level parallelism): Skolem
-    /// evaluation records provisional claims instead of touching a shared
-    /// factory. One thread by default; give it a budget with
-    /// [`EvalCtx::with_parallelism`] and its operators partition *inside*
-    /// the concurrently evaluated query — nested claim arenas resolve into
-    /// this context's arena, preserving input order. Pair with
-    /// [`crate::exec::evaluate_query`] / [`crate::exec::apply_evaluated_query`].
+    /// A worker context over the given sources, for evaluating a whole query
+    /// off the main thread (query-level parallelism): one thread and an
+    /// empty factory by default; give it a budget with
+    /// [`EvalCtx::with_parallelism`] and its operators partition inside the
+    /// concurrently evaluated query. Pair with [`crate::exec::evaluate_query`]
+    /// / [`crate::exec::apply_evaluated_query`], which folds its factory into
+    /// the owner's. (The name is kept for the benchmark's frozen surface; the
+    /// key-claim protocol it was named for is gone.)
     pub fn claim_worker(sources: &[&'a Instance]) -> Self {
-        Self::worker(sources, Some(SkolemClaims::new()))
-    }
-
-    /// Number of claims recorded so far on a claim context (always 0 on main
-    /// contexts): a mark delimiting one unit of work's claims, so resolution
-    /// can interleave claim replay with direct factory calls exactly as a
-    /// sequential run interleaved them.
-    pub(crate) fn claims_mark(&self) -> usize {
-        self.claims.as_ref().map_or(0, |c| c.mark())
+        Self::worker(sources)
     }
 
     /// Set the worker-thread budget (builder style).
@@ -365,34 +270,9 @@ impl<'a> EvalCtx<'a> {
         self.parallelism = parallelism;
     }
 
-    /// Apply `Mk_class(key)` through this context: provisionally via the
-    /// claim arena on worker contexts, directly via the shared factory on
-    /// the main context.
-    pub fn mk_skolem(&mut self, class: &ClassName, key: &Value) -> Oid {
-        match self.claims.as_mut() {
-            Some(claims) => claims.mk(class, key),
-            None => self.factory.mk(class, key),
-        }
-    }
-
-    /// Take the claim arena out of a worker context after its work is done.
-    pub(crate) fn take_claims(&mut self) -> Option<SkolemClaims> {
-        self.claims.take()
-    }
-
-    /// Resolve per-worker claim arenas **in partition order** against this
-    /// context's factory (the resolution phase of the two-phase protocol),
-    /// returning the provisional→final identity map used to rewrite the
-    /// workers' outputs. Replays through [`EvalCtx::mk_skolem`], so a claim
-    /// context resolving nested arenas re-claims into its own arena.
-    pub(crate) fn resolve_claim_arenas(&mut self, arenas: &[SkolemClaims]) -> BTreeMap<Oid, Oid> {
-        let mut resolved = BTreeMap::new();
-        for arena in arenas {
-            arena.replay_range_into(0..arena.mark(), &mut resolved, &mut |class, key| {
-                self.mk_skolem(class, key)
-            });
-        }
-        resolved
+    /// Apply `Mk_class(key)` through this context's factory.
+    pub fn mk_skolem(&mut self, class: &ClassName, key: &Value) -> Result<Oid> {
+        Ok(self.factory.mk(class, key)?)
     }
 
     /// The thread budget operators partition against.
@@ -588,7 +468,6 @@ pub fn lower_bindings(
 #[derive(Clone, Debug)]
 pub struct Lowered {
     node: Node,
-    skolem: bool,
 }
 
 #[derive(Clone, Debug)]
@@ -610,7 +489,6 @@ impl Lowered {
     pub fn new(expr: &Expr, layout: &[String]) -> Lowered {
         Lowered {
             node: Node::lower(expr, layout),
-            skolem: expr.contains_skolem(),
         }
     }
 
@@ -633,11 +511,6 @@ impl Lowered {
             Err(e) if e.is_bad_value() => Ok(false),
             Err(e) => Err(e),
         }
-    }
-
-    /// Whether evaluating this expression may create Skolem identities.
-    pub fn contains_skolem(&self) -> bool {
-        self.skolem
     }
 }
 
@@ -695,7 +568,7 @@ impl Node {
             )),
             Node::Skolem(class, key) => {
                 let key = key.eval(row, ctx)?;
-                Cow::Owned(Value::Oid(ctx.mk_skolem(class, &key)))
+                Cow::Owned(Value::Oid(ctx.mk_skolem(class, &key)?))
             }
             Node::Cmp(op, a, b) => {
                 let (a, b) = (a.eval(row, ctx)?, b.eval(row, ctx)?);

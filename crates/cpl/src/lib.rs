@@ -29,21 +29,19 @@
 //! There is one rule, and every operator in [`exec`] (and the columnar
 //! tower in [`columnar`]) is written against it: an operator runs over
 //! **partitions** of its input, and the *number* of partitions is decided
-//! from three things the executor can observe —
+//! from two things the executor can observe —
 //!
 //! * the **budget**: the context's [`Parallelism`] (default: available
 //!   cores, overridable via the `WOL_THREADS` environment variable), threaded
 //!   through [`expr::EvalCtx`]; one thread means one partition;
 //! * the **input size**: a dispatch round to the persistent pool costs
-//!   microseconds, which inputs under ~128 rows do not repay;
-//! * **claim safety**: an expression that creates Skolem identities where
-//!   the key-claim protocol below cannot cover it keeps its operator whole.
+//!   microseconds, which inputs under ~128 rows do not repay.
 //!
 //! **One partition runs inline** on the calling context — no pool dispatch,
-//! no worker context, no claim arena: "sequential execution" is the
-//! one-partition case of the only implementation. Several partitions run on
-//! the **persistent worker pool** ([`wol_model::WorkerPool`]), each on a
-//! worker context of its own. The contract:
+//! no worker context: "sequential execution" is the one-partition case of the
+//! only implementation. Several partitions run on the **persistent worker
+//! pool** ([`wol_model::WorkerPool`]), each on a worker context of its own.
+//! The contract:
 //!
 //! * **Shared immutably** — the source [`wol_model::Instance`]s, read
 //!   concurrently (the lazy index cache sits behind an `RwLock`; mutation
@@ -52,17 +50,14 @@
 //!   driving rows (a distinct key and its one probe belong to one
 //!   partition), in contiguous input chunks for everything else.
 //! * **Deterministic by construction** — results reassemble in input order,
-//!   and Skolem creation runs off the calling context only under the
-//!   **two-phase key-claim protocol** ([`wol_model::SkolemClaims`]):
-//!   partitions mint provisional identities for `(class, key)` claims, which
-//!   the owning thread replays in input order against the real factory,
-//!   rewriting the outputs. It covers `Map` bindings and insert actions with
-//!   Skolems in *value position* ([`Expr::skolem_parallel_safe`]); any other
-//!   Skolem pins its operator to one partition. Inserts always *apply* on the
-//!   owning thread in row order. Rows, target and merged [`ExecStats`] are
-//!   bit-identical at every partition count — held by the thread-matrix
-//!   differential tests in `tests/properties.rs` and the partition-invariance
-//!   table in [`exec`].
+//!   and a Skolem identity is a function of its class and key
+//!   ([`wol_model::skolem_id`]), so a worker minting through a factory of its
+//!   own mints exactly what the calling context would; the workers'
+//!   factories fold into the caller's in partition order, where a collision
+//!   across workers is detected. Inserts *apply* on the owning thread in row
+//!   order. Rows, target and merged [`ExecStats`] are bit-identical at every
+//!   partition count — held by the thread-matrix differential tests in
+//!   `tests/properties.rs` and the partition-invariance table in [`exec`].
 
 // Library code reports errors; it does not panic. Tests may.
 #![cfg_attr(

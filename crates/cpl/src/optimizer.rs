@@ -751,7 +751,7 @@ pub use wol_model::PushOp as PushCmp;
 /// One `var.attr cmp value` conjunct a scan's backend can evaluate at the
 /// source, as read off a planned tree by [`pushable_predicates`]. The conjunct
 /// stays in the plan as a `Filter` over its scan either way, so plans — and
-/// with them join paths, row order and Skolem numbering — do not depend on
+/// with them join paths and row order — do not depend on
 /// whether anything is pushed; only where the predicate first runs differs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PushedPredicate {

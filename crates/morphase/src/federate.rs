@@ -37,9 +37,9 @@
 //! ([`crate::PipelineOptions::pushdown`] false) ingest
 //! streams unfiltered and the very same filter does the trimming at run
 //! time instead; because [`storage::PushedFilter::matches`] mirrors the
-//! executor's comparison semantics, the surviving rows, their order, the
-//! Skolem numbering, and hence the produced **target are bit-identical in
-//! both modes** — only scan-volume counters (and ingest work) differ.
+//! executor's comparison semantics, the surviving rows, their order, and
+//! hence the produced **target are bit-identical in both modes** — only
+//! scan-volume counters (and ingest work) differ.
 //! Projection is applied in *both* modes (it never changes the row set,
 //! only trims unreferenced attributes), and is disabled wholesale for a
 //! class whose objects are used whole by any expression. Raw

@@ -51,13 +51,15 @@
 //!   traces, foreign-dereference classification) picks the affected queries;
 //!   [`wol_engine::delta_rotations`] derives exactly the new rows
 //!   semi-naively, and stale rows are swept by identity.
-//! * **Repair identity** — a mint-position ledger and per-object support
-//!   counts tie the standing state to the fresh run's Skolem numbering; any
-//!   batch that cannot be absorbed while preserving that tie escalates to a
-//!   rebuild (re-plan against the mutated sources + full replay, over the
-//!   front half the pipeline built once), which is bit-identical by
-//!   construction. Incremental in-place repairs skip per-batch target
-//!   verification; verification re-runs at every full-build boundary.
+//! * **Repair identity** — a Skolem identity is a function of its class and
+//!   key, so a replayed row mints exactly the identity a fresh run would;
+//!   per-object support counts settle each touched object to its fresh-run
+//!   record, or remove it. Only a derived row colliding with a cached one, or
+//!   contributions that genuinely conflict, escalate to a rebuild (re-plan
+//!   against the mutated sources + full replay, over the front half the
+//!   pipeline built once), which is bit-identical by construction.
+//!   Incremental in-place repairs skip per-batch target verification;
+//!   verification re-runs at every full-build boundary.
 //! * **Reader consistency** — [`PipelineService`] runs the pipeline on a
 //!   maintainer thread and publishes immutable `Arc<Instance>` snapshots at
 //!   batch boundaries, so concurrent readers never observe a half-repaired
@@ -75,13 +77,15 @@ pub mod service;
 
 pub use compile::{compile_program_with, PlanMode};
 pub use error::MorphaseError;
-pub use maintain::{BatchOutcome, BatchReport, MaintainMode, MaintainStats, MaterializedPipeline};
+pub use maintain::{
+    BatchOutcome, BatchReport, MaintainMode, MaintainStats, MaterializedPipeline, RebuildReason,
+};
 pub use metadata::generate_key_clauses;
 pub use pipeline::{
     BatchConstraintMode, DurabilityStats, DurableOptions, JoinStat, Morphase, MorphaseRun,
     PipelineOptions, QueryStat, StageTimings,
 };
-pub use report::{render_maintenance_report, render_report};
+pub use report::{render_batch_report, render_maintenance_report, render_report};
 pub use schedule::{plan_schedule, QueryNode, QuerySchedule};
 pub use service::PipelineService;
 

@@ -24,7 +24,8 @@
 //! * The plan is split at the deepest `Map` operator carrying a Skolem
 //!   binding: everything below (the *stripped* plan) must be Skolem-free and
 //!   is re-runnable at will; the Skolem-bearing `Map` levels above are
-//!   *deferred* and replayed per cached row.
+//!   *deferred* and replayed per row, and the row cache keeps what each row
+//!   contributed.
 //! * A schema-typed walk over every expression classifies each projection:
 //!   a dereference of a scanned variable is covered by the trace key; a
 //!   dereference reaching another class's objects makes that class a
@@ -41,29 +42,29 @@
 //! some query defeats the analysis (or scans the target) fall back to
 //! [`MaintainMode::Rerun`]: every batch is a full re-run, still correct.
 //!
-//! **Repair identity.** Skolem keys make repair well-defined — a target
-//! object is identified by its `(class, key)`, not by allocation order — but
-//! bit-identity also demands the *numbering* of identities match a fresh
-//! run. The pipeline therefore keeps a ledger: for every target identity,
-//! the exact position of its first mint in the canonical evaluation order
-//! (query rank in the schedule, deferred-map level, trace key, evaluation
-//! slot), plus a support count of every `(object, attribute, value)`
-//! contribution. Replaying added rows re-derives mints at their canonical
-//! positions; removing rows decrements supports and *displaces* first mints.
-//! If, after a batch, any invariant that ties the standing state to a fresh
-//! run cannot be re-established locally — a displaced first mint is not
-//! restored at the same position, a fresh mint would not be the class's
-//! latest, an object loses all contributions, or two rows disagree on an
-//! attribute — the pipeline **rebuilds**: it re-plans against the mutated
-//! sources (fresh statistics, exactly like a fresh run) and re-fills —
-//! replays everything with a fresh Skolem factory. A rebuild never
-//! re-normalises: meta-data generation, validation, snf and the normal form
-//! depend on the program alone, so the pipeline builds that front half once,
-//! at construction ([`crate::pipeline`]'s `Front`), and every initial build,
-//! rebuild, `Rerun`-mode batch and oracle run borrows it. A rebuild is
-//! bit-identical to the oracle by construction; in-place batches preserve the
-//! factory/ledger equivalence, so the standing state always equals the
-//! rebuilt state.
+//! **Repair identity.** A target object is identified by its `(class,
+//! key)`, and so is its identity: `Mk_C(k)` is derived from `(C, k)`
+//! ([`wol_model::skolem_id`]), not numbered in mint order. A replayed row
+//! therefore mints exactly the identities a fresh run mints for it, whatever
+//! else the batch added or removed, and the standing target needs no record
+//! of *when* an identity was first minted. What the pipeline does keep is a
+//! support count of every `(object, attribute, value)` contribution. Removing
+//! a row decrements its contributions' supports, replaying a row increments
+//! them, and every touched object then settles in place: to its unique merged
+//! record, or — when no row asserts it any more — out of the target, since a
+//! fresh run would not create it. Two triggers escalate a batch to a
+//! **rebuild** ([`RebuildReason`]): a derived row colliding with a cached one
+//! (the trace key's uniqueness is broken, so the cache cannot say which
+//! contributions to keep), and contributions that genuinely conflict on an
+//! attribute, whose fresh-run error the rebuild reproduces. A rebuild
+//! re-plans against the mutated sources (fresh statistics, exactly like a
+//! fresh run) and re-fills — replays everything with a fresh Skolem factory.
+//! It never re-normalises: meta-data generation, validation, snf and the
+//! normal form depend on the program alone, so the pipeline builds that
+//! front half once, at construction ([`crate::pipeline`]'s `Front`), and
+//! every initial build, rebuild, `Rerun`-mode batch and oracle run borrows
+//! it. A rebuild is bit-identical to the oracle by construction, and so is an
+//! in-place batch: the settled records are the fresh run's merges.
 //!
 //! **Reader consistency.** The pipeline itself is single-writer; the
 //! concurrent front end ([`crate::PipelineService`]) runs it on a maintainer
@@ -80,24 +81,25 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::sync::Arc;
 
 use cpl::exec::{layout, run_slots, scan_order_trace, ExecStats, LoweredInsert};
 use cpl::expr::{lower_bindings, store, EvalCtx, Lowered, SlotRow};
-use cpl::{CplError, Expr, Plan, Query};
+use cpl::{Expr, Plan, Query};
 use storage::persist::PipelineJournal;
 use wol_engine::rotation::{delta_rotations, Slot};
 use wol_engine::{check_batch, BatchCheck, Databases, EngineError};
 use wol_lang::program::Program;
 use wol_lang::Clause;
 use wol_model::{
-    BatchDelta, ClassName, Instance, Label, Mutation, MutationBatch, Oid, Schema, SkolemFactory,
-    SourceOp, Type, Value,
+    BatchDelta, ClassName, Fingerprint, Instance, Label, Mutation, MutationBatch, Oid, Schema,
+    SkolemFactory, SourceOp, Type, Value,
 };
 
 use crate::pipeline::{
-    plan_queries, run_pipeline, verify_target_instance, BatchConstraintMode, DurableOptions,
-    Fingerprint, Front, MorphaseRun, PipelineOptions, Rows,
+    plan_queries, run_pipeline, verify_target_instance, BatchConstraintMode, DurableOptions, Front,
+    MorphaseRun, PipelineOptions, Rows,
 };
 use crate::schedule::plan_schedule;
 use crate::{MorphaseError, Result};
@@ -118,7 +120,8 @@ pub enum MaintainMode {
 pub enum BatchOutcome {
     /// Stale rows swept, delta rows replayed, touched objects repaired.
     InPlace,
-    /// A repair invariant tripped: re-planned and replayed from scratch.
+    /// The batch could not be absorbed in place ([`RebuildReason`]):
+    /// re-planned and replayed from scratch.
     Rebuild,
     /// The pipeline is in [`MaintainMode::Rerun`].
     FullRerun,
@@ -133,15 +136,53 @@ pub struct BatchReport {
     pub rows_removed: u64,
     /// Query rows (re-)derived and replayed for the batch.
     pub rows_added: u64,
-    /// Target objects whose record was written (inserted or updated).
+    /// Target objects whose record was written (inserted, updated or
+    /// removed).
     pub objects_repaired: u64,
     /// Why the batch escalated to a rebuild, when it did.
-    pub rebuild_reason: Option<String>,
+    pub rebuild_reason: Option<RebuildReason>,
     /// The batch's constraint check and certificate, when
     /// [`BatchConstraintMode`] is not `Off`. In `Report` mode a committed
     /// batch may carry violations here; in `Enforce` mode a violating batch
     /// is rejected instead of reported.
     pub constraints: Option<BatchCheck>,
+}
+
+/// Why a batch escalated to a rebuild instead of repairing in place.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RebuildReason {
+    /// A row the batch derived has the trace key of a cached row that
+    /// survived the sweep.
+    CollidingRow {
+        /// The shared trace key.
+        key: Vec<Oid>,
+    },
+    /// Rows assert different values for one attribute of one object.
+    ConflictingContributions {
+        /// The object.
+        oid: Oid,
+        /// The attribute.
+        label: Label,
+    },
+}
+
+impl fmt::Display for RebuildReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RebuildReason::CollidingRow { key } => {
+                write!(
+                    f,
+                    "derived row {key:?} collides with a surviving cached row"
+                )
+            }
+            RebuildReason::ConflictingContributions { oid, label } => {
+                write!(
+                    f,
+                    "object {oid} has conflicting contributions for `{label}`"
+                )
+            }
+        }
+    }
 }
 
 /// Cumulative maintenance statistics. Deterministic for a given program,
@@ -152,7 +193,8 @@ pub struct MaintainStats {
     pub batches: u64,
     /// Batches absorbed in place.
     pub inplace_batches: u64,
-    /// Batches that escalated to a rebuild.
+    /// Batches that escalated to a rebuild (counted when the rebuild starts:
+    /// a rebuild that fails poisons the pipeline).
     pub rebuild_batches: u64,
     /// Batches absorbed by a full re-run ([`MaintainMode::Rerun`]).
     pub full_reruns: u64,
@@ -182,42 +224,6 @@ pub struct MaintainStats {
     pub delta_exec: ExecStats,
 }
 
-/// The exact position of an evaluation unit in the canonical (fresh-run)
-/// evaluation order. `Ord` is the fresh run's chronology: queries run in
-/// schedule order; within a query, deferred `Map` levels run bottom-up with
-/// each level sweeping all rows in trace-key order; the insert phase
-/// (`stage == u32::MAX`) then visits rows in trace-key order, and within a
-/// row its actions' key/mk/attribute units left to right.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct MintPos {
-    /// Query rank in the schedule's apply order.
-    query: usize,
-    /// Deferred-map level (bottom-up), or `u32::MAX` for the insert phase.
-    stage: u32,
-    /// Trace key of the row being evaluated.
-    key: Vec<Oid>,
-    /// Evaluation unit within the stage: `(binding index, 0)` for a deferred
-    /// level; `(action, unit)` with units `{0: key, 1: mk, 2+i: attr i}` for
-    /// inserts — a pair, so no attribute count can alias the next action.
-    slot: (u32, u32),
-    /// Index among one unit's fresh mints of the same class.
-    sub: u32,
-}
-
-impl MintPos {
-    /// The insert-phase position of `unit` (`{0: key, 1: mk, 2+i: attr i}`)
-    /// of insert action `action`, for the row with trace key `key`.
-    fn insert_unit(query: usize, key: &[Oid], action: usize, unit: usize) -> MintPos {
-        MintPos {
-            query,
-            stage: u32::MAX,
-            key: key.to_vec(),
-            slot: (action as u32, unit as u32),
-            sub: 0,
-        }
-    }
-}
-
 /// Reference-counted contributions to one target object: how many rows
 /// assert its existence, and how many assert each `(attribute, value)`.
 #[derive(Clone, Debug, Default)]
@@ -236,37 +242,13 @@ enum Settled {
     Record(Value),
 }
 
-/// First-mint positions and contribution supports for every target identity.
+/// Contribution supports for every target identity.
 #[derive(Clone, Debug, Default)]
 struct TargetLedger {
-    positions: BTreeMap<Oid, MintPos>,
-    class_mints: BTreeMap<ClassName, BTreeMap<MintPos, Oid>>,
     supports: BTreeMap<Oid, Support>,
 }
 
 impl TargetLedger {
-    fn record_mint(&mut self, oid: &Oid, pos: MintPos) {
-        self.class_mints
-            .entry(oid.class().clone())
-            .or_default()
-            .insert(pos.clone(), oid.clone());
-        self.positions.insert(oid.clone(), pos);
-    }
-
-    fn displace(&mut self, oid: &Oid) -> Option<MintPos> {
-        let pos = self.positions.remove(oid)?;
-        if let Some(mints) = self.class_mints.get_mut(oid.class()) {
-            mints.remove(&pos);
-        }
-        Some(pos)
-    }
-
-    fn class_max(&self, class: &ClassName) -> Option<&MintPos> {
-        self.class_mints
-            .get(class)
-            .and_then(|m| m.keys().next_back())
-    }
-
     fn add_support(&mut self, oid: &Oid, record: &Value) {
         let support = self.supports.entry(oid.clone()).or_default();
         support.keyed += 1;
@@ -618,8 +600,6 @@ struct CachedRow {
     row: SlotRow,
     /// Target contributions this row's inserts performed, in action order.
     contribs: Vec<(Oid, Value)>,
-    /// Target identities whose *first* mint this row performed.
-    first_mints: Vec<(Oid, MintPos)>,
 }
 
 /// Working state of one row being replayed.
@@ -631,7 +611,6 @@ struct RowWork {
     row: SlotRow,
     dropped: bool,
     contribs: Vec<(Oid, Value)>,
-    first_mints: Vec<(Oid, MintPos)>,
 }
 
 impl RowWork {
@@ -642,66 +621,34 @@ impl RowWork {
             row,
             dropped: false,
             contribs: Vec::new(),
-            first_mints: Vec::new(),
         }
     }
 }
 
-/// Repair-mode extras: positional safety checks and touched-object tracking.
-struct Repair<'a> {
-    displaced: &'a mut BTreeMap<Oid, MintPos>,
-    touched: &'a mut BTreeSet<Oid>,
-    trigger: &'a mut Option<String>,
-}
-
-/// Replays rows through deferred bindings and insert actions, mirroring the
-/// executor's evaluation order and Skolem numbering exactly.
+/// Replays rows through deferred bindings and insert actions, evaluating
+/// exactly what the executor evaluates for them.
 struct Replayer<'a, 'e> {
     ctx: &'a mut EvalCtx<'e>,
     ledger: &'a mut TargetLedger,
-    target_classes: &'a BTreeSet<ClassName>,
     /// Rebuild mode: write contributions straight into this fresh target.
     target: Option<&'a mut Instance>,
-    /// Repair mode: check positions instead of writing the target.
-    repair: Option<Repair<'a>>,
+    /// Repair mode: collect the identities contributed to.
+    touched: Option<&'a mut BTreeSet<Oid>>,
 }
 
-impl<'e> Replayer<'_, 'e> {
-    fn triggered(&self) -> bool {
-        self.repair.as_ref().is_some_and(|r| r.trigger.is_some())
-    }
-
-    fn trip(&mut self, reason: String) {
-        if let Some(rep) = self.repair.as_mut() {
-            if rep.trigger.is_none() {
-                *rep.trigger = Some(reason);
-            }
-        }
-    }
-
+impl Replayer<'_, '_> {
     /// Replay `work` through one query: deferred levels bottom-up (each
     /// level sweeping all rows in key order), then the insert phase.
     fn replay_query(
         &mut self,
-        rank: usize,
         query: &Query,
         analysis: &QueryAnalysis,
         work: &mut [RowWork],
     ) -> Result<()> {
-        for (level, bindings) in analysis.deferred.iter().enumerate() {
-            for w in work.iter_mut() {
-                if w.dropped {
-                    continue;
-                }
-                for (unit, (slot, expr)) in bindings.iter().enumerate() {
-                    let pos = MintPos {
-                        query: rank,
-                        stage: level as u32,
-                        key: w.key.clone(),
-                        slot: (unit as u32, 0),
-                        sub: 0,
-                    };
-                    let value = match self.eval_unit(expr, &w.row, pos, &mut w.first_mints) {
+        for bindings in &analysis.deferred {
+            for w in work.iter_mut().filter(|w| !w.dropped) {
+                for (slot, expr) in bindings {
+                    let value = match expr.eval(&w.row, self.ctx) {
                         Ok(v) => v.into_owned(),
                         // The executor's `Map` drops rows on a bad value.
                         Err(e) if e.is_bad_value() => {
@@ -712,169 +659,24 @@ impl<'e> Replayer<'_, 'e> {
                     };
                     store(&mut w.row, *slot, value);
                 }
-                if self.triggered() {
-                    return Ok(());
-                }
             }
         }
-        for w in work.iter_mut() {
-            if w.dropped {
-                continue;
-            }
-            for (ai, action) in analysis.inserts.iter().enumerate() {
-                let at = |unit: usize| MintPos::insert_unit(rank, &w.key, ai, unit);
-                // The executor's insert loop propagates every error,
-                // BadValue included.
-                let key_val = self
-                    .eval_unit(&action.key, &w.row, at(0), &mut w.first_mints)
-                    .map_err(MorphaseError::from)?;
-                let counter_before = self.ctx.factory.counter(&action.class);
-                let oid = self.ctx.mk_skolem(&action.class, &key_val);
-                let fresh = self.ctx.factory.counter(&action.class) > counter_before;
-                self.note_identity(&oid, fresh, at(1), &mut w.first_mints);
-                let mut fields = BTreeMap::new();
-                for (i, (label, expr)) in action.attrs.iter().enumerate() {
-                    let v = self
-                        .eval_unit(expr, &w.row, at(2 + i), &mut w.first_mints)
-                        .map_err(MorphaseError::from)?;
-                    fields.insert(label.clone(), v.into_owned());
-                }
-                let record = Value::Record(fields);
+        for w in work.iter_mut().filter(|w| !w.dropped) {
+            for action in &analysis.inserts {
+                // The executor's insert loop propagates every error, bad
+                // values included.
+                let (oid, record) = action.evaluate(&w.row, self.ctx)?;
                 self.ledger.add_support(&oid, &record);
                 if let Some(target) = self.target.as_deref_mut() {
                     write_contribution(target, &oid, &record, &query.name)?;
                 }
-                if let Some(rep) = self.repair.as_mut() {
-                    rep.touched.insert(oid.clone());
+                if let Some(touched) = self.touched.as_deref_mut() {
+                    touched.insert(oid.clone());
                 }
                 w.contribs.push((oid, record));
             }
-            if self.triggered() {
-                return Ok(());
-            }
         }
         Ok(())
-    }
-
-    /// Evaluate one unit, recording (and in repair mode checking) the fresh
-    /// Skolem mints it performs and the target identities it references.
-    fn eval_unit<'r>(
-        &mut self,
-        expr: &'r Lowered,
-        row: &'r [Value],
-        pos: MintPos,
-        first_mints: &mut Vec<(Oid, MintPos)>,
-    ) -> std::result::Result<Cow<'r, Value>, CplError>
-    where
-        'e: 'r,
-    {
-        let minting = expr.contains_skolem();
-        let before = minting.then(|| self.ctx.factory.counter_snapshot());
-        let value = expr.eval(row, self.ctx)?;
-        if let Some(before) = &before {
-            let mut subs: BTreeMap<ClassName, u32> = BTreeMap::new();
-            for (class, _key, oid) in self.ctx.factory.assignments_since(before) {
-                let sub = subs.entry(class).or_insert(0);
-                let p = MintPos {
-                    sub: *sub,
-                    ..pos.clone()
-                };
-                *sub += 1;
-                self.record_fresh(&oid, p, first_mints);
-            }
-        }
-        self.check_value(&value, &pos);
-        Ok(value)
-    }
-
-    /// A brand-new identity was minted at `pos`. In repair mode it must sort
-    /// after every existing first mint of its class, or the fresh run's
-    /// numbering would interleave differently.
-    fn record_fresh(&mut self, oid: &Oid, pos: MintPos, first_mints: &mut Vec<(Oid, MintPos)>) {
-        if self.repair.is_some() {
-            if let Some(max) = self.ledger.class_max(oid.class()) {
-                if pos < *max {
-                    self.trip(format!(
-                        "fresh identity {oid} minted before the class's latest first mint"
-                    ));
-                }
-            }
-        }
-        self.ledger.record_mint(oid, pos.clone());
-        first_mints.push((oid.clone(), pos));
-    }
-
-    /// The mk unit of an insert action resolved to `oid`.
-    fn note_identity(
-        &mut self,
-        oid: &Oid,
-        fresh: bool,
-        pos: MintPos,
-        first_mints: &mut Vec<(Oid, MintPos)>,
-    ) {
-        if fresh {
-            return self.record_fresh(oid, pos, first_mints);
-        }
-        if self.repair.is_none() {
-            return;
-        }
-        if let Some(existing) = self.ledger.positions.get(oid) {
-            if *existing > pos {
-                self.trip(format!("first mint of {oid} would move earlier"));
-            }
-            return;
-        }
-        let Some(rep) = self.repair.as_mut() else {
-            return;
-        };
-        if let Some(old_pos) = rep.displaced.get(oid).cloned() {
-            // A swept row re-derived with the same key restores its first
-            // mint at the exact same position — the in-place update path.
-            if old_pos.query == pos.query
-                && old_pos.stage == pos.stage
-                && old_pos.key == pos.key
-                && old_pos.slot == pos.slot
-            {
-                rep.displaced.remove(oid);
-                rep.touched.insert(oid.clone());
-                self.ledger.record_mint(oid, old_pos.clone());
-                first_mints.push((oid.clone(), old_pos));
-            } else {
-                self.trip(format!(
-                    "displaced identity {oid} re-minted at a different position"
-                ));
-            }
-            return;
-        }
-        self.trip(format!("identity {oid} has unknown provenance"));
-    }
-
-    /// Walk an evaluated value for references to target identities: every
-    /// referenced identity must already have its first mint at or before
-    /// `pos`, or the incremental numbering diverges from a fresh run.
-    fn check_value(&mut self, value: &Value, pos: &MintPos) {
-        if self.repair.is_none() {
-            return;
-        }
-        let mut stack = vec![value];
-        while let Some(v) = stack.pop() {
-            match v {
-                Value::Oid(oid) if self.target_classes.contains(oid.class()) => {
-                    match self.ledger.positions.get(oid) {
-                        Some(existing) if *existing <= *pos => {}
-                        Some(_) => self.trip(format!("row references {oid} before its first mint")),
-                        None => self.trip(format!(
-                            "row references {oid}, whose first mint is displaced or unknown"
-                        )),
-                    }
-                }
-                Value::Set(xs) => stack.extend(xs),
-                Value::List(xs) => stack.extend(xs),
-                Value::Record(fields) => stack.extend(fields.values()),
-                Value::Variant(_, inner) => stack.push(inner),
-                _ => {}
-            }
-        }
     }
 }
 
@@ -925,7 +727,6 @@ struct Core {
     ledger: TargetLedger,
     factory: SkolemFactory,
     target: Instance,
-    target_classes: BTreeSet<ClassName>,
 }
 
 enum CoreState {
@@ -976,8 +777,9 @@ fn build_state(
     let schedule = plan_schedule(&queries);
     let order: Vec<usize> = schedule.stages.iter().flatten().copied().collect();
 
-    // Fill the row caches from unrestricted stripped-plan runs, then replay
-    // everything against a fresh factory and target.
+    // Fill the row caches from unrestricted stripped-plan runs (stripped
+    // plans are Skolem-free, so nothing mints), then replay everything
+    // against a fresh target.
     let mut caches: Vec<BTreeMap<Vec<Oid>, CachedRow>> = Vec::with_capacity(queries.len());
     let mut ledger = TargetLedger::default();
     let mut target = Instance::new(augmented.target.schema.name());
@@ -999,10 +801,7 @@ fn build_state(
             }
             caches.push(cache);
         }
-        // The fill runs above never mint (stripped plans are Skolem-free);
-        // replay starts from a pristine factory regardless.
-        ctx.factory = SkolemFactory::new();
-        for (rank, &qi) in order.iter().enumerate() {
+        for &qi in &order {
             let mut work: Vec<RowWork> = caches[qi]
                 .iter()
                 .map(|(k, c)| RowWork::seed(k.clone(), c.row.clone()))
@@ -1010,18 +809,15 @@ fn build_state(
             let mut replayer = Replayer {
                 ctx: &mut ctx,
                 ledger: &mut ledger,
-                target_classes: &target_classes,
                 target: Some(&mut target),
-                repair: None,
+                touched: None,
             };
-            replayer.replay_query(rank, &queries[qi], &analyses[qi], &mut work)?;
-            for w in work {
-                let entry = caches[qi].get_mut(&w.key).expect("seeded from this cache");
+            replayer.replay_query(&queries[qi], &analyses[qi], &mut work)?;
+            for (entry, w) in caches[qi].values_mut().zip(work) {
                 entry.contribs = w.contribs;
-                entry.first_mints = w.first_mints;
             }
         }
-        factory = std::mem::replace(&mut ctx.factory, SkolemFactory::new());
+        factory = std::mem::take(&mut ctx.factory);
     }
     verify_target_instance(options, augmented, &target)?;
     Ok(CoreState::Incremental(Box::new(Core {
@@ -1032,7 +828,6 @@ fn build_state(
         ledger,
         factory,
         target,
-        target_classes,
     })))
 }
 
@@ -1042,7 +837,7 @@ enum RepairOutcome {
         rows_added: u64,
         objects_repaired: u64,
     },
-    Rebuild(String),
+    Rebuild(RebuildReason),
 }
 
 /// Absorb one applied batch into the standing state, or report that a
@@ -1057,11 +852,9 @@ fn repair_incremental(
     exec: &mut ExecStats,
 ) -> Result<RepairOutcome> {
     let refs: Vec<&Instance> = sources.iter().collect();
-    let mut displaced: BTreeMap<Oid, MintPos> = BTreeMap::new();
     let mut touched: BTreeSet<Oid> = BTreeSet::new();
     let mut rows_removed = 0u64;
     let mut rows_added = 0u64;
-    let mut trigger: Option<String> = None;
 
     // Phase A: sweep stale rows, in schedule order.
     let mut churns = vec![false; core.queries.len()];
@@ -1105,104 +898,82 @@ fn repair_incremental(
                 core.ledger.remove_support(oid, record)?;
                 touched.insert(oid.clone());
             }
-            for (oid, _) in &entry.first_mints {
-                if let Some(pos) = core.ledger.displace(oid) {
-                    displaced.insert(oid.clone(), pos);
-                }
-                touched.insert(oid.clone());
-            }
         }
     }
 
     // Phase B: derive and replay the added rows, in schedule order.
-    {
-        let mut ctx = EvalCtx::new(&refs).with_parallelism(options.parallelism);
-        ctx.factory = std::mem::replace(&mut core.factory, SkolemFactory::new());
-        let result = (|| -> Result<()> {
-            for (rank, &qi) in core.order.iter().enumerate() {
-                let analysis = &core.analyses[qi];
-                let mut added: BTreeMap<Vec<Oid>, SlotRow> = BTreeMap::new();
-                if churns[qi] {
-                    for row in run_slots(&analysis.stripped, &mut ctx, exec)? {
+    let mut ctx = EvalCtx::new(&refs).with_parallelism(options.parallelism);
+    ctx.factory = std::mem::take(&mut core.factory);
+    let replayed = (|| -> Result<Option<RebuildReason>> {
+        for &qi in &core.order {
+            let analysis = &core.analyses[qi];
+            let mut added: BTreeMap<Vec<Oid>, SlotRow> = BTreeMap::new();
+            if churns[qi] {
+                for row in run_slots(&analysis.stripped, &mut ctx, exec)? {
+                    added.insert(trace_key(analysis, &row)?, row);
+                }
+            } else {
+                for rotation in delta_rotations(&analysis.slots, delta, &sources[mutated]) {
+                    for (var, set) in &rotation.restrictions {
+                        ctx.restrict_scan(var.clone(), Arc::clone(set));
+                    }
+                    let rows = run_slots(&analysis.stripped, &mut ctx, exec);
+                    ctx.clear_scan_restrictions();
+                    for row in rows? {
                         added.insert(trace_key(analysis, &row)?, row);
                     }
-                } else {
-                    for rotation in delta_rotations(&analysis.slots, delta, &sources[mutated]) {
-                        for (var, set) in &rotation.restrictions {
-                            ctx.restrict_scan(var.clone(), Arc::clone(set));
-                        }
-                        let rows = run_slots(&analysis.stripped, &mut ctx, exec);
-                        ctx.clear_scan_restrictions();
-                        for row in rows? {
-                            added.insert(trace_key(analysis, &row)?, row);
-                        }
-                    }
-                }
-                if let Some(key) = added.keys().find(|k| core.caches[qi].contains_key(*k)) {
-                    trigger = Some(format!(
-                        "derived row {key:?} collides with a surviving cached row"
-                    ));
-                    return Ok(());
-                }
-                let mut work: Vec<RowWork> = added
-                    .into_iter()
-                    .map(|(key, row)| RowWork::seed(key, row))
-                    .collect();
-                rows_added += work.len() as u64;
-                let mut replayer = Replayer {
-                    ctx: &mut ctx,
-                    ledger: &mut core.ledger,
-                    target_classes: &core.target_classes,
-                    target: None,
-                    repair: Some(Repair {
-                        displaced: &mut displaced,
-                        touched: &mut touched,
-                        trigger: &mut trigger,
-                    }),
-                };
-                replayer.replay_query(rank, &core.queries[qi], analysis, &mut work)?;
-                if trigger.is_some() {
-                    return Ok(());
-                }
-                for w in work {
-                    core.caches[qi].insert(
-                        w.key.clone(),
-                        CachedRow {
-                            row: w.base,
-                            contribs: w.contribs,
-                            first_mints: w.first_mints,
-                        },
-                    );
                 }
             }
-            Ok(())
-        })();
-        core.factory = std::mem::replace(&mut ctx.factory, SkolemFactory::new());
-        result?;
-    }
-
-    // Phase C: finalise. Any unrestored invariant escalates to a rebuild.
-    if trigger.is_none() && !displaced.is_empty() {
-        trigger = Some(format!(
-            "{} first-minted identities were not restored",
-            displaced.len()
-        ));
-    }
-    if let Some(reason) = trigger {
+            if let Some(key) = added.keys().find(|k| core.caches[qi].contains_key(*k)) {
+                return Ok(Some(RebuildReason::CollidingRow { key: key.clone() }));
+            }
+            let mut work: Vec<RowWork> = added
+                .into_iter()
+                .map(|(key, row)| RowWork::seed(key, row))
+                .collect();
+            rows_added += work.len() as u64;
+            let mut replayer = Replayer {
+                ctx: &mut ctx,
+                ledger: &mut core.ledger,
+                target: None,
+                touched: Some(&mut touched),
+            };
+            replayer.replay_query(&core.queries[qi], analysis, &mut work)?;
+            for w in work {
+                let row = CachedRow {
+                    row: w.base,
+                    contribs: w.contribs,
+                };
+                core.caches[qi].insert(w.key, row);
+            }
+        }
+        Ok(None)
+    })();
+    core.factory = std::mem::take(&mut ctx.factory);
+    if let Some(reason) = replayed? {
         return Ok(RepairOutcome::Rebuild(reason));
     }
+
+    // Phase C: settle every touched object — its merged record, or out of
+    // the target when no row asserts it any more. Contributions that
+    // conflict escalate to a rebuild.
     let mut objects_repaired = 0u64;
     for oid in &touched {
         match core.ledger.settled(oid) {
             Settled::Gone => {
-                return Ok(RepairOutcome::Rebuild(format!(
-                    "object {oid} lost all contributions"
-                )))
+                core.ledger.supports.remove(oid);
+                if core.target.remove(oid).is_some() {
+                    core.target.forget_empty_class(oid.class());
+                    objects_repaired += 1;
+                }
             }
             Settled::Conflicting(label) => {
-                return Ok(RepairOutcome::Rebuild(format!(
-                    "object {oid} has conflicting contributions for `{label}`"
-                )))
+                return Ok(RepairOutcome::Rebuild(
+                    RebuildReason::ConflictingContributions {
+                        oid: oid.clone(),
+                        label,
+                    },
+                ))
             }
             Settled::Record(record) => match core.target.value(oid) {
                 Some(existing) if *existing == record => {}
@@ -1571,13 +1342,13 @@ impl MaterializedPipeline {
                 })
             }
             RepairOutcome::Rebuild(reason) => {
+                self.stats.rebuild_batches += 1;
                 self.state = build_state(
                     &self.front,
                     self.options,
                     &self.sources,
                     &mut self.stats.delta_exec,
                 )?;
-                self.stats.rebuild_batches += 1;
                 Ok(BatchReport {
                     outcome: BatchOutcome::Rebuild,
                     rebuild_reason: Some(reason),
@@ -1676,23 +1447,15 @@ mod tests {
         }
     }
 
-    /// Insert units order by `(action, unit)`, never aliasing across
-    /// actions however many attributes one action has: attribute 998 of
-    /// action 0 (unit 1000) precedes the key of action 1, and the mk unit
-    /// sits between an action's key and its first attribute.
+    /// Source journals are keyed by this fingerprint; a change to it would
+    /// make `open` wipe every existing maintenance journal as foreign. The
+    /// literal is what the genome program has always hashed to.
     #[test]
-    fn mint_positions_order_wide_actions_before_the_next_action() {
-        let at = |action, unit| MintPos::insert_unit(0, &[], action, unit);
-        assert!(at(0, 2 + 998) < at(1, 0));
-        assert!(at(0, 2 + 5000) < at(1, 0));
-        assert!(at(1, 0) < at(1, 1) && at(1, 1) < at(1, 2));
-        // The insert phase follows every deferred level of its query.
-        let deferred = MintPos {
-            stage: 3,
-            slot: (7, 0),
-            ..at(0, 0)
-        };
-        assert!(deferred < at(0, 0));
+    fn maintenance_fingerprint_is_pinned() {
+        assert_eq!(
+            maintenance_fingerprint(&genome::program()),
+            0xC66C_6E68_4B21_FEB5
+        );
     }
 
     #[test]
@@ -1764,10 +1527,15 @@ mod tests {
         assert_matches_oracle(&pipeline);
     }
 
+    /// Removing the source object behind a minted key repairs in place: the
+    /// target object it alone supported is removed (a fresh run would not
+    /// create it), and the target equals a fresh run's.
     #[test]
-    fn removing_a_minted_key_escalates_to_a_rebuild() {
+    fn removing_a_minted_key_repairs_in_place() {
         let mut pipeline = genome_pipeline(&GenomeParams::default());
         let clone_s = ClassName::new("CloneS");
+        let clone_d = ClassName::new("CloneD");
+        let before = pipeline.target().extent_size(&clone_d);
         let victim = pipeline
             .source(0)
             .unwrap()
@@ -1778,13 +1546,17 @@ mod tests {
         let report = pipeline
             .apply_batch(&MutationBatch::new().remove(victim))
             .unwrap();
-        assert_eq!(report.outcome, BatchOutcome::Rebuild);
-        assert!(report.rebuild_reason.is_some());
+        assert_eq!(report.outcome, BatchOutcome::InPlace);
+        assert_eq!(report.rebuild_reason, None);
+        assert_eq!(pipeline.target().extent_size(&clone_d), before - 1);
+        assert_eq!(pipeline.target(), &pipeline.rerun_oracle().unwrap().target);
         assert_matches_oracle(&pipeline);
     }
 
+    /// Renaming a minted key repairs in place: the old key's object goes,
+    /// and the new key's object carries the identity a fresh run derives.
     #[test]
-    fn renaming_a_minted_key_escalates_to_a_rebuild() {
+    fn renaming_a_minted_key_repairs_in_place() {
         let mut pipeline = genome_pipeline(&GenomeParams::default());
         let clone_s = ClassName::new("CloneS");
         let victim = pipeline
@@ -1801,8 +1573,66 @@ mod tests {
         let report = pipeline
             .apply_batch(&MutationBatch::new().update(victim, value))
             .unwrap();
-        assert_eq!(report.outcome, BatchOutcome::Rebuild);
+        assert_eq!(report.outcome, BatchOutcome::InPlace);
+        let renamed = pipeline.target().find_by_field(
+            &ClassName::new("CloneD"),
+            "name",
+            &Value::from("renamed-clone"),
+        );
+        assert!(renamed.is_some());
+        assert_eq!(pipeline.target(), &pipeline.rerun_oracle().unwrap().target);
         assert_matches_oracle(&pipeline);
+    }
+
+    /// Contributions that genuinely conflict — two source clones sharing a
+    /// name but not a length — escalate to a rebuild, which reproduces the
+    /// fresh run's merge conflict; the typed reason names the object and
+    /// attribute.
+    #[test]
+    fn conflicting_contributions_escalate_to_a_failing_rebuild() {
+        let mut pipeline = genome_pipeline(&GenomeParams::default());
+        let clone_s = ClassName::new("CloneS");
+        let (victim, name) = pipeline
+            .source(0)
+            .unwrap()
+            .objects(&clone_s)
+            .find_map(|(oid, v)| {
+                v.project("length")?;
+                Some((oid.clone(), v.project("name")?.clone()))
+            })
+            .unwrap();
+        let length = pipeline
+            .source(0)
+            .unwrap()
+            .value(&victim)
+            .and_then(|v| v.project("length"))
+            .cloned()
+            .unwrap();
+        let Value::Int(length) = length else {
+            panic!("clone lengths are integers")
+        };
+        let twin = Value::record([("name", name), ("length", Value::int(length + 1))]);
+        let err = pipeline
+            .apply_batch(&MutationBatch::new().insert(clone_s, twin))
+            .unwrap_err();
+        assert!(err.to_string().contains("conflicting values"), "{err}");
+        assert_eq!(pipeline.stats().rebuild_batches, 1);
+        assert!(pipeline.is_poisoned());
+        let reason = RebuildReason::ConflictingContributions {
+            oid: Oid::new(ClassName::new("CloneD"), 7),
+            label: "length".into(),
+        };
+        assert_eq!(
+            reason.to_string(),
+            "object #CloneD:7 has conflicting contributions for `length`"
+        );
+        let reason = RebuildReason::CollidingRow {
+            key: vec![Oid::new(ClassName::new("MarkerS"), 3)],
+        };
+        assert_eq!(
+            reason.to_string(),
+            "derived row [#MarkerS:3] collides with a surviving cached row"
+        );
     }
 
     #[test]
@@ -1924,8 +1754,8 @@ mod tests {
             assert_matches_oracle(&pipeline);
         }
         assert!(pipeline.stats().batches == 6);
-        assert!(pipeline.stats().inplace_batches >= 3);
-        assert!(pipeline.stats().rebuild_batches >= 1);
+        assert_eq!(pipeline.stats().inplace_batches, 6);
+        assert_eq!(pipeline.stats().rebuild_batches, 0);
     }
 
     fn constrained_pipeline(mode: BatchConstraintMode) -> MaterializedPipeline {

@@ -12,6 +12,13 @@
 //!
 //! Every entry point is a single call into that body, so program errors are
 //! reported before data errors on every path.
+//!
+//! Target identities are functions of their Skolem keys, so the body needs
+//! no ordering discipline to keep them stable: overlapped queries mint
+//! through worker factories of their own. A durable run's journal is keyed
+//! by a fingerprint that names this numbering, so a journal whose target
+//! was numbered in mint order (an older build's) is reset, never resumed
+//! into a mixed numbering.
 
 use std::borrow::Cow;
 use std::path::PathBuf;
@@ -24,7 +31,7 @@ use storage::ScanProvider;
 use wol_engine::normalize::{NormalProgram, NormalizeOptions};
 use wol_engine::snf::{program_to_snf, snf_stats, SnfStats};
 use wol_lang::program::Program;
-use wol_model::{Instance, Job, SkolemFactory, WorkerPool};
+use wol_model::{Fingerprint, Instance, Job, SkolemFactory, WorkerPool};
 
 use crate::compile::{compile_program_with, PlanMode};
 use crate::federate::Federation;
@@ -83,7 +90,8 @@ pub struct PipelineOptions {
     /// query's own operators still run pool morsels inside its slot (the
     /// pool bounds total concurrency); singleton-stage queries use the pool
     /// for operator-level morsels alone. Parallel execution is deterministic
-    /// — the produced target is bit-identical at every thread count.
+    /// — the produced target is bit-identical at every thread count, Skolem
+    /// identities being functions of their keys.
     pub parallelism: cpl::Parallelism,
     /// Per-batch source-constraint validation mode for standing pipelines
     /// ([`crate::MaterializedPipeline`] / [`crate::PipelineService`]); the
@@ -337,8 +345,9 @@ impl Morphase {
     /// one committed batch. A run killed between queries — a crash, an
     /// injected fault — resumes from the journal on the next
     /// `transform_durable` call with the same program, skipping the queries
-    /// already applied; the resumed target (Skolem numbering included) is
-    /// bit-identical to an uncrashed run.
+    /// already applied; the resumed target is bit-identical to an uncrashed
+    /// run, and the recovered Skolem memo detects a collision against
+    /// pre-crash identities as the uncrashed run would.
     pub fn transform_durable(
         &self,
         program: &Program,
@@ -578,9 +587,9 @@ pub(crate) fn run_pipeline(
         // run can report estimate-vs-actual error per join. Queries execute
         // stage by stage under the dependency schedule: singleton stages run
         // directly on the main context; multi-query stages *evaluate*
-        // concurrently on the worker pool (claim contexts) and *apply* in
-        // program order on the main context, so the target — Skolem
-        // numbering included — is bit-identical to a sequential run.
+        // concurrently on the worker pool (worker contexts, each minting
+        // through a factory of its own) and *apply* in program order on the
+        // main context, so the target is bit-identical to a sequential run.
         let start = Instant::now();
         let mut ctx = EvalCtx::new(sources).with_parallelism(options.parallelism);
         ctx.enable_join_trace();
@@ -588,17 +597,16 @@ pub(crate) fn run_pipeline(
         // Durable mode: open (or resume) the journal keyed by the compiled
         // program's fingerprint, restore the recovered target and Skolem
         // factory, and stage further target mutations for per-query
-        // journalling. All factory growth and target mutation happen on
-        // this main context during program-ordered apply (overlapped stages
-        // evaluate on claim contexts), so the journal is sound at every
-        // thread count.
+        // journalling. Target mutation happens on this main context during
+        // program-ordered apply, where overlapped queries' factories fold
+        // into its own, so the journal is sound at every thread count.
         if let Some(opts) = durable {
             let schema = front.augmented.target.schema.name();
             let fingerprint = program_fingerprint(schema, sources, &queries, &plans);
             let (journal, recovery) =
                 PipelineJournal::open(&opts.dir, fingerprint, schema, opts.fault)?;
             target = recovery.instance;
-            ctx.factory = SkolemFactory::from_state(recovery.skolem);
+            ctx.factory = SkolemFactory::from_state(recovery.skolem)?;
             target.begin_mutation_log();
             journalling = Some(Journalling {
                 journal,
@@ -640,13 +648,13 @@ pub(crate) fn run_pipeline(
             }
             next_index += stage.len() as u64;
 
-            // Claim phase (overlapped stages only): evaluate every query of
-            // the stage concurrently, each on its own claim context. The
-            // claim contexts keep the full worker budget, so a big query
+            // Overlapped stages: evaluate every query of the stage
+            // concurrently, each on a worker context of its own. The worker
+            // contexts keep the full worker budget, so a big query
             // still runs operator-level morsels *inside* its slot — the
             // shared pool bounds total concurrency either way — and its
             // per-shard breakdown rolls back into the main context's view.
-            type Claimed = (
+            type Evaluated = (
                 cpl::Result<cpl::EvaluatedQuery>,
                 ExecStats,
                 Vec<ExecStats>,
@@ -654,8 +662,8 @@ pub(crate) fn run_pipeline(
                 Vec<cpl::exec::JoinActual>,
                 Duration,
             );
-            let mut claimed = if overlap && live.len() > 1 {
-                let jobs: Vec<Job<'_, Claimed>> = live
+            let mut overlapped = if overlap && live.len() > 1 {
+                let jobs: Vec<Job<'_, Evaluated>> = live
                     .iter()
                     .map(|&(qi, _)| {
                         let query = &queries[qi];
@@ -674,7 +682,7 @@ pub(crate) fn run_pipeline(
                                 wctx.take_join_trace(),
                                 eval_start.elapsed(),
                             )
-                        }) as Job<'_, Claimed>
+                        }) as Job<'_, Evaluated>
                     })
                     .collect();
                 pool.scope(jobs)
@@ -684,14 +692,14 @@ pub(crate) fn run_pipeline(
             .into_iter();
 
             // Apply in program order; the earliest query's error
-            // propagates. The one necessary fork: a claimed query absorbs
-            // its worker's stats and applies the evaluated inserts, an
-            // unclaimed one executes whole on the main context.
+            // propagates. The one necessary fork: an overlapped query absorbs
+            // its worker's stats and applies the evaluated inserts, any other
+            // executes whole on the main context.
             for (qi, k) in live {
                 let query = &queries[qi];
                 let rows_before = exec.rows_output;
                 let started = Instant::now();
-                let (worker_eval, actuals) = match claimed.next() {
+                let (worker_eval, actuals) = match overlapped.next() {
                     Some((result, wstats, shards, wcolumnar, actuals, eval)) => {
                         exec.absorb(wstats);
                         ctx.absorb_shard_stats(&shards);
@@ -716,9 +724,9 @@ pub(crate) fn run_pipeline(
                         actual: act.rows as u64,
                     }
                 }));
-                // A claimed query's evaluation was timed on its worker and
-                // what ran here is the apply; an unclaimed one interleaves
-                // the two on this context.
+                // An overlapped query's evaluation was timed on its worker
+                // and what ran here is the apply; any other interleaves the
+                // two on this context.
                 let here = started.elapsed();
                 let (eval, apply) = match worker_eval {
                     Some(eval) => (eval, here),
@@ -805,35 +813,14 @@ pub(crate) fn verify_target_instance(
     Ok(())
 }
 
-/// FNV-1a (64-bit) over a sequence of fields: what a journal is keyed by.
-pub(crate) struct Fingerprint(u64);
-
-impl Fingerprint {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-
-    pub(crate) fn new() -> Self {
-        Fingerprint(0xCBF2_9CE4_8422_2325)
-    }
-
-    /// Hash one field, then a separator so concatenation ambiguities don't
-    /// collide.
-    pub(crate) fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes.iter().chain(&[0xFF]) {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    pub(crate) fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-/// Fingerprint of the *compiled* program a durable journal belongs to:
-/// target schema name, source schema names, and every compiled query's name
-/// and rendered plan. Any change to the program, the schemas it binds, or
-/// how it compiled produces a different fingerprint, which resets (rather
-/// than resumes) an existing journal.
+/// Fingerprint of the *compiled* program a durable journal belongs to: the
+/// target's identity numbering, target schema name, source schema names,
+/// and every compiled query's name and rendered plan. Any change to the
+/// program, the schemas it binds, how it compiled, or how its target
+/// identities are numbered produces a different fingerprint, which resets
+/// (rather than resumes) an existing journal — a target whose identities
+/// were numbered by mint-order counters is never resumed into key-derived
+/// ones.
 fn program_fingerprint(
     target_schema: &str,
     sources: &[&Instance],
@@ -841,6 +828,7 @@ fn program_fingerprint(
     plans: &[String],
 ) -> u64 {
     let mut hash = Fingerprint::new();
+    hash.eat(b"skolem ids: key-derived");
     hash.eat(target_schema.as_bytes());
     for source in sources {
         hash.eat(source.schema_name().as_bytes());

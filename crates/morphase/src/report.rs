@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use crate::maintain::MaintainStats;
+use crate::maintain::{BatchOutcome, BatchReport, MaintainStats};
 use crate::pipeline::MorphaseRun;
 
 /// Render a run as a small text report: stage timings, program sizes and
@@ -169,6 +169,25 @@ pub fn render_maintenance_report(stats: &MaintainStats) -> String {
         stats.delta_exec.rows_produced,
         stats.delta_exec.restricted_scans
     );
+    out
+}
+
+/// Render one applied batch as a line: how it was absorbed, the rows it
+/// swept and replayed, the objects it repaired and, for a rebuild, why.
+pub fn render_batch_report(report: &BatchReport) -> String {
+    let outcome = match report.outcome {
+        BatchOutcome::InPlace => "in place",
+        BatchOutcome::Rebuild => "rebuild",
+        BatchOutcome::FullRerun => "full re-run",
+    };
+    let mut out = format!(
+        "batch: {outcome}, {} rows swept, {} replayed, {} objects repaired",
+        report.rows_removed, report.rows_added, report.objects_repaired
+    );
+    if let Some(reason) = &report.rebuild_reason {
+        let _ = write!(out, " ({reason})");
+    }
+    out.push('\n');
     out
 }
 
@@ -440,6 +459,36 @@ mod tests {
         assert!(report.contains(
             "constraints: 7 checked, 8 skipped, 40 probes over 90 objects; 2 violations, 1 batches rejected"
         ));
+    }
+
+    /// Pins the batch line, the rebuild reason rendered through its
+    /// `Display`.
+    #[test]
+    fn report_pins_the_batch_line() {
+        use crate::maintain::RebuildReason;
+        use wol_model::{ClassName, Oid};
+        let mut report = BatchReport {
+            outcome: BatchOutcome::InPlace,
+            rows_removed: 2,
+            rows_added: 3,
+            objects_repaired: 4,
+            rebuild_reason: None,
+            constraints: None,
+        };
+        assert_eq!(
+            render_batch_report(&report),
+            "batch: in place, 2 rows swept, 3 replayed, 4 objects repaired\n"
+        );
+        report.outcome = BatchOutcome::Rebuild;
+        report.rebuild_reason = Some(RebuildReason::ConflictingContributions {
+            oid: Oid::new(ClassName::new("CloneD"), 9),
+            label: "length".into(),
+        });
+        assert_eq!(
+            render_batch_report(&report),
+            "batch: rebuild, 2 rows swept, 3 replayed, 4 objects repaired \
+             (object #CloneD:9 has conflicting contributions for `length`)\n"
+        );
     }
 
     #[test]

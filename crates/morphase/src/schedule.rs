@@ -19,29 +19,24 @@
 //!   runs with no internal conflicts. Stages execute strictly one after
 //!   another; the queries *within* a stage may be evaluated concurrently.
 //!   Contiguity is what keeps the pipeline's *application* order — and with
-//!   it Skolem numbering, merge-conflict detection and every statistic —
-//!   exactly the program order, so the target instance is bit-identical to a
-//!   fully sequential run.
+//!   it merge-conflict detection and every statistic — exactly the program
+//!   order, so the target instance is bit-identical to a fully sequential
+//!   run.
 //! * A **self-dependent** query (one that reads an extent it also writes —
 //!   the fixpoint shape) conflicts with itself: it never overlaps anything,
 //!   always occupying a stage of its own.
-//! * A query is **overlap-safe** only if a flow-aware taint analysis shows
-//!   every *provisional-valued* position stays in value position: evaluated
-//!   off the main thread, Skolem identities become provisional claims, which
-//!   must never be compared or projected through — including indirectly,
-//!   through a `Map`-bound variable carrying one (the whole-query claim path
-//!   has no per-operator resolution barrier, unlike `cpl`'s operator-level
-//!   protocol). Unsafe queries get a singleton stage and run on the main
-//!   context.
 //!
-//! Evaluation within a stage uses the two-phase claim protocol
-//! ([`cpl::evaluate_query`] on claim contexts, then
-//! [`cpl::apply_evaluated_query`] on the main context in program order); the
+//! Nothing else shapes a stage. In particular a Skolem-bearing query
+//! overlaps like any other: an identity is a function of its class and key,
+//! so a query evaluated on a worker context mints exactly the identities it
+//! would mint on the main one. Queries of a stage are *evaluated*
+//! concurrently ([`cpl::evaluate_query`] on worker contexts) and *applied* on
+//! the main context in program order ([`cpl::apply_evaluated_query`]); the
 //! driver lives in [`crate::pipeline`].
 
 use std::collections::BTreeSet;
 
-use cpl::{Plan, Query};
+use cpl::Query;
 use wol_model::ClassName;
 
 /// One query's scheduling metadata.
@@ -54,10 +49,6 @@ pub struct QueryNode {
     /// Whether the query reads an extent it also writes (fixpoint shape):
     /// such a query conflicts with itself and never overlaps anything.
     pub self_dependent: bool,
-    /// Whether every expression of the query may be evaluated on a claim
-    /// context (see the module docs); `false` pins the query to the main
-    /// context in its own stage.
-    pub overlap_safe: bool,
 }
 
 /// A dependency-aware execution schedule over a compiled program.
@@ -78,80 +69,15 @@ impl QuerySchedule {
     }
 }
 
-/// Walk the plan bottom-up, accumulating the tainted-variable set (row
-/// variables whose bindings may hold a provisional identity on a claim
-/// context) and checking every expression against it with the flow-aware
-/// [`Expr::skolem_claim_safe`] / [`Expr::carries_provisional`]. The
-/// per-expression predicate cannot see taint laundered through a variable
-/// binding (`Map [T = Mk_C(...)]` followed by `Filter(T.x = ...)` contains
-/// no Skolem node in the filter), which is exactly what this guards: on the
-/// whole-query claim path there is no per-operator resolution barrier, so a
-/// downstream inspection of `T` would observe the provisional identity and
-/// could diverge from sequential. `Distinct` compares whole rows, so any
-/// taint below it is unsafe (a provisional and the sequential run's real
-/// identity can disagree on equality); join keys and predicates are
-/// inspection positions outright — not even a bare tainted variable may
-/// appear in them.
-fn plan_claim_safe(plan: &Plan, tainted: &mut BTreeSet<String>) -> bool {
-    match plan {
-        Plan::Scan { .. } => true,
-        Plan::Filter { input, predicate } => {
-            plan_claim_safe(input, tainted) && !predicate.carries_provisional(tainted)
-        }
-        Plan::Map { input, bindings } => {
-            plan_claim_safe(input, tainted) && cpl::expr::bindings_claim_safe(bindings, tainted)
-        }
-        Plan::Distinct { input } => {
-            let mut inner = BTreeSet::new();
-            let ok = plan_claim_safe(input, &mut inner);
-            let clean = inner.is_empty();
-            tainted.extend(inner);
-            ok && clean
-        }
-        Plan::NestedLoopJoin {
-            left,
-            right,
-            predicate,
-        } => {
-            plan_claim_safe(left, tainted)
-                && plan_claim_safe(right, tainted)
-                && predicate.iter().all(|p| !p.carries_provisional(tainted))
-        }
-        Plan::HashJoin { left, right, keys } => {
-            plan_claim_safe(left, tainted)
-                && plan_claim_safe(right, tainted)
-                && keys.iter().all(|(l, r)| {
-                    !l.carries_provisional(tainted) && !r.carries_provisional(tainted)
-                })
-        }
-        Plan::CrossJoin { left, right } => {
-            plan_claim_safe(left, tainted) && plan_claim_safe(right, tainted)
-        }
-    }
-}
-
 /// Analyse one query into its scheduling metadata.
 fn analyse(query: &Query) -> QueryNode {
     let reads = query.plan.scanned_classes();
     let writes: BTreeSet<ClassName> = query.inserts.iter().map(|i| i.class.clone()).collect();
     let self_dependent = reads.intersection(&writes).next().is_some();
-    // Taint flows out of the plan into the insert expressions: a tainted
-    // variable may be *stored* by an insert (the apply phase rewrites keys
-    // and records through the resolution map) but never inspected.
-    let mut tainted = BTreeSet::new();
-    let overlap_safe = plan_claim_safe(&query.plan, &mut tainted)
-        && query.inserts.iter().all(|insert| {
-            insert.key.skolem_claim_safe(&tainted)
-                && insert
-                    .attrs
-                    .iter()
-                    .all(|(_, e)| e.skolem_claim_safe(&tainted))
-        });
     QueryNode {
         reads,
         writes,
         self_dependent,
-        overlap_safe,
     }
 }
 
@@ -168,22 +94,17 @@ pub fn plan_schedule(queries: &[Query]) -> QuerySchedule {
     let nodes: Vec<QueryNode> = queries.iter().map(analyse).collect();
     let mut stages: Vec<Vec<usize>> = Vec::new();
     for (index, node) in nodes.iter().enumerate() {
-        let exclusive = node.self_dependent || !node.overlap_safe;
-        let joins_current = match stages.last() {
-            Some(current) if !exclusive => {
-                // The current stage is open unless it holds an exclusive
-                // query (always alone by construction) or a conflicting one.
-                current.iter().all(|&i| {
-                    let member = &nodes[i];
-                    !member.self_dependent && member.overlap_safe && !conflicts(member, node)
-                })
-            }
-            _ => false,
+        // The current stage is open unless it holds a self-dependent query
+        // (always alone by construction) or one conflicting with this one.
+        let open = |stage: &Vec<usize>| {
+            !node.self_dependent
+                && stage
+                    .iter()
+                    .all(|&i| !nodes[i].self_dependent && !conflicts(&nodes[i], node))
         };
-        if joins_current {
-            stages.last_mut().expect("checked above").push(index);
-        } else {
-            stages.push(vec![index]);
+        match stages.last_mut() {
+            Some(current) if open(current) => current.push(index),
+            _ => stages.push(vec![index]),
         }
     }
     QuerySchedule { nodes, stages }
@@ -192,7 +113,7 @@ pub fn plan_schedule(queries: &[Query]) -> QuerySchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpl::{Expr, InsertAction};
+    use cpl::{Expr, InsertAction, Plan};
 
     fn query(name: &str, scans: &[(&str, &str)], writes: &[&str]) -> Query {
         let mut plan: Option<Plan> = None;
@@ -229,7 +150,6 @@ mod tests {
         let schedule = plan_schedule(&queries);
         assert_eq!(schedule.stages, vec![vec![0, 1, 2]]);
         assert_eq!(schedule.max_overlap(), 3);
-        assert!(schedule.nodes.iter().all(|n| n.overlap_safe));
         assert!(schedule.nodes.iter().all(|n| !n.self_dependent));
     }
 
@@ -306,101 +226,126 @@ mod tests {
         assert_eq!(flat, vec![0, 1, 2]);
     }
 
-    /// A query whose expressions put a Skolem in inspection position is not
-    /// overlap-safe: it pins to a singleton stage (and the main context).
+    /// Queries whose Skolem identities are compared, projected through,
+    /// relayed through a `Map` binding, deduplicated or used as a join key
+    /// overlap like any other query, and evaluating
+    /// each stage's queries on worker contexts then applying them in program
+    /// order lands on exactly the target and factory of a one-context run.
     #[test]
-    fn skolem_unsafe_queries_get_singleton_stages() {
-        let unsafe_query = Query {
-            name: "compares_skolem".to_string(),
-            plan: Plan::scan("A", "a").filter(
-                Expr::Skolem(ClassName::new("T"), Box::new(Expr::var("a").proj("k")))
-                    .eq(Expr::var("a")),
-            ),
+    fn skolem_bearing_queries_overlap_and_equal_the_sequential_run() {
+        use cpl::exec::{apply_evaluated_query, evaluate_query, execute_query, ExecStats};
+        use cpl::expr::EvalCtx;
+        use wol_model::{Instance, Value};
+
+        let mut source = Instance::new("src");
+        for i in 0..6 {
+            source.insert_fresh(
+                &ClassName::new("A"),
+                Value::record([
+                    ("k", Value::str(format!("k{}", i % 3))),
+                    ("live", Value::bool(i % 2 == 0)),
+                ]),
+            );
+            source.insert_fresh(
+                &ClassName::new("B"),
+                Value::record([
+                    ("name", Value::str(format!("b{i}"))),
+                    ("r", Value::str(format!("k{}", i % 4))),
+                ]),
+            );
+        }
+        let t = || Expr::Skolem(ClassName::new("T"), Box::new(Expr::var("a").proj("k")));
+        let minting = |name: &str, writes: &str, next: fn(Plan) -> Plan| Query {
+            name: name.to_string(),
+            plan: next(Plan::scan("A", "a").map(vec![("t".to_string(), t())])),
             inserts: vec![InsertAction {
-                class: ClassName::new("X"),
-                key: Expr::var("a").proj("k"),
-                attrs: vec![],
-            }],
-        };
-        let queries = vec![
-            query("q0", &[("B", "b")], &["Y"]),
-            unsafe_query,
-            query("q2", &[("C", "c")], &["Z"]),
-        ];
-        let schedule = plan_schedule(&queries);
-        assert!(!schedule.nodes[1].overlap_safe);
-        assert_eq!(schedule.stages, vec![vec![0], vec![1], vec![2]]);
-        // Value-position Skolems (the compiled-program shape) stay safe.
-        let value_position = Query {
-            name: "mints_skolem".to_string(),
-            plan: Plan::scan("A", "a").map(vec![(
-                "t".to_string(),
-                Expr::Skolem(ClassName::new("T"), Box::new(Expr::var("a").proj("k"))),
-            )]),
-            inserts: vec![InsertAction {
-                class: ClassName::new("X"),
+                class: ClassName::new(writes),
                 key: Expr::var("a").proj("k"),
                 attrs: vec![("t".to_string(), Expr::var("t"))],
             }],
         };
-        assert!(analyse(&value_position).overlap_safe);
-    }
+        let queries = vec![
+            query("q0", &[("B", "b")], &["Y"]),
+            Query {
+                name: "compares_skolem".to_string(),
+                plan: Plan::scan("A", "a").filter(t().eq(Expr::var("a"))),
+                inserts: vec![InsertAction {
+                    class: ClassName::new("X"),
+                    key: Expr::var("a").proj("k"),
+                    attrs: vec![],
+                }],
+            },
+            minting("projected", "P", |p| p.filter(Expr::var("t").proj("x"))),
+            minting("compared", "C", |p| {
+                p.filter(Expr::var("t").eq(Expr::var("a")))
+            }),
+            minting("relayed", "R", |p| {
+                p.map(vec![("u".to_string(), Expr::var("t"))])
+                    .filter(Expr::var("u").eq(Expr::var("t")))
+            }),
+            minting("deduped", "D", |p| p.distinct()),
+            minting("joined", "J", |p| {
+                p.hash_join(
+                    Plan::scan("B", "b"),
+                    Expr::var("a").proj("k"),
+                    Expr::var("b").proj("r"),
+                )
+            }),
+            minting("nested distinct", "N", |p| {
+                p.distinct().filter(Expr::var("a").proj("live"))
+            }),
+        ];
+        let schedule = plan_schedule(&queries);
+        assert_eq!(
+            schedule.stages,
+            vec![(0..queries.len()).collect::<Vec<_>>()]
+        );
 
-    /// Taint flows through `Map`-bound variables: a downstream expression
-    /// that projects through, compares, or dedups a variable holding a
-    /// Skolem-minted value is unsafe even though it contains no Skolem node
-    /// itself — the laundering case the per-expression predicate misses.
-    #[test]
-    fn skolem_taint_through_map_bindings_blocks_overlap() {
-        let skolem_map = |next: fn(Plan) -> Plan| Query {
-            name: "laundered".to_string(),
-            plan: next(Plan::scan("A", "a").map(vec![(
-                "t".to_string(),
-                Expr::Skolem(ClassName::new("T"), Box::new(Expr::var("a").proj("k"))),
-            )])),
-            inserts: vec![InsertAction {
-                class: ClassName::new("X"),
-                key: Expr::var("a").proj("k"),
-                attrs: vec![],
-            }],
-        };
-        // Projection through the tainted variable.
-        let projected = skolem_map(|p| p.filter(Expr::var("t").proj("x")));
-        assert!(!analyse(&projected).overlap_safe);
-        // Comparison against the tainted variable.
-        let compared = skolem_map(|p| p.filter(Expr::var("t").eq(Expr::var("a"))));
-        assert!(!analyse(&compared).overlap_safe);
-        // Second-order taint: a binding defined *from* a tainted variable
-        // taints its own variable too.
-        let relayed = skolem_map(|p| {
-            p.map(vec![("u".to_string(), Expr::var("t"))])
-                .filter(Expr::var("u").eq(Expr::var("a")))
-        });
-        assert!(!analyse(&relayed).overlap_safe);
-        // Row-level equality (Distinct) over tainted rows is unsafe.
-        let deduped = skolem_map(|p| p.distinct());
-        assert!(!analyse(&deduped).overlap_safe);
-        // A tainted variable used as a hash-join key is unsafe.
-        let joined = skolem_map(|p| {
-            p.hash_join(
-                Plan::scan("B", "b"),
-                Expr::var("t"),
-                Expr::var("b").proj("r"),
+        let refs = [&source];
+        let mut sequential = EvalCtx::new(&refs).with_parallelism(cpl::Parallelism::sequential());
+        let mut expected = Instance::new("target");
+        for query in &queries {
+            execute_query(
+                query,
+                &mut sequential,
+                &mut expected,
+                &mut ExecStats::default(),
             )
-        });
-        assert!(!analyse(&joined).overlap_safe);
-        // Merely *storing* the tainted variable (insert attrs, records,
-        // variants, another Skolem's key) keeps the query safe: the apply
-        // phase rewrites stored values through the resolution map.
-        let stored = skolem_map(|p| {
-            p.map(vec![(
-                "wrapped".to_string(),
-                Expr::Variant("tag".to_string(), Box::new(Expr::var("t"))),
-            )])
-        });
-        assert!(analyse(&stored).overlap_safe);
-        // And a tainted Distinct deep in the tree still poisons the query.
-        let nested_distinct = skolem_map(|p| p.distinct().filter(Expr::var("a").proj("live")));
-        assert!(!analyse(&nested_distinct).overlap_safe);
+            .unwrap();
+        }
+        for threads in [2, 8] {
+            let mut ctx = EvalCtx::new(&refs).with_parallelism(cpl::Parallelism::new(threads));
+            ctx.set_parallel_min_rows(1);
+            let mut target = Instance::new("target");
+            for stage in &schedule.stages {
+                let evaluated: Vec<_> = stage
+                    .iter()
+                    .map(|&qi| {
+                        let mut worker = EvalCtx::claim_worker(&refs)
+                            .with_parallelism(cpl::Parallelism::new(threads));
+                        worker.set_parallel_min_rows(1);
+                        evaluate_query(&queries[qi], &mut worker, &mut ExecStats::default())
+                            .unwrap()
+                    })
+                    .collect();
+                for (&qi, evaluated) in stage.iter().zip(evaluated) {
+                    let mut stats = ExecStats::default();
+                    apply_evaluated_query(
+                        &queries[qi],
+                        evaluated,
+                        &mut ctx,
+                        &mut target,
+                        &mut stats,
+                    )
+                    .unwrap();
+                }
+            }
+            assert_eq!(target, expected, "target diverged at {threads} threads");
+            assert_eq!(
+                format!("{:?}", ctx.factory),
+                format!("{:?}", sequential.factory)
+            );
+        }
+        assert!(expected.extent_size(&ClassName::new("J")) > 0);
     }
 }

@@ -38,8 +38,11 @@
 //! one program by a fingerprint. The caller mutates its instance and commits;
 //! each commit appends one batch — fingerprint, the mutations, the Skolem
 //! assignments and fresh-identity counters that moved, a progress marker —
-//! and syncs it. Recovery loads the snapshot, replays every intact committed
-//! WAL batch, and discards the torn tail. This realises the paper's
+//! and syncs it. A Skolem identity is derived from its key, so the journal
+//! keeps no Skolem counter; it journals the memo so a recovered run detects
+//! an identity collision against pre-crash identities exactly as an
+//! uncrashed run would. Recovery loads the snapshot, replays every intact
+//! committed WAL batch, and discards the torn tail. This realises the paper's
 //! consistent-update-set semantics on disk: a recovered instance is always
 //! the result of a *prefix of whole update batches*, never a torn one.
 //!
@@ -90,7 +93,7 @@
 //!             class_count:varint ( class:str n:varint (id:varint value)* )*
 //!             oid_counter_count:varint   ( class:str count:varint )*
 //!             skolem_class_count:varint  ( class:str k:varint (key:value oid)* )*
-//!             skolem_counter_count:varint ( class:str count:varint )*
+//!             skolem_counter_count:varint ( class:str count:varint )*   written empty, read and ignored
 //!             wal_seq:varint
 //!             has_meta:u8  [ fingerprint:u64  completed:varint ]
 //! ```

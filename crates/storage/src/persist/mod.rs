@@ -152,9 +152,11 @@ pub struct JournalRecovery {
 /// compiled program via a fingerprint; every WAL batch repeats that
 /// fingerprint, so state left by a *different* program is detected and reset
 /// rather than resumed into silent corruption. The journal also keeps the
-/// Skolem and fresh-identity counters as of the last committed batch, so a
-/// commit journals exactly what moved past them. After a commit error
-/// (injected fault or real I/O failure) the writer is dead: drop it and
+/// Skolem memo sizes and fresh-identity counters as of the last committed
+/// batch, so a commit journals exactly what moved past them — the Skolem
+/// memo is journalled so a recovered run detects a collision against
+/// pre-crash identities exactly as an uncrashed run would. After a commit
+/// error (injected fault or real I/O failure) the writer is dead: drop it and
 /// [`open`](PipelineJournal::open) the directory again, which recovers
 /// exactly the committed prefix.
 #[derive(Debug)]
@@ -164,7 +166,7 @@ pub struct PipelineJournal {
     fingerprint: u64,
     completed: u64,
     wal: WalWriter<FaultyFile<fs::File>>,
-    skolem_mark: BTreeMap<ClassName, u64>,
+    minted: BTreeMap<ClassName, usize>,
     oid_mark: BTreeMap<ClassName, u64>,
 }
 
@@ -212,7 +214,7 @@ impl PipelineJournal {
             fingerprint,
             completed: recovery.completed,
             wal: WalWriter::new(sink, next_seq, committed_len),
-            skolem_mark: recovery.skolem.counters.clone(),
+            minted: recovery.skolem.sizes(),
             oid_mark: oid_counters(&recovery.instance),
         };
         Ok((journal, recovery))
@@ -238,7 +240,9 @@ impl PipelineJournal {
     /// instance was populated before any log recorded (a first full dump).
     /// The batch is `Fingerprint · mutations · Skolem assignments and
     /// fresh-identity counters past the journal's watermarks ·
-    /// QueryDone(marker) · Commit`.
+    /// QueryDone(marker) · Commit`; the Skolem watermark is the factory's
+    /// memo sizes ([`SkolemFactory::sizes`]), so the caller's factory must
+    /// be the one rebuilt from the recovered state.
     pub fn append(
         &mut self,
         marker: u64,
@@ -249,7 +253,7 @@ impl PipelineJournal {
         let mut records = vec![WalRecord::Fingerprint(self.fingerprint)];
         records.extend(mutations.into_iter().map(wal::record_of_mutation));
         if let Some(skolem) = skolem {
-            let minted = skolem.assignments_since(&self.skolem_mark);
+            let minted = skolem.assignments_since(&self.minted);
             records.extend(
                 minted
                     .into_iter()
@@ -268,7 +272,7 @@ impl PipelineJournal {
         file.sync_data().map_err(|e| StorageError::io(&path, e))?;
         self.completed = self.completed.max(marker + 1);
         if let Some(skolem) = skolem {
-            self.skolem_mark = skolem.counter_snapshot();
+            self.minted = skolem.sizes();
         }
         self.oid_mark = oid_counters(instance);
         Ok(())
@@ -335,7 +339,7 @@ fn recover(
                 (fresh, SkolemState::default(), 0, 0)
             }
         };
-    let mut skolem = SkolemFactory::from_state(skolem);
+    let mut skolem = SkolemFactory::from_state(skolem)?;
     let wal_bytes = read_file_or_empty(wal_path)?;
     let replay = replay_wal(&wal_bytes, &wal_path.display().to_string(), first_seq);
     report.batches_replayed = replay.batches.len();
@@ -388,10 +392,12 @@ mod tests {
         let (mut journal, rec) = PipelineJournal::open(dir, fp, "target", None).unwrap();
         assert_eq!(rec.completed, from);
         let mut target = rec.instance;
-        let mut factory = SkolemFactory::from_state(rec.skolem);
+        let mut factory = SkolemFactory::from_state(rec.skolem).unwrap();
         target.begin_mutation_log();
         for q in from..to {
-            let oid = factory.mk(&ClassName::new("CloneT"), &Value::str(format!("k{q}")));
+            let oid = factory
+                .mk(&ClassName::new("CloneT"), &Value::str(format!("k{q}")))
+                .unwrap();
             target
                 .insert(oid, city(&format!("k{q}"), q as i64))
                 .unwrap();
@@ -416,15 +422,15 @@ mod tests {
         assert_eq!(rec.report.torn_tail, None);
         assert_eq!(rec.instance.deep_eq_report(&reference), None);
         assert_eq!(rec.instance, reference);
-        let mut factory = SkolemFactory::from_state(rec.skolem.clone());
-        // Re-minting an already-seen key returns the original identity, and
-        // the recovered factory resumes minting where it left off.
+        let mut factory = SkolemFactory::from_state(rec.skolem.clone()).unwrap();
+        // The memo survived recovery: both keys are held, and re-minting
+        // one returns its identity without growing the memo.
+        assert_eq!(factory.count(&class), 2, "memo survived recovery");
         assert_eq!(
-            factory.mk(&class, &Value::str("k0")).id(),
-            0,
-            "memo survived recovery"
+            factory.mk(&class, &Value::str("k0")).unwrap().id(),
+            wol_model::skolem_id(&class, &Value::str("k0"))
         );
-        assert_eq!(factory.counter(&class), 2);
+        assert_eq!(factory.count(&class), 2);
         journal.checkpoint(&rec.instance, Some(&factory)).unwrap();
         assert_eq!(journal.wal_len(), 0);
         // After the checkpoint the WAL is empty and the snapshot holds

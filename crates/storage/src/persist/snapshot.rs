@@ -7,10 +7,15 @@
 //!             class_count:varint  (class:str  obj_count:varint  (id:varint value)* )*
 //!             oid_counter_count:varint  (class:str  count:varint)*
 //!             skolem_class_count:varint (class:str entry_count:varint (key:value oid)*)*
-//!             skolem_counter_count:varint  (class:str  count:varint)*
+//!             skolem_counter_count:varint  (class:str  count:varint)*   (written empty)
 //!             wal_seq:varint
 //!             has_meta:u8  [fingerprint:u64le  completed:varint]
 //! ```
+//!
+//! Skolem identities are derived from their keys, so the factory has no
+//! counters: the `skolem_counter_count` section is written empty and read
+//! and ignored, which keeps format version 1 — and every snapshot an earlier
+//! build wrote — decodable.
 //!
 //! The trailing CRC-32 covers *everything* before it (magic and version
 //! included), so a truncated or bit-flipped snapshot is always rejected at
@@ -92,7 +97,7 @@ pub fn encode_snapshot(
         codec::put_str(&mut out, class.as_str());
         codec::put_varint(&mut out, count);
     }
-    // Skolem memo table and counters.
+    // Skolem memo table, then the (empty) counter section.
     codec::put_varint(&mut out, skolem.assigned.len() as u64);
     for (class, entries) in &skolem.assigned {
         codec::put_str(&mut out, class.as_str());
@@ -102,11 +107,7 @@ pub fn encode_snapshot(
             codec::put_oid(&mut out, oid);
         }
     }
-    codec::put_varint(&mut out, skolem.counters.len() as u64);
-    for (class, count) in &skolem.counters {
-        codec::put_str(&mut out, class.as_str());
-        codec::put_varint(&mut out, *count);
-    }
+    codec::put_varint(&mut out, 0);
     codec::put_varint(&mut out, wal_seq);
     match meta {
         Some(meta) => {
@@ -212,9 +213,8 @@ pub fn decode_snapshot(bytes: &[u8], source: &str) -> Result<SnapshotData> {
     }
     let skolem_counter_count = r.varint()?;
     for _ in 0..skolem_counter_count {
-        let class = ClassName::new(r.str()?);
-        let count = r.varint()?;
-        skolem.counters.insert(class, count);
+        r.str()?;
+        r.varint()?;
     }
     let wal_seq = r.varint()?;
     let meta = match r.u8()? {
@@ -292,7 +292,7 @@ mod tests {
         let mut skolem = SkolemFactory::new();
         for i in 0..5 {
             let key = Value::str(format!("c{i}"));
-            let oid = skolem.mk(&clone, &key);
+            let oid = skolem.mk(&clone, &key).unwrap();
             instance
                 .insert(
                     oid.clone(),
@@ -304,7 +304,7 @@ mod tests {
                 )
                 .unwrap();
         }
-        let m = skolem.mk(&marker, &Value::str("m0"));
+        let m = skolem.mk(&marker, &Value::str("m0")).unwrap();
         instance
             .insert(m, Value::record([("name", Value::str("m0"))]))
             .unwrap();
@@ -329,7 +329,7 @@ mod tests {
         assert_eq!(data.wal_seq, 7);
         assert_eq!(data.meta, meta);
         // Re-encoding the decoded state reproduces the same bytes.
-        let restored = SkolemFactory::from_state(data.skolem.clone());
+        let restored = SkolemFactory::from_state(data.skolem.clone()).unwrap();
         assert_eq!(
             encode_snapshot(&data.instance, &restored.export_state(), 7, meta),
             bytes

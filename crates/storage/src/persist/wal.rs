@@ -360,7 +360,7 @@ pub fn apply_record(
             instance.remove(oid);
         }
         WalRecord::SkolemAssign(class, key, oid) => {
-            skolem.restore_assignment(class, key.clone(), oid.clone());
+            skolem.restore_assignment(class, key.clone(), oid.clone())?;
         }
         WalRecord::OidCounter(class, n) => instance.restore_oid_counter(class, *n),
         WalRecord::QueryDone(_) | WalRecord::Fingerprint(_) => {}

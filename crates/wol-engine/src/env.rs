@@ -298,7 +298,7 @@ pub fn eval_term(
         )),
         Term::Skolem(class, args) => {
             let key = eval_skolem_key(args, bindings, dbs, skolem)?;
-            Ok(Value::Oid(skolem.mk(class, &key)))
+            Ok(Value::Oid(skolem.mk(class, &key)?))
         }
     }
 }
@@ -430,9 +430,9 @@ fn unwind_trail(bindings: &mut Bindings, trail: &mut Vec<Var>, mark: usize) {
 }
 
 /// Whether the term (or any sub-term) applies a Skolem function. Skolem
-/// application mutates the clause-wide [`SkolemFactory`], whose identity
-/// numbering depends on first-call order, so a Skolem-bearing body is always
-/// matched as one partition (see [`partition_count`]).
+/// application memoises into the clause-wide [`SkolemFactory`], and
+/// `fan_out` hands each chunk a throwaway factory, so a Skolem-bearing body
+/// is matched as one partition (see [`partition_count`]).
 fn term_contains_skolem(term: &Term) -> bool {
     match term {
         Term::Skolem(_, _) => true,
@@ -908,8 +908,8 @@ const PAR_MIN_EXTENT: usize = 64;
 /// one decision between "sequential" and "parallel" matching. The budget's
 /// thread count when that is above one, the plan opens with an extent scan
 /// (`opening_scan` is the extent's size) of at least [`PAR_MIN_EXTENT`]
-/// objects, and the body applies no Skolem function (the factory numbers
-/// identities in first-call order, so it is never shared or forked); one —
+/// objects, and the body applies no Skolem function (chunks mint into
+/// throwaway factories, which the caller's memo would miss); one —
 /// the whole match inline on the caller's frame and factory — otherwise.
 fn partition_count(budget: Parallelism, opening_scan: Option<usize>, body: &[Atom]) -> usize {
     match opening_scan {
@@ -1401,7 +1401,7 @@ mod tests {
             |items, dbs, sk, stats| {
                 assert_eq!(std::thread::current().id(), caller);
                 assert_eq!(dbs.parallelism(), Parallelism::new(4));
-                sk.mk(&class, &Value::int(items[0]));
+                sk.mk(&class, &Value::int(items[0]))?;
                 stats.index_probes += 1;
                 Ok(items.to_vec())
             },
@@ -1421,7 +1421,7 @@ mod tests {
             |items, dbs, sk, stats| {
                 assert!(dbs.parallelism().is_sequential());
                 assert_eq!(sk.count(&class), 0);
-                sk.mk(&class, &Value::int(items[0]));
+                sk.mk(&class, &Value::int(items[0]))?;
                 stats.index_probes += items.len();
                 Ok(items.to_vec())
             },

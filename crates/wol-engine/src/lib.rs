@@ -49,7 +49,7 @@
 //!   one-thread view, so work that is already a chunk never splits again.
 //!
 //! Binding lists, [`MatchStats`], violation lists, certificate bytes and
-//! Skolem numbering are identical at every budget.
+//! Skolem identities are identical at every budget.
 //!
 //! [`SkolemFactory`]: wol_model::SkolemFactory
 //!

@@ -734,7 +734,7 @@ pub fn execute(
         )?;
         for binding in bindings {
             let key_value = eval_skolem_key(&clause.key, &binding, &dbs, &mut factory)?;
-            let oid = factory.mk(&clause.class, &key_value);
+            let oid = factory.mk(&clause.class, &key_value)?;
             let mut fields = BTreeMap::new();
             for (label, term) in &clause.attrs {
                 fields.insert(

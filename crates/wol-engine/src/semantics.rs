@@ -339,7 +339,7 @@ fn identify_object(
     // Explicit Skolem identity?
     if let Some(args) = &object.explicit_key {
         let key = eval_skolem_key(args, binding, dbs, factory)?;
-        return Ok(Some(factory.mk(&object.class, &key)));
+        return Ok(Some(factory.mk(&object.class, &key)?));
     }
     // Key derived from the class's key constraint and the head's attributes.
     if let Some(object_key) = keys.get(&object.class) {
@@ -355,7 +355,7 @@ fn identify_object(
             parts.insert(label.clone(), eval_term(term, binding, dbs, factory)?);
         }
         let key = Value::Record(parts);
-        return Ok(Some(factory.mk(&object.class, &key)));
+        return Ok(Some(factory.mk(&object.class, &key)?));
     }
     Ok(None)
 }

@@ -57,6 +57,9 @@ pub enum ModelError {
     /// A key specification produced a value that still contains object
     /// identities (the paper requires key types not to involve classes).
     KeyContainsOid(ClassName),
+    /// Two distinct keys of a class claim one Skolem identity, or one key
+    /// two identities: a hard error, never resolved by probing.
+    SkolemCollision(String),
     /// A projection path could not be followed.
     PathError(String),
     /// Generic invariant violation with a description.
@@ -103,6 +106,7 @@ impl fmt::Display for ModelError {
                 f,
                 "key specification for class `{c}` produced a value containing object identities"
             ),
+            ModelError::SkolemCollision(msg) => write!(f, "Skolem identity collision: {msg}"),
             ModelError::PathError(msg) => write!(f, "path error: {msg}"),
             ModelError::Invalid(msg) => write!(f, "invalid: {msg}"),
         }

@@ -244,6 +244,20 @@ impl Instance {
         self.classes.entry(class.clone()).or_default();
     }
 
+    /// Forget a class whose extent is empty, so the instance equals one that
+    /// never populated it — the inverse of [`ensure_class`](Self::ensure_class).
+    /// A class holding objects is left alone.
+    pub fn forget_empty_class(&mut self, class: &ClassName) {
+        if self
+            .classes
+            .get(class)
+            .is_some_and(|store| store.len() == 0)
+        {
+            self.classes.remove(class);
+            self.cache_write().invalidate_class(class);
+        }
+    }
+
     /// Insert an object with a freshly generated identity, returning it.
     pub fn insert_fresh(&mut self, class: &ClassName, value: Value) -> Oid {
         let oid = self.oid_gen.fresh(class);
@@ -1262,25 +1276,24 @@ mod tests {
         assert!(matches!(err, ModelError::Invalid(_)));
     }
 
-    /// Recovery-shaped merges: fragments restored from independently crashed
-    /// runs have overlapping Skolem identity spaces (each numbered from 0),
-    /// emptied classes, and possibly dangling references. `merge_keyed` must
-    /// unify the overlap by key, carry empty extents without phantom
-    /// objects, and reject a keyed fragment whose key path dangles.
+    /// Recovery-shaped merges: fragments numbered independently have
+    /// overlapping identity spaces (each numbered from 0), emptied classes,
+    /// and possibly dangling references. `merge_keyed` must unify the
+    /// overlap by key, carry empty extents without phantom objects, and
+    /// reject a keyed fragment whose key path dangles.
     #[test]
     fn merge_keyed_under_recovery_shaped_inputs() {
-        use crate::keys::{KeyExpr, KeySpec, SkolemFactory};
+        use crate::keys::{KeyExpr, KeySpec};
         let keys = KeySpec::new().with_key("CountryE", KeyExpr::path("name"));
         let country = ClassName::new("CountryE");
         let city = ClassName::new("CityE");
 
-        // Two fragments minted by independent Skolem factories: identity
-        // spaces overlap and the key sets overlap on "France".
+        // Two fragments numbered from 0 each: identity spaces overlap and
+        // the key sets overlap on "France".
         let build = |names: &[&str]| {
-            let mut factory = SkolemFactory::new();
             let mut frag = Instance::new("euro");
-            for name in names {
-                let oid = factory.mk(&country, &Value::str(*name));
+            for (id, name) in names.iter().enumerate() {
+                let oid = Oid::new(country.clone(), id as u64);
                 frag.insert(oid, Value::record([("name", Value::str(*name))]))
                     .unwrap();
             }

@@ -4,14 +4,17 @@
 //! key values that do not involve object identities. An instance *satisfies*
 //! the specification iff distinct objects of a class always have distinct key
 //! values. The [`SkolemFactory`] implements the paper's `Mk_C(...)` functions:
-//! it deterministically creates (and memoises) an object identity for each
-//! distinct key value of a class.
+//! the identity of `Mk_C(k)` is *derived* from `(C, k)` by one specified hash
+//! ([`skolem_id`]), so it is a function of the key — independent of mint
+//! order, thread count and crashes — and the factory's memo only detects
+//! collisions, which are hard errors.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::Arc;
 
 use crate::error::ModelError;
+use crate::fingerprint::Fingerprint;
 use crate::instance::Instance;
 use crate::oid::Oid;
 use crate::path::Path;
@@ -191,67 +194,105 @@ impl KeySpec {
     }
 }
 
-/// Deterministic Skolem-function factory implementing the paper's `Mk_C`
-/// object-creating functions.
-///
-/// `mk(class, key_value)` returns the *same* object identity every time it is
-/// called with the same class and key value within one factory, and a fresh
-/// identity for each new key value. This realises the semantics of Skolem
-/// functions, "which create new object identities associated uniquely with
-/// their arguments" (Section 3.1), and makes the "unique smallest
-/// transformation up to renaming of object identities" reproducible.
-///
-/// The factory's numbering depends on *first-call order*, which is why it
-/// cannot be shared across worker threads directly; workers record
-/// [`SkolemClaims`] instead and the claims are resolved against the factory
-/// in input order (see the two-phase key-claim protocol documented there).
-///
-/// Per class, the memo is a hash map from key to identity — a repeated key,
-/// the common case on merging partial inserts, is one hash lookup, not a
-/// chain of record comparisons — beside an index of the same keys in
-/// identity order, so the assignments made since a watermark
-/// ([`assignments_since`](Self::assignments_since)) are a suffix of that
-/// index, not a walk of the whole memo. Everything observable — exported
-/// state, `Debug` output, assignment order — is sorted, never hash order.
-#[derive(Clone, Default)]
-pub struct SkolemFactory {
-    assigned: BTreeMap<ClassName, ClassMemo>,
-    counters: BTreeMap<ClassName, u64>,
+/// The identity discriminator of `Mk_class(key)`: the [`Fingerprint`] of the
+/// class name (length-prefixed) followed by the key's canonical byte walk,
+/// through the MurmurHash3 64-bit finaliser, with the high bit cleared. The
+/// ids are persisted, so this function is pinned by golden values
+/// (`wol-model/tests/skolem_identity.rs`); a change renumbers every stored
+/// target.
+pub fn skolem_id(class: &ClassName, key: &Value) -> u64 {
+    let mut hash = Fingerprint::new();
+    hash.str(class.as_str());
+    hash.value(key);
+    let mut k = hash.finish();
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    k ^= k >> 33;
+    k & (u64::MAX >> 1)
 }
 
-/// One class's Skolem memo: key → identity by hash, and `(id, key)` in
-/// ascending identity order (each key stored once, shared by both).
+/// The paper's `Mk_C` object-creating functions.
+///
+/// `mk(class, key)` is a function of its arguments, as Skolem functions
+/// "create new object identities associated uniquely with their arguments"
+/// (Section 3.1): the identity is `Oid::new(class, skolem_id(class, key))`.
+/// It does not depend on which keys were minted before, in what order, on
+/// which thread, or before a crash, so every target is bit-identical to
+/// every other run's by construction.
+///
+/// The memo exists to *check*, not to number: it detects a collision — two
+/// distinct keys deriving one identity, or a derived identity already held
+/// by a seeded object under another key — as a hard
+/// [`ModelError::SkolemCollision`], never a probe sequence; it inverts `mk`
+/// ([`key_of`](Self::key_of)); and it hands a durable journal the
+/// assignments a unit of work made ([`assignments_since`](Self::assignments_since)).
+/// Identities *not* derived from their key — pre-existing objects registered
+/// by [`seed_from_instance`](Self::seed_from_instance) — are memoised key →
+/// identity and answer for their key. Workers mint through factories of
+/// their own; the owner folds them in with [`merge`](Self::merge), which
+/// detects a collision across workers — and a worker that derived an
+/// identity for a key the owner holds seeded. Everything observable — exported
+/// state, `Debug`, [`assignments_since`](Self::assignments_since) — is
+/// sorted, never hash or insertion order.
+#[derive(Clone, Default)]
+pub struct SkolemFactory {
+    memos: BTreeMap<ClassName, ClassMemo>,
+}
+
+/// One class's memo.
 #[derive(Clone, Default)]
 struct ClassMemo {
-    by_key: HashMap<Arc<Value>, Oid>,
-    by_id: Vec<(u64, Arc<Value>)>,
+    /// Every identity held, with its key, in insertion order.
+    entries: Vec<(u64, Value)>,
+    /// Identity → position in `entries`.
+    by_id: HashMap<u64, usize>,
+    /// Key → identity, for the identities not derived from their key.
+    seeded: HashMap<Value, u64>,
 }
 
 impl ClassMemo {
-    /// Record `key → oid`. `mk` mints ascending identities, so the index
-    /// append is the common case; restores and seeds may arrive out of order
-    /// and re-point a key, which the sorted insert and the removal cover.
-    fn assign(&mut self, key: Value, oid: Oid) {
-        let key = Arc::new(key);
-        if let Some(previous) = self.by_key.insert(Arc::clone(&key), oid.clone()) {
-            self.by_id
-                .retain(|(id, k)| *id != previous.id() || **k != *key);
+    /// The identity `key` holds, given the identity `derived` it derives.
+    fn find(&self, key: &Value, derived: u64) -> Option<u64> {
+        if !self.seeded.is_empty() {
+            if let Some(&id) = self.seeded.get(key) {
+                return Some(id);
+            }
         }
-        let at = self.by_id.partition_point(|(id, _)| *id <= oid.id());
-        self.by_id.insert(at, (oid.id(), key));
+        let &at = self.by_id.get(&derived)?;
+        (self.entries[at].1 == *key).then_some(derived)
     }
 
-    /// The assignments with identities at or past `watermark`, ascending.
-    fn since(&self, watermark: u64) -> &[(u64, Arc<Value>)] {
-        let start = self.by_id.partition_point(|(id, _)| *id < watermark);
-        &self.by_id[start..]
+    /// Hold `key → id` for a key that holds nothing yet (`derived` is the
+    /// identity it derives); the identity must be free.
+    fn insert(&mut self, class: &ClassName, key: Value, id: u64, derived: u64) -> Result<()> {
+        if let Some(&at) = self.by_id.get(&id) {
+            let held = &self.entries[at].1;
+            return Err(ModelError::SkolemCollision(format!(
+                "keys {held:?} and {key:?} both claim {}",
+                Oid::new(class.clone(), id)
+            )));
+        }
+        if id != derived {
+            self.seeded.insert(key.clone(), id);
+        }
+        self.by_id.insert(id, self.entries.len());
+        self.entries.push((id, key));
+        Ok(())
     }
 
-    fn sorted(&self) -> BTreeMap<Value, Oid> {
-        self.by_key
-            .iter()
-            .map(|(key, oid)| ((**key).clone(), oid.clone()))
-            .collect()
+    /// Hold `key → id` unless the key already holds exactly that identity.
+    fn assign(&mut self, class: &ClassName, key: Value, id: u64, derived: u64) -> Result<()> {
+        match self.find(&key, derived) {
+            None => self.insert(class, key, id, derived),
+            Some(held) if held == id => Ok(()),
+            Some(held) => Err(ModelError::SkolemCollision(format!(
+                "key {key:?} claims both {} and {}",
+                Oid::new(class.clone(), held),
+                Oid::new(class.clone(), id)
+            ))),
+        }
     }
 }
 
@@ -261,141 +302,148 @@ impl SkolemFactory {
         Self::default()
     }
 
-    /// Apply `Mk_class(key)`: return the identity associated with the key
-    /// value, creating it if necessary.
-    pub fn mk(&mut self, class: &ClassName, key: &Value) -> Oid {
-        if let Some(existing) = self.lookup(class, key) {
-            return existing.clone();
-        }
-        let counter = self.counters.entry(class.clone()).or_insert(0);
-        let oid = Oid::new(class.clone(), *counter);
-        *counter += 1;
-        self.assigned
-            .entry(class.clone())
-            .or_default()
-            .assign(key.clone(), oid.clone());
-        oid
+    /// Apply `Mk_class(key)`: the identity associated with the key value,
+    /// memoised on first use; a collision is an error.
+    pub fn mk(&mut self, class: &ClassName, key: &Value) -> Result<Oid> {
+        let derived = skolem_id(class, key);
+        let memo = self.memos.entry(class.clone()).or_default();
+        let id = match memo.find(key, derived) {
+            Some(id) => id,
+            None => {
+                memo.insert(class, key.clone(), derived, derived)?;
+                derived
+            }
+        };
+        Ok(Oid::new(class.clone(), id))
     }
 
-    /// Look up the identity for a key value without creating one.
-    pub fn lookup(&self, class: &ClassName, key: &Value) -> Option<&Oid> {
-        self.assigned
-            .get(class)
-            .and_then(|memo| memo.by_key.get(key))
+    /// The identity held for a key value, without creating one.
+    pub fn lookup(&self, class: &ClassName, key: &Value) -> Option<Oid> {
+        let id = self.memos.get(class)?.find(key, skolem_id(class, key))?;
+        Some(Oid::new(class.clone(), id))
     }
 
-    /// The key value that produced an identity, if the identity came from this
-    /// factory. (Inverse of [`mk`](Self::mk).)
+    /// The key value that produced an identity, if this factory holds it.
+    /// (Inverse of [`mk`](Self::mk).)
     pub fn key_of(&self, oid: &Oid) -> Option<&Value> {
-        let memo = self.assigned.get(oid.class())?;
-        memo.since(oid.id())
-            .iter()
-            .take_while(|(id, _)| *id == oid.id())
-            .map(|(_, key)| &**key)
-            .find(|key| memo.by_key.get(*key) == Some(oid))
+        let memo = self.memos.get(oid.class())?;
+        memo.by_id.get(&oid.id()).map(|&at| &memo.entries[at].1)
     }
 
-    /// Number of identities created for a class.
+    /// Number of identities held for a class.
     pub fn count(&self, class: &ClassName) -> usize {
-        self.assigned.get(class).map_or(0, |memo| memo.by_key.len())
+        self.memos.get(class).map_or(0, |memo| memo.entries.len())
     }
 
-    /// Total number of identities created.
+    /// Total number of identities held.
     pub fn len(&self) -> usize {
-        self.assigned.values().map(|memo| memo.by_key.len()).sum()
+        self.memos.values().map(|memo| memo.entries.len()).sum()
     }
 
-    /// True if no identities have been created.
+    /// True if no identities are held.
     pub fn is_empty(&self) -> bool {
-        self.assigned.values().all(|memo| memo.by_key.is_empty())
+        self.len() == 0
     }
 
-    /// Export the factory's full state for persistence. The state captures
-    /// both the key→identity memo and the per-class counters, so a factory
-    /// rebuilt with [`from_state`](Self::from_state) is *bit-identical*: every
-    /// already-assigned key returns its old identity and every new key gets
-    /// the identity an uncrashed factory would have minted next.
+    /// Fold a worker's factory into this one, keeping every identity either
+    /// holds. A key both hold must hold one identity, and an identity both
+    /// hold one key; anything else is a collision error.
+    pub fn merge(&mut self, other: SkolemFactory) -> Result<()> {
+        for (class, memo) in other.memos {
+            let mine = match self.memos.entry(class.clone()) {
+                Entry::Vacant(slot) => {
+                    slot.insert(memo);
+                    continue;
+                }
+                Entry::Occupied(slot) => slot.into_mut(),
+            };
+            let derived_only = memo.seeded.is_empty();
+            for (id, key) in memo.entries {
+                let derived = if derived_only {
+                    id
+                } else {
+                    skolem_id(&class, &key)
+                };
+                mine.assign(&class, key, id, derived)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Export the factory's memo for persistence.
     pub fn export_state(&self) -> SkolemState {
         SkolemState {
             assigned: self
-                .assigned
+                .memos
                 .iter()
-                .map(|(class, memo)| (class.clone(), memo.sorted()))
+                .filter(|(_, memo)| !memo.entries.is_empty())
+                .map(|(class, memo)| {
+                    let keys = memo
+                        .entries
+                        .iter()
+                        .map(|(id, key)| (key.clone(), Oid::new(class.clone(), *id)))
+                        .collect();
+                    (class.clone(), keys)
+                })
                 .collect(),
-            counters: self.counters.clone(),
         }
     }
 
     /// Rebuild a factory from exported state (inverse of
-    /// [`export_state`](Self::export_state)).
-    pub fn from_state(state: SkolemState) -> Self {
-        let assigned = state
-            .assigned
-            .into_iter()
-            .map(|(class, keys)| {
-                let mut memo = ClassMemo::default();
-                for (key, oid) in keys {
-                    let key = Arc::new(key);
-                    memo.by_id.push((oid.id(), Arc::clone(&key)));
-                    memo.by_key.insert(key, oid);
-                }
-                memo.by_id.sort_by_key(|(id, _)| *id);
-                (class, memo)
-            })
-            .collect();
-        SkolemFactory {
-            assigned,
-            counters: state.counters,
+    /// [`export_state`](Self::export_state)); a state whose keys collide is
+    /// an error.
+    pub fn from_state(state: SkolemState) -> Result<Self> {
+        let mut factory = SkolemFactory::new();
+        for (class, keys) in state.assigned {
+            for (key, oid) in keys {
+                factory.restore_assignment(&class, key, oid)?;
+            }
         }
+        Ok(factory)
     }
 
-    /// The next identity discriminator `mk` would assign for `class`.
-    pub fn counter(&self, class: &ClassName) -> u64 {
-        self.counters.get(class).copied().unwrap_or(0)
+    /// Per-class memo sizes: a watermark to take before a unit of work, so
+    /// [`assignments_since`](Self::assignments_since) can extract exactly the
+    /// assignments that work made. The memo only grows.
+    pub fn sizes(&self) -> BTreeMap<ClassName, usize> {
+        self.memos
+            .iter()
+            .map(|(class, memo)| (class.clone(), memo.entries.len()))
+            .collect()
     }
 
-    /// A copy of all per-class counters — a cheap watermark to take before a
-    /// unit of work so [`assignments_since`](Self::assignments_since) can
-    /// extract exactly the assignments that work created.
-    pub fn counter_snapshot(&self) -> BTreeMap<ClassName, u64> {
-        self.counters.clone()
-    }
-
-    /// The assignments created since a [`counter_snapshot`](Self::counter_snapshot)
-    /// was taken: every `(class, key, oid)` whose discriminator is at or past
-    /// the snapshotted counter, in deterministic `(class, id)` order.
-    /// Identity discriminators are minted monotonically per class, so the
-    /// watermark comparison is exact, and the cost is the number of classes
-    /// plus the assignments returned.
+    /// The assignments made since the [`sizes`](Self::sizes) watermark
+    /// `before`, in `(class, id)` order.
     pub fn assignments_since(
         &self,
-        before: &BTreeMap<ClassName, u64>,
+        before: &BTreeMap<ClassName, usize>,
     ) -> Vec<(ClassName, Value, Oid)> {
         let mut out = Vec::new();
-        for (class, memo) in &self.assigned {
-            let watermark = before.get(class).copied().unwrap_or(0);
+        for (class, memo) in &self.memos {
+            let from = before.get(class).copied().unwrap_or(0);
+            let mut fresh: Vec<&(u64, Value)> = memo.entries.iter().skip(from).collect();
+            fresh.sort_unstable_by_key(|(id, _)| *id);
             out.extend(
-                memo.since(watermark).iter().map(|(id, key)| {
-                    (class.clone(), (**key).clone(), Oid::new(class.clone(), *id))
-                }),
+                fresh
+                    .into_iter()
+                    .map(|(id, key)| (class.clone(), key.clone(), Oid::new(class.clone(), *id))),
             );
         }
         out
     }
 
-    /// Re-register one assignment during recovery: the key maps to `oid` and
-    /// the class counter moves past it, so replaying a write-ahead log of
-    /// assignments reproduces the factory that produced them.
-    pub fn restore_assignment(&mut self, class: &ClassName, key: Value, oid: Oid) {
-        let counter = self.counters.entry(class.clone()).or_insert(0);
-        *counter = (*counter).max(oid.id() + 1);
-        self.assigned
+    /// Re-register one assignment during recovery, so replaying a
+    /// write-ahead log of assignments reproduces the factory that made them.
+    /// An identity not derived from its key is held as seeded.
+    pub fn restore_assignment(&mut self, class: &ClassName, key: Value, oid: Oid) -> Result<()> {
+        let derived = skolem_id(class, &key);
+        self.memos
             .entry(class.clone())
             .or_default()
-            .assign(key, oid);
+            .assign(class, key, oid.id(), derived)
     }
 
-    /// Pre-register identities for every object of `class` in `instance`,
+    /// Pre-register the identities of every object of `class` in `instance`,
     /// keyed by `spec`. Used when a transformation's target already contains
     /// data that new objects must merge with.
     pub fn seed_from_instance(
@@ -406,233 +454,42 @@ impl SkolemFactory {
     ) -> Result<()> {
         for oid in instance.extent(class) {
             let key = spec.eval(oid, instance)?;
-            self.assigned
-                .entry(class.clone())
-                .or_default()
-                .assign(key, oid.clone());
-            let counter = self.counters.entry(class.clone()).or_insert(0);
-            *counter = (*counter).max(oid.id() + 1);
+            self.restore_assignment(class, key, oid.clone())?;
         }
         Ok(())
     }
 }
 
 impl fmt::Debug for SkolemFactory {
-    /// The sorted memo and counters — the exported state, never hash order,
-    /// so two factories with one numbering print identically.
+    /// The sorted memo — the exported state, never hash or insertion order,
+    /// so two factories holding one memo print identically.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = self.export_state();
         f.debug_struct("SkolemFactory")
-            .field("assigned", &state.assigned)
-            .field("counters", &state.counters)
+            .field("assigned", &self.export_state().assigned)
             .finish()
     }
 }
 
-/// Serializable view of a [`SkolemFactory`]'s complete state (the key→identity
-/// memo plus per-class counters), produced by
+/// Serializable view of a [`SkolemFactory`]'s memo, produced by
 /// [`SkolemFactory::export_state`] and consumed by
-/// [`SkolemFactory::from_state`]. The persistence layer stores this inside
-/// snapshots so a recovered pipeline's `Mk_C` calls are bit-identical to an
-/// uncrashed run's.
+/// [`SkolemFactory::from_state`]. The persistence layer stores it inside
+/// snapshots so a recovered run detects a collision against pre-crash
+/// identities exactly as an uncrashed run would.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SkolemState {
     /// Per-class memo from key value to assigned identity.
     pub assigned: BTreeMap<ClassName, BTreeMap<Value, Oid>>,
-    /// Per-class next-discriminator counters.
-    pub counters: BTreeMap<ClassName, u64>,
 }
 
-// ---------------------------------------------------------------------------
-// The two-phase key-claim protocol.
-// ---------------------------------------------------------------------------
-
-/// The high bit tags *provisional* object identities minted by
-/// [`SkolemClaims`]; real identities come from monotonically increasing
-/// counters starting at zero and can never reach it in practice (`2^63`
-/// creations). The tag guarantees a provisional identity can never collide
-/// with — and therefore never be confused for, or rewritten over — a real
-/// identity embedded in the same value.
-const PROVISIONAL_TAG: u64 = 1 << 63;
-
-/// Globally unique arena numbers, so provisional identities from different
-/// arenas (different workers, different queries, different operators) never
-/// collide either. The counter is process-global and unordered across
-/// threads, but provisional identities never escape a resolution pass, so
-/// outputs stay deterministic.
-static NEXT_ARENA: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Provisional-identity layout below the tag bit: 39 bits of arena number
-/// (bits 24–62) above [`ARENA_SHIFT`] bits of per-arena claim index. Both
-/// fields are *hard*-asserted at mint time — an overflow must fail loudly,
-/// because wrapping would let two live arenas (or two claims of one arena)
-/// collide and silently corrupt the resolution rewrite. The budgets are
-/// generous: ~5.5 × 10¹¹ arenas per process and ~1.6 × 10⁷ distinct claims
-/// per arena (one arena covers a single worker's partition of one operator,
-/// or one query evaluation).
-const ARENA_SHIFT: u32 = 24;
-
-/// Exclusive upper bound on arena numbers (39 usable bits).
-const MAX_ARENAS: u64 = 1 << (63 - ARENA_SHIFT);
-
-/// Exclusive upper bound on per-arena claim indices.
-const MAX_CLAIMS: u64 = 1 << ARENA_SHIFT;
-
-/// A per-worker Skolem *claim arena* — one side of the two-phase key-claim
-/// protocol that lets Skolem-bearing work run off the main thread while the
-/// produced target stays bit-identical to a sequential run.
-///
-/// WOL's Skolem semantics (Section 4) define object identity by *key*, not
-/// by allocation order, so which worker first evaluates `Mk_C(k)` cannot be
-/// allowed to matter. The protocol (cf. database-ASM update-set consistency:
-/// parallel updates are consistent exactly when their key claims do not
-/// conflict):
-///
-/// 1. **Claim phase (workers).** Instead of touching the shared
-///    [`SkolemFactory`], a worker calls [`SkolemClaims::mk`], which hands
-///    back a *provisional* identity (tagged so it can never collide with a
-///    real one, unique per arena) and records the `(class, key)` claim in
-///    first-encounter order. Repeated keys within one arena reuse their
-///    provisional identity without a new claim — exactly the factory's
-///    memoisation, worker-locally.
-/// 2. **Resolution phase (the owner, in input order).** The arenas are
-///    drained *in partition order* ([`SkolemClaims::resolve_into`]): each
-///    claim's key — rewritten through the resolutions so far, so nested
-///    Skolem keys resolve inside-out — is fed to the real factory, which
-///    assigns identities in exactly the order a sequential run would have
-///    (a worker's first encounter of a key is the chunk-order first
-///    encounter; partitions concatenate in input order). Duplicate claims
-///    across workers resolve to the *same* final identity, realising the
-///    "consistent update set" of conflicting-by-key parallel writes.
-/// 3. The resulting provisional→final map rewrites the workers' outputs
-///    ([`Value::map_oids`]), after which no provisional identity survives.
-///
-/// Provisional identities are only sound where they are never *compared*
-/// against real identities — flowing into output values, or into the keys of
-/// later claims. The executors gate which expressions qualify
-/// (`Expr::skolem_parallel_safe` in `cpl`).
-#[derive(Debug)]
-pub struct SkolemClaims {
-    arena: u64,
-    /// Per-class memo of already-claimed keys, looked up by hash — nested so
-    /// the hot-path lookup ([`SkolemClaims::mk`] on a repeated key) borrows
-    /// the class and key instead of cloning them into a composite lookup key.
-    assigned: BTreeMap<ClassName, HashMap<Arc<Value>, Oid>>,
-    /// The claims in first-encounter order; each key shared with the memo.
-    claims: Vec<(ClassName, Arc<Value>)>,
-}
-
-impl SkolemClaims {
-    /// A fresh, empty arena with a process-unique provisional namespace.
-    pub fn new() -> Self {
-        let arena = NEXT_ARENA.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        assert!(
-            arena < MAX_ARENAS,
-            "provisional arena numbers exhausted (2^39 arenas minted in one process)"
-        );
-        SkolemClaims {
-            arena,
-            assigned: BTreeMap::new(),
-            claims: Vec::new(),
-        }
-    }
-
-    /// Apply `Mk_class(key)` provisionally: return the arena-local identity
-    /// for the key value, recording a claim on first encounter. Repeated
-    /// keys — the hot path on merging inserts — answer from the memo
-    /// without allocating.
-    pub fn mk(&mut self, class: &ClassName, key: &Value) -> Oid {
-        if let Some(existing) = self.assigned.get(class).and_then(|keys| keys.get(key)) {
-            return existing.clone();
-        }
-        let index = self.claims.len() as u64;
-        assert!(
-            index < MAX_CLAIMS,
-            "claim arena overflow (2^24 distinct keys claimed by one worker)"
-        );
-        let id = PROVISIONAL_TAG | (self.arena << ARENA_SHIFT) | index;
-        let oid = Oid::new(class.clone(), id);
-        let key = Arc::new(key.clone());
+impl SkolemState {
+    /// The per-class memo sizes of a factory rebuilt from this state (see
+    /// [`SkolemFactory::sizes`]).
+    pub fn sizes(&self) -> BTreeMap<ClassName, usize> {
         self.assigned
-            .entry(class.clone())
-            .or_default()
-            .insert(Arc::clone(&key), oid.clone());
-        self.claims.push((class.clone(), key));
-        oid
+            .iter()
+            .map(|(class, keys)| (class.clone(), keys.len()))
+            .collect()
     }
-
-    /// Number of claims recorded so far — a *mark* callers can take before a
-    /// unit of work to delimit the claims that work recorded
-    /// (`claims[mark_before..mark_after]`), so resolution can interleave
-    /// claim replay with other factory calls exactly as a sequential run
-    /// interleaved them.
-    pub fn mark(&self) -> usize {
-        self.claims.len()
-    }
-
-    /// True if the arena recorded no claims.
-    pub fn is_empty(&self) -> bool {
-        self.claims.is_empty()
-    }
-
-    /// Replay the claims in `range` (in claim order) through `mk`, extending
-    /// `resolved` with this arena's provisional→final assignments. Claim
-    /// keys are rewritten through `resolved` first, so a key built from an
-    /// earlier provisional identity (a nested Skolem) resolves to the key a
-    /// sequential run would have used. `mk` is usually the real factory's
-    /// [`SkolemFactory::mk`], but a claim context resolving nested arenas
-    /// re-claims into its own arena instead.
-    pub fn replay_range_into(
-        &self,
-        range: std::ops::Range<usize>,
-        resolved: &mut BTreeMap<Oid, Oid>,
-        mk: &mut impl FnMut(&ClassName, &Value) -> Oid,
-    ) {
-        for (index, (class, key)) in self.claims[range.clone()].iter().enumerate() {
-            let final_oid = if key.contains_oid() {
-                let key = key
-                    .map_oids(&mut |oid| resolved.get(oid).cloned().unwrap_or_else(|| oid.clone()));
-                mk(class, &key)
-            } else {
-                mk(class, key)
-            };
-            let id = PROVISIONAL_TAG | (self.arena << ARENA_SHIFT) | (range.start + index) as u64;
-            resolved.insert(Oid::new(class.clone(), id), final_oid);
-        }
-    }
-
-    /// Resolve the claims in `range` against `factory` (see
-    /// [`replay_range_into`](Self::replay_range_into)).
-    pub fn resolve_range_into(
-        &self,
-        range: std::ops::Range<usize>,
-        factory: &mut SkolemFactory,
-        resolved: &mut BTreeMap<Oid, Oid>,
-    ) {
-        self.replay_range_into(range, resolved, &mut |class, key| factory.mk(class, key));
-    }
-
-    /// Resolve *all* of this arena's claims against `factory` (see
-    /// [`replay_range_into`](Self::replay_range_into)).
-    pub fn resolve_into(&self, factory: &mut SkolemFactory, resolved: &mut BTreeMap<Oid, Oid>) {
-        self.resolve_range_into(0..self.claims.len(), factory, resolved);
-    }
-}
-
-impl Default for SkolemClaims {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Rewrite every provisional identity in `value` through the resolution map;
-/// identities without an entry (real ones) pass through unchanged. Cheap
-/// no-op clone-free check first: most values carry no identities at all.
-pub fn rewrite_resolved(value: &Value, resolved: &BTreeMap<Oid, Oid>) -> Value {
-    if resolved.is_empty() || !value.contains_oid() {
-        return value.clone();
-    }
-    value.map_oids(&mut |oid| resolved.get(oid).cloned().unwrap_or_else(|| oid.clone()))
 }
 
 #[cfg(test)]
@@ -742,15 +599,21 @@ mod tests {
     fn skolem_factory_is_deterministic_and_injective() {
         let mut factory = SkolemFactory::new();
         let country = ClassName::new("CountryT");
-        let a = factory.mk(&country, &Value::str("France"));
-        let b = factory.mk(&country, &Value::str("France"));
-        let c = factory.mk(&country, &Value::str("Germany"));
+        let a = factory.mk(&country, &Value::str("France")).unwrap();
+        let b = factory.mk(&country, &Value::str("France")).unwrap();
+        let c = factory.mk(&country, &Value::str("Germany")).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
+        assert_eq!(a.id(), skolem_id(&country, &Value::str("France")));
+        assert!(a.id() < 1 << 63, "the high bit stays clear");
         assert_eq!(factory.count(&country), 2);
         assert_eq!(factory.len(), 2);
         assert!(!factory.is_empty());
-        assert_eq!(factory.lookup(&country, &Value::str("France")), Some(&a));
+        assert_eq!(
+            factory.lookup(&country, &Value::str("France")),
+            Some(a.clone())
+        );
+        assert_eq!(factory.lookup(&country, &Value::str("Spain")), None);
         assert_eq!(factory.key_of(&a), Some(&Value::str("France")));
         assert_eq!(factory.key_of(&Oid::new(country, 99)), None);
     }
@@ -758,9 +621,14 @@ mod tests {
     #[test]
     fn skolem_factory_separates_classes() {
         let mut factory = SkolemFactory::new();
-        let a = factory.mk(&ClassName::new("CountryT"), &Value::str("France"));
-        let b = factory.mk(&ClassName::new("CityT"), &Value::str("France"));
+        let a = factory
+            .mk(&ClassName::new("CountryT"), &Value::str("France"))
+            .unwrap();
+        let b = factory
+            .mk(&ClassName::new("CityT"), &Value::str("France"))
+            .unwrap();
         assert_ne!(a, b);
+        assert_ne!(a.id(), b.id(), "the class name is part of the hash");
         assert_eq!(a.class(), &ClassName::new("CountryT"));
         assert_eq!(b.class(), &ClassName::new("CityT"));
     }
@@ -774,227 +642,141 @@ mod tests {
             .seed_from_instance(&ClassName::new("CountryE"), &keys, &inst)
             .unwrap();
         // Asking for an existing key returns the existing identity...
-        let again = factory.mk(&ClassName::new("CountryE"), &Value::str("France"));
+        let again = factory
+            .mk(&ClassName::new("CountryE"), &Value::str("France"))
+            .unwrap();
         assert_eq!(again, fr);
-        // ... and a new key gets a fresh identity that does not collide.
-        let fresh = factory.mk(&ClassName::new("CountryE"), &Value::str("Spain"));
+        // ... and a new key gets its derived identity, which does not collide.
+        let fresh = factory
+            .mk(&ClassName::new("CountryE"), &Value::str("Spain"))
+            .unwrap();
+        assert_eq!(
+            fresh.id(),
+            skolem_id(&ClassName::new("CountryE"), &Value::str("Spain"))
+        );
         assert_ne!(fresh, uk);
         assert_ne!(fresh, fr);
     }
 
-    /// The two-phase protocol's core guarantee: resolving per-worker claim
-    /// arenas in partition order reproduces the numbering a sequential
-    /// first-call-order run produces, with duplicate keys across arenas
-    /// mapping to one final identity.
-    #[test]
-    fn claims_resolve_to_sequential_first_call_numbering() {
-        let class = ClassName::new("CountryT");
-        // Sequential reference: keys in row order a, b, a, c.
-        let mut reference = SkolemFactory::new();
-        let seq: Vec<Oid> = ["a", "b", "a", "c"]
-            .iter()
-            .map(|k| reference.mk(&class, &Value::str(*k)))
-            .collect();
-        // Two workers over the same row order: worker 0 sees (a, b), worker
-        // 1 sees (a, c) — a duplicate claim of `a` across workers.
-        let mut w0 = SkolemClaims::new();
-        let mut w1 = SkolemClaims::new();
-        let p0a = w0.mk(&class, &Value::str("a"));
-        let p0b = w0.mk(&class, &Value::str("b"));
-        let p1a = w1.mk(&class, &Value::str("a"));
-        let p1c = w1.mk(&class, &Value::str("c"));
-        // Provisional identities are tagged, arena-unique and memoised.
-        assert!(p0a.id() >= (1 << 62));
-        assert_ne!(p0a, p1a, "different arenas must not share identities");
-        assert_eq!(w0.mk(&class, &Value::str("a")), p0a);
-        assert_eq!(w0.mark(), 2);
-        assert!(!w0.is_empty());
-        // Resolution in partition order.
-        let mut factory = SkolemFactory::new();
-        let mut resolved = BTreeMap::new();
-        w0.resolve_into(&mut factory, &mut resolved);
-        w1.resolve_into(&mut factory, &mut resolved);
-        assert_eq!(resolved[&p0a], seq[0]);
-        assert_eq!(resolved[&p0b], seq[1]);
-        assert_eq!(resolved[&p1a], seq[0], "duplicate key claims must merge");
-        assert_eq!(resolved[&p1c], seq[3]);
-        assert_eq!(factory.len(), 3);
-    }
-
-    /// Nested Skolem keys — an outer claim whose key embeds an inner claim's
-    /// provisional identity — resolve inside-out, matching the sequential
-    /// evaluation order (the inner `mk` always happens first).
-    #[test]
-    fn nested_claim_keys_are_rewritten_before_resolution() {
-        let inner_class = ClassName::new("CountryT");
-        let outer_class = ClassName::new("CityT");
-        let mut reference = SkolemFactory::new();
-        let seq_inner = reference.mk(&inner_class, &Value::str("France"));
-        let seq_outer = reference.mk(
-            &outer_class,
-            &Value::record([
-                ("name", Value::str("Paris")),
-                ("country", Value::oid(seq_inner.clone())),
-            ]),
-        );
-        let mut claims = SkolemClaims::new();
-        let p_inner = claims.mk(&inner_class, &Value::str("France"));
-        let p_outer = claims.mk(
-            &outer_class,
-            &Value::record([
-                ("name", Value::str("Paris")),
-                ("country", Value::oid(p_inner.clone())),
-            ]),
-        );
-        let mut factory = SkolemFactory::new();
-        let mut resolved = BTreeMap::new();
-        claims.resolve_into(&mut factory, &mut resolved);
-        assert_eq!(resolved[&p_inner], seq_inner);
-        assert_eq!(resolved[&p_outer], seq_outer);
-        // And rewriting a produced value erases every provisional identity.
-        let produced = Value::record([
-            ("city", Value::oid(p_outer)),
-            ("list", Value::list([Value::oid(p_inner)])),
-        ]);
-        let rewritten = rewrite_resolved(&produced, &resolved);
-        assert_eq!(
-            rewritten,
-            Value::record([
-                ("city", Value::oid(seq_outer)),
-                ("list", Value::list([Value::oid(seq_inner)])),
-            ])
-        );
-    }
-
-    /// Claim ranges let resolution interleave with other factory calls:
-    /// claims recorded before a mark resolve before a direct `mk`, claims
-    /// after it resolve after — reproducing a sequential interleaving.
-    #[test]
-    fn claim_ranges_interleave_with_direct_factory_calls() {
-        let class = ClassName::new("T");
-        let mut reference = SkolemFactory::new();
-        let seq: Vec<Oid> = ["x", "k", "y"]
-            .iter()
-            .map(|k| reference.mk(&class, &Value::str(*k)))
-            .collect();
-        let mut claims = SkolemClaims::new();
-        let px = claims.mk(&class, &Value::str("x"));
-        let before = claims.mark();
-        let py = claims.mk(&class, &Value::str("y"));
-        let mut factory = SkolemFactory::new();
-        let mut resolved = BTreeMap::new();
-        claims.resolve_range_into(0..before, &mut factory, &mut resolved);
-        let mid = factory.mk(&class, &Value::str("k"));
-        claims.resolve_range_into(before..claims.mark(), &mut factory, &mut resolved);
-        assert_eq!(resolved[&px], seq[0]);
-        assert_eq!(mid, seq[1]);
-        assert_eq!(resolved[&py], seq[2]);
-        // Rewriting a value with no identities is a cheap clone.
-        assert_eq!(
-            rewrite_resolved(&Value::str("plain"), &resolved),
-            Value::str("plain")
-        );
-    }
-
     /// Export → import round-trips a factory bit-identically: old keys keep
-    /// their identities and new keys mint exactly what the original would.
+    /// their identities, seeded ones included, and a new key mints what the
+    /// original mints.
     #[test]
     fn skolem_state_round_trip_is_bit_identical() {
         let class = ClassName::new("CountryT");
         let mut factory = SkolemFactory::new();
-        let fr = factory.mk(&class, &Value::str("France"));
-        let de = factory.mk(&class, &Value::str("Germany"));
+        let fr = factory.mk(&class, &Value::str("France")).unwrap();
+        let de = factory.mk(&class, &Value::str("Germany")).unwrap();
+        let seeded = Oid::new(class.clone(), 7);
+        factory
+            .restore_assignment(&class, Value::str("Italy"), seeded.clone())
+            .unwrap();
         let state = factory.export_state();
         assert_eq!(
-            SkolemFactory::from_state(state.clone()).export_state(),
+            SkolemFactory::from_state(state.clone())
+                .unwrap()
+                .export_state(),
             state
         );
+        assert_eq!(state.sizes(), factory.sizes());
 
-        let mut restored = SkolemFactory::from_state(state);
-        assert_eq!(restored.mk(&class, &Value::str("France")), fr);
-        assert_eq!(restored.mk(&class, &Value::str("Germany")), de);
-        // The next fresh key gets the identity the original factory mints.
+        let mut restored = SkolemFactory::from_state(state).unwrap();
+        assert_eq!(restored.mk(&class, &Value::str("France")).unwrap(), fr);
+        assert_eq!(restored.mk(&class, &Value::str("Germany")).unwrap(), de);
+        assert_eq!(restored.mk(&class, &Value::str("Italy")).unwrap(), seeded);
         assert_eq!(
-            restored.mk(&class, &Value::str("Spain")),
-            factory.mk(&class, &Value::str("Spain"))
+            restored.mk(&class, &Value::str("Spain")).unwrap(),
+            factory.mk(&class, &Value::str("Spain")).unwrap()
         );
-        assert_eq!(restored.counter(&class), 3);
-        assert_eq!(restored.counter(&ClassName::new("Other")), 0);
     }
 
     /// Watermark deltas capture exactly the assignments made after the
-    /// snapshot, and restoring them onto the pre-snapshot factory reproduces
-    /// the post-snapshot factory.
+    /// watermark, in identity order, and restoring them onto the earlier
+    /// factory reproduces the later one.
     #[test]
     fn assignments_since_extracts_and_restores_the_delta() {
         let country = ClassName::new("CountryT");
         let city = ClassName::new("CityT");
         let mut factory = SkolemFactory::new();
-        factory.mk(&country, &Value::str("France"));
-        let mark = factory.counter_snapshot();
+        let fr = factory.mk(&country, &Value::str("France")).unwrap();
+        let mark = factory.sizes();
         let before_state = factory.export_state();
 
-        let de = factory.mk(&country, &Value::str("Germany"));
-        let paris = factory.mk(&city, &Value::str("Paris"));
-        assert_eq!(factory.mk(&country, &Value::str("France")).id(), 0);
+        let mut minted = Vec::new();
+        for name in ["Germany", "Spain", "Portugal"] {
+            let oid = factory.mk(&country, &Value::str(name)).unwrap();
+            minted.push((country.clone(), Value::str(name), oid));
+        }
+        let paris = factory.mk(&city, &Value::str("Paris")).unwrap();
+        minted.push((city.clone(), Value::str("Paris"), paris));
+        assert_eq!(factory.mk(&country, &Value::str("France")).unwrap(), fr);
 
         let delta = factory.assignments_since(&mark);
-        assert_eq!(
-            delta,
-            vec![
-                (city.clone(), Value::str("Paris"), paris),
-                (country.clone(), Value::str("Germany"), de),
-            ]
-        );
-        let mut restored = SkolemFactory::from_state(before_state);
+        minted.sort_by(|a, b| (&a.0, a.2.id()).cmp(&(&b.0, b.2.id())));
+        assert_eq!(delta, minted);
+        let mut restored = SkolemFactory::from_state(before_state).unwrap();
         for (class, key, oid) in delta {
-            restored.restore_assignment(&class, key, oid);
+            restored.restore_assignment(&class, key, oid).unwrap();
         }
         assert_eq!(restored.export_state(), factory.export_state());
+        assert!(factory.assignments_since(&factory.sizes()).is_empty());
     }
 
-    /// The memo is hashed, but nothing observable is in hash order: two
-    /// factories holding one numbering, built in different orders, export
-    /// and print identically, and `assignments_since` reads the identity
-    /// index — ascending identities, sparse or restored out of order.
+    /// Nothing observable is in insertion or hash order: factories holding
+    /// one memo, built in different orders — minted, restored backwards,
+    /// merged from two workers — export and print identically.
     #[test]
     fn hashed_memo_reports_in_sorted_order() {
         let class = ClassName::new("T");
         let keys = ["d", "a", "c", "b", "e"];
         let mut minted = SkolemFactory::new();
         for key in keys {
-            minted.mk(&class, &Value::str(key));
+            minted.mk(&class, &Value::str(key)).unwrap();
         }
         let mut restored = SkolemFactory::new();
-        for (id, key) in keys.iter().enumerate().rev() {
-            restored.restore_assignment(
-                &class,
-                Value::str(*key),
-                Oid::new(class.clone(), id as u64),
-            );
+        for key in keys.iter().rev() {
+            let oid = Oid::new(class.clone(), skolem_id(&class, &Value::str(*key)));
+            restored
+                .restore_assignment(&class, Value::str(*key), oid)
+                .unwrap();
         }
-        assert_eq!(restored.export_state(), minted.export_state());
-        assert_eq!(format!("{restored:?}"), format!("{minted:?}"));
-        let mark = BTreeMap::from([(class.clone(), 2)]);
-        let ids: Vec<u64> = restored
-            .assignments_since(&mark)
-            .iter()
-            .map(|(_, _, o)| o.id())
-            .collect();
-        assert_eq!(ids, [2, 3, 4]);
-        assert_eq!(
-            restored.key_of(&Oid::new(class.clone(), 3)),
-            Some(&Value::str("b"))
-        );
-        // Re-pointing a key drops its old identity from the index.
-        restored.restore_assignment(&class, Value::str("a"), Oid::new(class.clone(), 9));
-        let fresh = restored.assignments_since(&mark);
-        assert_eq!(
-            fresh.iter().map(|(_, _, o)| o.id()).collect::<Vec<_>>(),
-            [2, 3, 4, 9]
-        );
-        assert_eq!(restored.key_of(&Oid::new(class.clone(), 1)), None);
-        assert_eq!(restored.count(&class), 5);
+        let (mut left, mut right) = (SkolemFactory::new(), SkolemFactory::new());
+        for key in &keys[..3] {
+            left.mk(&class, &Value::str(*key)).unwrap();
+        }
+        for key in &keys[2..] {
+            right.mk(&class, &Value::str(*key)).unwrap();
+        }
+        let mut merged = SkolemFactory::new();
+        merged.merge(right).unwrap();
+        merged.merge(left).unwrap();
+        for other in [&restored, &merged] {
+            assert_eq!(other.export_state(), minted.export_state());
+            assert_eq!(format!("{other:?}"), format!("{minted:?}"));
+            assert_eq!(other.count(&class), 5);
+        }
+    }
+
+    /// A key re-pointed to another identity, or an identity claimed by a
+    /// second key, is a collision — on restore as on merge.
+    #[test]
+    fn conflicting_assignments_are_collisions() {
+        let class = ClassName::new("T");
+        let mut factory = SkolemFactory::new();
+        let a = factory.mk(&class, &Value::str("a")).unwrap();
+        let err = factory
+            .restore_assignment(&class, Value::str("a"), Oid::new(class.clone(), 3))
+            .unwrap_err();
+        assert!(matches!(err, ModelError::SkolemCollision(_)), "{err}");
+        let err = factory
+            .restore_assignment(&class, Value::str("z"), a.clone())
+            .unwrap_err();
+        assert!(err.to_string().contains("both claim"), "{err}");
+        // Restoring what is already held is a no-op.
+        factory
+            .restore_assignment(&class, Value::str("a"), a)
+            .unwrap();
+        assert_eq!(factory.count(&class), 1);
     }
 
     #[test]

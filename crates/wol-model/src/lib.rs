@@ -15,8 +15,9 @@
 //! * **Instances** ([`Instance`]): finite extents of object identities per class
 //!   plus a mapping from each identity to its value.
 //! * **Surrogate keys** ([`KeySpec`], [`KeyExpr`]): value-based handles on object
-//!   identities, and a deterministic Skolem factory ([`SkolemFactory`]) used to
-//!   create identities from key values (the `Mk_C` functions of the paper).
+//!   identities, and the Skolem factory ([`SkolemFactory`]) realising the
+//!   paper's `Mk_C` functions: an identity is derived from its class and key
+//!   by one specified hash ([`Fingerprint`], [`skolem_id`]).
 //!
 //! ## Storage layout
 //!
@@ -42,6 +43,7 @@
 pub mod column;
 pub mod display;
 pub mod error;
+pub mod fingerprint;
 pub mod histogram;
 pub mod index;
 pub mod instance;
@@ -58,9 +60,10 @@ pub mod values;
 
 pub use column::{AttrColumn, ColumnChunk, ColumnData, ColumnKind, StringInterner, CHUNK_ROWS};
 pub use error::ModelError;
+pub use fingerprint::Fingerprint;
 pub use histogram::{AttrHistogram, HistogramBucket};
 pub use instance::{AttrStats, ClassStats, Instance, Mutation, StorageSharing};
-pub use keys::{rewrite_resolved, KeyExpr, KeySpec, SkolemClaims, SkolemFactory, SkolemState};
+pub use keys::{skolem_id, KeyExpr, KeySpec, SkolemFactory, SkolemState};
 pub use mutate::{BatchDelta, ClassDelta, MutationBatch, SourceOp};
 pub use oid::Oid;
 pub use parallel::{chunk_ranges, Job, Parallelism, WorkerPool};

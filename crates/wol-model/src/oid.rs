@@ -3,7 +3,11 @@
 //! Object identities are opaque handles: they are "not considered to be
 //! directly visible and are typically unrelated between databases"
 //! (Section 2.2). Each identity records the class it belongs to and a
-//! numeric discriminator that is unique within the creating context.
+//! numeric discriminator, unique within its class. Identities loaded from a
+//! source without identities of its own are numbered by a per-class counter
+//! ([`OidGen`]); an identity created by `Mk_C(k)` is derived from `(C, k)`
+//! ([`crate::skolem_id`]) and has its high bit clear. A derived
+//! discriminator is a hash, so no code may do `id + 1` arithmetic on it.
 
 use std::fmt;
 

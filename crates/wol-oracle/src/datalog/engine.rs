@@ -56,7 +56,11 @@ fn eval_term(
             } else {
                 Value::List(arg_values)
             };
-            Some(Value::Oid(factory.mk(&ClassName::new(name.as_str()), &key)))
+            // A Skolem identity collision leaves the term undefined.
+            factory
+                .mk(&ClassName::new(name.as_str()), &key)
+                .ok()
+                .map(Value::Oid)
         }
     }
 }

@@ -52,7 +52,7 @@ pub fn eval(expr: &Expr, row: &Row, ctx: &mut EvalCtx<'_>) -> Result<Value> {
         )),
         Expr::Skolem(class, key) => {
             let key_value = eval(key, row, ctx)?;
-            Ok(Value::Oid(ctx.mk_skolem(class, &key_value)))
+            Ok(Value::Oid(ctx.mk_skolem(class, &key_value)?))
         }
         Expr::Eq(a, b) => Ok(Value::Bool(eval(a, row, ctx)? == eval(b, row, ctx)?)),
         Expr::Neq(a, b) => Ok(Value::Bool(eval(a, row, ctx)? != eval(b, row, ctx)?)),

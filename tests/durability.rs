@@ -5,7 +5,7 @@
 //!
 //! The contract under test (storage crate docs, "Durability"): recovery
 //! yields exactly the committed batch prefix of the log — bit-identical
-//! extents, oids, Skolem counters and progress marker — and a corrupted or
+//! extents, oids, Skolem memo and progress marker — and a corrupted or
 //! torn record is detected via its checksum and cleanly discarded, never
 //! silently applied. Every matrix drives [`PipelineJournal`], the one durable
 //! store and the one the pipelines ship with, so every cut and every flip
@@ -110,7 +110,7 @@ fn scripted_session(
     assert!(!rec.report.snapshot_loaded && !rec.reset);
     assert_eq!((rec.report.batches_replayed, rec.completed), (0, 0));
     let mut instance = rec.instance;
-    let mut skolem = SkolemFactory::from_state(rec.skolem);
+    let mut skolem = SkolemFactory::from_state(rec.skolem).expect("state restores");
     instance.begin_mutation_log();
 
     let mut next = lcg(seed);
@@ -132,10 +132,10 @@ fn scripted_session(
         // record), fresh keys mint an assignment and insert a value.
         for _ in 0..2 {
             let key = Value::str(format!("C{}", next() % 7));
-            let before = skolem.counter(&country);
-            let oid = skolem.mk(&country, &key);
+            let before = skolem.count(&country);
+            let oid = skolem.mk(&country, &key).expect("no collision");
             let value = Value::record([("name", key.clone()), ("round", Value::int(round as i64))]);
-            if skolem.counter(&country) > before {
+            if skolem.count(&country) > before {
                 instance.insert(oid, value).expect("insert");
             } else {
                 instance.update(&oid, value).expect("update");
@@ -245,8 +245,8 @@ fn assert_prefix_recovery(scratch: &Path, session: &Session, cut: usize) {
     // never-seen key.
     let country = ClassName::new("CountryT");
     let probe = Value::str("post-recovery-probe");
-    let mut recovered = SkolemFactory::from_state(rec.skolem);
-    let mut uncrashed = SkolemFactory::from_state(reference.skolem.clone());
+    let mut recovered = SkolemFactory::from_state(rec.skolem).expect("state restores");
+    let mut uncrashed = SkolemFactory::from_state(reference.skolem.clone()).expect("restores");
     for (key, oid) in reference
         .skolem
         .assigned
@@ -254,12 +254,16 @@ fn assert_prefix_recovery(scratch: &Path, session: &Session, cut: usize) {
         .into_iter()
         .flatten()
     {
-        assert_eq!(&recovered.mk(&country, key), oid, "cut {cut}: memo lost");
+        assert_eq!(
+            &recovered.mk(&country, key).expect("held"),
+            oid,
+            "cut {cut}: memo lost"
+        );
     }
-    let minted = recovered.mk(&country, &probe);
+    let minted = recovered.mk(&country, &probe).expect("no collision");
     assert_eq!(
         minted,
-        uncrashed.mk(&country, &probe),
+        uncrashed.mk(&country, &probe).expect("no collision"),
         "cut {cut}: post-recovery mk diverged"
     );
 
@@ -688,6 +692,84 @@ fn a_crash_inside_the_checkpoint_window_is_superseded_not_torn() {
     assert!(!d.recovered_torn_tail, "a superseded log is not a torn log");
     assert!(d.resumed && d.journaled == 0 && !d.reset);
     assert_eq!(again.target.deep_eq_report(&first.target), None);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A copy of one journal directory of `tests/fixtures/parent-journals/` in a
+/// fresh scratch directory (opening a journal rewrites it).
+fn parent_journal(name: &str) -> PathBuf {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/parent-journals")
+        .join(name);
+    let dir = temp_dir(name);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    for file in [PipelineJournal::SNAPSHOT_FILE, PipelineJournal::WAL_FILE] {
+        std::fs::copy(fixture.join(file), dir.join(file)).expect("copy fixture");
+    }
+    dir
+}
+
+/// Journals written by the build that numbered Skolem identities in mint
+/// order (`tests/fixtures/parent-journals/`):
+///
+/// * `maintenance` — a `new_durable` genome pipeline over
+///   `GenomeParams { clones: 6, markers: 16, density: 0.6, seed: 25 }` that
+///   applied six `TrafficGen` batches (seed 11, mixed weights, 3 ops each),
+///   checkpointing after the third. It journals source data only, under a
+///   fingerprint that did not change, so it recovers every batch, and the
+///   pipeline it stands up equals a fresh transform of that source.
+/// * `transform` — a `transform_durable` run of the cities euro program over
+///   `generate_euro(3, 2, 5)`, killed by a fault at WAL byte 1264 after two
+///   committed queries. Its target was numbered by counters, so it must never
+///   be resumed into key-derived identities: the journal opens as foreign,
+///   is reset, and the restarted run equals a fresh one.
+#[test]
+fn journals_written_before_key_derived_identities_recover_or_restart() {
+    let params = GenomeParams {
+        clones: 6,
+        markers: 16,
+        density: 0.6,
+        seed: 25,
+    };
+    let program = genome::program();
+    let mut source = genome::generate_source(&params);
+    let mut gen = TrafficGen::new(&source, 11, TrafficWeights::mixed());
+    for _ in 0..6 {
+        source.apply_batch(&gen.next_batch(3)).expect("applies");
+    }
+    let dir = parent_journal("maintenance");
+    let pipeline = MaterializedPipeline::new_durable(
+        &program,
+        vec![genome::generate_source(&params)],
+        PipelineOptions::default(),
+        &DurableOptions::new(&dir),
+    )
+    .expect("the source journal opens");
+    assert_eq!(pipeline.recovered_batches(), 6);
+    let recovered = pipeline.source(0).expect("source");
+    assert_eq!(recovered.deep_eq_report(&source), None);
+    assert_eq!(recovered, &source);
+    let fresh = Morphase::new()
+        .transform(&program, &[&source][..])
+        .expect("fresh transform");
+    assert_eq!(pipeline.target().deep_eq_report(&fresh.target), None);
+    assert_eq!(pipeline.target(), &fresh.target);
+    drop(pipeline);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let w = CitiesWorkload::new();
+    let (program, euro) = (w.euro_program(), generate_euro(3, 2, 5));
+    let dir = parent_journal("transform");
+    let run = Morphase::new()
+        .transform_durable(&program, &[&euro][..], &DurableOptions::new(&dir))
+        .expect("the transform journal restarts");
+    let d = run.durability.expect("durable run reports stats");
+    assert!(d.reset && !d.resumed && d.skipped == 0, "{d:?}");
+    let fresh = Morphase::new()
+        .transform(&program, &[&euro][..])
+        .expect("fresh transform");
+    assert_eq!(run.target.deep_eq_report(&fresh.target), None);
+    assert_eq!(run.target, fresh.target);
     std::fs::remove_dir_all(&dir).ok();
 }
 

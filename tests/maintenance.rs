@@ -65,9 +65,12 @@ fn assert_matches_oracle(pipeline: &MaterializedPipeline, context: &str) {
 
 /// The soak: four readers hammer snapshots (checking intra-snapshot
 /// referential consistency on every read) while the maintainer absorbs
-/// thousands of steady batches and a mixed tail with rebuild escalations.
-/// The final target must be bit-identical to the same stream applied to a
-/// plain single-threaded pipeline, and to a from-scratch re-run.
+/// thousands of steady batches and a mixed tail — duplicate Skolem keys,
+/// foreign-read churn, removals and renames, all repaired in place. The
+/// final target must be bit-identical to the same stream applied to a plain
+/// single-threaded pipeline, and to a from-scratch re-run. A closing batch
+/// whose contributions genuinely conflict then escalates to a rebuild, which
+/// fails with the fresh run's merge conflict on both pipelines alike.
 #[test]
 fn soak_concurrent_readers_never_observe_torn_targets() {
     let params = GenomeParams::default();
@@ -84,6 +87,27 @@ fn soak_concurrent_readers_never_observe_torn_targets() {
     for batch in &batches {
         reference.apply_batch(batch).expect("reference applies");
     }
+    let reference_target = reference.target().clone();
+    let oracle = reference.rerun_oracle().expect("oracle runs").target;
+    // A second clone under an existing clone's name, with another length:
+    // two rows contribute different `length`s to one warehouse object.
+    let clone_s = ClassName::new("CloneS");
+    let twin = reference
+        .source(0)
+        .expect("source 0")
+        .objects(&clone_s)
+        .find_map(|(_, v)| match v.project("length") {
+            Some(Value::Int(length)) => Some(Value::record([
+                ("name", v.project("name")?.clone()),
+                ("length", Value::int(length + 1)),
+            ])),
+            _ => None,
+        })
+        .expect("a clone with a length");
+    let conflicting = MutationBatch::new().insert(clone_s, twin);
+    let reference_err = reference
+        .apply_batch(&conflicting)
+        .expect_err("a fresh run of the conflicting sources fails");
 
     let service = PipelineService::start(genome_pipeline(&params));
     let stop = AtomicBool::new(false);
@@ -135,21 +159,32 @@ fn soak_concurrent_readers_never_observe_torn_targets() {
         reads.load(Ordering::Relaxed) > 0,
         "the readers never got a snapshot in"
     );
+    let published = service.snapshot();
+    if let Some(report) = published.deep_eq_report(&reference_target) {
+        panic!("service target diverged from the plain pipeline: {report}");
+    }
+    assert_eq!(*published, reference_target);
+    if let Some(report) = published.deep_eq_report(&oracle) {
+        panic!("soak final state: maintained target diverged from the oracle: {report}");
+    }
+    let err = service
+        .apply(conflicting)
+        .expect_err("the conflicting batch fails");
+    assert_eq!(err, reference_err);
+    assert!(err.to_string().contains("conflicting values"), "{err}");
     let pipeline = service.shutdown().expect("clean shutdown");
-    assert_eq!(pipeline.stats().batches, batches.len() as u64);
-    assert!(
-        pipeline.stats().rebuild_batches > 0,
-        "the mixed tail must exercise the rebuild path"
+    assert_eq!(pipeline.stats().batches, batches.len() as u64 + 1);
+    assert_eq!(
+        pipeline.stats().rebuild_batches,
+        1,
+        "only the conflicting batch takes the rebuild path"
     );
+    assert!(pipeline.is_poisoned());
     assert_eq!(
         pipeline.stats(),
         reference.stats(),
         "the service must be a pure wrapper: identical maintenance stats"
     );
-    if let Some(report) = pipeline.target().deep_eq_report(reference.target()) {
-        panic!("service target diverged from the plain pipeline: {report}");
-    }
-    assert_matches_oracle(&pipeline, "soak final state");
 }
 
 /// A maintainer panic mid-stream surfaces loudly: queued and later requests

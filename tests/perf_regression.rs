@@ -182,10 +182,11 @@ fn transform_with_threads(
 
 /// The E8 determinism guard: the plan- and target-instance assertions from
 /// PRs 2–3 hold *at every thread count*, and — stronger — the target
-/// instance and the merged `ExecStats` are bit-identical to the
-/// single-thread run's. Identity numbering in the target depends on output
-/// row order, so target equality proves parallel row order is exactly
-/// sequential.
+/// instance, the merged `ExecStats` and every join's actual output rows are
+/// bit-identical to the single-thread run's. Target identities are derived
+/// from their keys, so target equality does not see row order; the row
+/// stream itself is compared directly by the thread-matrix proptests in
+/// `tests/properties.rs`.
 #[test]
 fn e8_plan_and_target_assertions_hold_at_every_thread_count() {
     // E6 genome shape across the full matrix.
@@ -220,6 +221,7 @@ fn e8_plan_and_target_assertions_hold_at_every_thread_count() {
             "E6 merged ExecStats diverged at {threads} threads"
         );
         assert_eq!(run.plans, base.plans, "plans must not depend on threads");
+        assert_eq!(run.join_stats, base.join_stats, "E6 join outputs diverged");
         assert!(run.exec.index_probes > 0);
     }
 
@@ -247,6 +249,7 @@ fn e8_plan_and_target_assertions_hold_at_every_thread_count() {
                 run.exec, base.exec,
                 "E7 merged ExecStats diverged at {threads} threads under {cost_model:?}"
             );
+            assert_eq!(run.join_stats, base.join_stats, "E7 join outputs diverged");
         }
     }
 }

@@ -187,8 +187,8 @@ fn sorted_rows(plan: &Plan, refs: &[&wol_repro::wol_model::Instance]) -> Vec<cpl
 /// worker chunks) and two insert actions — one keyed by the *duplicated*
 /// clone name (partial inserts merging under the key, with a Skolem-valued
 /// attribute functionally dependent on it) and one keyed per marker object
-/// with a nested Skolem reference to the group. This is the insertion shape
-/// the two-phase key-claim protocol exists for.
+/// with a nested Skolem reference to the group: partitions mint the same
+/// keys through factories of their own, which fold into the caller's.
 fn skolem_heavy_query(plan: &Plan) -> cpl::Query {
     let mapped = plan.clone().map(vec![(
         "GRP".to_string(),
@@ -235,12 +235,13 @@ fn skolem_heavy_query(plan: &Plan) -> cpl::Query {
 
 /// Run a Skolem-heavy query end to end at one thread count, with the
 /// parallel threshold at one row, returning everything determinism is judged
-/// on: the produced rows, the target instance, and the merged [`ExecStats`].
+/// on: the produced rows, the target instance, the merged [`ExecStats`] and
+/// the Skolem memo the workers folded into the caller's factory.
 fn run_skolem_query(
     query: &cpl::Query,
     refs: &[&Instance],
     threads: usize,
-) -> (Vec<cpl::Row>, Instance, cpl::ExecStats) {
+) -> (Vec<cpl::Row>, Instance, cpl::ExecStats, String) {
     let parallelism = cpl::Parallelism::new(threads);
     let mut ctx = cpl::expr::EvalCtx::new(refs).with_parallelism(parallelism);
     ctx.set_parallel_min_rows(1);
@@ -251,13 +252,13 @@ fn run_skolem_query(
     let mut stats = cpl::ExecStats::default();
     let mut target = Instance::new("target");
     cpl::execute_query(query, &mut ctx, &mut target, &mut stats).expect("query executes");
-    (rows, target, stats)
+    (rows, target, stats, format!("{:?}", ctx.factory))
 }
 
 /// Execute `plan` at the given thread count — both bare (for the row stream)
 /// and as a full query whose Skolem-keyed insert actions build a target
-/// instance from the rows (so the *identity numbering*, which depends on row
-/// order, is part of what is compared). The parallel threshold is lowered to
+/// instance from the rows (so merged partial inserts are part of what is
+/// compared). The parallel threshold is lowered to
 /// one row so even tiny generated instances exercise the partitioned paths.
 fn run_query_with_threads(
     plan: &Plan,
@@ -477,8 +478,8 @@ proptest! {
     /// *identical row stream and target instance* as the sequential executor
     /// — for the cost-based plan under both cost models *and* for the raw plan
     /// itself (products, predicate-less nested loops and filters above them)
-    /// — and the row multiset always equals the raw plan's. Identity numbering in the target depends on row order, so
-    /// target equality here proves parallel row order is exactly sequential.
+    /// — and the row multiset always equals the raw plan's. The row stream is
+    /// compared directly, so parallel row order is exactly sequential.
     #[test]
     fn parallel_execution_is_deterministic_across_the_thread_matrix(
         k in 2usize..5,
@@ -520,16 +521,17 @@ proptest! {
         }
     }
 
-    /// The Skolem-insertion determinism **soak**: the primary proof of the
-    /// two-phase key-claim protocol. Over zipf-skewed generated instances,
+    /// The Skolem-insertion determinism **soak**: the primary proof that
+    /// partitioned Skolem-bearing operators and inserts are deterministic.
+    /// Over zipf-skewed generated instances,
     /// a Skolem-heavy program — a Skolem-minting `Map` over the planned
     /// join, plus insert actions whose keys *duplicate across worker
     /// chunks* (merging partial inserts) and whose attributes mint further
     /// identities interleaved with the key mints — must produce the
-    /// bit-identical row stream, bit-identical target instance (identity
-    /// numbering included) and equal merged `ExecStats` at every thread
-    /// count in {1, 2, 4, 8}, under both cost models. Any divergence means
-    /// claims resolved out of input order, or a provisional identity leaked.
+    /// bit-identical row stream, bit-identical target instance (identities
+    /// included) and equal merged `ExecStats` at every thread count in
+    /// {1, 2, 4, 8}, under both cost models. Any divergence means partitions
+    /// merged out of input order, or an identity depended on its context.
     #[test]
     fn skolem_insertion_soak_is_deterministic_across_the_thread_matrix(
         k in 2usize..5,
@@ -555,7 +557,8 @@ proptest! {
             let stats = cpl::Statistics::from_instances(&refs[..]).with_cost_model(cost_model);
             let planned = cpl::optimize_with_stats(raw.clone(), &stats);
             let query = skolem_heavy_query(&planned);
-            let (base_rows, base_target, base_stats) = run_skolem_query(&query, &refs[..], 1);
+            let (base_rows, base_target, base_stats, base_memo) =
+                run_skolem_query(&query, &refs[..], 1);
             // Sanity: the generated program really is Skolem-heavy, and its
             // duplicated keys really merge — one CloneT object per distinct
             // group identity, one MarkerT object per distinct driving row.
@@ -575,11 +578,12 @@ proptest! {
             for threads in [2usize, 4, 8] {
                 // Divergence at any thread count under either cost model —
                 // in the row stream, the target, or the stats — is a bug in
-                // the key-claim protocol.
-                let (rows, target, stats) = run_skolem_query(&query, &refs[..], threads);
+                // the partitioned executor.
+                let (rows, target, stats, memo) = run_skolem_query(&query, &refs[..], threads);
                 prop_assert_eq!(&rows, &base_rows);
                 prop_assert_eq!(&target, &base_target);
                 prop_assert_eq!(&stats, &base_stats);
+                prop_assert_eq!(&memo, &base_memo);
             }
         }
     }
@@ -592,8 +596,8 @@ proptest! {
         let class = ClassName::new("CountryT");
         let mut assigned = std::collections::BTreeMap::new();
         for key in &keys {
-            let oid = factory.mk(&class, &Value::str(key.clone()));
-            let again = factory.mk(&class, &Value::str(key.clone()));
+            let oid = factory.mk(&class, &Value::str(key.clone())).unwrap();
+            let again = factory.mk(&class, &Value::str(key.clone())).unwrap();
             prop_assert_eq!(&oid, &again);
             if let Some(previous) = assigned.insert(key.clone(), oid.clone()) {
                 prop_assert_eq!(previous, oid);
@@ -1200,7 +1204,7 @@ proptest! {
     /// The federated pushdown differential (E13): over generated federated
     /// sources — relational clones, ACeDB-style markers, an assay CSV — the
     /// pipeline with planner pushdown produces the bit-identical target
-    /// instance (identity numbering included) and the same row/object
+    /// instance (identities included) and the same row/object
     /// counters as the pushdown-off full-ingest run, and within each mode
     /// the target and the merged `ExecStats` are invariant across every
     /// thread count in {1, 2, 4, 8}. The pushdown must actually engage —
