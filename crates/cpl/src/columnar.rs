@@ -592,7 +592,7 @@ pub(crate) fn try_run(
     stats.record_operator_output(n);
     ctx.record_columnar(n, bound.cols.len().max(1) * n.div_ceil(CHUNK_ROWS));
 
-    let parts = exec::partition_count(ctx, n);
+    let parts = ctx.parallelism().partitions(n);
     let bound = &bound;
     let chunks = exec::run_partitioned(
         ctx,

@@ -16,11 +16,11 @@
 //!
 //! ## Partitioned execution
 //!
-//! Every operator has **one body**, written over *partitions* of its input
-//! under the crate's threading model: `partition_count` decides how many from
-//! the budget ([`EvalCtx::set_parallelism`]) and the input size
-//! ([`EvalCtx::parallel_min_rows`]), and `run_partitioned` runs one
-//! partition inline on the calling context and several on the persistent
+//! Every operator has **one body**, written over *partitions* of its input:
+//! the workspace's one rule, [`wol_model::Parallelism::partitions`], decides
+//! how many from the context's budget ([`EvalCtx::set_parallelism`]) and the
+//! operator's input size, and `run_partitioned` runs one partition inline on
+//! the calling context and several on the persistent
 //! [`wol_model::WorkerPool`]. Scan+filter splits the class extent, filters,
 //! maps, loop joins and insert evaluation split their (left) input rows into
 //! contiguous chunks, hash joins shard the build side — and, on the index
@@ -143,17 +143,6 @@ impl ColumnarStats {
 // ---------------------------------------------------------------------------
 // Partition scaffolding: count, run, merge in input order.
 // ---------------------------------------------------------------------------
-
-/// How many partitions an operator over `rows` input items runs on: always
-/// at least 1, and more than 1 only when there is a thread budget to use and
-/// enough input to repay a pool dispatch.
-pub(crate) fn partition_count(ctx: &EvalCtx<'_>, rows: usize) -> usize {
-    let threads = ctx.parallelism().threads();
-    if threads <= 1 || rows < 2 || rows < ctx.parallel_min_rows() {
-        return 1;
-    }
-    threads.min(rows)
-}
 
 /// Run `work` once per partition and collect the results in partition order.
 ///
@@ -562,7 +551,7 @@ fn probe_join(
         slot,
         width: probe_layout.len(),
     };
-    let parts = partition_count(ctx, driving_rows.len());
+    let parts = ctx.parallelism().partitions(driving_rows.len());
     let key_tuples = eval_key_tuples(&driving_rows, &driving_lowered, parts, ctx, stats)?;
     /// The driving rows (ascending indices) that share one probe: all rows
     /// carrying `key`, or a contiguous sub-range of a *hot* key's rows.
@@ -918,7 +907,7 @@ fn rows_of(
             // run on the partitions.
             if let Plan::Scan { class, var } = input.as_ref() {
                 let extent_total: usize = ctx.sources().iter().map(|i| i.extent_size(class)).sum();
-                let parts = partition_count(ctx, extent_total);
+                let parts = ctx.parallelism().partitions(extent_total);
                 // The scan operator's own output, recorded as the `Scan` arm
                 // would have: every extent row is scanned and produced
                 // before the filter keeps its subset.
@@ -940,7 +929,7 @@ fn rows_of(
                 concat(chunks)
             } else {
                 let input_rows = rows_of(input, width, ctx, stats)?;
-                let parts = partition_count(ctx, input_rows.len());
+                let parts = ctx.parallelism().partitions(input_rows.len());
                 let chunks = owned_chunks(input_rows, parts);
                 let chunks = run_partitioned(ctx, stats, chunks, |chunk, wctx, ws| {
                     let mut kept = Vec::new();
@@ -959,7 +948,7 @@ fn rows_of(
             let input_rows = rows_of(input, width, ctx, stats)?;
             let lowered = lower_bindings(bindings, &mut layout(input));
             let lowered = &lowered;
-            let parts = partition_count(ctx, input_rows.len());
+            let parts = ctx.parallelism().partitions(input_rows.len());
             let chunks = owned_chunks(input_rows, parts);
             let chunks = run_partitioned(ctx, stats, chunks, |chunk, wctx, ws| {
                 let mut out = Vec::with_capacity(chunk.len());
@@ -991,7 +980,7 @@ fn rows_of(
             let out = layout(plan);
             let splice = Splice::new(&out, &layout(left), &layout(right), width);
             let lowered = predicate.as_ref().map(|p| Lowered::new(p, &out));
-            let parts = partition_count(ctx, left_rows.len());
+            let parts = ctx.parallelism().partitions(left_rows.len());
             let (left_rows, right_rows, splice, lowered) =
                 (&left_rows, &right_rows, &splice, &lowered);
             let ranges = chunk_ranges(left_rows.len(), parts);
@@ -1020,7 +1009,7 @@ fn rows_of(
             let left_rows = rows_of(left, width, ctx, stats)?;
             let right_rows = rows_of(right, width, ctx, stats)?;
             let splice = Splice::new(&layout(plan), &layout(left), &layout(right), width);
-            let parts = partition_count(ctx, left_rows.len());
+            let parts = ctx.parallelism().partitions(left_rows.len());
             let (left_rows, right_rows, splice) = (&left_rows, &right_rows, &splice);
             let ranges = chunk_ranges(left_rows.len(), parts);
             let chunks = run_partitioned(ctx, stats, ranges, |range, _wctx, ws| {
@@ -1080,7 +1069,9 @@ fn rows_of(
             let left_rows = rows_of(left, width, ctx, stats)?;
             let right_rows = rows_of(right, width, ctx, stats)?;
             let (left_layout, right_layout) = (layout(left), layout(right));
-            let parts = partition_count(ctx, left_rows.len().max(right_rows.len()));
+            let parts = ctx
+                .parallelism()
+                .partitions(left_rows.len().max(right_rows.len()));
             let rows = hash_join(
                 &left_rows,
                 &right_rows,
@@ -1189,7 +1180,7 @@ pub fn evaluate_query(
     stats.rows_output += rows.len();
     let inserts = LoweredInsert::lower(&query.inserts, &layout(&query.plan));
     let (rows_ref, inserts) = (&rows, &inserts);
-    let ranges = chunk_ranges(rows.len(), partition_count(ctx, rows.len()));
+    let ranges = chunk_ranges(rows.len(), ctx.parallelism().partitions(rows.len()));
     let chunks = run_partitioned(ctx, stats, ranges, |range, wctx, _ws| {
         let mut writes = Vec::with_capacity(range.len() * inserts.len());
         for row in &rows_ref[range] {
@@ -2024,8 +2015,8 @@ mod tests {
         for shape in &shapes {
             let run = |threads: usize| {
                 let ctx = || {
-                    let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(threads));
-                    ctx.set_parallel_min_rows(1);
+                    let mut ctx = EvalCtx::new(&refs)
+                        .with_parallelism(Parallelism::new(threads).with_min_items(1));
                     if let Some((var, keep)) = &shape.restrict {
                         ctx.restrict_scan(*var, std::sync::Arc::new(keep.clone()));
                     }
@@ -2136,8 +2127,8 @@ mod tests {
             let refs = [&inst];
             for threads in [1, 4] {
                 let run = |plan: &Plan| {
-                    let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(threads));
-                    ctx.set_parallel_min_rows(1);
+                    let mut ctx = EvalCtx::new(&refs)
+                        .with_parallelism(Parallelism::new(threads).with_min_items(1));
                     let mut stats = ExecStats::default();
                     let mut rows = run_plan(plan, &mut ctx, &mut stats).unwrap();
                     rows.sort();
@@ -2209,8 +2200,7 @@ mod tests {
         // (36), so its rows are split into sub-ranges stolen by idle
         // workers: more than one shard slot reports cache hits, instead of
         // one shard absorbing all 64 rows.
-        let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(4));
-        ctx.set_parallel_min_rows(1);
+        let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(4).with_min_items(1));
         let mut stats = ExecStats::default();
         assert_eq!(run_plan(&probed, &mut ctx, &mut stats).unwrap(), rows);
         assert_eq!(stats, whole);
@@ -2249,8 +2239,7 @@ mod tests {
         let mut seq_stats = ExecStats::default();
         let seq_rows = run_plan(&plan, &mut seq_ctx, &mut seq_stats).unwrap();
         assert!(seq_rows.iter().all(|r| r["B"] == Value::Bool(true)));
-        let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(8));
-        ctx.set_parallel_min_rows(1);
+        let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(8).with_min_items(1));
         let mut stats = ExecStats::default();
         let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows, seq_rows);
@@ -2279,8 +2268,7 @@ mod tests {
         )]);
         let mut seq_ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
         let seq_rows = run_plan(&plan, &mut seq_ctx, &mut ExecStats::default()).unwrap();
-        let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(8));
-        ctx.set_parallel_min_rows(1);
+        let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(8).with_min_items(1));
         let mut stats = ExecStats::default();
         let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows.len(), 3);
@@ -2397,8 +2385,7 @@ mod tests {
             Expr::var("M").proj("clone_name"),
             Expr::var("C").proj("name"),
         );
-        let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(4));
-        ctx.set_parallel_min_rows(1);
+        let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(4).with_min_items(1));
         let mut stats = ExecStats::default();
         let _ = run_plan(&probed, &mut ctx, &mut stats).unwrap();
         let shards = ctx.take_shard_stats();

@@ -177,20 +177,16 @@ pub struct EvalCtx<'a> {
     /// row count here, in post-order — the same order
     /// [`crate::optimizer::estimate_join_outputs`] emits estimates in.
     join_trace: Option<Vec<crate::exec::JoinActual>>,
-    /// The thread budget operators partition their input against (see
-    /// [`crate::exec`]'s module docs for the one partitioning rule). Defaults
-    /// to [`Parallelism::from_env`]: the machine's cores, overridable via
+    /// The thread budget operators partition their input against, under its
+    /// one rule ([`Parallelism::partitions`]). Defaults to
+    /// [`Parallelism::from_env`]: the machine's cores, overridable via
     /// `WOL_THREADS`. The persistent pool is only fetched — from the
     /// process-wide registry — by an operator that actually has more than
     /// one partition, so a one-thread budget never spawns a thread.
     ///
+    /// [`Parallelism::partitions`]: wol_model::Parallelism::partitions
     /// [`Parallelism::from_env`]: wol_model::Parallelism::from_env
     parallelism: wol_model::Parallelism,
-    /// Minimum input rows before an operator gets more than one partition;
-    /// below it a pool dispatch costs more than it saves. Tests lower it to
-    /// partition tiny inputs (results are identical either way — the
-    /// threshold is purely a performance choice).
-    parallel_min_rows: usize,
     /// Per-worker-slot statistics accumulated across every operator this
     /// context ran on more than one partition (slot `i` collects what
     /// partition `i` did).
@@ -214,14 +210,6 @@ pub struct EvalCtx<'a> {
     scan_restrictions: BTreeMap<String, std::sync::Arc<std::collections::BTreeSet<wol_model::Oid>>>,
 }
 
-/// Default minimum input rows before an operator is worth partitioning.
-/// Dispatching a round of closures to the persistent pool costs a few
-/// microseconds (PR 4's per-operator `std::thread::scope` cost ~100µs, which
-/// forced this threshold up to 1024); rows below this still process faster
-/// than even that small dispatch, so tiny operators get a single partition,
-/// which runs inline on the calling context.
-const PARALLEL_MIN_ROWS: usize = 128;
-
 impl<'a> EvalCtx<'a> {
     /// Create a context over the given source instances, with the
     /// environment's thread budget ([`wol_model::Parallelism::from_env`]).
@@ -239,7 +227,6 @@ impl<'a> EvalCtx<'a> {
             factory: SkolemFactory::new(),
             join_trace: None,
             parallelism: wol_model::Parallelism::sequential(),
-            parallel_min_rows: PARALLEL_MIN_ROWS,
             shard_stats: Vec::new(),
             columnar: true,
             columnar_stats: crate::exec::ColumnarStats::default(),
@@ -278,18 +265,6 @@ impl<'a> EvalCtx<'a> {
     /// The thread budget operators partition against.
     pub fn parallelism(&self) -> wol_model::Parallelism {
         self.parallelism
-    }
-
-    /// Lower (or raise) the minimum input rows before an operator gets more
-    /// than one partition. Intended for tests that partition tiny,
-    /// hand-checkable inputs.
-    pub fn set_parallel_min_rows(&mut self, min_rows: usize) {
-        self.parallel_min_rows = min_rows;
-    }
-
-    /// The current minimum input rows for a multi-partition operator.
-    pub fn parallel_min_rows(&self) -> usize {
-        self.parallel_min_rows
     }
 
     /// Merge one multi-partition operator's — or a finished worker context's

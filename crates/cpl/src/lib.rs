@@ -28,14 +28,13 @@
 //!
 //! There is one rule, and every operator in [`exec`] (and the columnar
 //! tower in [`columnar`]) is written against it: an operator runs over
-//! **partitions** of its input, and the *number* of partitions is decided
-//! from two things the executor can observe —
-//!
-//! * the **budget**: the context's [`Parallelism`] (default: available
-//!   cores, overridable via the `WOL_THREADS` environment variable), threaded
-//!   through [`expr::EvalCtx`]; one thread means one partition;
-//! * the **input size**: a dispatch round to the persistent pool costs
-//!   microseconds, which inputs under ~128 rows do not repay.
+//! **partitions** of its input, and the *number* of partitions is
+//! [`Parallelism::partitions`] of its input size — the workspace's one
+//! partition rule, shared with `wol-engine`'s matcher. The budget is the
+//! context's [`Parallelism`] (default: available cores, overridable via the
+//! `WOL_THREADS` environment variable), threaded through
+//! [`expr::EvalCtx`]; one thread, or an input below the rule's minimum,
+//! means one partition.
 //!
 //! **One partition runs inline** on the calling context — no pool dispatch,
 //! no worker context: "sequential execution" is the one-partition case of the
@@ -69,6 +68,7 @@
         clippy::unreachable
     )
 )]
+#![forbid(unsafe_code)]
 
 pub mod columnar;
 pub mod error;

@@ -65,6 +65,8 @@
 //!   batch boundaries, so concurrent readers never observe a half-repaired
 //!   target and a panicked maintainer surfaces at shutdown.
 
+#![forbid(unsafe_code)]
+
 pub mod compile;
 pub mod error;
 pub mod federate;

@@ -314,16 +314,15 @@ mod tests {
             .unwrap();
         }
         for threads in [2, 8] {
-            let mut ctx = EvalCtx::new(&refs).with_parallelism(cpl::Parallelism::new(threads));
-            ctx.set_parallel_min_rows(1);
+            let mut ctx = EvalCtx::new(&refs)
+                .with_parallelism(cpl::Parallelism::new(threads).with_min_items(1));
             let mut target = Instance::new("target");
             for stage in &schedule.stages {
                 let evaluated: Vec<_> = stage
                     .iter()
                     .map(|&qi| {
                         let mut worker = EvalCtx::claim_worker(&refs)
-                            .with_parallelism(cpl::Parallelism::new(threads));
-                        worker.set_parallel_min_rows(1);
+                            .with_parallelism(cpl::Parallelism::new(threads).with_min_items(1));
                         evaluate_query(&queries[qi], &mut worker, &mut ExecStats::default())
                             .unwrap()
                     })

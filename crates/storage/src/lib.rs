@@ -153,6 +153,7 @@
         clippy::unreachable
     )
 )]
+#![forbid(unsafe_code)]
 
 pub mod acedb;
 pub mod csv;

@@ -8,14 +8,16 @@
 //! # Threading
 //!
 //! [`check_batch`]'s `parallelism` argument is the budget of the
-//! [`Databases`] view everything below it sees. Both phases split their work
-//! through the engine's one fan-out (`env::fan_out`): each Delta plan's
-//! changed objects, and the constraints needing a full re-check, are cut
-//! into at most one contiguous chunk per thread. A single chunk — the common
-//! case for a small batch — runs inline and keeps the whole budget (a lone
-//! full re-check may still partition its body match); several chunks are
-//! pool jobs on one-thread views. Detection is exhaustive and commutative
-//! and full re-checks are canonical, so chunking never shows in the result.
+//! [`Databases`] view everything below it sees, and the workspace's one
+//! partition rule ([`Parallelism::partitions`]) decides every split. Delta
+//! detection cuts each Delta plan's changed objects into chunks through the
+//! engine's one fan-out (`env::fan_out`): a small batch's delta is one chunk,
+//! run inline at the whole budget; several chunks are pool jobs on
+//! one-thread views. Full re-checks run one clause at a time, in clause
+//! order, and partition *data* — each body match's opening scan, under the
+//! same rule — never the list of clauses. Detection is exhaustive and
+//! commutative and full re-checks are canonical, so partitioning never shows
+//! in the result.
 //!
 //! # Contract
 //!
@@ -217,7 +219,9 @@ impl ConstraintCertificate {
             )));
         }
         let (payload, trailer) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
+        let stored = u32::from_le_bytes(<[u8; 4]>::try_from(trailer).map_err(|_| {
+            EngineError::Certificate("certificate trailer is not 4 bytes".to_string())
+        })?);
         let actual = codec::crc32(payload);
         if stored != actual {
             return Err(EngineError::Certificate(format!(
@@ -645,35 +649,29 @@ pub fn check_batch(
         .map(|(idx, a)| plan_constraint(idx, a, delta, suspects))
         .collect();
 
-    // Every job below sees `parallelism` as its budget; the checks mint
-    // their own factories, so the fan-out's factory and counters go unused.
+    // The view carries `parallelism` as its budget; a chunk job sees a
+    // one-thread view of it. The checks mint their own factories, so the
+    // fan-out's factory and counters go unused.
     let dbs = &dbs.clone().with_parallelism(parallelism);
-    let threads = parallelism.threads();
     let (mut skolem, mut stats) = (SkolemFactory::new(), MatchStats::default());
 
-    // Phase A: delta detection, each plan's objects chunk-partitioned over
-    // the pool. Chunks are processed exhaustively (no early exit), so
-    // `checked`/`probes` are partition-invariant sums and `dirty` a
-    // partition-invariant OR.
+    // Phase A: delta detection, each plan's changed objects cut into chunks
+    // under the one partition rule. Chunks are processed exhaustively (no
+    // early exit), so `checked`/`probes` are partition-invariant sums and
+    // `dirty` a partition-invariant OR.
     let mut detections: Vec<Detection> = vec![Detection::default(); clauses.len()];
     for (idx, plan) in plans.iter().enumerate() {
         let chunks = match plan {
-            Plan::KeyProbe { class, attrs, oids } => fan_out(
-                oids,
-                threads,
-                dbs,
-                &mut skolem,
-                &mut stats,
-                |chunk, dbs, _, _| Ok(vec![detect_key_probe(dbs, class, attrs, chunk)]),
-            )?,
-            Plan::Seeded { seeds } => fan_out(
-                seeds,
-                threads,
-                dbs,
-                &mut skolem,
-                &mut stats,
-                |chunk, dbs, _, _| Ok(vec![detect_seeded(dbs, clauses[idx], chunk)?]),
-            )?,
+            Plan::KeyProbe { class, attrs, oids } => {
+                fan_out(oids, dbs, &mut skolem, &mut stats, |chunk, dbs, _, _| {
+                    Ok(vec![detect_key_probe(dbs, class, attrs, chunk)])
+                })?
+            }
+            Plan::Seeded { seeds } => {
+                fan_out(seeds, dbs, &mut skolem, &mut stats, |chunk, dbs, _, _| {
+                    Ok(vec![detect_seeded(dbs, clauses[idx], chunk)?])
+                })?
+            }
             Plan::Skip | Plan::Full => continue,
         };
         for chunk in chunks {
@@ -681,61 +679,39 @@ pub fn check_batch(
         }
     }
 
-    // Phase B: canonical full re-checks for Full plans and dirty detections,
-    // results in clause order.
-    let full: Vec<usize> = (0..plans.len())
-        .filter(|&idx| match plans[idx] {
-            Plan::Full => true,
-            Plan::KeyProbe { .. } | Plan::Seeded { .. } => detections[idx].dirty,
-            Plan::Skip => false,
-        })
-        .collect();
-    let mut full_results: BTreeMap<usize, (Vec<Violation>, u64)> = fan_out(
-        &full,
-        threads,
-        dbs,
-        &mut skolem,
-        &mut stats,
-        |chunk, dbs, _, _| {
-            chunk
-                .iter()
-                .map(|&idx| {
-                    let found = check_constraint_counted(clauses[idx], dbs, Bindings::new())?;
-                    Ok((idx, found))
-                })
-                .collect()
-        },
-    )?
-    .into_iter()
-    .collect();
-
+    // Phase B, in clause order: canonical full re-checks for Full plans and
+    // dirty detections. Each re-check's body match partitions its own
+    // opening scan; the clauses are not partitioned.
     let mut entries = Vec::with_capacity(clauses.len());
     let mut violations = Vec::new();
     for (idx, (clause, plan)) in clauses.iter().zip(&plans).enumerate() {
         let constraint = clause_name(clause);
         let detection = detections[idx];
-        let entry = match (plan, full_results.remove(&idx)) {
-            (Plan::Skip, _) => CertEntry {
+        let entry = match plan {
+            Plan::Skip => CertEntry {
                 constraint,
                 mode: CheckMode::Skipped,
                 checked: 0,
                 probes: 0,
                 violations: Vec::new(),
             },
-            (_, Some((found, full_checked))) => CertEntry {
-                constraint,
-                mode: CheckMode::Full,
-                checked: detection.checked + full_checked,
-                probes: detection.probes,
-                violations: found,
-            },
-            (_, None) => CertEntry {
+            Plan::KeyProbe { .. } | Plan::Seeded { .. } if !detection.dirty => CertEntry {
                 constraint,
                 mode: CheckMode::Delta,
                 checked: detection.checked,
                 probes: detection.probes,
                 violations: Vec::new(),
             },
+            Plan::KeyProbe { .. } | Plan::Seeded { .. } | Plan::Full => {
+                let (found, full_checked) = check_constraint_counted(clause, dbs, Bindings::new())?;
+                CertEntry {
+                    constraint,
+                    mode: CheckMode::Full,
+                    checked: detection.checked + full_checked,
+                    probes: detection.probes,
+                    violations: found,
+                }
+            }
         };
         violations.extend(entry.violations.iter().cloned());
         entries.push(entry);

@@ -28,16 +28,18 @@
 //!
 //! * **Who decides.** The budget is a value on [`Databases`] (the
 //!   environment's, read once when the view is built, unless the caller set
-//!   one); `partition_count` turns it into a range count — 1 unless the plan
-//!   opens with a large enough scan, the budget has several threads and the
-//!   body applies no Skolem function. Later steps scan their whole extent.
+//!   one), and the workspace's one rule, [`Parallelism::partitions`] of the
+//!   extent's size, turns it into a range count. Later steps scan their
+//!   whole extent.
 //! * **What a partition owns.** A binding frame, its undo trail, a
 //!   [`SkolemFactory`] and a [`MatchStats`]. One partition is the caller's
 //!   own: nothing is dispatched. Several go through `fan_out`, the crate's
 //!   only `WorkerPool` call site (shared with the semi-naive seed matches
 //!   and the batch constraint checker): a job per chunk with a fresh factory
-//!   and counters, merged in chunk order — the order one partition
-//!   enumerates in, so binding lists and stats are identical at every budget.
+//!   and counters, folded into the caller's in chunk order — the order one
+//!   partition enumerates in. A Skolem identity is a function of its key, so
+//!   a chunk mints what the caller would; binding lists, stats and the
+//!   caller's factory are identical at every budget.
 //! * **Why nested chunks match sequentially.** A job that is itself a chunk
 //!   sees a one-thread view, so the pool is entered once per top-level
 //!   operation, never recursively.
@@ -226,15 +228,6 @@ impl FromIterator<(Var, Value)> for Bindings {
     }
 }
 
-impl std::ops::Index<&str> for Bindings {
-    type Output = Value;
-
-    fn index(&self, var: &str) -> &Value {
-        self.get(var)
-            .unwrap_or_else(|| panic!("no binding for variable `{var}`"))
-    }
-}
-
 /// Statistics of a body-matching run, for benchmarks and regression tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MatchStats {
@@ -318,9 +311,9 @@ pub fn eval_skolem_key(
             for t in ts {
                 values.push(eval_term(t, bindings, dbs, skolem)?);
             }
-            Ok(match values.len() {
-                1 => values.into_iter().next().expect("length checked"),
-                _ => Value::List(values),
+            Ok(match <[Value; 1]>::try_from(values) {
+                Ok([single]) => single,
+                Err(values) => Value::List(values),
             })
         }
         SkolemArgs::Named(fields) => {
@@ -423,35 +416,8 @@ fn match_pattern_in_place(
 
 /// Undo frame extensions recorded on the trail past `mark`.
 fn unwind_trail(bindings: &mut Bindings, trail: &mut Vec<Var>, mark: usize) {
-    while trail.len() > mark {
-        let var = trail.pop().expect("trail length checked");
+    for var in trail.drain(mark.min(trail.len())..) {
         bindings.remove(&var);
-    }
-}
-
-/// Whether the term (or any sub-term) applies a Skolem function. Skolem
-/// application memoises into the clause-wide [`SkolemFactory`], and
-/// `fan_out` hands each chunk a throwaway factory, so a Skolem-bearing body
-/// is matched as one partition (see [`partition_count`]).
-fn term_contains_skolem(term: &Term) -> bool {
-    match term {
-        Term::Skolem(_, _) => true,
-        Term::Var(_) | Term::Const(_) => false,
-        Term::Proj(base, _) => term_contains_skolem(base),
-        Term::Record(fields) => fields.iter().any(|(_, t)| term_contains_skolem(t)),
-        Term::Variant(_, payload) => term_contains_skolem(payload),
-    }
-}
-
-/// Whether any term of the atom applies a Skolem function (see
-/// [`term_contains_skolem`]).
-pub(crate) fn atom_contains_skolem(atom: &Atom) -> bool {
-    match atom {
-        Atom::Member(term, _) => term_contains_skolem(term),
-        Atom::Eq(s, t) | Atom::Neq(s, t) | Atom::Lt(s, t) | Atom::Leq(s, t) => {
-            term_contains_skolem(s) || term_contains_skolem(t)
-        }
-        Atom::InSet(elem, set) => term_contains_skolem(elem) || term_contains_skolem(set),
     }
 }
 
@@ -778,11 +744,11 @@ impl<'p> Partition<'p> {
 /// Execute `steps` in order over the partition's frame, pushing every
 /// complete binding onto its `out`. The frame is mutated in place; every
 /// extension is recorded on the trail and undone before returning, so the
-/// frame is left as it was found. Only a plan's opening step is ever handed
-/// more than one of `partitions` (see [`partition_count`]).
+/// frame is left as it was found. Only the plan's `opening` step may split
+/// (a scan, through [`fan_out`]).
 fn run_plan(
     steps: &[Step<'_>],
-    partitions: usize,
+    opening: bool,
     dbs: &Databases<'_>,
     part: &mut Partition<'_>,
 ) -> Result<()> {
@@ -797,7 +763,7 @@ fn run_plan(
         Step::Check(atom) => {
             if check_bound_atom(atom, &part.frame, dbs, part.skolem)? {
                 part.stats.bindings_considered += 1;
-                run_plan(rest, 1, dbs, part)?;
+                run_plan(rest, false, dbs, part)?;
             }
             Ok(())
         }
@@ -833,13 +799,13 @@ fn run_plan(
                     extend_frame(term, &Value::Oid((*oid).clone()), rest, dbs, part)
                 })
             };
-            if partitions == 1 {
+            // One partition scans on the caller's own frame, uncopied.
+            if !opening || dbs.parallelism().partitions(extent.len()) == 1 {
                 return scan(&extent, dbs, part);
             }
             let frame = &part.frame;
             let found = fan_out(
                 &extent,
-                partitions,
                 dbs,
                 part.skolem,
                 part.stats,
@@ -891,7 +857,7 @@ fn extend_frame(
     );
     let result = if matched {
         part.stats.bindings_considered += 1;
-        run_plan(rest, 1, dbs, part)
+        run_plan(rest, false, dbs, part)
     } else {
         Ok(())
     };
@@ -899,85 +865,53 @@ fn extend_frame(
     result
 }
 
-/// Minimum extent size before an opening scan is split: below it, handing
-/// chunks to the shared [`WorkerPool`] costs more than the matching it
-/// divides.
-const PAR_MIN_EXTENT: usize = 64;
+/// What one [`fan_out`] chunk hands back: its factory, counters and result.
+type ChunkOutcome<R> = (SkolemFactory, MatchStats, Result<Vec<R>>);
 
-/// How many contiguous ranges a body's *opening* step is matched over: the
-/// one decision between "sequential" and "parallel" matching. The budget's
-/// thread count when that is above one, the plan opens with an extent scan
-/// (`opening_scan` is the extent's size) of at least [`PAR_MIN_EXTENT`]
-/// objects, and the body applies no Skolem function (chunks mint into
-/// throwaway factories, which the caller's memo would miss); one —
-/// the whole match inline on the caller's frame and factory — otherwise.
-fn partition_count(budget: Parallelism, opening_scan: Option<usize>, body: &[Atom]) -> usize {
-    match opening_scan {
-        Some(extent)
-            if budget.threads() > 1
-                && extent >= PAR_MIN_EXTENT
-                && !body.iter().any(atom_contains_skolem) =>
-        {
-            budget.threads()
-        }
-        _ => 1,
-    }
-}
-
-/// The size of the extent the plan's first step enumerates, if it is a scan.
-fn opening_scan(plan: &[Step<'_>], dbs: &Databases<'_>) -> Option<usize> {
-    match plan.first() {
-        Some(Step::MemberScan { class, .. }) => Some(dbs.extent_size(class)),
-        _ => None,
-    }
-}
-
-/// Run `work` over `items` split into at most `partitions` contiguous chunks
-/// ([`chunk_ranges`]) and concatenate the results in chunk order — the one
-/// place the engine's matching goes to the [`WorkerPool`].
+/// Run `work` over `items` cut into contiguous chunks by the view's budget
+/// under the one partition rule ([`Parallelism::partitions`],
+/// [`chunk_ranges`]) and concatenate the results in chunk order — the one
+/// place the engine goes to the [`WorkerPool`].
 ///
 /// A single chunk is not dispatched: `work` runs on the calling thread with
 /// the caller's own view, factory and counters. Several chunks become one job
 /// each on the pool shared by the view's budget; each job works against a
-/// fresh [`SkolemFactory`] and [`MatchStats`] (so callers only ask for more
-/// than one partition where `work` applies no Skolem function) and a
-/// *one-thread* view, so a match that is already a chunk never fans out
-/// again. The jobs' counters are absorbed into `stats`, and the error of the
-/// earliest chunk wins — the one a left-to-right run would have met first.
+/// fresh [`SkolemFactory`] and [`MatchStats`] and a *one-thread* view, so a
+/// match that is already a chunk never fans out again. In chunk order, each
+/// job's counters are absorbed into `stats` and its factory folds into
+/// `skolem` ([`SkolemFactory::merge`]: a collision across chunks is an
+/// error); the first failure in chunk order wins — the one a left-to-right
+/// run would have met first.
 pub(crate) fn fan_out<T: Sync, R: Send>(
     items: &[T],
-    partitions: usize,
     dbs: &Databases<'_>,
     skolem: &mut SkolemFactory,
     stats: &mut MatchStats,
     work: impl Fn(&[T], &Databases<'_>, &mut SkolemFactory, &mut MatchStats) -> Result<Vec<R>> + Sync,
 ) -> Result<Vec<R>> {
-    let ranges = chunk_ranges(items.len(), partitions);
+    let ranges = chunk_ranges(items.len(), dbs.parallelism().partitions(items.len()));
     if ranges.len() <= 1 {
         return work(items, dbs, skolem, stats);
     }
     let chunk_dbs = dbs.clone().with_parallelism(Parallelism::sequential());
     let (chunk_dbs, work) = (&chunk_dbs, &work);
-    let jobs: Vec<Job<'_, (MatchStats, Result<Vec<R>>)>> = ranges
+    let jobs: Vec<Job<'_, ChunkOutcome<R>>> = ranges
         .into_iter()
         .map(|range| {
             Box::new(move || {
                 let (mut factory, mut chunk_stats) = (SkolemFactory::new(), MatchStats::default());
                 let result = work(&items[range], chunk_dbs, &mut factory, &mut chunk_stats);
-                (chunk_stats, result)
+                (factory, chunk_stats, result)
             }) as Job<'_, _>
         })
         .collect();
     let mut all = Vec::new();
-    let mut first_err = None;
-    for (chunk_stats, result) in WorkerPool::shared(dbs.parallelism()).scope(jobs) {
+    for (factory, chunk_stats, result) in WorkerPool::shared(dbs.parallelism()).scope(jobs) {
         stats.absorb(chunk_stats);
-        match result {
-            Ok(found) => all.extend(found),
-            Err(err) => first_err = first_err.or(Some(err)),
-        }
+        skolem.merge(factory)?;
+        all.extend(result?);
     }
-    first_err.map_or(Ok(all), Err)
+    Ok(all)
 }
 
 /// Enumerate every binding of the body's variables (extending `initial`) that
@@ -996,9 +930,8 @@ pub fn match_body(
 ) -> Result<Vec<Bindings>> {
     let initially_bound: BTreeSet<Var> = initial.keys().cloned().collect();
     let plan = build_plan(atoms, &initially_bound, dbs);
-    let partitions = partition_count(dbs.parallelism(), opening_scan(&plan, dbs), atoms);
     let mut part = Partition::new(initial, skolem, stats);
-    run_plan(&plan, partitions, dbs, &mut part)?;
+    run_plan(&plan, true, dbs, &mut part)?;
     Ok(part.out)
 }
 
@@ -1136,12 +1069,16 @@ mod tests {
         .unwrap();
         let results = all_matches(&clause.body, &dbs);
         assert_eq!(results.len(), 2);
-        let mut countries: Vec<&Value> = results.iter().map(|b| &b["X"]).collect();
+        let mut countries: Vec<&Value> = results.iter().filter_map(|b| b.get("X")).collect();
         countries.sort();
         countries.dedup();
         assert_eq!(countries.len(), 2);
-        assert!(results.iter().any(|b| b["X"] == Value::oid(uk.clone())));
-        assert!(results.iter().any(|b| b["X"] == Value::oid(fr.clone())));
+        assert!(results
+            .iter()
+            .any(|b| b.get("X") == Some(&Value::oid(uk.clone()))));
+        assert!(results
+            .iter()
+            .any(|b| b.get("X") == Some(&Value::oid(fr.clone()))));
     }
 
     #[test]
@@ -1294,8 +1231,8 @@ mod tests {
         ]);
         let pattern = Term::record([("name", Term::var("N")), ("country_name", Term::var("C"))]);
         let bound = match_pattern(&pattern, &value, &Bindings::new(), &dbs, &mut sk).unwrap();
-        assert_eq!(bound["N"], Value::str("Paris"));
-        assert_eq!(bound["C"], Value::str("France"));
+        assert_eq!(bound.get("N"), Some(&Value::str("Paris")));
+        assert_eq!(bound.get("C"), Some(&Value::str("France")));
         // A conflicting existing binding rejects the match.
         let existing = Bindings::from([("N".to_string(), Value::str("Lyon"))]);
         assert!(match_pattern(&pattern, &value, &existing, &dbs, &mut sk).is_none());
@@ -1356,51 +1293,27 @@ mod tests {
         inst
     }
 
-    /// The one partition rule, as a table.
-    #[test]
-    fn partition_count_is_one_rule_over_budget_extent_and_body() {
-        let plain = parse_clause("Z = 1 <= E in CityE").unwrap().body;
-        let skolem = parse_clause("Z = 1 <= E in CityE, Y = Mk_CityT(E.name)")
-            .unwrap()
-            .body;
-        let four = Parallelism::new(4);
-        for (budget, opening, body, expected) in [
-            (Parallelism::sequential(), Some(1_000), &plain, 1),
-            (four, Some(PAR_MIN_EXTENT - 1), &plain, 1),
-            (four, Some(1_000), &skolem, 1),
-            // A plan that opens with a probe has no opening scan.
-            (four, None, &plain, 1),
-            (four, Some(PAR_MIN_EXTENT), &plain, 4),
-            (four, Some(1_000), &plain, 4),
-        ] {
-            assert_eq!(
-                partition_count(budget, opening, body),
-                expected,
-                "budget {budget:?}, opening scan {opening:?}"
-            );
-        }
-    }
-
     /// A one-chunk fan-out is not a dispatch: it runs on the calling thread
     /// against the caller's view, factory and counters. Several chunks each
     /// get a fresh factory and a one-thread view; results keep chunk order,
-    /// counters are summed, and the earliest chunk's error wins.
+    /// counters are summed, the chunk factories fold into the caller's, and
+    /// the earliest chunk's error wins.
     #[test]
     fn single_chunk_fan_out_runs_on_the_calling_thread_with_the_callers_factory() {
         let inst = Instance::new("empty");
-        let dbs = Databases::new(&[&inst]).with_parallelism(Parallelism::new(4));
+        let budget = Parallelism::new(4).with_min_items(1);
+        let dbs = Databases::new(&[&inst]).with_parallelism(budget);
         let class = ClassName::new("T");
         let caller = std::thread::current().id();
         let (mut sk, mut stats) = (SkolemFactory::new(), MatchStats::default());
         let out = fan_out(
             &[7i64],
-            4,
             &dbs,
             &mut sk,
             &mut stats,
             |items, dbs, sk, stats| {
                 assert_eq!(std::thread::current().id(), caller);
-                assert_eq!(dbs.parallelism(), Parallelism::new(4));
+                assert_eq!(dbs.parallelism(), budget);
                 sk.mk(&class, &Value::int(items[0]))?;
                 stats.index_probes += 1;
                 Ok(items.to_vec())
@@ -1414,7 +1327,6 @@ mod tests {
         let items: Vec<i64> = (0..10).collect();
         let out = fan_out(
             &items,
-            4,
             &dbs,
             &mut sk,
             &mut stats,
@@ -1428,25 +1340,65 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out, items);
-        assert_eq!(sk.count(&class), 1, "the caller's factory is not shared");
+        // Chunks start at 0, 3, 6 and 8; key 7 already held stays one entry.
+        let mut expected = SkolemFactory::new();
+        for key in [7, 0, 3, 6, 8] {
+            expected.mk(&class, &Value::int(key)).unwrap();
+        }
+        assert_eq!(
+            sk.count(&class),
+            5,
+            "chunk factories fold into the caller's"
+        );
+        assert_eq!(format!("{sk:?}"), format!("{expected:?}"));
         assert_eq!(stats.index_probes, 11);
 
-        let err = fan_out(&items, 4, &dbs, &mut sk, &mut stats, |items, _, _, _| {
+        let err = fan_out(&items, &dbs, &mut sk, &mut stats, |items, _, _, _| {
             Err::<Vec<i64>, _>(EngineError::Eval(format!("chunk at {}", items[0])))
         })
         .unwrap_err();
         assert!(err.to_string().contains("chunk at 0"), "{err}");
     }
 
+    /// Two chunks that hold one identity for different keys do not fold
+    /// silently: the caller gets the collision, whichever chunk ran first.
+    #[test]
+    fn chunks_holding_one_identity_for_different_keys_collide() {
+        let inst = Instance::new("empty");
+        let dbs = Databases::new(&[&inst]).with_parallelism(Parallelism::new(2).with_min_items(1));
+        let class = ClassName::new("T");
+        let shared = Oid::new(class.clone(), 7);
+        let (mut sk, mut stats) = (SkolemFactory::new(), MatchStats::default());
+        let err = fan_out(
+            &["left", "right"],
+            &dbs,
+            &mut sk,
+            &mut stats,
+            |keys, _, sk, _| {
+                sk.restore_assignment(&class, Value::str(keys[0]), shared.clone())?;
+                Ok(vec![()])
+            },
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Model(text) if text.contains("both claim")),
+            "{err}"
+        );
+    }
+
     /// Every body shape the planner produces matches to the same binding
     /// *list* — same bindings, same order — with equal stats at every budget,
-    /// over extents on both sides of `PAR_MIN_EXTENT`; and a Skolem-bearing
-    /// body never leaves the caller's factory.
+    /// over extents just below, at and above the partition minimum; and a
+    /// Skolem-bearing body splits like any other, its chunk factories
+    /// folding into exactly the memo one partition builds.
     #[test]
     fn every_body_shape_is_partition_invariant() {
+        let min = (1..)
+            .find(|&items| Parallelism::new(2).partitions(items) > 1)
+            .unwrap();
         // (body, variable bound by `initial` to the first country, whether a
         // large extent under a budget above one splits the opening step)
-        let shapes: [(&str, Option<&str>, bool); 10] = [
+        let shapes: [(&str, Option<&str>, bool); 11] = [
             ("Z = 1 <= E in CityE", None, true),
             ("Z = 1 <= E in CityE, E.is_capital = true", None, false),
             (
@@ -1469,8 +1421,9 @@ mod tests {
                 true,
             ),
             ("Z = 1 <= E in CityE, E.country = X", Some("X"), false),
+            ("Z = 1 <= E in CityE, Y = Mk_CityT(E.name)", None, true),
         ];
-        for cities in [PAR_MIN_EXTENT - 1, PAR_MIN_EXTENT, 150] {
+        for cities in [min - 1, min, min + 22] {
             let inst = scaled_instance(cities);
             let first_country = inst
                 .extent(&ClassName::new("CountryE"))
@@ -1484,38 +1437,46 @@ mod tests {
                     .into_iter()
                     .collect();
                 let bound: BTreeSet<Var> = initial.keys().cloned().collect();
-                let plan = build_plan(body, &bound, &dbs);
-                let split = partition_count(dbs.parallelism(), opening_scan(&plan, &dbs), body) > 1;
+                let split = match build_plan(body, &bound, &dbs).first() {
+                    Some(Step::MemberScan { class, .. }) => {
+                        dbs.parallelism().partitions(dbs.extent_size(class)) > 1
+                    }
+                    _ => false,
+                };
                 let (mut sk, mut stats) = (SkolemFactory::new(), MatchStats::default());
                 let found = match_body(body, &dbs, &mut sk, initial, &mut stats).unwrap();
-                (found, stats, split, sk)
+                (found, stats, split, format!("{sk:?}"))
             };
             for (text, seed, splits) in shapes {
                 let body = parse_clause(text).unwrap().body;
-                let (expected, expected_stats, split, _) = run(&body, seed, 1);
+                let (expected, expected_stats, split, expected_sk) = run(&body, seed, 1);
                 assert!(!expected.is_empty() && !split, "`{text}` over {cities}");
                 for threads in [2, 3, 8] {
-                    let (found, stats, split, _) = run(&body, seed, threads);
+                    let (found, stats, split, sk) = run(&body, seed, threads);
                     assert_eq!(found, expected, "bindings of `{text}` at {threads} threads");
                     assert_eq!(
                         stats, expected_stats,
                         "stats of `{text}` at {threads} threads"
                     );
-                    assert_eq!(split, splits && cities >= PAR_MIN_EXTENT, "`{text}`");
+                    assert_eq!(sk, expected_sk, "factory of `{text}` at {threads} threads");
+                    assert_eq!(split, splits && cities >= min, "`{text}`");
                 }
             }
-            // The Skolem-bearing body: one partition at every budget, every
-            // identity minted by the caller's factory in extent order.
+            // The Skolem-bearing body minted one identity per city.
             let body = parse_clause("Z = 1 <= E in CityE, Y = Mk_CityT(E.name)")
                 .unwrap()
                 .body;
-            let (expected, expected_stats, ..) = run(&body, None, 1);
-            for threads in [2, 3, 8] {
-                let (found, stats, split, sk) = run(&body, None, threads);
-                assert_eq!((found, stats), (expected.clone(), expected_stats));
-                assert!(!split);
-                assert_eq!(sk.count(&ClassName::new("CityT")), cities);
-            }
+            let dbs = Databases::new(&[&inst]).with_parallelism(Parallelism::new(8));
+            let mut sk = SkolemFactory::new();
+            match_body(
+                &body,
+                &dbs,
+                &mut sk,
+                Bindings::new(),
+                &mut MatchStats::default(),
+            )
+            .unwrap();
+            assert_eq!(sk.count(&ClassName::new("CityT")), cities);
         }
     }
 
@@ -1540,7 +1501,7 @@ mod tests {
         assert!(bindings.insert("X", Value::int(1)).is_none());
         assert!(bindings.contains_key("X"));
         assert_eq!(bindings.len(), 1);
-        assert_eq!(bindings["X"], Value::int(1));
+        assert_eq!(bindings.get("X"), Some(&Value::int(1)));
         let previous = bindings.insert("X", Value::int(2)).unwrap();
         assert_eq!(*previous, Value::int(1));
         let collected: Vec<(String, Value)> = bindings

@@ -36,17 +36,19 @@
 //!   [`Databases::with_parallelism`]. No match, binding or seed reads the
 //!   environment.
 //! * **A match is one or more partitions of its opening extent scan.** The
-//!   count is 1 unless the budget has several threads, the plan opens with a
-//!   scan of a large enough extent and the body applies no Skolem function;
-//!   one partition runs inline on the caller's frame and [`SkolemFactory`]
-//!   — "sequential matching" is that case, not a second matcher.
+//!   count is the workspace's one partition rule
+//!   ([`wol_model::Parallelism::partitions`], shared with `cpl`) over the
+//!   extent's size; one partition runs inline on the caller's frame and
+//!   [`SkolemFactory`] — "sequential matching" is that case, not a second
+//!   matcher. Skolem-bearing bodies split like any other.
 //! * **One fan-out.** Everything that splits work — the opening scan, the
-//!   semi-naive delta seeds, the batch checker's detection and re-check
-//!   phases — cuts its items into contiguous chunks through one helper in
-//!   [`mod@env`]: a single chunk runs on the calling thread; several run on the
+//!   semi-naive delta seeds, the batch checker's delta detection — cuts its
+//!   items into contiguous chunks through one helper in [`mod@env`], under
+//!   that rule: a single chunk runs on the calling thread; several run on the
 //!   shared worker pool with a fresh factory and counters each, results
-//!   concatenated and counters summed in chunk order. A chunk's job sees a
-//!   one-thread view, so work that is already a chunk never splits again.
+//!   concatenated, counters summed and factories folded into the caller's in
+//!   chunk order. A chunk's job sees a one-thread view, so work that is
+//!   already a chunk never splits again.
 //!
 //! Binding lists, [`MatchStats`], violation lists, certificate bytes and
 //! Skolem identities are identical at every budget.
@@ -98,6 +100,18 @@
 //! reject versions they do not know. A certificate that fails the CRC, has
 //! trailing bytes, or uses an unknown tag is rejected with
 //! [`EngineError::Certificate`] — corruption is never silently accepted.
+
+// Library code reports errors; it does not panic. Tests may.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+#![forbid(unsafe_code)]
 
 pub mod completeness;
 pub mod constraints;

@@ -360,15 +360,18 @@ fn unfold_partial(
     counter: &mut usize,
 ) -> Result<Vec<Partial>> {
     // Find the first target membership atom in the body.
-    let position = partial.body.iter().position(
-        |atom| matches!(atom, Atom::Member(Term::Var(_), class) if target_classes.contains(class)),
-    );
-    let Some(position) = position else {
+    let found = partial
+        .body
+        .iter()
+        .enumerate()
+        .find_map(|(position, atom)| match atom {
+            Atom::Member(Term::Var(v), c) if target_classes.contains(c) => {
+                Some((position, v.clone(), c.clone()))
+            }
+            _ => None,
+        });
+    let Some((position, object_var, class)) = found else {
         return Ok(vec![partial]);
-    };
-    let (object_var, class) = match &partial.body[position] {
-        Atom::Member(Term::Var(v), c) => (v.clone(), c.clone()),
-        _ => unreachable!(),
     };
     let defining: Vec<NormalClause> = normalized
         .get(&class)

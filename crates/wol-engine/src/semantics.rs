@@ -33,8 +33,7 @@ use wol_model::{ClassName, Instance, Label, Oid, Parallelism, SkolemFactory, Val
 
 use crate::constraints::{extract_object_keys, ObjectKey};
 use crate::env::{
-    atom_contains_skolem, eval_skolem_key, eval_term, fan_out, match_body, Bindings, Databases,
-    MatchStats,
+    eval_skolem_key, eval_term, fan_out, match_body, Bindings, Databases, MatchStats,
 };
 use crate::error::EngineError;
 use crate::headform::{analyze_head, HeadAnalysis};
@@ -53,8 +52,9 @@ pub struct NaiveOptions {
     /// (body matching and the semi-naive delta seeds). Defaults to the
     /// environment ([`Parallelism::from_env`]: available cores, overridable
     /// via `WOL_THREADS`). The budget never changes the produced target —
-    /// Skolem-bearing clause bodies are always one partition, and delta
-    /// matches are collected into an ordered set before updates apply.
+    /// partitions mint through factories that fold into the clause-wide
+    /// one, and delta matches are collected into an ordered set before
+    /// updates apply.
     pub parallelism: Parallelism,
 }
 
@@ -225,12 +225,12 @@ pub fn naive_transform_with_report(
                     target.insert(oid.clone(), Value::Record(BTreeMap::new()))?;
                     pass_delta.insert(oid.clone());
                 }
-                let existing = target.value(&oid).expect("just ensured").clone();
-                let Value::Record(mut fields) = existing else {
+                let Some(Value::Record(fields)) = target.value(&oid) else {
                     return Err(EngineError::Invalid(format!(
                         "target object {oid} does not hold a record value"
                     )));
                 };
+                let mut fields = fields.clone();
                 match fields.get(&label) {
                     Some(previous) if previous == &value => {}
                     Some(previous) => {
@@ -270,10 +270,10 @@ pub fn naive_transform_with_report(
 }
 
 /// Match one clause body once per delta seed and take the union. The seeds
-/// are independent read-only queries, so they are cut into one chunk per
-/// worker of the budget ([`fan_out`]) — unless the body applies a Skolem
-/// function, which must see the one shared factory in seed order. The result
-/// is an ordered set, so the produced fixpoint is identical either way.
+/// are independent queries, cut into chunks under the one partition rule
+/// ([`fan_out`]); a chunk's Skolem factory folds into the clause-wide one.
+/// The result is an ordered set, so the produced fixpoint is identical at
+/// every budget.
 fn match_delta_seeds(
     body: &[Atom],
     dbs: &Databases<'_>,
@@ -281,26 +281,14 @@ fn match_delta_seeds(
     seeds: &[(Var, Oid)],
     stats: &mut MatchStats,
 ) -> Result<BTreeSet<Bindings>> {
-    let partitions = if body.iter().any(atom_contains_skolem) {
-        1
-    } else {
-        dbs.parallelism().threads()
-    };
-    let found = fan_out(
-        seeds,
-        partitions,
-        dbs,
-        factory,
-        stats,
-        |chunk, dbs, factory, stats| {
-            let mut out = Vec::new();
-            for (var, oid) in chunk {
-                let initial = Bindings::from([(var.clone(), Value::Oid(oid.clone()))]);
-                out.extend(match_body(body, dbs, factory, initial, stats)?);
-            }
-            Ok(out)
-        },
-    )?;
+    let found = fan_out(seeds, dbs, factory, stats, |chunk, dbs, factory, stats| {
+        let mut out = Vec::new();
+        for (var, oid) in chunk {
+            let initial = Bindings::from([(var.clone(), Value::Oid(oid.clone()))]);
+            out.extend(match_body(body, dbs, factory, initial, stats)?);
+        }
+        Ok(out)
+    })?;
     Ok(found.into_iter().collect())
 }
 
@@ -624,6 +612,58 @@ mod tests {
             assert_eq!(parallel, sequential, "target diverged at {threads} threads");
             assert_eq!(
                 report, sequential_report,
+                "report diverged at {threads} threads"
+            );
+        }
+    }
+
+    /// A Skolem-bearing clause that reads the target is re-matched through
+    /// the semi-naive delta seeds, which split like any other work: the
+    /// chunks' factories fold into the clause-wide one, so the fixpoint and
+    /// its report are identical at every budget.
+    #[test]
+    fn skolem_bearing_delta_seeds_partition_and_equal_the_sequential_fixpoint() {
+        let program = Program::new(
+            "skolem_seeds",
+            vec![SchemaBinding::new(euro_schema())],
+            SchemaBinding::new(target_schema()),
+        )
+        .with_text(
+            "T1: X in CountryT, X.name = E.name, X.language = E.language, X.currency = E.currency \
+                 <= E in CountryE;\n\
+             T2: Y in CityT, Y.name = E.name, Y.place = ins_euro_city(X) \
+                 <= E in CityE, X in CountryT, X.name = E.country.name;\n\
+             T3: X.capital = Y \
+                 <= X in CountryT, E in CityE, E.country.name = X.name, E.is_capital = true, \
+                    Y = Mk_CityT(name = E.name, place = ins_euro_city(X));\n\
+             C3: Y = Mk_CountryT(N) <= Y in CountryT, N = Y.name;\n\
+             C2: X = Mk_CityT(name = N, place = P) <= X in CityT, N = X.name, P = X.place;",
+        );
+        let source = euro_instance();
+        let run = |threads: usize| {
+            let options = NaiveOptions {
+                parallelism: Parallelism::new(threads).with_min_items(1),
+                ..NaiveOptions::default()
+            };
+            naive_transform_with_report(&program, &[&source][..], "target", &options).unwrap()
+        };
+        let (expected, expected_report) = run(1);
+        let france = expected
+            .find_by_field(&ClassName::new("CountryT"), "name", &Value::str("France"))
+            .unwrap();
+        let capital = expected.value(france).unwrap().project("capital").unwrap();
+        let capital = capital.as_oid().unwrap();
+        assert_eq!(
+            expected.value(capital).unwrap().project("name"),
+            Some(&Value::str("Paris")),
+            "the minted capital is the city T2 created"
+        );
+        assert!(expected_report.passes >= 3, "{expected_report:?}");
+        for threads in [2, 8] {
+            let (target, report) = run(threads);
+            assert_eq!(target, expected, "target diverged at {threads} threads");
+            assert_eq!(
+                report, expected_report,
                 "report diverged at {threads} threads"
             );
         }

@@ -44,6 +44,7 @@
         clippy::unreachable
     )
 )]
+#![forbid(unsafe_code)]
 
 pub mod ast;
 pub mod error;

@@ -139,10 +139,11 @@ impl StringInterner {
     /// An immutable snapshot of the dictionary (code → string), cached so
     /// repeated snapshots after the same appends are O(1) `Arc` clones.
     pub fn snapshot(&mut self) -> Arc<Vec<Arc<str>>> {
-        if self.snapshot.is_none() {
-            self.snapshot = Some(Arc::new(self.strings.clone()));
-        }
-        self.snapshot.as_ref().expect("just installed").clone()
+        let strings = &self.strings;
+        Arc::clone(
+            self.snapshot
+                .get_or_insert_with(|| Arc::new(strings.clone())),
+        )
     }
 
     /// Number of interned strings.

@@ -164,8 +164,8 @@ impl AttrHistogram {
                     });
                 }
             }
-            if current.as_ref().is_some_and(|b| b.count >= depth) {
-                buckets.push(current.take().expect("just checked"));
+            if let Some(full) = current.take_if(|b| b.count >= depth) {
+                buckets.push(full);
             }
         }
         if let Some(done) = current.take() {

@@ -815,7 +815,7 @@ impl Instance {
         fn brief(value: &Value) -> String {
             let mut s = format!("{value:?}");
             if s.len() > 120 {
-                s.truncate(117);
+                s.truncate(s.floor_char_boundary(117));
                 s.push_str("...");
             }
             s
@@ -862,29 +862,15 @@ impl Instance {
             }
             if let (Value::Record(l), Value::Record(r)) = (left, right) {
                 let labels: BTreeSet<&crate::types::Label> = l.keys().chain(r.keys()).collect();
+                let shown = |v: Option<&Value>| v.map_or_else(|| "missing".to_string(), brief);
                 for label in labels {
-                    match (l.get(label), r.get(label)) {
-                        (Some(a), Some(b)) if a == b => {}
-                        (Some(a), Some(b)) => {
-                            return Some(format!(
-                                "{oid}.{label}: left {}, right {}",
-                                brief(a),
-                                brief(b)
-                            ));
-                        }
-                        (Some(a), None) => {
-                            return Some(format!(
-                                "{oid}.{label}: left {}, right missing",
-                                brief(a)
-                            ));
-                        }
-                        (None, Some(b)) => {
-                            return Some(format!(
-                                "{oid}.{label}: left missing, right {}",
-                                brief(b)
-                            ));
-                        }
-                        (None, None) => unreachable!("label drawn from one of the records"),
+                    let (a, b) = (l.get(label), r.get(label));
+                    if a != b {
+                        return Some(format!(
+                            "{oid}.{label}: left {}, right {}",
+                            shown(a),
+                            shown(b)
+                        ));
                     }
                 }
             }
@@ -1642,6 +1628,32 @@ mod tests {
         assert!(report.contains("currency"), "{report}");
         assert!(report.contains("sterling"), "{report}");
         assert!(report.contains("pound"), "{report}");
+
+        // A missing attribute on either side.
+        let mut dropped = inst.clone();
+        let mut v = dropped.value(&uk).unwrap().clone();
+        if let Value::Record(ref mut fields) = v {
+            fields.remove("currency");
+        }
+        dropped.update(&uk, v).unwrap();
+        let report = inst.deep_eq_report(&dropped).unwrap();
+        assert!(report.contains("right missing"), "{report}");
+        let report = dropped.deep_eq_report(&inst).unwrap();
+        assert!(report.contains("left missing"), "{report}");
+
+        // A long multi-byte value is shortened at a character boundary,
+        // whichever byte the cut falls on.
+        for prefix in ["", "a"] {
+            let mut long = inst.clone();
+            let mut v = long.value(&uk).unwrap().clone();
+            if let Value::Record(ref mut fields) = v {
+                let text = format!("{prefix}{}", "é".repeat(100));
+                fields.insert("currency".into(), Value::str(text));
+            }
+            long.update(&uk, v).unwrap();
+            let report = inst.deep_eq_report(&long).unwrap();
+            assert!(report.ends_with("..."), "{report}");
+        }
 
         // Oid-counter divergence (same objects, different generator state).
         let mut ahead = inst.clone();

@@ -40,6 +40,19 @@
 //! The crate is self-contained and has no dependency on the WOL language itself;
 //! it is the substrate every other crate in the workspace builds on.
 
+// Library code reports errors; it does not panic. Tests may.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+// One `unsafe` block: the worker pool's lifetime erasure (`parallel`).
+#![deny(unsafe_code)]
+
 pub mod column;
 pub mod display;
 pub mod error;

@@ -1,82 +1,100 @@
-//! The workspace-wide parallelism knob and the persistent worker pool.
+//! The workspace's one partition rule and the persistent worker pool that
+//! runs the partitions.
 //!
-//! Both execution engines (`cpl`'s plan executor and `wol-engine`'s clause
-//! matcher) partition their work over pool workers. How many workers is a
-//! *policy* decision threaded down from the pipeline driver, so it lives here
-//! in the shared model crate: a [`Parallelism`] value is "use `n` OS
-//! threads", defaulting to the machine's available cores and overridable with
-//! the `WOL_THREADS` environment variable (the hook the CI thread-matrix uses
-//! to run the whole suite single- and multi-threaded).
+//! Both execution engines — `cpl`'s plan executor and `wol-engine`'s clause
+//! matcher and constraint checker — cut their work into contiguous
+//! partitions and run them here. How many is a *policy* value threaded down
+//! from the pipeline driver: a [`Parallelism`] is a thread budget (default:
+//! the machine's available cores, overridable with the `WOL_THREADS`
+//! environment variable, which the CI thread matrix uses to run the whole
+//! suite single- and multi-threaded).
 //!
-//! ## The pool threading model
+//! ## The rule
 //!
-//! Until PR 5 every parallel operator paid a fresh [`std::thread::scope`]
-//! spawn round (~100µs for four workers) — cheap for one big join, ruinous
-//! for a pipeline of medium operators. [`WorkerPool`] replaces the per
-//! operator scopes with *persistent* workers:
+//! [`Parallelism::partitions`] is the only place a partition count is
+//! decided: an input of `items` runs as **one** partition when the budget is
+//! one thread or the input is smaller than the minimum (128 items, below
+//! which a pool round costs more than it saves), and as `min(threads,
+//! items)` contiguous partitions otherwise ([`chunk_ranges`]). Tests lower
+//! the minimum with [`Parallelism::with_min_items`] to partition tiny,
+//! hand-checkable inputs; results are identical either way. One partition
+//! runs inline on the caller, so "sequential execution" is just the
+//! one-partition case.
 //!
-//! * A pool for `Parallelism(n)` spawns `n - 1` long-lived OS workers that
-//!   block on a shared channel of jobs. [`Parallelism::sequential`] spawns
-//!   **no** threads at all.
-//! * [`WorkerPool::scope`] submits a batch of closures and blocks until all
-//!   of them have finished. The *calling thread participates*: it executes
-//!   queued jobs itself instead of idling, so a batch of `n` jobs runs at
-//!   concurrency `n` — and, crucially, a scope entered *from a pool worker*
-//!   (query-level parallelism nesting operator-level parallelism) can always
-//!   drain its own jobs even when every other worker is busy. There is no
-//!   configuration in which `scope` deadlocks waiting for a worker.
-//! * A batch nobody could share — one job, or a pool with no workers — runs
-//!   on the calling thread with no lock, latch or channel round. This is the
-//!   single home of the "inline when trivial" rule: callers submit whatever
-//!   batch they have and never special-case its size themselves.
-//! * Results come back **in submission order**, whatever order jobs actually
-//!   ran in, so pool execution is as deterministic as the scoped-thread
-//!   rounds it replaces.
-//! * A panicking job is caught on the worker (the worker itself survives and
-//!   keeps serving jobs), recorded in the job's result slot, and re-raised on
-//!   the calling thread once the whole batch has finished — the same
-//!   propagate-on-join contract as [`std::thread::scope`], never a hang.
-//! * Dropping a pool closes the job channel and joins every worker.
+//! Parallel execution is *deterministic*: the same inputs produce
+//! bit-identical outputs at every budget. The engines partition by data, not
+//! by scheduling, and reassemble results in input order; a Skolem identity is
+//! a function of its key, so each partition mints through a factory of its
+//! own and the factories fold into the caller's in partition order. The pool
+//! only decides *where* a partition runs, never what it computes.
 //!
-//! [`WorkerPool::shared`] returns a process-wide pool per thread count, so
-//! every executor sharing one `Parallelism` shares one set of workers instead
-//! of re-spawning per operator.
+//! ## The pool contract
 //!
-//! Parallel execution is required to be *deterministic*: the same inputs must
-//! produce bit-identical outputs at every thread count. The executors achieve
-//! that by partitioning work by data (contiguous chunks, or key-hash shards)
-//! rather than by scheduling, and by reassembling results in input order —
-//! the pool only decides *where* a partition runs, never what it computes.
+//! * A pool for a budget of `n` threads spawns `n - 1` long-lived workers
+//!   that block on a shared job channel; a one-thread budget spawns none. A
+//!   worker that fails to spawn leaves a smaller pool, never an error:
+//!   the caller's participation alone guarantees progress.
+//! * [`WorkerPool::scope`] runs a batch of closures to completion and
+//!   returns their results **in submission order**. The calling thread runs
+//!   queued jobs itself, so a scope entered from a pool job (query-level
+//!   parallelism nesting operator-level parallelism) drains its own batch
+//!   even when every worker is busy: `scope` cannot deadlock.
+//! * A batch nobody could share — one job, or a pool without workers — runs
+//!   on the caller with no lock or channel round.
+//! * Jobs run outside the pool's locks under `catch_unwind`; the first panic
+//!   by submission index is re-raised on the caller once the whole batch has
+//!   finished — the propagate-on-join contract of [`std::thread::scope`],
+//!   never a hang. Workers survive a panicking job. A poisoned lock is
+//!   recovered, not escalated: nothing panics while holding one.
+//! * [`WorkerPool::shared`] keeps one pool per thread count for the life of
+//!   the process; dropping a pool closes the channel and joins its workers.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
-/// Number of worker threads parallel operators may use. Always at least 1;
-/// `1` means fully sequential execution (no threads are spawned).
+/// Inputs smaller than this run as one partition: a pool round costs a few
+/// microseconds, which fewer items do not repay.
+const MIN_ITEMS: usize = 128;
+
+/// A thread budget and the one partition rule over it. Always at least one
+/// thread; one thread means fully sequential execution (no threads spawned).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Parallelism(usize);
+pub struct Parallelism {
+    threads: usize,
+    min_items: usize,
+}
 
 impl Parallelism {
     /// Exactly `threads` workers (clamped to at least one).
     pub fn new(threads: usize) -> Self {
-        Parallelism(threads.max(1))
+        Parallelism {
+            threads: threads.max(1),
+            min_items: MIN_ITEMS,
+        }
     }
 
     /// Sequential execution: one worker, no threads spawned.
     pub fn sequential() -> Self {
-        Parallelism(1)
+        Self::new(1)
+    }
+
+    /// The same budget with another minimum partitioned input (clamped to at
+    /// least one item). Tests lower it to partition tiny inputs.
+    pub fn with_min_items(self, min_items: usize) -> Self {
+        Parallelism {
+            min_items: min_items.max(1),
+            ..self
+        }
     }
 
     /// The environment's parallelism: `WOL_THREADS` if set to an integer
-    /// (`0` clamps to sequential, matching [`Parallelism::new`]; leading and
-    /// trailing whitespace is tolerated), otherwise the number of available
-    /// cores (1 if unknown). A set-but-unparsable `WOL_THREADS` falls back to
-    /// the available cores and warns **once** per process on stderr — before
-    /// PR 5 the garbage value was silently swallowed, which made a typoed
-    /// `WOL_THREADS=fuor` indistinguishable from the default.
+    /// (see [`from_spec`](Self::from_spec)), otherwise the available cores.
+    /// A set-but-unparsable `WOL_THREADS` falls back to the available cores
+    /// and warns **once** per process on stderr, so a typo is not mistaken
+    /// for the default.
     pub fn from_env() -> Self {
         match std::env::var("WOL_THREADS") {
             Ok(raw) => match Self::from_spec(&raw) {
@@ -110,21 +128,28 @@ impl Parallelism {
 
     /// The machine's available cores, ignoring `WOL_THREADS`.
     pub fn available() -> Self {
-        Parallelism(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
+        Self::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// The number of worker threads.
     pub fn threads(self) -> usize {
-        self.0
+        self.threads
     }
 
     /// True when no threads would be spawned.
     pub fn is_sequential(self) -> bool {
-        self.0 <= 1
+        self.threads <= 1
+    }
+
+    /// How many partitions work over `items` inputs runs on — the one rule
+    /// (see the module docs): 1 under a one-thread budget or below the
+    /// minimum, `min(threads, items)` otherwise.
+    pub fn partitions(self, items: usize) -> usize {
+        if self.threads <= 1 || items < self.min_items {
+            1
+        } else {
+            self.threads.min(items)
+        }
     }
 }
 
@@ -169,11 +194,19 @@ pub type Job<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;
 /// A type-erased ticket shipped to pool workers through the job channel.
 type Ticket = Box<dyn FnOnce() + Send + 'static>;
 
+/// Take a lock, recovering it if a thread panicked while holding it. No code
+/// here panics under a lock, so the data behind a poisoned one is intact.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One in-flight [`WorkerPool::scope`] batch: the job queue, the result
 /// slots, and the completion latch. Jobs are popped by whoever gets there
-/// first (the calling thread or a pool worker) and their results land in the
-/// slot of their submission index, so result order never depends on
-/// scheduling.
+/// first (the calling thread or a pool worker), run outside every lock, and
+/// their results land in the slot of their submission index, so result
+/// order never depends on scheduling. The queue, the slots and the latch are
+/// locked apart: one lock for all three measured 15–25 % slower on the
+/// skewed-join load (wolbench `load_skew`, 2 vCPUs).
 struct ScopeState<'env, T> {
     jobs: Mutex<VecDeque<(usize, Job<'env, T>)>>,
     results: Mutex<Vec<Option<std::thread::Result<T>>>>,
@@ -188,13 +221,15 @@ impl<T: Send> ScopeState<'_, T> {
     /// job as finished either way, so a panicking batch completes instead of
     /// hanging.
     fn run_one(&self) -> bool {
-        let popped = self.jobs.lock().expect("pool scope poisoned").pop_front();
+        let popped = lock(&self.jobs).pop_front();
         let Some((slot, job)) = popped else {
             return false;
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-        self.results.lock().expect("pool scope poisoned")[slot] = Some(result);
-        let mut remaining = self.remaining.lock().expect("pool scope poisoned");
+        if let Some(cell) = lock(&self.results).get_mut(slot) {
+            *cell = Some(result);
+        }
+        let mut remaining = lock(&self.remaining);
         *remaining -= 1;
         if *remaining == 0 {
             self.done.notify_all();
@@ -204,14 +239,13 @@ impl<T: Send> ScopeState<'_, T> {
 }
 
 /// A persistent pool of worker threads shared by the parallel executors.
-/// See the module docs for the threading model; the short version:
-/// submission-ordered results, caller participation (no deadlocks, nesting
-/// allowed), panic propagation on join, workers joined on drop.
+/// See the module docs for the contract: submission-ordered results, caller
+/// participation (no deadlocks, nesting allowed), panic propagation on join,
+/// workers joined on drop.
 pub struct WorkerPool {
     /// Job channel; `None` only during drop (closing it stops the workers).
     sender: Option<Sender<Ticket>>,
     workers: Vec<JoinHandle<()>>,
-    threads: usize,
     /// Live worker-thread count, for lifecycle assertions: incremented as a
     /// worker starts, decremented as its loop exits.
     live: Arc<AtomicUsize>,
@@ -222,39 +256,21 @@ impl WorkerPool {
     /// thread is the remaining unit of concurrency), so
     /// [`Parallelism::sequential`] spawns no threads at all.
     pub fn new(parallelism: Parallelism) -> Self {
-        let threads = parallelism.threads();
         let (sender, receiver) = channel::<Ticket>();
         let receiver = Arc::new(Mutex::new(receiver));
         let live = Arc::new(AtomicUsize::new(0));
-        let workers = (0..threads.saturating_sub(1))
-            .map(|i| {
-                let receiver = Arc::clone(&receiver);
-                let live = Arc::clone(&live);
+        let workers = (1..parallelism.threads())
+            .filter_map(|i| {
+                let (receiver, live) = (Arc::clone(&receiver), Arc::clone(&live));
                 std::thread::Builder::new()
                     .name(format!("wol-worker-{i}"))
-                    .spawn(move || {
-                        live.fetch_add(1, Ordering::SeqCst);
-                        loop {
-                            // Hold the lock only while popping: a running job
-                            // must never block the other workers' queue.
-                            let ticket = {
-                                let receiver = receiver.lock().expect("pool channel poisoned");
-                                receiver.recv()
-                            };
-                            match ticket {
-                                Ok(ticket) => ticket(),
-                                Err(_) => break, // channel closed: pool dropped
-                            }
-                        }
-                        live.fetch_sub(1, Ordering::SeqCst);
-                    })
-                    .expect("spawning a pool worker failed")
+                    .spawn(move || serve(&receiver, &live))
+                    .ok()
             })
             .collect();
         WorkerPool {
             sender: Some(sender),
             workers,
-            threads,
             live,
         }
     }
@@ -266,9 +282,8 @@ impl WorkerPool {
     pub fn shared(parallelism: Parallelism) -> Arc<WorkerPool> {
         static POOLS: OnceLock<Mutex<BTreeMap<usize, Arc<WorkerPool>>>> = OnceLock::new();
         let pools = POOLS.get_or_init(|| Mutex::new(BTreeMap::new()));
-        let mut pools = pools.lock().expect("pool registry poisoned");
         Arc::clone(
-            pools
+            lock(pools)
                 .entry(parallelism.threads())
                 .or_insert_with(|| Arc::new(WorkerPool::new(parallelism))),
         )
@@ -276,7 +291,7 @@ impl WorkerPool {
 
     /// The concurrency this pool provides (OS workers + the calling thread).
     pub fn threads(&self) -> usize {
-        self.threads
+        self.workers.len() + 1
     }
 
     /// The number of OS worker threads the pool spawned (`threads() - 1`).
@@ -302,9 +317,10 @@ impl WorkerPool {
     /// round at all; a panic then propagates as it happens.
     pub fn scope<'env, T: Send + 'env>(&self, jobs: Vec<Job<'env, T>>) -> Vec<T> {
         let n = jobs.len();
-        if n <= 1 || self.workers.is_empty() {
-            return jobs.into_iter().map(|job| job()).collect();
-        }
+        let sender = match &self.sender {
+            Some(sender) if n > 1 && !self.workers.is_empty() => sender,
+            _ => return jobs.into_iter().map(|job| job()).collect(),
+        };
         let state = Arc::new(ScopeState {
             jobs: Mutex::new(jobs.into_iter().enumerate().collect()),
             results: Mutex::new((0..n).map(|_| None).collect()),
@@ -314,17 +330,16 @@ impl WorkerPool {
         // Offer at most (jobs - 1) tickets to the workers — the caller will
         // run at least one job itself — capped at the worker count.
         let tickets = self.worker_count().min(n - 1);
-        let sender = self.sender.as_ref().expect("pool is live");
         for _ in 0..tickets {
             let state = Arc::clone(&state);
-            // SAFETY: the ticket borrows `'env` data only through the
-            // queued jobs. `scope` does not return until `remaining`
-            // reaches zero, i.e. until every job has *finished running*
-            // (panics included — `run_one` counts them); a ticket that
-            // fires after that pops nothing and touches no borrowed
-            // data. So no `'env` borrow is ever used after `scope`
-            // returns, which is the invariant the lifetime erasure
-            // needs.
+            // SAFETY: the ticket borrows `'env` data only through the queued
+            // jobs and their result slots. `scope` does not return until
+            // `remaining` reaches zero, i.e. until every job has *finished
+            // running* (panics included — `run_one` counts them), and it
+            // moves every result out of its slot before returning. A ticket
+            // that runs or is dropped after that pops nothing and drops no
+            // `'env` value. So no `'env` borrow is used after `scope`
+            // returns, which is the invariant the lifetime erasure needs.
             //
             // Each ticket *drains* the queue rather than running a
             // single job: with more jobs than workers (a wide query
@@ -332,6 +347,7 @@ impl WorkerPool {
             // empty instead of leaving the surplus to the caller.
             let ticket: Box<dyn FnOnce() + Send + 'env> =
                 Box::new(move || while state.run_one() {});
+            #[allow(unsafe_code)]
             let ticket: Ticket = unsafe { std::mem::transmute(ticket) };
             // A send error means the pool is mid-drop; impossible while
             // `&self` is alive, but harmless: the caller runs every job.
@@ -339,19 +355,20 @@ impl WorkerPool {
         }
         // Caller participation: drain the queue, then wait for stragglers.
         while state.run_one() {}
-        let mut remaining = state.remaining.lock().expect("pool scope poisoned");
+        let mut remaining = lock(&state.remaining);
         while *remaining > 0 {
             remaining = state
                 .done
                 .wait(remaining)
-                .expect("pool scope wait poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
         }
         drop(remaining);
-        let results = std::mem::take(&mut *state.results.lock().expect("pool scope poisoned"));
+        let results = std::mem::take(&mut *lock(&state.results));
         let mut values = Vec::with_capacity(n);
         let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for result in results {
-            match result.expect("latch counted every job") {
+        // The latch counted every job, so every slot is filled.
+        for result in results.into_iter().flatten() {
+            match result {
                 Ok(value) => values.push(value),
                 Err(payload) => {
                     if panic.is_none() {
@@ -367,14 +384,28 @@ impl WorkerPool {
     }
 }
 
+/// A worker's loop: run tickets until the pool closes the channel. The lock
+/// is held only while receiving, so a running job never blocks the others.
+fn serve(receiver: &Mutex<Receiver<Ticket>>, live: &AtomicUsize) {
+    live.fetch_add(1, Ordering::SeqCst);
+    loop {
+        let ticket = lock(receiver).recv();
+        match ticket {
+            Ok(ticket) => ticket(),
+            Err(_) => break, // channel closed: pool dropped
+        }
+    }
+    live.fetch_sub(1, Ordering::SeqCst);
+}
+
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Closing the channel wakes every idle worker with a recv error.
         drop(self.sender.take());
         for worker in self.workers.drain(..) {
-            // A worker only panics if a ticket's own latch bookkeeping
-            // panicked; surface that instead of swallowing it.
-            worker.join().expect("pool worker panicked outside a job");
+            // Tickets catch their jobs' panics, so a worker cannot have
+            // panicked; a join error would carry nothing to report.
+            let _ = worker.join();
         }
     }
 }
@@ -411,6 +442,37 @@ mod tests {
                 "`{garbage}` should not parse"
             );
         }
+    }
+
+    /// The one partition rule, as a table: a sequential budget, items
+    /// below, at and above the minimum, fewer items than threads, and the
+    /// test override.
+    #[test]
+    fn partitions_is_one_rule_over_budget_and_items() {
+        let four = Parallelism::new(4);
+        let low = four.with_min_items(1);
+        for (budget, items, expected) in [
+            (Parallelism::sequential(), 10_000, 1),
+            (Parallelism::sequential().with_min_items(1), 10_000, 1),
+            (four, 0, 1),
+            (four, MIN_ITEMS - 1, 1),
+            (four, MIN_ITEMS, 4),
+            (four, 10_000, 4),
+            (Parallelism::new(200), MIN_ITEMS, MIN_ITEMS),
+            (low, 0, 1),
+            (low, 1, 1),
+            (low, 3, 3),
+            (low, 9, 4),
+            (four.with_min_items(0), 0, 1),
+        ] {
+            assert_eq!(
+                budget.partitions(items),
+                expected,
+                "{budget:?} over {items} items"
+            );
+        }
+        assert_eq!(low.threads(), 4);
+        assert_ne!(low, four, "the override is part of the budget");
     }
 
     #[test]

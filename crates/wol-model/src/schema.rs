@@ -44,9 +44,17 @@ impl Schema {
         Ok(())
     }
 
-    /// Builder-style variant of [`add_class`](Self::add_class) that panics on
-    /// duplicates; convenient for statically known schemas in tests and
-    /// workload generators.
+    /// Builder-style variant of [`add_class`](Self::add_class), convenient
+    /// for statically known schemas in tests and workload generators; a
+    /// schema built from outside input goes through the fallible
+    /// [`add_class`](Self::add_class).
+    ///
+    /// # Panics
+    ///
+    /// If `class` is already declared.
+    // The one stated panic of this crate: a duplicate here is a bug in the
+    // schema written into the calling code, not bad input.
+    #[allow(clippy::expect_used)]
     pub fn with_class(mut self, class: impl Into<ClassName>, ty: Type) -> Self {
         self.add_class(class, ty)
             .expect("duplicate class in schema builder");

@@ -21,6 +21,8 @@
 //! raw (unplanned) CPL plan for the planner, and `wol_engine::naive_transform`
 //! for the compiled pipeline.
 
+#![forbid(unsafe_code)]
+
 pub mod datalog;
 pub mod eval;
 pub mod matcher;

@@ -36,6 +36,8 @@
 //!   attributes described by `k` partial clauses, with or without key
 //!   constraints; the knob behind the compile-time experiments E1 and E2.
 
+#![forbid(unsafe_code)]
+
 pub mod cities;
 pub mod constrained;
 pub mod federated;

@@ -3,6 +3,8 @@
 //! dependency. The test-only `wol-oracle` crate is a dev-dependency and is
 //! not re-exported.
 
+#![forbid(unsafe_code)]
+
 pub use cpl;
 pub use morphase;
 pub use storage;

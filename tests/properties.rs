@@ -242,13 +242,11 @@ fn run_skolem_query(
     refs: &[&Instance],
     threads: usize,
 ) -> (Vec<cpl::Row>, Instance, cpl::ExecStats, String) {
-    let parallelism = cpl::Parallelism::new(threads);
+    let parallelism = cpl::Parallelism::new(threads).with_min_items(1);
     let mut ctx = cpl::expr::EvalCtx::new(refs).with_parallelism(parallelism);
-    ctx.set_parallel_min_rows(1);
     let mut stats = cpl::ExecStats::default();
     let rows = cpl::run_plan(&query.plan, &mut ctx, &mut stats).expect("plan runs");
     let mut ctx = cpl::expr::EvalCtx::new(refs).with_parallelism(parallelism);
-    ctx.set_parallel_min_rows(1);
     let mut stats = cpl::ExecStats::default();
     let mut target = Instance::new("target");
     cpl::execute_query(query, &mut ctx, &mut target, &mut stats).expect("query executes");
@@ -265,9 +263,8 @@ fn run_query_with_threads(
     refs: &[&wol_repro::wol_model::Instance],
     threads: usize,
 ) -> (Vec<cpl::Row>, wol_repro::wol_model::Instance) {
-    let parallelism = cpl::Parallelism::new(threads);
+    let parallelism = cpl::Parallelism::new(threads).with_min_items(1);
     let mut ctx = cpl::expr::EvalCtx::new(refs).with_parallelism(parallelism);
-    ctx.set_parallel_min_rows(1);
     let mut stats = cpl::ExecStats::default();
     let rows = cpl::run_plan(plan, &mut ctx, &mut stats).expect("plan runs");
 
@@ -286,7 +283,6 @@ fn run_query_with_threads(
         }],
     };
     let mut ctx = cpl::expr::EvalCtx::new(refs).with_parallelism(parallelism);
-    ctx.set_parallel_min_rows(1);
     let mut stats = cpl::ExecStats::default();
     let mut target = wol_repro::wol_model::Instance::new("target");
     cpl::execute_query(&query, &mut ctx, &mut target, &mut stats).expect("query executes");
@@ -324,9 +320,8 @@ fn run_with_columnar(
     threads: usize,
     columnar: bool,
 ) -> (Vec<cpl::Row>, Instance, cpl::ExecStats, cpl::ColumnarStats) {
-    let parallelism = cpl::Parallelism::new(threads);
+    let parallelism = cpl::Parallelism::new(threads).with_min_items(1);
     let mut ctx = cpl::expr::EvalCtx::new(refs).with_parallelism(parallelism);
-    ctx.set_parallel_min_rows(1);
     ctx.set_columnar(columnar);
     let mut stats = cpl::ExecStats::default();
     let rows = cpl::run_plan(plan, &mut ctx, &mut stats).expect("plan runs");
@@ -344,7 +339,6 @@ fn run_with_columnar(
         }],
     };
     let mut ctx = cpl::expr::EvalCtx::new(refs).with_parallelism(parallelism);
-    ctx.set_parallel_min_rows(1);
     ctx.set_columnar(columnar);
     let mut stats = cpl::ExecStats::default();
     let mut target = Instance::new("target");
