@@ -845,14 +845,12 @@ mod tests {
         let delta = apply(&mut inst, batch);
         let dbs = Databases::new(&[&inst]);
         for threads in [1usize, 2, 4, 8] {
-            let check = check_batch(
-                &[&clause],
-                &dbs,
-                &delta,
-                Parallelism::new(threads),
-                &BTreeSet::new(),
-            )
-            .unwrap();
+            // A lowered minimum splits the full re-check's opening scan.
+            let parallelism = Parallelism::new(threads).with_min_items(1);
+            let users = dbs.extent_size(&ClassName::new("UserS"));
+            assert_eq!(parallelism.partitions(users) > 1, threads > 1);
+            let check =
+                check_batch(&[&clause], &dbs, &delta, parallelism, &BTreeSet::new()).unwrap();
             assert_eq!(check.certificate.entries[0].mode, CheckMode::Full);
             let full = crate::constraints::check_constraints(&[&clause], &dbs).unwrap();
             assert!(!full.is_empty());

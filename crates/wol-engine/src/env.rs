@@ -29,22 +29,24 @@
 //! * **Who decides.** The budget is a value on [`Databases`] (the
 //!   environment's, read once when the view is built, unless the caller set
 //!   one), and the workspace's one rule, [`Parallelism::partitions`] of the
-//!   extent's size, turns it into a range count. Later steps scan their
-//!   whole extent.
+//!   extent's size, turns it into a range count (`chunks`, the crate's only
+//!   reading of the rule). Later steps scan their whole extent.
 //! * **What a partition owns.** A binding frame, its undo trail, a
 //!   [`SkolemFactory`] and a [`MatchStats`]. One partition is the caller's
-//!   own: nothing is dispatched. Several go through `fan_out`, the crate's
-//!   only `WorkerPool` call site (shared with the semi-naive seed matches
-//!   and the batch constraint checker): a job per chunk with a fresh factory
-//!   and counters, folded into the caller's in chunk order — the order one
-//!   partition enumerates in. A Skolem identity is a function of its key, so
-//!   a chunk mints what the caller would; binding lists, stats and the
-//!   caller's factory are identical at every budget.
+//!   own: nothing is dispatched. Several go through `dispatch`, the crate's
+//!   only `WorkerPool` call site (shared, through `fan_out`, with the
+//!   semi-naive seed matches and the batch constraint checker): a job per
+//!   chunk with a fresh factory and counters, folded into the caller's in
+//!   chunk order — the order one partition enumerates in. A Skolem identity
+//!   is a function of its key, so a chunk mints what the caller would;
+//!   binding lists, stats and the caller's factory are identical at every
+//!   budget.
 //! * **Why nested chunks match sequentially.** A job that is itself a chunk
 //!   sees a one-thread view, so the pool is entered once per top-level
 //!   operation, never recursively.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 use wol_lang::ast::{Atom, SkolemArgs, Term, Var};
 use wol_model::{
@@ -719,7 +721,7 @@ fn check_bound_atom(
 
 /// What one partition of a match owns: a Skolem factory and counters (the
 /// caller's own when the match is one partition, fresh ones per chunk when
-/// [`fan_out`] dispatched it), the binding frame with its undo trail, and the
+/// [`dispatch`] ran it), the binding frame with its undo trail, and the
 /// complete bindings found so far.
 struct Partition<'p> {
     skolem: &'p mut SkolemFactory,
@@ -745,7 +747,7 @@ impl<'p> Partition<'p> {
 /// complete binding onto its `out`. The frame is mutated in place; every
 /// extension is recorded on the trail and undone before returning, so the
 /// frame is left as it was found. Only the plan's `opening` step may split
-/// (a scan, through [`fan_out`]).
+/// (a scan, into the view's [`chunks`]).
 fn run_plan(
     steps: &[Step<'_>],
     opening: bool,
@@ -799,13 +801,15 @@ fn run_plan(
                     extend_frame(term, &Value::Oid((*oid).clone()), rest, dbs, part)
                 })
             };
-            // One partition scans on the caller's own frame, uncopied.
-            if !opening || dbs.parallelism().partitions(extent.len()) == 1 {
+            // Only the opening scan may split; one chunk scans on the
+            // caller's own frame, uncopied.
+            let Some(ranges) = opening.then(|| chunks(dbs, extent.len())).flatten() else {
                 return scan(&extent, dbs, part);
-            }
+            };
             let frame = &part.frame;
-            let found = fan_out(
+            let found = dispatch(
                 &extent,
+                ranges,
                 dbs,
                 part.skolem,
                 part.stats,
@@ -865,23 +869,21 @@ fn extend_frame(
     result
 }
 
-/// What one [`fan_out`] chunk hands back: its factory, counters and result.
+/// What one [`dispatch`]ed chunk hands back: its factory, counters and result.
 type ChunkOutcome<R> = (SkolemFactory, MatchStats, Result<Vec<R>>);
 
-/// Run `work` over `items` cut into contiguous chunks by the view's budget
-/// under the one partition rule ([`Parallelism::partitions`],
-/// [`chunk_ranges`]) and concatenate the results in chunk order — the one
-/// place the engine goes to the [`WorkerPool`].
-///
-/// A single chunk is not dispatched: `work` runs on the calling thread with
-/// the caller's own view, factory and counters. Several chunks become one job
-/// each on the pool shared by the view's budget; each job works against a
-/// fresh [`SkolemFactory`] and [`MatchStats`] and a *one-thread* view, so a
-/// match that is already a chunk never fans out again. In chunk order, each
-/// job's counters are absorbed into `stats` and its factory folds into
-/// `skolem` ([`SkolemFactory::merge`]: a collision across chunks is an
-/// error); the first failure in chunk order wins — the one a left-to-right
-/// run would have met first.
+/// The contiguous ranges the one partition rule ([`Parallelism::partitions`],
+/// [`chunk_ranges`]) cuts `len` items into under the view's budget, or `None`
+/// for a single chunk, which the caller runs itself with its own view,
+/// factory and counters. The engine's only reading of the rule.
+fn chunks(dbs: &Databases<'_>, len: usize) -> Option<Vec<Range<usize>>> {
+    let ranges = chunk_ranges(len, dbs.parallelism().partitions(len));
+    (ranges.len() > 1).then_some(ranges)
+}
+
+/// Run `work` over `items` in the view's [`chunks`] and concatenate the
+/// results in chunk order. A single chunk is not dispatched: `work` runs on
+/// the calling thread with the caller's own view, factory and counters.
 pub(crate) fn fan_out<T: Sync, R: Send>(
     items: &[T],
     dbs: &Databases<'_>,
@@ -889,10 +891,29 @@ pub(crate) fn fan_out<T: Sync, R: Send>(
     stats: &mut MatchStats,
     work: impl Fn(&[T], &Databases<'_>, &mut SkolemFactory, &mut MatchStats) -> Result<Vec<R>> + Sync,
 ) -> Result<Vec<R>> {
-    let ranges = chunk_ranges(items.len(), dbs.parallelism().partitions(items.len()));
-    if ranges.len() <= 1 {
-        return work(items, dbs, skolem, stats);
+    match chunks(dbs, items.len()) {
+        Some(ranges) => dispatch(items, ranges, dbs, skolem, stats, work),
+        None => work(items, dbs, skolem, stats),
     }
+}
+
+/// Run `work` over each of the `ranges` of `items` as one job on the pool
+/// shared by the view's budget — the one place the engine goes to the
+/// [`WorkerPool`] — and concatenate the results in chunk order. Each job
+/// works against a fresh [`SkolemFactory`] and [`MatchStats`] and a
+/// *one-thread* view, so a match that is already a chunk never fans out
+/// again. In chunk order, each job's counters are absorbed into `stats` and
+/// its factory folds into `skolem` ([`SkolemFactory::merge`]: a collision
+/// across chunks is an error); the first failure in chunk order wins — the
+/// one a left-to-right run would have met first.
+fn dispatch<T: Sync, R: Send>(
+    items: &[T],
+    ranges: Vec<Range<usize>>,
+    dbs: &Databases<'_>,
+    skolem: &mut SkolemFactory,
+    stats: &mut MatchStats,
+    work: impl Fn(&[T], &Databases<'_>, &mut SkolemFactory, &mut MatchStats) -> Result<Vec<R>> + Sync,
+) -> Result<Vec<R>> {
     let chunk_dbs = dbs.clone().with_parallelism(Parallelism::sequential());
     let (chunk_dbs, work) = (&chunk_dbs, &work);
     let jobs: Vec<Job<'_, ChunkOutcome<R>>> = ranges

@@ -590,7 +590,8 @@ mod tests {
     /// The parallel fixpoint (partitioned matching + parallel delta passes)
     /// produces the *identical* target instance — same identities, same
     /// values — and the same match statistics as the sequential fixpoint, at
-    /// every thread count.
+    /// every thread count. The budgets lower the partition minimum so the
+    /// five-object instance really splits.
     #[test]
     fn parallel_fixpoint_is_bit_identical_to_sequential() {
         let program = cities_program();
@@ -603,8 +604,11 @@ mod tests {
             naive_transform_with_report(&program, &[&source][..], "target", &sequential_options)
                 .unwrap();
         for threads in [2, 4, 8] {
+            let parallelism = Parallelism::new(threads).with_min_items(1);
+            let cities = source.extent_size(&ClassName::new("CityE"));
+            assert!(parallelism.partitions(cities) > 1, "CityE splits");
             let options = NaiveOptions {
-                parallelism: Parallelism::new(threads),
+                parallelism,
                 ..NaiveOptions::default()
             };
             let (parallel, report) =

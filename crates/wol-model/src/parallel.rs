@@ -380,6 +380,7 @@ impl WorkerPool {
         if let Some(payload) = panic {
             std::panic::resume_unwind(payload);
         }
+        debug_assert_eq!(values.len(), n, "a pool job left no result");
         values
     }
 }

@@ -588,17 +588,20 @@ fn report_soak_committed_violations_replay_until_restored() {
 /// The parallel determinism contract at suite level: the same stream checked
 /// at 1, 2, 4 and 8 threads yields byte-identical certificates and identical
 /// violation lists. (The property suite fuzzes this; here one fixed stream
-/// runs under whatever `WOL_THREADS` CI pins, plus the explicit ladder.)
+/// runs under whatever `WOL_THREADS` CI pins, plus the explicit ladder, whose
+/// lowered partition minimum splits the 4-op deltas.)
 #[test]
 fn certificates_are_bit_identical_at_every_thread_count() {
     let params = ConstrainedParams::default();
     let source = constrained::generate_source(&params);
     let program = constrained::program();
     let mut reference: Option<Vec<Vec<u8>>> = None;
+    let mut split = false;
     for threads in [1usize, 2, 4, 8] {
+        let parallelism = Parallelism::new(threads).with_min_items(1);
         let options = PipelineOptions {
             batch_constraints: BatchConstraintMode::Report,
-            parallelism: Parallelism::new(threads),
+            parallelism,
             ..PipelineOptions::default()
         };
         let mut pipeline = MaterializedPipeline::new(&program, vec![source.clone()], options)
@@ -612,13 +615,13 @@ fn certificates_are_bit_identical_at_every_thread_count() {
                 gen.next_batch(4)
             };
             let report = pipeline.apply_batch(&batch).expect("batch commits");
-            encoded.push(
-                report
-                    .constraints
-                    .expect("check attached")
-                    .certificate
-                    .encode(),
-            );
+            let certificate = report.constraints.expect("check attached").certificate;
+            // A delta-mode entry's `checked` counts the objects its delta
+            // detection covered.
+            split |= certificate.entries.iter().any(|entry| {
+                entry.mode == CheckMode::Delta && parallelism.partitions(entry.checked as usize) > 1
+            });
+            encoded.push(certificate.encode());
         }
         match &reference {
             None => reference = Some(encoded),
@@ -628,4 +631,5 @@ fn certificates_are_bit_identical_at_every_thread_count() {
             ),
         }
     }
+    assert!(split, "no delta detection ran in more than one chunk");
 }

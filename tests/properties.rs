@@ -1342,7 +1342,7 @@ proptest! {
             for threads in [1usize, 2, 4, 8] {
                 let options = PipelineOptions {
                     batch_constraints: BatchConstraintMode::Report,
-                    parallelism: cpl::Parallelism::new(threads),
+                    parallelism: cpl::Parallelism::new(threads).with_min_items(1),
                     cost_model,
                     ..PipelineOptions::default()
                 };
