@@ -139,7 +139,7 @@ impl Compiler {
         if let Some(i) = self.attrs.iter().position(|a| a == label) {
             return i;
         }
-        self.attrs.push(label.to_string());
+        self.attrs.push(Label::new(label));
         self.attrs.len() - 1
     }
 

@@ -1,7 +1,8 @@
 //! Errors raised by the CPL substrate.
 
 use std::fmt;
-use std::sync::Arc;
+
+use wol_model::Label;
 
 /// Errors from expression evaluation or plan execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,7 +18,7 @@ pub enum CplError {
         /// [`wol_model::Value::kind`] of the projected value.
         kind: &'static str,
         /// The attribute asked for.
-        label: Arc<str>,
+        label: Label,
     },
     /// A predicate evaluated to a value of this kind, not a boolean: an
     /// error on every path, never read as `false`.

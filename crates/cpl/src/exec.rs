@@ -32,13 +32,13 @@
 //! count (per-partition breakdowns: [`EvalCtx::shard_stats`]).
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
 use wol_model::{chunk_ranges, ClassName, Instance, Label, Oid, SkolemFactory, Value};
 
 use crate::error::CplError;
-use crate::expr::{bind_slot, lower_bindings, store, EvalCtx, Expr, Lowered};
+use crate::expr::{bind_slot, lower_bindings, store, EvalCtx, Expr, Lowered, RecordShape};
 use crate::plan::{InsertAction, Plan, Query};
 use crate::Result;
 
@@ -321,7 +321,7 @@ pub(crate) struct IndexableSide {
     class: wol_model::ClassName,
     var: String,
     /// Attribute the index is probed on.
-    attr: String,
+    attr: Label,
     /// Which key pair the probe answers; the remaining pairs are verified
     /// against each candidate object.
     key_index: usize,
@@ -1132,8 +1132,10 @@ pub struct LoweredInsert {
     pub class: ClassName,
     /// The key expression, whose value identifies the object.
     pub key: Lowered,
-    /// The attribute expressions.
+    /// The attribute expressions, in declared order.
     pub attrs: Vec<(Label, Lowered)>,
+    /// The attributes' labels, resolved into record order once.
+    shape: RecordShape,
 }
 
 impl LoweredInsert {
@@ -1149,6 +1151,7 @@ impl LoweredInsert {
                     .iter()
                     .map(|(label, e)| (label.clone(), Lowered::new(e, layout)))
                     .collect(),
+                shape: RecordShape::new(insert.attrs.iter().map(|(label, _)| label)),
             })
             .collect()
     }
@@ -1158,11 +1161,11 @@ impl LoweredInsert {
     pub fn evaluate(&self, row: &[Value], ctx: &mut EvalCtx<'_>) -> Result<(Oid, Value)> {
         let key = self.key.eval(row, ctx)?;
         let oid = ctx.mk_skolem(&self.class, &key)?;
-        let mut fields = BTreeMap::new();
-        for (label, expr) in &self.attrs {
-            fields.insert(label.clone(), expr.eval(row, ctx)?.into_owned());
-        }
-        Ok((oid, Value::Record(fields)))
+        let values = self
+            .attrs
+            .iter()
+            .map(|(_, e)| e.eval(row, ctx).map(Cow::into_owned));
+        Ok((oid, self.shape.build(values)?))
     }
 }
 
@@ -1272,7 +1275,7 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::plan::InsertAction;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
     use wol_model::{ClassName, Oid, Parallelism};
 
     fn euro_instance() -> Instance {
@@ -1438,8 +1441,8 @@ mod tests {
                 class: ClassName::new("CountryT"),
                 key: Expr::var("N"),
                 attrs: vec![
-                    ("name".to_string(), Expr::var("N")),
-                    ("language".to_string(), Expr::var("C").proj("language")),
+                    ("name".into(), Expr::var("N")),
+                    ("language".into(), Expr::var("C").proj("language")),
                 ],
             }],
         };
@@ -1450,7 +1453,7 @@ mod tests {
             inserts: vec![InsertAction {
                 class: ClassName::new("CountryT"),
                 key: Expr::var("N"),
-                attrs: vec![("currency".to_string(), Expr::var("C").proj("currency"))],
+                attrs: vec![("currency".into(), Expr::var("C").proj("currency"))],
             }],
         };
         execute_query(&q1, &mut ctx, &mut target, &mut stats).unwrap();
@@ -1480,7 +1483,7 @@ mod tests {
             inserts: vec![InsertAction {
                 class: ClassName::new("CountryT"),
                 key: Expr::var("N"),
-                attrs: vec![("currency".to_string(), value)],
+                attrs: vec![("currency".into(), value)],
             }],
         };
         execute_query(
@@ -1781,6 +1784,10 @@ mod tests {
         (var.to_string(), expr)
     }
 
+    fn attr(label: &str, expr: Expr) -> (Label, Expr) {
+        (label.into(), expr)
+    }
+
     /// **Partition invariance**, one table for every operator: each plan
     /// shape runs at 1, 2, 3 and 8 partitions (the threshold lowered so the
     /// tiny fixture partitions at all) and must reproduce the one-partition
@@ -1846,7 +1853,7 @@ mod tests {
                         bind("L", mk("LangT", Expr::var("E").path("country.language"))),
                         bind(
                             "P",
-                            mk("PairT", Expr::Record(vec![bind("l", Expr::var("L"))])),
+                            mk("PairT", Expr::Record(vec![attr("l", Expr::var("L"))])),
                         ),
                     ]),
             ),
@@ -1981,14 +1988,14 @@ mod tests {
                             class: ClassName::new("CityT"),
                             key: Expr::var("E").proj("name"),
                             attrs: vec![
-                                bind("name", Expr::var("E").proj("name")),
-                                bind("country", mk("CountryT", Expr::var("CN"))),
+                                attr("name", Expr::var("E").proj("name")),
+                                attr("country", mk("CountryT", Expr::var("CN"))),
                             ],
                         },
                         InsertAction {
                             class: ClassName::new("CountryT"),
                             key: Expr::var("CN"),
-                            attrs: vec![bind("name", Expr::var("CN"))],
+                            attrs: vec![attr("name", Expr::var("CN"))],
                         },
                     ],
                 },
@@ -2003,7 +2010,7 @@ mod tests {
                     inserts: vec![InsertAction {
                         class: ClassName::new("CityT"),
                         key: Expr::var("E").proj("name"),
-                        attrs: vec![compared_binding()],
+                        attrs: vec![attr("B", compared_binding().1)],
                     }],
                 },
                 partitions: false,
@@ -2297,11 +2304,11 @@ mod tests {
                 class: ClassName::new("CityT"),
                 key: Expr::var("N"),
                 attrs: vec![
-                    ("name".to_string(), Expr::var("N")),
+                    ("name".into(), Expr::var("N")),
                     (
-                        "place".to_string(),
+                        "place".into(),
                         Expr::Variant(
-                            "euro_city".to_string(),
+                            "euro_city".into(),
                             Box::new(Expr::Skolem(
                                 ClassName::new("CountryT"),
                                 Box::new(Expr::var("E").path("country.name")),

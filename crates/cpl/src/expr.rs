@@ -17,9 +17,8 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use wol_model::{ClassName, Instance, Label, Oid, SkolemFactory, Value};
+use wol_model::{ClassName, Instance, Label, Oid, Record, SkolemFactory, Value};
 
 use crate::error::CplError;
 use crate::Result;
@@ -450,13 +449,57 @@ enum Node {
     Slot(usize),
     Unbound(String),
     Const(Value),
-    Proj(Box<Node>, Arc<str>),
-    Record(Vec<(Label, Node)>),
+    Proj(Box<Node>, Label),
+    Record(Vec<Node>, RecordShape),
     Variant(Label, Box<Node>),
     Skolem(ClassName, Box<Node>),
     Cmp(fn(&Value, &Value) -> Result<bool>, Box<Node>, Box<Node>),
     And(Vec<Node>),
     Not(Box<Node>),
+}
+
+/// A record's fields lowered once: its distinct labels in ascending order,
+/// and for each declared field, in declared order, the position of its
+/// label among them. A row's record is then built with its fields evaluated
+/// in declared order (so the first error is the one a map-building loop
+/// would meet) and written straight into label order: no per-row interning
+/// or sort, one allocation. A repeated label keeps its last value.
+#[derive(Clone, Debug)]
+pub(crate) struct RecordShape {
+    labels: Vec<Label>,
+    slots: Vec<usize>,
+}
+
+impl RecordShape {
+    /// The shape of fields declared with `labels`, in this order.
+    pub(crate) fn new<'a>(labels: impl Iterator<Item = &'a Label> + Clone) -> RecordShape {
+        let mut sorted: Vec<Label> = labels.clone().cloned().collect();
+        sorted.sort();
+        sorted.dedup();
+        let slots = labels
+            .map(|label| sorted.binary_search(label).unwrap_or_else(|i| i))
+            .collect();
+        RecordShape {
+            labels: sorted,
+            slots,
+        }
+    }
+
+    /// The record whose declared fields take `values`, in declared order.
+    pub(crate) fn build(&self, values: impl Iterator<Item = Result<Value>>) -> Result<Value> {
+        let mut fields: Vec<(Label, Value)> = self
+            .labels
+            .iter()
+            .map(|l| (l.clone(), Value::Unit))
+            .collect();
+        for (&slot, value) in self.slots.iter().zip(values) {
+            let value = value?;
+            if let Some((_, field)) = fields.get_mut(slot) {
+                *field = value;
+            }
+        }
+        Ok(Value::Record(Record::from_sorted(fields)))
+    }
 }
 
 impl Lowered {
@@ -498,12 +541,10 @@ impl Node {
                 .position(|name| name == v)
                 .map_or_else(|| Node::Unbound(v.clone()), Node::Slot),
             Expr::Const(value) => Node::Const(value.clone()),
-            Expr::Proj(base, label) => Node::Proj(lower(base), label.as_str().into()),
+            Expr::Proj(base, label) => Node::Proj(lower(base), label.clone()),
             Expr::Record(fields) => Node::Record(
-                fields
-                    .iter()
-                    .map(|(label, e)| (label.clone(), Node::lower(e, layout)))
-                    .collect(),
+                fields.iter().map(|(_, e)| Node::lower(e, layout)).collect(),
+                RecordShape::new(fields.iter().map(|(label, _)| label)),
             ),
             Expr::Variant(label, payload) => Node::Variant(label.clone(), lower(payload)),
             Expr::Skolem(class, key) => Node::Skolem(class.clone(), lower(key)),
@@ -530,12 +571,9 @@ impl Node {
                 Cow::Borrowed(value) => Cow::Borrowed(project(value, label, ctx)?),
                 Cow::Owned(value) => Cow::Owned(project(&value, label, ctx)?.clone()),
             },
-            Node::Record(fields) => {
-                let mut out = BTreeMap::new();
-                for (label, field) in fields {
-                    out.insert(label.clone(), field.eval(row, ctx)?.into_owned());
-                }
-                Cow::Owned(Value::Record(out))
+            Node::Record(fields, shape) => {
+                let values = fields.iter().map(|f| f.eval(row, ctx).map(Cow::into_owned));
+                Cow::Owned(shape.build(values)?)
             }
             Node::Variant(label, payload) => Cow::Owned(Value::Variant(
                 label.clone(),
@@ -564,7 +602,7 @@ impl Node {
 
 /// Project `label` out of `value`, dereferencing an object identity through
 /// the sources: the field is borrowed from the record, wherever it lives.
-fn project<'v, 'c: 'v>(value: &'v Value, label: &Arc<str>, ctx: &EvalCtx<'c>) -> Result<&'v Value> {
+fn project<'v, 'c: 'v>(value: &'v Value, label: &Label, ctx: &EvalCtx<'c>) -> Result<&'v Value> {
     let record = match value {
         Value::Oid(oid) => ctx
             .deref(oid)
@@ -575,7 +613,7 @@ fn project<'v, 'c: 'v>(value: &'v Value, label: &Arc<str>, ctx: &EvalCtx<'c>) ->
         .project(label)
         .ok_or_else(|| CplError::MissingAttribute {
             kind: record.kind(),
-            label: Arc::clone(label),
+            label: label.clone(),
         })
 }
 
@@ -652,10 +690,10 @@ mod tests {
         let mut ctx = EvalCtx::new(&refs);
         let row = Row::from([("N".to_string(), Value::str("France"))]);
         let expr = Expr::Record(vec![
-            ("name".to_string(), Expr::var("N")),
+            ("name".into(), Expr::var("N")),
             (
-                "kind".to_string(),
-                Expr::Variant("euro".to_string(), Box::new(Expr::Const(Value::Unit))),
+                "kind".into(),
+                Expr::Variant("euro".into(), Box::new(Expr::Const(Value::Unit))),
             ),
         ]);
         let value = eval(&expr, &row, &mut ctx).unwrap();
@@ -792,8 +830,8 @@ mod tests {
             ))),
             Expr::Lt(Box::new(Expr::var("X")), Box::new(Expr::var("N"))),
             Expr::Leq(Box::new(Expr::var("X")), Box::new(Expr::var("X"))),
-            Expr::Record(vec![("k".to_string(), Expr::var("N"))])
-                .eq(Expr::Variant("t".to_string(), Box::new(Expr::var("N")))),
+            Expr::Record(vec![("k".into(), Expr::var("N"))])
+                .eq(Expr::Variant("t".into(), Box::new(Expr::var("N")))),
             Expr::Skolem(ClassName::new("T"), Box::new(Expr::var("N"))).eq(Expr::var("X")),
         ]);
         let inlined = all.substitute(&defs);

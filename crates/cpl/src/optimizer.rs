@@ -372,7 +372,7 @@ type AttrKey = (String, String);
 fn expr_attr_key(expr: &Expr) -> Option<AttrKey> {
     match expr {
         Expr::Proj(base, attr) => match base.as_ref() {
-            Expr::Var(v) => Some((v.clone(), attr.clone())),
+            Expr::Var(v) => Some((v.clone(), attr.to_string())),
             _ => None,
         },
         Expr::Var(v) => Some((v.clone(), String::new())),

@@ -21,6 +21,7 @@ use cpl::plan::InsertAction;
 use cpl::{Expr, Plan, Query, Statistics};
 use wol_engine::normalize::{NormalClause, NormalProgram};
 use wol_lang::ast::{Atom, SkolemArgs, Term};
+use wol_model::Label;
 
 use crate::error::MorphaseError;
 use crate::Result;
@@ -64,7 +65,7 @@ pub fn translate_key(args: &SkolemArgs) -> Expr {
         SkolemArgs::Positional(ts) => Expr::Record(
             ts.iter()
                 .enumerate()
-                .map(|(i, t)| (format!("_{i}"), translate_term(t)))
+                .map(|(i, t)| (Label::new(format!("_{i}")), translate_term(t)))
                 .collect(),
         ),
         SkolemArgs::Named(fields) => Expr::Record(
@@ -309,7 +310,7 @@ mod tests {
         assert_eq!(translate_key(&single), Expr::Var("N".to_string()));
         let multi = SkolemArgs::Positional(vec![Term::var("A"), Term::var("B")]);
         assert!(matches!(translate_key(&multi), Expr::Record(fields) if fields.len() == 2));
-        let named = SkolemArgs::Named(vec![("name".to_string(), Term::var("N"))]);
+        let named = SkolemArgs::Named(vec![("name".into(), Term::var("N"))]);
         assert!(matches!(translate_key(&named), Expr::Record(fields) if fields[0].0 == "name"));
     }
 

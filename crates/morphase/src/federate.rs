@@ -245,7 +245,7 @@ fn record_expr_attrs(
                     needed
                         .entry(class.clone())
                         .or_default()
-                        .insert(attr.clone());
+                        .insert(attr.to_string());
                     return;
                 }
             }

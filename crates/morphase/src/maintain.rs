@@ -93,8 +93,8 @@ use wol_engine::{check_batch, BatchCheck, Databases, EngineError};
 use wol_lang::program::Program;
 use wol_lang::Clause;
 use wol_model::{
-    BatchDelta, ClassName, Fingerprint, Instance, Label, Mutation, MutationBatch, Oid, Schema,
-    SkolemFactory, SourceOp, Type, Value,
+    BatchDelta, ClassName, Fingerprint, Instance, Label, Mutation, MutationBatch, Oid, Record,
+    Schema, SkolemFactory, SourceOp, Type, Value,
 };
 
 use crate::pipeline::{
@@ -292,16 +292,17 @@ impl TargetLedger {
         if support.keyed == 0 {
             return Settled::Gone;
         }
-        let mut fields = BTreeMap::new();
+        let mut fields = Vec::with_capacity(support.attrs.len());
         for (label, per_value) in &support.attrs {
             if per_value.len() > 1 {
                 return Settled::Conflicting(label.clone());
             }
             if let Some(value) = per_value.keys().next() {
-                fields.insert(label.clone(), value.clone());
+                fields.push((label.clone(), value.clone()));
             }
         }
-        Settled::Record(Value::Record(fields))
+        // The ledger's labels iterate in ascending order already.
+        Settled::Record(Value::Record(Record::from_sorted(fields)))
     }
 }
 
@@ -356,7 +357,7 @@ impl DerefScan<'_> {
                 let mut tys = Vec::new();
                 for (label, v) in fields {
                     match self.type_of_value(v) {
-                        Ty::Known(t) => tys.push((label.clone(), t)),
+                        Ty::Known(t) => tys.push((label.to_string(), t)),
                         _ => return Ty::Unknown,
                     }
                 }
@@ -382,7 +383,7 @@ impl DerefScan<'_> {
                 let mut all_known = true;
                 for (label, fe) in fields {
                     match self.visit(fe) {
-                        Ty::Known(t) => tys.push((label.clone(), t)),
+                        Ty::Known(t) => tys.push((label.to_string(), t)),
                         _ => all_known = false,
                     }
                 }

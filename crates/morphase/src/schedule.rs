@@ -132,7 +132,7 @@ mod tests {
                 .map(|class| InsertAction {
                     class: ClassName::new(*class),
                     key: Expr::var(scans[0].1).proj("name"),
-                    attrs: vec![("name".to_string(), Expr::var(scans[0].1).proj("name"))],
+                    attrs: vec![("name".into(), Expr::var(scans[0].1).proj("name"))],
                 })
                 .collect(),
         }
@@ -261,7 +261,7 @@ mod tests {
             inserts: vec![InsertAction {
                 class: ClassName::new(writes),
                 key: Expr::var("a").proj("k"),
-                attrs: vec![("t".to_string(), Expr::var("t"))],
+                attrs: vec![("t".into(), Expr::var("t"))],
             }],
         };
         let queries = vec![

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use wol_model::{ClassName, Instance, Label, Value};
+use wol_model::{ClassName, Instance, Label, Record, Value};
 
 use crate::error::StorageError;
 use crate::Result;
@@ -105,22 +105,23 @@ impl AceStore {
         for mapping in mappings {
             let class = ClassName::new(&mapping.model_class);
             for object in self.of_class(&mapping.ace_class) {
-                let oid = instance.insert_fresh(&class, Value::Record(BTreeMap::new()));
+                let oid = instance.insert_fresh(&class, Value::Record(Record::new()));
                 oids.insert((object.class.clone(), object.name.clone()), oid);
             }
         }
-        // Pass 2: fill in attribute records.
+        // Pass 2: fill in attribute records (labels resolved once: the
+        // mapping's are interned already).
+        let name = Label::new("name");
         for mapping in mappings {
             for object in self.of_class(&mapping.ace_class) {
                 let oid = oids[&(object.class.clone(), object.name.clone())].clone();
-                let mut fields: BTreeMap<Label, Value> = BTreeMap::new();
-                fields.insert("name".to_string(), Value::str(&object.name));
+                let mut fields = vec![(name.clone(), Value::str(&object.name))];
                 for (tag, label) in &mapping.tags {
                     if let Some(value) = object.tags.get(tag) {
-                        fields.insert(label.clone(), convert(value, &oids)?);
+                        fields.push((label.clone(), convert(value, &oids)?));
                     }
                 }
-                instance.update(&oid, Value::Record(fields))?;
+                instance.update(&oid, Value::Record(fields.into_iter().collect()))?;
             }
         }
         Ok(instance)
@@ -356,7 +357,7 @@ impl AceMapping {
             model_class: model_class.into(),
             tags: tags
                 .iter()
-                .map(|(t, l)| (t.to_string(), l.to_string()))
+                .map(|(t, l)| (t.to_string(), Label::new(l)))
                 .collect(),
         }
     }

@@ -7,10 +7,18 @@
 //! through [`ByteReader`], which tracks the byte offset so every failure
 //! surfaces as a [`StorageError::Corrupt`] saying *where* the input went bad
 //! and what was expected there — short reads are errors, never panics.
+//!
+//! Decoding is canonical: the writer emits record labels and set elements
+//! strictly ascending, and the reader rejects anything else (a repeated
+//! label, a descending one, a duplicate set element) as corrupt rather than
+//! silently keeping one of the duplicates. Labels and class names go through
+//! a [`NameTable`] keyed by their encoded bytes, so decoding takes the
+//! process-wide interner once per distinct name, not once per field — nor,
+//! with one table lent from record to record, once per WAL record.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 
-use wol_model::{ClassName, Oid, RealVal, Value};
+use wol_model::{ClassName, Label, Oid, RealVal, Record, Value};
 
 use crate::error::StorageError;
 use crate::Result;
@@ -173,6 +181,17 @@ pub fn put_value(out: &mut Vec<u8>, value: &Value) {
 // Reader.
 // ---------------------------------------------------------------------------
 
+/// The labels and class names a decoder has met, keyed by their encoded
+/// bytes in the input: each distinct name is interned once per table. A
+/// reader owns one; [`ByteReader::with_names`] and
+/// [`ByteReader::into_names`] pass it on to the reader of the next slice of
+/// the same input.
+#[derive(Debug, Default)]
+pub struct NameTable<'a> {
+    labels: HashMap<&'a [u8], Label>,
+    classes: HashMap<&'a [u8], ClassName>,
+}
+
 /// A position-tracking reader over a byte slice. Every decoding failure is a
 /// [`StorageError::Corrupt`] carrying the source label, the byte offset at
 /// which the failure was detected, and expected-vs-found context.
@@ -180,16 +199,29 @@ pub struct ByteReader<'a> {
     bytes: &'a [u8],
     pos: usize,
     source: String,
+    names: NameTable<'a>,
 }
 
 impl<'a> ByteReader<'a> {
     /// A reader over `bytes`, attributing errors to `source`.
     pub fn new(bytes: &'a [u8], source: &str) -> Self {
+        Self::with_names(bytes, source, NameTable::default())
+    }
+
+    /// A reader over `bytes` that starts from the names another reader of
+    /// the same input has met.
+    pub fn with_names(bytes: &'a [u8], source: &str, names: NameTable<'a>) -> Self {
         ByteReader {
             bytes,
             pos: 0,
             source: source.to_string(),
+            names,
         }
+    }
+
+    /// The names this reader has met, for the next reader of the input.
+    pub fn into_names(self) -> NameTable<'a> {
+        self.names
     }
 
     /// Current byte offset from the start of the input.
@@ -275,8 +307,8 @@ impl<'a> ByteReader<'a> {
         Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
 
-    /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String> {
+    /// Read a length-prefixed string's bytes, not yet checked as UTF-8.
+    fn str_bytes(&mut self) -> Result<&'a [u8]> {
         let len = self.varint()?;
         if len > self.remaining() as u64 {
             return Err(self.corrupt(
@@ -284,14 +316,47 @@ impl<'a> ByteReader<'a> {
                 format!("only {} bytes remaining", self.remaining()),
             ));
         }
-        let bytes = self.take(len as usize)?;
-        String::from_utf8(bytes.to_vec())
+        self.take(len as usize)
+    }
+
+    /// Check `bytes`, just read, as UTF-8.
+    fn utf8(&self, bytes: &'a [u8]) -> Result<&'a str> {
+        std::str::from_utf8(bytes)
             .map_err(|_| self.corrupt("valid UTF-8 string data", "invalid UTF-8"))
     }
 
-    /// Read an object identity.
+    /// Read a length-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Result<String> {
+        let bytes = self.str_bytes()?;
+        self.utf8(bytes).map(str::to_string)
+    }
+
+    /// Read a label: a length-prefixed UTF-8 string, interned on first sight.
+    fn label(&mut self) -> Result<Label> {
+        let bytes = self.str_bytes()?;
+        if let Some(label) = self.names.labels.get(bytes) {
+            return Ok(label.clone());
+        }
+        let label = Label::new(self.utf8(bytes)?);
+        self.names.labels.insert(bytes, label.clone());
+        Ok(label)
+    }
+
+    /// Read a class name: a length-prefixed UTF-8 string, interned on first
+    /// sight.
+    pub fn class_name(&mut self) -> Result<ClassName> {
+        let bytes = self.str_bytes()?;
+        if let Some(class) = self.names.classes.get(bytes) {
+            return Ok(class.clone());
+        }
+        let class = ClassName::new(self.utf8(bytes)?);
+        self.names.classes.insert(bytes, class.clone());
+        Ok(class)
+    }
+
+    /// Read an object identity: class name, then discriminator.
     pub fn oid(&mut self) -> Result<Oid> {
-        let class = ClassName::new(self.str()?);
+        let class = self.class_name()?;
         let id = self.varint()?;
         Ok(Oid::new(class, id))
     }
@@ -320,11 +385,18 @@ impl<'a> ByteReader<'a> {
             TAG_OID => Value::Oid(self.oid()?),
             TAG_SET => {
                 let len = self.varint()?;
-                let mut items = BTreeSet::new();
+                let mut items = Vec::new();
                 for _ in 0..len {
-                    items.insert(self.value_at_depth(depth + 1)?);
+                    let item = self.value_at_depth(depth + 1)?;
+                    if items.last().is_some_and(|last| *last >= item) {
+                        return Err(self.corrupt(
+                            "set elements in strictly ascending order",
+                            "a duplicate or descending element",
+                        ));
+                    }
+                    items.push(item);
                 }
-                Value::Set(items)
+                Value::Set(items.into_iter().collect::<BTreeSet<_>>())
             }
             TAG_LIST => {
                 let len = self.varint()?;
@@ -336,15 +408,24 @@ impl<'a> ByteReader<'a> {
             }
             TAG_RECORD => {
                 let len = self.varint()?;
-                let mut fields = BTreeMap::new();
+                // Every field takes at least two bytes: a length prefix
+                // cannot size the allocation past the input.
+                let cap = usize::try_from(len).map_or(0, |n| n.min(self.remaining() / 2));
+                let mut fields: Vec<(Label, Value)> = Vec::with_capacity(cap);
                 for _ in 0..len {
-                    let label = self.str()?;
-                    fields.insert(label, self.value_at_depth(depth + 1)?);
+                    let label = self.label()?;
+                    if let Some((last, _)) = fields.last().filter(|(last, _)| *last >= label) {
+                        return Err(self.corrupt(
+                            "record labels in strictly ascending order",
+                            format!("label `{label}` after `{last}`"),
+                        ));
+                    }
+                    fields.push((label, self.value_at_depth(depth + 1)?));
                 }
-                Value::Record(fields)
+                Value::Record(Record::from_sorted(fields))
             }
             TAG_VARIANT => {
-                let label = self.str()?;
+                let label = self.label()?;
                 Value::Variant(label, Box::new(self.value_at_depth(depth + 1)?))
             }
             other => {
@@ -453,6 +534,50 @@ mod tests {
         let overlong = [0x80u8, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x7F];
         let err = ByteReader::new(&overlong, "<t>").varint().unwrap_err();
         assert!(err.to_string().contains("varint"), "{err}");
+    }
+
+    #[test]
+    fn non_canonical_records_and_sets_are_corrupt() {
+        let decode = |bytes: &[u8]| ByteReader::new(bytes, "<t>").value();
+        // Labels strictly ascending: the only shape the writer emits.
+        let ascending = [TAG_RECORD, 2, 1, b'a', TAG_INT, 2, 1, b'b', TAG_INT, 4];
+        let value = decode(&ascending).unwrap();
+        assert_eq!(
+            value,
+            Value::record([("a", Value::int(1)), ("b", Value::int(2))])
+        );
+        let mut encoded = Vec::new();
+        put_value(&mut encoded, &value);
+        assert_eq!(encoded, ascending);
+        let cases: [(&str, &[u8], &str); 3] = [
+            (
+                "duplicate label",
+                &[TAG_RECORD, 2, 1, b'a', TAG_INT, 2, 1, b'a', TAG_INT, 4],
+                "label `a` after `a`",
+            ),
+            (
+                "descending label",
+                &[TAG_RECORD, 2, 1, b'b', TAG_INT, 2, 1, b'a', TAG_INT, 4],
+                "label `a` after `b`",
+            ),
+            (
+                "duplicate set element",
+                &[TAG_SET, 2, TAG_INT, 2, TAG_INT, 2],
+                "a duplicate or descending element",
+            ),
+        ];
+        for (name, bytes, found) in cases {
+            let err = decode(bytes).unwrap_err();
+            assert!(
+                matches!(err, StorageError::Corrupt { .. }),
+                "{name}: {err:?}"
+            );
+            assert!(err.to_string().contains(found), "{name}: {err}");
+            assert!(
+                err.to_string().contains("strictly ascending"),
+                "{name}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::fs;
 use std::io::Write;
 use std::path::Path;
 
-use wol_model::{ClassName, Instance, Oid, SkolemState};
+use wol_model::{Instance, Oid, SkolemState};
 
 use crate::error::StorageError;
 use crate::persist::codec::{self, ByteReader};
@@ -170,7 +170,7 @@ pub fn decode_snapshot(bytes: &[u8], source: &str) -> Result<SnapshotData> {
     let mut instance = Instance::new(schema_name);
     let class_count = r.varint()?;
     for _ in 0..class_count {
-        let class = ClassName::new(r.str()?);
+        let class = r.class_name()?;
         instance.ensure_class(&class);
         let obj_count = r.varint()?;
         // Decode the whole class section first and insert it in one batch:
@@ -195,14 +195,14 @@ pub fn decode_snapshot(bytes: &[u8], source: &str) -> Result<SnapshotData> {
     }
     let counter_count = r.varint()?;
     for _ in 0..counter_count {
-        let class = ClassName::new(r.str()?);
+        let class = r.class_name()?;
         let count = r.varint()?;
         instance.restore_oid_counter(&class, count);
     }
     let mut skolem = SkolemState::default();
     let skolem_class_count = r.varint()?;
     for _ in 0..skolem_class_count {
-        let class = ClassName::new(r.str()?);
+        let class = r.class_name()?;
         let entry_count = r.varint()?;
         let entries = skolem.assigned.entry(class).or_default();
         for _ in 0..entry_count {
@@ -283,7 +283,7 @@ pub fn load_snapshot_file(path: &Path) -> Result<Option<SnapshotData>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wol_model::{SkolemFactory, Value};
+    use wol_model::{ClassName, SkolemFactory, Value};
 
     fn sample_instance() -> (Instance, SkolemFactory) {
         let mut instance = Instance::new("genome");

@@ -21,7 +21,7 @@ use std::io::Write;
 use wol_model::{ClassName, Instance, Mutation, Oid, SkolemFactory, Value};
 
 use crate::error::StorageError;
-use crate::persist::codec::{self, ByteReader};
+use crate::persist::codec::{self, ByteReader, NameTable};
 use crate::Result;
 
 /// One write-ahead-log record.
@@ -106,17 +106,27 @@ fn encode_payload(record: &WalRecord) -> Vec<u8> {
     out
 }
 
-/// Decode one record payload.
-fn decode_payload(payload: &[u8], source: &str, base_offset: u64) -> Result<WalRecord> {
-    let mut r = ByteReader::new(payload, source);
+/// Decode one record payload, interning names through `names` — one table
+/// for the whole log, so a name is interned once per replay, not per record.
+fn decode_payload<'a>(
+    payload: &'a [u8],
+    source: &str,
+    base_offset: u64,
+    names: &mut NameTable<'a>,
+) -> Result<WalRecord> {
+    let mut r = ByteReader::with_names(payload, source, std::mem::take(names));
+    let record = decode_record(&mut r, source, base_offset);
+    *names = r.into_names();
+    record
+}
+
+fn decode_record(r: &mut ByteReader<'_>, source: &str, base_offset: u64) -> Result<WalRecord> {
     let record = match r.u8()? {
         TAG_INSERT => WalRecord::Insert(r.oid()?, r.value()?),
         TAG_UPDATE => WalRecord::Update(r.oid()?, r.value()?),
         TAG_REMOVE => WalRecord::Remove(r.oid()?),
-        TAG_SKOLEM_ASSIGN => {
-            WalRecord::SkolemAssign(ClassName::new(r.str()?), r.value()?, r.oid()?)
-        }
-        TAG_OID_COUNTER => WalRecord::OidCounter(ClassName::new(r.str()?), r.varint()?),
+        TAG_SKOLEM_ASSIGN => WalRecord::SkolemAssign(r.class_name()?, r.value()?, r.oid()?),
+        TAG_OID_COUNTER => WalRecord::OidCounter(r.class_name()?, r.varint()?),
         TAG_QUERY_DONE => WalRecord::QueryDone(r.varint()?),
         TAG_FINGERPRINT => WalRecord::Fingerprint(r.u64()?),
         TAG_COMMIT => WalRecord::Commit { seq: r.varint()? },
@@ -262,6 +272,7 @@ pub fn replay_wal(bytes: &[u8], source: &str, first_seq: u64) -> WalReplay {
         ..WalReplay::default()
     };
     let mut pending: Vec<WalRecord> = Vec::new();
+    let mut names = NameTable::default();
     let mut pos = 0usize;
     let torn = |offset: u64, reason: String| TornTail { offset, reason };
     loop {
@@ -313,7 +324,7 @@ pub fn replay_wal(bytes: &[u8], source: &str, first_seq: u64) -> WalReplay {
             ));
             return replay;
         }
-        let record = match decode_payload(payload, source, record_start + 8) {
+        let record = match decode_payload(payload, source, record_start + 8, &mut names) {
             Ok(record) => record,
             Err(e) => {
                 replay.tail = Some(torn(replay.committed_len, e.to_string()));
@@ -401,11 +412,17 @@ mod tests {
     fn payloads_round_trip() {
         for record in sample_records() {
             let payload = encode_payload(&record);
-            assert_eq!(decode_payload(&payload, "<t>", 0).unwrap(), record);
+            assert_eq!(
+                decode_payload(&payload, "<t>", 0, &mut NameTable::default()).unwrap(),
+                record
+            );
         }
         let commit = WalRecord::Commit { seq: 42 };
         let payload = encode_payload(&commit);
-        assert_eq!(decode_payload(&payload, "<t>", 0).unwrap(), commit);
+        assert_eq!(
+            decode_payload(&payload, "<t>", 0, &mut NameTable::default()).unwrap(),
+            commit
+        );
     }
 
     #[test]

@@ -42,7 +42,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use wol_model::histogram::SAMPLE_THRESHOLD;
 use wol_model::index::{value_hash, AttrIndex};
-use wol_model::{AttrHistogram, ClassName, Instance, Oid, Value};
+use wol_model::{AttrHistogram, ClassName, Instance, Label, Oid, Record, Value};
 
 use crate::acedb::{AceMapping, AceStore, AceValue};
 use crate::csv::{decode_checked, CsvReader};
@@ -172,13 +172,39 @@ fn push_chunked(
 
 /// The position of `filter`'s attribute among a class's column `names`.
 fn column_of<'a>(
-    mut names: impl Iterator<Item = &'a String>,
+    mut names: impl Iterator<Item = &'a str>,
     filter: &PushedFilter,
     class: &ClassName,
 ) -> Result<usize> {
     names
-        .position(|name| name == &filter.attr)
+        .position(|name| name == filter.attr)
         .ok_or_else(|| StorageError::Missing(format!("column `{}` in `{class}`", filter.attr)))
+}
+
+/// A scan's record layout: the kept `(label, column)` pairs, stably sorted
+/// by label once per scan, so each row's record is built in label order with
+/// no interning and no sort.
+fn scan_layout<'a>(
+    labels: impl Iterator<Item = &'a Label>,
+    pushdown: &Pushdown,
+) -> Vec<(Label, usize)> {
+    let mut layout: Vec<(Label, usize)> = labels
+        .cloned()
+        .enumerate()
+        .filter(|(_, label)| pushdown.keeps(label))
+        .map(|(i, label)| (label, i))
+        .collect();
+    layout.sort_by(|a, b| a.0.cmp(&b.0));
+    layout
+}
+
+/// Append one field to a record being built in [`scan_layout`] order. A repeated
+/// label keeps its last value, as successive map inserts would.
+fn push_field(fields: &mut Vec<(Label, Value)>, label: &Label, value: Value) {
+    match fields.last_mut() {
+        Some((last, slot)) if last == label => *slot = value,
+        _ => fields.push((label.clone(), value)),
+    }
 }
 
 /// Flush the final partial chunk.
@@ -227,7 +253,8 @@ struct CsvClass {
     stats: ClassStats,
     source: String,
     text: String,
-    columns: Vec<String>,
+    /// The header's names, interned once here.
+    columns: Vec<Label>,
     /// Start offset into `text` of every record, in file order.
     offsets: Vec<usize>,
     /// Per column, its lane if it is an Int or Bool column.
@@ -317,7 +344,7 @@ impl CsvClass {
             },
             source: source.to_string(),
             text,
-            columns,
+            columns: columns.iter().map(Label::new).collect(),
             offsets,
             lanes,
         })
@@ -352,12 +379,13 @@ impl ScanProvider for CsvDirProvider {
         let mut laned = Vec::new();
         let mut lexed = Vec::new();
         for filter in &pushdown.filters {
-            let i = column_of(c.columns.iter(), filter, class)?;
+            let i = column_of(c.columns.iter().map(|l| l.as_str()), filter, class)?;
             match c.lanes.get(i).and_then(Option::as_ref) {
                 Some(lane) => laned.push((lane, filter)),
                 None => lexed.push((i, filter)),
             }
         }
+        let layout = scan_layout(c.columns.iter(), pushdown);
         let mut reader = CsvReader::new(&c.source, &c.text)?;
         let mut summary = ScanSummary::default();
         let mut chunk = Vec::new();
@@ -387,13 +415,14 @@ impl ScanProvider for CsvDirProvider {
                 continue;
             }
             summary.rows_out += 1;
-            let mut fields = BTreeMap::new();
-            for (name, field) in c.columns.iter().zip(record.fields.iter()) {
-                if pushdown.keeps(name) {
-                    fields.insert(name.clone(), field.value());
+            let mut fields = Vec::with_capacity(layout.len());
+            for (label, i) in &layout {
+                if let Some(field) = record.fields.get(*i) {
+                    push_field(&mut fields, label, field.value());
                 }
             }
-            push_chunked(&mut chunk, chunk_rows, Value::Record(fields), sink)?;
+            let row = Value::Record(Record::from_sorted(fields));
+            push_chunked(&mut chunk, chunk_rows, row, sink)?;
         }
         flush_chunk(&mut chunk, sink)?;
         Ok(summary)
@@ -432,7 +461,7 @@ impl AceProvider {
                     for (tag, label) in &mapping.tags {
                         if let Some(value) = object.tags.get(tag) {
                             distinct
-                                .entry(label.clone())
+                                .entry(label.to_string())
                                 .or_default()
                                 .insert(convert_keyed(value));
                         }
@@ -458,24 +487,29 @@ impl AceProvider {
             .find(|m| m.model_class == class.as_str())
     }
 
+    /// `object`'s record under a scan's `layout` over the mapping's labels
+    /// (position 0 is `name`, position `t + 1` is tag `t`, whose label the
+    /// mapping interned when it was built).
     fn record(
         object: &crate::acedb::AceObject,
         mapping: &AceMapping,
-        pushdown: &Pushdown,
+        layout: &[(Label, usize)],
     ) -> Value {
-        let mut fields = BTreeMap::new();
-        if pushdown.keeps("name") {
-            fields.insert("name".to_string(), Value::str(&object.name));
-        }
-        for (tag, label) in &mapping.tags {
-            if !pushdown.keeps(label) {
-                continue;
+        let mut fields = Vec::with_capacity(layout.len());
+        for (label, i) in layout {
+            let value = match i.checked_sub(1) {
+                None => Some(Value::str(&object.name)),
+                Some(t) => mapping
+                    .tags
+                    .get(t)
+                    .and_then(|(tag, _)| object.tags.get(tag))
+                    .map(convert_keyed),
+            };
+            if let Some(value) = value {
+                push_field(&mut fields, label, value);
             }
-            if let Some(value) = object.tags.get(tag) {
-                fields.insert(label.clone(), convert_keyed(value));
-            }
         }
-        Value::Record(fields)
+        Value::Record(Record::from_sorted(fields))
     }
 
     fn attr_value(
@@ -528,6 +562,9 @@ impl ScanProvider for AceProvider {
         let mapping = self
             .mapping(class)
             .ok_or_else(|| StorageError::Missing(format!("acedb mapping for `{class}`")))?;
+        let name = Label::new("name");
+        let labels = std::iter::once(&name).chain(mapping.tags.iter().map(|(_, label)| label));
+        let layout = scan_layout(labels, pushdown);
         let mut summary = ScanSummary::default();
         let mut chunk = Vec::new();
         for object in self.store.of_class(&mapping.ace_class) {
@@ -543,7 +580,7 @@ impl ScanProvider for AceProvider {
             push_chunked(
                 &mut chunk,
                 chunk_rows,
-                Self::record(object, mapping, pushdown),
+                Self::record(object, mapping, &layout),
                 sink,
             )?;
         }
@@ -564,6 +601,8 @@ pub struct RelationalProvider {
     tables: Vec<Table>,
     /// One record per table, in table order.
     stats: Vec<ClassStats>,
+    /// Per table, its column names interned once here.
+    labels: Vec<Vec<Label>>,
 }
 
 impl RelationalProvider {
@@ -589,11 +628,27 @@ impl RelationalProvider {
                 }
             })
             .collect();
-        RelationalProvider { tables, stats }
+        let labels = tables
+            .iter()
+            .map(|table| {
+                let columns = table.schema.columns.iter();
+                columns.map(|column| Label::new(&column.name)).collect()
+            })
+            .collect();
+        RelationalProvider {
+            tables,
+            stats,
+            labels,
+        }
     }
 
-    fn table(&self, class: &ClassName) -> Option<&Table> {
-        self.tables.iter().find(|t| t.schema.name == class.as_str())
+    /// The table serving `class`, with its column labels.
+    fn table(&self, class: &ClassName) -> Option<(&Table, &[Label])> {
+        let i = self
+            .tables
+            .iter()
+            .position(|t| t.schema.name == class.as_str())?;
+        Some((self.tables.get(i)?, self.labels.get(i)?))
     }
 }
 
@@ -620,15 +675,16 @@ impl ScanProvider for RelationalProvider {
         chunk_rows: usize,
         sink: &mut dyn FnMut(Vec<Value>) -> Result<()>,
     ) -> Result<ScanSummary> {
-        let table = self
+        let (table, labels) = self
             .table(class)
             .ok_or_else(|| StorageError::Missing(format!("table `{class}`")))?;
-        let names = || table.schema.columns.iter().map(|c| &c.name);
+        let names = || table.schema.columns.iter().map(|c| c.name.as_str());
         let filter_cols: Vec<(usize, &PushedFilter)> = pushdown
             .filters
             .iter()
             .map(|f| Ok((column_of(names(), f, class)?, f)))
             .collect::<Result<_>>()?;
+        let layout = scan_layout(labels.iter(), pushdown);
         let mut summary = ScanSummary::default();
         let mut chunk = Vec::new();
         for row in &table.rows {
@@ -642,14 +698,15 @@ impl ScanProvider for RelationalProvider {
                 continue;
             }
             summary.rows_out += 1;
-            let mut fields = BTreeMap::new();
-            for (column, value) in table.schema.columns.iter().zip(row.iter()) {
-                if matches!(value, Value::Absent) || !pushdown.keeps(&column.name) {
-                    continue;
+            let mut fields = Vec::with_capacity(layout.len());
+            for (label, i) in &layout {
+                match row.get(*i) {
+                    None | Some(Value::Absent) => {}
+                    Some(value) => push_field(&mut fields, label, value.clone()),
                 }
-                fields.insert(column.name.clone(), value.clone());
             }
-            push_chunked(&mut chunk, chunk_rows, Value::Record(fields), sink)?;
+            let row = Value::Record(Record::from_sorted(fields));
+            push_chunked(&mut chunk, chunk_rows, row, sink)?;
         }
         flush_chunk(&mut chunk, sink)?;
         Ok(summary)
@@ -691,8 +748,8 @@ pub fn ingest_class(
     chunk_rows: usize,
 ) -> Result<IngestStats> {
     let mut next_id = instance.oid_counter(class);
-    let mut indexes: BTreeMap<String, AttrIndex> = BTreeMap::new();
-    let mut attr_values: BTreeMap<String, Vec<Value>> = BTreeMap::new();
+    let mut indexes: BTreeMap<Label, AttrIndex> = BTreeMap::new();
+    let mut attr_values: BTreeMap<Label, Vec<Value>> = BTreeMap::new();
     let mut chunks = 0usize;
     let mut ingest = |values: Vec<Value>| -> Result<()> {
         chunks += 1;
@@ -1049,11 +1106,8 @@ mod tests {
         let table = parse_csv("CloneC", text).unwrap();
         let mut reference = Instance::new("fed");
         for row in &table.rows {
-            let mut fields = BTreeMap::new();
-            for (column, value) in table.schema.columns.iter().zip(row.iter()) {
-                fields.insert(column.name.clone(), value.clone());
-            }
-            reference.insert_fresh(&class, Value::Record(fields));
+            let names = table.schema.columns.iter().map(|c| c.name.as_str());
+            reference.insert_fresh(&class, Value::record(names.zip(row.iter().cloned())));
         }
         assert_eq!(streamed.deep_eq_report(&reference), None);
         assert_eq!(streamed.oid_counter(&class), reference.oid_counter(&class));

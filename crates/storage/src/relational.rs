@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use wol_model::{ClassName, Instance, Value};
+use wol_model::{ClassName, Instance, Label, Record, Value};
 
 use crate::error::StorageError;
 use crate::Result;
@@ -181,18 +181,24 @@ pub fn load_tables(tables: &[Table], instance_name: &str) -> Result<Instance> {
         let class = ClassName::new(&table.schema.name);
         for row in &table.rows {
             let key = row[key_idx].clone();
-            let oid = instance.insert_fresh(&class, Value::Record(BTreeMap::new()));
+            let oid = instance.insert_fresh(&class, Value::Record(Record::new()));
             oids.insert((table.schema.name.clone(), key), oid);
         }
     }
     // Pass 2: fill in the record values, resolving references.
     for table in tables {
         let key_idx = table.column_index(&table.schema.key_column)?;
+        let labels: Vec<Label> = table
+            .schema
+            .columns
+            .iter()
+            .map(|c| Label::new(&c.name))
+            .collect();
         for (row_no, row) in table.rows.iter().enumerate() {
             let key = row[key_idx].clone();
             let oid = oids[&(table.schema.name.clone(), key)].clone();
-            let mut fields = BTreeMap::new();
-            for (column, value) in table.schema.columns.iter().zip(row.iter()) {
+            let mut fields = Vec::with_capacity(labels.len());
+            for ((column, label), value) in table.schema.columns.iter().zip(&labels).zip(row) {
                 let stored = match column.ty {
                     ColumnType::Ref => {
                         let referenced_table = column.references.as_ref().ok_or_else(|| {
@@ -215,9 +221,9 @@ pub fn load_tables(tables: &[Table], instance_name: &str) -> Result<Instance> {
                     }
                     _ => value.clone(),
                 };
-                fields.insert(column.name.clone(), stored);
+                fields.push((label.clone(), stored));
             }
-            instance.update(&oid, Value::Record(fields))?;
+            instance.update(&oid, Value::Record(fields.into_iter().collect()))?;
         }
     }
     Ok(instance)
@@ -238,10 +244,10 @@ pub fn dump_class(instance: &Instance, class: &ClassName, ref_key: &str) -> Resu
         if first {
             for (label, field) in record {
                 let column = match field {
-                    Value::Str(_) => Column::str(label.clone()),
-                    Value::Int(_) => Column::int(label.clone()),
-                    Value::Bool(_) => Column::bool(label.clone()),
-                    Value::Oid(oid) => Column::reference(label.clone(), oid.class().as_str()),
+                    Value::Str(_) => Column::str(label.as_str()),
+                    Value::Int(_) => Column::int(label.as_str()),
+                    Value::Bool(_) => Column::bool(label.as_str()),
+                    Value::Oid(oid) => Column::reference(label.as_str(), oid.class().as_str()),
                     _ => continue,
                 };
                 columns.push(column);

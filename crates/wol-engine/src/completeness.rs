@@ -13,7 +13,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wol_model::{ClassName, Label, Schema, Type};
+use wol_model::{ClassName, Schema, Type};
 
 use crate::normalize::NormalProgram;
 
@@ -25,7 +25,7 @@ pub struct CompletenessReport {
     pub uncreated_classes: Vec<ClassName>,
     /// For each class, the required (non-optional) attributes that no clause
     /// defines.
-    pub missing_attributes: BTreeMap<ClassName, Vec<Label>>,
+    pub missing_attributes: BTreeMap<ClassName, Vec<String>>,
     /// Classes that have creating clauses but no key, so partial descriptions
     /// cannot be merged deterministically.
     pub unkeyed_classes: Vec<ClassName>,
@@ -74,17 +74,17 @@ pub fn check_completeness(normal: &NormalProgram, target_schema: &Schema) -> Com
             continue;
         }
         // Which attributes does the program define, across all clauses for the class?
-        let defined: BTreeSet<&Label> = normal
+        let defined: BTreeSet<&str> = normal
             .clauses
             .iter()
             .filter(|c| &c.class == class)
-            .flat_map(|c| c.attrs.keys())
+            .flat_map(|c| c.attrs.keys().map(|label| label.as_str()))
             .collect();
         if let Type::Record(fields) = ty {
-            let missing: Vec<Label> = fields
+            let missing: Vec<String> = fields
                 .iter()
                 .filter(|(label, field_ty)| {
-                    !matches!(field_ty, Type::Optional(_)) && !defined.contains(label)
+                    !matches!(field_ty, Type::Optional(_)) && !defined.contains(label.as_str())
                 })
                 .map(|(label, _)| label.clone())
                 .collect();

@@ -51,7 +51,7 @@ impl ObjectKey {
         let attr = attr.into();
         ObjectKey {
             class: class.into(),
-            parts: vec![(attr.clone(), Path::parse(&attr))],
+            parts: vec![(Label::new(&attr), Path::parse(&attr))],
         }
     }
 
@@ -210,7 +210,7 @@ fn skolem_key_parts(
                     .segments()
                     .last()
                     .cloned()
-                    .unwrap_or_else(|| format!("arg{i}"));
+                    .unwrap_or_else(|| Label::new(format!("arg{i}")));
                 parts.push((label, path));
             }
             Some(parts)
@@ -662,11 +662,8 @@ mod tests {
             ConstraintClass::SkolemKey(key) => {
                 assert_eq!(key.class, ClassName::new("CityT"));
                 assert_eq!(key.parts.len(), 2);
-                assert_eq!(key.parts[0], ("name".to_string(), Path::parse("name")));
-                assert_eq!(
-                    key.parts[1],
-                    ("country".to_string(), Path::parse("country"))
-                );
+                assert_eq!(key.parts[0], ("name".into(), Path::parse("name")));
+                assert_eq!(key.parts[1], ("country".into(), Path::parse("country")));
                 assert_eq!(
                     key.leading_attributes(),
                     vec!["name".to_string(), "country".to_string()]

@@ -281,11 +281,11 @@ pub fn eval_term(
             })
         }
         Term::Record(fields) => {
-            let mut out = BTreeMap::new();
+            let mut out = Vec::with_capacity(fields.len());
             for (label, sub) in fields {
-                out.insert(label.clone(), eval_term(sub, bindings, dbs, skolem)?);
+                out.push((label.clone(), eval_term(sub, bindings, dbs, skolem)?));
             }
-            Ok(Value::Record(out))
+            Ok(Value::Record(out.into_iter().collect()))
         }
         Term::Variant(label, payload) => Ok(Value::Variant(
             label.clone(),
@@ -319,11 +319,11 @@ pub fn eval_skolem_key(
             })
         }
         SkolemArgs::Named(fields) => {
-            let mut out = BTreeMap::new();
+            let mut out = Vec::with_capacity(fields.len());
             for (label, t) in fields {
-                out.insert(label.clone(), eval_term(t, bindings, dbs, skolem)?);
+                out.push((label.clone(), eval_term(t, bindings, dbs, skolem)?));
             }
-            Ok(Value::Record(out))
+            Ok(Value::Record(out.into_iter().collect()))
         }
     }
 }
@@ -1062,8 +1062,8 @@ mod tests {
             Value::list([Value::str("Paris"), Value::str("France")])
         );
         let named = SkolemArgs::Named(vec![
-            ("name".to_string(), Term::var("N")),
-            ("country_name".to_string(), Term::var("C")),
+            ("name".into(), Term::var("N")),
+            ("country_name".into(), Term::var("C")),
         ]);
         assert_eq!(
             eval_skolem_key(&named, &bindings, &dbs, &mut sk).unwrap(),

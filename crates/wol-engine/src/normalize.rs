@@ -738,14 +738,14 @@ pub fn execute(
         for binding in bindings {
             let key_value = eval_skolem_key(&clause.key, &binding, &dbs, &mut factory)?;
             let oid = factory.mk(&clause.class, &key_value)?;
-            let mut fields = BTreeMap::new();
+            let mut fields = Vec::with_capacity(clause.attrs.len());
             for (label, term) in &clause.attrs {
-                fields.insert(
+                fields.push((
                     label.clone(),
                     eval_term(term, &binding, &dbs, &mut factory)?,
-                );
+                ));
             }
-            let record = Value::Record(fields);
+            let record = Value::Record(fields.into_iter().collect());
             match target.value(&oid) {
                 None => {
                     target.insert(oid, record)?;

@@ -210,8 +210,8 @@ mod tests {
         let parsed = parse_clause(&format!("H = 1 <= {body_text}")).unwrap();
         NormalClause {
             class: ClassName::new("CountryT"),
-            key: SkolemArgs::Named(vec![("name".to_string(), Term::var("N"))]),
-            attrs: BTreeMap::from([("name".to_string(), Term::var("N"))]),
+            key: SkolemArgs::Named(vec![("name".into(), Term::var("N"))]),
+            attrs: BTreeMap::from([("name".into(), Term::var("N"))]),
             body: parsed.body,
             creates: true,
             provenance: vec!["test".to_string()],

@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use wol_lang::ast::{Atom, Term, Var};
 use wol_lang::program::Program;
 use wol_lang::typecheck::check_clause_types;
-use wol_model::{ClassName, Instance, Label, Oid, Parallelism, SkolemFactory, Value};
+use wol_model::{ClassName, Instance, Label, Oid, Parallelism, Record, SkolemFactory, Value};
 
 use crate::constraints::{extract_object_keys, ObjectKey};
 use crate::env::{
@@ -216,13 +216,13 @@ pub fn naive_transform_with_report(
             let (creations, updates) = updates;
             for oid in creations {
                 if !target.contains(&oid) {
-                    target.insert(oid.clone(), Value::Record(BTreeMap::new()))?;
+                    target.insert(oid.clone(), Value::Record(Record::new()))?;
                     pass_delta.insert(oid);
                 }
             }
             for (oid, label, value) in updates {
                 if !target.contains(&oid) {
-                    target.insert(oid.clone(), Value::Record(BTreeMap::new()))?;
+                    target.insert(oid.clone(), Value::Record(Record::new()))?;
                     pass_delta.insert(oid.clone());
                 }
                 let Some(Value::Record(fields)) = target.value(&oid) else {
@@ -331,7 +331,7 @@ fn identify_object(
     }
     // Key derived from the class's key constraint and the head's attributes.
     if let Some(object_key) = keys.get(&object.class) {
-        let mut parts = BTreeMap::new();
+        let mut parts = Vec::with_capacity(object_key.parts.len());
         for (label, path) in &object_key.parts {
             if path.len() != 1 {
                 return Ok(None);
@@ -340,9 +340,9 @@ fn identify_object(
             let Some(term) = object.attrs.get(attr) else {
                 return Ok(None);
             };
-            parts.insert(label.clone(), eval_term(term, binding, dbs, factory)?);
+            parts.push((label.clone(), eval_term(term, binding, dbs, factory)?));
         }
-        let key = Value::Record(parts);
+        let key = Value::Record(parts.into_iter().collect());
         return Ok(Some(factory.mk(&object.class, &key)?));
     }
     Ok(None)

@@ -21,7 +21,7 @@
 //! Nested terms are flattened by introducing fresh variables (named `_snfN`).
 
 use wol_lang::ast::{Atom, Clause, SkolemArgs, Term, Var};
-use wol_model::Value;
+use wol_model::{Label, Value};
 
 /// A generator of fresh variables used during flattening.
 #[derive(Debug, Default)]
@@ -75,7 +75,7 @@ fn flatten_term(term: &Term, fresh: &mut FreshVars, out: &mut Vec<Atom>) -> Term
             Term::Var(v)
         }
         Term::Record(fields) => {
-            let flat_fields: Vec<(String, Term)> = fields
+            let flat_fields: Vec<(Label, Term)> = fields
                 .iter()
                 .map(|(l, t)| (l.clone(), flatten_term(t, fresh, out)))
                 .collect();

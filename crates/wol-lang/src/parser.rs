@@ -280,7 +280,7 @@ impl Parser {
                         };
                         self.expect(&Token::Eq, "`=` in record field")?;
                         let value = self.term()?;
-                        fields.push((label, value));
+                        fields.push((label.into(), value));
                         if matches!(self.peek(), Token::Comma) {
                             self.bump();
                         } else {
@@ -315,7 +315,7 @@ impl Parser {
                 };
                 self.expect(&Token::Eq, "`=` in named Skolem argument")?;
                 let value = self.term()?;
-                fields.push((label, value));
+                fields.push((label.into(), value));
                 if matches!(self.peek(), Token::Comma) {
                     self.bump();
                 } else {

@@ -125,7 +125,7 @@ impl<'a> Checker<'a> {
                 let mut tys = Vec::new();
                 for (l, t) in fields {
                     match self.infer(t)? {
-                        Some(ty) => tys.push((l.clone(), ty)),
+                        Some(ty) => tys.push((l.to_string(), ty)),
                         None => return Ok(None),
                     }
                 }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::types::{ClassName, Label};
+use crate::types::ClassName;
 
 /// Errors raised while building or validating schemas, instances and keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,7 +17,7 @@ pub enum ModelError {
     /// A record or variant type declares the same label twice.
     DuplicateLabel {
         /// The offending label.
-        label: Label,
+        label: String,
         /// Human readable description of where it occurred.
         context: String,
     },

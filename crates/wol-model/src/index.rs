@@ -260,7 +260,7 @@ impl IndexCache {
         self.indexes
             .entry(class.clone())
             .or_default()
-            .entry(attr.to_string())
+            .entry(Label::new(attr))
             .or_insert(built)
     }
 
@@ -478,8 +478,8 @@ mod tests {
         let mut cache = IndexCache::default();
         let a = ClassName::new("A");
         let b = ClassName::new("B");
-        cache.insert(a.clone(), "name".to_string(), AttrIndex::default());
-        cache.insert(b.clone(), "name".to_string(), AttrIndex::default());
+        cache.insert(a.clone(), "name".into(), AttrIndex::default());
+        cache.insert(b.clone(), "name".into(), AttrIndex::default());
         assert_eq!(cache.len(), 2);
         cache.invalidate_class(&a);
         assert!(!cache.contains(&a, "name"));
@@ -493,8 +493,8 @@ mod tests {
         let mut cache = IndexCache::default();
         let a = ClassName::new("A");
         let b = ClassName::new("B");
-        cache.insert_histogram(a.clone(), "x".to_string(), AttrHistogram::default());
-        cache.insert_histogram(b.clone(), "x".to_string(), AttrHistogram::default());
+        cache.insert_histogram(a.clone(), "x".into(), AttrHistogram::default());
+        cache.insert_histogram(b.clone(), "x".into(), AttrHistogram::default());
         assert!(cache.contains_histogram(&a, "x"));
         cache.invalidate_class(&a);
         assert!(!cache.contains_histogram(&a, "x"));
@@ -511,7 +511,7 @@ mod tests {
         let values = [Some(Value::str("hot"))];
         let refs: Vec<Option<&Value>> = values.iter().map(Option::as_ref).collect();
         let col = Arc::new(AttrColumn::build(&refs, cache.interner_mut()));
-        cache.insert_column(a.clone(), "t".to_string(), col);
+        cache.insert_column(a.clone(), "t".into(), col);
         cache.insert_row_index(a.clone(), Arc::new(vec![Oid::new(a.clone(), 0)]));
         assert!(cache.contains_column(&a, "t"));
         assert!(cache.get_row_index(&a).is_some());

@@ -434,7 +434,7 @@ impl Instance {
             )
         };
         self.cache_write()
-            .insert_histogram(class.clone(), attr.to_string(), built.clone());
+            .insert_histogram(class.clone(), Label::new(attr), built.clone());
         built
     }
 
@@ -465,7 +465,7 @@ impl Instance {
             .map(|(_, value)| value.project(attr))
             .collect();
         let built = Arc::new(AttrColumn::build(&values, cache.interner_mut()));
-        cache.insert_column(class.clone(), attr.to_string(), built.clone());
+        cache.insert_column(class.clone(), Label::new(attr), built.clone());
         built
     }
 
@@ -563,7 +563,7 @@ impl Instance {
     /// the class maintains or invalidates it like a lazily built one.
     pub fn install_attr_index(&mut self, class: &ClassName, attr: &str, index: AttrIndex) {
         self.cache_write()
-            .insert(class.clone(), attr.to_string(), index);
+            .insert(class.clone(), Label::new(attr), index);
     }
 
     /// Install a pre-built equi-depth histogram for `(class, attr)` (see
@@ -579,7 +579,7 @@ impl Instance {
         histogram: AttrHistogram,
     ) {
         self.cache_write()
-            .insert_histogram(class.clone(), attr.to_string(), histogram);
+            .insert_histogram(class.clone(), Label::new(attr), histogram);
     }
 
     /// Run `probe` against the `(class, attr)` index, building it first — one

@@ -60,11 +60,11 @@ impl KeyExpr {
         match self {
             KeyExpr::Path(path) => Ok(path.eval(value, instance)?.clone()),
             KeyExpr::Record(fields) => {
-                let mut out = BTreeMap::new();
-                for (label, sub) in fields {
-                    out.insert(label.clone(), sub.eval(value, instance)?);
-                }
-                Ok(Value::Record(out))
+                let fields = fields
+                    .iter()
+                    .map(|(label, sub)| Ok((label.clone(), sub.eval(value, instance)?)))
+                    .collect::<Result<Vec<_>>>()?;
+                Ok(Value::Record(fields.into_iter().collect()))
             }
             KeyExpr::Const(v) => Ok(v.clone()),
         }

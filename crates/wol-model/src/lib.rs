@@ -82,8 +82,8 @@ pub use oid::Oid;
 pub use parallel::{chunk_ranges, Job, Parallelism, WorkerPool};
 pub use path::Path;
 pub use schema::Schema;
-pub use types::{BaseType, ClassName, Label, Type};
-pub use values::{PushOp, RealVal, SharedValue, Value};
+pub use types::{interner_lookups, BaseType, ClassName, Label, Type};
+pub use values::{Fields, PushOp, RealVal, Record, SharedValue, Value};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ModelError>;

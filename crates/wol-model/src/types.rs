@@ -4,18 +4,28 @@
 //! identities of a class), set types, record types, variant types, lists and
 //! optional fields. Records and variants may have arbitrarily many labelled
 //! fields and may be nested arbitrarily deep.
+//!
+//! Class names and the labels of values are schema vocabulary, not data:
+//! both are pointers into one process-wide interner ([`ClassName`],
+//! [`Label`]). A name is interned where the vocabulary is read — a program,
+//! a provider's `open`, an expression's lowering, a decoder's first sight of
+//! it — and copied as a pointer from then on. No per-row path interns (see
+//! [`crate::values`] for the record side of that rule); [`interner_lookups`]
+//! counts the lookups, so a test can hold a hot path to it. A [`Type`]
+//! itself spells its labels as plain strings: it is read once per schema,
+//! and a record is searched by label text.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{OnceLock, PoisonError, RwLock};
 
 use crate::error::ModelError;
 use crate::Result;
-
-/// An attribute label used in record and variant types.
-pub type Label = String;
 
 /// The name of a class (an extent of object identities) in a schema.
 ///
@@ -45,9 +55,20 @@ impl ClassName {
     }
 }
 
-/// The process-wide class-name interner behind [`ClassName::new`].
+/// Lookups made in the interner since the process started.
+static LOOKUPS: AtomicU64 = AtomicU64::new(0);
+
+/// How many times the process-wide interner behind [`ClassName::new`] and
+/// [`Label::new`] has been consulted. A counter, not a clock: a path that
+/// resolves its names once reads the same count at any row count.
+pub fn interner_lookups() -> u64 {
+    LOOKUPS.load(AtomicOrdering::Relaxed)
+}
+
+/// The process-wide interner behind [`ClassName::new`] and [`Label::new`].
 fn intern(name: &str) -> &'static str {
     static NAMES: OnceLock<RwLock<HashSet<&'static str>>> = OnceLock::new();
+    LOOKUPS.fetch_add(1, AtomicOrdering::Relaxed);
     let names = NAMES.get_or_init(Default::default);
     if let Some(&interned) = names
         .read()
@@ -63,6 +84,16 @@ fn intern(name: &str) -> &'static str {
     let interned: &'static str = Box::leak(name.into());
     names.insert(interned);
     interned
+}
+
+/// Text order between two interned strings, skipping the comparison when
+/// they are one pointer.
+fn interned_cmp(a: &'static str, b: &'static str) -> Ordering {
+    if std::ptr::eq(a, b) {
+        Ordering::Equal
+    } else {
+        a.cmp(b)
+    }
 }
 
 impl PartialEq for ClassName {
@@ -82,11 +113,7 @@ impl PartialOrd for ClassName {
 
 impl Ord for ClassName {
     fn cmp(&self, other: &Self) -> Ordering {
-        if self == other {
-            Ordering::Equal
-        } else {
-            self.0.cmp(other.0)
-        }
+        interned_cmp(self.0, other.0)
     }
 }
 
@@ -117,6 +144,128 @@ impl From<&str> for ClassName {
 impl From<String> for ClassName {
     fn from(s: String) -> Self {
         ClassName::new(s)
+    }
+}
+
+/// An attribute label of a record or variant value, and of the programs and
+/// plans that build and project them.
+///
+/// A label is interned exactly like a [`ClassName`]: cloning copies a
+/// pointer, equality compares pointers, and ordering and hashing follow the
+/// text. So a record's fields, kept sorted by label, iterate in ascending
+/// string order — and hash, fingerprint and encode to the same bytes — as a
+/// map keyed by plain strings would. A label dereferences to `str` and
+/// compares with string slices. [`Label::new`] and the `From` conversions
+/// intern, so code that builds rows resolves its labels once, up front.
+#[derive(Clone)]
+pub struct Label(&'static str);
+
+impl Label {
+    /// Create (or look up) a label.
+    pub fn new(text: impl AsRef<str>) -> Self {
+        Label(intern(text.as_ref()))
+    }
+
+    /// The label as a string slice.
+    pub fn as_str(&self) -> &'static str {
+        self.0
+    }
+}
+
+impl PartialEq for Label {
+    /// Interned labels are equal exactly when they are the same pointer.
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self.0, other.0)
+    }
+}
+
+impl Eq for Label {}
+
+impl PartialOrd for Label {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Label {
+    fn cmp(&self, other: &Self) -> Ordering {
+        interned_cmp(self.0, other.0)
+    }
+}
+
+impl Hash for Label {
+    /// Hashes as its text does, so `Borrow<str>` lookups agree.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+impl Deref for Label {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.0
+    }
+}
+
+impl AsRef<str> for Label {
+    fn as_ref(&self) -> &str {
+        self.0
+    }
+}
+
+impl Borrow<str> for Label {
+    fn borrow(&self) -> &str {
+        self.0
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+impl fmt::Debug for Label {
+    /// Quoted, as the text debug-prints.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.0, f)
+    }
+}
+
+impl From<&str> for Label {
+    fn from(s: &str) -> Self {
+        Label::new(s)
+    }
+}
+
+impl From<String> for Label {
+    fn from(s: String) -> Self {
+        Label::new(s)
+    }
+}
+
+impl PartialEq<str> for Label {
+    fn eq(&self, other: &str) -> bool {
+        self.0 == other
+    }
+}
+
+impl PartialEq<&str> for Label {
+    fn eq(&self, other: &&str) -> bool {
+        self.0 == *other
+    }
+}
+
+impl PartialEq<String> for Label {
+    fn eq(&self, other: &String) -> bool {
+        self.0 == other
+    }
+}
+
+impl PartialEq<Label> for String {
+    fn eq(&self, other: &Label) -> bool {
+        self == other.0
     }
 }
 
@@ -160,10 +309,12 @@ pub enum Type {
     Set(Box<Type>),
     /// Finite lists of elements of the given type.
     List(Box<Type>),
-    /// A record type `(a1: t1, ..., ak: tk)`.
-    Record(Vec<(Label, Type)>),
+    /// A record type `(a1: t1, ..., ak: tk)`, fields in declared order.
+    /// A type spells its labels as plain text: it is read per schema, not
+    /// per row, and records are found by text ([`crate::Record::get`]).
+    Record(Vec<(String, Type)>),
     /// A variant type `<| a1: t1, ..., ak: tk |>`.
-    Variant(Vec<(Label, Type)>),
+    Variant(Vec<(String, Type)>),
     /// An optional field (the paper notes that fields may be optional).
     Optional(Box<Type>),
     /// The unit type, used for variant alternatives carrying no data
@@ -216,7 +367,7 @@ impl Type {
     pub fn record<I, L>(fields: I) -> Type
     where
         I: IntoIterator<Item = (L, Type)>,
-        L: Into<Label>,
+        L: Into<String>,
     {
         Type::Record(fields.into_iter().map(|(l, t)| (l.into(), t)).collect())
     }
@@ -225,7 +376,7 @@ impl Type {
     pub fn variant<I, L>(alts: I) -> Type
     where
         I: IntoIterator<Item = (L, Type)>,
-        L: Into<Label>,
+        L: Into<String>,
     {
         Type::Variant(alts.into_iter().map(|(l, t)| (l.into(), t)).collect())
     }
@@ -318,7 +469,7 @@ impl Type {
     }
 }
 
-fn check_distinct_labels(fields: &[(Label, Type)], context: &str) -> Result<()> {
+fn check_distinct_labels(fields: &[(String, Type)], context: &str) -> Result<()> {
     let mut seen = std::collections::BTreeSet::new();
     for (l, _) in fields {
         if !seen.insert(l.clone()) {

@@ -4,6 +4,12 @@
 //! type its class declares, and every object identity occurring inside any
 //! value is present in one of the instance's extents (Section 2.1). Keyed
 //! schemas additionally require the key specification to be satisfied.
+//!
+//! Two walks give one verdict. [`conforms`] answers yes or no without
+//! allocating, and it is what a load runs per object. [`check_value`] also
+//! builds the error — the path to the offending field and what was expected
+//! there — and runs only once [`conforms`] has said no, so a failing
+//! instance reports exactly the error it always did.
 
 use crate::error::ModelError;
 use crate::instance::Instance;
@@ -104,6 +110,44 @@ pub fn check_value(value: &Value, ty: &Type, instance: &Instance, context: &str)
     }
 }
 
+/// True if `value` conforms to `ty`: [`check_value`]'s verdict, reached
+/// without formatting a context or an error. A record conforms when every
+/// declared field present conforms, every absent one is optional, and the
+/// fields found account for all of the record's — for a well-formed type
+/// (distinct labels, as [`Schema::validate`] requires), exactly when no
+/// field is undeclared.
+pub fn conforms(value: &Value, ty: &Type, instance: &Instance) -> bool {
+    match (ty, value) {
+        (Type::Base(BaseType::Bool), Value::Bool(_))
+        | (Type::Base(BaseType::Int), Value::Int(_))
+        | (Type::Base(BaseType::Real), Value::Real(_))
+        | (Type::Base(BaseType::Str), Value::Str(_))
+        | (Type::Unit, Value::Unit)
+        | (Type::Optional(_), Value::Absent) => true,
+        (Type::Optional(inner), v) => conforms(v, inner, instance),
+        (Type::Class(class), Value::Oid(oid)) => oid.class() == class && instance.contains(oid),
+        (Type::Set(elem), Value::Set(items)) => items.iter().all(|v| conforms(v, elem, instance)),
+        (Type::List(elem), Value::List(items)) => items.iter().all(|v| conforms(v, elem, instance)),
+        (Type::Record(fields), Value::Record(actual)) => {
+            let mut found = 0;
+            for (label, field_ty) in fields {
+                match actual.get(label) {
+                    Some(v) if conforms(v, field_ty, instance) => found += 1,
+                    Some(_) => return false,
+                    None if matches!(field_ty, Type::Optional(_)) => {}
+                    None => return false,
+                }
+            }
+            found == actual.len()
+        }
+        (Type::Variant(alts), Value::Variant(label, payload)) => alts
+            .iter()
+            .find(|(l, _)| l == label)
+            .is_some_and(|(_, alt_ty)| conforms(payload, alt_ty, instance)),
+        _ => false,
+    }
+}
+
 /// Validate a whole instance against a schema.
 pub fn check_instance(instance: &Instance, schema: &Schema) -> Result<()> {
     schema.validate()?;
@@ -113,10 +157,13 @@ pub fn check_instance(instance: &Instance, schema: &Schema) -> Result<()> {
             return Err(ModelError::UnknownClass(class));
         }
     }
-    // Every object's value must conform to its class's type.
+    // Every object's value must conform to its class's type; a failure is
+    // walked again to say where.
     for (class, ty) in schema.classes() {
         for (oid, value) in instance.objects(class) {
-            check_value(value, ty, instance, &format!("{class}({oid})"))?;
+            if !conforms(value, ty, instance) {
+                check_value(value, ty, instance, &format!("{class}({oid})"))?;
+            }
         }
     }
     Ok(())
@@ -135,9 +182,9 @@ pub fn check_keyed_instance(instance: &Instance, schema: &Schema, keys: &KeySpec
 pub fn invalid_classes(instance: &Instance, schema: &Schema) -> Vec<ClassName> {
     let mut out = Vec::new();
     for (class, ty) in schema.classes() {
-        let bad = instance.objects(class).any(|(oid, value)| {
-            check_value(value, ty, instance, &format!("{class}({oid})")).is_err()
-        });
+        let bad = instance
+            .objects(class)
+            .any(|(_, value)| !conforms(value, ty, instance));
         if bad {
             out.push(class.clone());
         }
@@ -359,6 +406,109 @@ mod tests {
             check_instance(&inst, &schema).unwrap_err(),
             ModelError::UnknownClass(_)
         ));
+    }
+
+    /// One instance per failure shape, each a valid euro instance plus one
+    /// bad object: a value that is not a record, a missing field, an extra
+    /// field, a reference of the wrong class and a dangling reference.
+    fn corrupted_instances() -> Vec<(&'static str, Instance)> {
+        let base = || {
+            let mut inst = Instance::new("euro");
+            let uk = inst.insert_fresh(&ClassName::new("CountryE"), country("United Kingdom"));
+            inst.insert_fresh(
+                &ClassName::new("CityE"),
+                Value::record([
+                    ("name", Value::str("London")),
+                    ("is_capital", Value::bool(true)),
+                    ("country", Value::oid(uk)),
+                ]),
+            );
+            inst
+        };
+        let city = |country: Oid| {
+            Value::record([
+                ("name", Value::str("Lyon")),
+                ("is_capital", Value::bool(false)),
+                ("country", Value::oid(country)),
+            ])
+        };
+        let with = |class: &str, value: Value| {
+            let mut inst = base();
+            inst.insert_fresh(&ClassName::new(class), value);
+            inst
+        };
+        let mut extra = country("France");
+        if let Value::Record(ref mut fields) = extra {
+            fields.insert("population".into(), Value::int(67));
+        }
+        vec![
+            ("corrupted", with("CountryE", Value::int(7))),
+            (
+                "missing",
+                with("CountryE", Value::record([("name", Value::str("France"))])),
+            ),
+            ("extra", with("CountryE", extra)),
+            (
+                "wrong class",
+                with("CityE", city(Oid::new(ClassName::new("CityE"), 0))),
+            ),
+            (
+                "dangling",
+                with("CityE", city(Oid::new(ClassName::new("CountryE"), 42))),
+            ),
+        ]
+    }
+
+    #[test]
+    fn failing_instances_report_the_errors_they_always_did() {
+        let schema = euro_schema();
+        let expected = [
+            (
+                "corrupted",
+                "type mismatch at CountryE(#CountryE:1): expected Record([(\"name\", \
+                 Base(Str)), (\"language\", Base(Str)), (\"currency\", Base(Str))]), found int",
+                "CountryE",
+            ),
+            (
+                "missing",
+                "type mismatch at CountryE(#CountryE:1): expected field `language`, found \
+                 missing field",
+                "CountryE",
+            ),
+            (
+                "extra",
+                "type mismatch at CountryE(#CountryE:1): expected no such field, found \
+                 unexpected field `population`",
+                "CountryE",
+            ),
+            (
+                "wrong class",
+                "type mismatch at CityE(#CityE:1).country: expected object of class \
+                 `CountryE`, found object of class `CityE`",
+                "CityE",
+            ),
+            (
+                "dangling",
+                "dangling object identity #CountryE:42 (at CityE(#CityE:1).country)",
+                "CityE",
+            ),
+        ];
+        for ((name, inst), (want_name, message, class)) in
+            corrupted_instances().iter().zip(expected)
+        {
+            assert_eq!(*name, want_name);
+            let err = check_instance(inst, &schema).unwrap_err();
+            assert_eq!(err.to_string(), message, "{name}");
+            assert_eq!(invalid_classes(inst, &schema), vec![ClassName::new(class)]);
+            // The cheap walk says no to exactly the object the full check
+            // reports, and yes to every other.
+            for (class, ty) in schema.classes() {
+                for (oid, value) in inst.objects(class) {
+                    let verdict = check_value(value, ty, inst, &format!("{class}({oid})"));
+                    assert_eq!(conforms(value, ty, inst), verdict.is_ok(), "{name}: {oid}");
+                }
+            }
+        }
     }
 
     #[test]

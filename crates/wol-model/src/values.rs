@@ -1,11 +1,30 @@
 //! Values of the WOL data model.
 //!
-//! Values are structural: records are label-indexed maps, sets are ordered
+//! Values are structural: records are label-indexed, sets are ordered
 //! (duplicate-free) collections, and every value has a total order so that
 //! values of set type have a canonical form and can be used as map keys (which
 //! the Skolem factory and the key machinery rely on).
+//!
+//! ## Records
+//!
+//! A record's labels are schema vocabulary (Section 2.1: a record type
+//! `(a1: t1, ..., ak: tk)` fixes them), so a [`Record`] stores them as
+//! interned [`Label`] pointers beside its values: one allocation holding the
+//! `(label, value)` pairs, sorted by label text, with no per-object copy of
+//! any label's text (`tests/alloc_budget.rs` holds the resident bytes per
+//! ingested object to a budget). Ascending label order is the order a map
+//! keyed by strings iterates in, so ordering, equality, hashing,
+//! fingerprints and the snapshot codec see the sequence persisted bytes and
+//! Skolem identities were derived from.
+//!
+//! Rule for hot paths: a path that builds records per row — provider scans,
+//! insert evaluation, snapshot and WAL decode — resolves its labels once (at
+//! `open`, at lowering, in a decoder's name table) and hands
+//! [`Record::from_sorted`] fields already in label order, so no row takes
+//! the interner's lock or sorts. [`Value::record`] and collecting into a
+//! [`Record`] intern and sort: conveniences for tests and generators.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -111,7 +130,7 @@ pub enum Value {
     /// A finite list (order and duplicates significant).
     List(Vec<Value>),
     /// A record: a finite map from labels to values.
-    Record(BTreeMap<Label, Value>),
+    Record(Record),
     /// A variant: a chosen label together with the carried value.
     Variant(Label, Box<Value>),
     /// The unit value (carried by data-less variant alternatives).
@@ -146,13 +165,15 @@ impl Value {
         Value::Oid(o)
     }
 
-    /// Build a record value from `(label, value)` pairs.
+    /// Build a record value from `(label, value)` pairs, in any order. It
+    /// interns every label and sorts: for tests and generators, not for
+    /// per-row paths (see the module docs).
     pub fn record<I, L>(fields: I) -> Value
     where
         I: IntoIterator<Item = (L, Value)>,
         L: Into<Label>,
     {
-        Value::Record(fields.into_iter().map(|(l, v)| (l.into(), v)).collect())
+        Value::Record(fields.into_iter().collect())
     }
 
     /// Build a set value from an iterator of elements (duplicates removed).
@@ -178,7 +199,7 @@ impl Value {
     /// Project field `label` out of a record value.
     pub fn project(&self, label: &str) -> Option<&Value> {
         match self {
-            Value::Record(fields) => fields.get(label),
+            Value::Record(record) => record.get(label),
             _ => None,
         }
     }
@@ -240,7 +261,7 @@ impl Value {
     }
 
     /// If this is a record, return its fields.
-    pub fn as_record(&self) -> Option<&BTreeMap<Label, Value>> {
+    pub fn as_record(&self) -> Option<&Record> {
         match self {
             Value::Record(r) => Some(r),
             _ => None,
@@ -301,9 +322,7 @@ impl Value {
             | Value::Absent => self.clone(),
             Value::Set(s) => Value::Set(s.iter().map(|v| v.map_oids(f)).collect()),
             Value::List(l) => Value::List(l.iter().map(|v| v.map_oids(f)).collect()),
-            Value::Record(r) => {
-                Value::Record(r.iter().map(|(l, v)| (l.clone(), v.map_oids(f))).collect())
-            }
+            Value::Record(r) => Value::Record(r.map_values(|v| v.map_oids(f))),
             Value::Variant(l, v) => Value::Variant(l.clone(), Box::new(v.map_oids(f))),
         }
     }
@@ -350,19 +369,7 @@ impl Value {
     /// values, or if either value is not a record.
     pub fn merge_records(&self, other: &Value) -> Option<Value> {
         match (self, other) {
-            (Value::Record(a), Value::Record(b)) => {
-                let mut merged = a.clone();
-                for (label, value) in b {
-                    match merged.get(label) {
-                        Some(existing) if existing != value => return None,
-                        Some(_) => {}
-                        None => {
-                            merged.insert(label.clone(), value.clone());
-                        }
-                    }
-                }
-                Some(Value::Record(merged))
-            }
+            (Value::Record(a), Value::Record(b)) => a.merge(b).map(Value::Record),
             _ => None,
         }
     }
@@ -387,6 +394,209 @@ impl Value {
             Value::Record(r) => 1 + r.values().map(Value::size).sum::<usize>(),
             Value::Variant(_, v) => 1 + v.size(),
         }
+    }
+}
+
+/// The fields of a record value: `(label, value)` pairs in one allocation,
+/// sorted strictly ascending by label text (see the module docs).
+///
+/// The derived order, equality and hash walk the pairs in that order — the
+/// sequence, length prefix included, that a `BTreeMap<String, Value>` of the
+/// same fields walks — so a record compares and hashes as that map would.
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Record(Box<[(Label, Value)]>);
+
+impl Record {
+    /// The empty record.
+    pub fn new() -> Record {
+        Record::default()
+    }
+
+    /// A record over `fields` whose labels are already strictly ascending —
+    /// the constructor for paths that resolved and sorted their labels once,
+    /// up front. Keeps `fields`' allocation when it is exactly full.
+    ///
+    /// Debug builds check the order; a decoder of untrusted input checks it
+    /// itself, to say where the input went wrong.
+    pub fn from_sorted(fields: Vec<(Label, Value)>) -> Record {
+        debug_assert!(
+            fields.windows(2).all(|pair| pair[0].0 < pair[1].0),
+            "record labels out of order"
+        );
+        Record(fields.into_boxed_slice())
+    }
+
+    /// The number of fields.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True if the record has no fields.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The position of `label`: found by address when `label` is an interned
+    /// label's text (the common case — callers hold [`Label`]s), otherwise by
+    /// binary search on the text.
+    fn position(&self, label: &str) -> Result<usize, usize> {
+        match self
+            .0
+            .iter()
+            .position(|(l, _)| std::ptr::eq(l.as_str(), label))
+        {
+            Some(i) => Ok(i),
+            None => self.0.binary_search_by(|(l, _)| l.as_str().cmp(label)),
+        }
+    }
+
+    /// The value of field `label`.
+    pub fn get(&self, label: &str) -> Option<&Value> {
+        let i = self.position(label).ok()?;
+        self.0.get(i).map(|(_, v)| v)
+    }
+
+    /// True if the record has field `label`.
+    pub fn contains_key(&self, label: &str) -> bool {
+        self.position(label).is_ok()
+    }
+
+    /// Set field `label` to `value`, returning the value it replaces. Adding
+    /// a field reallocates the record: this is for edits, not for building
+    /// rows.
+    pub fn insert(&mut self, label: Label, value: Value) -> Option<Value> {
+        match self.position(&label) {
+            Ok(i) => self.0.get_mut(i).map(|(_, v)| std::mem::replace(v, value)),
+            Err(i) => {
+                let mut fields = std::mem::take(&mut self.0).into_vec();
+                fields.insert(i, (label, value));
+                self.0 = fields.into_boxed_slice();
+                None
+            }
+        }
+    }
+
+    /// Remove field `label`, returning its value.
+    pub fn remove(&mut self, label: &str) -> Option<Value> {
+        let i = self.position(label).ok()?;
+        let mut fields = std::mem::take(&mut self.0).into_vec();
+        let (_, value) = fields.remove(i);
+        self.0 = fields.into_boxed_slice();
+        Some(value)
+    }
+
+    /// The fields in ascending label order.
+    pub fn iter(&self) -> Fields<'_> {
+        Fields(self.0.iter())
+    }
+
+    /// The labels in ascending order.
+    pub fn keys(&self) -> impl DoubleEndedIterator<Item = &Label> + ExactSizeIterator {
+        self.0.iter().map(|(l, _)| l)
+    }
+
+    /// The values in ascending label order.
+    pub fn values(&self) -> impl DoubleEndedIterator<Item = &Value> + ExactSizeIterator {
+        self.0.iter().map(|(_, v)| v)
+    }
+
+    /// The same labels with every value rewritten through `f`, in label
+    /// order.
+    pub fn map_values(&self, mut f: impl FnMut(&Value) -> Value) -> Record {
+        Record(self.0.iter().map(|(l, v)| (l.clone(), f(v))).collect())
+    }
+
+    /// The union of two records' fields, or `None` if they define a common
+    /// label with different values (see [`Value::merge_records`]).
+    pub fn merge(&self, other: &Record) -> Option<Record> {
+        let mut merged = Vec::with_capacity(self.len() + other.len());
+        let (mut a, mut b) = (self.0.iter().peekable(), other.0.iter().peekable());
+        loop {
+            let next = match (a.peek(), b.peek()) {
+                (Some(x), Some(y)) => match x.0.cmp(&y.0) {
+                    std::cmp::Ordering::Less => a.next(),
+                    std::cmp::Ordering::Greater => b.next(),
+                    std::cmp::Ordering::Equal if x.1 == y.1 => {
+                        b.next();
+                        a.next()
+                    }
+                    std::cmp::Ordering::Equal => return None,
+                },
+                (Some(_), None) => a.next(),
+                (None, _) => b.next(),
+            };
+            match next {
+                Some(field) => merged.push(field.clone()),
+                None => return Some(Record(merged.into_boxed_slice())),
+            }
+        }
+    }
+}
+
+impl fmt::Debug for Record {
+    /// Debug-prints as a map, `{"label": value, ...}`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// The fields of a [`Record`] in ascending label order.
+#[derive(Clone, Debug)]
+pub struct Fields<'a>(std::slice::Iter<'a, (Label, Value)>);
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = (&'a Label, &'a Value);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(l, v)| (l, v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for Fields<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        self.0.next_back().map(|(l, v)| (l, v))
+    }
+}
+
+impl ExactSizeIterator for Fields<'_> {}
+
+impl<'a> IntoIterator for &'a Record {
+    type Item = (&'a Label, &'a Value);
+    type IntoIter = Fields<'a>;
+
+    fn into_iter(self) -> Fields<'a> {
+        self.iter()
+    }
+}
+
+impl IntoIterator for Record {
+    type Item = (Label, Value);
+    type IntoIter = std::vec::IntoIter<(Label, Value)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_vec().into_iter()
+    }
+}
+
+impl<L: Into<Label>> FromIterator<(L, Value)> for Record {
+    /// Sorts the fields by label; a repeated label keeps its last value, as
+    /// successive map inserts would.
+    fn from_iter<I: IntoIterator<Item = (L, Value)>>(iter: I) -> Record {
+        let mut fields: Vec<(Label, Value)> =
+            iter.into_iter().map(|(l, v)| (l.into(), v)).collect();
+        fields.sort_by(|a, b| a.0.cmp(&b.0));
+        fields.dedup_by(|later, kept| {
+            let repeated = later.0 == kept.0;
+            if repeated {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            repeated
+        });
+        Record(fields.into_boxed_slice())
     }
 }
 

@@ -8,8 +8,6 @@
 //! as the reference the lowered evaluator is held to — on every expression
 //! the same value, or an error of the same variant and text.
 
-use std::collections::BTreeMap;
-
 use cpl::expr::{EvalCtx, Row};
 use cpl::{CplError, Expr, Result};
 use wol_model::Value;
@@ -40,11 +38,11 @@ pub fn eval(expr: &Expr, row: &Row, ctx: &mut EvalCtx<'_>) -> Result<Value> {
                 })
         }
         Expr::Record(fields) => {
-            let mut out = BTreeMap::new();
+            let mut out = Vec::new();
             for (label, sub) in fields {
-                out.insert(label.clone(), eval(sub, row, ctx)?);
+                out.push((label.clone(), eval(sub, row, ctx)?));
             }
-            Ok(Value::Record(out))
+            Ok(Value::Record(out.into_iter().collect()))
         }
         Expr::Variant(label, payload) => Ok(Value::Variant(
             label.clone(),
@@ -106,7 +104,7 @@ mod tests {
 
     use cpl::{Lowered, Parallelism};
     use proptest::prelude::*;
-    use wol_model::{ClassName, Instance, Oid};
+    use wol_model::{ClassName, Instance, Label, Oid};
 
     use super::*;
 
@@ -180,13 +178,17 @@ mod tests {
         match rng.below(12) {
             0..=2 => {
                 let base = sub(rng);
-                Expr::Proj(base, rng.pick(&labels).to_string())
+                Expr::Proj(base, Label::new(rng.pick(&labels)))
             }
             3 => {
                 let n = rng.below(3);
-                Expr::Record((0..n).map(|i| (format!("f{i}"), *sub(rng))).collect())
+                Expr::Record(
+                    (0..n)
+                        .map(|i| (format!("f{i}").into(), *sub(rng)))
+                        .collect(),
+                )
             }
-            4 => Expr::Variant("v".to_string(), sub(rng)),
+            4 => Expr::Variant("v".into(), sub(rng)),
             5 => Expr::Skolem(ClassName::new(rng.pick(&["T", "U"])), sub(rng)),
             6 => Expr::Eq(sub(rng), sub(rng)),
             7 => Expr::Neq(sub(rng), sub(rng)),

@@ -32,7 +32,7 @@ pub fn source_schema(k: usize) -> Schema {
     for i in 0..k {
         fields.push((flag_attr(i), Type::bool()));
     }
-    Schema::new(format!("variant_source_{k}")).with_class("Src", Type::Record(fields))
+    Schema::new(format!("variant_source_{k}")).with_class("Src", Type::record(fields))
 }
 
 /// The target schema of V(k): `Obj(name, a0: <|yes|no|>, ..., a{k-1})`.
@@ -44,7 +44,7 @@ pub fn target_schema(k: usize) -> Schema {
             Type::variant([("yes", Type::Unit), ("no", Type::Unit)]),
         ));
     }
-    Schema::new(format!("variant_target_{k}")).with_class("Obj", Type::Record(fields))
+    Schema::new(format!("variant_target_{k}")).with_class("Obj", Type::record(fields))
 }
 
 /// The WOL program for V(k): `2k` partial clauses plus the key constraint —

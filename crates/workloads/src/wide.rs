@@ -26,7 +26,7 @@ pub fn source_schema(n: usize) -> Schema {
     for i in 0..n {
         fields.push((attr(i), Type::str()));
     }
-    Schema::new(format!("wide_source_{n}")).with_class("Wide", Type::Record(fields))
+    Schema::new(format!("wide_source_{n}")).with_class("Wide", Type::record(fields))
 }
 
 /// The target schema: `Tgt(name, f0, ..., f{n-1})` with every data attribute
@@ -36,7 +36,7 @@ pub fn target_schema(n: usize) -> Schema {
     for i in 0..n {
         fields.push((attr(i), Type::optional(Type::str())));
     }
-    Schema::new(format!("wide_target_{n}")).with_class("Tgt", Type::Record(fields))
+    Schema::new(format!("wide_target_{n}")).with_class("Tgt", Type::record(fields))
 }
 
 fn key_constraint_text() -> &'static str {
@@ -168,7 +168,7 @@ mod tests {
         let normal = normalize(&partial_program(n, k, true), &NormalizeOptions::default()).unwrap();
         let mut covered: std::collections::BTreeSet<String> = Default::default();
         for clause in &normal.clauses {
-            covered.extend(clause.attrs.keys().cloned());
+            covered.extend(clause.attrs.keys().map(|l| l.to_string()));
         }
         for i in 0..n {
             assert!(

@@ -207,26 +207,26 @@ fn skolem_heavy_query(plan: &Plan) -> cpl::Query {
                 // clone merges into one object.
                 key: Expr::var("V0").proj("clone_name"),
                 attrs: vec![
-                    ("name".to_string(), Expr::var("V0").proj("clone_name")),
+                    ("name".into(), Expr::var("V0").proj("clone_name")),
                     // Functionally dependent on the key, so merges agree.
-                    ("group".to_string(), Expr::var("GRP")),
+                    ("group".into(), Expr::var("GRP")),
                 ],
             },
             cpl::InsertAction {
                 class: ClassName::new("MarkerT"),
                 key: Expr::var("V0"),
                 attrs: vec![
-                    ("marker".to_string(), Expr::var("V0").proj("name")),
+                    ("marker".into(), Expr::var("V0").proj("name")),
                     (
                         // A fresh Skolem per insert evaluation, interleaved
                         // with the key mints of both actions.
-                        "entry".to_string(),
+                        "entry".into(),
                         Expr::Skolem(
                             ClassName::new("EntryT"),
                             Box::new(Expr::var("V0").proj("name")),
                         ),
                     ),
-                    ("group".to_string(), Expr::var("GRP")),
+                    ("group".into(), Expr::var("GRP")),
                 ],
             },
         ],
@@ -277,8 +277,8 @@ fn run_query_with_threads(
             // inserts merge, exactly like compiled normal-form clauses.
             key: Expr::var("V0"),
             attrs: vec![
-                ("marker".to_string(), Expr::var("V0").proj("name")),
-                ("clone".to_string(), Expr::var("V0").proj("clone_name")),
+                ("marker".into(), Expr::var("V0").proj("name")),
+                ("clone".into(), Expr::var("V0").proj("clone_name")),
             ],
         }],
     };
@@ -333,8 +333,8 @@ fn run_with_columnar(
             class: ClassName::new("OutT"),
             key: Expr::var("V0"),
             attrs: vec![
-                ("marker".to_string(), Expr::var("NAME")),
-                ("bin".to_string(), Expr::var("BIN")),
+                ("marker".into(), Expr::var("NAME")),
+                ("bin".into(), Expr::var("BIN")),
             ],
         }],
     };
@@ -1406,7 +1406,7 @@ impl VersionRecord {
         for class in &self.classes {
             let first = self.objects.iter().find(|(oid, _)| oid.class() == class);
             if let Some((_, Value::Record(fields))) = first {
-                keys.extend(fields.keys().map(|attr| (class.clone(), attr.clone())));
+                keys.extend(fields.keys().map(|attr| (class.clone(), attr.to_string())));
             }
         }
         keys
@@ -1553,5 +1553,383 @@ proptest! {
         // And the writer's own maintained indexes answer like a rebuild.
         let last = VersionRecord::take(pipeline.target().clone());
         last.check(pipeline.target(), &probe_values)?;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// `Record` against the map it replaced.
+// ---------------------------------------------------------------------------
+
+/// The value representation a record had before [`Record`]: a `BTreeMap`
+/// from label text, labels as `String`s. Kept as the reference model. Its
+/// eleven variants match `Value`'s in the same order, so the derived order
+/// and hash line up variant for variant.
+///
+/// [`Record`]: wol_repro::wol_model::Record
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum MapValue {
+    Bool(bool),
+    Int(i64),
+    Real(wol_repro::wol_model::RealVal),
+    Str(String),
+    Oid(wol_repro::wol_model::Oid),
+    Set(std::collections::BTreeSet<MapValue>),
+    List(Vec<MapValue>),
+    Record(std::collections::BTreeMap<String, MapValue>),
+    Variant(String, Box<MapValue>),
+    Unit,
+    Absent,
+}
+
+/// Labels for generated records: ASCII that sorts around upper and lower
+/// case, prefixes of one another, the empty label and multi-byte text.
+const RECORD_LABELS: &[&str] = &[
+    "", "a", "aa", "ab", "b", "A", "Z", "name", "näme", "é", "ß", "日本", "🦀", "a\u{0}",
+];
+
+/// A random reference value, records and sets nested up to `depth` deep.
+fn random_map_value(g: &mut proptest::Gen, depth: usize) -> MapValue {
+    let leaf = depth == 0 || one_in(g, 3);
+    match g.usize_in(0, if leaf { 7 } else { 11 }) {
+        0 => MapValue::Bool(one_in(g, 2)),
+        1 => MapValue::Int(g.usize_in(0, 5) as i64 - 2),
+        2 => MapValue::Real(wol_repro::wol_model::RealVal(g.usize_in(0, 3) as f64 / 2.0)),
+        3 => MapValue::Str(pick(g, RECORD_LABELS).to_string()),
+        4 => MapValue::Oid(wol_repro::wol_model::Oid::new(
+            ClassName::new(pick(g, &["C", "D"])),
+            g.usize_in(0, 3) as u64,
+        )),
+        5 => MapValue::Unit,
+        6 => MapValue::Absent,
+        7 => MapValue::Set(
+            (0..g.usize_in(0, 4))
+                .map(|_| random_map_value(g, depth - 1))
+                .collect(),
+        ),
+        8 => MapValue::List(
+            (0..g.usize_in(0, 3))
+                .map(|_| random_map_value(g, depth - 1))
+                .collect(),
+        ),
+        9 => MapValue::Variant(
+            pick(g, RECORD_LABELS).to_string(),
+            Box::new(random_map_value(g, depth - 1)),
+        ),
+        _ => MapValue::Record(random_map_fields(g, depth - 1)),
+    }
+}
+
+/// 0–6 random fields (a repeated label keeps its last value, as map inserts do).
+fn random_map_fields(
+    g: &mut proptest::Gen,
+    depth: usize,
+) -> std::collections::BTreeMap<String, MapValue> {
+    (0..g.usize_in(0, 7))
+        .map(|_| {
+            (
+                pick(g, RECORD_LABELS).to_string(),
+                random_map_value(g, depth),
+            )
+        })
+        .collect()
+}
+
+/// A variation of `base` that shares some of its fields, some with the
+/// same value and some with another, plus fields of its own.
+fn vary_map_fields(
+    g: &mut proptest::Gen,
+    base: &std::collections::BTreeMap<String, MapValue>,
+) -> std::collections::BTreeMap<String, MapValue> {
+    let mut out = std::collections::BTreeMap::new();
+    for (label, value) in base {
+        match g.usize_in(0, 4) {
+            0 => {}
+            1 => {
+                out.insert(label.clone(), random_map_value(g, 1));
+            }
+            _ => {
+                out.insert(label.clone(), value.clone());
+            }
+        }
+    }
+    out.extend(random_map_fields(g, 1));
+    out
+}
+
+/// `fields` in a random order.
+fn shuffled<T>(g: &mut proptest::Gen, mut fields: Vec<T>) -> Vec<T> {
+    for i in (1..fields.len()).rev() {
+        fields.swap(i, g.usize_in(0, i + 1));
+    }
+    fields
+}
+
+/// The model value as a `Value`, every record built from its fields in a
+/// random order: by `Value::record`, or by `Record::insert` one field at a
+/// time onto an empty record.
+fn build_value(g: &mut proptest::Gen, m: &MapValue) -> Value {
+    use wol_repro::wol_model::Record;
+    match m {
+        MapValue::Bool(b) => Value::Bool(*b),
+        MapValue::Int(i) => Value::Int(*i),
+        MapValue::Real(r) => Value::Real(*r),
+        MapValue::Str(s) => Value::Str(s.clone()),
+        MapValue::Oid(o) => Value::Oid(o.clone()),
+        MapValue::Set(items) => {
+            let items: Vec<Value> = items.iter().map(|v| build_value(g, v)).collect();
+            Value::set(shuffled(g, items))
+        }
+        MapValue::List(items) => Value::list(items.iter().map(|v| build_value(g, v))),
+        MapValue::Record(fields) => {
+            let fields: Vec<(&str, Value)> = fields
+                .iter()
+                .map(|(l, v)| (l.as_str(), build_value(g, v)))
+                .collect();
+            let fields = shuffled(g, fields);
+            if one_in(g, 2) {
+                Value::record(fields)
+            } else {
+                let mut record = Record::new();
+                for (label, value) in fields {
+                    record.insert(label.into(), value);
+                }
+                Value::Record(record)
+            }
+        }
+        MapValue::Variant(l, v) => Value::variant(l.as_str(), build_value(g, v)),
+        MapValue::Unit => Value::Unit,
+        MapValue::Absent => Value::Absent,
+    }
+}
+
+/// A `Value` read back into the model.
+fn model_of(v: &Value) -> MapValue {
+    match v {
+        Value::Bool(b) => MapValue::Bool(*b),
+        Value::Int(i) => MapValue::Int(*i),
+        Value::Real(r) => MapValue::Real(*r),
+        Value::Str(s) => MapValue::Str(s.clone()),
+        Value::Oid(o) => MapValue::Oid(o.clone()),
+        Value::Set(items) => MapValue::Set(items.iter().map(model_of).collect()),
+        Value::List(items) => MapValue::List(items.iter().map(model_of).collect()),
+        Value::Record(fields) => MapValue::Record(
+            fields
+                .iter()
+                .map(|(l, v)| (l.to_string(), model_of(v)))
+                .collect(),
+        ),
+        Value::Variant(l, v) => MapValue::Variant(l.to_string(), Box::new(model_of(v))),
+        Value::Unit => MapValue::Unit,
+        Value::Absent => MapValue::Absent,
+    }
+}
+
+/// `DefaultHasher`'s hash of `value` (deterministic within a process).
+fn default_hash(value: &impl std::hash::Hash) -> u64 {
+    use std::hash::Hasher;
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// The persistence codec's bytes for a model value, written from the
+/// documented format (one frozen tag byte per variant, varint lengths,
+/// fields in map order) with the codec's public primitives.
+fn map_codec_bytes(out: &mut Vec<u8>, m: &MapValue) {
+    use wol_repro::storage::persist::codec::{put_i64, put_oid, put_str, put_u64, put_varint};
+    match m {
+        MapValue::Unit => out.push(0x00),
+        MapValue::Absent => out.push(0x01),
+        MapValue::Bool(b) => out.push(if *b { 0x03 } else { 0x02 }),
+        MapValue::Int(i) => {
+            out.push(0x04);
+            put_i64(out, *i);
+        }
+        MapValue::Real(r) => {
+            out.push(0x05);
+            put_u64(out, r.get().to_bits());
+        }
+        MapValue::Str(s) => {
+            out.push(0x06);
+            put_str(out, s);
+        }
+        MapValue::Oid(o) => {
+            out.push(0x07);
+            put_oid(out, o);
+        }
+        MapValue::Set(items) => {
+            out.push(0x08);
+            put_varint(out, items.len() as u64);
+            items.iter().for_each(|v| map_codec_bytes(out, v));
+        }
+        MapValue::List(items) => {
+            out.push(0x09);
+            put_varint(out, items.len() as u64);
+            items.iter().for_each(|v| map_codec_bytes(out, v));
+        }
+        MapValue::Record(fields) => {
+            out.push(0x0A);
+            put_varint(out, fields.len() as u64);
+            for (label, v) in fields {
+                put_str(out, label);
+                map_codec_bytes(out, v);
+            }
+        }
+        MapValue::Variant(label, v) => {
+            out.push(0x0B);
+            put_str(out, label);
+            map_codec_bytes(out, v);
+        }
+    }
+}
+
+/// `Fingerprint`'s canonical walk over a model value, restated with its
+/// public primitives: the codec's tags, little-endian `u64` payloads and
+/// counts, length-prefixed text, fields in map order.
+fn map_fingerprint(fp: &mut wol_repro::wol_model::Fingerprint, m: &MapValue) {
+    let count = |fp: &mut wol_repro::wol_model::Fingerprint, n: usize| {
+        fp.write(&(n as u64).to_le_bytes());
+    };
+    match m {
+        MapValue::Unit => fp.write(&[0x00]),
+        MapValue::Absent => fp.write(&[0x01]),
+        MapValue::Bool(b) => fp.write(&[if *b { 0x03 } else { 0x02 }]),
+        MapValue::Int(i) => {
+            fp.write(&[0x04]);
+            fp.write(&i.to_le_bytes());
+        }
+        MapValue::Real(r) => {
+            fp.write(&[0x05]);
+            fp.write(&r.get().to_bits().to_le_bytes());
+        }
+        MapValue::Str(s) => {
+            fp.write(&[0x06]);
+            fp.str(s);
+        }
+        MapValue::Oid(o) => {
+            fp.write(&[0x07]);
+            fp.str(o.class().as_str());
+            fp.write(&o.id().to_le_bytes());
+        }
+        MapValue::Set(items) => {
+            fp.write(&[0x08]);
+            count(fp, items.len());
+            items.iter().for_each(|v| map_fingerprint(fp, v));
+        }
+        MapValue::List(items) => {
+            fp.write(&[0x09]);
+            count(fp, items.len());
+            items.iter().for_each(|v| map_fingerprint(fp, v));
+        }
+        MapValue::Record(fields) => {
+            fp.write(&[0x0A]);
+            count(fp, fields.len());
+            for (label, v) in fields {
+                fp.str(label);
+                map_fingerprint(fp, v);
+            }
+        }
+        MapValue::Variant(label, v) => {
+            fp.write(&[0x0B]);
+            fp.str(label);
+            map_fingerprint(fp, v);
+        }
+    }
+}
+
+/// The reference `merge_records`: the map-insert loop it used to be.
+fn map_merge(
+    a: &std::collections::BTreeMap<String, MapValue>,
+    b: &std::collections::BTreeMap<String, MapValue>,
+) -> Option<std::collections::BTreeMap<String, MapValue>> {
+    let mut merged = a.clone();
+    for (label, value) in b {
+        match merged.get(label) {
+            Some(existing) if existing != value => return None,
+            Some(_) => {}
+            None => {
+                merged.insert(label.clone(), value.clone());
+            }
+        }
+    }
+    Some(merged)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `Record` — sorted interned labels in one allocation — behaves as the
+    /// `BTreeMap<String, Value>` it replaced, over random label sets (added
+    /// in random order, nested, multi-byte): the same order, equality and
+    /// hash between any two values; the same `project` and
+    /// `merge_records`; the same `Fingerprint` walk and codec bytes; and
+    /// snapshots of instances built from either field order encode to the
+    /// same bytes and decode back to the model.
+    #[test]
+    fn records_behave_as_the_maps_they_replaced(seed in 0u64..u64::MAX) {
+        use wol_repro::storage::persist::codec::put_value;
+        use wol_repro::storage::persist::snapshot::{decode_snapshot, encode_snapshot};
+        use wol_repro::wol_model::{Fingerprint, SkolemState};
+
+        let mut g = proptest::Gen::new(seed);
+        let left_fields = random_map_fields(&mut g, 2);
+        let right_fields = if one_in(&mut g, 4) {
+            left_fields.clone()
+        } else {
+            vary_map_fields(&mut g, &left_fields)
+        };
+        let mut models = vec![
+            MapValue::Record(left_fields.clone()),
+            MapValue::Record(right_fields.clone()),
+        ];
+        models.extend((0..4).map(|_| random_map_value(&mut g, 3)));
+        let values: Vec<Value> = models.iter().map(|m| build_value(&mut g, m)).collect();
+
+        for (m, v) in models.iter().zip(&values) {
+            prop_assert_eq!(&model_of(v), m);
+            prop_assert_eq!(default_hash(v), default_hash(m));
+            let mut bytes = Vec::new();
+            put_value(&mut bytes, v);
+            let mut expected = Vec::new();
+            map_codec_bytes(&mut expected, m);
+            prop_assert_eq!(bytes, expected);
+            let (mut fp, mut expected_fp) = (Fingerprint::new(), Fingerprint::new());
+            fp.value(v);
+            map_fingerprint(&mut expected_fp, m);
+            prop_assert_eq!(fp.finish(), expected_fp.finish());
+            if let MapValue::Record(fields) = m {
+                for label in RECORD_LABELS {
+                    prop_assert_eq!(v.project(label).map(model_of), fields.get(*label).cloned());
+                }
+            }
+        }
+        for (ma, va) in models.iter().zip(&values) {
+            for (mb, vb) in models.iter().zip(&values) {
+                prop_assert_eq!(va.cmp(vb), ma.cmp(mb));
+                prop_assert_eq!(va == vb, ma == mb);
+            }
+        }
+        let merged = values[0].merge_records(&values[1]).map(|v| model_of(&v));
+        let expected = map_merge(&left_fields, &right_fields).map(MapValue::Record);
+        prop_assert_eq!(merged, expected);
+
+        // Snapshots: the same models, built again in another field order.
+        let snapshot = |values: &[Value]| {
+            let mut instance = Instance::new("records");
+            for value in values {
+                instance.insert_fresh(&ClassName::new("R"), value.clone());
+            }
+            encode_snapshot(&instance, &SkolemState::default(), 0, None)
+        };
+        let again: Vec<Value> = models.iter().map(|m| build_value(&mut g, m)).collect();
+        let bytes = snapshot(&values);
+        prop_assert_eq!(&bytes, &snapshot(&again));
+        let restored = decode_snapshot(&bytes, "<records>").map_err(|e| e.to_string())?;
+        let decoded: Vec<MapValue> = restored
+            .instance
+            .objects(&ClassName::new("R"))
+            .map(|(_, v)| model_of(v))
+            .collect();
+        prop_assert_eq!(decoded, models);
     }
 }
