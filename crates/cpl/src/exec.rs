@@ -457,65 +457,6 @@ pub fn layout(plan: &Plan) -> Vec<String> {
     }
 }
 
-/// Describe the output order of a plan as a sequence of scan variables, or
-/// `None` if no such description exists.
-///
-/// When this returns `Some(vars)`, a fresh (unrestricted) [`run_plan`] emits
-/// rows in the lexicographic order of the tuple `(row[vars[0]], row[vars[1]],
-/// …)` of object identities, and that tuple is unique per output row. The
-/// incremental maintainer leans on both facts: the tuple is a stable row key
-/// (source identities are never reused), and a `BTreeMap` over those keys
-/// replays rows in exactly the order a from-scratch run would produce them.
-///
-/// The rules mirror the operator implementations in this module:
-///
-/// * `Scan` emits its extent in ascending identity order → `[var]`.
-/// * `Filter` and `Map` preserve input order (dropping rows keeps relative
-///   order, so lexicographic order over the surviving keys still holds).
-/// * `NestedLoopJoin` and `CrossJoin` emit `lex(left, right)`.
-/// * `HashJoin` emits `lex(probe side, build side)`: the generic path probes
-///   with `right` against a build over `left`, while the index fast path
-///   drives from the non-indexed side with matches in ascending extent order.
-///   For unrestricted runs — the only ones this contract covers — the branch
-///   is statically determined by [`indexable_side`] (statistics only pick
-///   *which attribute* to probe, never whether; delta restrictions may flip
-///   the driving side, but restricted emission order is not part of the
-///   contract), so the order is knowable without row counts.
-/// * `Distinct` keeps first occurrences, which depends on value equality
-///   rather than identity tuples → untraceable.
-pub fn scan_order_trace(plan: &Plan) -> Option<Vec<String>> {
-    fn trace(plan: &Plan, out: &mut Vec<String>) -> bool {
-        match plan {
-            Plan::Scan { var, .. } => {
-                out.push(var.clone());
-                true
-            }
-            Plan::Filter { input, .. } | Plan::Map { input, .. } => trace(input, out),
-            Plan::Distinct { .. } => false,
-            Plan::NestedLoopJoin { left, right, .. } | Plan::CrossJoin { left, right } => {
-                trace(left, out) && trace(right, out)
-            }
-            Plan::HashJoin { left, right, keys } => {
-                let left_keys: Vec<&Expr> = keys.iter().map(|(l, _)| l).collect();
-                let right_keys: Vec<&Expr> = keys.iter().map(|(_, r)| r).collect();
-                if indexable_side(left, left_keys.iter().copied()).is_none()
-                    && indexable_side(right, right_keys.iter().copied()).is_some()
-                {
-                    // Fast path probes the right index driving from `left`:
-                    // left varies slowest.
-                    trace(left, out) && trace(right, out)
-                } else {
-                    // Fast path over a left index and the generic path both
-                    // probe with `right`: right varies slowest.
-                    trace(right, out) && trace(left, out)
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    trace(plan, &mut out).then_some(out)
-}
-
 /// The hash-join index fast path: drive the join from `driving`'s rows,
 /// answer key pair `side.key_index` by probing the indexable scan side
 /// through the source instances' attribute indexes, and verify any remaining
@@ -2505,46 +2446,6 @@ mod tests {
         assert_eq!(rows.len(), 3);
         assert_eq!(stats.restricted_scans, 0);
         assert!(stats.index_probes > 0);
-    }
-
-    #[test]
-    fn scan_order_trace_mirrors_operator_order() {
-        // Scan → its own var; Filter/Map pass through.
-        let plan = Plan::scan("CityE", "E")
-            .filter(Expr::var("E").proj("is_capital"))
-            .map(vec![("N".to_string(), Expr::var("E").proj("name"))]);
-        assert_eq!(scan_order_trace(&plan), Some(vec!["E".to_string()]));
-        // Nested loop: left varies slowest.
-        let plan = Plan::scan("CityE", "E").join(Plan::scan("CountryE", "C"), None);
-        assert_eq!(
-            scan_order_trace(&plan),
-            Some(vec!["E".to_string(), "C".to_string()])
-        );
-        // Hash join with an indexable right side probes with the left, so
-        // the left side varies slowest.
-        let plan = Plan::scan("CityE", "E").hash_join(
-            Plan::scan("CountryE", "C"),
-            Expr::var("E").path("country.name"),
-            Expr::var("C").proj("name"),
-        );
-        assert_eq!(
-            scan_order_trace(&plan),
-            Some(vec!["E".to_string(), "C".to_string()])
-        );
-        // Generic hash join (computed keys both sides) probes with the
-        // right side, so the right varies slowest.
-        let plan = Plan::scan("CityE", "E").hash_join(
-            Plan::scan("CountryE", "C"),
-            Expr::var("E").path("country.name"),
-            Expr::var("C").path("capital.name"),
-        );
-        assert_eq!(
-            scan_order_trace(&plan),
-            Some(vec!["C".to_string(), "E".to_string()])
-        );
-        // Distinct is untraceable: first-occurrence order depends on values.
-        let plan = Plan::scan("CityE", "E").distinct();
-        assert_eq!(scan_order_trace(&plan), None);
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub mod plan;
 pub use error::CplError;
 pub use exec::{
     apply_evaluated_query, evaluate_query, execute_query, layout, run_plan, run_slots,
-    scan_order_trace, ColumnarStats, EvaluatedQuery, ExecStats, LoweredInsert, Row, SlotRow,
+    ColumnarStats, EvaluatedQuery, ExecStats, LoweredInsert, Row, SlotRow,
 };
 pub use expr::{Expr, Lowered};
 pub use optimizer::{

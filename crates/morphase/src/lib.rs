@@ -47,24 +47,38 @@
 //! sources. The contract rests on three pillars, detailed in the
 //! [`maintain`] module docs:
 //!
-//! * **Delta propagation** — per-query read/write analysis (scan-order
-//!   traces, foreign-dereference classification) picks the affected queries;
-//!   [`wol_engine::delta_rotations`] derives exactly the new rows
-//!   semi-naively, and stale rows are swept by identity.
-//! * **Repair identity** — a Skolem identity is a function of its class and
-//!   key, so a replayed row mints exactly the identity a fresh run would;
-//!   per-object support counts settle each touched object to its fresh-run
-//!   record, or remove it. Only a derived row colliding with a cached one, or
-//!   contributions that genuinely conflict, escalate to a rebuild (re-plan
-//!   against the mutated sources + full replay, over the front half the
-//!   pipeline built once), which is bit-identical by construction.
-//!   Incremental in-place repairs skip per-batch target verification;
-//!   verification re-runs at every full-build boundary.
-//! * **Reader consistency** — [`PipelineService`] runs the pipeline on a
-//!   maintainer thread and publishes immutable `Arc<Instance>` snapshots at
-//!   batch boundaries, so concurrent readers never observe a half-repaired
-//!   target and a panicked maintainer surfaces at shutdown.
+//! * **The key is the unique identity tuple** — a cached row is keyed by
+//!   the identities its scans bound, whatever order the executor emitted it
+//!   in; per-query analysis (foreign-dereference classification) picks the
+//!   affected queries, [`wol_engine::delta_rotations`] derives exactly the
+//!   new rows semi-naively, and stale rows are swept by key.
+//! * **The ledger settles** — a Skolem identity is a function of its class
+//!   and key, so a replayed row mints exactly the identity a fresh run would;
+//!   per-object support counts settle every object at a build, and each
+//!   touched one after a batch, to its fresh-run record, or remove it. Only
+//!   a derived row colliding with a cached one escalates to a rebuild
+//!   (re-plan against the mutated sources + full replay, over the front half
+//!   the pipeline built once). Incremental in-place repairs skip per-batch
+//!   target verification; verification re-runs at every full-build boundary.
+//! * **Conflicts fail in place** — contributions that genuinely conflict
+//!   fail the batch (or the build) naming the least conflicting object and
+//!   attribute, and the failed batch poisons the pipeline.
+//!
+//! [`PipelineService`] runs the pipeline on a maintainer thread and
+//! publishes immutable `Arc<Instance>` snapshots at batch boundaries, so
+//! concurrent readers never observe a half-repaired target and a panicked
+//! maintainer surfaces at shutdown.
 
+// Library code reports errors; it does not panic. Tests may.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 #![forbid(unsafe_code)]
 
 pub mod compile;

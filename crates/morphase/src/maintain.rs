@@ -10,68 +10,77 @@
 //!
 //! # Maintenance semantics
 //!
-//! The guarantee rests on three pillars, each with a fallback that degrades
-//! cost but never correctness.
+//! A WOL target is a function of the *set* of clause instantiations: an
+//! object is identified by its Skolem key and partial clauses merge fields,
+//! so the order in which the executor emits rows cannot change a successful
+//! target, and the maintainer never depends on it. The guarantee rests on
+//! three pillars.
 //!
-//! **Delta propagation.** Every compiled query is analysed once per
-//! (re-)plan:
+//! **The key is the unique identity tuple.** Every compiled query is
+//! analysed once per (re-)plan:
 //!
-//! * [`cpl::scan_order_trace`] must describe the plan's output as the
-//!   lexicographic order of a tuple of scanned object identities — the
-//!   *trace key*. The key is unique per row and stable across runs (source
-//!   identities are never reused), so a `BTreeMap` over trace keys *is* the
-//!   fresh run's row stream, in order.
+//! * A row's key is the tuple of object identities its scans bound, in
+//!   variable-name order ([`cpl::Plan::scan_classes`]). A plan emits at most
+//!   one row per tuple and source identities are never reused, so the key
+//!   names its row across runs, whichever join order the planner chose. The
+//!   row cache is a map over these keys; its order is only the order rows
+//!   replay in, which makes the first replay error deterministic. `Distinct`
+//!   keeps one row per distinct *value*, not per tuple: a plan with one
+//!   falls back to [`MaintainMode::Rerun`].
 //! * The plan is split at the deepest `Map` operator carrying a Skolem
 //!   binding: everything below (the *stripped* plan) must be Skolem-free and
 //!   is re-runnable at will; the Skolem-bearing `Map` levels above are
 //!   *deferred* and replayed per row, and the row cache keeps what each row
 //!   contributed.
 //! * A schema-typed walk over every expression classifies each projection:
-//!   a dereference of a scanned variable is covered by the trace key; a
+//!   a dereference of a scanned variable is covered by the row key; a
 //!   dereference reaching another class's objects makes that class a
 //!   *foreign read*; a projection whose base type cannot be resolved marks
 //!   the query *opaque*.
 //!
 //! When a batch lands, rows to **remove** are found by identity: any cached
-//! row whose trace key contains a stale (updated or removed) identity, or —
-//! when a foreign-read class saw staleness, or the query is opaque and
-//! anything was stale — every row of the query (*churn*). Rows to **add**
-//! come from [`wol_engine::delta_rotations`]: one semi-naive evaluation of
-//! the stripped plan per changed slot, with scan restrictions partitioning
+//! row whose key contains a stale (updated or removed) identity, or — when a
+//! foreign-read class saw staleness, or the query is opaque and anything was
+//! stale — every row of the query (*churn*). Rows to **add** come from
+//! [`wol_engine::delta_rotations`]: one semi-naive evaluation of the
+//! stripped plan per changed slot, with scan restrictions partitioning
 //! exactly the rows that bind at least one changed identity. Programs where
 //! some query defeats the analysis (or scans the target) fall back to
 //! [`MaintainMode::Rerun`]: every batch is a full re-run, still correct.
 //!
-//! **Repair identity.** A target object is identified by its `(class,
-//! key)`, and so is its identity: `Mk_C(k)` is derived from `(C, k)`
-//! ([`wol_model::skolem_id`]), not numbered in mint order. A replayed row
-//! therefore mints exactly the identities a fresh run mints for it, whatever
-//! else the batch added or removed, and the standing target needs no record
-//! of *when* an identity was first minted. What the pipeline does keep is a
-//! support count of every `(object, attribute, value)` contribution. Removing
-//! a row decrements its contributions' supports, replaying a row increments
-//! them, and every touched object then settles in place: to its unique merged
-//! record, or — when no row asserts it any more — out of the target, since a
-//! fresh run would not create it. Two triggers escalate a batch to a
-//! **rebuild** ([`RebuildReason`]): a derived row colliding with a cached one
-//! (the trace key's uniqueness is broken, so the cache cannot say which
-//! contributions to keep), and contributions that genuinely conflict on an
-//! attribute, whose fresh-run error the rebuild reproduces. A rebuild
-//! re-plans against the mutated sources (fresh statistics, exactly like a
-//! fresh run) and re-fills — replays everything with a fresh Skolem factory.
-//! It never re-normalises: meta-data generation, validation, snf and the
-//! normal form depend on the program alone, so the pipeline builds that
-//! front half once, at construction ([`crate::pipeline`]'s `Front`), and
-//! every initial build, rebuild, `Rerun`-mode batch and oracle run borrows
-//! it. A rebuild is bit-identical to the oracle by construction, and so is an
-//! in-place batch: the settled records are the fresh run's merges.
+//! **The ledger settles.** `Mk_C(k)` is derived from `(C, k)`
+//! ([`wol_model::skolem_id`]), so a replayed row mints exactly the
+//! identities a fresh run mints for it. The pipeline keeps a support count of
+//! every `(object, attribute, value)` contribution, and that ledger is the
+//! target's only source. A build replays every row and settles every
+//! identity the ledger holds; a batch removes its swept rows' supports,
+//! replays its added rows and settles the identities their contributions
+//! name. An object settles to its unique merged record — what a fresh run's
+//! insert-or-merge writes — or, when no row asserts it any more, out of the
+//! target.
 //!
-//! **Reader consistency.** The pipeline itself is single-writer; the
-//! concurrent front end ([`crate::PipelineService`]) runs it on a maintainer
-//! thread and publishes an immutable snapshot (`Arc<Instance>`) after each
-//! successful batch. Readers clone the `Arc` under a read lock — they never
-//! observe a half-repaired target, and a panicked maintainer propagates at
-//! shutdown instead of hanging its clients.
+//! **Conflicts fail in place.** When rows assert different values for one
+//! attribute of one object, settling fails with an error naming the least
+//! conflicting `(object, attribute)`, the same at every thread count and
+//! under either cost model. The text is the maintainer's own: it no longer
+//! reproduces the first merge a fresh run meets in row order. A failing
+//! batch poisons the pipeline, and a build over conflicting sources fails.
+//! The one rebuild trigger left ([`RebuildReason`]) is a derived row
+//! colliding with a surviving cached one: the key's uniqueness is broken, so
+//! the cache cannot say which contributions to keep. A rebuild re-plans
+//! against the mutated sources (fresh statistics, exactly like a fresh run)
+//! and re-fills with a fresh Skolem factory. It never re-normalises:
+//! meta-data generation, validation, snf and the normal form depend on the
+//! program alone, so the pipeline builds that front half once, at
+//! construction ([`crate::pipeline`]'s `Front`), and every initial build,
+//! rebuild, `Rerun`-mode batch and oracle run borrows it.
+//!
+//! Readers see batch boundaries only. The pipeline itself is single-writer;
+//! the concurrent front end ([`crate::PipelineService`]) runs it on a
+//! maintainer thread and publishes an immutable snapshot (`Arc<Instance>`)
+//! after each successful batch. Readers clone the `Arc` under a read lock —
+//! they never observe a half-repaired target, and a panicked maintainer
+//! propagates at shutdown instead of hanging its clients.
 //!
 //! Durability is the one durable store, [`storage::persist::PipelineJournal`],
 //! keeping the *source*: batch 0 is a full dump, every applied batch is one
@@ -84,7 +93,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use cpl::exec::{layout, run_slots, scan_order_trace, ExecStats, LoweredInsert};
+use cpl::exec::{layout, run_slots, ExecStats, LoweredInsert};
 use cpl::expr::{lower_bindings, store, EvalCtx, Lowered, SlotRow};
 use cpl::{Expr, Plan, Query};
 use storage::persist::PipelineJournal;
@@ -120,8 +129,8 @@ pub enum MaintainMode {
 pub enum BatchOutcome {
     /// Stale rows swept, delta rows replayed, touched objects repaired.
     InPlace,
-    /// The batch could not be absorbed in place ([`RebuildReason`]):
-    /// re-planned and replayed from scratch.
+    /// The batch derived a row colliding with a cached one
+    /// ([`RebuildReason`]): re-planned and replayed from scratch.
     Rebuild,
     /// The pipeline is in [`MaintainMode::Rerun`].
     FullRerun,
@@ -151,37 +160,21 @@ pub struct BatchReport {
 /// Why a batch escalated to a rebuild instead of repairing in place.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RebuildReason {
-    /// A row the batch derived has the trace key of a cached row that
-    /// survived the sweep.
+    /// A row the batch derived has the key of a cached row that survived
+    /// the sweep.
     CollidingRow {
-        /// The shared trace key.
+        /// The shared key.
         key: Vec<Oid>,
-    },
-    /// Rows assert different values for one attribute of one object.
-    ConflictingContributions {
-        /// The object.
-        oid: Oid,
-        /// The attribute.
-        label: Label,
     },
 }
 
 impl fmt::Display for RebuildReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RebuildReason::CollidingRow { key } => {
-                write!(
-                    f,
-                    "derived row {key:?} collides with a surviving cached row"
-                )
-            }
-            RebuildReason::ConflictingContributions { oid, label } => {
-                write!(
-                    f,
-                    "object {oid} has conflicting contributions for `{label}`"
-                )
-            }
-        }
+        let RebuildReason::CollidingRow { key } = self;
+        write!(
+            f,
+            "derived row {key:?} collides with a surviving cached row"
+        )
     }
 }
 
@@ -193,8 +186,10 @@ pub struct MaintainStats {
     pub batches: u64,
     /// Batches absorbed in place.
     pub inplace_batches: u64,
-    /// Batches that escalated to a rebuild (counted when the rebuild starts:
-    /// a rebuild that fails poisons the pipeline).
+    /// Batches that escalated to a rebuild, which only a colliding row
+    /// triggers (counted when the rebuild starts: a rebuild that fails
+    /// poisons the pipeline). Conflicting contributions fail in place and
+    /// count here never.
     pub rebuild_batches: u64,
     /// Batches absorbed by a full re-run ([`MaintainMode::Rerun`]).
     pub full_reruns: u64,
@@ -230,16 +225,6 @@ pub struct MaintainStats {
 struct Support {
     keyed: u64,
     attrs: BTreeMap<Label, BTreeMap<Value, u64>>,
-}
-
-/// What a target object's support settles to.
-enum Settled {
-    /// No row asserts the object any more.
-    Gone,
-    /// Two rows assert different values for the label.
-    Conflicting(Label),
-    /// The unique merged record.
-    Record(Value),
 }
 
 /// Contribution supports for every target identity.
@@ -285,33 +270,65 @@ impl TargetLedger {
         Ok(())
     }
 
-    fn settled(&self, oid: &Oid) -> Settled {
-        let Some(support) = self.supports.get(oid) else {
-            return Settled::Gone;
+    /// What `oid`'s support settles to: its unique merged record, or `None`
+    /// when no row asserts it any more.
+    fn settled(&self, oid: &Oid) -> Result<Option<Value>> {
+        let Some(support) = self.supports.get(oid).filter(|s| s.keyed > 0) else {
+            return Ok(None);
         };
-        if support.keyed == 0 {
-            return Settled::Gone;
-        }
         let mut fields = Vec::with_capacity(support.attrs.len());
         for (label, per_value) in &support.attrs {
             if per_value.len() > 1 {
-                return Settled::Conflicting(label.clone());
+                return Err(MorphaseError::Execution(format!(
+                    "object {oid} receives conflicting values for `{label}`"
+                )));
             }
             if let Some(value) = per_value.keys().next() {
                 fields.push((label.clone(), value.clone()));
             }
         }
         // The ledger's labels iterate in ascending order already.
-        Settled::Record(Value::Record(Record::from_sorted(fields)))
+        Ok(Some(Value::Record(Record::from_sorted(fields))))
+    }
+
+    /// Settle `oids`, in ascending order, into `target` and return how many
+    /// objects were written. The first conflict fails the settle: it names
+    /// the least conflicting `(object, attribute)`.
+    fn settle(&mut self, oids: &BTreeSet<Oid>, target: &mut Instance) -> Result<u64> {
+        let mut written = 0;
+        for oid in oids {
+            match self.settled(oid)? {
+                None => {
+                    self.supports.remove(oid);
+                    if target.remove(oid).is_some() {
+                        target.forget_empty_class(oid.class());
+                        written += 1;
+                    }
+                }
+                Some(record) => match target.value(oid) {
+                    Some(existing) if *existing == record => {}
+                    Some(_) => {
+                        target.update(oid, record)?;
+                        written += 1;
+                    }
+                    None => {
+                        target.insert(oid.clone(), record)?;
+                        written += 1;
+                    }
+                },
+            }
+        }
+        Ok(written)
     }
 }
 
 /// Per-query capability analysis (see the module docs).
 #[derive(Clone, Debug)]
 struct QueryAnalysis {
-    /// Scan slots in trace order; the row key is their identity tuple.
+    /// Scan slots in variable-name order; the row key is their identity
+    /// tuple.
     slots: Vec<Slot>,
-    /// Where each trace slot's identity sits in a stripped row.
+    /// Where each slot's identity sits in a stripped row.
     key_slots: Vec<usize>,
     /// The Skolem-free plan below the deepest Skolem-bearing `Map`.
     stripped: Plan,
@@ -320,7 +337,7 @@ struct QueryAnalysis {
     deferred: Vec<Vec<(usize, Lowered)>>,
     /// The insert actions, lowered against the layout after every level.
     inserts: Vec<LoweredInsert>,
-    /// Classes read through dereferences not covered by the trace key.
+    /// Classes read through dereferences not covered by the row key.
     foreign: BTreeSet<ClassName>,
     /// True when some projection's base type is unresolvable: the query may
     /// read arbitrary objects, so any staleness churns it.
@@ -343,6 +360,8 @@ struct DerefScan<'a> {
     env: BTreeMap<String, Ty>,
     foreign: BTreeSet<ClassName>,
     opaque: bool,
+    /// The plan holds a `Distinct`: one row per value, not per key.
+    distinct: bool,
 }
 
 impl DerefScan<'_> {
@@ -423,7 +442,7 @@ impl DerefScan<'_> {
     /// base down to a record, and return the projected field's type.
     fn project(&mut self, base_ty: Ty, base: &Expr, label: &Label) -> Ty {
         let mut ty = base_ty;
-        // Only the base expression's *own* identity is covered by the trace
+        // Only the base expression's *own* identity is covered by the row
         // key, and only when it is literally a scanned variable.
         let mut covered = matches!(base, Expr::Var(v) if self.scan_vars.contains(v));
         loop {
@@ -501,7 +520,7 @@ impl DerefScan<'_> {
                 self.walk_plan(left);
                 self.walk_plan(right);
             }
-            Plan::Distinct { input } => self.walk_plan(input),
+            Plan::Distinct { .. } => self.distinct = true,
         }
     }
 }
@@ -538,30 +557,30 @@ fn peel_deferred(plan: &Plan) -> (Vec<Vec<(String, Expr)>>, &Plan) {
 /// Analyse one query for incremental capability. `None` means the query
 /// defeats the analysis and forces [`MaintainMode::Rerun`].
 fn analyze_query(query: &Query, schemas: &[&Schema]) -> Option<QueryAnalysis> {
-    let trace = scan_order_trace(&query.plan)?;
     let (deferred, stripped) = peel_deferred(&query.plan);
     // Mints below a row-dropping operator would be invisible to the row
     // cache: the replayable part must be entirely Skolem-free.
     if stripped.expressions().iter().any(|e| e.contains_skolem()) {
         return None;
     }
-    let scan_classes = query.plan.scan_classes();
-    let slots: Vec<Slot> = trace
-        .iter()
-        .map(|var| {
-            scan_classes
-                .get(var)
-                .map(|class| Slot::new(var.clone(), class.clone()))
-        })
-        .collect::<Option<_>>()?;
+    let slots: Vec<Slot> = query
+        .plan
+        .scan_classes()
+        .into_iter()
+        .map(|(var, class)| Slot::new(var, class))
+        .collect();
     let mut scan = DerefScan {
         schemas,
-        scan_vars: trace.into_iter().collect(),
+        scan_vars: slots.iter().map(|s| s.var.clone()).collect(),
         env: BTreeMap::new(),
         foreign: BTreeSet::new(),
         opaque: false,
+        distinct: false,
     };
     scan.walk_plan(stripped);
+    if scan.distinct {
+        return None;
+    }
     for level in &deferred {
         for (var, expr) in level {
             let ty = scan.visit(expr);
@@ -603,128 +622,81 @@ struct CachedRow {
     contribs: Vec<(Oid, Value)>,
 }
 
-/// Working state of one row being replayed.
-struct RowWork {
-    key: Vec<Oid>,
-    /// The stripped row, preserved for the cache entry.
-    base: SlotRow,
-    /// Working copy, extended by deferred bindings.
-    row: SlotRow,
-    dropped: bool,
-    contribs: Vec<(Oid, Value)>,
-}
+/// One query's cached rows by key.
+type RowCache = BTreeMap<Vec<Oid>, CachedRow>;
 
-impl RowWork {
-    fn seed(key: Vec<Oid>, row: SlotRow) -> RowWork {
-        RowWork {
-            key,
-            base: row.clone(),
-            row,
-            dropped: false,
-            contribs: Vec::new(),
-        }
-    }
-}
-
-/// Replays rows through deferred bindings and insert actions, evaluating
-/// exactly what the executor evaluates for them.
-struct Replayer<'a, 'e> {
-    ctx: &'a mut EvalCtx<'e>,
-    ledger: &'a mut TargetLedger,
-    /// Rebuild mode: write contributions straight into this fresh target.
-    target: Option<&'a mut Instance>,
-    /// Repair mode: collect the identities contributed to.
-    touched: Option<&'a mut BTreeSet<Oid>>,
-}
-
-impl Replayer<'_, '_> {
-    /// Replay `work` through one query: deferred levels bottom-up (each
-    /// level sweeping all rows in key order), then the insert phase.
-    fn replay_query(
-        &mut self,
-        query: &Query,
-        analysis: &QueryAnalysis,
-        work: &mut [RowWork],
-    ) -> Result<()> {
-        for bindings in &analysis.deferred {
-            for w in work.iter_mut().filter(|w| !w.dropped) {
-                for (slot, expr) in bindings {
-                    let value = match expr.eval(&w.row, self.ctx) {
-                        Ok(v) => v.into_owned(),
-                        // The executor's `Map` drops rows on a bad value.
-                        Err(e) if e.is_bad_value() => {
-                            w.dropped = true;
-                            break;
-                        }
-                        Err(e) => return Err(e.into()),
-                    };
-                    store(&mut w.row, *slot, value);
-                }
-            }
-        }
-        for w in work.iter_mut().filter(|w| !w.dropped) {
-            for action in &analysis.inserts {
-                // The executor's insert loop propagates every error, bad
-                // values included.
-                let (oid, record) = action.evaluate(&w.row, self.ctx)?;
-                self.ledger.add_support(&oid, &record);
-                if let Some(target) = self.target.as_deref_mut() {
-                    write_contribution(target, &oid, &record, &query.name)?;
-                }
-                if let Some(touched) = self.touched.as_deref_mut() {
-                    touched.insert(oid.clone());
-                }
-                w.contribs.push((oid, record));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Mirror of the executor's insert-or-merge object write.
-fn write_contribution(
-    target: &mut Instance,
-    oid: &Oid,
-    record: &Value,
-    query_name: &str,
+/// Run the stripped plan under `ctx`'s scan restrictions and add its rows,
+/// keyed and with no contributions yet, to `out`.
+fn derive(
+    analysis: &QueryAnalysis,
+    ctx: &mut EvalCtx<'_>,
+    exec: &mut ExecStats,
+    out: &mut RowCache,
 ) -> Result<()> {
-    match target.value(oid) {
-        None => target.insert(oid.clone(), record.clone())?,
-        Some(existing) => {
-            let merged = existing.merge_records(record).ok_or_else(|| {
-                MorphaseError::Execution(format!(
-                    "object {oid} receives conflicting values from query `{query_name}`"
-                ))
-            })?;
-            target.update(oid, merged)?;
+    for row in run_slots(&analysis.stripped, ctx, exec)? {
+        let key = analysis
+            .slots
+            .iter()
+            .zip(&analysis.key_slots)
+            .map(|(s, &slot)| match row.get(slot) {
+                Some(Value::Oid(oid)) => Ok(oid.clone()),
+                _ => Err(MorphaseError::Execution(format!(
+                    "scan variable `{}` missing from a produced row",
+                    s.var
+                ))),
+            })
+            .collect::<Result<_>>()?;
+        out.insert(
+            key,
+            CachedRow {
+                row,
+                contribs: Vec::new(),
+            },
+        );
+    }
+    Ok(())
+}
+
+/// Replay rows through the query's deferred bindings and insert actions —
+/// exactly what the executor evaluates for them — recording each row's
+/// contributions and adding their supports to the ledger.
+fn replay<'r>(
+    analysis: &QueryAnalysis,
+    ctx: &mut EvalCtx<'_>,
+    ledger: &mut TargetLedger,
+    rows: impl IntoIterator<Item = &'r mut CachedRow>,
+) -> Result<()> {
+    'rows: for cached in rows {
+        // Deferred bindings extend a working copy; the cache keeps the
+        // stripped row.
+        let mut row = Cow::Borrowed(&cached.row);
+        for (slot, expr) in analysis.deferred.iter().flatten() {
+            let value = match expr.eval(&row, ctx) {
+                Ok(v) => v.into_owned(),
+                // The executor's `Map` drops rows on a bad value.
+                Err(e) if e.is_bad_value() => continue 'rows,
+                Err(e) => return Err(e.into()),
+            };
+            store(row.to_mut(), *slot, value);
+        }
+        for action in &analysis.inserts {
+            // The executor's insert loop propagates every error, bad values
+            // included.
+            let (oid, record) = action.evaluate(&row, ctx)?;
+            ledger.add_support(&oid, &record);
+            cached.contribs.push((oid, record));
         }
     }
     Ok(())
 }
 
-fn trace_key(analysis: &QueryAnalysis, row: &[Value]) -> Result<Vec<Oid>> {
-    analysis
-        .slots
-        .iter()
-        .zip(&analysis.key_slots)
-        .map(|(s, &slot)| match row.get(slot) {
-            Some(Value::Oid(oid)) => Ok(oid.clone()),
-            _ => Err(MorphaseError::Execution(format!(
-                "scan variable `{}` missing from a produced row",
-                s.var
-            ))),
-        })
-        .collect()
-}
-
 /// The standing state of an incrementally maintained pipeline.
 struct Core {
-    queries: Vec<Query>,
     analyses: Vec<QueryAnalysis>,
-    /// Schedule apply order (indices into `queries`).
+    /// Schedule apply order (indices into `analyses`).
     order: Vec<usize>,
-    /// Per-query row caches, parallel to `queries`.
-    caches: Vec<BTreeMap<Vec<Oid>, CachedRow>>,
+    /// Per-query row caches, parallel to `analyses`.
+    caches: Vec<RowCache>,
     ledger: TargetLedger,
     factory: SkolemFactory,
     target: Instance,
@@ -778,56 +750,31 @@ fn build_state(
     let schedule = plan_schedule(&queries);
     let order: Vec<usize> = schedule.stages.iter().flatten().copied().collect();
 
-    // Fill the row caches from unrestricted stripped-plan runs (stripped
-    // plans are Skolem-free, so nothing mints), then replay everything
-    // against a fresh target.
-    let mut caches: Vec<BTreeMap<Vec<Oid>, CachedRow>> = Vec::with_capacity(queries.len());
+    // Fill each row cache from an unrestricted stripped-plan run (stripped
+    // plans are Skolem-free, so nothing mints there), replay it into the
+    // ledger, then settle every identity the ledger holds.
+    let mut caches = vec![RowCache::new(); analyses.len()];
     let mut ledger = TargetLedger::default();
-    let mut target = Instance::new(augmented.target.schema.name());
-    let factory;
-    {
-        let mut ctx = EvalCtx::new(&refs).with_parallelism(options.parallelism);
-        for analysis in &analyses {
-            let rows = run_slots(&analysis.stripped, &mut ctx, exec)?;
-            let mut cache = BTreeMap::new();
-            for row in rows {
-                let key = trace_key(analysis, &row)?;
-                cache.insert(
-                    key,
-                    CachedRow {
-                        row,
-                        ..CachedRow::default()
-                    },
-                );
-            }
-            caches.push(cache);
-        }
-        for &qi in &order {
-            let mut work: Vec<RowWork> = caches[qi]
-                .iter()
-                .map(|(k, c)| RowWork::seed(k.clone(), c.row.clone()))
-                .collect();
-            let mut replayer = Replayer {
-                ctx: &mut ctx,
-                ledger: &mut ledger,
-                target: Some(&mut target),
-                touched: None,
-            };
-            replayer.replay_query(&queries[qi], &analyses[qi], &mut work)?;
-            for (entry, w) in caches[qi].values_mut().zip(work) {
-                entry.contribs = w.contribs;
-            }
-        }
-        factory = std::mem::take(&mut ctx.factory);
+    let mut ctx = EvalCtx::new(&refs).with_parallelism(options.parallelism);
+    for &qi in &order {
+        derive(&analyses[qi], &mut ctx, exec, &mut caches[qi])?;
+        replay(
+            &analyses[qi],
+            &mut ctx,
+            &mut ledger,
+            caches[qi].values_mut(),
+        )?;
     }
+    let every: BTreeSet<Oid> = ledger.supports.keys().cloned().collect();
+    let mut target = Instance::new(augmented.target.schema.name());
+    ledger.settle(&every, &mut target)?;
     verify_target_instance(options, augmented, &target)?;
     Ok(CoreState::Incremental(Box::new(Core {
-        queries,
         analyses,
         order,
         caches,
         ledger,
-        factory,
+        factory: std::mem::take(&mut ctx.factory),
         target,
     })))
 }
@@ -857,48 +804,40 @@ fn repair_incremental(
     let mut rows_removed = 0u64;
     let mut rows_added = 0u64;
 
-    // Phase A: sweep stale rows, in schedule order.
-    let mut churns = vec![false; core.queries.len()];
+    // Phase A: sweep stale rows out of the caches, dropping their supports.
+    let mut churns = vec![false; core.analyses.len()];
     for &qi in &core.order {
         let analysis = &core.analyses[qi];
+        let cache = &mut core.caches[qi];
         let churn = (analysis.opaque && delta.has_stale())
             || analysis
                 .foreign
                 .iter()
                 .any(|c| delta.class(c).is_some_and(|d| !d.stale().is_empty()));
         churns[qi] = churn;
-        let victims: Vec<Vec<Oid>> = if churn {
-            core.caches[qi].keys().cloned().collect()
+        let mut swept = Vec::new();
+        if churn {
+            swept.extend(std::mem::take(cache).into_values());
         } else {
-            let stale: Vec<Option<BTreeSet<Oid>>> = analysis
+            let stale: Vec<BTreeSet<Oid>> = analysis
                 .slots
                 .iter()
-                .map(|s| delta.class(&s.class).map(|d| d.stale()))
+                .map(|s| delta.class(&s.class).map(|d| d.stale()).unwrap_or_default())
                 .collect();
-            if stale
-                .iter()
-                .all(|s| s.as_ref().is_none_or(|s| s.is_empty()))
-            {
-                Vec::new()
-            } else {
-                core.caches[qi]
-                    .keys()
-                    .filter(|key| {
-                        key.iter()
-                            .zip(&stale)
-                            .any(|(oid, s)| s.as_ref().is_some_and(|s| s.contains(oid)))
-                    })
-                    .cloned()
-                    .collect()
+            if stale.iter().any(|s| !s.is_empty()) {
+                cache.retain(|key, row| {
+                    let hit = key.iter().zip(&stale).any(|(oid, s)| s.contains(oid));
+                    if hit {
+                        swept.push(std::mem::take(row));
+                    }
+                    !hit
+                });
             }
-        };
-        for key in victims {
-            let entry = core.caches[qi].remove(&key).expect("victim key from cache");
-            rows_removed += 1;
-            for (oid, record) in &entry.contribs {
-                core.ledger.remove_support(oid, record)?;
-                touched.insert(oid.clone());
-            }
+        }
+        rows_removed += swept.len() as u64;
+        for (oid, record) in swept.iter().flat_map(|row| &row.contribs) {
+            core.ledger.remove_support(oid, record)?;
+            touched.insert(oid.clone());
         }
     }
 
@@ -908,44 +847,29 @@ fn repair_incremental(
     let replayed = (|| -> Result<Option<RebuildReason>> {
         for &qi in &core.order {
             let analysis = &core.analyses[qi];
-            let mut added: BTreeMap<Vec<Oid>, SlotRow> = BTreeMap::new();
+            let mut added = RowCache::new();
             if churns[qi] {
-                for row in run_slots(&analysis.stripped, &mut ctx, exec)? {
-                    added.insert(trace_key(analysis, &row)?, row);
-                }
+                derive(analysis, &mut ctx, exec, &mut added)?;
             } else {
                 for rotation in delta_rotations(&analysis.slots, delta, &sources[mutated]) {
                     for (var, set) in &rotation.restrictions {
                         ctx.restrict_scan(var.clone(), Arc::clone(set));
                     }
-                    let rows = run_slots(&analysis.stripped, &mut ctx, exec);
+                    let derived = derive(analysis, &mut ctx, exec, &mut added);
                     ctx.clear_scan_restrictions();
-                    for row in rows? {
-                        added.insert(trace_key(analysis, &row)?, row);
-                    }
+                    derived?;
                 }
             }
-            if let Some(key) = added.keys().find(|k| core.caches[qi].contains_key(*k)) {
+            let cache = &mut core.caches[qi];
+            if let Some(key) = added.keys().find(|k| cache.contains_key(*k)) {
                 return Ok(Some(RebuildReason::CollidingRow { key: key.clone() }));
             }
-            let mut work: Vec<RowWork> = added
-                .into_iter()
-                .map(|(key, row)| RowWork::seed(key, row))
-                .collect();
-            rows_added += work.len() as u64;
-            let mut replayer = Replayer {
-                ctx: &mut ctx,
-                ledger: &mut core.ledger,
-                target: None,
-                touched: Some(&mut touched),
-            };
-            replayer.replay_query(&core.queries[qi], analysis, &mut work)?;
-            for w in work {
-                let row = CachedRow {
-                    row: w.base,
-                    contribs: w.contribs,
-                };
-                core.caches[qi].insert(w.key, row);
+            rows_added += added.len() as u64;
+            replay(analysis, &mut ctx, &mut core.ledger, added.values_mut())?;
+            for (key, row) in added {
+                touched.extend(row.contribs.iter().map(|(oid, _)| oid.clone()));
+                // One insert per row: `append` would rebuild the whole cache.
+                cache.insert(key, row);
             }
         }
         Ok(None)
@@ -955,40 +879,8 @@ fn repair_incremental(
         return Ok(RepairOutcome::Rebuild(reason));
     }
 
-    // Phase C: settle every touched object — its merged record, or out of
-    // the target when no row asserts it any more. Contributions that
-    // conflict escalate to a rebuild.
-    let mut objects_repaired = 0u64;
-    for oid in &touched {
-        match core.ledger.settled(oid) {
-            Settled::Gone => {
-                core.ledger.supports.remove(oid);
-                if core.target.remove(oid).is_some() {
-                    core.target.forget_empty_class(oid.class());
-                    objects_repaired += 1;
-                }
-            }
-            Settled::Conflicting(label) => {
-                return Ok(RepairOutcome::Rebuild(
-                    RebuildReason::ConflictingContributions {
-                        oid: oid.clone(),
-                        label,
-                    },
-                ))
-            }
-            Settled::Record(record) => match core.target.value(oid) {
-                Some(existing) if *existing == record => {}
-                Some(_) => {
-                    core.target.update(oid, record)?;
-                    objects_repaired += 1;
-                }
-                None => {
-                    core.target.insert(oid.clone(), record)?;
-                    objects_repaired += 1;
-                }
-            },
-        }
-    }
+    // Phase C: settle every touched object.
+    let objects_repaired = core.ledger.settle(&touched, &mut core.target)?;
     Ok(RepairOutcome::InPlace {
         rows_removed,
         rows_added,
@@ -1585,55 +1477,131 @@ mod tests {
         assert_matches_oracle(&pipeline);
     }
 
-    /// Contributions that genuinely conflict — two source clones sharing a
-    /// name but not a length — escalate to a rebuild, which reproduces the
-    /// fresh run's merge conflict; the typed reason names the object and
-    /// attribute.
-    #[test]
-    fn conflicting_contributions_escalate_to_a_failing_rebuild() {
-        let mut pipeline = genome_pipeline(&GenomeParams::default());
+    /// A batch inserting a second clone under each of two existing clones'
+    /// names, with another length, and the two names.
+    fn conflicting_twins(source: &Instance) -> (MutationBatch, Vec<Value>) {
         let clone_s = ClassName::new("CloneS");
-        let (victim, name) = pipeline
-            .source(0)
-            .unwrap()
+        let twins: Vec<(Value, i64)> = source
             .objects(&clone_s)
-            .find_map(|(oid, v)| {
-                v.project("length")?;
-                Some((oid.clone(), v.project("name")?.clone()))
+            .filter_map(|(_, v)| match v.project("length") {
+                Some(Value::Int(length)) => Some((v.project("name")?.clone(), *length)),
+                _ => None,
             })
-            .unwrap();
-        let length = pipeline
-            .source(0)
-            .unwrap()
-            .value(&victim)
-            .and_then(|v| v.project("length"))
-            .cloned()
-            .unwrap();
-        let Value::Int(length) = length else {
-            panic!("clone lengths are integers")
+            .take(2)
+            .collect();
+        assert_eq!(twins.len(), 2, "two clones with a length");
+        let mut batch = MutationBatch::new();
+        for (name, length) in &twins {
+            let twin = Value::record([("name", name.clone()), ("length", Value::int(length + 1))]);
+            batch = batch.insert(clone_s.clone(), twin);
+        }
+        (batch, twins.into_iter().map(|(name, _)| name).collect())
+    }
+
+    /// Contributions that genuinely conflict fail the batch in place: at
+    /// every thread count and under either cost model the error is the same
+    /// text, naming the least conflicting `(oid, label)`; nothing rebuilds
+    /// and the pipeline is poisoned. A build over sources that already
+    /// conflict fails with the same message.
+    #[test]
+    fn conflicting_contributions_fail_in_place_with_one_error_everywhere() {
+        let params = GenomeParams {
+            clones: 12,
+            markers: 30,
+            density: 0.7,
+            seed: 5,
         };
-        let twin = Value::record([("name", name), ("length", Value::int(length + 1))]);
-        let err = pipeline
-            .apply_batch(&MutationBatch::new().insert(clone_s, twin))
-            .unwrap_err();
-        assert!(err.to_string().contains("conflicting values"), "{err}");
-        assert_eq!(pipeline.stats().rebuild_batches, 1);
-        assert!(pipeline.is_poisoned());
-        let reason = RebuildReason::ConflictingContributions {
-            oid: Oid::new(ClassName::new("CloneD"), 7),
-            label: "length".into(),
+        let source = genome::generate_source(&params);
+        let (batch, names) = conflicting_twins(&source);
+        // Both names' warehouse objects conflict on `length`; the error
+        // names the lesser identity.
+        let built = genome_pipeline(&params);
+        let clone_d = ClassName::new("CloneD");
+        let oids: BTreeSet<&Oid> = names
+            .iter()
+            .map(|name| {
+                built
+                    .target()
+                    .find_by_field(&clone_d, "name", name)
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(oids.len(), 2);
+        let least = oids.first().unwrap();
+        let expected = MorphaseError::Execution(format!(
+            "object {least} receives conflicting values for `length`"
+        ));
+        for threads in [1, 2, 4, 8] {
+            for cost_model in [cpl::CostModel::Histogram, cpl::CostModel::FlatNdv] {
+                let options = PipelineOptions {
+                    parallelism: cpl::Parallelism::new(threads).with_min_items(1),
+                    cost_model,
+                    ..PipelineOptions::default()
+                };
+                let mut pipeline =
+                    MaterializedPipeline::new(&genome::program(), vec![source.clone()], options)
+                        .unwrap();
+                let err = pipeline.apply_batch(&batch).unwrap_err();
+                assert_eq!(err, expected, "{threads} threads, {cost_model:?}");
+                assert_eq!(pipeline.stats().rebuild_batches, 0);
+                assert!(pipeline.is_poisoned());
+
+                let mut conflicted = source.clone();
+                conflicted.apply_batch(&batch).unwrap();
+                let err = MaterializedPipeline::new(&genome::program(), vec![conflicted], options)
+                    .err()
+                    .unwrap();
+                assert_eq!(err, expected, "build: {threads} threads, {cost_model:?}");
+            }
+        }
+    }
+
+    /// The row key is the scans' identity tuple in variable-name order, not
+    /// the order the plan joins in; a `Distinct` plan has no such key and
+    /// sends the pipeline to [`MaintainMode::Rerun`].
+    #[test]
+    fn keys_hold_every_scan_identity_and_distinct_plans_rerun() {
+        let program = genome::program();
+        let source = genome::generate_source(&GenomeParams::default());
+        let schemas: Vec<&Schema> = program.sources.iter().map(|b| &b.schema).collect();
+        let query = |plan: Plan| Query {
+            name: "hand-built".into(),
+            plan,
+            inserts: Vec::new(),
         };
+        let distinct = query(Plan::scan("CloneS", "C").distinct());
+        assert!(analyze_query(&distinct, &schemas).is_none());
+
+        // Markers join their clones; `M` is scanned first, `C` keys first.
+        let join = query(Plan::scan("MarkerS", "M").hash_join(
+            Plan::scan("CloneS", "C"),
+            Expr::var("M").proj("clone"),
+            Expr::var("C"),
+        ));
+        let analysis = analyze_query(&join, &schemas).unwrap();
         assert_eq!(
-            reason.to_string(),
-            "object #CloneD:7 has conflicting contributions for `length`"
+            analysis.slots,
+            vec![Slot::new("C", "CloneS"), Slot::new("M", "MarkerS")]
         );
-        let reason = RebuildReason::CollidingRow {
-            key: vec![Oid::new(ClassName::new("MarkerS"), 3)],
-        };
-        assert_eq!(
-            reason.to_string(),
-            "derived row [#MarkerS:3] collides with a surviving cached row"
-        );
+        let refs = [&source];
+        let mut ctx = EvalCtx::new(&refs);
+        let mut rows = RowCache::new();
+        derive(&analysis, &mut ctx, &mut ExecStats::default(), &mut rows).unwrap();
+        // The oracle: every marker whose clone reference resolves.
+        let oracle: BTreeSet<Vec<Oid>> = source
+            .objects(&ClassName::new("MarkerS"))
+            .filter_map(|(marker, v)| match v.project("clone") {
+                Some(Value::Oid(clone)) => Some(vec![clone.clone(), marker.clone()]),
+                _ => None,
+            })
+            .collect();
+        assert!(!oracle.is_empty());
+        assert_eq!(rows.keys().cloned().collect::<BTreeSet<_>>(), oracle);
+        for (key, cached) in &rows {
+            for (oid, &slot) in key.iter().zip(&analysis.key_slots) {
+                assert_eq!(cached.row[slot], Value::Oid(oid.clone()));
+            }
+        }
     }
 
     #[test]

@@ -480,14 +480,13 @@ mod tests {
             "batch: in place, 2 rows swept, 3 replayed, 4 objects repaired\n"
         );
         report.outcome = BatchOutcome::Rebuild;
-        report.rebuild_reason = Some(RebuildReason::ConflictingContributions {
-            oid: Oid::new(ClassName::new("CloneD"), 9),
-            label: "length".into(),
+        report.rebuild_reason = Some(RebuildReason::CollidingRow {
+            key: vec![Oid::new(ClassName::new("MarkerS"), 3)],
         });
         assert_eq!(
             render_batch_report(&report),
             "batch: rebuild, 2 rows swept, 3 replayed, 4 objects repaired \
-             (object #CloneD:9 has conflicting contributions for `length`)\n"
+             (derived row [#MarkerS:3] collides with a surviving cached row)\n"
         );
     }
 

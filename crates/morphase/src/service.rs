@@ -50,6 +50,15 @@ pub struct PipelineService {
     handle: Option<JoinHandle<()>>,
 }
 
+/// The maintainer thread's loop: apply, publish, answer, until shutdown or
+/// a closed channel.
+///
+/// # Panics
+///
+/// On [`Request::Panic`], the fault hook [`PipelineService::inject_panic`]
+/// sends.
+// The hook's panic is the behaviour under test: shutdown must re-raise it.
+#[allow(clippy::panic)]
 fn maintainer(
     mut pipeline: Box<MaterializedPipeline>,
     rx: Receiver<Request>,
@@ -100,6 +109,13 @@ fn publish(pipeline: &MaterializedPipeline, snapshot: &RwLock<Arc<Instance>>) ->
 impl PipelineService {
     /// Stand the pipeline up behind a maintainer thread. The initial
     /// snapshot is the pipeline's current target.
+    ///
+    /// # Panics
+    ///
+    /// If the operating system refuses to spawn the maintainer thread.
+    // `start` cannot return a `Result` (its signature is public and
+    // relied on), and without the thread there is no service.
+    #[allow(clippy::expect_used)]
     pub fn start(pipeline: MaterializedPipeline) -> PipelineService {
         let snapshot = Arc::new(RwLock::new(Arc::new(pipeline.target().snapshot())));
         let poisoned = Arc::new(AtomicBool::new(pipeline.is_poisoned()));

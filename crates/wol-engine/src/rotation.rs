@@ -9,10 +9,10 @@
 //! produced by the previous run and is still produced unchanged.
 //!
 //! This module computes that restriction schedule without knowing anything
-//! about query plans. A query is abstracted to its ordered list of scan
-//! [`Slot`]s — `(variable, class)` pairs — and the classic inclusion /
-//! exclusion rotation is emitted over them: one [`Rotation`] per slot whose
-//! class changed, in which
+//! about query plans. A query is abstracted to a list of scan [`Slot`]s —
+//! `(variable, class)` pairs in any fixed order — and the classic
+//! inclusion / exclusion rotation is emitted over them: one [`Rotation`] per
+//! slot whose class changed, in which
 //!
 //! * the pivot slot *i* is restricted to its changed set Δᵢ
 //!   (inserted ∪ updated),
@@ -24,7 +24,8 @@
 //! rotations partition the new rows: evaluating the query once per rotation
 //! and taking the union visits every new row exactly once and no old row at
 //! all. Rows that must *disappear* are not this module's concern — the
-//! maintainer drops them by identity (trace key) using
+//! maintainer drops them by identity (the row's key, its tuple of scanned
+//! identities) using
 //! [`ClassDelta::stale`](wol_model::ClassDelta::stale) before adding the
 //! rotation output.
 
@@ -33,7 +34,8 @@ use std::sync::Arc;
 
 use wol_model::{BatchDelta, ClassName, Instance, MutationBatch, Oid};
 
-/// One scanned variable of a query, in plan output order.
+/// One scanned variable of a query. The maintainer lists a query's slots in
+/// variable-name order, the order of its row key.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Slot {
     /// The row variable the scan binds.
@@ -63,8 +65,8 @@ pub struct Rotation {
 
 /// Compute the rotation schedule for a query over a mutated source.
 ///
-/// `slots` lists the query's scans in plan order, `delta` is the net effect
-/// of the applied batch (see
+/// `slots` lists the query's scans in any fixed order, `delta` is the net
+/// effect of the applied batch (see
 /// [`Instance::apply_batch`](wol_model::Instance::apply_batch)), and
 /// `instance` is the source *after* the batch (its extents provide the "old"
 /// sets). Returns one rotation per slot whose class has changed identities;

@@ -69,8 +69,8 @@ fn assert_matches_oracle(pipeline: &MaterializedPipeline, context: &str) {
 /// foreign-read churn, removals and renames, all repaired in place. The
 /// final target must be bit-identical to the same stream applied to a plain
 /// single-threaded pipeline, and to a from-scratch re-run. A closing batch
-/// whose contributions genuinely conflict then escalates to a rebuild, which
-/// fails with the fresh run's merge conflict on both pipelines alike.
+/// whose contributions genuinely conflict then fails in place, with the same
+/// error on both pipelines alike.
 #[test]
 fn soak_concurrent_readers_never_observe_torn_targets() {
     let params = GenomeParams::default();
@@ -176,8 +176,8 @@ fn soak_concurrent_readers_never_observe_torn_targets() {
     assert_eq!(pipeline.stats().batches, batches.len() as u64 + 1);
     assert_eq!(
         pipeline.stats().rebuild_batches,
-        1,
-        "only the conflicting batch takes the rebuild path"
+        0,
+        "the conflicting batch fails in place, without a rebuild"
     );
     assert!(pipeline.is_poisoned());
     assert_eq!(
