@@ -32,7 +32,7 @@
 //! count (per-partition breakdowns: [`EvalCtx::shard_stats`]).
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use wol_model::{chunk_ranges, ClassName, Instance, Label, Oid, SkolemFactory, Value};
@@ -437,7 +437,7 @@ pub fn layout(plan: &Plan) -> Vec<String> {
     };
     match plan {
         Plan::Scan { var, .. } => vec![var.clone()],
-        Plan::Filter { input, .. } | Plan::Distinct { input } => layout(input),
+        Plan::Filter { input, .. } => layout(input),
         Plan::Map { input, bindings } => {
             let names = bindings.iter().map(|(name, _)| name.clone()).collect();
             joined(layout(input), names)
@@ -1026,18 +1026,6 @@ fn rows_of(
             ctx.record_join("HashJoin", rows.len());
             rows
         }
-        Plan::Distinct { input } => {
-            // Rows of one layout are equal exactly when their named views
-            // are; keep each row's first occurrence.
-            let rows = rows_of(input, width, ctx, stats)?;
-            let mut seen = HashSet::new();
-            let first: Vec<bool> = rows.iter().map(|row| seen.insert(row.as_slice())).collect();
-            drop(seen);
-            rows.into_iter()
-                .zip(first)
-                .filter_map(|(row, first)| first.then_some(row))
-                .collect()
-        }
     };
     stats.record_operator_output(rows.len());
     Ok(rows)
@@ -1331,37 +1319,6 @@ mod tests {
         let mut ctx = EvalCtx::new(&refs);
         let _ = run_plan(&generic, &mut ctx, &mut stats);
         assert_eq!(stats.index_probes, 0);
-    }
-
-    #[test]
-    fn distinct_removes_duplicates() {
-        let inst = euro_instance();
-        let refs = [&inst];
-        let mut ctx = EvalCtx::new(&refs);
-        let mut stats = ExecStats::default();
-        let plan = Plan::scan("CityE", "E")
-            .map(vec![(
-                "L".to_string(),
-                Expr::var("E").path("country.language"),
-            )])
-            .map(vec![("K".to_string(), Expr::var("L"))])
-            .distinct();
-        // Keep only the language column to create duplicates.
-        let plan = Plan::Map {
-            input: Box::new(plan),
-            bindings: vec![],
-        };
-        let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
-        assert_eq!(rows.len(), 3); // rows still distinct because E differs
-                                   // Project to just the language: build rows manually to check distinct.
-        let lang_only = Plan::Distinct {
-            input: Box::new(Plan::Map {
-                input: Box::new(Plan::scan("CityE", "E")),
-                bindings: vec![("L".to_string(), Expr::var("E").path("country.language"))],
-            }),
-        };
-        let _ = lang_only; // The E binding keeps rows distinct; full projection
-                           // is exercised through query execution below.
     }
 
     #[test]
@@ -1911,12 +1868,6 @@ mod tests {
                     Plan::scan("CityE", "E").filter(Expr::var("E").proj("is_capital")),
                 )
             },
-            shape(
-                "distinct over a map",
-                Plan::scan("MarkerS", "M")
-                    .map(vec![bind("K", Expr::var("M").proj("clone_name"))])
-                    .distinct(),
-            ),
             // The Skolem-heavy insertion shape of the genome load: a keyed
             // insert whose attributes mint further identities, with few
             // distinct country keys so partitions mint the same ones.
@@ -2513,22 +2464,22 @@ mod tests {
         }
     }
 
-    /// A `Map` that rebinds the scanned variable overwrites its slot, so the
-    /// rows `Distinct` compares are the rebound ones: one per clone name.
+    /// A `Map` that rebinds the scanned variable overwrites its slot: each
+    /// row holds one slot, the rebound value.
     #[test]
-    fn a_rebinding_map_under_distinct_compares_the_rebound_rows() {
+    fn a_rebinding_map_overwrites_the_scanned_slot() {
         let inst = partition_fixture();
         let plan = Plan::scan("MarkerS", "M")
-            .map(vec![("M".to_string(), Expr::var("M").proj("clone_name"))])
-            .distinct();
+            .map(vec![("M".to_string(), Expr::var("M").proj("clone_name"))]);
         assert_eq!(layout(&plan), ["M"]);
         let rows = run_both_ways(&plan, &inst).unwrap();
-        let names: Vec<&Value> = rows.iter().map(|row| &row["M"]).collect();
-        let expected: Vec<Value> = ["hot", "cold0", "cold1", "cold2", "cold3"]
-            .map(Value::str)
-            .to_vec();
-        assert_eq!(names, expected.iter().collect::<Vec<_>>());
         assert!(rows.iter().all(|row| row.len() == 1));
+        let names: Vec<&Value> = rows.iter().map(|row| &row["M"]).collect();
+        let expected: Vec<&Value> = inst
+            .objects(&ClassName::new("MarkerS"))
+            .map(|(_, v)| v.project("clone_name").unwrap())
+            .collect();
+        assert_eq!(names, expected);
     }
 
     /// A name bound on both sides of a join keeps one slot, holding the

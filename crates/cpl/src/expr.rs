@@ -415,7 +415,7 @@ pub(crate) fn bind_slot(layout: &mut Vec<String>, name: &str) -> usize {
 }
 
 /// Write `value` into `slot` of `row`, appending when the slot is new.
-pub fn store(row: &mut SlotRow, slot: usize, value: Value) {
+pub(crate) fn store(row: &mut SlotRow, slot: usize, value: Value) {
     match row.get_mut(slot) {
         Some(cell) => *cell = value,
         None => row.push(value),
@@ -424,7 +424,7 @@ pub fn store(row: &mut SlotRow, slot: usize, value: Value) {
 
 /// Lower a `Map`'s bindings in order — each sees the ones before it —
 /// extending `layout`; returns each binding's slot and lowered expression.
-pub fn lower_bindings(
+pub(crate) fn lower_bindings(
     bindings: &[(String, Expr)],
     layout: &mut Vec<String>,
 ) -> Vec<(usize, Lowered)> {

@@ -10,8 +10,7 @@
 //!   object identities, record/variant construction, Skolem object creation,
 //!   comparisons and boolean connectives;
 //! * a physical algebra ([`plan::Plan`]): class scans, filters, binding maps,
-//!   nested-loop, hash (single- or composite-key) and cross joins, and
-//!   distinct;
+//!   and nested-loop, hash (single- or composite-key) and cross joins;
 //! * a single-pass executor ([`exec`]) over slot-addressed rows that runs a
 //!   plan against source instances and applies *insert actions* to build
 //!   the target instance, merging partial inserts by Skolem key;
@@ -21,7 +20,7 @@
 //!   histograms over the live instances ([`optimizer::Statistics`],
 //!   [`optimizer::CostModel`]) with ndv propagated through join outputs; the
 //!   flat `1/ndv` model remains selectable as the differential baseline. It
-//!   is the only optimiser: a shape it does not decompose runs as compiled;
+//!   is the only optimiser: a shape it does not take runs as compiled;
 //! * execution statistics ([`exec::ExecStats`]) used by the benchmark harness.
 //!
 //! ## Threading model

@@ -35,10 +35,10 @@
 //! executor then answers it with attribute-index probes instead of
 //! materialising the side at all ([`crate::exec`]).
 //!
-//! A plan the decomposer does not take — a `Distinct` below the root, no scan
-//! at all, or a `Map` that rebinds a variable — is returned unchanged: the
-//! raw plan is the semantics every planner property test compares against,
-//! so it is also the safe answer. The translator emits none of these shapes.
+//! A plan the planner does not take — no scan at all, or a `Map` that
+//! rebinds a variable — is returned unchanged: the raw plan is the semantics
+//! every planner property test compares against, so it is also the safe
+//! answer. The translator emits neither shape.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -256,54 +256,41 @@ fn conjunction(mut exprs: Vec<Expr>) -> Option<Expr> {
     }
 }
 
-/// Flatten a plan into the pool. Returns `false` on operators the planner
-/// does not decompose (currently `Distinct`), in which case the caller keeps
-/// the plan as it is.
-fn decompose(plan: Plan, pool: &mut Pool) -> bool {
+/// Flatten a plan into the pool.
+fn decompose(plan: Plan, pool: &mut Pool) {
     match plan {
-        Plan::Scan { class, var } => {
-            pool.scans.push((class, var));
-            true
-        }
+        Plan::Scan { class, var } => pool.scans.push((class, var)),
         Plan::Filter { input, predicate } => {
-            if !decompose(*input, pool) {
-                return false;
-            }
+            decompose(*input, pool);
             pool.conjuncts.extend(split_conjuncts(predicate));
-            true
         }
         Plan::Map { input, bindings } => {
-            if !decompose(*input, pool) {
-                return false;
-            }
+            decompose(*input, pool);
             pool.maps.extend(bindings);
-            true
         }
         Plan::NestedLoopJoin {
             left,
             right,
             predicate,
         } => {
-            if !decompose(*left, pool) || !decompose(*right, pool) {
-                return false;
-            }
+            decompose(*left, pool);
+            decompose(*right, pool);
             if let Some(p) = predicate {
                 pool.conjuncts.extend(split_conjuncts(p));
             }
-            true
         }
         Plan::HashJoin { left, right, keys } => {
-            if !decompose(*left, pool) || !decompose(*right, pool) {
-                return false;
-            }
+            decompose(*left, pool);
+            decompose(*right, pool);
             pool.conjuncts.extend(
                 keys.into_iter()
                     .map(|(l, r)| Expr::Eq(Box::new(l), Box::new(r))),
             );
-            true
         }
-        Plan::CrossJoin { left, right } => decompose(*left, pool) && decompose(*right, pool),
-        Plan::Distinct { .. } => false,
+        Plan::CrossJoin { left, right } => {
+            decompose(*left, pool);
+            decompose(*right, pool);
+        }
     }
 }
 
@@ -632,7 +619,6 @@ fn estimate_plan(
                 card.vars.extend(bindings.iter().map(|(v, _)| v.clone()));
                 card
             }
-            Plan::Distinct { input } => go(input, est, joins),
             Plan::NestedLoopJoin {
                 left,
                 right,
@@ -865,7 +851,7 @@ pub fn pushable_predicates(plan: &Plan, catalog: &PushdownCatalog) -> Vec<Pushed
                 }
                 Some((class, var))
             }
-            Plan::Map { input, .. } | Plan::Distinct { input } => {
+            Plan::Map { input, .. } => {
                 walk(input, catalog, out);
                 None
             }
@@ -886,17 +872,12 @@ pub fn pushable_predicates(plan: &Plan, catalog: &PushdownCatalog) -> Vec<Pushed
 /// Optimise a plan with the join-graph planner, fed by extent and
 /// distinct-value statistics over the live source instances
 /// ([`Statistics::empty`] when none are at hand: every estimate then uses
-/// fixed defaults). A shape the decomposer does not take comes back
+/// fixed defaults). A shape the planner does not take comes back
 /// unchanged (see the module docs).
 pub fn optimize_with_stats(plan: Plan, stats: &Statistics<'_>) -> Plan {
-    // Distinct is a planning barrier: plan what is underneath it.
-    if let Plan::Distinct { input } = plan {
-        return Plan::Distinct {
-            input: Box::new(optimize_with_stats(*input, stats)),
-        };
-    }
     let mut pool = Pool::default();
-    if !decompose(plan.clone(), &mut pool) || pool.scans.is_empty() {
+    decompose(plan.clone(), &mut pool);
+    if pool.scans.is_empty() {
         return plan;
     }
     // Inlining map definitions into the conjunct pool is only sound when
@@ -1426,27 +1407,6 @@ mod tests {
             assert_eq!(optimised, plan);
             assert_eq!(rows_of(&optimised, &inst), expected);
         }
-    }
-
-    #[test]
-    fn distinct_is_planned_through() {
-        let inst = instance();
-        let plan = Plan::scan("CityE", "E")
-            .join(
-                Plan::scan("CountryE", "C"),
-                Some(
-                    Expr::var("E")
-                        .path("country.name")
-                        .eq(Expr::var("C").proj("name")),
-                ),
-            )
-            .distinct();
-        let planned = optimize(plan.clone());
-        match &planned {
-            Plan::Distinct { input } => assert!(matches!(**input, Plan::HashJoin { .. })),
-            other => panic!("expected Distinct on top, got {other:?}"),
-        }
-        assert_eq!(rows_of(&planned, &inst), rows_of(&plan, &inst));
     }
 
     #[test]

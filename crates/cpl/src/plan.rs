@@ -61,11 +61,6 @@ pub enum Plan {
         /// Right input.
         right: Box<Plan>,
     },
-    /// Remove duplicate rows.
-    Distinct {
-        /// Input plan.
-        input: Box<Plan>,
-    },
 }
 
 impl Plan {
@@ -124,13 +119,6 @@ impl Plan {
         }
     }
 
-    /// Distinct helper.
-    pub fn distinct(self) -> Plan {
-        Plan::Distinct {
-            input: Box::new(self),
-        }
-    }
-
     /// Every scan in the plan as `(class, row variable)`, left to right. The
     /// one walk behind the plan's read set and every variable → class map
     /// (planner estimates, projection analysis, maintenance slots).
@@ -138,9 +126,7 @@ impl Plan {
         fn go<'p>(plan: &'p Plan, out: &mut Vec<(&'p ClassName, &'p str)>) {
             match plan {
                 Plan::Scan { class, var } => out.push((class, var)),
-                Plan::Filter { input, .. } | Plan::Map { input, .. } | Plan::Distinct { input } => {
-                    go(input, out)
-                }
+                Plan::Filter { input, .. } | Plan::Map { input, .. } => go(input, out),
                 Plan::NestedLoopJoin { left, right, .. }
                 | Plan::HashJoin { left, right, .. }
                 | Plan::CrossJoin { left, right } => {
@@ -184,7 +170,6 @@ impl Plan {
                     out.extend(bindings.iter().map(|(_, e)| e));
                     go(input, out);
                 }
-                Plan::Distinct { input } => go(input, out),
                 Plan::NestedLoopJoin {
                     left,
                     right,
@@ -214,9 +199,7 @@ impl Plan {
     pub fn operator_count(&self) -> usize {
         match self {
             Plan::Scan { .. } => 1,
-            Plan::Filter { input, .. } | Plan::Map { input, .. } | Plan::Distinct { input } => {
-                1 + input.operator_count()
-            }
+            Plan::Filter { input, .. } | Plan::Map { input, .. } => 1 + input.operator_count(),
             Plan::NestedLoopJoin { left, right, .. }
             | Plan::HashJoin { left, right, .. }
             | Plan::CrossJoin { left, right } => 1 + left.operator_count() + right.operator_count(),
@@ -259,10 +242,6 @@ impl Plan {
                     go(left, indent + 1, out);
                     go(right, indent + 1, out);
                 }
-                Plan::Distinct { input } => {
-                    out.push_str(&format!("{pad}Distinct\n"));
-                    go(input, indent + 1, out);
-                }
             }
         }
         let mut out = String::new();
@@ -303,11 +282,10 @@ mod tests {
     fn builders_and_operator_count() {
         let plan = Plan::scan("CountryE", "C")
             .map(vec![("N".to_string(), Expr::var("C").proj("name"))])
-            .filter(Expr::var("C").proj("name").eq(Expr::Const("France".into())))
-            .distinct();
+            .filter(Expr::var("C").proj("name").eq(Expr::Const("France".into())));
         assert_eq!(plan.scans(), vec![(&ClassName::new("CountryE"), "C")]);
         assert_eq!(plan.expressions().len(), 2);
-        assert_eq!(plan.operator_count(), 4);
+        assert_eq!(plan.operator_count(), 3);
     }
 
     #[test]

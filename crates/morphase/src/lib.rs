@@ -93,9 +93,7 @@ pub mod service;
 
 pub use compile::{compile_program_with, PlanMode};
 pub use error::MorphaseError;
-pub use maintain::{
-    BatchOutcome, BatchReport, MaintainMode, MaintainStats, MaterializedPipeline, RebuildReason,
-};
+pub use maintain::{BatchOutcome, BatchReport, MaintainStats, MaterializedPipeline, RebuildReason};
 pub use metadata::generate_key_clauses;
 pub use pipeline::{
     BatchConstraintMode, DurabilityStats, DurableOptions, JoinStat, Morphase, MorphaseRun,

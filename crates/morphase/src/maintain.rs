@@ -24,14 +24,14 @@
 //!   one row per tuple and source identities are never reused, so the key
 //!   names its row across runs, whichever join order the planner chose. The
 //!   row cache is a map over these keys; its order is only the order rows
-//!   replay in, which makes the first replay error deterministic. `Distinct`
-//!   keeps one row per distinct *value*, not per tuple: a plan with one
-//!   falls back to [`MaintainMode::Rerun`].
-//! * The plan is split at the deepest `Map` operator carrying a Skolem
-//!   binding: everything below (the *stripped* plan) must be Skolem-free and
-//!   is re-runnable at will; the Skolem-bearing `Map` levels above are
-//!   *deferred* and replayed per row, and the row cache keeps what each row
-//!   contributed.
+//!   replay in, which makes the first replay error deterministic.
+//! * A cached row is the compiled plan's whole output row, and replay
+//!   evaluates only the insert actions on it; the cache keeps what each row
+//!   contributed. A plan that mints — in a `Map` binding, a filter or a join
+//!   key — is cached like any other: `Mk_C(k)` is a function of `(C, k)`
+//!   ([`wol_model::skolem_id`]) and every build mints through a fresh,
+//!   unseeded factory, so a row derived under any scan restriction binds
+//!   exactly the identities a fresh run binds for it.
 //! * A schema-typed walk over every expression classifies each projection:
 //!   a dereference of a scanned variable is covered by the row key; a
 //!   dereference reaching another class's objects makes that class a
@@ -42,11 +42,11 @@
 //! row whose key contains a stale (updated or removed) identity, or — when a
 //! foreign-read class saw staleness, or the query is opaque and anything was
 //! stale — every row of the query (*churn*). Rows to **add** come from
-//! [`wol_engine::delta_rotations`]: one semi-naive evaluation of the
-//! stripped plan per changed slot, with scan restrictions partitioning
-//! exactly the rows that bind at least one changed identity. Programs where
-//! some query defeats the analysis (or scans the target) fall back to
-//! [`MaintainMode::Rerun`]: every batch is a full re-run, still correct.
+//! [`wol_engine::delta_rotations`]: one semi-naive evaluation of the plan
+//! per changed slot, with scan restrictions partitioning exactly the rows
+//! that bind at least one changed identity. A normal clause's body holds
+//! only source atoms, so no compiled query scans the target, and every
+//! compiled program maintains in place.
 //!
 //! **The ledger settles.** `Mk_C(k)` is derived from `(C, k)`
 //! ([`wol_model::skolem_id`]), so a replayed row mints exactly the
@@ -73,7 +73,7 @@
 //! meta-data generation, validation, snf and the normal form depend on the
 //! program alone, so the pipeline builds that front half once, at
 //! construction ([`crate::pipeline`]'s `Front`), and every initial build,
-//! rebuild, `Rerun`-mode batch and oracle run borrows it.
+//! rebuild and oracle run borrows it.
 //!
 //! Readers see batch boundaries only. The pipeline itself is single-writer;
 //! the concurrent front end ([`crate::PipelineService`]) runs it on a
@@ -94,7 +94,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use cpl::exec::{layout, run_slots, ExecStats, LoweredInsert};
-use cpl::expr::{lower_bindings, store, EvalCtx, Lowered, SlotRow};
+use cpl::expr::{EvalCtx, SlotRow};
 use cpl::{Expr, Plan, Query};
 use storage::persist::PipelineJournal;
 use wol_engine::rotation::{delta_rotations, Slot};
@@ -113,17 +113,6 @@ use crate::pipeline::{
 use crate::schedule::plan_schedule;
 use crate::{MorphaseError, Result};
 
-/// How the pipeline maintains its target.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MaintainMode {
-    /// Every query passed capability analysis: batches repair the target in
-    /// place, falling back to a rebuild when a repair invariant trips.
-    Incremental,
-    /// Some query defeats the analysis (or reads the target): every batch is
-    /// a full from-scratch re-run.
-    Rerun,
-}
-
 /// What one applied batch cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchOutcome {
@@ -132,7 +121,8 @@ pub enum BatchOutcome {
     /// The batch derived a row colliding with a cached one
     /// ([`RebuildReason`]): re-planned and replayed from scratch.
     Rebuild,
-    /// The pipeline is in [`MaintainMode::Rerun`].
+    /// Never constructed: every compiled program maintains in place. Kept
+    /// because the benchmark's frozen engine surface matches on it.
     FullRerun,
 }
 
@@ -191,8 +181,6 @@ pub struct MaintainStats {
     /// poisons the pipeline). Conflicting contributions fail in place and
     /// count here never.
     pub rebuild_batches: u64,
-    /// Batches absorbed by a full re-run ([`MaintainMode::Rerun`]).
-    pub full_reruns: u64,
     /// Cached query rows swept across all batches.
     pub rows_removed: u64,
     /// Query rows replayed across all batches.
@@ -215,7 +203,7 @@ pub struct MaintainStats {
     /// rejected).
     pub constraint_violations: u64,
     /// Execution statistics of all maintenance plan evaluations (initial
-    /// fills, rotations, churn refills, rebuilds, and full re-runs).
+    /// fills, rotations, churn refills and rebuilds).
     pub delta_exec: ExecStats,
 }
 
@@ -322,20 +310,17 @@ impl TargetLedger {
     }
 }
 
-/// Per-query capability analysis (see the module docs).
+/// Per-query maintenance analysis (see the module docs).
 #[derive(Clone, Debug)]
 struct QueryAnalysis {
     /// Scan slots in variable-name order; the row key is their identity
     /// tuple.
     slots: Vec<Slot>,
-    /// Where each slot's identity sits in a stripped row.
+    /// Where each slot's identity sits in a plan row.
     key_slots: Vec<usize>,
-    /// The Skolem-free plan below the deepest Skolem-bearing `Map`.
-    stripped: Plan,
-    /// Skolem-bearing `Map` levels peeled off the root, bottom-up, lowered
-    /// against the stripped plan's layout as extended by the levels below.
-    deferred: Vec<Vec<(usize, Lowered)>>,
-    /// The insert actions, lowered against the layout after every level.
+    /// The compiled plan.
+    plan: Plan,
+    /// The insert actions, lowered against the plan's layout.
     inserts: Vec<LoweredInsert>,
     /// Classes read through dereferences not covered by the row key.
     foreign: BTreeSet<ClassName>,
@@ -360,8 +345,6 @@ struct DerefScan<'a> {
     env: BTreeMap<String, Ty>,
     foreign: BTreeSet<ClassName>,
     opaque: bool,
-    /// The plan holds a `Distinct`: one row per value, not per key.
-    distinct: bool,
 }
 
 impl DerefScan<'_> {
@@ -520,49 +503,12 @@ impl DerefScan<'_> {
                 self.walk_plan(left);
                 self.walk_plan(right);
             }
-            Plan::Distinct { .. } => self.distinct = true,
         }
     }
 }
 
-/// Split a plan at the deepest root-contiguous `Map` carrying a Skolem
-/// binding: `(deferred levels bottom-up, plan below)`.
-fn peel_deferred(plan: &Plan) -> (Vec<Vec<(String, Expr)>>, &Plan) {
-    let mut maps: Vec<&Vec<(String, Expr)>> = Vec::new();
-    let mut cur = plan;
-    while let Plan::Map { input, bindings } = cur {
-        maps.push(bindings);
-        cur = input;
-    }
-    let Some(deepest) = maps
-        .iter()
-        .rposition(|b| b.iter().any(|(_, e)| e.contains_skolem()))
-    else {
-        return (Vec::new(), plan);
-    };
-    let deferred = maps[..=deepest]
-        .iter()
-        .rev()
-        .map(|b| (*b).clone())
-        .collect();
-    let mut below = plan;
-    for _ in 0..=deepest {
-        if let Plan::Map { input, .. } = below {
-            below = input;
-        }
-    }
-    (deferred, below)
-}
-
-/// Analyse one query for incremental capability. `None` means the query
-/// defeats the analysis and forces [`MaintainMode::Rerun`].
-fn analyze_query(query: &Query, schemas: &[&Schema]) -> Option<QueryAnalysis> {
-    let (deferred, stripped) = peel_deferred(&query.plan);
-    // Mints below a row-dropping operator would be invisible to the row
-    // cache: the replayable part must be entirely Skolem-free.
-    if stripped.expressions().iter().any(|e| e.contains_skolem()) {
-        return None;
-    }
+/// Analyse one compiled query for incremental maintenance.
+fn analyze_query(query: Query, schemas: &[&Schema]) -> Result<QueryAnalysis> {
     let slots: Vec<Slot> = query
         .plan
         .scan_classes()
@@ -575,48 +521,43 @@ fn analyze_query(query: &Query, schemas: &[&Schema]) -> Option<QueryAnalysis> {
         env: BTreeMap::new(),
         foreign: BTreeSet::new(),
         opaque: false,
-        distinct: false,
     };
-    scan.walk_plan(stripped);
-    if scan.distinct {
-        return None;
-    }
-    for level in &deferred {
-        for (var, expr) in level {
-            let ty = scan.visit(expr);
-            scan.env.insert(var.clone(), ty);
-        }
-    }
+    scan.walk_plan(&query.plan);
     for action in &query.inserts {
         scan.visit(&action.key);
         for (_, expr) in &action.attrs {
             scan.visit(expr);
         }
     }
-    let mut row_layout = layout(stripped);
+    let row_layout = layout(&query.plan);
     let key_slots = slots
         .iter()
-        .map(|s| row_layout.iter().position(|name| *name == s.var))
-        .collect::<Option<_>>()?;
-    let deferred = deferred
-        .iter()
-        .map(|level| lower_bindings(level, &mut row_layout))
-        .collect();
-    Some(QueryAnalysis {
+        .map(|s| {
+            row_layout
+                .iter()
+                .position(|name| *name == s.var)
+                .ok_or_else(|| {
+                    MorphaseError::Execution(format!(
+                        "scan variable `{}` missing from the layout of query `{}`",
+                        s.var, query.name
+                    ))
+                })
+        })
+        .collect::<Result<_>>()?;
+    Ok(QueryAnalysis {
         slots,
         key_slots,
-        stripped: stripped.clone(),
-        deferred,
         inserts: LoweredInsert::lower(&query.inserts, &row_layout),
+        plan: query.plan,
         foreign: scan.foreign,
         opaque: scan.opaque,
     })
 }
 
-/// One cached row of one query's stripped plan.
+/// One cached row of one query's plan.
 #[derive(Clone, Debug, Default)]
 struct CachedRow {
-    /// The stripped plan's output row (no deferred bindings).
+    /// The plan's output row.
     row: SlotRow,
     /// Target contributions this row's inserts performed, in action order.
     contribs: Vec<(Oid, Value)>,
@@ -625,7 +566,7 @@ struct CachedRow {
 /// One query's cached rows by key.
 type RowCache = BTreeMap<Vec<Oid>, CachedRow>;
 
-/// Run the stripped plan under `ctx`'s scan restrictions and add its rows,
+/// Run the plan under `ctx`'s scan restrictions and add its rows,
 /// keyed and with no contributions yet, to `out`.
 fn derive(
     analysis: &QueryAnalysis,
@@ -633,7 +574,7 @@ fn derive(
     exec: &mut ExecStats,
     out: &mut RowCache,
 ) -> Result<()> {
-    for row in run_slots(&analysis.stripped, ctx, exec)? {
+    for row in run_slots(&analysis.plan, ctx, exec)? {
         let key = analysis
             .slots
             .iter()
@@ -657,32 +598,20 @@ fn derive(
     Ok(())
 }
 
-/// Replay rows through the query's deferred bindings and insert actions —
-/// exactly what the executor evaluates for them — recording each row's
-/// contributions and adding their supports to the ledger.
+/// Replay rows through the query's insert actions — exactly what the
+/// executor evaluates for them — recording each row's contributions and
+/// adding their supports to the ledger.
 fn replay<'r>(
     analysis: &QueryAnalysis,
     ctx: &mut EvalCtx<'_>,
     ledger: &mut TargetLedger,
     rows: impl IntoIterator<Item = &'r mut CachedRow>,
 ) -> Result<()> {
-    'rows: for cached in rows {
-        // Deferred bindings extend a working copy; the cache keeps the
-        // stripped row.
-        let mut row = Cow::Borrowed(&cached.row);
-        for (slot, expr) in analysis.deferred.iter().flatten() {
-            let value = match expr.eval(&row, ctx) {
-                Ok(v) => v.into_owned(),
-                // The executor's `Map` drops rows on a bad value.
-                Err(e) if e.is_bad_value() => continue 'rows,
-                Err(e) => return Err(e.into()),
-            };
-            store(row.to_mut(), *slot, value);
-        }
+    for cached in rows {
         for action in &analysis.inserts {
             // The executor's insert loop propagates every error, bad values
             // included.
-            let (oid, record) = action.evaluate(&row, ctx)?;
+            let (oid, record) = action.evaluate(&cached.row, ctx)?;
             ledger.add_support(&oid, &record);
             cached.contribs.push((oid, record));
         }
@@ -690,7 +619,7 @@ fn replay<'r>(
     Ok(())
 }
 
-/// The standing state of an incrementally maintained pipeline.
+/// The standing state of a maintained pipeline.
 struct Core {
     analyses: Vec<QueryAnalysis>,
     /// Schedule apply order (indices into `analyses`).
@@ -700,11 +629,6 @@ struct Core {
     ledger: TargetLedger,
     factory: SkolemFactory,
     target: Instance,
-}
-
-enum CoreState {
-    Incremental(Box<Core>),
-    Rerun { target: Box<Instance> },
 }
 
 /// Plan against the current sources and build the standing state from
@@ -718,40 +642,24 @@ fn build_state(
     options: PipelineOptions,
     sources: &[Instance],
     exec: &mut ExecStats,
-) -> Result<CoreState> {
+) -> Result<Core> {
     let refs: Vec<&Instance> = sources.iter().collect();
     let augmented = &front.augmented;
     let stats = cpl::Statistics::from_instances(&refs).with_cost_model(options.cost_model);
     let queries = plan_queries(options, &front.normal, &stats)?;
-    let target_classes: BTreeSet<ClassName> =
-        augmented.target.schema.class_names().into_iter().collect();
-    let schemas: Vec<&Schema> = augmented.sources.iter().map(|b| &b.schema).collect();
-    let mut analyses = Vec::with_capacity(queries.len());
-    for query in &queries {
-        let reads_target = query
-            .plan
-            .scanned_classes()
-            .iter()
-            .any(|c| target_classes.contains(c));
-        match analyze_query(query, &schemas) {
-            Some(analysis) if !reads_target => analyses.push(analysis),
-            _ => {
-                // Not incrementally capable: the standing state is just the
-                // target of a plain run of the body over the same front.
-                let run = run_pipeline(options, Cow::Borrowed(front), Rows::Resident(&refs), None)?;
-                exec.absorb(run.exec);
-                return Ok(CoreState::Rerun {
-                    target: Box::new(run.target),
-                });
-            }
-        }
-    }
     front.check_sources(options, &refs)?;
-    let schedule = plan_schedule(&queries);
-    let order: Vec<usize> = schedule.stages.iter().flatten().copied().collect();
+    let order: Vec<usize> = plan_schedule(&queries)
+        .stages
+        .into_iter()
+        .flatten()
+        .collect();
+    let schemas: Vec<&Schema> = augmented.sources.iter().map(|b| &b.schema).collect();
+    let analyses = queries
+        .into_iter()
+        .map(|query| analyze_query(query, &schemas))
+        .collect::<Result<Vec<_>>>()?;
 
-    // Fill each row cache from an unrestricted stripped-plan run (stripped
-    // plans are Skolem-free, so nothing mints there), replay it into the
+    // Fill each row cache from an unrestricted plan run, replay it into the
     // ledger, then settle every identity the ledger holds.
     let mut caches = vec![RowCache::new(); analyses.len()];
     let mut ledger = TargetLedger::default();
@@ -769,14 +677,14 @@ fn build_state(
     let mut target = Instance::new(augmented.target.schema.name());
     ledger.settle(&every, &mut target)?;
     verify_target_instance(options, augmented, &target)?;
-    Ok(CoreState::Incremental(Box::new(Core {
+    Ok(Core {
         analyses,
         order,
         caches,
         ledger,
         factory: std::mem::take(&mut ctx.factory),
         target,
-    })))
+    })
 }
 
 enum RepairOutcome {
@@ -907,11 +815,11 @@ fn maintenance_fingerprint(program: &Program) -> u64 {
 /// docs for the maintenance semantics).
 pub struct MaterializedPipeline {
     /// The program-only front half, built once per pipeline; every build,
-    /// rebuild and re-run plans and fills against it.
+    /// rebuild and oracle run plans against it.
     front: Front,
     options: PipelineOptions,
     sources: Vec<Instance>,
-    state: CoreState,
+    core: Core,
     stats: MaintainStats,
     source_classes: BTreeSet<ClassName>,
     /// The augmented program's source constraints, validated per batch when
@@ -1004,14 +912,14 @@ impl MaterializedPipeline {
     ) -> Result<MaterializedPipeline> {
         let front = Front::build(options, program)?;
         let mut stats = MaintainStats::default();
-        let state = build_state(&front, options, &sources, &mut stats.delta_exec)?;
+        let core = build_state(&front, options, &sources, &mut stats.delta_exec)?;
         Ok(MaterializedPipeline {
             source_classes: Self::source_classes(program),
             constraints: front.source_constraints().into_iter().cloned().collect(),
             front,
             options,
             sources,
-            state,
+            core,
             stats,
             suspects: BTreeSet::new(),
             journal,
@@ -1190,33 +1098,15 @@ impl MaterializedPipeline {
     }
 
     fn maintain(&mut self, source: usize, delta: &BatchDelta) -> Result<BatchReport> {
-        // A full re-run's report as is; the other outcomes fill theirs in.
-        let rerun = BatchReport {
-            outcome: BatchOutcome::FullRerun,
-            rows_removed: 0,
-            rows_added: 0,
-            objects_repaired: 0,
-            rebuild_reason: None,
-            constraints: None,
-        };
-        let CoreState::Incremental(core) = &mut self.state else {
-            let run = self.rerun_oracle()?;
-            self.stats.full_reruns += 1;
-            self.stats.delta_exec.absorb(run.exec);
-            self.state = CoreState::Rerun {
-                target: Box::new(run.target),
-            };
-            return Ok(rerun);
-        };
         let outcome = repair_incremental(
             &self.sources,
             source,
             self.options,
-            core,
+            &mut self.core,
             delta,
             &mut self.stats.delta_exec,
         )?;
-        match outcome {
+        Ok(match outcome {
             RepairOutcome::InPlace {
                 rows_removed,
                 rows_added,
@@ -1226,37 +1116,38 @@ impl MaterializedPipeline {
                 self.stats.rows_removed += rows_removed;
                 self.stats.rows_added += rows_added;
                 self.stats.objects_repaired += objects_repaired;
-                Ok(BatchReport {
+                BatchReport {
                     outcome: BatchOutcome::InPlace,
                     rows_removed,
                     rows_added,
                     objects_repaired,
-                    ..rerun
-                })
+                    rebuild_reason: None,
+                    constraints: None,
+                }
             }
             RepairOutcome::Rebuild(reason) => {
                 self.stats.rebuild_batches += 1;
-                self.state = build_state(
+                self.core = build_state(
                     &self.front,
                     self.options,
                     &self.sources,
                     &mut self.stats.delta_exec,
                 )?;
-                Ok(BatchReport {
+                BatchReport {
                     outcome: BatchOutcome::Rebuild,
+                    rows_removed: 0,
+                    rows_added: 0,
+                    objects_repaired: 0,
                     rebuild_reason: Some(reason),
-                    ..rerun
-                })
+                    constraints: None,
+                }
             }
-        }
+        })
     }
 
     /// The maintained target instance.
     pub fn target(&self) -> &Instance {
-        match &self.state {
-            CoreState::Incremental(core) => &core.target,
-            CoreState::Rerun { target } => target,
-        }
+        &self.core.target
     }
 
     /// A source instance, as currently mutated.
@@ -1276,14 +1167,6 @@ impl MaterializedPipeline {
     /// [`ConstraintCertificate`]: wol_engine::ConstraintCertificate
     pub fn constraints(&self) -> &[Clause] {
         &self.constraints
-    }
-
-    /// The maintenance mode the current compile landed in.
-    pub fn mode(&self) -> MaintainMode {
-        match self.state {
-            CoreState::Incremental(_) => MaintainMode::Incremental,
-            CoreState::Rerun { .. } => MaintainMode::Rerun,
-        }
     }
 
     /// True once a failure after a source mutation left the pipeline
@@ -1349,13 +1232,6 @@ mod tests {
             maintenance_fingerprint(&genome::program()),
             0xC66C_6E68_4B21_FEB5
         );
-    }
-
-    #[test]
-    fn genome_program_is_incrementally_capable() {
-        let pipeline = genome_pipeline(&GenomeParams::default());
-        assert_eq!(pipeline.mode(), MaintainMode::Incremental);
-        assert_matches_oracle(&pipeline);
     }
 
     #[test]
@@ -1557,10 +1433,9 @@ mod tests {
     }
 
     /// The row key is the scans' identity tuple in variable-name order, not
-    /// the order the plan joins in; a `Distinct` plan has no such key and
-    /// sends the pipeline to [`MaintainMode::Rerun`].
+    /// the order the plan joins in.
     #[test]
-    fn keys_hold_every_scan_identity_and_distinct_plans_rerun() {
+    fn keys_hold_every_scan_identity_in_variable_name_order() {
         let program = genome::program();
         let source = genome::generate_source(&GenomeParams::default());
         let schemas: Vec<&Schema> = program.sources.iter().map(|b| &b.schema).collect();
@@ -1569,16 +1444,13 @@ mod tests {
             plan,
             inserts: Vec::new(),
         };
-        let distinct = query(Plan::scan("CloneS", "C").distinct());
-        assert!(analyze_query(&distinct, &schemas).is_none());
-
         // Markers join their clones; `M` is scanned first, `C` keys first.
         let join = query(Plan::scan("MarkerS", "M").hash_join(
             Plan::scan("CloneS", "C"),
             Expr::var("M").proj("clone"),
             Expr::var("C"),
         ));
-        let analysis = analyze_query(&join, &schemas).unwrap();
+        let analysis = analyze_query(join, &schemas).unwrap();
         assert_eq!(
             analysis.slots,
             vec![Slot::new("C", "CloneS"), Slot::new("M", "MarkerS")]
@@ -1651,29 +1523,177 @@ mod tests {
         assert!(!pipeline.is_poisoned());
     }
 
+    /// The object of `class` named `name`.
+    fn named(source: &Instance, class: &ClassName, name: &str) -> Oid {
+        source
+            .find_by_field(class, "name", &Value::from(name))
+            .cloned()
+            .unwrap()
+    }
+
+    /// Round `round` of a mixed batch stream over a European source:
+    /// inserts, updates of keys and of capitals, removals, an empty batch.
+    fn euro_round(source: &Instance, round: usize) -> MutationBatch {
+        let (country, city) = (ClassName::new("CountryE"), ClassName::new("CityE"));
+        let find = |class: &ClassName, name: &str| named(source, class, name);
+        let city_value = |name: &str, is_capital: bool, of: &str| {
+            Value::record([
+                ("name", Value::from(name)),
+                ("is_capital", Value::bool(is_capital)),
+                ("country", Value::Oid(find(&country, of))),
+            ])
+        };
+        let batch = MutationBatch::new();
+        match round {
+            0 => batch.insert(
+                country.clone(),
+                Value::record([
+                    ("name", Value::from("Atlantis")),
+                    ("language", Value::from("Greek")),
+                    ("currency", Value::from("drachma")),
+                ]),
+            ),
+            1 => batch
+                .insert(city.clone(), city_value("Poseidonia", true, "Atlantis"))
+                .insert(city.clone(), city_value("Port Royal", false, "Country1")),
+            2 => batch.update(
+                find(&country, "Country0"),
+                Value::record([
+                    ("name", Value::from("Country0")),
+                    ("language", Value::from("Latin")),
+                    ("currency", Value::from("euro")),
+                ]),
+            ),
+            3 => batch.update(
+                find(&city, "City0_0"),
+                city_value("Capital Zero", true, "Country0"),
+            ),
+            4 => batch.remove(find(&city, "City1_1")),
+            5 => batch
+                .update(
+                    find(&city, "City2_0"),
+                    city_value("City2_0", false, "Country2"),
+                )
+                .update(
+                    find(&city, "City2_1"),
+                    city_value("City2_1", true, "Country2"),
+                ),
+            6 => batch
+                .remove(find(&city, "Poseidonia"))
+                .remove(find(&city, "Port Royal"))
+                .remove(find(&country, "Atlantis")),
+            _ => batch,
+        }
+    }
+
+    /// Round `round` of a mixed batch stream over the US source of Figure 1.
+    fn us_round(source: &Instance, round: usize) -> MutationBatch {
+        let (state, city) = (ClassName::new("StateA"), ClassName::new("CityA"));
+        let find = |class: &ClassName, name: &str| named(source, class, name);
+        let city_value = |name: &str, of: &str| {
+            Value::record([
+                ("name", Value::from(name)),
+                ("state", Value::Oid(find(&state, of))),
+            ])
+        };
+        let state_value = |name: &str, capital: &str| {
+            Value::record([
+                ("name", Value::from(name)),
+                ("capital", Value::Oid(find(&city, capital))),
+            ])
+        };
+        let batch = MutationBatch::new();
+        match round {
+            0 => batch.insert(
+                state.clone(),
+                Value::record([("name", Value::from("Ohio"))]),
+            ),
+            1 => batch
+                .insert(city.clone(), city_value("Columbus", "Ohio"))
+                .insert(city.clone(), city_value("Pittsburgh", "Pennsylvania")),
+            2 => batch.update(find(&state, "Ohio"), state_value("Ohio", "Columbus")),
+            3 => batch.update(find(&city, "Atlanta"), city_value("Atlanta GA", "Georgia")),
+            4 => batch.remove(find(&city, "Pittsburgh")),
+            5 => batch.update(
+                find(&state, "Georgia"),
+                state_value("Peach State", "Atlanta GA"),
+            ),
+            6 => batch
+                .remove(find(&city, "Columbus"))
+                .remove(find(&state, "Ohio")),
+            _ => batch,
+        }
+    }
+
+    /// The paper's running example maintains in place: the European program
+    /// (T1–T3 with C2, C3 and C8), the US program (U1–U3) and a T3 that binds
+    /// the place through a body variable — whose compiled plan still mints,
+    /// in a `Map` and a join key — absorb every batch of a mixed stream in
+    /// place, each equal to a fresh run, at every thread count.
     #[test]
-    fn cities_t3_falls_back_to_rerun_mode_and_stays_correct() {
+    fn every_cities_program_maintains_in_place_at_every_thread_count() {
+        use wol_lang::program::SchemaBinding;
         use workloads::cities::{generate_euro, CitiesWorkload};
         let w = CitiesWorkload::new();
-        let program = w.euro_program();
-        let source = generate_euro(6, 4, 7);
-        let mut pipeline =
-            MaterializedPipeline::new(&program, vec![source], PipelineOptions::default()).unwrap();
-        assert_matches_oracle(&pipeline);
-        if pipeline.mode() == MaintainMode::Rerun {
-            let class = pipeline.source(0).unwrap().populated_classes()[0].clone();
-            let victim = pipeline
-                .source(0)
-                .unwrap()
-                .extent(&class)
-                .next()
-                .cloned()
-                .unwrap();
-            let report = pipeline
-                .apply_batch(&MutationBatch::new().remove(victim))
-                .unwrap();
-            assert_eq!(report.outcome, BatchOutcome::FullRerun);
-            assert_matches_oracle(&pipeline);
+        let euro_text = CitiesWorkload::euro_program_text();
+        let place_text = euro_text.replace(
+            "Y in CityT, Y.place = ins_euro_city(X),",
+            "Y in CityT, P = Y.place, P = ins_euro_city(X),",
+        );
+        assert_ne!(place_text, euro_text);
+        let place_program = Program::new(
+            "euro_to_target_via_place",
+            vec![SchemaBinding::keyed(
+                w.euro_schema.clone(),
+                w.euro_keys.clone(),
+            )],
+            SchemaBinding::keyed(w.target_schema.clone(), w.target_keys.clone()),
+        )
+        .with_text(&place_text);
+        type Round = fn(&Instance, usize) -> MutationBatch;
+        let cases: [(&str, Program, Instance, Round, bool); 3] = [
+            (
+                "euro",
+                w.euro_program(),
+                generate_euro(6, 4, 7),
+                euro_round,
+                false,
+            ),
+            ("us", w.us_program(), w.small_us_instance(), us_round, false),
+            (
+                "euro via P",
+                place_program,
+                generate_euro(6, 4, 7),
+                euro_round,
+                true,
+            ),
+        ];
+        for (name, program, source, round, mints) in &cases {
+            for threads in [1, 2, 4, 8] {
+                let options = PipelineOptions {
+                    parallelism: cpl::Parallelism::new(threads).with_min_items(1),
+                    ..PipelineOptions::default()
+                };
+                let mut pipeline =
+                    MaterializedPipeline::new(program, vec![source.clone()], options).unwrap();
+                let plans_mint = pipeline
+                    .core
+                    .analyses
+                    .iter()
+                    .any(|a| a.plan.expressions().iter().any(|e| e.contains_skolem()));
+                assert_eq!(plans_mint, *mints, "{name}");
+                assert_matches_oracle(&pipeline);
+                for r in 0..8 {
+                    let batch = round(pipeline.source(0).unwrap(), r);
+                    let report = pipeline.apply_batch(&batch).unwrap();
+                    let at = format!("{name}, {threads} threads, batch {r}");
+                    assert_eq!(report.outcome, BatchOutcome::InPlace, "{at}");
+                    // Every batch but the last, empty one writes the target.
+                    assert_eq!(report.objects_repaired > 0, r < 7, "{at}");
+                    assert_matches_oracle(&pipeline);
+                }
+                assert_eq!(pipeline.stats().inplace_batches, 8, "{name}");
+            }
         }
     }
 

@@ -142,8 +142,8 @@ pub fn render_maintenance_report(stats: &MaintainStats) -> String {
     let _ = writeln!(out, "== Materialized pipeline ==");
     let _ = writeln!(
         out,
-        "batches: {} ({} in-place, {} rebuilds, {} full re-runs)",
-        stats.batches, stats.inplace_batches, stats.rebuild_batches, stats.full_reruns
+        "batches: {} ({} in-place, {} rebuilds)",
+        stats.batches, stats.inplace_batches, stats.rebuild_batches
     );
     let _ = writeln!(
         out,
@@ -418,7 +418,6 @@ mod tests {
             batches: 12,
             inplace_batches: 9,
             rebuild_batches: 2,
-            full_reruns: 1,
             rows_removed: 4,
             rows_added: 31,
             objects_repaired: 27,
@@ -432,7 +431,7 @@ mod tests {
         };
         let report = render_maintenance_report(&stats);
         assert!(report.contains("== Materialized pipeline =="));
-        assert!(report.contains("batches: 12 (9 in-place, 2 rebuilds, 1 full re-runs)"));
+        assert!(report.contains("batches: 12 (9 in-place, 2 rebuilds)"));
         assert!(report.contains("rows: 4 swept, 31 replayed; 27 objects repaired"));
         // No constraint checking ran: the constraint line is absent.
         assert!(!report.contains("constraints:"));

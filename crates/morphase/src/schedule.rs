@@ -227,7 +227,7 @@ mod tests {
     }
 
     /// Queries whose Skolem identities are compared, projected through,
-    /// relayed through a `Map` binding, deduplicated or used as a join key
+    /// relayed through a `Map` binding, filtered out or used as a join key
     /// overlap like any other query, and evaluating
     /// each stage's queries on worker contexts then applying them in program
     /// order lands on exactly the target and factory of a one-context run.
@@ -283,16 +283,13 @@ mod tests {
                 p.map(vec![("u".to_string(), Expr::var("t"))])
                     .filter(Expr::var("u").eq(Expr::var("t")))
             }),
-            minting("deduped", "D", |p| p.distinct()),
+            minting("filtered", "N", |p| p.filter(Expr::var("a").proj("live"))),
             minting("joined", "J", |p| {
                 p.hash_join(
                     Plan::scan("B", "b"),
                     Expr::var("a").proj("k"),
                     Expr::var("b").proj("r"),
                 )
-            }),
-            minting("nested distinct", "N", |p| {
-                p.distinct().filter(Expr::var("a").proj("live"))
             }),
         ];
         let schedule = plan_schedule(&queries);

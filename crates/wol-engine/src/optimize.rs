@@ -11,10 +11,25 @@
 //! * **unsatisfiable-clause pruning**: a body that equates two distinct
 //!   constants (directly or through a shared variable/attribute) can never be
 //!   satisfied, so the clause is dropped.
+//!
+//! Both see through identities first. `Mk_C(k)` is a function of `(C, k)`
+//! ([`wol_model::skolem_id`]), so an equality between Skolem or variant terms
+//! is split into equalities between their arguments before either
+//! optimisation runs: `Mk_C(k1) = Mk_C(k2)` with the same argument shape
+//! becomes `k1 = k2`, field by field, and `ins_l(a) = ins_l(b)` becomes
+//! `a = b`. Two classes or two variant labels never compare equal, so such a
+//! clause is pruned. The split equalities are what let clause (T3)'s two
+//! `CountryE` scans, compared through `ins_euro_city(Mk_CountryT(..))`, merge
+//! under (C8).
+//!
+//! **Collisions.** Two keys whose identities hash alike are detected where an
+//! identity is *minted*, as `ModelError::SkolemCollision`. A comparison the
+//! split rewrites no longer mints, so it treats the two keys as distinct —
+//! what `Mk_C` means when it is injective.
 
 use std::collections::BTreeMap;
 
-use wol_lang::ast::{Atom, Term, Var};
+use wol_lang::ast::{Atom, SkolemArgs, Term, Var};
 use wol_model::{ClassName, Path, Value};
 
 use crate::normalize::NormalClause;
@@ -27,12 +42,27 @@ pub type SourceKeys = BTreeMap<ClassName, Vec<Path>>;
 /// prune it entirely if the body is unsatisfiable. Returns `None` when the
 /// clause is pruned.
 pub fn optimize_clause(clause: NormalClause, source_keys: &SourceKeys) -> Option<NormalClause> {
-    let mut body = clause.body;
+    let mut body = Vec::with_capacity(clause.body.len());
+    for atom in clause.body {
+        match atom {
+            Atom::Eq(s, t) => {
+                if !split_equality(s, t, &mut body) {
+                    return None;
+                }
+            }
+            other => body.push(other),
+        }
+    }
+    let (mut key, mut attrs) = (clause.key, clause.attrs);
     // Iterate self-join elimination to a fixpoint: merging two variables may
     // enable further merges.
     while let Some((keep, drop)) = find_mergeable_pair(&body, source_keys) {
         let subst: BTreeMap<Var, Term> = BTreeMap::from([(drop, Term::Var(keep))]);
         body = body.iter().map(|a| a.substitute(&subst)).collect();
+        key = key.map(|t| t.substitute(&subst));
+        for term in attrs.values_mut() {
+            *term = term.substitute(&subst);
+        }
         dedup_atoms(&mut body);
     }
     dedup_atoms(&mut body);
@@ -40,13 +70,42 @@ pub fn optimize_clause(clause: NormalClause, source_keys: &SourceKeys) -> Option
     if body_unsatisfiable(&body) {
         return None;
     }
-    // The substitutions only affect body variables; attribute and key terms
-    // refer to those variables, so apply the same merges there by re-running
-    // the substitution through equality of rendered variables is unnecessary —
-    // the merged variable is kept, the dropped one no longer occurs in the
-    // body, but may still occur in attrs/key. To keep the clause well-formed
-    // we rename occurrences of dropped variables in attrs/key as well.
-    Some(NormalClause { body, ..clause })
+    Some(NormalClause {
+        key,
+        attrs,
+        body,
+        ..clause
+    })
+}
+
+/// Append `s = t` to `out`, split into equalities between arguments where
+/// both sides are Skolem terms of one class and argument shape, or variant
+/// terms of one label (see the module docs). Returns `false` when the
+/// equality can never hold: two classes or two variant labels.
+fn split_equality(s: Term, t: Term, out: &mut Vec<Atom>) -> bool {
+    match (s, t) {
+        (Term::Variant(l, a), Term::Variant(m, b)) => l == m && split_equality(*a, *b, out),
+        (Term::Skolem(c, _), Term::Skolem(d, _)) if c != d => false,
+        (
+            Term::Skolem(_, SkolemArgs::Positional(a)),
+            Term::Skolem(_, SkolemArgs::Positional(b)),
+        ) if a.len() == b.len() => a.into_iter().zip(b).all(|(x, y)| split_equality(x, y, out)),
+        (Term::Skolem(_, SkolemArgs::Named(mut a)), Term::Skolem(_, SkolemArgs::Named(mut b)))
+            // Labels are unique within a key, so equal lengths and every
+            // label of `a` found in `b` mean one label set.
+            if a.len() == b.len() && a.iter().all(|(l, _)| b.iter().any(|(m, _)| l == m)) =>
+        {
+            a.sort_by(|x, y| x.0.cmp(&y.0));
+            b.sort_by(|x, y| x.0.cmp(&y.0));
+            a.into_iter()
+                .zip(b)
+                .all(|((_, x), (_, y))| split_equality(x, y, out))
+        }
+        (s, t) => {
+            out.push(Atom::Eq(s, t));
+            true
+        }
+    }
 }
 
 /// Find a pair of body variables `(keep, drop)` ranging over the same keyed
@@ -311,6 +370,68 @@ mod tests {
             .filter(|a| matches!(a, Atom::Member(_, _)))
             .count();
         assert_eq!(memberships, 1);
+    }
+
+    /// Example 4.1's merge renames the dropped variable in the key and the
+    /// attributes, not only in the body.
+    #[test]
+    fn merged_variables_are_renamed_in_the_head() {
+        let mut clause = clause_with_body("Y in CountryE, Z in CountryE, Y.name = Z.name");
+        clause.key = SkolemArgs::Named(vec![("name".into(), Term::var("Z").proj("name"))]);
+        clause.attrs = BTreeMap::from([("currency".into(), Term::var("Z").proj("currency"))]);
+        let optimised = optimize_clause(clause, &country_key()).unwrap();
+        assert_eq!(
+            optimised.render(),
+            "Mk_CountryT(name = Y.name) in CountryT, \
+             Mk_CountryT(name = Y.name).currency = Y.currency <= Y in CountryE;"
+        );
+    }
+
+    /// An equality of Skolem terms (under one variant label) is an equality
+    /// of their keys, field by field, which then drives the self-join merge.
+    #[test]
+    fn skolem_equalities_split_into_key_equalities() {
+        let body = "Y in CountryE, Z in CountryE, \
+                    ins_euro_city(Mk_CountryT(name = Y.name, language = Y.language)) = \
+                    ins_euro_city(Mk_CountryT(language = Z.language, name = Z.name))";
+        let split = optimize_clause(clause_with_body(body), &SourceKeys::new()).unwrap();
+        let rendered: Vec<String> = split.body.iter().map(wol_lang::render_atom).collect();
+        assert_eq!(
+            rendered,
+            [
+                "Y in CountryE",
+                "Z in CountryE",
+                "Y.language = Z.language",
+                "Y.name = Z.name"
+            ]
+        );
+        let merged = optimize_clause(clause_with_body(body), &country_key()).unwrap();
+        let rendered: Vec<String> = merged.body.iter().map(wol_lang::render_atom).collect();
+        assert_eq!(rendered, ["Y in CountryE"]);
+        // Positional keys split position by position; shapes that differ stay.
+        let positional = clause_with_body("Y in CountryE, Mk_C(Y.name, 1) = Mk_C(N, M)");
+        let rendered: Vec<String> = optimize_clause(positional, &SourceKeys::new())
+            .unwrap()
+            .body
+            .iter()
+            .map(wol_lang::render_atom)
+            .collect();
+        assert_eq!(rendered, ["Y in CountryE", "Y.name = N", "1 = M"]);
+        let shapes = clause_with_body("Y in CountryE, Mk_C(N) = Mk_C(name = N)");
+        let optimised = optimize_clause(shapes.clone(), &SourceKeys::new()).unwrap();
+        assert_eq!(optimised.body, shapes.body);
+    }
+
+    /// Two classes, or two variant labels, never compare equal.
+    #[test]
+    fn mismatched_skolem_classes_and_variant_labels_are_pruned() {
+        for body in [
+            "Y in CountryE, Mk_CountryT(name = Y.name) = Mk_CityT(name = Y.name)",
+            "Y in CountryE, ins_state(Y) = ins_euro_city(Y)",
+            "Y in CountryE, ins_a(Mk_C(Y.name)) = ins_a(Mk_D(Y.name))",
+        ] {
+            assert!(optimize_clause(clause_with_body(body), &country_key()).is_none());
+        }
     }
 
     #[test]

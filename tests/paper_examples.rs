@@ -1,8 +1,12 @@
 //! Tests that follow the paper's own examples clause by clause.
 
-use wol_repro::wol_engine::{check_constraint, classify_constraint, ConstraintClass, Databases};
+use wol_repro::morphase::Morphase;
+use wol_repro::wol_engine::{
+    check_constraint, classify_constraint, naive_transform, ConstraintClass, Databases,
+};
+use wol_repro::wol_lang::program::{Program, SchemaBinding};
 use wol_repro::wol_lang::{
-    check_clause_types, check_range_restricted, parse_clause, parse_program, render_clause,
+    check_clause_types, check_range_restricted, parse_clause, parse_program, render_clause, Atom,
 };
 use wol_repro::wol_model::{ClassName, Value};
 use wol_repro::workloads::cities::{generate_euro, CitiesWorkload};
@@ -148,5 +152,64 @@ fn section_4_1_constraint_roles() {
             "C8" => assert_eq!(role, ClauseRole::SourceConstraint, "{label}"),
             other => panic!("unexpected clause label {other}"),
         }
+    }
+}
+
+/// Example 4.1: (C8) makes `name` a key for `CountryE`, so §4.2's self-join
+/// elimination merges the body's two `CountryE` variables — in the head too,
+/// where `Z.currency` becomes `Y.currency`. The transform equals the
+/// clause-by-clause reference semantics.
+#[test]
+fn example_4_1_self_join_elimination_renames_the_head() {
+    let w = CitiesWorkload::new();
+    let program = Program::new(
+        "example_4_1",
+        vec![SchemaBinding::keyed(
+            w.euro_schema.clone(),
+            w.euro_keys.clone(),
+        )],
+        SchemaBinding::keyed(w.target_schema.clone(), w.target_keys.clone()),
+    )
+    .with_text(
+        "T: X in CountryT, X.name = Y.name, X.language = Y.language, X.currency = Z.currency \
+            <= Y in CountryE, Z in CountryE, Y.name = Z.name;\n\
+         C3: Y = Mk_CountryT(N) <= Y in CountryT, N = Y.name;\n\
+         C8: X = Y <= X in CountryE, Y in CountryE, X.name = Y.name;",
+    );
+    let source = generate_euro(6, 4, 7);
+    let run = Morphase::new().transform(&program, &[&source][..]).unwrap();
+    let [clause] = &run.normal.clauses[..] else {
+        panic!("one normal clause, got {}", run.normal.len());
+    };
+    let scans = clause.body.iter().filter(|a| matches!(a, Atom::Member(..)));
+    assert_eq!(scans.count(), 1, "{}", clause.render());
+    let reference = naive_transform(&program, &[&source][..], "target").unwrap();
+    assert_eq!(run.target.extent_size(&ClassName::new("CountryT")), 6);
+    if let Some(report) = run.target.deep_eq_report(&reference) {
+        panic!("transform diverged from the reference semantics: {report}");
+    }
+}
+
+/// Clause (T3) compares countries through `ins_euro_city(Mk_CountryT(..))`.
+/// The comparison splits into a name equality, so (C8) merges T3's two
+/// `CountryE` variables and its compiled plan scans `CountryE` once.
+#[test]
+fn t3_scans_country_e_once() {
+    let w = CitiesWorkload::new();
+    let source = generate_euro(6, 4, 7);
+    let run = Morphase::new()
+        .transform(&w.euro_program(), &[&source][..])
+        .unwrap();
+    let t3 = run
+        .normal
+        .clauses
+        .iter()
+        .position(|c| c.provenance.iter().any(|p| p.contains("T3")))
+        .unwrap();
+    let plan = &run.plans[t3];
+    assert_eq!(plan.matches("Scan CountryE").count(), 1, "{plan}");
+    let reference = naive_transform(&w.euro_program(), &[&source][..], "target").unwrap();
+    if let Some(report) = run.target.deep_eq_report(&reference) {
+        panic!("transform diverged from the reference semantics: {report}");
     }
 }

@@ -788,7 +788,6 @@ proptest! {
                 prop_assert_eq!(stats.batches, canonical_stats.batches);
                 prop_assert_eq!(stats.inplace_batches, canonical_stats.inplace_batches);
                 prop_assert_eq!(stats.rebuild_batches, canonical_stats.rebuild_batches);
-                prop_assert_eq!(stats.full_reruns, canonical_stats.full_reruns);
                 prop_assert_eq!(stats.rows_removed, canonical_stats.rows_removed);
                 prop_assert_eq!(stats.rows_added, canonical_stats.rows_added);
                 prop_assert_eq!(stats.objects_repaired, canonical_stats.objects_repaired);
