@@ -91,29 +91,30 @@ impl Expr {
         Expr::And(exprs)
     }
 
-    /// The row variables referenced by this expression.
-    pub fn variables(&self, out: &mut std::collections::BTreeSet<String>) {
+    /// Visit every row variable this expression references, repeats
+    /// included, without copying a name.
+    pub fn for_each_var<'e>(&'e self, f: &mut impl FnMut(&'e str)) {
         match self {
-            Expr::Var(v) => {
-                out.insert(v.clone());
-            }
+            Expr::Var(v) => f(v),
             Expr::Const(_) => {}
             Expr::Proj(e, _) | Expr::Variant(_, e) | Expr::Skolem(_, e) | Expr::Not(e) => {
-                e.variables(out)
+                e.for_each_var(f)
             }
-            Expr::Record(fields) => fields.iter().for_each(|(_, e)| e.variables(out)),
+            Expr::Record(fields) => fields.iter().for_each(|(_, e)| e.for_each_var(f)),
             Expr::Eq(a, b) | Expr::Neq(a, b) | Expr::Lt(a, b) | Expr::Leq(a, b) => {
-                a.variables(out);
-                b.variables(out);
+                a.for_each_var(f);
+                b.for_each_var(f);
             }
-            Expr::And(es) => es.iter().for_each(|e| e.variables(out)),
+            Expr::And(es) => es.iter().for_each(|e| e.for_each_var(f)),
         }
     }
 
     /// The row variables referenced, as a set.
     pub fn var_set(&self) -> std::collections::BTreeSet<String> {
         let mut out = std::collections::BTreeSet::new();
-        self.variables(&mut out);
+        self.for_each_var(&mut |v| {
+            out.insert(v.to_string());
+        });
         out
     }
 
@@ -132,34 +133,30 @@ impl Expr {
         }
     }
 
-    /// Replace every row variable that has an entry in `defs` by its defining
-    /// expression. The query planner uses this to inline `Map` bindings into
+    /// Replace every row variable `defs` defines by the expression it
+    /// returns. The query planner uses this to inline `Map` bindings into
     /// filter predicates so join equalities range over base scan variables
-    /// only; `defs` must already be fully resolved (its expressions must not
-    /// reference each other's variables).
-    pub fn substitute(&self, defs: &BTreeMap<String, Expr>) -> Expr {
+    /// only.
+    pub fn substitute(&self, defs: &mut dyn FnMut(&str) -> Option<Expr>) -> Expr {
+        let mut sub = |e: &Expr| Box::new(e.substitute(defs));
         match self {
-            Expr::Var(v) => defs.get(v).cloned().unwrap_or_else(|| self.clone()),
+            Expr::Var(v) => defs(v).unwrap_or_else(|| self.clone()),
             Expr::Const(_) => self.clone(),
-            Expr::Proj(e, l) => Expr::Proj(Box::new(e.substitute(defs)), l.clone()),
+            Expr::Proj(e, l) => Expr::Proj(sub(e), l.clone()),
             Expr::Record(fields) => Expr::Record(
                 fields
                     .iter()
                     .map(|(l, e)| (l.clone(), e.substitute(defs)))
                     .collect(),
             ),
-            Expr::Variant(l, e) => Expr::Variant(l.clone(), Box::new(e.substitute(defs))),
-            Expr::Skolem(c, e) => Expr::Skolem(c.clone(), Box::new(e.substitute(defs))),
-            Expr::Eq(a, b) => Expr::Eq(Box::new(a.substitute(defs)), Box::new(b.substitute(defs))),
-            Expr::Neq(a, b) => {
-                Expr::Neq(Box::new(a.substitute(defs)), Box::new(b.substitute(defs)))
-            }
-            Expr::Lt(a, b) => Expr::Lt(Box::new(a.substitute(defs)), Box::new(b.substitute(defs))),
-            Expr::Leq(a, b) => {
-                Expr::Leq(Box::new(a.substitute(defs)), Box::new(b.substitute(defs)))
-            }
+            Expr::Variant(l, e) => Expr::Variant(l.clone(), sub(e)),
+            Expr::Skolem(c, e) => Expr::Skolem(c.clone(), sub(e)),
+            Expr::Eq(a, b) => Expr::Eq(sub(a), sub(b)),
+            Expr::Neq(a, b) => Expr::Neq(sub(a), sub(b)),
+            Expr::Lt(a, b) => Expr::Lt(sub(a), sub(b)),
+            Expr::Leq(a, b) => Expr::Leq(sub(a), sub(b)),
             Expr::And(es) => Expr::And(es.iter().map(|e| e.substitute(defs)).collect()),
-            Expr::Not(e) => Expr::Not(Box::new(e.substitute(defs))),
+            Expr::Not(e) => Expr::Not(sub(e)),
         }
     }
 }
@@ -813,7 +810,7 @@ mod tests {
     fn substitute_inlines_definitions() {
         let defs = BTreeMap::from([("N".to_string(), Expr::var("C").proj("name"))]);
         let pred = Expr::var("E").path("country.name").eq(Expr::var("N"));
-        let inlined = pred.substitute(&defs);
+        let inlined = pred.substitute(&mut |v| defs.get(v).cloned());
         assert_eq!(
             inlined,
             Expr::var("E")
@@ -834,7 +831,7 @@ mod tests {
                 .eq(Expr::Variant("t".into(), Box::new(Expr::var("N")))),
             Expr::Skolem(ClassName::new("T"), Box::new(Expr::var("N"))).eq(Expr::var("X")),
         ]);
-        let inlined = all.substitute(&defs);
+        let inlined = all.substitute(&mut |v| defs.get(v).cloned());
         assert!(!inlined.var_set().contains("N"));
         assert!(inlined.var_set().contains("X"));
     }

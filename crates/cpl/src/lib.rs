@@ -83,8 +83,9 @@ pub use exec::{
 };
 pub use expr::{Expr, Lowered};
 pub use optimizer::{
-    estimate_join_outputs, estimate_rows, optimize_with_stats, pushable_predicates, CostModel,
-    ExternalClassStats, JoinEstimate, PushCmp, PushdownCatalog, PushedPredicate, Statistics,
+    estimate_join_outputs, estimate_plan, estimate_rows, optimize_with_stats, pushable_predicates,
+    CostModel, ExternalClassStats, JoinEstimate, PlanEstimate, PushCmp, PushdownCatalog,
+    PushedPredicate, Statistics,
 };
 pub use plan::{InsertAction, Plan, Query};
 pub use wol_model::{Parallelism, WorkerPool};

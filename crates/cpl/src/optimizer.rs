@@ -4,14 +4,17 @@
 //! more efficient form" (Section 6). This module is that substitute. The
 //! primary entry point is [`optimize_with_stats`], a **join-graph planner**:
 //!
-//! 1. **Decompose** the compiled plan into a pool of base scans, defining
-//!    `Map` bindings, and filter/join conjuncts (wherever they sat in the
-//!    original operator tree).
+//! 1. **Decompose** the compiled plan, by reference, into a pool of base
+//!    scans, defining `Map` bindings, and filter/join conjuncts (wherever
+//!    they sat in the original operator tree). The plan is consumed: the
+//!    finished plan re-applies its `Map` bindings, moved out of it.
 //! 2. **Inline** the `Map` definitions into the conjunct pool, so every
 //!    conjunct ranges over base scan variables only — this is what lets an
 //!    equality like `C.name = N` (with `N` defined as `D.name` by a map)
 //!    become a join edge between the two scans instead of a post-product
-//!    filter.
+//!    filter. From here on a variable is addressed by its scan's index:
+//!    each conjunct's scan set is computed once, and estimates propagate
+//!    per `(scan index, attribute)`.
 //! 3. **Estimate**: per-scan cardinalities come from the live [`Instance`]
 //!    extents via a [`Statistics`] handle. Under the default
 //!    [`CostModel::Histogram`], equality selectivities come from lazy
@@ -44,7 +47,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use wol_model::{AttrHistogram, ClassName, Instance, Value};
+use wol_model::{AttrHistogram, ClassName, Instance, Label, Value};
 
 use crate::expr::Expr;
 use crate::plan::Plan;
@@ -111,7 +114,7 @@ pub struct Statistics<'a> {
 pub use wol_model::ClassStats as ExternalClassStats;
 
 /// The per-`(class, attribute)` histogram memo inside [`Statistics`].
-type HistogramMemo = BTreeMap<(ClassName, String), Rc<Vec<AttrHistogram>>>;
+type HistogramMemo = BTreeMap<(ClassName, Label), Rc<Vec<AttrHistogram>>>;
 
 impl std::fmt::Debug for Statistics<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -192,8 +195,8 @@ impl<'a> Statistics<'a> {
     /// The sources' equi-depth histograms of `class.attr` (one per source
     /// that carries the attribute), memoised. Empty when no instances are
     /// attached or no object carries the attribute.
-    pub fn attr_histograms(&self, class: &ClassName, attr: &str) -> Rc<Vec<AttrHistogram>> {
-        let key = (class.clone(), attr.to_string());
+    pub fn attr_histograms(&self, class: &ClassName, attr: &Label) -> Rc<Vec<AttrHistogram>> {
+        let key = (class.clone(), attr.clone());
         if let Some(cached) = self.histograms.borrow().get(&key) {
             return Rc::clone(cached);
         }
@@ -229,21 +232,22 @@ fn hist_join_rows(left: &[AttrHistogram], right: &[AttrHistogram]) -> f64 {
 // Decomposition: plan -> scans + maps + conjunct pool.
 // ---------------------------------------------------------------------------
 
-/// The raw material of a query, recovered from a compiled plan: base scans,
-/// defining `Map` bindings (in dependency order), and the pooled filter/join
-/// conjuncts.
-#[derive(Debug, Default)]
-struct Pool {
-    scans: Vec<(ClassName, String)>,
-    maps: Vec<(String, Expr)>,
-    conjuncts: Vec<Expr>,
+/// The raw material of a query, read off a compiled plan by reference: base
+/// scans, defining `Map` bindings (in dependency order), and the pooled
+/// filter/join conjuncts. A conjunct is `(e, None)`; a hash-join key pair
+/// `l = r` is `(l, Some(r))`.
+#[derive(Default)]
+struct Pool<'p> {
+    scans: Vec<(&'p ClassName, &'p str)>,
+    maps: Vec<&'p (String, Expr)>,
+    conjuncts: Vec<(&'p Expr, Option<&'p Expr>)>,
 }
 
 /// Split a predicate into its conjuncts.
-fn split_conjuncts(expr: Expr) -> Vec<Expr> {
+fn split_conjuncts<'p>(expr: &'p Expr, out: &mut Vec<(&'p Expr, Option<&'p Expr>)>) {
     match expr {
-        Expr::And(es) => es.into_iter().flat_map(split_conjuncts).collect(),
-        other => vec![other],
+        Expr::And(es) => es.iter().for_each(|e| split_conjuncts(e, out)),
+        other => out.push((other, None)),
     }
 }
 
@@ -257,15 +261,15 @@ fn conjunction(mut exprs: Vec<Expr>) -> Option<Expr> {
 }
 
 /// Flatten a plan into the pool.
-fn decompose(plan: Plan, pool: &mut Pool) {
+fn decompose<'p>(plan: &'p Plan, pool: &mut Pool<'p>) {
     match plan {
         Plan::Scan { class, var } => pool.scans.push((class, var)),
         Plan::Filter { input, predicate } => {
-            decompose(*input, pool);
-            pool.conjuncts.extend(split_conjuncts(predicate));
+            decompose(input, pool);
+            split_conjuncts(predicate, &mut pool.conjuncts);
         }
         Plan::Map { input, bindings } => {
-            decompose(*input, pool);
+            decompose(input, pool);
             pool.maps.extend(bindings);
         }
         Plan::NestedLoopJoin {
@@ -273,24 +277,67 @@ fn decompose(plan: Plan, pool: &mut Pool) {
             right,
             predicate,
         } => {
-            decompose(*left, pool);
-            decompose(*right, pool);
+            decompose(left, pool);
+            decompose(right, pool);
             if let Some(p) = predicate {
-                pool.conjuncts.extend(split_conjuncts(p));
+                split_conjuncts(p, &mut pool.conjuncts);
             }
         }
         Plan::HashJoin { left, right, keys } => {
-            decompose(*left, pool);
-            decompose(*right, pool);
-            pool.conjuncts.extend(
-                keys.into_iter()
-                    .map(|(l, r)| Expr::Eq(Box::new(l), Box::new(r))),
-            );
+            decompose(left, pool);
+            decompose(right, pool);
+            pool.conjuncts
+                .extend(keys.iter().map(|(l, r)| (l, Some(r))));
         }
         Plan::CrossJoin { left, right } => {
-            decompose(*left, pool);
-            decompose(*right, pool);
+            decompose(left, pool);
+            decompose(right, pool);
         }
+    }
+}
+
+/// The index of a variable no scan binds: no estimate side holds it and no
+/// class belongs to it.
+const UNBOUND: usize = usize::MAX;
+
+/// A plan's scan variables, addressed by index: each distinct variable in
+/// first-scan order, with its class (the last scan's, as
+/// [`Plan::scan_classes`] keeps it).
+struct ScanVars<'p> {
+    vars: Vec<(&'p str, &'p ClassName)>,
+}
+
+impl<'p> ScanVars<'p> {
+    fn new(scans: &[(&'p ClassName, &'p str)]) -> Self {
+        let mut vars: Vec<(&str, &ClassName)> = Vec::with_capacity(scans.len());
+        for &(class, var) in scans {
+            match vars.iter_mut().find(|(v, _)| *v == var) {
+                Some(entry) => entry.1 = class,
+                None => vars.push((var, class)),
+            }
+        }
+        ScanVars { vars }
+    }
+
+    /// The index of `var`, [`UNBOUND`] when no scan binds it.
+    fn index(&self, var: &str) -> usize {
+        self.vars
+            .iter()
+            .position(|(v, _)| *v == var)
+            .unwrap_or(UNBOUND)
+    }
+
+    fn class(&self, index: usize) -> Option<&'p ClassName> {
+        self.vars.get(index).map(|(_, class)| *class)
+    }
+
+    /// The indexes of the variables `expr` references.
+    fn indexes_of(&self, expr: &Expr) -> BTreeSet<usize> {
+        let mut out = BTreeSet::new();
+        expr.for_each_var(&mut |v| {
+            out.insert(self.index(v));
+        });
+        out
     }
 }
 
@@ -301,48 +348,28 @@ fn decompose(plan: Plan, pool: &mut Pool) {
 /// If `expr` is a single attribute projection off a scan variable, the
 /// number of distinct values it takes; if it is a bare scan variable, the
 /// extent size (object identities are unique). `None` otherwise.
-fn expr_ndv(
-    expr: &Expr,
-    var_class: &BTreeMap<String, ClassName>,
-    stats: &Statistics<'_>,
-) -> Option<usize> {
+fn expr_ndv(expr: &Expr, scans: &ScanVars<'_>, stats: &Statistics<'_>) -> Option<usize> {
     match expr {
         Expr::Proj(base, attr) => match base.as_ref() {
-            Expr::Var(v) => stats.ndv(var_class.get(v)?, attr),
+            Expr::Var(v) => stats.ndv(scans.class(scans.index(v))?, attr),
             _ => None,
         },
-        Expr::Var(v) => stats.extent_size(var_class.get(v)?),
+        Expr::Var(v) => stats.extent_size(scans.class(scans.index(v))?),
         _ => None,
     }
 }
 
-/// Heuristic selectivity of one conjunct used as a filter or join predicate
-/// under the flat `1/ndv` model (the [`CostModel::FlatNdv`] baseline, kept
-/// exactly as PR 2 shipped it).
-fn conjunct_selectivity_flat(
-    conjunct: &Expr,
-    var_class: &BTreeMap<String, ClassName>,
-    stats: &Statistics<'_>,
-) -> f64 {
-    match conjunct {
-        Expr::Eq(a, b) => {
-            let ndv = match (expr_ndv(a, var_class, stats), expr_ndv(b, var_class, stats)) {
-                (Some(x), Some(y)) => Some(x.max(y)),
-                (Some(x), None) | (None, Some(x)) => Some(x),
-                (None, None) => None,
-            };
-            match ndv {
-                Some(n) => 1.0 / n.max(1) as f64,
-                None => SEL_EQ_DEFAULT,
-            }
-        }
-        Expr::Neq(_, _) => SEL_NEQ,
-        Expr::Lt(_, _) | Expr::Leq(_, _) => SEL_CMP,
-        Expr::And(es) => es
-            .iter()
-            .map(|e| conjunct_selectivity_flat(e, var_class, stats))
-            .product(),
-        _ => SEL_BOOL,
+/// Selectivity of an equality under the flat `1/ndv` model (the
+/// [`CostModel::FlatNdv`] baseline the histogram model is tested against).
+fn eq_selectivity_flat(a: &Expr, b: &Expr, scans: &ScanVars<'_>, stats: &Statistics<'_>) -> f64 {
+    let ndv = match (expr_ndv(a, scans, stats), expr_ndv(b, scans, stats)) {
+        (Some(x), Some(y)) => Some(x.max(y)),
+        (Some(x), None) | (None, Some(x)) => Some(x),
+        (None, None) => None,
+    };
+    match ndv {
+        Some(n) => 1.0 / n.max(1) as f64,
+        None => SEL_EQ_DEFAULT,
     }
 }
 
@@ -350,22 +377,10 @@ fn conjunct_selectivity_flat(
 // Histogram-fed estimation with ndv propagation.
 // ---------------------------------------------------------------------------
 
-/// Key under which per-attribute estimates are propagated: `(var, attr)` for
-/// a single attribute projection off a scan variable, `(var, "")` for the
-/// bare object identity.
-type AttrKey = (String, String);
-
-/// The attr key of an expression, if it has one.
-fn expr_attr_key(expr: &Expr) -> Option<AttrKey> {
-    match expr {
-        Expr::Proj(base, attr) => match base.as_ref() {
-            Expr::Var(v) => Some((v.clone(), attr.to_string())),
-            _ => None,
-        },
-        Expr::Var(v) => Some((v.clone(), String::new())),
-        _ => None,
-    }
-}
+/// Key under which per-attribute estimates are propagated: `(scan index,
+/// Some(attr))` for a single attribute projection off a scan variable,
+/// `(scan index, None)` for the bare object identity.
+type AttrKey = (usize, Option<Label>);
 
 /// What a sub-plan is estimated to look like: output rows plus the estimated
 /// number of distinct values each attribute still takes *in that output* —
@@ -378,31 +393,29 @@ struct CardEst {
     /// base statistics (joined-on keys, constant-filtered keys). Readers cap
     /// every lookup at `rows`, so shrinking outputs shrink every ndv.
     ndvs: BTreeMap<AttrKey, f64>,
-    /// Variables this sub-plan produces (for routing conjunct sides).
-    vars: BTreeSet<String>,
+    /// Indexes of the scan variables this sub-plan produces (for routing
+    /// conjunct sides).
+    vars: BTreeSet<usize>,
 }
 
 impl CardEst {
-    fn scan(class: &ClassName, var: &str, stats: &Statistics<'_>) -> CardEst {
+    fn scan(class: &ClassName, index: usize, stats: &Statistics<'_>) -> CardEst {
         CardEst {
             rows: stats.extent_estimate(class),
             ndvs: BTreeMap::new(),
-            vars: BTreeSet::from([var.to_string()]),
+            vars: BTreeSet::from([index]),
         }
     }
 
     /// The base ndv of `key` from the statistics (histogram when built,
     /// distinct counts otherwise; extent size for bare identities).
-    fn base_ndv(
-        key: &AttrKey,
-        var_class: &BTreeMap<String, ClassName>,
-        stats: &Statistics<'_>,
-    ) -> Option<f64> {
-        let class = var_class.get(&key.0)?;
-        if key.1.is_empty() {
-            return stats.extent_size(class).map(|n| n.max(1) as f64);
+    fn base_ndv(key: &AttrKey, scans: &ScanVars<'_>, stats: &Statistics<'_>) -> Option<f64> {
+        let class = scans.class(key.0)?;
+        match &key.1 {
+            None => stats.extent_size(class),
+            Some(attr) => stats.ndv(class, attr),
         }
-        stats.ndv(class, &key.1).map(|n| n.max(1) as f64)
+        .map(|n| n.max(1) as f64)
     }
 
     /// The estimated ndv of `key` in this output: the propagated value if
@@ -411,10 +424,10 @@ impl CardEst {
     fn effective_ndv(
         &self,
         key: &AttrKey,
-        var_class: &BTreeMap<String, ClassName>,
+        scans: &ScanVars<'_>,
         stats: &Statistics<'_>,
     ) -> Option<f64> {
-        let base = CardEst::base_ndv(key, var_class, stats);
+        let base = CardEst::base_ndv(key, scans, stats);
         let stored = self.ndvs.get(key).copied().or(base)?;
         Some(stored.min(self.rows.max(1.0)).max(1.0))
     }
@@ -440,10 +453,10 @@ impl CardEst {
     }
 }
 
-/// The estimator: variable→class mapping plus the statistics handle. All
-/// histogram-model selectivity logic lives here; the flat model bypasses it.
+/// The estimator: the plan's scan variables plus the statistics handle. All
+/// selectivity logic lives here; the flat model changes equalities only.
 struct Estimator<'a, 'b> {
-    var_class: &'b BTreeMap<String, ClassName>,
+    scans: &'b ScanVars<'b>,
     stats: &'b Statistics<'a>,
 }
 
@@ -452,16 +465,26 @@ impl Estimator<'_, '_> {
         self.stats.cost_model() == CostModel::Histogram
     }
 
+    /// The attr key of an expression, if it has one.
+    fn attr_key(&self, expr: &Expr) -> Option<AttrKey> {
+        match expr {
+            Expr::Proj(base, attr) => match base.as_ref() {
+                Expr::Var(v) => Some((self.scans.index(v), Some(attr.clone()))),
+                _ => None,
+            },
+            Expr::Var(v) => Some((self.scans.index(v), None)),
+            _ => None,
+        }
+    }
+
     /// The per-source histograms behind an attr-key expression (only for
     /// genuine attribute projections — bare identities are uniform by
     /// construction, which the ndv path already models exactly).
     fn histograms_of(&self, expr: &Expr) -> Option<Rc<Vec<AttrHistogram>>> {
-        let (var, attr) = expr_attr_key(expr)?;
-        if attr.is_empty() {
+        let (index, Some(attr)) = self.attr_key(expr)? else {
             return None;
-        }
-        let class = self.var_class.get(&var)?;
-        let hists = self.stats.attr_histograms(class, &attr);
+        };
+        let hists = self.stats.attr_histograms(self.scans.class(index)?, &attr);
         if hists.is_empty() {
             None
         } else {
@@ -471,7 +494,8 @@ impl Estimator<'_, '_> {
 
     /// Selectivity of an equality conjunct, given the (optional) estimates
     /// of the side(s) its expressions range over. Returns the selectivity
-    /// and records propagated-ndv updates for the joined output into `out`.
+    /// and records propagated-ndv updates for the joined output into `out`
+    /// (the flat model records none).
     fn eq_selectivity(
         &self,
         a: &Expr,
@@ -479,21 +503,16 @@ impl Estimator<'_, '_> {
         sides: &[&CardEst],
         out: &mut Vec<(AttrKey, f64)>,
     ) -> f64 {
-        let side_of = |e: &Expr| -> Option<&CardEst> {
-            let vars = e.var_set();
-            if vars.is_empty() {
-                return None;
-            }
-            sides
-                .iter()
-                .find(|s| vars.iter().all(|v| s.vars.contains(v)))
-                .copied()
-        };
+        if !self.histogram_model() {
+            return eq_selectivity_flat(a, b, self.scans, self.stats);
+        }
+        // An attr key's expression ranges over its one scan variable: it is
+        // read on the first side producing that variable.
         let eff_ndv = |e: &Expr| -> Option<f64> {
-            let key = expr_attr_key(e)?;
-            match side_of(e) {
-                Some(side) => side.effective_ndv(&key, self.var_class, self.stats),
-                None => CardEst::base_ndv(&key, self.var_class, self.stats),
+            let key = self.attr_key(e)?;
+            match sides.iter().find(|s| s.vars.contains(&key.0)) {
+                Some(side) => side.effective_ndv(&key, self.scans, self.stats),
+                None => CardEst::base_ndv(&key, self.scans, self.stats),
             }
         };
 
@@ -505,7 +524,7 @@ impl Estimator<'_, '_> {
                 let entries = hist_entries(&hists);
                 if entries > 0.0 {
                     let matching: f64 = hists.iter().map(|h| h.eq_count(value)).sum();
-                    if let Some(key) = expr_attr_key(e) {
+                    if let Some(key) = self.attr_key(e) {
                         out.push((key, 1.0));
                     }
                     return (matching / entries).clamp(SEL_FLOOR, 1.0);
@@ -520,7 +539,7 @@ impl Estimator<'_, '_> {
                 let rows = hist_join_rows(&hl, &hr);
                 let sel = (rows / (nl * nr)).clamp(SEL_FLOOR, 1.0);
                 if let (Some(ka), Some(kb), Some(na), Some(nb)) =
-                    (expr_attr_key(a), expr_attr_key(b), eff_ndv(a), eff_ndv(b))
+                    (self.attr_key(a), self.attr_key(b), eff_ndv(a), eff_ndv(b))
                 {
                     let joint = na.min(nb);
                     out.push((ka, joint));
@@ -540,7 +559,7 @@ impl Estimator<'_, '_> {
         match ndv {
             Some(n) => {
                 if let (Some(ka), Some(kb), Some(na), Some(nb)) =
-                    (expr_attr_key(a), expr_attr_key(b), eff_ndv(a), eff_ndv(b))
+                    (self.attr_key(a), self.attr_key(b), eff_ndv(a), eff_ndv(b))
                 {
                     let joint = na.min(nb);
                     out.push((ka, joint));
@@ -553,18 +572,14 @@ impl Estimator<'_, '_> {
     }
 
     /// Selectivity of an arbitrary conjunct against the given side
-    /// estimates, recording ndv propagation updates into `out`. Falls back
-    /// to the flat model entirely when the statistics run in
-    /// [`CostModel::FlatNdv`].
+    /// estimates, recording ndv propagation updates into `out`. Only
+    /// equalities depend on the cost model; the rest are fixed heuristics.
     fn conjunct_selectivity(
         &self,
         conjunct: &Expr,
         sides: &[&CardEst],
         out: &mut Vec<(AttrKey, f64)>,
     ) -> f64 {
-        if !self.histogram_model() {
-            return conjunct_selectivity_flat(conjunct, self.var_class, self.stats);
-        }
         match conjunct {
             Expr::Eq(a, b) => self.eq_selectivity(a, b, sides, out),
             Expr::Neq(_, _) => SEL_NEQ,
@@ -590,119 +605,99 @@ pub struct JoinEstimate {
     pub rows: f64,
 }
 
+/// What one estimate walk of a plan yields: the rows it is estimated to
+/// produce, and each join operator's estimated output in executor post-order.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PlanEstimate {
+    /// Estimated output rows of the whole plan.
+    pub rows: f64,
+    /// Per-join estimates, in the order the executor records actual join
+    /// outputs in ([`crate::expr::EvalCtx::enable_join_trace`]).
+    pub joins: Vec<JoinEstimate>,
+}
+
 /// Bottom-up cardinality estimation of a plan, propagating both row counts
-/// and per-attribute ndv through joins. When `joins` is given, every join
-/// operator pushes its estimate in post-order — the exact order the executor
-/// records actual join outputs in.
-fn estimate_plan(
-    plan: &Plan,
-    est: &Estimator<'_, '_>,
-    joins: Option<&mut Vec<JoinEstimate>>,
-) -> CardEst {
-    fn go(
-        plan: &Plan,
-        est: &Estimator<'_, '_>,
-        joins: &mut Option<&mut Vec<JoinEstimate>>,
-    ) -> CardEst {
-        match plan {
-            Plan::Scan { class, var } => CardEst::scan(class, var, est.stats),
+/// and per-attribute ndv through joins, using the same cardinality model the
+/// planner plans with. Every join operator records its estimate in
+/// post-order — the exact order the executor records actual join outputs in.
+pub fn estimate_plan(plan: &Plan, stats: &Statistics<'_>) -> PlanEstimate {
+    fn go(plan: &Plan, est: &Estimator<'_, '_>, joins: &mut Vec<JoinEstimate>) -> CardEst {
+        let (kind, l, r, rows, updates) = match plan {
+            Plan::Scan { class, var } => {
+                return CardEst::scan(class, est.scans.index(var), est.stats)
+            }
             Plan::Filter { input, predicate } => {
                 let mut card = go(input, est, joins);
                 let mut updates = Vec::new();
                 let sel = est.conjunct_selectivity(predicate, &[&card], &mut updates);
                 card.rows *= sel;
                 card.apply_updates(updates);
-                card
+                return card;
             }
-            Plan::Map { input, bindings } => {
-                let mut card = go(input, est, joins);
-                card.vars.extend(bindings.iter().map(|(v, _)| v.clone()));
-                card
-            }
+            Plan::Map { input, .. } => return go(input, est, joins),
             Plan::NestedLoopJoin {
                 left,
                 right,
                 predicate,
             } => {
-                let mut l = go(left, est, joins);
+                let l = go(left, est, joins);
                 let r = go(right, est, joins);
                 let mut rows = l.rows * r.rows;
                 let mut updates = Vec::new();
                 if let Some(p) = predicate {
                     rows *= est.conjunct_selectivity(p, &[&l, &r], &mut updates);
                 }
-                l.absorb_join(r, rows);
-                l.apply_updates(updates);
-                if let Some(sink) = joins.as_deref_mut() {
-                    sink.push(JoinEstimate {
-                        kind: "NestedLoopJoin",
-                        rows: l.rows,
-                    });
-                }
-                l
+                ("NestedLoopJoin", l, r, rows, updates)
             }
             Plan::CrossJoin { left, right } => {
-                let mut l = go(left, est, joins);
+                let l = go(left, est, joins);
                 let r = go(right, est, joins);
                 let rows = l.rows * r.rows;
-                l.absorb_join(r, rows);
-                if let Some(sink) = joins.as_deref_mut() {
-                    sink.push(JoinEstimate {
-                        kind: "CrossJoin",
-                        rows: l.rows,
-                    });
-                }
-                l
+                ("CrossJoin", l, r, rows, Vec::new())
             }
             Plan::HashJoin { left, right, keys } => {
-                let mut l = go(left, est, joins);
+                let l = go(left, est, joins);
                 let r = go(right, est, joins);
                 let mut rows = l.rows * r.rows;
                 let mut updates = Vec::new();
                 for (lk, rk) in keys {
-                    let eq = Expr::Eq(Box::new(lk.clone()), Box::new(rk.clone()));
-                    rows *= est.conjunct_selectivity(&eq, &[&l, &r], &mut updates);
+                    rows *= est.eq_selectivity(lk, rk, &[&l, &r], &mut updates);
                 }
-                l.absorb_join(r, rows);
-                l.apply_updates(updates);
-                if let Some(sink) = joins.as_deref_mut() {
-                    sink.push(JoinEstimate {
-                        kind: "HashJoin",
-                        rows: l.rows,
-                    });
-                }
-                l
+                ("HashJoin", l, r, rows, updates)
             }
-        }
+        };
+        let mut card = l;
+        card.absorb_join(r, rows);
+        card.apply_updates(updates);
+        joins.push(JoinEstimate {
+            kind,
+            rows: card.rows,
+        });
+        card
     }
-    let mut joins = joins;
-    go(plan, est, &mut joins)
-}
-
-/// Estimate the number of rows a plan produces, using the same cardinality
-/// model the planner plans with. Reported by the Morphase pipeline next to
-/// the actual row counts.
-pub fn estimate_rows(plan: &Plan, stats: &Statistics<'_>) -> f64 {
-    let var_class = plan.scan_classes();
+    let scans = ScanVars::new(&plan.scans());
     let est = Estimator {
-        var_class: &var_class,
-        stats,
-    };
-    estimate_plan(plan, &est, None).rows
-}
-
-/// Per-join output estimates of a plan, in executor post-order — pair these
-/// with the executor's join trace ([`crate::expr::EvalCtx::enable_join_trace`])
-/// to report estimate-vs-actual error per join.
-pub fn estimate_join_outputs(plan: &Plan, stats: &Statistics<'_>) -> Vec<JoinEstimate> {
-    let var_class = plan.scan_classes();
-    let est = Estimator {
-        var_class: &var_class,
+        scans: &scans,
         stats,
     };
     let mut joins = Vec::new();
-    estimate_plan(plan, &est, Some(&mut joins));
-    joins
+    let rows = go(plan, &est, &mut joins).rows;
+    PlanEstimate { rows, joins }
+}
+
+/// Estimate the number of rows a plan produces: the root of
+/// [`estimate_plan`]. Reported by the Morphase pipeline next to the actual
+/// row counts.
+pub fn estimate_rows(plan: &Plan, stats: &Statistics<'_>) -> f64 {
+    estimate_plan(plan, stats).rows
+}
+
+/// Per-join output estimates of a plan, in executor post-order: the joins
+/// of [`estimate_plan`]. Pair these with the executor's join trace
+/// ([`crate::expr::EvalCtx::enable_join_trace`]) to report
+/// estimate-vs-actual error per join.
+pub fn estimate_join_outputs(plan: &Plan, stats: &Statistics<'_>) -> Vec<JoinEstimate> {
+    estimate_plan(plan, stats).joins
 }
 
 // ---------------------------------------------------------------------------
@@ -846,8 +841,10 @@ pub fn pushable_predicates(plan: &Plan, catalog: &PushdownCatalog) -> Vec<Pushed
             Plan::Scan { class, var } => Some((class, var)),
             Plan::Filter { input, predicate } => {
                 let (class, var) = walk(input, catalog, out)?;
-                for conjunct in split_conjuncts(predicate.clone()) {
-                    out.extend(as_pushable(&conjunct, var, class, catalog));
+                let mut conjuncts = Vec::new();
+                split_conjuncts(predicate, &mut conjuncts);
+                for (conjunct, _) in conjuncts {
+                    out.extend(as_pushable(conjunct, var, class, catalog));
                 }
                 Some((class, var))
             }
@@ -874,63 +871,114 @@ pub fn pushable_predicates(plan: &Plan, catalog: &PushdownCatalog) -> Vec<Pushed
 /// ([`Statistics::empty`] when none are at hand: every estimate then uses
 /// fixed defaults). A shape the planner does not take comes back
 /// unchanged (see the module docs).
-pub fn optimize_with_stats(plan: Plan, stats: &Statistics<'_>) -> Plan {
+pub fn optimize_with_stats(mut plan: Plan, stats: &Statistics<'_>) -> Plan {
     let mut pool = Pool::default();
-    decompose(plan.clone(), &mut pool);
-    if pool.scans.is_empty() {
-        return plan;
-    }
+    decompose(&plan, &mut pool);
     // Inlining map definitions into the conjunct pool is only sound when
     // every binding introduces a *fresh* variable: a binding that shadows a
     // scan variable (or an earlier binding) changes what conjuncts below it
     // referred to. The translator never emits such plans, but the planner is
     // a public API — rebinding shapes keep their raw form.
-    let mut seen: BTreeSet<&String> = pool.scans.iter().map(|(_, var)| var).collect();
+    let mut seen: BTreeSet<&str> = pool.scans.iter().map(|(_, var)| *var).collect();
     if !pool.maps.iter().all(|(var, _)| seen.insert(var)) {
         return plan;
     }
-    plan_pool(pool, stats).unwrap_or(plan)
+    let Some(mut planned) = plan_pool(pool, stats) else {
+        return plan;
+    };
+    // Re-apply the defining maps (original, unsubstituted form — the
+    // executor evaluates a Map's bindings in order, so intra-map
+    // dependencies are preserved), moved out of the raw plan.
+    let mut maps = Vec::new();
+    take_maps(&mut plan, &mut maps);
+    if !maps.is_empty() {
+        planned = planned.map(maps);
+    }
+    planned
 }
 
-/// Build the cheapest plan the greedy strategy finds for a decomposed pool
-/// (`None` for a pool without scans).
-fn plan_pool(pool: Pool, stats: &Statistics<'_>) -> Option<Plan> {
-    // Resolve map definitions transitively, so each ranges over scan
-    // variables only, then inline them into the conjunct pool.
-    let mut defs: BTreeMap<String, Expr> = BTreeMap::new();
-    for (var, expr) in &pool.maps {
-        let resolved = expr.substitute(&defs);
-        defs.insert(var.clone(), resolved);
+/// Move every `Map` binding out of `plan`, in [`decompose`] order.
+fn take_maps(plan: &mut Plan, out: &mut Vec<(String, Expr)>) {
+    match plan {
+        Plan::Scan { .. } => {}
+        Plan::Filter { input, .. } => take_maps(input, out),
+        Plan::Map { input, bindings } => {
+            take_maps(input, out);
+            out.append(bindings);
+        }
+        Plan::NestedLoopJoin { left, right, .. }
+        | Plan::HashJoin { left, right, .. }
+        | Plan::CrossJoin { left, right } => {
+            take_maps(left, out);
+            take_maps(right, out);
+        }
     }
-    let conjuncts: Vec<Expr> = pool.conjuncts.iter().map(|c| c.substitute(&defs)).collect();
-    let mut used = vec![false; conjuncts.len()];
+}
 
-    let var_class: BTreeMap<String, ClassName> = pool
-        .scans
+/// The map definitions by variable: each binding's position and expression.
+type Defs<'p> = BTreeMap<&'p str, (usize, &'p Expr)>;
+
+/// `expr` with every variable bound by one of the maps before `limit`
+/// replaced by its definition, itself resolved through the bindings before
+/// it — what substituting the bindings one by one, in order, gives.
+fn inline(expr: &Expr, defs: &Defs<'_>, limit: usize) -> Expr {
+    expr.substitute(&mut |v| match defs.get(v) {
+        Some(&(position, def)) if position < limit => Some(inline(def, defs, position)),
+        _ => None,
+    })
+}
+
+/// A pooled conjunct, with the indexes of the scan variables it reaches.
+type Pooled = (Expr, BTreeSet<usize>);
+
+/// Build the cheapest join tree the greedy strategy finds for a decomposed
+/// pool, without its maps (`None` for a pool without scans).
+fn plan_pool(pool: Pool<'_>, stats: &Statistics<'_>) -> Option<Plan> {
+    // Inline the map definitions into the conjunct pool, so every conjunct
+    // ranges over scan variables only.
+    let defs: Defs<'_> = pool
+        .maps
         .iter()
-        .map(|(class, var)| (var.clone(), class.clone()))
+        .enumerate()
+        .map(|(position, (var, expr))| (var.as_str(), (position, expr)))
+        .collect();
+    let scans = ScanVars::new(&pool.scans);
+    // Each conjunct's reach is computed once; a conjunct leaves the pool
+    // (`None`) when a plan node takes it.
+    let mut conjuncts: Vec<Option<Pooled>> = pool
+        .conjuncts
+        .iter()
+        .map(|&(e, key)| {
+            let expr = match key {
+                None => inline(e, &defs, usize::MAX),
+                Some(r) => Expr::Eq(
+                    Box::new(inline(e, &defs, usize::MAX)),
+                    Box::new(inline(r, &defs, usize::MAX)),
+                ),
+            };
+            let reach = scans.indexes_of(&expr);
+            Some((expr, reach))
+        })
         .collect();
     let estimator = Estimator {
-        var_class: &var_class,
+        scans: &scans,
         stats,
     };
 
     // One component per scan, with its single-variable conjuncts pushed down.
     let mut components: Vec<Component> = Vec::new();
-    for (class, var) in &pool.scans {
-        let mut card = CardEst::scan(class, var, stats);
-        let mut plan = Plan::scan(class.clone(), var.clone());
-        for (i, conjunct) in conjuncts.iter().enumerate() {
-            if used[i] {
-                continue;
-            }
-            let vars = conjunct.var_set();
-            if !vars.is_empty() && vars.iter().all(|v| v == var) {
+    for &(class, var) in &pool.scans {
+        let index = scans.index(var);
+        let mut card = CardEst::scan(class, index, stats);
+        let mut plan = Plan::scan(class.clone(), var);
+        for slot in conjuncts.iter_mut() {
+            let single =
+                |(_, reach): &mut Pooled| !reach.is_empty() && reach.iter().all(|&v| v == index);
+            if let Some((conjunct, _)) = slot.take_if(single) {
                 let mut updates = Vec::new();
-                card.rows *= estimator.conjunct_selectivity(conjunct, &[&card], &mut updates);
+                card.rows *= estimator.conjunct_selectivity(&conjunct, &[&card], &mut updates);
                 card.apply_updates(updates);
-                used[i] = true;
-                plan = plan.filter(conjunct.clone());
+                plan = plan.filter(conjunct);
             }
         }
         components.push(Component { plan, card });
@@ -945,28 +993,21 @@ fn plan_pool(pool: Pool, stats: &Statistics<'_>) -> Option<Plan> {
         /// ndv-propagation updates the winning estimate produced.
         type BestPair = (f64, usize, usize, Vec<usize>, Vec<(AttrKey, f64)>);
         let mut best: Option<BestPair> = None;
+        let (mut applicable, mut updates) = (Vec::new(), Vec::new());
         for i in 0..components.len() {
             for j in (i + 1)..components.len() {
-                let applicable = applicable_conjuncts(
-                    &conjuncts,
-                    &used,
-                    &components[i].card.vars,
-                    &components[j].card.vars,
-                );
+                let (left, right) = (&components[i].card, &components[j].card);
+                applicable_conjuncts(&conjuncts, &left.vars, &right.vars, &mut applicable);
                 if applicable.is_empty() {
                     continue;
                 }
-                let mut est = components[i].card.rows * components[j].card.rows;
-                let mut updates = Vec::new();
-                for &k in &applicable {
-                    est *= estimator.conjunct_selectivity(
-                        &conjuncts[k],
-                        &[&components[i].card, &components[j].card],
-                        &mut updates,
-                    );
+                let mut est = left.rows * right.rows;
+                updates.clear();
+                for (conjunct, _) in applicable.iter().filter_map(|&k| conjuncts[k].as_ref()) {
+                    est *= estimator.conjunct_selectivity(conjunct, &[left, right], &mut updates);
                 }
                 if best.as_ref().is_none_or(|(cost, ..)| est < *cost) {
-                    best = Some((est, i, j, applicable, updates));
+                    best = Some((est, i, j, applicable.clone(), updates.clone()));
                 }
             }
         }
@@ -976,12 +1017,11 @@ fn plan_pool(pool: Pool, stats: &Statistics<'_>) -> Option<Plan> {
                 let left = components.remove(i);
                 let picked: Vec<Expr> = applicable
                     .iter()
-                    .map(|&k| {
-                        used[k] = true;
-                        conjuncts[k].clone()
-                    })
+                    .filter_map(|&k| conjuncts[k].take())
+                    .map(|(conjunct, _)| conjunct)
                     .collect();
-                components.insert(i, join_components(left, right, picked, est, updates));
+                let joined = join_components(left, right, picked, est, updates, &scans);
+                components.insert(i, joined);
             }
             None => {
                 // Genuinely disconnected: cross-join the two smallest.
@@ -1005,46 +1045,37 @@ fn plan_pool(pool: Pool, stats: &Statistics<'_>) -> Option<Plan> {
 
     // Anything left in the pool (variable-free predicates, or conjuncts over
     // variables no scan produces) runs as a final filter.
-    let leftovers: Vec<Expr> = conjuncts
-        .into_iter()
-        .zip(used)
-        .filter(|(_, u)| !*u)
-        .map(|(c, _)| c)
-        .collect();
+    let leftovers: Vec<Expr> = conjuncts.into_iter().flatten().map(|(c, _)| c).collect();
     if let Some(residual) = conjunction(leftovers) {
         plan = plan.filter(residual);
-    }
-
-    // Re-apply the defining maps (original, unsubstituted form — the
-    // executor evaluates a Map's bindings in order, so intra-map
-    // dependencies are preserved).
-    if !pool.maps.is_empty() {
-        plan = plan.map(pool.maps);
     }
     Some(plan)
 }
 
-/// Indexes of the unused conjuncts that connect two components: fully
-/// evaluable over the union of their variables while touching both sides.
+/// Indexes of the pooled conjuncts that connect two components, into `out`:
+/// fully evaluable over the union of their variables while touching both
+/// sides.
 fn applicable_conjuncts(
-    conjuncts: &[Expr],
-    used: &[bool],
-    left: &BTreeSet<String>,
-    right: &BTreeSet<String>,
-) -> Vec<usize> {
-    conjuncts
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !used[*i])
-        .filter(|(_, c)| {
-            let vars = c.var_set();
-            !vars.is_empty()
-                && vars.iter().all(|v| left.contains(v) || right.contains(v))
-                && vars.iter().any(|v| left.contains(v))
-                && vars.iter().any(|v| right.contains(v))
-        })
-        .map(|(i, _)| i)
-        .collect()
+    conjuncts: &[Option<Pooled>],
+    left: &BTreeSet<usize>,
+    right: &BTreeSet<usize>,
+    out: &mut Vec<usize>,
+) {
+    out.clear();
+    out.extend(
+        conjuncts
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| {
+                c.as_ref().is_some_and(|(_, vars)| {
+                    !vars.is_empty()
+                        && vars.iter().all(|v| left.contains(v) || right.contains(v))
+                        && vars.iter().any(|v| left.contains(v))
+                        && vars.iter().any(|v| right.contains(v))
+                })
+            })
+            .map(|(i, _)| i),
+    );
 }
 
 /// Positions of the two cheapest components.
@@ -1073,29 +1104,31 @@ fn join_components(
     conjs: Vec<Expr>,
     est: f64,
     updates: Vec<(AttrKey, f64)>,
+    scans: &ScanVars<'_>,
 ) -> Component {
     let mut keys: Vec<(Expr, Expr)> = Vec::new();
     let mut residual: Vec<Expr> = Vec::new();
     for conjunct in conjs {
-        if let Expr::Eq(a, b) = &conjunct {
-            let a_vars = a.var_set();
-            let b_vars = b.var_set();
-            if !a_vars.is_empty() && !b_vars.is_empty() {
-                let a_left = a_vars.iter().all(|v| left.card.vars.contains(v));
-                let a_right = a_vars.iter().all(|v| right.card.vars.contains(v));
-                let b_left = b_vars.iter().all(|v| left.card.vars.contains(v));
-                let b_right = b_vars.iter().all(|v| right.card.vars.contains(v));
-                if a_left && b_right {
-                    keys.push(((**a).clone(), (**b).clone()));
-                    continue;
-                }
-                if a_right && b_left {
-                    keys.push(((**b).clone(), (**a).clone()));
-                    continue;
-                }
+        if let Expr::Eq(a, b) = conjunct {
+            // Whether `e` has variables, all produced by `side`.
+            let within = |e: &Expr, side: &Component| {
+                let (mut any, mut all) = (false, true);
+                e.for_each_var(&mut |v| {
+                    any = true;
+                    all &= side.card.vars.contains(&scans.index(v));
+                });
+                any && all
+            };
+            if within(&a, &left) && within(&b, &right) {
+                keys.push((*a, *b));
+            } else if within(&a, &right) && within(&b, &left) {
+                keys.push((*b, *a));
+            } else {
+                residual.push(Expr::Eq(a, b));
             }
+        } else {
+            residual.push(conjunct);
         }
-        residual.push(conjunct);
     }
     let left_rows = left.card.rows;
     let right_rows = right.card.rows;
@@ -1461,13 +1494,13 @@ mod tests {
         assert_eq!(flat.cost_model(), CostModel::FlatNdv);
         // Histograms are memoised per (class, attr): the second request
         // returns the same shared vector.
-        let a = stats.attr_histograms(&ClassName::new("CityE"), "name");
-        let b = stats.attr_histograms(&ClassName::new("CityE"), "name");
+        let a = stats.attr_histograms(&ClassName::new("CityE"), &"name".into());
+        let b = stats.attr_histograms(&ClassName::new("CityE"), &"name".into());
         assert!(std::rc::Rc::ptr_eq(&a, &b));
         assert_eq!(a.len(), 1);
         // Empty statistics expose no histograms.
         assert!(Statistics::empty()
-            .attr_histograms(&ClassName::new("CityE"), "name")
+            .attr_histograms(&ClassName::new("CityE"), &"name".into())
             .is_empty());
     }
 

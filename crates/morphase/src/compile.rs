@@ -110,13 +110,13 @@ pub fn compile_clause(clause: &NormalClause, mode: PlanMode<'_>) -> Result<Query
 fn translate_clause(clause: &NormalClause) -> Result<Query> {
     // 1. Scans for every membership atom.
     let mut plan: Option<Plan> = None;
-    let mut produced: BTreeSet<String> = BTreeSet::new();
+    let mut produced: BTreeSet<&str> = BTreeSet::new();
     let mut rest: Vec<&Atom> = Vec::new();
     for atom in &clause.body {
         match atom {
             Atom::Member(Term::Var(v), class) => {
                 let scan = Plan::scan(class.clone(), v.clone());
-                produced.insert(v.clone());
+                produced.insert(v);
                 plan = Some(match plan {
                     None => scan,
                     Some(existing) => existing.join(scan, None),
@@ -138,7 +138,8 @@ fn translate_clause(clause: &NormalClause) -> Result<Query> {
     })?;
 
     // 2. Remaining atoms: binding maps (defining equations) or filters, in
-    //    dependency order.
+    //    dependency order. Variables are checked by reference, building no
+    //    set per atom or pass.
     let mut remaining: Vec<&Atom> = rest;
     while !remaining.is_empty() {
         let mut progressed = false;
@@ -146,11 +147,15 @@ fn translate_clause(clause: &NormalClause) -> Result<Query> {
         for atom in remaining.drain(..) {
             // A defining equation `V = t` (or `t = V`) with V fresh and t computable.
             let defining = match atom {
-                Atom::Eq(Term::Var(v), t) if !produced.contains(v) && covered(t, &produced) => {
-                    Some((v.clone(), t))
+                Atom::Eq(Term::Var(v), t)
+                    if !produced.contains(v.as_str()) && covered(t, &produced) =>
+                {
+                    Some((v, t))
                 }
-                Atom::Eq(t, Term::Var(v)) if !produced.contains(v) && covered(t, &produced) => {
-                    Some((v.clone(), t))
+                Atom::Eq(t, Term::Var(v))
+                    if !produced.contains(v.as_str()) && covered(t, &produced) =>
+                {
+                    Some((v, t))
                 }
                 _ => None,
             };
@@ -161,7 +166,7 @@ fn translate_clause(clause: &NormalClause) -> Result<Query> {
                 continue;
             }
             // A filter whose variables are all available.
-            if atom.var_set().iter().all(|v| produced.contains(v)) {
+            if atom_terms(atom).all(|t| covered(t, &produced)) {
                 plan = plan.filter(translate_atom_predicate(atom)?);
                 progressed = true;
                 continue;
@@ -195,8 +200,28 @@ fn translate_clause(clause: &NormalClause) -> Result<Query> {
     })
 }
 
-fn covered(term: &Term, produced: &BTreeSet<String>) -> bool {
-    term.var_set().iter().all(|v| produced.contains(v))
+/// The terms an atom compares.
+fn atom_terms(atom: &Atom) -> impl Iterator<Item = &Term> {
+    let (s, t) = match atom {
+        Atom::Member(t, _) => (t, None),
+        Atom::Eq(s, t) | Atom::Neq(s, t) | Atom::Lt(s, t) | Atom::Leq(s, t) | Atom::InSet(s, t) => {
+            (s, Some(t))
+        }
+    };
+    std::iter::once(s).chain(t)
+}
+
+/// Whether every variable of `term` is produced.
+fn covered(term: &Term, produced: &BTreeSet<&str>) -> bool {
+    match term {
+        Term::Var(v) => produced.contains(v.as_str()),
+        Term::Const(_) => true,
+        Term::Proj(t, _) | Term::Variant(_, t) => covered(t, produced),
+        Term::Record(fields) | Term::Skolem(_, SkolemArgs::Named(fields)) => {
+            fields.iter().all(|(_, t)| covered(t, produced))
+        }
+        Term::Skolem(_, SkolemArgs::Positional(ts)) => ts.iter().all(|t| covered(t, produced)),
+    }
 }
 
 /// Compile a whole normal-form program into CPL queries under the given

@@ -536,23 +536,20 @@ pub(crate) fn run_pipeline(
     // estimates are pure planner work over the compiled plans; computing
     // them here keeps the execute timing honest.
     let start = Instant::now();
-    // `stats` deliberately lives to the end of the body: dropping the
-    // planner's memo right after planning measured 6–9 % slower per op on
-    // wolbench `compile_suite` (heap release order), for a few KB held.
     let external = federation.as_ref().map(|f| f.external.clone());
     let stats = cpl::Statistics::from_instances(resident)
         .with_external(external.unwrap_or_default())
         .with_cost_model(options.cost_model);
     let queries = plan_queries(options, &front.normal, &stats)?;
     let plans: Vec<String> = queries.iter().map(|q| q.plan.render()).collect();
-    let estimated_rows = queries
+    let (estimated_rows, join_estimates): (Vec<u64>, Vec<Vec<cpl::JoinEstimate>>) = queries
         .iter()
-        .map(|q| cpl::estimate_rows(&q.plan, &stats).round() as u64)
-        .collect();
-    let join_estimates: Vec<Vec<cpl::JoinEstimate>> = queries
-        .iter()
-        .map(|q| cpl::estimate_join_outputs(&q.plan, &stats))
-        .collect();
+        .map(|q| {
+            let estimate = cpl::estimate_plan(&q.plan, &stats);
+            (estimate.rows.round() as u64, estimate.joins)
+        })
+        .unzip();
+    drop(stats);
     timings.compile = start.elapsed();
 
     let mut exec = ExecStats::default();

@@ -218,14 +218,13 @@ pub fn normalize(program: &Program, options: &NormalizeOptions) -> Result<Normal
 
     // Steps 3-4: per class, unfold the creating descriptions and resolve their
     // identities; attribute-only descriptions are unfolded afterwards against
-    // the completed creating clauses.
+    // the completed creating clauses, which are stored once and borrowed.
     let mut normalized: BTreeMap<ClassName, Vec<NormalClause>> = BTreeMap::new();
-    let mut output: Vec<NormalClause> = Vec::new();
     let mut unfold_counter = 0usize;
-    for class in order {
+    for class in &order {
         let class_partials: Vec<&Partial> = partials
             .iter()
-            .filter(|p| p.class == class && p.creates)
+            .filter(|p| p.class == *class && p.creates)
             .collect();
         if class_partials.is_empty() {
             continue;
@@ -239,9 +238,8 @@ pub fn normalize(program: &Program, options: &NormalizeOptions) -> Result<Normal
                 &mut unfold_counter,
             )?);
         }
-        let clauses = resolve_identities(&class, candidates, &keys, options)?;
-        normalized.insert(class.clone(), clauses.clone());
-        output.extend(clauses);
+        let clauses = resolve_identities(class, candidates, &keys, options)?;
+        normalized.insert(class.clone(), clauses);
     }
     // Attribute-only descriptions (heads without a membership assertion, such
     // as clause (T3) contributing only `capital`).
@@ -259,6 +257,11 @@ pub fn normalize(program: &Program, options: &NormalizeOptions) -> Result<Normal
             .or_default()
             .extend(unfolded);
     }
+    let mut output: Vec<NormalClause> = order
+        .iter()
+        .filter_map(|class| normalized.remove(class))
+        .flatten()
+        .collect();
     for (class, candidates) in by_class {
         let clauses = resolve_identities(&class, candidates, &keys, options)?;
         output.extend(clauses);
@@ -373,9 +376,9 @@ fn unfold_partial(
     let Some((position, object_var, class)) = found else {
         return Ok(vec![partial]);
     };
-    let defining: Vec<NormalClause> = normalized
+    let defining: Vec<&NormalClause> = normalized
         .get(&class)
-        .map(|cs| cs.iter().filter(|c| c.creates).cloned().collect())
+        .map(|cs| cs.iter().filter(|c| c.creates).collect())
         .unwrap_or_default();
     if defining.is_empty() {
         return Err(EngineError::Normalisation(format!(

@@ -27,7 +27,7 @@
 //! split rewrites no longer mints, so it treats the two keys as distinct —
 //! what `Mk_C` means when it is injective.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use wol_lang::ast::{Atom, SkolemArgs, Term, Var};
 use wol_model::{ClassName, Path, Value};
@@ -206,15 +206,10 @@ fn paths_equated(body: &[Atom], a: &str, b: &str, path: &Path) -> bool {
 
 /// Remove duplicate atoms, preserving first occurrences.
 fn dedup_atoms(body: &mut Vec<Atom>) {
-    let mut seen = Vec::new();
-    body.retain(|atom| {
-        if seen.contains(atom) {
-            false
-        } else {
-            seen.push(atom.clone());
-            true
-        }
-    });
+    let mut seen = HashSet::new();
+    let first: Vec<bool> = body.iter().map(|atom| seen.insert(atom)).collect();
+    let mut first = first.into_iter();
+    body.retain(|_| first.next().unwrap_or(true));
 }
 
 /// Remove trivially true equalities `t = t`.

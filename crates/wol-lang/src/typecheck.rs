@@ -7,7 +7,9 @@
 //! fixpoint is reached, then verifies consistency. The paper's example of an
 //! ill-typed clause — `X < Y.population` together with `X in CityA` — is
 //! rejected because `X` would need to be both an integer and an object of
-//! class `CityA`.
+//! class `CityA`. Every round reads the schemas' types by reference: a
+//! projection clones only the projected field's type, never the record it
+//! projects from (normalisation re-checks every clause this way).
 
 use std::collections::BTreeMap;
 
@@ -67,20 +69,20 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn bind(&mut self, var: &str, ty: Type) -> Result<()> {
+    fn bind(&mut self, var: &str, ty: &Type) -> Result<()> {
         match self.env.get(var) {
             Some(existing) => {
-                if !compatible(existing, &ty) {
+                if !compatible(existing, ty) {
                     return Err(self.error(format!(
                         "variable {var} would need both type {} and type {}",
                         wol_model::display::render_type(existing),
-                        wol_model::display::render_type(&ty)
+                        wol_model::display::render_type(ty)
                     )));
                 }
                 Ok(())
             }
             None => {
-                self.env.insert(var.to_string(), ty);
+                self.env.insert(var.to_string(), ty.clone());
                 self.changed = true;
                 Ok(())
             }
@@ -99,25 +101,22 @@ impl<'a> Checker<'a> {
                 };
                 // Dereference class types to their value type (and unwrap
                 // optional wrappers) before projecting; `Optional(Class(C))`
-                // needs both steps.
-                let mut record_ty = base_ty;
+                // needs both steps. The walk borrows the schema's type: only
+                // the projected field's type is cloned.
+                let mut record_ty = &base_ty;
                 loop {
                     record_ty = match record_ty {
-                        Type::Class(c) => class_type(self.schemas, &c)
-                            .ok_or_else(|| self.error(format!("unknown class `{c}`")))?
-                            .clone(),
-                        Type::Optional(inner) => *inner,
-                        other => {
-                            record_ty = other;
-                            break;
-                        }
+                        Type::Class(c) => class_type(self.schemas, c)
+                            .ok_or_else(|| self.error(format!("unknown class `{c}`")))?,
+                        Type::Optional(inner) => inner,
+                        _ => break,
                     };
                 }
                 match record_ty.field(label) {
                     Some(t) => Ok(Some(t.clone())),
                     None => Err(self.error(format!(
                         "type {} has no attribute `{label}`",
-                        wol_model::display::render_type(&record_ty)
+                        wol_model::display::render_type(record_ty)
                     ))),
                 }
             }
@@ -159,7 +158,7 @@ impl<'a> Checker<'a> {
             return self.check_against(term, inner);
         }
         match term {
-            Term::Var(v) => self.bind(v, expected.clone()),
+            Term::Var(v) => self.bind(v, expected),
             Term::Const(value) => match type_of_const(value) {
                 Some(actual) if compatible(&actual, expected) => Ok(()),
                 Some(actual) => Err(self.error(format!(
@@ -480,7 +479,11 @@ mod tests {
         let euro = euro_schema();
         let clause = parse_clause("N = E.population <= E in CityE").unwrap();
         let err = check_clause_types(&clause, &[&euro]).unwrap_err();
-        assert!(err.to_string().contains("no attribute"));
+        assert_eq!(
+            err.to_string(),
+            "type error in clause <unlabelled>: type (name: str, is_capital: bool, \
+             country: CountryE) has no attribute `population`"
+        );
     }
 
     #[test]
@@ -488,6 +491,16 @@ mod tests {
         let euro = euro_schema();
         let clause = parse_clause("X in Nowhere <= E in CityE, X = E.name").unwrap();
         assert!(check_clause_types(&clause, &[&euro]).is_err());
+        // A projection through a class an attribute type names but no
+        // schema declares.
+        let schema =
+            Schema::new("s").with_class("Stray", Type::record([("home", Type::class("Nowhere"))]));
+        let clause = parse_clause("N = S.home.name <= S in Stray").unwrap();
+        let err = check_clause_types(&clause, &[&schema]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "type error in clause <unlabelled>: unknown class `Nowhere`"
+        );
     }
 
     #[test]
@@ -567,6 +580,47 @@ mod tests {
         let clause = parse_clause("P = M.position <= M in Marker, P = 3").unwrap();
         let env = check_clause_types(&clause, &[&schema]).unwrap();
         assert_eq!(env["M"], Type::class("Marker"));
+    }
+
+    #[test]
+    fn projection_walks_through_an_optional_class_reference() {
+        let schema = Schema::new("s").with_class(
+            "Person",
+            Type::record([
+                ("name", Type::str()),
+                ("spouse", Type::optional(Type::class("Person"))),
+            ]),
+        );
+        let clause = parse_clause("N = P.spouse.name <= P in Person").unwrap();
+        let env = check_clause_types(&clause, &[&schema]).unwrap();
+        assert_eq!(env["P"], Type::class("Person"));
+        assert_eq!(env["N"], Type::str());
+        let clause = parse_clause("N = P.spouse.age <= P in Person").unwrap();
+        let err = check_clause_types(&clause, &[&schema]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "type error in clause <unlabelled>: type (name: str, spouse: Person?) has no \
+             attribute `age`"
+        );
+    }
+
+    #[test]
+    fn every_field_of_a_48_field_record_is_inferred() {
+        let fields = (0..48).map(|i| {
+            let ty = if i % 2 == 0 { Type::int() } else { Type::str() };
+            (format!("f{i}"), ty)
+        });
+        let schema = Schema::new("s").with_class("Wide", Type::record(fields));
+        let body: Vec<String> = (0..48).map(|i| format!("V{i} = S.f{i}")).collect();
+        let clause = parse_clause(&format!("X = S <= S in Wide, {}", body.join(", "))).unwrap();
+        let env = check_clause_types(&clause, &[&schema]).unwrap();
+        assert_eq!(env.len(), 50);
+        assert_eq!(env["S"], Type::class("Wide"));
+        assert_eq!(env["X"], Type::class("Wide"));
+        for i in 0..48 {
+            let want = if i % 2 == 0 { Type::int() } else { Type::str() };
+            assert_eq!(env[&format!("V{i}")], want, "V{i}");
+        }
     }
 
     #[test]

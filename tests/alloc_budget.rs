@@ -18,6 +18,15 @@
 //!   `BTreeMap<String, Value>` the fragment held 1,031 bytes and made 34.4
 //!   allocations per row; as one sorted slice of interned labels it holds
 //!   611 bytes and makes 19.4. The budgets are the new figures plus 10 %.
+//! * **Front end.** Allocations per normal clause of `Morphase::compile`
+//!   over the eleven programs of wolbench's `compile_suite` (371 normal
+//!   clauses), counted on a second pass so label interning is not counted.
+//!   When the typechecker cloned a class's whole record type per
+//!   projection, the planner copied each plan and rebuilt `String` variable
+//!   sets per conjunct and pair, and the pipeline walked every plan's
+//!   estimates twice, it made 1,771; with schema types borrowed, variables
+//!   addressed by scan index and one estimate walk it makes 423.5. The
+//!   budget is the new figure plus 10 %.
 //! * **Interning.** Interner lookups across one genome execute, one CSV
 //!   ingest, and one snapshot decode plus WAL replay are the same at two row
 //!   counts: labels and class names are resolved once per program, provider,
@@ -26,6 +35,8 @@
 //! The counters are process-wide, so the tests take one lock and run one at
 //! a time.
 
+mod compile_suite;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -33,7 +44,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use wol_repro::cpl::expr::EvalCtx;
 use wol_repro::cpl::{execute_query, ExecStats, Parallelism, Statistics};
 use wol_repro::morphase::metadata::{generate_key_clauses, generate_merge_key_clauses};
-use wol_repro::morphase::{compile_program_with, plan_schedule, PlanMode};
+use wol_repro::morphase::{compile_program_with, plan_schedule, Morphase, PlanMode};
 use wol_repro::storage::persist::snapshot::{decode_snapshot, encode_snapshot};
 use wol_repro::storage::persist::{replay_wal, WalRecord, WalWriter};
 use wol_repro::storage::{ingest_class, CsvDirProvider, Pushdown, DEFAULT_CHUNK_ROWS};
@@ -286,4 +297,40 @@ fn decode_counted(source: &Instance) -> Counted {
     assert_eq!(restored.instance.deep_eq_report(source), None);
     assert_eq!(replay.batches, vec![records]);
     counted
+}
+
+/// The front end's allocations per normal clause (see the module docs).
+const BUDGET_PER_CLAUSE: f64 = 466.0;
+
+#[test]
+fn front_end_compiles_within_the_allocations_per_normal_clause_budget() {
+    let _serial = serial();
+    let programs: Vec<Program> = compile_suite::SUITE
+        .iter()
+        .map(|(_, build, _)| build())
+        .collect();
+    let compile_all = || {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let mut clauses = 0;
+        for program in &programs {
+            clauses += Morphase::new()
+                .compile(program)
+                .expect("compiles")
+                .normal
+                .len();
+        }
+        (ALLOCATIONS.load(Ordering::Relaxed) - before, clauses)
+    };
+    compile_all();
+    let (allocations, clauses) = compile_all();
+    assert_eq!(clauses, 371, "normal clauses");
+    let per_clause = allocations as f64 / clauses as f64;
+    eprintln!(
+        "[alloc_budget] front end: {allocations} allocations over {clauses} normal clauses \
+         = {per_clause:.2}/clause"
+    );
+    assert!(
+        per_clause <= BUDGET_PER_CLAUSE,
+        "front end: {per_clause:.2} allocations per normal clause, budget {BUDGET_PER_CLAUSE}"
+    );
 }
