@@ -27,6 +27,14 @@
 //!   estimates twice, it made 1,771; with schema types borrowed, variables
 //!   addressed by scan index and one estimate walk it makes 423.5. The
 //!   budget is the new figure plus 10 %.
+//! * **Columnar tower.** Allocations per scanned row of `run_slots` on the
+//!   E10 tower (`MarkerS`, `position =< 25,000,000`, map `NAME` / `POS`) at
+//!   genome scale 100 — 30,000 rows scanned, 9,032 kept — with the columnar
+//!   path forced on, one thread, and the row index and columns built by a
+//!   first run that is not counted. With the tower compiling `Expr` into its
+//!   own predicate form it made 18,102 (0.603 per scanned row: each kept
+//!   row's slot vector and its `NAME` string). The budget is that figure
+//!   plus 10 %.
 //! * **Interning.** Interner lookups across one genome execute, one CSV
 //!   ingest, and one snapshot decode plus WAL replay are the same at two row
 //!   counts: labels and class names are resolved once per program, provider,
@@ -297,6 +305,49 @@ fn decode_counted(source: &Instance) -> Counted {
     assert_eq!(restored.instance.deep_eq_report(source), None);
     assert_eq!(replay.batches, vec![records]);
     counted
+}
+
+/// The columnar tower's allocations per scanned row (see the module docs).
+const BUDGET_PER_SCANNED_ROW: f64 = 0.664;
+
+#[test]
+fn columnar_tower_scans_within_the_allocations_per_row_budget() {
+    use wol_repro::cpl::{run_slots, Expr, Plan};
+    use wol_repro::wol_model::Value;
+
+    let _serial = serial();
+    let source = genome::generate_source(&GenomeParams::scaled(100));
+    let refs = [&source];
+    let plan = Plan::scan("MarkerS", "M")
+        .filter(Expr::Leq(
+            Box::new(Expr::var("M").proj("position")),
+            Box::new(Expr::Const(Value::int(25_000_000))),
+        ))
+        .map(vec![
+            ("NAME".to_string(), Expr::var("M").proj("name")),
+            ("POS".to_string(), Expr::var("M").proj("position")),
+        ]);
+    let run = || {
+        let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
+        ctx.set_columnar(true);
+        let mut stats = ExecStats::default();
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let rows = run_slots(&plan, &mut ctx, &mut stats).expect("tower runs");
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(ctx.columnar_stats().pipelines, 1, "the tower runs columnar");
+        (allocations, stats.rows_scanned, rows.len())
+    };
+    // The first run builds the row index and the columns.
+    run();
+    let (allocations, scanned, kept) = run();
+    assert_eq!((scanned, kept), (30_000, 9_032), "rows scanned and kept");
+    assert_per_row(
+        "columnar tower",
+        "allocations",
+        allocations as f64,
+        scanned,
+        BUDGET_PER_SCANNED_ROW,
+    );
 }
 
 /// The front end's allocations per normal clause (see the module docs).

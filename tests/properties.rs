@@ -402,6 +402,211 @@ proptest! {
     }
 }
 
+/// The kind-matrix fixture: `n` `KindS` objects whose attributes cover
+/// every column layout — `i` Int, `r` Real (signed zeros and NaN included),
+/// `b` Bool, `s` a dictionary string, `o` an Oid into `RefS`, `m` an
+/// Int/Str mix and `n` a nested record (both boxed), and `p` (Int) and `q`
+/// (Bool) optional, missing on some objects. `k` numbers the objects.
+fn kind_matrix_source(g: &mut proptest::Gen, n: usize) -> Instance {
+    let mut source = Instance::new("kinds");
+    let refs: Vec<Value> = (0..3)
+        .map(|i| {
+            let oid = source.insert_fresh(
+                &ClassName::new("RefS"),
+                Value::record([("k", Value::int(i))]),
+            );
+            Value::oid(oid)
+        })
+        .collect();
+    let reals = [-1.5, -0.0, 0.0, 2.0, 2.5, f64::NAN];
+    for k in 0..n {
+        let mut fields = vec![
+            ("k", Value::int(k as i64)),
+            ("i", Value::int(g.usize_in(0, 6) as i64 - 2)),
+            ("r", Value::real(pick(g, &reals))),
+            ("b", Value::Bool(one_in(g, 2))),
+            // `s1` is always in the dictionary: object 0 holds it.
+            (
+                "s",
+                Value::str(if k == 0 {
+                    "s1"
+                } else {
+                    pick(g, &["s0", "s1", "s2"])
+                }),
+            ),
+            ("o", refs[g.usize_in(0, refs.len())].clone()),
+            (
+                "m",
+                if k % 2 == 0 {
+                    Value::int(g.usize_in(0, 4) as i64)
+                } else {
+                    Value::str("m")
+                },
+            ),
+            (
+                "n",
+                Value::record([("x", Value::int(g.usize_in(0, 2) as i64))]),
+            ),
+        ];
+        if !one_in(g, 3) {
+            fields.push(("p", Value::int(g.usize_in(0, 5) as i64)));
+        }
+        if !one_in(g, 3) {
+            fields.push(("q", Value::Bool(one_in(g, 2))));
+        }
+        source.insert_fresh(&ClassName::new("KindS"), Value::record(fields));
+    }
+    source
+}
+
+/// The kind-matrix operands: the scanned identity, every attribute of
+/// [`kind_matrix_source`], and a constant of every kind — an Int, a Real
+/// equal to an Int, a Bool, a string in the dictionary and one that is not,
+/// an Oid and a record. Each with the attribute it reads (`None` for the
+/// identity and the constants).
+fn kind_matrix_operands(source: &Instance) -> Vec<(Expr, Option<&'static str>)> {
+    let first_ref = source
+        .extent(&ClassName::new("RefS"))
+        .next()
+        .expect("RefS is populated")
+        .clone();
+    let mut operands = vec![(Expr::var("M"), None)];
+    for attr in ["i", "r", "b", "s", "o", "m", "n", "p", "q"] {
+        operands.push((Expr::var("M").proj(attr), Some(attr)));
+    }
+    for constant in [
+        Value::int(2),
+        Value::real(2.0),
+        Value::Bool(true),
+        Value::str("s1"),
+        Value::str("zz"),
+        Value::oid(first_ref),
+        Value::record([("x", Value::int(1))]),
+    ] {
+        operands.push((Expr::Const(constant), None));
+    }
+    operands
+}
+
+/// Run `plan` on the row path or the columnar tower: the rows (or the
+/// error), the merged stats, and whether the columnar tower ran.
+fn run_kind_case(
+    plan: &Plan,
+    refs: &[&Instance],
+    threads: usize,
+    columnar: bool,
+) -> (Result<Vec<cpl::Row>, cpl::CplError>, cpl::ExecStats, bool) {
+    let parallelism = cpl::Parallelism::new(threads).with_min_items(1);
+    let mut ctx = cpl::expr::EvalCtx::new(refs).with_parallelism(parallelism);
+    ctx.set_columnar(columnar);
+    let mut stats = cpl::ExecStats::default();
+    let rows = cpl::run_plan(plan, &mut ctx, &mut stats);
+    (rows, stats, ctx.columnar_stats().pipelines > 0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// The kind-matrix differential: every comparison (`= != < =<`) over
+    /// every pair of kind-matrix operands (constant against constant
+    /// excepted), each plain, negated and conjoined behind a conjunct that
+    /// errors on half the rows, and truth tests of Bool and non-Bool
+    /// columns, run as a scan→filter→map tower. The row path and the
+    /// columnar tower agree row for row — rows, errors and stats — at every
+    /// thread count in {1, 2, 4, 8}, and every comparison engages the tower.
+    /// Where one side is an attribute and the other a constant, the
+    /// providers' `PushedFilter::matches` keeps exactly the objects the
+    /// plain filter keeps.
+    #[test]
+    fn columnar_comparisons_match_the_row_path_over_the_kind_matrix(seed in 0u64..u64::MAX) {
+        use wol_repro::storage::{PushOp, PushedFilter};
+
+        let mut g = proptest::Gen::new(seed);
+        let source = kind_matrix_source(&mut g, 40);
+        let refs = [&source];
+        let operands = kind_matrix_operands(&source);
+        // Errors (an Int/Str mix compared with `<`) on the odd objects, true
+        // on the even ones.
+        let erring = Expr::Lt(
+            Box::new(Expr::var("M").proj("m")),
+            Box::new(Expr::Const(Value::int(100))),
+        );
+        let tower = |predicate: Expr| {
+            Plan::scan("KindS", "M").filter(predicate).map(vec![
+                ("K".to_string(), Expr::var("M").proj("k")),
+                ("Q".to_string(), Expr::var("M").proj("p")),
+            ])
+        };
+        let check = |plan: &Plan, must_engage: bool| -> Result<Vec<cpl::Row>, String> {
+            let (base, base_stats, _) = run_kind_case(plan, &refs[..], 1, false);
+            for threads in [1usize, 2, 4, 8] {
+                let (rows, stats, engaged) = run_kind_case(plan, &refs[..], threads, true);
+                prop_assert!(engaged || !must_engage,
+                    "the columnar path never engaged on:\n{}\n{:?}", plan.render(), plan);
+                prop_assert!(rows == base, "columnar at {} threads: {:?} != {:?}\n{:?}",
+                    threads, rows, base, plan);
+                if base.is_ok() {
+                    prop_assert!(stats == base_stats, "columnar stats at {} threads: {:?}", threads, plan);
+                }
+                let (rows, _, _) = run_kind_case(plan, &refs[..], threads, false);
+                prop_assert!(rows == base, "row path at {} threads: {:?}", threads, plan);
+            }
+            Ok(base.unwrap_or_default())
+        };
+        let ops: [(fn(Box<Expr>, Box<Expr>) -> Expr, PushOp, PushOp); 4] = [
+            (Expr::Eq, PushOp::Eq, PushOp::Eq),
+            (Expr::Neq, PushOp::Neq, PushOp::Neq),
+            (Expr::Lt, PushOp::Lt, PushOp::Gt),
+            (Expr::Leq, PushOp::Leq, PushOp::Geq),
+        ];
+        for (left, left_attr) in &operands {
+            for (right, right_attr) in &operands {
+                let constant = |e: &Expr| matches!(e, Expr::Const(_));
+                if constant(left) && constant(right) {
+                    continue;
+                }
+                for (build, op, flipped) in ops {
+                    let cmp = build(Box::new(left.clone()), Box::new(right.clone()));
+                    let kept = check(&tower(cmp.clone()), true)?;
+                    check(&tower(Expr::Not(Box::new(cmp.clone()))), true)?;
+                    check(&tower(Expr::and(vec![erring.clone(), cmp.clone()])), true)?;
+                    // Attribute against constant: what a provider evaluates.
+                    let pushed = match (left_attr, right_attr, left, right) {
+                        (Some(attr), None, _, Expr::Const(value)) => Some((attr, op, value)),
+                        (None, Some(attr), Expr::Const(value), _) => Some((attr, flipped, value)),
+                        _ => None,
+                    };
+                    if let Some((attr, op, value)) = pushed {
+                        let filter = PushedFilter {
+                            attr: attr.to_string(),
+                            op,
+                            value: value.clone(),
+                        };
+                        let expected: Vec<Value> = source
+                            .objects(&ClassName::new("KindS"))
+                            .filter(|(_, record)| {
+                                filter.matches(record.project(attr))
+                                    && record.project("p").is_some()
+                            })
+                            .map(|(oid, _)| Value::oid(oid.clone()))
+                            .collect();
+                        let actual: Vec<Value> = kept.iter().map(|row| row["M"].clone()).collect();
+                        prop_assert!(actual == expected, "pushed {:?}: {:?} != {:?}", filter, actual, expected);
+                    }
+                }
+            }
+        }
+        // Truth tests: a Bool column (one with missing cells too) runs on the
+        // tower; a non-Bool one is the row path's error on both sides.
+        for (attr, engages) in [("b", true), ("q", true), ("i", false), ("s", false), ("n", false)] {
+            let test = Expr::var("M").proj(attr);
+            check(&tower(test.clone()), engages)?;
+            check(&tower(Expr::Not(Box::new(test.clone()))), engages)?;
+            check(&tower(Expr::and(vec![erring.clone(), test])), engages)?;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
