@@ -1,455 +1,337 @@
-//! Vectorized batch-at-a-time execution over columnar extents.
+//! Vectorized batch-at-a-time execution over columnar extents: one lowering,
+//! two drivers.
 //!
-//! The row-at-a-time executor in [`crate::exec`] evaluates a lowered
-//! expression per row, and an `x.attr` projection dereferences `x` through
-//! the instance store to borrow one field of its record. For the dominant
-//! plan shape — scan → filter → project over one class — this module runs
-//! the same semantics over the column-major derived storage of
-//! [`wol_model::column`] instead, a typed array per attribute:
+//! Every plan expression is lowered once, against its node's slot layout
+//! ([`Lowered`], [`exec::layout`]), and the row executor in [`crate::exec`]
+//! evaluates it row by row. For the dominant plan shape — scan → filter →
+//! map over one class — this module is a second driver of the *same* lowered
+//! expressions: it evaluates them batch-at-a-time over the column-major
+//! derived storage of [`wol_model::column`], a typed array per attribute.
 //!
-//! * **Extraction** ([`extract`]): a `Filter`/`Map` tower over a single
-//!   `Scan` compiles into a [`Pipeline`] of stages over *atoms* — the
-//!   scanned identity itself, a single-hop attribute column, or a constant.
-//!   Anything richer (Skolems, record/variant construction, multi-hop
-//!   projections, unknown variables, multi-source contexts) bails out to the
-//!   row-at-a-time path, so coverage grows without risking semantics. So
-//!   does a truth test of a value that may not be a boolean — the row path
-//!   raises that as an error, in row order, which a batch cannot reproduce.
-//! * **Selection vectors**: each worker walks its contiguous row range as a
-//!   vector of surviving row ids; filter kernels evaluate tri-state
-//!   (true / false / error) comparison results against column chunks and
-//!   compact the vector. The tri-state replication matters: the row path
-//!   turns a missing attribute into a bad-value error that predicates
-//!   swallow as *false* and `Map` turns into a dropped row, and negation
-//!   must *not* resurrect such rows.
-//! * **Late materialization**: only rows surviving every stage are
+//! * **Lanes.** A tower's `Filter` and `Map` nodes are lowered exactly as the
+//!   row path lowers them; the driver then reads each lowered leaf as a
+//!   *lane*: the scanned identity, an attribute column of the scanned class
+//!   (a projection off the identity), or a constant. A slot a `Map` binds is
+//!   the lane its expression reads. Anything else — Skolems, record or
+//!   variant construction, multi-hop projections, unknown variables, several
+//!   sources — leaves the plan to the row path, so coverage grows without
+//!   risking semantics. So does a truth test of a lane that may not hold a
+//!   boolean: the row path raises that as an error, in row order, which a
+//!   batch cannot reproduce.
+//! * **One comparison.** A comparison is decided by
+//!   [`PushOp::holds`](wol_model::PushOp::holds) — the definition the row
+//!   path, the clause matcher and the scan providers use — over
+//!   [`ValueRef`] views that a typed cell yields without building a
+//!   [`Value`]. Two dictionary-coded strings compare for equality by code: a
+//!   representation fast path (all string columns share one dictionary), not
+//!   a second definition.
+//! * **Selection vectors.** Each worker walks its contiguous row range as a
+//!   vector of surviving row ids; filter kernels evaluate tri-state outcomes
+//!   over column chunks — `Some(true)`, `Some(false)`, or `None` for the row
+//!   path's bad-value error, as [`PushOp::holds`](wol_model::PushOp::holds)
+//!   returns them — and compact the vector. The tri-state matters: the row path turns a missing attribute
+//!   or an uncomparable pair into a bad-value error that predicates swallow
+//!   as *false* and `Map` turns into a dropped row, and negation must *not*
+//!   resurrect such rows.
+//! * **Late materialization.** Only rows surviving every stage are
 //!   materialized, as slot rows in the tower's [`exec::layout`] (dictionary
 //!   codes resolved back to strings, bit-identical to the values the row
 //!   path would have produced), so join build/probe sides and insert
 //!   evaluation downstream see the usual rows having paid columnar cost only
 //!   for survivors.
-//! * **Chunk-granular dispatch**: ranges come from the same
-//!   [`wol_model::chunk_ranges`] morsel partitioning and the same
-//!   partition-count rule as every row operator, and run through
-//!   [`exec::run_partitioned`] (one range inline, several on the shared
-//!   [`wol_model::WorkerPool`]), with results reassembled in submission
-//!   order. Per-stage survivor totals are partition-invariant, so the merged
-//!   [`ExecStats`] equal the row-at-a-time ones at every thread count — the
-//!   differential proptests in `tests/properties.rs` pin this down.
+//! * **Chunk-granular dispatch.** Ranges come from the same
+//!   [`wol_model::chunk_ranges`] morsel partitioning and the same partition
+//!   rule as every row operator, and run like them (one range inline,
+//!   several on the shared [`wol_model::WorkerPool`]), with results
+//!   reassembled in submission order. Per-stage survivor totals are
+//!   partition-invariant, so the merged [`ExecStats`] equal the row path's at
+//!   every thread count.
 //!
-//! The columnar path is on by default and can be disabled per context
-//! ([`EvalCtx::set_columnar`]), which keeps the row path alive as the
-//! differential baseline and the bench comparison anchor.
+//! The driver runs by default. [`EvalCtx::set_columnar`] pins a context to
+//! the row path, the reference the differential tests in
+//! `tests/properties.rs` hold this driver to.
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
 use wol_model::column::{AttrColumn, ColumnData, ColumnKind, CHUNK_ROWS};
-use wol_model::{chunk_ranges, ClassName, Label, Oid, RealVal, Value};
+use wol_model::{chunk_ranges, ClassName, Instance, Label, Oid, PushOp, RealVal, Value, ValueRef};
 
 use crate::error::CplError;
 use crate::exec::{self, ExecStats};
-use crate::expr::{EvalCtx, Expr, SlotRow};
+use crate::expr::{lower_bindings, EvalCtx, Lowered, Node, SlotRow};
 use crate::plan::Plan;
 use crate::Result;
 
-/// Tri-state predicate outcome, mirroring the row path's
-/// `Ok(true) / Ok(false) / Err(BadValue)` trichotomy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Tri {
-    True,
-    False,
-    Err,
-}
-
-/// A leaf value source of a compiled pipeline.
+/// What a slot, or a leaf of a lowered expression, reads per row.
 #[derive(Clone, Debug, PartialEq)]
-enum Atom {
-    /// The scanned object identity itself (`Var(scan_var)`).
-    SelfOid,
-    /// Single-hop projection `scan_var.attr`; index into [`Pipeline::attrs`].
-    Col(usize),
-    /// A constant value.
+enum Lane {
+    /// The scanned identity.
+    Identity,
+    /// An attribute of the scanned object: a column of its class.
+    Column(Label),
+    /// A constant.
     Const(Value),
 }
 
-#[derive(Clone, Copy, Debug)]
-enum CmpOp {
-    Eq,
-    Neq,
-    Lt,
-    Leq,
-}
-
-/// A compiled predicate over atoms.
-#[derive(Debug)]
-enum PredNode {
-    /// The atom must evaluate to a boolean (anything else errors the row).
-    Truthy(usize),
-    /// Comparison of two atoms.
-    Cmp(CmpOp, usize, usize),
-    /// Ordered conjunction: the first non-true conjunct decides.
-    And(Vec<PredNode>),
-    /// Negation; errors pass through un-negated.
-    Not(Box<PredNode>),
-}
-
-/// One pipeline stage, innermost (nearest the scan) first.
-#[derive(Debug)]
-enum StageOp {
-    /// Keep rows whose predicate is [`Tri::True`].
-    Filter(PredNode),
-    /// Bind names to atoms; a row with any missing binding atom is dropped
-    /// (the row path's `BadValue`-drops-the-row rule).
-    Map(Vec<usize>),
-}
-
-/// A scan→filter→project tower compiled for columnar execution.
-#[derive(Debug)]
-pub(crate) struct Pipeline {
-    class: ClassName,
-    attrs: Vec<Label>,
-    atoms: Vec<Atom>,
-    stages: Vec<StageOp>,
-    /// Final row content: the atom behind each slot of the tower's layout.
-    outputs: Vec<usize>,
-    /// Atoms the filters use as booleans ([`PredNode::Truthy`]).
-    tested: Vec<usize>,
-}
-
-struct Compiler {
-    scan_var: String,
-    attrs: Vec<Label>,
-    atoms: Vec<Atom>,
-    aliases: BTreeMap<String, usize>,
-    tested: Vec<usize>,
-}
-
-impl Compiler {
-    fn intern(&mut self, atom: Atom) -> usize {
-        if let Some(i) = self.atoms.iter().position(|a| *a == atom) {
-            return i;
-        }
-        self.atoms.push(atom);
-        self.atoms.len() - 1
-    }
-
-    fn attr_id(&mut self, label: &str) -> usize {
-        if let Some(i) = self.attrs.iter().position(|a| a == label) {
-            return i;
-        }
-        self.attrs.push(Label::new(label));
-        self.attrs.len() - 1
-    }
-
-    /// Compile an expression to an atom, or `None` if it is out of scope for
-    /// the columnar executor.
-    fn atom_of(&mut self, e: &Expr) -> Option<usize> {
-        match e {
-            Expr::Var(v) => {
-                if let Some(&a) = self.aliases.get(v) {
-                    Some(a)
-                } else if *v == self.scan_var {
-                    Some(self.intern(Atom::SelfOid))
-                } else {
-                    None
-                }
-            }
-            Expr::Const(v) => {
-                let atom = Atom::Const(v.clone());
-                Some(self.intern(atom))
-            }
-            Expr::Proj(base, label) => match &**base {
-                // Single-hop projection off the (unshadowed) scan variable is
-                // exactly what an attribute column answers.
-                Expr::Var(v) if !self.aliases.contains_key(v) && *v == self.scan_var => {
-                    let attr = self.attr_id(label);
-                    Some(self.intern(Atom::Col(attr)))
-                }
+impl Lane {
+    /// The lane `node` reads when slot `s` holds lane `slots[s]`, or `None`
+    /// when the node is no lane.
+    fn of(node: &Node, slots: &[Lane]) -> Option<Lane> {
+        match node {
+            Node::Slot(slot) => slots.get(*slot).cloned(),
+            Node::Const(value) => Some(Lane::Const(value.clone())),
+            Node::Proj(base, label) => match Lane::of(base, slots)? {
+                Lane::Identity => Some(Lane::Column(label.clone())),
                 _ => None,
             },
             _ => None,
         }
     }
+}
 
-    fn pred_of(&mut self, e: &Expr) -> Option<PredNode> {
-        match e {
-            Expr::And(conjuncts) => conjuncts
-                .iter()
-                .map(|c| self.pred_of(c))
-                .collect::<Option<Vec<_>>>()
-                .map(PredNode::And),
-            Expr::Not(inner) => self.pred_of(inner).map(Box::new).map(PredNode::Not),
-            Expr::Eq(a, b) => self.cmp_of(CmpOp::Eq, a, b),
-            Expr::Neq(a, b) => self.cmp_of(CmpOp::Neq, a, b),
-            Expr::Lt(a, b) => self.cmp_of(CmpOp::Lt, a, b),
-            Expr::Leq(a, b) => self.cmp_of(CmpOp::Leq, a, b),
-            other => {
-                let atom = self.atom_of(other)?;
-                self.tested.push(atom);
-                Some(PredNode::Truthy(atom))
+/// One stage of a tower, innermost (nearest the scan) first.
+#[derive(Debug)]
+enum Stage {
+    /// Keep the rows whose lowered predicate holds; `slots` are the lanes of
+    /// the slots it reads.
+    Filter {
+        predicate: Lowered,
+        slots: Vec<Lane>,
+    },
+    /// Bind slots to the given lanes; a row missing a column one of them
+    /// reads is dropped (the row path's bad-value-drops-the-row rule).
+    Map(Vec<Lane>),
+}
+
+/// A scan→filter→map tower lowered for the batch driver.
+#[derive(Debug)]
+pub(crate) struct Tower {
+    class: ClassName,
+    stages: Vec<Stage>,
+    /// The lane behind each slot of the tower's layout.
+    outputs: Vec<Lane>,
+    /// Lanes the filters use as booleans.
+    tested: Vec<Lane>,
+    /// The columns the tower reads, each once.
+    columns: Vec<Label>,
+}
+
+impl Tower {
+    /// The lane `node` reads over the current slots, noting its column.
+    fn lane(&mut self, node: &Node) -> Option<Lane> {
+        let lane = Lane::of(node, &self.outputs)?;
+        if let Lane::Column(label) = &lane {
+            if !self.columns.contains(label) {
+                self.columns.push(label.clone());
             }
         }
+        Some(lane)
     }
 
-    fn cmp_of(&mut self, op: CmpOp, a: &Expr, b: &Expr) -> Option<PredNode> {
-        let a = self.atom_of(a)?;
-        let b = self.atom_of(b)?;
-        Some(PredNode::Cmp(op, a, b))
+    /// Admit a lowered predicate: comparisons of lanes and truth tests of
+    /// lanes, under `And` and `Not`.
+    fn admit(&mut self, node: &Node) -> Option<()> {
+        match node {
+            Node::Cmp(_, a, b) => {
+                self.lane(a)?;
+                self.lane(b)?;
+            }
+            Node::And(conjuncts) => {
+                for conjunct in conjuncts {
+                    self.admit(conjunct)?;
+                }
+            }
+            Node::Not(inner) => self.admit(inner)?,
+            leaf => {
+                let lane = self.lane(leaf)?;
+                self.tested.push(lane);
+            }
+        }
+        Some(())
     }
 }
 
-/// Compile `plan` into a columnar pipeline, or `None` when any part of it is
-/// out of scope (then the row-at-a-time executor handles it).
-pub(crate) fn extract(plan: &Plan) -> Option<Pipeline> {
-    enum Layer<'p> {
-        F(&'p Expr),
-        M(&'p [(String, Expr)]),
-    }
-    let mut layers = Vec::new();
+/// Lower `plan` for the batch driver, or `None` when any part of it is out
+/// of scope (then the row-at-a-time executor runs it).
+pub(crate) fn extract(plan: &Plan) -> Option<Tower> {
+    let mut nodes = Vec::new();
     let mut cur = plan;
-    let (class, scan_var) = loop {
+    let class = loop {
         match cur {
-            Plan::Filter { input, predicate } => {
-                layers.push(Layer::F(predicate));
+            Plan::Filter { input, .. } | Plan::Map { input, .. } => {
+                nodes.push(cur);
                 cur = input;
             }
-            Plan::Map { input, bindings } => {
-                layers.push(Layer::M(bindings));
-                cur = input;
-            }
-            Plan::Scan { class, var } => break (class.clone(), var.clone()),
+            Plan::Scan { class, .. } => break class.clone(),
             _ => return None,
         }
     };
-    if layers.is_empty() {
+    if nodes.is_empty() {
         // A bare scan gains nothing from columnarization; leave it alone.
         return None;
     }
-    layers.reverse();
-    let mut compiler = Compiler {
-        scan_var: scan_var.clone(),
-        attrs: Vec::new(),
-        atoms: Vec::new(),
-        aliases: BTreeMap::new(),
+    let mut tower = Tower {
+        class,
+        stages: Vec::with_capacity(nodes.len()),
+        outputs: vec![Lane::Identity],
         tested: Vec::new(),
+        columns: Vec::new(),
     };
-    let self_atom = compiler.intern(Atom::SelfOid);
-    let mut stages = Vec::with_capacity(layers.len());
-    for layer in layers {
-        match layer {
-            Layer::F(pred) => stages.push(StageOp::Filter(compiler.pred_of(pred)?)),
-            Layer::M(bindings) => {
-                let mut compiled = Vec::with_capacity(bindings.len());
-                for (name, expr) in bindings {
-                    let atom = compiler.atom_of(expr)?;
-                    compiled.push(atom);
-                    // Later expressions see this binding (including shadowing
-                    // the scan variable), exactly like the row path's
-                    // in-order row extension.
-                    compiler.aliases.insert(name.clone(), atom);
-                }
-                stages.push(StageOp::Map(compiled));
+    for node in nodes.into_iter().rev() {
+        match node {
+            Plan::Filter { input, predicate } => {
+                let predicate = Lowered::new(predicate, &exec::layout(input));
+                tower.admit(predicate.node())?;
+                let slots = tower.outputs.clone();
+                tower.stages.push(Stage::Filter { predicate, slots });
             }
+            Plan::Map { input, bindings } => {
+                let mut reads = Vec::with_capacity(bindings.len());
+                for (slot, binding) in lower_bindings(bindings, &mut exec::layout(input)) {
+                    let lane = tower.lane(binding.node())?;
+                    reads.push(lane.clone());
+                    match tower.outputs.get_mut(slot) {
+                        Some(output) => *output = lane,
+                        None => tower.outputs.push(lane),
+                    }
+                }
+                tower.stages.push(Stage::Map(reads));
+            }
+            _ => return None,
         }
     }
-    // Each slot of the tower's layout holds the last binding of its name, or
-    // the scanned identity for the (unshadowed) scan variable.
-    let outputs = exec::layout(plan)
-        .iter()
-        .map(|name| compiler.aliases.get(name).copied().unwrap_or(self_atom))
-        .collect();
-    Some(Pipeline {
-        class,
-        attrs: compiler.attrs,
-        atoms: compiler.atoms,
-        stages,
-        outputs,
-        tested: compiler.tested,
-    })
+    Some(tower)
 }
 
-/// An atom lowered against the live instance (constant strings carry their
-/// pre-resolved dictionary code so string-column equality is a `u32` compare).
-enum RunAtom<'p> {
-    SelfOid,
-    Col(usize),
-    Const(&'p Value),
-    ConstStr {
-        value: &'p Value,
-        s: &'p str,
-        code: Option<u32>,
-    },
+/// A lane bound to one instance's storage.
+enum Operand<'b> {
+    Identity,
+    Column(&'b AttrColumn),
+    /// A constant, with its dictionary code if it is a string that has one.
+    Const(Value, Option<u32>),
 }
 
-/// A typed view of one cell, borrowed from column storage.
-enum Cell<'a> {
-    Missing,
-    Int(i64),
-    Real(f64),
-    Bool(bool),
-    /// A string, with its dictionary code when it has one.
-    Str {
-        code: Option<u32>,
-        s: &'a str,
-    },
-    Oid(&'a Oid),
-    /// A non-scalar value from a boxed column or constant.
-    Other(&'a Value),
-}
-
-fn cell_of_value(v: &Value) -> Cell<'_> {
-    match v {
-        Value::Int(i) => Cell::Int(*i),
-        Value::Real(r) => Cell::Real(r.get()),
-        Value::Bool(b) => Cell::Bool(*b),
-        Value::Str(s) => Cell::Str { code: None, s },
-        Value::Oid(o) => Cell::Oid(o),
-        other => Cell::Other(other),
-    }
-}
-
-/// A pipeline bound to one instance's columns, ready to run. Everything in
+/// A tower bound to one instance's columns, ready to run. Everything in
 /// here is immutable shared data, so ranges can be evaluated from pool
 /// workers without touching the `EvalCtx`.
-struct BoundPipeline<'p> {
-    pipe: &'p Pipeline,
+struct Batch<'t> {
+    tower: &'t Tower,
+    instance: &'t Instance,
     rows: Arc<Vec<Oid>>,
-    cols: Vec<Arc<AttrColumn>>,
+    columns: Vec<Arc<AttrColumn>>,
     dict: Arc<Vec<Arc<str>>>,
-    atoms: Vec<RunAtom<'p>>,
 }
 
-impl<'p> BoundPipeline<'p> {
-    fn cell(&self, atom: usize, row: usize) -> Cell<'_> {
-        match &self.atoms[atom] {
-            RunAtom::SelfOid => Cell::Oid(&self.rows[row]),
-            RunAtom::Const(v) => cell_of_value(v),
-            RunAtom::ConstStr { s, code, .. } => Cell::Str { code: *code, s },
-            RunAtom::Col(c) => {
-                let (chunk, local) = self.cols[*c].locate(row);
+impl Batch<'_> {
+    fn bind(&self, lane: Lane) -> Result<Operand<'_>> {
+        Ok(match lane {
+            Lane::Identity => Operand::Identity,
+            Lane::Column(label) => {
+                let column = self.tower.columns.iter().position(|c| *c == label);
+                Operand::Column(column.map(|c| &*self.columns[c]).ok_or_else(|| {
+                    CplError::BadPlan(format!("the tower has no column `{label}`"))
+                })?)
+            }
+            Lane::Const(value) => {
+                let code = match &value {
+                    Value::Str(s) => self.instance.dict_code(s),
+                    _ => None,
+                };
+                Operand::Const(value, code)
+            }
+        })
+    }
+
+    /// The operand a leaf of a lowered predicate reads.
+    fn operand(&self, node: &Node, slots: &[Lane]) -> Result<Operand<'_>> {
+        let lane = Lane::of(node, slots)
+            .ok_or_else(|| CplError::BadPlan("a tower leaf is no lane".into()))?;
+        self.bind(lane)
+    }
+
+    /// The cell of `operand` at `row` — its view and dictionary code — or
+    /// `None` when the object lacks the attribute.
+    fn cell<'c>(
+        &'c self,
+        operand: &'c Operand<'_>,
+        row: usize,
+    ) -> Option<(ValueRef<'c>, Option<u32>)> {
+        match operand {
+            Operand::Identity => Some((ValueRef::Oid(&self.rows[row]), None)),
+            Operand::Const(value, code) => Some((value.into(), *code)),
+            Operand::Column(column) => {
+                let (chunk, local) = column.locate(row);
                 if chunk.is_missing(local) {
-                    return Cell::Missing;
+                    return None;
                 }
-                match chunk.data() {
-                    ColumnData::Int(v) => Cell::Int(v[local]),
-                    ColumnData::Real(v) => Cell::Real(v[local]),
-                    ColumnData::Bool(v) => Cell::Bool(v[local]),
-                    ColumnData::Str(v) => Cell::Str {
-                        code: Some(v[local]),
-                        s: &self.dict[v[local] as usize],
-                    },
-                    ColumnData::Oid(v) => Cell::Oid(&v[local]),
-                    ColumnData::Boxed(v) => cell_of_value(&v[local]),
-                }
-            }
-        }
-    }
-
-    fn atom_present(&self, atom: usize, row: usize) -> bool {
-        match &self.atoms[atom] {
-            RunAtom::Col(c) => {
-                let (chunk, local) = self.cols[*c].locate(row);
-                !chunk.is_missing(local)
-            }
-            _ => true,
-        }
-    }
-
-    /// Equality with the row path's `Value` semantics: strict variant
-    /// equality (`Int(1) != Real(1.0)`), reals by total order, kind
-    /// mismatches are `false`, never errors.
-    fn cell_eq(&self, a: &Cell<'_>, b: &Cell<'_>) -> bool {
-        match (a, b) {
-            (Cell::Int(x), Cell::Int(y)) => x == y,
-            (Cell::Real(x), Cell::Real(y)) => RealVal(*x) == RealVal(*y),
-            (Cell::Bool(x), Cell::Bool(y)) => x == y,
-            (Cell::Str { code: ca, s: sa }, Cell::Str { code: cb, s: sb }) => match (ca, cb) {
-                // Codes come from the one shared dictionary: comparable directly.
-                (Some(x), Some(y)) => x == y,
-                _ => sa == sb,
-            },
-            (Cell::Oid(x), Cell::Oid(y)) => x == y,
-            (Cell::Other(x), Cell::Other(y)) => x == y,
-            _ => false,
-        }
-    }
-
-    /// Ordering with the row path's `compare` semantics: ints, reals and
-    /// strings compare (ints promote against reals); everything else is an
-    /// evaluation error.
-    fn cell_cmp(&self, a: &Cell<'_>, b: &Cell<'_>) -> Option<std::cmp::Ordering> {
-        match (a, b) {
-            (Cell::Int(x), Cell::Int(y)) => Some(x.cmp(y)),
-            (Cell::Real(x), Cell::Real(y)) => Some(RealVal(*x).cmp(&RealVal(*y))),
-            (Cell::Int(x), Cell::Real(y)) => Some(RealVal(*x as f64).cmp(&RealVal(*y))),
-            (Cell::Real(x), Cell::Int(y)) => Some(RealVal(*x).cmp(&RealVal(*y as f64))),
-            (Cell::Str { s: sa, .. }, Cell::Str { s: sb, .. }) => Some(sa.cmp(sb)),
-            _ => None,
-        }
-    }
-
-    fn eval_cmp(&self, op: CmpOp, a: usize, b: usize, rows: &[u32]) -> Vec<Tri> {
-        rows.iter()
-            .map(|&r| {
-                let ca = self.cell(a, r as usize);
-                let cb = self.cell(b, r as usize);
-                if matches!(ca, Cell::Missing) || matches!(cb, Cell::Missing) {
-                    return Tri::Err;
-                }
-                match op {
-                    CmpOp::Eq => Tri::from_bool(self.cell_eq(&ca, &cb)),
-                    CmpOp::Neq => Tri::from_bool(!self.cell_eq(&ca, &cb)),
-                    CmpOp::Lt => match self.cell_cmp(&ca, &cb) {
-                        Some(ord) => Tri::from_bool(ord.is_lt()),
-                        None => Tri::Err,
-                    },
-                    CmpOp::Leq => match self.cell_cmp(&ca, &cb) {
-                        Some(ord) => Tri::from_bool(ord.is_le()),
-                        None => Tri::Err,
-                    },
-                }
-            })
-            .collect()
-    }
-
-    fn eval_pred(&self, pred: &PredNode, rows: &[u32]) -> Vec<Tri> {
-        match pred {
-            PredNode::Truthy(a) => rows
-                .iter()
-                .map(|&r| match self.cell(*a, r as usize) {
-                    Cell::Bool(b) => Tri::from_bool(b),
-                    _ => Tri::Err,
+                Some(match chunk.data() {
+                    ColumnData::Int(v) => (ValueRef::Int(v[local]), None),
+                    ColumnData::Real(v) => (ValueRef::Real(RealVal(v[local])), None),
+                    ColumnData::Bool(v) => (ValueRef::Bool(v[local]), None),
+                    ColumnData::Str(v) => {
+                        (ValueRef::Str(&self.dict[v[local] as usize]), Some(v[local]))
+                    }
+                    ColumnData::Oid(v) => (ValueRef::Oid(&v[local]), None),
+                    ColumnData::Boxed(v) => ((&v[local]).into(), None),
                 })
-                .collect(),
-            PredNode::Cmp(op, a, b) => self.eval_cmp(*op, *a, *b, rows),
-            PredNode::Not(inner) => self
-                .eval_pred(inner, rows)
+            }
+        }
+    }
+
+    /// Whether a truth test of `lane` could meet a value that is no boolean.
+    fn may_not_be_boolean(&self, lane: &Lane) -> Result<bool> {
+        Ok(match self.bind(lane.clone())? {
+            Operand::Column(column) => column.kind() != ColumnKind::Bool && column.present() > 0,
+            Operand::Const(value, _) => !matches!(value, Value::Bool(_)),
+            Operand::Identity => true,
+        })
+    }
+
+    /// Evaluate a lowered predicate over `rows`, whose slots hold `slots`:
+    /// per row, whether it holds, or `None` for the row path's bad value.
+    fn eval(&self, node: &Node, slots: &[Lane], rows: &[u32]) -> Result<Vec<Option<bool>>> {
+        Ok(match node {
+            Node::Cmp(op, a, b) => {
+                let (a, b) = (self.operand(a, slots)?, self.operand(b, slots)?);
+                rows.iter()
+                    .map(|&r| {
+                        let (Some((x, x_code)), Some((y, y_code))) =
+                            (self.cell(&a, r as usize), self.cell(&b, r as usize))
+                        else {
+                            return None;
+                        };
+                        match (op, x_code, y_code) {
+                            (PushOp::Eq, Some(x), Some(y)) => Some(x == y),
+                            (PushOp::Neq, Some(x), Some(y)) => Some(x != y),
+                            _ => op.holds(x, y),
+                        }
+                    })
+                    .collect()
+            }
+            // An error passes through un-negated.
+            Node::Not(inner) => self
+                .eval(inner, slots, rows)?
                 .into_iter()
-                .map(|t| match t {
-                    Tri::True => Tri::False,
-                    Tri::False => Tri::True,
-                    Tri::Err => Tri::Err,
-                })
+                .map(|holds| holds.map(|b| !b))
                 .collect(),
-            PredNode::And(conjuncts) => {
+            Node::And(conjuncts) => {
                 // Ordered short-circuit: evaluate each conjunct only for the
                 // rows every earlier conjunct passed; the first non-true
                 // conjunct decides the row (errors included), as in the row
                 // path's left-to-right `And`.
-                let mut out = vec![Tri::True; rows.len()];
+                let mut out = vec![Some(true); rows.len()];
                 let mut active: Vec<usize> = (0..rows.len()).collect();
                 for conjunct in conjuncts {
                     if active.is_empty() {
                         break;
                     }
                     let sub: Vec<u32> = active.iter().map(|&i| rows[i]).collect();
-                    let tris = self.eval_pred(conjunct, &sub);
+                    let holds = self.eval(conjunct, slots, &sub)?;
                     let mut still = Vec::with_capacity(active.len());
-                    for (&i, tri) in active.iter().zip(tris) {
-                        match tri {
-                            Tri::True => still.push(i),
+                    for (&i, holds) in active.iter().zip(holds) {
+                        match holds {
+                            Some(true) => still.push(i),
                             other => out[i] = other,
                         }
                     }
@@ -457,73 +339,74 @@ impl<'p> BoundPipeline<'p> {
                 }
                 out
             }
-        }
+            leaf => {
+                let operand = self.operand(leaf, slots)?;
+                rows.iter()
+                    .map(|&r| match self.cell(&operand, r as usize) {
+                        Some((ValueRef::Bool(b), _)) => Some(b),
+                        _ => None,
+                    })
+                    .collect()
+            }
+        })
     }
 
     /// Run every stage over one contiguous row range, returning per-stage
     /// survivor counts and the surviving selection vector.
-    fn run_range(&self, range: Range<usize>) -> (Vec<usize>, Vec<u32>) {
+    fn run_range(&self, range: Range<usize>) -> Result<(Vec<usize>, Vec<u32>)> {
         let mut sel: Vec<u32> = (range.start as u32..range.end as u32).collect();
-        let mut counts = Vec::with_capacity(self.pipe.stages.len());
-        for stage in &self.pipe.stages {
+        let mut counts = Vec::with_capacity(self.tower.stages.len());
+        for stage in &self.tower.stages {
             match stage {
-                StageOp::Filter(pred) => {
-                    let tris = self.eval_pred(pred, &sel);
+                Stage::Filter { predicate, slots } => {
+                    let holds = self.eval(predicate.node(), slots, &sel)?;
                     let mut kept = Vec::with_capacity(sel.len());
-                    for (i, &r) in sel.iter().enumerate() {
-                        if tris[i] == Tri::True {
+                    for (&r, holds) in sel.iter().zip(holds) {
+                        if holds == Some(true) {
                             kept.push(r);
                         }
                     }
                     sel = kept;
                 }
-                StageOp::Map(bindings) => {
-                    sel.retain(|&r| {
-                        bindings
-                            .iter()
-                            .all(|&atom| self.atom_present(atom, r as usize))
-                    });
+                Stage::Map(reads) => {
+                    let reads = reads
+                        .iter()
+                        .map(|lane| self.bind(lane.clone()))
+                        .collect::<Result<Vec<_>>>()?;
+                    sel.retain(|&r| reads.iter().all(|o| self.cell(o, r as usize).is_some()));
                 }
             }
             counts.push(sel.len());
         }
-        (counts, sel)
-    }
-
-    /// The value of an output atom; `None` only for a missing cell, which
-    /// the `Map` stages have already dropped.
-    fn value_of(&self, atom: usize, row: usize) -> Option<Value> {
-        match &self.atoms[atom] {
-            RunAtom::SelfOid => Some(Value::Oid(self.rows[row].clone())),
-            RunAtom::Const(v) | RunAtom::ConstStr { value: v, .. } => Some((*v).clone()),
-            RunAtom::Col(c) => self.cols[*c].value_at(row, &self.dict),
-        }
+        Ok((counts, sel))
     }
 
     /// Late materialization: build output slot rows, with room for `width`
     /// slots, only for survivors.
     fn materialize(&self, sel: &[u32], width: usize) -> Result<Vec<SlotRow>> {
+        let outputs = self
+            .tower
+            .outputs
+            .iter()
+            .map(|lane| self.bind(lane.clone()))
+            .collect::<Result<Vec<_>>>()?;
         let mut rows = Vec::with_capacity(sel.len());
         for &r in sel {
+            let r = r as usize;
             let mut row = Vec::with_capacity(width);
-            for &atom in &self.pipe.outputs {
-                row.push(self.value_of(atom, r as usize).ok_or_else(|| {
-                    CplError::BadPlan("a surviving row lacks an output attribute".into())
-                })?);
+            for output in &outputs {
+                row.push(match output {
+                    Operand::Identity => Value::Oid(self.rows[r].clone()),
+                    Operand::Const(value, _) => value.clone(),
+                    // Missing only if a `Map` stage failed to drop the row.
+                    Operand::Column(column) => column.value_at(r, &self.dict).ok_or_else(|| {
+                        CplError::BadPlan("a surviving row lacks an output attribute".into())
+                    })?,
+                });
             }
             rows.push(row);
         }
         Ok(rows)
-    }
-}
-
-impl Tri {
-    fn from_bool(b: bool) -> Tri {
-        if b {
-            Tri::True
-        } else {
-            Tri::False
-        }
     }
 }
 
@@ -540,60 +423,40 @@ pub(crate) fn try_run(
         return Ok(None);
     }
     // Delta evaluation narrows scans to restricted identity sets; the
-    // vectorized pipeline reads whole column chunks, so defer to `run_plan`
-    // where the restriction applies per scan.
+    // vectorized pipeline reads whole column chunks, so defer to the row
+    // path, where the restriction applies per scan.
     if ctx.has_scan_restrictions() {
         return Ok(None);
     }
-    let Some(pipe) = extract(plan) else {
+    let Some(tower) = extract(plan) else {
         return Ok(None);
     };
     let instance = ctx.sources()[0];
-    let rows = instance.class_row_index(&pipe.class);
-    let cols: Vec<Arc<AttrColumn>> = pipe
-        .attrs
-        .iter()
-        .map(|attr| instance.attr_column(&pipe.class, attr))
-        .collect();
-    let dict = instance.dict_strings();
-    let atoms: Vec<RunAtom<'_>> = pipe
-        .atoms
-        .iter()
-        .map(|atom| match atom {
-            Atom::SelfOid => RunAtom::SelfOid,
-            Atom::Col(c) => RunAtom::Col(*c),
-            Atom::Const(v @ Value::Str(s)) => RunAtom::ConstStr {
-                value: v,
-                s,
-                code: instance.dict_code(s),
-            },
-            Atom::Const(v) => RunAtom::Const(v),
-        })
-        .collect();
-    // A cell that may not be a boolean under a truth test: the row path's.
-    let non_boolean = |atom: &RunAtom<'_>| match atom {
-        RunAtom::Col(c) => cols[*c].kind() != ColumnKind::Bool && cols[*c].present() > 0,
-        RunAtom::Const(value) => !matches!(value, Value::Bool(_)),
-        RunAtom::SelfOid | RunAtom::ConstStr { .. } => true,
-    };
-    if pipe.tested.iter().any(|&atom| non_boolean(&atoms[atom])) {
-        return Ok(None);
-    }
-    let bound = BoundPipeline {
-        pipe: &pipe,
+    let rows = instance.class_row_index(&tower.class);
+    let batch = Batch {
+        tower: &tower,
+        instance,
         rows: rows.clone(),
-        cols,
-        dict,
-        atoms,
+        columns: tower
+            .columns
+            .iter()
+            .map(|label| instance.attr_column(&tower.class, label))
+            .collect(),
+        dict: instance.dict_strings(),
     };
+    for lane in &tower.tested {
+        if batch.may_not_be_boolean(lane)? {
+            return Ok(None);
+        }
+    }
     let n = rows.len();
     // Scan accounting, exactly as the row path's `Scan` arm records it.
     stats.rows_scanned += n;
     stats.record_operator_output(n);
-    ctx.record_columnar(n, bound.cols.len().max(1) * n.div_ceil(CHUNK_ROWS));
+    ctx.record_columnar(n, batch.columns.len().max(1) * n.div_ceil(CHUNK_ROWS));
 
     let parts = ctx.parallelism().partitions(n);
-    let bound = &bound;
+    let batch = &batch;
     let chunks = exec::run_partitioned(
         ctx,
         stats,
@@ -601,14 +464,14 @@ pub(crate) fn try_run(
         move |range: Range<usize>, _wctx, ws: &mut ExecStats| {
             ws.rows_scanned += range.len();
             ws.record_operator_output(range.len());
-            let (counts, sel) = bound.run_range(range);
+            let (counts, sel) = batch.run_range(range)?;
             for &c in &counts {
                 ws.record_operator_output(c);
             }
-            Ok((counts, bound.materialize(&sel, width)?))
+            Ok((counts, batch.materialize(&sel, width)?))
         },
     )?;
-    let mut stage_totals = vec![0usize; pipe.stages.len()];
+    let mut stage_totals = vec![0usize; tower.stages.len()];
     let mut out_rows = Vec::new();
     for (counts, chunk_rows) in chunks {
         for (slot, c) in stage_totals.iter_mut().zip(counts) {

@@ -425,7 +425,7 @@ fn scan_cardinality(plan: &Plan, ctx: &EvalCtx<'_>) -> Option<usize> {
 /// slot; a `Map` binding overwrites its name's slot or appends one; a join
 /// is left ++ right, a name on both sides keeping the right value in the left
 /// slot; an index-probe join (the path an unrestricted run takes whenever
-/// [`indexable_side`] finds one) appends, or overwrites, the probed variable
+/// `indexable_side` finds one) appends, or overwrites, the probed variable
 /// to the driving side's layout — and a delta-restricted run that drives
 /// from the other side writes into the same layout.
 pub fn layout(plan: &Plan) -> Vec<String> {
@@ -920,21 +920,17 @@ fn rows_of(
             let right_rows = rows_of(right, width, ctx, stats)?;
             let out = layout(plan);
             let splice = Splice::new(&out, &layout(left), &layout(right), width);
-            let lowered = predicate.as_ref().map(|p| Lowered::new(p, &out));
+            let predicate = Lowered::new(predicate, &out);
             let parts = ctx.parallelism().partitions(left_rows.len());
-            let (left_rows, right_rows, splice, lowered) =
-                (&left_rows, &right_rows, &splice, &lowered);
+            let (left_rows, right_rows, splice, predicate) =
+                (&left_rows, &right_rows, &splice, &predicate);
             let ranges = chunk_ranges(left_rows.len(), parts);
             let chunks = run_partitioned(ctx, stats, ranges, |range, wctx, ws| {
                 let mut out = Vec::new();
                 for l in &left_rows[range] {
                     for r in right_rows {
                         let combined = splice.join(l, r);
-                        let keep = match lowered {
-                            Some(p) => p.eval_predicate(&combined, wctx)?,
-                            None => true,
-                        };
-                        if keep {
+                        if predicate.eval_predicate(&combined, wctx)? {
                             out.push(combined);
                         }
                     }
@@ -1266,11 +1262,9 @@ mod tests {
         let mut stats = ExecStats::default();
         let nl = Plan::scan("CityE", "E").join(
             Plan::scan("CountryE", "C"),
-            Some(
-                Expr::var("E")
-                    .path("country.name")
-                    .eq(Expr::var("C").proj("name")),
-            ),
+            Expr::var("E")
+                .path("country.name")
+                .eq(Expr::var("C").proj("name")),
         );
         let hj = Plan::scan("CityE", "E").hash_join(
             Plan::scan("CountryE", "C"),
@@ -1734,7 +1728,7 @@ mod tests {
             shape(
                 "filter over join",
                 Plan::scan("CityE", "E")
-                    .join(Plan::scan("CountryE", "C"), None)
+                    .cross(Plan::scan("CountryE", "C"))
                     .filter(country_name().eq(Expr::var("C").proj("name"))),
             ),
             shape(
@@ -1775,7 +1769,7 @@ mod tests {
                 "nested-loop join",
                 Plan::scan("CityE", "E").join(
                     Plan::scan("CountryE", "C"),
-                    Some(country_name().eq(Expr::var("C").proj("name"))),
+                    country_name().eq(Expr::var("C").proj("name")),
                 ),
             ),
             shape(
@@ -2022,7 +2016,7 @@ mod tests {
             let hashed = Plan::scan("L", "X")
                 .map(vec![])
                 .hash_join_multi(Plan::scan("R", "Y").map(vec![]), keys);
-            let looped = Plan::scan("L", "X").join(Plan::scan("R", "Y"), Some(equality));
+            let looped = Plan::scan("L", "X").join(Plan::scan("R", "Y"), equality);
             let refs = [&inst];
             for threads in [1, 4] {
                 let run = |plan: &Plan| {
@@ -2412,11 +2406,9 @@ mod tests {
         let plan = Plan::scan("CityE", "E")
             .join(
                 Plan::scan("CountryE", "C"),
-                Some(
-                    Expr::var("E")
-                        .path("country.name")
-                        .eq(Expr::var("C").proj("name")),
-                ),
+                Expr::var("E")
+                    .path("country.name")
+                    .eq(Expr::var("C").proj("name")),
             )
             .filter(Expr::var("E").proj("is_capital"));
         let mut ctx = EvalCtx::new(&refs);
@@ -2494,8 +2486,17 @@ mod tests {
         let right = || Plan::scan("CountryE", "C").map(vec![country_name()]);
         let countries: BTreeSet<Value> = ["United Kingdom", "France"].map(Value::str).into();
         for (plan, rows) in [
+            (
+                left().join(
+                    right(),
+                    Expr::Neq(
+                        Box::new(Expr::var("E").proj("name")),
+                        Box::new(Expr::var("C").proj("name")),
+                    ),
+                ),
+                6,
+            ),
             (left().cross(right()), 6),
-            (left().join(right(), None), 6),
             (
                 left().hash_join(right(), Expr::var("E").path("country.name"), Expr::var("K")),
                 3,

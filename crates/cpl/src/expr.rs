@@ -18,7 +18,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use wol_model::{ClassName, Instance, Label, Oid, Record, SkolemFactory, Value};
+use wol_model::{ClassName, Instance, Label, Oid, PushOp, Record, SkolemFactory, Value};
 
 use crate::error::CplError;
 use crate::Result;
@@ -187,9 +187,9 @@ pub struct EvalCtx<'a> {
     /// context ran on more than one partition (slot `i` collects what
     /// partition `i` did).
     shard_stats: Vec<crate::exec::ExecStats>,
-    /// Whether scan→filter→project towers may run on the columnar executor
+    /// Whether scan→filter→map towers may run on the columnar driver
     /// ([`crate::columnar`]). On by default; [`EvalCtx::set_columnar`] turns
-    /// it off to keep the row path available as the differential baseline.
+    /// it off only to pin the row path, the tests' reference.
     columnar: bool,
     /// Telemetry of the columnar executor (kept out of [`ExecStats`] so the
     /// columnar/row differential contract — equal `ExecStats` — is not
@@ -294,9 +294,10 @@ impl<'a> EvalCtx<'a> {
         self.columnar
     }
 
-    /// Enable or disable the columnar executor for this context. Disabling
-    /// pins every plan to the row-at-a-time baseline (results are identical
-    /// either way — the differential tests prove it).
+    /// Enable or disable the columnar driver for this context. Disabling
+    /// pins every plan to the row path: the reference the differential tests
+    /// hold the columnar driver of the same lowered expressions to (results
+    /// are identical either way). Nothing outside the tests turns it off.
     pub fn set_columnar(&mut self, enabled: bool) {
         self.columnar = enabled;
     }
@@ -441,8 +442,10 @@ pub struct Lowered {
     node: Node,
 }
 
+/// A lowered expression node: an [`Expr`] with its variables resolved to
+/// slots. The columnar driver ([`crate::columnar`]) reads these too.
 #[derive(Clone, Debug)]
-enum Node {
+pub(crate) enum Node {
     Slot(usize),
     Unbound(String),
     Const(Value),
@@ -450,7 +453,8 @@ enum Node {
     Record(Vec<Node>, RecordShape),
     Variant(Label, Box<Node>),
     Skolem(ClassName, Box<Node>),
-    Cmp(fn(&Value, &Value) -> Result<bool>, Box<Node>, Box<Node>),
+    /// A comparison, decided by [`PushOp::holds`]: `Eq`, `Neq`, `Lt` or `Leq`.
+    Cmp(PushOp, Box<Node>, Box<Node>),
     And(Vec<Node>),
     Not(Box<Node>),
 }
@@ -507,6 +511,11 @@ impl Lowered {
         }
     }
 
+    /// The lowered tree.
+    pub(crate) fn node(&self) -> &Node {
+        &self.node
+    }
+
     /// Evaluate against a row of the layout this expression was lowered
     /// against, borrowing wherever the value already exists.
     pub fn eval<'r, 'c: 'r>(
@@ -545,10 +554,10 @@ impl Node {
             ),
             Expr::Variant(label, payload) => Node::Variant(label.clone(), lower(payload)),
             Expr::Skolem(class, key) => Node::Skolem(class.clone(), lower(key)),
-            Expr::Eq(a, b) => Node::Cmp(|a, b| Ok(a == b), lower(a), lower(b)),
-            Expr::Neq(a, b) => Node::Cmp(|a, b| Ok(a != b), lower(a), lower(b)),
-            Expr::Lt(a, b) => Node::Cmp(|a, b| Ok(compare(a, b)?.is_lt()), lower(a), lower(b)),
-            Expr::Leq(a, b) => Node::Cmp(|a, b| Ok(compare(a, b)?.is_le()), lower(a), lower(b)),
+            Expr::Eq(a, b) => Node::Cmp(PushOp::Eq, lower(a), lower(b)),
+            Expr::Neq(a, b) => Node::Cmp(PushOp::Neq, lower(a), lower(b)),
+            Expr::Lt(a, b) => Node::Cmp(PushOp::Lt, lower(a), lower(b)),
+            Expr::Leq(a, b) => Node::Cmp(PushOp::Leq, lower(a), lower(b)),
             Expr::And(es) => Node::And(es.iter().map(|e| Node::lower(e, layout)).collect()),
             Expr::Not(e) => Node::Not(lower(e)),
         }
@@ -582,7 +591,14 @@ impl Node {
             }
             Node::Cmp(op, a, b) => {
                 let (a, b) = (a.eval(row, ctx)?, b.eval(row, ctx)?);
-                boolean(op(&a, &b)?)
+                let holds = op.holds((&*a).into(), (&*b).into()).ok_or_else(|| {
+                    CplError::BadValue(format!(
+                        "cannot compare values of kinds `{}` and `{}`",
+                        a.kind(),
+                        b.kind()
+                    ))
+                })?;
+                boolean(holds)
             }
             Node::And(conjuncts) => {
                 for conjunct in conjuncts {
@@ -619,16 +635,6 @@ fn truthy(value: &Value) -> Result<bool> {
         Value::Bool(b) => Ok(*b),
         other => Err(CplError::NotBoolean(other.kind())),
     }
-}
-
-fn compare(a: &Value, b: &Value) -> Result<std::cmp::Ordering> {
-    a.ordered_cmp(b).ok_or_else(|| {
-        CplError::BadValue(format!(
-            "cannot compare values of kinds `{}` and `{}`",
-            a.kind(),
-            b.kind()
-        ))
-    })
 }
 
 #[cfg(test)]

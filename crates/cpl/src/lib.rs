@@ -8,12 +8,19 @@
 //!
 //! * row expressions over complex values ([`expr::Expr`]): projection through
 //!   object identities, record/variant construction, Skolem object creation,
-//!   comparisons and boolean connectives;
+//!   comparisons and boolean connectives. Each is lowered once against its
+//!   plan node's slot layout ([`Lowered`]); a comparison is decided by
+//!   [`wol_model::PushOp::holds`], the one definition the clause matcher and
+//!   the scan providers share;
 //! * a physical algebra ([`plan::Plan`]): class scans, filters, binding maps,
-//!   and nested-loop, hash (single- or composite-key) and cross joins;
-//! * a single-pass executor ([`exec`]) over slot-addressed rows that runs a
-//!   plan against source instances and applies *insert actions* to build
-//!   the target instance, merging partial inserts by Skolem key;
+//!   predicated nested-loop (theta), hash (single- or composite-key) and
+//!   cross joins — a product has the one spelling [`Plan::CrossJoin`];
+//! * one lowering, two drivers: a single-pass executor ([`exec`]) over
+//!   slot-addressed rows that runs a plan against source instances and
+//!   applies *insert actions* to build the target instance, merging partial
+//!   inserts by Skolem key; and a columnar driver ([`columnar`]) that runs
+//!   the same lowered expressions of scan→filter→map towers batch-at-a-time
+//!   over typed columns;
 //! * a cost-based join-graph planner ([`optimizer`]): decomposes a compiled
 //!   plan into scans plus a conjunct pool and greedily re-joins the cheapest
 //!   connected pair, fed by extent statistics and per-attribute equi-depth

@@ -1,6 +1,6 @@
 //! A cost-based join-graph planner.
 //!
-//! The paper relies on "the Kleisli optimizer [rewriting] the CPL code to a
+//! The paper relies on "the Kleisli optimizer \[rewriting\] the CPL code to a
 //! more efficient form" (Section 6). This module is that substitute. The
 //! primary entry point is [`optimize_with_stats`], a **join-graph planner**:
 //!
@@ -279,9 +279,7 @@ fn decompose<'p>(plan: &'p Plan, pool: &mut Pool<'p>) {
         } => {
             decompose(left, pool);
             decompose(right, pool);
-            if let Some(p) = predicate {
-                split_conjuncts(p, &mut pool.conjuncts);
-            }
+            split_conjuncts(predicate, &mut pool.conjuncts);
         }
         Plan::HashJoin { left, right, keys } => {
             decompose(left, pool);
@@ -642,11 +640,9 @@ pub fn estimate_plan(plan: &Plan, stats: &Statistics<'_>) -> PlanEstimate {
             } => {
                 let l = go(left, est, joins);
                 let r = go(right, est, joins);
-                let mut rows = l.rows * r.rows;
                 let mut updates = Vec::new();
-                if let Some(p) = predicate {
-                    rows *= est.conjunct_selectivity(p, &[&l, &r], &mut updates);
-                }
+                let sel = est.conjunct_selectivity(predicate, &[&l, &r], &mut updates);
+                let rows = l.rows * r.rows * sel;
                 ("NestedLoopJoin", l, r, rows, updates)
             }
             Plan::CrossJoin { left, right } => {
@@ -1138,13 +1134,15 @@ fn join_components(
     card.absorb_join(right.card, est);
     card.apply_updates(updates);
     let mut plan = if keys.is_empty() {
-        // Connected only by non-equality conjuncts: a predicated nested loop.
+        // Connected only by non-equality conjuncts (at least one): a
+        // predicated nested loop.
         let (outer, inner) = if left_rows <= right_rows {
             (left.plan, right.plan)
         } else {
             (right.plan, left.plan)
         };
-        let plan = outer.join(inner, conjunction(std::mem::take(&mut residual)));
+        let predicate = conjunction(std::mem::take(&mut residual));
+        let plan = outer.join(inner, predicate.unwrap_or(Expr::And(Vec::new())));
         return Component { plan, card };
     } else {
         // Orient the hash join: a bare indexable scan goes where the executor
@@ -1229,11 +1227,9 @@ mod tests {
     fn nested_loop_with_equality_becomes_hash_join() {
         let plan = Plan::scan("CityE", "E").join(
             Plan::scan("CountryE", "C"),
-            Some(
-                Expr::var("E")
-                    .path("country.name")
-                    .eq(Expr::var("C").proj("name")),
-            ),
+            Expr::var("E")
+                .path("country.name")
+                .eq(Expr::var("C").proj("name")),
         );
         assert!(matches!(optimize(plan), Plan::HashJoin { .. }));
     }
@@ -1242,12 +1238,12 @@ mod tests {
     fn residual_conjuncts_preserved_as_filter() {
         let plan = Plan::scan("CityE", "E").join(
             Plan::scan("CountryE", "C"),
-            Some(Expr::and(vec![
+            Expr::and(vec![
                 Expr::var("E")
                     .path("country.name")
                     .eq(Expr::var("C").proj("name")),
                 Expr::var("E").proj("is_capital"),
-            ])),
+            ]),
         );
         // The one-sided capital test is pushed below the join.
         match optimize(plan) {
@@ -1263,7 +1259,7 @@ mod tests {
     #[test]
     fn filter_pushed_below_join() {
         let plan = Plan::scan("CityE", "E")
-            .join(Plan::scan("CountryE", "C"), None)
+            .cross(Plan::scan("CountryE", "C"))
             .filter(Expr::var("E").proj("is_capital"));
         // The planner has no equality to join on: the graph is disconnected,
         // so it owns up to the product with an explicit CrossJoin (and still
@@ -1285,12 +1281,12 @@ mod tests {
         let original = Plan::scan("CityE", "E")
             .join(
                 Plan::scan("CountryE", "C"),
-                Some(Expr::and(vec![
+                Expr::and(vec![
                     Expr::var("E")
                         .path("country.name")
                         .eq(Expr::var("C").proj("name")),
                     Expr::var("E").proj("is_capital"),
-                ])),
+                ]),
             )
             .map(vec![("N".to_string(), Expr::var("C").proj("language"))]);
         let expected = rows_of(&original, &inst);
@@ -1312,7 +1308,7 @@ mod tests {
         // which the planner inlines into a hash-join key.
         let inst = instance();
         let plan = Plan::scan("CityE", "E")
-            .join(Plan::scan("CountryE", "C"), None)
+            .cross(Plan::scan("CountryE", "C"))
             .map(vec![("N".to_string(), Expr::var("C").proj("name"))])
             .filter(Expr::var("E").path("country.name").eq(Expr::var("N")));
         let refs = [&inst];
@@ -1327,14 +1323,14 @@ mod tests {
     fn multi_key_equalities_fold_into_one_composite_hash_join() {
         let plan = Plan::scan("CityE", "E").join(
             Plan::scan("CountryE", "C"),
-            Some(Expr::and(vec![
+            Expr::and(vec![
                 Expr::var("E")
                     .path("country.name")
                     .eq(Expr::var("C").proj("name")),
                 Expr::var("E")
                     .path("country.language")
                     .eq(Expr::var("C").proj("language")),
-            ])),
+            ]),
         );
         let inst = instance();
         let expected = rows_of(&plan, &inst);
@@ -1354,8 +1350,8 @@ mod tests {
         // connects them), and must never emit a cross product.
         let inst = instance();
         let plan = Plan::scan("CityE", "E")
-            .join(Plan::scan("CityE", "F"), None)
-            .join(Plan::scan("CountryE", "C"), None)
+            .cross(Plan::scan("CityE", "F"))
+            .cross(Plan::scan("CountryE", "C"))
             .filter(Expr::and(vec![
                 Expr::var("E")
                     .path("country.name")
@@ -1376,7 +1372,7 @@ mod tests {
     fn disconnected_graphs_cross_join_the_smallest_components() {
         let inst = instance();
         let plan = Plan::scan("CityE", "E")
-            .join(Plan::scan("CountryE", "C"), None)
+            .cross(Plan::scan("CountryE", "C"))
             .filter(Expr::var("E").proj("is_capital"))
             .filter(
                 Expr::var("C")
@@ -1394,13 +1390,13 @@ mod tests {
     fn join_without_usable_equality_stays_nested_loop() {
         let plan = Plan::scan("CityE", "E").join(
             Plan::scan("CountryE", "C"),
-            Some(Expr::Lt(
+            Expr::Lt(
                 Box::new(Expr::var("E").proj("name")),
                 Box::new(Expr::var("C").proj("name")),
-            )),
+            ),
         );
         match optimize(plan) {
-            Plan::NestedLoopJoin { predicate, .. } => assert!(predicate.is_some()),
+            Plan::NestedLoopJoin { predicate, .. } => assert!(matches!(predicate, Expr::Lt(..))),
             other => panic!("expected nested loop join, got {other:?}"),
         }
     }
@@ -1409,11 +1405,9 @@ mod tests {
     fn optimize_is_idempotent() {
         let plan = Plan::scan("CityE", "E").join(
             Plan::scan("CountryE", "C"),
-            Some(
-                Expr::var("E")
-                    .path("country.name")
-                    .eq(Expr::var("C").proj("name")),
-            ),
+            Expr::var("E")
+                .path("country.name")
+                .eq(Expr::var("C").proj("name")),
         );
         let once = optimize(plan);
         let twice = optimize(once.clone());
@@ -1622,7 +1616,7 @@ mod tests {
             let scan = Plan::scan(class_of(i), var_of(i));
             plan = Some(match plan {
                 None => scan,
-                Some(p) => p.join(scan, None),
+                Some(p) => p.cross(scan),
             });
         }
         let mut plan = plan.expect("k >= 2").map(vec![
@@ -1771,7 +1765,7 @@ mod tests {
         // to the *rebound* `E` — neither is reported.
         let plan = Plan::scan("CityE", "E")
             .filter(Expr::var("E").proj("name").eq(Expr::constant("Paris")))
-            .join(Plan::scan("CountryE", "C"), None)
+            .cross(Plan::scan("CountryE", "C"))
             .filter(Expr::var("C").proj("name").eq(Expr::constant("France")))
             .map(vec![("E".to_string(), Expr::var("E").proj("country"))])
             .filter(Expr::var("E").proj("name").eq(Expr::constant("France")));

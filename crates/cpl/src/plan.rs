@@ -32,14 +32,15 @@ pub enum Plan {
         /// New row variables and their defining expressions.
         bindings: Vec<(String, Expr)>,
     },
-    /// Nested-loop join with an optional residual predicate.
+    /// Nested-loop join on a predicate that is no key equality: the planner's
+    /// theta join. (A product is a [`Plan::CrossJoin`].)
     NestedLoopJoin {
         /// Left input.
         left: Box<Plan>,
         /// Right input.
         right: Box<Plan>,
-        /// Join predicate (over the combined row); `None` means a product.
-        predicate: Option<Expr>,
+        /// Join predicate, over the combined row.
+        predicate: Expr,
     },
     /// Hash join on the (possibly composite) equality of key expressions:
     /// rows combine when every `(left_key, right_key)` pair evaluates equal.
@@ -89,7 +90,7 @@ impl Plan {
     }
 
     /// Nested-loop join helper.
-    pub fn join(self, right: Plan, predicate: Option<Expr>) -> Plan {
+    pub fn join(self, right: Plan, predicate: Expr) -> Plan {
         Plan::NestedLoopJoin {
             left: Box::new(self),
             right: Box::new(right),
@@ -175,7 +176,7 @@ impl Plan {
                     right,
                     predicate,
                 } => {
-                    out.extend(predicate.iter());
+                    out.push(predicate);
                     go(left, out);
                     go(right, out);
                 }
@@ -301,8 +302,12 @@ mod tests {
         assert!(rendered.contains("HashJoin"));
         assert!(rendered.contains("Scan CityE as E"));
 
-        let nl = Plan::scan("A", "a").join(Plan::scan("B", "b"), None);
+        let nl = Plan::scan("A", "a").join(
+            Plan::scan("B", "b"),
+            Expr::var("a").proj("x").eq(Expr::var("b").proj("y")),
+        );
         assert!(nl.render().contains("NestedLoopJoin"));
+        assert_eq!(nl.expressions().len(), 1);
         assert_eq!(nl.operator_count(), 3);
     }
 

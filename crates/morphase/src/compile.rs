@@ -119,7 +119,7 @@ fn translate_clause(clause: &NormalClause) -> Result<Query> {
                 produced.insert(v);
                 plan = Some(match plan {
                     None => scan,
-                    Some(existing) => existing.join(scan, None),
+                    Some(existing) => existing.cross(scan),
                 });
             }
             Atom::Member(_, class) => {

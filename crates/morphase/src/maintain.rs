@@ -3,7 +3,7 @@
 //! A [`crate::Morphase`] run is a one-shot function from source instances to
 //! a target instance. This module keeps that function's output *standing*:
 //! after an initial build, the pipeline accepts
-//! [`MutationBatch`](wol_model::MutationBatch)es against its sources and
+//! [`MutationBatch`]es against its sources and
 //! repairs the target in place, guaranteeing at every batch boundary that
 //! the maintained target is **bit-identical** (object identities included)
 //! to what a from-scratch run over the mutated sources would produce.
@@ -487,9 +487,7 @@ impl DerefScan<'_> {
             } => {
                 self.walk_plan(left);
                 self.walk_plan(right);
-                if let Some(p) = predicate {
-                    self.visit(p);
-                }
+                self.visit(predicate);
             }
             Plan::HashJoin { left, right, keys } => {
                 self.walk_plan(left);

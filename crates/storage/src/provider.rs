@@ -70,25 +70,15 @@ pub struct PushedFilter {
 
 impl PushedFilter {
     /// Whether a row whose `attr` holds `value` (or lacks it, `None`)
-    /// passes. Mirrors the executor's semantics exactly: a missing
-    /// attribute never passes (the executor's projection error makes the
-    /// predicate false), equality across kinds is plain value inequality,
-    /// and ordered comparisons over uncomparable kinds fail.
+    /// passes, by the executor's own comparison ([`PushOp::holds`]): a
+    /// missing attribute never passes (the executor's projection error makes
+    /// the predicate false), and neither does an uncomparable pair.
     pub fn matches(&self, value: Option<&Value>) -> bool {
-        let Some(value) = value else {
-            return false;
-        };
-        use std::cmp::Ordering;
-        let ordered =
-            |holds: fn(Ordering) -> bool| value.ordered_cmp(&self.value).is_some_and(holds);
-        match self.op {
-            PushOp::Eq => value == &self.value,
-            PushOp::Neq => value != &self.value,
-            PushOp::Lt => ordered(Ordering::is_lt),
-            PushOp::Leq => ordered(Ordering::is_le),
-            PushOp::Gt => ordered(Ordering::is_gt),
-            PushOp::Geq => ordered(Ordering::is_ge),
-        }
+        value.is_some_and(|value| {
+            self.op
+                .holds(value.into(), (&self.value).into())
+                .unwrap_or(false)
+        })
     }
 }
 

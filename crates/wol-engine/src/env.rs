@@ -50,8 +50,8 @@ use std::ops::Range;
 
 use wol_lang::ast::{Atom, SkolemArgs, Term, Var};
 use wol_model::{
-    chunk_ranges, ClassName, Instance, Job, Label, Oid, Parallelism, SharedValue, SkolemFactory,
-    Value, WorkerPool,
+    chunk_ranges, ClassName, Instance, Job, Label, Oid, Parallelism, PushOp, SharedValue,
+    SkolemFactory, Value, WorkerPool,
 };
 
 use crate::error::EngineError;
@@ -680,27 +680,20 @@ fn check_bound_atom(
         Atom::Eq(s, t) => {
             let sv = try_eval_term(s, bindings, dbs, skolem);
             let tv = try_eval_term(t, bindings, dbs, skolem);
-            Ok(matches!((sv, tv), (Some(a), Some(b)) if a == b))
-        }
-        Atom::Neq(s, t) => {
-            let a = eval_term(s, bindings, dbs, skolem)?;
-            let b = eval_term(t, bindings, dbs, skolem)?;
-            Ok(a != b)
-        }
-        Atom::Lt(s, t) | Atom::Leq(s, t) => {
-            let a = eval_term(s, bindings, dbs, skolem)?;
-            let b = eval_term(t, bindings, dbs, skolem)?;
-            let ordering = a.ordered_cmp(&b).ok_or_else(|| {
-                EngineError::Eval(format!(
-                    "cannot compare values of kinds `{}` and `{}`",
-                    a.kind(),
-                    b.kind()
-                ))
-            })?;
-            Ok(match atom {
-                Atom::Lt(_, _) => ordering == std::cmp::Ordering::Less,
-                _ => ordering != std::cmp::Ordering::Greater,
+            Ok(match (sv, tv) {
+                (Some(a), Some(b)) => holds(PushOp::Eq, &a, &b)?,
+                _ => false,
             })
+        }
+        Atom::Neq(s, t) | Atom::Lt(s, t) | Atom::Leq(s, t) => {
+            let a = eval_term(s, bindings, dbs, skolem)?;
+            let b = eval_term(t, bindings, dbs, skolem)?;
+            let op = match atom {
+                Atom::Neq(_, _) => PushOp::Neq,
+                Atom::Lt(_, _) => PushOp::Lt,
+                _ => PushOp::Leq,
+            };
+            holds(op, &a, &b)
         }
         Atom::InSet(elem, set) => {
             let set_value = eval_term(set, bindings, dbs, skolem)?;
@@ -717,6 +710,18 @@ fn check_bound_atom(
             }
         }
     }
+}
+
+/// `a op b` by the query language's one comparison ([`PushOp::holds`]); an
+/// uncomparable pair is an evaluation error here, not a failed match.
+fn holds(op: PushOp, a: &Value, b: &Value) -> Result<bool> {
+    op.holds(a.into(), b.into()).ok_or_else(|| {
+        EngineError::Eval(format!(
+            "cannot compare values of kinds `{}` and `{}`",
+            a.kind(),
+            b.kind()
+        ))
+    })
 }
 
 /// What one partition of a match owns: a Skolem factory and counters (the

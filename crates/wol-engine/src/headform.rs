@@ -4,7 +4,7 @@
 //! target classes: their class membership, some of their attributes, and
 //! possibly their identity via an explicit Skolem (`Mk_C`) equation. This
 //! module extracts that structure once, for use by both the naive evaluator
-//! ([`crate::semantics`]) and the normaliser ([`crate::normalize`]).
+//! ([`crate::semantics`]) and the normaliser ([`crate::normalize`](mod@crate::normalize)).
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -12,7 +12,7 @@
 //! * [`snf`] — semi-normal form rewriting (Section 5).
 //! * [`headform`] — analysis of transformation-clause heads into partial
 //!   object descriptions.
-//! * [`normalize`] — normalisation by unify/unfold into normal-form clauses,
+//! * [`normalize`](mod@normalize) — normalisation by unify/unfold into normal-form clauses,
 //!   plus a single-pass executor for normal-form programs.
 //! * [`optimize`] — source-constraint-based simplification and unsatisfiable
 //!   clause pruning (Section 4.2).

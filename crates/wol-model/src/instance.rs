@@ -9,7 +9,7 @@
 //!
 //! Extent and value map are one structure here: per declared class, a
 //! persistent ordered store of `(identity, value)` entries
-//! ([`crate::store`]). Copying an instance copies one pointer per class, and
+//! (the private `store` module). Copying an instance copies one pointer per class, and
 //! the copy and the original are from then on two *versions* that share every
 //! chunk of entries neither has changed since; a mutation copies the chunk it
 //! touches, never the class. Whoever holds a version keeps seeing exactly the

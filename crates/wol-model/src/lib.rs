@@ -29,7 +29,7 @@
 //! one another (see [`instance`] for what `clone` and `snapshot` carry).
 //! Underneath, the lazy cache on each instance *derives* column-major views
 //! for the hot read paths: per-(class, attribute) typed column chunks with
-//! missing-value bitmaps and a shared string dictionary ([`column`],
+//! missing-value bitmaps and a shared string dictionary ([`column`](mod@column),
 //! [`Instance::attr_column`]), per-attribute hash indexes, and equi-depth
 //! histograms (sampled above [`histogram::SAMPLE_THRESHOLD`] rows). All of
 //! them hang off the same [`index::IndexCache`], owned by one version and
@@ -83,7 +83,7 @@ pub use parallel::{chunk_ranges, Job, Parallelism, WorkerPool};
 pub use path::Path;
 pub use schema::Schema;
 pub use types::{interner_lookups, BaseType, ClassName, Label, Type};
-pub use values::{Fields, PushOp, RealVal, Record, SharedValue, Value};
+pub use values::{Fields, PushOp, RealVal, Record, SharedValue, Value, ValueRef};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ModelError>;

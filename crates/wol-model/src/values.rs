@@ -23,6 +23,15 @@
 //! [`Record::from_sorted`] fields already in label order, so no row takes
 //! the interner's lock or sorts. [`Value::record`] and collecting into a
 //! [`Record`] intern and sort: conveniences for tests and generators.
+//!
+//! ## Comparison
+//!
+//! The query language's `=`, `!=`, `<` and `=<` have one definition,
+//! [`PushOp::holds`], over borrowed [`ValueRef`] views, so a typed column
+//! cell compares without becoming a [`Value`]. The row executor, the
+//! columnar kernels, the clause matcher and the scan providers all call it;
+//! only what an uncomparable pair *means* (a false predicate or an error) is
+//! theirs.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -92,10 +101,14 @@ impl From<f64> for RealVal {
     }
 }
 
-/// A comparison of one attribute against a constant, the attribute always on
-/// the left: what the planner diverts from a scan's filter (`cpl::PushCmp`)
-/// and a scan backend evaluates natively (`storage::provider::PushOp`) — one
-/// type, so the two layers cannot drift apart.
+/// A comparison of the query language, and its one definition
+/// ([`PushOp::holds`]). Every evaluator compares through it: the executor's
+/// lowered expressions and its columnar kernels (`cpl`), the clause matcher
+/// (`wol-engine`), and — as the comparison of one attribute against a
+/// constant, the attribute always on the left — what the planner diverts from
+/// a scan's filter (`cpl::PushCmp`) and a scan backend evaluates natively
+/// (`storage::provider::PushOp`). One type and one definition, so no two of
+/// these layers can drift apart.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PushOp {
     /// `attr = const`.
@@ -110,6 +123,86 @@ pub enum PushOp {
     Gt,
     /// `attr >= const` (normalised from `const =< attr`).
     Geq,
+}
+
+impl PushOp {
+    /// Whether `left op right` holds: the query language's one definition of
+    /// `=`, `!=`, `<`, `=<` (and the pushed `>`, `>=`).
+    ///
+    /// * `=` and `!=` are structural value equality: kinds never mix
+    ///   (`1 != 1.0`), reals are equal under their total order, and values of
+    ///   different kinds are simply unequal — never an error.
+    /// * The ordered comparisons take integers, reals — the int/real mixes
+    ///   promote the integer — and strings. Any other pairing is
+    ///   uncomparable: `None`, which each caller maps to its own policy (a
+    ///   false predicate in the executor and the providers, an error in the
+    ///   clause matcher).
+    pub fn holds(self, left: ValueRef<'_>, right: ValueRef<'_>) -> Option<bool> {
+        use std::cmp::Ordering;
+        use ValueRef::{Bool, Int, Other, Real, Str};
+        let equal = || match (left, right) {
+            (Int(x), Int(y)) => x == y,
+            (Real(x), Real(y)) => x == y,
+            (Bool(x), Bool(y)) => x == y,
+            (Str(x), Str(y)) => x == y,
+            (ValueRef::Oid(x), ValueRef::Oid(y)) => x == y,
+            (Other(x), Other(y)) => x == y,
+            _ => false,
+        };
+        let ordered = |holds: fn(Ordering) -> bool| {
+            let ordering = match (left, right) {
+                (Int(x), Int(y)) => x.cmp(&y),
+                (Real(x), Real(y)) => x.cmp(&y),
+                (Int(x), Real(y)) => RealVal(x as f64).cmp(&y),
+                (Real(x), Int(y)) => x.cmp(&RealVal(y as f64)),
+                (Str(x), Str(y)) => x.cmp(y),
+                _ => return None,
+            };
+            Some(holds(ordering))
+        };
+        match self {
+            PushOp::Eq => Some(equal()),
+            PushOp::Neq => Some(!equal()),
+            PushOp::Lt => ordered(Ordering::is_lt),
+            PushOp::Leq => ordered(Ordering::is_le),
+            PushOp::Gt => ordered(Ordering::is_gt),
+            PushOp::Geq => ordered(Ordering::is_ge),
+        }
+    }
+}
+
+/// A borrowed view of a value, as [`PushOp::holds`] reads it: a scalar by
+/// value or by reference, anything else as the value itself. A typed column
+/// cell produces one without building a [`Value`]; a [`Value`] gives one
+/// through `From`, which is how an `Other` is made — an `Other` never holds
+/// a scalar, so equal values have equal views.
+#[derive(Clone, Copy, Debug)]
+pub enum ValueRef<'a> {
+    /// An integer.
+    Int(i64),
+    /// A real.
+    Real(RealVal),
+    /// A boolean.
+    Bool(bool),
+    /// A string.
+    Str(&'a str),
+    /// An object identity.
+    Oid(&'a Oid),
+    /// A set, list, record, variant, unit or absent value.
+    Other(&'a Value),
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    fn from(value: &'a Value) -> Self {
+        match value {
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Real(r) => ValueRef::Real(*r),
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Oid(o) => ValueRef::Oid(o),
+            other => ValueRef::Other(other),
+        }
+    }
 }
 
 /// A value of the WOL data model.
@@ -345,19 +438,20 @@ impl Value {
     }
 
     /// The query language's ordered comparison (`<`, `=<` and their pushed
-    /// forms): integers, reals — including the int/real mixes, the integer
-    /// promoted — and strings compare; every other pairing is uncomparable
-    /// (`None`). Distinct from the derived structural [`Ord`], which orders
-    /// *all* values so they can key canonical sets and maps.
+    /// forms), as [`PushOp::holds`] defines it: integers, reals — including
+    /// the int/real mixes, the integer promoted — and strings compare; every
+    /// other pairing is uncomparable (`None`). Distinct from the derived
+    /// structural [`Ord`], which orders *all* values so they can key
+    /// canonical sets and maps.
     pub fn ordered_cmp(&self, other: &Value) -> Option<std::cmp::Ordering> {
-        match (self, other) {
-            (Value::Int(x), Value::Int(y)) => Some(x.cmp(y)),
-            (Value::Real(x), Value::Real(y)) => Some(x.cmp(y)),
-            (Value::Str(x), Value::Str(y)) => Some(x.cmp(y)),
-            (Value::Int(x), Value::Real(y)) => Some(RealVal(*x as f64).cmp(y)),
-            (Value::Real(x), Value::Int(y)) => Some(x.cmp(&RealVal(*y as f64))),
-            _ => None,
-        }
+        let (left, right) = (ValueRef::from(self), ValueRef::from(other));
+        Some(if PushOp::Lt.holds(left, right)? {
+            std::cmp::Ordering::Less
+        } else if PushOp::Gt.holds(left, right)? {
+            std::cmp::Ordering::Greater
+        } else {
+            std::cmp::Ordering::Equal
+        })
     }
 
     /// Merge two record values that describe the *same* object, field by field.
@@ -759,5 +853,72 @@ mod tests {
         assert_eq!(Value::Unit.kind(), "unit");
         assert_eq!(Value::Absent.kind(), "absent");
         assert_eq!(Value::list([Value::int(1)]).kind(), "list");
+    }
+
+    /// The one comparison: equality is the values' structural equality
+    /// (kinds never mix), the ordered comparisons promote int/real mixes and
+    /// leave other kind pairs uncomparable, and `ordered_cmp` agrees.
+    #[test]
+    fn comparisons_have_one_definition() {
+        let values = [
+            Value::int(1),
+            Value::int(2),
+            Value::real(1.0),
+            Value::real(-0.0),
+            Value::real(f64::NAN),
+            Value::Bool(true),
+            Value::str("a"),
+            Value::str("b"),
+            Value::oid(oid("C", 1)),
+            Value::set([Value::int(1)]),
+            Value::record([("x", Value::int(1))]),
+            Value::Unit,
+        ];
+        let ops = [
+            PushOp::Eq,
+            PushOp::Neq,
+            PushOp::Lt,
+            PushOp::Leq,
+            PushOp::Gt,
+            PushOp::Geq,
+        ];
+        for a in &values {
+            for b in &values {
+                let holds = |op: PushOp| op.holds(a.into(), b.into());
+                assert_eq!(holds(PushOp::Eq), Some(a == b), "{a:?} = {b:?}");
+                assert_eq!(holds(PushOp::Neq), Some(a != b), "{a:?} != {b:?}");
+                let ordering = a.ordered_cmp(b);
+                let comparable = matches!(
+                    (a, b),
+                    (
+                        Value::Int(_) | Value::Real(_),
+                        Value::Int(_) | Value::Real(_)
+                    ) | (Value::Str(_), Value::Str(_))
+                );
+                assert_eq!(ordering.is_some(), comparable, "{a:?} <> {b:?}");
+                for op in &ops[2..] {
+                    let expected = ordering.map(|o| match op {
+                        PushOp::Lt => o.is_lt(),
+                        PushOp::Leq => o.is_le(),
+                        PushOp::Gt => o.is_gt(),
+                        _ => o.is_ge(),
+                    });
+                    assert_eq!(holds(*op), expected, "{a:?} {op:?} {b:?}");
+                }
+            }
+        }
+        assert_eq!(
+            Value::int(1).ordered_cmp(&Value::real(1.0)),
+            Some(std::cmp::Ordering::Equal)
+        );
+        assert_eq!(
+            PushOp::Eq.holds((&Value::int(1)).into(), ValueRef::Real(RealVal(1.0))),
+            Some(false)
+        );
+        assert_eq!(
+            PushOp::Lt.holds(ValueRef::Real(RealVal(-0.0)), ValueRef::Int(0)),
+            Some(true)
+        );
+        assert_eq!(PushOp::Lt.holds(ValueRef::Str("a"), ValueRef::Int(0)), None);
     }
 }

@@ -310,7 +310,7 @@ pub fn generate_assay_csv(params: &FederatedParams) -> String {
 
 /// Build the three backend providers for `params`. Returned in source-class
 /// order (`AssayC` CSV, `MarkerA` AceDB, `CloneR` relational); callers pass
-/// them to [`morphase::Morphase::transform_federated`] as
+/// them to `morphase::Morphase::transform_federated` as
 /// `&[&csv, &ace, &rel]`.
 pub fn providers(params: &FederatedParams) -> (CsvDirProvider, AceProvider, RelationalProvider) {
     let csv = CsvDirProvider::from_texts(vec![(

@@ -97,7 +97,7 @@ fn chain_join_raw_plan(k: usize, rotation: usize) -> Plan {
         let scan = Plan::scan(class_of(i), var_of(i));
         plan = Some(match plan {
             None => scan,
-            Some(p) => p.join(scan, None),
+            Some(p) => p.cross(scan),
         });
     }
     let mut plan = plan.expect("at least two scans").map(vec![(
@@ -140,7 +140,7 @@ fn skew_chain_raw_plan(k: usize, rotation: usize) -> Plan {
         let scan = Plan::scan(class_of(i), var_of(i));
         plan = Some(match plan {
             None => scan,
-            Some(p) => p.join(scan, None),
+            Some(p) => p.cross(scan),
         });
     }
     // V0 is always a MarkerS scan; N goes through a Map definition so the
@@ -553,7 +553,10 @@ proptest! {
             }
             Ok(base.unwrap_or_default())
         };
-        let ops: [(fn(Box<Expr>, Box<Expr>) -> Expr, PushOp, PushOp); 4] = [
+        // Each comparison, with the pushed operator for `attr op const` and
+        // for `const op attr`.
+        type Build = fn(Box<Expr>, Box<Expr>) -> Expr;
+        let ops: [(Build, PushOp, PushOp); 4] = [
             (Expr::Eq, PushOp::Eq, PushOp::Eq),
             (Expr::Neq, PushOp::Neq, PushOp::Neq),
             (Expr::Lt, PushOp::Lt, PushOp::Gt),
