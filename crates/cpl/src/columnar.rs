@@ -106,7 +106,7 @@ enum Stage {
 
 /// A scan→filter→map tower lowered for the batch driver.
 #[derive(Debug)]
-pub(crate) struct Tower {
+struct Tower {
     class: ClassName,
     stages: Vec<Stage>,
     /// The lane behind each slot of the tower's layout.
@@ -154,7 +154,7 @@ impl Tower {
 
 /// Lower `plan` for the batch driver, or `None` when any part of it is out
 /// of scope (then the row-at-a-time executor runs it).
-pub(crate) fn extract(plan: &Plan) -> Option<Tower> {
+fn extract(plan: &Plan) -> Option<Tower> {
     let mut nodes = Vec::new();
     let mut cur = plan;
     let class = loop {

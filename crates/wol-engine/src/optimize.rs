@@ -30,7 +30,7 @@
 use std::collections::{BTreeMap, HashSet};
 
 use wol_lang::ast::{Atom, SkolemArgs, Term, Var};
-use wol_model::{ClassName, Path, Value};
+use wol_model::{ClassName, Path, PushOp, Value};
 
 use crate::normalize::NormalClause;
 
@@ -218,19 +218,16 @@ fn drop_trivial_equalities(body: &mut Vec<Atom>) {
 }
 
 /// Detect bodies that can never be satisfied: a variable or attribute equated
-/// with two different constants, or two different constants equated directly.
+/// with two different constants, or two different constants equated directly
+/// (by the query language's comparison, [`PushOp::holds`]).
 pub fn body_unsatisfiable(body: &[Atom]) -> bool {
+    let equal = |a: &Value, b: &Value| PushOp::Eq.holds(a.into(), b.into()) == Some(true);
     // Direct constant conflicts.
     for atom in body {
-        if let Atom::Eq(Term::Const(a), Term::Const(b)) = atom {
-            if a != b {
-                return true;
-            }
-        }
-        if let Atom::Neq(Term::Const(a), Term::Const(b)) = atom {
-            if a == b {
-                return true;
-            }
+        match atom {
+            Atom::Eq(Term::Const(a), Term::Const(b)) if !equal(a, b) => return true,
+            Atom::Neq(Term::Const(a), Term::Const(b)) if equal(a, b) => return true,
+            _ => {}
         }
     }
     // A term (rendered syntactically) equated with two distinct constants.
@@ -244,7 +241,7 @@ pub fn body_unsatisfiable(body: &[Atom]) -> bool {
         };
         let key = wol_lang::render_term(term);
         match constant_of.get(&key) {
-            Some(existing) if *existing != constant => return true,
+            Some(existing) if !equal(existing, constant) => return true,
             _ => {
                 constant_of.insert(key, constant);
             }

@@ -531,6 +531,7 @@ proptest! {
             Box::new(Expr::var("M").proj("m")),
             Box::new(Expr::Const(Value::int(100))),
         );
+        // `Q` reads the optional `p`: the map drops the objects lacking it.
         let tower = |predicate: Expr| {
             Plan::scan("KindS", "M").filter(predicate).map(vec![
                 ("K".to_string(), Expr::var("M").proj("k")),
