@@ -23,8 +23,9 @@ pub enum CplError {
     /// A predicate evaluated to a value of this kind, not a boolean: an
     /// error on every path, never read as `false`.
     NotBoolean(&'static str),
-    /// An insert produced conflicting values for the same object.
-    ConflictingInsert(String),
+    /// Contributions to one target object disagree on an attribute: the
+    /// least such `(object, attribute)` of what was applied.
+    Conflict(wol_model::Conflict),
     /// A plan is malformed (e.g. a hash join whose key expressions reference
     /// variables the corresponding side does not produce).
     BadPlan(String),
@@ -45,7 +46,7 @@ impl fmt::Display for CplError {
                 let m = format_args!("expected a boolean predicate value, found `{kind}`");
                 write!(f, "bad value: {m}")
             }
-            CplError::ConflictingInsert(m) => write!(f, "conflicting insert: {m}"),
+            CplError::Conflict(conflict) => conflict.fmt(f),
             CplError::BadPlan(m) => write!(f, "bad plan: {m}"),
             CplError::Model(m) => write!(f, "data model error: {m}"),
         }

@@ -27,15 +27,30 @@
 //! path, the driving rows — by key hash. A Skolem-bearing operator is no
 //! exception: an identity is a function of its key, so each worker mints
 //! through a factory of its own and the factories fold into the caller's in
-//! partition order. Chunks merge in input order, so the row stream, the
-//! target and the merged [`ExecStats`] are bit-identical at every thread
-//! count (per-partition breakdowns: [`EvalCtx::shard_stats`]).
+//! partition order. Chunks merge in input order, so the row stream and the
+//! merged [`ExecStats`] are bit-identical at every thread count
+//! (per-partition breakdowns: [`EvalCtx::shard_stats`]).
+//!
+//! ## Writes
+//!
+//! A query is evaluated ([`evaluate_query`]: its plan's rows through its
+//! insert actions, into the records they contribute) apart from being
+//! applied ([`apply_evaluated_query`]), so a program's queries can evaluate
+//! concurrently. Applying settles the writes one object at a time, in
+//! ascending identity order, through [`wol_model::Record::merge`] — the one
+//! definition of what contributions to an object settle to — with the
+//! target's current record as one more contribution. The target, and the
+//! conflict a failing program reports, are therefore functions of the set
+//! of contributions: row order, partitioning and query order cannot move
+//! them.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-use wol_model::{chunk_ranges, ClassName, Instance, Label, Oid, SkolemFactory, Value};
+use wol_model::{
+    chunk_ranges, ClassName, Conflict, Instance, Label, Oid, Record, SkolemFactory, Value,
+};
 
 use crate::error::CplError;
 use crate::expr::{bind_slot, lower_bindings, store, EvalCtx, Expr, Lowered, RecordShape};
@@ -1028,18 +1043,14 @@ fn rows_of(
 }
 
 /// One query evaluated but not yet applied ([`evaluate_query`]): the objects
-/// its insert actions write, in row order, the factory that minted their
-/// identities, and the error that stopped the evaluation, if one did (the
-/// writes before it still apply, exactly like a loop that stops mid-way).
-/// Queries whose rows are independent of each other can therefore be
-/// *evaluated* concurrently — the expensive part — while
-/// [`apply_evaluated_query`] keeps application (merge conflicts and
-/// `objects_written` accounting) in program order.
+/// its insert actions write and the factory that minted their identities.
+/// Queries read only the sources, so they can be *evaluated* concurrently —
+/// the expensive part — while [`apply_evaluated_query`] settles their writes
+/// into the target in program order.
 #[derive(Debug)]
 pub struct EvaluatedQuery {
     factory: SkolemFactory,
-    writes: Vec<(Oid, Value)>,
-    error: Option<CplError>,
+    writes: Vec<(Oid, Record)>,
     rows: usize,
 }
 
@@ -1082,8 +1093,9 @@ impl LoweredInsert {
     }
 
     /// Evaluate the key, mint the object's identity and evaluate the
-    /// attributes, in that order, into the object the action writes.
-    pub fn evaluate(&self, row: &[Value], ctx: &mut EvalCtx<'_>) -> Result<(Oid, Value)> {
+    /// attributes, in that order, into the record the action contributes to
+    /// the object.
+    pub fn evaluate(&self, row: &[Value], ctx: &mut EvalCtx<'_>) -> Result<(Oid, Record)> {
         let key = self.key.eval(row, ctx)?;
         let oid = ctx.mk_skolem(&self.class, &key)?;
         let values = self
@@ -1095,8 +1107,9 @@ impl LoweredInsert {
 }
 
 /// Evaluate one query's plan and insert actions without touching the
-/// target: the insert evaluation is partitioned like any operator. `stats`
-/// absorbs the execution counters, including `rows_output`; the returned
+/// target: the insert evaluation is partitioned like any operator, and its
+/// first error in row order fails the evaluation. `stats` absorbs the
+/// execution counters, including `rows_output`; the returned
 /// [`EvaluatedQuery`] takes `ctx`'s factory with it and is applied with
 /// [`apply_evaluated_query`] on the owning context.
 pub fn evaluate_query(
@@ -1113,74 +1126,69 @@ pub fn evaluate_query(
         let mut writes = Vec::with_capacity(range.len() * inserts.len());
         for row in &rows_ref[range] {
             for insert in inserts {
-                match insert.evaluate(row, wctx) {
-                    Ok(write) => writes.push(write),
-                    Err(e) => return Ok((writes, Some(e))),
-                }
+                writes.push(insert.evaluate(row, wctx)?);
             }
         }
-        Ok((writes, None))
+        Ok(writes)
     })?;
-    let mut writes = Vec::new();
-    let mut error = None;
-    for (chunk, failed) in chunks {
+    let mut chunks = chunks.into_iter();
+    let mut writes = chunks.next().unwrap_or_default();
+    for chunk in chunks {
         writes.extend(chunk);
-        if failed.is_some() {
-            error = failed;
-            break;
-        }
     }
     Ok(EvaluatedQuery {
         factory: std::mem::take(&mut ctx.factory),
         writes,
-        error,
         rows: rows.len(),
     })
 }
 
-/// Apply an evaluated query: fold its factory into the owning context's
-/// (a collision is an error), then insert or key-merge its objects into
-/// `target` in row order, stopping at the first conflicting merge or at the
-/// error that stopped the evaluation. `stats` gains the `objects_written`
-/// of the application.
+/// Apply an evaluated query: fold its factory into the owning context's (a
+/// collision is an error), then settle its writes into `target` one object
+/// at a time, in ascending identity order. An object's contributions are
+/// the query's records for it plus its current record in `target`, and
+/// [`Record::merge`] decides what they settle to, so neither row order nor
+/// query order can change the target or the error.
+///
+/// A conflict does not stop the application: every object is written, a
+/// conflicting one with the union its settle leaves (every label, only
+/// contributed values), so a later query that disagrees with any of its
+/// contributions is still caught. The least conflict is returned
+/// ([`CplError::Conflict`]). `stats` gains one `objects_written` per write.
+/// (`_query` is unused; the signature is the benchmark's frozen surface.)
 pub fn apply_evaluated_query(
-    query: &Query,
+    _query: &Query,
     evaluated: EvaluatedQuery,
     ctx: &mut EvalCtx<'_>,
     target: &mut Instance,
     stats: &mut ExecStats,
 ) -> Result<()> {
     ctx.factory.merge(evaluated.factory)?;
-    for (oid, record) in evaluated.writes {
-        write_object(target, oid, record, &query.name, stats)?;
-    }
-    evaluated.error.map_or(Ok(()), Err)
-}
-
-/// Insert or key-merge one evaluated object into the target.
-fn write_object(
-    target: &mut Instance,
-    oid: Oid,
-    record: Value,
-    query_name: &str,
-    stats: &mut ExecStats,
-) -> Result<()> {
-    match target.value(&oid) {
-        None => {
-            target.insert(oid, record)?;
-            stats.objects_written += 1;
+    let mut writes = evaluated.writes;
+    writes.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    stats.objects_written += writes.len();
+    let mut least = None;
+    for group in writes.chunk_by_mut(|a, b| a.0 == b.0) {
+        let Some(((oid, settled), rest)) = group.split_first_mut() else {
+            continue;
+        };
+        let mut settled = std::mem::take(settled);
+        let existing = target.value(oid).and_then(Value::as_record);
+        let exists = existing.is_some();
+        let others = existing.into_iter().chain(rest.iter().map(|(_, r)| r));
+        if let Err(label) = settled.merge(others) {
+            least.get_or_insert(Conflict {
+                oid: oid.clone(),
+                label,
+            });
         }
-        Some(existing) => {
-            let merged = existing.merge_records(&record).ok_or_else(|| {
-                CplError::ConflictingInsert(format!(
-                    "object {oid} receives conflicting values from query `{query_name}`"
-                ))
-            })?;
-            target.update(&oid, merged)?;
-            stats.objects_written += 1;
+        if exists {
+            target.update(oid, Value::Record(settled))?;
+        } else {
+            target.insert(oid.clone(), Value::Record(settled))?;
         }
     }
-    Ok(())
+    least.map_or(Ok(()), |conflict| Err(CplError::Conflict(conflict)))
 }
 
 /// Execute one query: run its plan and apply its insert actions to `target`
@@ -1361,8 +1369,10 @@ mod tests {
         assert!(stats.rows_output >= 4);
     }
 
+    /// A query disagreeing with the target on several objects names the
+    /// least conflicting `(object, attribute)` and still writes every object.
     #[test]
-    fn conflicting_inserts_detected() {
+    fn conflicting_inserts_name_the_least_conflict() {
         let inst = euro_instance();
         let refs = [&inst];
         let mut ctx = EvalCtx::new(&refs);
@@ -1375,7 +1385,7 @@ mod tests {
             inserts: vec![InsertAction {
                 class: ClassName::new("CountryT"),
                 key: Expr::var("N"),
-                attrs: vec![("currency".into(), value)],
+                attrs: vec![("currency".into(), value), ("name".into(), Expr::var("N"))],
             }],
         };
         execute_query(
@@ -1385,14 +1395,37 @@ mod tests {
             &mut stats,
         )
         .unwrap();
+        let country_t = ClassName::new("CountryT");
+        let euro = Value::str("euro");
+        let disagreeing: Vec<Oid> = target
+            .objects(&country_t)
+            .filter(|(_, v)| v.project("currency") != Some(&euro))
+            .map(|(oid, _)| oid.clone())
+            .collect();
+        assert!(disagreeing.len() > 1, "several objects conflict");
         let err = execute_query(
-            &make("b", Expr::Const(Value::str("euro"))),
+            &make("b", Expr::Const(euro.clone())),
             &mut ctx,
             &mut target,
             &mut stats,
         )
         .unwrap_err();
-        assert!(matches!(err, CplError::ConflictingInsert(_)));
+        let expected = Conflict {
+            oid: disagreeing.iter().min().unwrap().clone(),
+            label: "currency".into(),
+        };
+        assert_eq!(err, CplError::Conflict(expected.clone()));
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "object {} receives conflicting values for `currency`",
+                expected.oid
+            )
+        );
+        assert_eq!(
+            stats.objects_written,
+            2 * inst.extent_size(&ClassName::new("CountryE"))
+        );
     }
 
     #[test]

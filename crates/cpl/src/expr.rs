@@ -487,7 +487,7 @@ impl RecordShape {
     }
 
     /// The record whose declared fields take `values`, in declared order.
-    pub(crate) fn build(&self, values: impl Iterator<Item = Result<Value>>) -> Result<Value> {
+    pub(crate) fn build(&self, values: impl Iterator<Item = Result<Value>>) -> Result<Record> {
         let mut fields: Vec<(Label, Value)> = self
             .labels
             .iter()
@@ -499,7 +499,7 @@ impl RecordShape {
                 *field = value;
             }
         }
-        Ok(Value::Record(Record::from_sorted(fields)))
+        Ok(Record::from_sorted(fields))
     }
 }
 
@@ -579,7 +579,7 @@ impl Node {
             },
             Node::Record(fields, shape) => {
                 let values = fields.iter().map(|f| f.eval(row, ctx).map(Cow::into_owned));
-                Cow::Owned(shape.build(values)?)
+                Cow::Owned(Value::Record(shape.build(values)?))
             }
             Node::Variant(label, payload) => Cow::Owned(Value::Variant(
                 label.clone(),

@@ -17,10 +17,11 @@
 //!   cross joins — a product has the one spelling [`Plan::CrossJoin`];
 //! * one lowering, two drivers: a single-pass executor ([`exec`]) over
 //!   slot-addressed rows that runs a plan against source instances and
-//!   applies *insert actions* to build the target instance, merging partial
-//!   inserts by Skolem key; and a columnar driver ([`columnar`]) that runs
-//!   the same lowered expressions of scan→filter→map towers batch-at-a-time
-//!   over typed columns;
+//!   applies *insert actions* to build the target instance, settling each
+//!   object's partial inserts through [`wol_model::Record::merge`], the one
+//!   definition the maintainer settles through too; and a columnar driver
+//!   ([`columnar`]) that runs the same lowered expressions of
+//!   scan→filter→map towers batch-at-a-time over typed columns;
 //! * a cost-based join-graph planner ([`optimizer`]): decomposes a compiled
 //!   plan into scans plus a conjunct pool and greedily re-joins the cheapest
 //!   connected pair, fed by extent statistics and per-attribute equi-depth
@@ -59,10 +60,12 @@
 //!   ([`wol_model::skolem_id`]), so a worker minting through a factory of its
 //!   own mints exactly what the calling context would; the workers'
 //!   factories fold into the caller's in partition order, where a collision
-//!   across workers is detected. Inserts *apply* on the owning thread in row
-//!   order. Rows, target and merged [`ExecStats`] are bit-identical at every
-//!   partition count — held by the thread-matrix differential tests in
-//!   `tests/properties.rs` and the partition-invariance table in [`exec`].
+//!   across workers is detected. Inserts *apply* on the owning thread, one
+//!   object at a time over the set of its contributions, so neither row
+//!   order nor partitioning reaches the target or a conflict. Rows, target
+//!   and merged [`ExecStats`] are bit-identical at every partition count —
+//!   held by the thread-matrix differential tests in `tests/properties.rs`
+//!   and the partition-invariance table in [`exec`].
 
 // Library code reports errors; it does not panic. Tests may.
 #![cfg_attr(

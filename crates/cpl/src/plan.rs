@@ -149,16 +149,9 @@ impl Plan {
             .collect()
     }
 
-    /// The classes this plan scans — a query's *read set*, used by the
-    /// pipeline's query scheduler to order queries that read an extent after
-    /// queries that write it.
-    pub fn scanned_classes(&self) -> std::collections::BTreeSet<ClassName> {
-        self.scans().into_iter().map(|(c, _)| c.clone()).collect()
-    }
-
     /// Every expression embedded in the plan (filter predicates, map
     /// bindings, join predicates and keys), for whole-plan analyses like the
-    /// scheduler's Skolem-safety gate.
+    /// federation's pushdown eligibility.
     pub fn expressions(&self) -> Vec<&Expr> {
         fn go<'p>(plan: &'p Plan, out: &mut Vec<&'p Expr>) {
             match plan {

@@ -23,7 +23,8 @@
 //!  │    ▼     ingest — providers only: filters read off the finished      │
 //!  │    │     plans, projections, chunked streaming           [federate]  │
 //!  │    ▼     source-constraint check (optional), on resident rows        │
-//!  │    ▼  5  CPL execution, stage by stage → target DB             [cpl] │
+//!  │    ▼  5  CPL execution: every query evaluates concurrently,          │
+//!  │    │     applies in program order → target DB                  [cpl] │
 //!  │    │     └ journal each applied query (durable runs only)  [storage] │
 //!  │    ▼  6  verification of target keys and constraints      [pipeline] │
 //!  └──────────────────────────────────────────────────────────────────────┘
@@ -54,15 +55,18 @@
 //!   new rows semi-naively, and stale rows are swept by key.
 //! * **The ledger settles** — a Skolem identity is a function of its class
 //!   and key, so a replayed row mints exactly the identity a fresh run would;
-//!   per-object support counts settle every object at a build, and each
-//!   touched one after a batch, to its fresh-run record, or remove it. Only
+//!   each object's multiset of contributed records settles — through
+//!   [`wol_model::Record::merge`], the definition a fresh run's apply uses —
+//!   at a build, and after a batch for each touched object, to its fresh-run
+//!   record, or out of the target. Only
 //!   a derived row colliding with a cached one escalates to a rebuild
 //!   (re-plan against the mutated sources + full replay, over the front half
 //!   the pipeline built once). Incremental in-place repairs skip per-batch
 //!   target verification; verification re-runs at every full-build boundary.
 //! * **Conflicts fail in place** — contributions that genuinely conflict
 //!   fail the batch (or the build) naming the least conflicting object and
-//!   attribute, and the failed batch poisons the pipeline.
+//!   attribute — the error a fresh run over the same sources reports — and
+//!   the failed batch poisons the pipeline.
 //!
 //! [`PipelineService`] runs the pipeline on a maintainer thread and
 //! publishes immutable `Arc<Instance>` snapshots at batch boundaries, so
@@ -100,7 +104,7 @@ pub use pipeline::{
     PipelineOptions, QueryStat, StageTimings,
 };
 pub use report::{render_batch_report, render_maintenance_report, render_report};
-pub use schedule::{plan_schedule, QueryNode, QuerySchedule};
+pub use schedule::{plan_schedule, QuerySchedule};
 pub use service::PipelineService;
 
 /// Crate-wide result alias.

@@ -50,21 +50,22 @@
 //!
 //! **The ledger settles.** `Mk_C(k)` is derived from `(C, k)`
 //! ([`wol_model::skolem_id`]), so a replayed row mints exactly the
-//! identities a fresh run mints for it. The pipeline keeps a support count of
-//! every `(object, attribute, value)` contribution, and that ledger is the
+//! identities a fresh run mints for it. The pipeline keeps, per object, the
+//! multiset of records rows contribute to it, and that ledger is the
 //! target's only source. A build replays every row and settles every
-//! identity the ledger holds; a batch removes its swept rows' supports,
+//! identity the ledger holds; a batch removes its swept rows' contributions,
 //! replays its added rows and settles the identities their contributions
-//! name. An object settles to its unique merged record — what a fresh run's
-//! insert-or-merge writes — or, when no row asserts it any more, out of the
+//! name. An object settles through [`wol_model::Record::merge`] — the one
+//! definition a fresh run's apply settles through too — to the union of its
+//! contributions, or, when no row contributes to it any more, out of the
 //! target.
 //!
 //! **Conflicts fail in place.** When rows assert different values for one
 //! attribute of one object, settling fails with an error naming the least
-//! conflicting `(object, attribute)`, the same at every thread count and
-//! under either cost model. The text is the maintainer's own: it no longer
-//! reproduces the first merge a fresh run meets in row order. A failing
-//! batch poisons the pipeline, and a build over conflicting sources fails.
+//! conflicting `(object, attribute)`: the same at every thread count and
+//! under either cost model, and the same error a fresh run over the same
+//! sources reports. A failing batch poisons the pipeline, and a build over
+//! conflicting sources fails.
 //! The one rebuild trigger left ([`RebuildReason`]) is a derived row
 //! colliding with a surviving cached one: the key's uniqueness is broken, so
 //! the cache cannot say which contributions to keep. A rebuild re-plans
@@ -102,15 +103,14 @@ use wol_engine::{check_batch, BatchCheck, Databases, EngineError};
 use wol_lang::program::Program;
 use wol_lang::Clause;
 use wol_model::{
-    BatchDelta, ClassName, Fingerprint, Instance, Label, Mutation, MutationBatch, Oid, Record,
-    Schema, SkolemFactory, SourceOp, Type, Value,
+    BatchDelta, ClassName, Conflict, Fingerprint, Instance, Label, Mutation, MutationBatch, Oid,
+    Record, Schema, SkolemFactory, SourceOp, Type, Value,
 };
 
 use crate::pipeline::{
     plan_queries, run_pipeline, verify_target_instance, BatchConstraintMode, DurableOptions, Front,
     MorphaseRun, PipelineOptions, Rows,
 };
-use crate::schedule::plan_schedule;
 use crate::{MorphaseError, Result};
 
 /// What one applied batch cost.
@@ -207,76 +207,52 @@ pub struct MaintainStats {
     pub delta_exec: ExecStats,
 }
 
-/// Reference-counted contributions to one target object: how many rows
-/// assert its existence, and how many assert each `(attribute, value)`.
-#[derive(Clone, Debug, Default)]
-struct Support {
-    keyed: u64,
-    attrs: BTreeMap<Label, BTreeMap<Value, u64>>,
-}
-
-/// Contribution supports for every target identity.
+/// Every target identity's contributions: the multiset of records rows
+/// contribute to it, each distinct record with the number of rows that
+/// contribute it.
 #[derive(Clone, Debug, Default)]
 struct TargetLedger {
-    supports: BTreeMap<Oid, Support>,
+    contributions: BTreeMap<Oid, BTreeMap<Record, u64>>,
 }
 
 impl TargetLedger {
-    fn add_support(&mut self, oid: &Oid, record: &Value) {
-        let support = self.supports.entry(oid.clone()).or_default();
-        support.keyed += 1;
-        if let Value::Record(fields) = record {
-            for (label, value) in fields {
-                *support
-                    .attrs
-                    .entry(label.clone())
-                    .or_default()
-                    .entry(value.clone())
-                    .or_insert(0) += 1;
-            }
-        }
+    fn add(&mut self, oid: &Oid, record: &Record) {
+        let records = self.contributions.entry(oid.clone()).or_default();
+        *records.entry(record.clone()).or_insert(0) += 1;
     }
 
-    fn remove_support(&mut self, oid: &Oid, record: &Value) -> Result<()> {
+    fn remove(&mut self, oid: &Oid, record: &Record) -> Result<()> {
         let underflow =
             || MorphaseError::Execution(format!("support underflow for target object {oid}"));
-        let support = self.supports.get_mut(oid).ok_or_else(underflow)?;
-        support.keyed = support.keyed.checked_sub(1).ok_or_else(underflow)?;
-        if let Value::Record(fields) = record {
-            for (label, value) in fields {
-                let per_value = support.attrs.get_mut(label).ok_or_else(underflow)?;
-                let count = per_value.get_mut(value).ok_or_else(underflow)?;
-                *count = count.checked_sub(1).ok_or_else(underflow)?;
-                if *count == 0 {
-                    per_value.remove(value);
-                    if per_value.is_empty() {
-                        support.attrs.remove(label);
-                    }
-                }
-            }
+        let records = self.contributions.get_mut(oid).ok_or_else(underflow)?;
+        let count = records.get_mut(record).ok_or_else(underflow)?;
+        *count -= 1;
+        if *count == 0 {
+            records.remove(record);
         }
         Ok(())
     }
 
-    /// What `oid`'s support settles to: its unique merged record, or `None`
-    /// when no row asserts it any more.
-    fn settled(&self, oid: &Oid) -> Result<Option<Value>> {
-        let Some(support) = self.supports.get(oid).filter(|s| s.keyed > 0) else {
+    /// What `oid`'s contributions settle to ([`Record::merge`], the
+    /// definition a fresh run's apply settles through): their union, or
+    /// `None` when no row contributes to it any more.
+    fn settled(&self, oid: &Oid) -> Result<Option<Record>> {
+        let mut records = self
+            .contributions
+            .get(oid)
+            .into_iter()
+            .flat_map(BTreeMap::keys);
+        let Some(first) = records.next() else {
             return Ok(None);
         };
-        let mut fields = Vec::with_capacity(support.attrs.len());
-        for (label, per_value) in &support.attrs {
-            if per_value.len() > 1 {
-                return Err(MorphaseError::Execution(format!(
-                    "object {oid} receives conflicting values for `{label}`"
-                )));
-            }
-            if let Some(value) = per_value.keys().next() {
-                fields.push((label.clone(), value.clone()));
-            }
-        }
-        // The ledger's labels iterate in ascending order already.
-        Ok(Some(Value::Record(Record::from_sorted(fields))))
+        let mut settled = first.clone();
+        settled.merge(records).map_err(|label| {
+            cpl::CplError::Conflict(Conflict {
+                oid: oid.clone(),
+                label,
+            })
+        })?;
+        Ok(Some(settled))
     }
 
     /// Settle `oids`, in ascending order, into `target` and return how many
@@ -287,20 +263,20 @@ impl TargetLedger {
         for oid in oids {
             match self.settled(oid)? {
                 None => {
-                    self.supports.remove(oid);
+                    self.contributions.remove(oid);
                     if target.remove(oid).is_some() {
                         target.forget_empty_class(oid.class());
                         written += 1;
                     }
                 }
                 Some(record) => match target.value(oid) {
-                    Some(existing) if *existing == record => {}
+                    Some(existing) if existing.as_record() == Some(&record) => {}
                     Some(_) => {
-                        target.update(oid, record)?;
+                        target.update(oid, Value::Record(record))?;
                         written += 1;
                     }
                     None => {
-                        target.insert(oid.clone(), record)?;
+                        target.insert(oid.clone(), Value::Record(record))?;
                         written += 1;
                     }
                 },
@@ -558,7 +534,7 @@ struct CachedRow {
     /// The plan's output row.
     row: SlotRow,
     /// Target contributions this row's inserts performed, in action order.
-    contribs: Vec<(Oid, Value)>,
+    contribs: Vec<(Oid, Record)>,
 }
 
 /// One query's cached rows by key.
@@ -610,7 +586,7 @@ fn replay<'r>(
             // The executor's insert loop propagates every error, bad values
             // included.
             let (oid, record) = action.evaluate(&cached.row, ctx)?;
-            ledger.add_support(&oid, &record);
+            ledger.add(&oid, &record);
             cached.contribs.push((oid, record));
         }
     }
@@ -620,8 +596,6 @@ fn replay<'r>(
 /// The standing state of a maintained pipeline.
 struct Core {
     analyses: Vec<QueryAnalysis>,
-    /// Schedule apply order (indices into `analyses`).
-    order: Vec<usize>,
     /// Per-query row caches, parallel to `analyses`.
     caches: Vec<RowCache>,
     ledger: TargetLedger,
@@ -646,11 +620,6 @@ fn build_state(
     let stats = cpl::Statistics::from_instances(&refs).with_cost_model(options.cost_model);
     let queries = plan_queries(options, &front.normal, &stats)?;
     front.check_sources(options, &refs)?;
-    let order: Vec<usize> = plan_schedule(&queries)
-        .stages
-        .into_iter()
-        .flatten()
-        .collect();
     let schemas: Vec<&Schema> = augmented.sources.iter().map(|b| &b.schema).collect();
     let analyses = queries
         .into_iter()
@@ -662,22 +631,16 @@ fn build_state(
     let mut caches = vec![RowCache::new(); analyses.len()];
     let mut ledger = TargetLedger::default();
     let mut ctx = EvalCtx::new(&refs).with_parallelism(options.parallelism);
-    for &qi in &order {
-        derive(&analyses[qi], &mut ctx, exec, &mut caches[qi])?;
-        replay(
-            &analyses[qi],
-            &mut ctx,
-            &mut ledger,
-            caches[qi].values_mut(),
-        )?;
+    for (analysis, cache) in analyses.iter().zip(&mut caches) {
+        derive(analysis, &mut ctx, exec, cache)?;
+        replay(analysis, &mut ctx, &mut ledger, cache.values_mut())?;
     }
-    let every: BTreeSet<Oid> = ledger.supports.keys().cloned().collect();
+    let every: BTreeSet<Oid> = ledger.contributions.keys().cloned().collect();
     let mut target = Instance::new(augmented.target.schema.name());
     ledger.settle(&every, &mut target)?;
     verify_target_instance(options, augmented, &target)?;
     Ok(Core {
         analyses,
-        order,
         caches,
         ledger,
         factory: std::mem::take(&mut ctx.factory),
@@ -711,16 +674,14 @@ fn repair_incremental(
     let mut rows_added = 0u64;
 
     // Phase A: sweep stale rows out of the caches, dropping their supports.
-    let mut churns = vec![false; core.analyses.len()];
-    for &qi in &core.order {
-        let analysis = &core.analyses[qi];
-        let cache = &mut core.caches[qi];
+    let mut churns = Vec::with_capacity(core.analyses.len());
+    for (analysis, cache) in core.analyses.iter().zip(&mut core.caches) {
         let churn = (analysis.opaque && delta.has_stale())
             || analysis
                 .foreign
                 .iter()
                 .any(|c| delta.class(c).is_some_and(|d| !d.stale().is_empty()));
-        churns[qi] = churn;
+        churns.push(churn);
         let mut swept = Vec::new();
         if churn {
             swept.extend(std::mem::take(cache).into_values());
@@ -742,19 +703,19 @@ fn repair_incremental(
         }
         rows_removed += swept.len() as u64;
         for (oid, record) in swept.iter().flat_map(|row| &row.contribs) {
-            core.ledger.remove_support(oid, record)?;
+            core.ledger.remove(oid, record)?;
             touched.insert(oid.clone());
         }
     }
 
-    // Phase B: derive and replay the added rows, in schedule order.
+    // Phase B: derive and replay the added rows, in program order.
     let mut ctx = EvalCtx::new(&refs).with_parallelism(options.parallelism);
     ctx.factory = std::mem::take(&mut core.factory);
     let replayed = (|| -> Result<Option<RebuildReason>> {
-        for &qi in &core.order {
-            let analysis = &core.analyses[qi];
+        let queries = core.analyses.iter().zip(&mut core.caches).zip(churns);
+        for ((analysis, cache), churn) in queries {
             let mut added = RowCache::new();
-            if churns[qi] {
+            if churn {
                 derive(analysis, &mut ctx, exec, &mut added)?;
             } else {
                 for rotation in delta_rotations(&analysis.slots, delta, &sources[mutated]) {
@@ -766,7 +727,6 @@ fn repair_incremental(
                     derived?;
                 }
             }
-            let cache = &mut core.caches[qi];
             if let Some(key) = added.keys().find(|k| cache.contains_key(*k)) {
                 return Ok(Some(RebuildReason::CollidingRow { key: key.clone() }));
             }
@@ -1376,7 +1336,8 @@ mod tests {
     /// every thread count and under either cost model the error is the same
     /// text, naming the least conflicting `(oid, label)`; nothing rebuilds
     /// and the pipeline is poisoned. A build over sources that already
-    /// conflict fails with the same message.
+    /// conflict, a fresh run over them and the poisoned pipeline's oracle
+    /// re-run all fail with the same error.
     #[test]
     fn conflicting_contributions_fail_in_place_with_one_error_everywhere() {
         let params = GenomeParams {
@@ -1419,9 +1380,15 @@ mod tests {
                 assert_eq!(err, expected, "{threads} threads, {cost_model:?}");
                 assert_eq!(pipeline.stats().rebuild_batches, 0);
                 assert!(pipeline.is_poisoned());
+                let err = pipeline.rerun_oracle().unwrap_err();
+                assert_eq!(err, expected, "oracle: {threads} threads, {cost_model:?}");
 
                 let mut conflicted = source.clone();
                 conflicted.apply_batch(&batch).unwrap();
+                let err = Morphase::with_options(options)
+                    .transform(&genome::program(), &[&conflicted][..])
+                    .unwrap_err();
+                assert_eq!(err, expected, "fresh: {threads} threads, {cost_model:?}");
                 let err = MaterializedPipeline::new(&genome::program(), vec![conflicted], options)
                     .err()
                     .unwrap();

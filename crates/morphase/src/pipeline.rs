@@ -13,8 +13,9 @@
 //! Every entry point is a single call into that body, so program errors are
 //! reported before data errors on every path.
 //!
-//! Target identities are functions of their Skolem keys, so the body needs
-//! no ordering discipline to keep them stable: overlapped queries mint
+//! Target identities are functions of their Skolem keys, and writes settle
+//! per object over the set of contributions, so the body needs no ordering
+//! discipline to keep either stable: queries evaluate concurrently, minting
 //! through worker factories of their own. A durable run's journal is keyed
 //! by a fingerprint that names this numbering, so a journal whose target
 //! was numbered in mint order (an older build's) is reset, never resumed
@@ -24,7 +25,7 @@ use std::borrow::Cow;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use cpl::exec::{apply_evaluated_query, evaluate_query, execute_query, ExecStats};
+use cpl::exec::{apply_evaluated_query, evaluate_query, ExecStats};
 use cpl::expr::EvalCtx;
 use storage::persist::{FaultPolicy, PipelineJournal};
 use storage::ScanProvider;
@@ -36,7 +37,6 @@ use wol_model::{Fingerprint, Instance, Job, SkolemFactory, WorkerPool};
 use crate::compile::{compile_program_with, PlanMode};
 use crate::federate::Federation;
 use crate::metadata::{generate_key_clauses, generate_merge_key_clauses};
-use crate::schedule::plan_schedule;
 use crate::Result;
 
 /// How a [`crate::MaterializedPipeline`] validates source constraints per
@@ -85,13 +85,12 @@ pub struct PipelineOptions {
     /// Worker threads the executors may use (see `cpl`'s threading-model
     /// docs). Defaults to the environment ([`cpl::Parallelism::from_env`]):
     /// the machine's available cores, overridable via `WOL_THREADS`. Both
-    /// levels share one persistent [`cpl::WorkerPool`]: queries of a
-    /// multi-query schedule stage evaluate concurrently on it, and each
-    /// query's own operators still run pool morsels inside its slot (the
-    /// pool bounds total concurrency); singleton-stage queries use the pool
-    /// for operator-level morsels alone. Parallel execution is deterministic
-    /// — the produced target is bit-identical at every thread count, Skolem
-    /// identities being functions of their keys.
+    /// levels share one persistent [`cpl::WorkerPool`]: a program's queries
+    /// evaluate concurrently on it, and each query's own operators still run
+    /// pool morsels inside its job (the pool bounds total concurrency).
+    /// Parallel execution is deterministic — the produced target, and the
+    /// conflict a failing program reports, are the same at every thread
+    /// count, Skolem identities being functions of their keys.
     pub parallelism: cpl::Parallelism,
     /// Per-batch source-constraint validation mode for standing pipelines
     /// ([`crate::MaterializedPipeline`] / [`crate::PipelineService`]); the
@@ -240,25 +239,22 @@ impl JoinStat {
     }
 }
 
-/// One query's execution breakdown: which schedule stage it ran in, whether
-/// its evaluation overlapped other queries of the stage, and where its time
-/// went. The per-query timing view the report pins.
+/// One query's execution breakdown: whether its evaluation overlapped other
+/// queries', and where its time went. The per-query timing view the report
+/// pins.
 #[derive(Clone, Debug)]
 pub struct QueryStat {
     /// Name of the query (the originating clause label(s)).
     pub query: String,
-    /// Index of the schedule stage the query ran in.
-    pub stage: usize,
-    /// Whether the query's evaluation ran concurrently with other queries
-    /// of its stage (query-level parallelism).
+    /// Whether the query's evaluation could run concurrently with other
+    /// queries' (query-level parallelism: more than one thread and more than
+    /// one query to evaluate).
     pub overlapped: bool,
     /// Rows the query's plan emitted.
     pub rows_output: u64,
     /// Wall-clock spent evaluating the query (plan + insert expressions).
     pub eval: Duration,
-    /// Wall-clock spent applying the evaluated inserts to the target (zero
-    /// for queries executed directly on the main context, where evaluation
-    /// and application interleave).
+    /// Wall-clock spent settling the evaluated writes into the target.
     pub apply: Duration,
 }
 
@@ -300,8 +296,8 @@ pub struct MorphaseRun {
     /// holds what worker `i` did: its share of produced rows, index probes
     /// and probe-cache hits — the skew of work across shards.
     pub shard_stats: Vec<ExecStats>,
-    /// Per-query execution breakdown in program order: schedule stage,
-    /// overlap, rows and timings (empty for compile-only runs).
+    /// Per-query execution breakdown in program order: overlap, rows and
+    /// timings (empty for compile-only runs).
     pub query_stats: Vec<QueryStat>,
     /// Journal/recovery statistics of a durable run
     /// ([`Morphase::transform_durable`]); `None` otherwise.
@@ -581,22 +577,20 @@ pub(crate) fn run_pipeline(
 
     if !matches!(rows, Rows::None) {
         // Stage 5: execution, with per-join actual row counts traced so the
-        // run can report estimate-vs-actual error per join. Queries execute
-        // stage by stage under the dependency schedule: singleton stages run
-        // directly on the main context; multi-query stages *evaluate*
-        // concurrently on the worker pool (worker contexts, each minting
-        // through a factory of its own) and *apply* in program order on the
-        // main context, so the target is bit-identical to a sequential run.
+        // run can report estimate-vs-actual error per join. No query reads
+        // the target, so every live query evaluates as one job on the shared
+        // pool, on a worker context minting through a factory of its own,
+        // and the main context applies them in program order. Writes settle
+        // per object over the set of contributions, so neither order can
+        // change the target or the conflict reported.
         let start = Instant::now();
         let mut ctx = EvalCtx::new(sources).with_parallelism(options.parallelism);
-        ctx.enable_join_trace();
-        let schedule = plan_schedule(&queries);
         // Durable mode: open (or resume) the journal keyed by the compiled
         // program's fingerprint, restore the recovered target and Skolem
-        // factory, and stage further target mutations for per-query
-        // journalling. Target mutation happens on this main context during
-        // program-ordered apply, where overlapped queries' factories fold
-        // into its own, so the journal is sound at every thread count.
+        // factory, and log further target mutations for per-query
+        // journalling. Only this context mutates the target, folding each
+        // query's factory into its own as it applies, so the journal is
+        // sound at every thread count.
         if let Some(opts) = durable {
             let schema = front.augmented.target.schema.name();
             let fingerprint = program_fingerprint(schema, sources, &queries, &plans);
@@ -617,127 +611,108 @@ pub(crate) fn run_pipeline(
                 },
             });
         }
-        let mut next_index: u64 = 0;
-        let pool = WorkerPool::shared(options.parallelism);
-        let overlap = options.parallelism.threads() > 1;
-        for (stage_index, stage) in schedule.stages.iter().enumerate() {
-            // Durable resume: queries whose applied-order index falls
-            // below the journal's completed count are already in the
-            // recovered target — skip them. Completed queries are always
-            // a prefix of the applied order, hence a prefix of the stage.
-            let mut live: Vec<(usize, u64)> = Vec::new();
-            for (pos, &qi) in stage.iter().enumerate() {
-                let k = next_index + pos as u64;
-                match journalling.as_mut() {
-                    Some(j) if k < j.stats.completed_before => {
-                        j.stats.skipped += 1;
-                        query_stats.push(QueryStat {
-                            query: queries[qi].name.clone(),
-                            stage: stage_index,
-                            overlapped: false,
-                            rows_output: 0,
-                            eval: Duration::ZERO,
-                            apply: Duration::ZERO,
-                        });
-                    }
-                    _ => live.push((qi, k)),
-                }
-            }
-            next_index += stage.len() as u64;
+        // Durable resume: the queries the journal completed are already in
+        // the recovered target.
+        let completed = journalling.as_ref().map_or(0, |j| j.stats.completed_before);
+        let completed = usize::try_from(completed)
+            .unwrap_or(usize::MAX)
+            .min(queries.len());
+        for query in &queries[..completed] {
+            query_stats.push(QueryStat {
+                query: query.name.clone(),
+                overlapped: false,
+                rows_output: 0,
+                eval: Duration::ZERO,
+                apply: Duration::ZERO,
+            });
+        }
+        if let Some(j) = journalling.as_mut() {
+            j.stats.skipped = completed as u64;
+        }
+        let live = &queries[completed..];
 
-            // Overlapped stages: evaluate every query of the stage
-            // concurrently, each on a worker context of its own. The worker
-            // contexts keep the full worker budget, so a big query
-            // still runs operator-level morsels *inside* its slot — the
-            // shared pool bounds total concurrency either way — and its
-            // per-shard breakdown rolls back into the main context's view.
-            type Evaluated = (
-                cpl::Result<cpl::EvaluatedQuery>,
-                ExecStats,
-                Vec<ExecStats>,
-                cpl::ColumnarStats,
-                Vec<cpl::exec::JoinActual>,
-                Duration,
-            );
-            let mut overlapped = if overlap && live.len() > 1 {
-                let jobs: Vec<Job<'_, Evaluated>> = live
+        // Each worker context keeps the full worker budget, so a big query
+        // still runs operator-level morsels *inside* its job — the shared
+        // pool bounds total concurrency either way — and its per-shard
+        // breakdown rolls back into the main context's view.
+        type Evaluated = (
+            cpl::Result<cpl::EvaluatedQuery>,
+            ExecStats,
+            Vec<ExecStats>,
+            cpl::ColumnarStats,
+            Vec<cpl::exec::JoinActual>,
+            Duration,
+        );
+        let jobs: Vec<Job<'_, Evaluated>> = live
+            .iter()
+            .map(|query| {
+                Box::new(move || {
+                    let eval_start = Instant::now();
+                    let mut wctx =
+                        EvalCtx::claim_worker(sources).with_parallelism(options.parallelism);
+                    wctx.enable_join_trace();
+                    let mut wstats = ExecStats::default();
+                    let result = evaluate_query(query, &mut wctx, &mut wstats);
+                    (
+                        result,
+                        wstats,
+                        wctx.take_shard_stats(),
+                        wctx.take_columnar_stats(),
+                        wctx.take_join_trace(),
+                        eval_start.elapsed(),
+                    )
+                }) as Job<'_, Evaluated>
+            })
+            .collect();
+        let overlapped = options.parallelism.threads() > 1 && jobs.len() > 1;
+        let evaluated = WorkerPool::shared(options.parallelism).scope(jobs);
+
+        // Apply in program order. An evaluation error fails the run at once;
+        // a conflict does not: later queries still apply, commits stop at
+        // the first conflicting query, and the stage fails at its end with
+        // the least conflict of the whole program — what the maintainer
+        // reports for the same sources.
+        let mut conflict: Option<wol_model::Conflict> = None;
+        for (k, (query, outcome)) in (completed..).zip(live.iter().zip(evaluated)) {
+            let (result, wstats, shards, wcolumnar, actuals, eval) = outcome;
+            let rows_before = exec.rows_output;
+            exec.absorb(wstats);
+            ctx.absorb_shard_stats(&shards);
+            columnar.absorb(&wcolumnar);
+            let started = Instant::now();
+            match apply_evaluated_query(query, result?, &mut ctx, &mut target, &mut exec) {
+                Ok(()) => {}
+                Err(cpl::CplError::Conflict(found)) => {
+                    conflict = conflict.into_iter().chain([found]).min();
+                }
+                Err(e) => return Err(e.into()),
+            }
+            if let (Some(j), None) = (journalling.as_mut(), &conflict) {
+                j.journal
+                    .commit(k as u64, &mut target, Some(&ctx.factory))?;
+                j.stats.journaled += 1;
+            }
+            join_stats.extend(
+                join_estimates[k]
                     .iter()
-                    .map(|&(qi, _)| {
-                        let query = &queries[qi];
-                        Box::new(move || {
-                            let eval_start = Instant::now();
-                            let mut wctx = EvalCtx::claim_worker(sources)
-                                .with_parallelism(options.parallelism);
-                            wctx.enable_join_trace();
-                            let mut wstats = ExecStats::default();
-                            let result = evaluate_query(query, &mut wctx, &mut wstats);
-                            (
-                                result,
-                                wstats,
-                                wctx.take_shard_stats(),
-                                wctx.take_columnar_stats(),
-                                wctx.take_join_trace(),
-                                eval_start.elapsed(),
-                            )
-                        }) as Job<'_, Evaluated>
-                    })
-                    .collect();
-                pool.scope(jobs)
-            } else {
-                Vec::new()
-            }
-            .into_iter();
-
-            // Apply in program order; the earliest query's error
-            // propagates. The one necessary fork: an overlapped query absorbs
-            // its worker's stats and applies the evaluated inserts, any other
-            // executes whole on the main context.
-            for (qi, k) in live {
-                let query = &queries[qi];
-                let rows_before = exec.rows_output;
-                let started = Instant::now();
-                let (worker_eval, actuals) = match overlapped.next() {
-                    Some((result, wstats, shards, wcolumnar, actuals, eval)) => {
-                        exec.absorb(wstats);
-                        ctx.absorb_shard_stats(&shards);
-                        columnar.absorb(&wcolumnar);
-                        apply_evaluated_query(query, result?, &mut ctx, &mut target, &mut exec)?;
-                        (Some(eval), actuals)
-                    }
-                    None => {
-                        execute_query(query, &mut ctx, &mut target, &mut exec)?;
-                        (None, ctx.take_join_trace())
-                    }
-                };
-                if let Some(j) = journalling.as_mut() {
-                    j.journal.commit(k, &mut target, Some(&ctx.factory))?;
-                    j.stats.journaled += 1;
-                }
-                join_stats.extend(join_estimates[qi].iter().zip(&actuals).map(|(est, act)| {
-                    JoinStat {
+                    .zip(&actuals)
+                    .map(|(est, act)| JoinStat {
                         query: query.name.clone(),
                         kind: act.kind.to_string(),
                         estimated: est.rows.round() as u64,
                         actual: act.rows as u64,
-                    }
-                }));
-                // An overlapped query's evaluation was timed on its worker
-                // and what ran here is the apply; any other interleaves the
-                // two on this context.
-                let here = started.elapsed();
-                let (eval, apply) = match worker_eval {
-                    Some(eval) => (eval, here),
-                    None => (here, Duration::ZERO),
-                };
-                query_stats.push(QueryStat {
-                    query: query.name.clone(),
-                    stage: stage_index,
-                    overlapped: worker_eval.is_some(),
-                    rows_output: (exec.rows_output - rows_before) as u64,
-                    eval,
-                    apply,
-                });
-            }
+                    }),
+            );
+            query_stats.push(QueryStat {
+                query: query.name.clone(),
+                overlapped,
+                rows_output: (exec.rows_output - rows_before) as u64,
+                eval,
+                apply: started.elapsed(),
+            });
+        }
+        if let Some(conflict) = conflict {
+            return Err(cpl::CplError::Conflict(conflict).into());
         }
         // Durable epilogue: fold the WAL into a final snapshot so the
         // journal directory holds the full target compactly.
@@ -887,8 +862,8 @@ mod tests {
     /// Query-level parallelism end to end: at every thread count the
     /// overlapped pipeline produces the bit-identical target and equal
     /// merged `ExecStats` as the sequential one, reports per-query stats in
-    /// program order with non-decreasing stage indices, and actually
-    /// overlaps the (source-only, hence independent) cities queries.
+    /// program order, and actually overlaps the (source-only, hence
+    /// independent) cities queries.
     #[test]
     fn query_level_parallelism_is_bit_identical_to_sequential() {
         let w = CitiesWorkload::new();
@@ -924,12 +899,8 @@ mod tests {
             // Per-query stats stay in program order whatever overlapped.
             let run_names: Vec<&str> = run.query_stats.iter().map(|q| q.query.as_str()).collect();
             assert_eq!(run_names, names);
-            assert!(
-                run.query_stats.windows(2).all(|w| w[0].stage <= w[1].stage),
-                "stage indices must be non-decreasing in program order"
-            );
             // The cities queries read only source extents, so they are
-            // independent: the scheduler must actually overlap them.
+            // independent: the pipeline must actually overlap them.
             assert!(
                 run.query_stats.iter().any(|q| q.overlapped),
                 "independent queries never overlapped at {threads} threads"

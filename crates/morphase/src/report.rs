@@ -84,17 +84,13 @@ pub fn render_report(run: &MorphaseRun) -> String {
         }
     }
     if !run.query_stats.is_empty() {
-        let stages = run.query_stats.iter().map(|q| q.stage).max().unwrap_or(0) + 1;
-        let _ = writeln!(
-            out,
-            "query schedule ({stages} stage(s); per-query eval/apply):"
-        );
+        let _ = writeln!(out, "queries (per-query eval/apply):");
         for q in &run.query_stats {
             let overlap = if q.overlapped { ", overlapped" } else { "" };
             let _ = writeln!(
                 out,
-                "  [stage {}] {}: {} rows, eval {:.3?}, apply {:.3?}{overlap}",
-                q.stage, q.query, q.rows_output, q.eval, q.apply
+                "  {}: {} rows, eval {:.3?}, apply {:.3?}{overlap}",
+                q.query, q.rows_output, q.eval, q.apply
             );
         }
     }
@@ -334,8 +330,8 @@ mod tests {
             .contains("pushdown: 0 filters pushed, provider rows 50000 -> 50000"));
     }
 
-    /// Pins the per-query schedule/timing breakdown format: stage index,
-    /// rows, eval/apply durations and the overlap marker. The exact line
+    /// Pins the per-query timing breakdown format: query name, rows,
+    /// eval/apply durations and the overlap marker. The exact line
     /// shape is part of the contract, like the join-estimate section.
     #[test]
     fn report_pins_the_per_query_timing_format() {
@@ -352,7 +348,6 @@ mod tests {
         run.query_stats = vec![
             QueryStat {
                 query: "T1+C3".to_string(),
-                stage: 0,
                 overlapped: true,
                 rows_output: 40,
                 eval: Duration::from_micros(1200),
@@ -360,7 +355,6 @@ mod tests {
             },
             QueryStat {
                 query: "T2".to_string(),
-                stage: 1,
                 overlapped: false,
                 rows_output: 7,
                 eval: Duration::from_micros(450),
@@ -368,13 +362,12 @@ mod tests {
             },
         ];
         let report = render_report(&run);
-        assert!(report.contains("query schedule (2 stage(s); per-query eval/apply):"));
-        assert!(report
-            .contains("  [stage 0] T1+C3: 40 rows, eval 1.200ms, apply 300.000µs, overlapped"));
-        assert!(report.contains("  [stage 1] T2: 7 rows, eval 450.000µs, apply 0.000ns"));
-        // Compile-only runs print no schedule section.
+        assert!(report.contains("queries (per-query eval/apply):"));
+        assert!(report.contains("  T1+C3: 40 rows, eval 1.200ms, apply 300.000µs, overlapped"));
+        assert!(report.contains("  T2: 7 rows, eval 450.000µs, apply 0.000ns"));
+        // Compile-only runs print no per-query section.
         run.query_stats = Vec::new();
-        assert!(!render_report(&run).contains("query schedule"));
+        assert!(!render_report(&run).contains("per-query eval/apply"));
     }
 
     /// Pins the durability report line: a durable run surfaces where it

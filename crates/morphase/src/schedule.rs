@@ -1,119 +1,45 @@
-//! Query-level parallel scheduling.
+//! The query schedule: one stage.
 //!
-//! A compiled Morphase program is a list of [`cpl::Query`] values executed in
-//! program order. Operator-level parallelism (inside one query) leaves a
-//! second lever on the table: *independent queries* — the common case, since
-//! normal-form clauses read only source extents — can be evaluated
-//! concurrently on the same [`cpl::WorkerPool`].
+//! A compiled Morphase program is a list of [`cpl::Query`] values. Nothing
+//! orders them beyond program order:
 //!
-//! [`plan_schedule`] builds a dependency-aware schedule:
+//! * A normal clause's body holds only source atoms, so no compiled query
+//!   scans the target, and no query can read another's writes.
+//! * Writes settle through one definition, [`wol_model::Record::merge`],
+//!   over the *set* of contributions to each object
+//!   ([`cpl::apply_evaluated_query`]), so the order queries apply in changes
+//!   neither the target nor the conflict a failing program reports.
 //!
-//! * Each query's **read set** is the classes its plan scans
-//!   ([`cpl::Plan::scanned_classes`]); its **write set** is the target
-//!   classes its insert actions create or merge into.
-//! * Query `j` *conflicts with* an earlier query `i` when `i` writes an
-//!   extent `j` reads (a write→read chain must stay ordered) or `j` writes
-//!   an extent `i` reads (an anti-dependency: the read must not observe the
-//!   later write).
-//! * The schedule groups queries into **stages**: contiguous program-order
-//!   runs with no internal conflicts. Stages execute strictly one after
-//!   another; the queries *within* a stage may be evaluated concurrently.
-//!   Contiguity is what keeps the pipeline's *application* order — and with
-//!   it merge-conflict detection and every statistic — exactly the program
-//!   order, so the target instance is bit-identical to a fully sequential
-//!   run.
-//! * A **self-dependent** query (one that reads an extent it also writes —
-//!   the fixpoint shape) conflicts with itself: it never overlaps anything,
-//!   always occupying a stage of its own.
-//!
-//! Nothing else shapes a stage. In particular a Skolem-bearing query
-//! overlaps like any other: an identity is a function of its class and key,
-//! so a query evaluated on a worker context mints exactly the identities it
-//! would mint on the main one. Queries of a stage are *evaluated*
-//! concurrently ([`cpl::evaluate_query`] on worker contexts) and *applied* on
-//! the main context in program order ([`cpl::apply_evaluated_query`]); the
-//! driver lives in [`crate::pipeline`].
-
-use std::collections::BTreeSet;
+//! So every query may be evaluated concurrently with every other one, and
+//! the schedule is a single stage holding the whole program; the pipeline
+//! ([`crate::pipeline`]) evaluates each query as a job on the shared worker
+//! pool and applies them in program order. [`plan_schedule`] is kept, with
+//! its signature, for the benchmark's frozen replay of the pipeline.
 
 use cpl::Query;
-use wol_model::ClassName;
 
-/// One query's scheduling metadata.
-#[derive(Clone, Debug)]
-pub struct QueryNode {
-    /// Source/target classes the query's plan scans.
-    pub reads: BTreeSet<ClassName>,
-    /// Target classes the query's insert actions write.
-    pub writes: BTreeSet<ClassName>,
-    /// Whether the query reads an extent it also writes (fixpoint shape):
-    /// such a query conflicts with itself and never overlaps anything.
-    pub self_dependent: bool,
-}
-
-/// A dependency-aware execution schedule over a compiled program.
+/// The execution schedule of a compiled program.
 #[derive(Clone, Debug)]
 pub struct QuerySchedule {
-    /// Per-query metadata, indexed like the input queries.
-    pub nodes: Vec<QueryNode>,
-    /// Stages in execution order: each stage is a contiguous run of query
-    /// indices (ascending program order) that may evaluate concurrently.
-    /// Concatenating the stages yields `0..queries.len()` exactly.
+    /// Stages in execution order, each a run of query indices in program
+    /// order that may evaluate concurrently: always one stage holding
+    /// `0..queries.len()`.
     pub stages: Vec<Vec<usize>>,
 }
 
-impl QuerySchedule {
-    /// The largest number of queries any stage may overlap.
-    pub fn max_overlap(&self) -> usize {
-        self.stages.iter().map(Vec::len).max().unwrap_or(0)
-    }
-}
-
-/// Analyse one query into its scheduling metadata.
-fn analyse(query: &Query) -> QueryNode {
-    let reads = query.plan.scanned_classes();
-    let writes: BTreeSet<ClassName> = query.inserts.iter().map(|i| i.class.clone()).collect();
-    let self_dependent = reads.intersection(&writes).next().is_some();
-    QueryNode {
-        reads,
-        writes,
-        self_dependent,
-    }
-}
-
-/// Whether queries `a` and `b` must not evaluate concurrently: one writes an
-/// extent the other reads (in either direction — the write→read chain and
-/// the anti-dependency both force ordering).
-fn conflicts(a: &QueryNode, b: &QueryNode) -> bool {
-    a.writes.intersection(&b.reads).next().is_some()
-        || b.writes.intersection(&a.reads).next().is_some()
-}
-
-/// Build the execution schedule for a compiled program (see module docs).
+/// The execution schedule of a compiled program: one stage (see the module
+/// docs).
 pub fn plan_schedule(queries: &[Query]) -> QuerySchedule {
-    let nodes: Vec<QueryNode> = queries.iter().map(analyse).collect();
-    let mut stages: Vec<Vec<usize>> = Vec::new();
-    for (index, node) in nodes.iter().enumerate() {
-        // The current stage is open unless it holds a self-dependent query
-        // (always alone by construction) or one conflicting with this one.
-        let open = |stage: &Vec<usize>| {
-            !node.self_dependent
-                && stage
-                    .iter()
-                    .all(|&i| !nodes[i].self_dependent && !conflicts(&nodes[i], node))
-        };
-        match stages.last_mut() {
-            Some(current) if open(current) => current.push(index),
-            _ => stages.push(vec![index]),
-        }
+    QuerySchedule {
+        stages: vec![(0..queries.len()).collect()],
     }
-    QuerySchedule { nodes, stages }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cpl::{Expr, InsertAction, Plan};
+    use wol_model::ClassName;
 
     fn query(name: &str, scans: &[(&str, &str)], writes: &[&str]) -> Query {
         let mut plan: Option<Plan> = None;
@@ -138,99 +64,26 @@ mod tests {
         }
     }
 
-    /// Disjoint queries (distinct reads, distinct writes) share one stage
-    /// and may overlap.
+    /// Whatever the queries read or write — source extents, the same
+    /// target class, a class another query writes — the schedule is one
+    /// stage in program order.
     #[test]
-    fn disjoint_queries_overlap_in_one_stage() {
+    fn every_program_is_one_stage() {
+        assert_eq!(plan_schedule(&[]).stages, vec![Vec::<usize>::new()]);
         let queries = vec![
             query("q0", &[("A", "a")], &["X"]),
-            query("q1", &[("B", "b")], &["Y"]),
-            query("q2", &[("C", "c")], &["Z"]),
+            query("q1", &[("X", "x")], &["Y"]),
+            query("q2", &[("B", "b")], &["X"]),
+            query("q3", &[("Y", "y")], &["Y"]),
         ];
-        let schedule = plan_schedule(&queries);
-        assert_eq!(schedule.stages, vec![vec![0, 1, 2]]);
-        assert_eq!(schedule.max_overlap(), 3);
-        assert!(schedule.nodes.iter().all(|n| !n.self_dependent));
-    }
-
-    /// A write→read chain stays ordered: the reader lands in a later stage
-    /// than the writer, and an unrelated query can still share the reader's
-    /// stage.
-    #[test]
-    fn write_read_chains_stay_ordered() {
-        let queries = vec![
-            query("writer", &[("A", "a")], &["X"]),
-            query("reader", &[("X", "x")], &["Y"]),
-            query("bystander", &[("B", "b")], &["Z"]),
-        ];
-        let schedule = plan_schedule(&queries);
-        assert_eq!(schedule.stages, vec![vec![0], vec![1, 2]]);
-        // And the anti-dependency direction (read before write) also splits.
-        let queries = vec![
-            query("reader", &[("X", "x")], &["Y"]),
-            query("writer", &[("A", "a")], &["X"]),
-        ];
-        let schedule = plan_schedule(&queries);
-        assert_eq!(schedule.stages, vec![vec![0], vec![1]]);
-    }
-
-    /// Queries writing the *same* class may overlap: application is strictly
-    /// program-ordered on the main thread, so write–write merges (partial
-    /// clauses keyed alike) stay deterministic.
-    #[test]
-    fn write_write_queries_may_overlap() {
-        let queries = vec![
-            query("q0", &[("A", "a")], &["X"]),
-            query("q1", &[("B", "b")], &["X"]),
-        ];
-        let schedule = plan_schedule(&queries);
-        assert_eq!(schedule.stages, vec![vec![0, 1]]);
-    }
-
-    /// A self-dependent (fixpoint-shaped) query never overlaps itself or
-    /// anything else: it always occupies a singleton stage, wherever it
-    /// falls in the program.
-    #[test]
-    fn self_dependent_queries_never_overlap() {
-        let queries = vec![
-            query("q0", &[("A", "a")], &["X"]),
-            query("fixpoint", &[("Y", "y")], &["Y"]),
-            query("q2", &[("B", "b")], &["Z"]),
-            query("q3", &[("C", "c")], &["W"]),
-        ];
-        let schedule = plan_schedule(&queries);
-        assert!(schedule.nodes[1].self_dependent);
-        assert_eq!(schedule.stages, vec![vec![0], vec![1], vec![2, 3]]);
-        // Even as the first query, the fixpoint stays alone.
-        let queries = vec![
-            query("fixpoint", &[("Y", "y")], &["Y"]),
-            query("q1", &[("A", "a")], &["X"]),
-        ];
-        let schedule = plan_schedule(&queries);
-        assert_eq!(schedule.stages, vec![vec![0], vec![1]]);
-    }
-
-    /// Stages are contiguous program-order runs (application order is the
-    /// program order), so a conflict splits the stage even if a later query
-    /// would have been conflict-free with the earlier stage.
-    #[test]
-    fn stages_are_contiguous_program_order_runs() {
-        let queries = vec![
-            query("q0", &[("A", "a")], &["X"]),
-            query("q1", &[("X", "x")], &["Y"]), // conflicts with q0
-            query("q2", &[("A", "a2")], &["W"]), // no conflict with q1, joins its stage
-        ];
-        let schedule = plan_schedule(&queries);
-        assert_eq!(schedule.stages, vec![vec![0], vec![1, 2]]);
-        let flat: Vec<usize> = schedule.stages.iter().flatten().copied().collect();
-        assert_eq!(flat, vec![0, 1, 2]);
+        assert_eq!(plan_schedule(&queries).stages, vec![vec![0, 1, 2, 3]]);
     }
 
     /// Queries whose Skolem identities are compared, projected through,
     /// relayed through a `Map` binding, filtered out or used as a join key
-    /// overlap like any other query, and evaluating
-    /// each stage's queries on worker contexts then applying them in program
-    /// order lands on exactly the target and factory of a one-context run.
+    /// overlap like any other query, and evaluating them on worker contexts
+    /// then applying them in program order lands on exactly the target and
+    /// factory of a one-context run.
     #[test]
     fn skolem_bearing_queries_overlap_and_equal_the_sequential_run() {
         use cpl::exec::{apply_evaluated_query, evaluate_query, execute_query, ExecStats};

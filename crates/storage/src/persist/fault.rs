@@ -96,11 +96,6 @@ impl<W> FaultyFile<W> {
         }
     }
 
-    /// Install or clear the fault policy.
-    pub fn set_policy(&mut self, policy: Option<FaultPolicy>) {
-        self.policy = policy;
-    }
-
     /// Total bytes successfully written through the shim so far.
     pub fn written(&self) -> u64 {
         self.written

@@ -178,15 +178,6 @@ impl Bindings {
         self.map.insert(var.into(), value.shared())
     }
 
-    /// Bind `var` to an already-shared value without re-wrapping it.
-    pub fn insert_shared(
-        &mut self,
-        var: impl Into<Var>,
-        value: SharedValue,
-    ) -> Option<SharedValue> {
-        self.map.insert(var.into(), value)
-    }
-
     /// Remove the binding of `var`.
     pub fn remove(&mut self, var: &str) -> Option<SharedValue> {
         self.map.remove(var)

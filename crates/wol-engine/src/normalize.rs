@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use wol_lang::ast::{Atom, Clause, SkolemArgs, Term, Var};
 use wol_lang::program::Program;
 use wol_lang::typecheck::check_clause_types;
-use wol_model::{ClassName, Instance, Label, SkolemFactory, Value};
+use wol_model::{ClassName, Conflict, Instance, Label, ModelError, Record, SkolemFactory, Value};
 
 use crate::constraints::{extract_merge_keys, extract_object_keys, ObjectKey};
 use crate::env::{eval_skolem_key, eval_term, match_body, Bindings, Databases, MatchStats};
@@ -748,21 +748,17 @@ pub fn execute(
                     eval_term(term, &binding, &dbs, &mut factory)?,
                 ));
             }
-            let record = Value::Record(fields.into_iter().collect());
+            let mut record: Record = fields.into_iter().collect();
             match target.value(&oid) {
-                None => {
-                    target.insert(oid, record)?;
-                }
+                None => target.insert(oid, Value::Record(record))?,
                 Some(existing) => {
-                    let merged = existing.merge_records(&record).ok_or_else(|| {
-                        EngineError::Invalid(format!(
-                            "ambiguous transformation: object {oid} receives conflicting values \
-                             {} and {}",
-                            wol_model::display::render_value(existing),
-                            wol_model::display::render_value(&record)
-                        ))
+                    record.merge(existing.as_record()).map_err(|label| {
+                        ModelError::Conflict(Conflict {
+                            oid: oid.clone(),
+                            label,
+                        })
                     })?;
-                    target.update(&oid, merged)?;
+                    target.update(&oid, Value::Record(record))?;
                 }
             }
         }

@@ -2,7 +2,29 @@
 
 use std::fmt;
 
-use crate::types::ClassName;
+use crate::oid::Oid;
+use crate::types::{ClassName, Label};
+
+/// Two contributions to one object give one of its attributes different
+/// values, so no target satisfies both ([`crate::Record::merge`] names the
+/// attribute). Ordered by object, then attribute: every write path reports
+/// the least conflict among those it finds.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Conflict {
+    /// The object.
+    pub oid: Oid,
+    /// The least attribute its contributions disagree on.
+    pub label: Label,
+}
+
+impl fmt::Display for Conflict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Conflict { oid, label } = self;
+        write!(f, "object {oid} receives conflicting values for `{label}`")
+    }
+}
+
+impl std::error::Error for Conflict {}
 
 /// Errors raised while building or validating schemas, instances and keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,6 +84,8 @@ pub enum ModelError {
     SkolemCollision(String),
     /// A projection path could not be followed.
     PathError(String),
+    /// Contributions to one object disagree on an attribute.
+    Conflict(Conflict),
     /// Generic invariant violation with a description.
     Invalid(String),
 }
@@ -108,6 +132,7 @@ impl fmt::Display for ModelError {
             ),
             ModelError::SkolemCollision(msg) => write!(f, "Skolem identity collision: {msg}"),
             ModelError::PathError(msg) => write!(f, "path error: {msg}"),
+            ModelError::Conflict(conflict) => conflict.fmt(f),
             ModelError::Invalid(msg) => write!(f, "invalid: {msg}"),
         }
     }

@@ -37,7 +37,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, RwLock};
 
 use crate::column::AttrColumn;
-use crate::error::ModelError;
+use crate::error::{Conflict, ModelError};
 use crate::histogram::{AttrHistogram, SAMPLE_THRESHOLD};
 use crate::index::{value_hash, AttrIndex, IndexCache};
 use crate::oid::{Oid, OidGen};
@@ -720,16 +720,21 @@ impl Instance {
             let rewritten =
                 value.map_oids(&mut |o| mapping.get(o).cloned().unwrap_or_else(|| o.clone()));
             let target = mapping[oid].clone();
-            match self.value(&target) {
-                None => self.insert(target, rewritten)?,
-                Some(existing) => {
-                    let merged = existing.merge_records(&rewritten).ok_or_else(|| {
-                        ModelError::Invalid(format!(
-                            "keyed merge: objects {oid} and {target} share a key but disagree \
-                             on a field"
-                        ))
+            match (self.value(&target), rewritten) {
+                (None, rewritten) => self.insert(target, rewritten)?,
+                (Some(Value::Record(existing)), Value::Record(mut merged)) => {
+                    merged.merge([existing]).map_err(|label| {
+                        ModelError::Conflict(Conflict {
+                            oid: target.clone(),
+                            label,
+                        })
                     })?;
-                    self.update(&target, merged)?;
+                    self.update(&target, Value::Record(merged))?;
+                }
+                _ => {
+                    return Err(ModelError::Invalid(format!(
+                        "keyed merge: objects {oid} and {target} share a key but are not records"
+                    )))
                 }
             }
         }
@@ -1259,7 +1264,17 @@ mod tests {
             ]),
         );
         let err = inst.merge_keyed(&other, &keys).unwrap_err();
-        assert!(matches!(err, ModelError::Invalid(_)));
+        let ModelError::Conflict(conflict) = &err else {
+            panic!("not a conflict: {err}");
+        };
+        assert_eq!(&*conflict.label, "currency");
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "object {} receives conflicting values for `currency`",
+                conflict.oid
+            )
+        );
     }
 
     /// Recovery-shaped merges: fragments numbered independently have

@@ -111,11 +111,6 @@ impl KeySpec {
         self
     }
 
-    /// Set the key expression for a class.
-    pub fn set_key(&mut self, class: impl Into<ClassName>, key: KeyExpr) {
-        self.keys.insert(class.into(), key);
-    }
-
     /// The key expression of a class, if any.
     pub fn key_of(&self, class: &ClassName) -> Option<&KeyExpr> {
         self.keys.get(class)

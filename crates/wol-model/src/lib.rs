@@ -72,7 +72,7 @@ pub mod validate;
 pub mod values;
 
 pub use column::{AttrColumn, ColumnChunk, ColumnData, ColumnKind, StringInterner, CHUNK_ROWS};
-pub use error::ModelError;
+pub use error::{Conflict, ModelError};
 pub use fingerprint::Fingerprint;
 pub use histogram::{AttrHistogram, HistogramBucket};
 pub use instance::{AttrStats, ClassStats, Instance, Mutation, StorageSharing};

@@ -121,11 +121,6 @@ pub struct BatchDelta {
 }
 
 impl BatchDelta {
-    /// The classes the batch touched.
-    pub fn mutated_classes(&self) -> BTreeSet<ClassName> {
-        self.classes.keys().cloned().collect()
-    }
-
     /// The delta of one class, if it changed.
     pub fn class(&self, class: &ClassName) -> Option<&ClassDelta> {
         self.classes.get(class)

@@ -329,14 +329,6 @@ impl Value {
         }
     }
 
-    /// If this is an integer, return it.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// If this is a boolean, return it.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -452,20 +444,6 @@ impl Value {
         } else {
             std::cmp::Ordering::Equal
         })
-    }
-
-    /// Merge two record values that describe the *same* object, field by field.
-    ///
-    /// This is the value-level operation behind WOL's partial clauses: several
-    /// clauses each contribute some fields of a target object, and the fields
-    /// are merged as long as they agree on any field both sides define.
-    /// Returns `None` if both records define the same field with different
-    /// values, or if either value is not a record.
-    pub fn merge_records(&self, other: &Value) -> Option<Value> {
-        match (self, other) {
-            (Value::Record(a), Value::Record(b)) => a.merge(b).map(Value::Record),
-            _ => None,
-        }
     }
 
     /// Wrap the value in a cheaply clonable [`SharedValue`] handle.
@@ -600,30 +578,61 @@ impl Record {
         Record(self.0.iter().map(|(l, v)| (l.clone(), f(v))).collect())
     }
 
-    /// The union of two records' fields, or `None` if they define a common
-    /// label with different values (see [`Value::merge_records`]).
-    pub fn merge(&self, other: &Record) -> Option<Record> {
-        let mut merged = Vec::with_capacity(self.len() + other.len());
-        let (mut a, mut b) = (self.0.iter().peekable(), other.0.iter().peekable());
-        loop {
-            let next = match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => match x.0.cmp(&y.0) {
-                    std::cmp::Ordering::Less => a.next(),
-                    std::cmp::Ordering::Greater => b.next(),
-                    std::cmp::Ordering::Equal if x.1 == y.1 => {
-                        b.next();
-                        a.next()
+    /// Settle the contributions to one object — this record and `others`,
+    /// taken as a set — into this record: afterwards it holds the union of
+    /// their fields, and the result names the least label two of them give
+    /// different values, if any.
+    ///
+    /// WOL's partial clauses each contribute some fields of a target object,
+    /// identified by its Skolem key, and contributions that disagree on a
+    /// field mean no target satisfies the program. The target is a function
+    /// of the *set* of contributions, so neither their order nor how they
+    /// are grouped can change the union or the label. This is the one
+    /// definition of it: the executor's apply, the maintainer's ledger and
+    /// [`crate::Instance::merge_keyed`] all settle through it. (On a
+    /// conflict, a disputed label keeps the value of the earliest
+    /// contribution that gives it: a failed settle still holds every label
+    /// and only contributed values.) A contribution that adds no field
+    /// allocates nothing.
+    pub fn merge<'a>(&mut self, others: impl IntoIterator<Item = &'a Record>) -> Result<(), Label> {
+        let mut least: Option<&Label> = None;
+        for other in others {
+            // One walk of the two label-ordered slices finds where `other`
+            // disagrees and how many labels it adds.
+            let (ours, theirs) = (&self.0, &other.0);
+            let (mut i, mut added) = (0, 0);
+            for (label, value) in theirs.iter() {
+                while ours.get(i).is_some_and(|(l, _)| l < label) {
+                    i += 1;
+                }
+                match ours.get(i) {
+                    Some((l, v)) if l == label => {
+                        if v != value {
+                            least = Some(least.map_or(label, |m| m.min(label)));
+                        }
+                        i += 1;
                     }
-                    std::cmp::Ordering::Equal => return None,
-                },
-                (Some(_), None) => a.next(),
-                (None, _) => b.next(),
-            };
-            match next {
-                Some(field) => merged.push(field.clone()),
-                None => return Some(Record(merged.into_boxed_slice())),
+                    _ => added += 1,
+                }
+            }
+            if added > 0 {
+                let mut ours = std::mem::take(&mut self.0)
+                    .into_vec()
+                    .into_iter()
+                    .peekable();
+                let mut fields = Vec::with_capacity(ours.len() + added);
+                for (label, value) in theirs.iter() {
+                    while let Some(field) = ours.next_if(|(l, _)| l < label) {
+                        fields.push(field);
+                    }
+                    let field = ours.next_if(|(l, _)| l == label);
+                    fields.push(field.unwrap_or_else(|| (label.clone(), value.clone())));
+                }
+                fields.extend(ours);
+                self.0 = fields.into_boxed_slice();
             }
         }
+        least.map_or(Ok(()), |label| Err(label.clone()))
     }
 }
 
@@ -783,40 +792,43 @@ mod tests {
         assert!(!Value::str("plain").contains_oid());
     }
 
-    #[test]
-    fn merge_records_combines_disjoint_fields() {
-        let a = Value::record([("name", Value::str("France"))]);
-        let b = Value::record([("currency", Value::str("franc"))]);
-        let merged = a.merge_records(&b).unwrap();
-        assert_eq!(
-            merged,
-            Value::record([
-                ("name", Value::str("France")),
-                ("currency", Value::str("franc"))
-            ])
-        );
+    fn record(fields: &[(&str, i64)]) -> Record {
+        fields.iter().map(|(l, v)| (*l, Value::int(*v))).collect()
     }
 
     #[test]
-    fn merge_records_rejects_conflicts() {
-        let a = Value::record([("name", Value::str("France"))]);
-        let b = Value::record([("name", Value::str("Germany"))]);
-        assert_eq!(a.merge_records(&b), None);
-        assert_eq!(a.merge_records(&Value::int(1)), None);
+    fn merge_unites_agreeing_contributions_in_any_order() {
+        let a = record(&[("name", 1), ("language", 2)]);
+        let b = record(&[("name", 1), ("currency", 3)]);
+        let c = record(&[("area", 4)]);
+        let expected = record(&[("area", 4), ("currency", 3), ("language", 2), ("name", 1)]);
+        for (first, rest) in [(&a, [&b, &c]), (&c, [&b, &a]), (&b, [&a, &c])] {
+            let mut merged = first.clone();
+            assert_eq!(merged.merge(rest), Ok(()));
+            assert_eq!(merged, expected);
+        }
+        let mut alone = a.clone();
+        assert_eq!(alone.merge([]), Ok(()));
+        assert_eq!(alone, a);
+        let mut empty = Record::new();
+        assert_eq!(empty.merge([&a]), Ok(()));
+        assert_eq!(empty, a);
     }
 
     #[test]
-    fn merge_records_allows_agreeing_overlap() {
-        let a = Value::record([
-            ("name", Value::str("France")),
-            ("language", Value::str("French")),
-        ]);
-        let b = Value::record([
-            ("name", Value::str("France")),
-            ("currency", Value::str("franc")),
-        ]);
-        let merged = a.merge_records(&b).unwrap();
-        assert_eq!(merged.as_record().unwrap().len(), 3);
+    fn merge_names_the_least_disagreeing_label_of_the_whole_set() {
+        // `b` disagrees with `a` on `z`, and `c` with `a` on `m` only: the
+        // least label over the set is `m`, whichever contribution comes
+        // first, and the failed settle still holds every label.
+        let a = record(&[("m", 1), ("z", 1)]);
+        let b = record(&[("k", 5), ("z", 2)]);
+        let c = record(&[("m", 2)]);
+        for (first, rest) in [(&a, [&b, &c]), (&b, [&a, &c]), (&c, [&b, &a])] {
+            let mut merged = first.clone();
+            assert_eq!(merged.merge(rest), Err(Label::new("m")));
+            let labels: Vec<&str> = merged.keys().map(|l| &**l).collect();
+            assert_eq!(labels, ["k", "m", "z"]);
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use wol_repro::storage::persist::snapshot::{
     decode_snapshot, encode_snapshot, load_snapshot_file, save_snapshot_file,
 };
 use wol_repro::storage::persist::{
-    codec, replay_wal, FaultPolicy, JournalRecovery, PipelineJournal,
+    codec, replay_wal, FaultPolicy, JournalRecovery, PipelineJournal, WalRecord,
 };
 use wol_repro::wol_model::{
     ClassName, Instance, MutationBatch, Oid, SkolemFactory, SkolemState, SourceOp, Value,
@@ -693,6 +693,127 @@ fn a_crash_inside_the_checkpoint_window_is_superseded_not_torn() {
     assert!(d.resumed && d.journaled == 0 && !d.reset);
     assert_eq!(again.target.deep_eq_report(&first.target), None);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Three independent clauses, one per source class, each writing its own
+/// target class keyed by `name`: a source with two `B` rows under one name
+/// and different `v`s conflicts in the `QB` query alone.
+fn three_query_program() -> wol_repro::wol_lang::program::Program {
+    use wol_repro::wol_lang::program::{Program, SchemaBinding};
+    use wol_repro::wol_model::{Schema, Type};
+    let row = || {
+        Type::record(vec![
+            ("name".to_string(), Type::str()),
+            ("v".to_string(), Type::int()),
+        ])
+    };
+    let (mut source, mut target) = (Schema::new("three_src"), Schema::new("three_tgt"));
+    let mut text = String::new();
+    for class in ["A", "B", "C"] {
+        source = source.with_class(class, row());
+        target = target.with_class(format!("T{class}"), row());
+        text.push_str(&format!(
+            "Q{class}: X in T{class}, X.name = N, X.v = V <= S in {class}, S.name = N, S.v = V;\n\
+             K{class}: X = Mk_T{class}(N) <= X in T{class}, N = X.name;\n"
+        ));
+    }
+    Program::new(
+        "three_queries",
+        vec![SchemaBinding::new(source)],
+        SchemaBinding::new(target),
+    )
+    .with_text(&text)
+}
+
+/// `A`, `B` and `C` rows `n0`..`n3`, plus — when `conflicting` — a second
+/// `B` row under `n1` with another `v`.
+fn three_query_source(conflicting: bool) -> Instance {
+    let mut source = Instance::new("three_src");
+    let mut row = |class: &str, name: &str, v: i64| {
+        let record = Value::record([("name", Value::str(name)), ("v", Value::int(v))]);
+        source.insert_fresh(&ClassName::new(class), record);
+    };
+    for class in ["A", "B", "C"] {
+        for i in 0..4 {
+            row(class, &format!("n{i}"), i);
+        }
+    }
+    if conflicting {
+        row("B", "n1", 7);
+    }
+    source
+}
+
+/// A durable run whose k-th query conflicts commits exactly the queries
+/// before k and fails with a fresh run's error, at every thread count under
+/// both cost models.
+/// Reopening the journal resumes at k and fails with the same error; with
+/// the conflict gone, it resumes at k and finishes with the plain target.
+#[test]
+fn a_conflicting_query_stops_durable_commits_where_it_conflicts() {
+    let program = three_query_program();
+    let (clean, conflicted) = (three_query_source(false), three_query_source(true));
+    let plain = Morphase::new()
+        .transform(&program, &[&clean][..])
+        .expect("the clean source transforms");
+    let k = plain
+        .query_stats
+        .iter()
+        .position(|q| q.query.contains("QB"))
+        .expect("a query over B");
+    assert!(
+        k > 0 && k + 1 < plain.query_stats.len(),
+        "QB is neither first nor last"
+    );
+    let fresh_err = Morphase::new()
+        .transform(&program, &[&conflicted][..])
+        .expect_err("the conflicting source fails");
+    assert!(
+        fresh_err.to_string().contains("conflicting values for `v`"),
+        "{fresh_err}"
+    );
+    let committed = |dir: &Path| -> Vec<u64> {
+        let wal = std::fs::read(dir.join(PipelineJournal::WAL_FILE)).expect("read wal");
+        let log = replay_wal(&wal, "conflict", 0);
+        assert!(log.tail.is_none(), "a conflict tears nothing");
+        let done = log.batches.iter().flatten();
+        done.filter_map(|r| match r {
+            WalRecord::QueryDone(q) => Some(*q),
+            _ => None,
+        })
+        .collect()
+    };
+    let cost_models = [cpl::CostModel::Histogram, cpl::CostModel::FlatNdv];
+    for (threads, cost_model) in [1usize, 2, 4, 8]
+        .into_iter()
+        .flat_map(|t| cost_models.map(|c| (t, c)))
+    {
+        let at = format!("{threads} threads, {cost_model:?}");
+        let options = PipelineOptions {
+            parallelism: cpl::Parallelism::new(threads).with_min_items(1),
+            cost_model,
+            ..PipelineOptions::default()
+        };
+        let morphase = Morphase::with_options(options);
+        let dir = temp_dir(&format!("conflict-{threads}-{cost_model:?}"));
+        let durable = DurableOptions::new(&dir);
+        for attempt in 0..2 {
+            let err = morphase
+                .transform_durable(&program, &[&conflicted][..], &durable)
+                .expect_err("the conflicting source fails durably");
+            assert_eq!(err, fresh_err, "attempt {attempt}, {at}");
+            let expected: Vec<u64> = (0..k as u64).collect();
+            assert_eq!(committed(&dir), expected, "attempt {attempt}, {at}");
+        }
+        let run = morphase
+            .transform_durable(&program, &[&clean][..], &durable)
+            .expect("the clean source resumes");
+        let d = run.durability.expect("durable run reports stats");
+        assert!(d.resumed && !d.reset, "{d:?}");
+        assert_eq!((d.completed_before, d.skipped), (k as u64, k as u64));
+        assert_eq!(run.target, plain.target, "resumed target, {at}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// A copy of one journal directory of `tests/fixtures/parent-journals/` in a

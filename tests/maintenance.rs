@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use wol_repro::morphase::{
-    DurableOptions, MaterializedPipeline, MorphaseError, PipelineOptions, PipelineService,
+    DurableOptions, MaterializedPipeline, Morphase, MorphaseError, PipelineOptions, PipelineService,
 };
 use wol_repro::storage::persist::{FaultPolicy, PipelineJournal};
 use wol_repro::wol_model::{ClassName, Instance, MutationBatch, Value};
@@ -70,7 +70,8 @@ fn assert_matches_oracle(pipeline: &MaterializedPipeline, context: &str) {
 /// final target must be bit-identical to the same stream applied to a plain
 /// single-threaded pipeline, and to a from-scratch re-run. A closing batch
 /// whose contributions genuinely conflict then fails in place, with the same
-/// error on both pipelines alike.
+/// error on both pipelines alike and in a fresh run over the conflicting
+/// sources.
 #[test]
 fn soak_concurrent_readers_never_observe_torn_targets() {
     let params = GenomeParams::default();
@@ -105,9 +106,20 @@ fn soak_concurrent_readers_never_observe_torn_targets() {
         })
         .expect("a clone with a length");
     let conflicting = MutationBatch::new().insert(clone_s, twin);
+    let mut conflicted = reference.source(0).expect("source 0").clone();
+    conflicted
+        .apply_batch(&conflicting)
+        .expect("the batch applies to the sources");
     let reference_err = reference
         .apply_batch(&conflicting)
         .expect_err("a fresh run of the conflicting sources fails");
+    let fresh_err = Morphase::new()
+        .transform(&genome::program(), &[&conflicted][..])
+        .expect_err("a fresh run over the conflicting sources fails");
+    assert_eq!(
+        fresh_err, reference_err,
+        "a fresh run names the same conflict"
+    );
 
     let service = PipelineService::start(genome_pipeline(&params));
     let stop = AtomicBool::new(false);

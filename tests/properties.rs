@@ -1010,6 +1010,154 @@ proptest! {
     }
 }
 
+/// Two partial clauses, over two source classes, that describe one target
+/// object per name: `A` contributes `f0`, `f1`, `f2` and `B` contributes `f0`,
+/// `f2`, `f3`. Rows under one name that give a shared field different values
+/// conflict, inside one clause or across the two. Whichever clause applies
+/// first, the other shares its least label `f0`, so a settle that dropped the
+/// first clause's record for a conflicting object would miss the least
+/// conflict.
+const PARTIAL_CLAUSES: [(&str, [&str; 3]); 2] =
+    [("A", ["f0", "f1", "f2"]), ("B", ["f0", "f2", "f3"])];
+
+fn partial_conflict_program() -> wol_repro::wol_lang::program::Program {
+    use wol_repro::wol_lang::program::{Program, SchemaBinding};
+    use wol_repro::wol_model::{Schema, Type};
+    let name = || ("name".to_string(), Type::str());
+    let mut source = Schema::new("partial_src");
+    let mut text = String::from("K: X = Mk_Tgt(N) <= X in Tgt, N = X.name;\n");
+    for (class, labels) in PARTIAL_CLAUSES {
+        let fields = labels.map(|f| (f.to_string(), Type::int()));
+        source = source.with_class(class, Type::record([name()].into_iter().chain(fields)));
+        let (mut head, mut body) = (String::new(), String::new());
+        for (i, label) in labels.iter().enumerate() {
+            head.push_str(&format!(", X.{label} = V{i}"));
+            body.push_str(&format!(", S.{label} = V{i}"));
+        }
+        text.push_str(&format!(
+            "P{class}: X in Tgt, X.name = N{head} <= S in {class}, S.name = N{body};\n"
+        ));
+    }
+    let fields = ["f0", "f1", "f2", "f3"].map(|f| (f.to_string(), Type::optional(Type::int())));
+    let target = Type::record([name()].into_iter().chain(fields));
+    Program::new(
+        "partial_conflicts",
+        vec![SchemaBinding::new(source)],
+        SchemaBinding::new(Schema::new("partial_tgt").with_class("Tgt", target)),
+    )
+    .with_text(&text)
+}
+
+/// Rows of both classes over a few names and small field domains, with one
+/// cross-clause conflict planted on `f0` of `n0`.
+fn partial_conflict_source(g: &mut proptest::Gen) -> Instance {
+    let mut source = Instance::new("partial_src");
+    let mut row = |class: &str, labels: [&str; 3], name: usize, values: [i64; 3]| {
+        let fields = labels.into_iter().zip(values.map(Value::int));
+        let name = ("name", Value::str(format!("n{name}")));
+        source.insert_fresh(
+            &ClassName::new(class),
+            Value::record([name].into_iter().chain(fields)),
+        );
+    };
+    let [(a, a_labels), (b, b_labels)] = PARTIAL_CLAUSES;
+    row(a, a_labels, 0, [0, 0, 0]);
+    row(b, b_labels, 0, [1, 0, 0]);
+    for (class, labels) in PARTIAL_CLAUSES {
+        for _ in 0..g.usize_in(0, 8) {
+            let name = g.usize_in(0, 4);
+            row(
+                class,
+                labels,
+                name,
+                [(); 3].map(|()| g.usize_in(0, 3) as i64),
+            );
+        }
+    }
+    source
+}
+
+/// The least conflicting `(object, attribute)` of [`partial_conflict_source`]
+/// read off the rows alone: per name, a field any two rows give different
+/// values.
+fn least_partial_conflict(source: &Instance) -> (wol_repro::wol_model::Oid, String) {
+    use std::collections::{BTreeMap, BTreeSet};
+    use wol_repro::wol_model::Oid;
+    let mut values: BTreeMap<(String, String), BTreeSet<Value>> = BTreeMap::new();
+    for (class, labels) in PARTIAL_CLAUSES {
+        for (_, record) in source.objects(&ClassName::new(class)) {
+            let Some(Value::Str(name)) = record.project("name") else {
+                panic!("every row has a name");
+            };
+            for label in labels {
+                if let Some(value) = record.project(label) {
+                    let key = (name.clone(), label.to_string());
+                    values.entry(key).or_default().insert(value.clone());
+                }
+            }
+        }
+    }
+    // A name's object is the one a run over that name's single row makes.
+    let oid_of = |name: &str| -> Oid {
+        let (class, labels) = PARTIAL_CLAUSES[0];
+        let mut one = Instance::new("partial_src");
+        let fields = labels.map(|label| (label, Value::int(0)));
+        let row = [("name", Value::str(name))].into_iter().chain(fields);
+        one.insert_fresh(&ClassName::new(class), Value::record(row));
+        let run = Morphase::new()
+            .transform(&partial_conflict_program(), &[&one][..])
+            .expect("one row cannot conflict");
+        let mut oids = run.target.extent(&ClassName::new("Tgt")).cloned();
+        oids.next().expect("one object")
+    };
+    values
+        .into_iter()
+        .filter(|(_, seen)| seen.len() > 1)
+        .map(|((name, label), _)| (oid_of(&name), label))
+        .min()
+        .expect("the planted conflict")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One conflict error everywhere: over sources whose two partial clauses
+    /// disagree on several objects and labels, a fresh run fails with the
+    /// error naming the least conflicting `(object, attribute)` of all the
+    /// contributions, identical at 1, 2, 4 and 8 threads (partitions forced
+    /// below the minimum) and equal to the error the maintainer's build
+    /// reports.
+    #[test]
+    fn a_fresh_run_and_the_maintainer_name_the_same_least_conflict(seed in 0u64..u64::MAX) {
+        use wol_repro::morphase::{MaterializedPipeline, MorphaseError, PipelineOptions};
+
+        let mut g = proptest::Gen::new(seed);
+        let program = partial_conflict_program();
+        let queries = Morphase::new().compile(&program).map(|run| run.plans.len());
+        prop_assert!(queries.is_ok_and(|n| n >= 2), "the clauses compile to several queries");
+        let source = partial_conflict_source(&mut g);
+        let (oid, label) = least_partial_conflict(&source);
+        let expected = MorphaseError::Execution(format!(
+            "object {oid} receives conflicting values for `{label}`"
+        ));
+        for threads in [1usize, 2, 4, 8] {
+            let options = PipelineOptions {
+                parallelism: cpl::Parallelism::new(threads).with_min_items(1),
+                ..PipelineOptions::default()
+            };
+            let fresh = Morphase::with_options(options)
+                .transform(&program, &[&source][..])
+                .map(|_| ())
+                .unwrap_err();
+            prop_assert!(fresh == expected, "fresh run, {} threads: {} (expected {})", threads, fresh, expected);
+            let built = MaterializedPipeline::new(&program, vec![source.clone()], options)
+                .map(|_| ())
+                .unwrap_err();
+            prop_assert!(built == expected, "maintainer build, {} threads: {}", threads, built);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -2045,22 +2193,23 @@ fn map_fingerprint(fp: &mut wol_repro::wol_model::Fingerprint, m: &MapValue) {
     }
 }
 
-/// The reference `merge_records`: the map-insert loop it used to be.
+/// The reference `Record::merge` of two records: the map-insert loop it
+/// used to be, failing at the first (least, in label order) disputed label.
 fn map_merge(
     a: &std::collections::BTreeMap<String, MapValue>,
     b: &std::collections::BTreeMap<String, MapValue>,
-) -> Option<std::collections::BTreeMap<String, MapValue>> {
+) -> Result<std::collections::BTreeMap<String, MapValue>, String> {
     let mut merged = a.clone();
     for (label, value) in b {
         match merged.get(label) {
-            Some(existing) if existing != value => return None,
+            Some(existing) if existing != value => return Err(label.clone()),
             Some(_) => {}
             None => {
                 merged.insert(label.clone(), value.clone());
             }
         }
     }
-    Some(merged)
+    Ok(merged)
 }
 
 proptest! {
@@ -2069,8 +2218,9 @@ proptest! {
     /// `Record` — sorted interned labels in one allocation — behaves as the
     /// `BTreeMap<String, Value>` it replaced, over random label sets (added
     /// in random order, nested, multi-byte): the same order, equality and
-    /// hash between any two values; the same `project` and
-    /// `merge_records`; the same `Fingerprint` walk and codec bytes; and
+    /// hash between any two values; the same `project` and `merge` (union,
+    /// or least disputed label); the same `Fingerprint` walk and codec
+    /// bytes; and
     /// snapshots of instances built from either field order encode to the
     /// same bytes and decode back to the model.
     #[test]
@@ -2117,7 +2267,12 @@ proptest! {
                 prop_assert_eq!(va == vb, ma == mb);
             }
         }
-        let merged = values[0].merge_records(&values[1]).map(|v| model_of(&v));
+        let (Some(left), Some(right)) = (values[0].as_record(), values[1].as_record()) else {
+            panic!("the first two models are records");
+        };
+        let mut merged = left.clone();
+        let settled = merged.merge([right]).map_err(|label| label.to_string());
+        let merged = settled.map(|()| model_of(&Value::Record(merged)));
         let expected = map_merge(&left_fields, &right_fields).map(MapValue::Record);
         prop_assert_eq!(merged, expected);
 
