@@ -21,15 +21,15 @@
 //! how many from the context's budget ([`EvalCtx::set_parallelism`]) and the
 //! operator's input size, and `run_partitioned` runs one partition inline on
 //! the calling context and several on the persistent
-//! [`wol_model::WorkerPool`]. Scan+filter splits the class extent, filters,
-//! maps, loop joins and insert evaluation split their (left) input rows into
-//! contiguous chunks, hash joins shard the build side — and, on the index
-//! path, the driving rows — by key hash. A Skolem-bearing operator is no
-//! exception: an identity is a function of its key, so each worker mints
-//! through a factory of its own and the factories fold into the caller's in
-//! partition order. Chunks merge in input order, so the row stream and the
-//! merged [`ExecStats`] are bit-identical at every thread count
-//! (per-partition breakdowns: [`EvalCtx::shard_stats`]).
+//! [`wol_model::WorkerPool`]. Every operator splits its input into
+//! contiguous chunks (scan+filter the class extent; the index-probe join its
+//! key groups, then its driving rows), except that a hash join shards its
+//! build side by key hash. A Skolem-bearing operator is no exception: an
+//! identity is a function of its key, so each worker mints through a factory
+//! of its own and the factories fold into the caller's in partition order.
+//! Chunks merge in input order and the earliest failing chunk's error wins,
+//! so the row stream, the merged [`ExecStats`] and the error are those of one
+//! partition at every thread count (breakdown: [`EvalCtx::shard_stats`]).
 //!
 //! ## Writes
 //!
@@ -251,10 +251,11 @@ fn concat<T>(chunks: Vec<Vec<T>>) -> Vec<T> {
     chunks.into_iter().flatten().collect()
 }
 
-/// Hash of a composite key tuple, used to assign build rows and driving rows
-/// to shards. [`std::collections::hash_map::DefaultHasher`] is deterministic
-/// across processes, so shard assignment — and everything derived from it,
-/// like per-shard statistics — is reproducible.
+/// Hash of a composite key tuple: the shard of the generic hash join that
+/// owns a build row, and that a probe row looks its key up in.
+/// [`std::collections::hash_map::DefaultHasher`] is deterministic across
+/// processes, so shard assignment — and everything derived from it, like
+/// per-shard statistics — is reproducible.
 fn key_tuple_hash(values: &[Cow<'_, Value>]) -> u64 {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     values.hash(&mut hasher);
@@ -478,15 +479,15 @@ pub fn layout(plan: &Plan) -> Vec<String> {
 /// key pairs against each candidate.
 ///
 /// Repeated composite keys — the common case on skewed data, where a few hot
-/// values dominate the driving side — are probed **once**: driving rows are
-/// grouped by key tuple, the verified identity list of a group is computed
-/// for its first row and replayed for every other
-/// ([`ExecStats::probe_cache_hits`]). Groups are sharded *by key hash*, so a
-/// distinct key and its one probe belong to exactly one partition and the
-/// merged probe and cache-hit counts do not depend on the partition count.
-/// Each partition emits rows, in `out` (the join's [`layout`]), tagged with
-/// their driving row; reassembling them in driving-row order gives the
-/// output stream of a row-by-row loop, whatever the grouping and sharding.
+/// values dominate the driving side — are probed **once**, in two passes
+/// over contiguous partitions. The first probes each group (a distinct key
+/// tuple, or a keyed row when a scan-side key also reads the driving row)
+/// in first-occurrence order. The second splices every driving row, in
+/// order, with its group's identities in `out` (the join's [`layout`]); a
+/// group's first row counts its probe, every other row a cache hit
+/// ([`ExecStats::probe_cache_hits`]), so the per-shard breakdown sums to the
+/// merged counts. Rows, counts and the error (the first failing row's key,
+/// else the first failing group's probe) are a one-partition run's.
 fn probe_join(
     driving: &Plan,
     driving_keys: &[&Expr],
@@ -509,15 +510,6 @@ fn probe_join(
     };
     let parts = ctx.parallelism().partitions(driving_rows.len());
     let key_tuples = eval_key_tuples(&driving_rows, &driving_lowered, parts, ctx, stats)?;
-    /// The driving rows (ascending indices) that share one probe: all rows
-    /// carrying `key`, or a contiguous sub-range of a *hot* key's rows.
-    struct ProbeGroup<'k, 'r> {
-        key: &'k [Cow<'r, Value>],
-        rows: Vec<usize>,
-        /// A hot key's pre-probed match list, shared by its sub-ranges; the
-        /// flag marks the lead sub-range, which accounts for the one probe.
-        shared: Option<(std::sync::Arc<Vec<Oid>>, bool)>,
-    }
     // One probe per key is sound only when every scan-side key expression
     // ranges over the scanned variable alone — then the verified identity
     // list is a function of the key tuple. The planner only emits such keys,
@@ -525,116 +517,66 @@ fn probe_join(
     let cacheable = scan_keys
         .iter()
         .all(|k| k.var_set().iter().all(|v| v == &side.var));
-    let mut shards: Vec<Vec<ProbeGroup<'_, '_>>> = Vec::new();
-    if cacheable {
-        // Group keyed rows per key tuple, in first-occurrence order.
-        let mut groups: Vec<ProbeGroup<'_, '_>> = Vec::new();
-        let mut group_of: HashMap<&[Cow<'_, Value>], usize> = HashMap::new();
-        let mut keyed = 0usize;
-        for (idx, values) in key_tuples.iter().enumerate() {
-            let Some(values) = values else { continue };
-            keyed += 1;
-            let g = *group_of.entry(values.as_slice()).or_insert(groups.len());
-            if g == groups.len() {
-                groups.push(ProbeGroup {
-                    key: values,
-                    rows: Vec::new(),
-                    shared: None,
-                });
+    // Each keyed row's group, and each group's first row with its key.
+    let mut group_of: Vec<Option<usize>> = Vec::with_capacity(key_tuples.len());
+    let mut firsts: Vec<(usize, &[Cow<'_, Value>])> = Vec::new();
+    let mut by_key: HashMap<&[Cow<'_, Value>], usize> = HashMap::new();
+    for (idx, values) in key_tuples.iter().enumerate() {
+        group_of.push(values.as_deref().map(|key| {
+            let fresh = firsts.len();
+            let group = if cacheable {
+                *by_key.entry(key).or_insert(fresh)
+            } else {
+                fresh
+            };
+            if group == fresh {
+                firsts.push((idx, key));
             }
-            groups[g].rows.push(idx);
-        }
-        // A zipfian heavy hitter hashes all of its rows into one shard and
-        // serializes the join behind one worker. Keys holding at least twice
-        // a fair share of the rows are split into contiguous sub-ranges that
-        // idle workers steal; everyone shares the key's single pre-probed
-        // match list, and the lead sub-range accounts for that one probe
-        // (every other row is a cache hit), so the merged totals are
-        // unchanged. With one partition a fair share is every row, and no
-        // key is hot.
-        let hot_threshold = (2 * keyed.div_ceil(parts)).max(8);
-        let mut owned: Vec<Vec<ProbeGroup<'_, '_>>> = (0..parts).map(|_| Vec::new()).collect();
-        for group in groups {
-            if group.rows.len() < hot_threshold {
-                owned[(key_tuple_hash(group.key) % parts as u64) as usize].push(group);
-                continue;
-            }
-            let matched = std::sync::Arc::new(probe.candidates(
-                None,
-                &mut Vec::new(),
-                group.key,
-                ctx,
-                &mut ExecStats::default(),
-            )?);
-            for (part, range) in chunk_ranges(group.rows.len(), parts)
-                .into_iter()
-                .enumerate()
-            {
-                shards.push(vec![ProbeGroup {
-                    key: group.key,
-                    rows: group.rows[range].to_vec(),
-                    shared: Some((matched.clone(), part == 0)),
-                }]);
-            }
-        }
-        shards.extend(owned.into_iter().filter(|groups| !groups.is_empty()));
-    } else {
-        // Every keyed row probes for itself, so ownership is irrelevant:
-        // plain contiguous chunks of single-row groups.
-        for range in chunk_ranges(key_tuples.len(), parts) {
-            let groups: Vec<ProbeGroup<'_, '_>> = range
-                .filter_map(|idx| {
-                    key_tuples[idx].as_ref().map(|values| ProbeGroup {
-                        key: values,
-                        rows: vec![idx],
-                        shared: None,
-                    })
-                })
-                .collect();
-            if !groups.is_empty() {
-                shards.push(groups);
-            }
-        }
+            group
+        }));
     }
-    let (driving_rows, probe, splice) = (&driving_rows, &probe, &splice);
-    // Produced rows carry their driving row's index for reassembly.
-    let per_shard: Vec<Vec<(usize, SlotRow)>> =
-        run_partitioned(ctx, stats, shards, |shard, wctx, ws| {
-            let mut scratch = Vec::new();
-            let mut out = Vec::new();
-            for group in &shard {
-                let fresh;
-                let matched: &[Oid] = match &group.shared {
-                    Some((matched, lead)) => {
-                        ws.index_probes += usize::from(*lead);
-                        ws.probe_cache_hits += group.rows.len() - usize::from(*lead);
-                        matched.as_slice()
-                    }
-                    None => {
-                        // A cacheable key's candidates depend on the key
-                        // alone; otherwise the (single) row is the base the
-                        // remaining scan keys are verified against.
-                        let base = (!cacheable).then(|| driving_rows[group.rows[0]].as_slice());
-                        fresh = probe.candidates(base, &mut scratch, group.key, wctx, ws)?;
-                        ws.probe_cache_hits += group.rows.len() - 1;
-                        &fresh
-                    }
-                };
-                for &idx in &group.rows {
-                    let row = &driving_rows[idx];
-                    let joined = matched
-                        .iter()
-                        .map(|oid| splice.join(row, &[Value::Oid(oid.clone())]));
-                    out.extend(joined.map(|produced| (idx, produced)));
-                }
-            }
-            ws.rows_produced += out.len();
-            Ok(out)
-        })?;
-    // A stable sort: each driving row's matches keep their extent order.
-    let mut produced = concat(per_shard);
-    produced.sort_by_key(|(idx, _)| *idx);
-    let rows: Vec<SlotRow> = produced.into_iter().map(|(_, row)| row).collect();
+    drop(by_key);
+    let (driving_rows, firsts, probe) = (&driving_rows, &firsts, &probe);
+    let ranges = chunk_ranges(firsts.len(), ctx.parallelism().partitions(firsts.len()));
+    // A partition gathers its groups' verified identities into one list and
+    // the offsets where each group ends, so no group keeps a list of its own.
+    let probed = run_partitioned(ctx, stats, ranges, |range, wctx, _ws| {
+        let (mut scratch, mut found) = (Vec::new(), Vec::new());
+        let mut ends = Vec::with_capacity(range.len());
+        for &(idx, key) in &firsts[range] {
+            // A cacheable key's candidates depend on the key alone; otherwise
+            // the row is the base the remaining scan keys are verified against.
+            let base = (!cacheable).then(|| driving_rows[idx].as_slice());
+            found.extend(probe.candidates(base, &mut scratch, key, wctx)?);
+            ends.push(found.len());
+        }
+        Ok((found, ends))
+    })?;
+    // Group `g`'s identities are `found[bounds[g]..bounds[g + 1]]`.
+    let (mut found, mut bounds) = (Vec::new(), vec![0]);
+    for (part, ends) in probed {
+        bounds.extend(ends.iter().map(|end| found.len() + end));
+        found.extend(part);
+    }
+    let (group_of, found, bounds, splice) = (&group_of, &found, &bounds, &splice);
+    let ranges = chunk_ranges(driving_rows.len(), parts);
+    let chunks = run_partitioned(ctx, stats, ranges, |range, _wctx, ws| {
+        let mut out = Vec::new();
+        for idx in range {
+            let Some(group) = group_of[idx] else { continue };
+            let first = firsts[group].0 == idx;
+            ws.index_probes += usize::from(first);
+            ws.probe_cache_hits += usize::from(!first);
+            let row = &driving_rows[idx];
+            let joined = found[bounds[group]..bounds[group + 1]]
+                .iter()
+                .map(|oid| splice.join(row, &[Value::Oid(oid.clone())]));
+            out.extend(joined);
+        }
+        ws.rows_produced += out.len();
+        Ok(out)
+    })?;
+    let rows = concat(chunks);
     ctx.record_join("HashJoin", rows.len());
     stats.record_operator_output(rows.len());
     Ok(rows)
@@ -663,9 +605,7 @@ impl Probe<'_> {
         row: &mut SlotRow,
         key_values: &[Cow<'_, Value>],
         ctx: &mut EvalCtx<'_>,
-        stats: &mut ExecStats,
     ) -> Result<Vec<Oid>> {
-        stats.index_probes += 1;
         let side = self.side;
         let mut matched: Vec<Oid> = Vec::new();
         for instance in ctx.sources() {
@@ -1617,9 +1557,12 @@ mod tests {
 
     /// A source with every partitioning hazard in one place: countries and
     /// cities (one city without a country, so rows drop mid-`Map`), a
-    /// single-row class, and a zipfian marker→clone key (32 of 40 markers
-    /// share the `hot` clone) so probe shards are unbalanced and the hot key
-    /// gets split.
+    /// single-row class, a zipfian marker→clone key (32 of 40 markers share
+    /// the `hot` clone) so one probe group spans several partitions, and
+    /// tags whose `flag` is no boolean — an `int` on the first tag and its
+    /// `cold` clone, a `str` on the 64 `hot` tags after it and their clone —
+    /// so a `Not` over either fails differently for the first row and the
+    /// rest.
     fn partition_fixture() -> Instance {
         let mut inst = Instance::new("src");
         let countries: Vec<Oid> = (0..4)
@@ -1674,6 +1617,26 @@ mod tests {
                 ]),
             );
         }
+        let flag = |cold: bool| if cold { Value::int(0) } else { Value::str("x") };
+        for name in ["cold", "hot"] {
+            inst.insert_fresh(
+                &ClassName::new("FlagS"),
+                Value::record([("name", Value::str(name)), ("flag", flag(name == "cold"))]),
+            );
+        }
+        for i in 0..65 {
+            inst.insert_fresh(
+                &ClassName::new("TagS"),
+                Value::record([
+                    ("name", Value::str(format!("t{i}"))),
+                    (
+                        "clone_name",
+                        Value::str(if i == 0 { "cold" } else { "hot" }),
+                    ),
+                    ("flag", flag(i == 0)),
+                ]),
+            );
+        }
         inst
     }
 
@@ -1718,7 +1681,8 @@ mod tests {
     /// tiny fixture partitions at all) and must reproduce the one-partition
     /// run exactly — the same row *stream*, a bit-identical target, the same
     /// Skolem memo, equal [`ExecStats`] — while the per-shard breakdown stays
-    /// empty exactly when nothing was dispatched.
+    /// empty exactly when nothing was dispatched. A shape that fails must
+    /// fail with the one-partition run's error: the first failing row's.
     #[test]
     fn every_plan_shape_is_partition_invariant() {
         let inst = partition_fixture();
@@ -1743,6 +1707,21 @@ mod tests {
             bind(
                 "B",
                 mk("CityT", Expr::var("E").proj("name")).eq(Expr::var("E")),
+            )
+        };
+        // `Not` over a tag's or a clone's `flag`: an error that is not a bad
+        // value, `int` for the first row and `str` for every later one.
+        let not_flag = |var: &str| Expr::Not(Box::new(Expr::var(var).proj("flag")));
+        let tag_clone = |scan_flag: Expr| {
+            Plan::scan("TagS", "T").map(vec![]).hash_join_multi(
+                Plan::scan("FlagS", "C"),
+                vec![
+                    (
+                        Expr::var("T").proj("clone_name"),
+                        Expr::var("C").proj("name"),
+                    ),
+                    (Expr::constant(true), scan_flag),
+                ],
             )
         };
         let shapes = vec![
@@ -1935,11 +1914,45 @@ mod tests {
                 partitions: false,
                 ..shape("comparing inserts", Plan::scan("CityE", "E"))
             },
+            // Failing shapes. A cold key, then a hot key whose 64 rows span
+            // every partition: the cold group's probe fails first.
+            shape("failing probe join", tag_clone(not_flag("C"))),
+            shape("failing uncacheable probe join", tag_clone(not_flag("T"))),
+            shape(
+                "failing filter",
+                Plan::scan("TagS", "T").filter(not_flag("T")),
+            ),
+            shape(
+                "failing map",
+                Plan::scan("TagS", "T").map(vec![bind("B", not_flag("T"))]),
+            ),
+            shape(
+                "failing generic hash join",
+                Plan::scan("TagS", "T").map(vec![]).hash_join(
+                    Plan::scan("FlagS", "C").map(vec![]),
+                    not_flag("T"),
+                    Expr::var("C").proj("flag"),
+                ),
+            ),
+            Shape {
+                query: Query {
+                    name: "failing inserts".to_string(),
+                    plan: Plan::scan("TagS", "T"),
+                    inserts: vec![InsertAction {
+                        class: ClassName::new("TagT"),
+                        key: Expr::var("T").proj("name"),
+                        attrs: vec![attr("b", not_flag("T"))],
+                    }],
+                },
+                partitions: false,
+                ..shape("failing inserts", Plan::scan("TagS", "T"))
+            },
         ];
         let refs = [&inst];
         let mut produced = BTreeMap::new();
+        let mut failed = BTreeMap::new();
         for shape in &shapes {
-            let run = |threads: usize| {
+            let run = |threads: usize| -> Result<_> {
                 let ctx = || {
                     let mut ctx = EvalCtx::new(&refs)
                         .with_parallelism(Parallelism::new(threads).with_min_items(1));
@@ -1950,8 +1963,7 @@ mod tests {
                 };
                 let mut plan_ctx = ctx();
                 let mut plan_stats = ExecStats::default();
-                let rows = run_plan(&shape.query.plan, &mut plan_ctx, &mut plan_stats)
-                    .unwrap_or_else(|e| panic!("{}: {e}", shape.name));
+                let rows = run_plan(&shape.query.plan, &mut plan_ctx, &mut plan_stats)?;
                 assert_eq!(
                     plan_ctx.shard_stats().is_empty(),
                     threads == 1 || !shape.partitions,
@@ -1962,8 +1974,7 @@ mod tests {
                 let mut query_ctx = ctx();
                 let mut query_stats = ExecStats::default();
                 let mut target = Instance::new("target");
-                execute_query(&shape.query, &mut query_ctx, &mut target, &mut query_stats)
-                    .unwrap_or_else(|e| panic!("{}: {e}", shape.name));
+                execute_query(&shape.query, &mut query_ctx, &mut target, &mut query_stats)?;
                 if !shape.query.inserts.is_empty() {
                     assert_eq!(
                         query_ctx.shard_stats().is_empty(),
@@ -1976,9 +1987,20 @@ mod tests {
                     format!("{:?}", plan_ctx.factory),
                     format!("{:?}", query_ctx.factory),
                 );
-                (rows, plan_stats, target, query_stats, numbering)
+                Ok((rows, plan_stats, target, query_stats, numbering))
             };
-            let reference = run(1);
+            let reference = match run(1) {
+                Ok(reference) => reference,
+                Err(error) => {
+                    for threads in [2, 3, 8] {
+                        let at = format!("`{}` at {threads} threads", shape.name);
+                        let diverged = run(threads).err();
+                        assert_eq!(diverged.as_ref(), Some(&error), "error diverged: {at}");
+                    }
+                    failed.insert(shape.name, error);
+                    continue;
+                }
+            };
             let totals = &reference.3;
             produced.insert(
                 shape.name,
@@ -1989,8 +2011,9 @@ mod tests {
                 ),
             );
             for threads in [2, 3, 8] {
-                let (rows, plan_stats, target, query_stats, numbering) = run(threads);
                 let at = format!("`{}` at {threads} threads", shape.name);
+                let (rows, plan_stats, target, query_stats, numbering) =
+                    run(threads).unwrap_or_else(|e| panic!("{at}: {e}"));
                 assert_eq!(rows, reference.0, "row stream diverged: {at}");
                 assert_eq!(plan_stats, reference.1, "plan ExecStats diverged: {at}");
                 assert_eq!(target, reference.2, "target diverged: {at}");
@@ -2004,6 +2027,20 @@ mod tests {
         assert_eq!(produced["uncacheable probe join"], (40, 0, 40));
         assert_eq!(produced["skolem inserts"].1, 48);
         assert_eq!(produced["restricted driving scan"].0, 8);
+        // Exactly the failing shapes fail, each on its first row's `int`.
+        let int_error = CplError::NotBoolean("int");
+        assert!(failed.values().all(|e| *e == int_error), "{failed:?}");
+        assert_eq!(
+            failed.keys().copied().collect::<Vec<_>>(),
+            [
+                "failing filter",
+                "failing generic hash join",
+                "failing inserts",
+                "failing map",
+                "failing probe join",
+                "failing uncacheable probe join",
+            ]
+        );
     }
 
     /// A cross-algorithm oracle that shares no body with the partitioned
@@ -2075,9 +2112,9 @@ mod tests {
         }
     }
 
-    /// A zipfian hot key is split into stolen contiguous sub-ranges instead
-    /// of serializing behind one hash-owned shard: the merged totals still
-    /// equal the one-partition run's (one probe per distinct key), and
+    /// A zipfian hot key does not serialize behind one worker: its rows are
+    /// spliced by every contiguous partition they fall in, the merged totals
+    /// still equal the one-partition run's (one probe per distinct key), and
     /// several shard slots report cache hits for the same key.
     #[test]
     fn hot_key_probe_work_is_stolen_across_shards() {
@@ -2122,10 +2159,9 @@ mod tests {
         assert_eq!(rows.len(), 72);
         assert_eq!(whole.index_probes, 5); // one per distinct key, hot included
         assert_eq!(whole.probe_cache_hits, 67);
-        // At 4 partitions the hot key's 64 rows outweigh twice a fair share
-        // (36), so its rows are split into sub-ranges stolen by idle
-        // workers: more than one shard slot reports cache hits, instead of
-        // one shard absorbing all 64 rows.
+        // At 4 partitions the hot key's 64 rows fill three partitions of 18
+        // rows and part of the fourth: every shard slot reports cache hits,
+        // instead of one shard absorbing all 64 rows.
         let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(4).with_min_items(1));
         let mut stats = ExecStats::default();
         assert_eq!(run_plan(&probed, &mut ctx, &mut stats).unwrap(), rows);

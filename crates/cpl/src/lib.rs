@@ -52,9 +52,9 @@
 //! * **Shared immutably** — the source [`wol_model::Instance`]s, read
 //!   concurrently (the lazy index cache sits behind an `RwLock`; mutation
 //!   needs `&mut`, so a partition never observes a write).
-//! * **Partitioned** — by key hash for hash-join build sides and index-probed
-//!   driving rows (a distinct key and its one probe belong to one
-//!   partition), in contiguous input chunks for everything else.
+//! * **Partitioned** — by key hash for the generic hash join's build side
+//!   only, in contiguous input chunks for everything else (the index-probe
+//!   join's key groups and driving rows included).
 //! * **Deterministic by construction** — results reassemble in input order,
 //!   and a Skolem identity is a function of its class and key
 //!   ([`wol_model::skolem_id`]), so a worker minting through a factory of its
@@ -62,10 +62,10 @@
 //!   factories fold into the caller's in partition order, where a collision
 //!   across workers is detected. Inserts *apply* on the owning thread, one
 //!   object at a time over the set of its contributions, so neither row
-//!   order nor partitioning reaches the target or a conflict. Rows, target
-//!   and merged [`ExecStats`] are bit-identical at every partition count —
-//!   held by the thread-matrix differential tests in `tests/properties.rs`
-//!   and the partition-invariance table in [`exec`].
+//!   order nor partitioning reaches the target or a conflict. Rows, target,
+//!   merged [`ExecStats`] and the error are bit-identical at every partition
+//!   count — held by the thread-matrix differential tests in
+//!   `tests/properties.rs` and the partition-invariance table in [`exec`].
 
 // Library code reports errors; it does not panic. Tests may.
 #![cfg_attr(

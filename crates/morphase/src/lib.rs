@@ -10,7 +10,7 @@
 //!  │ WOL transformation program + meta-data                               │
 //!  │    │  0  auto-generate key / merge-key constraint clauses [metadata] │
 //!  │    │  1  validation                                      [wol_lang]  │
-//!  │    ▼  2  translator to snf                        [wol_engine::snf]  │
+//!  │    │  2  (semi-normal form: not built; normalisation needs none)     │
 //!  │    ▼  3  normalisation                      [wol_engine::normalize]  │
 //!  └──────────────────────────────────────────────────────────────────────┘
 //!        │  built once per one-shot run — once per *pipeline* when standing

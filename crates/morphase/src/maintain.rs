@@ -71,7 +71,7 @@
 //! the cache cannot say which contributions to keep. A rebuild re-plans
 //! against the mutated sources (fresh statistics, exactly like a fresh run)
 //! and re-fills with a fresh Skolem factory. It never re-normalises:
-//! meta-data generation, validation, snf and the normal form depend on the
+//! meta-data generation, validation and the normal form depend on the
 //! program alone, so the pipeline builds that front half once, at
 //! construction ([`crate::pipeline`]'s `Front`), and every initial build,
 //! rebuild and oracle run borrows it.
@@ -103,8 +103,8 @@ use wol_engine::{check_batch, BatchCheck, Databases, EngineError};
 use wol_lang::program::Program;
 use wol_lang::Clause;
 use wol_model::{
-    BatchDelta, ClassName, Conflict, Fingerprint, Instance, Label, Mutation, MutationBatch, Oid,
-    Record, Schema, SkolemFactory, SourceOp, Type, Value,
+    BatchDelta, BatchPreimages, ClassName, Conflict, Fingerprint, Instance, Label, Mutation,
+    MutationBatch, Oid, Record, Schema, SkolemFactory, SourceOp, Type, Value,
 };
 
 use crate::pipeline::{
@@ -607,7 +607,7 @@ struct Core {
 /// scratch over the pipeline's retained front half: the one entry point for
 /// initial builds *and* rebuilds, so a rebuilt pipeline is a fresh run by
 /// construction — fresh statistics, fresh plans, fresh Skolem factory — while
-/// the program-only stages (meta-data, validation, snf, normal form) are
+/// the program-only stages (meta-data, validation, normal form) are
 /// never repeated.
 fn build_state(
     front: &Front,
@@ -916,7 +916,7 @@ impl MaterializedPipeline {
         let preimages = if mode == BatchConstraintMode::Enforce {
             self.sources[source].batch_preimages(batch)
         } else {
-            Vec::new()
+            BatchPreimages::default()
         };
         let delta = match self.sources[source].apply_batch(batch) {
             Ok(delta) => delta,
@@ -961,7 +961,7 @@ impl MaterializedPipeline {
         source: usize,
         delta: &BatchDelta,
         mode: BatchConstraintMode,
-        preimages: &[(Oid, Value)],
+        preimages: &BatchPreimages,
     ) -> Result<Option<BatchCheck>> {
         let check = {
             let clause_refs: Vec<&Clause> = self.constraints.iter().collect();
@@ -1229,6 +1229,43 @@ mod tests {
         let report = pipeline.apply_batch(&batch).unwrap();
         assert_eq!(report.outcome, BatchOutcome::InPlace);
         assert!(report.rows_added > 0);
+        assert_matches_oracle(&pipeline);
+    }
+
+    /// `source` re-inserted under its own identities, explicitly: its
+    /// generator has minted nothing, so every held identity is ahead of it.
+    fn with_explicit_identities(source: &Instance) -> Instance {
+        let mut explicit = Instance::new(source.schema_name());
+        for (oid, value) in source.all_objects() {
+            explicit.insert(oid.clone(), value.clone()).unwrap();
+        }
+        explicit
+    }
+
+    /// A batch insert into a source whose identities were inserted
+    /// explicitly mints past them: both objects stay, the batch repairs in
+    /// place, and the target equals a fresh run's.
+    #[test]
+    fn a_batch_insert_over_explicit_identities_stays_in_place() {
+        let source = with_explicit_identities(&genome::generate_source(&GenomeParams::default()));
+        let clone_s = ClassName::new("CloneS");
+        let before = source.extent_size(&clone_s);
+        let mut pipeline =
+            MaterializedPipeline::new(&genome::program(), vec![source], PipelineOptions::default())
+                .unwrap();
+        let batch = MutationBatch::new().insert(
+            clone_s.clone(),
+            Value::record([
+                ("name", Value::from("fresh-clone")),
+                ("length", Value::int(1234)),
+            ]),
+        );
+        let report = pipeline.apply_batch(&batch).unwrap();
+        assert_eq!(report.outcome, BatchOutcome::InPlace);
+        assert_eq!(
+            pipeline.source(0).unwrap().extent_size(&clone_s),
+            before + 1
+        );
         assert_matches_oracle(&pipeline);
     }
 
@@ -1756,6 +1793,32 @@ mod tests {
         // The pipeline keeps absorbing clean traffic and matches the oracle.
         pipeline.apply_batch(&gen.next_batch(5)).unwrap();
         assert_matches_oracle(&pipeline);
+    }
+
+    /// A rejected insert over explicitly inserted identities reverts the
+    /// source bit-identically, generator included.
+    #[test]
+    fn a_rejected_insert_over_explicit_identities_reverts_bit_identically() {
+        use workloads::constrained::{self, ConstrainedParams};
+        let source =
+            with_explicit_identities(&constrained::generate_source(&ConstrainedParams::default()));
+        let options = PipelineOptions {
+            batch_constraints: BatchConstraintMode::Enforce,
+            ..PipelineOptions::default()
+        };
+        let mut pipeline =
+            MaterializedPipeline::new(&constrained::program(), vec![source.clone()], options)
+                .unwrap();
+        let mut gen = constrained::ConstrainedGen::new(&source, 3);
+        let err = pipeline.apply_batch(&gen.violating_batch()).unwrap_err();
+        assert!(
+            matches!(&err, MorphaseError::Verification(m) if m.contains("S1")),
+            "unexpected rejection error: {err}"
+        );
+        let reverted = pipeline.source(0).unwrap();
+        assert_eq!(reverted.deep_eq_report(&source), None);
+        assert_eq!(reverted, &source);
+        assert_eq!(pipeline.stats().rejected_batches, 1);
     }
 
     #[test]

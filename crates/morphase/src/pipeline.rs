@@ -2,8 +2,10 @@
 //! crate docs).
 //!
 //! * The **front half** depends on the *program alone* — meta-data clauses,
-//!   validation, snf, normal form (stages 0–3). Exactly one function builds
-//!   it, `Front::build`; [`crate::MaterializedPipeline`] retains it.
+//!   validation, normal form (stages 0, 1 and 3; normalisation works from
+//!   the clauses themselves, so stage 2's semi-normal form is not built).
+//!   Exactly one function builds it, `Front::build`;
+//!   [`crate::MaterializedPipeline`] retains it.
 //! * The **back half** depends on the *data* — planning against
 //!   [`cpl::Statistics`] (stage 4), ingest, the source-constraint check,
 //!   execution (5), verification (6). Exactly one function sequences it,
@@ -30,7 +32,6 @@ use cpl::expr::EvalCtx;
 use storage::persist::{FaultPolicy, PipelineJournal};
 use storage::ScanProvider;
 use wol_engine::normalize::{NormalProgram, NormalizeOptions};
-use wol_engine::snf::{program_to_snf, snf_stats, SnfStats};
 use wol_lang::program::Program;
 use wol_model::{Fingerprint, Instance, Job, SkolemFactory, WorkerPool};
 
@@ -183,8 +184,6 @@ pub struct StageTimings {
     pub validate: Duration,
     /// Meta-data constraint generation.
     pub metadata: Duration,
-    /// Semi-normal-form rewriting.
-    pub snf: Duration,
     /// Normalisation (unify/unfold, key resolution, optimisation).
     pub normalize: Duration,
     /// Translation to CPL.
@@ -203,7 +202,7 @@ impl StageTimings {
     /// Total compile-side time (everything before execution), the quantity the
     /// paper reports as "the time taken to compile and normalize".
     pub fn compile_time(&self) -> Duration {
-        self.validate + self.metadata + self.snf + self.normalize + self.compile
+        self.validate + self.metadata + self.normalize + self.compile
     }
 
     /// Total pipeline time.
@@ -265,8 +264,6 @@ pub struct MorphaseRun {
     pub target: Instance,
     /// Per-stage wall-clock timings.
     pub timings: StageTimings,
-    /// Statistics of the snf rewriting stage.
-    pub snf: SnfStats,
     /// The normal-form program (for inspection and size metrics).
     pub normal: NormalProgram,
     /// Number of clauses in the input program (after meta-data generation).
@@ -322,7 +319,7 @@ impl Morphase {
         Morphase { options }
     }
 
-    /// Compile a program (validation, meta-data, snf, normalisation, CPL
+    /// Compile a program (validation, meta-data, normalisation, CPL
     /// translation) without executing it. Returns the run with an empty
     /// target; useful for the compile-time experiments (E1, E2).
     pub fn compile(&self, program: &Program) -> Result<MorphaseRun> {
@@ -378,8 +375,9 @@ impl Morphase {
     }
 }
 
-/// The program-only front half of the pipeline (stages 0–3): everything that
-/// can be computed from the program and the options without seeing a row.
+/// The program-only front half of the pipeline (stages 0, 1 and 3):
+/// everything that can be computed from the program and the options without
+/// seeing a row.
 /// One-shot runs build it and hand it over; the standing
 /// [`crate::MaterializedPipeline`] builds it once and lends it to every
 /// (re)build, so an unchanged program is never re-normalised.
@@ -389,8 +387,6 @@ pub(crate) struct Front {
     pub augmented: Program,
     /// Number of auto-generated constraint clauses.
     pub generated: usize,
-    /// Statistics of the snf rewriting stage.
-    pub snf: SnfStats,
     /// The normal-form program.
     pub normal: NormalProgram,
     /// Front-half stage timings (everything from `compile` on still zero).
@@ -398,8 +394,8 @@ pub(crate) struct Front {
 }
 
 impl Front {
-    /// Stages 0–3: meta-data constraint generation, validation, snf
-    /// rewriting, normalisation.
+    /// Stages 0, 1 and 3: meta-data constraint generation, validation,
+    /// normalisation.
     pub(crate) fn build(options: PipelineOptions, program: &Program) -> Result<Front> {
         let mut timings = StageTimings::default();
 
@@ -424,12 +420,6 @@ impl Front {
         augmented.validate()?;
         timings.validate = start.elapsed();
 
-        // Stage 2: semi-normal form.
-        let start = Instant::now();
-        let snf_clauses = program_to_snf(&augmented.clauses);
-        let snf = snf_stats(&augmented.clauses, &snf_clauses);
-        timings.snf = start.elapsed();
-
         // Stage 3: normalisation.
         let start = Instant::now();
         let normalize_options = NormalizeOptions {
@@ -443,7 +433,6 @@ impl Front {
         Ok(Front {
             augmented,
             generated,
-            snf,
             normal,
             timings,
         })
@@ -734,7 +723,6 @@ pub(crate) fn run_pipeline(
     Ok(MorphaseRun {
         target,
         timings,
-        snf: front.snf,
         input_clauses: front.augmented.clauses.len(),
         generated_clauses: front.generated,
         normal: front.normal,
@@ -831,7 +819,6 @@ mod tests {
         assert!(run.timings.total() >= run.timings.compile_time());
         assert!(run.exec.rows_scanned > 0);
         assert!(!run.plans.is_empty());
-        assert!(run.snf.atoms_after >= run.snf.atoms_before);
         // Metadata generated the target key clauses automatically.
         assert!(run.generated_clauses >= 3);
         assert!(run.input_clauses > program.clauses.len());

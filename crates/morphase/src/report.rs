@@ -17,11 +17,6 @@ pub fn render_report(run: &MorphaseRun) -> String {
     );
     let _ = writeln!(
         out,
-        "snf: {} atoms -> {} atoms ({} fresh variables)",
-        run.snf.atoms_before, run.snf.atoms_after, run.snf.fresh_vars
-    );
-    let _ = writeln!(
-        out,
         "normal form: {} clauses, size {}",
         run.normal.len(),
         run.normal.size()
@@ -31,7 +26,6 @@ pub fn render_report(run: &MorphaseRun) -> String {
     for (name, duration) in [
         ("metadata", t.metadata),
         ("validate", t.validate),
-        ("snf", t.snf),
         ("normalize", t.normalize),
         ("compile->CPL", t.compile),
         ("ingest", t.ingest),

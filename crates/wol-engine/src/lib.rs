@@ -138,7 +138,7 @@ pub use env::{eval_term, match_body, Bindings, Databases, MatchStats};
 pub use error::EngineError;
 pub use info_preserve::{canonical_form, check_injective, instances_equivalent, InjectivityReport};
 pub use normalize::{execute, normalize, NormalClause, NormalProgram, NormalizeOptions};
-pub use rotation::{batch_is_additive, delta_rotations, Rotation, Slot};
+pub use rotation::{delta_rotations, Rotation, Slot};
 pub use semantics::{naive_transform, naive_transform_with_report, NaiveOptions, NaiveReport};
 pub use snf::{program_to_snf, to_snf, SnfStats};
 

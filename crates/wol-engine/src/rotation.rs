@@ -3,9 +3,10 @@
 //! The naive evaluator in [`crate::semantics`] already applies the semi-naive
 //! idea *within* one batch run: after the first pass, clauses re-match only
 //! against the previous pass's delta. Incremental view maintenance needs the
-//! same idea *across* runs: when a [`MutationBatch`] lands on a source, the
-//! rows a query newly produces are exactly those in which at least one
-//! scanned variable binds a changed identity — everything else was already
+//! same idea *across* runs: when a
+//! [`MutationBatch`](wol_model::MutationBatch) lands on a source, the rows a
+//! query newly produces are exactly those in which at least one scanned
+//! variable binds a changed identity — everything else was already
 //! produced by the previous run and is still produced unchanged.
 //!
 //! This module computes that restriction schedule without knowing anything
@@ -32,7 +33,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use wol_model::{BatchDelta, ClassName, Instance, MutationBatch, Oid};
+use wol_model::{BatchDelta, ClassName, Instance, Oid};
 
 /// One scanned variable of a query. The maintainer lists a query's slots in
 /// variable-name order, the order of its row key.
@@ -111,17 +112,6 @@ pub fn delta_rotations(slots: &[Slot], delta: &BatchDelta, instance: &Instance) 
         rotations.push(Rotation { restrictions });
     }
     rotations
-}
-
-/// True when the batch can only have *added* identities to the classes in
-/// `scanned`: no scanned class saw an update or a removal. Under this
-/// condition every previously produced row survives verbatim, so the
-/// maintainer can skip the stale-row sweep entirely.
-pub fn batch_is_additive(batch: &MutationBatch, delta: &BatchDelta, scanned: &[ClassName]) -> bool {
-    !batch.is_empty()
-        && scanned
-            .iter()
-            .all(|class| delta.class(class).is_none_or(|d| d.stale().is_empty()))
 }
 
 #[cfg(test)]
@@ -243,22 +233,5 @@ mod tests {
         let delta = inst.apply_batch(&batch).unwrap();
         let slots = [Slot::new("Y", b.clone())];
         assert!(delta_rotations(&slots, &delta, &inst).is_empty());
-    }
-
-    #[test]
-    fn additive_batches_are_detected() {
-        let a = ClassName::new("A");
-        let b = ClassName::new("B");
-        let mut inst = Instance::new("src");
-        let x = inst.insert_fresh(&a, obj(0));
-        let batch = MutationBatch::new().insert(a.clone(), obj(1));
-        let delta = inst.apply_batch(&batch).unwrap();
-        assert!(batch_is_additive(&batch, &delta, &[a.clone(), b.clone()]));
-
-        let batch = MutationBatch::new().update(x, obj(2));
-        let delta = inst.apply_batch(&batch).unwrap();
-        assert!(!batch_is_additive(&batch, &delta, std::slice::from_ref(&a)));
-        // ...but a query that never scans A does not care.
-        assert!(batch_is_additive(&batch, &delta, std::slice::from_ref(&b)));
     }
 }

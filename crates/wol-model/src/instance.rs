@@ -655,7 +655,7 @@ impl Instance {
     /// A fresh identity of `class` that is guaranteed not to collide with any
     /// identity already present (identities inserted with explicit ids are
     /// not known to the generator, so skip past them).
-    fn fresh_noncolliding(&mut self, class: &ClassName) -> Oid {
+    pub(crate) fn fresh_noncolliding(&mut self, class: &ClassName) -> Oid {
         loop {
             let oid = self.oid_gen.fresh(class);
             if !self.contains(&oid) {

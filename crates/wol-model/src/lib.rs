@@ -77,7 +77,7 @@ pub use fingerprint::Fingerprint;
 pub use histogram::{AttrHistogram, HistogramBucket};
 pub use instance::{AttrStats, ClassStats, Instance, Mutation, StorageSharing};
 pub use keys::{skolem_id, KeyExpr, KeySpec, SkolemFactory, SkolemState};
-pub use mutate::{BatchDelta, ClassDelta, MutationBatch, SourceOp};
+pub use mutate::{BatchDelta, BatchPreimages, ClassDelta, MutationBatch, SourceOp};
 pub use oid::Oid;
 pub use parallel::{chunk_ranges, Job, Parallelism, WorkerPool};
 pub use path::Path;

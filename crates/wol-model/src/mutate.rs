@@ -25,8 +25,9 @@ use crate::Result;
 /// One source mutation: the unit of a [`MutationBatch`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum SourceOp {
-    /// Insert a fresh object into `class` (the identity is minted by the
-    /// instance's own generator, exactly like [`Instance::insert_fresh`]).
+    /// Insert a fresh object into `class` under the next identity the
+    /// instance's own generator mints that no object holds: an object
+    /// inserted under an explicit identity is never overwritten.
     Insert { class: ClassName, value: Value },
     /// Replace the value of an existing object.
     Update { oid: Oid, value: Value },
@@ -138,6 +139,16 @@ impl BatchDelta {
     }
 }
 
+/// What [`Instance::revert_batch`] restores of the pre-batch state,
+/// captured by [`Instance::batch_preimages`] before the batch applies.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct BatchPreimages {
+    /// The value of every identity the batch updates or removes.
+    values: Vec<(Oid, Value)>,
+    /// The fresh-identity counter of every class the batch inserts into.
+    counters: BTreeMap<ClassName, u64>,
+}
+
 /// Per-identity life-cycle across one batch, folded left to right.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Fate {
@@ -156,7 +167,8 @@ impl Instance {
         for op in &batch.ops {
             match op {
                 SourceOp::Insert { class, value } => {
-                    let oid = self.insert_fresh(class, value.clone());
+                    let oid = self.fresh_noncolliding(class);
+                    self.insert(oid.clone(), value.clone())?;
                     fates.insert(oid, Fate::Inserted);
                 }
                 SourceOp::Update { oid, value } => {
@@ -201,32 +213,37 @@ impl Instance {
     /// Capture, *before* applying `batch`, the pre-images that
     /// [`Instance::revert_batch`] needs: the current value of every identity
     /// the batch updates or removes (first occurrence wins — that is the
-    /// pre-batch value even if the batch touches the identity repeatedly).
-    pub fn batch_preimages(&self, batch: &MutationBatch) -> Vec<(Oid, Value)> {
+    /// pre-batch value even if the batch touches the identity repeatedly),
+    /// and the fresh-identity counter of every class it inserts into.
+    pub fn batch_preimages(&self, batch: &MutationBatch) -> BatchPreimages {
         let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
+        let mut counters = BTreeMap::new();
+        let mut values = Vec::new();
         for op in &batch.ops {
             let oid = match op {
-                SourceOp::Insert { .. } => continue,
+                SourceOp::Insert { class, .. } => {
+                    counters.insert(class.clone(), self.oid_counter(class));
+                    continue;
+                }
                 SourceOp::Update { oid, .. } | SourceOp::Remove { oid } => oid,
             };
             if seen.insert(oid.clone()) {
                 if let Some(value) = self.value(oid) {
-                    out.push((oid.clone(), value.clone()));
+                    values.push((oid.clone(), value.clone()));
                 }
             }
         }
-        out
+        BatchPreimages { values, counters }
     }
 
     /// Undo an applied batch: remove net inserts, restore updated values and
     /// re-insert removed objects under their original identities. Extents
-    /// are ordered sets and the fresh-identity counters are rewound past the
-    /// removed mints, so the reverted instance — generator state included —
-    /// is bit-identical to the pre-batch state. `preimages` must come from
+    /// are ordered sets and the fresh-identity counters are rewound to their
+    /// pre-batch values, so the reverted instance — generator state included
+    /// — is bit-identical to the pre-batch state. `preimages` must come from
     /// [`Instance::batch_preimages`] on the pre-batch state.
-    pub fn revert_batch(&mut self, delta: &BatchDelta, preimages: &[(Oid, Value)]) -> Result<()> {
-        let pre: BTreeMap<&Oid, &Value> = preimages.iter().map(|(o, v)| (o, v)).collect();
+    pub fn revert_batch(&mut self, delta: &BatchDelta, preimages: &BatchPreimages) -> Result<()> {
+        let pre: BTreeMap<&Oid, &Value> = preimages.values.iter().map(|(o, v)| (o, v)).collect();
         let lookup = |oid: &Oid| {
             pre.get(oid).map(|v| (*v).clone()).ok_or_else(|| {
                 crate::ModelError::Invalid(format!(
@@ -234,15 +251,10 @@ impl Instance {
                 ))
             })
         };
-        for (class, class_delta) in &delta.classes {
+        for class_delta in delta.classes.values() {
             for oid in &class_delta.inserted {
                 self.remove(oid)
                     .ok_or_else(|| crate::ModelError::DanglingOid(oid.to_string()))?;
-            }
-            // The batch minted its net inserts as a contiguous tail run, so
-            // the lowest inserted discriminator *is* the pre-batch counter.
-            if let Some(low) = class_delta.inserted.iter().map(Oid::id).min() {
-                self.rewind_oid_counter(class, low);
             }
             for oid in &class_delta.updated {
                 self.update(oid, lookup(oid)?)?;
@@ -250,6 +262,9 @@ impl Instance {
             for oid in &class_delta.removed {
                 self.insert(oid.clone(), lookup(oid)?)?;
             }
+        }
+        for (class, count) in &preimages.counters {
+            self.rewind_oid_counter(class, *count);
         }
         Ok(())
     }
@@ -436,6 +451,32 @@ mod tests {
         );
     }
 
+    /// A batch insert skips an identity held under an explicit id instead of
+    /// overwriting its object, and reverting it restores the generator the
+    /// batch started from, not the skipped-past one.
+    #[test]
+    fn a_batch_insert_never_overwrites_an_explicit_identity() {
+        let mut inst = Instance::new("s");
+        let class = ClassName::new("C");
+        let held = Oid::new(class.clone(), 0);
+        inst.insert(held.clone(), marker("held", 1)).unwrap();
+        let reference = inst.clone();
+        let batch = MutationBatch::new().insert(class.clone(), marker("new", 2));
+        let pre = inst.batch_preimages(&batch);
+        let delta = inst.apply_batch(&batch).unwrap();
+        let minted = Oid::new(class.clone(), 1);
+        assert_eq!(inst.extent_size(&class), 2);
+        assert_eq!(inst.value(&held), Some(&marker("held", 1)));
+        assert_eq!(inst.value(&minted), Some(&marker("new", 2)));
+        assert_eq!(
+            delta.class(&class).unwrap().inserted,
+            BTreeSet::from([minted])
+        );
+        inst.revert_batch(&delta, &pre).unwrap();
+        assert_eq!(inst, reference);
+        assert_eq!(inst.oid_counter(&class), 0);
+    }
+
     #[test]
     fn revert_batch_requires_preimages() {
         let mut inst = Instance::new("s");
@@ -443,7 +484,9 @@ mod tests {
         let oid = inst.insert_fresh(&class, marker("x", 1));
         let batch = MutationBatch::new().remove(oid);
         let delta = inst.apply_batch(&batch).unwrap();
-        assert!(inst.revert_batch(&delta, &[]).is_err());
+        assert!(inst
+            .revert_batch(&delta, &BatchPreimages::default())
+            .is_err());
     }
 
     #[test]

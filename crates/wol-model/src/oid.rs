@@ -101,10 +101,11 @@ impl OidGen {
 
     /// Lower the counter of `class` back to `count` — the inverse of a run
     /// of [`fresh`](Self::fresh) calls whose identities were all removed
-    /// again (a batch revert). The caller must guarantee no live identity of
-    /// `class` has a discriminator at or above `count`; lowering below that
-    /// would let `fresh` re-mint a live identity. Raising is a no-op (that
-    /// is [`restore_count`](Self::restore_count)'s job). Rewinding to zero
+    /// again (a batch revert, which restores the count the batch started
+    /// from). The caller must guarantee that the generator held `count`
+    /// before those calls; lowering below that would let `fresh` re-mint a
+    /// live identity it minted itself. Raising is a no-op (that is
+    /// [`restore_count`](Self::restore_count)'s job). Rewinding to zero
     /// drops the entry, matching a generator that never minted the class.
     pub fn rewind_count(&mut self, class: &ClassName, count: u64) {
         if count < self.count(class) {
