@@ -7,7 +7,8 @@
 //! 1. **Decompose** the compiled plan, by reference, into a pool of base
 //!    scans, defining `Map` bindings, and filter/join conjuncts (wherever
 //!    they sat in the original operator tree). The plan is consumed: the
-//!    finished plan re-applies its `Map` bindings, moved out of it.
+//!    finished plan re-applies its `Map` bindings, moved out of it (see
+//!    below for where each lands).
 //! 2. **Inline** the `Map` definitions into the conjunct pool, so every
 //!    conjunct ranges over base scan variables only — this is what lets an
 //!    equality like `C.name = N` (with `N` defined as `D.name` by a map)
@@ -37,6 +38,15 @@
 //! oriented so a bare scan keyed by a single attribute stays bare — the
 //! executor then answers it with attribute-index probes instead of
 //! materialising the side at all ([`crate::exec`]).
+//!
+//! Bindings are placed once, here. A definition that projects one attribute
+//! off a *filtered* scan's variable is bound in a `Map` directly over that
+//! scan's filters — a column lane of its scan→filter→map tower
+//! ([`crate::columnar`]), read for the survivors in the scan's own pass — and
+//! a hash-join key equal to it reads the bound variable. Every other binding
+//! stays in one `Map` at the root; a bare scan binds nothing, so it stays
+//! index-probeable and free to drive a delta join. The estimator reads a
+//! bound variable as its definition, so placement never moves an estimate.
 //!
 //! A plan the planner does not take — no scan at all, or a `Map` that
 //! rebinds a variable — is returned unchanged: the raw plan is the semantics
@@ -303,6 +313,8 @@ const UNBOUND: usize = usize::MAX;
 /// [`Plan::scan_classes`] keeps it).
 struct ScanVars<'p> {
     vars: Vec<(&'p str, &'p ClassName)>,
+    /// The plan's `Map` definitions, which the estimator reads through.
+    defs: BTreeMap<&'p str, &'p Expr>,
 }
 
 impl<'p> ScanVars<'p> {
@@ -314,7 +326,22 @@ impl<'p> ScanVars<'p> {
                 None => vars.push((var, class)),
             }
         }
-        ScanVars { vars }
+        ScanVars {
+            vars,
+            defs: BTreeMap::new(),
+        }
+    }
+
+    /// `expr`, or the definition of the `Map` variable it names: a join key
+    /// that reads a variable a filtered scan binds estimates as the
+    /// projection it stands for.
+    fn resolve<'e>(&'e self, expr: &'e Expr) -> &'e Expr {
+        match expr {
+            Expr::Var(v) if self.index(v) == UNBOUND => {
+                self.defs.get(v.as_str()).copied().unwrap_or(expr)
+            }
+            _ => expr,
+        }
     }
 
     /// The index of `var`, [`UNBOUND`] when no scan binds it.
@@ -343,15 +370,26 @@ impl<'p> ScanVars<'p> {
 // Selectivity and cardinality estimation.
 // ---------------------------------------------------------------------------
 
+/// `var.attr` as `(var, attr)`: a single attribute projection off a variable.
+fn single_hop(expr: &Expr) -> Option<(&str, &Label)> {
+    match expr {
+        Expr::Proj(base, attr) => match base.as_ref() {
+            Expr::Var(v) => Some((v, attr)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 /// If `expr` is a single attribute projection off a scan variable, the
 /// number of distinct values it takes; if it is a bare scan variable, the
 /// extent size (object identities are unique). `None` otherwise.
 fn expr_ndv(expr: &Expr, scans: &ScanVars<'_>, stats: &Statistics<'_>) -> Option<usize> {
+    let expr = scans.resolve(expr);
+    if let Some((v, attr)) = single_hop(expr) {
+        return stats.ndv(scans.class(scans.index(v))?, attr);
+    }
     match expr {
-        Expr::Proj(base, attr) => match base.as_ref() {
-            Expr::Var(v) => stats.ndv(scans.class(scans.index(v))?, attr),
-            _ => None,
-        },
         Expr::Var(v) => stats.extent_size(scans.class(scans.index(v))?),
         _ => None,
     }
@@ -465,11 +503,11 @@ impl Estimator<'_, '_> {
 
     /// The attr key of an expression, if it has one.
     fn attr_key(&self, expr: &Expr) -> Option<AttrKey> {
+        let expr = self.scans.resolve(expr);
+        if let Some((v, attr)) = single_hop(expr) {
+            return Some((self.scans.index(v), Some(attr.clone())));
+        }
         match expr {
-            Expr::Proj(base, attr) => match base.as_ref() {
-                Expr::Var(v) => Some((self.scans.index(v), Some(attr.clone()))),
-                _ => None,
-            },
             Expr::Var(v) => Some((self.scans.index(v), None)),
             _ => None,
         }
@@ -671,7 +709,10 @@ pub fn estimate_plan(plan: &Plan, stats: &Statistics<'_>) -> PlanEstimate {
         });
         card
     }
-    let scans = ScanVars::new(&plan.scans());
+    let mut pool = Pool::default();
+    decompose(plan, &mut pool);
+    let mut scans = ScanVars::new(&pool.scans);
+    scans.defs = pool.maps.iter().map(|(v, e)| (v.as_str(), e)).collect();
     let est = Estimator {
         scans: &scans,
         stats,
@@ -783,13 +824,7 @@ fn as_pushable(
     catalog: &PushdownCatalog,
 ) -> Option<PushedPredicate> {
     fn attr_of<'e>(e: &'e Expr, var: &str) -> Option<&'e str> {
-        match e {
-            Expr::Proj(base, attr) => match base.as_ref() {
-                Expr::Var(v) if v == var => Some(attr.as_str()),
-                _ => None,
-            },
-            _ => None,
-        }
+        single_hop(e).and_then(|(v, attr)| (v == var).then_some(attr.as_str()))
     }
     let (a, b, fwd, rev) = match conjunct {
         Expr::Eq(a, b) => (a, b, PushCmp::Eq, PushCmp::Eq),
@@ -879,14 +914,16 @@ pub fn optimize_with_stats(mut plan: Plan, stats: &Statistics<'_>) -> Plan {
     if !pool.maps.iter().all(|(var, _)| seen.insert(var)) {
         return plan;
     }
-    let Some(mut planned) = plan_pool(pool, stats) else {
+    let Some((mut planned, bound)) = plan_pool(pool, stats) else {
         return plan;
     };
-    // Re-apply the defining maps (original, unsubstituted form — the
-    // executor evaluates a Map's bindings in order, so intra-map
-    // dependencies are preserved), moved out of the raw plan.
+    // Re-apply the defining maps the scans did not bind (original,
+    // unsubstituted form — the executor evaluates a Map's bindings in order,
+    // so intra-map dependencies are preserved), moved out of the raw plan.
     let mut maps = Vec::new();
     take_maps(&mut plan, &mut maps);
+    let mut bound = bound.into_iter();
+    maps.retain(|_| !bound.next().unwrap_or(false));
     if !maps.is_empty() {
         planned = planned.map(maps);
     }
@@ -928,8 +965,9 @@ fn inline(expr: &Expr, defs: &Defs<'_>, limit: usize) -> Expr {
 type Pooled = (Expr, BTreeSet<usize>);
 
 /// Build the cheapest join tree the greedy strategy finds for a decomposed
-/// pool, without its maps (`None` for a pool without scans).
-fn plan_pool(pool: Pool<'_>, stats: &Statistics<'_>) -> Option<Plan> {
+/// pool (`None` for a pool without scans), with which of its maps' bindings
+/// the tree binds itself: those go in a `Map` over their filtered scan.
+fn plan_pool(pool: Pool<'_>, stats: &Statistics<'_>) -> Option<(Plan, Vec<bool>)> {
     // Inline the map definitions into the conjunct pool, so every conjunct
     // ranges over scan variables only.
     let defs: Defs<'_> = pool
@@ -962,6 +1000,13 @@ fn plan_pool(pool: Pool<'_>, stats: &Statistics<'_>) -> Option<Plan> {
     };
 
     // One component per scan, with its single-variable conjuncts pushed down.
+    // A filtered scan also binds each definition that is one projection off
+    // its variable, so its columnar tower reads the column for the survivors
+    // and nothing above it dereferences the object again. A bare scan binds
+    // nothing: it stays index-probeable and free to drive a delta join. (A
+    // variable scanned twice keeps every binding above the joins.)
+    let mut bound = vec![false; pool.maps.len()];
+    let distinct = scans.vars.len() == pool.scans.len();
     let mut components: Vec<Component> = Vec::new();
     for &(class, var) in &pool.scans {
         let index = scans.index(var);
@@ -977,8 +1022,31 @@ fn plan_pool(pool: Pool<'_>, stats: &Statistics<'_>) -> Option<Plan> {
                 plan = plan.filter(conjunct);
             }
         }
+        if distinct && !matches!(plan, Plan::Scan { .. }) {
+            let bindings: Vec<(String, Expr)> = pool
+                .maps
+                .iter()
+                .zip(&mut bound)
+                .filter(|((_, def), _)| single_hop(def).is_some_and(|(v, _)| v == var))
+                .map(|(binding, bound)| {
+                    *bound = true;
+                    (*binding).clone()
+                })
+                .collect();
+            if !bindings.is_empty() {
+                plan = plan.map(bindings);
+            }
+        }
         components.push(Component { plan, card });
     }
+    // A join key equal to a bound definition reads the bound variable.
+    let defined: Vec<(&str, &Expr)> = pool
+        .maps
+        .iter()
+        .zip(&bound)
+        .filter(|(_, &bound)| bound)
+        .map(|((var, def), _)| (var.as_str(), def))
+        .collect();
 
     // Greedy join loop: always join the cheapest connected pair next; fall
     // back to an explicit cross join of the two smallest components only
@@ -1016,7 +1084,7 @@ fn plan_pool(pool: Pool<'_>, stats: &Statistics<'_>) -> Option<Plan> {
                     .filter_map(|&k| conjuncts[k].take())
                     .map(|(conjunct, _)| conjunct)
                     .collect();
-                let joined = join_components(left, right, picked, est, updates, &scans);
+                let joined = join_components(left, right, picked, est, updates, &scans, &defined);
                 components.insert(i, joined);
             }
             None => {
@@ -1045,7 +1113,7 @@ fn plan_pool(pool: Pool<'_>, stats: &Statistics<'_>) -> Option<Plan> {
     if let Some(residual) = conjunction(leftovers) {
         plan = plan.filter(residual);
     }
-    Some(plan)
+    Some((plan, bound))
 }
 
 /// Indexes of the pooled conjuncts that connect two components, into `out`:
@@ -1093,7 +1161,8 @@ fn two_smallest(components: &[Component]) -> (usize, usize) {
 /// becomes part of the composite hash key, the rest stays as a residual
 /// filter; sides are oriented so the executor's index fast path can fire.
 /// `updates` carries the joined output's propagated ndv entries, computed by
-/// the same selectivity pass that produced `est`.
+/// the same selectivity pass that produced `est`; a key equal to one of the
+/// `defined` bindings reads its variable instead.
 fn join_components(
     left: Component,
     right: Component,
@@ -1101,7 +1170,12 @@ fn join_components(
     est: f64,
     updates: Vec<(AttrKey, f64)>,
     scans: &ScanVars<'_>,
+    defined: &[(&str, &Expr)],
 ) -> Component {
+    let read = |key: Box<Expr>| match defined.iter().find(|(_, def)| **def == *key) {
+        Some((var, _)) => Expr::var(*var),
+        None => *key,
+    };
     let mut keys: Vec<(Expr, Expr)> = Vec::new();
     let mut residual: Vec<Expr> = Vec::new();
     for conjunct in conjs {
@@ -1116,9 +1190,9 @@ fn join_components(
                 any && all
             };
             if within(&a, &left) && within(&b, &right) {
-                keys.push((*a, *b));
+                keys.push((read(a), read(b)));
             } else if within(&a, &right) && within(&b, &left) {
-                keys.push((*b, *a));
+                keys.push((read(b), read(a)));
             } else {
                 residual.push(Expr::Eq(a, b));
             }
@@ -1412,6 +1486,80 @@ mod tests {
         let once = optimize(plan);
         let twice = optimize(once.clone());
         assert_eq!(once, twice);
+    }
+
+    #[test]
+    fn a_filtered_scan_binds_its_own_projections_and_a_bare_scan_stays_probed() {
+        // As the translator writes a clause: a product, one `Map` of
+        // definitions, every conjunct on top. `X` carries a filter, `Y` none.
+        let inst = skewed_instance();
+        let refs = [&inst];
+        let stats = Statistics::from_instances(&refs);
+        let not_a0 = Expr::Neq(
+            Box::new(Expr::var("X").proj("name")),
+            Box::new(Expr::constant("A0")),
+        );
+        let raw = Plan::scan("A", "X")
+            .cross(Plan::scan("B", "Y"))
+            .map(vec![
+                ("NX".to_string(), Expr::var("X").proj("name")),
+                ("KX".to_string(), Expr::var("X").proj("k")),
+                ("NY".to_string(), Expr::var("Y").proj("name")),
+            ])
+            .filter(Expr::and(vec![
+                not_a0.clone(),
+                Expr::var("KX").eq(Expr::var("Y").proj("k")),
+            ]));
+        let planned = optimize_with_stats(raw.clone(), &stats);
+        // The bare scan's binding stays above the join ...
+        let Plan::Map { input, bindings } = &planned else {
+            panic!("expected a Map at the root:\n{}", planned.render());
+        };
+        assert_eq!(
+            bindings,
+            &vec![("NY".to_string(), Expr::var("Y").proj("name"))]
+        );
+        let Plan::HashJoin { left, right, keys } = input.as_ref() else {
+            panic!("expected a hash join:\n{}", planned.render());
+        };
+        // ... the bare scan is the index-probed side ...
+        assert_eq!(**left, Plan::scan("B", "Y"));
+        // ... the filtered scan binds its projections in a Map over its
+        // Filter over its Scan ...
+        let filtered = Plan::scan("A", "X").filter(not_a0);
+        assert_eq!(
+            **right,
+            filtered.clone().map(vec![
+                ("NX".to_string(), Expr::var("X").proj("name")),
+                ("KX".to_string(), Expr::var("X").proj("k")),
+            ])
+        );
+        // ... and the key equal to a bound definition reads its variable.
+        assert_eq!(keys, &vec![(Expr::var("Y").proj("k"), Expr::var("KX"))]);
+        assert_eq!(optimize_with_stats(planned.clone(), &stats), planned);
+
+        // Estimates read the bound key as the projection it stands for: the
+        // skewed histograms' join, not a default.
+        let written_out = Plan::scan("B", "Y").hash_join(
+            filtered,
+            Expr::var("Y").proj("k"),
+            Expr::var("X").proj("k"),
+        );
+        for stats in [stats.clone(), stats.with_cost_model(CostModel::FlatNdv)] {
+            assert_eq!(
+                estimate_plan(&planned, &stats),
+                estimate_plan(&written_out, &stats)
+            );
+        }
+
+        // The same rows as the raw plan, the join answered by index probes.
+        let mut ctx = EvalCtx::new(&refs);
+        let mut exec = ExecStats::default();
+        let mut rows = run_plan(&planned, &mut ctx, &mut exec).unwrap();
+        rows.sort();
+        assert!(exec.index_probes > 0, "{exec:?}");
+        assert_eq!(rows.len(), 39 * 20);
+        assert_eq!(rows, rows_of(&raw, &inst));
     }
 
     #[test]

@@ -13,7 +13,11 @@
 //! translation is the baseline the regression tests measure against. There
 //! is one way to plan; what a federated run pushes into its scan providers is
 //! read off the finished plans afterwards ([`cpl::pushable_predicates`]), and
-//! every pushed conjunct stays in its plan as a residual re-check.
+//! every pushed conjunct stays in its plan as a residual re-check. Where a
+//! defining equation is bound is the planner's call too: the translator puts
+//! every one in a single `Map`, and the planner moves those projecting one
+//! attribute off a filtered scan into that scan's columnar tower, leaving the
+//! rest at the root.
 
 use std::collections::BTreeSet;
 

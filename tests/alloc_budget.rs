@@ -11,6 +11,14 @@
 //!   `BTreeMap<String, Value>` it made 5.05 and 8.14; with each record built
 //!   straight into label order, one allocation, it makes 4.01 and 6.10. The
 //!   budgets are those figures rounded up to the next tenth.
+//! * **Federated execute.** The same count for the federated program over
+//!   its three fragments ingested whole at `FederatedParams::scaled(1)`.
+//!   With every definition bound in one `Map` above the joins it made 13,651
+//!   allocations over 23,458 produced rows (0.58 per row). With each filtered
+//!   scan binding its own projections it makes 16,197 over 23,828 (0.68):
+//!   the tower builds the bound values for every survivor, joined or not,
+//!   the joins copy them into their output rows, and each scan's `Map`
+//!   counts its rows once more. The budget is that figure plus 10 %.
 //! * **Ingest.** `ingest_class` of a generated 20,000-row `AssayC` CSV
 //!   fragment (five fields per record): heap bytes left resident per object
 //!   — the record, its values, the extent and the installed indexes and
@@ -44,6 +52,7 @@
 //! a time.
 
 mod compile_suite;
+mod federated_source;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
@@ -60,7 +69,7 @@ use wol_repro::wol_engine::normalize;
 use wol_repro::wol_engine::normalize::NormalizeOptions;
 use wol_repro::wol_lang::program::Program;
 use wol_repro::wol_model::{interner_lookups, ClassName, Instance, SkolemState};
-use wol_repro::workloads::federated::{generate_assay_csv, FederatedParams};
+use wol_repro::workloads::federated::{self, generate_assay_csv, FederatedParams};
 use wol_repro::workloads::genome::{self, GenomeParams};
 use wol_repro::workloads::skewed::{self, SkewedParams};
 
@@ -229,6 +238,21 @@ fn genome_and_skew_execute_within_half_the_allocations_per_row() {
         skew.allocations as f64,
         skew.rows,
         6.2,
+    );
+}
+
+#[test]
+fn federated_execute_within_the_allocations_per_row_budget() {
+    let _serial = serial();
+    let source = federated_source::fully_ingested(&FederatedParams::scaled(1));
+    let counted = execute_counted(federated::program(), &source);
+    assert_eq!(counted.rows, 23_828, "federated rows produced");
+    assert_per_row(
+        "federated",
+        "allocations",
+        counted.allocations as f64,
+        counted.rows,
+        0.748,
     );
 }
 

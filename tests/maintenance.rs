@@ -1,15 +1,22 @@
 //! Soak and durability suites for the standing [`MaterializedPipeline`]:
 //! many concurrent readers against one maintainer over thousands of batches,
-//! panic propagation, and crash/resume of the journalled source mid-stream.
+//! panic propagation, and crash/resume of the journalled source mid-stream;
+//! and the federated program, whose filtered scans bind their projections
+//! below the joins, maintained under random batches.
 
+mod federated_source;
+
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
+use wol_repro::cpl::Parallelism;
 use wol_repro::morphase::{
     DurableOptions, MaterializedPipeline, Morphase, MorphaseError, PipelineOptions, PipelineService,
 };
 use wol_repro::storage::persist::{FaultPolicy, PipelineJournal};
-use wol_repro::wol_model::{ClassName, Instance, MutationBatch, Value};
+use wol_repro::wol_model::{ClassName, Instance, MutationBatch, Oid, Value};
+use wol_repro::workloads::federated::{self, FederatedParams};
 use wol_repro::workloads::genome::{self, GenomeParams};
 use wol_repro::workloads::traffic::{TrafficGen, TrafficWeights};
 
@@ -379,4 +386,156 @@ fn durable_checkpoint_preserves_progress_and_truncates_the_wal() {
     }
     assert_matches_oracle(&resumed, "checkpointed stream");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A small deterministic generator: the root package has no `rand`.
+struct Lcg(u64);
+
+impl Lcg {
+    /// Uniform-enough in `0..n`.
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((self.0 >> 33) as usize) % n.max(1)
+    }
+
+    /// An integer on the other side of `cutoff` from `value`, within
+    /// `spread` of it.
+    fn across(&mut self, value: i64, cutoff: i64, spread: usize) -> i64 {
+        let step = self.below(spread) as i64;
+        if value < cutoff {
+            cutoff + step
+        } else {
+            cutoff - 1 - step
+        }
+    }
+
+    /// An integer within `spread` of `cutoff`, on either side.
+    fn near(&mut self, cutoff: i64, spread: usize) -> i64 {
+        cutoff - spread as i64 + self.below(2 * spread) as i64
+    }
+}
+
+/// One random federated batch against `source`: updates that move clone
+/// lengths, marker positions and assay levels across the program's three
+/// guards, inserts into all three fragments (fresh names, references to
+/// live objects) and removals, each object touched at most once.
+fn federated_batch(source: &Instance, rng: &mut Lcg, n: usize) -> MutationBatch {
+    let classes = ["CloneR", "MarkerA", "AssayC"].map(ClassName::new);
+    let extents: Vec<Vec<Oid>> = classes
+        .iter()
+        .map(|class| source.extent(class).cloned().collect())
+        .collect();
+    let attr_of = |oid: &Oid, attr: &str| {
+        let value = source.value(oid).expect("a live object");
+        value.as_record().expect("a record").get(attr).cloned()
+    };
+    let mut touched = BTreeSet::new();
+    let mut batch = MutationBatch::new();
+    for op in 0..6 {
+        let fragment = rng.below(3);
+        let extent = &extents[fragment];
+        let victim = extent[rng.below(extent.len())].clone();
+        if op % 3 != 2 && !touched.insert(victim.clone()) {
+            continue;
+        }
+        batch = match (op % 3, fragment) {
+            (0, _) => {
+                let (attr, cutoff, spread) = [
+                    ("length", federated::LENGTH_CUTOFF, 20_000),
+                    ("position", federated::POSITION_CUTOFF, 20_000_000),
+                    ("level", federated::LEVEL_FLOOR, 20),
+                ][fragment];
+                let mut value = source.value(&victim).expect("a live object").clone();
+                if let Value::Record(fields) = &mut value {
+                    let Some(&Value::Int(old)) = fields.get(attr) else {
+                        panic!("{attr} is no int");
+                    };
+                    fields.insert(attr.into(), Value::int(rng.across(old, cutoff, spread)));
+                }
+                batch.update(victim, value)
+            }
+            (1, _) => batch.remove(victim),
+            (_, 0) => batch.insert(
+                classes[0].clone(),
+                Value::record([
+                    ("name", Value::from(format!("cN-{n}-{op}"))),
+                    (
+                        "length",
+                        Value::int(rng.near(federated::LENGTH_CUTOFF, 20_000)),
+                    ),
+                    ("lab", Value::str("Sanger")),
+                ]),
+            ),
+            (_, 1) => {
+                let clone = &extents[0][rng.below(extents[0].len())];
+                batch.insert(
+                    classes[1].clone(),
+                    Value::record([
+                        ("name", Value::from(format!("mN-{n}-{op}"))),
+                        (
+                            "position",
+                            Value::int(rng.near(federated::POSITION_CUTOFF, 1_000)),
+                        ),
+                        ("clone_name", attr_of(clone, "name").expect("a name")),
+                    ]),
+                )
+            }
+            _ => {
+                let marker = &extents[1][rng.below(extents[1].len())];
+                batch.insert(
+                    classes[2].clone(),
+                    Value::record([
+                        ("sample", Value::from(format!("aN-{n}-{op}"))),
+                        ("marker", attr_of(marker, "name").expect("a name")),
+                        ("tissue", Value::str("liver")),
+                        ("level", Value::int(rng.near(federated::LEVEL_FLOOR, 20))),
+                        ("batch", Value::str("B0")),
+                    ]),
+                )
+            }
+        };
+    }
+    batch
+}
+
+/// The federated program maintained over a fully ingested source: its
+/// filtered scans bind their projections in `Map`s below the joins, which
+/// the stand-up run evaluates on the columnar driver and every delta run on
+/// the row path. After each random batch the maintained target equals the
+/// oracle re-run and a fresh transform of the same source, at one and at
+/// eight threads.
+#[test]
+fn federated_maintenance_over_bindings_below_the_joins_matches_fresh_runs() {
+    let program = federated::program();
+    let source = federated_source::fully_ingested(&FederatedParams::scaled(1));
+    for threads in [1, 8] {
+        let options = PipelineOptions {
+            parallelism: Parallelism::new(threads).with_min_items(1),
+            ..PipelineOptions::default()
+        };
+        let mut pipeline = MaterializedPipeline::new(&program, vec![source.clone()], options)
+            .expect("federated pipeline builds");
+        let mut rng = Lcg(0xfed);
+        for n in 0..20 {
+            let batch = federated_batch(pipeline.source(0).expect("one source"), &mut rng, n);
+            pipeline.apply_batch(&batch).expect("batch applies");
+            let context = format!("{threads} threads, batch {n}");
+            assert_matches_oracle(&pipeline, &context);
+            let fresh = Morphase::with_options(options)
+                .transform(&program, &[pipeline.source(0).expect("one source")])
+                .expect("fresh run");
+            if let Some(report) = pipeline.target().deep_eq_report(&fresh.target) {
+                panic!("{context}: maintained target diverged from a fresh run: {report}");
+            }
+        }
+        let stats = pipeline.stats();
+        eprintln!("[federated maintenance] {threads} threads: {stats:?}");
+        assert!(
+            stats.inplace_batches > 0 && stats.rows_added > 0 && stats.rows_removed > 0,
+            "the batches must move rows in place both ways: {stats:?}"
+        );
+    }
 }
