@@ -18,12 +18,25 @@
 //! every one in a single `Map`, and the planner moves those projecting one
 //! attribute off a filtered scan into that scan's columnar tower, leaving the
 //! rest at the root.
+//!
+//! Two scans of one source class merge under either of two sufficient
+//! conditions ([`wol_engine::optimize`]). A source key merges them while
+//! normalising (the paper's §4.2), so the normal form already reflects it.
+//! Coverage merges them here, when a clause is planned: a *witness* scan,
+//! whose every use is a projection equated with another scan's of its class,
+//! adds nothing to the target under set semantics, and
+//! [`fold_witnesses`] drops it before the plan is built. The normal form
+//! therefore stays the paper's. [`PlanMode::Raw`] keeps every witness scan:
+//! it is the baseline the planner is measured against, and `cpl`'s planner
+//! is held to the row multisets of the plan it is handed, which the fold
+//! precedes.
 
 use std::collections::BTreeSet;
 
 use cpl::plan::InsertAction;
 use cpl::{Expr, Plan, Query, Statistics};
 use wol_engine::normalize::{NormalClause, NormalProgram};
+use wol_engine::optimize::fold_witnesses;
 use wol_lang::ast::{Atom, SkolemArgs, Term};
 use wol_model::Label;
 
@@ -33,12 +46,14 @@ use crate::Result;
 /// How compiled plans are optimised.
 #[derive(Clone, Copy, Debug)]
 pub enum PlanMode<'a> {
-    /// Leave the raw left-deep translation untouched (the baseline the
-    /// regression tests measure against).
+    /// Leave the raw left-deep translation of the normal clause untouched,
+    /// witness scans included (the baseline the regression tests measure
+    /// against).
     Raw,
-    /// The cost-based join-graph planner fed by extent/ndv statistics over
-    /// the live source instances ([`Statistics::empty`] when no instances
-    /// are at hand: every estimate then uses fixed defaults).
+    /// Fold witness scans, then run the cost-based join-graph planner fed
+    /// by extent/ndv statistics over the live source instances
+    /// ([`Statistics::empty`] when no instances are at hand: every estimate
+    /// then uses fixed defaults).
     PlannerWithStats(&'a Statistics<'a>),
 }
 
@@ -102,12 +117,15 @@ fn translate_atom_predicate(atom: &Atom) -> Result<Expr> {
 
 /// Compile one normal clause into a CPL query.
 pub fn compile_clause(clause: &NormalClause, mode: PlanMode<'_>) -> Result<Query> {
-    let mut query = translate_clause(clause)?;
-    query.plan = match mode {
-        PlanMode::Raw => query.plan,
-        PlanMode::PlannerWithStats(stats) => cpl::optimize_with_stats(query.plan, stats),
-    };
-    Ok(query)
+    match mode {
+        PlanMode::Raw => translate_clause(clause),
+        PlanMode::PlannerWithStats(stats) => {
+            let folded = fold_witnesses(clause);
+            let mut query = translate_clause(folded.as_ref().unwrap_or(clause))?;
+            query.plan = cpl::optimize_with_stats(query.plan, stats);
+            Ok(query)
+        }
+    }
 }
 
 /// Translate one normal clause into its raw (unoptimised) CPL query.
@@ -330,6 +348,33 @@ mod tests {
                 target.extent_size(&ClassName::new(class)),
                 "extent mismatch for {class}"
             );
+        }
+    }
+
+    /// Genome's attribute clauses unfold `X in CloneD, X.name = C.name` (or
+    /// the `MarkerD` form) into a second scan that only re-reads the name.
+    /// Planned, G2–G6 scan their class once and G7 joins its marker with the
+    /// clone it references once; the raw translation keeps every witness.
+    #[test]
+    fn planning_folds_genome_witness_scans_and_the_raw_translation_keeps_them() {
+        use workloads::genome;
+        let normal = normalize(&genome::program(), &NormalizeOptions::default()).unwrap();
+        let stats = Statistics::empty();
+        let planned = compile_program_with(&normal, PlanMode::PlannerWithStats(&stats)).unwrap();
+        let raw = compile_program_with(&normal, PlanMode::Raw).unwrap();
+        let scans = |q: &Query| q.plan.render().matches("Scan ").count();
+        let joins = |q: &Query| q.plan.render().matches("Join").count();
+        for (query, raw) in planned.iter().zip(&raw) {
+            // A query is named after its clause: `G2 (#1)`.
+            let (planned_scans, raw_scans) = match query.name.split(' ').next().unwrap() {
+                "G1" | "G4" => (1, 1),
+                "G2" | "G3" | "G5" | "G6" => (1, 2),
+                "G7" => (2, 3),
+                other => panic!("unexpected query {other}"),
+            };
+            assert_eq!(scans(query), planned_scans, "{}", query.plan.render());
+            assert_eq!(joins(query), planned_scans - 1, "{}", query.plan.render());
+            assert_eq!(scans(raw), raw_scans, "{}", raw.plan.render());
         }
     }
 

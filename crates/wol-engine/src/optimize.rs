@@ -2,8 +2,8 @@
 //!
 //! "Source database constraints play an important part in optimizing this
 //! process, both by simplifying the derived rules and by causing unsatisfiable
-//! rules to be rejected." The two optimisations implemented here are exactly
-//! the ones the paper's Example 4.1 illustrates:
+//! rules to be rejected." The two optimisations of the paper's Example 4.1
+//! run on every normal clause ([`optimize_clause`]):
 //!
 //! * **self-join elimination**: if `name` is a key for `CountryE`, a body
 //!   `Y in CountryE, Z in CountryE, Y.name = N, Z.name = N` can bind `Z := Y`
@@ -22,6 +22,35 @@
 //! `CountryE` scans, compared through `ins_euro_city(Mk_CountryT(..))`, merge
 //! under (C8).
 //!
+//! **Two sufficient conditions for a merge.** Two scans `Y`, `Z` of one
+//! source class merge (`Z := Y`, atoms that became duplicates dropped, a
+//! flipped `t = s` counting as a duplicate of `s = t`) when either holds:
+//!
+//! * **a key** — every path of a source key of the class is equated between
+//!   `Y` and `Z`, so they are one object. [`optimize_clause`] applies it
+//!   while normalising: the paper's normal form.
+//! * **coverage** — `Z` is a *witness*: every use of `Z` other than its
+//!   membership is a projection `Z.p`, and every such `Z.p` is equated with
+//!   `Y.p`. Setting `Z := Y` satisfies everything `Z` did, and whatever `Z`
+//!   bound, `Y` binds equal values, so the body's solutions differ only in
+//!   how often each head instance is derived. Under WOL's set semantics that
+//!   changes nothing: an identity is a function of its key and an object's
+//!   contributions settle as a set. This is conjunctive-query minimisation
+//!   (Chandra & Merlin), and it needs no constraint. [`fold_witnesses`]
+//!   applies it; `morphase` calls it when it plans a clause, so the normal
+//!   form stays the paper's and its unplanned (raw) translation, the
+//!   planner's baseline, keeps every witness scan.
+//!
+//! The genome program's attribute clauses are the motivating case: each
+//! unfolds `X in CloneD, X.name = C.name` into a second `CloneS` scan that
+//! only re-reads `C.name`.
+//!
+//! **Definedness.** An attribute may be absent, and an equality over an
+//! absent projection does not hold. So a self-equality over a projection
+//! (`Y.p = Y.p`, left by either merge of `Y.p = Z.p`) is never dropped: it
+//! still requires `p` to be present. Only a self-equality of variables and
+//! constants is trivially true.
+//!
 //! **Collisions.** Two keys whose identities hash alike are detected where an
 //! identity is *minted*, as `ModelError::SkolemCollision`. A comparison the
 //! split rewrites no longer mints, so it treats the two keys as distinct —
@@ -30,7 +59,7 @@
 use std::collections::{BTreeMap, HashSet};
 
 use wol_lang::ast::{Atom, SkolemArgs, Term, Var};
-use wol_model::{ClassName, Path, PushOp, Value};
+use wol_model::{ClassName, Label, Path, PushOp, Value};
 
 use crate::normalize::NormalClause;
 
@@ -53,29 +82,187 @@ pub fn optimize_clause(clause: NormalClause, source_keys: &SourceKeys) -> Option
             other => body.push(other),
         }
     }
-    let (mut key, mut attrs) = (clause.key, clause.attrs);
+    let mut clause = NormalClause { body, ..clause };
     // Iterate self-join elimination to a fixpoint: merging two variables may
     // enable further merges.
-    while let Some((keep, drop)) = find_mergeable_pair(&body, source_keys) {
-        let subst: BTreeMap<Var, Term> = BTreeMap::from([(drop, Term::Var(keep))]);
-        body = body.iter().map(|a| a.substitute(&subst)).collect();
-        key = key.map(|t| t.substitute(&subst));
-        for term in attrs.values_mut() {
-            *term = term.substitute(&subst);
-        }
-        dedup_atoms(&mut body);
+    while let Some((keep, drop)) = keyed_pair(&clause.body, source_keys) {
+        let body = std::mem::take(&mut clause.body);
+        merge(&mut clause, &body, keep, drop);
     }
-    dedup_atoms(&mut body);
-    drop_trivial_equalities(&mut body);
-    if body_unsatisfiable(&body) {
+    dedup_atoms(&mut clause.body, false);
+    drop_trivial_equalities(&mut clause.body);
+    if body_unsatisfiable(&clause.body) {
         return None;
     }
-    Some(NormalClause {
-        key,
-        attrs,
-        body,
-        ..clause
+    Some(clause)
+}
+
+/// Two member variables of one class whose key paths are all equated, as
+/// `(keep, drop)`. Without a source key there is nothing to search.
+fn keyed_pair(body: &[Atom], source_keys: &SourceKeys) -> Option<(Var, Var)> {
+    if source_keys.is_empty() {
+        return None;
+    }
+    find_pair(body, |class, a, b| {
+        let key = source_keys.get(class)?;
+        let equated = |p: &Path| {
+            paths_equated(body, a, b, |t, v| {
+                is_projection(t, v, p.segments().iter().rev())
+            })
+        };
+        key.iter().all(equated).then_some((a, b))
     })
+}
+
+/// Fold every witness scan of a clause into another scan of its class (see
+/// the module docs): `Z := Y`, duplicate atoms dropped, to a fixpoint.
+/// Returns `None`, having allocated nothing, when no scan is a witness.
+pub fn fold_witnesses(clause: &NormalClause) -> Option<NormalClause> {
+    if !Paths::nest(clause) {
+        return None;
+    }
+    let witness = |clause: &NormalClause| {
+        find_pair(&clause.body, |_, a, b| {
+            if is_witness(clause, b, a) {
+                Some((a, b))
+            } else if is_witness(clause, a, b) {
+                Some((b, a))
+            } else {
+                None
+            }
+        })
+    };
+    let (keep, drop) = witness(clause)?;
+    let mut folded = NormalClause {
+        class: clause.class.clone(),
+        key: clause.key.clone(),
+        attrs: clause.attrs.clone(),
+        body: Vec::new(),
+        creates: clause.creates,
+        provenance: clause.provenance.clone(),
+    };
+    merge(&mut folded, &clause.body, keep, drop);
+    while let Some((keep, drop)) = witness(&folded) {
+        let body = std::mem::take(&mut folded.body);
+        merge(&mut folded, &body, keep, drop);
+    }
+    // A witness is never used bare, so a fold leaves no self-equality but
+    // one over a projection, which stays.
+    Some(folded)
+}
+
+/// At most this many member variables of a clause get a path summary; a
+/// clause with more goes straight to the exact witness search.
+const SUMMARISED: usize = 16;
+
+/// The paths a clause projects off its member variables, summarised in one
+/// walk that allocates nothing: per variable, its class and a bit per
+/// projected path, by a hash of the path's labels.
+struct Paths<'a> {
+    vars: [&'a str; SUMMARISED],
+    classes: [Option<&'a ClassName>; SUMMARISED],
+    bits: [u64; SUMMARISED],
+    len: usize,
+    last: usize,
+}
+
+impl<'a> Paths<'a> {
+    /// Whether two members of one class have nested projected-path sets —
+    /// what a witness needs, since each `z.p` must be equated with `y.p` —
+    /// checked before anything is allocated. Every planned clause comes
+    /// through here, so a clause without such a pair (each of the keyless
+    /// wide program's scans reads attributes the others do not) costs one
+    /// walk. A variable in several memberships goes to the exact search.
+    fn nest(clause: &'a NormalClause) -> bool {
+        let mut paths = Paths {
+            vars: [""; SUMMARISED],
+            classes: [None; SUMMARISED],
+            bits: [0; SUMMARISED],
+            len: 0,
+            last: 0,
+        };
+        for atom in &clause.body {
+            if let Atom::Member(Term::Var(v), class) = atom {
+                if paths.len == SUMMARISED || paths.ordinal(v).is_some() {
+                    return true;
+                }
+                paths.vars[paths.len] = v;
+                paths.classes[paths.len] = Some(class);
+                paths.len += 1;
+            }
+        }
+        if !paths.pairs(|_, _| true) {
+            return false;
+        }
+        for atom in &clause.body {
+            match atom {
+                Atom::Member(t, _) => paths.record(t),
+                Atom::Eq(s, t)
+                | Atom::Neq(s, t)
+                | Atom::Lt(s, t)
+                | Atom::Leq(s, t)
+                | Atom::InSet(s, t) => {
+                    paths.record(s);
+                    paths.record(t);
+                }
+            }
+        }
+        // The head need not be walked: a witness's head paths are equated
+        // in the body too.
+        let bits = paths.bits;
+        paths.pairs(|y, z| bits[z] & !bits[y] == 0 || bits[y] & !bits[z] == 0)
+    }
+
+    /// Whether `nested` holds for some pair of members of one class.
+    fn pairs(&self, nested: impl Fn(usize, usize) -> bool) -> bool {
+        let classes = &self.classes[..self.len];
+        (0..self.len).any(|i| (i + 1..self.len).any(|j| classes[i] == classes[j] && nested(i, j)))
+    }
+
+    fn ordinal(&self, var: &str) -> Option<usize> {
+        // A member's projections tend to follow one another: try the last
+        // one found first.
+        if self.vars[self.last] == var {
+            return Some(self.last);
+        }
+        self.vars[..self.len].iter().position(|v| *v == var)
+    }
+
+    /// Note the member paths `term` projects.
+    fn record(&mut self, term: &Term) {
+        match term {
+            Term::Var(_) | Term::Const(_) => {}
+            Term::Proj(base, _) => match projected_var(term).and_then(|v| self.ordinal(v)) {
+                Some(i) => {
+                    self.last = i;
+                    // Labels are interned: one text, one address.
+                    let hash = labels(term).fold(0u64, |h, l| {
+                        (h ^ l.as_ptr() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    });
+                    self.bits[i] |= 1 << (hash >> 58);
+                }
+                None => self.record(base),
+            },
+            Term::Variant(_, t) => self.record(t),
+            Term::Record(fields) | Term::Skolem(_, SkolemArgs::Named(fields)) => {
+                fields.iter().for_each(|(_, t)| self.record(t))
+            }
+            Term::Skolem(_, SkolemArgs::Positional(ts)) => ts.iter().for_each(|t| self.record(t)),
+        }
+    }
+}
+
+/// Substitute `keep` for `drop` in the clause's key and attributes and in
+/// `body`, which becomes the clause's body less the atoms that became
+/// duplicates.
+fn merge(clause: &mut NormalClause, body: &[Atom], keep: Var, drop: Var) {
+    let subst = BTreeMap::from([(drop, Term::Var(keep))]);
+    clause.body = body.iter().map(|atom| atom.substitute(&subst)).collect();
+    dedup_atoms(&mut clause.body, true);
+    clause.key = clause.key.map(|t| t.substitute(&subst));
+    for term in clause.attrs.values_mut() {
+        *term = term.substitute(&subst);
+    }
 }
 
 /// Append `s = t` to `out`, split into equalities between arguments where
@@ -108,113 +295,183 @@ fn split_equality(s: Term, t: Term, out: &mut Vec<Atom>) -> bool {
     }
 }
 
-/// Find a pair of body variables `(keep, drop)` ranging over the same keyed
-/// source class whose key paths are all equated in the body.
-fn find_mergeable_pair(body: &[Atom], source_keys: &SourceKeys) -> Option<(Var, Var)> {
-    // Collect membership variables per keyed class.
-    let mut members: BTreeMap<ClassName, Vec<Var>> = BTreeMap::new();
-    for atom in body {
-        if let Atom::Member(Term::Var(v), class) = atom {
-            if source_keys.contains_key(class) {
-                let entry = members.entry(class.clone()).or_default();
-                if !entry.contains(v) {
-                    entry.push(v.clone());
-                }
-            }
-        }
-    }
-    for (class, vars) in &members {
-        let key_paths = &source_keys[class];
-        for i in 0..vars.len() {
-            for j in (i + 1)..vars.len() {
-                let a = &vars[i];
-                let b = &vars[j];
-                if key_paths.iter().all(|p| paths_equated(body, a, b, p)) {
-                    return Some((a.clone(), b.clone()));
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Is `a.path` known to equal `b.path` in the body — either directly
-/// (`a.p = b.p`) or through a shared variable or constant
-/// (`a.p = N, b.p = N`)?
-fn paths_equated(body: &[Atom], a: &str, b: &str, path: &Path) -> bool {
-    let rhs_of = |var: &str| -> Vec<&Term> {
-        body.iter()
-            .filter_map(|atom| {
-                let Atom::Eq(s, t) = atom else { return None };
-                for (proj, other) in [(s, t), (t, s)] {
-                    if let Some((base, labels)) = proj.as_var_path() {
-                        if base == var && !labels.is_empty() {
-                            let p = Path::new(labels.iter().map(|l| l.to_string()));
-                            if &p == path {
-                                return Some(other);
-                            }
-                        }
-                    }
-                }
-                None
-            })
-            .collect()
+/// The first pair of distinct member variables of one class, in body order,
+/// that `mergeable` turns into a `(keep, drop)` pair. Allocates nothing
+/// until it finds one.
+fn find_pair<'a>(
+    body: &'a [Atom],
+    mergeable: impl Fn(&ClassName, &'a Var, &'a Var) -> Option<(&'a Var, &'a Var)>,
+) -> Option<(Var, Var)> {
+    let member = |atom: &'a Atom| match atom {
+        Atom::Member(Term::Var(v), class) => Some((v, class)),
+        _ => None,
     };
-    let a_terms = rhs_of(a);
-    let b_terms = rhs_of(b);
-    for at in &a_terms {
-        for bt in &b_terms {
-            let linked = match (at, bt) {
-                (Term::Var(x), Term::Var(y)) => x == y,
-                (Term::Const(x), Term::Const(y)) => x == y,
-                _ => false,
-            };
-            if linked {
-                return true;
-            }
-            // Direct form `a.p = b.p`: the rhs of `a` is the projection of `b`.
-            if let Some((base, labels)) = at.as_var_path() {
-                if base == b && &Path::new(labels.iter().map(|l| l.to_string())) == path {
-                    return true;
-                }
-            }
-            if let Some((base, labels)) = bt.as_var_path() {
-                if base == a && &Path::new(labels.iter().map(|l| l.to_string())) == path {
-                    return true;
-                }
-            }
-        }
-    }
-    // Direct `a.p = b.p` with no other equations.
-    for atom in body {
-        if let Atom::Eq(s, t) = atom {
-            for (x, y) in [(s, t), (t, s)] {
-                if let (Some((bx, lx)), Some((by, ly))) = (x.as_var_path(), y.as_var_path()) {
-                    if bx == a
-                        && by == b
-                        && &Path::new(lx.iter().map(|l| l.to_string())) == path
-                        && &Path::new(ly.iter().map(|l| l.to_string())) == path
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-    }
-    false
+    let (keep, drop) = body.iter().enumerate().find_map(|(i, atom)| {
+        let (a, class) = member(atom)?;
+        body[i + 1..]
+            .iter()
+            .filter_map(member)
+            .filter(|&(b, c)| c == class && b != a)
+            .find_map(|(b, _)| mergeable(class, a, b))
+    })?;
+    Some((keep.clone(), drop.clone()))
 }
 
-/// Remove duplicate atoms, preserving first occurrences.
-fn dedup_atoms(body: &mut Vec<Atom>) {
+/// Is `a.p` known to equal `b.p` in the body — either directly
+/// (`a.p = b.p`) or through a shared variable or constant
+/// (`a.p = N, b.p = N`)? `at(t, v)` says whether term `t` is `v.p`.
+fn paths_equated(body: &[Atom], a: &str, b: &str, at: impl Fn(&Term, &str) -> bool) -> bool {
+    // The other side of every equality with `v.p` on one side.
+    let others = |v| {
+        let at = &at;
+        body.iter()
+            .filter_map(|atom| match atom {
+                Atom::Eq(s, t) => Some([(s, t), (t, s)]),
+                _ => None,
+            })
+            .flatten()
+            .filter(move |(x, _)| at(x, v))
+            .map(|(_, y)| y)
+    };
+    others(a).any(|x| {
+        at(x, b) || matches!(x, Term::Var(_) | Term::Const(_)) && others(b).any(|y| y == x)
+    })
+}
+
+/// Whether `term` is a projection `var.p` of at least one label, where
+/// `labels` lists `p` outermost first: `Y.a.b` is `Y` with `[b, a]`.
+fn is_projection<'l>(term: &Term, var: &str, mut labels: impl Iterator<Item = &'l Label>) -> bool {
+    let mut term = term;
+    let mut projected = false;
+    loop {
+        match term {
+            Term::Proj(base, label) if labels.next() == Some(label) => {
+                term = base;
+                projected = true;
+            }
+            Term::Var(v) => return projected && v == var && labels.next().is_none(),
+            _ => return false,
+        }
+    }
+}
+
+/// The labels of a projection, outermost first (see [`is_projection`]).
+fn labels(term: &Term) -> impl Iterator<Item = &Label> {
+    std::iter::successors(Some(term), |t| match t {
+        Term::Proj(base, _) => Some(base),
+        _ => None,
+    })
+    .filter_map(|t| match t {
+        Term::Proj(_, label) => Some(label),
+        _ => None,
+    })
+}
+
+/// The variable a projection chain starts from: `Y` for `Y.a.b`, `None` for
+/// a term that is not a projection off a variable.
+fn projected_var(term: &Term) -> Option<&Var> {
+    match term {
+        Term::Proj(base, _) => match &**base {
+            Term::Var(v) => Some(v),
+            base => projected_var(base),
+        },
+        _ => None,
+    }
+}
+
+/// Whether member `z` is a witness for member `y` of its class: every use
+/// of `z` in the clause's body and head, other than a membership in that
+/// class, is a projection `z.p` equated with `y.p`.
+fn is_witness(clause: &NormalClause, z: &str, y: &str) -> bool {
+    let covered = |projection: &Term| {
+        paths_equated(&clause.body, z, y, |t, v| {
+            is_projection(t, v, labels(projection))
+        })
+    };
+    let body_covered = clause.body.iter().all(|atom| match atom {
+        Atom::Member(Term::Var(v), _) if v == y => true,
+        Atom::Member(Term::Var(v), class) if v == z => {
+            // A membership of `z` in `y`'s class.
+            clause
+                .body
+                .iter()
+                .any(|a| matches!(a, Atom::Member(Term::Var(w), c) if w == y && c == class))
+        }
+        Atom::Member(t, _) => uses_covered(t, z, &covered),
+        Atom::Eq(s, t) | Atom::Neq(s, t) | Atom::Lt(s, t) | Atom::Leq(s, t) | Atom::InSet(s, t) => {
+            uses_covered(s, z, &covered) && uses_covered(t, z, &covered)
+        }
+    });
+    body_covered
+        && clause
+            .key
+            .terms()
+            .into_iter()
+            .all(|t| uses_covered(t, z, &covered))
+        && clause.attrs.values().all(|t| uses_covered(t, z, &covered))
+}
+
+/// Whether every use of `z` in `term` is a projection `z.p` that `covered`
+/// accepts.
+fn uses_covered(term: &Term, z: &str, covered: &impl Fn(&Term) -> bool) -> bool {
+    match term {
+        Term::Var(v) => v != z,
+        Term::Const(_) => true,
+        Term::Proj(base, _) => match projected_var(term) {
+            Some(v) if v == z => covered(term),
+            _ => uses_covered(base, z, covered),
+        },
+        Term::Variant(_, t) => uses_covered(t, z, covered),
+        Term::Record(fields) | Term::Skolem(_, SkolemArgs::Named(fields)) => {
+            fields.iter().all(|(_, t)| uses_covered(t, z, covered))
+        }
+        Term::Skolem(_, SkolemArgs::Positional(ts)) => {
+            ts.iter().all(|t| uses_covered(t, z, covered))
+        }
+    }
+}
+
+/// Remove duplicate atoms, preserving first occurrences. With `flipped`, an
+/// equality `t = s` duplicates an earlier `s = t` too: a merge's
+/// substitution leaves such pairs, and only merged bodies pay the
+/// comparison.
+fn dedup_atoms(body: &mut Vec<Atom>, flipped: bool) {
+    #[derive(PartialEq, Eq, Hash)]
+    enum Seen<'a> {
+        Eq(&'a Term, &'a Term),
+        Atom(&'a Atom),
+    }
     let mut seen = HashSet::new();
-    let first: Vec<bool> = body.iter().map(|atom| seen.insert(atom)).collect();
+    let first: Vec<bool> = body
+        .iter()
+        .map(|atom| {
+            seen.insert(match atom {
+                Atom::Eq(s, t) if flipped => Seen::Eq(s.min(t), s.max(t)),
+                atom => Seen::Atom(atom),
+            })
+        })
+        .collect();
     let mut first = first.into_iter();
     body.retain(|_| first.next().unwrap_or(true));
 }
 
-/// Remove trivially true equalities `t = t`.
+/// Remove trivially true equalities `t = t`. One that projects (`Y.p =
+/// Y.p`) stays: it holds only where `p` is present.
 fn drop_trivial_equalities(body: &mut Vec<Atom>) {
-    body.retain(|atom| !matches!(atom, Atom::Eq(s, t) if s == t));
+    body.retain(|atom| !matches!(atom, Atom::Eq(s, t) if s == t && !projects(s)));
+}
+
+/// Whether a term contains a projection.
+fn projects(term: &Term) -> bool {
+    match term {
+        Term::Var(_) | Term::Const(_) => false,
+        Term::Proj(..) => true,
+        Term::Variant(_, t) => projects(t),
+        Term::Record(fields) | Term::Skolem(_, SkolemArgs::Named(fields)) => {
+            fields.iter().any(|(_, t)| projects(t))
+        }
+        Term::Skolem(_, SkolemArgs::Positional(ts)) => ts.iter().any(projects),
+    }
 }
 
 /// Detect bodies that can never be satisfied: a variable or attribute equated
@@ -372,10 +629,11 @@ mod tests {
         clause.key = SkolemArgs::Named(vec![("name".into(), Term::var("Z").proj("name"))]);
         clause.attrs = BTreeMap::from([("currency".into(), Term::var("Z").proj("currency"))]);
         let optimised = optimize_clause(clause, &country_key()).unwrap();
+        // `Y.name = Y.name` stays: it holds only where `name` is present.
         assert_eq!(
             optimised.render(),
             "Mk_CountryT(name = Y.name) in CountryT, \
-             Mk_CountryT(name = Y.name).currency = Y.currency <= Y in CountryE;"
+             Mk_CountryT(name = Y.name).currency = Y.currency <= Y in CountryE, Y.name = Y.name;"
         );
     }
 
@@ -399,7 +657,14 @@ mod tests {
         );
         let merged = optimize_clause(clause_with_body(body), &country_key()).unwrap();
         let rendered: Vec<String> = merged.body.iter().map(wol_lang::render_atom).collect();
-        assert_eq!(rendered, ["Y in CountryE"]);
+        assert_eq!(
+            rendered,
+            [
+                "Y in CountryE",
+                "Y.language = Y.language",
+                "Y.name = Y.name"
+            ]
+        );
         // Positional keys split position by position; shapes that differ stay.
         let positional = clause_with_body("Y in CountryE, Mk_C(Y.name, 1) = Mk_C(N, M)");
         let rendered: Vec<String> = optimize_clause(positional, &SourceKeys::new())
@@ -449,6 +714,67 @@ mod tests {
             clause_with_body("Y in CountryE, Y in CountryE, Y.name = N, Y.name = N, N = N");
         let optimised = optimize_clause(clause, &country_key()).unwrap();
         assert_eq!(optimised.body.len(), 2);
+    }
+
+    fn folded(body_text: &str) -> Option<Vec<String>> {
+        let folded = fold_witnesses(&clause_with_body(body_text))?;
+        Some(folded.body.iter().map(wol_lang::render_atom).collect())
+    }
+
+    /// Clause G5 of the genome program, unfolded: `W` only re-reads
+    /// `S.name`, so it folds into `S` and the flipped duplicate of
+    /// `N = S.name` goes. Without a source key, the normal form keeps it.
+    #[test]
+    fn a_witness_folds_into_the_scan_it_re_reads() {
+        let body = "S in MarkerS, N = S.name, P = S.position, W in MarkerS, W.name = N";
+        assert_eq!(
+            folded(body).unwrap(),
+            ["S in MarkerS", "N = S.name", "P = S.position"]
+        );
+        let normal = optimize_clause(clause_with_body(body), &SourceKeys::new()).unwrap();
+        assert_eq!(normal.body, clause_with_body(body).body);
+        // Either scan may be the witness; the later one folds when both are.
+        assert_eq!(
+            folded("W in MarkerS, W.name = N, S in MarkerS, N = S.name, P = S.position").unwrap(),
+            ["S in MarkerS", "S.name = N", "P = S.position"]
+        );
+        assert_eq!(
+            folded("A in C, A.name = N, B in C, B.name = N, D in C, D.name = N").unwrap(),
+            ["A in C", "A.name = N"]
+        );
+    }
+
+    /// A direct `Y.name = Z.name` folds to `Y.name = Y.name`, which stays:
+    /// `Y` must still have a name. A head use of `Z.v` equated with `Y.v`
+    /// is renamed.
+    #[test]
+    fn a_fold_keeps_the_self_equality_that_requires_the_path() {
+        let mut clause = clause_with_body("Y in C, Z in C, Y.name = Z.name, Y.v = Z.v");
+        clause.attrs = BTreeMap::from([("v".into(), Term::var("Z").proj("v"))]);
+        let folded = fold_witnesses(&clause).unwrap();
+        assert_eq!(
+            folded.render(),
+            "Mk_CountryT(name = N) in CountryT, Mk_CountryT(name = N).v = Y.v \
+             <= Y in C, Y.name = Y.name, Y.v = Y.v;"
+        );
+    }
+
+    #[test]
+    fn scans_that_are_not_witnesses_stay() {
+        for body in [
+            // A bare use: `W` itself is compared.
+            "S in MarkerS, N = S.name, W in MarkerS, W.name = N, S.ref = W",
+            // Each scan reads a path the other's is not equated with.
+            "S in MarkerS, N = S.name, P = S.position, W in MarkerS, W.name = N, W.position = Q",
+            // Two classes.
+            "S in MarkerS, N = S.name, W in CloneS, W.name = N",
+            // An inequality on a path the kept scan lacks.
+            "S in MarkerS, N = S.name, P = S.position, W in MarkerS, W.name = N, W.lab != \"x\"",
+            // A membership the kept scan lacks.
+            "S in MarkerS, N = S.name, P = S.position, W in MarkerS, W.name = N, W in Flagged",
+        ] {
+            assert_eq!(folded(body), None, "{body}");
+        }
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //!   produced row on genome and 52.1 on skew; with a record as a
 //!   `BTreeMap<String, Value>` it made 5.05 and 8.14; with each record built
 //!   straight into label order, one allocation, it makes 4.01 and 6.10. The
-//!   budgets are those figures rounded up to the next tenth.
+//!   budgets were those figures rounded up to the next tenth. Since planning
+//!   folds the genome program's witness scans, its attribute clauses scan
+//!   their class once: 26,501 rows produced instead of 37,501, with 93,686
+//!   allocations instead of 135,412 (3.54 per row instead of 3.61). The
+//!   genome budget is that figure plus 10 %.
 //! * **Federated execute.** The same count for the federated program over
 //!   its three fragments ingested whole at `FederatedParams::scaled(1)`.
 //!   With every definition bound in one `Map` above the joins it made 13,651
@@ -222,9 +226,9 @@ fn genome_source(scale: usize) -> Instance {
 fn genome_and_skew_execute_within_half_the_allocations_per_row() {
     let _serial = serial();
     let genome = execute_counted(genome::program(), &genome_source(10));
-    assert_eq!(genome.rows, 37_501, "genome rows produced");
+    assert_eq!(genome.rows, 26_501, "genome rows produced");
     let allocations = genome.allocations as f64;
-    assert_per_row("genome", "allocations", allocations, genome.rows, 4.1);
+    assert_per_row("genome", "allocations", allocations, genome.rows, 3.89);
 
     let skew_source = skewed::generate_source(&SkewedParams {
         seed: 22,

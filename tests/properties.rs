@@ -1158,6 +1158,290 @@ proptest! {
     }
 }
 
+/// §4.2's keyed merge keeps what it merged required. With `name` a key of
+/// `Src`, clause `T`'s two scans merge, and `Y.name = Z.name` becomes
+/// `Y.name = Y.name`: dropping that as trivially true let an object
+/// without a name through. The reference semantics, and now the pipeline,
+/// derive only the named object's `v`.
+#[test]
+fn the_keyed_merge_still_requires_the_merged_path_to_be_present() {
+    use wol_repro::wol_lang::program::{Program, SchemaBinding};
+    use wol_repro::wol_model::{Schema, Type};
+
+    let source_schema = Schema::new("src").with_class(
+        "Src",
+        Type::record([("name", Type::optional(Type::str())), ("v", Type::int())]),
+    );
+    let target_schema = Schema::new("tgt").with_class("Tgt", Type::record([("v", Type::int())]));
+    let program = Program::new(
+        "definedness",
+        vec![SchemaBinding::new(source_schema)],
+        SchemaBinding::new(target_schema),
+    )
+    .with_text(
+        "T: X in Tgt, X.v = V <= Y in Src, Z in Src, Y.name = Z.name, V = Y.v;\n\
+         K: X = Mk_Tgt(V) <= X in Tgt, V = X.v;\n\
+         C: X = Y <= X in Src, Y in Src, X.name = Y.name;",
+    );
+    let mut source = Instance::new("src");
+    let src = ClassName::new("Src");
+    source.insert_fresh(&src, Value::record([("v", Value::int(1))]));
+    source.insert_fresh(
+        &src,
+        Value::record([("name", Value::str("a")), ("v", Value::int(2))]),
+    );
+    let run = Morphase::new().transform(&program, &[&source][..]).unwrap();
+    let [clause] = &run.normal.clauses[..] else {
+        panic!("one normal clause, got {}", run.normal.len());
+    };
+    let scans = clause.body.iter().filter(|a| matches!(a, Atom::Member(..)));
+    assert_eq!(
+        scans.count(),
+        1,
+        "the key merges the scans: {}",
+        clause.render()
+    );
+    let reference = naive_transform(&program, &[&source][..], "tgt").unwrap();
+    let values = |target: &Instance| -> Vec<Value> {
+        target
+            .objects(&ClassName::new("Tgt"))
+            .map(|(_, v)| v.clone())
+            .collect()
+    };
+    assert_eq!(values(&reference), [Value::record([("v", Value::int(2))])]);
+    assert_eq!(values(&run.target), values(&reference));
+}
+
+/// The genome program over a genome-shaped source whose objects may lack a
+/// `name`.
+fn genome_with_optional_names() -> wol_repro::wol_lang::program::Program {
+    use wol_repro::wol_lang::program::{Program, SchemaBinding};
+    use wol_repro::wol_model::{Schema, Type};
+    use wol_repro::workloads::genome;
+
+    let name = || ("name", Type::optional(Type::str()));
+    let source = Schema::new("ace22")
+        .with_class(
+            "CloneS",
+            Type::record([
+                name(),
+                ("length", Type::optional(Type::int())),
+                ("lab", Type::optional(Type::str())),
+            ]),
+        )
+        .with_class(
+            "MarkerS",
+            Type::record([
+                name(),
+                ("position", Type::optional(Type::int())),
+                ("clone", Type::optional(Type::class("CloneS"))),
+                ("aliases", Type::optional(Type::set(Type::str()))),
+            ]),
+        );
+    Program::new(
+        "genome_optional_names",
+        vec![SchemaBinding::new(source)],
+        SchemaBinding::new(genome::target_schema()),
+    )
+    .with_text(genome::program_text())
+}
+
+/// One optional attribute: absent once in three draws, else `agreed` (a
+/// function of the object's name) or, when the source plants conflicts,
+/// one of two values.
+fn fold_attr(g: &mut proptest::Gen, conflicts: bool, agreed: i64) -> Option<i64> {
+    match (one_in(g, 3), conflicts) {
+        (true, _) => None,
+        (false, false) => Some(agreed),
+        (false, true) => Some(g.usize_in(0, 2) as i64),
+    }
+}
+
+/// A record of the given fields, each present or absent.
+fn fold_record(fields: Vec<(&str, Option<Value>)>) -> Value {
+    Value::record(fields.into_iter().filter_map(|(l, v)| Some((l, v?))))
+}
+
+/// A `CloneS` or `MarkerS` object of [`witness_fold_source`]: a name drawn
+/// from `names` (absent once in five), and optional attributes.
+fn fold_object(
+    g: &mut proptest::Gen,
+    marker: bool,
+    names: usize,
+    conflicts: bool,
+    clones: &[wol_repro::wol_model::Oid],
+) -> Value {
+    let name = g.usize_in(0, names);
+    let named = (!one_in(g, 5)).then(|| Value::str(format!("n{name}")));
+    let agreed = name as i64;
+    if !marker {
+        let lab = fold_attr(g, conflicts, agreed).map(|l| Value::str(format!("lab{l}")));
+        return fold_record(vec![
+            ("name", named),
+            ("length", fold_attr(g, conflicts, agreed).map(Value::int)),
+            ("lab", lab),
+        ]);
+    }
+    let clone = match fold_attr(g, conflicts, agreed) {
+        Some(i) if !clones.is_empty() => {
+            Some(Value::Oid(clones[i as usize % clones.len()].clone()))
+        }
+        _ => None,
+    };
+    let aliases = fold_attr(g, conflicts, agreed).map(|a| {
+        Value::Set(
+            [Value::str(format!("a{a}")), Value::str("alias")]
+                .into_iter()
+                .collect(),
+        )
+    });
+    fold_record(vec![
+        ("name", named),
+        ("position", fold_attr(g, conflicts, agreed).map(Value::int)),
+        ("clone", clone),
+        ("aliases", aliases),
+    ])
+}
+
+/// A genome-shaped source over a few names: duplicate names, absent
+/// optional attributes (`name` among them) and, when `conflicts`, objects
+/// of one name that disagree on an attribute (`position` among them).
+fn witness_fold_source(g: &mut proptest::Gen, conflicts: bool) -> Instance {
+    let mut source = Instance::new("ace22");
+    let names = g.usize_in(1, 5);
+    let mut clones = Vec::new();
+    for _ in 0..g.usize_in(0, 7) {
+        let value = fold_object(g, false, names, conflicts, &[]);
+        clones.push(source.insert_fresh(&ClassName::new("CloneS"), value));
+    }
+    for _ in 0..g.usize_in(0, 10) {
+        let value = fold_object(g, true, names, conflicts, &clones);
+        source.insert_fresh(&ClassName::new("MarkerS"), value);
+    }
+    source
+}
+
+/// One random batch against `source`: inserted objects, markers updated to
+/// fresh values and markers removed.
+fn witness_fold_batch(
+    g: &mut proptest::Gen,
+    source: &Instance,
+    conflicts: bool,
+) -> wol_repro::wol_model::MutationBatch {
+    let clone_s = ClassName::new("CloneS");
+    let marker_s = ClassName::new("MarkerS");
+    let clones: Vec<_> = source.extent(&clone_s).cloned().collect();
+    let markers: Vec<_> = source.extent(&marker_s).cloned().collect();
+    let mut batch = wol_repro::wol_model::MutationBatch::new();
+    let mut touched = std::collections::BTreeSet::new();
+    for _ in 0..g.usize_in(1, 4) {
+        let pick = g.usize_in(0, 4);
+        if pick < 2 || markers.is_empty() {
+            let marker = pick == 1;
+            let value = fold_object(g, marker, 4, conflicts, &clones);
+            batch = batch.insert(if marker { &marker_s } else { &clone_s }.clone(), value);
+            continue;
+        }
+        let victim = markers[g.usize_in(0, markers.len())].clone();
+        if !touched.insert(victim.clone()) {
+            continue;
+        }
+        batch = if pick == 2 {
+            batch.update(victim, fold_object(g, true, 4, conflicts, &clones))
+        } else {
+            batch.remove(victim)
+        };
+    }
+    batch
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The planner's witness fold against the unfolded plans and the
+    /// reference semantics. Over genome-shaped sources with duplicate names,
+    /// absent attributes and conflicting same-name objects, the planned run
+    /// (whose attribute clauses scan their class once), the raw plans (which
+    /// keep every witness scan) and `naive_transform` give an equivalent
+    /// target, or the two pipelines fail with the same least conflict where
+    /// the reference fails too, at 1 and 8 threads. A maintained pipeline
+    /// under random batches matches its oracle and a fresh run after every
+    /// batch, or fails with the fresh run's error.
+    #[test]
+    fn folded_witness_scans_match_raw_plans_the_reference_and_the_maintainer(seed in 0u64..u64::MAX) {
+        use wol_repro::morphase::{MaterializedPipeline, PipelineOptions};
+
+        let mut g = proptest::Gen::new(seed);
+        let conflicts = one_in(&mut g, 2);
+        let program = genome_with_optional_names();
+        let source = witness_fold_source(&mut g, conflicts);
+        let reference = naive_transform(&program, &[&source][..], "chr22");
+        for threads in [1usize, 8] {
+            let planned = PipelineOptions {
+                parallelism: cpl::Parallelism::new(threads).with_min_items(1),
+                ..PipelineOptions::default()
+            };
+            let raw = PipelineOptions { optimize_plans: false, ..planned };
+            let folded = Morphase::with_options(planned).transform(&program, &[&source][..]);
+            let unfolded = Morphase::with_options(raw).transform(&program, &[&source][..]);
+            match (&folded, &unfolded, &reference) {
+                (Ok(folded), Ok(unfolded), Ok(reference)) => {
+                    let report = folded.target.deep_eq_report(&unfolded.target);
+                    prop_assert!(report.is_none(), "{} threads: folded vs raw: {:?}", threads, report);
+                    prop_assert!(
+                        instances_equivalent(&folded.target, reference, 2),
+                        "{} threads: folded run and reference diverge", threads
+                    );
+                }
+                (Err(folded), Err(unfolded), Err(_)) => {
+                    prop_assert!(folded == unfolded, "{} threads: {} vs {}", threads, folded, unfolded);
+                }
+                (folded, unfolded, reference) => prop_assert!(
+                    false,
+                    "{} threads: folded {:?}, raw {:?}, reference {:?}",
+                    threads,
+                    folded.as_ref().err(),
+                    unfolded.as_ref().err(),
+                    reference.as_ref().err()
+                ),
+            }
+        }
+
+        let options = PipelineOptions {
+            parallelism: cpl::Parallelism::new(1 + 7 * g.usize_in(0, 2)).with_min_items(1),
+            ..PipelineOptions::default()
+        };
+        let Ok(mut pipeline) = MaterializedPipeline::new(&program, vec![source], options) else {
+            return Ok(());
+        };
+        for _ in 0..g.usize_in(1, 6) {
+            let batch = witness_fold_batch(&mut g, pipeline.source(0).unwrap(), conflicts);
+            let mut mutated = pipeline.source(0).unwrap().clone();
+            mutated.apply_batch(&batch).unwrap();
+            let fresh = Morphase::with_options(options).transform(&program, &[&mutated][..]);
+            match (pipeline.apply_batch(&batch), fresh) {
+                (Ok(_), Ok(fresh)) => {
+                    let oracle = pipeline.rerun_oracle().unwrap();
+                    let report = pipeline.target().deep_eq_report(&oracle.target);
+                    prop_assert!(report.is_none(), "maintained vs oracle: {:?}", report);
+                    let report = pipeline.target().deep_eq_report(&fresh.target);
+                    prop_assert!(report.is_none(), "maintained vs fresh: {:?}", report);
+                }
+                (Err(maintained), Err(fresh)) => {
+                    prop_assert!(maintained == fresh, "maintained {} vs fresh {}", maintained, fresh);
+                    break;
+                }
+                (maintained, fresh) => prop_assert!(
+                    false,
+                    "maintained {:?} vs fresh {:?}",
+                    maintained.err(),
+                    fresh.err()
+                ),
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
