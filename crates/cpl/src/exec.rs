@@ -12,7 +12,7 @@
 //! Rows are [`SlotRow`]s in layout order, and each operator lowers its
 //! expressions against its input's layout once per run
 //! ([`crate::expr::Lowered`]): no row is searched by name, and evaluation
-//! borrows instead of copying. Only [`run_plan`] names rows, at its return.
+//! borrows instead of copying.
 //!
 //! ## Partitioned execution
 //!
@@ -57,7 +57,7 @@ use crate::expr::{bind_slot, lower_bindings, store, EvalCtx, Expr, Lowered, Reco
 use crate::plan::{InsertAction, Plan, Query};
 use crate::Result;
 
-pub use crate::expr::{Row, SlotRow};
+pub use crate::expr::SlotRow;
 
 /// Statistics collected while executing plans; reported by the Morphase
 /// pipeline and the benchmark harness.
@@ -726,7 +726,9 @@ fn eval_keys<'r, 'a: 'r>(
 
 /// What a scan of `class` bound to `var` emits, as `emit` renders each
 /// identity: every source's extent in order, narrowed by the variable's
-/// delta restriction if one is active, and counted as scanned.
+/// delta restriction if one is active, and counted as scanned. At most one
+/// source holds objects of `class` (Morphase checks this where sources
+/// enter), so each identity is emitted once.
 fn scan_extent<T>(
     class: &wol_model::ClassName,
     var: &str,
@@ -747,17 +749,6 @@ fn scan_extent<T>(
         .collect();
     stats.rows_scanned += scanned.len();
     scanned
-}
-
-/// Run a plan against the context, returning its rows as named [`Row`]s —
-/// the slot rows of [`run_slots`], named once, here.
-pub fn run_plan(plan: &Plan, ctx: &mut EvalCtx<'_>, stats: &mut ExecStats) -> Result<Vec<Row>> {
-    let names = layout(plan);
-    let rows = run_slots(plan, ctx, stats)?;
-    Ok(rows
-        .into_iter()
-        .map(|row| names.iter().cloned().zip(row).collect())
-        .collect())
 }
 
 /// Run a plan against the context, returning its rows in the plan's
@@ -1144,12 +1135,31 @@ pub fn execute_query(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::plan::InsertAction;
     use std::collections::{BTreeMap, BTreeSet};
     use wol_model::{ClassName, Oid, Parallelism};
+
+    /// A row with each slot under its layout variable's name.
+    pub(crate) type NamedRow = BTreeMap<String, Value>;
+
+    /// [`run_slots`], with each row's slots named by the plan's [`layout`]:
+    /// the same rows in the same order, or the same error. The executor
+    /// speaks slots only; cpl's tests name rows here and nowhere else.
+    pub(crate) fn named_rows(
+        plan: &Plan,
+        ctx: &mut EvalCtx<'_>,
+        stats: &mut ExecStats,
+    ) -> Result<Vec<NamedRow>> {
+        let names = layout(plan);
+        let rows = run_slots(plan, ctx, stats)?;
+        Ok(rows
+            .into_iter()
+            .map(|row| names.iter().cloned().zip(row).collect())
+            .collect())
+    }
 
     fn euro_instance() -> Instance {
         let mut inst = Instance::new("euro");
@@ -1195,7 +1205,7 @@ mod tests {
         let plan = Plan::scan("CityE", "E")
             .filter(Expr::var("E").proj("is_capital"))
             .map(vec![("N".to_string(), Expr::var("E").proj("name"))]);
-        let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
+        let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().any(|r| r["N"] == Value::str("London")));
         assert!(rows.iter().any(|r| r["N"] == Value::str("Paris")));
@@ -1220,9 +1230,9 @@ mod tests {
             Expr::var("C").proj("name"),
         );
         let mut ctx = EvalCtx::new(&refs);
-        let mut nl_rows = run_plan(&nl, &mut ctx, &mut stats).unwrap();
+        let mut nl_rows = named_rows(&nl, &mut ctx, &mut stats).unwrap();
         let mut ctx = EvalCtx::new(&refs);
-        let mut hj_rows = run_plan(&hj, &mut ctx, &mut stats).unwrap();
+        let mut hj_rows = named_rows(&hj, &mut ctx, &mut stats).unwrap();
         nl_rows.sort();
         hj_rows.sort();
         // Hash join builds on the left and probes with the right, so the row
@@ -1245,7 +1255,7 @@ mod tests {
             Expr::var("C").proj("name"),
         );
         let mut ctx = EvalCtx::new(&refs);
-        let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
+        let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(stats.rows_scanned, 3); // CityE only
         assert_eq!(stats.index_probes, 2); // one per *distinct* key value
@@ -1259,7 +1269,7 @@ mod tests {
             Expr::var("C").path("capital.name"),
         );
         let mut ctx = EvalCtx::new(&refs);
-        let _ = run_plan(&generic, &mut ctx, &mut stats);
+        let _ = named_rows(&generic, &mut ctx, &mut stats);
         assert_eq!(stats.index_probes, 0);
     }
 
@@ -1386,7 +1396,7 @@ mod tests {
             .map(vec![("N".to_string(), Expr::var("E").path("country.name"))]);
         // The dangling reference surfaces as a BadValue, which Map treats as a
         // non-contributing row rather than a hard error.
-        let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
+        let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert!(rows.is_empty());
     }
 
@@ -1426,7 +1436,7 @@ mod tests {
         let mut ctx = EvalCtx::new(&refs);
         let mut stats = ExecStats::default();
         let plan = Plan::scan("CityE", "E").cross(Plan::scan("CountryE", "C"));
-        let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
+        let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows.len(), 6); // 3 cities x 2 countries
         assert_eq!(stats.max_intermediate_rows, 6);
     }
@@ -1450,7 +1460,7 @@ mod tests {
         );
         let mut ctx = EvalCtx::new(&refs);
         let mut stats = ExecStats::default();
-        let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
+        let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         // Each capital joins only with itself under the composite key.
         assert_eq!(rows.len(), 2);
         assert_eq!(stats.index_probes, 0);
@@ -1490,7 +1500,7 @@ mod tests {
         );
         let mut ctx = EvalCtx::new(&refs);
         let mut stats = ExecStats::default();
-        let mut rows = run_plan(&probed, &mut ctx, &mut stats).unwrap();
+        let mut rows = named_rows(&probed, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows.len(), 10);
         assert_eq!(stats.index_probes, 2); // "hot" once, "cold" once
         assert_eq!(stats.probe_cache_hits, 8);
@@ -1504,7 +1514,7 @@ mod tests {
             );
         let mut ctx = EvalCtx::new(&refs);
         let mut generic_stats = ExecStats::default();
-        let mut generic_rows = run_plan(&generic, &mut ctx, &mut generic_stats).unwrap();
+        let mut generic_rows = named_rows(&generic, &mut ctx, &mut generic_stats).unwrap();
         assert_eq!(generic_stats.index_probes, 0);
         // Strip the helper bindings before comparing.
         for row in generic_rows.iter_mut() {
@@ -1531,7 +1541,7 @@ mod tests {
         let mut ctx = EvalCtx::new(&refs);
         ctx.enable_join_trace();
         let mut stats = ExecStats::default();
-        let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
+        let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows.len(), 6);
         let trace = ctx.take_join_trace();
         assert_eq!(
@@ -1551,7 +1561,7 @@ mod tests {
         assert!(ctx.take_join_trace().is_empty());
         // Without enabling, nothing is recorded.
         let mut ctx = EvalCtx::new(&refs);
-        let _ = run_plan(&plan, &mut ctx, &mut stats).unwrap();
+        let _ = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert!(ctx.take_join_trace().is_empty());
     }
 
@@ -1963,7 +1973,7 @@ mod tests {
                 };
                 let mut plan_ctx = ctx();
                 let mut plan_stats = ExecStats::default();
-                let rows = run_plan(&shape.query.plan, &mut plan_ctx, &mut plan_stats)?;
+                let rows = named_rows(&shape.query.plan, &mut plan_ctx, &mut plan_stats)?;
                 assert_eq!(
                     plan_ctx.shard_stats().is_empty(),
                     threads == 1 || !shape.partitions,
@@ -2093,7 +2103,7 @@ mod tests {
                     let mut ctx = EvalCtx::new(&refs)
                         .with_parallelism(Parallelism::new(threads).with_min_items(1));
                     let mut stats = ExecStats::default();
-                    let mut rows = run_plan(plan, &mut ctx, &mut stats).unwrap();
+                    let mut rows = named_rows(plan, &mut ctx, &mut stats).unwrap();
                     rows.sort();
                     (rows, stats.index_probes)
                 };
@@ -2155,7 +2165,7 @@ mod tests {
         let refs = [&inst];
         let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
         let mut whole = ExecStats::default();
-        let rows = run_plan(&probed, &mut ctx, &mut whole).unwrap();
+        let rows = named_rows(&probed, &mut ctx, &mut whole).unwrap();
         assert_eq!(rows.len(), 72);
         assert_eq!(whole.index_probes, 5); // one per distinct key, hot included
         assert_eq!(whole.probe_cache_hits, 67);
@@ -2164,7 +2174,7 @@ mod tests {
         // instead of one shard absorbing all 64 rows.
         let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(4).with_min_items(1));
         let mut stats = ExecStats::default();
-        assert_eq!(run_plan(&probed, &mut ctx, &mut stats).unwrap(), rows);
+        assert_eq!(named_rows(&probed, &mut ctx, &mut stats).unwrap(), rows);
         assert_eq!(stats, whole);
         let stealing = ctx
             .take_shard_stats()
@@ -2199,11 +2209,11 @@ mod tests {
             ]);
         let mut seq_ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
         let mut seq_stats = ExecStats::default();
-        let seq_rows = run_plan(&plan, &mut seq_ctx, &mut seq_stats).unwrap();
+        let seq_rows = named_rows(&plan, &mut seq_ctx, &mut seq_stats).unwrap();
         assert!(seq_rows.iter().all(|r| r["B"] == Value::Bool(true)));
         let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(8).with_min_items(1));
         let mut stats = ExecStats::default();
-        let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
+        let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows, seq_rows);
         assert_eq!(stats, seq_stats);
         assert!(!ctx.shard_stats().is_empty(), "the maps partitioned");
@@ -2229,10 +2239,10 @@ mod tests {
             .eq(Expr::var("E")),
         )]);
         let mut seq_ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
-        let seq_rows = run_plan(&plan, &mut seq_ctx, &mut ExecStats::default()).unwrap();
+        let seq_rows = named_rows(&plan, &mut seq_ctx, &mut ExecStats::default()).unwrap();
         let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(8).with_min_items(1));
         let mut stats = ExecStats::default();
-        let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
+        let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows, seq_rows);
         assert_eq!(ctx.factory.count(&ClassName::new("CityT")), 3);
@@ -2349,7 +2359,7 @@ mod tests {
         );
         let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(4).with_min_items(1));
         let mut stats = ExecStats::default();
-        let _ = run_plan(&probed, &mut ctx, &mut stats).unwrap();
+        let _ = named_rows(&probed, &mut ctx, &mut stats).unwrap();
         let shards = ctx.take_shard_stats();
         assert!(!shards.is_empty());
         let probes: usize = shards.iter().map(|s| s.index_probes).sum();
@@ -2381,7 +2391,7 @@ mod tests {
         );
         let mut ctx = EvalCtx::new(&refs);
         let mut stats = ExecStats::default();
-        let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
+        let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(stats.index_probes, 2); // London and Manchester share a key
         assert_eq!(stats.probe_cache_hits, 1);
@@ -2398,7 +2408,7 @@ mod tests {
         );
         let mut ctx = EvalCtx::new(&refs);
         let mut stats = ExecStats::default();
-        let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
+        let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert!(rows.is_empty());
     }
 
@@ -2421,7 +2431,7 @@ mod tests {
             std::sync::Arc::new(std::iter::once(cities[2].clone()).collect()),
         );
         let mut stats = ExecStats::default();
-        let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
+        let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0]["E"], Value::Oid(cities[2].clone()));
         assert_eq!(stats.index_probes, 1);
@@ -2438,7 +2448,7 @@ mod tests {
             std::sync::Arc::new(std::iter::once(countries[0].clone()).collect()),
         );
         let mut stats = ExecStats::default();
-        let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
+        let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert!(stats.index_probes > 0);
         assert_eq!(stats.restricted_scans, 0);
         assert!(!rows.is_empty());
@@ -2449,14 +2459,14 @@ mod tests {
         let mut ctx = EvalCtx::new(&refs);
         ctx.restrict_scan("E", std::sync::Arc::new(Default::default()));
         let mut stats = ExecStats::default();
-        let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
+        let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert!(rows.is_empty());
         // Clearing restrictions restores the full result and the fast path.
         let mut ctx = EvalCtx::new(&refs);
         ctx.restrict_scan("E", std::sync::Arc::new(Default::default()));
         ctx.clear_scan_restrictions();
         let mut stats = ExecStats::default();
-        let rows = run_plan(&plan, &mut ctx, &mut stats).unwrap();
+        let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(stats.restricted_scans, 0);
         assert!(stats.index_probes > 0);
@@ -2482,8 +2492,8 @@ mod tests {
             .filter(Expr::var("E").proj("is_capital"));
         let mut ctx = EvalCtx::new(&refs);
         let mut stats = ExecStats::default();
-        let full = run_plan(&plan, &mut ctx, &mut stats).unwrap();
-        let expected: Vec<Row> = full
+        let full = named_rows(&plan, &mut ctx, &mut stats).unwrap();
+        let expected: Vec<NamedRow> = full
             .iter()
             .filter(|row| matches!(&row["E"], Value::Oid(o) if keep.contains(o)))
             .cloned()
@@ -2491,17 +2501,17 @@ mod tests {
         let mut ctx = EvalCtx::new(&refs);
         ctx.restrict_scan("E", std::sync::Arc::new(keep));
         let mut stats = ExecStats::default();
-        let restricted = run_plan(&plan, &mut ctx, &mut stats).unwrap();
+        let restricted = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(restricted, expected);
     }
 
     /// Run `plan` with the columnar tower on and off; both must agree.
-    fn run_both_ways(plan: &Plan, inst: &Instance) -> Result<Vec<Row>> {
+    fn run_both_ways(plan: &Plan, inst: &Instance) -> Result<Vec<NamedRow>> {
         let refs = [inst];
         let run = |columnar: bool| {
             let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
             ctx.set_columnar(columnar);
-            run_plan(plan, &mut ctx, &mut ExecStats::default())
+            named_rows(plan, &mut ctx, &mut ExecStats::default())
         };
         let (row_path, columnar) = (run(false), run(true));
         assert_eq!(columnar, row_path, "columnar and row paths disagree");

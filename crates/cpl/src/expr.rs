@@ -23,9 +23,6 @@ use wol_model::{ClassName, Instance, Label, Oid, PushOp, Record, SkolemFactory, 
 use crate::error::CplError;
 use crate::Result;
 
-/// A named row, as [`crate::exec::run_plan`] returns it.
-pub type Row = BTreeMap<String, Value>;
-
 /// A row in slot form: one value per slot of its plan node's layout.
 pub type SlotRow = Vec<Value>;
 
@@ -320,7 +317,10 @@ impl<'a> EvalCtx<'a> {
         std::mem::take(&mut self.columnar_stats)
     }
 
-    /// Look up the value of an object identity in the sources.
+    /// Look up the value of an object identity in the sources. The first
+    /// source holding it answers, which is the only one: no class has objects
+    /// in two sources (Morphase checks this where sources enter), and an
+    /// identity carries its class.
     pub fn deref(&self, oid: &Oid) -> Option<&'a Value> {
         self.sources.iter().find_map(|i| i.value(oid))
     }
@@ -640,9 +640,10 @@ fn truthy(value: &Value) -> Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::tests::NamedRow;
 
     /// Lower against the named row's own layout and evaluate.
-    fn eval(expr: &Expr, row: &Row, ctx: &mut EvalCtx<'_>) -> Result<Value> {
+    fn eval(expr: &Expr, row: &NamedRow, ctx: &mut EvalCtx<'_>) -> Result<Value> {
         let layout: Vec<String> = row.keys().cloned().collect();
         let slots: SlotRow = row.values().cloned().collect();
         Lowered::new(expr, &layout)
@@ -650,7 +651,7 @@ mod tests {
             .map(Cow::into_owned)
     }
 
-    fn eval_predicate(expr: &Expr, row: &Row, ctx: &mut EvalCtx<'_>) -> Result<bool> {
+    fn eval_predicate(expr: &Expr, row: &NamedRow, ctx: &mut EvalCtx<'_>) -> Result<bool> {
         let layout: Vec<String> = row.keys().cloned().collect();
         let slots: SlotRow = row.values().cloned().collect();
         Lowered::new(expr, &layout).eval_predicate(&slots, ctx)
@@ -681,7 +682,7 @@ mod tests {
         let (inst, _, paris) = sample();
         let refs = [&inst];
         let mut ctx = EvalCtx::new(&refs);
-        let row = Row::from([("E".to_string(), Value::oid(paris))]);
+        let row = NamedRow::from([("E".to_string(), Value::oid(paris))]);
         let expr = Expr::var("E").path("country.name");
         assert_eq!(eval(&expr, &row, &mut ctx).unwrap(), Value::str("France"));
     }
@@ -691,7 +692,7 @@ mod tests {
         let (inst, _, _) = sample();
         let refs = [&inst];
         let mut ctx = EvalCtx::new(&refs);
-        let row = Row::from([("N".to_string(), Value::str("France"))]);
+        let row = NamedRow::from([("N".to_string(), Value::str("France"))]);
         let expr = Expr::Record(vec![
             ("name".into(), Expr::var("N")),
             (
@@ -713,7 +714,7 @@ mod tests {
         let (inst, _, paris) = sample();
         let refs = [&inst];
         let mut ctx = EvalCtx::new(&refs);
-        let row = Row::from([
+        let row = NamedRow::from([
             ("E".to_string(), Value::oid(paris)),
             ("N".to_string(), Value::int(3)),
         ]);
@@ -748,7 +749,7 @@ mod tests {
         let (inst, fr, _) = sample();
         let refs = [&inst];
         let mut ctx = EvalCtx::new(&refs);
-        let row = Row::from([("C".to_string(), Value::oid(fr))]);
+        let row = NamedRow::from([("C".to_string(), Value::oid(fr))]);
         let expr = Expr::var("C")
             .proj("population")
             .eq(Expr::Const(Value::int(1)));
@@ -796,7 +797,7 @@ mod tests {
         let refs = [&inst];
         let mut ctx = EvalCtx::new(&refs);
         assert!(matches!(
-            eval(&Expr::var("missing"), &Row::new(), &mut ctx),
+            eval(&Expr::var("missing"), &NamedRow::new(), &mut ctx),
             Err(CplError::UnknownVariable(_))
         ));
     }
@@ -847,7 +848,7 @@ mod tests {
         let (inst, fr, _) = sample();
         let refs = [&inst];
         let mut ctx = EvalCtx::new(&refs);
-        let row = Row::from([("C".to_string(), Value::oid(fr))]);
+        let row = NamedRow::from([("C".to_string(), Value::oid(fr))]);
         let expr = Expr::var("C").proj("name");
         assert!(eval_predicate(&expr, &row, &mut ctx).is_err());
         // Nested under a connective it is still an error, never `false`.

@@ -88,8 +88,8 @@ pub mod plan;
 
 pub use error::CplError;
 pub use exec::{
-    apply_evaluated_query, evaluate_query, execute_query, layout, run_plan, run_slots,
-    ColumnarStats, EvaluatedQuery, ExecStats, LoweredInsert, Row, SlotRow,
+    apply_evaluated_query, evaluate_query, execute_query, layout, run_slots, ColumnarStats,
+    EvaluatedQuery, ExecStats, LoweredInsert, SlotRow,
 };
 pub use expr::{Expr, Lowered};
 pub use optimizer::{

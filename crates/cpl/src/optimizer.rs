@@ -1246,7 +1246,8 @@ fn join_components(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{run_plan, ExecStats};
+    use crate::exec::tests::{named_rows, NamedRow};
+    use crate::exec::ExecStats;
     use crate::expr::EvalCtx;
     use wol_model::{ClassName, Instance, Value};
 
@@ -1288,11 +1289,11 @@ mod tests {
         inst
     }
 
-    fn rows_of(plan: &Plan, inst: &Instance) -> Vec<crate::Row> {
+    fn rows_of(plan: &Plan, inst: &Instance) -> Vec<NamedRow> {
         let refs = [inst];
         let mut ctx = EvalCtx::new(&refs);
         let mut stats = ExecStats::default();
-        let mut rows = run_plan(plan, &mut ctx, &mut stats).unwrap();
+        let mut rows = named_rows(plan, &mut ctx, &mut stats).unwrap();
         rows.sort();
         rows
     }
@@ -1555,7 +1556,7 @@ mod tests {
         // The same rows as the raw plan, the join answered by index probes.
         let mut ctx = EvalCtx::new(&refs);
         let mut exec = ExecStats::default();
-        let mut rows = run_plan(&planned, &mut ctx, &mut exec).unwrap();
+        let mut rows = named_rows(&planned, &mut ctx, &mut exec).unwrap();
         rows.sort();
         assert!(exec.index_probes > 0, "{exec:?}");
         assert_eq!(rows.len(), 39 * 20);
@@ -1709,7 +1710,7 @@ mod tests {
         let mut ctx = crate::expr::EvalCtx::new(&refs);
         ctx.enable_join_trace();
         let mut exec_stats = ExecStats::default();
-        run_plan(&plan, &mut ctx, &mut exec_stats).unwrap();
+        named_rows(&plan, &mut ctx, &mut exec_stats).unwrap();
         let trace = ctx.take_join_trace();
         assert_eq!(trace.len(), estimates.len());
         assert!(trace

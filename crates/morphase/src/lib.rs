@@ -58,11 +58,11 @@
 //!   each object's multiset of contributed records settles — through
 //!   [`wol_model::Record::merge`], the definition a fresh run's apply uses —
 //!   at a build, and after a batch for each touched object, to its fresh-run
-//!   record, or out of the target. Only
-//!   a derived row colliding with a cached one escalates to a rebuild
-//!   (re-plan against the mutated sources + full replay, over the front half
-//!   the pipeline built once). Incremental in-place repairs skip per-batch
-//!   target verification; verification re-runs at every full-build boundary.
+//!   record, or out of the target. Each source class lives in one source
+//!   (checked where sources enter and on every batch insert), so a derived
+//!   row never collides with a cached one and every batch repairs in place.
+//!   In-place repairs skip per-batch target verification; the build
+//!   verifies.
 //! * **Conflicts fail in place** — contributions that genuinely conflict
 //!   fail the batch (or the build) naming the least conflicting object and
 //!   attribute — the error a fresh run over the same sources reports — and
@@ -97,7 +97,7 @@ pub mod service;
 
 pub use compile::{compile_program_with, PlanMode};
 pub use error::MorphaseError;
-pub use maintain::{BatchOutcome, BatchReport, MaintainStats, MaterializedPipeline, RebuildReason};
+pub use maintain::{BatchOutcome, BatchReport, MaintainStats, MaterializedPipeline};
 pub use metadata::generate_key_clauses;
 pub use pipeline::{
     BatchConstraintMode, DurabilityStats, DurableOptions, JoinStat, Morphase, MorphaseRun,

@@ -66,15 +66,21 @@
 //! under either cost model, and the same error a fresh run over the same
 //! sources reports. A failing batch poisons the pipeline, and a build over
 //! conflicting sources fails.
-//! The one rebuild trigger left ([`RebuildReason`]) is a derived row
-//! colliding with a surviving cached one: the key's uniqueness is broken, so
-//! the cache cannot say which contributions to keep. A rebuild re-plans
-//! against the mutated sources (fresh statistics, exactly like a fresh run)
-//! and re-fills with a fresh Skolem factory. It never re-normalises:
-//! meta-data generation, validation and the normal form depend on the
-//! program alone, so the pipeline builds that front half once, at
-//! construction ([`crate::pipeline`]'s `Front`), and every initial build,
-//! rebuild and oracle run borrows it.
+//!
+//! **Each source class lives in one source.** An identity carries its class,
+//! and no class has objects in two source instances: the pipeline refuses
+//! such a source set where it enters (the same check every
+//! [`crate::Morphase`] run makes), and [`MaterializedPipeline::apply_batch_to`]
+//! refuses an insert into one source of a class another source holds. So an
+//! identity names one object of one source, and a batch insert mints past
+//! every identity its source holds (one the same batch removed and mints
+//! again is reported updated, so its old rows are swept). A row derived for
+//! a batch can therefore never share its key with a cached row that survived
+//! the sweep: every batch repairs in place, and a collision is an internal
+//! error. The program-only front half
+//! (meta-data generation, validation, the normal form) is built once, at
+//! construction ([`crate::pipeline`]'s `Front`), and the initial build and
+//! every oracle run borrow it.
 //!
 //! Readers see batch boundaries only. The pipeline itself is single-writer;
 //! the concurrent front end ([`crate::PipelineService`]) runs it on a
@@ -85,13 +91,12 @@
 //!
 //! Durability is the one durable store, [`storage::persist::PipelineJournal`],
 //! keeping the *source*: batch 0 is a full dump, every applied batch is one
-//! commit of what the batch changed, and recovery rebuilds the pipeline from
-//! the recovered source — valid precisely because the standing state is
-//! always equivalent to a rebuild from current sources.
+//! commit of what the batch changed, and recovery stands the pipeline up
+//! over the recovered source — valid precisely because the standing state
+//! always equals a fresh build over the current sources.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 use std::sync::Arc;
 
 use cpl::exec::{layout, run_slots, ExecStats, LoweredInsert};
@@ -118,8 +123,9 @@ use crate::{MorphaseError, Result};
 pub enum BatchOutcome {
     /// Stale rows swept, delta rows replayed, touched objects repaired.
     InPlace,
-    /// The batch derived a row colliding with a cached one
-    /// ([`RebuildReason`]): re-planned and replayed from scratch.
+    /// Never constructed: each source class lives in one source, so no
+    /// batch derives a row colliding with a cached one. Kept because the
+    /// benchmark's frozen engine surface matches on it.
     Rebuild,
     /// Never constructed: every compiled program maintains in place. Kept
     /// because the benchmark's frozen engine surface matches on it.
@@ -138,34 +144,11 @@ pub struct BatchReport {
     /// Target objects whose record was written (inserted, updated or
     /// removed).
     pub objects_repaired: u64,
-    /// Why the batch escalated to a rebuild, when it did.
-    pub rebuild_reason: Option<RebuildReason>,
     /// The batch's constraint check and certificate, when
     /// [`BatchConstraintMode`] is not `Off`. In `Report` mode a committed
     /// batch may carry violations here; in `Enforce` mode a violating batch
     /// is rejected instead of reported.
     pub constraints: Option<BatchCheck>,
-}
-
-/// Why a batch escalated to a rebuild instead of repairing in place.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RebuildReason {
-    /// A row the batch derived has the key of a cached row that survived
-    /// the sweep.
-    CollidingRow {
-        /// The shared key.
-        key: Vec<Oid>,
-    },
-}
-
-impl fmt::Display for RebuildReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let RebuildReason::CollidingRow { key } = self;
-        write!(
-            f,
-            "derived row {key:?} collides with a surviving cached row"
-        )
-    }
 }
 
 /// Cumulative maintenance statistics. Deterministic for a given program,
@@ -176,11 +159,6 @@ pub struct MaintainStats {
     pub batches: u64,
     /// Batches absorbed in place.
     pub inplace_batches: u64,
-    /// Batches that escalated to a rebuild, which only a colliding row
-    /// triggers (counted when the rebuild starts: a rebuild that fails
-    /// poisons the pipeline). Conflicting contributions fail in place and
-    /// count here never.
-    pub rebuild_batches: u64,
     /// Cached query rows swept across all batches.
     pub rows_removed: u64,
     /// Query rows replayed across all batches.
@@ -202,8 +180,8 @@ pub struct MaintainStats {
     /// Constraint violations found across all checked batches (reported or
     /// rejected).
     pub constraint_violations: u64,
-    /// Execution statistics of all maintenance plan evaluations (initial
-    /// fills, rotations, churn refills and rebuilds).
+    /// Execution statistics of all maintenance plan evaluations (the
+    /// initial fill, rotations and churn refills).
     pub delta_exec: ExecStats,
 }
 
@@ -603,12 +581,11 @@ struct Core {
     target: Instance,
 }
 
-/// Plan against the current sources and build the standing state from
-/// scratch over the pipeline's retained front half: the one entry point for
-/// initial builds *and* rebuilds, so a rebuilt pipeline is a fresh run by
-/// construction — fresh statistics, fresh plans, fresh Skolem factory — while
-/// the program-only stages (meta-data, validation, normal form) are
-/// never repeated.
+/// Plan against the sources and build the standing state from scratch over
+/// the pipeline's front half, as a fresh run does — statistics, plans, a
+/// fresh Skolem factory and the source check (no class has objects in two
+/// sources) — without repeating the program-only stages (meta-data,
+/// validation, normal form).
 fn build_state(
     front: &Front,
     options: PipelineOptions,
@@ -648,18 +625,8 @@ fn build_state(
     })
 }
 
-enum RepairOutcome {
-    InPlace {
-        rows_removed: u64,
-        rows_added: u64,
-        objects_repaired: u64,
-    },
-    Rebuild(RebuildReason),
-}
-
-/// Absorb one applied batch into the standing state, or report that a
-/// rebuild is required. On `Ok(Rebuild)` the core is stale and must be
-/// replaced; on `Err` the pipeline must be poisoned.
+/// Absorb one applied batch into the standing state, in place, and report
+/// what it cost. On `Err` the pipeline must be poisoned.
 fn repair_incremental(
     sources: &[Instance],
     mutated: usize,
@@ -667,7 +634,7 @@ fn repair_incremental(
     core: &mut Core,
     delta: &BatchDelta,
     exec: &mut ExecStats,
-) -> Result<RepairOutcome> {
+) -> Result<BatchReport> {
     let refs: Vec<&Instance> = sources.iter().collect();
     let mut touched: BTreeSet<Oid> = BTreeSet::new();
     let mut rows_removed = 0u64;
@@ -711,46 +678,46 @@ fn repair_incremental(
     // Phase B: derive and replay the added rows, in program order.
     let mut ctx = EvalCtx::new(&refs).with_parallelism(options.parallelism);
     ctx.factory = std::mem::take(&mut core.factory);
-    let replayed = (|| -> Result<Option<RebuildReason>> {
-        let queries = core.analyses.iter().zip(&mut core.caches).zip(churns);
-        for ((analysis, cache), churn) in queries {
-            let mut added = RowCache::new();
-            if churn {
-                derive(analysis, &mut ctx, exec, &mut added)?;
-            } else {
-                for rotation in delta_rotations(&analysis.slots, delta, &sources[mutated]) {
-                    for (var, set) in &rotation.restrictions {
-                        ctx.restrict_scan(var.clone(), Arc::clone(set));
-                    }
-                    let derived = derive(analysis, &mut ctx, exec, &mut added);
-                    ctx.clear_scan_restrictions();
-                    derived?;
+    let queries = core.analyses.iter().zip(&mut core.caches).zip(churns);
+    for ((analysis, cache), churn) in queries {
+        let mut added = RowCache::new();
+        if churn {
+            derive(analysis, &mut ctx, exec, &mut added)?;
+        } else {
+            for rotation in delta_rotations(&analysis.slots, delta, &sources[mutated]) {
+                for (var, set) in &rotation.restrictions {
+                    ctx.restrict_scan(var.clone(), Arc::clone(set));
                 }
-            }
-            if let Some(key) = added.keys().find(|k| cache.contains_key(*k)) {
-                return Ok(Some(RebuildReason::CollidingRow { key: key.clone() }));
-            }
-            rows_added += added.len() as u64;
-            replay(analysis, &mut ctx, &mut core.ledger, added.values_mut())?;
-            for (key, row) in added {
-                touched.extend(row.contribs.iter().map(|(oid, _)| oid.clone()));
-                // One insert per row: `append` would rebuild the whole cache.
-                cache.insert(key, row);
+                let derived = derive(analysis, &mut ctx, exec, &mut added);
+                ctx.clear_scan_restrictions();
+                derived?;
             }
         }
-        Ok(None)
-    })();
-    core.factory = std::mem::take(&mut ctx.factory);
-    if let Some(reason) = replayed? {
-        return Ok(RepairOutcome::Rebuild(reason));
+        // Each source class lives in one source, so every added row binds
+        // an identity no surviving row binds (see the module docs).
+        if let Some(key) = added.keys().find(|k| cache.contains_key(*k)) {
+            return Err(MorphaseError::Execution(format!(
+                "derived row {key:?} collides with a surviving cached row"
+            )));
+        }
+        rows_added += added.len() as u64;
+        replay(analysis, &mut ctx, &mut core.ledger, added.values_mut())?;
+        for (key, row) in added {
+            touched.extend(row.contribs.iter().map(|(oid, _)| oid.clone()));
+            // One insert per row: `append` would rebuild the whole cache.
+            cache.insert(key, row);
+        }
     }
+    core.factory = std::mem::take(&mut ctx.factory);
 
     // Phase C: settle every touched object.
     let objects_repaired = core.ledger.settle(&touched, &mut core.target)?;
-    Ok(RepairOutcome::InPlace {
+    Ok(BatchReport {
+        outcome: BatchOutcome::InPlace,
         rows_removed,
         rows_added,
         objects_repaired,
+        constraints: None,
     })
 }
 
@@ -772,8 +739,8 @@ fn maintenance_fingerprint(program: &Program) -> u64 {
 /// A standing, incrementally maintained Morphase pipeline (see the module
 /// docs for the maintenance semantics).
 pub struct MaterializedPipeline {
-    /// The program-only front half, built once per pipeline; every build,
-    /// rebuild and oracle run plans against it.
+    /// The program-only front half, built once per pipeline; the build and
+    /// every oracle run plan against it.
     front: Front,
     options: PipelineOptions,
     sources: Vec<Instance>,
@@ -901,7 +868,8 @@ impl MaterializedPipeline {
     }
 
     /// Apply a mutation batch to the given source and repair the target.
-    /// Validation failures and constraint rejections
+    /// Validation failures (an insert into this source of a class another
+    /// source holds among them) and constraint rejections
     /// ([`BatchConstraintMode::Enforce`]) leave the pipeline untouched; any
     /// failure after the source mutated poisons the pipeline (its state may
     /// no longer be consistent), and every later call errors.
@@ -1019,8 +987,9 @@ impl MaterializedPipeline {
     }
 
     /// Reject malformed batches before mutating anything: unknown classes,
-    /// and updates/removes of identities absent from the source (net of
-    /// earlier removes in the same batch).
+    /// inserts of a class another source holds (each source class lives in
+    /// one source), and updates/removes of identities absent from the source
+    /// (net of earlier removes in the same batch).
     fn validate_batch(&self, source: usize, batch: &MutationBatch) -> Result<()> {
         let instance = self.sources.get(source).ok_or_else(|| {
             MorphaseError::Execution(format!("no source instance at index {source}"))
@@ -1032,6 +1001,14 @@ impl MaterializedPipeline {
                     if !self.source_classes.contains(class) {
                         return Err(MorphaseError::Model(format!(
                             "insert into unknown source class `{class}`"
+                        )));
+                    }
+                    let holder = (0..self.sources.len()).find(|&other| {
+                        other != source && self.sources[other].extent_size(class) > 0
+                    });
+                    if let Some(other) = holder {
+                        return Err(MorphaseError::Model(format!(
+                            "insert of class `{class}` into source {source}: source {other} holds it"
                         )));
                     }
                 }
@@ -1056,7 +1033,7 @@ impl MaterializedPipeline {
     }
 
     fn maintain(&mut self, source: usize, delta: &BatchDelta) -> Result<BatchReport> {
-        let outcome = repair_incremental(
+        let report = repair_incremental(
             &self.sources,
             source,
             self.options,
@@ -1064,43 +1041,11 @@ impl MaterializedPipeline {
             delta,
             &mut self.stats.delta_exec,
         )?;
-        Ok(match outcome {
-            RepairOutcome::InPlace {
-                rows_removed,
-                rows_added,
-                objects_repaired,
-            } => {
-                self.stats.inplace_batches += 1;
-                self.stats.rows_removed += rows_removed;
-                self.stats.rows_added += rows_added;
-                self.stats.objects_repaired += objects_repaired;
-                BatchReport {
-                    outcome: BatchOutcome::InPlace,
-                    rows_removed,
-                    rows_added,
-                    objects_repaired,
-                    rebuild_reason: None,
-                    constraints: None,
-                }
-            }
-            RepairOutcome::Rebuild(reason) => {
-                self.stats.rebuild_batches += 1;
-                self.core = build_state(
-                    &self.front,
-                    self.options,
-                    &self.sources,
-                    &mut self.stats.delta_exec,
-                )?;
-                BatchReport {
-                    outcome: BatchOutcome::Rebuild,
-                    rows_removed: 0,
-                    rows_added: 0,
-                    objects_repaired: 0,
-                    rebuild_reason: Some(reason),
-                    constraints: None,
-                }
-            }
-        })
+        self.stats.inplace_batches += 1;
+        self.stats.rows_removed += report.rows_removed;
+        self.stats.rows_added += report.rows_added;
+        self.stats.objects_repaired += report.objects_repaired;
+        Ok(report)
     }
 
     /// The maintained target instance.
@@ -1269,6 +1214,107 @@ mod tests {
         assert_matches_oracle(&pipeline);
     }
 
+    /// Each source class lives in one source. Over `[genome source, empty]`
+    /// an insert of `CloneS` into the empty source — whose generator would
+    /// mint `#CloneS:0`, which source 0 holds — is refused with a model
+    /// error and leaves the pipeline untouched; the same insert into the
+    /// source holding `CloneS` then repairs in place and equals the oracle.
+    #[test]
+    fn an_insert_of_a_class_another_source_holds_is_refused() {
+        let source = genome::generate_source(&GenomeParams::default());
+        let empty = Instance::new(source.schema_name());
+        let mut pipeline = MaterializedPipeline::new(
+            &genome::program(),
+            vec![source, empty],
+            PipelineOptions::default(),
+        )
+        .unwrap();
+        let (clone_s, clone_d) = (ClassName::new("CloneS"), ClassName::new("CloneD"));
+        let fresh = Value::from("fresh-clone");
+        let batch = MutationBatch::new().insert(
+            clone_s.clone(),
+            Value::record([("name", fresh.clone()), ("length", Value::int(1234))]),
+        );
+        let (before_source, before_target) = (
+            pipeline.source(1).unwrap().clone(),
+            pipeline.target().clone(),
+        );
+        let err = pipeline.apply_batch_to(1, &batch).unwrap_err();
+        assert_eq!(
+            err,
+            MorphaseError::Model(
+                "insert of class `CloneS` into source 1: source 0 holds it".into()
+            )
+        );
+        assert!(!pipeline.is_poisoned());
+        assert_eq!(pipeline.source(1).unwrap(), &before_source);
+        assert_eq!(pipeline.source(1).unwrap().extent_size(&clone_s), 0);
+        assert_eq!(pipeline.target(), &before_target);
+        assert_eq!(pipeline.stats().batches, 0);
+
+        let report = pipeline.apply_batch_to(0, &batch).unwrap();
+        assert_eq!(report.outcome, BatchOutcome::InPlace);
+        assert!(pipeline
+            .target()
+            .find_by_field(&clone_d, "name", &fresh)
+            .is_some());
+        assert_matches_oracle(&pipeline);
+    }
+
+    /// A source set in which one class has objects in two instances is
+    /// refused where it enters — by a fresh run and by a standing pipeline,
+    /// with source-constraint checking off — while an empty second source is
+    /// not.
+    #[test]
+    fn overlapping_sources_are_refused_where_they_enter() {
+        let program = genome::program();
+        let source = genome::generate_source(&GenomeParams::default());
+        let expected = MorphaseError::Model("class `CloneS` has objects in sources 0 and 1".into());
+        let options = PipelineOptions::default();
+        assert!(!options.check_source_constraints);
+        let err = Morphase::with_options(options)
+            .transform(&program, &[&source, &source][..])
+            .unwrap_err();
+        assert_eq!(err, expected);
+        let err =
+            MaterializedPipeline::new(&program, vec![source.clone(), source.clone()], options)
+                .err()
+                .unwrap();
+        assert_eq!(err, expected);
+
+        let empty = Instance::new(source.schema_name());
+        let fresh = Morphase::with_options(options)
+            .transform(&program, &[&empty, &source][..])
+            .unwrap();
+        let alone = Morphase::with_options(options)
+            .transform(&program, &[&source][..])
+            .unwrap();
+        assert_eq!(fresh.target, alone.target);
+    }
+
+    /// Over explicit identities a batch insert can mint the identity the
+    /// same batch removed: the source reports it updated, so its cached rows
+    /// are swept before the new object's rows are derived, and the batch
+    /// repairs in place.
+    #[test]
+    fn a_batch_reminting_an_identity_it_removed_stays_in_place() {
+        let source = with_explicit_identities(&genome::generate_source(&GenomeParams::default()));
+        let marker_s = ClassName::new("MarkerS");
+        let gone = source.extent(&marker_s).next().cloned().unwrap();
+        let mut pipeline =
+            MaterializedPipeline::new(&genome::program(), vec![source], PipelineOptions::default())
+                .unwrap();
+        let batch = MutationBatch::new().remove(gone.clone()).insert(
+            marker_s,
+            Value::record([("name", Value::from("fresh-marker"))]),
+        );
+        let report = pipeline.apply_batch(&batch).unwrap();
+        assert_eq!(report.outcome, BatchOutcome::InPlace);
+        let reminted = pipeline.source(0).unwrap().value(&gone).unwrap();
+        assert_eq!(reminted.project("name"), Some(&Value::from("fresh-marker")));
+        assert_matches_oracle(&pipeline);
+    }
+
     #[test]
     fn update_batches_stay_in_place_and_match_the_oracle() {
         let mut pipeline = genome_pipeline(&GenomeParams::default());
@@ -1311,7 +1357,6 @@ mod tests {
             .apply_batch(&MutationBatch::new().remove(victim))
             .unwrap();
         assert_eq!(report.outcome, BatchOutcome::InPlace);
-        assert_eq!(report.rebuild_reason, None);
         assert_eq!(pipeline.target().extent_size(&clone_d), before - 1);
         assert_eq!(pipeline.target(), &pipeline.rerun_oracle().unwrap().target);
         assert_matches_oracle(&pipeline);
@@ -1371,10 +1416,10 @@ mod tests {
 
     /// Contributions that genuinely conflict fail the batch in place: at
     /// every thread count and under either cost model the error is the same
-    /// text, naming the least conflicting `(oid, label)`; nothing rebuilds
-    /// and the pipeline is poisoned. A build over sources that already
-    /// conflict, a fresh run over them and the poisoned pipeline's oracle
-    /// re-run all fail with the same error.
+    /// text, naming the least conflicting `(oid, label)`; the batch is not
+    /// absorbed and the pipeline is poisoned. A build over sources that
+    /// already conflict, a fresh run over them and the poisoned pipeline's
+    /// oracle re-run all fail with the same error.
     #[test]
     fn conflicting_contributions_fail_in_place_with_one_error_everywhere() {
         let params = GenomeParams {
@@ -1415,7 +1460,7 @@ mod tests {
                         .unwrap();
                 let err = pipeline.apply_batch(&batch).unwrap_err();
                 assert_eq!(err, expected, "{threads} threads, {cost_model:?}");
-                assert_eq!(pipeline.stats().rebuild_batches, 0);
+                assert_eq!(pipeline.stats().inplace_batches, 0);
                 assert!(pipeline.is_poisoned());
                 let err = pipeline.rerun_oracle().unwrap_err();
                 assert_eq!(err, expected, "oracle: {threads} threads, {cost_model:?}");
@@ -1746,7 +1791,6 @@ mod tests {
         }
         assert!(pipeline.stats().batches == 6);
         assert_eq!(pipeline.stats().inplace_batches, 6);
-        assert_eq!(pipeline.stats().rebuild_batches, 0);
     }
 
     fn constrained_pipeline(mode: BatchConstraintMode) -> MaterializedPipeline {

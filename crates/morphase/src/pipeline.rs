@@ -379,8 +379,8 @@ impl Morphase {
 /// everything that can be computed from the program and the options without
 /// seeing a row.
 /// One-shot runs build it and hand it over; the standing
-/// [`crate::MaterializedPipeline`] builds it once and lends it to every
-/// (re)build, so an unchanged program is never re-normalised.
+/// [`crate::MaterializedPipeline`] builds it once and lends it to its build
+/// and every oracle run, so an unchanged program is never re-normalised.
 #[derive(Clone, Debug)]
 pub(crate) struct Front {
     /// The program with auto-generated key/merge constraint clauses added.
@@ -447,7 +447,11 @@ impl Front {
             .collect()
     }
 
-    /// Enforce the source constraints against resident sources, when
+    /// Check resident sources before anything runs over them. Always: each
+    /// source class lives in one source — no class has objects in two
+    /// instances, so an identity (which carries its class) names one object
+    /// of one source. Costs O(classes × sources) and walks no extent. Then
+    /// the source constraints, when
     /// [`PipelineOptions::check_source_constraints`] asks for it (and there
     /// is anything to check them against).
     pub(crate) fn check_sources(
@@ -455,6 +459,19 @@ impl Front {
         options: PipelineOptions,
         sources: &[&Instance],
     ) -> Result<()> {
+        let mut holders = std::collections::BTreeMap::new();
+        for (index, source) in sources.iter().enumerate() {
+            for class in source.populated_classes() {
+                if source.extent_size(&class) == 0 {
+                    continue;
+                }
+                if let Some(first) = holders.insert(class.clone(), index) {
+                    return Err(crate::MorphaseError::Model(format!(
+                        "class `{class}` has objects in sources {first} and {index}"
+                    )));
+                }
+            }
+        }
         if options.check_source_constraints && !sources.is_empty() {
             let dbs = wol_engine::Databases::new(sources).with_parallelism(options.parallelism);
             wol_engine::enforce_constraints(&self.source_constraints(), &dbs)

@@ -132,8 +132,8 @@ pub fn render_maintenance_report(stats: &MaintainStats) -> String {
     let _ = writeln!(out, "== Materialized pipeline ==");
     let _ = writeln!(
         out,
-        "batches: {} ({} in-place, {} rebuilds)",
-        stats.batches, stats.inplace_batches, stats.rebuild_batches
+        "batches: {} ({} in-place)",
+        stats.batches, stats.inplace_batches
     );
     let _ = writeln!(
         out,
@@ -163,22 +163,17 @@ pub fn render_maintenance_report(stats: &MaintainStats) -> String {
 }
 
 /// Render one applied batch as a line: how it was absorbed, the rows it
-/// swept and replayed, the objects it repaired and, for a rebuild, why.
+/// swept and replayed and the objects it repaired.
 pub fn render_batch_report(report: &BatchReport) -> String {
     let outcome = match report.outcome {
         BatchOutcome::InPlace => "in place",
         BatchOutcome::Rebuild => "rebuild",
         BatchOutcome::FullRerun => "full re-run",
     };
-    let mut out = format!(
-        "batch: {outcome}, {} rows swept, {} replayed, {} objects repaired",
+    format!(
+        "batch: {outcome}, {} rows swept, {} replayed, {} objects repaired\n",
         report.rows_removed, report.rows_added, report.objects_repaired
-    );
-    if let Some(reason) = &report.rebuild_reason {
-        let _ = write!(out, " ({reason})");
-    }
-    out.push('\n');
-    out
+    )
 }
 
 #[cfg(test)]
@@ -404,7 +399,6 @@ mod tests {
         let stats = MaintainStats {
             batches: 12,
             inplace_batches: 9,
-            rebuild_batches: 2,
             rows_removed: 4,
             rows_added: 31,
             objects_repaired: 27,
@@ -418,7 +412,7 @@ mod tests {
         };
         let report = render_maintenance_report(&stats);
         assert!(report.contains("== Materialized pipeline =="));
-        assert!(report.contains("batches: 12 (9 in-place, 2 rebuilds)"));
+        assert!(report.contains("batches: 12 (9 in-place)"));
         assert!(report.contains("rows: 4 swept, 31 replayed; 27 objects repaired"));
         // No constraint checking ran: the constraint line is absent.
         assert!(!report.contains("constraints:"));
@@ -447,32 +441,19 @@ mod tests {
         ));
     }
 
-    /// Pins the batch line, the rebuild reason rendered through its
-    /// `Display`.
+    /// Pins the batch line.
     #[test]
     fn report_pins_the_batch_line() {
-        use crate::maintain::RebuildReason;
-        use wol_model::{ClassName, Oid};
-        let mut report = BatchReport {
+        let report = BatchReport {
             outcome: BatchOutcome::InPlace,
             rows_removed: 2,
             rows_added: 3,
             objects_repaired: 4,
-            rebuild_reason: None,
             constraints: None,
         };
         assert_eq!(
             render_batch_report(&report),
             "batch: in place, 2 rows swept, 3 replayed, 4 objects repaired\n"
-        );
-        report.outcome = BatchOutcome::Rebuild;
-        report.rebuild_reason = Some(RebuildReason::CollidingRow {
-            key: vec![Oid::new(ClassName::new("MarkerS"), 3)],
-        });
-        assert_eq!(
-            render_batch_report(&report),
-            "batch: rebuild, 2 rows swept, 3 replayed, 4 objects repaired \
-             (derived row [#MarkerS:3] collides with a surviving cached row)\n"
         );
     }
 

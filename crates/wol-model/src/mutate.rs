@@ -169,7 +169,13 @@ impl Instance {
                 SourceOp::Insert { class, value } => {
                     let oid = self.fresh_noncolliding(class);
                     self.insert(oid.clone(), value.clone())?;
-                    fates.insert(oid, Fate::Inserted);
+                    // An identity this batch removed and now mints again
+                    // names a replaced object: a net update.
+                    let fate = match fates.get(&oid) {
+                        Some(Fate::Removed) => Fate::Updated,
+                        _ => Fate::Inserted,
+                    };
+                    fates.insert(oid, fate);
                 }
                 SourceOp::Update { oid, value } => {
                     self.update(oid, value.clone())?;
@@ -475,6 +481,29 @@ mod tests {
         inst.revert_batch(&delta, &pre).unwrap();
         assert_eq!(inst, reference);
         assert_eq!(inst.oid_counter(&class), 0);
+    }
+
+    /// Over explicit identities the generator can mint an identity the same
+    /// batch removed. The delta names it updated — the identity's object was
+    /// replaced — not inserted, and reverting restores the removed object.
+    #[test]
+    fn a_batch_reminting_an_identity_it_removed_reports_an_update() {
+        let mut inst = Instance::new("s");
+        let class = ClassName::new("C");
+        let gone = Oid::new(class.clone(), 0);
+        inst.insert(gone.clone(), marker("gone", 1)).unwrap();
+        let reference = inst.clone();
+        let batch = MutationBatch::new()
+            .remove(gone.clone())
+            .insert(class.clone(), marker("new", 2));
+        let pre = inst.batch_preimages(&batch);
+        let delta = inst.apply_batch(&batch).unwrap();
+        assert_eq!(inst.value(&gone), Some(&marker("new", 2)));
+        let class_delta = delta.class(&class).unwrap();
+        assert_eq!(class_delta.updated, BTreeSet::from([gone.clone()]));
+        assert!(class_delta.inserted.is_empty() && class_delta.removed.is_empty());
+        inst.revert_batch(&delta, &pre).unwrap();
+        assert_eq!(inst, reference);
     }
 
     #[test]

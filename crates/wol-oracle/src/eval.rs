@@ -8,9 +8,14 @@
 //! as the reference the lowered evaluator is held to — on every expression
 //! the same value, or an error of the same variant and text.
 
-use cpl::expr::{EvalCtx, Row};
+use std::collections::BTreeMap;
+
+use cpl::expr::EvalCtx;
 use cpl::{CplError, Expr, Result};
 use wol_model::Value;
+
+/// A named row: each variable's value under its name.
+type Row = BTreeMap<String, Value>;
 
 /// Evaluate an expression against a named row.
 pub fn eval(expr: &Expr, row: &Row, ctx: &mut EvalCtx<'_>) -> Result<Value> {

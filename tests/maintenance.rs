@@ -194,9 +194,9 @@ fn soak_concurrent_readers_never_observe_torn_targets() {
     let pipeline = service.shutdown().expect("clean shutdown");
     assert_eq!(pipeline.stats().batches, batches.len() as u64 + 1);
     assert_eq!(
-        pipeline.stats().rebuild_batches,
-        0,
-        "the conflicting batch fails in place, without a rebuild"
+        pipeline.stats().inplace_batches,
+        batches.len() as u64,
+        "every batch but the conflicting one repairs in place; that one fails"
     );
     assert!(pipeline.is_poisoned());
     assert_eq!(

@@ -325,8 +325,9 @@ fn e8_four_thread_execute_is_at_least_2x_single_thread_on_e6_and_e7() {
 /// The E10 columnar guard (release mode, run by CI): on a 100× scaled E6
 /// genome extent, the batch-at-a-time columnar executor must answer a
 /// scan→filter→project tower at least 3× faster than the row-at-a-time
-/// executor — measured single-threaded, so the ratio is the vectorization
-/// win, not parallelism — while producing the identical row stream. Debug
+/// executor — measured single-threaded through `cpl::run_slots`, the
+/// executor's one entry point, so the ratio is the vectorization win, not
+/// parallelism — while producing the identical row stream. Debug
 /// builds only assert the differential (the ratio there measures the
 /// allocator, not the kernels).
 #[test]
@@ -345,13 +346,13 @@ fn e10_columnar_scan_filter_is_at_least_3x_row_at_a_time() {
             ("NAME".to_string(), Expr::var("M").proj("name")),
             ("POS".to_string(), Expr::var("M").proj("position")),
         ]);
-    let run = |columnar: bool| -> (Vec<cpl::Row>, Duration) {
+    let run = |columnar: bool| -> (Vec<cpl::SlotRow>, Duration) {
         let mut ctx =
             cpl::expr::EvalCtx::new(&refs[..]).with_parallelism(Parallelism::sequential());
         ctx.set_columnar(columnar);
         let mut stats = cpl::ExecStats::default();
         let start = std::time::Instant::now();
-        let rows = cpl::run_plan(&plan, &mut ctx, &mut stats).expect("plan runs");
+        let rows = cpl::run_slots(&plan, &mut ctx, &mut stats).expect("plan runs");
         (rows, start.elapsed())
     };
     // Warm the derived column cache so the ratio measures steady-state scan
@@ -359,7 +360,7 @@ fn e10_columnar_scan_filter_is_at_least_3x_row_at_a_time() {
     let (warm_rows, _) = run(true);
     assert!(!warm_rows.is_empty(), "the tower must select something");
     // Best-of-two per mode to damp scheduler noise.
-    let measure = |columnar: bool| -> (Vec<cpl::Row>, Duration) {
+    let measure = |columnar: bool| -> (Vec<cpl::SlotRow>, Duration) {
         let (rows, first) = run(columnar);
         let (_, second) = run(columnar);
         (rows, first.min(second))

@@ -1,5 +1,7 @@
 //! Property-based tests over the core invariants of the reproduction.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
 use wol_oracle::match_body_reference;
@@ -11,7 +13,7 @@ use wol_repro::wol_engine::{
 };
 use wol_repro::wol_lang::ast::Atom;
 use wol_repro::wol_lang::{parse_clause, render_clause};
-use wol_repro::wol_model::{ClassName, Instance, SkolemFactory, Value};
+use wol_repro::wol_model::{ClassName, Instance, MutationBatch, Oid, SkolemFactory, Value};
 use wol_repro::workloads::cities::{generate_euro, CitiesWorkload};
 use wol_repro::workloads::skewed::{self, SkewedParams};
 use wol_repro::workloads::{variants, wide};
@@ -173,11 +175,30 @@ fn skew_chain_raw_plan(k: usize, rotation: usize) -> Plan {
     plan
 }
 
+/// A row with each slot under its plan layout's variable name.
+type NamedRow = std::collections::BTreeMap<String, Value>;
+
+/// `cpl::run_slots` with each row's slots named by the plan's layout: the
+/// one place this suite names rows — the same rows in the same order, or the
+/// same error.
+fn named_rows(
+    plan: &Plan,
+    ctx: &mut cpl::expr::EvalCtx<'_>,
+    stats: &mut cpl::ExecStats,
+) -> Result<Vec<NamedRow>, cpl::CplError> {
+    let names = cpl::layout(plan);
+    let rows = cpl::run_slots(plan, ctx, stats)?;
+    Ok(rows
+        .into_iter()
+        .map(|row| names.iter().cloned().zip(row).collect())
+        .collect())
+}
+
 /// Run a plan and return its sorted row multiset.
-fn sorted_rows(plan: &Plan, refs: &[&wol_repro::wol_model::Instance]) -> Vec<cpl::Row> {
+fn sorted_rows(plan: &Plan, refs: &[&wol_repro::wol_model::Instance]) -> Vec<NamedRow> {
     let mut ctx = cpl::expr::EvalCtx::new(refs).with_parallelism(cpl::Parallelism::sequential());
     let mut stats = cpl::ExecStats::default();
-    let mut rows = cpl::run_plan(plan, &mut ctx, &mut stats).expect("plan runs");
+    let mut rows = named_rows(plan, &mut ctx, &mut stats).expect("plan runs");
     rows.sort();
     rows
 }
@@ -241,11 +262,11 @@ fn run_skolem_query(
     query: &cpl::Query,
     refs: &[&Instance],
     threads: usize,
-) -> (Vec<cpl::Row>, Instance, cpl::ExecStats, String) {
+) -> (Vec<NamedRow>, Instance, cpl::ExecStats, String) {
     let parallelism = cpl::Parallelism::new(threads).with_min_items(1);
     let mut ctx = cpl::expr::EvalCtx::new(refs).with_parallelism(parallelism);
     let mut stats = cpl::ExecStats::default();
-    let rows = cpl::run_plan(&query.plan, &mut ctx, &mut stats).expect("plan runs");
+    let rows = named_rows(&query.plan, &mut ctx, &mut stats).expect("plan runs");
     let mut ctx = cpl::expr::EvalCtx::new(refs).with_parallelism(parallelism);
     let mut stats = cpl::ExecStats::default();
     let mut target = Instance::new("target");
@@ -262,11 +283,11 @@ fn run_query_with_threads(
     plan: &Plan,
     refs: &[&wol_repro::wol_model::Instance],
     threads: usize,
-) -> (Vec<cpl::Row>, wol_repro::wol_model::Instance) {
+) -> (Vec<NamedRow>, wol_repro::wol_model::Instance) {
     let parallelism = cpl::Parallelism::new(threads).with_min_items(1);
     let mut ctx = cpl::expr::EvalCtx::new(refs).with_parallelism(parallelism);
     let mut stats = cpl::ExecStats::default();
-    let rows = cpl::run_plan(plan, &mut ctx, &mut stats).expect("plan runs");
+    let rows = named_rows(plan, &mut ctx, &mut stats).expect("plan runs");
 
     let query = cpl::Query {
         name: "thread_matrix".to_string(),
@@ -319,12 +340,12 @@ fn run_with_columnar(
     refs: &[&Instance],
     threads: usize,
     columnar: bool,
-) -> (Vec<cpl::Row>, Instance, cpl::ExecStats, cpl::ColumnarStats) {
+) -> (Vec<NamedRow>, Instance, cpl::ExecStats, cpl::ColumnarStats) {
     let parallelism = cpl::Parallelism::new(threads).with_min_items(1);
     let mut ctx = cpl::expr::EvalCtx::new(refs).with_parallelism(parallelism);
     ctx.set_columnar(columnar);
     let mut stats = cpl::ExecStats::default();
-    let rows = cpl::run_plan(plan, &mut ctx, &mut stats).expect("plan runs");
+    let rows = named_rows(plan, &mut ctx, &mut stats).expect("plan runs");
     let columnar_stats = ctx.take_columnar_stats();
     let query = cpl::Query {
         name: "columnar_diff".to_string(),
@@ -495,12 +516,12 @@ fn run_kind_case(
     refs: &[&Instance],
     threads: usize,
     columnar: bool,
-) -> (Result<Vec<cpl::Row>, cpl::CplError>, cpl::ExecStats, bool) {
+) -> (Result<Vec<NamedRow>, cpl::CplError>, cpl::ExecStats, bool) {
     let parallelism = cpl::Parallelism::new(threads).with_min_items(1);
     let mut ctx = cpl::expr::EvalCtx::new(refs).with_parallelism(parallelism);
     ctx.set_columnar(columnar);
     let mut stats = cpl::ExecStats::default();
-    let rows = cpl::run_plan(plan, &mut ctx, &mut stats);
+    let rows = named_rows(plan, &mut ctx, &mut stats);
     (rows, stats, ctx.columnar_stats().pipelines > 0)
 }
 
@@ -538,7 +559,7 @@ proptest! {
                 ("Q".to_string(), Expr::var("M").proj("p")),
             ])
         };
-        let check = |plan: &Plan, must_engage: bool| -> Result<Vec<cpl::Row>, String> {
+        let check = |plan: &Plan, must_engage: bool| -> Result<Vec<NamedRow>, String> {
             let (base, base_stats, _) = run_kind_case(plan, &refs[..], 1, false);
             for threads in [1usize, 2, 4, 8] {
                 let (rows, stats, engaged) = run_kind_case(plan, &refs[..], threads, true);
@@ -996,7 +1017,7 @@ proptest! {
                 // Outcome counters are plan-shape independent.
                 prop_assert_eq!(stats.batches, canonical_stats.batches);
                 prop_assert_eq!(stats.inplace_batches, canonical_stats.inplace_batches);
-                prop_assert_eq!(stats.rebuild_batches, canonical_stats.rebuild_batches);
+                prop_assert_eq!(stats.inplace_batches, stats.batches);
                 prop_assert_eq!(stats.rows_removed, canonical_stats.rows_removed);
                 prop_assert_eq!(stats.rows_added, canonical_stats.rows_added);
                 prop_assert_eq!(stats.objects_repaired, canonical_stats.objects_repaired);
@@ -1438,6 +1459,223 @@ proptest! {
                     fresh.err()
                 ),
             }
+        }
+    }
+}
+
+/// `source`'s classes split across `parts` instances at random: each class's
+/// objects, under their own identities, in one instance. The other
+/// instances' generators have minted nothing, so an insert there of a class
+/// held elsewhere would mint an identity that is already held.
+fn split_classes(g: &mut proptest::Gen, source: &Instance, parts: usize) -> Vec<Instance> {
+    let mut split: Vec<Instance> = (0..parts)
+        .map(|_| Instance::new(source.schema_name()))
+        .collect();
+    for class in source.populated_classes() {
+        let holder = &mut split[g.usize_in(0, parts)];
+        for (oid, value) in source.objects(&class) {
+            holder.insert(oid.clone(), value.clone()).unwrap();
+        }
+    }
+    split
+}
+
+/// One random batch against source `s` of a split genome source set, and
+/// whether the one-source-per-class rule refuses it (it inserts a class
+/// another source holds). Ops: inserts of either class (fresh clone and
+/// marker names, markers maybe referencing any live clone, verbatim
+/// duplicates of a live marker), and updates of positions and lengths,
+/// clone renames and marker removals on `s`'s own objects. No op conflicts:
+/// a position is updated only on a marker whose name no other marker
+/// carries, and no object is touched twice in one batch.
+fn multi_source_batch(
+    g: &mut proptest::Gen,
+    sources: &[&Instance],
+    s: usize,
+    fresh: &mut usize,
+) -> (MutationBatch, bool) {
+    let (clone_s, marker_s) = (ClassName::new("CloneS"), ClassName::new("MarkerS"));
+    let live = |class: &ClassName| -> Vec<(Oid, Value)> {
+        sources
+            .iter()
+            .flat_map(|src| src.objects(class))
+            .map(|(oid, v)| (oid.clone(), v.clone()))
+            .collect()
+    };
+    let (clones, markers) = (live(&clone_s), live(&marker_s));
+    let own = |class: &ClassName| -> Vec<(Oid, Value)> {
+        sources[s]
+            .objects(class)
+            .map(|(oid, v)| (oid.clone(), v.clone()))
+            .collect()
+    };
+    let (own_clones, own_markers) = (own(&clone_s), own(&marker_s));
+    let name_count = |name: Option<&Value>| {
+        markers
+            .iter()
+            .filter(|(_, v)| v.project("name") == name)
+            .count()
+    };
+    let mut touched: BTreeSet<Oid> = BTreeSet::new();
+    let mut inserted: BTreeSet<ClassName> = BTreeSet::new();
+    let mut batch = MutationBatch::new();
+    for _ in 0..g.usize_in(1, 4) {
+        *fresh += 1;
+        match g.usize_in(0, 7) {
+            0 => {
+                let mut fields = vec![("name", Value::from(format!("new-clone-{fresh}")))];
+                if one_in(g, 2) {
+                    fields.push(("length", Value::int(g.usize_in(0, 1000) as i64)));
+                }
+                batch = batch.insert(clone_s.clone(), Value::record(fields));
+                inserted.insert(clone_s.clone());
+            }
+            1 => {
+                let mut fields = vec![("name", Value::from(format!("new-marker-{fresh}")))];
+                if one_in(g, 2) {
+                    fields.push(("position", Value::int(g.usize_in(0, 1000) as i64)));
+                }
+                if !clones.is_empty() && one_in(g, 2) {
+                    let (clone, _) = &clones[g.usize_in(0, clones.len())];
+                    fields.push(("clone", Value::Oid(clone.clone())));
+                }
+                batch = batch.insert(marker_s.clone(), Value::record(fields));
+                inserted.insert(marker_s.clone());
+            }
+            2 if !markers.is_empty() => {
+                let (oid, value) = &markers[g.usize_in(0, markers.len())];
+                if touched.insert(oid.clone()) {
+                    batch = batch.insert(marker_s.clone(), value.clone());
+                    inserted.insert(marker_s.clone());
+                }
+            }
+            3 if !own_markers.is_empty() => {
+                let (oid, value) = &own_markers[g.usize_in(0, own_markers.len())];
+                if name_count(value.project("name")) == 1 && touched.insert(oid.clone()) {
+                    let mut value = value.clone();
+                    if let Value::Record(fields) = &mut value {
+                        fields.insert("position".into(), Value::int(*fresh as i64));
+                    }
+                    batch = batch.update(oid.clone(), value);
+                }
+            }
+            4 | 5 if !own_clones.is_empty() => {
+                let (oid, value) = &own_clones[g.usize_in(0, own_clones.len())];
+                if touched.insert(oid.clone()) {
+                    let mut value = value.clone();
+                    if let Value::Record(fields) = &mut value {
+                        if one_in(g, 2) {
+                            fields.insert("length".into(), Value::int(*fresh as i64));
+                        } else {
+                            fields.insert("name".into(), Value::from(format!("renamed-{fresh}")));
+                        }
+                    }
+                    batch = batch.update(oid.clone(), value);
+                }
+            }
+            6 if !own_markers.is_empty() => {
+                let (oid, _) = &own_markers[g.usize_in(0, own_markers.len())];
+                if touched.insert(oid.clone()) {
+                    batch = batch.remove(oid.clone());
+                }
+            }
+            _ => {}
+        }
+    }
+    let refused = inserted.iter().any(|class| {
+        (0..sources.len()).any(|other| other != s && sources[other].extent_size(class) > 0)
+    });
+    (batch, refused)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Each source class lives in one source. The genome source's classes
+    /// are split across 2–3 instances at random, and a random batch stream
+    /// runs against random source indices at 1 and 8 threads. The split
+    /// build equals a fresh run over the unsplit source. A batch inserting
+    /// a class another source holds is refused with a model error, leaving
+    /// sources and target bit-identical and the pipeline healthy; every
+    /// other batch repairs in place and equals `rerun_oracle()` and a fresh
+    /// run over the current sources. Any other outcome — the internal
+    /// collision error among them — fails the case.
+    #[test]
+    fn split_sources_refuse_overlap_and_maintain_in_place(seed in 0u64..u64::MAX) {
+        use wol_repro::morphase::{BatchOutcome, MaterializedPipeline, MorphaseError, PipelineOptions};
+        use wol_repro::workloads::genome::{self, GenomeParams};
+
+        let mut g = proptest::Gen::new(seed);
+        let params = GenomeParams {
+            clones: g.usize_in(1, 7),
+            markers: g.usize_in(1, 13),
+            density: g.usize_in(0, 11) as f64 / 10.0,
+            seed: g.next_u64() % 1000,
+        };
+        let program = genome::program();
+        let whole = genome::generate_source(&params);
+        let parts = g.usize_in(2, 4);
+        let sources = split_classes(&mut g, &whole, parts);
+        let stream_seed = g.next_u64();
+        // The stream is drawn against the one-thread pipeline's state and
+        // replayed at eight threads: (source index, batch, refused).
+        let mut stream: Vec<(usize, MutationBatch, bool)> = Vec::new();
+        for threads in [1usize, 8] {
+            let options = PipelineOptions {
+                parallelism: cpl::Parallelism::new(threads).with_min_items(1),
+                ..PipelineOptions::default()
+            };
+            let alone = Morphase::with_options(options).transform(&program, &[&whole][..]).unwrap();
+            let mut pipeline =
+                MaterializedPipeline::new(&program, sources.clone(), options).unwrap();
+            let report = pipeline.target().deep_eq_report(&alone.target);
+            prop_assert!(report.is_none(), "{} threads: split build vs one source: {:?}", threads, report);
+            let mut g = proptest::Gen::new(stream_seed);
+            let mut fresh_names = 0;
+            for step in 0..g.usize_in(1, 9) {
+                let current: Vec<Instance> =
+                    (0..sources.len()).map(|i| pipeline.source(i).unwrap().clone()).collect();
+                let refs: Vec<&Instance> = current.iter().collect();
+                if threads == 1 {
+                    let s = g.usize_in(0, sources.len());
+                    let (batch, refused) = multi_source_batch(&mut g, &refs, s, &mut fresh_names);
+                    stream.push((s, batch, refused));
+                }
+                let (s, batch, refused) = &stream[step];
+                let before_target = pipeline.target().clone();
+                let at = format!("{threads} threads, batch {step} into source {s}");
+                match pipeline.apply_batch_to(*s, batch) {
+                    Err(MorphaseError::Model(_)) if *refused => {
+                        prop_assert!(!pipeline.is_poisoned(), "{}: refusal poisoned", at);
+                        for (i, before) in current.iter().enumerate() {
+                            prop_assert!(pipeline.source(i) == Some(before), "{}: source {} moved", at, i);
+                        }
+                        prop_assert!(pipeline.target() == &before_target, "{}: target moved", at);
+                    }
+                    Ok(report) if !*refused => {
+                        prop_assert_eq!(report.outcome, BatchOutcome::InPlace);
+                        let oracle = pipeline.rerun_oracle().unwrap();
+                        let report = pipeline.target().deep_eq_report(&oracle.target);
+                        prop_assert!(report.is_none(), "{}: maintained vs oracle: {:?}", at, report);
+                        let now: Vec<&Instance> =
+                            (0..sources.len()).map(|i| pipeline.source(i).unwrap()).collect();
+                        let fresh = Morphase::with_options(options).transform(&program, &now).unwrap();
+                        let report = pipeline.target().deep_eq_report(&fresh.target);
+                        prop_assert!(report.is_none(), "{}: maintained vs fresh: {:?}", at, report);
+                    }
+                    outcome => prop_assert!(
+                        false,
+                        "{}: refused = {}, got {:?}",
+                        at,
+                        refused,
+                        outcome.map(|report| report.outcome)
+                    ),
+                }
+            }
+            prop_assert_eq!(
+                pipeline.stats().inplace_batches,
+                stream.iter().filter(|(_, _, refused)| !refused).count() as u64
+            );
         }
     }
 }
