@@ -54,8 +54,8 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use wol_model::column::{AttrColumn, ColumnData, ColumnKind, CHUNK_ROWS};
 use wol_model::{chunk_ranges, ClassName, Instance, Label, Oid, PushOp, RealVal, Value, ValueRef};
+use wol_model::{AttrColumn, ColumnData, ColumnKind, CHUNK_ROWS};
 
 use crate::error::CplError;
 use crate::exec::{self, ExecStats};

@@ -18,7 +18,7 @@
 //!
 //! Every operator has **one body**, written over *partitions* of its input:
 //! the workspace's one rule, [`wol_model::Parallelism::partitions`], decides
-//! how many from the context's budget ([`EvalCtx::set_parallelism`]) and the
+//! how many from the context's budget (`EvalCtx::set_parallelism`) and the
 //! operator's input size, and `run_partitioned` runs one partition inline on
 //! the calling context and several on the persistent
 //! [`wol_model::WorkerPool`]. Every operator splits its input into
@@ -29,7 +29,7 @@
 //! of its own and the factories fold into the caller's in partition order.
 //! Chunks merge in input order and the earliest failing chunk's error wins,
 //! so the row stream, the merged [`ExecStats`] and the error are those of one
-//! partition at every thread count (breakdown: [`EvalCtx::shard_stats`]).
+//! partition at every thread count (breakdown: [`EvalCtx::take_shard_stats`]).
 //!
 //! ## Writes
 //!
@@ -127,7 +127,7 @@ impl ExecStats {
     }
 }
 
-/// Telemetry of the columnar executor ([`crate::columnar`]). Kept separate
+/// Telemetry of the columnar executor (`crate::columnar`). Kept separate
 /// from [`ExecStats`] on purpose: the columnar/row differential contract is
 /// *equal* `ExecStats` for both paths, so which path ran must not leak into
 /// them. Reported by the Morphase pipeline alongside the exec stats.
@@ -982,14 +982,6 @@ fn rows_of(
 pub struct EvaluatedQuery {
     factory: SkolemFactory,
     writes: Vec<(Oid, Record)>,
-    rows: usize,
-}
-
-impl EvaluatedQuery {
-    /// Rows the query's plan emitted.
-    pub fn rows_output(&self) -> usize {
-        self.rows
-    }
 }
 
 /// An insert action lowered against its plan's layout.
@@ -1070,7 +1062,6 @@ pub fn evaluate_query(
     Ok(EvaluatedQuery {
         factory: std::mem::take(&mut ctx.factory),
         writes,
-        rows: rows.len(),
     })
 }
 
@@ -1124,6 +1115,9 @@ pub fn apply_evaluated_query(
 
 /// Execute one query: run its plan and apply its insert actions to `target`
 /// — [`evaluate_query`] then [`apply_evaluated_query`] on one context.
+///
+/// Kept only for the benchmark's frozen surface (ROADMAP item 1A).
+/// `tests/alloc_budget.rs` and `tests/properties.rs` call it too.
 pub fn execute_query(
     query: &Query,
     ctx: &mut EvalCtx<'_>,
@@ -1730,7 +1724,7 @@ pub(crate) mod tests {
                         Expr::var("T").proj("clone_name"),
                         Expr::var("C").proj("name"),
                     ),
-                    (Expr::constant(true), scan_flag),
+                    (Expr::Const(true.into()), scan_flag),
                 ],
             )
         };
@@ -1739,7 +1733,7 @@ pub(crate) mod tests {
             // this is the fused scan+filter.
             shape(
                 "scan+filter",
-                Plan::scan("CityE", "E").filter(country_name().eq(Expr::constant("country1"))),
+                Plan::scan("CityE", "E").filter(country_name().eq(Expr::Const("country1".into()))),
             ),
             shape(
                 "columnar tower",
@@ -1760,7 +1754,11 @@ pub(crate) mod tests {
             shape(
                 "skolem map",
                 Plan::scan("CityE", "E")
-                    .filter(Expr::var("E").proj("is_capital").eq(Expr::constant(false)))
+                    .filter(
+                        Expr::var("E")
+                            .proj("is_capital")
+                            .eq(Expr::Const(false.into())),
+                    )
                     .map(vec![
                         bind("T", mk("CityT", Expr::var("E").proj("name"))),
                         // Few distinct keys: partitions mint the same ones.
@@ -2297,7 +2295,6 @@ pub(crate) mod tests {
         let mut worker_ctx = EvalCtx::claim_worker(&refs);
         let mut worker_stats = ExecStats::default();
         let evaluated = evaluate_query(&query, &mut worker_ctx, &mut worker_stats).unwrap();
-        assert_eq!(evaluated.rows_output(), 3);
         // The evaluated query carries the worker's factory away.
         assert!(worker_ctx.factory.is_empty());
         let mut main_ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
@@ -2589,7 +2586,7 @@ pub(crate) mod tests {
         // Index-probe path: the probed scan variable, bound on the driving
         // side too, holds the probed identity.
         let plan = Plan::scan("CityE", "E")
-            .map(vec![bind("C", Expr::constant("shadowed"))])
+            .map(vec![bind("C", Expr::Const("shadowed".into()))])
             .hash_join(
                 Plan::scan("CountryE", "C"),
                 Expr::var("E").path("country.name"),

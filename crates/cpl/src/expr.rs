@@ -63,11 +63,6 @@ impl Expr {
         Expr::Var(name.into())
     }
 
-    /// A constant.
-    pub fn constant(value: impl Into<Value>) -> Expr {
-        Expr::Const(value.into())
-    }
-
     /// Project an attribute from this expression.
     pub fn proj(self, label: impl Into<Label>) -> Expr {
         Expr::Proj(Box::new(self), label.into())
@@ -90,7 +85,7 @@ impl Expr {
 
     /// Visit every row variable this expression references, repeats
     /// included, without copying a name.
-    pub fn for_each_var<'e>(&'e self, f: &mut impl FnMut(&'e str)) {
+    pub(crate) fn for_each_var<'e>(&'e self, f: &mut impl FnMut(&'e str)) {
         match self {
             Expr::Var(v) => f(v),
             Expr::Const(_) => {}
@@ -107,7 +102,7 @@ impl Expr {
     }
 
     /// The row variables referenced, as a set.
-    pub fn var_set(&self) -> std::collections::BTreeSet<String> {
+    pub(crate) fn var_set(&self) -> std::collections::BTreeSet<String> {
         let mut out = std::collections::BTreeSet::new();
         self.for_each_var(&mut |v| {
             out.insert(v.to_string());
@@ -134,7 +129,7 @@ impl Expr {
     /// returns. The query planner uses this to inline `Map` bindings into
     /// filter predicates so join equalities range over base scan variables
     /// only.
-    pub fn substitute(&self, defs: &mut dyn FnMut(&str) -> Option<Expr>) -> Expr {
+    pub(crate) fn substitute(&self, defs: &mut dyn FnMut(&str) -> Option<Expr>) -> Expr {
         let mut sub = |e: &Expr| Box::new(e.substitute(defs));
         match self {
             Expr::Var(v) => defs(v).unwrap_or_else(|| self.clone()),
@@ -246,7 +241,7 @@ impl<'a> EvalCtx<'a> {
     }
 
     /// Set the thread budget operators partition against.
-    pub fn set_parallelism(&mut self, parallelism: wol_model::Parallelism) {
+    pub(crate) fn set_parallelism(&mut self, parallelism: wol_model::Parallelism) {
         self.parallelism = parallelism;
     }
 
@@ -256,7 +251,7 @@ impl<'a> EvalCtx<'a> {
     }
 
     /// The thread budget operators partition against.
-    pub fn parallelism(&self) -> wol_model::Parallelism {
+    pub(crate) fn parallelism(&self) -> wol_model::Parallelism {
         self.parallelism
     }
 
@@ -275,19 +270,13 @@ impl<'a> EvalCtx<'a> {
         }
     }
 
-    /// Per-worker-slot statistics accumulated across all multi-partition
-    /// operators run so far (empty if every operator had one partition).
-    pub fn shard_stats(&self) -> &[crate::exec::ExecStats] {
-        &self.shard_stats
-    }
-
     /// Drain the accumulated per-shard statistics.
     pub fn take_shard_stats(&mut self) -> Vec<crate::exec::ExecStats> {
         std::mem::take(&mut self.shard_stats)
     }
 
     /// Whether scan→filter→project towers may run on the columnar executor.
-    pub fn columnar_enabled(&self) -> bool {
+    pub(crate) fn columnar_enabled(&self) -> bool {
         self.columnar
     }
 
@@ -326,7 +315,7 @@ impl<'a> EvalCtx<'a> {
     }
 
     /// The instances visible to this context.
-    pub fn sources(&self) -> &[&'a Instance] {
+    pub(crate) fn sources(&self) -> &[&'a Instance] {
         &self.sources
     }
 
@@ -358,7 +347,7 @@ impl<'a> EvalCtx<'a> {
 
     /// Whether any scan restriction is active (gates the columnar tower,
     /// which answers scans from unrestricted structures).
-    pub fn has_scan_restrictions(&self) -> bool {
+    pub(crate) fn has_scan_restrictions(&self) -> bool {
         !self.scan_restrictions.is_empty()
     }
 
@@ -640,6 +629,14 @@ fn truthy(value: &Value) -> Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EvalCtx<'_> {
+        /// Per-worker-slot statistics accumulated across all multi-partition
+        /// operators run so far (empty if every operator had one partition).
+        pub(crate) fn shard_stats(&self) -> &[crate::exec::ExecStats] {
+            &self.shard_stats
+        }
+    }
     use crate::exec::tests::NamedRow;
 
     /// Lower against the named row's own layout and evaluate.
@@ -782,7 +779,7 @@ mod tests {
             matches!(name.eval(&row, &mut ctx), Ok(Cow::Borrowed(v)) if std::ptr::eq(v, field))
         );
         let cmp = Lowered::new(
-            &Expr::var("E").proj("name").eq(Expr::constant("Paris")),
+            &Expr::var("E").proj("name").eq(Expr::Const("Paris".into())),
             &layout,
         );
         assert!(matches!(

@@ -20,9 +20,9 @@
 //!   applies *insert actions* to build the target instance, settling each
 //!   object's partial inserts through [`wol_model::Record::merge`], the one
 //!   definition the maintainer settles through too; and a columnar driver
-//!   ([`columnar`]) that runs the same lowered expressions of
+//!   (`columnar`) that runs the same lowered expressions of
 //!   scan→filter→map towers batch-at-a-time over typed columns;
-//! * a cost-based join-graph planner ([`optimizer`]): decomposes a compiled
+//! * a cost-based join-graph planner (`optimizer`): decomposes a compiled
 //!   plan into scans plus a conjunct pool and greedily re-joins the cheapest
 //!   connected pair, fed by extent statistics and per-attribute equi-depth
 //!   histograms over the live instances ([`optimizer::Statistics`],
@@ -34,7 +34,7 @@
 //! ## Threading model
 //!
 //! There is one rule, and every operator in [`exec`] (and the columnar
-//! tower in [`columnar`]) is written against it: an operator runs over
+//! tower in `columnar`) is written against it: an operator runs over
 //! **partitions** of its input, and the *number* of partitions is
 //! [`Parallelism::partitions`] of its input size — the workspace's one
 //! partition rule, shared with `wol-engine`'s matcher. The budget is the
@@ -78,13 +78,14 @@
     )
 )]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod columnar;
-pub mod error;
+mod columnar;
+mod error;
 pub mod exec;
 pub mod expr;
-pub mod optimizer;
-pub mod plan;
+mod optimizer;
+mod plan;
 
 pub use error::CplError;
 pub use exec::{

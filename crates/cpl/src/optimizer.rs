@@ -88,8 +88,11 @@ pub enum CostModel {
     /// attribute indexes' distinct counts, no distribution information, no
     /// propagation of ndv through join outputs. Kept bit-for-bit as the
     /// differential baseline the histogram model is tested against.
+    /// Kept only for the benchmark's frozen surface (ROADMAP item 1A).
+    /// The E7 guards in `tests/perf_regression.rs` and the planner
+    /// differentials select it too.
     FlatNdv,
-    /// Per-attribute equi-depth histograms ([`wol_model::histogram`]):
+    /// Per-attribute equi-depth histograms (`wol_model::histogram`):
     /// equality selectivities come from the actual value distribution (exact
     /// for the skew head), constant filters use per-value frequencies, and
     /// estimated ndv is propagated and capped through join outputs.
@@ -157,7 +160,7 @@ impl<'a> Statistics<'a> {
     }
 
     /// The cardinality model estimates use.
-    pub fn cost_model(&self) -> CostModel {
+    pub(crate) fn cost_model(&self) -> CostModel {
         self.cost_model
     }
 
@@ -173,7 +176,7 @@ impl<'a> Statistics<'a> {
 
     /// Total extent size of `class` across the sources; `None` when no
     /// instances (or external statistics for the class) are attached.
-    pub fn extent_size(&self, class: &ClassName) -> Option<usize> {
+    pub(crate) fn extent_size(&self, class: &ClassName) -> Option<usize> {
         if let Some(external) = self.external.get(class) {
             return Some(external.rows);
         }
@@ -186,7 +189,7 @@ impl<'a> Statistics<'a> {
     /// Approximate number of distinct values of `class.attr` across the
     /// sources; `None` when no instances are attached (or the external
     /// statistics for the class do not cover the attribute).
-    pub fn ndv(&self, class: &ClassName, attr: &str) -> Option<usize> {
+    pub(crate) fn ndv(&self, class: &ClassName, attr: &str) -> Option<usize> {
         if let Some(external) = self.external.get(class) {
             return external.ndvs.get(attr).copied();
         }
@@ -205,7 +208,11 @@ impl<'a> Statistics<'a> {
     /// The sources' equi-depth histograms of `class.attr` (one per source
     /// that carries the attribute), memoised. Empty when no instances are
     /// attached or no object carries the attribute.
-    pub fn attr_histograms(&self, class: &ClassName, attr: &Label) -> Rc<Vec<AttrHistogram>> {
+    pub(crate) fn attr_histograms(
+        &self,
+        class: &ClassName,
+        attr: &Label,
+    ) -> Rc<Vec<AttrHistogram>> {
         let key = (class.clone(), attr.clone());
         if let Some(cached) = self.histograms.borrow().get(&key) {
             return Rc::clone(cached);
@@ -723,8 +730,9 @@ pub fn estimate_plan(plan: &Plan, stats: &Statistics<'_>) -> PlanEstimate {
 }
 
 /// Estimate the number of rows a plan produces: the root of
-/// [`estimate_plan`]. Reported by the Morphase pipeline next to the actual
-/// row counts.
+/// [`estimate_plan`].
+///
+/// Kept only for the benchmark's frozen surface (ROADMAP item 1A).
 pub fn estimate_rows(plan: &Plan, stats: &Statistics<'_>) -> f64 {
     estimate_plan(plan, stats).rows
 }
@@ -733,6 +741,8 @@ pub fn estimate_rows(plan: &Plan, stats: &Statistics<'_>) -> f64 {
 /// of [`estimate_plan`]. Pair these with the executor's join trace
 /// ([`crate::expr::EvalCtx::enable_join_trace`]) to report
 /// estimate-vs-actual error per join.
+///
+/// Kept only for the benchmark's frozen surface (ROADMAP item 1A).
 pub fn estimate_join_outputs(plan: &Plan, stats: &Statistics<'_>) -> Vec<JoinEstimate> {
     estimate_plan(plan, stats).joins
 }
@@ -803,15 +813,10 @@ impl PushdownCatalog {
     }
 
     /// True if comparisons on `class.attr` may be pushed.
-    pub fn pushable(&self, class: &ClassName, attr: &str) -> bool {
+    pub(crate) fn pushable(&self, class: &ClassName, attr: &str) -> bool {
         self.classes
             .get(class)
             .is_some_and(|attrs| attrs.contains(attr))
-    }
-
-    /// True if the catalog allows nothing.
-    pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
     }
 }
 
@@ -1498,7 +1503,7 @@ mod tests {
         let stats = Statistics::from_instances(&refs);
         let not_a0 = Expr::Neq(
             Box::new(Expr::var("X").proj("name")),
-            Box::new(Expr::constant("A0")),
+            Box::new(Expr::Const("A0".into())),
         );
         let raw = Plan::scan("A", "X")
             .cross(Plan::scan("B", "Y"))
@@ -1774,7 +1779,7 @@ mod tests {
         ]);
         let mut expected: Vec<Expected> = Vec::new();
         // Through the Map: `M = "France"` is `V1.name = "France"` once inlined.
-        plan = plan.filter(Expr::var("M").eq(Expr::constant("France")));
+        plan = plan.filter(Expr::var("M").eq(Expr::Const("France".into())));
         expected.push((
             var_of(1),
             "CountryE",
@@ -1816,7 +1821,7 @@ mod tests {
                 .proj("name")
                 .eq(Expr::var(var_of(1)).proj("language")),
         );
-        plan = plan.filter(Expr::constant(1i64).eq(Expr::constant(1i64)));
+        plan = plan.filter(Expr::Const(1i64.into()).eq(Expr::Const(1i64.into())));
         for i in 1..k {
             let edge = if i % 2 == 1 {
                 if i == 1 {
@@ -1913,11 +1918,11 @@ mod tests {
         // "France"` is above the product and the filter above the Map refers
         // to the *rebound* `E` — neither is reported.
         let plan = Plan::scan("CityE", "E")
-            .filter(Expr::var("E").proj("name").eq(Expr::constant("Paris")))
+            .filter(Expr::var("E").proj("name").eq(Expr::Const("Paris".into())))
             .cross(Plan::scan("CountryE", "C"))
-            .filter(Expr::var("C").proj("name").eq(Expr::constant("France")))
+            .filter(Expr::var("C").proj("name").eq(Expr::Const("France".into())))
             .map(vec![("E".to_string(), Expr::var("E").proj("country"))])
-            .filter(Expr::var("E").proj("name").eq(Expr::constant("France")));
+            .filter(Expr::var("E").proj("name").eq(Expr::Const("France".into())));
         let inst = instance();
         let refs = [&inst];
         let stats = Statistics::from_instances(&refs);

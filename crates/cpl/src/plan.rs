@@ -90,7 +90,7 @@ impl Plan {
     }
 
     /// Nested-loop join helper.
-    pub fn join(self, right: Plan, predicate: Expr) -> Plan {
+    pub(crate) fn join(self, right: Plan, predicate: Expr) -> Plan {
         Plan::NestedLoopJoin {
             left: Box::new(self),
             right: Box::new(right),
@@ -104,7 +104,7 @@ impl Plan {
     }
 
     /// Multi-key (composite) hash join helper.
-    pub fn hash_join_multi(self, right: Plan, keys: Vec<(Expr, Expr)>) -> Plan {
+    pub(crate) fn hash_join_multi(self, right: Plan, keys: Vec<(Expr, Expr)>) -> Plan {
         Plan::HashJoin {
             left: Box::new(self),
             right: Box::new(right),
@@ -189,17 +189,6 @@ impl Plan {
         out
     }
 
-    /// Number of operators in the plan (used in reports).
-    pub fn operator_count(&self) -> usize {
-        match self {
-            Plan::Scan { .. } => 1,
-            Plan::Filter { input, .. } | Plan::Map { input, .. } => 1 + input.operator_count(),
-            Plan::NestedLoopJoin { left, right, .. }
-            | Plan::HashJoin { left, right, .. }
-            | Plan::CrossJoin { left, right } => 1 + left.operator_count() + right.operator_count(),
-        }
-    }
-
     /// Render the plan as an indented tree (for reports and debugging).
     pub fn render(&self) -> String {
         fn go(plan: &Plan, indent: usize, out: &mut String) {
@@ -273,13 +262,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builders_and_operator_count() {
+    fn builders_scans_and_expressions() {
         let plan = Plan::scan("CountryE", "C")
             .map(vec![("N".to_string(), Expr::var("C").proj("name"))])
             .filter(Expr::var("C").proj("name").eq(Expr::Const("France".into())));
         assert_eq!(plan.scans(), vec![(&ClassName::new("CountryE"), "C")]);
         assert_eq!(plan.expressions().len(), 2);
-        assert_eq!(plan.operator_count(), 3);
     }
 
     #[test]
@@ -301,14 +289,12 @@ mod tests {
         );
         assert!(nl.render().contains("NestedLoopJoin"));
         assert_eq!(nl.expressions().len(), 1);
-        assert_eq!(nl.operator_count(), 3);
     }
 
     #[test]
     fn cross_join_and_multi_key_render() {
         let cross = Plan::scan("A", "a").cross(Plan::scan("B", "b"));
         assert!(cross.render().contains("CrossJoin"));
-        assert_eq!(cross.operator_count(), 3);
         let vars = cross.scan_classes();
         assert!(vars.contains_key("a") && vars.contains_key("b"));
 

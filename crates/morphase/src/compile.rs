@@ -33,10 +33,10 @@
 
 use std::collections::BTreeSet;
 
-use cpl::plan::InsertAction;
+use cpl::InsertAction;
 use cpl::{Expr, Plan, Query, Statistics};
+use wol_engine::fold_witnesses;
 use wol_engine::normalize::{NormalClause, NormalProgram};
-use wol_engine::optimize::fold_witnesses;
 use wol_lang::ast::{Atom, SkolemArgs, Term};
 use wol_model::Label;
 
@@ -58,7 +58,7 @@ pub enum PlanMode<'a> {
 }
 
 /// Translate a WOL term over body variables into a CPL row expression.
-pub fn translate_term(term: &Term) -> Expr {
+pub(crate) fn translate_term(term: &Term) -> Expr {
     match term {
         Term::Var(v) => Expr::Var(v.clone()),
         Term::Const(value) => Expr::Const(value.clone()),
@@ -78,7 +78,7 @@ pub fn translate_term(term: &Term) -> Expr {
 
 /// Translate Skolem arguments into the key expression whose value identifies
 /// the created object.
-pub fn translate_key(args: &SkolemArgs) -> Expr {
+pub(crate) fn translate_key(args: &SkolemArgs) -> Expr {
     match args {
         SkolemArgs::Positional(ts) if ts.len() == 1 => translate_term(&ts[0]),
         SkolemArgs::Positional(ts) => Expr::Record(
@@ -116,7 +116,7 @@ fn translate_atom_predicate(atom: &Atom) -> Result<Expr> {
 }
 
 /// Compile one normal clause into a CPL query.
-pub fn compile_clause(clause: &NormalClause, mode: PlanMode<'_>) -> Result<Query> {
+pub(crate) fn compile_clause(clause: &NormalClause, mode: PlanMode<'_>) -> Result<Query> {
     match mode {
         PlanMode::Raw => translate_clause(clause),
         PlanMode::PlannerWithStats(stats) => {
@@ -286,8 +286,8 @@ mod tests {
         assert_eq!(target.extent_size(&ClassName::new("CityT")), 12);
         assert!(stats.rows_scanned > 0);
 
-        // The CPL path agrees with the engine's reference executor.
-        let reference = wol_engine::execute(&normal, &[&source][..], "target").unwrap();
+        // The CPL path agrees with the paper's reference semantics.
+        let reference = wol_engine::naive_transform(&program, &[&source][..], "target").unwrap();
         assert_eq!(
             reference.extent_size(&ClassName::new("CityT")),
             target.extent_size(&ClassName::new("CityT"))
@@ -332,15 +332,15 @@ mod tests {
         assert!(!rendered.contains("CrossJoin"));
         assert!(!rendered.contains("NestedLoopJoin"));
 
-        // And the planned program produces the same target as the engine's
-        // reference executor.
+        // And the planned program produces the same target as the paper's
+        // reference semantics.
         let mut ctx = EvalCtx::new(&refs);
         let mut exec_stats = ExecStats::default();
         let mut target = Instance::new("chr22");
         for query in &queries {
             execute_query(query, &mut ctx, &mut target, &mut exec_stats).unwrap();
         }
-        let reference = wol_engine::execute(&normal, &[&source][..], "chr22").unwrap();
+        let reference = wol_engine::naive_transform(&program, &[&source][..], "chr22").unwrap();
         assert!(exec_stats.index_probes > 0);
         for class in ["CloneD", "MarkerD"] {
             assert_eq!(

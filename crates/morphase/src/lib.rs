@@ -46,7 +46,7 @@
 //! the target in place, guaranteeing the maintained target is bit-identical
 //! (object identities included) to a from-scratch re-run over the mutated
 //! sources. The contract rests on three pillars, detailed in the
-//! [`maintain`] module docs:
+//! `maintain` module docs:
 //!
 //! * **The key is the unique identity tuple** — a cached row is keyed by
 //!   the identities its scans bound, whatever order the executor emitted it
@@ -84,16 +84,17 @@
     )
 )]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod compile;
-pub mod error;
-pub mod federate;
-pub mod maintain;
+mod compile;
+mod error;
+mod federate;
+mod maintain;
 pub mod metadata;
-pub mod pipeline;
-pub mod report;
-pub mod schedule;
-pub mod service;
+mod pipeline;
+mod report;
+mod schedule;
+mod service;
 
 pub use compile::{compile_program_with, PlanMode};
 pub use error::MorphaseError;
@@ -103,9 +104,9 @@ pub use pipeline::{
     BatchConstraintMode, DurabilityStats, DurableOptions, JoinStat, Morphase, MorphaseRun,
     PipelineOptions, QueryStat, StageTimings,
 };
-pub use report::{render_batch_report, render_maintenance_report, render_report};
+pub use report::render_report;
 pub use schedule::{plan_schedule, QuerySchedule};
 pub use service::PipelineService;
 
 /// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, MorphaseError>;
+pub(crate) type Result<T> = std::result::Result<T, MorphaseError>;

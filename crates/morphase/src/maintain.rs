@@ -103,8 +103,8 @@ use cpl::exec::{layout, run_slots, ExecStats, LoweredInsert};
 use cpl::expr::{EvalCtx, SlotRow};
 use cpl::{Expr, Plan, Query};
 use storage::persist::PipelineJournal;
-use wol_engine::rotation::{delta_rotations, Slot};
 use wol_engine::{check_batch, BatchCheck, Databases, EngineError};
+use wol_engine::{delta_rotations, Slot};
 use wol_lang::program::Program;
 use wol_lang::Clause;
 use wol_model::{
@@ -124,11 +124,11 @@ pub enum BatchOutcome {
     /// Stale rows swept, delta rows replayed, touched objects repaired.
     InPlace,
     /// Never constructed: each source class lives in one source, so no
-    /// batch derives a row colliding with a cached one. Kept because the
-    /// benchmark's frozen engine surface matches on it.
+    /// batch derives a row colliding with a cached one. The benchmark
+    /// matches on it. Kept only for the benchmark's frozen surface (ROADMAP item 1A).
     Rebuild,
-    /// Never constructed: every compiled program maintains in place. Kept
-    /// because the benchmark's frozen engine surface matches on it.
+    /// Never constructed: every compiled program maintains in place. The
+    /// benchmark matches on it. Kept only for the benchmark's frozen surface (ROADMAP item 1A).
     FullRerun,
 }
 

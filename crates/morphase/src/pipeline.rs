@@ -189,7 +189,7 @@ pub struct StageTimings {
     /// Translation to CPL.
     pub compile: Duration,
     /// Streaming ingest from backend scan providers (federated runs only;
-    /// zero otherwise). Not part of [`StageTimings::compile_time`] — it is
+    /// zero otherwise). Not part of `StageTimings::compile_time` — it is
     /// data movement, not compilation.
     pub ingest: Duration,
     /// CPL execution.
@@ -201,7 +201,7 @@ pub struct StageTimings {
 impl StageTimings {
     /// Total compile-side time (everything before execution), the quantity the
     /// paper reports as "the time taken to compile and normalize".
-    pub fn compile_time(&self) -> Duration {
+    pub(crate) fn compile_time(&self) -> Duration {
         self.validate + self.metadata + self.normalize + self.compile
     }
 
@@ -354,7 +354,7 @@ impl Morphase {
     /// provider-reported statistics, push eligible filters and projections
     /// into the providers (when [`PipelineOptions::pushdown`] is on),
     /// stream-ingest the surviving rows, then execute. See
-    /// [`crate::federate`] for the eligibility and bit-identity contract.
+    /// the `federate` module for the eligibility and bit-identity contract.
     pub fn transform_federated(
         &self,
         program: &Program,

@@ -2,7 +2,6 @@
 
 use std::fmt::Write as _;
 
-use crate::maintain::{BatchOutcome, BatchReport, MaintainStats};
 use crate::pipeline::MorphaseRun;
 
 /// Render a run as a small text report: stage timings, program sizes and
@@ -123,57 +122,6 @@ pub fn render_report(run: &MorphaseRun) -> String {
     }
     let _ = writeln!(out, "target: {} objects", run.target.len());
     out
-}
-
-/// Render cumulative maintenance statistics as a small text report. Used by
-/// the E11 benchmark harness and the soak suites.
-pub fn render_maintenance_report(stats: &MaintainStats) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== Materialized pipeline ==");
-    let _ = writeln!(
-        out,
-        "batches: {} ({} in-place)",
-        stats.batches, stats.inplace_batches
-    );
-    let _ = writeln!(
-        out,
-        "rows: {} swept, {} replayed; {} objects repaired",
-        stats.rows_removed, stats.rows_added, stats.objects_repaired
-    );
-    if stats.constraints_checked + stats.constraints_skipped + stats.rejected_batches > 0 {
-        let _ = writeln!(
-            out,
-            "constraints: {} checked, {} skipped, {} probes over {} objects; {} violations, {} batches rejected",
-            stats.constraints_checked,
-            stats.constraints_skipped,
-            stats.constraint_probes,
-            stats.constraint_objects,
-            stats.constraint_violations,
-            stats.rejected_batches
-        );
-    }
-    let _ = writeln!(
-        out,
-        "delta execution: {} rows scanned, {} rows produced, {} restricted scans",
-        stats.delta_exec.rows_scanned,
-        stats.delta_exec.rows_produced,
-        stats.delta_exec.restricted_scans
-    );
-    out
-}
-
-/// Render one applied batch as a line: how it was absorbed, the rows it
-/// swept and replayed and the objects it repaired.
-pub fn render_batch_report(report: &BatchReport) -> String {
-    let outcome = match report.outcome {
-        BatchOutcome::InPlace => "in place",
-        BatchOutcome::Rebuild => "rebuild",
-        BatchOutcome::FullRerun => "full re-run",
-    };
-    format!(
-        "batch: {outcome}, {} rows swept, {} replayed, {} objects repaired\n",
-        report.rows_removed, report.rows_added, report.objects_repaired
-    )
 }
 
 #[cfg(test)]
@@ -389,72 +337,6 @@ mod tests {
         });
         assert!(render_report(&run)
             .contains("durability: resumed at query 0 (0 skipped, 0 journaled, journal reset)"));
-    }
-
-    /// Pins the maintenance-report format, like the other report sections.
-    #[test]
-    fn report_pins_the_maintenance_format() {
-        use crate::maintain::MaintainStats;
-        use cpl::exec::ExecStats;
-        let stats = MaintainStats {
-            batches: 12,
-            inplace_batches: 9,
-            rows_removed: 4,
-            rows_added: 31,
-            objects_repaired: 27,
-            delta_exec: ExecStats {
-                rows_scanned: 500,
-                rows_produced: 120,
-                restricted_scans: 18,
-                ..ExecStats::default()
-            },
-            ..MaintainStats::default()
-        };
-        let report = render_maintenance_report(&stats);
-        assert!(report.contains("== Materialized pipeline =="));
-        assert!(report.contains("batches: 12 (9 in-place)"));
-        assert!(report.contains("rows: 4 swept, 31 replayed; 27 objects repaired"));
-        // No constraint checking ran: the constraint line is absent.
-        assert!(!report.contains("constraints:"));
-        assert!(report
-            .contains("delta execution: 500 rows scanned, 120 rows produced, 18 restricted scans"));
-    }
-
-    /// Pins the constraint line of the maintenance report: present exactly
-    /// when per-batch constraint checking did any work.
-    #[test]
-    fn report_pins_the_constraint_line() {
-        use crate::maintain::MaintainStats;
-        let stats = MaintainStats {
-            batches: 5,
-            constraints_checked: 7,
-            constraints_skipped: 8,
-            constraint_objects: 90,
-            constraint_probes: 40,
-            constraint_violations: 2,
-            rejected_batches: 1,
-            ..MaintainStats::default()
-        };
-        let report = render_maintenance_report(&stats);
-        assert!(report.contains(
-            "constraints: 7 checked, 8 skipped, 40 probes over 90 objects; 2 violations, 1 batches rejected"
-        ));
-    }
-
-    /// Pins the batch line.
-    #[test]
-    fn report_pins_the_batch_line() {
-        let report = BatchReport {
-            outcome: BatchOutcome::InPlace,
-            rows_removed: 2,
-            rows_added: 3,
-            objects_repaired: 4,
-            constraints: None,
-        };
-        assert_eq!(
-            render_batch_report(&report),
-            "batch: in place, 2 rows swept, 3 replayed, 4 objects repaired\n"
-        );
     }
 
     #[test]

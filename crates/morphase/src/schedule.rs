@@ -19,6 +19,8 @@
 use cpl::Query;
 
 /// The execution schedule of a compiled program.
+///
+/// Kept only for the benchmark's frozen surface (ROADMAP item 1A).
 #[derive(Clone, Debug)]
 pub struct QuerySchedule {
     /// Stages in execution order, each a run of query indices in program
@@ -29,6 +31,9 @@ pub struct QuerySchedule {
 
 /// The execution schedule of a compiled program: one stage (see the module
 /// docs).
+///
+/// Kept only for the benchmark's frozen surface (ROADMAP item 1A).
+/// `tests/alloc_budget.rs` calls it too.
 pub fn plan_schedule(queries: &[Query]) -> QuerySchedule {
     QuerySchedule {
         stages: vec![(0..queries.len()).collect()],

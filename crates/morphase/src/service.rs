@@ -25,7 +25,6 @@
 //! [`PipelineService::shutdown`] re-raises the panic on the caller instead of
 //! swallowing it.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
@@ -38,6 +37,7 @@ use crate::{MorphaseError, Result};
 enum Request {
     Apply(MutationBatch, Sender<Result<BatchReport>>),
     /// Test hook: make the maintainer panic to exercise propagation.
+    #[cfg(test)]
     Panic,
     Shutdown(Sender<Box<MaterializedPipeline>>),
 }
@@ -46,36 +46,21 @@ enum Request {
 pub struct PipelineService {
     tx: Option<Sender<Request>>,
     snapshot: Arc<RwLock<Arc<Instance>>>,
-    poisoned: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
 
 /// The maintainer thread's loop: apply, publish, answer, until shutdown or
 /// a closed channel.
-///
-/// # Panics
-///
-/// On [`Request::Panic`], the fault hook [`PipelineService::inject_panic`]
-/// sends.
-// The hook's panic is the behaviour under test: shutdown must re-raise it.
-#[allow(clippy::panic)]
 fn maintainer(
     mut pipeline: Box<MaterializedPipeline>,
     rx: Receiver<Request>,
     snapshot: Arc<RwLock<Arc<Instance>>>,
-    poisoned: Arc<AtomicBool>,
 ) {
     while let Ok(request) = rx.recv() {
         match request {
             Request::Apply(batch, reply) => {
                 let result = pipeline.apply_batch(&batch);
-                let stale = match &result {
-                    Ok(_) => Some(publish(&pipeline, &snapshot)),
-                    Err(_) => {
-                        poisoned.store(pipeline.is_poisoned(), Ordering::SeqCst);
-                        None
-                    }
-                };
+                let stale = result.is_ok().then(|| publish(&pipeline, &snapshot));
                 // A dropped requester is fine; the batch already applied.
                 let _ = reply.send(result);
                 // This may be the last reference to the chunks the batch
@@ -83,6 +68,7 @@ fn maintainer(
                 // with the snapshot lock long released.
                 drop(stale);
             }
+            #[cfg(test)]
             Request::Panic => panic!("injected maintainer panic"),
             Request::Shutdown(reply) => {
                 let _ = reply.send(pipeline);
@@ -118,20 +104,17 @@ impl PipelineService {
     #[allow(clippy::expect_used)]
     pub fn start(pipeline: MaterializedPipeline) -> PipelineService {
         let snapshot = Arc::new(RwLock::new(Arc::new(pipeline.target().snapshot())));
-        let poisoned = Arc::new(AtomicBool::new(pipeline.is_poisoned()));
         let (tx, rx) = mpsc::channel();
         let handle = {
             let snapshot = Arc::clone(&snapshot);
-            let poisoned = Arc::clone(&poisoned);
             std::thread::Builder::new()
                 .name("morphase-maintainer".into())
-                .spawn(move || maintainer(Box::new(pipeline), rx, snapshot, poisoned))
+                .spawn(move || maintainer(Box::new(pipeline), rx, snapshot))
                 .expect("spawn maintainer thread")
         };
         PipelineService {
             tx: Some(tx),
             snapshot,
-            poisoned,
             handle: Some(handle),
         }
     }
@@ -152,20 +135,6 @@ impl PipelineService {
         tx.send(Request::Apply(batch, reply_tx))
             .map_err(|_| gone())?;
         reply_rx.recv().map_err(|_| gone())?
-    }
-
-    /// True once a maintainer-side failure poisoned the pipeline.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::SeqCst)
-    }
-
-    /// Test hook: make the maintainer thread panic. The next [`Self::apply`]
-    /// errors and [`Self::shutdown`] re-raises the panic.
-    #[doc(hidden)]
-    pub fn inject_panic(&self) {
-        if let Some(tx) = self.tx.as_ref() {
-            let _ = tx.send(Request::Panic);
-        }
     }
 
     /// Stop the maintainer and take the pipeline back. Re-raises the
@@ -206,6 +175,17 @@ mod tests {
     use crate::PipelineOptions;
     use wol_model::{ClassName, Value};
     use workloads::genome::{self, GenomeParams};
+    use workloads::traffic::{TrafficGen, TrafficWeights};
+
+    impl PipelineService {
+        /// Make the maintainer thread panic. The next [`Self::apply`] errors
+        /// and [`Self::shutdown`] re-raises the panic.
+        fn inject_panic(&self) {
+            if let Some(tx) = self.tx.as_ref() {
+                let _ = tx.send(Request::Panic);
+            }
+        }
+    }
 
     fn service() -> PipelineService {
         let program = genome::program();
@@ -332,8 +312,8 @@ mod tests {
         let err = service
             .apply(MutationBatch::new().insert(ClassName::new("NoSuchClass"), Value::int(1)));
         assert!(err.is_err());
-        assert!(!service.is_poisoned(), "validation failures do not poison");
-        service.shutdown().unwrap();
+        let pipeline = service.shutdown().unwrap();
+        assert!(!pipeline.is_poisoned(), "validation failures do not poison");
     }
 
     #[test]
@@ -352,7 +332,6 @@ mod tests {
         let before = service.snapshot();
         let err = service.apply(gen.violating_batch()).unwrap_err();
         assert!(matches!(err, MorphaseError::Verification(_)));
-        assert!(!service.is_poisoned(), "rejections do not poison");
         // No snapshot was published for the rejected batch.
         let after = service.snapshot();
         assert!(Arc::ptr_eq(&before, &after));
@@ -361,7 +340,35 @@ mod tests {
         assert!(report.constraints.is_some());
         assert!(!Arc::ptr_eq(&before, &service.snapshot()));
         let pipeline = service.shutdown().unwrap();
+        assert!(!pipeline.is_poisoned(), "rejections do not poison");
         assert_eq!(pipeline.stats().rejected_batches, 1);
         assert_eq!(pipeline.stats().batches, 1);
+    }
+
+    /// A maintainer panic mid-stream surfaces loudly: queued and later
+    /// requests error instead of hanging, and shutdown re-raises the panic.
+    #[test]
+    fn soak_maintainer_panics_propagate_instead_of_hanging() {
+        let params = GenomeParams::default();
+        let source = genome::generate_source(&params);
+        let service = service();
+        let mut gen = TrafficGen::new(&source, 5, TrafficWeights::in_place());
+        for _ in 0..10 {
+            service.apply(gen.next_batch(2)).expect("healthy applies");
+        }
+        service.inject_panic();
+        assert!(
+            service.apply(gen.next_batch(2)).is_err(),
+            "applies after a maintainer panic must error, not hang"
+        );
+        let snapshot = service.snapshot();
+        assert!(
+            !snapshot.populated_classes().is_empty(),
+            "the last published snapshot stays readable"
+        );
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = service.shutdown();
+        }));
+        assert!(panicked.is_err(), "shutdown must re-raise the panic");
     }
 }

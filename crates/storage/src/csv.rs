@@ -46,7 +46,7 @@ pub struct CsvField {
 
 impl CsvField {
     /// The model value this field denotes.
-    pub fn value(&self) -> Value {
+    pub(crate) fn value(&self) -> Value {
         if self.quoted {
             Value::str(&self.text)
         } else {
@@ -131,7 +131,7 @@ impl<'a> CsvReader<'a> {
     }
 
     /// The header's column names.
-    pub fn columns(&self) -> &[String] {
+    pub(crate) fn columns(&self) -> &[String] {
         &self.columns
     }
 
@@ -278,18 +278,6 @@ impl<'a> CsvReader<'a> {
 /// labelled `"<memory>"`; use [`parse_csv_from`] to attach a real file path.
 pub fn parse_csv(name: &str, text: &str) -> Result<Table> {
     parse_csv_from(name, "<memory>", text)
-}
-
-/// Read and parse a CSV file into a [`Table`] named after the file stem.
-/// I/O and parse errors both carry the file path.
-pub fn load_csv_file(path: &std::path::Path) -> Result<Table> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| StorageError::io(path.display().to_string(), e))?;
-    let name = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "csv".to_string());
-    parse_csv_from(&name, &path.display().to_string(), &text)
 }
 
 /// Parse CSV text into a [`Table`], attributing errors to `source` (a file
@@ -636,25 +624,5 @@ mod tests {
         assert!(reader.seek(text.len() + 1).is_err());
         reader.seek(text.len()).unwrap();
         assert!(reader.next_record().unwrap().is_none());
-    }
-
-    #[test]
-    fn load_csv_file_reads_and_attributes_errors_to_the_path() {
-        let dir = std::env::temp_dir().join(format!("wol-csv-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let good = dir.join("cities.csv");
-        std::fs::write(&good, CITIES).unwrap();
-        let table = load_csv_file(&good).unwrap();
-        assert_eq!(table.schema.name, "cities");
-        assert_eq!(table.len(), 2);
-
-        let bad = dir.join("short.csv");
-        std::fs::write(&bad, "a,b,c\n1,2\n").unwrap();
-        let err = load_csv_file(&bad).unwrap_err();
-        assert!(err.to_string().contains("short.csv"), "{err}");
-
-        let err = load_csv_file(&dir.join("absent.csv")).unwrap_err();
-        assert!(matches!(err, StorageError::Io { .. }), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

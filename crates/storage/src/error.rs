@@ -41,7 +41,7 @@ pub enum StorageError {
 
 impl StorageError {
     /// Construct a [`StorageError::Corrupt`] for line-oriented text input.
-    pub fn corrupt_at_line(
+    pub(crate) fn corrupt_at_line(
         path: impl Into<String>,
         line: usize,
         expected: impl Into<String>,
@@ -57,7 +57,7 @@ impl StorageError {
     }
 
     /// Construct a [`StorageError::Corrupt`] for binary input.
-    pub fn corrupt_at_offset(
+    pub(crate) fn corrupt_at_offset(
         path: impl Into<String>,
         offset: u64,
         expected: impl Into<String>,

@@ -12,7 +12,7 @@
 //! * [`relational`] — a flat table store (named columns, rows of base values)
 //!   with an adapter that loads tables into model [`Instance`]s and dumps
 //!   class extents back out to tables;
-//! * [`acedb`] — an ACeDB-like store of *tagged trees* ("tree-like structures
+//! * `acedb` — an ACeDB-like store of *tagged trees* ("tree-like structures
 //!   with object identities ... well suited for representing sparsely
 //!   populated data") with an importer that maps trees onto model instances
 //!   with optional attributes, plus a parser for a simplified `.ace` dump
@@ -107,7 +107,7 @@
 //! * Value tags (0x00..=0x0B), WAL record tags (0x01..=0x08), and every
 //!   field layout above are **frozen** for format version 1.
 //! * Adding a new WAL record tag or value tag, reordering fields, or
-//!   changing any width requires bumping [`persist::SNAPSHOT_VERSION`] (the
+//!   changing any width requires bumping `SNAPSHOT_VERSION` (the
 //!   WAL shares the snapshot's version: a snapshot at version *v* is only
 //!   ever paired with a WAL written by the same code).
 //! * Loaders must reject versions they do not know rather than guess.
@@ -154,17 +154,18 @@
     )
 )]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod acedb;
+mod acedb;
 pub mod csv;
-pub mod error;
+mod error;
 pub mod persist;
 pub mod provider;
 pub mod relational;
 
-pub use acedb::{AceObject, AceStore, AceValue};
+pub use acedb::{AceMapping, AceObject, AceStore, AceValue};
 pub use error::StorageError;
-pub use persist::{FaultKind, FaultPolicy, PipelineJournal, RecoveryReport};
+pub use persist::{FaultPolicy, PipelineJournal, RecoveryReport};
 pub use provider::{
     ingest_class, AceProvider, ClassStats, CsvDirProvider, IngestStats, PushOp, Pushdown,
     PushedFilter, RelationalProvider, ScanProvider, ScanSummary, DEFAULT_CHUNK_ROWS,
@@ -172,4 +173,4 @@ pub use provider::{
 pub use relational::{Column, ColumnType, Table, TableSchema};
 
 /// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, StorageError>;
+pub(crate) type Result<T> = std::result::Result<T, StorageError>;

@@ -12,7 +12,7 @@
 //! strictly ascending, and the reader rejects anything else (a repeated
 //! label, a descending one, a duplicate set element) as corrupt rather than
 //! silently keeping one of the duplicates. Labels and class names go through
-//! a [`NameTable`] keyed by their encoded bytes, so decoding takes the
+//! a `NameTable` keyed by their encoded bytes, so decoding takes the
 //! process-wide interner once per distinct name, not once per field — nor,
 //! with one table lent from record to record, once per WAL record.
 
@@ -187,7 +187,7 @@ pub fn put_value(out: &mut Vec<u8>, value: &Value) {
 /// [`ByteReader::into_names`] pass it on to the reader of the next slice of
 /// the same input.
 #[derive(Debug, Default)]
-pub struct NameTable<'a> {
+pub(crate) struct NameTable<'a> {
     labels: HashMap<&'a [u8], Label>,
     classes: HashMap<&'a [u8], ClassName>,
 }
@@ -210,7 +210,7 @@ impl<'a> ByteReader<'a> {
 
     /// A reader over `bytes` that starts from the names another reader of
     /// the same input has met.
-    pub fn with_names(bytes: &'a [u8], source: &str, names: NameTable<'a>) -> Self {
+    pub(crate) fn with_names(bytes: &'a [u8], source: &str, names: NameTable<'a>) -> Self {
         ByteReader {
             bytes,
             pos: 0,
@@ -220,12 +220,12 @@ impl<'a> ByteReader<'a> {
     }
 
     /// The names this reader has met, for the next reader of the input.
-    pub fn into_names(self) -> NameTable<'a> {
+    pub(crate) fn into_names(self) -> NameTable<'a> {
         self.names
     }
 
     /// Current byte offset from the start of the input.
-    pub fn pos(&self) -> usize {
+    pub(crate) fn pos(&self) -> usize {
         self.pos
     }
 
@@ -240,7 +240,11 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Build a corrupt-input error at the current offset.
-    pub fn corrupt(&self, expected: impl Into<String>, found: impl Into<String>) -> StorageError {
+    pub(crate) fn corrupt(
+        &self,
+        expected: impl Into<String>,
+        found: impl Into<String>,
+    ) -> StorageError {
         StorageError::corrupt_at_offset(&self.source, self.pos as u64, expected, found)
     }
 
@@ -280,7 +284,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64> {
+    pub(crate) fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
@@ -302,7 +306,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read a zigzag-encoded signed varint.
-    pub fn i64(&mut self) -> Result<i64> {
+    pub(crate) fn i64(&mut self) -> Result<i64> {
         let z = self.varint()?;
         Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
@@ -344,7 +348,7 @@ impl<'a> ByteReader<'a> {
 
     /// Read a class name: a length-prefixed UTF-8 string, interned on first
     /// sight.
-    pub fn class_name(&mut self) -> Result<ClassName> {
+    pub(crate) fn class_name(&mut self) -> Result<ClassName> {
         let bytes = self.str_bytes()?;
         if let Some(class) = self.names.classes.get(bytes) {
             return Ok(class.clone());
@@ -362,7 +366,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read a model value.
-    pub fn value(&mut self) -> Result<Value> {
+    pub(crate) fn value(&mut self) -> Result<Value> {
         self.value_at_depth(0)
     }
 

@@ -1,74 +1,39 @@
 //! Fault injection for the persistence layer.
 //!
-//! [`FaultyFile`] wraps any writer and simulates a crash or media fault at a
-//! configured byte offset: the write fails outright, tears mid-buffer, or
-//! silently flips a bit. It is threaded through the WAL and snapshot writers
-//! (which are generic over their sink), so the crash-matrix tests exercise the
-//! *real* encode-and-append paths rather than a mock. Read-side corruption is
-//! simpler — recovery reads whole files into memory — so it is modelled by
-//! the [`flip_byte`] / [`short_read`] helpers applied to the raw bytes.
+//! `FaultyFile` wraps any writer and simulates a crash at a configured byte
+//! offset: the write reaching it lands only the bytes before the offset, then
+//! fails. It is threaded through the WAL and snapshot writers (which are
+//! generic over their sink), so the crash-matrix tests exercise the *real*
+//! encode-and-append paths rather than a mock. Silent corruption is a
+//! read-side fault — recovery reads whole files into memory — so it is
+//! modelled by the [`flip_byte`] / [`short_read`] helpers applied to the raw
+//! bytes.
 
 use std::io::{self, Write};
 
-/// What goes wrong when the configured offset is reached.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The write call that would reach the offset fails without writing any
-    /// of its buffer — a crash at a write boundary.
-    FailWrite,
-    /// The write call lands the prefix of its buffer up to the offset, then
-    /// fails — a torn write (crash mid-`write`, partial sector).
-    TornWrite,
-    /// The byte at the offset is written with `mask` XORed in and the write
-    /// otherwise succeeds — silent media corruption the checksum must catch.
-    BitFlip {
-        /// Which bits to flip.
-        mask: u8,
-    },
-}
-
-/// A fault to inject: the kind and the absolute byte offset (counted over all
-/// bytes written through the shim) at which it triggers.
+/// A crash to inject: the write reaching byte `at` (counted over all bytes
+/// written through the shim) lands the bytes before `at`, and it and every
+/// later write fail — a torn write (crash mid-`write`, partial sector), or a
+/// crash at a write boundary when `at` is where a write starts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultPolicy {
-    /// The failure mode.
-    pub kind: FaultKind,
     /// Absolute byte offset at which the fault triggers.
     pub at: u64,
 }
 
 impl FaultPolicy {
-    /// Fail the write reaching byte `at` without writing anything.
-    pub fn fail_at(at: u64) -> Self {
-        FaultPolicy {
-            kind: FaultKind::FailWrite,
-            at,
-        }
-    }
-
     /// Tear the write reaching byte `at`: bytes before `at` land, the rest
     /// (and everything after) is lost.
     pub fn torn_at(at: u64) -> Self {
-        FaultPolicy {
-            kind: FaultKind::TornWrite,
-            at,
-        }
-    }
-
-    /// Flip `mask`'s bits in the byte written at offset `at`.
-    pub fn flip_at(at: u64, mask: u8) -> Self {
-        FaultPolicy {
-            kind: FaultKind::BitFlip { mask },
-            at,
-        }
+        FaultPolicy { at }
     }
 }
 
-/// A write shim injecting one configured fault (see [`FaultPolicy`]). After a
-/// `FailWrite`/`TornWrite` fires, every subsequent write fails too — the
-/// "process" that held the file has crashed.
+/// A write shim injecting one configured fault (see [`FaultPolicy`]). After
+/// the fault fires, every subsequent write fails too — the "process" that
+/// held the file has crashed.
 #[derive(Debug)]
-pub struct FaultyFile<W> {
+pub(crate) struct FaultyFile<W> {
     inner: W,
     written: u64,
     policy: Option<FaultPolicy>,
@@ -77,7 +42,7 @@ pub struct FaultyFile<W> {
 
 impl<W> FaultyFile<W> {
     /// Wrap `inner` with no fault configured (fully transparent).
-    pub fn new(inner: W) -> Self {
+    pub(crate) fn new(inner: W) -> Self {
         FaultyFile {
             inner,
             written: 0,
@@ -87,7 +52,7 @@ impl<W> FaultyFile<W> {
     }
 
     /// Wrap `inner` with a fault policy installed.
-    pub fn with_policy(inner: W, policy: FaultPolicy) -> Self {
+    pub(crate) fn with_policy(inner: W, policy: FaultPolicy) -> Self {
         FaultyFile {
             inner,
             written: 0,
@@ -96,18 +61,8 @@ impl<W> FaultyFile<W> {
         }
     }
 
-    /// Total bytes successfully written through the shim so far.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Unwrap the inner writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-
     /// The inner writer.
-    pub fn get_ref(&self) -> &W {
+    pub(crate) fn get_ref(&self) -> &W {
         &self.inner
     }
 
@@ -123,27 +78,13 @@ impl<W: Write> Write for FaultyFile<W> {
         }
         let end = self.written + buf.len() as u64;
         match self.policy {
-            Some(FaultPolicy { kind, at }) if self.written <= at && at < end => match kind {
-                FaultKind::FailWrite => {
-                    self.dead = true;
-                    Err(Self::crashed())
-                }
-                FaultKind::TornWrite => {
-                    let keep = (at - self.written) as usize;
-                    self.inner.write_all(&buf[..keep])?;
-                    self.written += keep as u64;
-                    self.dead = true;
-                    Err(Self::crashed())
-                }
-                FaultKind::BitFlip { mask } => {
-                    let mut corrupted = buf.to_vec();
-                    corrupted[(at - self.written) as usize] ^= mask;
-                    self.inner.write_all(&corrupted)?;
-                    self.written = end;
-                    self.policy = None;
-                    Ok(buf.len())
-                }
-            },
+            Some(FaultPolicy { at }) if self.written <= at && at < end => {
+                let keep = (at - self.written) as usize;
+                self.inner.write_all(&buf[..keep])?;
+                self.written += keep as u64;
+                self.dead = true;
+                Err(Self::crashed())
+            }
             _ => {
                 self.inner.write_all(buf)?;
                 self.written = end;
@@ -181,36 +122,27 @@ mod tests {
         f.write_all(b"hello ").unwrap();
         f.write_all(b"world").unwrap();
         f.flush().unwrap();
-        assert_eq!(f.written(), 11);
-        assert_eq!(f.into_inner(), b"hello world");
+        assert_eq!(f.written, 11);
+        assert_eq!(f.inner, b"hello world");
     }
 
     #[test]
-    fn fail_write_drops_the_whole_call_and_kills_the_file() {
-        let mut f = FaultyFile::with_policy(Vec::new(), FaultPolicy::fail_at(8));
+    fn a_fault_at_a_write_boundary_drops_the_whole_call_and_kills_the_file() {
+        let mut f = FaultyFile::with_policy(Vec::new(), FaultPolicy::torn_at(8));
         f.write_all(b"12345678").unwrap(); // bytes 0..8: before the fault
         assert!(f.write_all(b"abcd").is_err()); // would cover byte 8
         assert!(f.write_all(b"more").is_err()); // dead after the crash
         assert!(f.flush().is_err());
-        assert_eq!(f.written(), 8);
-        assert_eq!(f.into_inner(), b"12345678");
+        assert_eq!(f.written, 8);
+        assert_eq!(f.inner, b"12345678");
     }
 
     #[test]
     fn torn_write_lands_the_prefix() {
         let mut f = FaultyFile::with_policy(Vec::new(), FaultPolicy::torn_at(6));
         assert!(f.write_all(b"12345678").is_err());
-        assert_eq!(f.written(), 6);
-        assert_eq!(f.into_inner(), b"123456");
-    }
-
-    #[test]
-    fn bit_flip_corrupts_silently_and_once() {
-        let mut f = FaultyFile::with_policy(Vec::new(), FaultPolicy::flip_at(2, 0x01));
-        f.write_all(b"aaaa").unwrap();
-        f.write_all(b"aa").unwrap();
-        assert_eq!(f.written(), 6);
-        assert_eq!(f.into_inner(), b"aa\x60aaa");
+        assert_eq!(f.written, 6);
+        assert_eq!(f.inner, b"123456");
     }
 
     #[test]

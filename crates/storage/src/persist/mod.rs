@@ -20,7 +20,7 @@
 pub mod codec;
 pub mod fault;
 pub mod snapshot;
-pub mod wal;
+pub(crate) mod wal;
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -29,8 +29,9 @@ use std::path::{Path, PathBuf};
 
 use wol_model::{ClassName, Instance, Mutation, SkolemFactory, SkolemState};
 
-pub use fault::{FaultKind, FaultPolicy, FaultyFile};
-pub use snapshot::{PipelineMeta, SnapshotData, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use fault::FaultPolicy;
+pub(crate) use fault::FaultyFile;
+pub use snapshot::{PipelineMeta, SnapshotData};
 pub use wal::{replay_wal, TornTail, WalRecord, WalReplay, WalWriter};
 
 use crate::error::StorageError;

@@ -35,11 +35,11 @@ use crate::persist::fault::{FaultPolicy, FaultyFile};
 use crate::Result;
 
 /// The snapshot file magic.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"WOLSNAP\0";
+pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"WOLSNAP\0";
 
 /// Current snapshot format version. Bump when any field layout changes; the
 /// loader rejects versions it does not know.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub(crate) const SNAPSHOT_VERSION: u32 = 1;
 
 /// Durable-pipeline progress carried inside a snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

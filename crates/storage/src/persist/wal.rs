@@ -161,7 +161,7 @@ fn frame_record(out: &mut Vec<u8>, record: &WalRecord) {
 /// An appender writing committed batches to a sink.
 ///
 /// The sink is generic so the fault-injection shim
-/// ([`FaultyFile`](crate::persist::FaultyFile)) and in-memory buffers thread
+/// (`FaultyFile`) and in-memory buffers thread
 /// through the same code path as real files.
 #[derive(Debug)]
 pub struct WalWriter<W: Write> {
@@ -208,17 +208,17 @@ impl<W: Write> WalWriter<W> {
     }
 
     /// The sequence number the next committed batch will carry.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
     /// Byte offset at the end of the last committed batch.
-    pub fn offset(&self) -> u64 {
+    pub(crate) fn offset(&self) -> u64 {
         self.offset
     }
 
     /// Access the sink (for tests and fault-policy installation).
-    pub fn sink_mut(&mut self) -> &mut W {
+    pub(crate) fn sink_mut(&mut self) -> &mut W {
         &mut self.sink
     }
 
@@ -359,7 +359,7 @@ pub fn replay_wal(bytes: &[u8], source: &str, first_seq: u64) -> WalReplay {
 }
 
 /// Apply one replayed record to an instance and Skolem factory.
-pub fn apply_record(
+pub(crate) fn apply_record(
     record: &WalRecord,
     instance: &mut Instance,
     skolem: &mut SkolemFactory,
@@ -382,7 +382,7 @@ pub fn apply_record(
 
 /// Turn an applied [`Mutation`] (from [`Instance::take_mutation_log`]) into
 /// its WAL record.
-pub fn record_of_mutation(mutation: Mutation) -> WalRecord {
+pub(crate) fn record_of_mutation(mutation: Mutation) -> WalRecord {
     match mutation {
         Mutation::Insert(oid, value) => WalRecord::Insert(oid, value),
         Mutation::Update(oid, value) => WalRecord::Update(oid, value),

@@ -40,9 +40,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wol_model::histogram::SAMPLE_THRESHOLD;
-use wol_model::index::{value_hash, AttrIndex};
-use wol_model::{AttrHistogram, ClassName, Instance, Label, Oid, Record, Value};
+use wol_model::{
+    value_hash, AttrHistogram, AttrIndex, ClassName, Instance, Label, Oid, Record, Value,
+    SAMPLE_THRESHOLD,
+};
 
 use crate::acedb::{AceMapping, AceStore, AceValue};
 use crate::csv::{decode_checked, CsvReader};

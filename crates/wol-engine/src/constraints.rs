@@ -19,7 +19,7 @@
 //!   checking for mutation batches, with auditable
 //!   [`ConstraintCertificate`](incremental::ConstraintCertificate)s.
 
-pub mod incremental;
+pub(crate) mod incremental;
 
 use std::collections::BTreeMap;
 
@@ -45,41 +45,7 @@ pub struct ObjectKey {
     pub parts: Vec<(Label, Path)>,
 }
 
-impl ObjectKey {
-    /// A key consisting of a single attribute.
-    pub fn single(class: impl Into<ClassName>, attr: impl Into<String>) -> Self {
-        let attr = attr.into();
-        ObjectKey {
-            class: class.into(),
-            parts: vec![(Label::new(&attr), Path::parse(&attr))],
-        }
-    }
-
-    /// A key made of several labelled attribute paths.
-    pub fn composite<I, L, P>(class: impl Into<ClassName>, parts: I) -> Self
-    where
-        I: IntoIterator<Item = (L, P)>,
-        L: Into<Label>,
-        P: Into<Path>,
-    {
-        ObjectKey {
-            class: class.into(),
-            parts: parts
-                .into_iter()
-                .map(|(l, p)| (l.into(), p.into()))
-                .collect(),
-        }
-    }
-
-    /// The attribute labels that begin each key path (the attributes a clause
-    /// must provide to determine the key).
-    pub fn leading_attributes(&self) -> Vec<Label> {
-        self.parts
-            .iter()
-            .filter_map(|(_, p)| p.segments().first().cloned())
-            .collect()
-    }
-}
+impl ObjectKey {}
 
 /// How a constraint clause is classified for use by the engine.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -299,7 +265,7 @@ fn merge_key_parts(x: &str, y: &str, body: &[Atom]) -> Option<(ClassName, Vec<Pa
 /// Extract Skolem-style object keys (for the *target* side of a program) from
 /// a set of constraint clauses. Used to drive normalisation (Section 4.1: key
 /// constraints "must be combined ... to completely specify an object").
-pub fn extract_object_keys(clauses: &[&Clause]) -> BTreeMap<ClassName, ObjectKey> {
+pub(crate) fn extract_object_keys(clauses: &[&Clause]) -> BTreeMap<ClassName, ObjectKey> {
     let mut out = BTreeMap::new();
     for clause in clauses {
         if let ConstraintClass::SkolemKey(key) = classify_constraint(clause) {
@@ -311,7 +277,7 @@ pub fn extract_object_keys(clauses: &[&Clause]) -> BTreeMap<ClassName, ObjectKey
 
 /// Extract merge-style keys (for the *source* side) from a set of constraint
 /// clauses. Used by the optimiser (Section 4.2, Example 4.1).
-pub fn extract_merge_keys(clauses: &[&Clause]) -> BTreeMap<ClassName, Vec<Path>> {
+pub(crate) fn extract_merge_keys(clauses: &[&Clause]) -> BTreeMap<ClassName, Vec<Path>> {
     let mut out = BTreeMap::new();
     for clause in clauses {
         if let ConstraintClass::MergeKey { class, paths } = classify_constraint(clause) {
@@ -664,10 +630,6 @@ mod tests {
                 assert_eq!(key.parts.len(), 2);
                 assert_eq!(key.parts[0], ("name".into(), Path::parse("name")));
                 assert_eq!(key.parts[1], ("country".into(), Path::parse("country")));
-                assert_eq!(
-                    key.leading_attributes(),
-                    vec!["name".to_string(), "country".to_string()]
-                );
             }
             other => panic!("expected SkolemKey, got {other:?}"),
         }
@@ -708,15 +670,6 @@ mod tests {
             merge[&ClassName::new("CountryE")],
             vec![Path::parse("name")]
         );
-    }
-
-    #[test]
-    fn object_key_constructors() {
-        let single = ObjectKey::single("CountryT", "name");
-        assert_eq!(single.parts.len(), 1);
-        let composite =
-            ObjectKey::composite("CityT", [("name", "name"), ("country", "country.name")]);
-        assert_eq!(composite.parts[1].1, Path::parse("country.name"));
     }
 
     #[test]

@@ -87,9 +87,9 @@ use crate::error::EngineError;
 use crate::Result;
 
 /// Magic bytes opening an encoded certificate.
-pub const CERTIFICATE_MAGIC: &[u8; 8] = b"WOLCERT\0";
+pub(crate) const CERTIFICATE_MAGIC: &[u8; 8] = b"WOLCERT\0";
 /// Current certificate format version.
-pub const CERTIFICATE_VERSION: u32 = 1;
+pub(crate) const CERTIFICATE_VERSION: u32 = 1;
 
 /// How one constraint was validated against a batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -312,7 +312,7 @@ pub struct RecheckReport {
 
 /// What the incremental checker knows statically about one constraint.
 #[derive(Clone, Debug)]
-pub struct ConstraintAnalysis {
+pub(crate) struct ConstraintAnalysis {
     class: ConstraintClass,
     /// Body member atoms binding a plain variable: the delta seeds.
     body_members: Vec<(Var, ClassName)>,
@@ -361,7 +361,7 @@ fn walk_term(
 }
 
 /// Analyse one constraint clause for incremental checking.
-pub fn analyze_constraint(clause: &Clause) -> ConstraintAnalysis {
+pub(crate) fn analyze_constraint(clause: &Clause) -> ConstraintAnalysis {
     let class = classify_constraint(clause);
     let mut bound: BTreeMap<&Var, &ClassName> = BTreeMap::new();
     let mut body_members = Vec::new();

@@ -87,12 +87,12 @@ impl<'a> Databases<'a> {
     }
 
     /// The worker budget matching over this view may use.
-    pub fn parallelism(&self) -> Parallelism {
+    pub(crate) fn parallelism(&self) -> Parallelism {
         self.parallelism
     }
 
     /// Look up the value of an object identity in whichever instance holds it.
-    pub fn value_of(&self, oid: &Oid) -> Option<&'a Value> {
+    pub(crate) fn value_of(&self, oid: &Oid) -> Option<&'a Value> {
         self.instances.iter().find_map(|i| i.value(oid))
     }
 
@@ -105,13 +105,13 @@ impl<'a> Databases<'a> {
     }
 
     /// Total number of objects of `class` across all instances.
-    pub fn extent_size(&self, class: &ClassName) -> usize {
+    pub(crate) fn extent_size(&self, class: &ClassName) -> usize {
         self.instances.iter().map(|i| i.extent_size(class)).sum()
     }
 
     /// All identities of `class` whose attribute `attr` equals `value`,
     /// answered through each instance's lazily built attribute index.
-    pub fn lookup_by_attr(&self, class: &ClassName, attr: &str, value: &Value) -> Vec<Oid> {
+    pub(crate) fn lookup_by_attr(&self, class: &ClassName, attr: &str, value: &Value) -> Vec<Oid> {
         let mut out = Vec::new();
         for instance in &self.instances {
             out.extend(instance.lookup_by_attr(class, attr, value));
@@ -122,21 +122,6 @@ impl<'a> Databases<'a> {
     /// Whether `oid` is present in the extent of its class in any instance.
     pub fn contains(&self, oid: &Oid) -> bool {
         self.instances.iter().any(|i| i.contains(oid))
-    }
-
-    /// The instances visible to this view.
-    pub fn instances(&self) -> &[&'a Instance] {
-        &self.instances
-    }
-
-    /// Number of instances.
-    pub fn len(&self) -> usize {
-        self.instances.len()
-    }
-
-    /// True if there are no instances.
-    pub fn is_empty(&self) -> bool {
-        self.instances.is_empty()
     }
 }
 
@@ -159,13 +144,8 @@ impl Bindings {
     }
 
     /// The value bound to `var`, if any.
-    pub fn get(&self, var: &str) -> Option<&Value> {
+    pub(crate) fn get(&self, var: &str) -> Option<&Value> {
         self.map.get(var).map(|v| v.as_ref())
-    }
-
-    /// The shared handle bound to `var`, if any.
-    pub fn get_shared(&self, var: &str) -> Option<&SharedValue> {
-        self.map.get(var)
     }
 
     /// Whether `var` is bound.
@@ -174,33 +154,23 @@ impl Bindings {
     }
 
     /// Bind `var` to `value`, returning the previous handle if it was bound.
-    pub fn insert(&mut self, var: impl Into<Var>, value: Value) -> Option<SharedValue> {
+    pub(crate) fn insert(&mut self, var: impl Into<Var>, value: Value) -> Option<SharedValue> {
         self.map.insert(var.into(), value.shared())
     }
 
     /// Remove the binding of `var`.
-    pub fn remove(&mut self, var: &str) -> Option<SharedValue> {
+    pub(crate) fn remove(&mut self, var: &str) -> Option<SharedValue> {
         self.map.remove(var)
     }
 
     /// Iterate over `(variable, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&Var, &Value)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Var, &Value)> {
         self.map.iter().map(|(k, v)| (k, v.as_ref()))
     }
 
     /// The bound variables.
-    pub fn keys(&self) -> impl Iterator<Item = &Var> {
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &Var> {
         self.map.keys()
-    }
-
-    /// Number of bound variables.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if nothing is bound.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -234,7 +204,7 @@ pub struct MatchStats {
 
 impl MatchStats {
     /// Accumulate another stats value into this one.
-    pub fn absorb(&mut self, other: MatchStats) {
+    pub(crate) fn absorb(&mut self, other: MatchStats) {
         self.extents_scanned += other.extents_scanned;
         self.index_probes += other.index_probes;
         self.bindings_considered += other.bindings_considered;
@@ -935,7 +905,7 @@ fn dispatch<T: Sync, R: Send>(
 /// makes all `atoms` true against `dbs`, with the indexed plan-based matcher,
 /// accumulating [`MatchStats`].
 ///
-/// The worker budget is the view's ([`Databases::parallelism`]); it decides
+/// The worker budget is the view's (`Databases::parallelism`); it decides
 /// only how many chunks the plan's opening extent scan is matched in (see the
 /// module docs), never the binding list, its order, or the stats.
 pub fn match_body(
@@ -1227,8 +1197,6 @@ mod tests {
         assert!(dbs.value_of(&uk).is_some());
         assert!(dbs.value_of(&t).is_some());
         assert!(dbs.contains(&t));
-        assert_eq!(dbs.len(), 2);
-        assert!(!dbs.is_empty());
         assert_eq!(dbs.extent(&ClassName::new("CountryT")).len(), 1);
         assert_eq!(dbs.extent_size(&ClassName::new("CountryT")), 1);
         assert_eq!(
@@ -1502,7 +1470,7 @@ mod tests {
         let big = Value::set((0..100).map(Value::int));
         let mut bindings = Bindings::new();
         bindings.insert("S", big);
-        let shared = bindings.get_shared("S").unwrap().clone();
+        let shared = bindings.map.get("S").unwrap().clone();
         let copy = bindings.clone();
         // Three handles, one value.
         assert_eq!(std::sync::Arc::strong_count(&shared), 3);
@@ -1514,10 +1482,10 @@ mod tests {
     #[test]
     fn bindings_map_api_round_trips() {
         let mut bindings = Bindings::new();
-        assert!(bindings.is_empty());
+        assert!(bindings.map.is_empty());
         assert!(bindings.insert("X", Value::int(1)).is_none());
         assert!(bindings.contains_key("X"));
-        assert_eq!(bindings.len(), 1);
+        assert_eq!(bindings.map.len(), 1);
         assert_eq!(bindings.get("X"), Some(&Value::int(1)));
         let previous = bindings.insert("X", Value::int(2)).unwrap();
         assert_eq!(*previous, Value::int(1));

@@ -7,13 +7,6 @@ use std::fmt;
 pub enum EngineError {
     /// A term could not be evaluated (unbound variable, bad projection, ...).
     Eval(String),
-    /// A constraint is violated by the instance(s) being checked.
-    ConstraintViolated {
-        /// Label or index of the violated clause.
-        clause: String,
-        /// Description of the violating binding.
-        detail: String,
-    },
     /// One or more constraints are violated; carries the full violation list
     /// in the deterministic order produced by
     /// [`check_constraints`](crate::constraints::check_constraints).
@@ -49,9 +42,6 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::Eval(m) => write!(f, "evaluation error: {m}"),
-            EngineError::ConstraintViolated { clause, detail } => {
-                write!(f, "constraint {clause} violated: {detail}")
-            }
             EngineError::ConstraintsViolated { violations } => {
                 write!(f, "{} constraint violation(s):", violations.len())?;
                 for v in violations {
@@ -95,12 +85,6 @@ mod tests {
         assert!(EngineError::Eval("x".into())
             .to_string()
             .contains("evaluation"));
-        assert!(EngineError::ConstraintViolated {
-            clause: "C4".into(),
-            detail: "d".into()
-        }
-        .to_string()
-        .contains("C4"));
         let many = EngineError::ConstraintsViolated {
             violations: vec![
                 crate::constraints::Violation {

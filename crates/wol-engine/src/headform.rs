@@ -9,7 +9,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use wol_lang::ast::{Atom, Clause, SkolemArgs, Term, Var};
-use wol_lang::typecheck::TypeEnv;
+use wol_lang::TypeEnv;
 use wol_model::{ClassName, Label, Type};
 
 use crate::error::EngineError;
@@ -17,7 +17,7 @@ use crate::Result;
 
 /// The head's description of a single target object.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HeadObject {
+pub(crate) struct HeadObject {
     /// The head variable denoting the object.
     pub var: Var,
     /// The target class the object belongs to.
@@ -33,19 +33,12 @@ pub struct HeadObject {
 
 /// The result of analysing a clause head.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HeadAnalysis {
+pub(crate) struct HeadAnalysis {
     /// Objects described by the head, in order of first appearance.
     pub objects: Vec<HeadObject>,
     /// Head atoms that do not describe target objects (rare in transformation
     /// clauses; they are treated as additional conditions to verify).
     pub residual: Vec<Atom>,
-}
-
-impl HeadAnalysis {
-    /// Find the description of a particular object variable.
-    pub fn object(&self, var: &str) -> Option<&HeadObject> {
-        self.objects.iter().find(|o| o.var == var)
-    }
 }
 
 /// Is `ty` a class type belonging to the target?
@@ -61,7 +54,7 @@ fn target_class_of(ty: Option<&Type>, target_classes: &BTreeSet<ClassName>) -> O
 /// `env` is the clause's inferred type environment (from
 /// [`wol_lang::typecheck::check_clause_types`]) and `target_classes` the set of
 /// classes belonging to the target schema.
-pub fn analyze_head(
+pub(crate) fn analyze_head(
     clause: &Clause,
     env: &TypeEnv,
     target_classes: &BTreeSet<ClassName>,
@@ -200,6 +193,13 @@ fn head_equation(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl HeadAnalysis {
+        /// The description of a particular object variable.
+        fn object(&self, var: &str) -> Option<&HeadObject> {
+            self.objects.iter().find(|o| o.var == var)
+        }
+    }
     use wol_lang::{check_clause_types, parse_clause};
     use wol_model::Schema;
 

@@ -4,34 +4,35 @@
 //! composable analyses and rewrites over [`wol_lang`] programs and
 //! [`wol_model`] instances.
 //!
-//! * [`mod@env`] — evaluation: databases, bindings, term evaluation and the one
+//! * `env` — evaluation: databases, bindings, term evaluation and the one
 //!   body matcher. Its generate-and-test reference lives in the test-only
 //!   `wol-oracle` crate, beside the flat Datalog baseline.
-//! * [`constraints`] — constraint checking and constraint analysis (key
+//! * `constraints` — constraint checking and constraint analysis (key
 //!   extraction, classification).
 //! * [`snf`] — semi-normal form rewriting (Section 5).
-//! * [`headform`] — analysis of transformation-clause heads into partial
+//! * `headform` — analysis of transformation-clause heads into partial
 //!   object descriptions.
-//! * [`normalize`](mod@normalize) — normalisation by unify/unfold into normal-form clauses,
-//!   plus a single-pass executor for normal-form programs.
-//! * [`optimize`] — source-constraint-based simplification and unsatisfiable
+//! * [`normalize`](mod@normalize) — normalisation by unify/unfold into
+//!   normal-form clauses.
+//! * `optimize` — source-constraint-based simplification and unsatisfiable
 //!   clause pruning (Section 4.2).
-//! * [`semantics`] — the naive multi-pass evaluator (the strategy Section 5
+//! * `semantics` — the naive multi-pass evaluator (the strategy Section 5
 //!   argues is inefficient), used as reference semantics and baseline.
-//! * [`completeness`] — static completeness analysis (Section 3.2).
+//! * `completeness` — static completeness analysis (Section 3.2).
 //! * [`info_preserve`] — empirical information-preservation (injectivity)
 //!   checking (Section 4.3).
 //!
 //! # Threading
 //!
 //! The engine has one clause-body matcher ([`match_body`]) and one rule for
-//! threads; transformations, constraints, target verification and the naive
-//! oracle all go through both.
+//! threads; constraint checks (full and incremental), target verification
+//! and the naive oracle all go through both. Transformations do not: they
+//! compile to CPL.
 //!
 //! * **The budget is a value on [`Databases`].** A view reads the
 //!   environment (`WOL_THREADS`, else the available cores) once, when it is
 //!   built; a caller configured with a budget of its own — `morphase`'s
-//!   `PipelineOptions.parallelism`, [`NaiveOptions::parallelism`],
+//!   `PipelineOptions.parallelism`, `NaiveOptions::parallelism`,
 //!   [`check_batch`]'s argument — sets it with
 //!   [`Databases::with_parallelism`]. No match, binding or seed reads the
 //!   environment.
@@ -43,7 +44,7 @@
 //!   matcher. Skolem-bearing bodies split like any other.
 //! * **One fan-out.** Everything that splits work — the opening scan, the
 //!   semi-naive delta seeds, the batch checker's delta detection — cuts its
-//!   items into contiguous chunks through one helper in [`mod@env`], under
+//!   items into contiguous chunks through one helper in `env`, under
 //!   that rule: a single chunk runs on the calling thread; several run on the
 //!   shared worker pool with a fresh factory and counters each, results
 //!   concatenated, counters summed and factories folded into the caller's in
@@ -60,7 +61,7 @@
 //! [`check_constraints`] validates constraint clauses by full extent scans;
 //! [`enforce_constraints`] fails with the **full** violation list (clause
 //! order, then binding order) when any constraint is violated.
-//! [`constraints::incremental`] validates a mutation batch by examining only
+//! `constraints::incremental` validates a mutation batch by examining only
 //! the delta — read-set analysis decides per constraint whether to skip,
 //! probe the maintained attribute indexes / re-match seeded bindings, or
 //! re-check from scratch — with an output that is bit-identical to the full
@@ -112,35 +113,39 @@
     )
 )]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod completeness;
-pub mod constraints;
-pub mod env;
-pub mod error;
-pub mod headform;
+mod completeness;
+mod constraints;
+mod env;
+mod error;
+mod headform;
 pub mod info_preserve;
 pub mod normalize;
-pub mod optimize;
-pub mod rotation;
-pub mod semantics;
+mod optimize;
+mod rotation;
+mod semantics;
 pub mod snf;
 
 pub use completeness::{check_completeness, CompletenessReport};
 pub use constraints::incremental::{
-    analyze_constraint, check_batch, recheck, BatchCheck, CertEntry, CheckMode,
-    ConstraintCertificate, RecheckReport, CERTIFICATE_MAGIC, CERTIFICATE_VERSION,
+    check_batch, recheck, BatchCheck, CertEntry, CheckMode, ConstraintCertificate, RecheckReport,
 };
 pub use constraints::{
-    check_constraint, check_constraints, classify_constraint, enforce_constraints,
-    extract_merge_keys, extract_object_keys, ConstraintClass, ObjectKey, Violation,
+    check_constraint, check_constraints, classify_constraint, enforce_constraints, ConstraintClass,
+    ObjectKey, Violation,
 };
-pub use env::{eval_term, match_body, Bindings, Databases, MatchStats};
+pub use env::{
+    eval_skolem_key, eval_term, is_pattern, match_body, match_pattern, try_eval_term, Bindings,
+    Databases, MatchStats,
+};
 pub use error::EngineError;
 pub use info_preserve::{canonical_form, check_injective, instances_equivalent, InjectivityReport};
-pub use normalize::{execute, normalize, NormalClause, NormalProgram, NormalizeOptions};
+pub use normalize::{normalize, NormalClause, NormalProgram, NormalizeOptions};
+pub use optimize::fold_witnesses;
 pub use rotation::{delta_rotations, Rotation, Slot};
-pub use semantics::{naive_transform, naive_transform_with_report, NaiveOptions, NaiveReport};
-pub use snf::{program_to_snf, to_snf, SnfStats};
+pub use semantics::naive_transform;
+pub use snf::{program_to_snf, SnfStats};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, EngineError>;

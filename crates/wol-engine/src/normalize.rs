@@ -10,7 +10,7 @@
 //! The normaliser performs the unify/unfold rewriting the paper describes:
 //!
 //! 1. every transformation clause's head is analysed into partial object
-//!    descriptions ([`crate::headform`]);
+//!    descriptions (`crate::headform`);
 //! 2. target-class atoms in clause bodies are *unfolded* against the normal
 //!    form clauses of the classes they mention (in topological order of the
 //!    target-class dependency graph; cyclic programs are rejected, which is
@@ -24,17 +24,16 @@
 //!    the number of partial clauses, exactly the behaviour reported in the
 //!    paper's evaluation (Section 6);
 //! 5. source constraints are used to simplify the resulting clause bodies and
-//!    prune unsatisfiable clauses ([`crate::optimize`], Section 4.2).
+//!    prune unsatisfiable clauses (`crate::optimize`, Section 4.2).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use wol_lang::ast::{Atom, Clause, SkolemArgs, Term, Var};
+use wol_lang::check_clause_types;
 use wol_lang::program::Program;
-use wol_lang::typecheck::check_clause_types;
-use wol_model::{ClassName, Conflict, Instance, Label, ModelError, Record, SkolemFactory, Value};
+use wol_model::{ClassName, Label};
 
 use crate::constraints::{extract_merge_keys, extract_object_keys, ObjectKey};
-use crate::env::{eval_skolem_key, eval_term, match_body, Bindings, Databases, MatchStats};
 use crate::error::EngineError;
 use crate::headform::{analyze_head, HeadObject};
 use crate::optimize::{self, SourceKeys};
@@ -63,7 +62,7 @@ pub struct NormalClause {
 impl NormalClause {
     /// Size metric (atoms + attribute terms), used by the benchmark harness to
     /// report normal-form program size.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.body.iter().map(Atom::size).sum::<usize>()
             + self.attrs.values().map(Term::size).sum::<usize>()
             + self.key.terms().iter().map(|t| t.size()).sum::<usize>()
@@ -109,7 +108,7 @@ impl NormalProgram {
     }
 
     /// The clauses that create objects of a given class.
-    pub fn creating_clauses(&self, class: &ClassName) -> Vec<&NormalClause> {
+    pub(crate) fn creating_clauses(&self, class: &ClassName) -> Vec<&NormalClause> {
         self.clauses
             .iter()
             .filter(|c| &c.class == class && c.creates)
@@ -718,54 +717,6 @@ fn merge_subset(class: &ClassName, subset: &[&Partial]) -> Option<NormalClause> 
     })
 }
 
-/// Execute a normal-form program against the source databases in a single
-/// pass, producing the target instance. Objects are created and merged by
-/// their Skolem keys; clashing attribute values are an error (the program
-/// would not have a unique smallest transformation).
-pub fn execute(
-    normal: &NormalProgram,
-    sources: &[&Instance],
-    target_name: &str,
-) -> Result<Instance> {
-    let mut factory = SkolemFactory::new();
-    let mut target = Instance::new(target_name);
-    let dbs = Databases::new(sources);
-    for clause in &normal.clauses {
-        let bindings = match_body(
-            &clause.body,
-            &dbs,
-            &mut factory,
-            Bindings::new(),
-            &mut MatchStats::default(),
-        )?;
-        for binding in bindings {
-            let key_value = eval_skolem_key(&clause.key, &binding, &dbs, &mut factory)?;
-            let oid = factory.mk(&clause.class, &key_value)?;
-            let mut fields = Vec::with_capacity(clause.attrs.len());
-            for (label, term) in &clause.attrs {
-                fields.push((
-                    label.clone(),
-                    eval_term(term, &binding, &dbs, &mut factory)?,
-                ));
-            }
-            let mut record: Record = fields.into_iter().collect();
-            match target.value(&oid) {
-                None => target.insert(oid, Value::Record(record))?,
-                Some(existing) => {
-                    record.merge(existing.as_record()).map_err(|label| {
-                        ModelError::Conflict(Conflict {
-                            oid: oid.clone(),
-                            label,
-                        })
-                    })?;
-                    target.update(&oid, Value::Record(record))?;
-                }
-            }
-        }
-    }
-    Ok(target)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -840,41 +791,6 @@ mod tests {
         )
     }
 
-    fn euro_instance() -> Instance {
-        let mut inst = Instance::new("euro");
-        let uk = inst.insert_fresh(
-            &ClassName::new("CountryE"),
-            Value::record([
-                ("name", Value::str("United Kingdom")),
-                ("language", Value::str("English")),
-                ("currency", Value::str("sterling")),
-            ]),
-        );
-        let fr = inst.insert_fresh(
-            &ClassName::new("CountryE"),
-            Value::record([
-                ("name", Value::str("France")),
-                ("language", Value::str("French")),
-                ("currency", Value::str("franc")),
-            ]),
-        );
-        for (name, capital, country) in [
-            ("London", true, &uk),
-            ("Manchester", false, &uk),
-            ("Paris", true, &fr),
-        ] {
-            inst.insert_fresh(
-                &ClassName::new("CityE"),
-                Value::record([
-                    ("name", Value::str(name)),
-                    ("is_capital", Value::bool(capital)),
-                    ("country", Value::oid(country.clone())),
-                ]),
-            );
-        }
-        inst
-    }
-
     #[test]
     fn program_validates_and_normalizes() {
         let program = cities_program();
@@ -910,36 +826,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn execute_produces_figure_3_instance() {
-        let program = cities_program();
-        let normal = normalize(&program, &NormalizeOptions::default()).unwrap();
-        let source = euro_instance();
-        let target = execute(&normal, &[&source][..], "target").unwrap();
-
-        assert_eq!(target.extent_size(&ClassName::new("CountryT")), 2);
-        assert_eq!(target.extent_size(&ClassName::new("CityT")), 3);
-
-        // France's capital is Paris.
-        let france = target
-            .find_by_field(&ClassName::new("CountryT"), "name", &Value::str("France"))
-            .expect("France exists in the target");
-        let france_value = target.value(france).unwrap();
-        assert_eq!(france_value.project("currency"), Some(&Value::str("franc")));
-        let capital = france_value
-            .project("capital")
-            .and_then(|v| v.as_oid())
-            .expect("France has a capital");
-        let capital_value = target.value(capital).unwrap();
-        assert_eq!(capital_value.project("name"), Some(&Value::str("Paris")));
-
-        // Manchester exists but is nobody's capital.
-        let manchester = target
-            .find_by_field(&ClassName::new("CityT"), "name", &Value::str("Manchester"))
-            .expect("Manchester exists");
-        assert!(target.value(manchester).unwrap().project("place").is_some());
     }
 
     #[test]
@@ -985,34 +871,6 @@ mod tests {
         );
         let err = normalize(&program, &NormalizeOptions::default()).unwrap_err();
         assert!(err.to_string().contains("no clause creates them"));
-    }
-
-    #[test]
-    fn split_clauses_t4_t5_merge_through_keys() {
-        // Example 4.1: the CountryT description split over two clauses.
-        let program = Program::new(
-            "split",
-            vec![SchemaBinding::new(euro_schema())],
-            SchemaBinding::new(target_schema()),
-        )
-        .with_text(
-            "T4: X = Mk_CountryT(N), X.name = N, X.language = L <= Y in CountryE, Y.name = N, Y.language = L;\n\
-             T5: X = Mk_CountryT(N), X.name = N, X.currency = C <= Z in CountryE, Z.name = N, Z.currency = C;\n\
-             C3: Y = Mk_CountryT(N) <= Y in CountryT, N = Y.name;",
-        );
-        program.validate().unwrap();
-        let normal = normalize(&program, &NormalizeOptions::default()).unwrap();
-        assert_eq!(normal.len(), 2);
-        let source = euro_instance();
-        let target = execute(&normal, &[&source][..], "target").unwrap();
-        assert_eq!(target.extent_size(&ClassName::new("CountryT")), 2);
-        let france = target
-            .find_by_field(&ClassName::new("CountryT"), "name", &Value::str("France"))
-            .unwrap();
-        let value = target.value(france).unwrap();
-        // Both halves of the description reached the same object.
-        assert_eq!(value.project("language"), Some(&Value::str("French")));
-        assert_eq!(value.project("currency"), Some(&Value::str("franc")));
     }
 
     #[test]
@@ -1101,61 +959,5 @@ mod tests {
             assert!(rendered.contains("Mk_"));
             assert!(rendered.contains("<="));
         }
-    }
-
-    #[test]
-    fn source_constraint_optimisation_reduces_body_size() {
-        // Example 4.1: with the CountryE name key, the merged T4/T5 body can
-        // drop the self-join. We approximate by comparing the normal program
-        // with and without source-constraint optimisation on a program whose
-        // clause body contains the self-join explicitly.
-        let program = Program::new(
-            "selfjoin",
-            vec![SchemaBinding::new(euro_schema())],
-            SchemaBinding::new(target_schema()),
-        )
-        .with_text(
-            "T: X in CountryT, X.name = N, X.language = L, X.currency = C \
-                 <= Y in CountryE, Y.name = N, Y.language = L, Z in CountryE, Z.name = N, Z.currency = C;\n\
-             C3: Y = Mk_CountryT(N) <= Y in CountryT, N = Y.name;\n\
-             C8: X = Y <= X in CountryE, Y in CountryE, X.name = Y.name;",
-        );
-        let with_opt = normalize(&program, &NormalizeOptions::default()).unwrap();
-        let without_opt = normalize(
-            &program,
-            &NormalizeOptions {
-                use_source_constraints: false,
-                ..NormalizeOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(with_opt.size() < without_opt.size());
-        // Both still compute the same target.
-        let source = euro_instance();
-        let a = execute(&with_opt, &[&source][..], "t").unwrap();
-        let b = execute(&without_opt, &[&source][..], "t").unwrap();
-        assert_eq!(
-            a.extent_size(&ClassName::new("CountryT")),
-            b.extent_size(&ClassName::new("CountryT"))
-        );
-    }
-
-    #[test]
-    fn conflicting_attribute_values_detected_at_execution() {
-        // Two clauses give the same country different currencies.
-        let program = Program::new(
-            "conflict",
-            vec![SchemaBinding::new(euro_schema())],
-            SchemaBinding::new(target_schema()),
-        )
-        .with_text(
-            "T1: X in CountryT, X.name = E.name, X.currency = E.currency <= E in CountryE;\n\
-             T2: X in CountryT, X.name = E.name, X.currency = \"euro\" <= E in CountryE;\n\
-             C3: Y = Mk_CountryT(N) <= Y in CountryT, N = Y.name;",
-        );
-        let normal = normalize(&program, &NormalizeOptions::default()).unwrap();
-        let source = euro_instance();
-        let err = execute(&normal, &[&source][..], "t").unwrap_err();
-        assert!(err.to_string().contains("conflicting"));
     }
 }

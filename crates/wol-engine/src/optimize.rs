@@ -65,12 +65,15 @@ use crate::normalize::NormalClause;
 
 /// Source keys: for each source class, the attribute paths that jointly form a
 /// key (from merge-style key constraints such as clause (C8)).
-pub type SourceKeys = BTreeMap<ClassName, Vec<Path>>;
+pub(crate) type SourceKeys = BTreeMap<ClassName, Vec<Path>>;
 
 /// Optimise a normal clause: simplify its body with the given source keys and
 /// prune it entirely if the body is unsatisfiable. Returns `None` when the
 /// clause is pruned.
-pub fn optimize_clause(clause: NormalClause, source_keys: &SourceKeys) -> Option<NormalClause> {
+pub(crate) fn optimize_clause(
+    clause: NormalClause,
+    source_keys: &SourceKeys,
+) -> Option<NormalClause> {
     let mut body = Vec::with_capacity(clause.body.len());
     for atom in clause.body {
         match atom {
@@ -477,7 +480,7 @@ fn projects(term: &Term) -> bool {
 /// Detect bodies that can never be satisfied: a variable or attribute equated
 /// with two different constants, or two different constants equated directly
 /// (by the query language's comparison, [`PushOp::holds`]).
-pub fn body_unsatisfiable(body: &[Atom]) -> bool {
+pub(crate) fn body_unsatisfiable(body: &[Atom]) -> bool {
     let equal = |a: &Value, b: &Value| PushOp::Eq.holds(a.into(), b.into()) == Some(true);
     // Direct constant conflicts.
     for atom in body {

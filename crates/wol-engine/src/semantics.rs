@@ -27,8 +27,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use wol_lang::ast::{Atom, Term, Var};
+use wol_lang::check_clause_types;
 use wol_lang::program::Program;
-use wol_lang::typecheck::check_clause_types;
 use wol_model::{ClassName, Instance, Label, Oid, Parallelism, Record, SkolemFactory, Value};
 
 use crate::constraints::{extract_object_keys, ObjectKey};
@@ -41,7 +41,7 @@ use crate::Result;
 
 /// Options for the naive evaluator.
 #[derive(Clone, Copy, Debug)]
-pub struct NaiveOptions {
+pub(crate) struct NaiveOptions {
     /// Maximum number of passes over the clause set before giving up.
     pub max_passes: usize,
     /// Use semi-naive delta passes after the first full pass. Turning this
@@ -70,7 +70,7 @@ impl Default for NaiveOptions {
 
 /// Statistics about a naive evaluation run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NaiveReport {
+pub(crate) struct NaiveReport {
     /// Number of passes over the clause set until the fixpoint.
     pub passes: usize,
     /// Candidate bindings enumerated by body matching across all passes.
@@ -96,7 +96,7 @@ struct AnalysedClause {
 
 /// Apply the program's transformation clauses directly, repeatedly, until the
 /// target instance stops changing. Returns the target and run statistics.
-pub fn naive_transform_with_report(
+pub(crate) fn naive_transform_with_report(
     program: &Program,
     sources: &[&Instance],
     target_name: &str,
@@ -484,39 +484,6 @@ mod tests {
             target.value(&capital_oid).unwrap().project("name"),
             Some(&Value::str("Paris"))
         );
-    }
-
-    #[test]
-    fn naive_and_normalized_execution_agree() {
-        let program = cities_program();
-        let source = euro_instance();
-        let naive = naive_transform(&program, &[&source][..], "target").unwrap();
-        let normal =
-            crate::normalize::normalize(&program, &crate::normalize::NormalizeOptions::default())
-                .unwrap();
-        let compiled = crate::normalize::execute(&normal, &[&source][..], "target").unwrap();
-        for class in ["CountryT", "CityT"] {
-            assert_eq!(
-                naive.extent_size(&ClassName::new(class)),
-                compiled.extent_size(&ClassName::new(class)),
-                "extent sizes differ for {class}"
-            );
-        }
-        // Compare the multisets of country descriptions (names + currencies).
-        let describe = |inst: &Instance| {
-            let mut v: Vec<(Value, Value)> = inst
-                .objects(&ClassName::new("CountryT"))
-                .map(|(_, value)| {
-                    (
-                        value.project("name").cloned().unwrap(),
-                        value.project("currency").cloned().unwrap(),
-                    )
-                })
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(describe(&naive), describe(&compiled));
     }
 
     #[test]

@@ -25,18 +25,18 @@ use wol_model::{Label, Value};
 
 /// A generator of fresh variables used during flattening.
 #[derive(Debug, Default)]
-pub struct FreshVars {
+pub(crate) struct FreshVars {
     counter: usize,
 }
 
 impl FreshVars {
     /// Create a generator; fresh variables are named `_snf0`, `_snf1`, ...
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Produce a fresh variable name.
-    pub fn fresh(&mut self) -> Var {
+    pub(crate) fn fresh(&mut self) -> Var {
         let v = format!("_snf{}", self.counter);
         self.counter += 1;
         v
@@ -180,7 +180,7 @@ fn shallow_flatten(term: &Term, fresh: &mut FreshVars, out: &mut Vec<Atom>) -> T
 }
 
 /// Rewrite a clause into semi-normal form.
-pub fn to_snf(clause: &Clause) -> Clause {
+pub(crate) fn to_snf(clause: &Clause) -> Clause {
     let mut fresh = FreshVars::new();
     let mut head = Vec::new();
     for atom in &clause.head {
@@ -198,12 +198,15 @@ pub fn to_snf(clause: &Clause) -> Clause {
 }
 
 /// Rewrite a whole program's clauses into semi-normal form.
+///
+/// Kept only for the benchmark's frozen surface (ROADMAP item 1A).
 pub fn program_to_snf(clauses: &[Clause]) -> Vec<Clause> {
     clauses.iter().map(to_snf).collect()
 }
 
-/// Statistics comparing a clause before and after snf rewriting; used in the
-/// Morphase pipeline report.
+/// Statistics comparing a clause before and after snf rewriting.
+///
+/// Kept only for the benchmark's frozen surface (ROADMAP item 1A).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SnfStats {
     /// Atoms before rewriting.
@@ -215,6 +218,8 @@ pub struct SnfStats {
 }
 
 /// Compute snf statistics for a set of clauses.
+///
+/// Kept only for the benchmark's frozen surface (ROADMAP item 1A).
 pub fn snf_stats(before: &[Clause], after: &[Clause]) -> SnfStats {
     let atoms_before = before.iter().map(Clause::len).sum();
     let atoms_after = after.iter().map(Clause::len).sum();

@@ -19,12 +19,12 @@ pub struct ClauseId {
 
 impl ClauseId {
     /// A clause identified by position only.
-    pub fn new(index: usize) -> Self {
+    pub(crate) fn new(index: usize) -> Self {
         ClauseId { index, label: None }
     }
 
     /// A clause with a user-facing label.
-    pub fn labelled(index: usize, label: impl Into<String>) -> Self {
+    pub(crate) fn labelled(index: usize, label: impl Into<String>) -> Self {
         ClauseId {
             index,
             label: Some(label.into()),
@@ -61,19 +61,6 @@ impl SkolemArgs {
             SkolemArgs::Positional(ts) => ts.iter().collect(),
             SkolemArgs::Named(fs) => fs.iter().map(|(_, t)| t).collect(),
         }
-    }
-
-    /// Number of arguments.
-    pub fn len(&self) -> usize {
-        match self {
-            SkolemArgs::Positional(ts) => ts.len(),
-            SkolemArgs::Named(fs) => fs.len(),
-        }
-    }
-
-    /// True if there are no arguments.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Map a function over the argument terms, preserving the style.
@@ -113,17 +100,17 @@ impl Term {
     }
 
     /// A string constant.
-    pub fn str(s: impl Into<String>) -> Term {
+    pub(crate) fn str(s: impl Into<String>) -> Term {
         Term::Const(Value::Str(s.into()))
     }
 
     /// An integer constant.
-    pub fn int(i: i64) -> Term {
+    pub(crate) fn int(i: i64) -> Term {
         Term::Const(Value::Int(i))
     }
 
     /// A boolean constant.
-    pub fn bool(b: bool) -> Term {
+    pub(crate) fn bool(b: bool) -> Term {
         Term::Const(Value::Bool(b))
     }
 
@@ -167,20 +154,8 @@ impl Term {
         )
     }
 
-    /// A Skolem term with named arguments.
-    pub fn skolem_named<I, L>(class: impl Into<ClassName>, args: I) -> Term
-    where
-        I: IntoIterator<Item = (L, Term)>,
-        L: Into<Label>,
-    {
-        Term::Skolem(
-            class.into(),
-            SkolemArgs::Named(args.into_iter().map(|(l, t)| (l.into(), t)).collect()),
-        )
-    }
-
     /// Collect the free variables of the term.
-    pub fn variables(&self, out: &mut BTreeSet<Var>) {
+    pub(crate) fn variables(&self, out: &mut BTreeSet<Var>) {
         match self {
             Term::Var(v) => {
                 out.insert(v.clone());
@@ -198,11 +173,6 @@ impl Term {
         let mut out = BTreeSet::new();
         self.variables(&mut out);
         out
-    }
-
-    /// True if the term contains no variables.
-    pub fn is_ground(&self) -> bool {
-        self.var_set().is_empty()
     }
 
     /// If the term is a (possibly nested) projection off a variable, return
@@ -268,7 +238,7 @@ pub enum Atom {
 
 impl Atom {
     /// Collect the free variables of the atom.
-    pub fn variables(&self, out: &mut BTreeSet<Var>) {
+    pub(crate) fn variables(&self, out: &mut BTreeSet<Var>) {
         match self {
             Atom::Member(t, _) => t.variables(out),
             Atom::Eq(s, t)
@@ -303,7 +273,7 @@ impl Atom {
 
     /// The class names mentioned in this atom (membership classes and Skolem
     /// classes in either term).
-    pub fn mentioned_classes(&self) -> BTreeSet<ClassName> {
+    pub(crate) fn mentioned_classes(&self) -> BTreeSet<ClassName> {
         fn collect_term(t: &Term, out: &mut BTreeSet<ClassName>) {
             match t {
                 Term::Skolem(c, args) => {
@@ -392,17 +362,8 @@ impl Clause {
         out
     }
 
-    /// Variables appearing only in the head (existentially quantified).
-    pub fn head_only_variables(&self) -> BTreeSet<Var> {
-        let body = self.body_variables();
-        self.variables()
-            .into_iter()
-            .filter(|v| !body.contains(v))
-            .collect()
-    }
-
     /// Classes mentioned anywhere in the clause.
-    pub fn mentioned_classes(&self) -> BTreeSet<ClassName> {
+    pub(crate) fn mentioned_classes(&self) -> BTreeSet<ClassName> {
         let mut out = BTreeSet::new();
         for a in self.head.iter().chain(self.body.iter()) {
             out.extend(a.mentioned_classes());
@@ -411,7 +372,7 @@ impl Clause {
     }
 
     /// Classes mentioned in the head.
-    pub fn head_classes(&self) -> BTreeSet<ClassName> {
+    pub(crate) fn head_classes(&self) -> BTreeSet<ClassName> {
         let mut out = BTreeSet::new();
         for a in &self.head {
             out.extend(a.mentioned_classes());
@@ -429,7 +390,7 @@ impl Clause {
     }
 
     /// Apply a substitution to every atom of the clause.
-    pub fn substitute(&self, subst: &std::collections::BTreeMap<Var, Term>) -> Clause {
+    pub(crate) fn substitute(&self, subst: &std::collections::BTreeMap<Var, Term>) -> Clause {
         Clause {
             head: self.head.iter().map(|a| a.substitute(subst)).collect(),
             body: self.body.iter().map(|a| a.substitute(subst)).collect(),
@@ -459,15 +420,6 @@ impl Clause {
     /// True if the clause has no atoms at all.
     pub fn is_empty(&self) -> bool {
         self.head.is_empty() && self.body.is_empty()
-    }
-
-    /// Size metric: sum of atom sizes.
-    pub fn size(&self) -> usize {
-        self.head
-            .iter()
-            .chain(self.body.iter())
-            .map(Atom::size)
-            .sum()
     }
 }
 
@@ -513,20 +465,8 @@ mod tests {
         assert!(vars.contains("Y"));
         assert_eq!(vars.len(), 2);
         assert_eq!(c.body_variables().len(), 2);
-        assert!(c.head_only_variables().is_empty());
         assert_eq!(c.len(), 3);
         assert!(!c.is_empty());
-        assert!(c.size() > 3);
-    }
-
-    #[test]
-    fn head_only_variables_detected() {
-        // head introduces Z which does not occur in the body
-        let c = Clause::new(
-            vec![Atom::Eq(Term::var("Z"), Term::var("X").proj("name"))],
-            vec![Atom::Member(Term::var("X"), ClassName::new("CityE"))],
-        );
-        assert_eq!(c.head_only_variables(), BTreeSet::from(["Z".to_string()]));
     }
 
     #[test]
@@ -576,17 +516,18 @@ mod tests {
     #[test]
     fn skolem_args_styles() {
         let positional = Term::skolem("CountryT", [Term::var("N")]);
-        let named = Term::skolem_named(
-            "CityT",
-            [("name", Term::var("N")), ("country", Term::var("C"))],
+        let named = Term::Skolem(
+            ClassName::new("CityT"),
+            SkolemArgs::Named(vec![
+                ("name".into(), Term::var("N")),
+                ("country".into(), Term::var("C")),
+            ]),
         );
         match (&positional, &named) {
             (Term::Skolem(c1, a1), Term::Skolem(c2, a2)) => {
                 assert_eq!(c1, &ClassName::new("CountryT"));
                 assert_eq!(c2, &ClassName::new("CityT"));
-                assert_eq!(a1.len(), 1);
-                assert_eq!(a2.len(), 2);
-                assert!(!a1.is_empty());
+                assert_eq!(a1.terms().len(), 1);
                 assert_eq!(a2.terms().len(), 2);
             }
             _ => panic!("expected skolem terms"),
@@ -597,13 +538,6 @@ mod tests {
     fn clause_id_describe() {
         assert_eq!(ClauseId::new(3).describe(), "#3");
         assert_eq!(ClauseId::labelled(3, "T1").describe(), "T1 (#3)");
-    }
-
-    #[test]
-    fn ground_terms() {
-        assert!(Term::str("x").is_ground());
-        assert!(!Term::var("X").is_ground());
-        assert!(Term::record([("a", Term::int(1))]).is_ground());
     }
 
     #[test]

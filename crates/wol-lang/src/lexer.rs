@@ -11,7 +11,7 @@ use crate::Result;
 
 /// Tokenise the input, returning the tokens with their byte offsets.
 /// A trailing [`Token::Eof`] is always appended.
-pub fn lex(input: &str) -> Result<Vec<Spanned>> {
+pub(crate) fn lex(input: &str) -> Result<Vec<Spanned>> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0usize;

@@ -11,10 +11,10 @@
 //! This crate provides:
 //!
 //! * the abstract syntax ([`ast`]),
-//! * a concrete textual syntax with a lexer ([`lexer`]) and parser ([`parser`]),
-//! * a pretty printer ([`pretty`]) that renders clauses back in that syntax,
+//! * a concrete textual syntax with a lexer (`lexer`) and parser (`parser`),
+//! * a pretty printer (`pretty`) that renders clauses back in that syntax,
 //! * the two well-formedness analyses the paper requires of clauses:
-//!   **well-typedness** ([`typecheck`]) and **range-restriction** ([`range`]),
+//!   **well-typedness** (`typecheck`) and **range-restriction** (`range`),
 //! * program-level structure and classification of clauses into constraints and
 //!   transformation clauses ([`program`]).
 //!
@@ -45,24 +45,25 @@
     )
 )]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod ast;
-pub mod error;
-pub mod lexer;
-pub mod parser;
-pub mod pretty;
+mod error;
+mod lexer;
+mod parser;
+mod pretty;
 pub mod program;
-pub mod range;
-pub mod token;
-pub mod typecheck;
+mod range;
+mod token;
+mod typecheck;
 
 pub use ast::{Atom, Clause, ClauseId, SkolemArgs, Term, Var};
 pub use error::LangError;
 pub use parser::{parse_clause, parse_program};
 pub use pretty::{render_atom, render_clause, render_program, render_term};
-pub use program::{ClauseKind, ClauseRole, Program, SchemaBinding};
+pub use program::{ClauseRole, Program, SchemaBinding};
 pub use range::check_range_restricted;
 pub use typecheck::{check_clause_types, TypeEnv};
 
 /// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, LangError>;
+pub(crate) type Result<T> = std::result::Result<T, LangError>;

@@ -409,9 +409,12 @@ mod tests {
             c.head[0],
             Atom::Eq(
                 Term::var("X"),
-                Term::skolem_named(
-                    "CityT",
-                    [("name", Term::var("N")), ("country", Term::var("C"))]
+                Term::Skolem(
+                    ClassName::new("CityT"),
+                    SkolemArgs::Named(vec![
+                        ("name".into(), Term::var("N")),
+                        ("country".into(), Term::var("C")),
+                    ])
                 )
             )
         );

@@ -5,8 +5,8 @@
 //! (Section 3.2). A [`Program`] packages the clauses together with the source
 //! schema(s), the target schema and their key specifications, classifies each
 //! clause (source constraint, target constraint, or transformation clause),
-//! and runs the well-formedness checks of [`crate::typecheck`] and
-//! [`crate::range`] over every clause.
+//! and runs the well-formedness checks of `crate::typecheck` and
+//! `crate::range` over every clause.
 
 use std::collections::BTreeSet;
 
@@ -19,16 +19,7 @@ use crate::range::check_range_restricted;
 use crate::typecheck::check_clause_types;
 use crate::Result;
 
-/// Whether a clause is a constraint or a transformation clause.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ClauseKind {
-    /// The clause constrains one database.
-    Constraint,
-    /// The clause relates source and target databases.
-    Transformation,
-}
-
-/// The finer classification used by the Morphase pipeline.
+/// How the Morphase pipeline classifies a clause.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ClauseRole {
     /// A constraint mentioning only source classes.
@@ -39,16 +30,6 @@ pub enum ClauseRole {
     /// A clause mentioning target classes in its head and (possibly) both
     /// source and target classes in its body: a transformation clause.
     Transformation,
-}
-
-impl ClauseRole {
-    /// Collapse to the two-way classification of the paper.
-    pub fn kind(self) -> ClauseKind {
-        match self {
-            ClauseRole::SourceConstraint | ClauseRole::TargetConstraint => ClauseKind::Constraint,
-            ClauseRole::Transformation => ClauseKind::Transformation,
-        }
-    }
 }
 
 /// A schema together with its (possibly empty) key specification.
@@ -128,14 +109,6 @@ impl Program {
     pub fn with_text(mut self, text: &str) -> Self {
         self.add_text(text).expect("program text must parse");
         self
-    }
-
-    /// All source class names (across all source schemas).
-    pub fn source_classes(&self) -> BTreeSet<ClassName> {
-        self.sources
-            .iter()
-            .flat_map(|b| b.schema.class_names())
-            .collect()
     }
 
     /// All target class names.
@@ -264,37 +237,6 @@ impl Program {
         }
         Ok(())
     }
-
-    /// Simple size statistics used by the benchmark harness.
-    pub fn stats(&self) -> ProgramStats {
-        let transformation = self
-            .clauses
-            .iter()
-            .filter(|c| self.classify(c) == ClauseRole::Transformation)
-            .count();
-        ProgramStats {
-            clauses: self.clauses.len(),
-            transformation_clauses: transformation,
-            constraints: self.clauses.len() - transformation,
-            atoms: self.clauses.iter().map(Clause::len).sum(),
-            term_nodes: self.clauses.iter().map(Clause::size).sum(),
-        }
-    }
-}
-
-/// Size statistics of a program.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProgramStats {
-    /// Number of clauses.
-    pub clauses: usize,
-    /// Number of transformation clauses.
-    pub transformation_clauses: usize,
-    /// Number of constraint clauses.
-    pub constraints: usize,
-    /// Total number of atoms.
-    pub atoms: usize,
-    /// Total number of term nodes.
-    pub term_nodes: usize,
 }
 
 #[cfg(test)]
@@ -371,11 +313,6 @@ mod tests {
         assert_eq!(p.transformation_clauses().len(), 2);
         assert_eq!(p.source_constraints().len(), 1);
         assert_eq!(p.target_constraints().len(), 1);
-        assert_eq!(
-            ClauseRole::Transformation.kind(),
-            ClauseKind::Transformation
-        );
-        assert_eq!(ClauseRole::SourceConstraint.kind(), ClauseKind::Constraint);
     }
 
     #[test]
@@ -412,20 +349,8 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_clauses_and_atoms() {
-        let p = sample_program();
-        let stats = p.stats();
-        assert_eq!(stats.clauses, 4);
-        assert_eq!(stats.transformation_clauses, 2);
-        assert_eq!(stats.constraints, 2);
-        assert!(stats.atoms >= 12);
-        assert!(stats.term_nodes > stats.atoms);
-    }
-
-    #[test]
     fn source_and_target_classes() {
         let p = sample_program();
-        assert!(p.source_classes().contains(&ClassName::new("CityE")));
         assert!(p.target_classes().contains(&ClassName::new("CountryT")));
         assert_eq!(p.schemas().len(), 2);
     }

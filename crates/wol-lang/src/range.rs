@@ -41,7 +41,7 @@ pub struct RangeReport {
 
 impl RangeReport {
     /// True if every variable of the clause is bound.
-    pub fn is_range_restricted(&self) -> bool {
+    pub(crate) fn is_range_restricted(&self) -> bool {
         self.unbound.is_empty()
     }
 }
@@ -107,7 +107,7 @@ fn fixpoint(atoms: &[Atom], bound: &mut BTreeSet<Var>) {
 }
 
 /// Run the binding analysis and return the full report.
-pub fn analyse(clause: &Clause) -> RangeReport {
+pub(crate) fn analyse(clause: &Clause) -> RangeReport {
     let mut bound = BTreeSet::new();
     fixpoint(&clause.body, &mut bound);
     let bound_in_body = bound.clone();

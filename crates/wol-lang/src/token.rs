@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A lexical token.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// An identifier: a variable, class name, attribute label, or the prefix
     /// of a Skolem (`Mk_...`) or variant-injection (`ins_...`) term.
     Ident(String),
@@ -77,7 +77,7 @@ impl fmt::Display for Token {
 
 /// A token together with the byte offset where it starts.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Spanned {
+pub(crate) struct Spanned {
     /// The token.
     pub token: Token,
     /// Byte offset in the source text.

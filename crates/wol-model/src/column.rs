@@ -77,7 +77,7 @@ pub const CHUNK_ROWS: usize = 1024;
 
 /// The shared, append-only string dictionary of an instance's columnar cache.
 #[derive(Debug)]
-pub struct StringInterner {
+pub(crate) struct StringInterner {
     strings: Vec<Arc<str>>,
     codes: HashMap<Arc<str>, u32>,
     limit: usize,
@@ -94,13 +94,13 @@ impl Default for StringInterner {
 
 impl StringInterner {
     /// An interner with the default capacity (`u32::MAX` distinct strings).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_limit(u32::MAX as usize)
     }
 
     /// An interner holding at most `limit` distinct strings. Tests use tiny
     /// limits to exercise the dictionary-overflow fallback.
-    pub fn with_limit(limit: usize) -> Self {
+    pub(crate) fn with_limit(limit: usize) -> Self {
         StringInterner {
             strings: Vec::new(),
             codes: HashMap::new(),
@@ -111,7 +111,7 @@ impl StringInterner {
 
     /// The code of `s`, interning it if new. `None` when the table is full —
     /// the caller falls back to a boxed column.
-    pub fn intern(&mut self, s: &str) -> Option<u32> {
+    pub(crate) fn intern(&mut self, s: &str) -> Option<u32> {
         if let Some(&code) = self.codes.get(s) {
             return Some(code);
         }
@@ -127,71 +127,45 @@ impl StringInterner {
     }
 
     /// The code of `s` if it is already interned (no insertion).
-    pub fn code_of(&self, s: &str) -> Option<u32> {
+    pub(crate) fn code_of(&self, s: &str) -> Option<u32> {
         self.codes.get(s).copied()
-    }
-
-    /// The string behind a code.
-    pub fn resolve(&self, code: u32) -> Option<&Arc<str>> {
-        self.strings.get(code as usize)
     }
 
     /// An immutable snapshot of the dictionary (code → string), cached so
     /// repeated snapshots after the same appends are O(1) `Arc` clones.
-    pub fn snapshot(&mut self) -> Arc<Vec<Arc<str>>> {
+    pub(crate) fn snapshot(&mut self) -> Arc<Vec<Arc<str>>> {
         let strings = &self.strings;
         Arc::clone(
             self.snapshot
                 .get_or_insert_with(|| Arc::new(strings.clone())),
         )
     }
-
-    /// Number of interned strings.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// True if nothing is interned.
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
 }
 
 /// A packed row bitmap (one bit per row of a chunk).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Bitmap {
+pub(crate) struct Bitmap {
     words: Vec<u64>,
-    ones: usize,
 }
 
 impl Bitmap {
     /// An all-zero bitmap covering `len` rows.
-    pub fn new(len: usize) -> Self {
+    pub(crate) fn new(len: usize) -> Self {
         Bitmap {
             words: vec![0; len.div_ceil(64)],
-            ones: 0,
         }
     }
 
     /// Set bit `i`.
-    pub fn set(&mut self, i: usize) {
-        let (word, bit) = (i / 64, i % 64);
-        if self.words[word] & (1 << bit) == 0 {
-            self.words[word] |= 1 << bit;
-            self.ones += 1;
-        }
+    pub(crate) fn set(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
     }
 
     /// Whether bit `i` is set.
-    pub fn get(&self, i: usize) -> bool {
+    pub(crate) fn get(&self, i: usize) -> bool {
         self.words
             .get(i / 64)
             .is_some_and(|w| w & (1 << (i % 64)) != 0)
-    }
-
-    /// Number of set bits.
-    pub fn count(&self) -> usize {
-        self.ones
     }
 }
 
@@ -204,7 +178,7 @@ pub enum ColumnKind {
     Real,
     /// Dense `bool` vector.
     Bool,
-    /// Dictionary codes into the shared [`StringInterner`].
+    /// Dictionary codes into the shared `StringInterner`.
     Str,
     /// Dense object-identity vector.
     Oid,
@@ -229,43 +203,16 @@ pub enum ColumnData {
     Boxed(Vec<Value>),
 }
 
-impl ColumnData {
-    fn len(&self) -> usize {
-        match self {
-            ColumnData::Int(v) => v.len(),
-            ColumnData::Real(v) => v.len(),
-            ColumnData::Bool(v) => v.len(),
-            ColumnData::Str(v) => v.len(),
-            ColumnData::Oid(v) => v.len(),
-            ColumnData::Boxed(v) => v.len(),
-        }
-    }
-}
+impl ColumnData {}
 
 /// A fixed-size run of one attribute's cells (see [`CHUNK_ROWS`]).
 #[derive(Clone, Debug)]
 pub struct ColumnChunk {
-    base: usize,
     data: ColumnData,
     missing: Option<Bitmap>,
 }
 
 impl ColumnChunk {
-    /// Global row position of this chunk's first cell.
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
-    /// Rows in this chunk.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True if the chunk holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The typed cell storage.
     pub fn data(&self) -> &ColumnData {
         &self.data
@@ -275,11 +222,6 @@ impl ColumnChunk {
     /// object does not carry the attribute).
     pub fn is_missing(&self, local: usize) -> bool {
         self.missing.as_ref().is_some_and(|b| b.get(local))
-    }
-
-    /// Number of missing cells in this chunk.
-    pub fn missing_count(&self) -> usize {
-        self.missing.as_ref().map_or(0, Bitmap::count)
     }
 }
 
@@ -298,7 +240,7 @@ impl AttrColumn {
     /// does not carry the attribute). Strings are interned into `interner`;
     /// mixed-kind, nested, all-missing, and dictionary-overflow inputs fall
     /// back to the boxed layout.
-    pub fn build(values: &[Option<&Value>], interner: &mut StringInterner) -> AttrColumn {
+    pub(crate) fn build(values: &[Option<&Value>], interner: &mut StringInterner) -> AttrColumn {
         let rows = values.len();
         let present = values.iter().flatten().count();
         let kind = Self::classify(values);
@@ -403,11 +345,6 @@ impl AttrColumn {
         self.present
     }
 
-    /// The chunks, in row order.
-    pub fn chunks(&self) -> &[ColumnChunk] {
-        &self.chunks
-    }
-
     /// The chunk holding global row `row`, with the chunk-local position.
     #[inline]
     pub fn locate(&self, row: usize) -> (&ColumnChunk, usize) {
@@ -416,7 +353,7 @@ impl AttrColumn {
 
     /// Materialise the cell at global row `row` back into a row-major
     /// [`Value`], resolving dictionary codes through `dict` (a
-    /// [`StringInterner::snapshot`]). `None` when the cell is missing. The
+    /// `StringInterner::snapshot`). `None` when the cell is missing. The
     /// result is bit-identical to the value the row-major projection holds.
     pub fn value_at(&self, row: usize, dict: &[Arc<str>]) -> Option<Value> {
         let (chunk, local) = self.locate(row);
@@ -444,7 +381,7 @@ fn typed_chunks<T>(
     placeholder: impl Fn() -> T,
 ) -> Option<Vec<ColumnChunk>> {
     let mut chunks = Vec::with_capacity(values.len().div_ceil(CHUNK_ROWS));
-    for (ci, block) in values.chunks(CHUNK_ROWS).enumerate() {
+    for block in values.chunks(CHUNK_ROWS) {
         let mut data = Vec::with_capacity(block.len());
         let mut missing: Option<Bitmap> = None;
         for (i, cell) in block.iter().enumerate() {
@@ -459,7 +396,6 @@ fn typed_chunks<T>(
             }
         }
         chunks.push(ColumnChunk {
-            base: ci * CHUNK_ROWS,
             data: wrap(data),
             missing,
         });
@@ -469,7 +405,7 @@ fn typed_chunks<T>(
 
 fn boxed_chunks(values: &[Option<&Value>]) -> Vec<ColumnChunk> {
     let mut chunks = Vec::with_capacity(values.len().div_ceil(CHUNK_ROWS));
-    for (ci, block) in values.chunks(CHUNK_ROWS).enumerate() {
+    for block in values.chunks(CHUNK_ROWS) {
         let mut data = Vec::with_capacity(block.len());
         let mut missing: Option<Bitmap> = None;
         for (i, cell) in block.iter().enumerate() {
@@ -484,7 +420,6 @@ fn boxed_chunks(values: &[Option<&Value>]) -> Vec<ColumnChunk> {
             }
         }
         chunks.push(ColumnChunk {
-            base: ci * CHUNK_ROWS,
             data: ColumnData::Boxed(data),
             missing,
         });
@@ -509,7 +444,7 @@ mod tests {
         let (col, _) = build(&[]);
         assert_eq!(col.rows(), 0);
         assert_eq!(col.present(), 0);
-        assert!(col.chunks().is_empty());
+        assert!(col.chunks.is_empty());
         assert_eq!(col.kind(), ColumnKind::Boxed);
     }
 
@@ -521,7 +456,7 @@ mod tests {
         let (col, mut interner) = build(&values);
         assert_eq!(col.kind(), ColumnKind::Int);
         assert_eq!(col.rows(), 3000);
-        assert_eq!(col.chunks().len(), 3); // 1024-row chunks
+        assert_eq!(col.chunks.len(), 3); // 1024-row chunks
         assert_eq!(col.present(), values.iter().flatten().count());
         let dict = interner.snapshot();
         for (i, v) in values.iter().enumerate() {
@@ -557,15 +492,15 @@ mod tests {
         ];
         let (col, mut interner) = build(&values);
         assert_eq!(col.kind(), ColumnKind::Str);
-        assert_eq!(interner.len(), 2);
+        assert_eq!(interner.strings.len(), 2);
         assert_eq!(interner.code_of("hot"), Some(0));
         assert_eq!(interner.code_of("cold"), Some(1));
         assert_eq!(interner.code_of("absent"), None);
-        let ColumnData::Str(codes) = col.chunks()[0].data() else {
+        let ColumnData::Str(codes) = col.chunks[0].data() else {
             panic!("expected dictionary codes");
         };
         assert_eq!(codes, &[0, 1, 0, 0]);
-        assert!(col.chunks()[0].is_missing(3));
+        assert!(col.chunks[0].is_missing(3));
         let dict = interner.snapshot();
         assert_eq!(col.value_at(0, &dict), Some(Value::str("hot")));
         assert_eq!(col.value_at(3, &dict), None);
@@ -607,7 +542,6 @@ mod tests {
         let (col, mut interner) = build(&values);
         assert_eq!(col.kind(), ColumnKind::Boxed);
         assert_eq!(col.present(), 0);
-        assert_eq!(col.chunks()[0].missing_count(), 10);
         let dict = interner.snapshot();
         for i in 0..10 {
             assert_eq!(col.value_at(i, &dict), None);
@@ -647,7 +581,6 @@ mod tests {
         b.set(0);
         b.set(69);
         b.set(69); // idempotent
-        assert_eq!(b.count(), 2);
         assert!(b.get(0) && b.get(69) && !b.get(1));
         assert!(!b.get(1000)); // out of range reads as unset
     }

@@ -7,7 +7,6 @@
 use std::fmt::Write as _;
 
 use crate::instance::Instance;
-use crate::schema::Schema;
 use crate::types::Type;
 use crate::values::Value;
 
@@ -133,17 +132,6 @@ fn write_value(out: &mut String, value: &Value) {
     }
 }
 
-/// Render a schema: one line per class, `class :: type`.
-pub fn render_schema(schema: &Schema) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "schema {} {{", schema.name());
-    for (class, ty) in schema.classes() {
-        let _ = writeln!(out, "  class {class} :: {}", render_type(ty));
-    }
-    out.push('}');
-    out
-}
-
 /// Render an instance: extents with each object's identity and value.
 /// Intended for examples and debugging, not for bulk data.
 pub fn render_instance(instance: &Instance) -> String {
@@ -181,7 +169,7 @@ mod tests {
         ]);
         assert_eq!(render_type(&place), "<|state: StateT, country: CountryT|>");
         assert_eq!(render_type(&Type::set(Type::class("CityE"))), "{CityE}");
-        assert_eq!(render_type(&Type::list(Type::int())), "[int]");
+        assert_eq!(render_type(&Type::List(Box::new(Type::int()))), "[int]");
         assert_eq!(render_type(&Type::optional(Type::int())), "int?");
         assert_eq!(render_type(&Type::Unit), "()");
     }
@@ -214,12 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn render_schema_and_instance() {
-        let schema = Schema::new("us").with_class("StateA", Type::record([("name", Type::str())]));
-        let rendered = render_schema(&schema);
-        assert!(rendered.contains("schema us"));
-        assert!(rendered.contains("class StateA :: (name: str)"));
-
+    fn render_instance_lists_objects() {
         let mut inst = Instance::new("us");
         inst.insert_fresh(
             &ClassName::new("StateA"),

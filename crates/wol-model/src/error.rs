@@ -57,14 +57,6 @@ pub enum ModelError {
     },
     /// An object identity appears in a value but is not present in any extent.
     DanglingOid(String),
-    /// An object identity was inserted into the extent of a class it does not
-    /// belong to.
-    WrongClass {
-        /// Class of the identity.
-        oid_class: ClassName,
-        /// Extent it was inserted into.
-        extent: ClassName,
-    },
     /// The same object identity was inserted twice.
     DuplicateOid(String),
     /// Key evaluation failed (missing attribute, unexpected value shape, ...).
@@ -114,10 +106,6 @@ impl fmt::Display for ModelError {
                 "type mismatch at {context}: expected {expected}, found {found}"
             ),
             ModelError::DanglingOid(o) => write!(f, "dangling object identity {o}"),
-            ModelError::WrongClass { oid_class, extent } => write!(
-                f,
-                "object identity of class `{oid_class}` inserted into extent of `{extent}`"
-            ),
             ModelError::DuplicateOid(o) => write!(f, "object identity {o} inserted twice"),
             ModelError::KeyEvaluation(msg) => write!(f, "key evaluation failed: {msg}"),
             ModelError::KeyViolation { class, key } => {

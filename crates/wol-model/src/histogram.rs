@@ -39,7 +39,7 @@ use crate::values::Value;
 /// Default number of buckets a histogram aims for. Enough resolution to
 /// separate a zipfian head from its tail, small enough that estimation stays
 /// a handful of comparisons.
-pub const DEFAULT_BUCKETS: usize = 32;
+pub(crate) const DEFAULT_BUCKETS: usize = 32;
 
 /// Extent size above which [`Instance::attr_histogram`](crate::Instance::attr_histogram)
 /// switches from an exact build to [`AttrHistogram::build_sampled`].
@@ -48,7 +48,7 @@ pub const SAMPLE_THRESHOLD: usize = 32_768;
 /// Reservoir size used by [`AttrHistogram::build_sampled`]. Large enough
 /// that a bucket's expected sample depth (`SAMPLE_SIZE / DEFAULT_BUCKETS` =
 /// 256) keeps relative error on heavy-hitter *detection* small.
-pub const SAMPLE_SIZE: usize = 8_192;
+pub(crate) const SAMPLE_SIZE: usize = 8_192;
 
 /// SplitMix64 step: a tiny, deterministic, high-quality PRNG. Seeded with a
 /// fixed constant so sampled histograms are reproducible across runs,
@@ -66,7 +66,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// spread over. A bucket with `distinct == 1` (`lo == hi`) is a *singleton*:
 /// its count is the exact frequency of that one value.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramBucket {
+pub(crate) struct HistogramBucket {
     /// Smallest value in the bucket.
     pub lo: Value,
     /// Largest value in the bucket.
@@ -79,7 +79,7 @@ pub struct HistogramBucket {
 
 impl HistogramBucket {
     /// Whether this bucket holds exactly one distinct value (exact count).
-    pub fn is_singleton(&self) -> bool {
+    pub(crate) fn is_singleton(&self) -> bool {
         self.distinct == 1
     }
 
@@ -106,13 +106,13 @@ pub struct AttrHistogram {
 
 impl AttrHistogram {
     /// Build a histogram from an iterator of attribute values, targeting
-    /// [`DEFAULT_BUCKETS`] buckets.
+    /// `DEFAULT_BUCKETS` buckets.
     pub fn build(values: impl IntoIterator<Item = Value>) -> Self {
         Self::build_with_buckets(values, DEFAULT_BUCKETS)
     }
 
     /// Build a histogram targeting `target_buckets` buckets (at least 1).
-    pub fn build_with_buckets(
+    pub(crate) fn build_with_buckets(
         values: impl IntoIterator<Item = Value>,
         target_buckets: usize,
     ) -> Self {
@@ -125,7 +125,7 @@ impl AttrHistogram {
 
     /// Build from pre-aggregated `(value, count)` runs in ascending value
     /// order (the `BTreeMap` guarantees the order).
-    pub fn from_counts(counts: BTreeMap<Value, usize>, target_buckets: usize) -> Self {
+    pub(crate) fn from_counts(counts: BTreeMap<Value, usize>, target_buckets: usize) -> Self {
         let entries: usize = counts.values().sum();
         let distinct = counts.len();
         if entries == 0 {
@@ -190,7 +190,7 @@ impl AttrHistogram {
     ///    stays precise.
     ///
     /// The light tail is scaled from the sample (`count · n / SAMPLE_SIZE`).
-    /// Populations of at most [`SAMPLE_SIZE`] fall back to the exact build.
+    /// Populations of at most `SAMPLE_SIZE` fall back to the exact build.
     /// The construction is fully deterministic for a given value sequence.
     pub fn build_sampled<I, F>(make_values: F) -> Self
     where
@@ -249,11 +249,6 @@ impl AttrHistogram {
     /// Total distinct values summarised.
     pub fn distinct(&self) -> usize {
         self.distinct
-    }
-
-    /// The buckets, in ascending value order.
-    pub fn buckets(&self) -> &[HistogramBucket] {
-        &self.buckets
     }
 
     /// True if the histogram summarises no entries (empty extent, or an
@@ -353,7 +348,7 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.entries(), 0);
         assert_eq!(h.distinct(), 0);
-        assert!(h.buckets().is_empty());
+        assert!(h.buckets.is_empty());
         assert_eq!(h.eq_count(&Value::int(1)), 0.0);
         assert_eq!(h.eq_join_rows(&h), 0.0);
     }
@@ -363,8 +358,8 @@ mod tests {
         let h = ints(std::iter::repeat_n(7, 40));
         assert_eq!(h.entries(), 40);
         assert_eq!(h.distinct(), 1);
-        assert_eq!(h.buckets().len(), 1);
-        assert!(h.buckets()[0].is_singleton());
+        assert_eq!(h.buckets.len(), 1);
+        assert!(h.buckets[0].is_singleton());
         assert_eq!(h.eq_count(&Value::int(7)), 40.0);
         assert_eq!(h.eq_count(&Value::int(8)), 0.0);
         // Self-join of 40 duplicates is exactly 40 * 40.
@@ -417,8 +412,8 @@ mod tests {
         // Force small buckets so several boundaries exist, then probe every
         // value, including each bucket's exact lo and hi.
         let h = AttrHistogram::build_with_buckets((0..40).map(Value::int), 8);
-        assert!(h.buckets().len() >= 8);
-        for b in h.buckets() {
+        assert!(h.buckets.len() >= 8);
+        for b in &h.buckets {
             assert!(h.eq_count(&b.lo) > 0.0);
             assert!(h.eq_count(&b.hi) > 0.0);
         }

@@ -71,8 +71,8 @@ type Shard = HashMap<u64, Vec<Oid>>;
 ///
 /// The buckets are spread over a power-of-two number of hash shards, each
 /// behind its own `Arc` under an `Arc`'d spine. `clone` is therefore one
-/// pointer copy and shares every shard; [`insert_sorted`](Self::insert_sorted)
-/// and [`remove_entry`](Self::remove_entry) on either copy then replace only
+/// pointer copy and shares every shard; `insert_sorted`
+/// and `remove_entry` on either copy then replace only
 /// the spine and the one shard they touch, leaving the other copy's answers
 /// exactly as they were. Probes never copy.
 #[derive(Clone, Debug)]
@@ -91,7 +91,7 @@ impl Default for AttrIndex {
 impl AttrIndex {
     /// An empty index with enough shards for `entries` entries, so building
     /// over an extent of known size never re-shards.
-    pub fn with_capacity(entries: usize) -> Self {
+    pub(crate) fn with_capacity(entries: usize) -> Self {
         let shards = entries.div_ceil(SHARD_ENTRIES).max(1).next_power_of_two();
         AttrIndex {
             shards: Arc::new((0..shards).map(|_| Arc::default()).collect()),
@@ -143,7 +143,7 @@ impl AttrIndex {
 
     /// The candidate identities for a value hash. Candidates must be verified
     /// against the live attribute value by the caller.
-    pub fn candidates(&self, hash: u64) -> &[Oid] {
+    pub(crate) fn candidates(&self, hash: u64) -> &[Oid] {
         self.shards[self.shard_of(hash)]
             .get(&hash)
             .map(Vec::as_slice)
@@ -154,7 +154,7 @@ impl AttrIndex {
     /// identity order — the order a fresh extent-order build produces, so a
     /// maintained index stays bit-identical to a rebuilt one. A no-op if the
     /// identity is already present.
-    pub fn insert_sorted(&mut self, hash: u64, oid: Oid) {
+    pub(crate) fn insert_sorted(&mut self, hash: u64, oid: Oid) {
         // Look before unsharing: a no-op must not copy a shard.
         let Err(pos) = self.candidates(hash).binary_search(&oid) else {
             return;
@@ -169,7 +169,7 @@ impl AttrIndex {
 
     /// Remove `oid` from `hash`'s bucket. Emptied buckets are dropped so
     /// [`distinct`](AttrIndex::distinct) matches a fresh rebuild.
-    pub fn remove_entry(&mut self, hash: u64, oid: &Oid) {
+    pub(crate) fn remove_entry(&mut self, hash: u64, oid: &Oid) {
         let Ok(pos) = self.candidates(hash).binary_search(oid) else {
             return;
         };
@@ -187,7 +187,7 @@ impl AttrIndex {
     }
 
     /// Number of indexed `(value, oid)` entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries
     }
 
@@ -195,13 +195,8 @@ impl AttrIndex {
     /// merge buckets, so this is a (tight in practice) *lower bound* on the
     /// attribute's number of distinct values — exactly the quantity the query
     /// planner's `1/ndv` equality selectivities need.
-    pub fn distinct(&self) -> usize {
+    pub(crate) fn distinct(&self) -> usize {
         self.distinct
-    }
-
-    /// True if nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
     }
 
     /// Shard count and how many of those shards `other` holds too (the same
@@ -230,7 +225,7 @@ impl AttrIndex {
 /// exception — it is append-only (codes never change meaning), so
 /// invalidation keeps it and rebuilt columns re-derive the same codes.
 #[derive(Debug, Default)]
-pub struct IndexCache {
+pub(crate) struct IndexCache {
     indexes: BTreeMap<ClassName, BTreeMap<Label, AttrIndex>>,
     histograms: BTreeMap<ClassName, BTreeMap<Label, AttrHistogram>>,
     columns: BTreeMap<ClassName, BTreeMap<Label, Arc<AttrColumn>>>,
@@ -240,23 +235,28 @@ pub struct IndexCache {
 
 impl IndexCache {
     /// The index for `(class, attr)`, if it has been built.
-    pub fn get(&self, class: &ClassName, attr: &str) -> Option<&AttrIndex> {
+    pub(crate) fn get(&self, class: &ClassName, attr: &str) -> Option<&AttrIndex> {
         self.indexes.get(class)?.get(attr)
     }
 
     /// Whether an index for `(class, attr)` exists.
-    pub fn contains(&self, class: &ClassName, attr: &str) -> bool {
+    pub(crate) fn contains(&self, class: &ClassName, attr: &str) -> bool {
         self.get(class, attr).is_some()
     }
 
     /// Install a freshly built index.
-    pub fn insert(&mut self, class: ClassName, attr: Label, index: AttrIndex) {
+    pub(crate) fn insert(&mut self, class: ClassName, attr: Label, index: AttrIndex) {
         self.indexes.entry(class).or_default().insert(attr, index);
     }
 
     /// The index for `(class, attr)`, installing `built` if none is there
     /// yet: when two readers race to build, both end up probing the first.
-    pub fn get_or_insert(&mut self, class: &ClassName, attr: &str, built: AttrIndex) -> &AttrIndex {
+    pub(crate) fn get_or_insert(
+        &mut self,
+        class: &ClassName,
+        attr: &str,
+        built: AttrIndex,
+    ) -> &AttrIndex {
         self.indexes
             .entry(class.clone())
             .or_default()
@@ -265,7 +265,7 @@ impl IndexCache {
     }
 
     /// Every built `(class, attribute)` index, in key order.
-    pub fn indexes(&self) -> impl Iterator<Item = (&ClassName, &Label, &AttrIndex)> {
+    pub(crate) fn indexes(&self) -> impl Iterator<Item = (&ClassName, &Label, &AttrIndex)> {
         self.indexes.iter().flat_map(|(class, by_attr)| {
             by_attr
                 .iter()
@@ -277,7 +277,7 @@ impl IndexCache {
     /// shares its shards until either side next changes it) and nothing
     /// else: histograms, columns, row indexes and the dictionary start empty
     /// and are rebuilt lazily by whoever owns the new cache.
-    pub fn share_indexes(&self) -> IndexCache {
+    pub(crate) fn share_indexes(&self) -> IndexCache {
         IndexCache {
             indexes: self.indexes.clone(),
             ..IndexCache::default()
@@ -285,17 +285,22 @@ impl IndexCache {
     }
 
     /// The histogram for `(class, attr)`, if it has been built.
-    pub fn get_histogram(&self, class: &ClassName, attr: &str) -> Option<&AttrHistogram> {
+    pub(crate) fn get_histogram(&self, class: &ClassName, attr: &str) -> Option<&AttrHistogram> {
         self.histograms.get(class)?.get(attr)
     }
 
     /// Whether a histogram for `(class, attr)` exists.
-    pub fn contains_histogram(&self, class: &ClassName, attr: &str) -> bool {
+    pub(crate) fn contains_histogram(&self, class: &ClassName, attr: &str) -> bool {
         self.get_histogram(class, attr).is_some()
     }
 
     /// Install a freshly built histogram.
-    pub fn insert_histogram(&mut self, class: ClassName, attr: Label, histogram: AttrHistogram) {
+    pub(crate) fn insert_histogram(
+        &mut self,
+        class: ClassName,
+        attr: Label,
+        histogram: AttrHistogram,
+    ) {
         self.histograms
             .entry(class)
             .or_default()
@@ -303,44 +308,44 @@ impl IndexCache {
     }
 
     /// The columnar projection of `(class, attr)`, if it has been built.
-    pub fn get_column(&self, class: &ClassName, attr: &str) -> Option<&Arc<AttrColumn>> {
+    pub(crate) fn get_column(&self, class: &ClassName, attr: &str) -> Option<&Arc<AttrColumn>> {
         self.columns.get(class)?.get(attr)
     }
 
     /// Whether a column for `(class, attr)` exists.
-    pub fn contains_column(&self, class: &ClassName, attr: &str) -> bool {
+    pub(crate) fn contains_column(&self, class: &ClassName, attr: &str) -> bool {
         self.get_column(class, attr).is_some()
     }
 
     /// Install a freshly built column.
-    pub fn insert_column(&mut self, class: ClassName, attr: Label, column: Arc<AttrColumn>) {
+    pub(crate) fn insert_column(&mut self, class: ClassName, attr: Label, column: Arc<AttrColumn>) {
         self.columns.entry(class).or_default().insert(attr, column);
     }
 
     /// The row index (extent identities in extent order) of `class`, if built.
-    pub fn get_row_index(&self, class: &ClassName) -> Option<&Arc<Vec<Oid>>> {
+    pub(crate) fn get_row_index(&self, class: &ClassName) -> Option<&Arc<Vec<Oid>>> {
         self.row_indexes.get(class)
     }
 
     /// Install a freshly built row index.
-    pub fn insert_row_index(&mut self, class: ClassName, rows: Arc<Vec<Oid>>) {
+    pub(crate) fn insert_row_index(&mut self, class: ClassName, rows: Arc<Vec<Oid>>) {
         self.row_indexes.insert(class, rows);
     }
 
     /// The shared string dictionary of the columnar cache.
-    pub fn interner(&self) -> &StringInterner {
+    pub(crate) fn interner(&self) -> &StringInterner {
         &self.interner
     }
 
     /// Mutable access to the dictionary (column builds intern through this).
-    pub fn interner_mut(&mut self) -> &mut StringInterner {
+    pub(crate) fn interner_mut(&mut self) -> &mut StringInterner {
         &mut self.interner
     }
 
     /// Drop every index, histogram, column, and row index of `class` (called
     /// on bulk mutations of the class). The string dictionary survives: it is
     /// append-only, so stale codes cannot be re-read wrongly.
-    pub fn invalidate_class(&mut self, class: &ClassName) {
+    pub(crate) fn invalidate_class(&mut self, class: &ClassName) {
         self.indexes.remove(class);
         self.histograms.remove(class);
         self.columns.remove(class);
@@ -351,7 +356,7 @@ impl IndexCache {
     /// the row index — but keep its attribute indexes. Single-object
     /// mutations maintain the indexes in place (see
     /// [`Instance`](crate::Instance)); the statistics are rebuilt lazily.
-    pub fn invalidate_stats(&mut self, class: &ClassName) {
+    pub(crate) fn invalidate_stats(&mut self, class: &ClassName) {
         self.histograms.remove(class);
         self.columns.remove(class);
         self.row_indexes.remove(class);
@@ -359,27 +364,16 @@ impl IndexCache {
 
     /// Mutable access to the built attribute indexes of `class`, if any have
     /// been built — the hook single-object mutations maintain them through.
-    pub fn indexes_mut(&mut self, class: &ClassName) -> Option<&mut BTreeMap<Label, AttrIndex>> {
+    pub(crate) fn indexes_mut(
+        &mut self,
+        class: &ClassName,
+    ) -> Option<&mut BTreeMap<Label, AttrIndex>> {
         self.indexes.get_mut(class)
     }
 
-    /// Drop everything, dictionary included.
-    pub fn clear(&mut self) {
-        self.indexes.clear();
-        self.histograms.clear();
-        self.columns.clear();
-        self.row_indexes.clear();
-        self.interner = StringInterner::new();
-    }
-
     /// Number of built `(class, attribute)` indexes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.indexes.values().map(BTreeMap::len).sum()
-    }
-
-    /// True if no index has been built.
-    pub fn is_empty(&self) -> bool {
-        self.indexes.is_empty()
     }
 }
 
@@ -390,7 +384,7 @@ mod tests {
     #[test]
     fn buckets_accumulate_and_report() {
         let mut idx = AttrIndex::default();
-        assert!(idx.is_empty());
+        assert_eq!(idx.entries, 0);
         let class = ClassName::new("C");
         let h = value_hash(&Value::str("x"));
         idx.add(h, Oid::new(class.clone(), 0));
@@ -484,8 +478,6 @@ mod tests {
         cache.invalidate_class(&a);
         assert!(!cache.contains(&a, "name"));
         assert!(cache.contains(&b, "name"));
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]
@@ -499,8 +491,6 @@ mod tests {
         cache.invalidate_class(&a);
         assert!(!cache.contains_histogram(&a, "x"));
         assert!(cache.contains_histogram(&b, "x"));
-        cache.clear();
-        assert!(!cache.contains_histogram(&b, "x"));
     }
 
     #[test]
@@ -520,8 +510,6 @@ mod tests {
         assert!(cache.get_row_index(&a).is_none());
         // Append-only dictionary survives invalidation: same string, same code.
         assert_eq!(cache.interner().code_of("hot"), Some(code));
-        cache.clear();
-        assert!(cache.interner().is_empty());
     }
 
     #[test]

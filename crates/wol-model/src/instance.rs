@@ -110,10 +110,10 @@ pub struct StorageSharing {
 /// associated with each identity.
 ///
 /// Instances also carry a lazily built cache of secondary attribute indexes
-/// (see [`crate::index`]) used by the engine's join machinery; the cache is
+/// (see `crate::index`) used by the engine's join machinery; the cache is
 /// derived data and is ignored by equality. A clone starts with an empty
 /// cache; a [`snapshot`](Instance::snapshot) carries the built attribute
-/// indexes and nothing else of it (see the [module docs](self)).
+/// indexes and nothing else of it (see the module docs).
 ///
 /// The cache sits behind an [`RwLock`], so an `Instance` is [`Sync`]: the
 /// parallel executors share `&Instance` across [`std::thread::scope`] workers,
@@ -179,7 +179,7 @@ impl Instance {
     /// indexes: [`clone`](Clone::clone) plus every `(class, attribute)` index
     /// by reference. Costs one pointer per class and per index. Histograms,
     /// columns and row indexes start empty on the snapshot, exactly as on a
-    /// clone. See the [module docs](self) for what the two versions share.
+    /// clone. See the module docs for what the two versions share.
     pub fn snapshot(&self) -> Instance {
         let mut version = self.clone();
         version.index = RwLock::new(self.cache_read().share_indexes());
@@ -370,7 +370,7 @@ impl Instance {
 
     /// All identities of `class` whose record value has attribute `attr` equal
     /// to `value`, answered through the lazily built attribute index (see
-    /// [`crate::index`]). The first probe of a `(class, attr)` pair builds the
+    /// `crate::index`). The first probe of a `(class, attr)` pair builds the
     /// index in one pass over the extent; subsequent probes are hash lookups.
     pub fn lookup_by_attr(&self, class: &ClassName, attr: &str, value: &Value) -> Vec<Oid> {
         self.with_attr_index(class, attr, |index| {
@@ -408,10 +408,10 @@ impl Instance {
     }
 
     /// The equi-depth histogram of attribute `attr` over the extent of
-    /// `class` (see [`crate::histogram`]), built lazily on first request and
+    /// `class` (see `crate::histogram`), built lazily on first request and
     /// cached alongside the attribute indexes — any mutation of the class
     /// invalidates both together. Returns a clone of the cached histogram
-    /// (at most ~2× [`histogram::DEFAULT_BUCKETS`](crate::histogram::DEFAULT_BUCKETS)
+    /// (at most ~2× `histogram::DEFAULT_BUCKETS`
     /// buckets, so the copy is cheap); callers that estimate repeatedly
     /// should memoise on their side, as `cpl`'s planner statistics do.
     /// Above [`SAMPLE_THRESHOLD`] rows the build switches to deterministic
@@ -445,7 +445,7 @@ impl Instance {
     }
 
     /// The columnar projection of attribute `attr` over the extent of
-    /// `class` (see [`crate::column`] for the storage layout), built lazily
+    /// `class` (see `crate::column` for the storage layout), built lazily
     /// on first request and cached alongside the attribute indexes — any
     /// mutation of the class invalidates all of them together. Row `i` of
     /// the column corresponds to row `i` of
@@ -643,15 +643,6 @@ impl Instance {
         sharing
     }
 
-    /// Merge another instance into this one. Identities must be disjoint;
-    /// when they may overlap, use [`merge_keyed`](Instance::merge_keyed).
-    pub fn absorb(&mut self, other: &Instance) -> Result<()> {
-        for (oid, value) in other.all_objects() {
-            self.insert(oid.clone(), value.clone())?;
-        }
-        Ok(())
-    }
-
     /// A fresh identity of `class` that is guaranteed not to collide with any
     /// identity already present (identities inserted with explicit ids are
     /// not known to the generator, so skip past them).
@@ -741,12 +732,6 @@ impl Instance {
         Ok(mapping)
     }
 
-    /// Total number of value-tree nodes stored; a rough size metric used by
-    /// the benchmark harness.
-    pub fn size_nodes(&self) -> usize {
-        self.all_objects().map(|(_, value)| value.size()).sum()
-    }
-
     // -----------------------------------------------------------------------
     // Mutation logging and durability support.
     // -----------------------------------------------------------------------
@@ -777,12 +762,7 @@ impl Instance {
         self.mutation_log.take().unwrap_or_default()
     }
 
-    /// Whether a mutation log is currently recording.
-    pub fn is_logging_mutations(&self) -> bool {
-        self.mutation_log.is_some()
-    }
-
-    /// The fresh-identity counter of `class` (see [`OidGen::count`]).
+    /// The fresh-identity counter of `class` (see `OidGen::count`).
     pub fn oid_counter(&self, class: &ClassName) -> u64 {
         self.oid_gen.count(class)
     }
@@ -795,7 +775,7 @@ impl Instance {
     }
 
     /// Raise the fresh-identity counter of `class` to at least `count`
-    /// (see [`OidGen::restore_count`]). Used during recovery so that
+    /// (see `OidGen::restore_count`). Used during recovery so that
     /// post-recovery [`insert_fresh`](Self::insert_fresh) calls mint the same
     /// identities an uncrashed run would.
     pub fn restore_oid_counter(&mut self, class: &ClassName, count: u64) {
@@ -807,7 +787,7 @@ impl Instance {
     /// [`OidGen::rewind_count`] for the safety contract). Batch reverts use
     /// this so a rejected batch leaves the instance — generator state
     /// included — bit-identical to the pre-batch state.
-    pub fn rewind_oid_counter(&mut self, class: &ClassName, count: u64) {
+    pub(crate) fn rewind_oid_counter(&mut self, class: &ClassName, count: u64) {
         self.oid_gen.rewind_count(class, count);
     }
 
@@ -1020,27 +1000,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_disjoint_instances() {
-        let (mut inst, _, _) = euro_instance();
-        let mut other = Instance::new("us");
-        other
-            .insert(
-                Oid::new(ClassName::new("StateA"), 0),
-                Value::record([("name", Value::str("Pennsylvania"))]),
-            )
-            .unwrap();
-        inst.absorb(&other).unwrap();
-        assert_eq!(inst.extent_size(&ClassName::new("StateA")), 1);
-    }
-
-    #[test]
-    fn absorb_conflicting_instances_fails() {
-        let (mut inst, _, _) = euro_instance();
-        let copy = inst.clone();
-        assert!(inst.absorb(&copy).is_err());
-    }
-
-    #[test]
     fn attr_index_probes_and_is_lazy() {
         let (inst, _, fr) = euro_instance();
         let country = ClassName::new("CountryE");
@@ -1210,7 +1169,7 @@ mod tests {
             ]),
         );
         other.insert_fresh(&ClassName::new("CityE"), city("Bristol", false, &uk2));
-        assert_eq!(uk2, uk); // the collision absorb() would reject
+        assert_eq!(uk2, uk); // the same identity on both sides
 
         let mapping = inst.merge_keyed(&other, &keys).unwrap();
         // The shared key unified with the existing UK object...
@@ -1443,7 +1402,7 @@ mod tests {
         assert_eq!(held.built_attr_indexes(), inst.built_attr_indexes());
         assert!(!held.has_attr_histogram(&country, "currency"));
         assert!(!held.has_attr_column(&country, "currency"));
-        assert!(!held.is_logging_mutations());
+        assert!(held.mutation_log.is_none());
         assert_eq!(held, inst);
         let sharing = held.storage_shared_with(&inst);
         assert_eq!(sharing.shared_chunks, sharing.chunks);
@@ -1538,10 +1497,10 @@ mod tests {
     #[test]
     fn mutation_log_records_applied_changes_in_order() {
         let (mut inst, uk, _) = euro_instance();
-        assert!(!inst.is_logging_mutations());
+        assert!(inst.mutation_log.is_none());
         // Mutations before the log starts are not recorded.
         inst.begin_mutation_log();
-        assert!(inst.is_logging_mutations());
+        assert!(inst.mutation_log.is_some());
         assert!(inst.take_mutation_log().is_empty());
 
         let country = ClassName::new("CountryE");
@@ -1573,14 +1532,14 @@ mod tests {
             ]
         );
         // Draining keeps the log active; ending it stops recording.
-        assert!(inst.is_logging_mutations());
+        assert!(inst.mutation_log.is_some());
         let leftover = inst.end_mutation_log();
         assert!(leftover.is_empty());
-        assert!(!inst.is_logging_mutations());
+        assert!(inst.mutation_log.is_none());
         // Clones never inherit an active log.
         let mut logged = Instance::new("euro");
         logged.begin_mutation_log();
-        assert!(!logged.clone().is_logging_mutations());
+        assert!(logged.clone().mutation_log.is_none());
     }
 
     #[test]
@@ -1648,7 +1607,11 @@ mod tests {
         let mut dropped = inst.clone();
         let mut v = dropped.value(&uk).unwrap().clone();
         if let Value::Record(ref mut fields) = v {
-            fields.remove("currency");
+            *fields = fields
+                .iter()
+                .filter(|(label, _)| label.as_str() != "currency")
+                .map(|(label, value)| (label.clone(), value.clone()))
+                .collect();
         }
         dropped.update(&uk, v).unwrap();
         let report = inst.deep_eq_report(&dropped).unwrap();
@@ -1679,12 +1642,11 @@ mod tests {
     }
 
     #[test]
-    fn populated_classes_and_size() {
+    fn populated_classes_in_order() {
         let (inst, _, _) = euro_instance();
         assert_eq!(
             inst.populated_classes(),
             vec![ClassName::new("CityE"), ClassName::new("CountryE")]
         );
-        assert!(inst.size_nodes() > inst.len());
     }
 }

@@ -56,7 +56,7 @@ impl KeyExpr {
     }
 
     /// Evaluate the key expression for the object value `value` in `instance`.
-    pub fn eval(&self, value: &Value, instance: &Instance) -> Result<Value> {
+    pub(crate) fn eval(&self, value: &Value, instance: &Instance) -> Result<Value> {
         match self {
             KeyExpr::Path(path) => Ok(path.eval(value, instance)?.clone()),
             KeyExpr::Record(fields) => {
@@ -117,23 +117,13 @@ impl KeySpec {
     }
 
     /// Whether the class has a key.
-    pub fn has_key(&self, class: &ClassName) -> bool {
+    pub(crate) fn has_key(&self, class: &ClassName) -> bool {
         self.keys.contains_key(class)
     }
 
     /// The keyed classes.
     pub fn classes(&self) -> impl Iterator<Item = &ClassName> {
         self.keys.keys()
-    }
-
-    /// Number of keyed classes.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True if no class is keyed.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 
     /// Evaluate the key of an object identity in an instance.
@@ -172,7 +162,11 @@ impl KeySpec {
 
     /// Build an index from key value to object identity for one class.
     /// Fails if the key is violated.
-    pub fn index(&self, class: &ClassName, instance: &Instance) -> Result<BTreeMap<Value, Oid>> {
+    pub(crate) fn index(
+        &self,
+        class: &ClassName,
+        instance: &Instance,
+    ) -> Result<BTreeMap<Value, Oid>> {
         let mut out = BTreeMap::new();
         for oid in instance.extent(class) {
             let key_value = self.eval(oid, instance)?;
@@ -220,9 +214,9 @@ pub fn skolem_id(class: &ClassName, key: &Value) -> u64 {
 /// The memo exists to *check*, not to number: it detects a collision — two
 /// distinct keys deriving one identity, or a derived identity already held
 /// by a seeded object under another key — as a hard
-/// [`ModelError::SkolemCollision`], never a probe sequence; it inverts `mk`
-/// ([`key_of`](Self::key_of)); and it hands a durable journal the
-/// assignments a unit of work made ([`assignments_since`](Self::assignments_since)).
+/// [`ModelError::SkolemCollision`], never a probe sequence; and it hands a
+/// durable journal the assignments a unit of work made
+/// ([`assignments_since`](Self::assignments_since)).
 /// Identities *not* derived from their key — pre-existing objects registered
 /// by [`seed_from_instance`](Self::seed_from_instance) — are memoised key →
 /// identity and answer for their key. Workers mint through factories of
@@ -318,20 +312,13 @@ impl SkolemFactory {
         Some(Oid::new(class.clone(), id))
     }
 
-    /// The key value that produced an identity, if this factory holds it.
-    /// (Inverse of [`mk`](Self::mk).)
-    pub fn key_of(&self, oid: &Oid) -> Option<&Value> {
-        let memo = self.memos.get(oid.class())?;
-        memo.by_id.get(&oid.id()).map(|&at| &memo.entries[at].1)
-    }
-
     /// Number of identities held for a class.
     pub fn count(&self, class: &ClassName) -> usize {
         self.memos.get(class).map_or(0, |memo| memo.entries.len())
     }
 
     /// Total number of identities held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.memos.values().map(|memo| memo.entries.len()).sum()
     }
 
@@ -543,8 +530,6 @@ mod tests {
         let keys = euro_keys();
         assert!(keys.has_key(&ClassName::new("CountryE")));
         assert!(!keys.has_key(&ClassName::new("StateA")));
-        assert_eq!(keys.len(), 2);
-        assert!(!keys.is_empty());
         assert_eq!(keys.classes().count(), 2);
     }
 
@@ -609,8 +594,6 @@ mod tests {
             Some(a.clone())
         );
         assert_eq!(factory.lookup(&country, &Value::str("Spain")), None);
-        assert_eq!(factory.key_of(&a), Some(&Value::str("France")));
-        assert_eq!(factory.key_of(&Oid::new(country, 99)), None);
     }
 
     #[test]

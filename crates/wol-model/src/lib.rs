@@ -26,13 +26,13 @@
 //! The rows of a class sit in one persistent, chunked, identity-ordered
 //! store, so copying an instance is a pointer copy per class and a later
 //! mutation copies the chunk it touches: instances are cheap *versions* of
-//! one another (see [`instance`] for what `clone` and `snapshot` carry).
+//! one another (see `instance` for what `clone` and `snapshot` carry).
 //! Underneath, the lazy cache on each instance *derives* column-major views
 //! for the hot read paths: per-(class, attribute) typed column chunks with
-//! missing-value bitmaps and a shared string dictionary ([`column`](mod@column),
+//! missing-value bitmaps and a shared string dictionary (`column`,
 //! [`Instance::attr_column`]), per-attribute hash indexes, and equi-depth
 //! histograms (sampled above [`histogram::SAMPLE_THRESHOLD`] rows). All of
-//! them hang off the same [`index::IndexCache`], owned by one version and
+//! them hang off the same `index::IndexCache`, owned by one version and
 //! maintained (attribute indexes) or dropped (the rest) on mutation, so a
 //! derived view can never outlive the rows it was built from. Row-major
 //! remains the source of truth; the columns are a cache.
@@ -52,29 +52,31 @@
 )]
 // One `unsafe` block: the worker pool's lifetime erasure (`parallel`).
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod column;
+mod column;
 pub mod display;
-pub mod error;
-pub mod fingerprint;
-pub mod histogram;
-pub mod index;
-pub mod instance;
-pub mod keys;
-pub mod mutate;
-pub mod oid;
-pub mod parallel;
-pub mod path;
-pub mod schema;
+mod error;
+mod fingerprint;
+mod histogram;
+mod index;
+mod instance;
+mod keys;
+mod mutate;
+mod oid;
+mod parallel;
+mod path;
+mod schema;
 mod store;
-pub mod types;
+mod types;
 pub mod validate;
-pub mod values;
+mod values;
 
-pub use column::{AttrColumn, ColumnChunk, ColumnData, ColumnKind, StringInterner, CHUNK_ROWS};
+pub use column::{AttrColumn, ColumnChunk, ColumnData, ColumnKind, CHUNK_ROWS};
 pub use error::{Conflict, ModelError};
 pub use fingerprint::Fingerprint;
-pub use histogram::{AttrHistogram, HistogramBucket};
+pub use histogram::{AttrHistogram, SAMPLE_THRESHOLD};
+pub use index::{value_hash, AttrIndex};
 pub use instance::{AttrStats, ClassStats, Instance, Mutation, StorageSharing};
 pub use keys::{skolem_id, KeyExpr, KeySpec, SkolemFactory, SkolemState};
 pub use mutate::{BatchDelta, BatchPreimages, ClassDelta, MutationBatch, SourceOp};
@@ -86,4 +88,4 @@ pub use types::{interner_lookups, BaseType, ClassName, Label, Type};
 pub use values::{Fields, PushOp, RealVal, Record, SharedValue, Value, ValueRef};
 
 /// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, ModelError>;
+pub(crate) type Result<T> = std::result::Result<T, ModelError>;

@@ -72,16 +72,6 @@ impl MutationBatch {
         self.ops.push(SourceOp::Remove { oid });
         self
     }
-
-    /// Number of operations in the batch.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the batch holds no operations.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
 }
 
 /// The net per-identity effect of a batch on one class.

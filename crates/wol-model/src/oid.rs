@@ -58,18 +58,18 @@ impl fmt::Debug for Oid {
 /// class. Used when loading data from sources that do not come with explicit
 /// identities (flat files, relational rows, tree databases).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct OidGen {
+pub(crate) struct OidGen {
     counters: std::collections::BTreeMap<ClassName, u64>,
 }
 
 impl OidGen {
     /// Create a generator whose counters all start at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Produce a fresh identity of `class`.
-    pub fn fresh(&mut self, class: &ClassName) -> Oid {
+    pub(crate) fn fresh(&mut self, class: &ClassName) -> Oid {
         let counter = self.counters.entry(class.clone()).or_insert(0);
         let id = *counter;
         *counter += 1;
@@ -77,14 +77,14 @@ impl OidGen {
     }
 
     /// Number of identities generated so far for `class`.
-    pub fn count(&self, class: &ClassName) -> u64 {
+    pub(crate) fn count(&self, class: &ClassName) -> u64 {
         self.counters.get(class).copied().unwrap_or(0)
     }
 
     /// Iterate over the per-class counters. Used by the persistence layer to
     /// snapshot generator state so recovered instances mint the same fresh
     /// identities an uncrashed run would.
-    pub fn counters(&self) -> impl Iterator<Item = (&ClassName, u64)> {
+    pub(crate) fn counters(&self) -> impl Iterator<Item = (&ClassName, u64)> {
         self.counters.iter().map(|(class, n)| (class, *n))
     }
 
@@ -93,7 +93,7 @@ impl OidGen {
     /// identity. A `count` of zero is a no-op (no entry is created), so
     /// restoring an exported counter map onto a fresh generator reproduces it
     /// exactly.
-    pub fn restore_count(&mut self, class: &ClassName, count: u64) {
+    pub(crate) fn restore_count(&mut self, class: &ClassName, count: u64) {
         if count > self.count(class) {
             self.counters.insert(class.clone(), count);
         }
@@ -107,7 +107,7 @@ impl OidGen {
     /// live identity it minted itself. Raising is a no-op (that is
     /// [`restore_count`](Self::restore_count)'s job). Rewinding to zero
     /// drops the entry, matching a generator that never minted the class.
-    pub fn rewind_count(&mut self, class: &ClassName, count: u64) {
+    pub(crate) fn rewind_count(&mut self, class: &ClassName, count: u64) {
         if count < self.count(class) {
             if count == 0 {
                 self.counters.remove(class);

@@ -91,7 +91,7 @@ impl Parallelism {
     }
 
     /// The environment's parallelism: `WOL_THREADS` if set to an integer
-    /// (see [`from_spec`](Self::from_spec)), otherwise the available cores.
+    /// (see `from_spec`), otherwise the available cores.
     /// A set-but-unparsable `WOL_THREADS` falls back to the available cores
     /// and warns **once** per process on stderr, so a typo is not mistaken
     /// for the default.
@@ -122,12 +122,12 @@ impl Parallelism {
     /// environment.
     ///
     /// [`from_env`]: Parallelism::from_env
-    pub fn from_spec(raw: &str) -> Option<Self> {
+    pub(crate) fn from_spec(raw: &str) -> Option<Self> {
         raw.trim().parse::<usize>().ok().map(Parallelism::new)
     }
 
     /// The machine's available cores, ignoring `WOL_THREADS`.
-    pub fn available() -> Self {
+    pub(crate) fn available() -> Self {
         Self::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
@@ -247,7 +247,9 @@ pub struct WorkerPool {
     sender: Option<Sender<Ticket>>,
     workers: Vec<JoinHandle<()>>,
     /// Live worker-thread count, for lifecycle assertions: incremented as a
-    /// worker starts, decremented as its loop exits.
+    /// worker starts, decremented as its loop exits. Only the lifecycle tests
+    /// read it.
+    #[cfg_attr(not(test), allow(dead_code))]
     live: Arc<AtomicUsize>,
 }
 
@@ -255,7 +257,7 @@ impl WorkerPool {
     /// A pool sized for `parallelism`: `threads - 1` OS workers (the calling
     /// thread is the remaining unit of concurrency), so
     /// [`Parallelism::sequential`] spawns no threads at all.
-    pub fn new(parallelism: Parallelism) -> Self {
+    pub(crate) fn new(parallelism: Parallelism) -> Self {
         let (sender, receiver) = channel::<Ticket>();
         let receiver = Arc::new(Mutex::new(receiver));
         let live = Arc::new(AtomicUsize::new(0));
@@ -289,20 +291,9 @@ impl WorkerPool {
         )
     }
 
-    /// The concurrency this pool provides (OS workers + the calling thread).
-    pub fn threads(&self) -> usize {
-        self.workers.len() + 1
-    }
-
     /// The number of OS worker threads the pool spawned (`threads() - 1`).
-    pub fn worker_count(&self) -> usize {
+    pub(crate) fn worker_count(&self) -> usize {
         self.workers.len()
-    }
-
-    /// A handle to the live worker-thread counter, for lifecycle tests: the
-    /// count drops to zero once [`Drop`] has joined every worker.
-    pub fn live_workers(&self) -> Arc<AtomicUsize> {
-        Arc::clone(&self.live)
     }
 
     /// Run a batch of jobs to completion and return their results **in
@@ -506,7 +497,7 @@ mod tests {
     fn sequential_pool_spawns_no_threads_and_runs_inline() {
         let pool = WorkerPool::new(Parallelism::sequential());
         assert_eq!(pool.worker_count(), 0);
-        assert_eq!(pool.live_workers().load(Ordering::SeqCst), 0);
+        assert_eq!(pool.live.load(Ordering::SeqCst), 0);
         let caller = std::thread::current().id();
         let jobs: Vec<Job<'_, (usize, std::thread::ThreadId)>> = (0..5usize)
             .map(|i| {
@@ -602,7 +593,7 @@ mod tests {
     #[test]
     fn drop_joins_all_workers() {
         let pool = WorkerPool::new(Parallelism::new(4));
-        let live = pool.live_workers();
+        let live = Arc::clone(&pool.live);
         // Give the workers a beat to register themselves, then verify they
         // are all alive before the drop.
         for _ in 0..100 {
@@ -657,8 +648,8 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let c = WorkerPool::shared(Parallelism::new(2));
         assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(a.threads(), 3);
-        assert_eq!(c.threads(), 2);
+        assert_eq!(a.worker_count(), 2);
+        assert_eq!(c.worker_count(), 1);
     }
 
     /// More jobs than workers queue and complete; fewer jobs than workers

@@ -9,8 +9,7 @@ use std::fmt;
 
 use crate::error::ModelError;
 use crate::instance::Instance;
-use crate::schema::Schema;
-use crate::types::{Label, Type};
+use crate::types::Label;
 use crate::values::Value;
 use crate::Result;
 
@@ -22,7 +21,7 @@ pub struct Path {
 
 impl Path {
     /// The empty path (the identity projection).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Path {
             segments: Vec::new(),
         }
@@ -62,20 +61,13 @@ impl Path {
         self.segments.len()
     }
 
-    /// Append a segment, returning the extended path.
-    pub fn then(&self, label: impl Into<Label>) -> Path {
-        let mut segments = self.segments.clone();
-        segments.push(label.into());
-        Path { segments }
-    }
-
     /// Evaluate the path against a value in the context of an instance.
     ///
     /// Each segment projects a record field. When the current value is an
     /// object identity, it is first dereferenced through the instance (this is
     /// the paper's `x.a` notation: "if `x ∈ σ^C` then take the value `V^C(x)`
     /// ... and project out the attribute `a`").
-    pub fn eval<'a>(&self, start: &'a Value, instance: &'a Instance) -> Result<&'a Value> {
+    pub(crate) fn eval<'a>(&self, start: &'a Value, instance: &'a Instance) -> Result<&'a Value> {
         let mut current = start;
         for segment in &self.segments {
             // Dereference through object identity if necessary.
@@ -87,35 +79,6 @@ impl Path {
                     "value of kind `{}` has no attribute `{segment}` (path {self})",
                     current.kind()
                 ))
-            })?;
-        }
-        Ok(current)
-    }
-
-    /// Evaluate the path and, if the final value is an object identity,
-    /// dereference it one more time. Useful for key expressions that must not
-    /// produce identities.
-    pub fn eval_deref<'a>(&self, start: &'a Value, instance: &'a Instance) -> Result<&'a Value> {
-        let v = self.eval(start, instance)?;
-        match v {
-            Value::Oid(oid) => instance.value_or_err(oid),
-            other => Ok(other),
-        }
-    }
-
-    /// Compute the type a path projects to, starting from `start` in `schema`.
-    /// Class types are dereferenced to their class value type before
-    /// projecting, mirroring [`eval`](Self::eval).
-    pub fn type_of<'a>(&self, start: &'a Type, schema: &'a Schema) -> Result<&'a Type> {
-        let mut current = start;
-        for segment in &self.segments {
-            if let Type::Class(c) = current {
-                current = schema
-                    .class_type(c)
-                    .ok_or_else(|| ModelError::UnknownClass(c.clone()))?;
-            }
-            current = current.field(segment).ok_or_else(|| {
-                ModelError::PathError(format!("type has no attribute `{segment}` (path {self})"))
             })?;
         }
         Ok(current)
@@ -206,42 +169,5 @@ mod tests {
         let v = inst.value(&paris).unwrap();
         let err = Path::parse("population").eval(v, &inst).unwrap_err();
         assert!(matches!(err, ModelError::PathError(_)));
-    }
-
-    #[test]
-    fn eval_deref_unwraps_final_oid() {
-        let (inst, fr, paris) = setup();
-        let v = inst.value(&paris).unwrap();
-        let country = Path::parse("country").eval(v, &inst).unwrap();
-        assert_eq!(country, &Value::oid(fr));
-        let country_val = Path::parse("country").eval_deref(v, &inst).unwrap();
-        assert_eq!(country_val.project("name"), Some(&Value::str("France")));
-    }
-
-    #[test]
-    fn then_extends_path() {
-        let p = Path::parse("country").then("name");
-        assert_eq!(p, Path::parse("country.name"));
-    }
-
-    #[test]
-    fn type_of_follows_classes() {
-        let schema = Schema::new("euro")
-            .with_class(
-                "CityE",
-                Type::record([("name", Type::str()), ("country", Type::class("CountryE"))]),
-            )
-            .with_class(
-                "CountryE",
-                Type::record([("name", Type::str()), ("currency", Type::str())]),
-            );
-        let start = Type::class("CityE");
-        let t = Path::parse("country.name")
-            .type_of(&start, &schema)
-            .unwrap();
-        assert_eq!(t, &Type::str());
-        assert!(Path::parse("country.bogus")
-            .type_of(&start, &schema)
-            .is_err());
     }
 }

@@ -35,7 +35,7 @@ impl Schema {
     /// Add a class with its associated value type.
     ///
     /// Returns an error if the class is already declared.
-    pub fn add_class(&mut self, class: impl Into<ClassName>, ty: Type) -> Result<()> {
+    pub(crate) fn add_class(&mut self, class: impl Into<ClassName>, ty: Type) -> Result<()> {
         let class = class.into();
         if self.classes.contains_key(&class) {
             return Err(ModelError::DuplicateClass(class));
@@ -44,10 +44,10 @@ impl Schema {
         Ok(())
     }
 
-    /// Builder-style variant of [`add_class`](Self::add_class), convenient
+    /// Builder-style variant of `add_class`, convenient
     /// for statically known schemas in tests and workload generators; a
     /// schema built from outside input goes through the fallible
-    /// [`add_class`](Self::add_class).
+    /// `add_class`.
     ///
     /// # Panics
     ///
@@ -81,16 +81,6 @@ impl Schema {
         self.classes.keys().cloned().collect()
     }
 
-    /// Number of classes.
-    pub fn len(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// True if the schema declares no classes.
-    pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
-    }
-
     /// Validate the schema:
     ///
     /// * no class's value type is directly a class type,
@@ -114,7 +104,7 @@ impl Schema {
     /// The class-reference graph: for each class, which classes its value type
     /// refers to. Used for recursion analysis of schemas and transformation
     /// programs.
-    pub fn reference_graph(&self) -> BTreeMap<ClassName, Vec<ClassName>> {
+    pub(crate) fn reference_graph(&self) -> BTreeMap<ClassName, Vec<ClassName>> {
         self.classes
             .iter()
             .map(|(c, t)| (c.clone(), t.referenced_classes()))
@@ -164,16 +154,6 @@ impl Schema {
         }
         false
     }
-
-    /// Merge another schema into this one (used to treat several source
-    /// databases as one combined source, as WOL transformations may draw from
-    /// multiple sources). Class names must be disjoint.
-    pub fn merge(&mut self, other: &Schema) -> Result<()> {
-        for (class, ty) in other.classes() {
-            self.add_class(class.clone(), ty.clone())?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -197,8 +177,6 @@ mod tests {
     fn build_and_lookup() {
         let s = us_schema();
         assert_eq!(s.name(), "us");
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
         assert!(s.has_class(&ClassName::new("CityA")));
         assert!(!s.has_class(&ClassName::new("CityE")));
         let city = s.class_type(&ClassName::new("CityA")).unwrap();
@@ -251,25 +229,6 @@ mod tests {
                 Type::record([("name", Type::str()), ("country", Type::class("Country"))]),
             );
         assert!(!s.is_recursive());
-    }
-
-    #[test]
-    fn merge_disjoint_schemas() {
-        let mut s = us_schema();
-        let e = Schema::new("euro").with_class(
-            "CityE",
-            Type::record([("name", Type::str()), ("is_capital", Type::bool())]),
-        );
-        s.merge(&e).unwrap();
-        assert_eq!(s.len(), 3);
-        assert!(s.has_class(&ClassName::new("CityE")));
-    }
-
-    #[test]
-    fn merge_overlapping_schemas_fails() {
-        let mut s = us_schema();
-        let dup = Schema::new("dup").with_class("CityA", Type::record([("x", Type::int())]));
-        assert!(s.merge(&dup).is_err());
     }
 
     #[test]

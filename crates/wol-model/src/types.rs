@@ -333,11 +333,6 @@ impl Type {
         Type::Base(BaseType::Int)
     }
 
-    /// Shorthand for the real base type.
-    pub fn real() -> Type {
-        Type::Base(BaseType::Real)
-    }
-
     /// Shorthand for the string base type.
     pub fn str() -> Type {
         Type::Base(BaseType::Str)
@@ -351,11 +346,6 @@ impl Type {
     /// Shorthand for a set type.
     pub fn set(elem: Type) -> Type {
         Type::Set(Box::new(elem))
-    }
-
-    /// Shorthand for a list type.
-    pub fn list(elem: Type) -> Type {
-        Type::List(Box::new(elem))
     }
 
     /// Shorthand for an optional type.
@@ -382,7 +372,7 @@ impl Type {
     }
 
     /// True if this is a class type.
-    pub fn is_class(&self) -> bool {
+    pub(crate) fn is_class(&self) -> bool {
         matches!(self, Type::Class(_))
     }
 
@@ -394,16 +384,8 @@ impl Type {
         }
     }
 
-    /// If this is a variant type, look up the type of alternative `label`.
-    pub fn alternative(&self, label: &str) -> Option<&Type> {
-        match self {
-            Type::Variant(alts) => alts.iter().find(|(l, _)| l == label).map(|(_, t)| t),
-            _ => None,
-        }
-    }
-
     /// All class names referenced (transitively) inside this type.
-    pub fn referenced_classes(&self) -> Vec<ClassName> {
+    pub(crate) fn referenced_classes(&self) -> Vec<ClassName> {
         let mut out = Vec::new();
         self.collect_classes(&mut out);
         out.sort();
@@ -424,14 +406,9 @@ impl Type {
         }
     }
 
-    /// True if any class type appears (transitively) inside this type.
-    pub fn mentions_class(&self) -> bool {
-        !self.referenced_classes().is_empty()
-    }
-
     /// Structural well-formedness: record/variant labels must be distinct and
     /// variants must have at least one alternative.
-    pub fn check_well_formed(&self, context: &str) -> Result<()> {
+    pub(crate) fn check_well_formed(&self, context: &str) -> Result<()> {
         match self {
             Type::Base(_) | Type::Class(_) | Type::Unit => Ok(()),
             Type::Set(t) | Type::List(t) | Type::Optional(t) => t.check_well_formed(context),
@@ -453,17 +430,6 @@ impl Type {
                     t.check_well_formed(&format!("{context}<{l}>"))?;
                 }
                 Ok(())
-            }
-        }
-    }
-
-    /// The maximum nesting depth of the type (a base or class type has depth 1).
-    pub fn depth(&self) -> usize {
-        match self {
-            Type::Base(_) | Type::Class(_) | Type::Unit => 1,
-            Type::Set(t) | Type::List(t) | Type::Optional(t) => 1 + t.depth(),
-            Type::Record(fs) | Type::Variant(fs) => {
-                1 + fs.iter().map(|(_, t)| t.depth()).max().unwrap_or(0)
             }
         }
     }
@@ -531,18 +497,6 @@ mod tests {
         assert_eq!(t.field("name"), Some(&Type::str()));
         assert_eq!(t.field("state"), Some(&Type::class("StateA")));
         assert_eq!(t.field("missing"), None);
-        assert_eq!(t.alternative("name"), None);
-    }
-
-    #[test]
-    fn variant_alternative_lookup() {
-        let t = Type::variant([
-            ("euro_city", Type::class("CityE")),
-            ("us_city", Type::class("CityA")),
-        ]);
-        assert_eq!(t.alternative("euro_city"), Some(&Type::class("CityE")));
-        assert_eq!(t.alternative("nope"), None);
-        assert_eq!(t.field("euro_city"), None);
     }
 
     #[test]
@@ -557,8 +511,6 @@ mod tests {
         ]);
         let classes = t.referenced_classes();
         assert_eq!(classes, vec![ClassName::new("C1"), ClassName::new("C2")]);
-        assert!(t.mentions_class());
-        assert!(!Type::int().mentions_class());
     }
 
     #[test]
@@ -589,7 +541,6 @@ mod tests {
             ("population", Type::optional(Type::int())),
         ]);
         assert!(t.check_well_formed("CityT").is_ok());
-        assert_eq!(t.depth(), 3);
     }
 
     #[test]
@@ -598,12 +549,5 @@ mod tests {
         assert_eq!(BaseType::Int.to_string(), "int");
         assert_eq!(BaseType::Real.to_string(), "real");
         assert_eq!(BaseType::Str.to_string(), "str");
-    }
-
-    #[test]
-    fn depth_of_flat_types() {
-        assert_eq!(Type::int().depth(), 1);
-        assert_eq!(Type::set(Type::int()).depth(), 2);
-        assert_eq!(Type::class("C").depth(), 1);
     }
 }

@@ -5,17 +5,17 @@
 //! value is present in one of the instance's extents (Section 2.1). Keyed
 //! schemas additionally require the key specification to be satisfied.
 //!
-//! Two walks give one verdict. [`conforms`] answers yes or no without
-//! allocating, and it is what a load runs per object. [`check_value`] also
+//! Two walks give one verdict. `conforms` answers yes or no without
+//! allocating, and it is what a load runs per object. `check_value` also
 //! builds the error — the path to the offending field and what was expected
-//! there — and runs only once [`conforms`] has said no, so a failing
+//! there — and runs only once `conforms` has said no, so a failing
 //! instance reports exactly the error it always did.
 
 use crate::error::ModelError;
 use crate::instance::Instance;
 use crate::keys::KeySpec;
 use crate::schema::Schema;
-use crate::types::{BaseType, ClassName, Type};
+use crate::types::{BaseType, Type};
 use crate::values::Value;
 use crate::Result;
 
@@ -23,7 +23,12 @@ use crate::Result;
 ///
 /// Object identities are checked to have the class the type requires and to be
 /// present in the instance. `Absent` is only allowed for `Optional` types.
-pub fn check_value(value: &Value, ty: &Type, instance: &Instance, context: &str) -> Result<()> {
+pub(crate) fn check_value(
+    value: &Value,
+    ty: &Type,
+    instance: &Instance,
+    context: &str,
+) -> Result<()> {
     match (ty, value) {
         (Type::Base(BaseType::Bool), Value::Bool(_)) => Ok(()),
         (Type::Base(BaseType::Int), Value::Int(_)) => Ok(()),
@@ -116,7 +121,7 @@ pub fn check_value(value: &Value, ty: &Type, instance: &Instance, context: &str)
 /// fields found account for all of the record's — for a well-formed type
 /// (distinct labels, as [`Schema::validate`] requires), exactly when no
 /// field is undeclared.
-pub fn conforms(value: &Value, ty: &Type, instance: &Instance) -> bool {
+pub(crate) fn conforms(value: &Value, ty: &Type, instance: &Instance) -> bool {
     match (ty, value) {
         (Type::Base(BaseType::Bool), Value::Bool(_))
         | (Type::Base(BaseType::Int), Value::Int(_))
@@ -177,25 +182,11 @@ pub fn check_keyed_instance(instance: &Instance, schema: &Schema, keys: &KeySpec
     keys.check(instance)
 }
 
-/// Collect the classes of a schema whose extents contain at least one object
-/// that fails validation. Used for diagnostics in the Morphase pipeline.
-pub fn invalid_classes(instance: &Instance, schema: &Schema) -> Vec<ClassName> {
-    let mut out = Vec::new();
-    for (class, ty) in schema.classes() {
-        let bad = instance
-            .objects(class)
-            .any(|(_, value)| !conforms(value, ty, instance));
-        if bad {
-            out.push(class.clone());
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oid::Oid;
+    use crate::types::ClassName;
 
     fn euro_schema() -> Schema {
         Schema::new("euro")
@@ -239,7 +230,6 @@ mod tests {
             ]),
         );
         assert!(check_instance(&inst, &schema).is_ok());
-        assert!(invalid_classes(&inst, &schema).is_empty());
     }
 
     #[test]
@@ -257,10 +247,6 @@ mod tests {
         );
         let err = check_instance(&inst, &schema).unwrap_err();
         assert!(matches!(err, ModelError::DanglingOid(_)));
-        assert_eq!(
-            invalid_classes(&inst, &schema),
-            vec![ClassName::new("CityE")]
-        );
     }
 
     #[test]
@@ -467,39 +453,31 @@ mod tests {
                 "corrupted",
                 "type mismatch at CountryE(#CountryE:1): expected Record([(\"name\", \
                  Base(Str)), (\"language\", Base(Str)), (\"currency\", Base(Str))]), found int",
-                "CountryE",
             ),
             (
                 "missing",
                 "type mismatch at CountryE(#CountryE:1): expected field `language`, found \
                  missing field",
-                "CountryE",
             ),
             (
                 "extra",
                 "type mismatch at CountryE(#CountryE:1): expected no such field, found \
                  unexpected field `population`",
-                "CountryE",
             ),
             (
                 "wrong class",
                 "type mismatch at CityE(#CityE:1).country: expected object of class \
                  `CountryE`, found object of class `CityE`",
-                "CityE",
             ),
             (
                 "dangling",
                 "dangling object identity #CountryE:42 (at CityE(#CityE:1).country)",
-                "CityE",
             ),
         ];
-        for ((name, inst), (want_name, message, class)) in
-            corrupted_instances().iter().zip(expected)
-        {
+        for ((name, inst), (want_name, message)) in corrupted_instances().iter().zip(expected) {
             assert_eq!(*name, want_name);
             let err = check_instance(inst, &schema).unwrap_err();
             assert_eq!(err.to_string(), message, "{name}");
-            assert_eq!(invalid_classes(inst, &schema), vec![ClassName::new(class)]);
             // The cheap walk says no to exactly the object the full check
             // reports, and yes to every other.
             for (class, ty) in schema.classes() {

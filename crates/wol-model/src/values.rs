@@ -321,22 +321,6 @@ impl Value {
         }
     }
 
-    /// If this is a string, return it.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// If this is a boolean, return it.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// If this is a set, return its elements.
     pub fn as_set(&self) -> Option<&BTreeSet<Value>> {
         match self {
@@ -370,33 +354,9 @@ impl Value {
         }
     }
 
-    /// Collect every object identity appearing (transitively) inside this value.
-    pub fn collect_oids(&self, out: &mut Vec<Oid>) {
-        match self {
-            Value::Oid(o) => out.push(o.clone()),
-            Value::Bool(_)
-            | Value::Int(_)
-            | Value::Real(_)
-            | Value::Str(_)
-            | Value::Unit
-            | Value::Absent => {}
-            Value::Set(s) => s.iter().for_each(|v| v.collect_oids(out)),
-            Value::List(l) => l.iter().for_each(|v| v.collect_oids(out)),
-            Value::Record(r) => r.values().for_each(|v| v.collect_oids(out)),
-            Value::Variant(_, v) => v.collect_oids(out),
-        }
-    }
-
-    /// All object identities appearing inside this value.
-    pub fn oids(&self) -> Vec<Oid> {
-        let mut out = Vec::new();
-        self.collect_oids(&mut out);
-        out
-    }
-
     /// Rewrite every object identity inside this value through `f` (used when
     /// merging instances whose identity spaces overlap).
-    pub fn map_oids(&self, f: &mut impl FnMut(&Oid) -> Oid) -> Value {
+    pub(crate) fn map_oids(&self, f: &mut impl FnMut(&Oid) -> Oid) -> Value {
         match self {
             Value::Oid(o) => Value::Oid(f(o)),
             Value::Bool(_)
@@ -449,23 +409,6 @@ impl Value {
     /// Wrap the value in a cheaply clonable [`SharedValue`] handle.
     pub fn shared(self) -> SharedValue {
         Arc::new(self)
-    }
-
-    /// The number of nodes in the value tree (used by size metrics in benches).
-    pub fn size(&self) -> usize {
-        match self {
-            Value::Bool(_)
-            | Value::Int(_)
-            | Value::Real(_)
-            | Value::Str(_)
-            | Value::Oid(_)
-            | Value::Unit
-            | Value::Absent => 1,
-            Value::Set(s) => 1 + s.iter().map(Value::size).sum::<usize>(),
-            Value::List(l) => 1 + l.iter().map(Value::size).sum::<usize>(),
-            Value::Record(r) => 1 + r.values().map(Value::size).sum::<usize>(),
-            Value::Variant(_, v) => 1 + v.size(),
-        }
     }
 }
 
@@ -548,15 +491,6 @@ impl Record {
         }
     }
 
-    /// Remove field `label`, returning its value.
-    pub fn remove(&mut self, label: &str) -> Option<Value> {
-        let i = self.position(label).ok()?;
-        let mut fields = std::mem::take(&mut self.0).into_vec();
-        let (_, value) = fields.remove(i);
-        self.0 = fields.into_boxed_slice();
-        Some(value)
-    }
-
     /// The fields in ascending label order.
     pub fn iter(&self) -> Fields<'_> {
         Fields(self.0.iter())
@@ -574,7 +508,7 @@ impl Record {
 
     /// The same labels with every value rewritten through `f`, in label
     /// order.
-    pub fn map_values(&self, mut f: impl FnMut(&Value) -> Value) -> Record {
+    pub(crate) fn map_values(&self, mut f: impl FnMut(&Value) -> Value) -> Record {
         Record(self.0.iter().map(|(l, v)| (l.clone(), f(v))).collect())
     }
 
@@ -777,7 +711,7 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_collect_oids() {
+    fn contains_oid_looks_inside_nested_values() {
         let v = Value::record([
             ("country", Value::oid(oid("CountryE", 1))),
             ("aliases", Value::set([Value::str("x")])),
@@ -787,8 +721,6 @@ mod tests {
             ),
         ]);
         assert!(v.contains_oid());
-        let oids = v.oids();
-        assert_eq!(oids.len(), 2);
         assert!(!Value::str("plain").contains_oid());
     }
 
@@ -839,16 +771,6 @@ mod tests {
         assert!(a < b);
         assert!(b < nan);
         assert_eq!(Value::real(1.5), Value::real(1.5));
-    }
-
-    #[test]
-    fn value_size_counts_nodes() {
-        let v = Value::record([
-            ("a", Value::int(1)),
-            ("b", Value::set([Value::int(1), Value::int(2)])),
-        ]);
-        // record + int + set + 2 ints
-        assert_eq!(v.size(), 5);
     }
 
     #[test]

@@ -118,7 +118,7 @@ mod tests {
         let program = variants::wol_program(k);
         let normal =
             wol_engine::normalize(&program, &wol_engine::NormalizeOptions::default()).unwrap();
-        let target = wol_engine::execute(&normal, &[&source][..], "target").unwrap();
+        let target = crate::execute(&normal, &[&source][..], "target").unwrap();
         assert_eq!(target.extent_size(&ClassName::new("Obj")), items);
 
         // The flag-to-alternative mapping agrees: compare the multiset of

@@ -12,6 +12,9 @@
 //! * [`eval`] — the named-row CPL expression evaluator, the reference for
 //!   `cpl`'s lowered, slot-addressed evaluation by reference: the same value,
 //!   or an error of the same variant and text, on every expression.
+//! * [`normal_form`] — [`execute`], the single-pass executor of normal-form
+//!   programs over the engine's matcher. Tests run a normal form with it
+//!   apart from planning and CPL, and hold the compiled pipeline to it.
 //! * [`datalog`] — a flat Datalog/ILOG engine and the complete-clause
 //!   translation of the variant family `V(k)`. It is the reference for the
 //!   paper's Section 3.2–3.3 comparison: `2^k` complete rules derive the same
@@ -26,5 +29,7 @@
 pub mod datalog;
 pub mod eval;
 pub mod matcher;
+pub mod normal_form;
 
 pub use matcher::match_body_reference;
+pub use normal_form::execute;

@@ -8,7 +8,7 @@
 //! a planning, probing or undo-trail bug in `wol_engine::match_body` shows up
 //! as a disagreement between the two.
 
-use wol_engine::env::{eval_term, is_pattern, match_pattern, try_eval_term};
+use wol_engine::{eval_term, is_pattern, match_pattern, try_eval_term};
 use wol_engine::{Bindings, Databases, EngineError, MatchStats, Result};
 use wol_lang::ast::{Atom, Term};
 use wol_model::{SkolemFactory, Value};

@@ -128,7 +128,7 @@ impl CitiesWorkload {
 
     /// The WOL program text for the US side: states and cities become
     /// `StateT`/`CityT` objects with the `state` variant of `place`.
-    pub fn us_program_text() -> &'static str {
+    pub(crate) fn us_program_text() -> &'static str {
         "U1: S in StateT, S.name = A.name <= A in StateA;\n\
          U2: Y in CityT, Y.name = A.name, Y.place = ins_state(S) \
              <= A in CityA, S in StateT, S.name = A.state.name;\n\
@@ -259,7 +259,7 @@ pub fn generate_euro(countries: usize, cities_per_country: usize, seed: u64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wol_engine::{execute, naive_transform, normalize, NormalizeOptions};
+    use wol_engine::naive_transform;
 
     #[test]
     fn schemas_validate_and_are_recursive_where_expected() {
@@ -307,8 +307,7 @@ mod tests {
         let w = CitiesWorkload::new();
         let program = w.euro_program();
         let source = generate_euro(3, 2, 11);
-        let normal = normalize(&program, &NormalizeOptions::default()).unwrap();
-        let target = execute(&normal, &[&source][..], "target").unwrap();
+        let target = naive_transform(&program, &[&source][..], "target").unwrap();
         assert_eq!(target.extent_size(&ClassName::new("CountryT")), 3);
         assert_eq!(target.extent_size(&ClassName::new("CityT")), 6);
         // Every country has its capital filled in (the generator marks the
@@ -316,12 +315,6 @@ mod tests {
         for (_, value) in target.objects(&ClassName::new("CountryT")) {
             assert!(value.project("capital").is_some());
         }
-        // Naive evaluation agrees on extent sizes.
-        let naive = naive_transform(&program, &[&source][..], "target").unwrap();
-        assert_eq!(
-            naive.extent_size(&ClassName::new("CityT")),
-            target.extent_size(&ClassName::new("CityT"))
-        );
     }
 
     #[test]
@@ -329,8 +322,7 @@ mod tests {
         let w = CitiesWorkload::new();
         let program = w.us_program();
         let source = w.small_us_instance();
-        let normal = normalize(&program, &NormalizeOptions::default()).unwrap();
-        let target = execute(&normal, &[&source][..], "target").unwrap();
+        let target = naive_transform(&program, &[&source][..], "target").unwrap();
         assert_eq!(target.extent_size(&ClassName::new("StateT")), 2);
         assert_eq!(target.extent_size(&ClassName::new("CityT")), 2);
         let pa = target

@@ -25,7 +25,7 @@ use wol_lang::program::{Program, SchemaBinding};
 use wol_model::{ClassName, Instance, KeyExpr, KeySpec, MutationBatch, Oid, Schema, Type, Value};
 
 /// The registry source schema: users, profiles referencing users, accounts.
-pub fn source_schema() -> Schema {
+pub(crate) fn source_schema() -> Schema {
     Schema::new("registry")
         .with_class(
             "UserS",
@@ -46,7 +46,7 @@ pub fn source_schema() -> Schema {
 }
 
 /// The minimal directory target schema: one class, keyed by email.
-pub fn target_schema() -> Schema {
+pub(crate) fn target_schema() -> Schema {
     Schema::new("directory").with_class(
         "UserD",
         Type::record([("email", Type::str()), ("name", Type::str())]),
@@ -56,7 +56,7 @@ pub fn target_schema() -> Schema {
 /// The transformation (`T1`, key `K1`) plus the three source constraints
 /// (`S1` merge key, `S2` existence, `S3` Skolem key) described in the module
 /// docs.
-pub fn program_text() -> &'static str {
+pub(crate) fn program_text() -> &'static str {
     "T1: X in UserD, X.email = E, X.name = N <= U in UserS, E = U.email, N = U.name;\n\
      K1: X = Mk_UserD(E) <= X in UserD, E = X.email;\n\
      S1: X = Y <= X in UserS, Y in UserS, X.email = Y.email;\n\

@@ -79,7 +79,7 @@ pub fn source_schema() -> Schema {
 }
 
 /// The integrated warehouse schema with real object references.
-pub fn target_schema() -> Schema {
+pub(crate) fn target_schema() -> Schema {
     Schema::new("fedwh")
         .with_class(
             "CloneW",
@@ -112,7 +112,7 @@ pub fn target_schema() -> Schema {
 /// scan projections (not through a bound variable) so the planner can
 /// recognise them as pushable; each source class is scanned exactly once
 /// across the program, which keeps all three eligible for pushdown.
-pub fn program_text() -> &'static str {
+pub(crate) fn program_text() -> &'static str {
     "F1: X in CloneW, X.name = N, X.length = L, X.lab = B <= \
          C in CloneR, N = C.name, L = C.length, B = C.lab, C.length < 180000;\n\
      F2: M in MarkerW, M.name = N, M.position = P, M.clone = X <= \
@@ -227,9 +227,7 @@ fn passing_clone_names(params: &FederatedParams) -> Vec<String> {
 /// `Clone` tags, plus the mapping that streams them as `MarkerA` rows.
 /// Marker 0 always passes the position cutoff, and every marker references
 /// a clone that passes the length cutoff.
-pub fn generate_marker_store(
-    params: &FederatedParams,
-) -> (AceStore, Vec<storage::acedb::AceMapping>) {
+pub fn generate_marker_store(params: &FederatedParams) -> (AceStore, Vec<storage::AceMapping>) {
     let clones = passing_clone_names(params);
     assert!(!clones.is_empty(), "clone 0 always passes the cutoff");
     let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(1));
@@ -250,7 +248,7 @@ pub fn generate_marker_store(
                 ),
         );
     }
-    let mappings = vec![storage::acedb::AceMapping::new(
+    let mappings = vec![storage::AceMapping::new(
         "Marker",
         "MarkerA",
         &[("Position", "position"), ("Clone", "clone_name")],

@@ -17,7 +17,7 @@ use wol_lang::program::{Program, SchemaBinding};
 use wol_model::{Instance, Schema, Type};
 
 /// The schema of the imported ACeDB-style source (classes `CloneS`, `MarkerS`
-/// with optional attributes, as produced by [`storage::acedb`]).
+/// with optional attributes, as produced by [`storage::AceStore`]).
 pub fn source_schema() -> Schema {
     Schema::new("ace22")
         .with_class(
@@ -171,12 +171,12 @@ pub fn generate_ace_store(params: &GenomeParams) -> AceStore {
 pub fn generate_source(params: &GenomeParams) -> Instance {
     let store = generate_ace_store(params);
     let mappings = vec![
-        storage::acedb::AceMapping::new(
+        storage::AceMapping::new(
             "Clone",
             "CloneS",
             &[("Length", "length"), ("Sequenced_by", "lab")],
         ),
-        storage::acedb::AceMapping::new(
+        storage::AceMapping::new(
             "Marker",
             "MarkerS",
             &[
@@ -194,7 +194,7 @@ pub fn generate_source(params: &GenomeParams) -> Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wol_engine::{execute, normalize, NormalizeOptions};
+    use wol_engine::naive_transform;
     use wol_model::{ClassName, Value};
 
     #[test]
@@ -227,8 +227,7 @@ mod tests {
             seed: 5,
         };
         let source = generate_source(&params);
-        let normal = normalize(&program(), &NormalizeOptions::default()).unwrap();
-        let target = execute(&normal, &[&source][..], "chr22").unwrap();
+        let target = naive_transform(&program(), &[&source][..], "chr22").unwrap();
         assert_eq!(target.extent_size(&ClassName::new("CloneD")), 8);
         assert_eq!(target.extent_size(&ClassName::new("MarkerD")), 20);
         // Positions survive exactly for the markers that had one.
@@ -261,8 +260,7 @@ mod tests {
         for (_, value) in source.objects(&ClassName::new("MarkerS")) {
             assert_eq!(value.as_record().unwrap().len(), 1); // name only
         }
-        let normal = normalize(&program(), &NormalizeOptions::default()).unwrap();
-        let target = execute(&normal, &[&source][..], "chr22").unwrap();
+        let target = naive_transform(&program(), &[&source][..], "chr22").unwrap();
         assert_eq!(target.extent_size(&ClassName::new("MarkerD")), 3);
     }
 }

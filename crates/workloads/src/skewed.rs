@@ -36,7 +36,7 @@ use wol_model::{ClassName, Instance, Schema, Type, Value};
 
 /// The skewed ACe22DB-style source schema: clones, plus markers and probes
 /// that both reference clones by name, plus a small lane lookup relation.
-pub fn source_schema() -> Schema {
+pub(crate) fn source_schema() -> Schema {
     Schema::new("ace22skew")
         .with_class(
             "CloneS",
@@ -70,7 +70,7 @@ pub fn source_schema() -> Schema {
 
 /// The warehouse target: one `HitT` object per (marker, probe, lane) triple
 /// that agrees on clone, bin and lane.
-pub fn target_schema() -> Schema {
+pub(crate) fn target_schema() -> Schema {
     Schema::new("chr22skew").with_class(
         "HitT",
         Type::record([
@@ -83,7 +83,7 @@ pub fn target_schema() -> Schema {
 
 /// The transformation: a three-way triangle join whose ordering is the whole
 /// game (see the module docs).
-pub fn program_text() -> &'static str {
+pub(crate) fn program_text() -> &'static str {
     "H1: X in HitT, X.marker = MN, X.probe = PN, X.lane = LN <= \
          M in MarkerS, P in ProbeS, L in LaneS, \
          M.clone_name = P.clone_name, M.bin = L.bin, P.lane = L.lane, \
@@ -160,7 +160,7 @@ impl SkewedParams {
 /// values with weights `1/(rank+1)^exponent`, by largest remainder. The
 /// head is exact (value 0 always gets the biggest share) and the counts sum
 /// to `total` precisely, so tests do not depend on sampling noise.
-pub fn zipf_counts(total: usize, domain: usize, exponent: f64) -> Vec<usize> {
+pub(crate) fn zipf_counts(total: usize, domain: usize, exponent: f64) -> Vec<usize> {
     if domain == 0 || total == 0 {
         return vec![0; domain];
     }

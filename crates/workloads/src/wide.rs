@@ -16,12 +16,12 @@ use wol_lang::program::{Program, SchemaBinding};
 use wol_model::{ClassName, Instance, Schema, Type, Value};
 
 /// The name of the i-th data attribute.
-pub fn attr(i: usize) -> String {
+pub(crate) fn attr(i: usize) -> String {
     format!("f{i}")
 }
 
 /// The source schema: `Wide(name, f0, ..., f{n-1})`.
-pub fn source_schema(n: usize) -> Schema {
+pub(crate) fn source_schema(n: usize) -> Schema {
     let mut fields = vec![("name".to_string(), Type::str())];
     for i in 0..n {
         fields.push((attr(i), Type::str()));
@@ -31,7 +31,7 @@ pub fn source_schema(n: usize) -> Schema {
 
 /// The target schema: `Tgt(name, f0, ..., f{n-1})` with every data attribute
 /// optional (partial clauses need not cover all of them).
-pub fn target_schema(n: usize) -> Schema {
+pub(crate) fn target_schema(n: usize) -> Schema {
     let mut fields = vec![("name".to_string(), Type::str())];
     for i in 0..n {
         fields.push((attr(i), Type::optional(Type::str())));
@@ -114,7 +114,7 @@ pub fn generate_source(n: usize, rows: usize, seed: u64) -> Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wol_engine::{execute, normalize, NormalizeOptions};
+    use wol_engine::{naive_transform, normalize, NormalizeOptions};
 
     #[test]
     fn programs_validate() {
@@ -127,11 +127,8 @@ mod tests {
     fn partial_and_normal_form_programs_compute_the_same_target() {
         let n = 8;
         let source = generate_source(n, 5, 3);
-        let normal_a = normalize(&normal_form_program(n), &NormalizeOptions::default()).unwrap();
-        let normal_b =
-            normalize(&partial_program(n, 4, true), &NormalizeOptions::default()).unwrap();
-        let a = execute(&normal_a, &[&source][..], "t").unwrap();
-        let b = execute(&normal_b, &[&source][..], "t").unwrap();
+        let a = naive_transform(&normal_form_program(n), &[&source][..], "t").unwrap();
+        let b = naive_transform(&partial_program(n, 4, true), &[&source][..], "t").unwrap();
         assert!(wol_engine::instances_equivalent(&a, &b, 2));
         assert_eq!(a.extent_size(&ClassName::new("Tgt")), 5);
     }

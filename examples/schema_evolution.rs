@@ -11,7 +11,8 @@
 //! cargo run --example schema_evolution
 //! ```
 
-use wol_repro::wol_engine::{self, check_injective, execute, normalize, NormalizeOptions};
+use wol_repro::morphase::Morphase;
+use wol_repro::wol_engine::{self, check_injective, EngineError};
 use wol_repro::wol_model::{display::render_instance, ClassName, Instance, Oid, Value};
 use wol_repro::workloads::people::{generate_couples, PeopleWorkload};
 
@@ -25,11 +26,13 @@ fn main() {
     println!("{}", PeopleWorkload::constraints_text());
     println!();
 
-    let normal = normalize(&program, &NormalizeOptions::default()).expect("normalises");
+    let morphase = Morphase::new();
     let source = generate_couples(3, 7);
-    let target = execute(&normal, &[&source][..], "people_v2").expect("executes");
+    let run = morphase
+        .transform(&program, &[&source][..])
+        .expect("transforms");
     println!("== Evolved database ==");
-    println!("{}", render_instance(&target));
+    println!("{}", render_instance(&run.target));
 
     // Information preservation: a valid instance and one with an asymmetric
     // spouse attribute map to the same target.
@@ -42,7 +45,12 @@ fn main() {
     }
     asymmetric.update(&wife, v).unwrap();
 
-    let transform = |source: &Instance| execute(&normal, &[source][..], "people_v2");
+    let transform = |source: &Instance| {
+        morphase
+            .transform(&program, &[source][..])
+            .map(|run| run.target)
+            .map_err(|e| EngineError::Eval(e.to_string()))
+    };
     let family = vec![valid, asymmetric];
     let report = check_injective(&family, transform, 3).expect("checks");
     println!(

@@ -4,7 +4,7 @@
 
 use wol_repro::morphase::{Morphase, PipelineOptions};
 use wol_repro::storage::{csv, relational, Column, Table, TableSchema};
-use wol_repro::wol_engine::{self, naive_transform};
+use wol_repro::wol_engine::naive_transform;
 use wol_repro::wol_model::{validate, ClassName, Value};
 use wol_repro::workloads::cities::{generate_euro, CitiesWorkload};
 use wol_repro::workloads::genome::{self, GenomeParams};
@@ -145,12 +145,7 @@ fn variant_family_agrees_with_the_datalog_baseline() {
     use wol_oracle::datalog::{evaluate, variant_baseline_program, variant_facts};
     let k = 4;
     let source = variants::generate_source(k, 40, 19);
-    let normal = wol_engine::normalize(
-        &variants::wol_program(k),
-        &wol_engine::NormalizeOptions::default(),
-    )
-    .unwrap();
-    let target = wol_engine::execute(&normal, &[&source][..], "target").unwrap();
+    let target = naive_transform(&variants::wol_program(k), &[&source][..], "target").unwrap();
     let (db, _) = evaluate(
         &variant_baseline_program(k).program,
         &variant_facts(&source, k),

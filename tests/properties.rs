@@ -8,8 +8,8 @@ use wol_oracle::match_body_reference;
 use wol_repro::cpl::{self, Expr, Plan};
 use wol_repro::morphase::Morphase;
 use wol_repro::wol_engine::{
-    execute, instances_equivalent, match_body, naive_transform, normalize, Bindings, Databases,
-    MatchStats, NormalizeOptions,
+    instances_equivalent, match_body, naive_transform, normalize, Bindings, Databases, MatchStats,
+    NormalizeOptions,
 };
 use wol_repro::wol_lang::ast::Atom;
 use wol_repro::wol_lang::{parse_clause, render_clause};
@@ -852,8 +852,7 @@ proptest! {
         let workload = CitiesWorkload::new();
         let program = workload.euro_program();
         let source = generate_euro(countries, cities, seed);
-        let normal = normalize(&program, &NormalizeOptions::default()).unwrap();
-        let target = execute(&normal, &[&source][..], "target").unwrap();
+        let target = Morphase::new().transform(&program, &[&source][..]).unwrap().target;
         prop_assert_eq!(target.extent_size(&ClassName::new("CountryT")), countries);
         prop_assert_eq!(target.extent_size(&ClassName::new("CityT")), countries * cities);
     }
@@ -880,8 +879,8 @@ proptest! {
         let source = wide::generate_source(n, rows, seed);
         let whole = normalize(&wide::normal_form_program(n), &NormalizeOptions::default()).unwrap();
         let split = normalize(&wide::partial_program(n, k, true), &NormalizeOptions::default()).unwrap();
-        let a = execute(&whole, &[&source][..], "t").unwrap();
-        let b = execute(&split, &[&source][..], "t").unwrap();
+        let a = wol_oracle::execute(&whole, &[&source][..], "t").unwrap();
+        let b = wol_oracle::execute(&split, &[&source][..], "t").unwrap();
         prop_assert!(instances_equivalent(&a, &b, 2));
     }
 
@@ -923,15 +922,15 @@ proptest! {
         }
     }
 
-    /// The Morphase/CPL execution path agrees with the engine's reference
-    /// executor on the variant family.
+    /// The Morphase/CPL execution path agrees with the single-pass reference
+    /// executor of the normal form on the variant family.
     #[test]
     fn cpl_and_reference_execution_agree(k in 1usize..4, items in 1usize..12, seed in 0u64..100) {
         let program = variants::wol_program(k);
         let source = variants::generate_source(k, items, seed);
         let run = Morphase::new().transform(&program, &[&source][..]).unwrap();
         let normal = normalize(&program, &NormalizeOptions::default()).unwrap();
-        let reference = execute(&normal, &[&source][..], "target").unwrap();
+        let reference = wol_oracle::execute(&normal, &[&source][..], "target").unwrap();
         prop_assert!(instances_equivalent(&run.target, &reference, 2));
     }
 }
