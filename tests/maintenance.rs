@@ -206,6 +206,33 @@ fn soak_concurrent_readers_never_observe_torn_targets() {
     );
 }
 
+/// A maintainer panic mid-stream surfaces loudly: queued and later requests
+/// error instead of hanging, and shutdown re-raises the panic.
+#[test]
+fn soak_maintainer_panics_propagate_instead_of_hanging() {
+    let params = GenomeParams::default();
+    let source = genome::generate_source(&params);
+    let service = PipelineService::start(genome_pipeline(&params));
+    let mut gen = TrafficGen::new(&source, 5, TrafficWeights::in_place());
+    for _ in 0..10 {
+        service.apply(gen.next_batch(2)).expect("healthy applies");
+    }
+    service.inject_panic();
+    assert!(
+        service.apply(gen.next_batch(2)).is_err(),
+        "applies after a maintainer panic must error, not hang"
+    );
+    let snapshot = service.snapshot();
+    assert!(
+        !snapshot.populated_classes().is_empty(),
+        "the last published snapshot stays readable"
+    );
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = service.shutdown();
+    }));
+    assert!(panicked.is_err(), "shutdown must re-raise the panic");
+}
+
 /// The durable maintainer commits one journal batch per applied mutation
 /// batch: a WAL torn mid-record kills the stream, and reopening the
 /// directory recovers exactly the committed prefix — the torn tail is
