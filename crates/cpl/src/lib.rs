@@ -37,7 +37,8 @@
 //! tower in `columnar`) is written against it: an operator runs over
 //! **partitions** of its input, and the *number* of partitions is
 //! [`Parallelism::partitions`] of its input size — the workspace's one
-//! partition rule, shared with `wol-engine`'s matcher. The budget is the
+//! partition rule. `cpl` is the workspace's one parallel engine:
+//! `wol-engine`'s matcher runs on the calling thread. The budget is the
 //! context's [`Parallelism`] (default: available cores, overridable via the
 //! `WOL_THREADS` environment variable), threaded through
 //! [`expr::EvalCtx`]; one thread, or an input below the rule's minimum,

@@ -615,7 +615,7 @@ fn build_state(
     let every: BTreeSet<Oid> = ledger.contributions.keys().cloned().collect();
     let mut target = Instance::new(augmented.target.schema.name());
     ledger.settle(&every, &mut target)?;
-    verify_target_instance(options, augmented, &target)?;
+    verify_target_instance(augmented, &target)?;
     Ok(Core {
         analyses,
         caches,
@@ -934,7 +934,7 @@ impl MaterializedPipeline {
         let check = {
             let clause_refs: Vec<&Clause> = self.constraints.iter().collect();
             let refs: Vec<&Instance> = self.sources.iter().collect();
-            let dbs = Databases::new(&refs).with_parallelism(self.options.parallelism);
+            let dbs = Databases::new(&refs);
             match check_batch(
                 &clause_refs,
                 &dbs,

@@ -473,7 +473,7 @@ impl Front {
             }
         }
         if options.check_source_constraints && !sources.is_empty() {
-            let dbs = wol_engine::Databases::new(sources).with_parallelism(options.parallelism);
+            let dbs = wol_engine::Databases::new(sources);
             wol_engine::enforce_constraints(&self.source_constraints(), &dbs)
                 .map_err(|e| crate::MorphaseError::Verification(e.to_string()))?;
         }
@@ -732,7 +732,7 @@ pub(crate) fn run_pipeline(
 
         // Stage 6: verification.
         let start = Instant::now();
-        verify_target_instance(options, &front.augmented, &target)?;
+        verify_target_instance(&front.augmented, &target)?;
         timings.verify = start.elapsed();
     }
 
@@ -759,11 +759,7 @@ pub(crate) fn run_pipeline(
 /// program's target schema, keys, and (non-Skolem-key) constraints. Shared by
 /// [`run_pipeline`] and the standing [`crate::MaterializedPipeline`], which
 /// re-verifies at full-build boundaries.
-pub(crate) fn verify_target_instance(
-    options: PipelineOptions,
-    augmented: &Program,
-    target: &Instance,
-) -> Result<()> {
+pub(crate) fn verify_target_instance(augmented: &Program, target: &Instance) -> Result<()> {
     wol_model::validate::check_keyed_instance(
         target,
         &augmented.target.schema,
@@ -784,7 +780,7 @@ pub(crate) fn verify_target_instance(
             )
         })
         .collect();
-    let dbs = wol_engine::Databases::new(&[target]).with_parallelism(options.parallelism);
+    let dbs = wol_engine::Databases::new(&[target]);
     wol_engine::enforce_constraints(&target_constraints, &dbs)
         .map_err(|e| crate::MorphaseError::Verification(e.to_string()))?;
     Ok(())

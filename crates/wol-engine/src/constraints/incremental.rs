@@ -1,23 +1,12 @@
-//! Incremental, parallel constraint checking with auditable certificates.
+//! Incremental constraint checking with auditable certificates.
 //!
 //! [`check_batch`] validates a [`BatchDelta`] against a set of constraint
 //! clauses without re-scanning the untouched extents and emits a
 //! [`ConstraintCertificate`] that an independent [`recheck`] can replay
-//! against a snapshot.
-//!
-//! # Threading
-//!
-//! [`check_batch`]'s `parallelism` argument is the budget of the
-//! [`Databases`] view everything below it sees, and the workspace's one
-//! partition rule ([`Parallelism::partitions`]) decides every split. Delta
-//! detection cuts each Delta plan's changed objects into chunks through the
-//! engine's one fan-out (`env::fan_out`): a small batch's delta is one chunk,
-//! run inline at the whole budget; several chunks are pool jobs on
-//! one-thread views. Full re-checks run one clause at a time, in clause
-//! order, and partition *data* — each body match's opening scan, under the
-//! same rule — never the list of clauses. Detection is exhaustive and
-//! commutative and full re-checks are canonical, so partitioning never shows
-//! in the result.
+//! against a snapshot. It runs on the calling thread, one clause at a time
+//! in clause order: delta detection over every changed object (no early
+//! exit, so the certificate's counters are the whole delta's), then, where
+//! needed, the canonical full re-check.
 //!
 //! # Contract
 //!
@@ -53,10 +42,8 @@
 //!
 //! Delta detection never reports violations itself: any hit escalates the
 //! constraint to a Full re-check, whose output is canonical. This is what
-//! makes the incremental violation list bit-identical to the full scan at
-//! every thread count — per-object detection is order-independent (a boolean
-//! OR plus commutative counters), and the canonical lists are concatenated
-//! in clause order. Seeded detection *is* the full check restricted to the
+//! makes the incremental violation list bit-identical to the full scan — the
+//! canonical lists are concatenated in clause order. Seeded detection *is* the full check restricted to the
 //! bindings through one changed object (`check_constraint_counted` with that
 //! object as the initial binding): "dirty" means its violation list is
 //! non-empty, so the two cannot disagree about what a missing head witness
@@ -77,12 +64,12 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use storage::persist::codec::{self, ByteReader};
 use wol_lang::ast::{Atom, Clause, Term, Var};
-use wol_model::{BatchDelta, ClassName, Label, Oid, Parallelism, SkolemFactory, Value};
+use wol_model::{BatchDelta, ClassName, Label, Oid, Parallelism, Value};
 
 use crate::constraints::{
     check_constraint_counted, classify_constraint, clause_name, ConstraintClass, Violation,
 };
-use crate::env::{fan_out, Bindings, Databases, MatchStats};
+use crate::env::{Bindings, Databases};
 use crate::error::EngineError;
 use crate::Result;
 
@@ -446,7 +433,13 @@ enum Plan {
     },
 }
 
+/// The attributes of a key whose every part is one attribute step, or `None`
+/// — also for a key with no parts, which has nothing to probe and is checked
+/// in full.
 fn single_attrs(paths: &[wol_model::Path]) -> Option<Vec<Label>> {
+    if paths.is_empty() {
+        return None;
+    }
     paths
         .iter()
         .map(|p| match p.segments() {
@@ -551,21 +544,13 @@ fn plan_constraint(
 // Delta detection.
 // ---------------------------------------------------------------------------
 
-/// Commutative per-chunk detection result: violation counts and ordering
-/// never depend on how chunks are partitioned.
-#[derive(Clone, Copy, Default)]
+/// What delta detection found for one constraint: whether any changed
+/// object is dirty, and the objects and probes it examined.
+#[derive(Default)]
 struct Detection {
     dirty: bool,
     checked: u64,
     probes: u64,
-}
-
-impl Detection {
-    fn merge(&mut self, other: Detection) {
-        self.dirty |= other.dirty;
-        self.checked += other.checked;
-        self.probes += other.probes;
-    }
 }
 
 fn detect_key_probe(
@@ -635,58 +620,26 @@ fn detect_seeded(dbs: &Databases<'_>, clause: &Clause, seeds: &[(Var, Oid)]) -> 
 /// indices of clauses whose pre-batch cleanliness is not known (e.g. they
 /// were violated by a previously *committed* batch); they are re-checked in
 /// full. See the module docs for the exactness argument.
+///
+/// `_parallelism` is not read: the checker runs on the calling thread. Kept
+/// only for the benchmark's frozen surface (ROADMAP item 1A).
 pub fn check_batch(
     clauses: &[&Clause],
     dbs: &Databases<'_>,
     delta: &BatchDelta,
-    parallelism: Parallelism,
+    _parallelism: Parallelism,
     suspects: &BTreeSet<usize>,
 ) -> Result<BatchCheck> {
-    let analyses: Vec<ConstraintAnalysis> = clauses.iter().map(|c| analyze_constraint(c)).collect();
-    let plans: Vec<Plan> = analyses
-        .iter()
-        .enumerate()
-        .map(|(idx, a)| plan_constraint(idx, a, delta, suspects))
-        .collect();
-
-    // The view carries `parallelism` as its budget; a chunk job sees a
-    // one-thread view of it. The checks mint their own factories, so the
-    // fan-out's factory and counters go unused.
-    let dbs = &dbs.clone().with_parallelism(parallelism);
-    let (mut skolem, mut stats) = (SkolemFactory::new(), MatchStats::default());
-
-    // Phase A: delta detection, each plan's changed objects cut into chunks
-    // under the one partition rule. Chunks are processed exhaustively (no
-    // early exit), so `checked`/`probes` are partition-invariant sums and
-    // `dirty` a partition-invariant OR.
-    let mut detections: Vec<Detection> = vec![Detection::default(); clauses.len()];
-    for (idx, plan) in plans.iter().enumerate() {
-        let chunks = match plan {
-            Plan::KeyProbe { class, attrs, oids } => {
-                fan_out(oids, dbs, &mut skolem, &mut stats, |chunk, dbs, _, _| {
-                    Ok(vec![detect_key_probe(dbs, class, attrs, chunk)])
-                })?
-            }
-            Plan::Seeded { seeds } => {
-                fan_out(seeds, dbs, &mut skolem, &mut stats, |chunk, dbs, _, _| {
-                    Ok(vec![detect_seeded(dbs, clauses[idx], chunk)?])
-                })?
-            }
-            Plan::Skip | Plan::Full => continue,
-        };
-        for chunk in chunks {
-            detections[idx].merge(chunk);
-        }
-    }
-
-    // Phase B, in clause order: canonical full re-checks for Full plans and
-    // dirty detections. Each re-check's body match partitions its own
-    // opening scan; the clauses are not partitioned.
     let mut entries = Vec::with_capacity(clauses.len());
     let mut violations = Vec::new();
-    for (idx, (clause, plan)) in clauses.iter().zip(&plans).enumerate() {
+    for (idx, clause) in clauses.iter().enumerate() {
+        let plan = plan_constraint(idx, &analyze_constraint(clause), delta, suspects);
+        let detection = match &plan {
+            Plan::KeyProbe { class, attrs, oids } => detect_key_probe(dbs, class, attrs, oids),
+            Plan::Seeded { seeds } => detect_seeded(dbs, clause, seeds)?,
+            Plan::Skip | Plan::Full => Detection::default(),
+        };
         let constraint = clause_name(clause);
-        let detection = detections[idx];
         let entry = match plan {
             Plan::Skip => CertEntry {
                 constraint,
@@ -844,18 +797,18 @@ mod tests {
         let batch = MutationBatch::new().insert("UserS", user("u3@x", "imposter"));
         let delta = apply(&mut inst, batch);
         let dbs = Databases::new(&[&inst]);
-        for threads in [1usize, 2, 4, 8] {
-            // A lowered minimum splits the full re-check's opening scan.
-            let parallelism = Parallelism::new(threads).with_min_items(1);
-            let users = dbs.extent_size(&ClassName::new("UserS"));
-            assert_eq!(parallelism.partitions(users) > 1, threads > 1);
-            let check =
-                check_batch(&[&clause], &dbs, &delta, parallelism, &BTreeSet::new()).unwrap();
-            assert_eq!(check.certificate.entries[0].mode, CheckMode::Full);
-            let full = crate::constraints::check_constraints(&[&clause], &dbs).unwrap();
-            assert!(!full.is_empty());
-            assert_eq!(check.violations, full);
-        }
+        let check = check_batch(
+            &[&clause],
+            &dbs,
+            &delta,
+            Parallelism::sequential(),
+            &BTreeSet::new(),
+        )
+        .unwrap();
+        assert_eq!(check.certificate.entries[0].mode, CheckMode::Full);
+        let full = crate::constraints::check_constraints(&[&clause], &dbs).unwrap();
+        assert!(!full.is_empty());
+        assert_eq!(check.violations, full);
     }
 
     #[test]

@@ -20,75 +20,36 @@
 //! test-only `wol-oracle` crate, built on [`eval_term`], [`try_eval_term`],
 //! [`match_pattern`] and [`is_pattern`].
 //!
-//! # One matcher, one partition rule
+//! # One thread
 //!
-//! There is no sequential and no parallel matcher: [`match_body`] runs one
-//! plan, and a worker budget only changes how many contiguous ranges the
-//! plan's *opening* extent scan is cut into.
-//!
-//! * **Who decides.** The budget is a value on [`Databases`] (the
-//!   environment's, read once when the view is built, unless the caller set
-//!   one), and the workspace's one rule, [`Parallelism::partitions`] of the
-//!   extent's size, turns it into a range count (`chunks`, the crate's only
-//!   reading of the rule). Later steps scan their whole extent.
-//! * **What a partition owns.** A binding frame, its undo trail, a
-//!   [`SkolemFactory`] and a [`MatchStats`]. One partition is the caller's
-//!   own: nothing is dispatched. Several go through `dispatch`, the crate's
-//!   only `WorkerPool` call site (shared, through `fan_out`, with the
-//!   semi-naive seed matches and the batch constraint checker): a job per
-//!   chunk with a fresh factory and counters, folded into the caller's in
-//!   chunk order — the order one partition enumerates in. A Skolem identity
-//!   is a function of its key, so a chunk mints what the caller would;
-//!   binding lists, stats and the caller's factory are identical at every
-//!   budget.
-//! * **Why nested chunks match sequentially.** A job that is itself a chunk
-//!   sees a one-thread view, so the pool is entered once per top-level
-//!   operation, never recursively.
+//! The matcher runs on the calling thread, in the caller's [`SkolemFactory`]
+//! and [`MatchStats`]. Section 5 presents direct clause application as a
+//! reference, not an executor: transformations compile to CPL, which is the
+//! workspace's parallel engine, and what is left here — constraint checks
+//! and the naive oracle — matches one binding after the other, in the order
+//! the plan enumerates them.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Range;
 
 use wol_lang::ast::{Atom, SkolemArgs, Term, Var};
-use wol_model::{
-    chunk_ranges, ClassName, Instance, Job, Label, Oid, Parallelism, PushOp, SharedValue,
-    SkolemFactory, Value, WorkerPool,
-};
+use wol_model::{ClassName, Instance, Label, Oid, PushOp, SharedValue, SkolemFactory, Value};
 
 use crate::error::EngineError;
 use crate::Result;
 
 /// The evaluation context of clause matching: the database instances visible
-/// to a clause, in order, and the worker budget matching over them may use.
-///
-/// The budget is read from the environment **once**, when the view is built
-/// ([`Parallelism::from_env`]); a caller configured with a budget of its own
-/// sets it with [`Databases::with_parallelism`]. Nothing below reads the
-/// environment again.
-#[derive(Clone)]
+/// to a clause, in order.
 pub struct Databases<'a> {
     instances: Vec<&'a Instance>,
-    parallelism: Parallelism,
 }
 
 impl<'a> Databases<'a> {
     /// View over the given instances (sources first, target last by
-    /// convention), at the environment's default worker budget.
+    /// convention).
     pub fn new(instances: &[&'a Instance]) -> Self {
         Databases {
             instances: instances.to_vec(),
-            parallelism: Parallelism::from_env(),
         }
-    }
-
-    /// The same view with an explicit worker budget.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// The worker budget matching over this view may use.
-    pub(crate) fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// Look up the value of an object identity in whichever instance holds it.
@@ -200,15 +161,6 @@ pub struct MatchStats {
     pub index_probes: usize,
     /// Candidate bindings enumerated across all atom-processing steps.
     pub bindings_considered: usize,
-}
-
-impl MatchStats {
-    /// Accumulate another stats value into this one.
-    pub(crate) fn absorb(&mut self, other: MatchStats) {
-        self.extents_scanned += other.extents_scanned;
-        self.index_probes += other.index_probes;
-        self.bindings_considered += other.bindings_considered;
-    }
 }
 
 /// Evaluate a term under `bindings`. Skolem terms are resolved through
@@ -685,11 +637,9 @@ fn holds(op: PushOp, a: &Value, b: &Value) -> Result<bool> {
     })
 }
 
-/// What one partition of a match owns: a Skolem factory and counters (the
-/// caller's own when the match is one partition, fresh ones per chunk when
-/// [`dispatch`] ran it), the binding frame with its undo trail, and the
-/// complete bindings found so far.
-struct Partition<'p> {
+/// The state of one match: the caller's Skolem factory and counters, the
+/// binding frame with its undo trail, and the complete bindings found so far.
+struct Search<'p> {
     skolem: &'p mut SkolemFactory,
     stats: &'p mut MatchStats,
     frame: Bindings,
@@ -697,31 +647,13 @@ struct Partition<'p> {
     out: Vec<Bindings>,
 }
 
-impl<'p> Partition<'p> {
-    fn new(frame: Bindings, skolem: &'p mut SkolemFactory, stats: &'p mut MatchStats) -> Self {
-        Partition {
-            skolem,
-            stats,
-            frame,
-            trail: Vec::new(),
-            out: Vec::new(),
-        }
-    }
-}
-
-/// Execute `steps` in order over the partition's frame, pushing every
-/// complete binding onto its `out`. The frame is mutated in place; every
-/// extension is recorded on the trail and undone before returning, so the
-/// frame is left as it was found. Only the plan's `opening` step may split
-/// (a scan, into the view's [`chunks`]).
-fn run_plan(
-    steps: &[Step<'_>],
-    opening: bool,
-    dbs: &Databases<'_>,
-    part: &mut Partition<'_>,
-) -> Result<()> {
+/// Execute `steps` in order over the search's frame, pushing every complete
+/// binding onto its `out`. The frame is mutated in place; every extension is
+/// recorded on the trail and undone before returning, so the frame is left
+/// as it was found.
+fn run_plan(steps: &[Step<'_>], dbs: &Databases<'_>, search: &mut Search<'_>) -> Result<()> {
     let Some((step, rest)) = steps.split_first() else {
-        part.out.push(part.frame.clone());
+        search.out.push(search.frame.clone());
         return Ok(());
     };
     match step {
@@ -729,9 +661,9 @@ fn run_plan(
             "no atom can be processed: the clause body is not range-restricted".to_string(),
         )),
         Step::Check(atom) => {
-            if check_bound_atom(atom, &part.frame, dbs, part.skolem)? {
-                part.stats.bindings_considered += 1;
-                run_plan(rest, false, dbs, part)?;
+            if check_bound_atom(atom, &search.frame, dbs, search.skolem)? {
+                search.stats.bindings_considered += 1;
+                run_plan(rest, dbs, search)?;
             }
             Ok(())
         }
@@ -739,8 +671,8 @@ fn run_plan(
             // The evaluable side's variables are bound by construction; a
             // `None` here means a missing optional attribute, which simply
             // has no witness.
-            match try_eval_term(evaluable, &part.frame, dbs, part.skolem) {
-                Some(value) => extend_frame(pattern, &value, rest, dbs, part),
+            match try_eval_term(evaluable, &search.frame, dbs, search.skolem) {
+                Some(value) => extend_frame(pattern, &value, rest, dbs, search),
                 None => Ok(()),
             }
         }
@@ -750,46 +682,22 @@ fn run_plan(
             attr,
             key,
         } => {
-            let Some(key) = try_eval_term(key, &part.frame, dbs, part.skolem) else {
+            let Some(key) = try_eval_term(key, &search.frame, dbs, search.skolem) else {
                 return Ok(());
             };
-            part.stats.index_probes += 1;
+            search.stats.index_probes += 1;
             dbs.lookup_by_attr(class, attr, &key)
                 .into_iter()
-                .try_for_each(|oid| extend_frame(member, &Value::Oid(oid), rest, dbs, part))
+                .try_for_each(|oid| extend_frame(member, &Value::Oid(oid), rest, dbs, search))
         }
         Step::MemberScan { term, class } => {
-            part.stats.extents_scanned += 1;
-            let extent = dbs.extent(class);
-            // The extent loop, over any contiguous sub-range of the extent.
-            let scan = |oids: &[&Oid], dbs: &Databases<'_>, part: &mut Partition<'_>| {
-                oids.iter().try_for_each(|oid| {
-                    extend_frame(term, &Value::Oid((*oid).clone()), rest, dbs, part)
-                })
-            };
-            // Only the opening scan may split; one chunk scans on the
-            // caller's own frame, uncopied.
-            let Some(ranges) = opening.then(|| chunks(dbs, extent.len())).flatten() else {
-                return scan(&extent, dbs, part);
-            };
-            let frame = &part.frame;
-            let found = dispatch(
-                &extent,
-                ranges,
-                dbs,
-                part.skolem,
-                part.stats,
-                |oids, dbs, skolem, stats| {
-                    let mut chunk = Partition::new(frame.clone(), skolem, stats);
-                    scan(oids, dbs, &mut chunk)?;
-                    Ok(chunk.out)
-                },
-            )?;
-            part.out.extend(found);
-            Ok(())
+            search.stats.extents_scanned += 1;
+            dbs.extent(class)
+                .into_iter()
+                .try_for_each(|oid| extend_frame(term, &Value::Oid(oid.clone()), rest, dbs, search))
         }
         Step::InSetBind { elem, set } => {
-            let elements: Vec<Value> = match eval_term(set, &part.frame, dbs, part.skolem)? {
+            let elements: Vec<Value> = match eval_term(set, &search.frame, dbs, search.skolem)? {
                 Value::Set(items) => items.into_iter().collect(),
                 Value::List(items) => items,
                 other => {
@@ -801,12 +709,12 @@ fn run_plan(
             };
             elements
                 .iter()
-                .try_for_each(|item| extend_frame(elem, item, rest, dbs, part))
+                .try_for_each(|item| extend_frame(elem, item, rest, dbs, search))
         }
     }
 }
 
-/// Destructure `value` against `pattern` on the partition's frame; if it
+/// Destructure `value` against `pattern` on the search's frame; if it
 /// matches, count the candidate binding and run the `rest` of the plan under
 /// the extension. The extension is undone either way.
 fn extend_frame(
@@ -814,100 +722,30 @@ fn extend_frame(
     value: &Value,
     rest: &[Step<'_>],
     dbs: &Databases<'_>,
-    part: &mut Partition<'_>,
+    search: &mut Search<'_>,
 ) -> Result<()> {
-    let mark = part.trail.len();
+    let mark = search.trail.len();
     let matched = match_pattern_in_place(
         pattern,
         value,
-        &mut part.frame,
-        &mut part.trail,
+        &mut search.frame,
+        &mut search.trail,
         dbs,
-        part.skolem,
+        search.skolem,
     );
     let result = if matched {
-        part.stats.bindings_considered += 1;
-        run_plan(rest, false, dbs, part)
+        search.stats.bindings_considered += 1;
+        run_plan(rest, dbs, search)
     } else {
         Ok(())
     };
-    unwind_trail(&mut part.frame, &mut part.trail, mark);
+    unwind_trail(&mut search.frame, &mut search.trail, mark);
     result
-}
-
-/// What one [`dispatch`]ed chunk hands back: its factory, counters and result.
-type ChunkOutcome<R> = (SkolemFactory, MatchStats, Result<Vec<R>>);
-
-/// The contiguous ranges the one partition rule ([`Parallelism::partitions`],
-/// [`chunk_ranges`]) cuts `len` items into under the view's budget, or `None`
-/// for a single chunk, which the caller runs itself with its own view,
-/// factory and counters. The engine's only reading of the rule.
-fn chunks(dbs: &Databases<'_>, len: usize) -> Option<Vec<Range<usize>>> {
-    let ranges = chunk_ranges(len, dbs.parallelism().partitions(len));
-    (ranges.len() > 1).then_some(ranges)
-}
-
-/// Run `work` over `items` in the view's [`chunks`] and concatenate the
-/// results in chunk order. A single chunk is not dispatched: `work` runs on
-/// the calling thread with the caller's own view, factory and counters.
-pub(crate) fn fan_out<T: Sync, R: Send>(
-    items: &[T],
-    dbs: &Databases<'_>,
-    skolem: &mut SkolemFactory,
-    stats: &mut MatchStats,
-    work: impl Fn(&[T], &Databases<'_>, &mut SkolemFactory, &mut MatchStats) -> Result<Vec<R>> + Sync,
-) -> Result<Vec<R>> {
-    match chunks(dbs, items.len()) {
-        Some(ranges) => dispatch(items, ranges, dbs, skolem, stats, work),
-        None => work(items, dbs, skolem, stats),
-    }
-}
-
-/// Run `work` over each of the `ranges` of `items` as one job on the pool
-/// shared by the view's budget — the one place the engine goes to the
-/// [`WorkerPool`] — and concatenate the results in chunk order. Each job
-/// works against a fresh [`SkolemFactory`] and [`MatchStats`] and a
-/// *one-thread* view, so a match that is already a chunk never fans out
-/// again. In chunk order, each job's counters are absorbed into `stats` and
-/// its factory folds into `skolem` ([`SkolemFactory::merge`]: a collision
-/// across chunks is an error); the first failure in chunk order wins — the
-/// one a left-to-right run would have met first.
-fn dispatch<T: Sync, R: Send>(
-    items: &[T],
-    ranges: Vec<Range<usize>>,
-    dbs: &Databases<'_>,
-    skolem: &mut SkolemFactory,
-    stats: &mut MatchStats,
-    work: impl Fn(&[T], &Databases<'_>, &mut SkolemFactory, &mut MatchStats) -> Result<Vec<R>> + Sync,
-) -> Result<Vec<R>> {
-    let chunk_dbs = dbs.clone().with_parallelism(Parallelism::sequential());
-    let (chunk_dbs, work) = (&chunk_dbs, &work);
-    let jobs: Vec<Job<'_, ChunkOutcome<R>>> = ranges
-        .into_iter()
-        .map(|range| {
-            Box::new(move || {
-                let (mut factory, mut chunk_stats) = (SkolemFactory::new(), MatchStats::default());
-                let result = work(&items[range], chunk_dbs, &mut factory, &mut chunk_stats);
-                (factory, chunk_stats, result)
-            }) as Job<'_, _>
-        })
-        .collect();
-    let mut all = Vec::new();
-    for (factory, chunk_stats, result) in WorkerPool::shared(dbs.parallelism()).scope(jobs) {
-        stats.absorb(chunk_stats);
-        skolem.merge(factory)?;
-        all.extend(result?);
-    }
-    Ok(all)
 }
 
 /// Enumerate every binding of the body's variables (extending `initial`) that
 /// makes all `atoms` true against `dbs`, with the indexed plan-based matcher,
 /// accumulating [`MatchStats`].
-///
-/// The worker budget is the view's (`Databases::parallelism`); it decides
-/// only how many chunks the plan's opening extent scan is matched in (see the
-/// module docs), never the binding list, its order, or the stats.
 pub fn match_body(
     atoms: &[Atom],
     dbs: &Databases<'_>,
@@ -917,9 +755,15 @@ pub fn match_body(
 ) -> Result<Vec<Bindings>> {
     let initially_bound: BTreeSet<Var> = initial.keys().cloned().collect();
     let plan = build_plan(atoms, &initially_bound, dbs);
-    let mut part = Partition::new(initial, skolem, stats);
-    run_plan(&plan, true, dbs, &mut part)?;
-    Ok(part.out)
+    let mut search = Search {
+        skolem,
+        stats,
+        frame: initial,
+        trail: Vec::new(),
+        out: Vec::new(),
+    };
+    run_plan(&plan, dbs, &mut search)?;
+    Ok(search.out)
 }
 
 #[cfg(test)]
@@ -1242,227 +1086,6 @@ mod tests {
         assert_eq!(stats.extents_scanned, 0);
         assert_eq!(stats.index_probes, 1);
         assert!(stats.bindings_considered > 0);
-    }
-
-    /// `CountryE` × 10 and `CityE` × `cities`, with every attribute kind the
-    /// body shapes below touch.
-    fn scaled_instance(cities: usize) -> Instance {
-        let mut inst = Instance::new("euro");
-        let countries: Vec<Oid> = (0..10)
-            .map(|c| {
-                inst.insert_fresh(
-                    &ClassName::new("CountryE"),
-                    Value::record([("name", Value::str(format!("country{c}")))]),
-                )
-            })
-            .collect();
-        for i in 0..cities {
-            let kind = if i % 3 == 0 {
-                Value::Variant("port".into(), Box::new(Value::int((i % 7) as i64)))
-            } else {
-                Value::tag("inland")
-            };
-            inst.insert_fresh(
-                &ClassName::new("CityE"),
-                Value::record([
-                    ("name", Value::str(format!("city{i}"))),
-                    ("twin", Value::str(format!("city{}", (i * 7 + 3) % cities))),
-                    ("is_capital", Value::bool(i % 10 == 0)),
-                    ("population", Value::int((i * 37 % 101) as i64)),
-                    ("country", Value::oid(countries[i % 10].clone())),
-                    ("tags", Value::set((0..i % 4).map(|t| Value::int(t as i64)))),
-                    ("kind", kind),
-                ]),
-            );
-        }
-        inst
-    }
-
-    /// A one-chunk fan-out is not a dispatch: it runs on the calling thread
-    /// against the caller's view, factory and counters. Several chunks each
-    /// get a fresh factory and a one-thread view; results keep chunk order,
-    /// counters are summed, the chunk factories fold into the caller's, and
-    /// the earliest chunk's error wins.
-    #[test]
-    fn single_chunk_fan_out_runs_on_the_calling_thread_with_the_callers_factory() {
-        let inst = Instance::new("empty");
-        let budget = Parallelism::new(4).with_min_items(1);
-        let dbs = Databases::new(&[&inst]).with_parallelism(budget);
-        let class = ClassName::new("T");
-        let caller = std::thread::current().id();
-        let (mut sk, mut stats) = (SkolemFactory::new(), MatchStats::default());
-        let out = fan_out(
-            &[7i64],
-            &dbs,
-            &mut sk,
-            &mut stats,
-            |items, dbs, sk, stats| {
-                assert_eq!(std::thread::current().id(), caller);
-                assert_eq!(dbs.parallelism(), budget);
-                sk.mk(&class, &Value::int(items[0]))?;
-                stats.index_probes += 1;
-                Ok(items.to_vec())
-            },
-        )
-        .unwrap();
-        assert_eq!(out, vec![7]);
-        assert_eq!(sk.count(&class), 1);
-        assert_eq!(stats.index_probes, 1);
-
-        let items: Vec<i64> = (0..10).collect();
-        let out = fan_out(
-            &items,
-            &dbs,
-            &mut sk,
-            &mut stats,
-            |items, dbs, sk, stats| {
-                assert!(dbs.parallelism().is_sequential());
-                assert_eq!(sk.count(&class), 0);
-                sk.mk(&class, &Value::int(items[0]))?;
-                stats.index_probes += items.len();
-                Ok(items.to_vec())
-            },
-        )
-        .unwrap();
-        assert_eq!(out, items);
-        // Chunks start at 0, 3, 6 and 8; key 7 already held stays one entry.
-        let mut expected = SkolemFactory::new();
-        for key in [7, 0, 3, 6, 8] {
-            expected.mk(&class, &Value::int(key)).unwrap();
-        }
-        assert_eq!(
-            sk.count(&class),
-            5,
-            "chunk factories fold into the caller's"
-        );
-        assert_eq!(format!("{sk:?}"), format!("{expected:?}"));
-        assert_eq!(stats.index_probes, 11);
-
-        let err = fan_out(&items, &dbs, &mut sk, &mut stats, |items, _, _, _| {
-            Err::<Vec<i64>, _>(EngineError::Eval(format!("chunk at {}", items[0])))
-        })
-        .unwrap_err();
-        assert!(err.to_string().contains("chunk at 0"), "{err}");
-    }
-
-    /// Two chunks that hold one identity for different keys do not fold
-    /// silently: the caller gets the collision, whichever chunk ran first.
-    #[test]
-    fn chunks_holding_one_identity_for_different_keys_collide() {
-        let inst = Instance::new("empty");
-        let dbs = Databases::new(&[&inst]).with_parallelism(Parallelism::new(2).with_min_items(1));
-        let class = ClassName::new("T");
-        let shared = Oid::new(class.clone(), 7);
-        let (mut sk, mut stats) = (SkolemFactory::new(), MatchStats::default());
-        let err = fan_out(
-            &["left", "right"],
-            &dbs,
-            &mut sk,
-            &mut stats,
-            |keys, _, sk, _| {
-                sk.restore_assignment(&class, Value::str(keys[0]), shared.clone())?;
-                Ok(vec![()])
-            },
-        )
-        .unwrap_err();
-        assert!(
-            matches!(&err, EngineError::Model(text) if text.contains("both claim")),
-            "{err}"
-        );
-    }
-
-    /// Every body shape the planner produces matches to the same binding
-    /// *list* — same bindings, same order — with equal stats at every budget,
-    /// over extents just below, at and above the partition minimum; and a
-    /// Skolem-bearing body splits like any other, its chunk factories
-    /// folding into exactly the memo one partition builds.
-    #[test]
-    fn every_body_shape_is_partition_invariant() {
-        let min = (1..)
-            .find(|&items| Parallelism::new(2).partitions(items) > 1)
-            .unwrap();
-        // (body, variable bound by `initial` to the first country, whether a
-        // large extent under a budget above one splits the opening step)
-        let shapes: [(&str, Option<&str>, bool); 11] = [
-            ("Z = 1 <= E in CityE", None, true),
-            ("Z = 1 <= E in CityE, E.is_capital = true", None, false),
-            (
-                "Z = 1 <= E in CityE, F in CityE, F.name = E.twin",
-                None,
-                true,
-            ),
-            ("Z = 1 <= E in CityE, X = E.country", None, true),
-            (
-                "Z = 1 <= E in CityE, F in CityE, E.population < F.population",
-                None,
-                true,
-            ),
-            ("Z = 1 <= X in CountryE, E in CityE, X != E", None, false),
-            ("Z = 1 <= E in CityE, T member E.tags", None, true),
-            ("Z = 1 <= E in CityE, E.kind = ins_port(P)", None, true),
-            (
-                "Z = 1 <= E in CityE, E.population =< 60, 10 < E.population, E.population != 37",
-                None,
-                true,
-            ),
-            ("Z = 1 <= E in CityE, E.country = X", Some("X"), false),
-            ("Z = 1 <= E in CityE, Y = Mk_CityT(E.name)", None, true),
-        ];
-        for cities in [min - 1, min, min + 22] {
-            let inst = scaled_instance(cities);
-            let first_country = inst
-                .extent(&ClassName::new("CountryE"))
-                .next()
-                .unwrap()
-                .clone();
-            let run = |body: &[Atom], seed: Option<&str>, threads: usize| {
-                let dbs = Databases::new(&[&inst]).with_parallelism(Parallelism::new(threads));
-                let initial: Bindings = seed
-                    .map(|var| (var.to_string(), Value::oid(first_country.clone())))
-                    .into_iter()
-                    .collect();
-                let bound: BTreeSet<Var> = initial.keys().cloned().collect();
-                let split = match build_plan(body, &bound, &dbs).first() {
-                    Some(Step::MemberScan { class, .. }) => {
-                        dbs.parallelism().partitions(dbs.extent_size(class)) > 1
-                    }
-                    _ => false,
-                };
-                let (mut sk, mut stats) = (SkolemFactory::new(), MatchStats::default());
-                let found = match_body(body, &dbs, &mut sk, initial, &mut stats).unwrap();
-                (found, stats, split, format!("{sk:?}"))
-            };
-            for (text, seed, splits) in shapes {
-                let body = parse_clause(text).unwrap().body;
-                let (expected, expected_stats, split, expected_sk) = run(&body, seed, 1);
-                assert!(!expected.is_empty() && !split, "`{text}` over {cities}");
-                for threads in [2, 3, 8] {
-                    let (found, stats, split, sk) = run(&body, seed, threads);
-                    assert_eq!(found, expected, "bindings of `{text}` at {threads} threads");
-                    assert_eq!(
-                        stats, expected_stats,
-                        "stats of `{text}` at {threads} threads"
-                    );
-                    assert_eq!(sk, expected_sk, "factory of `{text}` at {threads} threads");
-                    assert_eq!(split, splits && cities >= min, "`{text}`");
-                }
-            }
-            // The Skolem-bearing body minted one identity per city.
-            let body = parse_clause("Z = 1 <= E in CityE, Y = Mk_CityT(E.name)")
-                .unwrap()
-                .body;
-            let dbs = Databases::new(&[&inst]).with_parallelism(Parallelism::new(8));
-            let mut sk = SkolemFactory::new();
-            match_body(
-                &body,
-                &dbs,
-                &mut sk,
-                Bindings::new(),
-                &mut MatchStats::default(),
-            )
-            .unwrap();
-            assert_eq!(sk.count(&ClassName::new("CityT")), cities);
-        }
     }
 
     #[test]

@@ -24,37 +24,15 @@
 //!
 //! # Threading
 //!
-//! The engine has one clause-body matcher ([`match_body`]) and one rule for
-//! threads; constraint checks (full and incremental), target verification
-//! and the naive oracle all go through both. Transformations do not: they
-//! compile to CPL.
-//!
-//! * **The budget is a value on [`Databases`].** A view reads the
-//!   environment (`WOL_THREADS`, else the available cores) once, when it is
-//!   built; a caller configured with a budget of its own — `morphase`'s
-//!   `PipelineOptions.parallelism`, `NaiveOptions::parallelism`,
-//!   [`check_batch`]'s argument — sets it with
-//!   [`Databases::with_parallelism`]. No match, binding or seed reads the
-//!   environment.
-//! * **A match is one or more partitions of its opening extent scan.** The
-//!   count is the workspace's one partition rule
-//!   ([`wol_model::Parallelism::partitions`], shared with `cpl`) over the
-//!   extent's size; one partition runs inline on the caller's frame and
-//!   [`SkolemFactory`] — "sequential matching" is that case, not a second
-//!   matcher. Skolem-bearing bodies split like any other.
-//! * **One fan-out.** Everything that splits work — the opening scan, the
-//!   semi-naive delta seeds, the batch checker's delta detection — cuts its
-//!   items into contiguous chunks through one helper in `env`, under
-//!   that rule: a single chunk runs on the calling thread; several run on the
-//!   shared worker pool with a fresh factory and counters each, results
-//!   concatenated, counters summed and factories folded into the caller's in
-//!   chunk order. A chunk's job sees a one-thread view, so work that is
-//!   already a chunk never splits again.
-//!
-//! Binding lists, [`MatchStats`], violation lists, certificate bytes and
-//! Skolem identities are identical at every budget.
-//!
-//! [`SkolemFactory`]: wol_model::SkolemFactory
+//! The engine runs on the calling thread. It has one clause-body matcher
+//! ([`match_body`]); constraint checks (full and incremental), target
+//! verification and the naive oracle all go through it, one binding after
+//! the other, so binding lists, [`MatchStats`], violation lists, certificate
+//! bytes and Skolem identities depend on the inputs alone. Transformations
+//! do not go through it: they compile to CPL, the workspace's one parallel
+//! engine, whose thread budget the engine never sees. [`check_batch`] still
+//! takes a `Parallelism` argument, for the benchmark's frozen surface, and
+//! does not read it.
 //!
 //! # Constraint checking
 //!
@@ -65,8 +43,7 @@
 //! the delta — read-set analysis decides per constraint whether to skip,
 //! probe the maintained attribute indexes / re-match seeded bindings, or
 //! re-check from scratch — with an output that is bit-identical to the full
-//! scan at every thread count (see the module docs for the exactness
-//! argument).
+//! scan (see the module docs for the exactness argument).
 //!
 //! Every batch validation emits a [`ConstraintCertificate`]: an auditable,
 //! independently re-checkable record in the spirit of "Rust emits, Lean

@@ -1,11 +1,8 @@
 //! Semi-naive delta rotations over mutation batches.
 //!
-//! The naive evaluator in [`crate::semantics`] already applies the semi-naive
-//! idea *within* one batch run: after the first pass, clauses re-match only
-//! against the previous pass's delta. Incremental view maintenance needs the
-//! same idea *across* runs: when a
-//! [`MutationBatch`](wol_model::MutationBatch) lands on a source, the rows a
-//! query newly produces are exactly those in which at least one scanned
+//! Incremental view maintenance applies the semi-naive idea across runs:
+//! when a [`MutationBatch`](wol_model::MutationBatch) lands on a source, the
+//! rows a query newly produces are exactly those in which at least one scanned
 //! variable binds a changed identity — everything else was already
 //! produced by the previous run and is still produced unchanged.
 //!

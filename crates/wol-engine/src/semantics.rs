@@ -1,4 +1,4 @@
-//! Naive (direct) and semi-naive evaluation of transformation programs.
+//! Naive (direct) evaluation of transformation programs.
 //!
 //! Section 5 opens: "Implementing a transformation directly using clauses such
 //! as (T1), (T2) and (T3) would be inefficient: to infer the structure of a
@@ -6,102 +6,39 @@
 //! some of the transformation clauses involve target classes and objects in
 //! their bodies, we would have to apply the clauses recursively."
 //!
-//! This module implements that direct fixpoint strategy: clauses are applied
-//! repeatedly against the source databases *and* the target built so far,
-//! until a fixpoint is reached. It is the reference semantics the
-//! normalised/compiled execution path is tested against.
-//!
-//! Clause bodies are matched with the engine's one matcher
-//! ([`crate::env::match_body`]). One refinement over the textbook strategy is
-//! available through [`NaiveOptions`] (on by default):
-//!
-//! * **semi-naive passes** — after the first full pass, clauses that read
-//!   only source classes are never re-run (their matches cannot change), and
-//!   clauses that read target classes are re-matched only against bindings
-//!   that touch the previous pass's *delta* (the target objects created or
-//!   updated in that pass). Because attribute values can also be reached
-//!   through projection chains that the delta restriction does not see, a
-//!   fixpoint is only declared after one unrestricted pass confirms that
-//!   nothing changes.
+//! This module implements that direct strategy as stated: every pass applies
+//! every transformation clause against the source databases *and* the target
+//! as it stood at the start of the pass, and the loop stops at the first pass
+//! that changes nothing — two passes for a non-recursive program, one more
+//! per level of recursion. A program still changing the target after
+//! [`MAX_PASSES`] passes is an error. It is the reference semantics the
+//! normalised/compiled execution path is tested against; it runs on the
+//! calling thread and matches bodies with the engine's one matcher
+//! ([`crate::env::match_body`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use wol_lang::ast::{Atom, Term, Var};
 use wol_lang::check_clause_types;
 use wol_lang::program::Program;
-use wol_model::{ClassName, Instance, Label, Oid, Parallelism, Record, SkolemFactory, Value};
+use wol_model::{Instance, Label, Oid, Record, SkolemFactory, Value};
 
 use crate::constraints::{extract_object_keys, ObjectKey};
-use crate::env::{
-    eval_skolem_key, eval_term, fan_out, match_body, Bindings, Databases, MatchStats,
-};
+use crate::env::{eval_skolem_key, eval_term, match_body, Bindings, Databases, MatchStats};
 use crate::error::EngineError;
-use crate::headform::{analyze_head, HeadAnalysis};
+use crate::headform::analyze_head;
 use crate::Result;
 
-/// Options for the naive evaluator.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct NaiveOptions {
-    /// Maximum number of passes over the clause set before giving up.
-    pub max_passes: usize,
-    /// Use semi-naive delta passes after the first full pass. Turning this
-    /// off re-runs every clause unrestricted in every pass (the paper's
-    /// "apply the clauses recursively" strategy).
-    pub semi_naive: bool,
-    /// Worker budget of the [`Databases`] view every pass matches against
-    /// (body matching and the semi-naive delta seeds). Defaults to the
-    /// environment ([`Parallelism::from_env`]: available cores, overridable
-    /// via `WOL_THREADS`). The budget never changes the produced target —
-    /// partitions mint through factories that fold into the clause-wide
-    /// one, and delta matches are collected into an ordered set before
-    /// updates apply.
-    pub parallelism: Parallelism,
-}
+/// Passes the naive evaluation runs before it gives up on a fixpoint.
+const MAX_PASSES: usize = 64;
 
-impl Default for NaiveOptions {
-    fn default() -> Self {
-        NaiveOptions {
-            max_passes: 64,
-            semi_naive: true,
-            parallelism: Parallelism::from_env(),
-        }
-    }
-}
-
-/// Statistics about a naive evaluation run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct NaiveReport {
-    /// Number of passes over the clause set until the fixpoint.
-    pub passes: usize,
-    /// Candidate bindings enumerated by body matching across all passes.
-    pub bindings_considered: usize,
-    /// Full extent enumerations performed by body matching.
-    pub extents_scanned: usize,
-    /// Attribute-index probes performed by body matching.
-    pub index_probes: usize,
-    /// Clause evaluations skipped entirely by the semi-naive strategy.
-    pub clauses_skipped: usize,
-}
-
-/// A transformation clause, pre-analysed for the pass loop.
-struct AnalysedClause {
-    analysis: HeadAnalysis,
-    body: Vec<Atom>,
-    /// `Member(Var v, C)` body atoms over target classes: the hooks the
-    /// semi-naive delta restriction attaches to.
-    target_member_vars: Vec<(Var, ClassName)>,
-    /// Whether the body mentions any target class at all.
-    reads_target: bool,
-}
-
-/// Apply the program's transformation clauses directly, repeatedly, until the
-/// target instance stops changing. Returns the target and run statistics.
-pub(crate) fn naive_transform_with_report(
+/// Apply the program's transformation clauses directly, in full passes,
+/// until a pass leaves the target unchanged. Returns the target and the
+/// number of passes run, the quiet one included.
+pub(crate) fn naive_fixpoint(
     program: &Program,
     sources: &[&Instance],
     target_name: &str,
-    options: &NaiveOptions,
-) -> Result<(Instance, NaiveReport)> {
+) -> Result<(Instance, usize)> {
     let schemas = program.schemas();
     let target_classes = program.target_classes();
     let target_constraints: Vec<_> = program
@@ -111,119 +48,58 @@ pub(crate) fn naive_transform_with_report(
         .collect();
     let keys = extract_object_keys(&target_constraints);
 
-    // Pre-analyse every transformation clause.
-    let mut analysed: Vec<AnalysedClause> = Vec::new();
+    // Analyse every transformation clause's head once.
+    let mut clauses = Vec::new();
     for (_, clause) in program.transformation_clauses() {
         let env = check_clause_types(clause, &schemas)?;
-        let analysis = analyze_head(clause, &env, &target_classes)?;
-        let target_member_vars = clause
-            .body
-            .iter()
-            .filter_map(|atom| match atom {
-                Atom::Member(Term::Var(v), class) if target_classes.contains(class) => {
-                    Some((v.clone(), class.clone()))
-                }
-                _ => None,
-            })
-            .collect();
-        let reads_target = clause
-            .body_classes()
-            .iter()
-            .any(|c| target_classes.contains(c));
-        analysed.push(AnalysedClause {
-            analysis,
-            body: clause.body.clone(),
-            target_member_vars,
-            reads_target,
-        });
+        clauses.push((analyze_head(clause, &env, &target_classes)?, &clause.body));
     }
 
     let mut factory = SkolemFactory::new();
     let mut target = Instance::new(target_name);
-    let mut report = NaiveReport::default();
-    let mut stats = MatchStats::default();
-
-    // The delta: target objects created or updated in the previous pass.
-    let mut delta: BTreeSet<Oid> = BTreeSet::new();
-    // Whether the next pass must run unrestricted (the first pass always
-    // does; so does the certification pass after a delta pass goes quiet).
-    let mut run_full = true;
-
-    let mut pass = 0usize;
-    while pass < options.max_passes {
-        pass += 1;
-        report.passes = pass;
-        let full_pass = run_full || !options.semi_naive;
-        let mut pass_delta: BTreeSet<Oid> = BTreeSet::new();
+    for pass in 1..=MAX_PASSES {
+        let mut changed = false;
         // Each pass evaluates every clause against the target as it stood at
         // the *start* of the pass (the clause-at-a-time recursive application
         // the paper describes); updates become visible in the next pass.
         let snapshot = target.clone();
         let mut all: Vec<&Instance> = sources.to_vec();
         all.push(&snapshot);
-        let dbs = Databases::new(&all).with_parallelism(options.parallelism);
-        for clause in &analysed {
+        let dbs = Databases::new(&all);
+        for (analysis, body) in &clauses {
             // Gather the updates with an immutable view of the target, then apply.
-            let updates = {
-                let bindings: Vec<Bindings> = if !full_pass && !clause.reads_target {
-                    // A source-only clause matches exactly what it matched in
-                    // the first pass; its updates are already applied.
-                    report.clauses_skipped += 1;
-                    continue;
-                } else if full_pass || clause.target_member_vars.is_empty() {
-                    // A full pass — or a clause that reads the target, but
-                    // not through a plain variable membership the delta
-                    // restriction can attach to: an unrestricted match.
-                    match_body(
-                        &clause.body,
-                        &dbs,
-                        &mut factory,
-                        Bindings::new(),
-                        &mut stats,
-                    )?
-                } else {
-                    // Semi-naive: only bindings in which at least one target
-                    // membership variable is bound to a delta object can be
-                    // new. Seed each target membership variable with each
-                    // delta object of its class and take the union.
-                    let mut seeds: Vec<(Var, Oid)> = Vec::new();
-                    for (var, class) in &clause.target_member_vars {
-                        for oid in delta.iter().filter(|oid| oid.class() == class) {
-                            seeds.push((var.clone(), oid.clone()));
-                        }
+            let bindings = match_body(
+                body,
+                &dbs,
+                &mut factory,
+                Bindings::new(),
+                &mut MatchStats::default(),
+            )?;
+            let mut updates: Vec<(Oid, Label, Value)> = Vec::new();
+            let mut creations: Vec<Oid> = Vec::new();
+            for binding in &bindings {
+                for object in &analysis.objects {
+                    let oid = identify_object(object, binding, &dbs, &keys, &mut factory)?;
+                    let Some(oid) = oid else { continue };
+                    if object.member_in_head {
+                        creations.push(oid.clone());
                     }
-                    let collected =
-                        match_delta_seeds(&clause.body, &dbs, &mut factory, &seeds, &mut stats)?;
-                    collected.into_iter().collect()
-                };
-                let mut updates: Vec<(Oid, Label, Value)> = Vec::new();
-                let mut creations: Vec<Oid> = Vec::new();
-                for binding in &bindings {
-                    for object in &clause.analysis.objects {
-                        let oid = identify_object(object, binding, &dbs, &keys, &mut factory)?;
-                        let Some(oid) = oid else { continue };
-                        if object.member_in_head {
-                            creations.push(oid.clone());
-                        }
-                        for (label, term) in &object.attrs {
-                            let value = eval_term(term, binding, &dbs, &mut factory)?;
-                            updates.push((oid.clone(), label.clone(), value));
-                        }
+                    for (label, term) in &object.attrs {
+                        let value = eval_term(term, binding, &dbs, &mut factory)?;
+                        updates.push((oid.clone(), label.clone(), value));
                     }
                 }
-                (creations, updates)
-            };
-            let (creations, updates) = updates;
+            }
             for oid in creations {
                 if !target.contains(&oid) {
-                    target.insert(oid.clone(), Value::Record(Record::new()))?;
-                    pass_delta.insert(oid);
+                    target.insert(oid, Value::Record(Record::new()))?;
+                    changed = true;
                 }
             }
             for (oid, label, value) in updates {
                 if !target.contains(&oid) {
                     target.insert(oid.clone(), Value::Record(Record::new()))?;
-                    pass_delta.insert(oid.clone());
+                    changed = true;
                 }
                 let Some(Value::Record(fields)) = target.value(&oid) else {
                     return Err(EngineError::Invalid(format!(
@@ -241,65 +117,30 @@ pub(crate) fn naive_transform_with_report(
                         )))
                     }
                     None => {
-                        fields.insert(label.clone(), value);
+                        fields.insert(label, value);
                         target.update(&oid, Value::Record(fields))?;
-                        pass_delta.insert(oid.clone());
+                        changed = true;
                     }
                 }
             }
         }
-        if pass_delta.is_empty() {
-            if full_pass {
-                // An unrestricted pass changed nothing: certified fixpoint.
-                break;
-            }
-            // The delta pass went quiet, but delta restriction can miss
-            // bindings reached through projection chains; certify with one
-            // unrestricted pass.
-            run_full = true;
-            delta.clear();
-        } else {
-            run_full = false;
-            delta = pass_delta;
+        if !changed {
+            return Ok((target, pass));
         }
     }
-    report.extents_scanned = stats.extents_scanned;
-    report.index_probes = stats.index_probes;
-    report.bindings_considered = stats.bindings_considered;
-    Ok((target, report))
+    Err(EngineError::Invalid(format!(
+        "no fixpoint: pass {MAX_PASSES} of the naive evaluation still changed the target"
+    )))
 }
 
-/// Match one clause body once per delta seed and take the union. The seeds
-/// are independent queries, cut into chunks under the one partition rule
-/// ([`fan_out`]); a chunk's Skolem factory folds into the clause-wide one.
-/// The result is an ordered set, so the produced fixpoint is identical at
-/// every budget.
-fn match_delta_seeds(
-    body: &[Atom],
-    dbs: &Databases<'_>,
-    factory: &mut SkolemFactory,
-    seeds: &[(Var, Oid)],
-    stats: &mut MatchStats,
-) -> Result<BTreeSet<Bindings>> {
-    let found = fan_out(seeds, dbs, factory, stats, |chunk, dbs, factory, stats| {
-        let mut out = Vec::new();
-        for (var, oid) in chunk {
-            let initial = Bindings::from([(var.clone(), Value::Oid(oid.clone()))]);
-            out.extend(match_body(body, dbs, factory, initial, stats)?);
-        }
-        Ok(out)
-    })?;
-    Ok(found.into_iter().collect())
-}
-
-/// Convenience wrapper returning only the target instance.
+/// The target the program's clauses reach by direct application (see the
+/// module docs).
 pub fn naive_transform(
     program: &Program,
     sources: &[&Instance],
     target_name: &str,
 ) -> Result<Instance> {
-    naive_transform_with_report(program, sources, target_name, &NaiveOptions::default())
-        .map(|(instance, _)| instance)
+    naive_fixpoint(program, sources, target_name).map(|(instance, _)| instance)
 }
 
 /// Determine the identity of a head object under a binding: a body-bound
@@ -455,23 +296,12 @@ mod tests {
     fn naive_evaluation_reaches_the_paper_target() {
         let program = cities_program();
         let source = euro_instance();
-        let (target, report) = naive_transform_with_report(
-            &program,
-            &[&source][..],
-            "target",
-            &NaiveOptions::default(),
-        )
-        .unwrap();
+        let (target, passes) = naive_fixpoint(&program, &[&source][..], "target").unwrap();
         assert_eq!(target.extent_size(&ClassName::new("CountryT")), 2);
         assert_eq!(target.extent_size(&ClassName::new("CityT")), 3);
-        // Multiple passes were needed: T2 depends on T1's output and T3 on both
-        // (plus a final pass that detects the fixpoint).
-        assert!(
-            report.passes >= 4,
-            "expected several passes, got {}",
-            report.passes
-        );
-        assert!(report.bindings_considered > 0);
+        // T2 reads T1's output and T3 reads both, so the target fills in over
+        // three passes; a fourth detects the fixpoint.
+        assert_eq!(passes, 4);
 
         let france = target
             .find_by_field(&ClassName::new("CountryT"), "name", &Value::str("France"))
@@ -507,11 +337,26 @@ mod tests {
     fn fixpoint_terminates_on_empty_sources() {
         let program = cities_program();
         let source = Instance::new("euro");
-        let (target, report) =
-            naive_transform_with_report(&program, &[&source][..], "t", &NaiveOptions::default())
-                .unwrap();
+        let (target, passes) = naive_fixpoint(&program, &[&source][..], "t").unwrap();
         assert!(target.is_empty());
-        assert_eq!(report.passes, 1);
+        assert_eq!(passes, 1);
+    }
+
+    #[test]
+    fn a_non_recursive_program_takes_two_passes() {
+        let program = Program::new(
+            "countries",
+            vec![SchemaBinding::new(euro_schema())],
+            SchemaBinding::new(target_schema()),
+        )
+        .with_text(
+            "T1: X in CountryT, X.name = E.name, X.language = E.language, X.currency = E.currency \
+                 <= E in CountryE;\n\
+             C3: Y = Mk_CountryT(N) <= Y in CountryT, N = Y.name;",
+        );
+        let (target, passes) = naive_fixpoint(&program, &[&euro_instance()][..], "t").unwrap();
+        assert_eq!(target.extent_size(&ClassName::new("CountryT")), 2);
+        assert_eq!(passes, 2, "one pass builds the target, one confirms it");
     }
 
     #[test]
@@ -531,71 +376,12 @@ mod tests {
         assert!(err.to_string().contains("ambiguous"));
     }
 
+    /// A clause that reads the target and mints a Skolem identity in its
+    /// body names the very object another clause created.
     #[test]
-    fn semi_naive_and_full_fixpoint_agree() {
-        let program = cities_program();
-        let source = euro_instance();
-        let semi = NaiveOptions::default();
-        let full = NaiveOptions {
-            semi_naive: false,
-            ..NaiveOptions::default()
-        };
-        let (a, semi_report) =
-            naive_transform_with_report(&program, &[&source][..], "target", &semi).unwrap();
-        let (b, full_report) =
-            naive_transform_with_report(&program, &[&source][..], "target", &full).unwrap();
-        assert_eq!(a, b);
-        // The semi-naive run skipped the source-only clause in later passes.
-        // (On an instance this small the delta bookkeeping can outweigh the
-        // saved matching; the asymptotic win is asserted by the regression
-        // test over the generated workloads.)
-        assert!(semi_report.clauses_skipped > 0);
-        assert!(full_report.clauses_skipped == 0);
-        assert!(semi_report.passes >= 4);
-    }
-
-    /// The parallel fixpoint (partitioned matching + parallel delta passes)
-    /// produces the *identical* target instance — same identities, same
-    /// values — and the same match statistics as the sequential fixpoint, at
-    /// every thread count. The budgets lower the partition minimum so the
-    /// five-object instance really splits.
-    #[test]
-    fn parallel_fixpoint_is_bit_identical_to_sequential() {
-        let program = cities_program();
-        let source = euro_instance();
-        let sequential_options = NaiveOptions {
-            parallelism: Parallelism::sequential(),
-            ..NaiveOptions::default()
-        };
-        let (sequential, sequential_report) =
-            naive_transform_with_report(&program, &[&source][..], "target", &sequential_options)
-                .unwrap();
-        for threads in [2, 4, 8] {
-            let parallelism = Parallelism::new(threads).with_min_items(1);
-            let cities = source.extent_size(&ClassName::new("CityE"));
-            assert!(parallelism.partitions(cities) > 1, "CityE splits");
-            let options = NaiveOptions {
-                parallelism,
-                ..NaiveOptions::default()
-            };
-            let (parallel, report) =
-                naive_transform_with_report(&program, &[&source][..], "target", &options).unwrap();
-            assert_eq!(parallel, sequential, "target diverged at {threads} threads");
-            assert_eq!(
-                report, sequential_report,
-                "report diverged at {threads} threads"
-            );
-        }
-    }
-
-    /// A Skolem-bearing clause that reads the target is re-matched through
-    /// the semi-naive delta seeds, which split like any other work: the
-    /// chunks' factories fold into the clause-wide one, so the fixpoint and
-    /// its report are identical at every budget.
-    #[test]
-    fn skolem_bearing_delta_seeds_partition_and_equal_the_sequential_fixpoint() {
+    fn a_skolem_bearing_clause_that_reads_the_target_mints_the_created_capital() {
         let program = Program::new(
-            "skolem_seeds",
+            "skolem_capital",
             vec![SchemaBinding::new(euro_schema())],
             SchemaBinding::new(target_schema()),
         )
@@ -610,52 +396,67 @@ mod tests {
              C3: Y = Mk_CountryT(N) <= Y in CountryT, N = Y.name;\n\
              C2: X = Mk_CityT(name = N, place = P) <= X in CityT, N = X.name, P = X.place;",
         );
-        let source = euro_instance();
-        let run = |threads: usize| {
-            let options = NaiveOptions {
-                parallelism: Parallelism::new(threads).with_min_items(1),
-                ..NaiveOptions::default()
-            };
-            naive_transform_with_report(&program, &[&source][..], "target", &options).unwrap()
-        };
-        let (expected, expected_report) = run(1);
-        let france = expected
+        let (target, passes) = naive_fixpoint(&program, &[&euro_instance()][..], "target").unwrap();
+        let france = target
             .find_by_field(&ClassName::new("CountryT"), "name", &Value::str("France"))
             .unwrap();
-        let capital = expected.value(france).unwrap().project("capital").unwrap();
+        let capital = target.value(france).unwrap().project("capital").unwrap();
         let capital = capital.as_oid().unwrap();
         assert_eq!(
-            expected.value(capital).unwrap().project("name"),
+            target.value(capital).unwrap().project("name"),
             Some(&Value::str("Paris")),
             "the minted capital is the city T2 created"
         );
-        assert!(expected_report.passes >= 3, "{expected_report:?}");
-        for threads in [2, 8] {
-            let (target, report) = run(threads);
-            assert_eq!(target, expected, "target diverged at {threads} threads");
-            assert_eq!(
-                report, expected_report,
-                "report diverged at {threads} threads"
-            );
-        }
+        assert!(passes >= 3, "{passes} passes");
     }
 
-    #[test]
-    fn max_passes_caps_runaway_programs() {
-        let program = cities_program();
-        let source = euro_instance();
-        let options = NaiveOptions {
-            max_passes: 1,
-            ..NaiveOptions::default()
-        };
-        let (target, report) =
-            naive_transform_with_report(&program, &[&source][..], "t", &options).unwrap();
-        assert_eq!(report.passes, 1);
-        // After a single pass the capital attribute cannot have been filled in.
-        let france =
-            target.find_by_field(&ClassName::new("CountryT"), "name", &Value::str("France"));
-        if let Some(fr) = france {
-            assert_eq!(target.value(fr).unwrap().project("capital"), None);
+    /// A linear recursion over a chain of `links` source links: `T2` extends
+    /// every path by one link per pass, so the closure needs `links` passes
+    /// to build and one to confirm.
+    fn chain(links: usize) -> (Program, Instance) {
+        let link = Type::record([("src", Type::str()), ("dst", Type::str())]);
+        let program = Program::new(
+            "chain",
+            vec![SchemaBinding::new(
+                Schema::new("links").with_class("LinkS", link.clone()),
+            )],
+            SchemaBinding::new(Schema::new("paths").with_class("PathT", link)),
+        )
+        .with_text(
+            "T1: P in PathT, P.src = L.src, P.dst = L.dst <= L in LinkS;\n\
+             T2: P in PathT, P.src = Q.src, P.dst = L.dst \
+                 <= Q in PathT, L in LinkS, L.src = Q.dst;\n\
+             K: P = Mk_PathT(src = S, dst = D) <= P in PathT, S = P.src, D = P.dst;",
+        );
+        let mut source = Instance::new("links");
+        for i in 0..links {
+            source.insert_fresh(
+                &ClassName::new("LinkS"),
+                Value::record([
+                    ("src", Value::str(format!("n{i}"))),
+                    ("dst", Value::str(format!("n{}", i + 1))),
+                ]),
+            );
         }
+        (program, source)
+    }
+
+    /// Past the pass cap the evaluation fails instead of returning a target
+    /// that is not a fixpoint.
+    #[test]
+    fn a_program_still_changing_at_the_pass_cap_is_an_error() {
+        let (program, source) = chain(MAX_PASSES + 6);
+        let err = naive_transform(&program, &[&source][..], "t").unwrap_err();
+        assert!(err.to_string().contains("no fixpoint"), "{err}");
+        // One link shorter than the cap builds the whole closure and
+        // confirms it on the last pass.
+        let links = MAX_PASSES - 1;
+        let (program, source) = chain(links);
+        let (target, passes) = naive_fixpoint(&program, &[&source][..], "t").unwrap();
+        assert_eq!(
+            target.extent_size(&ClassName::new("PathT")),
+            links * (links + 1) / 2
+        );
+        assert_eq!(passes, MAX_PASSES);
     }
 }

@@ -1,9 +1,9 @@
 //! The workspace's one partition rule and the persistent worker pool that
 //! runs the partitions.
 //!
-//! Both execution engines — `cpl`'s plan executor and `wol-engine`'s clause
-//! matcher and constraint checker — cut their work into contiguous
-//! partitions and run them here. How many is a *policy* value threaded down
+//! The parallel engine — `cpl`'s plan executor, with `morphase` running a
+//! program's queries side by side — cuts its work into contiguous
+//! partitions and runs them here. How many is a *policy* value threaded down
 //! from the pipeline driver: a [`Parallelism`] is a thread budget (default:
 //! the machine's available cores, overridable with the `WOL_THREADS`
 //! environment variable, which the CI thread matrix uses to run the whole
@@ -22,7 +22,7 @@
 //! one-partition case.
 //!
 //! Parallel execution is *deterministic*: the same inputs produce
-//! bit-identical outputs at every budget. The engines partition by data, not
+//! bit-identical outputs at every budget. The executor partitions by data, not
 //! by scheduling, and reassemble results in input order; a Skolem identity is
 //! a function of its key, so each partition mints through a factory of its
 //! own and the factories fold into the caller's in partition order. The pool

@@ -25,7 +25,9 @@ use wol_repro::wol_engine::{
     ConstraintCertificate, Databases, EngineError, Violation,
 };
 use wol_repro::wol_lang::{parse_clause, Clause};
-use wol_repro::wol_model::{ClassName, Instance, MutationBatch, Oid, Parallelism, Value};
+use wol_repro::wol_model::{
+    ClassName, Fingerprint, Instance, MutationBatch, Oid, Parallelism, Value,
+};
 use wol_repro::workloads::constrained::{self, ConstrainedParams};
 
 fn clause(text: &str) -> Clause {
@@ -126,6 +128,53 @@ fn composite_key_duplicates_are_caught_incrementally() {
     );
     assert_eq!(dirty.violations.len(), 1);
     assert_eq!(dirty.certificate.entries[0].mode, CheckMode::Full);
+}
+
+/// A Skolem key with no parts (`Mk_AccountS()`) names every account one
+/// object. It has no attribute to probe, so a batch touching the class
+/// re-checks it in full; a program carrying it refuses the second account.
+#[test]
+fn a_key_with_no_parts_is_checked_in_full() {
+    let key = clause("K: A = Mk_AccountS() <= A in AccountS");
+    let mut inst = constrained::generate_source(&ConstrainedParams::default());
+    let check = check_against_oracle(
+        &mut inst,
+        MutationBatch::new().insert("AccountS", account("AC-NEW", "eu")),
+        &[&key],
+    );
+    assert_eq!(check.certificate.entries[0].mode, CheckMode::Full);
+    assert!(!check.violations.is_empty());
+
+    let mut program = constrained::program();
+    program
+        .add_text("S4: A = Mk_AccountS() <= A in AccountS;")
+        .expect("the key parses");
+    program
+        .validate()
+        .expect("the program admits a key with no parts");
+    let params = ConstrainedParams {
+        accounts: 1,
+        ..ConstrainedParams::default()
+    };
+    let options = PipelineOptions {
+        batch_constraints: BatchConstraintMode::Enforce,
+        ..PipelineOptions::default()
+    };
+    let mut pipeline = MaterializedPipeline::new(
+        &program,
+        vec![constrained::generate_source(&params)],
+        options,
+    )
+    .expect("one account satisfies the key");
+    let err = pipeline
+        .apply_batch(&MutationBatch::new().insert("AccountS", account("AC-NEW", "eu")))
+        .unwrap_err();
+    assert!(
+        matches!(&err, MorphaseError::Verification(text) if text.contains("S4")),
+        "{err}"
+    );
+    assert!(!pipeline.is_poisoned());
+    assert_eq!(pipeline.stats().rejected_batches, 1);
 }
 
 #[test]
@@ -589,14 +638,14 @@ fn report_soak_committed_violations_replay_until_restored() {
 /// at 1, 2, 4 and 8 threads yields byte-identical certificates and identical
 /// violation lists. (The property suite fuzzes this; here one fixed stream
 /// runs under whatever `WOL_THREADS` CI pins, plus the explicit ladder, whose
-/// lowered partition minimum splits the 4-op deltas.)
+/// lowered partition minimum splits the pipeline's executor; the checker
+/// runs on one thread.)
 #[test]
 fn certificates_are_bit_identical_at_every_thread_count() {
     let params = ConstrainedParams::default();
     let source = constrained::generate_source(&params);
     let program = constrained::program();
     let mut reference: Option<Vec<Vec<u8>>> = None;
-    let mut split = false;
     for threads in [1usize, 2, 4, 8] {
         let parallelism = Parallelism::new(threads).with_min_items(1);
         let options = PipelineOptions {
@@ -616,11 +665,6 @@ fn certificates_are_bit_identical_at_every_thread_count() {
             };
             let report = pipeline.apply_batch(&batch).expect("batch commits");
             let certificate = report.constraints.expect("check attached").certificate;
-            // A delta-mode entry's `checked` counts the objects its delta
-            // detection covered.
-            split |= certificate.entries.iter().any(|entry| {
-                entry.mode == CheckMode::Delta && parallelism.partitions(entry.checked as usize) > 1
-            });
             encoded.push(certificate.encode());
         }
         match &reference {
@@ -631,5 +675,12 @@ fn certificates_are_bit_identical_at_every_thread_count() {
             ),
         }
     }
-    assert!(split, "no delta detection ran in more than one chunk");
+    // The twelve certificates' bytes, pinned when delta detection and the
+    // full re-checks still split across worker threads: a one-thread checker
+    // must encode the very same counters and violation lists.
+    let mut fingerprint = Fingerprint::new();
+    for bytes in reference.expect("the ladder ran") {
+        fingerprint.eat(&bytes);
+    }
+    assert_eq!(fingerprint.finish(), 0x805a_bdd7_03a9_68ee);
 }

@@ -18,39 +18,99 @@ use wol_repro::workloads::cities::{generate_euro, CitiesWorkload};
 use wol_repro::workloads::skewed::{self, SkewedParams};
 use wol_repro::workloads::{variants, wide};
 
-/// Clause bodies (over the Cities schemas) that exercise scans, index probes,
-/// filters, pattern equalities and inequality joins.
-const MATCHER_BODIES: &[&str] = &[
-    "Z = 1 <= X in CountryE",
-    "Z = 1 <= X in CountryE, X.language = \"French\"",
-    "Z = 1 <= X in CountryE, Y in CityE, Y.country = X, Y.is_capital = true",
-    "Z = 1 <= E in CityE, X in CountryE, X.name = E.country.name",
-    "Z = 1 <= X in CountryE, Y in CountryE, X != Y",
-    "Z = 1 <= X in CountryE, Y in CountryE, X != Y, X.language = Y.language",
-    "Z = 1 <= E in CityE, X in CountryE, X.name = E.country.name, \
-             Y in CityE, Y.country = X, Y.is_capital = true",
+/// Clause bodies (over the Cities schemas, cities carrying the extra
+/// attributes of [`with_city_extras`]) that exercise scans, index probes,
+/// filters, pattern equalities, set and variant destructuring, inequality
+/// joins and a Skolem term, each with the variable (if any) bound to the
+/// first country before matching starts.
+const MATCHER_BODIES: &[(&str, Option<&str>)] = &[
+    ("Z = 1 <= X in CountryE", None),
+    ("Z = 1 <= X in CountryE, X.language = \"French\"", None),
+    (
+        "Z = 1 <= X in CountryE, Y in CityE, Y.country = X, Y.is_capital = true",
+        None,
+    ),
+    (
+        "Z = 1 <= E in CityE, X in CountryE, X.name = E.country.name",
+        None,
+    ),
+    ("Z = 1 <= X in CountryE, Y in CountryE, X != Y", None),
+    (
+        "Z = 1 <= X in CountryE, Y in CountryE, X != Y, X.language = Y.language",
+        None,
+    ),
+    (
+        "Z = 1 <= E in CityE, X in CountryE, X.name = E.country.name, \
+                 Y in CityE, Y.country = X, Y.is_capital = true",
+        None,
+    ),
+    ("Z = 1 <= E in CityE", None),
+    ("Z = 1 <= E in CityE, E.is_capital = true", None),
+    ("Z = 1 <= E in CityE, F in CityE, F.name = E.twin", None),
+    ("Z = 1 <= E in CityE, X = E.country", None),
+    (
+        "Z = 1 <= E in CityE, F in CityE, E.population < F.population",
+        None,
+    ),
+    ("Z = 1 <= X in CountryE, E in CityE, X != E", None),
+    ("Z = 1 <= E in CityE, T member E.tags", None),
+    ("Z = 1 <= E in CityE, E.kind = ins_port(P)", None),
+    (
+        "Z = 1 <= E in CityE, E.population =< 60, 10 < E.population, E.population != 37",
+        None,
+    ),
+    ("Z = 1 <= E in CityE, E.country = X", Some("X")),
+    ("Z = 1 <= E in CityE, Y = Mk_CityT(E.name)", None),
 ];
 
-/// Match `body` with both matchers against `dbs`, returning the sorted
-/// binding multisets and the two stats blocks.
+/// `source` with one attribute of each kind the matcher bodies touch added
+/// to every city: another city's name (`twin`), an int (`population`), a
+/// set (`tags`) and a variant (`kind`).
+fn with_city_extras(source: &Instance) -> Instance {
+    let city = ClassName::new("CityE");
+    let cities: Vec<Oid> = source.extent(&city).cloned().collect();
+    let name = |oid: &Oid| source.value(oid).and_then(|v| v.project("name")).cloned();
+    let mut out = source.clone();
+    for (i, oid) in cities.iter().enumerate() {
+        let Some(Value::Record(fields)) = source.value(oid) else {
+            panic!("{oid} is not a record");
+        };
+        let mut fields = fields.clone();
+        let twin = name(&cities[(i * 7 + 3) % cities.len()]).expect("cities are named");
+        let kind = if i % 3 == 0 {
+            Value::Variant("port".into(), Box::new(Value::int((i % 7) as i64)))
+        } else {
+            Value::tag("inland")
+        };
+        fields.insert("twin".into(), twin);
+        fields.insert("population".into(), Value::int((i * 37 % 101) as i64));
+        fields.insert(
+            "tags".into(),
+            Value::set((0..i % 4).map(|t| Value::int(t as i64))),
+        );
+        fields.insert("kind".into(), kind);
+        out.update(oid, Value::Record(fields))
+            .expect("the city is live");
+    }
+    out
+}
+
+/// Match `body` from `initial` with both matchers against `dbs`, returning
+/// the sorted binding multisets and the two stats blocks.
 fn match_both(
     body: &[Atom],
     dbs: &Databases<'_>,
+    initial: Bindings,
 ) -> (Vec<Bindings>, Vec<Bindings>, MatchStats, MatchStats) {
     let mut factory = SkolemFactory::new();
     let mut indexed_stats = MatchStats::default();
-    let mut indexed = match_body(body, dbs, &mut factory, Bindings::new(), &mut indexed_stats)
+    let mut indexed = match_body(body, dbs, &mut factory, initial.clone(), &mut indexed_stats)
         .expect("indexed matcher succeeds");
     let mut factory = SkolemFactory::new();
     let mut reference_stats = MatchStats::default();
-    let mut reference = match_body_reference(
-        body,
-        dbs,
-        &mut factory,
-        Bindings::new(),
-        &mut reference_stats,
-    )
-    .expect("reference matcher succeeds");
+    let mut reference =
+        match_body_reference(body, dbs, &mut factory, initial, &mut reference_stats)
+            .expect("reference matcher succeeds");
     indexed.sort();
     reference.sort();
     (indexed, reference, indexed_stats, reference_stats)
@@ -67,7 +127,8 @@ fn indexed_matcher_reduces_bindings_considered_at_least_5x_on_three_way_join() {
     let body = "Z = 1 <= E in CityE, X in CountryE, X.name = E.country.name, \
                         Y in CityE, Y.country = X, Y.is_capital = true";
     let body = parse_clause(body).expect("body parses").body;
-    let (indexed, reference, indexed_stats, reference_stats) = match_both(&body, &dbs);
+    let (indexed, reference, indexed_stats, reference_stats) =
+        match_both(&body, &dbs, Bindings::new());
     assert_eq!(indexed, reference);
     assert_eq!(indexed.len(), 900); // every city joined to its country's capital
     assert!(indexed_stats.index_probes > 0);
@@ -886,8 +947,8 @@ proptest! {
 
     /// The indexed plan-based matcher returns exactly the same binding
     /// multiset as the naive reference matcher on generated instances — for
-    /// a family of bodies covering scans, probes, filters and inequality
-    /// joins over the source, and for every transformation-clause body of the
+    /// every body shape of [`MATCHER_BODIES`] over the source with its city
+    /// extras, and for every transformation-clause body of the
     /// cities program over the source *and* its naive target (the bodies
     /// that read target classes included) — and never enumerates more
     /// candidates doing it.
@@ -900,17 +961,26 @@ proptest! {
         let source = generate_euro(countries, cities, seed);
         let program = CitiesWorkload::new().euro_program();
         let target = naive_transform(&program, &[&source][..], "target").unwrap();
-        let source_only = [&source];
+        let extended = with_city_extras(&source);
+        let first_country = source.extent(&ClassName::new("CountryE")).next().unwrap().clone();
+        let source_only = [&extended];
         let with_target = [&source, &target];
         let bodies = MATCHER_BODIES
             .iter()
-            .map(|text| (text.to_string(), parse_clause(text).unwrap().body, &source_only[..]))
+            .map(|(text, seed)| {
+                let initial: Bindings = seed
+                    .map(|var| (var.to_string(), Value::oid(first_country.clone())))
+                    .into_iter()
+                    .collect();
+                (text.to_string(), parse_clause(text).unwrap().body, initial, &source_only[..])
+            })
             .chain(program.transformation_clauses().into_iter().map(|(_, clause)| {
-                (render_clause(clause), clause.body.clone(), &with_target[..])
+                (render_clause(clause), clause.body.clone(), Bindings::new(), &with_target[..])
             }));
-        for (name, body, instances) in bodies {
+        for (name, body, initial, instances) in bodies {
             let dbs = Databases::new(instances);
-            let (indexed, reference, indexed_stats, reference_stats) = match_both(&body, &dbs);
+            let (indexed, reference, indexed_stats, reference_stats) =
+                match_both(&body, &dbs, initial);
             prop_assert!(indexed == reference, "matchers disagree on `{}`", name);
             prop_assert!(
                 indexed_stats.bindings_considered <= reference_stats.bindings_considered,
