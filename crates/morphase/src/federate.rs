@@ -14,9 +14,10 @@
 //! 2. `Federation::ingest` — after planning: read the pushable predicates
 //!    off the *finished* plans ([`cpl::pushable_predicates`]), keep those of
 //!    eligible classes, compute a per-class projection from every attribute
-//!    the compiled queries reference, and stream each provider class
-//!    chunk-at-a-time ([`storage::ingest_class`]) into one resident instance,
-//!    building attribute indexes and histograms alongside the stream.
+//!    the normal clauses read ([`wol_engine::ReadSet`]), and stream each
+//!    provider class chunk-at-a-time ([`storage::ingest_class`]) into one
+//!    resident instance, building attribute indexes and histograms
+//!    alongside the stream.
 //!
 //! Everything after that — source-constraint check, execution, verification —
 //! is the body's, identical to a run over resident instances.
@@ -42,7 +43,7 @@
 //! scan-volume counters (and ingest work) differ.
 //! Projection is applied in *both* modes (it never changes the row set,
 //! only trims unreferenced attributes), and is disabled wholesale for a
-//! class whose objects are used whole by any expression. Raw
+//! class whose objects any clause uses whole. Raw
 //! (`optimize_plans` off) plans are the unplanned baseline and push nothing.
 //!
 //! Source-constraint checking (`check_source_constraints`) disables
@@ -52,8 +53,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cpl::exec::ExecStats;
-use cpl::Expr;
 use storage::provider::{Pushdown, PushedFilter, ScanProvider, DEFAULT_CHUNK_ROWS};
+use wol_engine::{NormalProgram, ReadSet};
 use wol_lang::program::Program;
 use wol_model::{ClassName, Instance};
 
@@ -104,13 +105,15 @@ impl<'a> Federation<'a> {
 
     /// Stream every provider class (in class order — deterministic) into one
     /// resident instance, with the filters the planned `queries` let its
-    /// provider evaluate and the projection their expressions allow. Returns
-    /// the instance and the provider-side counters (`pushed_filters`,
-    /// `provider_rows_in`, `provider_rows_out`; everything else zero).
+    /// provider evaluate and the projection the `normal` clauses they were
+    /// compiled from allow. Returns the instance and the provider-side
+    /// counters (`pushed_filters`, `provider_rows_in`, `provider_rows_out`;
+    /// everything else zero).
     pub(crate) fn ingest(
         &self,
         options: PipelineOptions,
         program: &Program,
+        normal: &NormalProgram,
         queries: &[cpl::Query],
     ) -> Result<(Instance, ExecStats)> {
         // Per class, the filter set of each of its scans across the whole
@@ -162,7 +165,7 @@ impl<'a> Federation<'a> {
         let mut projections = if options.check_source_constraints {
             BTreeMap::new()
         } else {
-            class_projections(queries, &self.owner)
+            class_projections(normal)
         };
         let schema_name = program
             .sources
@@ -190,91 +193,29 @@ impl<'a> Federation<'a> {
     }
 }
 
-/// The per-class projection the ingest may apply: `Some(attrs)` when every
-/// use of the class's objects is an attribute projection, `None` (keep
-/// everything) when any expression uses an object whole — as a record value,
-/// a Skolem key, an equality operand — or when the class is never scanned.
-/// The plans keep every pushed conjunct as a residual filter, so the result
-/// is identical in both pushdown modes.
-fn class_projections(
-    queries: &[cpl::Query],
-    owner: &BTreeMap<ClassName, usize>,
+/// The per-class projection the ingest may apply, read off each normal
+/// clause's [`ReadSet`]: `Some(attrs)` for a class whose objects are only
+/// ever projected, `None` (keep everything) for one any clause uses whole —
+/// as a record value, a Skolem key, an equality operand. A class absent from
+/// the map is never projected and is ingested whole too. The plans keep
+/// every pushed conjunct as a residual filter, so the result is identical in
+/// both pushdown modes.
+pub(crate) fn class_projections(
+    normal: &NormalProgram,
 ) -> BTreeMap<ClassName, Option<BTreeSet<String>>> {
-    let mut needed: BTreeMap<ClassName, BTreeSet<String>> = BTreeMap::new();
-    let mut whole: BTreeSet<ClassName> = BTreeSet::new();
-    for query in queries {
-        let var_class = query.plan.scan_classes();
-        let mut record = |expr: &Expr| {
-            record_expr_attrs(expr, &var_class, &mut needed, &mut whole);
-        };
-        for expr in query.plan.expressions() {
-            record(expr);
-        }
-        for insert in &query.inserts {
-            record(&insert.key);
-            for (_, expr) in &insert.attrs {
-                record(expr);
+    let mut projections: BTreeMap<ClassName, Option<BTreeSet<String>>> = BTreeMap::new();
+    for read in normal.clauses.iter().map(ReadSet::of_normal) {
+        for (class, attrs) in read.projected {
+            let entry = projections.entry(class.clone());
+            if let Some(needed) = entry.or_insert_with(|| Some(BTreeSet::new())) {
+                needed.extend(attrs.into_iter().map(ToString::to_string));
             }
+        }
+        for class in read.whole {
+            projections.insert(class.clone(), None);
         }
     }
-    owner
-        .keys()
-        .map(|class| {
-            let projection = match needed.get(class) {
-                Some(attrs) if !whole.contains(class) => Some(attrs.clone()),
-                _ => None,
-            };
-            (class.clone(), projection)
-        })
-        .collect()
-}
-
-/// Walk an expression recording, per scanned class, the attributes projected
-/// off its row variables; a variable used in any non-projection position
-/// marks its class as needing whole objects.
-fn record_expr_attrs(
-    expr: &Expr,
-    var_class: &BTreeMap<String, ClassName>,
-    needed: &mut BTreeMap<ClassName, BTreeSet<String>>,
-    whole: &mut BTreeSet<ClassName>,
-) {
-    match expr {
-        Expr::Proj(base, attr) => {
-            if let Expr::Var(var) = base.as_ref() {
-                if let Some(class) = var_class.get(var) {
-                    needed
-                        .entry(class.clone())
-                        .or_default()
-                        .insert(attr.to_string());
-                    return;
-                }
-            }
-            record_expr_attrs(base, var_class, needed, whole);
-        }
-        Expr::Var(var) => {
-            if let Some(class) = var_class.get(var) {
-                whole.insert(class.clone());
-            }
-        }
-        Expr::Const(_) => {}
-        Expr::Record(fields) => {
-            for (_, e) in fields {
-                record_expr_attrs(e, var_class, needed, whole);
-            }
-        }
-        Expr::Variant(_, payload) | Expr::Skolem(_, payload) | Expr::Not(payload) => {
-            record_expr_attrs(payload, var_class, needed, whole);
-        }
-        Expr::Eq(a, b) | Expr::Neq(a, b) | Expr::Lt(a, b) | Expr::Leq(a, b) => {
-            record_expr_attrs(a, var_class, needed, whole);
-            record_expr_attrs(b, var_class, needed, whole);
-        }
-        Expr::And(exprs) => {
-            for e in exprs {
-                record_expr_attrs(e, var_class, needed, whole);
-            }
-        }
-    }
+    projections
 }
 
 #[cfg(test)]

@@ -50,9 +50,11 @@
 //!
 //! * **The key is the unique identity tuple** — a cached row is keyed by
 //!   the identities its scans bound, whatever order the executor emitted it
-//!   in; per-query analysis (foreign-dereference classification) picks the
-//!   affected queries, [`wol_engine::delta_rotations`] derives exactly the
-//!   new rows semi-naively, and stale rows are swept by key.
+//!   in; the read set of the normal clause each query was compiled from
+//!   ([`wol_engine::ReadSet`], the walk the federation and the incremental
+//!   constraint checker share) picks the queries a batch churns,
+//!   [`wol_engine::delta_rotations`] derives exactly the new rows
+//!   semi-naively, and stale rows are swept by key.
 //! * **The ledger settles** — a Skolem identity is a function of its class
 //!   and key, so a replayed row mints exactly the identity a fresh run would;
 //!   each object's multiset of contributed records settles — through

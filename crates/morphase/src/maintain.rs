@@ -32,19 +32,22 @@
 //!   ([`wol_model::skolem_id`]) and every build mints through a fresh,
 //!   unseeded factory, so a row derived under any scan restriction binds
 //!   exactly the identities a fresh run binds for it.
-//! * A schema-typed walk over every expression classifies each projection:
-//!   a dereference of a scanned variable is covered by the row key; a
-//!   dereference reaching another class's objects makes that class a
-//!   *foreign read*; a projection whose base type cannot be resolved marks
-//!   the query *opaque*.
+//! * What a query reads is the read set ([`wol_engine::ReadSet`]) of the
+//!   normal clause it was compiled from — the one walk the federation and
+//!   the incremental constraint checker read too. (The planner's witness
+//!   fold only swaps a scan for another scan of its class, so the clause
+//!   reads what its query reads.) A projection off a member-bound variable
+//!   is covered by the row key; every other projection base is typed by
+//!   wol-lang's checker over the clause body, and a base whose type is a
+//!   class makes that class a *foreign read*. A base with no type is an
+//!   internal error at build time.
 //!
 //! When a batch lands, rows to **remove** are found by identity: any cached
 //! row whose key contains a stale (updated or removed) identity, or — when a
-//! foreign-read class saw staleness, or the query is opaque and anything was
-//! stale — every row of the query (*churn*). Rows to **add** come from
-//! [`wol_engine::delta_rotations`]: one semi-naive evaluation of the plan
-//! per changed slot, with scan restrictions partitioning exactly the rows
-//! that bind at least one changed identity. A normal clause's body holds
+//! foreign-read class saw staleness — every row of the query (*churn*).
+//! Rows to **add** come from [`wol_engine::delta_rotations`]: one semi-naive
+//! evaluation of the plan per changed slot, with scan restrictions
+//! partitioning exactly the rows that bind at least one changed identity. A normal clause's body holds
 //! only source atoms, so no compiled query scans the target, and every
 //! compiled program maintains in place.
 //!
@@ -101,14 +104,14 @@ use std::sync::Arc;
 
 use cpl::exec::{layout, run_slots, ExecStats, LoweredInsert};
 use cpl::expr::{EvalCtx, SlotRow};
-use cpl::{Expr, Plan, Query};
+use cpl::{Plan, Query};
 use storage::persist::PipelineJournal;
 use wol_engine::{check_batch, BatchCheck, Databases, EngineError};
-use wol_engine::{delta_rotations, Slot};
+use wol_engine::{delta_rotations, NormalClause, ReadSet, Slot};
 use wol_lang::program::Program;
 use wol_lang::Clause;
 use wol_model::{
-    BatchDelta, BatchPreimages, ClassName, Conflict, Fingerprint, Instance, Label, Mutation,
+    BatchDelta, BatchPreimages, ClassName, Conflict, Fingerprint, Instance, Mutation,
     MutationBatch, Oid, Record, Schema, SkolemFactory, SourceOp, Type, Value,
 };
 
@@ -276,211 +279,49 @@ struct QueryAnalysis {
     plan: Plan,
     /// The insert actions, lowered against the plan's layout.
     inserts: Vec<LoweredInsert>,
-    /// Classes read through dereferences not covered by the row key.
+    /// Classes read through projections the row key does not cover.
     foreign: BTreeSet<ClassName>,
-    /// True when some projection's base type is unresolvable: the query may
-    /// read arbitrary objects, so any staleness churns it.
-    opaque: bool,
 }
 
-/// Statically inferred expression type, precise only where it matters.
-#[derive(Clone, Debug)]
-enum Ty {
-    Known(Type),
-    /// Definitely not an object identity (booleans, comparisons, scalars).
-    Scalar,
-    Unknown,
+/// The classes `clause` reads through projection bases its row key does not
+/// cover: each uncovered base of its [`ReadSet`] whose type — wol-lang's
+/// inference over the clause body, under the program's schemas — is a class.
+fn foreign_reads(clause: &NormalClause, schemas: &[&Schema]) -> Result<BTreeSet<ClassName>> {
+    let read = ReadSet::of_normal(clause);
+    let mut foreign = BTreeSet::new();
+    if read.uncovered.is_empty() {
+        return Ok(foreign);
+    }
+    let name = clause.provenance.join("+");
+    let body = Clause::new(Vec::new(), clause.body.clone());
+    let types = wol_lang::infer_term_types(&body, schemas, read.uncovered.iter().copied())
+        .map_err(|e| MorphaseError::Execution(format!("cannot type the reads of `{name}`: {e}")))?;
+    for (base, ty) in read.uncovered.iter().zip(types) {
+        let mut ty = ty.ok_or_else(|| {
+            MorphaseError::Execution(format!(
+                "projection base `{}` of `{name}` has no type",
+                wol_lang::render_term(base)
+            ))
+        })?;
+        while let Type::Optional(inner) = ty {
+            ty = *inner;
+        }
+        if let Type::Class(class) = ty {
+            foreign.insert(class);
+        }
+    }
+    Ok(foreign)
 }
 
-/// Schema-typed projection classifier (see module docs: delta propagation).
-struct DerefScan<'a> {
-    schemas: &'a [&'a Schema],
-    scan_vars: BTreeSet<String>,
-    env: BTreeMap<String, Ty>,
-    foreign: BTreeSet<ClassName>,
-    opaque: bool,
-}
-
-impl DerefScan<'_> {
-    fn class_value_type(&self, class: &ClassName) -> Option<&Type> {
-        self.schemas.iter().find_map(|s| s.class_type(class))
-    }
-
-    fn type_of_value(&self, value: &Value) -> Ty {
-        match value {
-            Value::Oid(oid) => Ty::Known(Type::Class(oid.class().clone())),
-            Value::Record(fields) => {
-                let mut tys = Vec::new();
-                for (label, v) in fields {
-                    match self.type_of_value(v) {
-                        Ty::Known(t) => tys.push((label.to_string(), t)),
-                        _ => return Ty::Unknown,
-                    }
-                }
-                Ty::Known(Type::Record(tys))
-            }
-            Value::Bool(_) | Value::Int(_) | Value::Real(_) | Value::Str(_) | Value::Unit => {
-                Ty::Scalar
-            }
-            Value::Set(_) | Value::List(_) | Value::Variant(..) | Value::Absent => Ty::Unknown,
-        }
-    }
-
-    fn visit(&mut self, expr: &Expr) -> Ty {
-        match expr {
-            Expr::Var(v) => self.env.get(v).cloned().unwrap_or(Ty::Unknown),
-            Expr::Const(v) => self.type_of_value(v),
-            Expr::Proj(base, label) => {
-                let base_ty = self.visit(base);
-                self.project(base_ty, base, label)
-            }
-            Expr::Record(fields) => {
-                let mut tys = Vec::new();
-                let mut all_known = true;
-                for (label, fe) in fields {
-                    match self.visit(fe) {
-                        Ty::Known(t) => tys.push((label.to_string(), t)),
-                        _ => all_known = false,
-                    }
-                }
-                if all_known {
-                    Ty::Known(Type::Record(tys))
-                } else {
-                    Ty::Unknown
-                }
-            }
-            Expr::Variant(_, inner) => {
-                self.visit(inner);
-                Ty::Unknown
-            }
-            Expr::Skolem(class, inner) => {
-                self.visit(inner);
-                Ty::Known(Type::Class(class.clone()))
-            }
-            Expr::Eq(a, b) | Expr::Neq(a, b) | Expr::Lt(a, b) | Expr::Leq(a, b) => {
-                self.visit(a);
-                self.visit(b);
-                Ty::Scalar
-            }
-            Expr::And(es) => {
-                for e in es {
-                    self.visit(e);
-                }
-                Ty::Scalar
-            }
-            Expr::Not(inner) => {
-                self.visit(inner);
-                Ty::Scalar
-            }
-        }
-    }
-
-    /// Classify the dereferences a projection performs while resolving its
-    /// base down to a record, and return the projected field's type.
-    fn project(&mut self, base_ty: Ty, base: &Expr, label: &Label) -> Ty {
-        let mut ty = base_ty;
-        // Only the base expression's *own* identity is covered by the row
-        // key, and only when it is literally a scanned variable.
-        let mut covered = matches!(base, Expr::Var(v) if self.scan_vars.contains(v));
-        loop {
-            match ty {
-                Ty::Known(Type::Optional(inner)) => ty = Ty::Known(*inner),
-                Ty::Known(Type::Class(class)) => {
-                    if !covered {
-                        self.foreign.insert(class.clone());
-                    }
-                    covered = false;
-                    match self.class_value_type(&class) {
-                        Some(t) => ty = Ty::Known(t.clone()),
-                        None => {
-                            self.opaque = true;
-                            return Ty::Unknown;
-                        }
-                    }
-                }
-                Ty::Known(Type::Record(fields)) => {
-                    return match fields.iter().find(|(l, _)| l == label) {
-                        Some((_, t)) => Ty::Known(t.clone()),
-                        None => {
-                            self.opaque = true;
-                            Ty::Unknown
-                        }
-                    };
-                }
-                Ty::Known(_) | Ty::Scalar | Ty::Unknown => {
-                    self.opaque = true;
-                    return Ty::Unknown;
-                }
-            }
-        }
-    }
-
-    /// Walk a plan in evaluation order, binding scan variables and `Map`
-    /// bindings into the typing environment as they come into scope.
-    fn walk_plan(&mut self, plan: &Plan) {
-        match plan {
-            Plan::Scan { class, var } => {
-                self.env
-                    .insert(var.clone(), Ty::Known(Type::Class(class.clone())));
-            }
-            Plan::Filter { input, predicate } => {
-                self.walk_plan(input);
-                self.visit(predicate);
-            }
-            Plan::Map { input, bindings } => {
-                self.walk_plan(input);
-                for (var, expr) in bindings {
-                    let ty = self.visit(expr);
-                    self.env.insert(var.clone(), ty);
-                }
-            }
-            Plan::NestedLoopJoin {
-                left,
-                right,
-                predicate,
-            } => {
-                self.walk_plan(left);
-                self.walk_plan(right);
-                self.visit(predicate);
-            }
-            Plan::HashJoin { left, right, keys } => {
-                self.walk_plan(left);
-                self.walk_plan(right);
-                for (l, r) in keys {
-                    self.visit(l);
-                    self.visit(r);
-                }
-            }
-            Plan::CrossJoin { left, right } => {
-                self.walk_plan(left);
-                self.walk_plan(right);
-            }
-        }
-    }
-}
-
-/// Analyse one compiled query for incremental maintenance.
-fn analyze_query(query: Query, schemas: &[&Schema]) -> Result<QueryAnalysis> {
+/// Analyse one compiled query for incremental maintenance, given the
+/// [`foreign_reads`] of the normal clause it was compiled from.
+fn analyze_query(query: Query, foreign: BTreeSet<ClassName>) -> Result<QueryAnalysis> {
     let slots: Vec<Slot> = query
         .plan
         .scan_classes()
         .into_iter()
         .map(|(var, class)| Slot::new(var, class))
         .collect();
-    let mut scan = DerefScan {
-        schemas,
-        scan_vars: slots.iter().map(|s| s.var.clone()).collect(),
-        env: BTreeMap::new(),
-        foreign: BTreeSet::new(),
-        opaque: false,
-    };
-    scan.walk_plan(&query.plan);
-    for action in &query.inserts {
-        scan.visit(&action.key);
-        for (_, expr) in &action.attrs {
-            scan.visit(expr);
-        }
-    }
     let row_layout = layout(&query.plan);
     let key_slots = slots
         .iter()
@@ -501,8 +342,7 @@ fn analyze_query(query: Query, schemas: &[&Schema]) -> Result<QueryAnalysis> {
         key_slots,
         inserts: LoweredInsert::lower(&query.inserts, &row_layout),
         plan: query.plan,
-        foreign: scan.foreign,
-        opaque: scan.opaque,
+        foreign,
     })
 }
 
@@ -597,10 +437,12 @@ fn build_state(
     let stats = cpl::Statistics::from_instances(&refs).with_cost_model(options.cost_model);
     let queries = plan_queries(options, &front.normal, &stats)?;
     front.check_sources(options, &refs)?;
-    let schemas: Vec<&Schema> = augmented.sources.iter().map(|b| &b.schema).collect();
+    let schemas = augmented.schemas();
+    // Compilation maps normal clauses to queries one to one.
     let analyses = queries
         .into_iter()
-        .map(|query| analyze_query(query, &schemas))
+        .zip(&front.normal.clauses)
+        .map(|(query, clause)| analyze_query(query, foreign_reads(clause, &schemas)?))
         .collect::<Result<Vec<_>>>()?;
 
     // Fill each row cache from an unrestricted plan run, replay it into the
@@ -643,11 +485,10 @@ fn repair_incremental(
     // Phase A: sweep stale rows out of the caches, dropping their supports.
     let mut churns = Vec::with_capacity(core.analyses.len());
     for (analysis, cache) in core.analyses.iter().zip(&mut core.caches) {
-        let churn = (analysis.opaque && delta.has_stale())
-            || analysis
-                .foreign
-                .iter()
-                .any(|c| delta.class(c).is_some_and(|d| !d.stale().is_empty()));
+        let churn = analysis
+            .foreign
+            .iter()
+            .any(|c| delta.class(c).is_some_and(|d| !d.stale().is_empty()));
         churns.push(churn);
         let mut swept = Vec::new();
         if churn {
@@ -1111,6 +952,7 @@ impl MaterializedPipeline {
 mod tests {
     use super::*;
     use crate::Morphase;
+    use cpl::Expr;
     use workloads::genome::{self, GenomeParams};
 
     fn genome_pipeline(params: &GenomeParams) -> MaterializedPipeline {
@@ -1479,13 +1321,134 @@ mod tests {
         }
     }
 
+    /// What each consumer reads off the shared [`ReadSet`], for every
+    /// workload program: the maintainer's foreign reads per query, the
+    /// federation's ingest projections and the constraint checker's locality.
+    #[test]
+    fn read_sets_of_every_workload_program_are_pinned() {
+        use crate::federate::class_projections;
+        use workloads::cities::CitiesWorkload;
+        use workloads::{constrained, federated, people::PeopleWorkload, skewed, variants};
+
+        let cities = CitiesWorkload::new();
+        let programs = [
+            ("genome", genome::program()),
+            ("euro", cities.euro_program()),
+            ("us", cities.us_program()),
+            ("people", PeopleWorkload::new().program()),
+            ("constrained", constrained::program()),
+            ("federated", federated::program()),
+            ("skewed", skewed::program()),
+            ("variants", variants::wol_program(3)),
+        ];
+        let extra_constraints = [
+            ("euro", CitiesWorkload::euro_constraints_text()),
+            ("us", CitiesWorkload::us_constraints_text()),
+        ];
+        let mut foreign = BTreeMap::new();
+        let mut projections = BTreeMap::new();
+        let mut non_local = Vec::new();
+        let mut constraints = 0;
+        for (name, program) in &programs {
+            let front = Front::build(PipelineOptions::default(), program).unwrap();
+            let schemas = front.augmented.schemas();
+            for clause in &front.normal.clauses {
+                let classes = foreign_reads(clause, &schemas).unwrap();
+                if !classes.is_empty() {
+                    let query = format!("{name} {}", clause.provenance.join("+"));
+                    let classes: Vec<String> = classes.iter().map(ClassName::to_string).collect();
+                    foreign.insert(query, classes.join(","));
+                }
+            }
+            // What an ingest of each source class would keep (`None`: every
+            // attribute).
+            let kept = class_projections(&front.normal);
+            let sources = front.augmented.sources.iter();
+            for (class, _) in sources.flat_map(|binding| binding.schema.classes()) {
+                let attrs = match kept.get(class).cloned().flatten() {
+                    Some(attrs) => attrs.into_iter().collect::<Vec<_>>().join(","),
+                    None => "whole".to_string(),
+                };
+                projections.insert(format!("{name} {class}"), attrs);
+            }
+            // The program's own constraints (plus the cities texts), then
+            // the key constraints generated from its schemas.
+            let mut clauses: Vec<&Clause> = program
+                .source_constraints()
+                .into_iter()
+                .chain(program.target_constraints())
+                .map(|(_, clause)| clause)
+                .collect();
+            let extra: Vec<Clause> = extra_constraints
+                .iter()
+                .filter(|(n, _)| n == name)
+                .flat_map(|(_, text)| wol_lang::parse_program(text).unwrap())
+                .collect();
+            clauses.extend(&extra);
+            clauses.extend(&front.augmented.clauses[program.clauses.len()..]);
+            constraints += clauses.len();
+            for clause in clauses {
+                if !ReadSet::of_clause(clause).is_local() {
+                    non_local.push(format!(
+                        "{name} {}",
+                        clause.label.clone().unwrap_or_default()
+                    ));
+                }
+            }
+        }
+        let pinned = |pairs: &[(&str, &str)]| -> BTreeMap<String, String> {
+            pairs
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect()
+        };
+        assert_eq!(
+            foreign,
+            pinned(&[
+                ("genome G7 (#6)", "CloneS"),
+                ("euro T2 (#1)", "CountryE"),
+                ("euro T3 (#2)", "CountryE"),
+                ("us U2 (#1)", "StateA"),
+                ("us U3 (#2)", "CityA,StateA"),
+            ])
+        );
+        projections.retain(|k, _| {
+            !["euro ", "us ", "variants "]
+                .iter()
+                .any(|p| k.starts_with(p))
+        });
+        assert_eq!(
+            projections,
+            pinned(&[
+                ("genome CloneS", "lab,length,name"),
+                ("genome MarkerS", "aliases,clone,name,position"),
+                ("federated AssayC", "level,marker,sample,tissue"),
+                ("federated CloneR", "lab,length,name"),
+                ("federated MarkerA", "clone_name,name,position"),
+                ("skewed CloneS", "whole"),
+                ("skewed LaneS", "bin,lane,name"),
+                ("skewed MarkerS", "bin,clone_name,name"),
+                ("skewed ProbeS", "clone_name,lane,name"),
+                ("constrained AccountS", "whole"),
+                ("constrained ProfileS", "whole"),
+                ("constrained UserS", "email,name"),
+                ("people Person", "whole"),
+            ])
+        );
+        // Of the written constraints only (C1) projects off a variable no
+        // member atom binds; two generated keys project a reference path.
+        assert_eq!(
+            non_local,
+            ["euro mergekey_CityE", "us C1", "people key_Marriage"]
+        );
+        assert_eq!(constraints, 34);
+    }
+
     /// The row key is the scans' identity tuple in variable-name order, not
     /// the order the plan joins in.
     #[test]
     fn keys_hold_every_scan_identity_in_variable_name_order() {
-        let program = genome::program();
         let source = genome::generate_source(&GenomeParams::default());
-        let schemas: Vec<&Schema> = program.sources.iter().map(|b| &b.schema).collect();
         let query = |plan: Plan| Query {
             name: "hand-built".into(),
             plan,
@@ -1497,7 +1460,7 @@ mod tests {
             Expr::var("M").proj("clone"),
             Expr::var("C"),
         ));
-        let analysis = analyze_query(join, &schemas).unwrap();
+        let analysis = analyze_query(join, BTreeSet::new()).unwrap();
         assert_eq!(
             analysis.slots,
             vec![Slot::new("C", "CloneS"), Slot::new("M", "MarkerS")]

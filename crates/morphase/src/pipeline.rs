@@ -567,7 +567,8 @@ pub(crate) fn run_pipeline(
     let mut ingested = None;
     if let Some(federation) = &federation {
         let start = Instant::now();
-        let (instance, provider_stats) = federation.ingest(options, &front.augmented, &queries)?;
+        let (instance, provider_stats) =
+            federation.ingest(options, &front.augmented, &front.normal, &queries)?;
         timings.ingest = start.elapsed();
         exec.absorb(provider_stats);
         ingested = Some(instance);

@@ -15,8 +15,8 @@
 //! * [`extract_object_keys`] and [`extract_merge_keys`]: pull key information
 //!   out of a program's constraints for use by normalisation (Section 4.1) and
 //!   by the source-constraint optimiser (Section 4.2);
-//! * [`incremental`]: delta-restricted, worker-pool-parallel constraint
-//!   checking for mutation batches, with auditable
+//! * [`incremental`]: delta-restricted constraint checking for mutation
+//!   batches, on the calling thread, with auditable
 //!   [`ConstraintCertificate`](incremental::ConstraintCertificate)s.
 
 pub(crate) mod incremental;
@@ -44,8 +44,6 @@ pub struct ObjectKey {
     /// Labelled key parts; each path is projected from the object.
     pub parts: Vec<(Label, Path)>,
 }
-
-impl ObjectKey {}
 
 /// How a constraint clause is classified for use by the engine.
 #[derive(Clone, Debug, PartialEq, Eq)]

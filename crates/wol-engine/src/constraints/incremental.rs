@@ -18,13 +18,14 @@
 //!
 //! # How it works
 //!
-//! Each constraint is first *analysed* ([`analyze_constraint`]): which
-//! classes its body and head member atoms read, which classes its
-//! projections dereference, and whether the clause is *local* — every body
-//! member atom binds a plain variable and every projection is a single
-//! attribute step over a member-bound variable. Locality is what makes the
-//! read set exact: a binding that contains no delta-touched object evaluates
-//! every atom to the same truth value before and after the batch.
+//! Each constraint's read set is the shared [`ReadSet`]: which classes its
+//! body and head member atoms read, which classes its projections
+//! dereference, and whether the clause is *local* ([`ReadSet::is_local`]) —
+//! every body member atom binds a plain variable and every projection is a
+//! single attribute step over a member-bound variable. Locality is what
+//! makes the read set exact: a binding that contains no delta-touched object
+//! evaluates every atom to the same truth value before and after the batch.
+//! The analysis is untyped: `check_batch` sees no schemas.
 //!
 //! Per batch, each constraint is then planned into one of three modes:
 //!
@@ -60,7 +61,7 @@
 //! The certificate wire format is documented field-by-field in the crate
 //! docs ("Constraint checking").
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use storage::persist::codec::{self, ByteReader};
 use wol_lang::ast::{Atom, Clause, Term, Var};
@@ -71,6 +72,7 @@ use crate::constraints::{
 };
 use crate::env::{Bindings, Databases};
 use crate::error::EngineError;
+use crate::read_set::ReadSet;
 use crate::Result;
 
 /// Magic bytes opening an encoded certificate.
@@ -294,125 +296,6 @@ pub struct RecheckReport {
 }
 
 // ---------------------------------------------------------------------------
-// Read-set analysis.
-// ---------------------------------------------------------------------------
-
-/// What the incremental checker knows statically about one constraint.
-#[derive(Clone, Debug)]
-pub(crate) struct ConstraintAnalysis {
-    class: ConstraintClass,
-    /// Body member atoms binding a plain variable: the delta seeds.
-    body_members: Vec<(Var, ClassName)>,
-    /// Classes of head member atoms (the witness side).
-    head_classes: BTreeSet<ClassName>,
-    /// Every class a member atom reads (body and head).
-    read_classes: BTreeSet<ClassName>,
-    /// Classes whose member-bound objects get projected somewhere in the
-    /// clause: updates to these can change atom truth values.
-    projected_classes: BTreeSet<ClassName>,
-    /// Whether the read set is exact (see the module docs).
-    local: bool,
-    /// Whether the head carries Skolem key atoms.
-    has_key_atoms: bool,
-}
-
-fn walk_term(
-    term: &Term,
-    bound: &BTreeMap<&Var, &ClassName>,
-    projected: &mut BTreeSet<ClassName>,
-    local: &mut bool,
-) {
-    match term {
-        Term::Var(_) | Term::Const(_) => {}
-        Term::Proj(_, _) => match term.as_var_path() {
-            Some((var, labels)) if labels.len() == 1 => match bound.get(var) {
-                Some(class) => {
-                    projected.insert((*class).clone());
-                }
-                None => *local = false,
-            },
-            _ => *local = false,
-        },
-        Term::Record(fields) => {
-            for (_, t) in fields {
-                walk_term(t, bound, projected, local);
-            }
-        }
-        Term::Variant(_, t) => walk_term(t, bound, projected, local),
-        Term::Skolem(_, args) => {
-            for t in args.terms() {
-                walk_term(t, bound, projected, local);
-            }
-        }
-    }
-}
-
-/// Analyse one constraint clause for incremental checking.
-pub(crate) fn analyze_constraint(clause: &Clause) -> ConstraintAnalysis {
-    let class = classify_constraint(clause);
-    let mut bound: BTreeMap<&Var, &ClassName> = BTreeMap::new();
-    let mut body_members = Vec::new();
-    let mut head_classes = BTreeSet::new();
-    let mut read_classes = BTreeSet::new();
-    let mut local = true;
-    for atom in &clause.body {
-        if let Atom::Member(term, c) = atom {
-            read_classes.insert(c.clone());
-            match term {
-                Term::Var(v) => {
-                    bound.insert(v, c);
-                    body_members.push((v.clone(), c.clone()));
-                }
-                // A body member over a computed term can gain bindings when
-                // the *referenced* class grows, which seeding cannot see.
-                _ => local = false,
-            }
-        }
-    }
-    let mut has_key_atoms = false;
-    for atom in &clause.head {
-        match atom {
-            Atom::Member(term, c) => {
-                read_classes.insert(c.clone());
-                head_classes.insert(c.clone());
-                if let Term::Var(v) = term {
-                    bound.insert(v, c);
-                }
-            }
-            Atom::Eq(s, t)
-                if matches!(s, Term::Skolem(_, _)) || matches!(t, Term::Skolem(_, _)) =>
-            {
-                has_key_atoms = true;
-            }
-            _ => {}
-        }
-    }
-    let mut projected = BTreeSet::new();
-    for atom in clause.body.iter().chain(&clause.head) {
-        match atom {
-            Atom::Member(t, _) => walk_term(t, &bound, &mut projected, &mut local),
-            Atom::Eq(s, t)
-            | Atom::Neq(s, t)
-            | Atom::Lt(s, t)
-            | Atom::Leq(s, t)
-            | Atom::InSet(s, t) => {
-                walk_term(s, &bound, &mut projected, &mut local);
-                walk_term(t, &bound, &mut projected, &mut local);
-            }
-        }
-    }
-    ConstraintAnalysis {
-        class,
-        body_members,
-        head_classes,
-        read_classes,
-        projected_classes: projected,
-        local,
-        has_key_atoms,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Planning.
 // ---------------------------------------------------------------------------
 
@@ -449,9 +332,17 @@ fn single_attrs(paths: &[wol_model::Path]) -> Option<Vec<Label>> {
         .collect()
 }
 
+/// The classes `atoms`' member atoms read.
+fn member_classes(atoms: &[Atom]) -> impl Iterator<Item = &ClassName> {
+    atoms.iter().filter_map(|atom| match atom {
+        Atom::Member(_, class) => Some(class),
+        _ => None,
+    })
+}
+
 fn plan_constraint(
     idx: usize,
-    analysis: &ConstraintAnalysis,
+    clause: &Clause,
     delta: &BatchDelta,
     suspects: &BTreeSet<usize>,
 ) -> Plan {
@@ -463,33 +354,47 @@ fn plan_constraint(
     if delta.is_empty() {
         return Plan::Skip;
     }
-    if !analysis.local {
+    let read = ReadSet::of_clause(clause);
+    if !read.is_local() {
         return Plan::Full;
     }
-    let touched = analysis
-        .read_classes
-        .iter()
-        .any(|c| delta.class(c).is_some_and(|d| !d.is_empty()));
-    if !touched {
+    let changed = |c: &ClassName| delta.class(c).is_some_and(|d| !d.is_empty());
+    if !member_classes(&clause.body)
+        .chain(member_classes(&clause.head))
+        .any(changed)
+    {
         return Plan::Skip;
     }
     // Staleness in the witness classes can break bindings that contain no
     // changed object: removals always (a witness may disappear), updates
     // only when the class is actually projected (bare membership survives
     // an update).
-    for c in &analysis.head_classes {
+    for c in member_classes(&clause.head) {
         if let Some(d) = delta.class(c) {
             if !d.removed.is_empty() {
                 return Plan::Full;
             }
-            if !d.updated.is_empty() && analysis.projected_classes.contains(c) {
+            if !d.updated.is_empty() && read.projected.contains_key(c) {
                 return Plan::Full;
             }
         }
     }
-    match &analysis.class {
+    // Every body member atom of a local clause binds a variable: the seeds.
+    let body_members: Vec<(&Var, &ClassName)> = clause
+        .body
+        .iter()
+        .filter_map(|atom| match atom {
+            Atom::Member(Term::Var(var), class) => Some((var, class)),
+            _ => None,
+        })
+        .collect();
+    let has_key_atoms = clause.head.iter().any(|atom| {
+        matches!(atom, Atom::Eq(s, t)
+            if matches!(s, Term::Skolem(..)) || matches!(t, Term::Skolem(..)))
+    });
+    match classify_constraint(clause) {
         ConstraintClass::SkolemKey(okey)
-            if analysis.body_members.len() == 1 && analysis.body_members[0].1 == okey.class =>
+            if body_members.len() == 1 && *body_members[0].1 == okey.class =>
         {
             let Some(attrs) = single_attrs(
                 &okey
@@ -505,31 +410,27 @@ fn plan_constraint(
                 .map(|d| d.changed().into_iter().collect())
                 .unwrap_or_default();
             Plan::KeyProbe {
-                class: okey.class.clone(),
+                class: okey.class,
                 attrs,
                 oids,
             }
         }
-        ConstraintClass::MergeKey { class, paths } => match single_attrs(paths) {
+        ConstraintClass::MergeKey { class, paths } => match single_attrs(&paths) {
             Some(attrs) => {
                 let oids = delta
-                    .class(class)
+                    .class(&class)
                     .map(|d| d.changed().into_iter().collect())
                     .unwrap_or_default();
-                Plan::KeyProbe {
-                    class: class.clone(),
-                    attrs,
-                    oids,
-                }
+                Plan::KeyProbe { class, attrs, oids }
             }
             None => Plan::Full,
         },
-        _ if !analysis.has_key_atoms => {
+        _ if !has_key_atoms => {
             let mut seeds = Vec::new();
-            for (var, class) in &analysis.body_members {
+            for (var, class) in body_members {
                 if let Some(d) = delta.class(class) {
                     for oid in d.changed() {
-                        seeds.push((var.clone(), oid));
+                        seeds.push(((*var).clone(), oid));
                     }
                 }
             }
@@ -633,7 +534,7 @@ pub fn check_batch(
     let mut entries = Vec::with_capacity(clauses.len());
     let mut violations = Vec::new();
     for (idx, clause) in clauses.iter().enumerate() {
-        let plan = plan_constraint(idx, &analyze_constraint(clause), delta, suspects);
+        let plan = plan_constraint(idx, clause, delta, suspects);
         let detection = match &plan {
             Plan::KeyProbe { class, attrs, oids } => detect_key_probe(dbs, class, attrs, oids),
             Plan::Seeded { seeds } => detect_seeded(dbs, clause, seeds)?,
@@ -944,9 +845,7 @@ mod tests {
             let delta = apply(state, batch);
             let dbs = Databases::new(&[&*state]);
             for (idx, clause) in clauses.iter().enumerate() {
-                let analysis = analyze_constraint(clause);
-                let Plan::Seeded { seeds } =
-                    plan_constraint(idx, &analysis, &delta, &BTreeSet::new())
+                let Plan::Seeded { seeds } = plan_constraint(idx, clause, &delta, &BTreeSet::new())
                 else {
                     continue;
                 };

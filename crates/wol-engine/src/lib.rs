@@ -19,6 +19,8 @@
 //! * `semantics` — the naive multi-pass evaluator (the strategy Section 5
 //!   argues is inefficient), used as reference semantics and baseline.
 //! * `completeness` — static completeness analysis (Section 3.2).
+//! * `read_set` — what a clause reads ([`ReadSet`]): the one walk the
+//!   incremental checker, the federation and the standing pipeline share.
 //! * [`info_preserve`] — empirical information-preservation (injectivity)
 //!   checking (Section 4.3).
 //!
@@ -100,6 +102,7 @@ mod headform;
 pub mod info_preserve;
 pub mod normalize;
 mod optimize;
+mod read_set;
 mod rotation;
 mod semantics;
 pub mod snf;
@@ -120,6 +123,7 @@ pub use error::EngineError;
 pub use info_preserve::{canonical_form, check_injective, instances_equivalent, InjectivityReport};
 pub use normalize::{normalize, NormalClause, NormalProgram, NormalizeOptions};
 pub use optimize::fold_witnesses;
+pub use read_set::ReadSet;
 pub use rotation::{delta_rotations, Rotation, Slot};
 pub use semantics::naive_transform;
 pub use snf::{program_to_snf, SnfStats};

@@ -63,7 +63,7 @@ pub use parser::{parse_clause, parse_program};
 pub use pretty::{render_atom, render_clause, render_program, render_term};
 pub use program::{ClauseRole, Program, SchemaBinding};
 pub use range::check_range_restricted;
-pub use typecheck::{check_clause_types, TypeEnv};
+pub use typecheck::{check_clause_types, infer_term_types, TypeEnv};
 
 /// Crate-wide result alias.
 pub(crate) type Result<T> = std::result::Result<T, LangError>;

@@ -14,7 +14,10 @@
 //!   side when it is a variable, the fields of a record term, the payload of a
 //!   variant term, and the arguments of a Skolem term (Skolem functions are
 //!   injective);
-//! * comparison atoms (`<`, `=<`, `!=`) and set membership never bind.
+//! * comparison atoms (`<`, `=<`, `!=`) never bind;
+//! * a set membership `E member S` whose set side has only bound variables
+//!   binds the invertible positions of `E` (it enumerates the set's
+//!   elements, as the matcher's `InSetBind` step does).
 //!
 //! Body atoms are processed first, then head atoms (head-only variables such
 //! as the target object of a transformation clause are bound by head

@@ -311,6 +311,32 @@ impl<'a> Checker<'a> {
 /// reported as errors (such clauses are also not range-restricted, but the
 /// dedicated message here is more helpful).
 pub fn check_clause_types(clause: &Clause, schemas: &[&Schema]) -> Result<TypeEnv> {
+    let checker = typed(clause, schemas)?;
+    // Every variable must have received a type.
+    for var in clause.variables() {
+        if !checker.env.contains_key(&var) {
+            return Err(checker.error(format!("no type can be assigned to variable {var}")));
+        }
+    }
+    Ok(checker.env)
+}
+
+/// Infer the type of each of `terms` — terms over `clause`'s variables —
+/// under the typing [`check_clause_types`] infers for the clause: `None`
+/// where it leaves a term's type open (a bare variant term, a variable only
+/// such terms constrain). An atom that does not type is an error; a variable
+/// left untyped is not.
+pub fn infer_term_types<'t>(
+    clause: &Clause,
+    schemas: &[&Schema],
+    terms: impl IntoIterator<Item = &'t Term>,
+) -> Result<Vec<Option<Type>>> {
+    let mut checker = typed(clause, schemas)?;
+    terms.into_iter().map(|term| checker.infer(term)).collect()
+}
+
+/// Run the inference to its fixpoint over `clause`'s atoms.
+fn typed<'a>(clause: &Clause, schemas: &'a [&'a Schema]) -> Result<Checker<'a>> {
     let clause_id = clause
         .label
         .clone()
@@ -334,16 +360,7 @@ pub fn check_clause_types(clause: &Clause, schemas: &[&Schema]) -> Result<TypeEn
             break;
         }
     }
-    // Every variable must have received a type.
-    for var in clause.variables() {
-        if !checker.env.contains_key(&var) {
-            return Err(LangError::Type {
-                clause: checker.clause_id.clone(),
-                message: format!("no type can be assigned to variable {var}"),
-            });
-        }
-    }
-    Ok(checker.env)
+    Ok(checker)
 }
 
 #[cfg(test)]

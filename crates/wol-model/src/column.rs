@@ -203,8 +203,6 @@ pub enum ColumnData {
     Boxed(Vec<Value>),
 }
 
-impl ColumnData {}
-
 /// A fixed-size run of one attribute's cells (see [`CHUNK_ROWS`]).
 #[derive(Clone, Debug)]
 pub struct ColumnChunk {

@@ -117,12 +117,6 @@ impl BatchDelta {
         self.classes.get(class)
     }
 
-    /// Whether any class has updates or removals (the operations that can
-    /// invalidate previously derived rows, as opposed to pure growth).
-    pub fn has_stale(&self) -> bool {
-        self.classes.values().any(|d| !d.stale().is_empty())
-    }
-
     /// Whether the batch had no net effect.
     pub fn is_empty(&self) -> bool {
         self.classes.values().all(ClassDelta::is_empty)
@@ -293,7 +287,6 @@ mod tests {
         assert_eq!(d.updated, BTreeSet::from([kept]));
         assert_eq!(d.removed, BTreeSet::from([gone]));
         assert_eq!(inst.extent_size(&class), 2);
-        assert!(delta.has_stale());
     }
 
     #[test]
