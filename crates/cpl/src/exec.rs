@@ -332,88 +332,68 @@ pub struct JoinActual {
 
 /// A hash-join side answerable through the instances' attribute indexes
 /// ([`wol_model::index`]): a bare class scan with at least one key expression
-/// that is a single attribute projection off the scanned variable.
-pub(crate) struct IndexableSide {
+/// that is a single attribute projection off the scanned variable. Every such
+/// key pair is answered by one lookup in the index keyed by all of their
+/// attributes together.
+struct IndexableSide {
     class: wol_model::ClassName,
     var: String,
-    /// Attribute the index is probed on.
-    attr: Label,
-    /// Which key pair the probe answers; the remaining pairs are verified
-    /// against each candidate object.
-    key_index: usize,
+    /// The attributes the composite index is keyed by: ascending, each once.
+    attrs: Vec<Label>,
+    /// For each of `attrs`, the key pair whose value it is probed with. The
+    /// other pairs — keys that are not such a projection, and a repeated
+    /// attribute's later pairs — are verified against each candidate.
+    probed: Vec<usize>,
 }
 
-/// Whether the index fast path could answer `plan` through key number
-/// `key_index` of its side: the plan is a bare class scan and the key a
-/// single attribute projection off the scanned variable.
-fn indexable_key(plan: &Plan, key_index: usize, key: &Expr) -> Option<IndexableSide> {
-    let (Plan::Scan { class, var }, Expr::Proj(base, attr)) = (plan, key) else {
+/// The attribute `key` projects off scan variable `var`, if it is such a
+/// single projection: the one key shape an attribute index answers.
+fn probed_attr<'k>(var: &str, key: &'k Expr) -> Option<&'k Label> {
+    let Expr::Proj(base, attr) = key else {
         return None;
     };
-    matches!(base.as_ref(), Expr::Var(v) if v == var).then(|| IndexableSide {
+    matches!(base.as_ref(), Expr::Var(v) if v == var).then_some(attr)
+}
+
+/// The scanned variable of `plan` when the index fast path answers it: a
+/// bare class scan with at least one of `keys` (this side's expression from
+/// each `(left, right)` pair) a [`probed_attr`]. Shared with the planner
+/// ([`crate::optimizer`]), which orients hash-join sides precisely so this
+/// fast path fires, and with [`layout`] — they must never diverge from
+/// [`indexable_side`], which is `Some` exactly when this is.
+pub(crate) fn indexable_var<'p, 'k>(
+    plan: &'p Plan,
+    mut keys: impl Iterator<Item = &'k Expr>,
+) -> Option<&'p str> {
+    let Plan::Scan { var, .. } = plan else {
+        return None;
+    };
+    keys.any(|key| probed_attr(var, key).is_some())
+        .then_some(var)
+}
+
+/// The probed side of a hash join whose [`indexable_var`] is `Some`.
+fn indexable_side<'k>(plan: &Plan, keys: impl Iterator<Item = &'k Expr>) -> Option<IndexableSide> {
+    let Plan::Scan { class, var } = plan else {
+        return None;
+    };
+    let mut pairs: Vec<(Label, usize)> = (keys.enumerate())
+        .filter_map(|(i, key)| Some((probed_attr(var, key)?.clone(), i)))
+        .collect();
+    if pairs.is_empty() {
+        return None;
+    }
+    // One index per attribute set, whatever the pairs' order: ascending
+    // attributes, each probed with its first pair.
+    pairs.sort();
+    pairs.dedup_by(|later, earlier| later.0 == earlier.0);
+    let (attrs, probed) = pairs.into_iter().unzip();
+    Some(IndexableSide {
         class: class.clone(),
         var: var.clone(),
-        attr: attr.clone(),
-        key_index,
+        attrs,
+        probed,
     })
-}
-
-/// Detect an indexable side. `keys` yields this side's key expression from
-/// each `(left, right)` pair. Shared with the planner
-/// ([`crate::optimizer`]), which orients hash-join sides precisely so this
-/// fast path fires — the two must never diverge. (The planner only asks
-/// *whether* a side is indexable; which key the executor actually probes on
-/// is chosen per run by [`best_indexable_side`].)
-pub(crate) fn indexable_side<'p>(
-    plan: &Plan,
-    keys: impl Iterator<Item = &'p Expr>,
-) -> Option<IndexableSide> {
-    keys.enumerate()
-        .find_map(|(key_index, key)| indexable_key(plan, key_index, key))
-}
-
-/// Among a composite key's probe-able attributes, pick the one whose index
-/// yields the smallest *expected* candidate list, estimated from the
-/// attribute's own histogram as `Σ_v count(v)² / entries` — the mean bucket
-/// length weighted by how often each value is probed. On skewed data this is
-/// the difference between probing a zipfian attribute (hot keys return huge
-/// candidate lists, over and over) and probing a uniform one; plain ndv
-/// cannot see it. Histograms are only consulted when there is a genuine
-/// choice (two or more probe-able keys) — the common single-key join keeps
-/// the O(1) detection.
-fn best_indexable_side(
-    plan: &Plan,
-    keys: &[&Expr],
-    sources: &[&Instance],
-) -> Option<IndexableSide> {
-    let mut candidates: Vec<IndexableSide> = keys
-        .iter()
-        .enumerate()
-        .filter_map(|(key_index, key)| indexable_key(plan, key_index, key))
-        .collect();
-    if candidates.len() <= 1 {
-        return candidates.pop();
-    }
-    let expected = |side: &IndexableSide| {
-        let mut self_join_rows = 0.0;
-        let mut entries = 0.0;
-        for source in sources {
-            let histogram = source.attr_histogram(&side.class, &side.attr);
-            self_join_rows += histogram.eq_join_rows(&histogram);
-            entries += histogram.entries() as f64;
-        }
-        if entries > 0.0 {
-            self_join_rows / entries
-        } else {
-            f64::INFINITY
-        }
-    };
-    // `min_by` keeps the first of equally cheap keys.
-    candidates
-        .into_iter()
-        .map(|side| (expected(&side), side))
-        .min_by(|a, b| a.0.total_cmp(&b.0))
-        .map(|(_, side)| side)
 }
 
 /// The number of identities a plan side's underlying scan can emit under
@@ -441,7 +421,7 @@ fn scan_cardinality(plan: &Plan, ctx: &EvalCtx<'_>) -> Option<usize> {
 /// slot; a `Map` binding overwrites its name's slot or appends one; a join
 /// is left ++ right, a name on both sides keeping the right value in the left
 /// slot; an index-probe join (the path an unrestricted run takes whenever
-/// `indexable_side` finds one) appends, or overwrites, the probed variable
+/// `indexable_var` finds one) appends, or overwrites, the probed variable
 /// to the driving side's layout — and a delta-restricted run that drives
 /// from the other side writes into the same layout.
 pub fn layout(plan: &Plan) -> Vec<String> {
@@ -462,10 +442,10 @@ pub fn layout(plan: &Plan) -> Vec<String> {
             joined(layout(left), layout(right))
         }
         Plan::HashJoin { left, right, keys } => {
-            if let Some(side) = indexable_side(left, keys.iter().map(|(l, _)| l)) {
-                joined(layout(right), vec![side.var])
-            } else if let Some(side) = indexable_side(right, keys.iter().map(|(_, r)| r)) {
-                joined(layout(left), vec![side.var])
+            if let Some(var) = indexable_var(left, keys.iter().map(|(l, _)| l)) {
+                joined(layout(right), vec![var.to_string()])
+            } else if let Some(var) = indexable_var(right, keys.iter().map(|(_, r)| r)) {
+                joined(layout(left), vec![var.to_string()])
             } else {
                 joined(layout(left), layout(right))
             }
@@ -473,16 +453,18 @@ pub fn layout(plan: &Plan) -> Vec<String> {
     }
 }
 
-/// The hash-join index fast path: drive the join from `driving`'s rows,
-/// answer key pair `side.key_index` by probing the indexable scan side
-/// through the source instances' attribute indexes, and verify any remaining
-/// key pairs against each candidate.
+/// The hash-join index fast path: drive the join from `driving`'s rows and
+/// answer each key tuple with one lookup in the source instances' composite
+/// index on `side.attrs` (the conjunction of every key pair that projects an
+/// attribute off the scanned variable), verifying only the remaining pairs
+/// against each candidate.
 ///
 /// Repeated composite keys — the common case on skewed data, where a few hot
 /// values dominate the driving side — are probed **once**, in two passes
 /// over contiguous partitions. The first probes each group (a distinct key
 /// tuple, or a keyed row when a scan-side key also reads the driving row)
-/// in first-occurrence order. The second splices every driving row, in
+/// in first-occurrence order, appending its verified identities to the
+/// partition's one list. The second splices every driving row, in
 /// order, with its group's identities in `out` (the join's [`layout`]); a
 /// group's first row counts its probe, every other row a cache hit
 /// ([`ExecStats::probe_cache_hits`]), so the per-shard breakdown sums to the
@@ -504,7 +486,10 @@ fn probe_join(
     let slot = bind_slot(&mut probe_layout, &side.var);
     let probe = Probe {
         side,
-        keys: lower_all(scan_keys, &probe_layout),
+        residual: (scan_keys.iter().enumerate())
+            .filter(|(i, _)| !side.probed.contains(i))
+            .map(|(i, key)| (i, Lowered::new(key, &probe_layout)))
+            .collect(),
         slot,
         width: probe_layout.len(),
     };
@@ -541,13 +526,13 @@ fn probe_join(
     // A partition gathers its groups' verified identities into one list and
     // the offsets where each group ends, so no group keeps a list of its own.
     let probed = run_partitioned(ctx, stats, ranges, |range, wctx, _ws| {
-        let (mut scratch, mut found) = (Vec::new(), Vec::new());
+        let (mut scratch, mut found) = ((Vec::new(), Vec::new()), Vec::new());
         let mut ends = Vec::with_capacity(range.len());
         for &(idx, key) in &firsts[range] {
             // A cacheable key's candidates depend on the key alone; otherwise
-            // the row is the base the remaining scan keys are verified against.
+            // the row is the base the residual scan keys are verified against.
             let base = (!cacheable).then(|| driving_rows[idx].as_slice());
-            found.extend(probe.candidates(base, &mut scratch, key, wctx)?);
+            probe.candidates(base, &mut scratch, key, wctx, &mut found)?;
             ends.push(found.len());
         }
         Ok((found, ends))
@@ -586,64 +571,68 @@ fn lower_all(exprs: &[&Expr], layout: &[String]) -> Vec<Lowered> {
     exprs.iter().map(|e| Lowered::new(e, layout)).collect()
 }
 
-/// The index-probed side of a probe join: its keys lowered over the probe
-/// row, the driving layout with the probed variable bound at `slot`.
+/// The index-probed side of a probe join: the scan-side keys no index
+/// answers (`residual`, by key pair), lowered over the probe row — the
+/// driving layout with the probed variable bound at `slot`.
 struct Probe<'s> {
     side: &'s IndexableSide,
-    keys: Vec<Lowered>,
+    residual: Vec<(usize, Lowered)>,
     slot: usize,
     width: usize,
 }
 
 impl Probe<'_> {
-    /// Probe the index for one key tuple's candidates and verify the other
-    /// key pairs against each, bound into scratch `row` (a copy of `base`,
-    /// or blanks when the keys read the probed variable alone).
-    fn candidates(
+    /// Append one key tuple's verified identities to `found`: one lookup in
+    /// the composite index on `side.attrs` with the probed pairs' values
+    /// (gathered in scratch `values`), then the probed scan's delta
+    /// restriction and the residual pairs checked against each candidate,
+    /// bound into scratch `row` (a copy of `base`, or blanks when the keys
+    /// read the probed variable alone).
+    fn candidates<'k>(
         &self,
         base: Option<&[Value]>,
-        row: &mut SlotRow,
-        key_values: &[Cow<'_, Value>],
+        (row, values): &mut (SlotRow, Vec<&'k Value>),
+        key_values: &'k [Cow<'_, Value>],
         ctx: &mut EvalCtx<'_>,
-    ) -> Result<Vec<Oid>> {
+        found: &mut Vec<Oid>,
+    ) -> Result<()> {
         let side = self.side;
-        let mut matched: Vec<Oid> = Vec::new();
+        let start = found.len();
+        values.clear();
+        values.extend(side.probed.iter().map(|&i| &*key_values[i]));
         for instance in ctx.sources() {
-            let found =
-                instance.lookup_by_attr(&side.class, &side.attr, &key_values[side.key_index]);
-            if matched.is_empty() {
-                matched = found;
-            } else {
-                matched.extend(found);
-            }
+            instance.lookup_by_attrs(&side.class, &side.attrs, values, found);
         }
         // The probed scan's delta restriction applies here, as a candidate
         // filter: the index answers from the full extent, so membership in
         // the restriction set is re-checked per candidate identity.
         let restriction = ctx.scan_restriction(&side.var).cloned();
+        if restriction.is_none() && self.residual.is_empty() {
+            return Ok(());
+        }
         row.clear();
         row.extend_from_slice(base.unwrap_or_default());
         row.resize(self.width, Value::Absent);
-        let mut failed = None;
-        matched.retain(|oid| {
-            if failed.is_some() || restriction.as_ref().is_some_and(|keep| !keep.contains(oid)) {
-                return false;
+        // Keep the verified candidates in order, compacted to the front.
+        let mut kept = start;
+        'candidates: for at in start..found.len() {
+            let oid = &found[at];
+            if restriction.as_ref().is_some_and(|keep| !keep.contains(oid)) {
+                continue;
             }
             row[self.slot] = Value::Oid(oid.clone());
-            let mut unprobed = self
-                .keys
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != side.key_index);
-            unprobed.all(|(i, key)| match key.eval(row, ctx) {
-                Ok(value) => value == key_values[i],
-                Err(e) => {
-                    failed = (!e.is_bad_value()).then_some(e);
-                    false
+            for (i, key) in &self.residual {
+                match key.eval(row, ctx) {
+                    Ok(value) if value == key_values[*i] => {}
+                    Err(e) if !e.is_bad_value() => return Err(e),
+                    _ => continue 'candidates,
                 }
-            })
-        });
-        failed.map_or(Ok(matched), Err)
+            }
+            found.swap(kept, at);
+            kept += 1;
+        }
+        found.truncate(kept);
+        Ok(())
     }
 }
 
@@ -912,15 +901,15 @@ fn rows_of(
         Plan::HashJoin { left, right, keys } => {
             let left_keys: Vec<&Expr> = keys.iter().map(|(l, _)| l).collect();
             let right_keys: Vec<&Expr> = keys.iter().map(|(_, r)| r).collect();
-            // Index fast path: when one side is a bare scan keyed by a single
-            // attribute of the scanned object, never materialise it — drive
-            // from the other side and answer each key with an attribute-index
-            // probe, on the attribute with the smallest expected candidate
-            // lists. Delta restrictions keep the fast path (the driving side
-            // applies its own; `Probe::candidates` filters by the probed
-            // side's), which is what keeps semi-naive delta joins O(delta).
-            let left_side = best_indexable_side(left, &left_keys, ctx.sources());
-            let right_side = best_indexable_side(right, &right_keys, ctx.sources());
+            // Index fast path: when one side is a bare scan keyed by
+            // attributes of the scanned object, never materialise it — drive
+            // from the other side and answer each key tuple with one lookup
+            // in the composite index on those attributes. Delta restrictions
+            // keep the fast path (the driving side applies its own;
+            // `Probe::candidates` filters by the probed side's), which is
+            // what keeps semi-naive delta joins O(delta).
+            let left_side = indexable_side(left, left_keys.iter().copied());
+            let right_side = indexable_side(right, right_keys.iter().copied());
             let out = layout(plan);
             let out = (out.as_slice(), width);
             // When both orientations are available and a rotation is active,
@@ -2053,11 +2042,17 @@ pub(crate) mod tests {
 
     /// A cross-algorithm oracle that shares no body with the partitioned
     /// operators' own reference run: on generated equi-joins (random sizes,
-    /// small key domains so keys repeat, missing key attributes, single and
-    /// composite keys) the **index-probe** path, the **generic hash** path
-    /// (the same plan with the scan side behind an identity `Map`) and a
-    /// **nested-loop join** with the equality as its predicate must produce
-    /// the same row multiset, at one partition and at several.
+    /// small key domains so keys repeat, missing optional attributes) the
+    /// **index-probe** path, the **generic hash** path (the same plan with the
+    /// scan side behind an identity `Map`) and a **nested-loop join** with the
+    /// equality as its predicate must produce the same row multiset, at one
+    /// partition and at eight. The key shapes cover one to three indexable
+    /// keys on the probed scan (answered by one composite index, whatever the
+    /// pairs' order), one attribute in two key pairs, non-projection keys that
+    /// stay verified residuals — one of which fails on some candidates — and
+    /// a delta restriction on the probed scan. The probe join's error is the
+    /// nested loop's, and its [`ExecStats`] are derived from the driving rows
+    /// and the reference output alone: one probe per distinct key tuple.
     #[test]
     fn probe_hash_and_nested_loop_joins_agree_on_generated_equi_joins() {
         // A small deterministic generator (xorshift) — no dependency needed.
@@ -2068,55 +2063,150 @@ pub(crate) mod tests {
             state ^= state << 17;
             state % bound
         };
-        for case in 0..60 {
+        let (x, y) = (
+            |a: &str| Expr::var("X").proj(a),
+            |a: &str| Expr::var("Y").proj(a),
+        );
+        let boxed = |e: Expr| Expr::Record(vec![("v".into(), e)]);
+        for case in 0..80 {
             let mut inst = Instance::new("gen");
             let (domain_a, domain_b) = (1 + next(6), 1 + next(3));
             for (class, size) in [("L", next(30)), ("R", next(30))] {
                 for i in 0..size {
                     let mut fields = vec![("id", Value::int(i as i64))];
-                    // One row in eight lacks the key attribute entirely.
+                    // One row in eight lacks `a`, one in six lacks `c`.
                     if next(8) != 0 {
                         fields.push(("a", Value::int(next(domain_a) as i64)));
                     }
                     fields.push(("b", Value::str(format!("b{}", next(domain_b)))));
+                    if next(6) != 0 {
+                        fields.push(("c", Value::int(next(domain_a) as i64)));
+                    }
+                    // Some probed flags are not booleans, so negating them fails.
+                    let flag = match next(10) {
+                        0 if class == "R" => Value::str("x"),
+                        n => Value::bool(n % 2 == 0),
+                    };
+                    fields.push(("flag", flag));
                     inst.insert_fresh(&ClassName::new(class), Value::record(fields));
                 }
             }
-            let composite = case % 2 == 1;
-            let mut keys = vec![(Expr::var("X").proj("a"), Expr::var("Y").proj("a"))];
-            if composite {
-                keys.push((Expr::var("X").proj("b"), Expr::var("Y").proj("b")));
-            }
+            // Each shape's key pairs, and the attributes of the one index the
+            // probe path looks up.
+            let (keys, attrs): (Vec<(Expr, Expr)>, &[&str]) = match case % 6 {
+                0 => (vec![(x("a"), y("a"))], &["a"]),
+                1 => (vec![(x("b"), y("b")), (x("a"), y("a"))], &["a", "b"]),
+                2 => (
+                    vec![(x("c"), y("c")), (x("a"), y("a")), (x("b"), y("b"))],
+                    &["a", "b", "c"],
+                ),
+                3 => (
+                    vec![(x("a"), y("a")), (x("b"), y("b")), (x("c"), y("a"))],
+                    &["a", "b"],
+                ),
+                4 => (
+                    vec![(boxed(x("b")), boxed(y("b"))), (x("a"), y("a"))],
+                    &["a"],
+                ),
+                _ => (
+                    vec![
+                        (x("a"), y("a")),
+                        (x("flag"), Expr::Not(Box::new(y("flag")))),
+                    ],
+                    &["a"],
+                ),
+            };
+            let fallible = case % 6 == 5;
+            let restricted = (case / 6) % 2 == 1;
             let equality = Expr::and(keys.iter().map(|(l, r)| l.clone().eq(r.clone())).collect());
             let probed = Plan::scan("L", "X")
                 .map(vec![])
                 .hash_join_multi(Plan::scan("R", "Y"), keys.clone());
             let hashed = Plan::scan("L", "X")
                 .map(vec![])
-                .hash_join_multi(Plan::scan("R", "Y").map(vec![]), keys);
+                .hash_join_multi(Plan::scan("R", "Y").map(vec![]), keys.clone());
             let looped = Plan::scan("L", "X").join(Plan::scan("R", "Y"), equality);
+            let right: Vec<Oid> = inst.extent(&ClassName::new("R")).cloned().collect();
+            let keep: Option<std::sync::Arc<BTreeSet<Oid>>> = restricted.then(|| {
+                let kept = right.iter().filter(|_| next(3) != 0);
+                std::sync::Arc::new(kept.cloned().collect())
+            });
             let refs = [&inst];
-            for threads in [1, 4] {
+            let context = |threads: usize| {
+                let mut ctx = EvalCtx::new(&refs)
+                    .with_parallelism(Parallelism::new(threads).with_min_items(1));
+                if let Some(keep) = &keep {
+                    ctx.restrict_scan("Y", keep.clone());
+                }
+                ctx
+            };
+            // The probe path's counters, from the driving rows alone: a keyed
+            // row probes its key tuple once, every repeat is a cache hit.
+            let left: Vec<Oid> = inst.extent(&ClassName::new("L")).cloned().collect();
+            let driving_keys: Vec<Lowered> = (keys.iter())
+                .map(|(l, _)| Lowered::new(l, &["X".to_string()]))
+                .collect();
+            let mut ctx = context(1);
+            let keyed: Vec<Vec<Value>> = (left.iter())
+                .filter_map(|oid| {
+                    let row = [Value::Oid(oid.clone())];
+                    let values = driving_keys.iter().map(|k| k.eval(&row, &mut ctx));
+                    values.map(|v| v.ok().map(Cow::into_owned)).collect()
+                })
+                .collect();
+            let distinct = keyed.iter().collect::<BTreeSet<_>>().len();
+            for threads in [1, 8] {
                 let run = |plan: &Plan| {
-                    let mut ctx = EvalCtx::new(&refs)
-                        .with_parallelism(Parallelism::new(threads).with_min_items(1));
                     let mut stats = ExecStats::default();
-                    let mut rows = named_rows(plan, &mut ctx, &mut stats).unwrap();
-                    rows.sort();
-                    (rows, stats.index_probes)
+                    let rows = named_rows(plan, &mut context(threads), &mut stats);
+                    rows.map(|mut rows| {
+                        rows.sort();
+                        (rows, stats)
+                    })
                 };
-                let (probe_rows, probes) = run(&probed);
-                let (hash_rows, hash_probes) = run(&hashed);
-                let (loop_rows, _) = run(&looped);
-                let at = format!("case {case} (composite: {composite}) at {threads} thread(s)");
-                assert_eq!(hash_probes, 0, "the generic path must not probe: {at}");
-                assert!(
-                    probes > 0 || probe_rows.is_empty(),
-                    "the fast path must have probed: {at}"
+                let at = format!(
+                    "case {case} ({attrs:?}, restricted: {restricted}) at {threads} thread(s)"
                 );
-                assert_eq!(probe_rows, loop_rows, "index-probe vs nested-loop: {at}");
-                assert_eq!(hash_rows, loop_rows, "generic hash vs nested-loop: {at}");
+                let reference = run(&looped).map(|(rows, _)| rows);
+                let probe = run(&probed);
+                assert_eq!(
+                    probe.clone().map(|(rows, _)| rows),
+                    reference,
+                    "index-probe vs nested-loop: {at}"
+                );
+                let Ok(rows) = reference else {
+                    assert!(fallible, "only a negated flag fails: {at}");
+                    continue;
+                };
+                let (l, out) = (left.len(), rows.len());
+                let expected = ExecStats {
+                    rows_scanned: l,
+                    rows_produced: 2 * l + out,
+                    index_probes: distinct,
+                    probe_cache_hits: keyed.len() - distinct,
+                    max_intermediate_rows: l.max(out),
+                    ..ExecStats::default()
+                };
+                assert_eq!(probe.unwrap().1, expected, "probe join counters: {at}");
+                // The generic path evaluates every build key, so a failing
+                // one fails it whether or not any candidate reaches it.
+                if !fallible {
+                    let (hash_rows, hash_stats) = run(&hashed).unwrap();
+                    assert_eq!(
+                        hash_stats.index_probes, 0,
+                        "the generic path must not probe: {at}"
+                    );
+                    assert_eq!(hash_rows, rows, "generic hash vs nested-loop: {at}");
+                }
             }
+            let on_r: Vec<Vec<&str>> = (inst.built_attr_indexes().iter())
+                .filter(|(class, _)| class.as_str() == "R")
+                .map(|(_, key)| key.iter().map(Label::as_str).collect())
+                .collect();
+            assert!(
+                on_r.is_empty() || on_r == [attrs.to_vec()],
+                "case {case}: one composite index on {attrs:?}, got {on_r:?}"
+            );
         }
     }
 

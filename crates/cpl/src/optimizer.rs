@@ -764,7 +764,7 @@ impl Component {
     /// to the executor's own detection so planning and execution cannot
     /// drift apart.
     fn indexable<'k>(&self, keys: impl Iterator<Item = &'k Expr>) -> bool {
-        crate::exec::indexable_side(&self.plan, keys).is_some()
+        crate::exec::indexable_var(&self.plan, keys).is_some()
     }
 }
 

@@ -218,17 +218,35 @@ mod tests {
     }
 
     /// What a reader had to build on one published version is there, built,
-    /// on the versions published after it — and an index no reader probed is
-    /// never built, on the working target or on any version.
+    /// on the versions published after it — a composite index on an
+    /// attribute tuple as much as a one-attribute one — and an index no
+    /// reader probed is never built, on the working target or on any version.
     #[test]
     fn reader_built_indexes_are_adopted_and_nothing_else_is_built() {
         let service = service();
         let (class, probed, unprobed) = (ClassName::new("CloneD"), "name", "length");
+        let composite = ["lab", "name"];
         let clone = |name: &str| {
             MutationBatch::new().insert(
                 ClassName::new("CloneS"),
-                Value::record([("name", Value::from(name))]),
+                Value::record([("name", Value::from(name)), ("lab", Value::from("svc"))]),
             )
+        };
+        let has_composite = |version: &Instance| {
+            let built = version.built_attr_indexes();
+            built
+                .iter()
+                .any(|(c, attrs)| c == &class && attrs.iter().map(|a| a.as_str()).eq(composite))
+        };
+        // How many of `names` a version finds, by `name` and by `(lab, name)`.
+        let found = |version: &Instance, names: &[&str]| {
+            let mut by_pair = Vec::new();
+            let by_name = names.iter().filter(|name| {
+                let name = Value::from(**name);
+                version.lookup_by_attrs(&class, &composite, &[&"svc".into(), &name], &mut by_pair);
+                version.lookup_by_attr(&class, probed, &name).len() == 1
+            });
+            (by_name.count(), by_pair.len())
         };
         let first = service.snapshot();
         assert!(!first.has_attr_index(&class, probed));
@@ -236,38 +254,25 @@ mod tests {
         // The reader probes the *second* version: the maintainer sees that
         // only when it publishes the third.
         let second = service.snapshot();
-        assert!(!second.has_attr_index(&class, probed));
-        assert!(
-            second
-                .lookup_by_attr(&class, probed, &Value::from("adopt-a"))
-                .len()
-                == 1
-        );
+        assert!(!second.has_attr_index(&class, probed) && !has_composite(&second));
+        assert_eq!(found(&second, &["adopt-a"]), (1, 1));
         service.apply(clone("adopt-b")).unwrap();
         let third = service.snapshot();
-        assert!(third.has_attr_index(&class, probed));
+        assert!(third.has_attr_index(&class, probed) && has_composite(&third));
         service.apply(clone("adopt-c")).unwrap();
         let fourth = service.snapshot();
-        assert!(fourth.has_attr_index(&class, probed));
-        // The carried index is maintained, not stale: it finds what was
-        // inserted after it was adopted and still answers for the old.
-        for (version, names) in [(&third, 2), (&fourth, 3)] {
-            let found = ["adopt-a", "adopt-b", "adopt-c"]
-                .iter()
-                .filter(|name| {
-                    version
-                        .lookup_by_attr(&class, probed, &Value::from(**name))
-                        .len()
-                        == 1
-                })
-                .count();
-            assert_eq!(found, names);
-        }
+        assert!(fourth.has_attr_index(&class, probed) && has_composite(&fourth));
+        // The carried indexes are maintained, not stale: they find what was
+        // inserted after they were adopted and still answer for the old.
+        let names = ["adopt-a", "adopt-b", "adopt-c"];
+        assert_eq!(found(&third, &names), (2, 2));
+        assert_eq!(found(&fourth, &names), (3, 3));
         for version in [&first, &second, &third, &fourth] {
             assert!(!version.has_attr_index(&class, unprobed));
         }
         let pipeline = service.shutdown().unwrap();
         assert!(pipeline.target().has_attr_index(&class, probed));
+        assert!(has_composite(pipeline.target()));
         assert!(!pipeline.target().has_attr_index(&class, unprobed));
     }
 

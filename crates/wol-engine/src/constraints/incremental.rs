@@ -466,34 +466,19 @@ fn detect_key_probe(
         let Some(value) = dbs.value_of(oid) else {
             continue;
         };
-        let mut parts: Vec<&Value> = Vec::with_capacity(attrs.len());
-        for attr in attrs {
-            match value.project(attr) {
-                Some(v) => parts.push(v),
-                // An object without the key attribute never produces a body
-                // binding, so the full check skips it too.
-                None => break,
-            }
-        }
-        if parts.len() != attrs.len() {
+        // An object without a key attribute never produces a body binding,
+        // so the full check skips it too.
+        let Some(parts) = attrs
+            .iter()
+            .map(|a| value.project(a))
+            .collect::<Option<Vec<_>>>()
+        else {
             continue;
-        }
+        };
         out.probes += 1;
-        for candidate in dbs.lookup_by_attr(class, &attrs[0], parts[0]) {
-            if &candidate == oid {
-                continue;
-            }
-            let Some(cv) = dbs.value_of(&candidate) else {
-                continue;
-            };
-            if attrs
-                .iter()
-                .zip(&parts)
-                .all(|(attr, part)| cv.project(attr) == Some(*part))
-            {
-                out.dirty = true;
-            }
-        }
+        // One lookup answers the whole key: every candidate carries it.
+        let candidates = dbs.lookup_by_attrs(class, attrs, &parts);
+        out.dirty |= candidates.iter().any(|candidate| candidate != oid);
     }
     out
 }
@@ -710,6 +695,44 @@ mod tests {
         let full = crate::constraints::check_constraints(&[&clause], &dbs).unwrap();
         assert!(!full.is_empty());
         assert_eq!(check.violations, full);
+    }
+
+    /// A two-part merge key is probed with one lookup in the composite index
+    /// on both attributes: an object sharing one part only is no candidate,
+    /// one sharing both escalates to the full check's violations.
+    #[test]
+    fn a_two_part_merge_key_probes_one_composite_index() {
+        let clause =
+            parse_clause("S2: X = Y <= X in UserS, Y in UserS, X.email = Y.email, X.name = Y.name")
+                .unwrap();
+        let users = ClassName::new("UserS");
+        for (inserted, mode) in [
+            (user("u3@x", "someone else"), CheckMode::Delta),
+            (user("u3@x", "user 3"), CheckMode::Full),
+        ] {
+            let mut inst = setup();
+            let delta = apply(&mut inst, MutationBatch::new().insert("UserS", inserted));
+            let dbs = Databases::new(&[&inst]);
+            let check = check_batch(
+                &[&clause],
+                &dbs,
+                &delta,
+                Parallelism::sequential(),
+                &BTreeSet::new(),
+            )
+            .unwrap();
+            let entry = &check.certificate.entries[0];
+            assert_eq!((entry.mode, entry.probes), (mode, 1));
+            let key: Box<[Label]> = Box::new(["email".into(), "name".into()]);
+            let built = inst.built_attr_indexes();
+            assert!(built.contains(&(users.clone(), key)));
+            // Detection builds nothing else (the full check's matcher probes
+            // `email` alone).
+            assert!(built.len() == 1 || mode == CheckMode::Full);
+            let full = crate::constraints::check_constraints(&[&clause], &dbs).unwrap();
+            assert_eq!(check.violations, full);
+            assert_eq!(full.is_empty(), mode == CheckMode::Delta);
+        }
     }
 
     #[test]

@@ -70,12 +70,18 @@ impl<'a> Databases<'a> {
         self.instances.iter().map(|i| i.extent_size(class)).sum()
     }
 
-    /// All identities of `class` whose attribute `attr` equals `value`,
-    /// answered through each instance's lazily built attribute index.
-    pub(crate) fn lookup_by_attr(&self, class: &ClassName, attr: &str, value: &Value) -> Vec<Oid> {
+    /// All identities of `class` whose attributes `attrs` equal `values`
+    /// pairwise, answered by one lookup in each instance's lazily built index
+    /// on that attribute tuple.
+    pub(crate) fn lookup_by_attrs(
+        &self,
+        class: &ClassName,
+        attrs: &[Label],
+        values: &[&Value],
+    ) -> Vec<Oid> {
         let mut out = Vec::new();
         for instance in &self.instances {
-            out.extend(instance.lookup_by_attr(class, attr, value));
+            instance.lookup_by_attrs(class, attrs, values, &mut out);
         }
         out
     }
@@ -686,7 +692,7 @@ fn run_plan(steps: &[Step<'_>], dbs: &Databases<'_>, search: &mut Search<'_>) ->
                 return Ok(());
             };
             search.stats.index_probes += 1;
-            dbs.lookup_by_attr(class, attr, &key)
+            dbs.lookup_by_attrs(class, std::slice::from_ref(attr), &[&key])
                 .into_iter()
                 .try_for_each(|oid| extend_frame(member, &Value::Oid(oid), rest, dbs, search))
         }
@@ -1044,7 +1050,11 @@ mod tests {
         assert_eq!(dbs.extent(&ClassName::new("CountryT")).len(), 1);
         assert_eq!(dbs.extent_size(&ClassName::new("CountryT")), 1);
         assert_eq!(
-            dbs.lookup_by_attr(&ClassName::new("CountryT"), "name", &Value::str("UK")),
+            dbs.lookup_by_attrs(
+                &ClassName::new("CountryT"),
+                &["name".into()],
+                &[&Value::str("UK")]
+            ),
             vec![t]
         );
     }

@@ -1,17 +1,22 @@
 //! Secondary attribute indexes over instances.
 //!
 //! Clause-body matching and hash-join execution both repeatedly ask the same
-//! question of an instance: *which objects of class `C` have attribute `a`
-//! equal to value `v`?* Answering it by scanning the whole extent makes every
-//! join quadratic. This module provides the answer in (amortised) constant
-//! time: a per-`(class, attribute)` hash index from the attribute's value to
-//! the object identities carrying it.
+//! question of an instance: *which objects of class `C` have attributes
+//! `a₁ … aₙ` equal to values `v₁ … vₙ`?* Answering it by scanning the whole
+//! extent makes every join quadratic. This module provides the answer in
+//! (amortised) constant time: a per-`(class, attribute tuple)` hash index from
+//! the tuple's values to the object identities carrying them. A bucket is
+//! the whole conjunction, so a join with several keys on one scanned class
+//! looks up one bucket instead of intersecting several; a one-attribute index
+//! is the one-element tuple, and its buckets hash exactly as
+//! [`value_hash`] does.
 //!
 //! Design:
 //!
-//! * **Lazy** — an index is built the first time `(class, attribute)` is
+//! * **Lazy** — an index is built the first time `(class, attributes)` is
 //!   probed, by one pass over the class's extent. Workloads that never join on
-//!   an attribute never pay for indexing it.
+//!   an attribute never pay for indexing it. An object lacking one of the
+//!   attributes sits in no bucket: no equality on the tuple can hold for it.
 //! * **Maintained across single-object mutations** — insert / update /
 //!   remove adjust the affected entries of every built index of the class,
 //!   keeping buckets in ascending identity order so a maintained index is
@@ -27,8 +32,8 @@
 //!   one shard it touches and leaves the other side's answers as they were.
 //!   Probes stay a hash lookup.
 //! * **Hash buckets, exact verification** — buckets are keyed by a 64-bit
-//!   hash of the attribute value; probes re-check candidates against the live
-//!   value, so hash collisions cost time but never correctness.
+//!   hash of the attribute values; probes re-check candidates against the
+//!   live values, so hash collisions cost time but never correctness.
 //!
 //! The cache lives behind an `RwLock` inside [`Instance`](crate::Instance):
 //! probing takes `&self`, so the read path of the engine stays
@@ -51,11 +56,30 @@ use crate::oid::Oid;
 use crate::types::{ClassName, Label};
 use crate::values::Value;
 
-/// Hash of an attribute value, as used by the index buckets.
+/// Hash of an attribute value, as used by the buckets of a one-attribute
+/// index.
 pub fn value_hash(value: &Value) -> u64 {
+    tuple_hash(&[value])
+}
+
+/// Hash of a tuple of attribute values, as used by the buckets of the index
+/// keyed by those attributes: the values fed in order to one hasher.
+pub(crate) fn tuple_hash(values: &[&Value]) -> u64 {
     let mut hasher = DefaultHasher::new();
-    value.hash(&mut hasher);
+    for value in values {
+        value.hash(&mut hasher);
+    }
     hasher.finish()
+}
+
+/// The bucket of object value `value` in the index keyed by `attrs` (its
+/// [`tuple_hash`]), or `None` when it lacks one of them and sits in none.
+pub(crate) fn bucket_of(value: &Value, attrs: &[Label]) -> Option<u64> {
+    let mut hasher = DefaultHasher::new();
+    for attr in attrs {
+        value.project(attr)?.hash(&mut hasher);
+    }
+    Some(hasher.finish())
 }
 
 /// Entries one shard is sized for: an index grows (doubling its shard count)
@@ -66,8 +90,8 @@ const SHARD_ENTRIES: usize = 64;
 /// One hash shard of an index: value-hash → identities, ascending.
 type Shard = HashMap<u64, Vec<Oid>>;
 
-/// A single `(class, attribute)` index: value-hash → object identities whose
-/// attribute carries a value with that hash.
+/// A single `(class, attribute tuple)` index: tuple-hash → object identities
+/// whose attributes carry values with that hash.
 ///
 /// The buckets are spread over a power-of-two number of hash shards, each
 /// behind its own `Arc` under an `Arc`'d spine. `clone` is therefore one
@@ -217,8 +241,9 @@ impl AttrIndex {
 
 /// The per-instance cache of attribute indexes, histograms, **and columnar
 /// projections** (row indexes + attribute columns, see [`crate::column`]),
-/// keyed by class and attribute label. The nesting (class, then label) lets
-/// probes — the hot path — look up with borrowed keys, allocation-free. All
+/// keyed by class and then by attribute tuple (indexes) or label (the rest).
+/// The nesting lets probes — the hot path — look up with borrowed keys,
+/// allocation-free. All
 /// derived structures ride in the same cache so one `invalidate_class` drops
 /// them together: a mutation can never leave a stale histogram or column
 /// behind an up-to-date index or vice versa. The string interner is the one
@@ -226,7 +251,7 @@ impl AttrIndex {
 /// invalidation keeps it and rebuilt columns re-derive the same codes.
 #[derive(Debug, Default)]
 pub(crate) struct IndexCache {
-    indexes: BTreeMap<ClassName, BTreeMap<Label, AttrIndex>>,
+    indexes: BTreeMap<ClassName, BTreeMap<Box<[Label]>, AttrIndex>>,
     histograms: BTreeMap<ClassName, BTreeMap<Label, AttrHistogram>>,
     columns: BTreeMap<ClassName, BTreeMap<Label, Arc<AttrColumn>>>,
     row_indexes: BTreeMap<ClassName, Arc<Vec<Oid>>>,
@@ -234,42 +259,49 @@ pub(crate) struct IndexCache {
 }
 
 impl IndexCache {
-    /// The index for `(class, attr)`, if it has been built.
-    pub(crate) fn get(&self, class: &ClassName, attr: &str) -> Option<&AttrIndex> {
-        self.indexes.get(class)?.get(attr)
+    /// The index keyed by `attrs` on `class`, if it has been built. A class
+    /// holds a handful of indexes, so their keys are compared in turn: a probe
+    /// naming its attributes as text neither allocates nor interns.
+    pub(crate) fn get<A: AsRef<str>>(&self, class: &ClassName, attrs: &[A]) -> Option<&AttrIndex> {
+        let names = || attrs.iter().map(AsRef::as_ref);
+        self.indexes
+            .get(class)?
+            .iter()
+            .find(|(key, _)| key.iter().map(Label::as_str).eq(names()))
+            .map(|(_, index)| index)
     }
 
-    /// Whether an index for `(class, attr)` exists.
-    pub(crate) fn contains(&self, class: &ClassName, attr: &str) -> bool {
-        self.get(class, attr).is_some()
+    /// Whether an index keyed by `attrs` on `class` exists.
+    pub(crate) fn contains<A: AsRef<str>>(&self, class: &ClassName, attrs: &[A]) -> bool {
+        self.get(class, attrs).is_some()
     }
 
     /// Install a freshly built index.
-    pub(crate) fn insert(&mut self, class: ClassName, attr: Label, index: AttrIndex) {
-        self.indexes.entry(class).or_default().insert(attr, index);
+    pub(crate) fn insert(&mut self, class: ClassName, attrs: Box<[Label]>, index: AttrIndex) {
+        self.indexes.entry(class).or_default().insert(attrs, index);
     }
 
-    /// The index for `(class, attr)`, installing `built` if none is there
-    /// yet: when two readers race to build, both end up probing the first.
+    /// The index keyed by `attrs`, installing `built` if none is there yet:
+    /// when two readers race to build, both end up probing the first.
     pub(crate) fn get_or_insert(
         &mut self,
         class: &ClassName,
-        attr: &str,
+        attrs: Box<[Label]>,
         built: AttrIndex,
     ) -> &AttrIndex {
         self.indexes
             .entry(class.clone())
             .or_default()
-            .entry(Label::new(attr))
+            .entry(attrs)
             .or_insert(built)
     }
 
-    /// Every built `(class, attribute)` index, in key order.
-    pub(crate) fn indexes(&self) -> impl Iterator<Item = (&ClassName, &Label, &AttrIndex)> {
-        self.indexes.iter().flat_map(|(class, by_attr)| {
-            by_attr
+    /// Every built `(class, attribute tuple)` index, in key order.
+    pub(crate) fn indexes(&self) -> impl Iterator<Item = (&ClassName, &[Label], &AttrIndex)> {
+        self.indexes.iter().flat_map(|(class, by_attrs)| {
+            by_attrs
                 .iter()
-                .map(move |(attr, index)| (class, attr, index))
+                .map(move |(attrs, index)| (class, &attrs[..], index))
         })
     }
 
@@ -367,11 +399,11 @@ impl IndexCache {
     pub(crate) fn indexes_mut(
         &mut self,
         class: &ClassName,
-    ) -> Option<&mut BTreeMap<Label, AttrIndex>> {
+    ) -> Option<&mut BTreeMap<Box<[Label]>, AttrIndex>> {
         self.indexes.get_mut(class)
     }
 
-    /// Number of built `(class, attribute)` indexes.
+    /// Number of built `(class, attribute tuple)` indexes.
     pub(crate) fn len(&self) -> usize {
         self.indexes.values().map(BTreeMap::len).sum()
     }
@@ -380,6 +412,16 @@ impl IndexCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AttrIndex {
+        /// Every bucket by hash, with the two counts: what "bit-identical to
+        /// a rebuild" compares.
+        pub(crate) fn contents(&self) -> (BTreeMap<u64, Vec<Oid>>, usize, usize) {
+            let shards = self.shards.iter();
+            let buckets = shards.flat_map(|shard| shard.iter().map(|(h, b)| (*h, b.clone())));
+            (buckets.collect(), self.entries, self.distinct)
+        }
+    }
 
     #[test]
     fn buckets_accumulate_and_report() {
@@ -472,12 +514,12 @@ mod tests {
         let mut cache = IndexCache::default();
         let a = ClassName::new("A");
         let b = ClassName::new("B");
-        cache.insert(a.clone(), "name".into(), AttrIndex::default());
-        cache.insert(b.clone(), "name".into(), AttrIndex::default());
+        cache.insert(a.clone(), Box::new(["name".into()]), AttrIndex::default());
+        cache.insert(b.clone(), Box::new(["name".into()]), AttrIndex::default());
         assert_eq!(cache.len(), 2);
         cache.invalidate_class(&a);
-        assert!(!cache.contains(&a, "name"));
-        assert!(cache.contains(&b, "name"));
+        assert!(!cache.contains(&a, &["name"]));
+        assert!(cache.contains(&b, &["name"]));
     }
 
     #[test]
@@ -517,5 +559,23 @@ mod tests {
         let a = Value::record([("x", Value::int(1))]);
         let b = Value::record([("x", Value::int(1))]);
         assert_eq!(value_hash(&a), value_hash(&b));
+    }
+
+    /// An object's bucket is the tuple hash of its values in key order — the
+    /// value hash for one attribute — and lacking an attribute puts it in none.
+    #[test]
+    fn buckets_hash_the_attribute_tuple() {
+        let record = Value::record([("a", Value::int(1)), ("b", Value::str("x"))]);
+        let (a, b, c) = (Label::new("a"), Label::new("b"), Label::new("c"));
+        let one = Value::int(1);
+        assert_eq!(
+            bucket_of(&record, std::slice::from_ref(&a)),
+            Some(value_hash(&one))
+        );
+        assert_eq!(
+            bucket_of(&record, &[a.clone(), b]),
+            Some(tuple_hash(&[&one, &Value::str("x")]))
+        );
+        assert_eq!(bucket_of(&record, &[a, c]), None);
     }
 }

@@ -39,7 +39,7 @@ use std::sync::{Arc, RwLock};
 use crate::column::AttrColumn;
 use crate::error::{Conflict, ModelError};
 use crate::histogram::{AttrHistogram, SAMPLE_THRESHOLD};
-use crate::index::{value_hash, AttrIndex, IndexCache};
+use crate::index::{bucket_of, tuple_hash, AttrIndex, IndexCache};
 use crate::oid::{Oid, OidGen};
 use crate::store::ClassStore;
 use crate::types::{ClassName, Label};
@@ -369,23 +369,41 @@ impl Instance {
     }
 
     /// All identities of `class` whose record value has attribute `attr` equal
-    /// to `value`, answered through the lazily built attribute index (see
-    /// `crate::index`). The first probe of a `(class, attr)` pair builds the
-    /// index in one pass over the extent; subsequent probes are hash lookups.
+    /// to `value`: [`lookup_by_attrs`](Instance::lookup_by_attrs) with a
+    /// one-attribute tuple.
     pub fn lookup_by_attr(&self, class: &ClassName, attr: &str, value: &Value) -> Vec<Oid> {
-        self.with_attr_index(class, attr, |index| {
-            index
-                .candidates(value_hash(value))
-                .iter()
-                // Hash buckets are candidates only: verify against the live value.
-                .filter(|oid| {
-                    self.value(oid)
-                        .and_then(|v| v.project(attr))
-                        .is_some_and(|v| v == value)
-                })
-                .cloned()
-                .collect()
-        })
+        let mut found = Vec::new();
+        self.lookup_by_attrs(class, &[attr], &[value], &mut found);
+        found
+    }
+
+    /// Append to `found`, in ascending identity order, every identity of
+    /// `class` whose attributes `attrs` equal `values` pairwise: one lookup in
+    /// the index keyed by that attribute tuple (see `crate::index`). The first
+    /// probe of a `(class, attrs)` pair builds the index in one pass over the
+    /// extent; subsequent probes are hash lookups.
+    pub fn lookup_by_attrs<A: AsRef<str>>(
+        &self,
+        class: &ClassName,
+        attrs: &[A],
+        values: &[&Value],
+        found: &mut Vec<Oid>,
+    ) {
+        debug_assert_eq!(attrs.len(), values.len());
+        self.with_attr_index(class, attrs, |index| {
+            let candidates = index.candidates(tuple_hash(values)).iter();
+            // Hash buckets are candidates only: verify against the live values.
+            found.extend(
+                candidates
+                    .filter(|oid| {
+                        self.value(oid).is_some_and(|record| {
+                            let mut pairs = attrs.iter().zip(values);
+                            pairs.all(|(attr, &value)| record.project(attr.as_ref()) == Some(value))
+                        })
+                    })
+                    .cloned(),
+            );
+        });
     }
 
     /// Cheap per-attribute statistics for cost-based planning: the number of
@@ -395,7 +413,7 @@ impl Instance {
     /// statistics of an attribute that will later be joined on costs nothing
     /// extra — the one pass over the extent is shared.
     pub fn attr_stats(&self, class: &ClassName, attr: &str) -> AttrStats {
-        self.with_attr_index(class, attr, |index| AttrStats {
+        self.with_attr_index(class, &[attr], |index| AttrStats {
             entries: index.len(),
             distinct: index.distinct(),
         })
@@ -502,10 +520,10 @@ impl Instance {
     /// Whether a probe for `(class, attr)` would hit an already-built index.
     /// Exposed for tests and diagnostics.
     pub fn has_attr_index(&self, class: &ClassName, attr: &str) -> bool {
-        self.cache_read().contains(class, attr)
+        self.cache_read().contains(class, &[attr])
     }
 
-    /// Number of `(class, attribute)` indexes currently built.
+    /// Number of `(class, attribute tuple)` indexes currently built.
     pub fn attr_index_count(&self) -> usize {
         self.cache_read().len()
     }
@@ -539,17 +557,19 @@ impl Instance {
         let Some(indexes) = cache.indexes_mut(oid.class()) else {
             return;
         };
-        for (attr, index) in indexes.iter_mut() {
-            let old_value = old.and_then(|v| v.project(attr));
-            let new_value = new.and_then(|v| v.project(attr));
-            if old_value == new_value {
+        for (attrs, index) in indexes.iter_mut() {
+            // Membership depends on the bucket alone: an unchanged bucket is
+            // an unchanged index.
+            let old_bucket = old.and_then(|v| bucket_of(v, attrs));
+            let new_bucket = new.and_then(|v| bucket_of(v, attrs));
+            if old_bucket == new_bucket {
                 continue;
             }
-            if let Some(value) = old_value {
-                index.remove_entry(value_hash(value), oid);
+            if let Some(hash) = old_bucket {
+                index.remove_entry(hash, oid);
             }
-            if let Some(value) = new_value {
-                index.insert_sorted(value_hash(value), oid.clone());
+            if let Some(hash) = new_bucket {
+                index.insert_sorted(hash, oid.clone());
             }
         }
     }
@@ -563,7 +583,7 @@ impl Instance {
     /// the class maintains or invalidates it like a lazily built one.
     pub fn install_attr_index(&mut self, class: &ClassName, attr: &str, index: AttrIndex) {
         self.cache_write()
-            .insert(class.clone(), Label::new(attr), index);
+            .insert(class.clone(), Box::new([Label::new(attr)]), index);
     }
 
     /// Install a pre-built equi-depth histogram for `(class, attr)` (see
@@ -582,32 +602,33 @@ impl Instance {
             .insert_histogram(class.clone(), Label::new(attr), histogram);
     }
 
-    /// Run `probe` against the `(class, attr)` index, building it first — one
-    /// pass over the extent — if this version has none. `probe` runs under
-    /// the cache lock, so it must not reach back into the cache.
-    fn with_attr_index<R>(
+    /// Run `probe` against the index keyed by `attrs` on `class`, building it
+    /// first — one pass over the extent — if this version has none. `probe`
+    /// runs under the cache lock, so it must not reach back into the cache.
+    fn with_attr_index<A: AsRef<str>, R>(
         &self,
         class: &ClassName,
-        attr: &str,
+        attrs: &[A],
         probe: impl FnOnce(&AttrIndex) -> R,
     ) -> R {
-        if let Some(index) = self.cache_read().get(class, attr) {
+        if let Some(index) = self.cache_read().get(class, attrs) {
             return probe(index);
         }
+        let attrs: Box<[Label]> = attrs.iter().map(|a| Label::new(a.as_ref())).collect();
         let mut built = AttrIndex::with_capacity(self.extent_size(class));
         for (oid, value) in self.objects(class) {
-            if let Some(attr_value) = value.project(attr) {
-                built.add(value_hash(attr_value), oid.clone());
+            if let Some(hash) = bucket_of(value, &attrs) {
+                built.add(hash, oid.clone());
             }
         }
-        probe(self.cache_write().get_or_insert(class, attr, built))
+        probe(self.cache_write().get_or_insert(class, attrs, built))
     }
 
     /// The keys of every attribute index this version has built.
-    pub fn built_attr_indexes(&self) -> Vec<(ClassName, Label)> {
+    pub fn built_attr_indexes(&self) -> Vec<(ClassName, Box<[Label]>)> {
         self.cache_read()
             .indexes()
-            .map(|(class, attr, _)| (class.clone(), attr.clone()))
+            .map(|(class, attrs, _)| (class.clone(), attrs.into()))
             .collect()
     }
 
@@ -617,8 +638,8 @@ impl Instance {
     /// then on maintained by the writer's mutations and carried by its
     /// [`snapshot`](Instance::snapshot)s. Nothing is built that nobody probed.
     pub fn adopt_attr_indexes(&self, probed: &Instance) {
-        for (class, attr) in probed.built_attr_indexes() {
-            self.with_attr_index(&class, &attr, |_| ());
+        for (class, attrs) in probed.built_attr_indexes() {
+            self.with_attr_index(&class, &attrs, |_| ());
         }
     }
 
@@ -635,8 +656,8 @@ impl Instance {
         }
         // Pointer copies, so the two cache locks are never held together.
         let theirs = other.cache_read().share_indexes();
-        for (class, attr, index) in self.cache_read().indexes() {
-            let (shards, shared) = index.shards_shared_with(theirs.get(class, attr));
+        for (class, attrs, index) in self.cache_read().indexes() {
+            let (shards, shared) = index.shards_shared_with(theirs.get(class, attrs));
             sharing.index_shards += shards;
             sharing.shared_index_shards += shared;
         }
@@ -1145,6 +1166,43 @@ mod tests {
                 "maintained index diverged from a rebuild on {value:?}"
             );
         }
+
+        // A composite index is maintained the same way through random
+        // inserts, updates and removals, some of objects lacking `language`:
+        // bucket for bucket what a rebuild holds, while a snapshot taken
+        // before keeps the buckets it had.
+        let attrs = ["currency", "language"];
+        let contents = |version: &Instance| {
+            let probe = [&Value::str("pound"), &Value::str("English")];
+            version.lookup_by_attrs(&country, &attrs, &probe, &mut Vec::new());
+            let cache = version.cache_read();
+            cache.get(&country, &attrs).map(AttrIndex::contents)
+        };
+        let before = contents(&inst);
+        let held = inst.snapshot();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for _ in 0..200 {
+            let mut fields = vec![("currency", Value::str(["pound", "franc", "lira"][next(3)]))];
+            if next(3) != 0 {
+                fields.push(("language", Value::str(["English", "French"][next(2)])));
+            }
+            let value = Value::record(fields);
+            let ids: Vec<Oid> = inst.extent(&country).cloned().collect();
+            match next(3) {
+                0 if !ids.is_empty() => drop(inst.remove(&ids[next(ids.len())])),
+                1 if !ids.is_empty() => inst.update(&ids[next(ids.len())], value).unwrap(),
+                _ => drop(inst.insert_fresh(&country, value)),
+            }
+        }
+        assert_eq!(contents(&inst), contents(&inst.clone()));
+        assert_ne!(contents(&inst), before);
+        assert_eq!(contents(&held), before);
     }
 
     #[test]

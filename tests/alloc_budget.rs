@@ -13,8 +13,13 @@
 //!   budgets were those figures rounded up to the next tenth. Since planning
 //!   folds the genome program's witness scans, its attribute clauses scan
 //!   their class once: 26,501 rows produced instead of 37,501, with 93,686
-//!   allocations instead of 135,412 (3.54 per row instead of 3.61). The
-//!   genome budget is that figure plus 10 %.
+//!   allocations instead of 135,412 (3.54 per row instead of 3.61). Since a
+//!   probe join looks each key tuple up once in the composite index on all
+//!   its indexable attributes, appending into one list per partition instead
+//!   of a candidate list per probe, genome makes 92,853 (3.50 per row) and
+//!   skew 70,031 instead of 84,151 (4.77 per row instead of 5.74). The
+//!   budgets are those figures plus 10 %: genome 3.85 (was 3.89), skew 5.25
+//!   (was 6.2).
 //! * **Federated execute.** The same count for the federated program over
 //!   its three fragments ingested whole at `FederatedParams::scaled(1)`.
 //!   With every definition bound in one `Map` above the joins it made 13,651
@@ -47,10 +52,11 @@
 //!   own predicate form it made 18,102 (0.603 per scanned row: each kept
 //!   row's slot vector and its `NAME` string). The budget is that figure
 //!   plus 10 %.
-//! * **Interning.** Interner lookups across one genome execute, one CSV
+//! * **Interning.** Interner lookups across one genome execute, one skew
+//!   execute (its root join probes a two-attribute composite index), one CSV
 //!   ingest, and one snapshot decode plus WAL replay are the same at two row
 //!   counts: labels and class names are resolved once per program, provider,
-//!   scan and decoder, never per row.
+//!   scan, probe join and decoder, never per row or per probe.
 //!
 //! The counters are process-wide, so the tests take one lock and run one at
 //! a time.
@@ -228,7 +234,7 @@ fn genome_and_skew_execute_within_half_the_allocations_per_row() {
     let genome = execute_counted(genome::program(), &genome_source(10));
     assert_eq!(genome.rows, 26_501, "genome rows produced");
     let allocations = genome.allocations as f64;
-    assert_per_row("genome", "allocations", allocations, genome.rows, 3.89);
+    assert_per_row("genome", "allocations", allocations, genome.rows, 3.85);
 
     let skew_source = skewed::generate_source(&SkewedParams {
         seed: 22,
@@ -241,7 +247,7 @@ fn genome_and_skew_execute_within_half_the_allocations_per_row() {
         "allocations",
         skew.allocations as f64,
         skew.rows,
-        6.2,
+        5.25,
     );
 }
 
@@ -291,6 +297,18 @@ fn interner_lookups_do_not_grow_with_rows() {
         small.interner_lookups, small.rows, large.interner_lookups, large.rows
     );
     assert!(large.rows > 4 * small.rows);
+    assert_eq!(large.interner_lookups, small.interner_lookups);
+
+    let skew = |params: SkewedParams| {
+        let source = skewed::generate_source(&SkewedParams { seed: 22, ..params });
+        execute_counted(skewed::program(), &source)
+    };
+    let (small, large) = (skew(SkewedParams::reduced()), skew(SkewedParams::full()));
+    eprintln!(
+        "[alloc_budget] skew execute: {} interner lookups over {} rows, {} over {}",
+        small.interner_lookups, small.rows, large.interner_lookups, large.rows
+    );
+    assert!(large.rows > 2 * small.rows);
     assert_eq!(large.interner_lookups, small.interner_lookups);
 
     let (small, _) = ingest_counted(2_000);

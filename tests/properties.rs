@@ -2347,21 +2347,35 @@ impl VersionRecord {
         }
     }
 
-    /// The record attributes of each class, from its first recorded object.
+    /// The record attributes of each class: every attribute one of its
+    /// recorded objects carries, so optional ones count too.
     fn keys(&self) -> Vec<(ClassName, String)> {
-        let mut keys = Vec::new();
-        for class in &self.classes {
-            let first = self.objects.iter().find(|(oid, _)| oid.class() == class);
-            if let Some((_, Value::Record(fields))) = first {
-                keys.extend(fields.keys().map(|attr| (class.clone(), attr.to_string())));
+        let mut keys = std::collections::BTreeSet::new();
+        for (oid, value) in &self.objects {
+            if let Value::Record(fields) = value {
+                keys.extend(
+                    fields
+                        .keys()
+                        .map(|attr| (oid.class().clone(), attr.to_string())),
+                );
             }
         }
-        keys
+        keys.into_iter().collect()
+    }
+
+    /// Each class's attributes side by side, as `keys` lists them: the
+    /// tuples probed through one composite index.
+    fn pairs(&self) -> Vec<(ClassName, [String; 2])> {
+        let keys = self.keys();
+        let same_class = keys.windows(2).filter(|w| w[0].0 == w[1].0);
+        same_class
+            .map(|w| (w[0].0.clone(), [w[0].1.clone(), w[1].1.clone()]))
+            .collect()
     }
 
     /// Hold `reader` — the recorded version itself, or a copy of it — to the
-    /// record: extents, values, probes of `probe_values` (answered by a scan
-    /// of the record) and columns.
+    /// record: extents, values, single and composite probes of held values and
+    /// `probe_values` (answered by a scan of the record) and columns.
     fn check(&self, reader: &Instance, probe_values: &[Value]) -> Result<(), String> {
         prop_assert_eq!(reader.populated_classes(), self.classes.clone());
         let all: Vec<_> = reader
@@ -2398,6 +2412,36 @@ impl VersionRecord {
                 .collect();
             prop_assert!(cells == expected, "column {}.{} changed", class, attr);
         }
+        for (class, attrs) in self.pairs() {
+            let of_class = || self.objects.iter().filter(|(oid, _)| oid.class() == &class);
+            let held = of_class().filter_map(|(_, value)| {
+                Some([
+                    value.project(&attrs[0])?.clone(),
+                    value.project(&attrs[1])?.clone(),
+                ])
+            });
+            let unheld = probe_values.iter().map(|v| [v.clone(), v.clone()]);
+            for probe in held.take(6).chain(unheld) {
+                let expected: Vec<_> = of_class()
+                    .filter(|(_, value)| {
+                        attrs
+                            .iter()
+                            .zip(&probe)
+                            .all(|(a, v)| value.project(a) == Some(v))
+                    })
+                    .map(|(oid, _)| oid.clone())
+                    .collect();
+                let mut found = Vec::new();
+                reader.lookup_by_attrs(&class, &attrs, &[&probe[0], &probe[1]], &mut found);
+                prop_assert!(
+                    found == expected,
+                    "composite probe of {}.{:?} = {:?} changed",
+                    class,
+                    attrs,
+                    probe
+                );
+            }
+        }
         Ok(())
     }
 }
@@ -2407,7 +2451,8 @@ proptest! {
 
     /// Snapshot isolation of the versioned `Instance`: a reader holding the
     /// version published after batch *n* reads bit-identical extents, values,
-    /// `lookup_by_attr` answers and `attr_column`s after the writer has
+    /// `lookup_by_attr` and composite `lookup_by_attrs` answers and
+    /// `attr_column`s after the writer has
     /// applied and published up to eight more batches — through the version's
     /// own (carried, writer-maintained) indexes and again through a cold
     /// clone of it that re-derives everything from the shared chunks. Lazy
@@ -2453,12 +2498,15 @@ proptest! {
             MaterializedPipeline::new(&program, vec![source.clone()], PipelineOptions::default())
                 .unwrap();
 
-        // A reader probes every attribute of the first version; the writer
-        // adopts those indexes, so later versions carry them by reference
-        // while the writer keeps maintaining its own copy.
+        // A reader probes every attribute and attribute pair of the first
+        // version; the writer adopts those indexes, composite ones included,
+        // so later versions carry them by reference while the writer keeps
+        // maintaining its own copy through every insert, update and removal.
         let first = VersionRecord::take(pipeline.target().snapshot());
         first.check(&first.version, &[])?;
         pipeline.target().adopt_attr_indexes(&first.version);
+        let built = pipeline.target().built_attr_indexes();
+        prop_assert!(built.iter().any(|(_, attrs)| attrs.len() == 2));
         let keys = first.keys();
         let mut held = vec![first];
 
