@@ -21,12 +21,14 @@
 
 pub(crate) mod incremental;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use wol_lang::ast::{Atom, Clause, SkolemArgs, Term, Var};
 use wol_model::{ClassName, Label, Oid, Path, SkolemFactory, Value};
 
-use crate::env::{match_body, try_eval_term, Bindings, Databases, MatchStats};
+use crate::env::{
+    build_plan, run_plan, skolem_key, try_eval, Bindings, Databases, MatchStats, Search,
+};
 use crate::error::EngineError;
 use crate::Result;
 
@@ -356,6 +358,12 @@ fn split_head(head: &[Atom]) -> (Vec<KeyAtom<'_>>, Vec<Atom>) {
 /// `initial` — empty for the full check, `{var ↦ oid}` to examine one
 /// delta-touched object — also reporting how many body bindings were
 /// examined (the work metric recorded in constraint certificates).
+///
+/// One streaming pass: body and witness atoms are each planned once, and a
+/// body binding is checked on the matcher's frame where its plan completes
+/// it. Witnesses are counted to the end, so an error matching them makes a
+/// violation; a Skolem key error fails the check after the body's last
+/// binding, so a body error takes precedence.
 pub(crate) fn check_constraint_counted(
     clause: &Clause,
     dbs: &Databases<'_>,
@@ -366,27 +374,37 @@ pub(crate) fn check_constraint_counted(
     let clause_name = clause_name(clause);
     let mut violations = Vec::new();
     let (key_atoms, witness_atoms) = split_head(&clause.head);
+    let (body_plan, bound) = build_plan(&clause.body, initial.keys().cloned().collect(), dbs);
+    let (witness_plan, _) = build_plan(&witness_atoms, bound, dbs);
 
     // Functionality/injectivity state for Skolem key atoms across all bindings.
-    let mut key_to_obj: BTreeMap<(ClassName, Value), Value> = BTreeMap::new();
-    let mut obj_to_key: BTreeMap<(ClassName, Value), Value> = BTreeMap::new();
-
-    let body_bindings = match_body(&clause.body, dbs, &mut skolem, initial, &mut stats)?;
+    let mut key_to_obj: HashMap<(ClassName, Value), Value> = HashMap::new();
+    let mut obj_to_key: HashMap<(ClassName, Value), Value> = HashMap::new();
+    let mut key_error = None;
     let mut checked: u64 = 0;
-    for binding in body_bindings {
+    let mut search = Search::new(&mut skolem, &mut stats, &initial);
+    run_plan(&body_plan, dbs, &mut search, &mut |search| {
+        if key_error.is_some() {
+            return Ok(());
+        }
         checked += 1;
         // 1. Skolem key atoms.
         for key in &key_atoms {
             let class = key.class;
-            let key_value = crate::env::eval_skolem_key(key.args, &binding, dbs, &mut skolem)
-                .map_err(|e| {
-                    EngineError::Eval(format!("cannot evaluate Skolem key in {clause_name}: {e}"))
-                })?;
-            let Some(object_value) = try_eval_term(key.object, &binding, dbs, &mut skolem) else {
+            let key_value = match skolem_key(key.args, &search.frame, dbs, search.skolem) {
+                Ok(value) => value,
+                Err(e) => {
+                    let e = format!("cannot evaluate Skolem key in {clause_name}: {e}");
+                    key_error = Some(EngineError::Eval(e));
+                    return Ok(());
+                }
+            };
+            let Some(object_value) = try_eval(key.object, &search.frame, dbs, search.skolem) else {
                 // The object is existential: the Skolem function always
                 // provides a witness, so nothing to check.
                 continue;
             };
+            let object_value = object_value.into_owned();
             let class_key = (class.clone(), key_value.clone());
             if let Some(previous) = key_to_obj.get(&class_key) {
                 if previous != &object_value {
@@ -418,25 +436,23 @@ pub(crate) fn check_constraint_counted(
         }
         // 2. Witness atoms: there must exist an extension of the binding
         //    satisfying all of them.
-        if witness_atoms.is_empty() {
-            continue;
-        }
-        let witnesses = match_body(
-            &witness_atoms,
-            dbs,
-            &mut skolem,
-            binding.clone(),
-            &mut stats,
-        );
-        if !witnesses.is_ok_and(|list| !list.is_empty()) {
+        let mut witnesses: u64 = 0;
+        let matched = run_plan(&witness_plan, dbs, search, &mut |_| {
+            witnesses += 1;
+            Ok(())
+        });
+        if matched.is_err() || witnesses == 0 {
+            let mut binding: Vec<_> = search.frame.0.iter().map(|(k, v)| (*k, &**v)).collect();
+            binding.sort_unstable_by_key(|(var, _)| *var);
             violations.push(Violation {
                 clause: clause_name.clone(),
                 detail: format!("no head witness for binding {}", describe_binding(&binding)),
-                oids: oid_witnesses(binding.iter().map(|(_, v)| v)),
+                oids: oid_witnesses(binding.iter().map(|(_, v)| *v)),
             });
         }
-    }
-    Ok((violations, checked))
+        Ok(())
+    })?;
+    key_error.map_or(Ok((violations, checked)), Err)
 }
 
 /// Check several constraints; returns all violations found.
@@ -461,7 +477,7 @@ pub fn enforce_constraints(clauses: &[&Clause], dbs: &Databases<'_>) -> Result<(
     }
 }
 
-fn describe_binding(binding: &Bindings) -> String {
+fn describe_binding(binding: &[(&str, &Value)]) -> String {
     let parts: Vec<String> = binding
         .iter()
         .map(|(k, v)| format!("{k} = {}", wol_model::display::render_value(v)))

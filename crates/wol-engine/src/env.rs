@@ -9,16 +9,27 @@
 //! [`match_body`] is the engine's one matcher, and it is **indexed**: it
 //! compiles each body into a one-shot greedy join plan (cheap filters first,
 //! then atoms ordered by estimated selectivity from extent sizes and
-//! bound-variable coverage), answers `Member` atoms that are equated to a
+//! bound-variable coverage) and answers `Member` atoms that are equated to a
 //! bound attribute value through the instances' secondary attribute indexes
-//! ([`wol_model::index`]) instead of enumerating extents, and executes the
-//! plan over a single mutable [`Bindings`] frame with an undo trail, so
-//! extending a binding never deep-clones the binding map. It reports
+//! ([`wol_model::index`]) instead of enumerating extents. It reports
 //! [`MatchStats`] so callers (the naive evaluator, the Morphase pipeline, the
 //! constraint checkers) can quantify the work done. The naive
 //! generate-and-test matcher it is property-tested against lives in the
-//! test-only `wol-oracle` crate, built on [`eval_term`], [`try_eval_term`],
-//! [`match_pattern`] and [`is_pattern`].
+//! test-only `wol-oracle` crate, built on [`eval_term`], [`try_eval_term`]
+//! and [`is_pattern`].
+//!
+//! # The frame and the sink
+//!
+//! A plan runs over one frame: the bound variables in binding order, each
+//! named by the term text that bound it. Binding pushes a slot and undoing
+//! truncates, so a binding clones no name and needs no trail; probes share
+//! one candidate buffer and scans walk the extents in place. The plan's
+//! leaf is a sink, called with the live frame at each complete binding:
+//! [`match_body`] copies the bindings out, and the constraint checker runs
+//! its witness plan there, so a full check collects no binding. The one term
+//! evaluator is generic over the frame (a caller's [`Bindings`] or the
+//! matcher's): it borrows variables, constants and stored attributes, and
+//! builds only records, variants and Skolem identities.
 //!
 //! # One thread
 //!
@@ -29,6 +40,7 @@
 //! and the naive oracle — matches one binding after the other, in the order
 //! the plan enumerates them.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use wol_lang::ast::{Atom, SkolemArgs, Term, Var};
@@ -58,11 +70,8 @@ impl<'a> Databases<'a> {
     }
 
     /// Iterate over the extent of `class` across all instances.
-    pub fn extent(&self, class: &ClassName) -> Vec<&'a Oid> {
-        self.instances
-            .iter()
-            .flat_map(|i| i.extent(class))
-            .collect()
+    pub fn extent<'s>(&'s self, class: &'s ClassName) -> impl Iterator<Item = &'a Oid> + 's {
+        self.instances.iter().flat_map(move |i| i.extent(class))
     }
 
     /// Total number of objects of `class` across all instances.
@@ -70,20 +79,19 @@ impl<'a> Databases<'a> {
         self.instances.iter().map(|i| i.extent_size(class)).sum()
     }
 
-    /// All identities of `class` whose attributes `attrs` equal `values`
-    /// pairwise, answered by one lookup in each instance's lazily built index
-    /// on that attribute tuple.
+    /// Append to `found` all identities of `class` whose attributes `attrs`
+    /// equal `values` pairwise, answered by one lookup in each instance's
+    /// lazily built index on that attribute tuple.
     pub(crate) fn lookup_by_attrs(
         &self,
         class: &ClassName,
         attrs: &[Label],
         values: &[&Value],
-    ) -> Vec<Oid> {
-        let mut out = Vec::new();
+        found: &mut Vec<Oid>,
+    ) {
         for instance in &self.instances {
-            instance.lookup_by_attrs(class, attrs, values, &mut out);
+            instance.lookup_by_attrs(class, attrs, values, found);
         }
-        out
     }
 
     /// Whether `oid` is present in the extent of its class in any instance.
@@ -95,10 +103,10 @@ impl<'a> Databases<'a> {
 /// A binding of clause variables to values.
 ///
 /// Values are held behind [`SharedValue`] (`Arc`) handles, so cloning a
-/// binding — which the matcher does once per *emitted result*, and the
-/// reference matcher once per *extension* — bumps reference counts instead of
-/// deep-cloning value trees. The map API mirrors the `BTreeMap<Var, Value>`
-/// this type used to be, so callers are unaffected.
+/// binding — which the reference matcher does once per *extension* — bumps
+/// reference counts instead of deep-cloning value trees. The map API mirrors
+/// the `BTreeMap<Var, Value>` this type used to be, so callers are
+/// unaffected.
 #[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Bindings {
     map: BTreeMap<Var, SharedValue>,
@@ -121,17 +129,12 @@ impl Bindings {
     }
 
     /// Bind `var` to `value`, returning the previous handle if it was bound.
-    pub(crate) fn insert(&mut self, var: impl Into<Var>, value: Value) -> Option<SharedValue> {
+    pub fn insert(&mut self, var: impl Into<Var>, value: Value) -> Option<SharedValue> {
         self.map.insert(var.into(), value.shared())
     }
 
-    /// Remove the binding of `var`.
-    pub(crate) fn remove(&mut self, var: &str) -> Option<SharedValue> {
-        self.map.remove(var)
-    }
-
-    /// Iterate over `(variable, value)` pairs.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Var, &Value)> {
+    /// Iterate over `(variable, value)` pairs, in variable-name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Var, &Value)> {
         self.map.iter().map(|(k, v)| (k, v.as_ref()))
     }
 
@@ -158,6 +161,29 @@ impl FromIterator<(Var, Value)> for Bindings {
     }
 }
 
+/// What the term evaluator reads variables from.
+pub(crate) trait Frame {
+    /// The value bound to `var`, if any.
+    fn lookup(&self, var: &str) -> Option<&Value>;
+}
+
+impl Frame for Bindings {
+    fn lookup(&self, var: &str) -> Option<&Value> {
+        self.get(var)
+    }
+}
+
+/// The matcher's frame (see the module docs); a caller's initial values
+/// are borrowed.
+pub(crate) struct Slots<'t>(pub(crate) Vec<(&'t str, Cow<'t, Value>)>);
+
+impl Frame for Slots<'_> {
+    fn lookup(&self, var: &str) -> Option<&Value> {
+        let slot = self.0.iter().find(|(name, _)| *name == var);
+        slot.map(|(_, value)| value.as_ref())
+    }
+}
+
 /// Statistics of a body-matching run, for benchmarks and regression tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MatchStats {
@@ -169,6 +195,98 @@ pub struct MatchStats {
     pub bindings_considered: usize,
 }
 
+/// The term evaluator. Skolem terms are resolved through `skolem`, creating
+/// object identities on demand; projections dereference object identities
+/// through `dbs`.
+fn eval<'v>(
+    term: &'v Term,
+    frame: &'v impl Frame,
+    dbs: &Databases<'v>,
+    skolem: &mut SkolemFactory,
+) -> Result<Cow<'v, Value>> {
+    match term {
+        Term::Var(v) => frame
+            .lookup(v)
+            .map(Cow::Borrowed)
+            .ok_or_else(|| EngineError::Eval(format!("unbound variable {v}"))),
+        Term::Const(value) => Ok(Cow::Borrowed(value)),
+        Term::Proj(base, label) => match eval(base, frame, dbs, skolem)? {
+            Cow::Borrowed(base) => project(base, label, dbs).map(Cow::Borrowed),
+            Cow::Owned(base) => project(&base, label, dbs).cloned().map(Cow::Owned),
+        },
+        Term::Record(fields) => eval_record(fields, frame, dbs, skolem).map(Cow::Owned),
+        Term::Variant(label, payload) => Ok(Cow::Owned(Value::Variant(
+            label.clone(),
+            Box::new(eval(payload, frame, dbs, skolem)?.into_owned()),
+        ))),
+        Term::Skolem(class, args) => {
+            let key = skolem_key(args, frame, dbs, skolem)?;
+            Ok(Cow::Owned(Value::Oid(skolem.mk(class, &key)?)))
+        }
+    }
+}
+
+/// Attribute `label` of `value`, or of the object `value` identifies.
+fn project<'v>(value: &'v Value, label: &Label, dbs: &Databases<'v>) -> Result<&'v Value> {
+    let record = match value {
+        Value::Oid(oid) => dbs
+            .value_of(oid)
+            .ok_or_else(|| EngineError::Eval(format!("dangling object identity {oid}")))?,
+        other => other,
+    };
+    record.project(label).ok_or_else(|| {
+        EngineError::Eval(format!(
+            "value of kind `{}` has no attribute `{label}`",
+            record.kind()
+        ))
+    })
+}
+
+/// The record of the values of `fields`.
+fn eval_record(
+    fields: &[(Label, Term)],
+    frame: &impl Frame,
+    dbs: &Databases<'_>,
+    skolem: &mut SkolemFactory,
+) -> Result<Value> {
+    let mut out = Vec::with_capacity(fields.len());
+    for (label, term) in fields {
+        out.push((label.clone(), eval(term, frame, dbs, skolem)?.into_owned()));
+    }
+    Ok(Value::Record(out.into_iter().collect()))
+}
+
+/// [`eval_skolem_key`] in any frame.
+pub(crate) fn skolem_key(
+    args: &SkolemArgs,
+    frame: &impl Frame,
+    dbs: &Databases<'_>,
+    skolem: &mut SkolemFactory,
+) -> Result<Value> {
+    let mut eval_owned = |term: &Term| eval(term, frame, dbs, skolem).map(Cow::into_owned);
+    match args {
+        SkolemArgs::Positional(terms) => match terms.as_slice() {
+            [single] => eval_owned(single),
+            terms => Ok(Value::List(
+                terms.iter().map(eval_owned).collect::<Result<_>>()?,
+            )),
+        },
+        SkolemArgs::Named(fields) => eval_record(fields, frame, dbs, skolem),
+    }
+}
+
+/// [`eval`] if all of the term's variables are bound and it evaluates;
+/// `None` otherwise.
+pub(crate) fn try_eval<'v>(
+    term: &'v Term,
+    frame: &'v impl Frame,
+    dbs: &Databases<'v>,
+    skolem: &mut SkolemFactory,
+) -> Option<Cow<'v, Value>> {
+    let bound = term.all_vars(&mut |v| frame.lookup(v).is_some());
+    bound.then(|| eval(term, frame, dbs, skolem).ok()).flatten()
+}
+
 /// Evaluate a term under `bindings`. Skolem terms are resolved through
 /// `skolem`, creating object identities on demand; projections dereference
 /// object identities through `dbs`.
@@ -178,43 +296,7 @@ pub fn eval_term(
     dbs: &Databases<'_>,
     skolem: &mut SkolemFactory,
 ) -> Result<Value> {
-    match term {
-        Term::Var(v) => bindings
-            .get(v)
-            .cloned()
-            .ok_or_else(|| EngineError::Eval(format!("unbound variable {v}"))),
-        Term::Const(value) => Ok(value.clone()),
-        Term::Proj(base, label) => {
-            let base_value = eval_term(base, bindings, dbs, skolem)?;
-            let record = match &base_value {
-                Value::Oid(oid) => dbs
-                    .value_of(oid)
-                    .ok_or_else(|| EngineError::Eval(format!("dangling object identity {oid}")))?,
-                other => other,
-            };
-            record.project(label).cloned().ok_or_else(|| {
-                EngineError::Eval(format!(
-                    "value of kind `{}` has no attribute `{label}`",
-                    record.kind()
-                ))
-            })
-        }
-        Term::Record(fields) => {
-            let mut out = Vec::with_capacity(fields.len());
-            for (label, sub) in fields {
-                out.push((label.clone(), eval_term(sub, bindings, dbs, skolem)?));
-            }
-            Ok(Value::Record(out.into_iter().collect()))
-        }
-        Term::Variant(label, payload) => Ok(Value::Variant(
-            label.clone(),
-            Box::new(eval_term(payload, bindings, dbs, skolem)?),
-        )),
-        Term::Skolem(class, args) => {
-            let key = eval_skolem_key(args, bindings, dbs, skolem)?;
-            Ok(Value::Oid(skolem.mk(class, &key)?))
-        }
-    }
+    eval(term, bindings, dbs, skolem).map(Cow::into_owned)
 }
 
 /// Evaluate the key value of a Skolem term's arguments: a single positional
@@ -226,25 +308,7 @@ pub fn eval_skolem_key(
     dbs: &Databases<'_>,
     skolem: &mut SkolemFactory,
 ) -> Result<Value> {
-    match args {
-        SkolemArgs::Positional(ts) => {
-            let mut values = Vec::new();
-            for t in ts {
-                values.push(eval_term(t, bindings, dbs, skolem)?);
-            }
-            Ok(match <[Value; 1]>::try_from(values) {
-                Ok([single]) => single,
-                Err(values) => Value::List(values),
-            })
-        }
-        SkolemArgs::Named(fields) => {
-            let mut out = Vec::with_capacity(fields.len());
-            for (label, t) in fields {
-                out.push((label.clone(), eval_term(t, bindings, dbs, skolem)?));
-            }
-            Ok(Value::Record(out.into_iter().collect()))
-        }
-    }
+    skolem_key(args, bindings, dbs, skolem)
 }
 
 /// Evaluate a term if all of its variables are bound; `None` otherwise.
@@ -254,97 +318,55 @@ pub fn try_eval_term(
     dbs: &Databases<'_>,
     skolem: &mut SkolemFactory,
 ) -> Option<Value> {
-    if term.var_set().iter().all(|v| bindings.contains_key(v)) {
-        eval_term(term, bindings, dbs, skolem).ok()
-    } else {
-        None
-    }
+    try_eval(term, bindings, dbs, skolem).map(Cow::into_owned)
 }
 
-/// Match a term used as a *pattern* against a value, extending `bindings`.
-///
-/// Patterns are variables (bind or check), constants (check), record terms
-/// (destructure fields) and variant terms (check the label, destructure the
-/// payload). Projections and Skolem terms are not patterns; if they are fully
-/// evaluable they are checked for equality, otherwise the match fails.
-pub fn match_pattern(
-    pattern: &Term,
-    value: &Value,
-    bindings: &Bindings,
-    dbs: &Databases<'_>,
-    skolem: &mut SkolemFactory,
-) -> Option<Bindings> {
-    let mut extended = bindings.clone();
-    let mut trail = Vec::new();
-    if match_pattern_in_place(pattern, value, &mut extended, &mut trail, dbs, skolem) {
-        Some(extended)
-    } else {
-        None
-    }
-}
-
-/// In-place pattern matching over a mutable frame: newly bound variables are
-/// recorded on `trail` so the caller can undo the extension with
-/// [`unwind_trail`]. On failure, partial bindings may remain on the trail;
-/// the caller must unwind to its own mark.
-fn match_pattern_in_place(
-    pattern: &Term,
-    value: &Value,
-    bindings: &mut Bindings,
-    trail: &mut Vec<Var>,
+/// Pattern matching on the matcher's frame: the pattern's unbound variables
+/// are bound as they are reached. On failure some may be bound already; the
+/// caller truncates the frame back to its own length.
+fn bind_pattern<'t>(
+    pattern: &'t Term,
+    value: Cow<'_, Value>,
+    frame: &mut Slots<'t>,
     dbs: &Databases<'_>,
     skolem: &mut SkolemFactory,
 ) -> bool {
     match pattern {
-        Term::Var(v) => match bindings.get(v) {
-            Some(existing) => existing == value,
+        Term::Var(v) => match frame.lookup(v) {
+            Some(existing) => *existing == *value,
             None => {
-                bindings.insert(v.clone(), value.clone());
-                trail.push(v.clone());
+                frame.0.push((v.as_str(), Cow::Owned(value.into_owned())));
                 true
             }
         },
-        Term::Const(c) => c == value,
+        Term::Const(c) => *c == *value,
         Term::Record(fields) => {
-            let Value::Record(actual) = value else {
+            let Value::Record(actual) = value.as_ref() else {
                 return false;
             };
-            for (label, sub) in fields {
-                let Some(sub_value) = actual.get(label) else {
-                    return false;
-                };
-                if !match_pattern_in_place(sub, sub_value, bindings, trail, dbs, skolem) {
-                    return false;
-                }
-            }
-            true
+            fields.iter().all(|(label, sub)| {
+                actual.get(label).is_some_and(|sub_value| {
+                    bind_pattern(sub, Cow::Borrowed(sub_value), frame, dbs, skolem)
+                })
+            })
         }
         Term::Variant(label, payload) => {
-            let Value::Variant(actual_label, actual_payload) = value else {
+            let Value::Variant(actual_label, actual_payload) = value.as_ref() else {
                 return false;
             };
             label == actual_label
-                && match_pattern_in_place(payload, actual_payload, bindings, trail, dbs, skolem)
+                && bind_pattern(payload, Cow::Borrowed(actual_payload), frame, dbs, skolem)
         }
         Term::Proj(_, _) | Term::Skolem(_, _) => {
-            match try_eval_term(pattern, bindings, dbs, skolem) {
-                Some(evaluated) => &evaluated == value,
-                None => false,
-            }
+            try_eval(pattern, &*frame, dbs, skolem).is_some_and(|evaluated| *evaluated == *value)
         }
     }
 }
 
-/// Undo frame extensions recorded on the trail past `mark`.
-fn unwind_trail(bindings: &mut Bindings, trail: &mut Vec<Var>, mark: usize) {
-    for var in trail.drain(mark.min(trail.len())..) {
-        bindings.remove(&var);
-    }
-}
-
-/// Is the term usable as a *pattern* for destructuring (see
-/// [`match_pattern`]): variables, constants, and record/variant shapes over
-/// patterns? Projections and Skolem terms are not patterns.
+/// Is the term usable as a *pattern* for destructuring: variables,
+/// constants, and record/variant shapes over patterns? Projections and
+/// Skolem terms are not patterns; as a pattern, one matches a value only by
+/// evaluating to it.
 pub fn is_pattern(term: &Term) -> bool {
     match term {
         Term::Var(_) | Term::Const(_) => true,
@@ -355,13 +377,13 @@ pub fn is_pattern(term: &Term) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// The indexed matcher: greedy join plans over an undo-trail frame.
+// The indexed matcher: greedy join plans over one frame.
 // ---------------------------------------------------------------------------
 
 /// One step of a join plan: how one body atom is processed, holding the
 /// operands of the atom it was built from.
 #[derive(Clone, Debug)]
-enum Step<'a> {
+pub(crate) enum Step<'a> {
     /// All variables bound: check the atom and keep or drop the binding (for
     /// a `Member` atom, an O(1) presence check).
     Check(&'a Atom),
@@ -421,7 +443,8 @@ fn single_proj_attr<'t>(term: &'t Term, var: &str) -> Option<&'t Label> {
 }
 
 /// Build a one-shot greedy join plan for `atoms`, given the initially bound
-/// variables. At each step the cheapest processable atom is chosen:
+/// variables, and return it with the variables bound once it has run. At
+/// each step the cheapest processable atom is chosen:
 ///
 /// * fully bound atoms are free filters (cost 0);
 /// * oriented equalities bind pattern variables (cost 1);
@@ -433,14 +456,13 @@ fn single_proj_attr<'t>(term: &'t Term, var: &str) -> Option<&'t Label> {
 ///
 /// Variable boundness depends only on *which* atoms have been processed, not
 /// on any particular binding, so the plan is valid for every branch of the
-/// search.
-fn build_plan<'a>(
+/// search, and every binding that reaches its end binds the same variables.
+pub(crate) fn build_plan<'a>(
     atoms: &'a [Atom],
-    initially_bound: &BTreeSet<Var>,
+    mut bound: BTreeSet<Var>,
     dbs: &Databases<'_>,
-) -> Vec<Step<'a>> {
+) -> (Vec<Step<'a>>, BTreeSet<Var>) {
     let mut used = vec![false; atoms.len()];
-    let mut bound = initially_bound.clone();
     let mut steps = Vec::new();
     while used.contains(&false) {
         let mut best: Option<(usize, Candidate<'a>)> = None;
@@ -469,7 +491,7 @@ fn build_plan<'a>(
         bound.extend(candidate.binds);
         steps.push(candidate.step);
     }
-    steps
+    (steps, bound)
 }
 
 /// Classify one unused atom against the current bound-variable set: the cost
@@ -484,7 +506,7 @@ fn classify_atom<'a>(
     bound: &BTreeSet<Var>,
     dbs: &Databases<'_>,
 ) -> Option<Candidate<'a>> {
-    let term_bound = |t: &Term| t.var_set().iter().all(|v| bound.contains(v));
+    let term_bound = |t: &Term| t.all_vars(&mut |v| bound.contains(v));
     let unbound_vars = |t: &Term| -> Vec<Var> {
         t.var_set()
             .into_iter()
@@ -587,26 +609,26 @@ fn classify_atom<'a>(
 /// keep their hard-error semantics.
 fn check_bound_atom(
     atom: &Atom,
-    bindings: &Bindings,
+    frame: &Slots<'_>,
     dbs: &Databases<'_>,
     skolem: &mut SkolemFactory,
 ) -> Result<bool> {
     match atom {
-        Atom::Member(term, class) => Ok(match try_eval_term(term, bindings, dbs, skolem) {
-            Some(Value::Oid(oid)) => oid.class() == class && dbs.contains(&oid),
+        Atom::Member(term, class) => Ok(match try_eval(term, frame, dbs, skolem).as_deref() {
+            Some(Value::Oid(oid)) => oid.class() == class && dbs.contains(oid),
             _ => false,
         }),
         Atom::Eq(s, t) => {
-            let sv = try_eval_term(s, bindings, dbs, skolem);
-            let tv = try_eval_term(t, bindings, dbs, skolem);
+            let sv = try_eval(s, frame, dbs, skolem);
+            let tv = try_eval(t, frame, dbs, skolem);
             Ok(match (sv, tv) {
                 (Some(a), Some(b)) => holds(PushOp::Eq, &a, &b)?,
                 _ => false,
             })
         }
         Atom::Neq(s, t) | Atom::Lt(s, t) | Atom::Leq(s, t) => {
-            let a = eval_term(s, bindings, dbs, skolem)?;
-            let b = eval_term(t, bindings, dbs, skolem)?;
+            let a = eval(s, frame, dbs, skolem)?;
+            let b = eval(t, frame, dbs, skolem)?;
             let op = match atom {
                 Atom::Neq(_, _) => PushOp::Neq,
                 Atom::Lt(_, _) => PushOp::Lt,
@@ -615,20 +637,25 @@ fn check_bound_atom(
             holds(op, &a, &b)
         }
         Atom::InSet(elem, set) => {
-            let set_value = eval_term(set, bindings, dbs, skolem)?;
-            let Some(elem_value) = try_eval_term(elem, bindings, dbs, skolem) else {
+            let set_value = eval(set, frame, dbs, skolem)?;
+            let Some(elem_value) = try_eval(elem, frame, dbs, skolem) else {
                 return Ok(false);
             };
-            match set_value {
-                Value::Set(items) => Ok(items.contains(&elem_value)),
-                Value::List(items) => Ok(items.contains(&elem_value)),
-                other => Err(EngineError::Eval(format!(
-                    "`member` applied to a non-set value of kind `{}`",
-                    other.kind()
-                ))),
+            match set_value.as_ref() {
+                Value::Set(items) => Ok(items.contains(&*elem_value)),
+                Value::List(items) => Ok(items.contains(&*elem_value)),
+                other => Err(not_a_set(other)),
             }
         }
     }
+}
+
+/// The error of a `member` atom whose collection is not a set or a list.
+fn not_a_set(value: &Value) -> EngineError {
+    EngineError::Eval(format!(
+        "`member` applied to a non-set value of kind `{}`",
+        value.kind()
+    ))
 }
 
 /// `a op b` by the query language's one comparison ([`PushOp::holds`]); an
@@ -644,23 +671,45 @@ fn holds(op: PushOp, a: &Value, b: &Value) -> Result<bool> {
 }
 
 /// The state of one match: the caller's Skolem factory and counters, the
-/// binding frame with its undo trail, and the complete bindings found so far.
-struct Search<'p> {
-    skolem: &'p mut SkolemFactory,
+/// binding frame, and the candidates of every open index probe (innermost
+/// last).
+pub(crate) struct Search<'p, 't> {
+    pub(crate) skolem: &'p mut SkolemFactory,
     stats: &'p mut MatchStats,
-    frame: Bindings,
-    trail: Vec<Var>,
-    out: Vec<Bindings>,
+    pub(crate) frame: Slots<'t>,
+    candidates: Vec<Oid>,
 }
 
-/// Execute `steps` in order over the search's frame, pushing every complete
-/// binding onto its `out`. The frame is mutated in place; every extension is
-/// recorded on the trail and undone before returning, so the frame is left
-/// as it was found.
-fn run_plan(steps: &[Step<'_>], dbs: &Databases<'_>, search: &mut Search<'_>) -> Result<()> {
+impl<'p, 't> Search<'p, 't> {
+    /// A search from the bindings in `initial`.
+    pub(crate) fn new(
+        skolem: &'p mut SkolemFactory,
+        stats: &'p mut MatchStats,
+        initial: &'t Bindings,
+    ) -> Self {
+        let frame = initial
+            .iter()
+            .map(|(var, v)| (var.as_str(), Cow::Borrowed(v)));
+        Search {
+            skolem,
+            stats,
+            frame: Slots(frame.collect()),
+            candidates: Vec::new(),
+        }
+    }
+}
+
+/// Execute `steps` in order over the search's frame, calling `leaf` with
+/// the frame at every complete binding. Every extension is undone before
+/// returning, so the frame is left as it was found.
+pub(crate) fn run_plan<'t>(
+    steps: &[Step<'t>],
+    dbs: &Databases<'_>,
+    search: &mut Search<'_, 't>,
+    leaf: &mut dyn FnMut(&mut Search<'_, 't>) -> Result<()>,
+) -> Result<()> {
     let Some((step, rest)) = steps.split_first() else {
-        search.out.push(search.frame.clone());
-        return Ok(());
+        return leaf(search);
     };
     match step {
         Step::Stuck => Err(EngineError::Eval(
@@ -669,7 +718,7 @@ fn run_plan(steps: &[Step<'_>], dbs: &Databases<'_>, search: &mut Search<'_>) ->
         Step::Check(atom) => {
             if check_bound_atom(atom, &search.frame, dbs, search.skolem)? {
                 search.stats.bindings_considered += 1;
-                run_plan(rest, dbs, search)?;
+                run_plan(rest, dbs, search, leaf)?;
             }
             Ok(())
         }
@@ -677,8 +726,8 @@ fn run_plan(steps: &[Step<'_>], dbs: &Databases<'_>, search: &mut Search<'_>) ->
             // The evaluable side's variables are bound by construction; a
             // `None` here means a missing optional attribute, which simply
             // has no witness.
-            match try_eval_term(evaluable, &search.frame, dbs, search.skolem) {
-                Some(value) => extend_frame(pattern, &value, rest, dbs, search),
+            match try_eval(evaluable, &search.frame, dbs, search.skolem).map(Cow::into_owned) {
+                Some(value) => extend_frame(pattern, Cow::Owned(value), rest, dbs, search, leaf),
                 None => Ok(()),
             }
         }
@@ -688,34 +737,36 @@ fn run_plan(steps: &[Step<'_>], dbs: &Databases<'_>, search: &mut Search<'_>) ->
             attr,
             key,
         } => {
-            let Some(key) = try_eval_term(key, &search.frame, dbs, search.skolem) else {
+            let Some(key) = try_eval(key, &search.frame, dbs, search.skolem) else {
                 return Ok(());
             };
             search.stats.index_probes += 1;
-            dbs.lookup_by_attrs(class, std::slice::from_ref(attr), &[&key])
-                .into_iter()
-                .try_for_each(|oid| extend_frame(member, &Value::Oid(oid), rest, dbs, search))
+            let start = search.candidates.len();
+            let attrs = std::slice::from_ref(*attr);
+            dbs.lookup_by_attrs(class, attrs, &[&key], &mut search.candidates);
+            drop(key);
+            let result = (start..search.candidates.len()).try_for_each(|i| {
+                let oid = Value::Oid(search.candidates[i].clone());
+                extend_frame(member, Cow::Owned(oid), rest, dbs, search, leaf)
+            });
+            search.candidates.truncate(start);
+            result
         }
         Step::MemberScan { term, class } => {
             search.stats.extents_scanned += 1;
-            dbs.extent(class)
-                .into_iter()
-                .try_for_each(|oid| extend_frame(term, &Value::Oid(oid.clone()), rest, dbs, search))
+            dbs.extent(class).try_for_each(|oid| {
+                let oid = Value::Oid(oid.clone());
+                extend_frame(term, Cow::Owned(oid), rest, dbs, search, leaf)
+            })
         }
         Step::InSetBind { elem, set } => {
-            let elements: Vec<Value> = match eval_term(set, &search.frame, dbs, search.skolem)? {
-                Value::Set(items) => items.into_iter().collect(),
-                Value::List(items) => items,
-                other => {
-                    return Err(EngineError::Eval(format!(
-                        "`member` applied to a non-set value of kind `{}`",
-                        other.kind()
-                    )))
-                }
-            };
-            elements
-                .iter()
-                .try_for_each(|item| extend_frame(elem, item, rest, dbs, search))
+            let set = eval(set, &search.frame, dbs, search.skolem)?.into_owned();
+            let mut each = |item| extend_frame(elem, Cow::Borrowed(item), rest, dbs, search, leaf);
+            match &set {
+                Value::Set(items) => items.iter().try_for_each(&mut each),
+                Value::List(items) => items.iter().try_for_each(&mut each),
+                other => Err(not_a_set(other)),
+            }
         }
     }
 }
@@ -723,29 +774,22 @@ fn run_plan(steps: &[Step<'_>], dbs: &Databases<'_>, search: &mut Search<'_>) ->
 /// Destructure `value` against `pattern` on the search's frame; if it
 /// matches, count the candidate binding and run the `rest` of the plan under
 /// the extension. The extension is undone either way.
-fn extend_frame(
-    pattern: &Term,
-    value: &Value,
-    rest: &[Step<'_>],
+fn extend_frame<'t>(
+    pattern: &'t Term,
+    value: Cow<'_, Value>,
+    rest: &[Step<'t>],
     dbs: &Databases<'_>,
-    search: &mut Search<'_>,
+    search: &mut Search<'_, 't>,
+    leaf: &mut dyn FnMut(&mut Search<'_, 't>) -> Result<()>,
 ) -> Result<()> {
-    let mark = search.trail.len();
-    let matched = match_pattern_in_place(
-        pattern,
-        value,
-        &mut search.frame,
-        &mut search.trail,
-        dbs,
-        search.skolem,
-    );
-    let result = if matched {
+    let mark = search.frame.0.len();
+    let result = if bind_pattern(pattern, value, &mut search.frame, dbs, search.skolem) {
         search.stats.bindings_considered += 1;
-        run_plan(rest, dbs, search)
+        run_plan(rest, dbs, search, leaf)
     } else {
         Ok(())
     };
-    unwind_trail(&mut search.frame, &mut search.trail, mark);
+    search.frame.0.truncate(mark);
     result
 }
 
@@ -759,17 +803,19 @@ pub fn match_body(
     initial: Bindings,
     stats: &mut MatchStats,
 ) -> Result<Vec<Bindings>> {
-    let initially_bound: BTreeSet<Var> = initial.keys().cloned().collect();
-    let plan = build_plan(atoms, &initially_bound, dbs);
-    let mut search = Search {
-        skolem,
-        stats,
-        frame: initial,
-        trail: Vec::new(),
-        out: Vec::new(),
-    };
-    run_plan(&plan, dbs, &mut search)?;
-    Ok(search.out)
+    let (plan, _) = build_plan(atoms, initial.keys().cloned().collect(), dbs);
+    let mut search = Search::new(skolem, stats, &initial);
+    let mut out = Vec::new();
+    run_plan(&plan, dbs, &mut search, &mut |search| {
+        let slots = search.frame.0.iter();
+        out.push(
+            slots
+                .map(|(var, value)| (var.to_string(), value.as_ref().clone()))
+                .collect(),
+        );
+        Ok(())
+    })?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1047,16 +1093,39 @@ mod tests {
         assert!(dbs.value_of(&uk).is_some());
         assert!(dbs.value_of(&t).is_some());
         assert!(dbs.contains(&t));
-        assert_eq!(dbs.extent(&ClassName::new("CountryT")).len(), 1);
+        assert_eq!(dbs.extent(&ClassName::new("CountryT")).count(), 1);
         assert_eq!(dbs.extent_size(&ClassName::new("CountryT")), 1);
-        assert_eq!(
-            dbs.lookup_by_attrs(
-                &ClassName::new("CountryT"),
-                &["name".into()],
-                &[&Value::str("UK")]
-            ),
-            vec![t]
+        let mut found = Vec::new();
+        dbs.lookup_by_attrs(
+            &ClassName::new("CountryT"),
+            &["name".into()],
+            &[&Value::str("UK")],
+            &mut found,
         );
+        assert_eq!(found, vec![t]);
+    }
+
+    /// `pattern` destructured against `value` on a frame holding `initial`:
+    /// the extended bindings, or `None` if the pattern does not match.
+    fn match_pattern(
+        pattern: &Term,
+        value: &Value,
+        initial: &Bindings,
+        dbs: &Databases<'_>,
+        sk: &mut SkolemFactory,
+    ) -> Option<Bindings> {
+        let mut frame = Slots(
+            initial
+                .iter()
+                .map(|(k, v)| (k.as_str(), Cow::Borrowed(v)))
+                .collect(),
+        );
+        let matched = bind_pattern(pattern, Cow::Borrowed(value), &mut frame, dbs, sk);
+        let bound = frame
+            .0
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.as_ref().clone()));
+        matched.then(|| bound.collect())
     }
 
     #[test]
@@ -1128,7 +1197,5 @@ mod tests {
             .collect();
         assert_eq!(collected, vec![("X".to_string(), Value::int(2))]);
         assert_eq!(bindings.keys().collect::<Vec<_>>(), vec!["X"]);
-        assert!(bindings.remove("X").is_some());
-        assert!(bindings.get("X").is_none());
     }
 }

@@ -27,8 +27,8 @@
 //! # Threading
 //!
 //! The engine runs on the calling thread. It has one clause-body matcher
-//! ([`match_body`]); constraint checks (full and incremental), target
-//! verification and the naive oracle all go through it, one binding after
+//! (behind [`match_body`]); constraint checks (full and incremental), target
+//! verification and the naive oracle all run on it, one binding after
 //! the other, so binding lists, [`MatchStats`], violation lists, certificate
 //! bytes and Skolem identities depend on the inputs alone. Transformations
 //! do not go through it: they compile to CPL, the workspace's one parallel
@@ -116,8 +116,8 @@ pub use constraints::{
     ObjectKey, Violation,
 };
 pub use env::{
-    eval_skolem_key, eval_term, is_pattern, match_body, match_pattern, try_eval_term, Bindings,
-    Databases, MatchStats,
+    eval_skolem_key, eval_term, is_pattern, match_body, try_eval_term, Bindings, Databases,
+    MatchStats,
 };
 pub use error::EngineError;
 pub use info_preserve::{canonical_form, check_injective, instances_equivalent, InjectivityReport};

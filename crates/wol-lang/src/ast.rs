@@ -154,18 +154,26 @@ impl Term {
         )
     }
 
+    /// Whether `f` holds of every variable occurrence of the term, visited
+    /// left to right without collecting them; stops at the first that fails.
+    pub fn all_vars(&self, f: &mut impl FnMut(&Var) -> bool) -> bool {
+        match self {
+            Term::Var(v) => f(v),
+            Term::Const(_) => true,
+            Term::Proj(t, _) | Term::Variant(_, t) => t.all_vars(f),
+            Term::Record(fields) | Term::Skolem(_, SkolemArgs::Named(fields)) => {
+                fields.iter().all(|(_, t)| t.all_vars(f))
+            }
+            Term::Skolem(_, SkolemArgs::Positional(ts)) => ts.iter().all(|t| t.all_vars(f)),
+        }
+    }
+
     /// Collect the free variables of the term.
     pub(crate) fn variables(&self, out: &mut BTreeSet<Var>) {
-        match self {
-            Term::Var(v) => {
-                out.insert(v.clone());
-            }
-            Term::Const(_) => {}
-            Term::Proj(t, _) => t.variables(out),
-            Term::Record(fields) => fields.iter().for_each(|(_, t)| t.variables(out)),
-            Term::Variant(_, t) => t.variables(out),
-            Term::Skolem(_, args) => args.terms().iter().for_each(|t| t.variables(out)),
-        }
+        self.all_vars(&mut |v| {
+            out.insert(v.clone());
+            true
+        });
     }
 
     /// The free variables of the term as a set.

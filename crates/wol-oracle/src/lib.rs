@@ -9,6 +9,12 @@
 //!   clause-body matcher. It is the reference for `wol_engine::match_body`,
 //!   the engine's one (indexed) matcher: the two must return the same
 //!   binding multiset, and the indexed one may consider no more bindings.
+//! * [`constraints`] — [`check_constraint_reference`], the materialising
+//!   constraint check: every body binding collected through
+//!   `wol_engine::match_body`, then the head's witness atoms planned and
+//!   matched afresh for each one. It is the reference for the engine's
+//!   streaming check: the same violations in the same order, and the same
+//!   count of body bindings examined.
 //! * [`eval`] — the named-row CPL expression evaluator, the reference for
 //!   `cpl`'s lowered, slot-addressed evaluation by reference: the same value,
 //!   or an error of the same variant and text, on every expression.
@@ -26,10 +32,12 @@
 
 #![forbid(unsafe_code)]
 
+pub mod constraints;
 pub mod datalog;
 pub mod eval;
 pub mod matcher;
 pub mod normal_form;
 
+pub use constraints::check_constraint_reference;
 pub use matcher::match_body_reference;
 pub use normal_form::execute;

@@ -3,15 +3,54 @@
 //! [`match_body_reference`] enumerates bindings the way the paper's "apply
 //! the clauses directly" strategy would: scan whole extents, clone the
 //! binding set at every extension, and never consult an index. It shares
-//! only term evaluation and pattern destructuring with the engine
-//! ([`eval_term`], [`try_eval_term`], [`match_pattern`], [`is_pattern`]), so
-//! a planning, probing or undo-trail bug in `wol_engine::match_body` shows up
+//! only term evaluation with the engine ([`eval_term`], [`try_eval_term`],
+//! [`is_pattern`]) and destructures patterns on its own, so a planning,
+//! probing, frame or destructuring bug in `wol_engine::match_body` shows up
 //! as a disagreement between the two.
 
-use wol_engine::{eval_term, is_pattern, match_pattern, try_eval_term};
+use wol_engine::{eval_term, is_pattern, try_eval_term};
 use wol_engine::{Bindings, Databases, EngineError, MatchStats, Result};
 use wol_lang::ast::{Atom, Term};
 use wol_model::{SkolemFactory, Value};
+
+/// Destructure `value` against `pattern`, extending a copy of `bindings`: an
+/// unbound variable binds; a record or variant destructures; anything else
+/// — a bound variable, a constant, a projection, a Skolem term — must
+/// evaluate to the value.
+fn match_pattern(
+    pattern: &Term,
+    value: &Value,
+    bindings: &Bindings,
+    dbs: &Databases<'_>,
+    skolem: &mut SkolemFactory,
+) -> Option<Bindings> {
+    fn bind(
+        pattern: &Term,
+        value: &Value,
+        bindings: &mut Bindings,
+        dbs: &Databases<'_>,
+        skolem: &mut SkolemFactory,
+    ) -> bool {
+        match (pattern, value) {
+            (Term::Var(var), _) if !bindings.contains_key(var) => {
+                bindings.insert(var.clone(), value.clone());
+                true
+            }
+            (Term::Record(fields), Value::Record(actual)) => fields.iter().all(|(label, sub)| {
+                actual
+                    .get(label)
+                    .is_some_and(|field| bind(sub, field, bindings, dbs, skolem))
+            }),
+            (Term::Variant(label, payload), Value::Variant(actual, inner)) => {
+                label == actual && bind(payload, inner, bindings, dbs, skolem)
+            }
+            (Term::Record(_) | Term::Variant(..), _) => false,
+            _ => try_eval_term(pattern, bindings, dbs, skolem).is_some_and(|v| v == *value),
+        }
+    }
+    let mut extended = bindings.clone();
+    bind(pattern, value, &mut extended, dbs, skolem).then_some(extended)
+}
 
 /// Can this atom be processed under the current bindings?
 fn atom_ready(atom: &Atom, bindings: &Bindings) -> bool {

@@ -52,6 +52,20 @@
 //!   own predicate form it made 18,102 (0.603 per scanned row: each kept
 //!   row's slot vector and its `NAME` string). The budget is that figure
 //!   plus 10 %.
+//! * **Constraint checks.** Allocations per body binding of one full check
+//!   (the constraint passed to `check_batch` as a suspect) of each source
+//!   constraint of the constrained program over
+//!   `ConstrainedParams::scaled(16)` — `S1` a merge key (6,400 bindings),
+//!   `S2` an existence constraint (9,600) and `S3` a Skolem key (6,400) —
+//!   counted on a second run, after the first has built the attribute
+//!   index the check probes. When the check collected every body binding
+//!   into its own map and re-planned and collected the witnesses of each,
+//!   it made 37.0, 31.0 and 18.3. Run as one streaming pass over the
+//!   matcher's frame it makes 21, 17 and 19,238 allocations in all (0.0033,
+//!   0.0018 and 3.01 per binding): `S1` and `S2` allocate nothing per
+//!   binding, and `S3` makes three — the code its body binds, the key
+//!   value, and the copy of it that keys the key-to-object map. The budgets
+//!   are those figures plus 10 %.
 //! * **Interning.** Interner lookups across one genome execute, one skew
 //!   execute (its root join probes a two-attribute composite index), one CSV
 //!   ingest, and one snapshot decode plus WAL replay are the same at two row
@@ -65,6 +79,7 @@ mod compile_suite;
 mod federated_source;
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -77,8 +92,10 @@ use wol_repro::storage::persist::{replay_wal, WalRecord, WalWriter};
 use wol_repro::storage::{ingest_class, CsvDirProvider, Pushdown, DEFAULT_CHUNK_ROWS};
 use wol_repro::wol_engine::normalize;
 use wol_repro::wol_engine::normalize::NormalizeOptions;
+use wol_repro::wol_engine::{check_batch, CheckMode, Databases};
 use wol_repro::wol_lang::program::Program;
-use wol_repro::wol_model::{interner_lookups, ClassName, Instance, SkolemState};
+use wol_repro::wol_model::{interner_lookups, BatchDelta, ClassName, Instance, SkolemState};
+use wol_repro::workloads::constrained::{self, ConstrainedParams};
 use wol_repro::workloads::federated::{self, generate_assay_csv, FederatedParams};
 use wol_repro::workloads::genome::{self, GenomeParams};
 use wol_repro::workloads::skewed::{self, SkewedParams};
@@ -430,4 +447,52 @@ fn front_end_compiles_within_the_allocations_per_normal_clause_budget() {
         per_clause <= BUDGET_PER_CLAUSE,
         "front end: {per_clause:.2} allocations per normal clause, budget {BUDGET_PER_CLAUSE}"
     );
+}
+
+/// Allocations per body binding of one full check of each source constraint
+/// of the constrained program (see the module docs).
+const BUDGETS_PER_BINDING: [(&str, f64); 3] = [("S1", 0.0037), ("S2", 0.002), ("S3", 3.31)];
+
+#[test]
+fn constraint_checks_within_the_allocations_per_binding_budget() {
+    let _serial = serial();
+    let program = constrained::program();
+    let source = constrained::generate_source(&ConstrainedParams::scaled(16));
+    let dbs = Databases::new(&[&source]);
+    let suspect: BTreeSet<usize> = [0].into_iter().collect();
+    for (label, budget) in BUDGETS_PER_BINDING {
+        let clause = program
+            .source_constraints()
+            .into_iter()
+            .map(|(_, clause)| clause)
+            .find(|clause| clause.label.as_deref() == Some(label))
+            .expect("the constrained program has the constraint");
+        // As a suspect the constraint is checked in full; the first run
+        // builds the attribute index the check probes.
+        let full_check = || {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let check = check_batch(
+                &[clause],
+                &dbs,
+                &BatchDelta::default(),
+                Parallelism::sequential(),
+                &suspect,
+            )
+            .expect("the check runs");
+            let entry = &check.certificate.entries[0];
+            assert_eq!((entry.mode, entry.violations.len()), (CheckMode::Full, 0));
+            (ALLOCATIONS.load(Ordering::Relaxed) - before, entry.checked)
+        };
+        full_check();
+        let (allocations, bindings) = full_check();
+        let per_binding = allocations as f64 / bindings as f64;
+        eprintln!(
+            "[alloc_budget] constraint {label}: {allocations} allocations over {bindings} \
+             body bindings = {per_binding:.4}/binding"
+        );
+        assert!(
+            per_binding <= budget,
+            "constraint {label}: {per_binding:.4} allocations per body binding, budget {budget}"
+        );
+    }
 }

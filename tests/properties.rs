@@ -12,7 +12,7 @@ use wol_repro::wol_engine::{
     NormalizeOptions,
 };
 use wol_repro::wol_lang::ast::Atom;
-use wol_repro::wol_lang::{parse_clause, render_clause};
+use wol_repro::wol_lang::{parse_clause, parse_program, render_clause, Clause};
 use wol_repro::wol_model::{ClassName, Instance, MutationBatch, Oid, SkolemFactory, Value};
 use wol_repro::workloads::cities::{generate_euro, CitiesWorkload};
 use wol_repro::workloads::skewed::{self, SkewedParams};
@@ -2324,6 +2324,256 @@ proptest! {
             }
         }
     }
+}
+
+/// Constraints over the registry source beside its own `S1`–`S3`: a
+/// comparison (`G1`); a general constraint over two objects (`G2`); a
+/// witness whose projection fails on a dangling reference, which makes the
+/// binding a violation (`G3`); a body that fails on one, which fails the
+/// check (`G4`); a Skolem key that fails on one, and otherwise names one
+/// key for several objects (`G5`); and a Skolem key that gives a user with
+/// several profiles several key values (`G6`).
+const REGISTRY_EXTRA_CONSTRAINTS: &str = "G1: U.tier < 99 <= U in UserS;\n\
+    G2: P.nick = Q.nick <= P in ProfileS, Q in ProfileS, P.user = Q.user;\n\
+    G3: P.user.tier < 5 <= P in ProfileS;\n\
+    G4: U in UserS <= P in ProfileS, P.user.tier < 5;\n\
+    G5: P = Mk_ProfileS(P.user.name) <= P in ProfileS;\n\
+    G6: U = Mk_UserS(N) <= U in UserS, P in ProfileS, P.user = U, N = P.nick;";
+
+/// The `index`-th object of `class` (modulo the extent), if any.
+fn nth_object(instance: &Instance, class: &str, index: usize) -> Option<(Oid, Value)> {
+    let class = ClassName::new(class);
+    let size = instance.extent_size(&class);
+    let oid = instance.extent(&class).nth(index % size.max(1))?.clone();
+    let value = instance.value(&oid)?.clone();
+    Some((oid, value))
+}
+
+/// `record` with `label` set to `value`.
+fn with_field(record: Value, label: &str, value: Value) -> Value {
+    let Value::Record(mut fields) = record else {
+        panic!("objects are records");
+    };
+    fields.insert(label.into(), value);
+    Value::Record(fields)
+}
+
+/// A small registry source with injected violations: users sharing an
+/// email, profiles referencing no user, and accounts sharing a code; the
+/// registry program's constraints, the extra ones above, and the key
+/// constraints of its target, checked over the source and its target with
+/// duplicated directory entries.
+fn registry_constraint_case(g: &mut proptest::Gen) -> (Vec<Clause>, Vec<Instance>) {
+    use wol_repro::morphase::metadata::generate_key_clauses;
+    use wol_repro::workloads::constrained::{self, ConstrainedParams};
+
+    let params = ConstrainedParams {
+        users: g.usize_in(2, 10),
+        profiles: g.usize_in(2, 14),
+        accounts: g.usize_in(2, 8),
+        seed: g.next_u64() % 1000,
+    };
+    let program = constrained::program();
+    let mut source = constrained::generate_source(&params);
+    let mut target = naive_transform(&program, &[&source][..], "target").unwrap();
+    for i in 0..g.usize_in(0, 3) {
+        let (_, user) = nth_object(&source, "UserS", g.usize_in(0, 64)).unwrap();
+        let twin = with_field(user, "name", Value::str(format!("twin {i}")));
+        source.insert_fresh(&ClassName::new("UserS"), twin);
+    }
+    for i in 0..g.usize_in(0, 3) {
+        let ghost = Oid::new(ClassName::new("UserS"), 9_999_000 + i as u64);
+        let orphan = Value::record([
+            ("nick", Value::str(format!("orphan {i}"))),
+            ("user", Value::Oid(ghost)),
+        ]);
+        source.insert_fresh(&ClassName::new("ProfileS"), orphan);
+    }
+    for _ in 0..g.usize_in(0, 3) {
+        let (_, account) = nth_object(&source, "AccountS", g.usize_in(0, 64)).unwrap();
+        source.insert_fresh(&ClassName::new("AccountS"), account);
+    }
+    for _ in 0..g.usize_in(0, 2) {
+        let (_, entry) = nth_object(&target, "UserD", g.usize_in(0, 64)).unwrap();
+        target.insert_fresh(&ClassName::new("UserD"), entry);
+    }
+    let mut clauses: Vec<Clause> = program
+        .source_constraints()
+        .into_iter()
+        .map(|(_, clause)| clause.clone())
+        .collect();
+    clauses.extend(parse_program(REGISTRY_EXTRA_CONSTRAINTS).unwrap());
+    clauses.extend(generate_key_clauses(
+        &program.target.schema,
+        &program.target.keys,
+    ));
+    (clauses, vec![source, target])
+}
+
+/// A generated European source whose capitals are shuffled (a country with
+/// none, or with two) and whose country names may repeat; the cities
+/// constraint texts, the European program's constraints and the key and
+/// merge-key constraints generated from its schemas, checked over the
+/// source and its target with duplicated target objects. Half the cases are
+/// the US instance of Figure 1 under (C1), with a capital moved to the
+/// other state in half of those.
+fn cities_constraint_case(g: &mut proptest::Gen) -> (Vec<Clause>, Vec<Instance>) {
+    use wol_repro::morphase::metadata::{generate_key_clauses, generate_merge_key_clauses};
+
+    let workload = CitiesWorkload::new();
+    if g.usize_in(0, 2) == 0 {
+        let mut us = workload.small_us_instance();
+        if g.usize_in(0, 2) == 0 {
+            let (harrisburg, value) = nth_object(&us, "CityA", 0).unwrap();
+            let (georgia, _) = nth_object(&us, "StateA", 1).unwrap();
+            let moved = with_field(value, "state", Value::Oid(georgia));
+            us.update(&harrisburg, moved).unwrap();
+        }
+        let clauses = parse_program(CitiesWorkload::us_constraints_text()).unwrap();
+        return (clauses, vec![us]);
+    }
+    let program = workload.euro_program();
+    let mut source = generate_euro(g.usize_in(1, 5), g.usize_in(1, 4), g.next_u64() % 1000);
+    let mut target = naive_transform(&program, &[&source][..], "target").unwrap();
+    for _ in 0..g.usize_in(0, 3) {
+        let (city, value) = nth_object(&source, "CityE", g.usize_in(0, 64)).unwrap();
+        let flipped = !matches!(value.project("is_capital"), Some(Value::Bool(true)));
+        source
+            .update(&city, with_field(value, "is_capital", Value::bool(flipped)))
+            .unwrap();
+    }
+    for _ in 0..g.usize_in(0, 2) {
+        let (_, country) = nth_object(&source, "CountryE", g.usize_in(0, 64)).unwrap();
+        source.insert_fresh(&ClassName::new("CountryE"), country);
+    }
+    for _ in 0..g.usize_in(0, 3) {
+        let class = ["CountryT", "CityT"][g.usize_in(0, 2)];
+        let (_, value) = nth_object(&target, class, g.usize_in(0, 64)).unwrap();
+        target.insert_fresh(&ClassName::new(class), value);
+    }
+    let mut clauses = parse_program(CitiesWorkload::euro_constraints_text()).unwrap();
+    clauses.extend(
+        program
+            .source_constraints()
+            .into_iter()
+            .map(|(_, c)| c.clone()),
+    );
+    clauses.extend(
+        program
+            .target_constraints()
+            .into_iter()
+            .map(|(_, c)| c.clone()),
+    );
+    for binding in &program.sources {
+        clauses.extend(generate_merge_key_clauses(&binding.schema, &binding.keys));
+    }
+    clauses.extend(generate_key_clauses(
+        &program.target.schema,
+        &program.target.keys,
+    ));
+    (clauses, vec![source, target])
+}
+
+/// Check `clauses` over `instances` with the streaming check and with the
+/// materialising reference, and hold them equal (see the test below).
+/// Returns the violations and the number of clause errors the reference
+/// found.
+fn compare_with_the_reference(
+    clauses: &[Clause],
+    instances: &[Instance],
+) -> (Vec<wol_repro::wol_engine::Violation>, usize) {
+    use wol_oracle::check_constraint_reference;
+    use wol_repro::wol_engine::{check_batch, check_constraints, CheckMode};
+    use wol_repro::wol_model::{BatchDelta, Parallelism};
+
+    let refs: Vec<&Instance> = instances.iter().collect();
+    let dbs = Databases::new(&refs);
+    let (mut checkable, mut expected, mut counts, mut errors) =
+        (Vec::new(), Vec::new(), Vec::new(), 0);
+    for clause in clauses {
+        let name = render_clause(clause);
+        match (
+            check_constraint_reference(clause, &dbs),
+            check_constraints(&[clause], &dbs),
+        ) {
+            (Ok((found, checked)), Ok(streamed)) => {
+                assert_eq!(streamed, found, "`{name}`");
+                checkable.push(clause);
+                expected.extend(found);
+                counts.push(checked);
+            }
+            (Err(reference), Err(streamed)) => {
+                assert_eq!(streamed.to_string(), reference.to_string(), "`{name}`");
+                errors += 1;
+            }
+            (reference, streamed) => {
+                panic!("`{name}`: streamed {streamed:?}, reference {reference:?}")
+            }
+        }
+    }
+    assert_eq!(check_constraints(&checkable, &dbs).unwrap(), expected);
+    let suspects: BTreeSet<usize> = (0..checkable.len()).collect();
+    let batch = check_batch(
+        &checkable,
+        &dbs,
+        &BatchDelta::default(),
+        Parallelism::sequential(),
+        &suspects,
+    )
+    .unwrap();
+    assert_eq!(batch.violations, expected);
+    assert_eq!(batch.certificate.entries.len(), counts.len());
+    for (entry, checked) in batch.certificate.entries.iter().zip(counts) {
+        assert_eq!(
+            (entry.mode, entry.checked),
+            (CheckMode::Full, checked),
+            "{}",
+            entry.constraint
+        );
+    }
+    (expected, errors)
+}
+
+/// The streaming constraint check against the materialising reference
+/// (`wol_oracle::check_constraint_reference`), over 24 generated registry
+/// and cities cases with injected violations, the cities constraint texts
+/// and generated key constraints: each clause checked alone gives the
+/// reference's violation list exactly — order, `detail` and `oids` — or
+/// fails with the reference's error text; the clauses that check, checked
+/// together by `check_constraints` and by `check_batch` with every clause a
+/// suspect (so each runs in full), give the concatenated lists; and each
+/// certificate entry's `checked` is the reference's count of body bindings.
+/// The cases reach clause errors and every kind of violation: a missing
+/// witness, and a key naming two objects or an object with two keys.
+#[test]
+fn streaming_constraint_checks_equal_the_materialising_reference() {
+    let (mut violations, mut errors) = (Vec::new(), 0);
+    for seed in 0..24 {
+        let mut g = proptest::Gen::new(seed);
+        for (clauses, instances) in [
+            registry_constraint_case(&mut g),
+            cities_constraint_case(&mut g),
+        ] {
+            let (found, failed) = compare_with_the_reference(&clauses, &instances);
+            violations.extend(found);
+            errors += failed;
+        }
+    }
+    let kinds = [
+        "no head witness for binding",
+        "is associated with two distinct objects",
+        "has two distinct key values",
+    ];
+    for kind in kinds {
+        let seen = violations
+            .iter()
+            .filter(|v| v.detail.contains(kind))
+            .count();
+        eprintln!("[reference differential] {seen} violations: {kind}");
+        assert!(seen > 0, "no case found a violation: {kind}");
+    }
+    eprintln!("[reference differential] {errors} clause errors");
+    assert!(errors > 0);
 }
 
 /// One published version as a reader would see it, copied out value by value
