@@ -49,7 +49,8 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use wol_model::{
-    chunk_ranges, ClassName, Conflict, Instance, Label, Oid, Record, SkolemFactory, Value,
+    chunk_ranges, ClassName, Conflict, Instance, Label, Oid, Record, ScanRestriction,
+    SkolemFactory, Value,
 };
 
 use crate::error::CplError;
@@ -397,21 +398,22 @@ fn indexable_side<'k>(plan: &Plan, keys: impl Iterator<Item = &'k Expr>) -> Opti
 }
 
 /// The number of identities a plan side's underlying scan can emit under
-/// the active restrictions: the restriction set's size if the scan is
-/// pinned, the class's full extent size otherwise. Filters and maps only
-/// shrink the row count, so this is an upper bound on the side's driving
-/// cost — enough to orient a delta join so the Δ-pinned slot drives.
-/// `None` when the side bottoms out in anything but a scan.
+/// the active restrictions: Δ's size if the scan is pinned to `Only` Δ, the
+/// class's extent size less Δ's under `Except` Δ, its full extent size
+/// otherwise. Filters and maps only shrink the row count, so this is an
+/// upper bound on the side's driving cost — enough to orient a delta join
+/// so the Δ-pinned slot drives. `None` when the side bottoms out in
+/// anything but a scan.
 fn scan_cardinality(plan: &Plan, ctx: &EvalCtx<'_>) -> Option<usize> {
     match plan {
-        Plan::Scan { class, var } => Some(match ctx.scan_restriction(var) {
-            Some(keep) => keep.len(),
-            None => ctx
-                .sources()
-                .iter()
-                .map(|source| source.extent_size(class))
-                .sum(),
-        }),
+        Plan::Scan { class, var } => {
+            let extent = || -> usize { ctx.sources().iter().map(|s| s.extent_size(class)).sum() };
+            Some(match ctx.scan_restriction(var) {
+                Some(ScanRestriction::Only(delta)) => delta.len(),
+                Some(ScanRestriction::Except(delta)) => extent().saturating_sub(delta.len()),
+                None => extent(),
+            })
+        }
         Plan::Filter { input, .. } | Plan::Map { input, .. } => scan_cardinality(input, ctx),
         _ => None,
     }
@@ -617,7 +619,7 @@ impl Probe<'_> {
         let mut kept = start;
         'candidates: for at in start..found.len() {
             let oid = &found[at];
-            if restriction.as_ref().is_some_and(|keep| !keep.contains(oid)) {
+            if restriction.as_ref().is_some_and(|r| !r.admits(oid)) {
                 continue;
             }
             row[self.slot] = Value::Oid(oid.clone());
@@ -715,8 +717,10 @@ fn eval_keys<'r, 'a: 'r>(
 
 /// What a scan of `class` bound to `var` emits, as `emit` renders each
 /// identity: every source's extent in order, narrowed by the variable's
-/// delta restriction if one is active, and counted as scanned. At most one
-/// source holds objects of `class` (Morphase checks this where sources
+/// delta restriction if one is active, and counted as scanned. A scan
+/// pinned to `Only` Δ visits Δ's identities of `class` that a source holds,
+/// in identity order (the extent's order), and never the extent. At most
+/// one source holds objects of `class` (Morphase checks this where sources
 /// enter), so each identity is emitted once.
 fn scan_extent<T>(
     class: &wol_model::ClassName,
@@ -729,13 +733,18 @@ fn scan_extent<T>(
     if restriction.is_some() {
         stats.restricted_scans += 1;
     }
-    let scanned: Vec<T> = ctx
-        .sources()
-        .iter()
-        .flat_map(|instance| instance.extent(class))
-        .filter(|oid| restriction.is_none_or(|keep| keep.contains(*oid)))
-        .map(emit)
-        .collect();
+    let sources = ctx.sources();
+    let scanned: Vec<T> = match restriction {
+        Some(ScanRestriction::Only(delta)) => (delta.iter())
+            .filter(|oid| oid.class() == class && sources.iter().any(|i| i.contains(oid)))
+            .map(emit)
+            .collect(),
+        _ => (sources.iter())
+            .flat_map(|instance| instance.extent(class))
+            .filter(|oid| restriction.is_none_or(|r| r.admits(oid)))
+            .map(emit)
+            .collect(),
+    };
     stats.rows_scanned += scanned.len();
     scanned
 }
@@ -1637,8 +1646,8 @@ pub(crate) mod tests {
     struct Shape {
         name: &'static str,
         query: Query,
-        /// Delta restriction installed before running, as `(var, kept)`.
-        restrict: Option<(&'static str, BTreeSet<Oid>)>,
+        /// Delta restriction installed before running, as `(var, restriction)`.
+        restrict: Option<(&'static str, ScanRestriction)>,
         /// Whether some operator of the plan gets more than one partition
         /// once there is a budget (false: empty input, or pinned throughout).
         partitions: bool,
@@ -1857,15 +1866,15 @@ pub(crate) mod tests {
                 ),
             ),
             Shape {
-                restrict: Some(("E", cities.iter().step_by(3).cloned().collect())),
+                restrict: Some(("E", only(cities.iter().step_by(3)))),
                 ..shape("restricted driving scan", city_country())
             },
             Shape {
-                restrict: Some(("C", countries[..2].iter().cloned().collect())),
+                restrict: Some(("C", except(countries[2..].iter()))),
                 ..shape("restricted probed scan", city_country())
             },
             Shape {
-                restrict: Some(("E", cities.iter().skip(1).step_by(2).cloned().collect())),
+                restrict: Some(("E", only(cities.iter().skip(1).step_by(2)))),
                 ..shape(
                     "restricted scan+filter",
                     Plan::scan("CityE", "E").filter(Expr::var("E").proj("is_capital")),
@@ -1954,7 +1963,7 @@ pub(crate) mod tests {
                     let mut ctx = EvalCtx::new(&refs)
                         .with_parallelism(Parallelism::new(threads).with_min_items(1));
                     if let Some((var, keep)) = &shape.restrict {
-                        ctx.restrict_scan(*var, std::sync::Arc::new(keep.clone()));
+                        ctx.restrict_scan(*var, keep.clone());
                     }
                     ctx
                 };
@@ -2127,9 +2136,15 @@ pub(crate) mod tests {
                 .hash_join_multi(Plan::scan("R", "Y").map(vec![]), keys.clone());
             let looped = Plan::scan("L", "X").join(Plan::scan("R", "Y"), equality);
             let right: Vec<Oid> = inst.extent(&ClassName::new("R")).cloned().collect();
-            let keep: Option<std::sync::Arc<BTreeSet<Oid>>> = restricted.then(|| {
+            // A restricted case pins `Y` to `Only` a random part of its
+            // extent, or, every other time, to the extent `Except` one.
+            let keep: Option<ScanRestriction> = restricted.then(|| {
                 let kept = right.iter().filter(|_| next(3) != 0);
-                std::sync::Arc::new(kept.cloned().collect())
+                let delta = std::sync::Arc::new(kept.cloned().collect());
+                match (case / 12) % 2 {
+                    0 => ScanRestriction::Only(delta),
+                    _ => ScanRestriction::Except(delta),
+                }
             });
             let refs = [&inst];
             let context = |threads: usize| {
@@ -2499,58 +2514,77 @@ pub(crate) mod tests {
         assert!(rows.is_empty());
     }
 
+    fn only<'o>(oids: impl IntoIterator<Item = &'o Oid>) -> ScanRestriction {
+        ScanRestriction::Only(std::sync::Arc::new(oids.into_iter().cloned().collect()))
+    }
+
+    fn except<'o>(oids: impl IntoIterator<Item = &'o Oid>) -> ScanRestriction {
+        ScanRestriction::Except(std::sync::Arc::new(oids.into_iter().cloned().collect()))
+    }
+
     #[test]
     fn scan_restrictions_narrow_extents_and_bypass_index_probes() {
         let inst = euro_instance();
         let refs = [&inst];
         let cities: Vec<Oid> = inst.extent(&ClassName::new("CityE")).cloned().collect();
-        // Restricting CityE — the *driving* side — keeps the index fast
-        // path: the one surviving delta row probes the CountryE index, and
-        // the restriction applies where the driving rows are produced.
+        let countries: Vec<Oid> = inst.extent(&ClassName::new("CountryE")).cloned().collect();
+        // Restricting CityE — the *driving* side — to `Only` Δ keeps the
+        // index fast path: the one delta row probes the CountryE index. The
+        // scan visits Δ alone, never the extent, so it counts |Δ| scanned;
+        // an identity of another class or one no source holds is skipped.
         let plan = Plan::scan("CityE", "E").hash_join(
             Plan::scan("CountryE", "C"),
             Expr::var("E").path("country.name"),
             Expr::var("C").proj("name"),
         );
+        let absent = Oid::new(ClassName::new("CityE"), 1 << 40);
         let mut ctx = EvalCtx::new(&refs);
-        ctx.restrict_scan(
-            "E",
-            std::sync::Arc::new(std::iter::once(cities[2].clone()).collect()),
-        );
+        ctx.restrict_scan("E", only([&cities[2], &countries[0], &absent]));
         let mut stats = ExecStats::default();
         let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0]["E"], Value::Oid(cities[2].clone()));
         assert_eq!(stats.index_probes, 1);
         assert_eq!(stats.restricted_scans, 1);
-        // Restricting CountryE — the *indexed* side — also keeps the fast
-        // path: the index answers from the full extent, and the probe
-        // filters each candidate against the restriction set, so the
-        // filtered-out identities never resurface. No scan of C actually
-        // runs, so no restricted scan is recorded.
-        let countries: Vec<Oid> = inst.extent(&ClassName::new("CountryE")).cloned().collect();
+        assert_eq!(stats.rows_scanned, 1);
+        // `Except` Δ walks the extent and leaves Δ out.
         let mut ctx = EvalCtx::new(&refs);
-        ctx.restrict_scan(
-            "C",
-            std::sync::Arc::new(std::iter::once(countries[0].clone()).collect()),
-        );
+        ctx.restrict_scan("E", except([&cities[0], &cities[1]]));
         let mut stats = ExecStats::default();
         let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
-        assert!(stats.index_probes > 0);
-        assert_eq!(stats.restricted_scans, 0);
-        assert!(!rows.is_empty());
+        assert_eq!(rows.len(), cities.len() - 2);
         assert!(rows
             .iter()
-            .all(|row| row["C"] == Value::Oid(countries[0].clone())));
-        // An empty restriction yields no rows at all.
+            .all(|row| row["E"] != Value::Oid(cities[0].clone())));
+        assert_eq!(stats.rows_scanned, cities.len() - 2);
+        // Restricting CountryE — the *indexed* side — also keeps the fast
+        // path: the index answers from the full extent, and the probe
+        // filters each candidate against the restriction, so the
+        // filtered-out identities never resurface. No scan of C actually
+        // runs, so no restricted scan is recorded.
+        for restriction in [only([&countries[0]]), except([&countries[1]])] {
+            let mut ctx = EvalCtx::new(&refs);
+            ctx.restrict_scan("C", restriction.clone());
+            let mut stats = ExecStats::default();
+            let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
+            assert!(stats.index_probes > 0);
+            assert_eq!(stats.restricted_scans, 0);
+            assert!(!rows.is_empty());
+            assert!(rows.iter().all(|row| match &row["C"] {
+                Value::Oid(oid) => restriction.admits(oid),
+                _ => false,
+            }));
+        }
+        // An empty `Only` yields no rows at all, and scans nothing.
         let mut ctx = EvalCtx::new(&refs);
-        ctx.restrict_scan("E", std::sync::Arc::new(Default::default()));
+        ctx.restrict_scan("E", only([]));
         let mut stats = ExecStats::default();
         let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert!(rows.is_empty());
+        assert_eq!(stats.rows_scanned, 0);
         // Clearing restrictions restores the full result and the fast path.
         let mut ctx = EvalCtx::new(&refs);
-        ctx.restrict_scan("E", std::sync::Arc::new(Default::default()));
+        ctx.restrict_scan("E", only([]));
         ctx.clear_scan_restrictions();
         let mut stats = ExecStats::default();
         let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
@@ -2563,12 +2597,14 @@ pub(crate) mod tests {
     fn restricted_runs_match_filtered_full_runs() {
         // A restricted evaluation must produce exactly the rows of the full
         // evaluation whose restricted scan var falls in the kept set — the
-        // correctness contract the delta evaluator depends on.
+        // correctness contract the delta evaluator depends on — whether the
+        // set is pinned `Only` itself or as the extent `Except` the rest.
         let inst = euro_instance();
         let refs = [&inst];
         let cities: Vec<Oid> = inst.extent(&ClassName::new("CityE")).cloned().collect();
         let keep: std::collections::BTreeSet<Oid> =
             [cities[0].clone(), cities[2].clone()].into_iter().collect();
+        let rest: Vec<&Oid> = cities.iter().filter(|oid| !keep.contains(*oid)).collect();
         let plan = Plan::scan("CityE", "E")
             .join(
                 Plan::scan("CountryE", "C"),
@@ -2585,11 +2621,14 @@ pub(crate) mod tests {
             .filter(|row| matches!(&row["E"], Value::Oid(o) if keep.contains(o)))
             .cloned()
             .collect();
-        let mut ctx = EvalCtx::new(&refs);
-        ctx.restrict_scan("E", std::sync::Arc::new(keep));
-        let mut stats = ExecStats::default();
-        let restricted = named_rows(&plan, &mut ctx, &mut stats).unwrap();
-        assert_eq!(restricted, expected);
+        assert!(!expected.is_empty());
+        for restriction in [only(&keep), except(rest)] {
+            let mut ctx = EvalCtx::new(&refs);
+            ctx.restrict_scan("E", restriction);
+            let mut stats = ExecStats::default();
+            let restricted = named_rows(&plan, &mut ctx, &mut stats).unwrap();
+            assert_eq!(restricted, expected);
+        }
     }
 
     /// Run `plan` with the columnar tower on and off; both must agree.

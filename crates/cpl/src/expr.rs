@@ -18,7 +18,9 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use wol_model::{ClassName, Instance, Label, Oid, PushOp, Record, SkolemFactory, Value};
+use wol_model::{
+    ClassName, Instance, Label, Oid, PushOp, Record, ScanRestriction, SkolemFactory, Value,
+};
 
 use crate::error::CplError;
 use crate::Result;
@@ -187,15 +189,16 @@ pub struct EvalCtx<'a> {
     /// columnar/row differential contract — equal `ExecStats` — is not
     /// trivially violated by the path that ran).
     columnar_stats: crate::exec::ColumnarStats,
-    /// Delta-aware execution: per scan *variable*, the only identities the
-    /// scan may emit. Installed by the incremental maintainer
+    /// Delta-aware execution: per scan *variable*, which identities the scan
+    /// may emit. Installed by the incremental maintainer
     /// (`morphase::maintain`) to run a plan restricted to a mutation delta —
-    /// the semi-naive rotation. Scans apply their restriction directly; the
-    /// index-probe fast path keeps firing and post-filters probe candidates
-    /// by the probed variable's set (the attribute indexes answer from the
-    /// full extent and do not see the restriction themselves). Only the
-    /// columnar tower steps aside while any restriction is active.
-    scan_restrictions: BTreeMap<String, std::sync::Arc<std::collections::BTreeSet<wol_model::Oid>>>,
+    /// the semi-naive rotation. Scans apply their restriction directly (an
+    /// `Only` scan visits its set alone); the index-probe fast path keeps
+    /// firing and post-filters probe candidates by the probed variable's
+    /// restriction (the attribute indexes answer from the full extent and do
+    /// not see it themselves). Only the columnar tower steps aside while any
+    /// restriction is active.
+    scan_restrictions: BTreeMap<String, ScanRestriction>,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -319,17 +322,13 @@ impl<'a> EvalCtx<'a> {
         &self.sources
     }
 
-    /// Restrict the scan bound to `var` to the given identity set (the
-    /// delta-evaluation hook: a semi-naive rotation pins one scan slot to the
-    /// changed identities and later slots to the pre-batch extent). The
-    /// restriction is keyed by scan *variable*, so two scans of the same
+    /// Narrow the scan bound to `var` (the delta-evaluation hook: a
+    /// semi-naive rotation pins one scan slot to `Only` the changed
+    /// identities and later changed slots to the extent `Except` theirs).
+    /// The restriction is keyed by scan *variable*, so two scans of the same
     /// class restrict independently.
-    pub fn restrict_scan(
-        &mut self,
-        var: impl Into<String>,
-        oids: std::sync::Arc<std::collections::BTreeSet<wol_model::Oid>>,
-    ) {
-        self.scan_restrictions.insert(var.into(), oids);
+    pub fn restrict_scan(&mut self, var: impl Into<String>, restriction: ScanRestriction) {
+        self.scan_restrictions.insert(var.into(), restriction);
     }
 
     /// Drop every scan restriction (back to full-extent evaluation).
@@ -338,10 +337,7 @@ impl<'a> EvalCtx<'a> {
     }
 
     /// The active restriction for a scan variable, if any.
-    pub(crate) fn scan_restriction(
-        &self,
-        var: &str,
-    ) -> Option<&std::sync::Arc<std::collections::BTreeSet<wol_model::Oid>>> {
+    pub(crate) fn scan_restriction(&self, var: &str) -> Option<&ScanRestriction> {
         self.scan_restrictions.get(var)
     }
 
@@ -354,17 +350,12 @@ impl<'a> EvalCtx<'a> {
     /// The full restriction map, for handing to worker contexts (partitions
     /// evaluate probe candidates off the calling context and must observe
     /// the same deltas).
-    pub(crate) fn scan_restrictions_map(
-        &self,
-    ) -> &BTreeMap<String, std::sync::Arc<std::collections::BTreeSet<wol_model::Oid>>> {
+    pub(crate) fn scan_restrictions_map(&self) -> &BTreeMap<String, ScanRestriction> {
         &self.scan_restrictions
     }
 
     /// Install a restriction map wholesale (worker-context setup).
-    pub(crate) fn set_scan_restrictions(
-        &mut self,
-        map: BTreeMap<String, std::sync::Arc<std::collections::BTreeSet<wol_model::Oid>>>,
-    ) {
+    pub(crate) fn set_scan_restrictions(&mut self, map: BTreeMap<String, ScanRestriction>) {
         self.scan_restrictions = map;
     }
 

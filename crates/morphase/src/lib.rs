@@ -52,9 +52,11 @@
 //!   the identities its scans bound, whatever order the executor emitted it
 //!   in; the read set of the normal clause each query was compiled from
 //!   ([`wol_engine::ReadSet`], the walk the federation and the incremental
-//!   constraint checker share) picks the queries a batch churns,
+//!   constraint checker share) says which objects a query reads through
+//!   references, so a batch marks the scanned objects that reach a changed
+//!   one stale, stale rows are swept by key, and
 //!   [`wol_engine::delta_rotations`] derives exactly the new rows
-//!   semi-naively, and stale rows are swept by key.
+//!   semi-naively.
 //! * **The ledger settles** — a Skolem identity is a function of its class
 //!   and key, so a replayed row mints exactly the identity a fresh run would;
 //!   each object's multiset of contributed records settles — through

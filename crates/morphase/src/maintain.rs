@@ -39,17 +39,31 @@
 //!   reads what its query reads.) A projection off a member-bound variable
 //!   is covered by the row key; every other projection base is typed by
 //!   wol-lang's checker over the clause body, and a base whose type is a
-//!   class makes that class a *foreign read*. A base with no type is an
+//!   class is a *foreign read* of that class. A base with no type is an
 //!   internal error at build time.
+//! * A foreign read is inverted once, at build time. When its base is a
+//!   projection chain `X.a₁…aₙ` off a scan variable `X`, each proper prefix
+//!   typed as a class — genome's `G7` reads `S.clone.name`, the base
+//!   `S.clone` one hop off its markers — a changed object of the read class
+//!   reaches the scanned objects whose `aₙ` … `a₁` lead to it, found hop by
+//!   hop with [`Instance::lookup_by_attrs`] on the post-batch sources (an
+//!   object the batch left as it was still holds the reference it held). Any
+//!   other base reaches the whole extent of its variable's class.
 //!
-//! When a batch lands, rows to **remove** are found by identity: any cached
-//! row whose key contains a stale (updated or removed) identity, or — when a
-//! foreign-read class saw staleness — every row of the query (*churn*).
-//! Rows to **add** come from [`wol_engine::delta_rotations`]: one semi-naive
+//! When a batch lands, each query sees the batch's delta with the scanned
+//! objects its foreign reads reach from the batch's inserted, updated and
+//! removed objects joined as *updated*: their rows read what changed, so
+//! they are stale although their own values are not. A reference that
+//! dangled and now resolves is reached too, by the insert that resolves it.
+//! Rows to **remove** are then found by identity: any cached row whose key
+//! contains a stale (updated or removed) identity of that delta. Rows to
+//! **add** come from [`wol_engine::delta_rotations`]: one semi-naive
 //! evaluation of the plan per changed slot, with scan restrictions
-//! partitioning exactly the rows that bind at least one changed identity. A normal clause's body holds
-//! only source atoms, so no compiled query scans the target, and every
-//! compiled program maintains in place.
+//! partitioning exactly the rows that bind at least one changed identity. A
+//! row that binds no changed identity reads nothing the batch changed, so
+//! it is neither swept nor derived. A normal clause's body holds only
+//! source atoms, so no compiled query scans the target, and every compiled
+//! program maintains in place.
 //!
 //! **The ledger settles.** `Mk_C(k)` is derived from `(C, k)`
 //! ([`wol_model::skolem_id`]), so a replayed row mints exactly the
@@ -100,7 +114,6 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use cpl::exec::{layout, run_slots, ExecStats, LoweredInsert};
 use cpl::expr::{EvalCtx, SlotRow};
@@ -109,10 +122,10 @@ use storage::persist::PipelineJournal;
 use wol_engine::{check_batch, BatchCheck, Databases, EngineError};
 use wol_engine::{delta_rotations, NormalClause, ReadSet, Slot};
 use wol_lang::program::Program;
-use wol_lang::Clause;
+use wol_lang::{Clause, Term};
 use wol_model::{
-    BatchDelta, BatchPreimages, ClassName, Conflict, Fingerprint, Instance, Mutation,
-    MutationBatch, Oid, Record, Schema, SkolemFactory, SourceOp, Type, Value,
+    BatchDelta, BatchPreimages, ClassDelta, ClassName, Conflict, Fingerprint, Instance, Label,
+    Mutation, MutationBatch, Oid, Record, Schema, SkolemFactory, SourceOp, Type, Value,
 };
 
 use crate::pipeline::{
@@ -184,7 +197,7 @@ pub struct MaintainStats {
     /// rejected).
     pub constraint_violations: u64,
     /// Execution statistics of all maintenance plan evaluations (the
-    /// initial fill, rotations and churn refills).
+    /// initial fill and the rotations).
     pub delta_exec: ExecStats,
 }
 
@@ -279,43 +292,153 @@ struct QueryAnalysis {
     plan: Plan,
     /// The insert actions, lowered against the plan's layout.
     inserts: Vec<LoweredInsert>,
-    /// Classes read through projections the row key does not cover.
-    foreign: BTreeSet<ClassName>,
+    /// What the query reads through projections the row key does not cover.
+    foreign: Vec<ForeignRead>,
 }
 
-/// The classes `clause` reads through projection bases its row key does not
-/// cover: each uncovered base of its [`ReadSet`] whose type — wol-lang's
-/// inference over the clause body, under the program's schemas — is a class.
-fn foreign_reads(clause: &NormalClause, schemas: &[&Schema]) -> Result<BTreeSet<ClassName>> {
+/// One foreign read: a projection base, typed as a class, that a query's
+/// row key does not cover.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct ForeignRead {
+    /// The class of the objects the base reads.
+    class: ClassName,
+    /// From a read object back to the scanned objects that reach it.
+    inversion: Inversion,
+}
+
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Inversion {
+    /// The base is a chain `X.a₁…aₙ` off a scan variable `X` whose proper
+    /// prefixes `X.a₁…aₖ` are typed as classes `Cₖ`: the hops `(C₀, a₁) …
+    /// (Cₙ₋₁, aₙ)`, `C₀` being the class `X` scans.
+    Chain(Vec<(ClassName, Label)>),
+    /// Any other base: every object of this scanned class may reach it.
+    Whole(ClassName),
+}
+
+impl ForeignRead {
+    /// The scanned objects whose rows read an object of `self.class` that
+    /// `changed` inserted, updated or removed, with their class, found on
+    /// the post-batch `sources`: an object the batch left as it was still
+    /// holds the reference it held before.
+    fn readers(&self, changed: &ClassDelta, sources: &[&Instance]) -> (ClassName, Vec<Oid>) {
+        let hops = match &self.inversion {
+            Inversion::Whole(class) => {
+                let extent = sources.iter().flat_map(|s| s.extent(class));
+                return (class.clone(), extent.cloned().collect());
+            }
+            Inversion::Chain(hops) => hops,
+        };
+        let changed = [&changed.inserted, &changed.updated, &changed.removed];
+        let mut found: Vec<Oid> = changed.into_iter().flatten().cloned().collect();
+        for (class, attr) in hops.iter().rev() {
+            let mut holders = Vec::new();
+            for reference in found.into_iter().map(Value::Oid) {
+                for source in sources {
+                    source.lookup_by_attrs(class, &[attr], &[&reference], &mut holders);
+                }
+            }
+            found = holders;
+        }
+        (hops[0].0.clone(), found)
+    }
+}
+
+/// The foreign reads of `clause`: each uncovered base of its [`ReadSet`]
+/// whose type — wol-lang's inference over the clause body, under the
+/// program's schemas — is a class, with its [`Inversion`].
+fn foreign_reads(clause: &NormalClause, schemas: &[&Schema]) -> Result<Vec<ForeignRead>> {
     let read = ReadSet::of_normal(clause);
-    let mut foreign = BTreeSet::new();
     if read.uncovered.is_empty() {
-        return Ok(foreign);
+        return Ok(Vec::new());
     }
     let name = clause.provenance.join("+");
+    let render = |base: &Term| wol_lang::render_term(base);
     let body = Clause::new(Vec::new(), clause.body.clone());
     let types = wol_lang::infer_term_types(&body, schemas, read.uncovered.iter().copied())
         .map_err(|e| MorphaseError::Execution(format!("cannot type the reads of `{name}`: {e}")))?;
+    let mut classes = Vec::with_capacity(types.len());
     for (base, ty) in read.uncovered.iter().zip(types) {
         let mut ty = ty.ok_or_else(|| {
-            MorphaseError::Execution(format!(
-                "projection base `{}` of `{name}` has no type",
-                wol_lang::render_term(base)
-            ))
+            let base = render(base);
+            MorphaseError::Execution(format!("projection base `{base}` of `{name}` has no type"))
         })?;
         while let Type::Optional(inner) = ty {
             ty = *inner;
         }
-        if let Type::Class(class) = ty {
-            foreign.insert(class);
+        classes.push(match ty {
+            Type::Class(class) => Some(class),
+            _ => None,
+        });
+    }
+    // A proper prefix of an uncovered base is itself one: the walk pushes
+    // every base it meets on the way down a projection.
+    let class_of = |term: &Term| match term {
+        Term::Var(var) => read.members.get(var).map(|&class| class.clone()),
+        _ => classes[read.uncovered.iter().position(|base| *base == term)?].clone(),
+    };
+    let mut foreign = Vec::new();
+    for (base, class) in read.uncovered.iter().zip(&classes) {
+        let Some(class) = class.clone() else { continue };
+        let mut spine = Vec::new();
+        let mut holder = *base;
+        while let Term::Proj(inner, label) = holder {
+            spine.push((class_of(inner), label.clone()));
+            holder = inner;
+        }
+        let chain = (spine.into_iter().rev())
+            .map(|(holder, label)| Some((holder?, label)))
+            .collect::<Option<Vec<_>>>()
+            .filter(|chain| !chain.is_empty() && matches!(holder, Term::Var(_)));
+        let inversion = match (chain, read.members.values().next()) {
+            (Some(chain), _) => Inversion::Chain(chain),
+            (None, Some(&scanned)) => Inversion::Whole(scanned.clone()),
+            (None, None) => {
+                let base = render(base);
+                let e =
+                    format!("projection base `{base}` of `{name}` reads a class; it scans none");
+                return Err(MorphaseError::Execution(e));
+            }
+        };
+        let read = ForeignRead { class, inversion };
+        if !foreign.contains(&read) {
+            foreign.push(read);
         }
     }
     Ok(foreign)
 }
 
+/// `delta` as one query sees it: for each of its foreign reads whose class
+/// the batch changed, every scanned object whose rows read a changed object
+/// joins as updated — unless the batch inserted it — so the sweep by key
+/// removes exactly those rows and the rotations re-derive them.
+fn query_delta<'d>(
+    analysis: &QueryAnalysis,
+    delta: &'d BatchDelta,
+    sources: &[&Instance],
+) -> Cow<'d, BatchDelta> {
+    let mut widened = Cow::Borrowed(delta);
+    for read in &analysis.foreign {
+        let Some(changed) = delta.class(&read.class).filter(|d| !d.is_empty()) else {
+            continue;
+        };
+        let (class, readers) = read.readers(changed, sources);
+        if readers.is_empty() {
+            continue;
+        }
+        let joined = widened.to_mut().classes.entry(class).or_default();
+        for oid in readers {
+            if !joined.inserted.contains(&oid) {
+                joined.updated.insert(oid);
+            }
+        }
+    }
+    widened
+}
+
 /// Analyse one compiled query for incremental maintenance, given the
 /// [`foreign_reads`] of the normal clause it was compiled from.
-fn analyze_query(query: Query, foreign: BTreeSet<ClassName>) -> Result<QueryAnalysis> {
+fn analyze_query(query: Query, foreign: Vec<ForeignRead>) -> Result<QueryAnalysis> {
     let slots: Vec<Slot> = query
         .plan
         .scan_classes()
@@ -471,7 +594,6 @@ fn build_state(
 /// what it cost. On `Err` the pipeline must be poisoned.
 fn repair_incremental(
     sources: &[Instance],
-    mutated: usize,
     options: PipelineOptions,
     core: &mut Core,
     delta: &BatchDelta,
@@ -481,34 +603,28 @@ fn repair_incremental(
     let mut touched: BTreeSet<Oid> = BTreeSet::new();
     let mut rows_removed = 0u64;
     let mut rows_added = 0u64;
+    let deltas: Vec<Cow<'_, BatchDelta>> = (core.analyses.iter())
+        .map(|analysis| query_delta(analysis, delta, &refs))
+        .collect();
 
     // Phase A: sweep stale rows out of the caches, dropping their supports.
-    let mut churns = Vec::with_capacity(core.analyses.len());
-    for (analysis, cache) in core.analyses.iter().zip(&mut core.caches) {
-        let churn = analysis
-            .foreign
+    for ((analysis, cache), delta) in core.analyses.iter().zip(&mut core.caches).zip(&deltas) {
+        let stale: Vec<BTreeSet<Oid>> = analysis
+            .slots
             .iter()
-            .any(|c| delta.class(c).is_some_and(|d| !d.stale().is_empty()));
-        churns.push(churn);
-        let mut swept = Vec::new();
-        if churn {
-            swept.extend(std::mem::take(cache).into_values());
-        } else {
-            let stale: Vec<BTreeSet<Oid>> = analysis
-                .slots
-                .iter()
-                .map(|s| delta.class(&s.class).map(|d| d.stale()).unwrap_or_default())
-                .collect();
-            if stale.iter().any(|s| !s.is_empty()) {
-                cache.retain(|key, row| {
-                    let hit = key.iter().zip(&stale).any(|(oid, s)| s.contains(oid));
-                    if hit {
-                        swept.push(std::mem::take(row));
-                    }
-                    !hit
-                });
-            }
+            .map(|s| delta.class(&s.class).map(|d| d.stale()).unwrap_or_default())
+            .collect();
+        if stale.iter().all(BTreeSet::is_empty) {
+            continue;
         }
+        let mut swept = Vec::new();
+        cache.retain(|key, row| {
+            let hit = key.iter().zip(&stale).any(|(oid, s)| s.contains(oid));
+            if hit {
+                swept.push(std::mem::take(row));
+            }
+            !hit
+        });
         rows_removed += swept.len() as u64;
         for (oid, record) in swept.iter().flat_map(|row| &row.contribs) {
             core.ledger.remove(oid, record)?;
@@ -519,20 +635,15 @@ fn repair_incremental(
     // Phase B: derive and replay the added rows, in program order.
     let mut ctx = EvalCtx::new(&refs).with_parallelism(options.parallelism);
     ctx.factory = std::mem::take(&mut core.factory);
-    let queries = core.analyses.iter().zip(&mut core.caches).zip(churns);
-    for ((analysis, cache), churn) in queries {
+    for ((analysis, cache), delta) in core.analyses.iter().zip(&mut core.caches).zip(&deltas) {
         let mut added = RowCache::new();
-        if churn {
-            derive(analysis, &mut ctx, exec, &mut added)?;
-        } else {
-            for rotation in delta_rotations(&analysis.slots, delta, &sources[mutated]) {
-                for (var, set) in &rotation.restrictions {
-                    ctx.restrict_scan(var.clone(), Arc::clone(set));
-                }
-                let derived = derive(analysis, &mut ctx, exec, &mut added);
-                ctx.clear_scan_restrictions();
-                derived?;
+        for rotation in delta_rotations(&analysis.slots, delta) {
+            for (var, restriction) in rotation.restrictions {
+                ctx.restrict_scan(var, restriction);
             }
+            let derived = derive(analysis, &mut ctx, exec, &mut added);
+            ctx.clear_scan_restrictions();
+            derived?;
         }
         // Each source class lives in one source, so every added row binds
         // an identity no surviving row binds (see the module docs).
@@ -740,7 +851,7 @@ impl MaterializedPipeline {
             self.check_batch_constraints(source, &delta, mode, &preimages)?
         };
         self.stats.batches += 1;
-        let report = match self.maintain(source, &delta) {
+        let report = match self.maintain(&delta) {
             Ok(report) => report,
             Err(e) => {
                 self.poisoned = true;
@@ -873,10 +984,9 @@ impl MaterializedPipeline {
         Ok(())
     }
 
-    fn maintain(&mut self, source: usize, delta: &BatchDelta) -> Result<BatchReport> {
+    fn maintain(&mut self, delta: &BatchDelta) -> Result<BatchReport> {
         let report = repair_incremental(
             &self.sources,
-            source,
             self.options,
             &mut self.core,
             delta,
@@ -1235,6 +1345,91 @@ mod tests {
         assert_matches_oracle(&pipeline);
     }
 
+    /// Renaming a clone sweeps exactly the cached rows that read it — those
+    /// binding the clone, and `G7`'s binding a marker whose `clone` holds it
+    /// (`G7` reads `S.clone.name`) — and re-derives each of them; the rest
+    /// of `G7` stays cached.
+    #[test]
+    fn a_clone_rename_sweeps_exactly_the_rows_that_read_the_clone() {
+        let mut pipeline = genome_pipeline(&GenomeParams::scaled(1));
+        let (clone_s, marker_s) = (ClassName::new("CloneS"), ClassName::new("MarkerS"));
+        let source = pipeline.source(0).unwrap();
+        // The clone the most markers reference.
+        let mut referencing: BTreeMap<&Oid, BTreeSet<Oid>> = BTreeMap::new();
+        for (marker, value) in source.objects(&marker_s) {
+            if let Some(Value::Oid(clone)) = value.project("clone") {
+                referencing.entry(clone).or_default().insert(marker.clone());
+            }
+        }
+        let (victim, markers) = referencing
+            .into_iter()
+            .max_by_key(|(_, markers)| markers.len())
+            .map(|(clone, markers)| (clone.clone(), markers))
+            .unwrap();
+        assert!(markers.len() > 1);
+        let mut swept = 0;
+        let mut g7_rows = 0;
+        for (analysis, cache) in pipeline.core.analyses.iter().zip(&pipeline.core.caches) {
+            let reads_clones = analysis.foreign.iter().any(|read| read.class == clone_s);
+            if reads_clones {
+                g7_rows = cache.len();
+            }
+            let reads = |oid: &Oid| *oid == victim || (reads_clones && markers.contains(oid));
+            swept += cache.keys().filter(|key| key.iter().any(reads)).count() as u64;
+        }
+        let mut value = source.value(&victim).unwrap().clone();
+        if let Value::Record(fields) = &mut value {
+            fields.insert("name".into(), Value::from("renamed-clone"));
+        }
+        let report = pipeline
+            .apply_batch(&MutationBatch::new().update(victim, value))
+            .unwrap();
+        assert_eq!((report.rows_removed, report.rows_added), (swept, swept));
+        assert!(swept > markers.len() as u64 && swept < g7_rows as u64 / 10);
+        assert_matches_oracle(&pipeline);
+    }
+
+    /// A base that is no chain off a scan variable — here `V`, bound by an
+    /// equation to `S.clone` — widens its read to the whole extent of a
+    /// scanned class: renaming one clone sweeps and re-derives every row.
+    #[test]
+    fn a_base_bound_through_a_variable_widens_to_the_whole_extent() {
+        use wol_lang::program::SchemaBinding;
+        let target = Schema::new("labels").with_class(
+            "LabelT",
+            Type::record([("name", Type::str()), ("clone_name", Type::str())]),
+        );
+        let program = Program::new(
+            "marker_labels",
+            vec![SchemaBinding::new(genome::source_schema())],
+            SchemaBinding::new(target),
+        )
+        .with_text(
+            "L1: X in LabelT, X.name = N, X.clone_name = C <= S in MarkerS, N = S.name, \
+                 V = S.clone, C = V.name;\n\
+             K1: X = Mk_LabelT(N) <= X in LabelT, N = X.name;",
+        );
+        let source = genome::generate_source(&GenomeParams::default());
+        let mut pipeline =
+            MaterializedPipeline::new(&program, vec![source], PipelineOptions::default()).unwrap();
+        let analysis = &pipeline.core.analyses[0];
+        let whole = Inversion::Whole(ClassName::new("MarkerS"));
+        assert_eq!(analysis.foreign[0].inversion, whole);
+        let rows = pipeline.core.caches[0].len() as u64;
+        let clone_s = ClassName::new("CloneS");
+        let victim = pipeline.source(0).unwrap().extent(&clone_s).next().cloned();
+        let victim = victim.unwrap();
+        let mut value = pipeline.source(0).unwrap().value(&victim).unwrap().clone();
+        if let Value::Record(fields) = &mut value {
+            fields.insert("name".into(), Value::from("renamed-clone"));
+        }
+        let report = pipeline
+            .apply_batch(&MutationBatch::new().update(victim, value))
+            .unwrap();
+        assert_eq!((report.rows_removed, report.rows_added), (rows, rows));
+        assert_matches_oracle(&pipeline);
+    }
+
     /// A batch inserting a second clone under each of two existing clones'
     /// names, with another length, and the two names.
     fn conflicting_twins(source: &Instance) -> (MutationBatch, Vec<Value>) {
@@ -1321,9 +1516,23 @@ mod tests {
         }
     }
 
+    /// A foreign read as `read class <- slot class.attribute` for each hop
+    /// of its inversion, the read object's holder first.
+    fn render_foreign_read(read: &ForeignRead) -> String {
+        let hops = match &read.inversion {
+            Inversion::Chain(hops) => (hops.iter().rev())
+                .map(|(class, attr)| format!("{class}.{attr}"))
+                .collect::<Vec<_>>()
+                .join(" <- "),
+            Inversion::Whole(class) => format!("whole {class}"),
+        };
+        format!("{} <- {hops}", read.class)
+    }
+
     /// What each consumer reads off the shared [`ReadSet`], for every
-    /// workload program: the maintainer's foreign reads per query, the
-    /// federation's ingest projections and the constraint checker's locality.
+    /// workload program: the maintainer's foreign reads per query with
+    /// their inversions, the federation's ingest projections and the
+    /// constraint checker's locality.
     #[test]
     fn read_sets_of_every_workload_program_are_pinned() {
         use crate::federate::class_projections;
@@ -1353,11 +1562,11 @@ mod tests {
             let front = Front::build(PipelineOptions::default(), program).unwrap();
             let schemas = front.augmented.schemas();
             for clause in &front.normal.clauses {
-                let classes = foreign_reads(clause, &schemas).unwrap();
-                if !classes.is_empty() {
+                let reads = foreign_reads(clause, &schemas).unwrap();
+                if !reads.is_empty() {
                     let query = format!("{name} {}", clause.provenance.join("+"));
-                    let classes: Vec<String> = classes.iter().map(ClassName::to_string).collect();
-                    foreign.insert(query, classes.join(","));
+                    let reads: Vec<String> = reads.iter().map(render_foreign_read).collect();
+                    foreign.insert(query, reads.join(", "));
                 }
             }
             // What an ingest of each source class would keep (`None`: every
@@ -1405,11 +1614,14 @@ mod tests {
         assert_eq!(
             foreign,
             pinned(&[
-                ("genome G7 (#6)", "CloneS"),
-                ("euro T2 (#1)", "CountryE"),
-                ("euro T3 (#2)", "CountryE"),
-                ("us U2 (#1)", "StateA"),
-                ("us U3 (#2)", "CityA,StateA"),
+                ("genome G7 (#6)", "CloneS <- MarkerS.clone"),
+                ("euro T2 (#1)", "CountryE <- CityE.country"),
+                ("euro T3 (#2)", "CountryE <- CityE.country"),
+                ("us U2 (#1)", "StateA <- CityA.state"),
+                (
+                    "us U3 (#2)",
+                    "CityA <- StateA.capital, StateA <- CityA.state"
+                ),
             ])
         );
         projections.retain(|k, _| {
@@ -1460,7 +1672,7 @@ mod tests {
             Expr::var("M").proj("clone"),
             Expr::var("C"),
         ));
-        let analysis = analyze_query(join, BTreeSet::new()).unwrap();
+        let analysis = analyze_query(join, Vec::new()).unwrap();
         assert_eq!(
             analysis.slots,
             vec![Slot::new("C", "CloneS"), Slot::new("M", "MarkerS")]

@@ -377,9 +377,9 @@ pub(crate) fn check_constraint_counted(
     let (body_plan, bound) = build_plan(&clause.body, initial.keys().cloned().collect(), dbs);
     let (witness_plan, _) = build_plan(&witness_atoms, bound, dbs);
 
-    // Functionality/injectivity state for Skolem key atoms across all bindings.
-    let mut key_to_obj: HashMap<(ClassName, Value), Value> = HashMap::new();
-    let mut obj_to_key: HashMap<(ClassName, Value), Value> = HashMap::new();
+    // Functionality/injectivity state for Skolem key atoms across all
+    // bindings, per class.
+    let mut keys: Vec<(&ClassName, KeyMaps)> = Vec::new();
     let mut key_error = None;
     let mut checked: u64 = 0;
     let mut search = Search::new(&mut skolem, &mut stats, &initial);
@@ -405,9 +405,14 @@ pub(crate) fn check_constraint_counted(
                 continue;
             };
             let object_value = object_value.into_owned();
-            let class_key = (class.clone(), key_value.clone());
-            if let Some(previous) = key_to_obj.get(&class_key) {
-                if previous != &object_value {
+            let at = keys.iter().position(|(c, _)| *c == class);
+            let at = at.unwrap_or_else(|| {
+                keys.push((class, KeyMaps::default()));
+                keys.len() - 1
+            });
+            let maps = &mut keys[at].1;
+            let known = match maps.key_to_obj.get(&key_value) {
+                Some((previous, _)) if previous != &object_value => {
                     violations.push(Violation {
                         clause: clause_name.clone(),
                         detail: format!(
@@ -417,22 +422,28 @@ pub(crate) fn check_constraint_counted(
                     });
                     continue;
                 }
-            }
-            key_to_obj.insert(class_key, object_value.clone());
-            let obj_key = (class.clone(), object_value);
-            if let Some(previous) = obj_to_key.get(&obj_key) {
-                if previous != &key_value {
+                known => known.map(|(_, number)| *number),
+            };
+            let number = known.unwrap_or(maps.key_to_obj.len());
+            match maps.obj_to_key.get(&object_value).copied() {
+                Some(previous) if previous != number => {
+                    let previous = maps.key(previous);
                     violations.push(Violation {
                         clause: clause_name.clone(),
                         detail: format!(
                             "an object of class `{class}` has two distinct key values ({previous:?} and {key_value:?})"
                         ),
-                        oids: oid_witnesses([&obj_key.1]),
+                        oids: oid_witnesses([&object_value]),
                     });
-                    continue;
+                }
+                Some(_) => {}
+                None => {
+                    maps.obj_to_key.insert(object_value.clone(), number);
                 }
             }
-            obj_to_key.insert(obj_key, key_value);
+            if known.is_none() {
+                maps.key_to_obj.insert(key_value, (object_value, number));
+            }
         }
         // 2. Witness atoms: there must exist an extension of the binding
         //    satisfying all of them.
@@ -453,6 +464,26 @@ pub(crate) fn check_constraint_counted(
         Ok(())
     })?;
     key_error.map_or(Ok((violations, checked)), Err)
+}
+
+/// One class's Skolem key state across a check's bindings: the object each
+/// key value names, and the key value each object was first named by. Each
+/// key value is stored once, numbered in first-seen order, and an object
+/// holds its key's number.
+#[derive(Default)]
+struct KeyMaps {
+    key_to_obj: HashMap<Value, (Value, usize)>,
+    obj_to_key: HashMap<Value, usize>,
+}
+
+impl KeyMaps {
+    /// The key value numbered `number` — every number names one — found by
+    /// a scan, which only a violation makes.
+    fn key(&self, number: usize) -> &Value {
+        let mut keys = self.key_to_obj.iter();
+        let found = keys.find(|(_, (_, n))| *n == number);
+        found.map_or(&Value::Absent, |(key, _)| key)
+    }
 }
 
 /// Check several constraints; returns all violations found.

@@ -79,7 +79,9 @@ pub use histogram::{AttrHistogram, SAMPLE_THRESHOLD};
 pub use index::{value_hash, AttrIndex};
 pub use instance::{AttrStats, ClassStats, Instance, Mutation, StorageSharing};
 pub use keys::{skolem_id, KeyExpr, KeySpec, SkolemFactory, SkolemState};
-pub use mutate::{BatchDelta, BatchPreimages, ClassDelta, MutationBatch, SourceOp};
+pub use mutate::{
+    BatchDelta, BatchPreimages, ClassDelta, MutationBatch, ScanRestriction, SourceOp,
+};
 pub use oid::Oid;
 pub use parallel::{chunk_ranges, Job, Parallelism, WorkerPool};
 pub use path::Path;

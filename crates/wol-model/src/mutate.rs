@@ -15,6 +15,7 @@
 //! and then removed is just `removed`.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crate::instance::Instance;
 use crate::oid::Oid;
@@ -120,6 +121,29 @@ impl BatchDelta {
     /// Whether the batch had no net effect.
     pub fn is_empty(&self) -> bool {
         self.classes.values().all(ClassDelta::is_empty)
+    }
+}
+
+/// How a delta evaluation narrows one scan of a class, given a set Δ of
+/// the batch's changed identities of that class. Neither variant reads the
+/// extent: a scan pinned to `Only` visits Δ alone, and `Except` is the
+/// extent a scan walks anyway, minus Δ.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ScanRestriction {
+    /// Only the identities in Δ (a rotation's pivot slot).
+    Only(Arc<BTreeSet<Oid>>),
+    /// Every identity of the extent except those in Δ (a later changed
+    /// slot: its part of the extent the batch left as it was).
+    Except(Arc<BTreeSet<Oid>>),
+}
+
+impl ScanRestriction {
+    /// Whether a scan under this restriction may emit `oid`.
+    pub fn admits(&self, oid: &Oid) -> bool {
+        match self {
+            ScanRestriction::Only(delta) => delta.contains(oid),
+            ScanRestriction::Except(delta) => !delta.contains(oid),
+        }
     }
 }
 

@@ -12,13 +12,14 @@
 //! The operation mix is weighted ([`TrafficWeights`]); two presets matter:
 //!
 //! * [`TrafficWeights::in_place`] — inserts and position updates only:
-//!   no churn, no sweep of a minted key; used by the E11 bench's
-//!   steady-state phase and the perf-regression guard.
+//!   no foreign-read sweep, no sweep of a minted key; used by the E11
+//!   bench's steady-state phase and the perf-regression guard.
 //! * [`TrafficWeights::mixed`] — adds duplicate Skolem keys (two source
 //!   markers with the same name feeding one warehouse object), attribute
-//!   updates on referenced clones (foreign-read churn), removals and renames
-//!   of minted keys (sweeps of cached rows); used by the differential and
-//!   soak suites to hit every maintenance path.
+//!   updates on referenced clones (foreign reads: the markers referencing
+//!   the clone re-derive their `G7` rows), removals and renames of minted
+//!   keys (sweeps of cached rows); used by the differential and soak suites
+//!   to hit every maintenance path.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,7 +60,7 @@ impl TrafficWeights {
         }
     }
 
-    /// Every maintenance path: churn, sweeps and duplicate keys.
+    /// Every maintenance path: foreign reads, sweeps and duplicate keys.
     pub fn mixed() -> TrafficWeights {
         TrafficWeights {
             insert_clone: 2,

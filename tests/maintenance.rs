@@ -12,10 +12,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use wol_repro::cpl::Parallelism;
 use wol_repro::morphase::{
-    DurableOptions, MaterializedPipeline, Morphase, MorphaseError, PipelineOptions, PipelineService,
+    DurableOptions, MaintainStats, MaterializedPipeline, Morphase, MorphaseError, PipelineOptions,
+    PipelineService,
 };
 use wol_repro::storage::persist::{FaultPolicy, PipelineJournal};
-use wol_repro::wol_model::{ClassName, Instance, MutationBatch, Oid, Value};
+use wol_repro::wol_lang::program::{Program, SchemaBinding};
+use wol_repro::wol_model::{ClassName, Instance, MutationBatch, Oid, Schema, Type, Value};
+use wol_repro::workloads::cities::{generate_euro, CitiesWorkload};
 use wol_repro::workloads::federated::{self, FederatedParams};
 use wol_repro::workloads::genome::{self, GenomeParams};
 use wol_repro::workloads::traffic::{TrafficGen, TrafficWeights};
@@ -73,12 +76,12 @@ fn assert_matches_oracle(pipeline: &MaterializedPipeline, context: &str) {
 /// The soak: four readers hammer snapshots (checking intra-snapshot
 /// referential consistency on every read) while the maintainer absorbs
 /// thousands of steady batches and a mixed tail — duplicate Skolem keys,
-/// foreign-read churn, removals and renames, all repaired in place. The
-/// final target must be bit-identical to the same stream applied to a plain
-/// single-threaded pipeline, and to a from-scratch re-run. A closing batch
-/// whose contributions genuinely conflict then fails in place, with the same
-/// error on both pipelines alike and in a fresh run over the conflicting
-/// sources.
+/// foreign reads of changed clones, removals and renames, all repaired in
+/// place. The final target must be bit-identical to the same stream applied
+/// to a plain single-threaded pipeline, and to a from-scratch re-run. A
+/// closing batch whose contributions genuinely conflict then fails in place,
+/// with the same error on both pipelines alike and in a fresh run over the
+/// conflicting sources.
 #[test]
 fn soak_concurrent_readers_never_observe_torn_targets() {
     let params = GenomeParams::default();
@@ -538,4 +541,534 @@ fn federated_maintenance_over_bindings_below_the_joins_matches_fresh_runs() {
             "the batches must move rows in place both ways: {stats:?}"
         );
     }
+}
+
+/// The thread counts every maintained stream below runs at.
+const THREADS: [usize; 2] = [1, 8];
+
+fn options_at(threads: usize) -> PipelineOptions {
+    PipelineOptions {
+        parallelism: Parallelism::new(threads).with_min_items(1),
+        ..PipelineOptions::default()
+    }
+}
+
+/// Stand `program` up over `source` at each of [`THREADS`] and apply
+/// `rounds` batches, each built by `next` from the pipeline's current
+/// source; after every batch the maintained target must equal the oracle's
+/// re-run. Returns each thread count's cumulative statistics.
+fn maintain_against_the_oracle(
+    label: &str,
+    program: &Program,
+    source: &Instance,
+    rounds: usize,
+    next: impl Fn(&Instance, usize) -> MutationBatch,
+) -> Vec<MaintainStats> {
+    THREADS
+        .iter()
+        .map(|&threads| {
+            let mut pipeline =
+                MaterializedPipeline::new(program, vec![source.clone()], options_at(threads))
+                    .expect("the pipeline builds");
+            assert_matches_oracle(&pipeline, &format!("{label}, {threads} threads, stand-up"));
+            for round in 0..rounds {
+                let batch = next(pipeline.source(0).expect("one source"), round);
+                pipeline.apply_batch(&batch).expect("the batch applies");
+                let context = format!("{label}, {threads} threads, batch {round}");
+                assert_matches_oracle(&pipeline, &context);
+            }
+            pipeline.stats().clone()
+        })
+        .inspect(|stats| assert_eq!(stats.inplace_batches, rounds as u64, "{label}"))
+        .collect()
+}
+
+/// A record holding only a `name`.
+fn named(name: &str) -> Value {
+    Value::record([("name", Value::str(name))])
+}
+
+/// The identity `class`'s next batch insert into `source` mints.
+fn next_minted(source: &Instance, class: &ClassName) -> Oid {
+    let mut probe = source.clone();
+    let batch = MutationBatch::new().insert(class.clone(), named("probe"));
+    let delta = probe.apply_batch(&batch).expect("the probe insert applies");
+    let inserted = &delta.class(class).expect("the class changed").inserted;
+    inserted.first().cloned().expect("one identity minted")
+}
+
+/// A row whose reference dangles and then resolves is derived. `L1` reads
+/// `S.clone.name` off markers alone; marker `m1`'s `clone` names the
+/// identity the next `CloneS` insert mints, so no row of `m1` exists until
+/// that insert lands — a batch that changes no marker. The clone is then
+/// renamed (the label follows it), removed (the reference dangles again and
+/// the label goes) and the marker pointed back at a live clone.
+#[test]
+fn a_dangling_reference_that_resolves_derives_its_row() {
+    let target = Schema::new("labels").with_class(
+        "LabelT",
+        Type::record([("name", Type::str()), ("clone_name", Type::str())]),
+    );
+    let program = Program::new(
+        "marker_labels",
+        vec![SchemaBinding::new(genome::source_schema())],
+        SchemaBinding::new(target),
+    )
+    .with_text(
+        "L1: X in LabelT, X.name = N, X.clone_name = C <= S in MarkerS, N = S.name, \
+             C = S.clone.name;\n\
+         K1: X = Mk_LabelT(N) <= X in LabelT, N = X.name;",
+    );
+    let (clone_s, marker_s) = (ClassName::new("CloneS"), ClassName::new("MarkerS"));
+    let mut source = Instance::new("ace22");
+    let live = source.insert_fresh(&clone_s, named("cA"));
+    let pending = next_minted(&source, &clone_s);
+    for (name, clone) in [("m0", &live), ("m1", &pending)] {
+        let marker = Value::record([
+            ("name", Value::from(name)),
+            ("clone", Value::oid(clone.clone())),
+        ]);
+        source.insert_fresh(&marker_s, marker);
+    }
+    let label_t = ClassName::new("LabelT");
+    let stats = maintain_against_the_oracle("dangling", &program, &source, 4, |source, round| {
+        let m1 = source
+            .find_by_field(&marker_s, "name", &Value::from("m1"))
+            .cloned();
+        let m1 = m1.expect("m1 is live");
+        match round {
+            0 => MutationBatch::new().insert(clone_s.clone(), named("cB")),
+            1 => MutationBatch::new().update(pending.clone(), named("cB2")),
+            2 => MutationBatch::new().remove(pending.clone()),
+            _ => MutationBatch::new().update(
+                m1,
+                Value::record([
+                    ("name", Value::from("m1")),
+                    ("clone", Value::oid(live.clone())),
+                ]),
+            ),
+        }
+    });
+    // Each side saw m1's label appear, follow the rename, go and return.
+    for stats in &stats {
+        assert_eq!((stats.rows_added, stats.rows_removed), (3, 2), "{stats:?}");
+    }
+    let mut pipeline =
+        MaterializedPipeline::new(&program, vec![source], PipelineOptions::default()).unwrap();
+    assert_eq!(pipeline.target().extent_size(&label_t), 1);
+    let batch = MutationBatch::new().insert(clone_s.clone(), named("cB"));
+    pipeline.apply_batch(&batch).unwrap();
+    let label = pipeline
+        .target()
+        .find_by_field(&label_t, "name", &Value::from("m1"));
+    let label = pipeline
+        .target()
+        .value(label.expect("m1's label is derived"))
+        .unwrap();
+    assert_eq!(label.project("clone_name"), Some(&Value::from("cB")));
+}
+
+/// Genome traffic weighted toward what `G7` reads through `S.clone`:
+/// clone inserts, length updates and renames, beside marker traffic that
+/// references live clones.
+#[test]
+fn clone_heavy_genome_streams_match_the_oracle_batch_by_batch() {
+    let params = GenomeParams {
+        clones: 12,
+        markers: 40,
+        density: 0.7,
+        seed: 5,
+    };
+    let source = genome::generate_source(&params);
+    let weights = TrafficWeights {
+        insert_clone: 4,
+        update_clone: 4,
+        rename_clone: 4,
+        ..TrafficWeights::mixed()
+    };
+    let mut traffic = TrafficGen::new(&source, 0xc10e, weights);
+    let batches: Vec<MutationBatch> = (0..40).map(|_| traffic.next_batch(3)).collect();
+    let stats = maintain_against_the_oracle(
+        "clone-heavy genome",
+        &genome::program(),
+        &source,
+        40,
+        |_, round| batches[round].clone(),
+    );
+    assert_eq!(
+        stats[0], stats[1],
+        "the counters do not depend on the thread count"
+    );
+}
+
+/// One random batch against a European source: countries renamed (to a
+/// fresh name), given a new currency or removed — their cities' `country`
+/// then dangles — and inserted; cities moved to another country, removed
+/// and inserted. A moved or inserted city is never a capital, so no
+/// country gets two. Each object is touched at most once.
+fn euro_batch(source: &Instance, round: usize) -> MutationBatch {
+    let (country, city) = (ClassName::new("CountryE"), ClassName::new("CityE"));
+    let countries: Vec<Oid> = source.extent(&country).cloned().collect();
+    let cities: Vec<Oid> = source.extent(&city).cloned().collect();
+    let mut rng = Lcg(0xe0 + round as u64);
+    let mut touched = BTreeSet::new();
+    let mut batch = MutationBatch::new();
+    let city_value = |name: String, of: &Oid| {
+        Value::record([
+            ("name", Value::str(name)),
+            ("is_capital", Value::bool(false)),
+            ("country", Value::oid(of.clone())),
+        ])
+    };
+    for op in 0..3 {
+        let fresh = format!("r{round}-{op}");
+        let some_country = countries[rng.below(countries.len())].clone();
+        let some_city = cities[rng.below(cities.len())].clone();
+        let (victim, kind) = match rng.below(6) {
+            kind @ 0..=2 => (some_country.clone(), kind),
+            kind => (some_city.clone(), kind),
+        };
+        if !touched.insert(victim.clone()) {
+            continue;
+        }
+        let mut value = source.value(&victim).expect("a live object").clone();
+        batch = match kind {
+            0 => {
+                if let Value::Record(fields) = &mut value {
+                    let attr = if rng.below(2) == 0 {
+                        "name"
+                    } else {
+                        "currency"
+                    };
+                    fields.insert(attr.into(), Value::str(format!("Country-{fresh}")));
+                }
+                batch.update(victim, value)
+            }
+            1 if countries.len() > 3 => batch.remove(victim),
+            1 | 2 => batch.insert(
+                country.clone(),
+                Value::record([
+                    ("name", Value::str(format!("Country-{fresh}"))),
+                    ("language", Value::str("Latin")),
+                    ("currency", Value::str("denarius")),
+                ]),
+            ),
+            3 if value.project("is_capital") == Some(&Value::bool(false)) => {
+                if let Value::Record(fields) = &mut value {
+                    fields.insert("country".into(), Value::oid(some_country));
+                }
+                batch.update(victim, value)
+            }
+            3 | 4 => batch.remove(victim),
+            _ => batch.insert(
+                city.clone(),
+                city_value(format!("City-{fresh}"), &some_country),
+            ),
+        };
+    }
+    batch
+}
+
+/// A US source of `states` states with `cities` cities each, every state's
+/// first city its capital.
+fn us_instance(states: usize, cities: usize) -> Instance {
+    let (state_a, city_a) = (ClassName::new("StateA"), ClassName::new("CityA"));
+    let mut inst = Instance::new("us");
+    for s in 0..states {
+        let state = inst.insert_fresh(&state_a, Value::Record(Default::default()));
+        let towns: Vec<Oid> = (0..cities)
+            .map(|c| {
+                let value = Value::record([
+                    ("name", Value::str(format!("Town{s}_{c}"))),
+                    ("state", Value::oid(state.clone())),
+                ]);
+                inst.insert_fresh(&city_a, value)
+            })
+            .collect();
+        let value = Value::record([
+            ("name", Value::str(format!("State{s}"))),
+            ("capital", Value::oid(towns[0].clone())),
+        ]);
+        inst.update(&state, value).expect("the state is live");
+    }
+    inst
+}
+
+/// One random batch against a US source: states renamed (a fresh name),
+/// given another capital, removed — their cities' `state` and no other
+/// state's `capital` then dangles — and inserted; cities renamed, moved to
+/// another state, removed and inserted. Each object is touched at most
+/// once.
+fn us_batch(source: &Instance, round: usize) -> MutationBatch {
+    let (state_a, city_a) = (ClassName::new("StateA"), ClassName::new("CityA"));
+    let states: Vec<Oid> = source.extent(&state_a).cloned().collect();
+    let cities: Vec<Oid> = source.extent(&city_a).cloned().collect();
+    let mut rng = Lcg(0x05 + round as u64);
+    let mut touched = BTreeSet::new();
+    let mut batch = MutationBatch::new();
+    for op in 0..3 {
+        let fresh = format!("r{round}-{op}");
+        let some_state = states[rng.below(states.len())].clone();
+        let some_city = cities[rng.below(cities.len())].clone();
+        let (victim, kind) = match rng.below(8) {
+            kind @ 0..=3 => (some_state.clone(), kind),
+            kind => (some_city.clone(), kind),
+        };
+        if !touched.insert(victim.clone()) {
+            continue;
+        }
+        let mut value = source.value(&victim).expect("a live object").clone();
+        let mut set = |attr: &str, to: Value| {
+            if let Value::Record(fields) = &mut value {
+                fields.insert(attr.into(), to);
+            }
+        };
+        batch = match kind {
+            0 => {
+                set("name", Value::str(format!("State-{fresh}")));
+                batch.update(victim, value)
+            }
+            1 => {
+                set("capital", Value::oid(some_city));
+                batch.update(victim, value)
+            }
+            2 if states.len() > 3 => batch.remove(victim),
+            2 | 3 => batch.insert(
+                state_a.clone(),
+                Value::record([
+                    ("name", Value::str(format!("State-{fresh}"))),
+                    ("capital", Value::oid(some_city)),
+                ]),
+            ),
+            4 => {
+                set("name", Value::str(format!("Town-{fresh}")));
+                batch.update(victim, value)
+            }
+            5 => {
+                set("state", Value::oid(some_state));
+                batch.update(victim, value)
+            }
+            6 => batch.remove(victim),
+            _ => batch.insert(
+                city_a.clone(),
+                Value::record([
+                    ("name", Value::str(format!("Town-{fresh}"))),
+                    ("state", Value::oid(some_state)),
+                ]),
+            ),
+        };
+    }
+    batch
+}
+
+/// The paper's running example under random streams that update and
+/// remove the objects its queries read through references — `CountryE`
+/// (read by T2 and T3 through `E.country`), `StateA` (U2 and U3, through
+/// `A.state`) and `CityA` (U3, through `A.capital`).
+#[test]
+fn cities_streams_over_referenced_objects_match_the_oracle_batch_by_batch() {
+    let w = CitiesWorkload::new();
+    let euro = maintain_against_the_oracle(
+        "euro",
+        &w.euro_program(),
+        &generate_euro(6, 4, 7),
+        30,
+        euro_batch,
+    );
+    let us = maintain_against_the_oracle("us", &w.us_program(), &us_instance(6, 4), 30, us_batch);
+    for stats in euro.iter().chain(&us) {
+        assert!(stats.rows_removed > 0 && stats.rows_added > 0, "{stats:?}");
+    }
+}
+
+/// A program reading through a two-hop reference chain: `T1` reads
+/// `T.region.country.name`, so a town's row reads its region and that
+/// region's country. Region `R-pending` names the identity the next
+/// `Country` insert mints, and the stream's first batch is that insert:
+/// its towns' rows are derived although no town or region changed. Then
+/// random batches rename, move and remove countries, regions and towns,
+/// each equal to the oracle at one and eight threads. On a fresh pipeline,
+/// renaming one country sweeps exactly the rows of the towns that reach it,
+/// and renaming one region exactly the rows of its towns.
+#[test]
+fn two_hop_reference_chains_maintain_and_sweep_only_their_readers() {
+    let [country, region, town] = ["Country", "Region", "Town"].map(ClassName::new);
+    let schema = Schema::new("geo")
+        .with_class("Country", Type::record([("name", Type::str())]))
+        .with_class(
+            "Region",
+            Type::record([("name", Type::str()), ("country", Type::class("Country"))]),
+        )
+        .with_class(
+            "Town",
+            Type::record([("name", Type::str()), ("region", Type::class("Region"))]),
+        );
+    let target = Schema::new("atlas").with_class(
+        "TownT",
+        Type::record([("name", Type::str()), ("country_name", Type::str())]),
+    );
+    let program = Program::new(
+        "towns",
+        vec![SchemaBinding::new(schema)],
+        SchemaBinding::new(target),
+    )
+    .with_text(
+        "T1: X in TownT, X.name = N, X.country_name = C <= T in Town, N = T.name, \
+             C = T.region.country.name;\n\
+         K1: X = Mk_TownT(N) <= X in TownT, N = X.name;",
+    );
+    let mut source = Instance::new("geo");
+    let countries: Vec<Oid> = (0..3)
+        .map(|c| source.insert_fresh(&country, named(&format!("C{c}"))))
+        .collect();
+    let pending = next_minted(&source, &country);
+    let mut regions = Vec::new();
+    for (r, of) in countries.iter().chain([&pending]).enumerate() {
+        for half in 0..2 {
+            let value = Value::record([
+                ("name", Value::str(format!("R{r}.{half}"))),
+                ("country", Value::oid(of.clone())),
+            ]);
+            regions.push(source.insert_fresh(&region, value));
+        }
+    }
+    for (r, of) in regions.iter().enumerate() {
+        for t in 0..3 {
+            let value = Value::record([
+                ("name", Value::str(format!("T{r}.{t}"))),
+                ("region", Value::oid(of.clone())),
+            ]);
+            source.insert_fresh(&town, value);
+        }
+    }
+    let step = |source: &Instance, round: usize| {
+        if round == 0 {
+            return MutationBatch::new().insert(country.clone(), named("C-minted"));
+        }
+        let extent = |class: &ClassName| source.extent(class).cloned().collect::<Vec<Oid>>();
+        let (countries, regions, towns) = (extent(&country), extent(&region), extent(&town));
+        let mut rng = Lcg(0x2e0 + round as u64);
+        let mut touched = BTreeSet::new();
+        let mut batch = MutationBatch::new();
+        for op in 0..3 {
+            let fresh = format!("r{round}-{op}");
+            let pick = |rng: &mut Lcg, of: &[Oid]| of[rng.below(of.len())].clone();
+            let (victim, attr, to) = match rng.below(7) {
+                0 => (
+                    pick(&mut rng, &countries),
+                    "name",
+                    Value::str(format!("C-{fresh}")),
+                ),
+                1 => (
+                    pick(&mut rng, &regions),
+                    "name",
+                    Value::str(format!("R-{fresh}")),
+                ),
+                2 => (
+                    pick(&mut rng, &regions),
+                    "country",
+                    Value::oid(pick(&mut rng, &countries)),
+                ),
+                3 => (
+                    pick(&mut rng, &towns),
+                    "region",
+                    Value::oid(pick(&mut rng, &regions)),
+                ),
+                4 if countries.len() > 2 => (pick(&mut rng, &countries), "", Value::Absent),
+                5 if regions.len() > 4 => (pick(&mut rng, &regions), "", Value::Absent),
+                4 | 5 => {
+                    let value = Value::record([
+                        ("name", Value::str(format!("R-{fresh}"))),
+                        ("country", Value::oid(pick(&mut rng, &countries))),
+                    ]);
+                    batch = batch.insert(region.clone(), value);
+                    continue;
+                }
+                _ => {
+                    let value = Value::record([
+                        ("name", Value::str(format!("T-{fresh}"))),
+                        ("region", Value::oid(pick(&mut rng, &regions))),
+                    ]);
+                    batch = batch.insert(town.clone(), value);
+                    continue;
+                }
+            };
+            if !touched.insert(victim.clone()) {
+                continue;
+            }
+            batch = if attr.is_empty() {
+                batch.remove(victim)
+            } else {
+                let mut value = source.value(&victim).expect("a live object").clone();
+                if let Value::Record(fields) = &mut value {
+                    fields.insert(attr.into(), to);
+                }
+                batch.update(victim, value)
+            };
+        }
+        batch
+    };
+    maintain_against_the_oracle("two-hop", &program, &source, 30, step);
+
+    // The sweeps: a fresh pipeline renames a country (two regions of three
+    // towns reach it), then one of those regions.
+    let mut pipeline = MaterializedPipeline::new(&program, vec![source], options_at(1))
+        .expect("the pipeline builds");
+    for (oid, towns) in [(&countries[0], 6), (&regions[0], 3)] {
+        let mut value = pipeline.source(0).unwrap().value(oid).unwrap().clone();
+        if let Value::Record(fields) = &mut value {
+            fields.insert("name".into(), Value::str("renamed"));
+        }
+        let report = pipeline
+            .apply_batch(&MutationBatch::new().update(oid.clone(), value))
+            .expect("the rename applies");
+        assert_eq!(
+            (report.rows_removed, report.rows_added),
+            (towns, towns),
+            "{oid}"
+        );
+        assert_matches_oracle(&pipeline, &format!("renamed {oid}"));
+    }
+}
+
+/// Rows the seed-22 serving stream may sweep in all (see below).
+const MIXED_STREAM_ROWS_REMOVED_CEILING: u64 = 3_000;
+
+/// Maintenance costs the delta: the serving benchmark's stream — the
+/// genome warehouse at `GenomeParams::scaled(4)` under 400 seed-22
+/// `TrafficWeights::mixed()` batches of four operations — sweeps only the
+/// rows its batches reach. A changed clone re-derives the rows of the
+/// markers that reference it, not all of `G7`, which swept 167,240 rows in
+/// all when any clone change re-derived the whole query. The target equals
+/// the oracle's at every 40th batch.
+#[test]
+fn the_mixed_serving_stream_sweeps_only_the_rows_its_batches_reach() {
+    let source = genome::generate_source(&GenomeParams::scaled(4));
+    let mut pipeline = MaterializedPipeline::new(
+        &genome::program(),
+        vec![source.clone()],
+        PipelineOptions::default(),
+    )
+    .expect("genome pipeline builds");
+    let stand_up = pipeline.stats().delta_exec;
+    let mut traffic = TrafficGen::new(&source, 22, TrafficWeights::mixed());
+    for n in 1..=400 {
+        pipeline
+            .apply_batch(&traffic.next_batch(4))
+            .expect("batch applies");
+        if n % 40 == 0 {
+            assert_matches_oracle(&pipeline, &format!("mixed stream, batch {n}"));
+        }
+    }
+    let stats = pipeline.stats();
+    let scanned = stats.delta_exec.rows_scanned - stand_up.rows_scanned;
+    eprintln!(
+        "[mixed stream] rows_removed {} rows_added {} rows_scanned {scanned}",
+        stats.rows_removed, stats.rows_added
+    );
+    assert!(
+        stats.rows_removed <= MIXED_STREAM_ROWS_REMOVED_CEILING,
+        "the stream swept {} rows, ceiling {MIXED_STREAM_ROWS_REMOVED_CEILING}",
+        stats.rows_removed
+    );
 }
