@@ -45,7 +45,7 @@
 //! them.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 
 use wol_model::{
@@ -333,10 +333,14 @@ pub struct JoinActual {
 
 /// A hash-join side answerable through the instances' attribute indexes
 /// ([`wol_model::index`]): a bare class scan with at least one key expression
-/// that is a single attribute projection off the scanned variable. Every such
-/// key pair is answered by one lookup in the index keyed by all of their
-/// attributes together.
+/// that is a single attribute projection off the scanned variable, or — in a
+/// rotation that knows the variable's typed reference chains — off one of
+/// those chains. Every such key pair is answered by one lookup in the index
+/// keyed by all of their attributes together, and the identities found are
+/// mapped back to the scanned objects that reach them through `hops`.
 struct IndexableSide {
+    /// The class the composite index is on: the scanned class, or the class
+    /// a reference chain reaches.
     class: wol_model::ClassName,
     var: String,
     /// The attributes the composite index is keyed by: ascending, each once.
@@ -345,6 +349,58 @@ struct IndexableSide {
     /// other pairs — keys that are not such a projection, and a repeated
     /// attribute's later pairs — are verified against each candidate.
     probed: Vec<usize>,
+    /// The reference chain `attrs` project off ([`RefChain::hops`]); empty
+    /// when they project off the scanned variable itself.
+    hops: Vec<(ClassName, Label)>,
+}
+
+/// A reference chain through the source schemas, typed once from them:
+/// `a₁…aₙ` off class `C₀`, where attribute `aₖ` of class `Cₖ₋₁` holds a
+/// reference to an object of class `Cₖ` (`Cₙ` is `class`). The maintainer
+/// hands the chains a query's foreign reads follow to the context its
+/// rotations run under ([`EvalCtx::set_reference_chains`]), where a probe
+/// join may answer a key `X.a₁…aₙ.b` off a scan `X` of `C₀` by looking `Cₙ`
+/// up by `b` and inverting the chain ([`invert_chain`]). A chain is derived
+/// from types, never from data: a reference holding an object of another
+/// class than its type names is outside the schema, and is not followed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RefChain {
+    /// `(C₀, a₁) … (Cₙ₋₁, aₙ)`: each hop's holder class and the attribute
+    /// that references the next object.
+    pub hops: Vec<(ClassName, Label)>,
+    /// `Cₙ`, the class of the objects the chain reaches.
+    pub class: ClassName,
+}
+
+/// The one chain inversion: replace the identities `found[start..]` —
+/// objects the chain `hops` reaches — by the objects of the chain's first
+/// class that reach them, hop by hop from the last, each hop one lookup per
+/// identity in the attribute index on the hop's reference attribute. The
+/// holders come out deduplicated in ascending identity order; empty `hops`
+/// leave `found` as it is.
+pub fn invert_chain(
+    hops: &[(ClassName, Label)],
+    sources: &[&Instance],
+    found: &mut Vec<Oid>,
+    start: usize,
+) {
+    if hops.is_empty() {
+        return;
+    }
+    let mut holders = Vec::new();
+    for (class, attr) in hops.iter().rev() {
+        for reference in found.drain(start..).map(Value::Oid) {
+            for source in sources {
+                let attrs = std::slice::from_ref(attr);
+                source.lookup_by_attrs(class, attrs, &[&reference], &mut holders);
+            }
+        }
+        found.append(&mut holders);
+    }
+    let mut reached = found.split_off(start);
+    reached.sort_unstable();
+    reached.dedup();
+    found.append(&mut reached);
 }
 
 /// The attribute `key` projects off scan variable `var`, if it is such a
@@ -361,7 +417,7 @@ fn probed_attr<'k>(var: &str, key: &'k Expr) -> Option<&'k Label> {
 /// each `(left, right)` pair) a [`probed_attr`]. Shared with the planner
 /// ([`crate::optimizer`]), which orients hash-join sides precisely so this
 /// fast path fires, and with [`layout`] — they must never diverge from
-/// [`indexable_side`], which is `Some` exactly when this is.
+/// [`indexable_side`] without chains, which is `Some` exactly when this is.
 pub(crate) fn indexable_var<'p, 'k>(
     plan: &'p Plan,
     mut keys: impl Iterator<Item = &'k Expr>,
@@ -373,44 +429,114 @@ pub(crate) fn indexable_var<'p, 'k>(
         .then_some(var)
 }
 
-/// The probed side of a hash join whose [`indexable_var`] is `Some`.
-fn indexable_side<'k>(plan: &Plan, keys: impl Iterator<Item = &'k Expr>) -> Option<IndexableSide> {
+/// Which projection base `base` is off the scan of `class` bound to `var`:
+/// `Some(None)` for the variable itself, `Some(Some(chain))` for the
+/// variable followed by one of `chains` off `class`, `None` for anything
+/// else.
+fn chain_of<'c>(
+    var: &str,
+    class: &ClassName,
+    base: &Expr,
+    chains: &'c [RefChain],
+) -> Option<Option<&'c RefChain>> {
+    let mut labels = Vec::new();
+    let mut holder = base;
+    while let Expr::Proj(inner, label) = holder {
+        labels.push(label);
+        holder = inner;
+    }
+    if !matches!(holder, Expr::Var(v) if v == var) {
+        return None;
+    }
+    if labels.is_empty() {
+        return Some(None);
+    }
+    let chain = chains.iter().find(|chain| {
+        chain.hops.first().is_some_and(|(first, _)| first == class)
+            && chain
+                .hops
+                .iter()
+                .map(|(_, a)| a)
+                .eq(labels.iter().rev().copied())
+    })?;
+    Some(Some(chain))
+}
+
+/// The probed side of a hash join: `Some` without `chains` exactly when
+/// [`indexable_var`] is. With `chains`, a key projecting an attribute off
+/// the scanned variable followed by one of the scanned class's reference
+/// chains makes the side probeable too. Plain projections win — a side with
+/// one probes them alone, as an unrestricted run does — and otherwise the
+/// pairs off the first chain a key reaches are probed through it.
+fn indexable_side<'k>(
+    plan: &Plan,
+    keys: impl Iterator<Item = &'k Expr>,
+    chains: &[RefChain],
+) -> Option<IndexableSide> {
     let Plan::Scan { class, var } = plan else {
         return None;
     };
-    let mut pairs: Vec<(Label, usize)> = (keys.enumerate())
-        .filter_map(|(i, key)| Some((probed_attr(var, key)?.clone(), i)))
+    let reached: Vec<(Option<&RefChain>, &Label, usize)> = (keys.enumerate())
+        .filter_map(|(i, key)| {
+            let Expr::Proj(base, attr) = key else {
+                return None;
+            };
+            Some((chain_of(var, class, base, chains)?, attr, i))
+        })
         .collect();
-    if pairs.is_empty() {
-        return None;
-    }
+    let via = reached
+        .iter()
+        .map(|(chain, ..)| *chain)
+        .min_by_key(Option::is_some)?;
+    let mut pairs: Vec<(Label, usize)> = (reached.into_iter())
+        .filter(|(chain, ..)| *chain == via)
+        .map(|(_, attr, i)| (attr.clone(), i))
+        .collect();
     // One index per attribute set, whatever the pairs' order: ascending
     // attributes, each probed with its first pair.
     pairs.sort();
     pairs.dedup_by(|later, earlier| later.0 == earlier.0);
     let (attrs, probed) = pairs.into_iter().unzip();
+    let (class, hops) = match via {
+        None => (class.clone(), Vec::new()),
+        Some(chain) => (chain.class.clone(), chain.hops.clone()),
+    };
     Some(IndexableSide {
-        class: class.clone(),
+        class,
         var: var.clone(),
         attrs,
         probed,
+        hops,
     })
 }
 
-/// The number of identities a plan side's underlying scan can emit under
-/// the active restrictions: Δ's size if the scan is pinned to `Only` Δ, the
-/// class's extent size less Δ's under `Except` Δ, its full extent size
-/// otherwise. Filters and maps only shrink the row count, so this is an
-/// upper bound on the side's driving cost — enough to orient a delta join
-/// so the Δ-pinned slot drives. `None` when the side bottoms out in
-/// anything but a scan.
+/// Whether a scan of `class` emits `oid` from a restriction set: an identity
+/// of its class that a source holds.
+fn scans(class: &ClassName, sources: &[&Instance], oid: &Oid) -> bool {
+    oid.class() == class && sources.iter().any(|source| source.contains(oid))
+}
+
+/// The number of identities a plan side's underlying scan emits under the
+/// active restrictions — exactly what [`scan_extent`] visits: under `Only` Δ
+/// the identities of Δ of the scan's class that a source holds, under
+/// `Except` Δ the class's extent less those, otherwise the full extent.
+/// Filters and maps only shrink the row count, so this is an upper bound on
+/// the side's driving cost — enough to orient a delta join so the Δ-pinned
+/// slot drives. `None` when the side bottoms out in anything but a scan.
 fn scan_cardinality(plan: &Plan, ctx: &EvalCtx<'_>) -> Option<usize> {
     match plan {
         Plan::Scan { class, var } => {
-            let extent = || -> usize { ctx.sources().iter().map(|s| s.extent_size(class)).sum() };
+            let sources = ctx.sources();
+            let extent = || -> usize { sources.iter().map(|s| s.extent_size(class)).sum() };
+            let held = |delta: &BTreeSet<Oid>| -> usize {
+                delta
+                    .iter()
+                    .filter(|oid| scans(class, sources, oid))
+                    .count()
+            };
             Some(match ctx.scan_restriction(var) {
-                Some(ScanRestriction::Only(delta)) => delta.len(),
-                Some(ScanRestriction::Except(delta)) => extent().saturating_sub(delta.len()),
+                Some(ScanRestriction::Only(delta)) => held(delta),
+                Some(ScanRestriction::Except(delta)) => extent().saturating_sub(held(delta)),
                 None => extent(),
             })
         }
@@ -458,8 +584,10 @@ pub fn layout(plan: &Plan) -> Vec<String> {
 /// The hash-join index fast path: drive the join from `driving`'s rows and
 /// answer each key tuple with one lookup in the source instances' composite
 /// index on `side.attrs` (the conjunction of every key pair that projects an
-/// attribute off the scanned variable), verifying only the remaining pairs
-/// against each candidate.
+/// attribute off the scanned variable, or off one of its reference chains —
+/// whose identities [`invert_chain`] then maps back to the scanned objects
+/// that reach them), verifying only the remaining pairs against each
+/// candidate.
 ///
 /// Repeated composite keys — the common case on skewed data, where a few hot
 /// values dominate the driving side — are probed **once**, in two passes
@@ -586,7 +714,9 @@ struct Probe<'s> {
 impl Probe<'_> {
     /// Append one key tuple's verified identities to `found`: one lookup in
     /// the composite index on `side.attrs` with the probed pairs' values
-    /// (gathered in scratch `values`), then the probed scan's delta
+    /// (gathered in scratch `values`), mapped back through `side.hops` to
+    /// the scanned objects that reach what it found ([`invert_chain`]; in
+    /// ascending identity order), then the probed scan's delta
     /// restriction and the residual pairs checked against each candidate,
     /// bound into scratch `row` (a copy of `base`, or blanks when the keys
     /// read the probed variable alone).
@@ -605,6 +735,7 @@ impl Probe<'_> {
         for instance in ctx.sources() {
             instance.lookup_by_attrs(&side.class, &side.attrs, values, found);
         }
+        invert_chain(&side.hops, ctx.sources(), found, start);
         // The probed scan's delta restriction applies here, as a candidate
         // filter: the index answers from the full extent, so membership in
         // the restriction set is re-checked per candidate identity.
@@ -736,7 +867,7 @@ fn scan_extent<T>(
     let sources = ctx.sources();
     let scanned: Vec<T> = match restriction {
         Some(ScanRestriction::Only(delta)) => (delta.iter())
-            .filter(|oid| oid.class() == class && sources.iter().any(|i| i.contains(oid)))
+            .filter(|oid| scans(class, sources, oid))
             .map(emit)
             .collect(),
         _ => (sources.iter())
@@ -917,34 +1048,35 @@ fn rows_of(
             // keep the fast path (the driving side applies its own;
             // `Probe::candidates` filters by the probed side's), which is
             // what keeps semi-naive delta joins O(delta).
-            let left_side = indexable_side(left, left_keys.iter().copied());
-            let right_side = indexable_side(right, right_keys.iter().copied());
             let out = layout(plan);
             let out = (out.as_slice(), width);
-            // When both orientations are available and a rotation is active,
-            // drive from whichever side is pinned to the smaller identity
-            // set — the pivot slot's Δ — so the delta rows do the probing,
-            // whichever side of the join they happen to land on. The rows
-            // still land in the join's one layout.
+            // When a rotation is active and both sides are available — a
+            // side keyed off a reference chain of its scanned variable
+            // counts — drive from whichever side is pinned to the smaller
+            // identity set, the pivot slot's Δ, so the delta rows do the
+            // probing whichever side of the join they land on. A tie keeps
+            // the plan's own orientation. The rows still land in the join's
+            // one layout.
             if ctx.has_scan_restrictions() {
-                if let (Some(ls), Some(rs)) = (&left_side, &right_side) {
+                let chains = ctx.reference_chains();
+                let left_side = indexable_side(left, left_keys.iter().copied(), chains);
+                let right_side = indexable_side(right, right_keys.iter().copied(), chains);
+                if let (Some(ls), Some(rs)) = (left_side, right_side) {
                     if let (Some(dl), Some(dr)) =
                         (scan_cardinality(left, ctx), scan_cardinality(right, ctx))
                     {
-                        let side = if dl < dr { rs } else { ls };
-                        let (driving, driving_keys, scan_keys) = if dl < dr {
-                            (left, &left_keys, &right_keys)
+                        return if dl < dr || (dl == dr && !ls.hops.is_empty()) {
+                            probe_join(left, &left_keys, &right_keys, &rs, out, ctx, stats)
                         } else {
-                            (right, &right_keys, &left_keys)
+                            probe_join(right, &right_keys, &left_keys, &ls, out, ctx, stats)
                         };
-                        return probe_join(driving, driving_keys, scan_keys, side, out, ctx, stats);
                     }
                 }
             }
-            if let Some(side) = left_side {
+            if let Some(side) = indexable_side(left, left_keys.iter().copied(), &[]) {
                 return probe_join(right, &right_keys, &left_keys, &side, out, ctx, stats);
             }
-            if let Some(side) = right_side {
+            if let Some(side) = indexable_side(right, right_keys.iter().copied(), &[]) {
                 return probe_join(left, &left_keys, &right_keys, &side, out, ctx, stats);
             }
             let left_rows = rows_of(left, width, ctx, stats)?;
@@ -2225,6 +2357,202 @@ pub(crate) mod tests {
         }
     }
 
+    /// The chain probe against the nested loop. On generated sources — `L`
+    /// driving objects keyed `k` (some lack it); `T`; `M`, whose `up`
+    /// references a `T`; `R`, whose `ref` references an `M` — a join of
+    /// `X in L` with `Y in R` on a key reached through `Y`'s references
+    /// (`Y.ref.k`, `Y.ref.up.k`, the composite `Y.ref.j`/`Y.ref.k`, or
+    /// `Y.ref.k` plus a residual record key or a failing negated flag) runs
+    /// in a rotation that knows the chains `R.ref` and `R.ref.up`. Key
+    /// values are drawn from small domains, so several referenced objects
+    /// share one and several holders share one referenced object; a
+    /// reference is sometimes absent and sometimes dangles. `X` or `Y` is
+    /// pinned to `Only` a random part of its extent or to the extent
+    /// `Except` it. Rows and errors equal the nested loop's, and rows the
+    /// same join's without chains; at eight partitions the row stream, the
+    /// error and `ExecStats` are the one-partition run's; each driving row's
+    /// candidates come out in ascending identity order; and the join scans
+    /// only its smaller side, so a small `Only` on `X` never scans `R`.
+    #[test]
+    fn chain_probes_and_nested_loop_joins_agree_on_generated_reference_chains() {
+        // A small deterministic generator (xorshift) — no dependency needed.
+        struct XorShift(u64);
+        impl XorShift {
+            fn below(&mut self, bound: u64) -> u64 {
+                self.0 ^= self.0 << 13;
+                self.0 ^= self.0 >> 7;
+                self.0 ^= self.0 << 17;
+                self.0 % bound
+            }
+            /// A reference to one of `targets`, absent one time in eight and
+            /// dangling one time in eight.
+            fn reference(&mut self, targets: &[Oid], class: &ClassName) -> Option<Value> {
+                match self.below(8) {
+                    0 => None,
+                    1 => Some(Value::Oid(Oid::new(class.clone(), 1 << 40))),
+                    _ if targets.is_empty() => None,
+                    _ => Some(Value::Oid(
+                        targets[self.below(targets.len() as u64) as usize].clone(),
+                    )),
+                }
+            }
+            /// A record of `fields` keyed `k` in `0..domain` and `j` in `0..2`.
+            fn keyed(&mut self, domain: u64, mut fields: Vec<(&str, Value)>) -> Value {
+                fields.push(("k", Value::int(self.below(domain) as i64)));
+                fields.push(("j", Value::int(self.below(2) as i64)));
+                Value::record(fields)
+            }
+        }
+        let mut rng = XorShift(0x2545_F491_4F6C_DD1D);
+        let [l, t, m, r] = ["L", "T", "M", "R"].map(ClassName::new);
+        let chains = vec![
+            RefChain {
+                hops: vec![(r.clone(), "ref".into())],
+                class: m.clone(),
+            },
+            RefChain {
+                hops: vec![(r.clone(), "ref".into()), (m.clone(), "up".into())],
+                class: t.clone(),
+            },
+        ];
+        let (x, y) = (
+            |a: &str| Expr::var("X").path(a),
+            |a: &str| Expr::var("Y").path(a),
+        );
+        let boxed = |e: Expr| Expr::Record(vec![("v".into(), e)]);
+        let mut chain_driven = 0;
+        for case in 0..96 {
+            let mut inst = Instance::new("gen");
+            let domain = 1 + rng.below(4);
+            let ts: Vec<Oid> = (0..rng.below(6))
+                .map(|_| {
+                    let value = rng.keyed(domain, vec![]);
+                    inst.insert_fresh(&t, value)
+                })
+                .collect();
+            let ms: Vec<Oid> = (0..rng.below(8))
+                .map(|_| {
+                    let up = rng.reference(&ts, &t).map(|v| ("up", v));
+                    let value = rng.keyed(domain, up.into_iter().collect());
+                    inst.insert_fresh(&m, value)
+                })
+                .collect();
+            for _ in 0..rng.below(24) {
+                let reference = rng.reference(&ms, &m).map(|v| ("ref", v));
+                let mut fields: Vec<(&str, Value)> = reference.into_iter().collect();
+                let flag = match rng.below(10) {
+                    0 => Value::str("x"),
+                    n => Value::bool(n % 2 == 0),
+                };
+                fields.push(("flag", flag));
+                inst.insert_fresh(&r, Value::record(fields));
+            }
+            for _ in 0..rng.below(16) {
+                let flag = Value::bool(rng.below(2) == 0);
+                let mut value = rng.keyed(domain, vec![("flag", flag)]);
+                if rng.below(8) == 0 {
+                    value = Value::record([("flag", Value::bool(true))]);
+                }
+                inst.insert_fresh(&l, value);
+            }
+            let keys: Vec<(Expr, Expr)> = match case % 5 {
+                0 => vec![(x("k"), y("ref.k"))],
+                1 => vec![(x("k"), y("ref.up.k"))],
+                2 => vec![(x("j"), y("ref.j")), (x("k"), y("ref.k"))],
+                3 => vec![(boxed(x("j")), boxed(y("ref.j"))), (x("k"), y("ref.k"))],
+                _ => vec![
+                    (x("k"), y("ref.k")),
+                    (x("flag"), Expr::Not(Box::new(y("flag")))),
+                ],
+            };
+            let fallible = case % 5 == 4;
+            let equality = Expr::and(keys.iter().map(|(l, r)| l.clone().eq(r.clone())).collect());
+            let probed = Plan::scan("L", "X").hash_join_multi(Plan::scan("R", "Y"), keys.clone());
+            let looped = Plan::scan("L", "X").join(Plan::scan("R", "Y"), equality);
+            // `X` or `Y` pinned `Only` a random part of its extent, or to the
+            // extent `Except` it; a fallible case pins `X` to `Only` at most
+            // one object, so `X` drives and the failing flag is a residual.
+            let (var, class) = match (case / 5) % 2 {
+                0 => ("X", &l),
+                _ if fallible => ("X", &l),
+                _ => ("Y", &r),
+            };
+            let mut kept: BTreeSet<Oid> =
+                (inst.extent(class).filter(|_| rng.below(3) == 0).cloned()).collect();
+            if fallible {
+                kept = kept.into_iter().take(1).collect();
+            }
+            let delta = std::sync::Arc::new(kept);
+            let restriction = match (case / 10) % 2 {
+                _ if fallible => ScanRestriction::Only(delta),
+                0 => ScanRestriction::Only(delta),
+                _ => ScanRestriction::Except(delta),
+            };
+            let refs = [&inst];
+            let run = |plan: &Plan, threads: usize, with_chains: bool| {
+                let mut ctx = EvalCtx::new(&refs)
+                    .with_parallelism(Parallelism::new(threads).with_min_items(1));
+                ctx.restrict_scan(var, restriction.clone());
+                if with_chains {
+                    ctx.set_reference_chains(chains.clone());
+                }
+                let mut stats = ExecStats::default();
+                (named_rows(plan, &mut ctx, &mut stats), stats)
+            };
+            let sorted = |rows: Result<Vec<NamedRow>>| {
+                rows.map(|mut rows| {
+                    rows.sort();
+                    rows
+                })
+            };
+            let at = format!("case {case} ({keys:?}, {var} {restriction:?})");
+            let reference = sorted(run(&looped, 1, false).0);
+            let (stream, chained_stats) = run(&probed, 1, true);
+            // Each driving row's candidates come out in ascending identity
+            // order, each once.
+            if let Ok(stream) = &stream {
+                for (driving, probed) in [("X", "Y"), ("Y", "X")] {
+                    for pair in stream.windows(2) {
+                        if pair[0][driving] == pair[1][driving] {
+                            assert!(pair[0][probed] < pair[1][probed], "order: {at}");
+                        }
+                    }
+                }
+            }
+            let chained = sorted(stream.clone());
+            assert_eq!(chained, reference, "chain probe vs nested loop: {at}");
+            // Without chains `Y` drives whenever `X` is probeable, and then a
+            // failing negated flag fails every driving row's key.
+            if !fallible {
+                assert_eq!(
+                    sorted(run(&probed, 1, false).0),
+                    reference,
+                    "no chains: {at}"
+                );
+            }
+            let (rows, stats) = run(&probed, 8, true);
+            assert_eq!(rows, stream, "row stream at 8 threads: {at}");
+            assert_eq!(stats, chained_stats, "ExecStats at 8 threads: {at}");
+            if fallible && reference.is_err() {
+                continue;
+            }
+            assert!(!fallible || reference.is_ok(), "{at}");
+            // Only the smaller side is scanned.
+            let size = |v: &str, class: &ClassName| -> usize {
+                let extent = inst.extent(class);
+                match (v == var).then_some(&restriction) {
+                    Some(ScanRestriction::Only(delta)) => delta.len(),
+                    Some(ScanRestriction::Except(delta)) => extent.count() - delta.len(),
+                    None => extent.count(),
+                }
+            };
+            let (dl, dr) = (size("X", &l), size("Y", &r));
+            assert_eq!(chained_stats.rows_scanned, dl.min(dr), "scanned: {at}");
+            chain_driven += usize::from(dl < dr);
+        }
+        assert!(chain_driven > 20, "{chain_driven} cases drove from `X`");
+    }
+
     /// A zipfian hot key does not serialize behind one worker: its rows are
     /// spliced by every contiguous partition they fall in, the merged totals
     /// still equal the one-partition run's (one probe per distinct key), and
@@ -2532,31 +2860,43 @@ pub(crate) mod tests {
         // index fast path: the one delta row probes the CountryE index. The
         // scan visits Δ alone, never the extent, so it counts |Δ| scanned;
         // an identity of another class or one no source holds is skipped.
+        // Given the chain `CityE.country` the CityE side is probeable too,
+        // and the join drives from the side whose scan visits fewer
+        // identities: Δ's one city here, the extent less Δ's two under
+        // `Except` below — the same rows, probes and scans either way.
         let plan = Plan::scan("CityE", "E").hash_join(
             Plan::scan("CountryE", "C"),
             Expr::var("E").path("country.name"),
             Expr::var("C").proj("name"),
         );
-        let absent = Oid::new(ClassName::new("CityE"), 1 << 40);
-        let mut ctx = EvalCtx::new(&refs);
-        ctx.restrict_scan("E", only([&cities[2], &countries[0], &absent]));
-        let mut stats = ExecStats::default();
-        let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0]["E"], Value::Oid(cities[2].clone()));
-        assert_eq!(stats.index_probes, 1);
-        assert_eq!(stats.restricted_scans, 1);
-        assert_eq!(stats.rows_scanned, 1);
-        // `Except` Δ walks the extent and leaves Δ out.
-        let mut ctx = EvalCtx::new(&refs);
-        ctx.restrict_scan("E", except([&cities[0], &cities[1]]));
-        let mut stats = ExecStats::default();
-        let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
-        assert_eq!(rows.len(), cities.len() - 2);
-        assert!(rows
-            .iter()
-            .all(|row| row["E"] != Value::Oid(cities[0].clone())));
-        assert_eq!(stats.rows_scanned, cities.len() - 2);
+        let country = RefChain {
+            hops: vec![(ClassName::new("CityE"), "country".into())],
+            class: ClassName::new("CountryE"),
+        };
+        for chains in [Vec::new(), vec![country]] {
+            let absent = Oid::new(ClassName::new("CityE"), 1 << 40);
+            let mut ctx = EvalCtx::new(&refs);
+            ctx.set_reference_chains(chains.clone());
+            ctx.restrict_scan("E", only([&cities[2], &countries[0], &absent]));
+            let mut stats = ExecStats::default();
+            let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
+            assert_eq!(rows.len(), 1);
+            assert_eq!(rows[0]["E"], Value::Oid(cities[2].clone()));
+            assert_eq!(stats.index_probes, 1);
+            assert_eq!(stats.restricted_scans, 1);
+            assert_eq!(stats.rows_scanned, 1);
+            // `Except` Δ walks the extent and leaves Δ out.
+            let mut ctx = EvalCtx::new(&refs);
+            ctx.set_reference_chains(chains);
+            ctx.restrict_scan("E", except([&cities[0], &cities[1]]));
+            let mut stats = ExecStats::default();
+            let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
+            assert_eq!(rows.len(), cities.len() - 2);
+            assert!(rows
+                .iter()
+                .all(|row| row["E"] != Value::Oid(cities[0].clone())));
+            assert_eq!(stats.rows_scanned, cities.len() - 2);
+        }
         // Restricting CountryE — the *indexed* side — also keeps the fast
         // path: the index answers from the full extent, and the probe
         // filters each candidate against the restriction, so the

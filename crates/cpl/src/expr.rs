@@ -23,6 +23,7 @@ use wol_model::{
 };
 
 use crate::error::CplError;
+use crate::exec::RefChain;
 use crate::Result;
 
 /// A row in slot form: one value per slot of its plan node's layout.
@@ -199,6 +200,12 @@ pub struct EvalCtx<'a> {
     /// not see it themselves). Only the columnar tower steps aside while any
     /// restriction is active.
     scan_restrictions: BTreeMap<String, ScanRestriction>,
+    /// Typed reference chains through the source schemas, handed in with a
+    /// rotation's restrictions ([`EvalCtx::set_reference_chains`]): while a
+    /// restriction is active, a probe join may answer a key that projects
+    /// off a scanned variable followed by one of them through the chain's
+    /// attribute indexes.
+    reference_chains: Vec<RefChain>,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -222,6 +229,7 @@ impl<'a> EvalCtx<'a> {
             columnar: true,
             columnar_stats: crate::exec::ColumnarStats::default(),
             scan_restrictions: BTreeMap::new(),
+            reference_chains: Vec::new(),
         }
     }
 
@@ -345,6 +353,19 @@ impl<'a> EvalCtx<'a> {
     /// which answers scans from unrestricted structures).
     pub(crate) fn has_scan_restrictions(&self) -> bool {
         !self.scan_restrictions.is_empty()
+    }
+
+    /// Hand in the reference chains, typed from the source schemas, that the
+    /// plan this context runs next reads through ([`RefChain`]). They are derived data, not
+    /// an option: they change which side of a restricted join drives, never
+    /// its rows, and an unrestricted run ignores them.
+    pub fn set_reference_chains(&mut self, chains: Vec<RefChain>) {
+        self.reference_chains = chains;
+    }
+
+    /// The reference chains handed in with [`EvalCtx::set_reference_chains`].
+    pub(crate) fn reference_chains(&self) -> &[RefChain] {
+        &self.reference_chains
     }
 
     /// The full restriction map, for handing to worker contexts (partitions

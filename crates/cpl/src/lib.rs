@@ -90,8 +90,8 @@ mod plan;
 
 pub use error::CplError;
 pub use exec::{
-    apply_evaluated_query, evaluate_query, execute_query, layout, run_slots, ColumnarStats,
-    EvaluatedQuery, ExecStats, LoweredInsert, SlotRow,
+    apply_evaluated_query, evaluate_query, execute_query, invert_chain, layout, run_slots,
+    ColumnarStats, EvaluatedQuery, ExecStats, LoweredInsert, RefChain, SlotRow,
 };
 pub use expr::{Expr, Lowered};
 pub use optimizer::{

@@ -42,13 +42,26 @@
 //!   class is a *foreign read* of that class. A base with no type is an
 //!   internal error at build time.
 //! * A foreign read is inverted once, at build time. When its base is a
-//!   projection chain `X.a₁…aₙ` off a scan variable `X`, each proper prefix
+//!   reference chain `X.a₁…aₙ` off a scan variable `X`, each proper prefix
 //!   typed as a class — genome's `G7` reads `S.clone.name`, the base
-//!   `S.clone` one hop off its markers — a changed object of the read class
-//!   reaches the scanned objects whose `aₙ` … `a₁` lead to it, found hop by
-//!   hop with [`Instance::lookup_by_attrs`] on the post-batch sources (an
-//!   object the batch left as it was still holds the reference it held). Any
-//!   other base reaches the whole extent of its variable's class.
+//!   `S.clone` one hop off its markers — the chain is a [`cpl::RefChain`]:
+//!   the hops `(C₀, a₁) … (Cₙ₋₁, aₙ)` through the source schemas. A
+//!   variable no member atom binds stands for the term a body equation
+//!   equates it with, so `V = S.clone, C = V.name` reads the same chain.
+//!   Any other base (`R.c` off a record `R = (c = S.clone)`, say) reaches
+//!   the whole extent of one scanned class, which sweeps the whole query.
+//! * **Foreign reads and rotations share one inversion**,
+//!   [`cpl::invert_chain`]: identities of the chain's last class map back
+//!   to the scanned objects that reach them, hop by hop, with
+//!   [`Instance::lookup_by_attrs`] on the post-batch sources (an object the
+//!   batch left as it was still holds the reference it held). A foreign
+//!   read inverts the batch's changed objects of the read class; a
+//!   rotation's probe join inverts what a key lookup in the chain's last
+//!   class finds. The query's chains ride on the context its rotations run
+//!   under ([`EvalCtx::set_reference_chains`]), so a rotation pinned to a
+//!   changed clone drives `G7` from that clone and reaches the markers whose
+//!   `S.clone.name` equals its name — through `CloneS` by `name`, then
+//!   `MarkerS` by `clone` — instead of scanning every marker.
 //!
 //! When a batch lands, each query sees the batch's delta with the scanned
 //! objects its foreign reads reach from the batch's inserted, updated and
@@ -117,10 +130,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use cpl::exec::{layout, run_slots, ExecStats, LoweredInsert};
 use cpl::expr::{EvalCtx, SlotRow};
-use cpl::{Plan, Query};
+use cpl::{Plan, Query, RefChain};
 use storage::persist::PipelineJournal;
 use wol_engine::{check_batch, BatchCheck, Databases, EngineError};
 use wol_engine::{delta_rotations, NormalClause, ReadSet, Slot};
+use wol_lang::ast::{Atom, Var};
 use wol_lang::program::Program;
 use wol_lang::{Clause, Term};
 use wol_model::{
@@ -299,54 +313,51 @@ struct QueryAnalysis {
 /// One foreign read: a projection base, typed as a class, that a query's
 /// row key does not cover.
 #[derive(Clone, Debug, PartialEq, Eq)]
-struct ForeignRead {
-    /// The class of the objects the base reads.
-    class: ClassName,
-    /// From a read object back to the scanned objects that reach it.
-    inversion: Inversion,
-}
-
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Inversion {
-    /// The base is a chain `X.a₁…aₙ` off a scan variable `X` whose proper
-    /// prefixes `X.a₁…aₖ` are typed as classes `Cₖ`: the hops `(C₀, a₁) …
-    /// (Cₙ₋₁, aₙ)`, `C₀` being the class `X` scans.
-    Chain(Vec<(ClassName, Label)>),
-    /// Any other base: every object of this scanned class may reach it.
-    Whole(ClassName),
+enum ForeignRead {
+    /// The base is a reference chain off a scan variable: an object of the
+    /// chain's class is read by the scanned objects whose chain reaches it
+    /// (the chain's first class is the variable's).
+    Chain(RefChain),
+    /// Any other base: it reads an object of class `read`, which every
+    /// object of the scanned class `scanned` may reach.
+    Whole { read: ClassName, scanned: ClassName },
 }
 
 impl ForeignRead {
-    /// The scanned objects whose rows read an object of `self.class` that
-    /// `changed` inserted, updated or removed, with their class, found on
-    /// the post-batch `sources`: an object the batch left as it was still
-    /// holds the reference it held before.
+    /// The class of the objects the base reads.
+    fn class(&self) -> &ClassName {
+        match self {
+            ForeignRead::Chain(chain) => &chain.class,
+            ForeignRead::Whole { read, .. } => read,
+        }
+    }
+
+    /// The scanned objects whose rows read an object of [`Self::class`]
+    /// that `changed` inserted, updated or removed, with their class, found
+    /// on the post-batch `sources` ([`cpl::invert_chain`], the inversion a
+    /// rotation's probe join runs too): an object the batch left as it was
+    /// still holds the reference it held before.
     fn readers(&self, changed: &ClassDelta, sources: &[&Instance]) -> (ClassName, Vec<Oid>) {
-        let hops = match &self.inversion {
-            Inversion::Whole(class) => {
-                let extent = sources.iter().flat_map(|s| s.extent(class));
-                return (class.clone(), extent.cloned().collect());
+        let chain = match self {
+            ForeignRead::Whole { scanned, .. } => {
+                let extent = sources.iter().flat_map(|s| s.extent(scanned));
+                return (scanned.clone(), extent.cloned().collect());
             }
-            Inversion::Chain(hops) => hops,
+            ForeignRead::Chain(chain) => chain,
         };
         let changed = [&changed.inserted, &changed.updated, &changed.removed];
         let mut found: Vec<Oid> = changed.into_iter().flatten().cloned().collect();
-        for (class, attr) in hops.iter().rev() {
-            let mut holders = Vec::new();
-            for reference in found.into_iter().map(Value::Oid) {
-                for source in sources {
-                    source.lookup_by_attrs(class, &[attr], &[&reference], &mut holders);
-                }
-            }
-            found = holders;
-        }
-        (hops[0].0.clone(), found)
+        cpl::invert_chain(&chain.hops, sources, &mut found, 0);
+        (chain.hops[0].0.clone(), found)
     }
 }
 
 /// The foreign reads of `clause`: each uncovered base of its [`ReadSet`]
 /// whose type — wol-lang's inference over the clause body, under the
-/// program's schemas — is a class, with its [`Inversion`].
+/// program's schemas — is a class. A base is a reference chain `X.a₁…aₙ`
+/// off a scan variable `X` when each proper prefix is typed as a class; a
+/// variable no member atom binds stands for a term a body equation equates
+/// it with (`V = S.clone, C = V.name` reads the chain `S.clone`).
 fn foreign_reads(clause: &NormalClause, schemas: &[&Schema]) -> Result<Vec<ForeignRead>> {
     let read = ReadSet::of_normal(clause);
     if read.uncovered.is_empty() {
@@ -371,28 +382,27 @@ fn foreign_reads(clause: &NormalClause, schemas: &[&Schema]) -> Result<Vec<Forei
             _ => None,
         });
     }
-    // A proper prefix of an uncovered base is itself one: the walk pushes
-    // every base it meets on the way down a projection.
+    // A proper prefix of an uncovered base is itself one, and so is a
+    // variable a projection reads off: the walk pushes every base it meets
+    // on the way down a projection.
     let class_of = |term: &Term| match term {
-        Term::Var(var) => read.members.get(var).map(|&class| class.clone()),
+        Term::Var(var) if read.members.contains_key(var) => Some(read.members[var].clone()),
         _ => classes[read.uncovered.iter().position(|base| *base == term)?].clone(),
     };
     let mut foreign = Vec::new();
     for (base, class) in read.uncovered.iter().zip(&classes) {
         let Some(class) = class.clone() else { continue };
-        let mut spine = Vec::new();
-        let mut holder = *base;
-        while let Term::Proj(inner, label) = holder {
-            spine.push((class_of(inner), label.clone()));
-            holder = inner;
-        }
-        let chain = (spine.into_iter().rev())
-            .map(|(holder, label)| Some((holder?, label)))
-            .collect::<Option<Vec<_>>>()
-            .filter(|chain| !chain.is_empty() && matches!(holder, Term::Var(_)));
-        let inversion = match (chain, read.members.values().next()) {
-            (Some(chain), _) => Inversion::Chain(chain),
-            (None, Some(&scanned)) => Inversion::Whole(scanned.clone()),
+        let read = match (
+            chain_hops(base, &read, &clause.body, &class_of, &mut Vec::new()),
+            read.members.values().next(),
+        ) {
+            // The base is a scan variable itself: the row key covers it.
+            (Some(hops), _) if hops.is_empty() => continue,
+            (Some(hops), _) => ForeignRead::Chain(RefChain { hops, class }),
+            (None, Some(&scanned)) => ForeignRead::Whole {
+                read: class,
+                scanned: scanned.clone(),
+            },
             (None, None) => {
                 let base = render(base);
                 let e =
@@ -400,12 +410,46 @@ fn foreign_reads(clause: &NormalClause, schemas: &[&Schema]) -> Result<Vec<Forei
                 return Err(MorphaseError::Execution(e));
             }
         };
-        let read = ForeignRead { class, inversion };
         if !foreign.contains(&read) {
             foreign.push(read);
         }
     }
     Ok(foreign)
+}
+
+/// The hops `(class of X.a₁…aₖ₋₁, aₖ)` of `term` as a reference chain
+/// `X.a₁…aₙ` off a scan variable `X` of `read`, `class_of` typing each
+/// prefix. A variable no member atom binds resolves through the first
+/// equation of `body` equating it with a chain (`seen` guards against
+/// equations that cycle); `None` for anything else.
+fn chain_hops<'c>(
+    term: &'c Term,
+    read: &ReadSet<'c>,
+    body: &'c [Atom],
+    class_of: &dyn Fn(&Term) -> Option<ClassName>,
+    seen: &mut Vec<&'c Var>,
+) -> Option<Vec<(ClassName, Label)>> {
+    match term {
+        Term::Var(var) if read.members.contains_key(var) => Some(Vec::new()),
+        Term::Var(var) => {
+            if seen.contains(&var) {
+                return None;
+            }
+            seen.push(var);
+            body.iter().find_map(|atom| match atom {
+                Atom::Eq(Term::Var(v), t) | Atom::Eq(t, Term::Var(v)) if v == var => {
+                    chain_hops(t, read, body, class_of, seen)
+                }
+                _ => None,
+            })
+        }
+        Term::Proj(inner, label) => {
+            let mut hops = chain_hops(inner, read, body, class_of, seen)?;
+            hops.push((class_of(inner)?, label.clone()));
+            Some(hops)
+        }
+        _ => None,
+    }
 }
 
 /// `delta` as one query sees it: for each of its foreign reads whose class
@@ -419,7 +463,7 @@ fn query_delta<'d>(
 ) -> Cow<'d, BatchDelta> {
     let mut widened = Cow::Borrowed(delta);
     for read in &analysis.foreign {
-        let Some(changed) = delta.class(&read.class).filter(|d| !d.is_empty()) else {
+        let Some(changed) = delta.class(read.class()).filter(|d| !d.is_empty()) else {
             continue;
         };
         let (class, readers) = read.readers(changed, sources);
@@ -637,6 +681,11 @@ fn repair_incremental(
     ctx.factory = std::mem::take(&mut core.factory);
     for ((analysis, cache), delta) in core.analyses.iter().zip(&mut core.caches).zip(&deltas) {
         let mut added = RowCache::new();
+        let chains = analysis.foreign.iter().filter_map(|read| match read {
+            ForeignRead::Chain(chain) => Some(chain.clone()),
+            ForeignRead::Whole { .. } => None,
+        });
+        ctx.set_reference_chains(chains.collect());
         for rotation in delta_rotations(&analysis.slots, delta) {
             for (var, restriction) in rotation.restrictions {
                 ctx.restrict_scan(var, restriction);
@@ -1370,7 +1419,7 @@ mod tests {
         let mut swept = 0;
         let mut g7_rows = 0;
         for (analysis, cache) in pipeline.core.analyses.iter().zip(&pipeline.core.caches) {
-            let reads_clones = analysis.foreign.iter().any(|read| read.class == clone_s);
+            let reads_clones = analysis.foreign.iter().any(|read| *read.class() == clone_s);
             if reads_clones {
                 g7_rows = cache.len();
             }
@@ -1389,11 +1438,12 @@ mod tests {
         assert_matches_oracle(&pipeline);
     }
 
-    /// A base that is no chain off a scan variable — here `V`, bound by an
-    /// equation to `S.clone` — widens its read to the whole extent of a
-    /// scanned class: renaming one clone sweeps and re-derives every row.
+    /// A base bound through a variable — here `V`, equated with `S.clone` —
+    /// inverts as the chain it is equated with: renaming one clone sweeps and
+    /// re-derives exactly the rows binding a marker that references it, and
+    /// the rest of the query stays cached.
     #[test]
-    fn a_base_bound_through_a_variable_widens_to_the_whole_extent() {
+    fn a_base_bound_through_a_variable_inverts_as_the_chain_it_is_equated_with() {
         use wol_lang::program::SchemaBinding;
         let target = Schema::new("labels").with_class(
             "LabelT",
@@ -1412,11 +1462,70 @@ mod tests {
         let source = genome::generate_source(&GenomeParams::default());
         let mut pipeline =
             MaterializedPipeline::new(&program, vec![source], PipelineOptions::default()).unwrap();
+        let (clone_s, marker_s) = (ClassName::new("CloneS"), ClassName::new("MarkerS"));
         let analysis = &pipeline.core.analyses[0];
-        let whole = Inversion::Whole(ClassName::new("MarkerS"));
-        assert_eq!(analysis.foreign[0].inversion, whole);
+        let [ForeignRead::Chain(chain)] = analysis.foreign.as_slice() else {
+            panic!("one chain read, got {:?}", analysis.foreign);
+        };
+        assert_eq!(chain.hops, [(marker_s.clone(), Label::from("clone"))]);
+        assert_eq!(chain.class, clone_s);
+        // The clone the most markers reference, and the rows binding them.
+        let source = pipeline.source(0).unwrap();
+        let mut referencing: BTreeMap<&Oid, BTreeSet<Oid>> = BTreeMap::new();
+        for (marker, value) in source.objects(&marker_s) {
+            if let Some(Value::Oid(clone)) = value.project("clone") {
+                referencing.entry(clone).or_default().insert(marker.clone());
+            }
+        }
+        let (victim, markers) = referencing
+            .into_iter()
+            .max_by_key(|(_, markers)| markers.len())
+            .map(|(clone, markers)| (clone.clone(), markers))
+            .unwrap();
+        let cache = &pipeline.core.caches[0];
+        let swept = cache.keys().filter(|key| markers.contains(&key[0])).count() as u64;
+        assert!(swept > 1 && swept < cache.len() as u64);
+        let mut value = source.value(&victim).unwrap().clone();
+        if let Value::Record(fields) = &mut value {
+            fields.insert("name".into(), Value::from("renamed-clone"));
+        }
+        let report = pipeline
+            .apply_batch(&MutationBatch::new().update(victim, value))
+            .unwrap();
+        assert_eq!((report.rows_removed, report.rows_added), (swept, swept));
+        assert_matches_oracle(&pipeline);
+    }
+
+    /// A base no equation resolves to a chain — here `R.c`, read off a
+    /// record `R = (c = S.clone)` — widens its read to the whole extent of a
+    /// scanned class: renaming one clone sweeps and re-derives every row.
+    #[test]
+    fn a_base_read_off_a_record_widens_to_the_whole_extent() {
+        use wol_lang::program::SchemaBinding;
+        let target = Schema::new("labels").with_class(
+            "LabelT",
+            Type::record([("name", Type::str()), ("clone_name", Type::str())]),
+        );
+        let program = Program::new(
+            "marker_labels",
+            vec![SchemaBinding::new(genome::source_schema())],
+            SchemaBinding::new(target),
+        )
+        .with_text(
+            "L1: X in LabelT, X.name = N, X.clone_name = C <= S in MarkerS, N = S.name, \
+                 R = (c = S.clone), C = R.c.name;\n\
+             K1: X = Mk_LabelT(N) <= X in LabelT, N = X.name;",
+        );
+        let source = genome::generate_source(&GenomeParams::default());
+        let mut pipeline =
+            MaterializedPipeline::new(&program, vec![source], PipelineOptions::default()).unwrap();
+        let (clone_s, marker_s) = (ClassName::new("CloneS"), ClassName::new("MarkerS"));
+        let whole = ForeignRead::Whole {
+            read: clone_s.clone(),
+            scanned: marker_s,
+        };
+        assert_eq!(pipeline.core.analyses[0].foreign, [whole]);
         let rows = pipeline.core.caches[0].len() as u64;
-        let clone_s = ClassName::new("CloneS");
         let victim = pipeline.source(0).unwrap().extent(&clone_s).next().cloned();
         let victim = victim.unwrap();
         let mut value = pipeline.source(0).unwrap().value(&victim).unwrap().clone();
@@ -1517,16 +1626,16 @@ mod tests {
     }
 
     /// A foreign read as `read class <- slot class.attribute` for each hop
-    /// of its inversion, the read object's holder first.
+    /// of its chain, the read object's holder first.
     fn render_foreign_read(read: &ForeignRead) -> String {
-        let hops = match &read.inversion {
-            Inversion::Chain(hops) => (hops.iter().rev())
+        let hops = match read {
+            ForeignRead::Chain(chain) => (chain.hops.iter().rev())
                 .map(|(class, attr)| format!("{class}.{attr}"))
                 .collect::<Vec<_>>()
                 .join(" <- "),
-            Inversion::Whole(class) => format!("whole {class}"),
+            ForeignRead::Whole { scanned, .. } => format!("whole {scanned}"),
         };
-        format!("{} <- {hops}", read.class)
+        format!("{} <- {hops}", read.class())
     }
 
     /// What each consumer reads off the shared [`ReadSet`], for every
