@@ -8,16 +8,14 @@
 //! expressions: it evaluates them batch-at-a-time over the column-major
 //! derived storage of [`wol_model::column`], a typed array per attribute.
 //!
-//! * **Lanes.** A tower's `Filter` and `Map` nodes are lowered exactly as the
-//!   row path lowers them; the driver then reads each lowered leaf as a
-//!   *lane*: the scanned identity, an attribute column of the scanned class
-//!   (a projection off the identity), or a constant. A slot a `Map` binds is
-//!   the lane its expression reads. Anything else — Skolems, record or
-//!   variant construction, multi-hop projections, unknown variables, several
-//!   sources — leaves the plan to the row path, so coverage grows without
-//!   risking semantics. So does a truth test of a lane that may not hold a
-//!   boolean: the row path raises that as an error, in row order, which a
-//!   batch cannot reproduce.
+//! * **Lanes.** A tower's `Filter` and `Map` nodes are the row path's own
+//!   lowered expressions ([`Prepared`]); the driver reads each comparison
+//!   operand and each binding as a *lane*: the scanned identity, an attribute
+//!   column of the scanned class (a projection off the identity), or a
+//!   constant. A slot a `Map` binds is the lane its expression reads.
+//!   Anything else — Skolems, record or variant construction, multi-hop
+//!   projections, several sources — leaves the plan to the row path, so
+//!   coverage grows without risking semantics.
 //! * **One comparison.** A comparison is decided by
 //!   [`PushOp::holds`](wol_model::PushOp::holds) — the definition the row
 //!   path, the clause matcher and the scan providers use — over
@@ -26,13 +24,10 @@
 //!   representation fast path (all string columns share one dictionary), not
 //!   a second definition.
 //! * **Selection vectors.** Each worker walks its contiguous row range as a
-//!   vector of surviving row ids; filter kernels evaluate tri-state outcomes
-//!   over column chunks — `Some(true)`, `Some(false)`, or `None` for the row
-//!   path's bad-value error, as [`PushOp::holds`](wol_model::PushOp::holds)
-//!   returns them — and compact the vector. The tri-state matters: the row path turns a missing attribute
-//!   or an uncomparable pair into a bad-value error that predicates swallow
-//!   as *false* and `Map` turns into a dropped row, and negation must *not*
-//!   resurrect such rows.
+//!   vector of surviving row ids, and each conjunct of a filter compacts it
+//!   in turn, keeping the rows whose comparison holds. A missing cell or an
+//!   uncomparable pair does not hold, as a bad value reads `false` on the row
+//!   path; a `Map` drops a row missing a cell it reads.
 //! * **Late materialization.** Only rows surviving every stage are
 //!   materialized, as slot rows in the tower's [`exec::layout`] (dictionary
 //!   codes resolved back to strings, bit-identical to the values the row
@@ -55,12 +50,11 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use wol_model::{chunk_ranges, ClassName, Instance, Label, Oid, PushOp, RealVal, Value, ValueRef};
-use wol_model::{AttrColumn, ColumnData, ColumnKind, CHUNK_ROWS};
+use wol_model::{AttrColumn, ColumnData, CHUNK_ROWS};
 
 use crate::error::CplError;
-use crate::exec::{self, ExecStats};
-use crate::expr::{lower_bindings, EvalCtx, Lowered, Node, SlotRow};
-use crate::plan::Plan;
+use crate::exec::{self, ExecStats, Prepared, Step};
+use crate::expr::{EvalCtx, Node, SlotRow};
 use crate::Result;
 
 /// What a slot, or a leaf of a lowered expression, reads per row.
@@ -93,12 +87,8 @@ impl Lane {
 /// One stage of a tower, innermost (nearest the scan) first.
 #[derive(Debug)]
 enum Stage {
-    /// Keep the rows whose lowered predicate holds; `slots` are the lanes of
-    /// the slots it reads.
-    Filter {
-        predicate: Lowered,
-        slots: Vec<Lane>,
-    },
+    /// Keep the rows where every comparison of two lanes holds, in order.
+    Filter(Vec<(PushOp, Lane, Lane)>),
     /// Bind slots to the given lanes; a row missing a column one of them
     /// reads is dropped (the row path's bad-value-drops-the-row rule).
     Map(Vec<Lane>),
@@ -111,8 +101,6 @@ struct Tower {
     stages: Vec<Stage>,
     /// The lane behind each slot of the tower's layout.
     outputs: Vec<Lane>,
-    /// Lanes the filters use as booleans.
-    tested: Vec<Lane>,
     /// The columns the tower reads, each once.
     columns: Vec<Label>,
 }
@@ -128,70 +116,47 @@ impl Tower {
         }
         Some(lane)
     }
-
-    /// Admit a lowered predicate: comparisons of lanes and truth tests of
-    /// lanes, under `And` and `Not`.
-    fn admit(&mut self, node: &Node) -> Option<()> {
-        match node {
-            Node::Cmp(_, a, b) => {
-                self.lane(a)?;
-                self.lane(b)?;
-            }
-            Node::And(conjuncts) => {
-                for conjunct in conjuncts {
-                    self.admit(conjunct)?;
-                }
-            }
-            Node::Not(inner) => self.admit(inner)?,
-            leaf => {
-                let lane = self.lane(leaf)?;
-                self.tested.push(lane);
-            }
-        }
-        Some(())
-    }
 }
 
-/// Lower `plan` for the batch driver, or `None` when any part of it is out
-/// of scope (then the row-at-a-time executor runs it).
-fn extract(plan: &Plan) -> Option<Tower> {
-    let mut nodes = Vec::new();
-    let mut cur = plan;
+/// Read a prepared plan as a tower for the batch driver, or `None` when any
+/// part of it is out of scope (then the row-at-a-time executor runs it).
+fn extract(prepared: &Prepared<'_>) -> Option<Tower> {
+    let mut steps = Vec::new();
+    let mut cur = prepared;
     let class = loop {
-        match cur {
-            Plan::Filter { input, .. } | Plan::Map { input, .. } => {
-                nodes.push(cur);
+        match &cur.step {
+            Step::Filter(input, _) | Step::Map(input, _) => {
+                steps.push(&cur.step);
                 cur = input;
             }
-            Plan::Scan { class, .. } => break class.clone(),
+            Step::Scan(class, _) => break (*class).clone(),
             _ => return None,
         }
     };
-    if nodes.is_empty() {
+    if steps.is_empty() {
         // A bare scan gains nothing from columnarization; leave it alone.
         return None;
     }
     let mut tower = Tower {
         class,
-        stages: Vec::with_capacity(nodes.len()),
+        stages: Vec::with_capacity(steps.len()),
         outputs: vec![Lane::Identity],
-        tested: Vec::new(),
         columns: Vec::new(),
     };
-    for node in nodes.into_iter().rev() {
-        match node {
-            Plan::Filter { input, predicate } => {
-                let predicate = Lowered::new(predicate, &exec::layout(input));
-                tower.admit(predicate.node())?;
-                let slots = tower.outputs.clone();
-                tower.stages.push(Stage::Filter { predicate, slots });
+    for step in steps.into_iter().rev() {
+        match step {
+            Step::Filter(_, predicate) => {
+                let conjuncts = (predicate.conjuncts().iter())
+                    .map(|(op, a, b)| Some((*op, tower.lane(a)?, tower.lane(b)?)))
+                    .collect::<Option<_>>()?;
+                tower.stages.push(Stage::Filter(conjuncts));
             }
-            Plan::Map { input, bindings } => {
+            Step::Map(_, bindings) => {
                 let mut reads = Vec::with_capacity(bindings.len());
-                for (slot, binding) in lower_bindings(bindings, &mut exec::layout(input)) {
+                for (slot, binding) in bindings {
                     let lane = tower.lane(binding.node())?;
                     reads.push(lane.clone());
-                    match tower.outputs.get_mut(slot) {
+                    match tower.outputs.get_mut(*slot) {
                         Some(output) => *output = lane,
                         None => tower.outputs.push(lane),
                     }
@@ -224,30 +189,23 @@ struct Batch<'t> {
 }
 
 impl Batch<'_> {
-    fn bind(&self, lane: Lane) -> Result<Operand<'_>> {
+    fn bind(&self, lane: &Lane) -> Result<Operand<'_>> {
         Ok(match lane {
             Lane::Identity => Operand::Identity,
             Lane::Column(label) => {
-                let column = self.tower.columns.iter().position(|c| *c == label);
+                let column = self.tower.columns.iter().position(|c| c == label);
                 Operand::Column(column.map(|c| &*self.columns[c]).ok_or_else(|| {
                     CplError::BadPlan(format!("the tower has no column `{label}`"))
                 })?)
             }
             Lane::Const(value) => {
-                let code = match &value {
+                let code = match value {
                     Value::Str(s) => self.instance.dict_code(s),
                     _ => None,
                 };
-                Operand::Const(value, code)
+                Operand::Const(value.clone(), code)
             }
         })
-    }
-
-    /// The operand a leaf of a lowered predicate reads.
-    fn operand(&self, node: &Node, slots: &[Lane]) -> Result<Operand<'_>> {
-        let lane = Lane::of(node, slots)
-            .ok_or_else(|| CplError::BadPlan("a tower leaf is no lane".into()))?;
-        self.bind(lane)
     }
 
     /// The cell of `operand` at `row` — its view and dictionary code — or
@@ -279,76 +237,17 @@ impl Batch<'_> {
         }
     }
 
-    /// Whether a truth test of `lane` could meet a value that is no boolean.
-    fn may_not_be_boolean(&self, lane: &Lane) -> Result<bool> {
-        Ok(match self.bind(lane.clone())? {
-            Operand::Column(column) => column.kind() != ColumnKind::Bool && column.present() > 0,
-            Operand::Const(value, _) => !matches!(value, Value::Bool(_)),
-            Operand::Identity => true,
-        })
-    }
-
-    /// Evaluate a lowered predicate over `rows`, whose slots hold `slots`:
-    /// per row, whether it holds, or `None` for the row path's bad value.
-    fn eval(&self, node: &Node, slots: &[Lane], rows: &[u32]) -> Result<Vec<Option<bool>>> {
-        Ok(match node {
-            Node::Cmp(op, a, b) => {
-                let (a, b) = (self.operand(a, slots)?, self.operand(b, slots)?);
-                rows.iter()
-                    .map(|&r| {
-                        let (Some((x, x_code)), Some((y, y_code))) =
-                            (self.cell(&a, r as usize), self.cell(&b, r as usize))
-                        else {
-                            return None;
-                        };
-                        match (op, x_code, y_code) {
-                            (PushOp::Eq, Some(x), Some(y)) => Some(x == y),
-                            (PushOp::Neq, Some(x), Some(y)) => Some(x != y),
-                            _ => op.holds(x, y),
-                        }
-                    })
-                    .collect()
-            }
-            // An error passes through un-negated.
-            Node::Not(inner) => self
-                .eval(inner, slots, rows)?
-                .into_iter()
-                .map(|holds| holds.map(|b| !b))
-                .collect(),
-            Node::And(conjuncts) => {
-                // Ordered short-circuit: evaluate each conjunct only for the
-                // rows every earlier conjunct passed; the first non-true
-                // conjunct decides the row (errors included), as in the row
-                // path's left-to-right `And`.
-                let mut out = vec![Some(true); rows.len()];
-                let mut active: Vec<usize> = (0..rows.len()).collect();
-                for conjunct in conjuncts {
-                    if active.is_empty() {
-                        break;
-                    }
-                    let sub: Vec<u32> = active.iter().map(|&i| rows[i]).collect();
-                    let holds = self.eval(conjunct, slots, &sub)?;
-                    let mut still = Vec::with_capacity(active.len());
-                    for (&i, holds) in active.iter().zip(holds) {
-                        match holds {
-                            Some(true) => still.push(i),
-                            other => out[i] = other,
-                        }
-                    }
-                    active = still;
-                }
-                out
-            }
-            leaf => {
-                let operand = self.operand(leaf, slots)?;
-                rows.iter()
-                    .map(|&r| match self.cell(&operand, r as usize) {
-                        Some((ValueRef::Bool(b), _)) => Some(b),
-                        _ => None,
-                    })
-                    .collect()
-            }
-        })
+    /// Whether `op` holds of the cells of `a` and `b` at `row`: not when a
+    /// cell is missing or the pair is uncomparable, as on the row path.
+    fn holds(&self, op: PushOp, a: &Operand<'_>, b: &Operand<'_>, row: usize) -> bool {
+        let (Some((x, x_code)), Some((y, y_code))) = (self.cell(a, row), self.cell(b, row)) else {
+            return false;
+        };
+        match (op, x_code, y_code) {
+            (PushOp::Eq, Some(x), Some(y)) => x == y,
+            (PushOp::Neq, Some(x), Some(y)) => x != y,
+            _ => op.holds(x, y) == Some(true),
+        }
     }
 
     /// Run every stage over one contiguous row range, returning per-stage
@@ -358,20 +257,15 @@ impl Batch<'_> {
         let mut counts = Vec::with_capacity(self.tower.stages.len());
         for stage in &self.tower.stages {
             match stage {
-                Stage::Filter { predicate, slots } => {
-                    let holds = self.eval(predicate.node(), slots, &sel)?;
-                    let mut kept = Vec::with_capacity(sel.len());
-                    for (&r, holds) in sel.iter().zip(holds) {
-                        if holds == Some(true) {
-                            kept.push(r);
-                        }
+                Stage::Filter(conjuncts) => {
+                    for (op, a, b) in conjuncts {
+                        let (a, b) = (self.bind(a)?, self.bind(b)?);
+                        sel.retain(|&r| self.holds(*op, &a, &b, r as usize));
                     }
-                    sel = kept;
                 }
                 Stage::Map(reads) => {
-                    let reads = reads
-                        .iter()
-                        .map(|lane| self.bind(lane.clone()))
+                    let reads = (reads.iter())
+                        .map(|lane| self.bind(lane))
                         .collect::<Result<Vec<_>>>()?;
                     sel.retain(|&r| reads.iter().all(|o| self.cell(o, r as usize).is_some()));
                 }
@@ -388,7 +282,7 @@ impl Batch<'_> {
             .tower
             .outputs
             .iter()
-            .map(|lane| self.bind(lane.clone()))
+            .map(|lane| self.bind(lane))
             .collect::<Result<Vec<_>>>()?;
         let mut rows = Vec::with_capacity(sel.len());
         for &r in sel {
@@ -410,11 +304,11 @@ impl Batch<'_> {
     }
 }
 
-/// Try to answer `plan` through the columnar executor, with rows allocated
-/// for `width` slots. `Ok(None)` means the plan (or context) is out of scope
-/// and the row-at-a-time path must run.
+/// Try to answer `prepared` through the columnar executor, with rows
+/// allocated for `width` slots. `Ok(None)` means the plan (or context) is
+/// out of scope and the row-at-a-time path must run.
 pub(crate) fn try_run(
-    plan: &Plan,
+    prepared: &Prepared<'_>,
     width: usize,
     ctx: &mut EvalCtx<'_>,
     stats: &mut ExecStats,
@@ -428,7 +322,7 @@ pub(crate) fn try_run(
     if ctx.has_scan_restrictions() {
         return Ok(None);
     }
-    let Some(tower) = extract(plan) else {
+    let Some(tower) = extract(prepared) else {
         return Ok(None);
     };
     let instance = ctx.sources()[0];
@@ -444,11 +338,6 @@ pub(crate) fn try_run(
             .collect(),
         dict: instance.dict_strings(),
     };
-    for lane in &tower.tested {
-        if batch.may_not_be_boolean(lane)? {
-            return Ok(None);
-        }
-    }
     let n = rows.len();
     // Scan accounting, exactly as the row path's `Scan` arm records it.
     stats.rows_scanned += n;

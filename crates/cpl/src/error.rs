@@ -4,10 +4,19 @@ use std::fmt;
 
 use wol_model::Label;
 
-/// Errors from expression evaluation or plan execution.
+/// Errors from lowering a plan or running it.
+///
+/// A plan is refused before its first row runs, with the same error on every
+/// path, when an expression names a variable its layout lacks
+/// ([`UnknownVariable`](CplError::UnknownVariable)) or has the wrong form
+/// ([`BadPlan`](CplError::BadPlan)). At run time there is one rule: a bad
+/// value ([`CplError::is_bad_value`]: a missing optional attribute, a dangling
+/// identity, an uncomparable pair) reads `false` in a predicate, drops a
+/// `Map` row and makes a join key unjoinable. The only per-row error that is
+/// no bad value is a Skolem-memo collision ([`Model`](CplError::Model)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CplError {
-    /// A row variable referenced by an expression is not present in the row.
+    /// An expression names a row variable its layout does not bind.
     UnknownVariable(String),
     /// A projection or operation was applied to a value of the wrong shape.
     BadValue(String),
@@ -20,14 +29,12 @@ pub enum CplError {
         /// The attribute asked for.
         label: Label,
     },
-    /// A predicate evaluated to a value of this kind, not a boolean: an
-    /// error on every path, never read as `false`.
-    NotBoolean(&'static str),
     /// Contributions to one target object disagree on an attribute: the
     /// least such `(object, attribute)` of what was applied.
     Conflict(wol_model::Conflict),
-    /// A plan is malformed (e.g. a hash join whose key expressions reference
-    /// variables the corresponding side does not produce).
+    /// A plan is malformed: a predicate conjunct that is no comparison, or a
+    /// comparison where a value belongs (a `Map` binding, a join key, an
+    /// insert key or attribute).
     BadPlan(String),
     /// An error bubbled up from the data model.
     Model(String),
@@ -40,10 +47,6 @@ impl fmt::Display for CplError {
             CplError::BadValue(m) => write!(f, "bad value: {m}"),
             CplError::MissingAttribute { kind, label } => {
                 let m = format_args!("value of kind `{kind}` has no attribute `{label}`");
-                write!(f, "bad value: {m}")
-            }
-            CplError::NotBoolean(kind) => {
-                let m = format_args!("expected a boolean predicate value, found `{kind}`");
                 write!(f, "bad value: {m}")
             }
             CplError::Conflict(conflict) => conflict.fmt(f),
@@ -96,10 +99,6 @@ mod tests {
             CplError::BadValue("value of kind `record` has no attribute `population`".into())
                 .to_string()
         );
-        assert!(missing.is_bad_value() && !CplError::NotBoolean("str").is_bad_value());
-        assert_eq!(
-            CplError::NotBoolean("str").to_string(),
-            "bad value: expected a boolean predicate value, found `str`"
-        );
+        assert!(missing.is_bad_value() && !CplError::BadPlan("p".into()).is_bad_value());
     }
 }

@@ -9,10 +9,11 @@
 //!
 //! A normal-form query's binding structure is static, so every plan node has
 //! a **layout** ([`layout`]): its rows' variable names, ordered, each once.
-//! Rows are [`SlotRow`]s in layout order, and each operator lowers its
-//! expressions against its input's layout once per run
-//! ([`crate::expr::Lowered`]): no row is searched by name, and evaluation
-//! borrows instead of copying.
+//! Rows are [`SlotRow`]s in layout order. Before any row runs, every
+//! expression of the plan and of its inserts is lowered against the layout
+//! it reads ([`crate::expr::Lowered`], [`crate::expr::Predicate`]): an
+//! ill-formed plan is refused there, on every path, and no row is searched
+//! by name. Evaluation borrows instead of copying.
 //!
 //! ## Partitioned execution
 //!
@@ -54,7 +55,9 @@ use wol_model::{
 };
 
 use crate::error::CplError;
-use crate::expr::{bind_slot, lower_bindings, store, EvalCtx, Expr, Lowered, RecordShape};
+use crate::expr::{
+    bind_slot, lower_bindings, store, EvalCtx, Expr, Lowered, Predicate, RecordShape,
+};
 use crate::plan::{InsertAction, Plan, Query};
 use crate::Result;
 
@@ -589,62 +592,45 @@ pub fn layout(plan: &Plan) -> Vec<String> {
 /// that reach them), verifying only the remaining pairs against each
 /// candidate.
 ///
-/// Repeated composite keys — the common case on skewed data, where a few hot
-/// values dominate the driving side — are probed **once**, in two passes
-/// over contiguous partitions. The first probes each group (a distinct key
-/// tuple, or a keyed row when a scan-side key also reads the driving row)
-/// in first-occurrence order, appending its verified identities to the
-/// partition's one list. The second splices every driving row, in
-/// order, with its group's identities in `out` (the join's [`layout`]); a
-/// group's first row counts its probe, every other row a cache hit
-/// ([`ExecStats::probe_cache_hits`]), so the per-shard breakdown sums to the
-/// merged counts. Rows, counts and the error (the first failing row's key,
-/// else the first failing group's probe) are a one-partition run's.
+/// Every scan-side key is lowered against the scan's own layout, so it reads
+/// the probed variable alone and a key tuple's verified identities are a
+/// function of the tuple: repeated composite keys — the common case on
+/// skewed data, where a few hot values dominate the driving side — are
+/// probed **once**, in two passes over contiguous partitions. The first
+/// probes each distinct key tuple in first-occurrence order, appending its
+/// verified identities to the partition's one list. The second splices every
+/// driving row, in order, with its tuple's identities in `out` (the join's
+/// [`layout`]); a tuple's first row counts its probe, every other row a cache
+/// hit ([`ExecStats::probe_cache_hits`]), so the per-shard breakdown sums to
+/// the merged counts. Rows, counts and the error are a one-partition run's.
 fn probe_join(
-    driving: &Plan,
-    driving_keys: &[&Expr],
-    scan_keys: &[&Expr],
+    driving: &Prepared<'_>,
+    driving_keys: &[Lowered],
+    scan_keys: &[Lowered],
     side: &IndexableSide,
     (out, width): (&[String], usize),
     ctx: &mut EvalCtx<'_>,
     stats: &mut ExecStats,
 ) -> Result<Vec<SlotRow>> {
     let driving_rows = rows_of(driving, width, ctx, stats)?;
-    let mut probe_layout = layout(driving);
-    let splice = Splice::new(out, &probe_layout, std::slice::from_ref(&side.var), width);
-    let driving_lowered = lower_all(driving_keys, &probe_layout);
-    let slot = bind_slot(&mut probe_layout, &side.var);
+    let probed_var = std::slice::from_ref(&side.var);
+    let splice = Splice::new(out, &layout(driving.plan), probed_var, width);
     let probe = Probe {
         side,
         residual: (scan_keys.iter().enumerate())
             .filter(|(i, _)| !side.probed.contains(i))
-            .map(|(i, key)| (i, Lowered::new(key, &probe_layout)))
             .collect(),
-        slot,
-        width: probe_layout.len(),
     };
     let parts = ctx.parallelism().partitions(driving_rows.len());
-    let key_tuples = eval_key_tuples(&driving_rows, &driving_lowered, parts, ctx, stats)?;
-    // One probe per key is sound only when every scan-side key expression
-    // ranges over the scanned variable alone — then the verified identity
-    // list is a function of the key tuple. The planner only emits such keys,
-    // but the join shape is public API, so the executor re-checks.
-    let cacheable = scan_keys
-        .iter()
-        .all(|k| k.var_set().iter().all(|v| v == &side.var));
+    let key_tuples = eval_key_tuples(&driving_rows, driving_keys, parts, ctx, stats)?;
     // Each keyed row's group, and each group's first row with its key.
     let mut group_of: Vec<Option<usize>> = Vec::with_capacity(key_tuples.len());
     let mut firsts: Vec<(usize, &[Cow<'_, Value>])> = Vec::new();
     let mut by_key: HashMap<&[Cow<'_, Value>], usize> = HashMap::new();
     for (idx, values) in key_tuples.iter().enumerate() {
         group_of.push(values.as_deref().map(|key| {
-            let fresh = firsts.len();
-            let group = if cacheable {
-                *by_key.entry(key).or_insert(fresh)
-            } else {
-                fresh
-            };
-            if group == fresh {
+            let group = *by_key.entry(key).or_insert(firsts.len());
+            if group == firsts.len() {
                 firsts.push((idx, key));
             }
             group
@@ -656,13 +642,10 @@ fn probe_join(
     // A partition gathers its groups' verified identities into one list and
     // the offsets where each group ends, so no group keeps a list of its own.
     let probed = run_partitioned(ctx, stats, ranges, |range, wctx, _ws| {
-        let (mut scratch, mut found) = ((Vec::new(), Vec::new()), Vec::new());
+        let (mut values, mut found) = (Vec::new(), Vec::new());
         let mut ends = Vec::with_capacity(range.len());
-        for &(idx, key) in &firsts[range] {
-            // A cacheable key's candidates depend on the key alone; otherwise
-            // the row is the base the residual scan keys are verified against.
-            let base = (!cacheable).then(|| driving_rows[idx].as_slice());
-            probe.candidates(base, &mut scratch, key, wctx, &mut found)?;
+        for &(_, key) in &firsts[range] {
+            probe.candidates(&mut values, key, wctx, &mut found)?;
             ends.push(found.len());
         }
         Ok((found, ends))
@@ -697,18 +680,11 @@ fn probe_join(
     Ok(rows)
 }
 
-fn lower_all(exprs: &[&Expr], layout: &[String]) -> Vec<Lowered> {
-    exprs.iter().map(|e| Lowered::new(e, layout)).collect()
-}
-
 /// The index-probed side of a probe join: the scan-side keys no index
-/// answers (`residual`, by key pair), lowered over the probe row — the
-/// driving layout with the probed variable bound at `slot`.
+/// answers (`residual`, by key pair), lowered over the probed scan's row.
 struct Probe<'s> {
     side: &'s IndexableSide,
-    residual: Vec<(usize, Lowered)>,
-    slot: usize,
-    width: usize,
+    residual: Vec<(usize, &'s Lowered)>,
 }
 
 impl Probe<'_> {
@@ -717,13 +693,10 @@ impl Probe<'_> {
     /// (gathered in scratch `values`), mapped back through `side.hops` to
     /// the scanned objects that reach what it found ([`invert_chain`]; in
     /// ascending identity order), then the probed scan's delta
-    /// restriction and the residual pairs checked against each candidate,
-    /// bound into scratch `row` (a copy of `base`, or blanks when the keys
-    /// read the probed variable alone).
+    /// restriction and the residual pairs checked against each candidate.
     fn candidates<'k>(
         &self,
-        base: Option<&[Value]>,
-        (row, values): &mut (SlotRow, Vec<&'k Value>),
+        values: &mut Vec<&'k Value>,
         key_values: &'k [Cow<'_, Value>],
         ctx: &mut EvalCtx<'_>,
         found: &mut Vec<Oid>,
@@ -743,9 +716,6 @@ impl Probe<'_> {
         if restriction.is_none() && self.residual.is_empty() {
             return Ok(());
         }
-        row.clear();
-        row.extend_from_slice(base.unwrap_or_default());
-        row.resize(self.width, Value::Absent);
         // Keep the verified candidates in order, compacted to the front.
         let mut kept = start;
         'candidates: for at in start..found.len() {
@@ -753,9 +723,9 @@ impl Probe<'_> {
             if restriction.as_ref().is_some_and(|r| !r.admits(oid)) {
                 continue;
             }
-            row[self.slot] = Value::Oid(oid.clone());
+            let row = [Value::Oid(oid.clone())];
             for (i, key) in &self.residual {
-                match key.eval(row, ctx) {
+                match key.eval(&row, ctx) {
                     Ok(value) if value == key_values[*i] => {}
                     Err(e) if !e.is_bad_value() => return Err(e),
                     _ => continue 'candidates,
@@ -880,14 +850,86 @@ fn scan_extent<T>(
     scanned
 }
 
+/// A plan with every expression lowered against the layout it reads, built
+/// whole before any row runs: an ill-formed plan is refused here, with the
+/// same error on every path. A hash join lowers each side's keys against
+/// that side's own layout, whichever algorithm runs it.
+pub(crate) struct Prepared<'p> {
+    pub(crate) plan: &'p Plan,
+    pub(crate) step: Step<'p>,
+}
+
+/// A [`Prepared`] node's operator, with its lowered expressions and inputs.
+/// A nested-loop join and a cross join are one loop; a cross join's
+/// predicate has no conjunct.
+pub(crate) enum Step<'p> {
+    Scan(&'p ClassName, &'p str),
+    Filter(Box<Prepared<'p>>, Predicate),
+    Map(Box<Prepared<'p>>, Vec<(usize, Lowered)>),
+    Loop(Box<Prepared<'p>>, Box<Prepared<'p>>, Predicate),
+    HashJoin {
+        left: Box<Prepared<'p>>,
+        right: Box<Prepared<'p>>,
+        keys: &'p [(Expr, Expr)],
+        left_keys: Vec<Lowered>,
+        right_keys: Vec<Lowered>,
+    },
+}
+
+impl<'p> Prepared<'p> {
+    /// Lower `plan` bottom-up, left to right; the first ill-formed
+    /// expression is the error.
+    pub(crate) fn new(plan: &'p Plan) -> Result<Prepared<'p>> {
+        let prepare = |plan: &'p Plan| Prepared::new(plan).map(Box::new);
+        let step = match plan {
+            Plan::Scan { class, var } => Step::Scan(class, var),
+            Plan::Filter { input, predicate } => {
+                let input = prepare(input)?;
+                let predicate = Predicate::new(predicate, &layout(input.plan))?;
+                Step::Filter(input, predicate)
+            }
+            Plan::Map { input, bindings } => {
+                let input = prepare(input)?;
+                let bindings = lower_bindings(bindings, &mut layout(input.plan))?;
+                Step::Map(input, bindings)
+            }
+            Plan::NestedLoopJoin {
+                left,
+                right,
+                predicate,
+            } => {
+                let (left, right) = (prepare(left)?, prepare(right)?);
+                Step::Loop(left, right, Predicate::new(predicate, &layout(plan))?)
+            }
+            Plan::CrossJoin { left, right } => {
+                Step::Loop(prepare(left)?, prepare(right)?, Predicate::default())
+            }
+            Plan::HashJoin { left, right, keys } => {
+                let (left, right) = (prepare(left)?, prepare(right)?);
+                let (l, r) = (layout(left.plan), layout(right.plan));
+                let left_keys = (keys.iter()).map(|(k, _)| Lowered::new(k, &l));
+                let right_keys = (keys.iter()).map(|(_, k)| Lowered::new(k, &r));
+                Step::HashJoin {
+                    left_keys: left_keys.collect::<Result<_>>()?,
+                    right_keys: right_keys.collect::<Result<_>>()?,
+                    left,
+                    right,
+                    keys,
+                }
+            }
+        };
+        Ok(Prepared { plan, step })
+    }
+}
+
 /// Run a plan against the context, returning its rows in the plan's
-/// [`layout`].
+/// [`layout`]; an ill-formed plan is refused before its first row.
 pub fn run_slots(
     plan: &Plan,
     ctx: &mut EvalCtx<'_>,
     stats: &mut ExecStats,
 ) -> Result<Vec<SlotRow>> {
-    rows_of(plan, layout(plan).len(), ctx, stats)
+    rows_of(&Prepared::new(plan)?, layout(plan).len(), ctx, stats)
 }
 
 /// A one-slot scan row with room for `width` slots.
@@ -900,7 +942,7 @@ fn scan_row(oid: &Oid, width: usize) -> SlotRow {
 /// [`run_slots`] for a node of a plan whose root — its widest node — has
 /// `width` slots: rows are allocated once, with room for any `Map` above.
 fn rows_of(
-    plan: &Plan,
+    prepared: &Prepared<'_>,
     width: usize,
     ctx: &mut EvalCtx<'_>,
     stats: &mut ExecStats,
@@ -908,20 +950,16 @@ fn rows_of(
     // Scan→filter→project towers over a single source run batch-at-a-time on
     // the columnar executor (identical rows and stats, proven differentially);
     // everything else — and every bail-out — takes the row path below.
-    if let Some(rows) = crate::columnar::try_run(plan, width, ctx, stats)? {
+    if let Some(rows) = crate::columnar::try_run(prepared, width, ctx, stats)? {
         return Ok(rows);
     }
-    let rows = match plan {
-        Plan::Scan { class, var } => {
-            scan_extent(class, var, ctx, stats, |oid| scan_row(oid, width))
-        }
-        Plan::Filter { input, predicate } => {
-            let predicate = Lowered::new(predicate, &layout(input));
-            let predicate = &predicate;
+    let rows = match &prepared.step {
+        Step::Scan(class, var) => scan_extent(class, var, ctx, stats, |oid| scan_row(oid, width)),
+        Step::Filter(input, predicate) => {
             // Fused scan+filter: partition the class extent itself into
             // contiguous chunks, so row construction and the predicate both
             // run on the partitions.
-            if let Plan::Scan { class, var } = input.as_ref() {
+            if let Step::Scan(class, var) = input.step {
                 let extent_total: usize = ctx.sources().iter().map(|i| i.extent_size(class)).sum();
                 let parts = ctx.parallelism().partitions(extent_total);
                 // The scan operator's own output, recorded as the `Scan` arm
@@ -935,7 +973,7 @@ fn rows_of(
                     ws.rows_scanned += range.len();
                     let mut kept = Vec::new();
                     for oid in &oids[range] {
-                        if predicate.eval_predicate(&[Value::Oid(oid.clone())], wctx)? {
+                        if predicate.holds(&[Value::Oid(oid.clone())], wctx)? {
                             kept.push(scan_row(oid, width));
                         }
                     }
@@ -950,7 +988,7 @@ fn rows_of(
                 let chunks = run_partitioned(ctx, stats, chunks, |chunk, wctx, ws| {
                     let mut kept = Vec::new();
                     for row in chunk {
-                        if predicate.eval_predicate(&row, wctx)? {
+                        if predicate.holds(&row, wctx)? {
                             kept.push(row);
                         }
                     }
@@ -960,10 +998,8 @@ fn rows_of(
                 concat(chunks)
             }
         }
-        Plan::Map { input, bindings } => {
+        Step::Map(input, lowered) => {
             let input_rows = rows_of(input, width, ctx, stats)?;
-            let lowered = lower_bindings(bindings, &mut layout(input));
-            let lowered = &lowered;
             let parts = ctx.parallelism().partitions(input_rows.len());
             let chunks = owned_chunks(input_rows, parts);
             let chunks = run_partitioned(ctx, stats, chunks, |chunk, wctx, ws| {
@@ -986,26 +1022,20 @@ fn rows_of(
             })?;
             concat(chunks)
         }
-        Plan::NestedLoopJoin {
-            left,
-            right,
-            predicate,
-        } => {
+        Step::Loop(left, right, predicate) => {
             let left_rows = rows_of(left, width, ctx, stats)?;
             let right_rows = rows_of(right, width, ctx, stats)?;
-            let out = layout(plan);
-            let splice = Splice::new(&out, &layout(left), &layout(right), width);
-            let predicate = Lowered::new(predicate, &out);
+            let out = layout(prepared.plan);
+            let splice = Splice::new(&out, &layout(left.plan), &layout(right.plan), width);
             let parts = ctx.parallelism().partitions(left_rows.len());
-            let (left_rows, right_rows, splice, predicate) =
-                (&left_rows, &right_rows, &splice, &predicate);
+            let (left_rows, right_rows, splice) = (&left_rows, &right_rows, &splice);
             let ranges = chunk_ranges(left_rows.len(), parts);
             let chunks = run_partitioned(ctx, stats, ranges, |range, wctx, ws| {
                 let mut out = Vec::new();
                 for l in &left_rows[range] {
                     for r in right_rows {
                         let combined = splice.join(l, r);
-                        if predicate.eval_predicate(&combined, wctx)? {
+                        if predicate.holds(&combined, wctx)? {
                             out.push(combined);
                         }
                     }
@@ -1014,33 +1044,22 @@ fn rows_of(
                 Ok(out)
             })?;
             let rows = concat(chunks);
-            ctx.record_join("NestedLoopJoin", rows.len());
+            let kind = match prepared.plan {
+                Plan::CrossJoin { .. } => "CrossJoin",
+                _ => "NestedLoopJoin",
+            };
+            ctx.record_join(kind, rows.len());
             rows
         }
-        Plan::CrossJoin { left, right } => {
-            let left_rows = rows_of(left, width, ctx, stats)?;
-            let right_rows = rows_of(right, width, ctx, stats)?;
-            let splice = Splice::new(&layout(plan), &layout(left), &layout(right), width);
-            let parts = ctx.parallelism().partitions(left_rows.len());
-            let (left_rows, right_rows, splice) = (&left_rows, &right_rows, &splice);
-            let ranges = chunk_ranges(left_rows.len(), parts);
-            let chunks = run_partitioned(ctx, stats, ranges, |range, _wctx, ws| {
-                let mut out = Vec::with_capacity(range.len() * right_rows.len());
-                for l in &left_rows[range] {
-                    for r in right_rows {
-                        out.push(splice.join(l, r));
-                    }
-                }
-                ws.rows_produced += out.len();
-                Ok(out)
-            })?;
-            let rows = concat(chunks);
-            ctx.record_join("CrossJoin", rows.len());
-            rows
-        }
-        Plan::HashJoin { left, right, keys } => {
-            let left_keys: Vec<&Expr> = keys.iter().map(|(l, _)| l).collect();
-            let right_keys: Vec<&Expr> = keys.iter().map(|(_, r)| r).collect();
+        Step::HashJoin {
+            left,
+            right,
+            keys,
+            left_keys,
+            right_keys,
+        } => {
+            let left_exprs = || keys.iter().map(|(l, _)| l);
+            let right_exprs = || keys.iter().map(|(_, r)| r);
             // Index fast path: when one side is a bare scan keyed by
             // attributes of the scanned object, never materialise it — drive
             // from the other side and answer each key tuple with one lookup
@@ -1048,7 +1067,7 @@ fn rows_of(
             // keep the fast path (the driving side applies its own;
             // `Probe::candidates` filters by the probed side's), which is
             // what keeps semi-naive delta joins O(delta).
-            let out = layout(plan);
+            let out = layout(prepared.plan);
             let out = (out.as_slice(), width);
             // When a rotation is active and both sides are available — a
             // side keyed off a reference chain of its scanned variable
@@ -1059,38 +1078,39 @@ fn rows_of(
             // one layout.
             if ctx.has_scan_restrictions() {
                 let chains = ctx.reference_chains();
-                let left_side = indexable_side(left, left_keys.iter().copied(), chains);
-                let right_side = indexable_side(right, right_keys.iter().copied(), chains);
+                let left_side = indexable_side(left.plan, left_exprs(), chains);
+                let right_side = indexable_side(right.plan, right_exprs(), chains);
                 if let (Some(ls), Some(rs)) = (left_side, right_side) {
-                    if let (Some(dl), Some(dr)) =
-                        (scan_cardinality(left, ctx), scan_cardinality(right, ctx))
-                    {
+                    if let (Some(dl), Some(dr)) = (
+                        scan_cardinality(left.plan, ctx),
+                        scan_cardinality(right.plan, ctx),
+                    ) {
                         return if dl < dr || (dl == dr && !ls.hops.is_empty()) {
-                            probe_join(left, &left_keys, &right_keys, &rs, out, ctx, stats)
+                            probe_join(left, left_keys, right_keys, &rs, out, ctx, stats)
                         } else {
-                            probe_join(right, &right_keys, &left_keys, &ls, out, ctx, stats)
+                            probe_join(right, right_keys, left_keys, &ls, out, ctx, stats)
                         };
                     }
                 }
             }
-            if let Some(side) = indexable_side(left, left_keys.iter().copied(), &[]) {
-                return probe_join(right, &right_keys, &left_keys, &side, out, ctx, stats);
+            if let Some(side) = indexable_side(left.plan, left_exprs(), &[]) {
+                return probe_join(right, right_keys, left_keys, &side, out, ctx, stats);
             }
-            if let Some(side) = indexable_side(right, right_keys.iter().copied(), &[]) {
-                return probe_join(left, &left_keys, &right_keys, &side, out, ctx, stats);
+            if let Some(side) = indexable_side(right.plan, right_exprs(), &[]) {
+                return probe_join(left, left_keys, right_keys, &side, out, ctx, stats);
             }
             let left_rows = rows_of(left, width, ctx, stats)?;
             let right_rows = rows_of(right, width, ctx, stats)?;
-            let (left_layout, right_layout) = (layout(left), layout(right));
             let parts = ctx
                 .parallelism()
                 .partitions(left_rows.len().max(right_rows.len()));
+            let splice = Splice::new(out.0, &layout(left.plan), &layout(right.plan), width);
             let rows = hash_join(
                 &left_rows,
                 &right_rows,
-                &lower_all(&left_keys, &left_layout),
-                &lower_all(&right_keys, &right_layout),
-                &Splice::new(out.0, &left_layout, &right_layout, width),
+                left_keys,
+                right_keys,
+                &splice,
                 parts,
                 ctx,
                 stats,
@@ -1128,19 +1148,18 @@ pub struct LoweredInsert {
 }
 
 impl LoweredInsert {
-    /// Lower insert actions against the layout of the rows they read.
-    pub fn lower(inserts: &[InsertAction], layout: &[String]) -> Vec<LoweredInsert> {
-        inserts
-            .iter()
-            .map(|insert| LoweredInsert {
-                class: insert.class.clone(),
-                key: Lowered::new(&insert.key, layout),
-                attrs: insert
-                    .attrs
-                    .iter()
-                    .map(|(label, e)| (label.clone(), Lowered::new(e, layout)))
-                    .collect(),
-                shape: RecordShape::new(insert.attrs.iter().map(|(label, _)| label)),
+    /// Lower insert actions against the layout of the rows they read: each
+    /// key and attribute is a value, refused as [`Lowered::new`] refuses.
+    pub fn lower(inserts: &[InsertAction], layout: &[String]) -> Result<Vec<LoweredInsert>> {
+        let lower = |(label, e): &(Label, Expr)| Ok((label.clone(), Lowered::new(e, layout)?));
+        (inserts.iter())
+            .map(|insert| {
+                Ok(LoweredInsert {
+                    class: insert.class.clone(),
+                    key: Lowered::new(&insert.key, layout)?,
+                    attrs: insert.attrs.iter().map(lower).collect::<Result<_>>()?,
+                    shape: RecordShape::new(insert.attrs.iter().map(|(label, _)| label)),
+                })
             })
             .collect()
     }
@@ -1160,8 +1179,9 @@ impl LoweredInsert {
 }
 
 /// Evaluate one query's plan and insert actions without touching the
-/// target: the insert evaluation is partitioned like any operator, and its
-/// first error in row order fails the evaluation. `stats` absorbs the
+/// target: the plan and the inserts are lowered before any row runs, the
+/// insert evaluation is partitioned like any operator, and its first error
+/// in row order fails the evaluation. `stats` absorbs the
 /// execution counters, including `rows_output`; the returned
 /// [`EvaluatedQuery`] takes `ctx`'s factory with it and is applied with
 /// [`apply_evaluated_query`] on the owning context.
@@ -1170,9 +1190,11 @@ pub fn evaluate_query(
     ctx: &mut EvalCtx<'_>,
     stats: &mut ExecStats,
 ) -> Result<EvaluatedQuery> {
-    let rows = run_slots(&query.plan, ctx, stats)?;
+    let plan = Prepared::new(&query.plan)?;
+    let out = layout(&query.plan);
+    let inserts = LoweredInsert::lower(&query.inserts, &out)?;
+    let rows = rows_of(&plan, out.len(), ctx, stats)?;
     stats.rows_output += rows.len();
-    let inserts = LoweredInsert::lower(&query.inserts, &layout(&query.plan));
     let (rows_ref, inserts) = (&rows, &inserts);
     let ranges = chunk_ranges(rows.len(), ctx.parallelism().partitions(rows.len()));
     let chunks = run_partitioned(ctx, stats, ranges, |range, wctx, _ws| {
@@ -1320,6 +1342,13 @@ pub(crate) mod tests {
         inst
     }
 
+    /// `var.is_capital = true`: the filter that keeps capitals.
+    fn capital(var: &str) -> Expr {
+        Expr::var(var)
+            .proj("is_capital")
+            .eq(Expr::Const(true.into()))
+    }
+
     #[test]
     fn scan_filter_map() {
         let inst = euro_instance();
@@ -1327,7 +1356,7 @@ pub(crate) mod tests {
         let mut ctx = EvalCtx::new(&refs);
         let mut stats = ExecStats::default();
         let plan = Plan::scan("CityE", "E")
-            .filter(Expr::var("E").proj("is_capital"))
+            .filter(capital("E"))
             .map(vec![("N".to_string(), Expr::var("E").proj("name"))]);
         let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows.len(), 2);
@@ -1571,9 +1600,9 @@ pub(crate) mod tests {
         let refs = [&inst];
         // Join cities to countries on (name-of-country, language): composite
         // key through the generic hash path (left side is not a bare scan).
-        let left = Plan::scan("CityE", "E").filter(Expr::var("E").proj("is_capital"));
+        let left = Plan::scan("CityE", "E").filter(capital("E"));
         let plan = left.hash_join_multi(
-            Plan::scan("CityE", "F").filter(Expr::var("F").proj("is_capital")),
+            Plan::scan("CityE", "F").filter(capital("F")),
             vec![
                 (
                     Expr::var("E").path("country.name"),
@@ -1691,12 +1720,8 @@ pub(crate) mod tests {
 
     /// A source with every partitioning hazard in one place: countries and
     /// cities (one city without a country, so rows drop mid-`Map`), a
-    /// single-row class, a zipfian marker→clone key (32 of 40 markers share
-    /// the `hot` clone) so one probe group spans several partitions, and
-    /// tags whose `flag` is no boolean — an `int` on the first tag and its
-    /// `cold` clone, a `str` on the 64 `hot` tags after it and their clone —
-    /// so a `Not` over either fails differently for the first row and the
-    /// rest.
+    /// single-row class, and a zipfian marker→clone key (32 of 40 markers
+    /// share the `hot` clone) so one probe group spans several partitions.
     fn partition_fixture() -> Instance {
         let mut inst = Instance::new("src");
         let countries: Vec<Oid> = (0..4)
@@ -1751,26 +1776,6 @@ pub(crate) mod tests {
                 ]),
             );
         }
-        let flag = |cold: bool| if cold { Value::int(0) } else { Value::str("x") };
-        for name in ["cold", "hot"] {
-            inst.insert_fresh(
-                &ClassName::new("FlagS"),
-                Value::record([("name", Value::str(name)), ("flag", flag(name == "cold"))]),
-            );
-        }
-        for i in 0..65 {
-            inst.insert_fresh(
-                &ClassName::new("TagS"),
-                Value::record([
-                    ("name", Value::str(format!("t{i}"))),
-                    (
-                        "clone_name",
-                        Value::str(if i == 0 { "cold" } else { "hot" }),
-                    ),
-                    ("flag", flag(i == 0)),
-                ]),
-            );
-        }
         inst
     }
 
@@ -1783,6 +1788,9 @@ pub(crate) mod tests {
         /// Whether some operator of the plan gets more than one partition
         /// once there is a budget (false: empty input, or pinned throughout).
         partitions: bool,
+        /// Whether each run's factory holds a `CityT` identity seeded under
+        /// another key, which minting `CityT` of `city5` collides with.
+        collide: bool,
     }
 
     fn shape(name: &'static str, plan: Plan) -> Shape {
@@ -1795,6 +1803,7 @@ pub(crate) mod tests {
             },
             restrict: None,
             partitions: true,
+            collide: false,
         }
     }
 
@@ -1815,8 +1824,9 @@ pub(crate) mod tests {
     /// tiny fixture partitions at all) and must reproduce the one-partition
     /// run exactly — the same row *stream*, a bit-identical target, the same
     /// Skolem memo, equal [`ExecStats`] — while the per-shard breakdown stays
-    /// empty exactly when nothing was dispatched. A shape that fails must
-    /// fail with the one-partition run's error: the first failing row's.
+    /// empty exactly when nothing was dispatched. The one per-row error that
+    /// is no bad value is a Skolem-memo collision: a failing shape must fail
+    /// with the one-partition run's error, on every operator that mints.
     #[test]
     fn every_plan_shape_is_partition_invariant() {
         let inst = partition_fixture();
@@ -1837,27 +1847,9 @@ pub(crate) mod tests {
                 Expr::var("C").proj("name"),
             )
         };
-        let compared_binding = || {
-            bind(
-                "B",
-                mk("CityT", Expr::var("E").proj("name")).eq(Expr::var("E")),
-            )
-        };
-        // `Not` over a tag's or a clone's `flag`: an error that is not a bad
-        // value, `int` for the first row and `str` for every later one.
-        let not_flag = |var: &str| Expr::Not(Box::new(Expr::var(var).proj("flag")));
-        let tag_clone = |scan_flag: Expr| {
-            Plan::scan("TagS", "T").map(vec![]).hash_join_multi(
-                Plan::scan("FlagS", "C"),
-                vec![
-                    (
-                        Expr::var("T").proj("clone_name"),
-                        Expr::var("C").proj("name"),
-                    ),
-                    (Expr::Const(true.into()), scan_flag),
-                ],
-            )
-        };
+        let city_t = || mk("CityT", Expr::var("E").proj("name"));
+        // A minted identity compared with a source identity: never equal.
+        let minted_is_not_scanned = || Expr::Neq(Box::new(city_t()), Box::new(Expr::var("E")));
         let shapes = vec![
             // Multi-hop predicate: out of the columnar executor's scope, so
             // this is the fused scan+filter.
@@ -1868,7 +1860,7 @@ pub(crate) mod tests {
             shape(
                 "columnar tower",
                 Plan::scan("CityE", "E")
-                    .filter(Expr::var("E").proj("is_capital"))
+                    .filter(capital("E"))
                     .map(vec![bind("N", Expr::var("E").proj("name"))]),
             ),
             shape(
@@ -1900,20 +1892,20 @@ pub(crate) mod tests {
                     ]),
             ),
             // A Skolem compared against a source identity: it partitions like
-            // any other binding.
+            // any other predicate.
             shape(
-                "skolem comparison map",
-                Plan::scan("CityE", "E").map(vec![compared_binding()]),
+                "skolem comparison filter",
+                Plan::scan("CityE", "E").filter(minted_is_not_scanned()),
             ),
-            // A later map re-minting the earlier map's keys and comparing.
+            // A filter re-minting the map's keys and comparing.
             shape(
                 "skolem comparison over a skolem map",
                 Plan::scan("CityE", "E")
-                    .map(vec![bind("T", mk("CityT", Expr::var("E").proj("name")))])
-                    .map(vec![
-                        bind("T2", mk("CityT", Expr::var("E").proj("name"))),
-                        bind("B", Expr::var("T2").eq(Expr::var("T"))),
-                    ]),
+                    .map(vec![bind("T", city_t())])
+                    .filter(Expr::and(vec![
+                        city_t().eq(Expr::var("T")),
+                        minted_is_not_scanned(),
+                    ])),
             ),
             shape(
                 "nested-loop join",
@@ -1959,21 +1951,6 @@ pub(crate) mod tests {
                     ],
                 ),
             ),
-            // A scan-side key ranging over the *driving* variable: no probe
-            // may be shared between rows.
-            shape(
-                "uncacheable probe join",
-                Plan::scan("MarkerS", "M").map(vec![]).hash_join_multi(
-                    Plan::scan("CloneS", "C"),
-                    vec![
-                        (
-                            Expr::var("M").proj("clone_name"),
-                            Expr::var("C").proj("name"),
-                        ),
-                        (Expr::var("M").proj("name"), Expr::var("M").proj("name")),
-                    ],
-                ),
-            ),
             shape(
                 "probe join against a single-row class",
                 Plan::scan("CityE", "E").hash_join(
@@ -1986,7 +1963,7 @@ pub(crate) mod tests {
                 partitions: false,
                 ..shape(
                     "filter over an empty extent",
-                    Plan::scan("GhostClass", "G").filter(Expr::var("G").proj("is_capital")),
+                    Plan::scan("GhostClass", "G").filter(capital("G")),
                 )
             },
             shape(
@@ -2009,7 +1986,7 @@ pub(crate) mod tests {
                 restrict: Some(("E", only(cities.iter().skip(1).step_by(2)))),
                 ..shape(
                     "restricted scan+filter",
-                    Plan::scan("CityE", "E").filter(Expr::var("E").proj("is_capital")),
+                    Plan::scan("CityE", "E").filter(capital("E")),
                 )
             },
             // The Skolem-heavy insertion shape of the genome load: a keyed
@@ -2037,55 +2014,71 @@ pub(crate) mod tests {
                 },
                 ..shape("skolem inserts", Plan::scan("CityE", "E"))
             },
-            // An insert comparing a Skolem in an attribute, over a bare scan:
-            // only the insert evaluation partitions.
+            // Inserts minting behind a filter comparing a minted identity.
             Shape {
                 query: Query {
-                    name: "comparing inserts".to_string(),
+                    name: "skolem-filtered inserts".to_string(),
+                    plan: Plan::scan("CityE", "E").filter(minted_is_not_scanned()),
+                    inserts: vec![InsertAction {
+                        class: ClassName::new("CityT"),
+                        key: Expr::var("E").proj("name"),
+                        attrs: vec![attr("self", city_t())],
+                    }],
+                },
+                ..shape("skolem-filtered inserts", Plan::scan("CityE", "E"))
+            },
+            // Failing shapes: `city5`'s identity is held under another key,
+            // and every operator that mints it collides, whichever partition
+            // holds its row.
+            Shape {
+                collide: true,
+                ..shape(
+                    "colliding map",
+                    Plan::scan("CityE", "E").map(vec![bind("T", city_t())]),
+                )
+            },
+            Shape {
+                collide: true,
+                ..shape(
+                    "colliding filter",
+                    Plan::scan("CityE", "E").filter(minted_is_not_scanned()),
+                )
+            },
+            Shape {
+                collide: true,
+                ..shape(
+                    "colliding probe join",
+                    Plan::scan("CityE", "E").map(vec![]).hash_join(
+                        Plan::scan("CountryE", "C"),
+                        city_t(),
+                        Expr::var("C").proj("name"),
+                    ),
+                )
+            },
+            Shape {
+                query: Query {
+                    name: "colliding inserts".to_string(),
                     plan: Plan::scan("CityE", "E"),
                     inserts: vec![InsertAction {
                         class: ClassName::new("CityT"),
                         key: Expr::var("E").proj("name"),
-                        attrs: vec![attr("B", compared_binding().1)],
+                        attrs: vec![],
                     }],
                 },
                 partitions: false,
-                ..shape("comparing inserts", Plan::scan("CityE", "E"))
-            },
-            // Failing shapes. A cold key, then a hot key whose 64 rows span
-            // every partition: the cold group's probe fails first.
-            shape("failing probe join", tag_clone(not_flag("C"))),
-            shape("failing uncacheable probe join", tag_clone(not_flag("T"))),
-            shape(
-                "failing filter",
-                Plan::scan("TagS", "T").filter(not_flag("T")),
-            ),
-            shape(
-                "failing map",
-                Plan::scan("TagS", "T").map(vec![bind("B", not_flag("T"))]),
-            ),
-            shape(
-                "failing generic hash join",
-                Plan::scan("TagS", "T").map(vec![]).hash_join(
-                    Plan::scan("FlagS", "C").map(vec![]),
-                    not_flag("T"),
-                    Expr::var("C").proj("flag"),
-                ),
-            ),
-            Shape {
-                query: Query {
-                    name: "failing inserts".to_string(),
-                    plan: Plan::scan("TagS", "T"),
-                    inserts: vec![InsertAction {
-                        class: ClassName::new("TagT"),
-                        key: Expr::var("T").proj("name"),
-                        attrs: vec![attr("b", not_flag("T"))],
-                    }],
-                },
-                partitions: false,
-                ..shape("failing inserts", Plan::scan("TagS", "T"))
+                collide: true,
+                ..shape("colliding inserts", Plan::scan("CityE", "E"))
             },
         ];
+        // Hold `city5`'s `CityT` identity under the key `"x"`.
+        let seed_collision = |factory: &mut SkolemFactory| {
+            let class = ClassName::new("CityT");
+            let taken = wol_model::skolem_id(&class, &Value::str("city5"));
+            let held = Oid::new(class.clone(), taken);
+            factory
+                .restore_assignment(&class, "x".into(), held)
+                .unwrap();
+        };
         let refs = [&inst];
         let mut produced = BTreeMap::new();
         let mut failed = BTreeMap::new();
@@ -2096,6 +2089,9 @@ pub(crate) mod tests {
                         .with_parallelism(Parallelism::new(threads).with_min_items(1));
                     if let Some((var, keep)) = &shape.restrict {
                         ctx.restrict_scan(*var, keep.clone());
+                    }
+                    if shape.collide {
+                        seed_collision(&mut ctx.factory);
                     }
                     ctx
                 };
@@ -2162,21 +2158,22 @@ pub(crate) mod tests {
         // The table is not vacuous: the shapes produce rows and objects.
         assert_eq!(produced["map dropping rows"].0, 24); // Atlantis dropped
         assert_eq!(produced["probe join with a hot key"], (40, 0, 5));
-        assert_eq!(produced["uncacheable probe join"], (40, 0, 40));
         assert_eq!(produced["skolem inserts"].1, 48);
+        assert_eq!(produced["skolem-filtered inserts"].1, 25);
         assert_eq!(produced["restricted driving scan"].0, 8);
-        // Exactly the failing shapes fail, each on its first row's `int`.
-        let int_error = CplError::NotBoolean("int");
-        assert!(failed.values().all(|e| *e == int_error), "{failed:?}");
+        // Exactly the failing shapes fail, each on `city5`'s collision.
+        let mut factory = SkolemFactory::new();
+        seed_collision(&mut factory);
+        let city5 = factory.mk(&ClassName::new("CityT"), &Value::str("city5"));
+        let collision = CplError::from(city5.unwrap_err());
+        assert!(failed.values().all(|e| *e == collision), "{failed:?}");
         assert_eq!(
             failed.keys().copied().collect::<Vec<_>>(),
             [
-                "failing filter",
-                "failing generic hash join",
-                "failing inserts",
-                "failing map",
-                "failing probe join",
-                "failing uncacheable probe join",
+                "colliding filter",
+                "colliding inserts",
+                "colliding map",
+                "colliding probe join",
             ]
         );
     }
@@ -2190,10 +2187,12 @@ pub(crate) mod tests {
     /// partition and at eight. The key shapes cover one to three indexable
     /// keys on the probed scan (answered by one composite index, whatever the
     /// pairs' order), one attribute in two key pairs, non-projection keys that
-    /// stay verified residuals — one of which fails on some candidates — and
-    /// a delta restriction on the probed scan. The probe join's error is the
-    /// nested loop's, and its [`ExecStats`] are derived from the driving rows
-    /// and the reference output alone: one probe per distinct key tuple.
+    /// stay verified residuals — one of which reads a probed flag that is a
+    /// string, equal to no boolean, or missing, a bad value, on some
+    /// candidates — and a delta restriction on the probed scan. Every shape's
+    /// rows and errors are equal across the three algorithms, and the probe
+    /// join's [`ExecStats`] are derived from the driving rows and the
+    /// reference output alone: one probe per distinct key tuple.
     #[test]
     fn probe_hash_and_nested_loop_joins_agree_on_generated_equi_joins() {
         // A small deterministic generator (xorshift) — no dependency needed.
@@ -2223,12 +2222,12 @@ pub(crate) mod tests {
                     if next(6) != 0 {
                         fields.push(("c", Value::int(next(domain_a) as i64)));
                     }
-                    // Some probed flags are not booleans, so negating them fails.
-                    let flag = match next(10) {
-                        0 if class == "R" => Value::str("x"),
-                        n => Value::bool(n % 2 == 0),
-                    };
-                    fields.push(("flag", flag));
+                    // Some probed flags are strings and some are missing.
+                    match next(10) {
+                        0 if class == "R" => fields.push(("flag", Value::str("x"))),
+                        1 if class == "R" => {}
+                        n => fields.push(("flag", Value::bool(n % 2 == 0))),
+                    }
                     inst.insert_fresh(&ClassName::new(class), Value::record(fields));
                 }
             }
@@ -2250,14 +2249,10 @@ pub(crate) mod tests {
                     &["a"],
                 ),
                 _ => (
-                    vec![
-                        (x("a"), y("a")),
-                        (x("flag"), Expr::Not(Box::new(y("flag")))),
-                    ],
+                    vec![(x("a"), y("a")), (boxed(x("flag")), boxed(y("flag")))],
                     &["a"],
                 ),
             };
-            let fallible = case % 6 == 5;
             let restricted = (case / 6) % 2 == 1;
             let equality = Expr::and(keys.iter().map(|(l, r)| l.clone().eq(r.clone())).collect());
             let probed = Plan::scan("L", "X")
@@ -2291,7 +2286,7 @@ pub(crate) mod tests {
             // row probes its key tuple once, every repeat is a cache hit.
             let left: Vec<Oid> = inst.extent(&ClassName::new("L")).cloned().collect();
             let driving_keys: Vec<Lowered> = (keys.iter())
-                .map(|(l, _)| Lowered::new(l, &["X".to_string()]))
+                .map(|(l, _)| Lowered::new(l, &["X".to_string()]).unwrap())
                 .collect();
             let mut ctx = context(1);
             let keyed: Vec<Vec<Value>> = (left.iter())
@@ -2316,15 +2311,20 @@ pub(crate) mod tests {
                 );
                 let reference = run(&looped).map(|(rows, _)| rows);
                 let probe = run(&probed);
+                let hash = run(&hashed);
+                let rows_of =
+                    |run: &Result<(Vec<NamedRow>, ExecStats)>| run.clone().map(|(rows, _)| rows);
                 assert_eq!(
-                    probe.clone().map(|(rows, _)| rows),
+                    rows_of(&probe),
                     reference,
                     "index-probe vs nested-loop: {at}"
                 );
-                let Ok(rows) = reference else {
-                    assert!(fallible, "only a negated flag fails: {at}");
-                    continue;
-                };
+                assert_eq!(
+                    rows_of(&hash),
+                    reference,
+                    "generic hash vs nested-loop: {at}"
+                );
+                let rows = reference.unwrap_or_else(|e| panic!("{at}: {e}"));
                 let (l, out) = (left.len(), rows.len());
                 let expected = ExecStats {
                     rows_scanned: l,
@@ -2335,16 +2335,8 @@ pub(crate) mod tests {
                     ..ExecStats::default()
                 };
                 assert_eq!(probe.unwrap().1, expected, "probe join counters: {at}");
-                // The generic path evaluates every build key, so a failing
-                // one fails it whether or not any candidate reaches it.
-                if !fallible {
-                    let (hash_rows, hash_stats) = run(&hashed).unwrap();
-                    assert_eq!(
-                        hash_stats.index_probes, 0,
-                        "the generic path must not probe: {at}"
-                    );
-                    assert_eq!(hash_rows, rows, "generic hash vs nested-loop: {at}");
-                }
+                let hash_probes = hash.unwrap().1.index_probes;
+                assert_eq!(hash_probes, 0, "the generic path must not probe: {at}");
             }
             let on_r: Vec<Vec<&str>> = (inst.built_attr_indexes().iter())
                 .filter(|(class, _)| class.as_str() == "R")
@@ -2362,14 +2354,15 @@ pub(crate) mod tests {
     /// references a `T`; `R`, whose `ref` references an `M` — a join of
     /// `X in L` with `Y in R` on a key reached through `Y`'s references
     /// (`Y.ref.k`, `Y.ref.up.k`, the composite `Y.ref.j`/`Y.ref.k`, or
-    /// `Y.ref.k` plus a residual record key or a failing negated flag) runs
+    /// `Y.ref.k` plus a residual record key, one of which reads a flag that
+    /// is a string or missing on some `R` objects) runs
     /// in a rotation that knows the chains `R.ref` and `R.ref.up`. Key
     /// values are drawn from small domains, so several referenced objects
     /// share one and several holders share one referenced object; a
     /// reference is sometimes absent and sometimes dangles. `X` or `Y` is
     /// pinned to `Only` a random part of its extent or to the extent
-    /// `Except` it. Rows and errors equal the nested loop's, and rows the
-    /// same join's without chains; at eight partitions the row stream, the
+    /// `Except` it. Every shape's rows and errors equal the nested loop's,
+    /// and the same join's without chains; at eight partitions the row stream, the
     /// error and `ExecStats` are the one-partition run's; each driving row's
     /// candidates come out in ascending identity order; and the join scans
     /// only its smaller side, so a small `Only` on `X` never scans `R`.
@@ -2440,11 +2433,11 @@ pub(crate) mod tests {
             for _ in 0..rng.below(24) {
                 let reference = rng.reference(&ms, &m).map(|v| ("ref", v));
                 let mut fields: Vec<(&str, Value)> = reference.into_iter().collect();
-                let flag = match rng.below(10) {
-                    0 => Value::str("x"),
-                    n => Value::bool(n % 2 == 0),
-                };
-                fields.push(("flag", flag));
+                match rng.below(10) {
+                    0 => fields.push(("flag", Value::str("x"))),
+                    1 => {}
+                    n => fields.push(("flag", Value::bool(n % 2 == 0))),
+                }
                 inst.insert_fresh(&r, Value::record(fields));
             }
             for _ in 0..rng.below(16) {
@@ -2460,31 +2453,23 @@ pub(crate) mod tests {
                 1 => vec![(x("k"), y("ref.up.k"))],
                 2 => vec![(x("j"), y("ref.j")), (x("k"), y("ref.k"))],
                 3 => vec![(boxed(x("j")), boxed(y("ref.j"))), (x("k"), y("ref.k"))],
-                _ => vec![
-                    (x("k"), y("ref.k")),
-                    (x("flag"), Expr::Not(Box::new(y("flag")))),
-                ],
+                _ => vec![(x("k"), y("ref.k")), (boxed(x("flag")), boxed(y("flag")))],
             };
-            let fallible = case % 5 == 4;
             let equality = Expr::and(keys.iter().map(|(l, r)| l.clone().eq(r.clone())).collect());
             let probed = Plan::scan("L", "X").hash_join_multi(Plan::scan("R", "Y"), keys.clone());
+            let hashed = (Plan::scan("L", "X").map(vec![]))
+                .hash_join_multi(Plan::scan("R", "Y").map(vec![]), keys.clone());
             let looped = Plan::scan("L", "X").join(Plan::scan("R", "Y"), equality);
             // `X` or `Y` pinned `Only` a random part of its extent, or to the
-            // extent `Except` it; a fallible case pins `X` to `Only` at most
-            // one object, so `X` drives and the failing flag is a residual.
+            // extent `Except` it.
             let (var, class) = match (case / 5) % 2 {
                 0 => ("X", &l),
-                _ if fallible => ("X", &l),
                 _ => ("Y", &r),
             };
-            let mut kept: BTreeSet<Oid> =
+            let kept: BTreeSet<Oid> =
                 (inst.extent(class).filter(|_| rng.below(3) == 0).cloned()).collect();
-            if fallible {
-                kept = kept.into_iter().take(1).collect();
-            }
             let delta = std::sync::Arc::new(kept);
             let restriction = match (case / 10) % 2 {
-                _ if fallible => ScanRestriction::Only(delta),
                 0 => ScanRestriction::Only(delta),
                 _ => ScanRestriction::Except(delta),
             };
@@ -2521,22 +2506,16 @@ pub(crate) mod tests {
             }
             let chained = sorted(stream.clone());
             assert_eq!(chained, reference, "chain probe vs nested loop: {at}");
-            // Without chains `Y` drives whenever `X` is probeable, and then a
-            // failing negated flag fails every driving row's key.
-            if !fallible {
-                assert_eq!(
-                    sorted(run(&probed, 1, false).0),
-                    reference,
-                    "no chains: {at}"
-                );
+            for threads in [1, 8] {
+                let unchained = sorted(run(&probed, threads, false).0);
+                assert_eq!(unchained, reference, "no chains at {threads}: {at}");
+                let hash = sorted(run(&hashed, threads, true).0);
+                assert_eq!(hash, reference, "generic hash at {threads}: {at}");
             }
             let (rows, stats) = run(&probed, 8, true);
             assert_eq!(rows, stream, "row stream at 8 threads: {at}");
             assert_eq!(stats, chained_stats, "ExecStats at 8 threads: {at}");
-            if fallible && reference.is_err() {
-                continue;
-            }
-            assert!(!fallible || reference.is_ok(), "{at}");
+            assert!(reference.is_ok(), "{at}: {reference:?}");
             // Only the smaller side is scanned.
             let size = |v: &str, class: &ClassName| -> usize {
                 let extent = inst.extent(class);
@@ -2618,12 +2597,12 @@ pub(crate) mod tests {
         );
     }
 
-    /// A later binding of a Map comparing an *earlier* Skolem-bearing
-    /// binding's variable, over a Map that minted the same keys: the
-    /// comparison is true on every context, so the operators partition and
-    /// the rows equal the one-partition run's.
+    /// A filter comparing a re-minted Skolem with an *earlier* Map's
+    /// Skolem-bearing binding, which minted the same keys: the comparison is
+    /// true on every context, so the operators partition and the rows equal
+    /// the one-partition run's.
     #[test]
-    fn intra_map_skolem_comparisons_partition_and_equal_the_sequential_run() {
+    fn skolem_comparisons_over_a_skolem_map_partition_and_equal_the_sequential_run() {
         let inst = euro_instance();
         let refs = [&inst];
         let mk = || {
@@ -2634,41 +2613,36 @@ pub(crate) mod tests {
         };
         let plan = Plan::scan("CityE", "E")
             .map(vec![("T".to_string(), mk())])
-            .map(vec![
-                ("T2".to_string(), mk()),
-                ("B".to_string(), Expr::var("T2").eq(Expr::var("T"))),
-            ]);
+            .filter(mk().eq(Expr::var("T")));
         let mut seq_ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
         let mut seq_stats = ExecStats::default();
         let seq_rows = named_rows(&plan, &mut seq_ctx, &mut seq_stats).unwrap();
-        assert!(seq_rows.iter().all(|r| r["B"] == Value::Bool(true)));
+        assert_eq!(seq_rows.len(), 3);
         let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(8).with_min_items(1));
         let mut stats = ExecStats::default();
         let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows, seq_rows);
         assert_eq!(stats, seq_stats);
-        assert!(!ctx.shard_stats().is_empty(), "the maps partitioned");
+        assert!(!ctx.shard_stats().is_empty(), "the operators partitioned");
         assert_eq!(
             format!("{:?}", ctx.factory),
             format!("{:?}", seq_ctx.factory)
         );
     }
 
-    /// A Skolem under a comparison partitions like any expression: the
-    /// workers' factories fold into the caller's, which ends up holding the
-    /// identities a one-partition run mints.
+    /// A Skolem compared with a source identity partitions like any
+    /// predicate: the workers' factories fold into the caller's, which ends
+    /// up holding the identities a one-partition run mints.
     #[test]
     fn skolem_comparisons_partition_and_equal_the_sequential_run() {
         let inst = euro_instance();
         let refs = [&inst];
-        let plan = Plan::scan("CityE", "E").map(vec![(
-            "B".to_string(),
-            Expr::Skolem(
-                ClassName::new("CityT"),
-                Box::new(Expr::var("E").proj("name")),
-            )
-            .eq(Expr::var("E")),
-        )]);
+        let minted = Expr::Skolem(
+            ClassName::new("CityT"),
+            Box::new(Expr::var("E").proj("name")),
+        );
+        let plan =
+            Plan::scan("CityE", "E").filter(Expr::Neq(Box::new(minted), Box::new(Expr::var("E"))));
         let mut seq_ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
         let seq_rows = named_rows(&plan, &mut seq_ctx, &mut ExecStats::default()).unwrap();
         let mut ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::new(8).with_min_items(1));
@@ -2681,7 +2655,7 @@ pub(crate) mod tests {
             format!("{:?}", ctx.factory),
             format!("{:?}", seq_ctx.factory)
         );
-        assert!(!ctx.shard_stats().is_empty(), "the map partitioned");
+        assert!(!ctx.shard_stats().is_empty(), "the filter partitioned");
     }
 
     /// The split evaluate/apply API (query-level parallelism's building
@@ -2952,7 +2926,7 @@ pub(crate) mod tests {
                     .path("country.name")
                     .eq(Expr::var("C").proj("name")),
             )
-            .filter(Expr::var("E").proj("is_capital"));
+            .filter(capital("E"));
         let mut ctx = EvalCtx::new(&refs);
         let mut stats = ExecStats::default();
         let full = named_rows(&plan, &mut ctx, &mut stats).unwrap();
@@ -2984,19 +2958,142 @@ pub(crate) mod tests {
         row_path
     }
 
-    /// A variable no layout binds is lowered to a node that raises
-    /// `UnknownVariable` when evaluated: over an empty extent no row reaches
-    /// it and the plan succeeds; over a non-empty one it fails by name.
+    /// **Refusals**, one table: an ill-formed plan is refused before its
+    /// first row — no row scanned, no object written — with the same error
+    /// over an empty extent and a non-empty one, on the row path and the
+    /// columnar path, at one thread and at eight. A name no layout binds is
+    /// [`CplError::UnknownVariable`], wherever it sits (a hash-join key
+    /// reading the other side's variable included, on a probeable side or
+    /// not); a conjunct that is no comparison, or a comparison where a value
+    /// belongs, is [`CplError::BadPlan`].
     #[test]
-    fn an_unknown_variable_errors_only_when_a_row_reaches_it() {
-        let inst = euro_instance();
-        for (class, expected) in [("GhostClass", Ok(0)), ("CityE", Err("Nowhere"))] {
-            let map = Plan::scan(class, "E").map(vec![("N".to_string(), Expr::var("Nowhere"))]);
-            let filter = Plan::scan(class, "E").filter(Expr::var("Nowhere").eq(Expr::var("E")));
-            for plan in [map, filter] {
-                let got = run_both_ways(&plan, &inst).map(|rows| rows.len());
-                let expected = expected.map_err(|v| CplError::UnknownVariable(v.to_string()));
-                assert_eq!(got, expected, "{}", plan.render());
+    fn ill_formed_plans_are_refused_before_their_first_row() {
+        let cities = || Plan::scan("CityE", "E");
+        let nowhere = || Expr::var("Nowhere");
+        let is_capital = || Expr::var("E").proj("is_capital");
+        let minted_is_e = || mk("CityT", Expr::var("E").proj("name")).eq(Expr::var("E"));
+        let reads_e = |countries: Plan| {
+            cities().map(vec![]).hash_join_multi(
+                countries,
+                vec![
+                    (
+                        Expr::var("E").path("country.name"),
+                        Expr::var("C").proj("name"),
+                    ),
+                    (Expr::var("E").proj("name"), Expr::var("E").proj("name")),
+                ],
+            )
+        };
+        let query = |plan: Plan, key: Expr, attrs: Vec<(Label, Expr)>| Query {
+            name: "refused".to_string(),
+            plan,
+            inserts: vec![InsertAction {
+                class: ClassName::new("CityT"),
+                key,
+                attrs,
+            }],
+        };
+        let plan = |plan: Plan| query(plan, Expr::var("E"), Vec::new());
+        let unknown = |name: &str| Some(CplError::UnknownVariable(name.to_string()));
+        let cases = [
+            (
+                "a name in a filter",
+                plan(cities().filter(nowhere().eq(Expr::var("E")))),
+                unknown("Nowhere"),
+            ),
+            (
+                "a name in a map",
+                plan(cities().map(vec![bind("N", nowhere())])),
+                unknown("Nowhere"),
+            ),
+            (
+                "a name in a nested-loop predicate",
+                plan(cities().join(Plan::scan("CountryE", "C"), nowhere().eq(Expr::var("C")))),
+                unknown("Nowhere"),
+            ),
+            (
+                "a name in an insert key",
+                query(cities(), nowhere(), Vec::new()),
+                unknown("Nowhere"),
+            ),
+            (
+                "a name in an insert attribute",
+                query(cities(), Expr::var("E"), vec![attr("a", nowhere())]),
+                unknown("Nowhere"),
+            ),
+            (
+                "a key reading the other side, on a probeable side",
+                plan(reads_e(Plan::scan("CountryE", "C"))),
+                unknown("E"),
+            ),
+            (
+                "a key reading the other side, on a non-probeable side",
+                plan(reads_e(Plan::scan("CountryE", "C").map(vec![]))),
+                unknown("E"),
+            ),
+            (
+                "a bare attribute conjunct",
+                plan(cities().filter(is_capital())),
+                None,
+            ),
+            (
+                "an `And` of one",
+                plan(cities().filter(Expr::and(vec![is_capital()]))),
+                None,
+            ),
+            (
+                "a bare attribute on a join's second input",
+                plan(
+                    cities().cross(Plan::scan("CountryE", "C").filter(Expr::var("C").proj("name"))),
+                ),
+                None,
+            ),
+            (
+                "a comparison bound in a map",
+                plan(cities().map(vec![bind("B", minted_is_e())])),
+                None,
+            ),
+            (
+                "a comparison in an insert attribute",
+                query(cities(), Expr::var("E"), vec![attr("b", minted_is_e())]),
+                None,
+            ),
+        ];
+        let (empty, inst) = (Instance::new("empty"), euro_instance());
+        for (name, query, expected) in &cases {
+            let mut first: Option<CplError> = None;
+            for (source, columnar, threads) in [&empty, &inst]
+                .into_iter()
+                .flat_map(|s| [false, true].map(|c| (s, c)))
+                .flat_map(|(s, c)| [1, 8].map(|t| (s, c, t)))
+            {
+                let at = format!(
+                    "{name} (rows: {}, columnar: {columnar}, {threads} thread(s))",
+                    source.extent_size(&ClassName::new("CityE"))
+                );
+                let refs = [source];
+                let parallelism = Parallelism::new(threads).with_min_items(1);
+                let mut ctx = EvalCtx::new(&refs).with_parallelism(parallelism);
+                ctx.set_columnar(columnar);
+                let (mut stats, mut target) = (ExecStats::default(), Instance::new("target"));
+                let error = execute_query(query, &mut ctx, &mut target, &mut stats).unwrap_err();
+                assert_eq!(stats, ExecStats::default(), "a row ran: {at}");
+                assert_eq!(
+                    target,
+                    Instance::new("target"),
+                    "an object was written: {at}"
+                );
+                let plan_error = run_slots(&query.plan, &mut ctx, &mut stats).err();
+                assert!(
+                    plan_error.is_none() || plan_error.as_ref() == Some(&error),
+                    "{at}"
+                );
+                match (expected, &first) {
+                    (_, Some(first)) => assert_eq!(&error, first, "{at}"),
+                    (Some(expected), None) => assert_eq!(&error, expected, "{at}"),
+                    (None, None) => assert!(matches!(error, CplError::BadPlan(_)), "{at}: {error}"),
+                }
+                first.get_or_insert(error);
             }
         }
     }
@@ -3065,26 +3162,5 @@ pub(crate) mod tests {
         let out = run_both_ways(&plan, &inst).unwrap();
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(|row| matches!(row["C"], Value::Oid(_))));
-    }
-
-    /// A filter whose value is not a boolean is an error on the row path and
-    /// the columnar path alike, bare or nested under a connective — never an
-    /// empty result.
-    #[test]
-    fn a_non_boolean_filter_is_an_error_on_every_path() {
-        let inst = euro_instance();
-        let name = || Expr::var("C").proj("name");
-        for predicate in [name(), Expr::and(vec![name()]), Expr::Not(Box::new(name()))] {
-            let plan = Plan::scan("CountryE", "C").filter(predicate);
-            assert_eq!(
-                run_both_ways(&plan, &inst),
-                Err(CplError::NotBoolean("str")),
-                "{}",
-                plan.render()
-            );
-        }
-        // A missing attribute under a truth test is still `false`.
-        let plan = Plan::scan("CountryE", "C").filter(Expr::var("C").proj("is_capital"));
-        assert_eq!(run_both_ways(&plan, &inst), Ok(Vec::new()));
     }
 }

@@ -8,7 +8,15 @@
 //! object identities) and a Skolem factory (for `Mk_C`), **by reference**: a
 //! variable borrows its slot, a projection through an identity borrows the
 //! field inside the source instance. A value is owned only where it is built
-//! (a record, variant, Skolem identity or boolean) or stored.
+//! (a record, variant or Skolem identity) or stored.
+//!
+//! Lowering has two forms. A **value** ([`Lowered`]) is a slot, a constant, a
+//! projection, or a record, variant or Skolem identity built from them. A
+//! **predicate** ([`Predicate`]) is a conjunction of comparisons: WOL has no
+//! negation and no truth-test atom. Lowering refuses a name its layout lacks
+//! ([`CplError::UnknownVariable`]), a conjunct that is no comparison and a
+//! comparison in a value position ([`CplError::BadPlan`]), so an ill-formed
+//! plan is refused before its first row, on every path.
 //!
 //! A Skolem identity is a function of its class and key
 //! ([`wol_model::skolem_id`]), so an expression evaluates to the same value
@@ -56,8 +64,6 @@ pub enum Expr {
     Leq(Box<Expr>, Box<Expr>),
     /// Boolean conjunction.
     And(Vec<Expr>),
-    /// Boolean negation.
-    Not(Box<Expr>),
 }
 
 impl Expr {
@@ -92,9 +98,7 @@ impl Expr {
         match self {
             Expr::Var(v) => f(v),
             Expr::Const(_) => {}
-            Expr::Proj(e, _) | Expr::Variant(_, e) | Expr::Skolem(_, e) | Expr::Not(e) => {
-                e.for_each_var(f)
-            }
+            Expr::Proj(e, _) | Expr::Variant(_, e) | Expr::Skolem(_, e) => e.for_each_var(f),
             Expr::Record(fields) => fields.iter().for_each(|(_, e)| e.for_each_var(f)),
             Expr::Eq(a, b) | Expr::Neq(a, b) | Expr::Lt(a, b) | Expr::Leq(a, b) => {
                 a.for_each_var(f);
@@ -104,22 +108,13 @@ impl Expr {
         }
     }
 
-    /// The row variables referenced, as a set.
-    pub(crate) fn var_set(&self) -> std::collections::BTreeSet<String> {
-        let mut out = std::collections::BTreeSet::new();
-        self.for_each_var(&mut |v| {
-            out.insert(v.to_string());
-        });
-        out
-    }
-
     /// Whether the expression (or any sub-expression) creates object
     /// identities through a Skolem function.
     pub fn contains_skolem(&self) -> bool {
         match self {
             Expr::Skolem(_, _) => true,
             Expr::Var(_) | Expr::Const(_) => false,
-            Expr::Proj(e, _) | Expr::Variant(_, e) | Expr::Not(e) => e.contains_skolem(),
+            Expr::Proj(e, _) | Expr::Variant(_, e) => e.contains_skolem(),
             Expr::Record(fields) => fields.iter().any(|(_, e)| e.contains_skolem()),
             Expr::Eq(a, b) | Expr::Neq(a, b) | Expr::Lt(a, b) | Expr::Leq(a, b) => {
                 a.contains_skolem() || b.contains_skolem()
@@ -151,7 +146,6 @@ impl Expr {
             Expr::Lt(a, b) => Expr::Lt(sub(a), sub(b)),
             Expr::Leq(a, b) => Expr::Leq(sub(a), sub(b)),
             Expr::And(es) => Expr::And(es.iter().map(|e| e.substitute(defs)).collect()),
-            Expr::Not(e) => Expr::Not(sub(e)),
         }
     }
 }
@@ -426,38 +420,46 @@ pub(crate) fn store(row: &mut SlotRow, slot: usize, value: Value) {
 pub(crate) fn lower_bindings(
     bindings: &[(String, Expr)],
     layout: &mut Vec<String>,
-) -> Vec<(usize, Lowered)> {
+) -> Result<Vec<(usize, Lowered)>> {
     let mut lowered = Vec::with_capacity(bindings.len());
     for (name, expr) in bindings {
-        let expr = Lowered::new(expr, layout);
+        let expr = Lowered::new(expr, layout)?;
         lowered.push((bind_slot(layout, name), expr));
     }
-    lowered
+    Ok(lowered)
 }
 
-/// An [`Expr`] lowered against a layout. A variable the layout lacks raises
-/// [`CplError::UnknownVariable`] *when evaluated*, so a plan whose rows never
-/// reach the expression runs exactly as if the name had been looked up.
+/// An [`Expr`] lowered against a layout as a **value**: every name resolved
+/// to its slot. Its evaluation fails only on a bad value
+/// ([`CplError::is_bad_value`]) or a Skolem-memo collision.
 #[derive(Clone, Debug)]
 pub struct Lowered {
     node: Node,
 }
 
-/// A lowered expression node: an [`Expr`] with its variables resolved to
-/// slots. The columnar driver ([`crate::columnar`]) reads these too.
+/// A lowered value node: an [`Expr`] with its variables resolved to slots.
+/// The columnar driver ([`crate::columnar`]) reads these too.
 #[derive(Clone, Debug)]
 pub(crate) enum Node {
     Slot(usize),
-    Unbound(String),
     Const(Value),
     Proj(Box<Node>, Label),
     Record(Vec<Node>, RecordShape),
     Variant(Label, Box<Node>),
     Skolem(ClassName, Box<Node>),
-    /// A comparison, decided by [`PushOp::holds`]: `Eq`, `Neq`, `Lt` or `Leq`.
-    Cmp(PushOp, Box<Node>, Box<Node>),
-    And(Vec<Node>),
-    Not(Box<Node>),
+}
+
+/// One conjunct of a [`Predicate`]: two values compared by
+/// [`PushOp::holds`] (`Eq`, `Neq`, `Lt` or `Leq`).
+pub(crate) type Comparison = (PushOp, Node, Node);
+
+/// An [`Expr`] lowered against a layout as a **predicate**: a conjunction of
+/// comparisons, every `And` flattened. A bad value reads `false`: the row does
+/// not satisfy the predicate, as in clause matching. The default has no
+/// conjunct and holds of every row.
+#[derive(Clone, Debug, Default)]
+pub struct Predicate {
+    conjuncts: Vec<Comparison>,
 }
 
 /// A record's fields lowered once: its distinct labels in ascending order,
@@ -505,11 +507,13 @@ impl RecordShape {
 }
 
 impl Lowered {
-    /// Lower `expr` against the row layout `layout`.
-    pub fn new(expr: &Expr, layout: &[String]) -> Lowered {
-        Lowered {
-            node: Node::lower(expr, layout),
-        }
+    /// Lower `expr` as a value against the row layout `layout`. A name the
+    /// layout lacks is [`CplError::UnknownVariable`]; a comparison or `And`
+    /// is a predicate, no value, and is [`CplError::BadPlan`].
+    pub fn new(expr: &Expr, layout: &[String]) -> Result<Lowered> {
+        Ok(Lowered {
+            node: Node::lower(expr, layout)?,
+        })
     }
 
     /// The lowered tree.
@@ -526,42 +530,79 @@ impl Lowered {
     ) -> Result<Cow<'r, Value>> {
         self.node.eval(row, ctx)
     }
+}
 
-    /// Evaluate a predicate. A bad value ([`CplError::is_bad_value`]) counts
-    /// as `false` — the row does not satisfy it, as in clause matching; a
-    /// non-boolean value is an error.
-    pub fn eval_predicate(&self, row: &[Value], ctx: &mut EvalCtx<'_>) -> Result<bool> {
-        match self.eval(row, ctx) {
-            Ok(value) => truthy(&value),
-            Err(e) if e.is_bad_value() => Ok(false),
-            Err(e) => Err(e),
+impl Predicate {
+    /// Lower `expr` as a predicate against the row layout `layout`: each
+    /// conjunct must be a comparison of two values, or an `And` of such.
+    pub fn new(expr: &Expr, layout: &[String]) -> Result<Predicate> {
+        fn flatten(expr: &Expr, layout: &[String], out: &mut Vec<Comparison>) -> Result<()> {
+            let (op, a, b) = match expr {
+                Expr::And(conjuncts) => {
+                    return conjuncts.iter().try_for_each(|e| flatten(e, layout, out))
+                }
+                Expr::Eq(a, b) => (PushOp::Eq, a, b),
+                Expr::Neq(a, b) => (PushOp::Neq, a, b),
+                Expr::Lt(a, b) => (PushOp::Lt, a, b),
+                Expr::Leq(a, b) => (PushOp::Leq, a, b),
+                other => {
+                    let m = format!("a predicate conjunct must be a comparison, found {other:?}");
+                    return Err(CplError::BadPlan(m));
+                }
+            };
+            out.push((op, Node::lower(a, layout)?, Node::lower(b, layout)?));
+            Ok(())
         }
+        let mut conjuncts = Vec::new();
+        flatten(expr, layout, &mut conjuncts)?;
+        Ok(Predicate { conjuncts })
+    }
+
+    /// The comparisons, in evaluation order.
+    pub(crate) fn conjuncts(&self) -> &[Comparison] {
+        &self.conjuncts
+    }
+
+    /// Whether a row of the layout this predicate was lowered against
+    /// satisfies every conjunct, decided left to right: the first conjunct
+    /// that does not hold — a bad value or an uncomparable pair included —
+    /// makes it `false`.
+    pub fn holds(&self, row: &[Value], ctx: &mut EvalCtx<'_>) -> Result<bool> {
+        for (op, a, b) in &self.conjuncts {
+            let values = a.eval(row, ctx).and_then(|a| Ok((a, b.eval(row, ctx)?)));
+            match values {
+                Ok((a, b)) if op.holds((&*a).into(), (&*b).into()) == Some(true) => {}
+                Err(e) if !e.is_bad_value() => return Err(e),
+                _ => return Ok(false),
+            }
+        }
+        Ok(true)
     }
 }
 
 impl Node {
-    fn lower(expr: &Expr, layout: &[String]) -> Node {
-        let lower = |e: &Expr| Box::new(Node::lower(e, layout));
-        match expr {
-            Expr::Var(v) => layout
-                .iter()
-                .position(|name| name == v)
-                .map_or_else(|| Node::Unbound(v.clone()), Node::Slot),
+    fn lower(expr: &Expr, layout: &[String]) -> Result<Node> {
+        let lower = |e: &Expr| Node::lower(e, layout).map(Box::new);
+        Ok(match expr {
+            Expr::Var(v) => match layout.iter().position(|name| name == v) {
+                Some(slot) => Node::Slot(slot),
+                None => return Err(CplError::UnknownVariable(v.clone())),
+            },
             Expr::Const(value) => Node::Const(value.clone()),
-            Expr::Proj(base, label) => Node::Proj(lower(base), label.clone()),
+            Expr::Proj(base, label) => Node::Proj(lower(base)?, label.clone()),
             Expr::Record(fields) => Node::Record(
-                fields.iter().map(|(_, e)| Node::lower(e, layout)).collect(),
+                (fields.iter())
+                    .map(|(_, e)| Node::lower(e, layout))
+                    .collect::<Result<_>>()?,
                 RecordShape::new(fields.iter().map(|(label, _)| label)),
             ),
-            Expr::Variant(label, payload) => Node::Variant(label.clone(), lower(payload)),
-            Expr::Skolem(class, key) => Node::Skolem(class.clone(), lower(key)),
-            Expr::Eq(a, b) => Node::Cmp(PushOp::Eq, lower(a), lower(b)),
-            Expr::Neq(a, b) => Node::Cmp(PushOp::Neq, lower(a), lower(b)),
-            Expr::Lt(a, b) => Node::Cmp(PushOp::Lt, lower(a), lower(b)),
-            Expr::Leq(a, b) => Node::Cmp(PushOp::Leq, lower(a), lower(b)),
-            Expr::And(es) => Node::And(es.iter().map(|e| Node::lower(e, layout)).collect()),
-            Expr::Not(e) => Node::Not(lower(e)),
-        }
+            Expr::Variant(label, payload) => Node::Variant(label.clone(), lower(payload)?),
+            Expr::Skolem(class, key) => Node::Skolem(class.clone(), lower(key)?),
+            Expr::Eq(..) | Expr::Neq(..) | Expr::Lt(..) | Expr::Leq(..) | Expr::And(_) => {
+                let m = format!("a comparison is a predicate, not a value: {expr:?}");
+                return Err(CplError::BadPlan(m));
+            }
+        })
     }
 
     fn eval<'r, 'c: 'r>(
@@ -569,10 +610,8 @@ impl Node {
         row: &'r [Value],
         ctx: &mut EvalCtx<'c>,
     ) -> Result<Cow<'r, Value>> {
-        let boolean = |b: bool| Cow::Owned(Value::Bool(b));
         Ok(match self {
             Node::Slot(slot) => Cow::Borrowed(&row[*slot]),
-            Node::Unbound(name) => return Err(CplError::UnknownVariable(name.clone())),
             Node::Const(value) => Cow::Borrowed(value),
             Node::Proj(base, label) => match base.eval(row, ctx)? {
                 Cow::Borrowed(value) => Cow::Borrowed(project(value, label, ctx)?),
@@ -590,26 +629,6 @@ impl Node {
                 let key = key.eval(row, ctx)?;
                 Cow::Owned(Value::Oid(ctx.mk_skolem(class, &key)?))
             }
-            Node::Cmp(op, a, b) => {
-                let (a, b) = (a.eval(row, ctx)?, b.eval(row, ctx)?);
-                let holds = op.holds((&*a).into(), (&*b).into()).ok_or_else(|| {
-                    CplError::BadValue(format!(
-                        "cannot compare values of kinds `{}` and `{}`",
-                        a.kind(),
-                        b.kind()
-                    ))
-                })?;
-                boolean(holds)
-            }
-            Node::And(conjuncts) => {
-                for conjunct in conjuncts {
-                    if !truthy(&*conjunct.eval(row, ctx)?)? {
-                        return Ok(boolean(false));
-                    }
-                }
-                boolean(true)
-            }
-            Node::Not(e) => boolean(!truthy(&*e.eval(row, ctx)?)?),
         })
     }
 }
@@ -631,13 +650,6 @@ fn project<'v, 'c: 'v>(value: &'v Value, label: &Label, ctx: &EvalCtx<'c>) -> Re
         })
 }
 
-fn truthy(value: &Value) -> Result<bool> {
-    match value {
-        Value::Bool(b) => Ok(*b),
-        other => Err(CplError::NotBoolean(other.kind())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -649,13 +661,24 @@ mod tests {
             &self.shard_stats
         }
     }
+
+    impl Expr {
+        /// The row variables referenced, as a set.
+        fn var_set(&self) -> std::collections::BTreeSet<String> {
+            let mut out = std::collections::BTreeSet::new();
+            self.for_each_var(&mut |v| {
+                out.insert(v.to_string());
+            });
+            out
+        }
+    }
     use crate::exec::tests::NamedRow;
 
     /// Lower against the named row's own layout and evaluate.
     fn eval(expr: &Expr, row: &NamedRow, ctx: &mut EvalCtx<'_>) -> Result<Value> {
         let layout: Vec<String> = row.keys().cloned().collect();
         let slots: SlotRow = row.values().cloned().collect();
-        Lowered::new(expr, &layout)
+        Lowered::new(expr, &layout)?
             .eval(&slots, ctx)
             .map(Cow::into_owned)
     }
@@ -663,7 +686,7 @@ mod tests {
     fn eval_predicate(expr: &Expr, row: &NamedRow, ctx: &mut EvalCtx<'_>) -> Result<bool> {
         let layout: Vec<String> = row.keys().cloned().collect();
         let slots: SlotRow = row.values().cloned().collect();
-        Lowered::new(expr, &layout).eval_predicate(&slots, ctx)
+        Predicate::new(expr, &layout)?.holds(&slots, ctx)
     }
 
     fn sample() -> (Instance, Oid, Oid) {
@@ -727,7 +750,9 @@ mod tests {
             ("E".to_string(), Value::oid(paris)),
             ("N".to_string(), Value::int(3)),
         ]);
-        let p = Expr::var("E").proj("is_capital");
+        let p = Expr::var("E")
+            .proj("is_capital")
+            .eq(Expr::Const(Value::bool(true)));
         assert!(eval_predicate(&p, &row, &mut ctx).unwrap());
         let cmp = Expr::Lt(
             Box::new(Expr::var("N")),
@@ -739,13 +764,14 @@ mod tests {
             Box::new(Expr::Const(Value::int(3))),
         );
         assert!(eval_predicate(&leq, &row, &mut ctx).unwrap());
-        let and = Expr::and(vec![p, cmp, leq]);
+        let and = Expr::and(vec![p, Expr::and(vec![cmp, leq])]);
         assert!(eval_predicate(&and, &row, &mut ctx).unwrap());
-        let not = Expr::Not(Box::new(Expr::Eq(
+        // An uncomparable pair does not hold.
+        let uncomparable = Expr::Lt(
             Box::new(Expr::var("N")),
-            Box::new(Expr::Const(Value::int(4))),
-        )));
-        assert!(eval_predicate(&not, &row, &mut ctx).unwrap());
+            Box::new(Expr::Const(Value::str("5"))),
+        );
+        assert!(!eval_predicate(&uncomparable, &row, &mut ctx).unwrap());
         let neq = Expr::Neq(
             Box::new(Expr::var("N")),
             Box::new(Expr::Const(Value::int(4))),
@@ -773,7 +799,7 @@ mod tests {
 
     /// Evaluation borrows: a variable is its slot, a projection through an
     /// identity is the field inside the source instance; only built values
-    /// (here a comparison's boolean) are owned.
+    /// (here a variant) are owned.
     #[test]
     fn evaluation_borrows_slots_and_instance_fields() {
         let (inst, _, paris) = sample();
@@ -781,22 +807,20 @@ mod tests {
         let mut ctx = EvalCtx::new(&refs);
         let layout = ["E".to_string()];
         let row: SlotRow = vec![Value::oid(paris.clone())];
-        let var = Lowered::new(&Expr::var("E"), &layout);
+        let var = Lowered::new(&Expr::var("E"), &layout).unwrap();
         assert!(
             matches!(var.eval(&row, &mut ctx), Ok(Cow::Borrowed(v)) if std::ptr::eq(v, &row[0]))
         );
-        let name = Lowered::new(&Expr::var("E").proj("name"), &layout);
+        let name = Lowered::new(&Expr::var("E").proj("name"), &layout).unwrap();
         let field = inst.value(&paris).unwrap().project("name").unwrap();
         assert!(
             matches!(name.eval(&row, &mut ctx), Ok(Cow::Borrowed(v)) if std::ptr::eq(v, field))
         );
-        let cmp = Lowered::new(
-            &Expr::var("E").proj("name").eq(Expr::Const("Paris".into())),
-            &layout,
-        );
+        let tagged = Expr::Variant("city".into(), Box::new(Expr::var("E").proj("name")));
+        let tagged = Lowered::new(&tagged, &layout).unwrap();
         assert!(matches!(
-            cmp.eval(&row, &mut ctx),
-            Ok(Cow::Owned(Value::Bool(true)))
+            tagged.eval(&row, &mut ctx),
+            Ok(Cow::Owned(Value::Variant(..)))
         ));
     }
 
@@ -837,10 +861,10 @@ mod tests {
         assert!(!inlined.var_set().contains("N"));
         // Variables without a definition are untouched, across all shapes.
         let all = Expr::and(vec![
-            Expr::Not(Box::new(Expr::Neq(
+            Expr::Neq(
                 Box::new(Expr::var("N")),
                 Box::new(Expr::Const(Value::int(1))),
-            ))),
+            ),
             Expr::Lt(Box::new(Expr::var("X")), Box::new(Expr::var("N"))),
             Expr::Leq(Box::new(Expr::var("X")), Box::new(Expr::var("X"))),
             Expr::Record(vec![("k".into(), Expr::var("N"))])
@@ -852,23 +876,36 @@ mod tests {
         assert!(inlined.var_set().contains("X"));
     }
 
+    /// Lowering refuses what no row could evaluate: a conjunct that is no
+    /// comparison (bare, or under `And`), a comparison or `And` where a value
+    /// belongs, and a name the layout lacks — in either form.
     #[test]
-    fn non_boolean_predicate_rejected() {
-        let (inst, fr, _) = sample();
-        let refs = [&inst];
-        let mut ctx = EvalCtx::new(&refs);
-        let row = NamedRow::from([("C".to_string(), Value::oid(fr))]);
-        let expr = Expr::var("C").proj("name");
-        assert!(eval_predicate(&expr, &row, &mut ctx).is_err());
-        // Nested under a connective it is still an error, never `false`.
-        for nested in [
-            Expr::and(vec![expr.clone()]),
-            Expr::Not(Box::new(expr.clone())),
-        ] {
-            assert_eq!(
-                eval_predicate(&nested, &row, &mut ctx),
-                Err(CplError::NotBoolean("str"))
-            );
+    fn lowering_refuses_ill_formed_predicates_and_values() {
+        let layout = ["C".to_string()];
+        let name = || Expr::var("C").proj("name");
+        let cmp = || name().eq(Expr::Const(Value::str("France")));
+        let bad_plan = |r: Result<_>| matches!(r, Err(CplError::BadPlan(_)));
+        for predicate in [name(), Expr::and(vec![cmp(), Expr::and(vec![name()])])] {
+            assert!(bad_plan(Predicate::new(&predicate, &layout).map(|_| ())));
         }
+        for value in [
+            cmp(),
+            Expr::and(vec![]),
+            Expr::Record(vec![("b".into(), cmp())]),
+        ] {
+            assert!(bad_plan(Lowered::new(&value, &layout).map(|_| ())));
+        }
+        let unknown = Expr::var("X").eq(name());
+        assert_eq!(
+            Predicate::new(&unknown, &layout).map(|_| ()),
+            Err(CplError::UnknownVariable("X".into()))
+        );
+        assert_eq!(
+            Predicate::new(&Expr::and(vec![]), &layout)
+                .unwrap()
+                .conjuncts()
+                .len(),
+            0
+        );
     }
 }

@@ -8,8 +8,9 @@
 //!
 //! * row expressions over complex values ([`expr::Expr`]): projection through
 //!   object identities, record/variant construction, Skolem object creation,
-//!   comparisons and boolean connectives. Each is lowered once against its
-//!   plan node's slot layout ([`Lowered`]); a comparison is decided by
+//!   and predicates, which are conjunctions of comparisons. Each plan is
+//!   lowered whole against its nodes' slot layouts ([`Lowered`] values,
+//!   [`Predicate`]s) before its first row runs; a comparison is decided by
 //!   [`wol_model::PushOp::holds`], the one definition the clause matcher and
 //!   the scan providers share;
 //! * a physical algebra ([`plan::Plan`]): class scans, filters, binding maps,
@@ -30,6 +31,17 @@
 //!   flat `1/ndv` model remains selectable as the differential baseline. It
 //!   is the only optimiser: a shape it does not take runs as compiled;
 //! * execution statistics ([`exec::ExecStats`]) used by the benchmark harness.
+//!
+//! ## One outcome per plan
+//!
+//! A plan is either refused before any row runs — a name its layout lacks,
+//! a predicate conjunct that is no comparison, a comparison where a value
+//! belongs ([`CplError`]) — or it runs to the same outcome on every path:
+//! row or columnar, any join algorithm, any partition count. The run-time
+//! rule, stated once: a bad value (a missing optional attribute, a dangling
+//! identity, an uncomparable pair) reads `false` in a predicate, drops a
+//! `Map` row and makes a join key unjoinable. The only other per-row error
+//! is a Skolem-memo collision.
 //!
 //! ## Threading model
 //!
@@ -93,7 +105,7 @@ pub use exec::{
     apply_evaluated_query, evaluate_query, execute_query, invert_chain, layout, run_slots,
     ColumnarStats, EvaluatedQuery, ExecStats, LoweredInsert, RefChain, SlotRow,
 };
-pub use expr::{Expr, Lowered};
+pub use expr::{Expr, Lowered, Predicate};
 pub use optimizer::{
     estimate_join_outputs, estimate_plan, estimate_rows, optimize_with_stats, pushable_predicates,
     CostModel, ExternalClassStats, JoinEstimate, PlanEstimate, PushCmp, PushdownCatalog,

@@ -1322,7 +1322,9 @@ mod tests {
                 Expr::var("E")
                     .path("country.name")
                     .eq(Expr::var("C").proj("name")),
-                Expr::var("E").proj("is_capital"),
+                Expr::var("E")
+                    .proj("is_capital")
+                    .eq(Expr::Const(Value::bool(true))),
             ]),
         );
         // The one-sided capital test is pushed below the join.
@@ -1340,7 +1342,11 @@ mod tests {
     fn filter_pushed_below_join() {
         let plan = Plan::scan("CityE", "E")
             .cross(Plan::scan("CountryE", "C"))
-            .filter(Expr::var("E").proj("is_capital"));
+            .filter(
+                Expr::var("E")
+                    .proj("is_capital")
+                    .eq(Expr::Const(Value::bool(true))),
+            );
         // The planner has no equality to join on: the graph is disconnected,
         // so it owns up to the product with an explicit CrossJoin (and still
         // pushes the filter down).
@@ -1365,7 +1371,9 @@ mod tests {
                     Expr::var("E")
                         .path("country.name")
                         .eq(Expr::var("C").proj("name")),
-                    Expr::var("E").proj("is_capital"),
+                    Expr::var("E")
+                        .proj("is_capital")
+                        .eq(Expr::Const(Value::bool(true))),
                 ]),
             )
             .map(vec![("N".to_string(), Expr::var("C").proj("language"))]);
@@ -1437,7 +1445,9 @@ mod tests {
                     .path("country.name")
                     .eq(Expr::var("C").proj("name")),
                 Expr::var("F").proj("country").eq(Expr::var("C")),
-                Expr::var("F").proj("is_capital"),
+                Expr::var("F")
+                    .proj("is_capital")
+                    .eq(Expr::Const(Value::bool(true))),
             ]));
         let refs = [&inst];
         let stats = Statistics::from_instances(&refs);
@@ -1453,7 +1463,11 @@ mod tests {
         let inst = instance();
         let plan = Plan::scan("CityE", "E")
             .cross(Plan::scan("CountryE", "C"))
-            .filter(Expr::var("E").proj("is_capital"))
+            .filter(
+                Expr::var("E")
+                    .proj("is_capital")
+                    .eq(Expr::Const(Value::bool(true))),
+            )
             .filter(
                 Expr::var("C")
                     .proj("language")
@@ -1575,7 +1589,11 @@ mod tests {
         // shapes come back unchanged.
         let inst = instance();
         let plan = Plan::scan("CityE", "E")
-            .filter(Expr::var("E").proj("is_capital"))
+            .filter(
+                Expr::var("E")
+                    .proj("is_capital")
+                    .eq(Expr::Const(Value::bool(true))),
+            )
             .map(vec![("E".to_string(), Expr::var("E").proj("country"))]);
         let expected = rows_of(&plan, &inst);
         assert_eq!(expected.len(), 2);
@@ -1812,10 +1830,11 @@ mod tests {
             plan = plan.filter(conjunct);
             expected.push((var_of(i), class_of(i), attr, cmp, constant));
         }
-        // Noise that must never be reported: a bare boolean test, an
-        // attribute-to-attribute comparison on one variable, a constant-only
-        // predicate, and the join edges themselves.
-        plan = plan.filter(Expr::var(var_of(0)).proj("is_capital"));
+        // Noise that must never be reported: a comparison on an attribute the
+        // catalog leaves out, an attribute-to-attribute comparison on one
+        // variable, a constant-only predicate, and the join edges themselves.
+        let capital = Expr::var(var_of(0)).proj("is_capital");
+        plan = plan.filter(capital.eq(Expr::Const(Value::bool(true))));
         plan = plan.filter(
             Expr::var(var_of(1))
                 .proj("name")

@@ -44,6 +44,10 @@ pub enum Plan {
     },
     /// Hash join on the (possibly composite) equality of key expressions:
     /// rows combine when every `(left_key, right_key)` pair evaluates equal.
+    /// Each key of a pair reads its own side's row alone, whichever
+    /// algorithm runs the join (probe, hash or, for a restricted run, either
+    /// side driving); a key naming the other side's variable is refused. A
+    /// key that is a bad value makes its row unjoinable.
     HashJoin {
         /// Left input (build side, or the index-probed side on the fast path).
         left: Box<Plan>,

@@ -507,7 +507,7 @@ fn analyze_query(query: Query, foreign: Vec<ForeignRead>) -> Result<QueryAnalysi
     Ok(QueryAnalysis {
         slots,
         key_slots,
-        inserts: LoweredInsert::lower(&query.inserts, &row_layout),
+        inserts: LoweredInsert::lower(&query.inserts, &row_layout)?,
         plan: query.plan,
         foreign,
     })

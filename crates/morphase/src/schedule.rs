@@ -133,7 +133,9 @@ mod tests {
                     attrs: vec![],
                 }],
             },
-            minting("projected", "P", |p| p.filter(Expr::var("t").proj("x"))),
+            minting("projected", "P", |p| {
+                p.filter(Expr::var("t").proj("x").eq(Expr::Const(true.into())))
+            }),
             minting("compared", "C", |p| {
                 p.filter(Expr::var("t").eq(Expr::var("a")))
             }),
@@ -141,7 +143,9 @@ mod tests {
                 p.map(vec![("u".to_string(), Expr::var("t"))])
                     .filter(Expr::var("u").eq(Expr::var("t")))
             }),
-            minting("filtered", "N", |p| p.filter(Expr::var("a").proj("live"))),
+            minting("filtered", "N", |p| {
+                p.filter(Expr::var("a").proj("live").eq(Expr::Const(true.into())))
+            }),
             minting("joined", "J", |p| {
                 p.hash_join(
                     Plan::scan("B", "b"),

@@ -1,13 +1,16 @@
 //! The reference CPL expression evaluator, over **named** rows.
 //!
-//! [`eval`] walks an [`Expr`] against a row mapping variable names to values:
-//! each variable is a name lookup and a copy, and each projection through an
-//! object identity copies the whole record out of the instance to read one
-//! field. That is how `cpl` evaluated before it lowered expressions against
-//! plan layouts and evaluated by reference ([`cpl::Lowered`]); it stays here
-//! as the reference the lowered evaluator is held to — on every expression
-//! the same value, or an error of the same variant and text.
+//! [`eval`] walks a value [`Expr`] against a row mapping variable names to
+//! values: each variable is a name lookup and a copy, and each projection
+//! through an object identity copies the whole record out of the instance to
+//! read one field. [`eval_predicate`] decides a conjunction of comparisons
+//! over such values. That is how `cpl` evaluated before it lowered
+//! expressions against plan layouts and evaluated by reference
+//! ([`cpl::Lowered`], [`cpl::Predicate`]); it stays here as the
+//! reference the lowered evaluator is held to — on every expression the same
+//! value, or an error of the same variant and text.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use cpl::expr::EvalCtx;
@@ -17,7 +20,7 @@ use wol_model::Value;
 /// A named row: each variable's value under its name.
 type Row = BTreeMap<String, Value>;
 
-/// Evaluate an expression against a named row.
+/// Evaluate a value expression against a named row; a comparison is no value.
 pub fn eval(expr: &Expr, row: &Row, ctx: &mut EvalCtx<'_>) -> Result<Value> {
     match expr {
         Expr::Var(v) => row
@@ -57,49 +60,43 @@ pub fn eval(expr: &Expr, row: &Row, ctx: &mut EvalCtx<'_>) -> Result<Value> {
             let key_value = eval(key, row, ctx)?;
             Ok(Value::Oid(ctx.mk_skolem(class, &key_value)?))
         }
-        Expr::Eq(a, b) => Ok(Value::Bool(eval(a, row, ctx)? == eval(b, row, ctx)?)),
-        Expr::Neq(a, b) => Ok(Value::Bool(eval(a, row, ctx)? != eval(b, row, ctx)?)),
-        Expr::Lt(a, b) => compare(&eval(a, row, ctx)?, &eval(b, row, ctx)?)
-            .map(|o| Value::Bool(o == std::cmp::Ordering::Less)),
-        Expr::Leq(a, b) => compare(&eval(a, row, ctx)?, &eval(b, row, ctx)?)
-            .map(|o| Value::Bool(o != std::cmp::Ordering::Greater)),
-        Expr::And(es) => {
-            for e in es {
-                if !truthy(&eval(e, row, ctx)?)? {
-                    return Ok(Value::Bool(false));
+        Expr::Eq(..) | Expr::Neq(..) | Expr::Lt(..) | Expr::Leq(..) | Expr::And(_) => {
+            Err(CplError::BadPlan(format!(
+                "a comparison is a predicate, not a value: {expr:?}"
+            )))
+        }
+    }
+}
+
+/// Evaluate a predicate — comparisons under `And` — against a named row,
+/// left to right: a bad value (a missing optional attribute, a dangling
+/// identity) or an uncomparable pair makes it `false`.
+pub fn eval_predicate(expr: &Expr, row: &Row, ctx: &mut EvalCtx<'_>) -> Result<bool> {
+    let (a, b) = match expr {
+        Expr::And(conjuncts) => {
+            for conjunct in conjuncts {
+                if !eval_predicate(conjunct, row, ctx)? {
+                    return Ok(false);
                 }
             }
-            Ok(Value::Bool(true))
+            return Ok(true);
         }
-        Expr::Not(e) => Ok(Value::Bool(!truthy(&eval(e, row, ctx)?)?)),
-    }
-}
-
-/// Evaluate a predicate against a named row: a bad value — a missing
-/// optional attribute, a dangling identity, an uncomparable pair — counts as
-/// `false`; a non-boolean value is an error, nested or not.
-pub fn eval_predicate(expr: &Expr, row: &Row, ctx: &mut EvalCtx<'_>) -> Result<bool> {
-    match eval(expr, row, ctx) {
-        Ok(value) => truthy(&value),
-        Err(e) if e.is_bad_value() => Ok(false),
-        Err(e) => Err(e),
-    }
-}
-
-fn truthy(value: &Value) -> Result<bool> {
-    match value {
-        Value::Bool(b) => Ok(*b),
-        other => Err(CplError::NotBoolean(other.kind())),
-    }
-}
-
-fn compare(a: &Value, b: &Value) -> Result<std::cmp::Ordering> {
-    a.ordered_cmp(b).ok_or_else(|| {
-        CplError::BadValue(format!(
-            "cannot compare values of kinds `{}` and `{}`",
-            a.kind(),
-            b.kind()
-        ))
+        Expr::Eq(a, b) | Expr::Neq(a, b) | Expr::Lt(a, b) | Expr::Leq(a, b) => (a, b),
+        other => {
+            let m = format!("a predicate conjunct must be a comparison, found {other:?}");
+            return Err(CplError::BadPlan(m));
+        }
+    };
+    let (a, b) = match eval(a, row, ctx).and_then(|a| Ok((a, eval(b, row, ctx)?))) {
+        Ok(values) => values,
+        Err(e) if e.is_bad_value() => return Ok(false),
+        Err(e) => return Err(e),
+    };
+    Ok(match expr {
+        Expr::Eq(..) => a == b,
+        Expr::Neq(..) => a != b,
+        Expr::Lt(..) => a.ordered_cmp(&b) == Some(Ordering::Less),
+        _ => a.ordered_cmp(&b).is_some_and(|o| o != Ordering::Greater),
     })
 }
 
@@ -107,7 +104,7 @@ fn compare(a: &Value, b: &Value) -> Result<std::cmp::Ordering> {
 mod tests {
     use std::borrow::Cow;
 
-    use cpl::{Lowered, Parallelism};
+    use cpl::{Lowered, Parallelism, Predicate};
     use proptest::prelude::*;
     use wol_model::{ClassName, Instance, Label, Oid};
 
@@ -158,11 +155,10 @@ mod tests {
         Value::record(fields)
     }
 
-    /// Expressions over `X` (an `A` object), `Y` (a `B` object or a dangling
-    /// one), `Z` (a scalar or a record) and `W` (in no layout): every `Expr`
-    /// variant, projection chains through identities, and comparisons of
-    /// every kind pair.
-    fn expr(rng: &mut Rng, depth: u32) -> Expr {
+    /// Value expressions over `X` (an `A` object), `Y` (a `B` object or a
+    /// dangling one), `Z` (a scalar or a record) and `W` (in no layout):
+    /// every value constructor, and projection chains through identities.
+    fn value(rng: &mut Rng, depth: u32) -> Expr {
         let labels = ["n", "r", "s", "b", "o", "missing"];
         if depth == 0 || rng.below(4) == 0 {
             return match rng.below(5) {
@@ -170,17 +166,8 @@ mod tests {
                 _ => Expr::var(*rng.pick(&["X", "Y", "Z", "X", "W"])),
             };
         }
-        // Half the sub-expressions are scalar operands, so comparisons find
-        // equal, lesser and greater pairs about as often as they fail.
-        let sub = |rng: &mut Rng| {
-            let operand = rng.below(2) == 0;
-            Box::new(if operand {
-                scalar_operand(rng)
-            } else {
-                expr(rng, depth - 1)
-            })
-        };
-        match rng.below(12) {
+        let sub = |rng: &mut Rng| Box::new(operand(rng, depth - 1));
+        match rng.below(6) {
             0..=2 => {
                 let base = sub(rng);
                 Expr::Proj(base, Label::new(rng.pick(&labels)))
@@ -194,16 +181,33 @@ mod tests {
                 )
             }
             4 => Expr::Variant("v".into(), sub(rng)),
-            5 => Expr::Skolem(ClassName::new(rng.pick(&["T", "U"])), sub(rng)),
-            6 => Expr::Eq(sub(rng), sub(rng)),
-            7 => Expr::Neq(sub(rng), sub(rng)),
-            8 => Expr::Lt(sub(rng), sub(rng)),
-            9 => Expr::Leq(sub(rng), sub(rng)),
-            10 => {
-                let n = rng.below(4);
-                Expr::And((0..n).map(|_| *sub(rng)).collect())
-            }
-            _ => Expr::Not(sub(rng)),
+            _ => Expr::Skolem(ClassName::new(rng.pick(&["T", "U"])), sub(rng)),
+        }
+    }
+
+    /// Half scalar operands, half values, so comparisons find equal, lesser
+    /// and greater pairs about as often as they fail.
+    fn operand(rng: &mut Rng, depth: u32) -> Expr {
+        if rng.below(2) == 0 {
+            scalar_operand(rng)
+        } else {
+            value(rng, depth)
+        }
+    }
+
+    /// Predicates: comparisons of every kind pair, under nested `And`s.
+    fn predicate(rng: &mut Rng, depth: u32) -> Expr {
+        let (a, b) = (operand(rng, depth), operand(rng, depth));
+        match rng.below(if depth == 0 { 4 } else { 5 }) {
+            0 => a.eq(b),
+            1 => Expr::Neq(Box::new(a), Box::new(b)),
+            2 => Expr::Lt(Box::new(a), Box::new(b)),
+            3 => Expr::Leq(Box::new(a), Box::new(b)),
+            _ => Expr::and(
+                (0..rng.below(4))
+                    .map(|_| predicate(rng, depth - 1))
+                    .collect(),
+            ),
         }
     }
 
@@ -221,8 +225,10 @@ mod tests {
     }
 
     /// One generated instance and row, evaluated through both evaluators:
-    /// every `(reference, lowered)` outcome, values and predicates alike,
-    /// and both factories' final state.
+    /// every `(reference, lowered)` outcome, values and predicates drawn
+    /// apart, and both factories' final state. An expression naming `W` is
+    /// refused at lowering, whether or not evaluation would reach `W`, and
+    /// neither evaluator runs it: its outcome is the refusal, on both sides.
     #[allow(clippy::type_complexity)]
     fn both(seed: u64) -> (Vec<(Result<Value>, Result<Value>)>, String, String) {
         let mut rng = Rng(seed | 1);
@@ -254,19 +260,31 @@ mod tests {
         let ctx = || EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
         let (mut reference_ctx, mut lowered_ctx) = (ctx(), ctx());
         let mut outcomes = Vec::new();
+        let refused = |e: &Expr, error: CplError| {
+            let names_w = format!("{e:?}").contains("Var(\"W\")");
+            assert!(
+                names_w && error == CplError::UnknownVariable("W".into()),
+                "{e:?}: {error}"
+            );
+            (Err(error.clone()), Err(error))
+        };
         for _ in 0..16 {
-            let e = expr(&mut rng, 4);
-            let lowered = Lowered::new(&e, &layout);
-            outcomes.push((
-                eval(&e, &named, &mut reference_ctx),
-                lowered.eval(&slots, &mut lowered_ctx).map(Cow::into_owned),
-            ));
-            outcomes.push((
-                eval_predicate(&e, &named, &mut reference_ctx).map(Value::Bool),
-                lowered
-                    .eval_predicate(&slots, &mut lowered_ctx)
-                    .map(Value::Bool),
-            ));
+            let e = value(&mut rng, 4);
+            outcomes.push(match Lowered::new(&e, &layout) {
+                Ok(lowered) => (
+                    eval(&e, &named, &mut reference_ctx),
+                    lowered.eval(&slots, &mut lowered_ctx).map(Cow::into_owned),
+                ),
+                Err(error) => refused(&e, error),
+            });
+            let p = predicate(&mut rng, 3);
+            outcomes.push(match Predicate::new(&p, &layout) {
+                Ok(lowered) => (
+                    eval_predicate(&p, &named, &mut reference_ctx).map(Value::Bool),
+                    lowered.holds(&slots, &mut lowered_ctx).map(Value::Bool),
+                ),
+                Err(error) => refused(&p, error),
+            });
         }
         let factory = |ctx: &EvalCtx<'_>| format!("{:?}", ctx.factory);
         (outcomes, factory(&reference_ctx), factory(&lowered_ctx))
@@ -276,8 +294,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The lowered, by-reference evaluator gives the reference's value —
-        /// or its error, variant and text — on every generated expression,
-        /// and mints the same Skolem identities in the same order.
+        /// or its error, variant and text — on every generated value and
+        /// predicate it does not refuse, and mints the same Skolem identities
+        /// in the same order.
         #[test]
         fn lowered_evaluation_equals_the_named_row_reference(seed in 0u64..u64::MAX) {
             let (outcomes, reference_factory, lowered_factory) = both(seed);
@@ -292,7 +311,8 @@ mod tests {
     }
 
     /// The generator is not vacuous: across the proptest's seeds it reaches
-    /// values, Skolem identities and every error the evaluators raise.
+    /// values, Skolem identities, both truth values, every bad value and the
+    /// refusal of an unbound name.
     #[test]
     fn generated_expressions_reach_every_outcome() {
         let mut seen = std::collections::BTreeSet::new();
@@ -300,17 +320,16 @@ mod tests {
             for (outcome, _) in both(seed).0 {
                 seen.insert(match outcome {
                     Ok(Value::Oid(_)) => "identity",
-                    Ok(Value::Bool(_)) => "boolean",
+                    Ok(Value::Bool(true)) => "true",
+                    Ok(Value::Bool(false)) => "false",
                     Ok(_) => "value",
-                    Err(CplError::UnknownVariable(_)) => "unknown variable",
+                    Err(CplError::UnknownVariable(_)) => "refused: unknown variable",
                     Err(CplError::MissingAttribute { .. }) => "missing attribute",
-                    Err(CplError::NotBoolean(_)) => "not a boolean",
                     Err(CplError::BadValue(m)) if m.starts_with("dangling") => "dangling",
-                    Err(CplError::BadValue(m)) if m.starts_with("cannot compare") => "uncomparable",
                     Err(other) => panic!("unexpected error {other}"),
                 });
             }
         }
-        assert_eq!(seen.len(), 8, "outcomes reached: {seen:?}");
+        assert_eq!(seen.len(), 7, "outcomes reached: {seen:?}");
     }
 }

@@ -167,7 +167,8 @@ fn chain_join_raw_plan(k: usize, rotation: usize) -> Plan {
         "N".to_string(),
         Expr::var(var_of(0)).proj("country"),
     )]);
-    plan = plan.filter(Expr::var(var_of(0)).proj("is_capital"));
+    let capital = Expr::var(var_of(0)).proj("is_capital");
+    plan = plan.filter(capital.eq(Expr::Const(Value::bool(true))));
     for i in 1..k {
         let edge = if i % 2 == 1 {
             if i == 1 {
@@ -373,7 +374,7 @@ fn run_query_with_threads(
 
 /// A scan→filter→project tower over the skewed `MarkerS` class — the plan
 /// shape the columnar executor answers batch-at-a-time. Mixes an integer
-/// range predicate, an optional dictionary-string equality and a negation,
+/// range predicate, an optional dictionary-string equality or inequality,
 /// and projects through a `Map` so late materialization is exercised.
 fn marker_tower_plan(bin_cut: i64, with_str_eq: bool, negate: bool) -> Plan {
     let mut plan = Plan::scan("MarkerS", "M").filter(Expr::Leq(
@@ -381,10 +382,15 @@ fn marker_tower_plan(bin_cut: i64, with_str_eq: bool, negate: bool) -> Plan {
         Box::new(Expr::Const(Value::int(bin_cut))),
     ));
     if with_str_eq {
-        let eq = Expr::var("M")
-            .proj("clone_name")
-            .eq(Expr::Const(Value::str("clone0")));
-        plan = plan.filter(if negate { Expr::Not(Box::new(eq)) } else { eq });
+        let (name, clone0) = (
+            Box::new(Expr::var("M").proj("clone_name")),
+            Box::new(Expr::Const(Value::str("clone0"))),
+        );
+        plan = plan.filter(if negate {
+            Expr::Neq(name, clone0)
+        } else {
+            Expr::Eq(name, clone0)
+        });
     }
     plan.map(vec![
         ("V0".to_string(), Expr::var("M")),
@@ -591,11 +597,14 @@ proptest! {
 
     /// The kind-matrix differential: every comparison (`= != < =<`) over
     /// every pair of kind-matrix operands (constant against constant
-    /// excepted), each plain, negated and conjoined behind a conjunct that
-    /// errors on half the rows, and truth tests of Bool and non-Bool
-    /// columns, run as a scan→filter→map tower. The row path and the
-    /// columnar tower agree row for row — rows, errors and stats — at every
-    /// thread count in {1, 2, 4, 8}, and every comparison engages the tower.
+    /// excepted), each plain, as its complementary comparison (`!=` for `=`,
+    /// `=` for `!=`, swapped `=<` / `<` for `<` / `=<`) and conjoined behind
+    /// a conjunct that is an uncomparable pair, a bad value, on half the
+    /// rows, and every column compared with `true` (a Bool column with
+    /// missing cells among them), run as a scan→filter→map tower. The row
+    /// path and the columnar tower agree row for row — rows, errors and
+    /// stats — at every thread count in {1, 2, 4, 8}, and every comparison
+    /// engages the tower.
     /// Where one side is an attribute and the other a constant, the
     /// providers' `PushedFilter::matches` keeps exactly the objects the
     /// plain filter keeps.
@@ -607,8 +616,8 @@ proptest! {
         let source = kind_matrix_source(&mut g, 40);
         let refs = [&source];
         let operands = kind_matrix_operands(&source);
-        // Errors (an Int/Str mix compared with `<`) on the odd objects, true
-        // on the even ones.
+        // An uncomparable pair (an Int/Str mix compared with `<`) on the odd
+        // objects, true on the even ones.
         let erring = Expr::Lt(
             Box::new(Expr::var("M").proj("m")),
             Box::new(Expr::Const(Value::int(100))),
@@ -638,12 +647,14 @@ proptest! {
         };
         // Each comparison, with the pushed operator for `attr op const` and
         // for `const op attr`.
+        // and its complement: the comparison true exactly where it is false
+        // on a comparable pair.
         type Build = fn(Box<Expr>, Box<Expr>) -> Expr;
-        let ops: [(Build, PushOp, PushOp); 4] = [
-            (Expr::Eq, PushOp::Eq, PushOp::Eq),
-            (Expr::Neq, PushOp::Neq, PushOp::Neq),
-            (Expr::Lt, PushOp::Lt, PushOp::Gt),
-            (Expr::Leq, PushOp::Leq, PushOp::Geq),
+        let ops: [(Build, PushOp, PushOp, Build); 4] = [
+            (Expr::Eq, PushOp::Eq, PushOp::Eq, Expr::Neq),
+            (Expr::Neq, PushOp::Neq, PushOp::Neq, Expr::Eq),
+            (Expr::Lt, PushOp::Lt, PushOp::Gt, |a, b| Expr::Leq(b, a)),
+            (Expr::Leq, PushOp::Leq, PushOp::Geq, |a, b| Expr::Lt(b, a)),
         ];
         for (left, left_attr) in &operands {
             for (right, right_attr) in &operands {
@@ -651,10 +662,10 @@ proptest! {
                 if constant(left) && constant(right) {
                     continue;
                 }
-                for (build, op, flipped) in ops {
+                for (build, op, flipped, complement) in ops {
                     let cmp = build(Box::new(left.clone()), Box::new(right.clone()));
                     let kept = check(&tower(cmp.clone()), true)?;
-                    check(&tower(Expr::Not(Box::new(cmp.clone()))), true)?;
+                    check(&tower(complement(Box::new(left.clone()), Box::new(right.clone()))), true)?;
                     check(&tower(Expr::and(vec![erring.clone(), cmp.clone()])), true)?;
                     // Attribute against constant: what a provider evaluates.
                     let pushed = match (left_attr, right_attr, left, right) {
@@ -682,13 +693,13 @@ proptest! {
                 }
             }
         }
-        // Truth tests: a Bool column (one with missing cells too) runs on the
-        // tower; a non-Bool one is the row path's error on both sides.
-        for (attr, engages) in [("b", true), ("q", true), ("i", false), ("s", false), ("n", false)] {
-            let test = Expr::var("M").proj(attr);
-            check(&tower(test.clone()), engages)?;
-            check(&tower(Expr::Not(Box::new(test.clone()))), engages)?;
-            check(&tower(Expr::and(vec![erring.clone(), test])), engages)?;
+        // Each column compared with `true`: a Bool column (one with missing
+        // cells too) keeps its true cells, any other column nothing.
+        for attr in ["b", "q", "i", "s", "n"] {
+            let (column, truth) = (Box::new(Expr::var("M").proj(attr)), Box::new(Expr::Const(Value::Bool(true))));
+            check(&tower(Expr::Eq(column.clone(), truth.clone())), true)?;
+            check(&tower(Expr::Neq(column.clone(), truth.clone())), true)?;
+            check(&tower(Expr::and(vec![erring.clone(), Expr::Eq(column, truth)])), true)?;
         }
     }
 }
