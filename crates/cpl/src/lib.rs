@@ -26,10 +26,9 @@
 //! * a cost-based join-graph planner (`optimizer`): decomposes a compiled
 //!   plan into scans plus a conjunct pool and greedily re-joins the cheapest
 //!   connected pair, fed by extent statistics and per-attribute equi-depth
-//!   histograms over the live instances ([`optimizer::Statistics`],
-//!   [`optimizer::CostModel`]) with ndv propagated through join outputs; the
-//!   flat `1/ndv` model remains selectable as the differential baseline. It
-//!   is the only optimiser: a shape it does not take runs as compiled;
+//!   histograms over the live instances ([`optimizer::Statistics`]) with
+//!   ndv propagated through join outputs — one cardinality model. It is the
+//!   only optimiser: a shape it does not take runs as compiled;
 //! * execution statistics ([`exec::ExecStats`]) used by the benchmark harness.
 //!
 //! ## One outcome per plan

@@ -17,15 +17,14 @@
 //!    each conjunct's scan set is computed once, and estimates propagate
 //!    per `(scan index, attribute)`.
 //! 3. **Estimate**: per-scan cardinalities come from the live [`Instance`]
-//!    extents via a [`Statistics`] handle. Under the default
-//!    [`CostModel::Histogram`], equality selectivities come from lazy
-//!    per-attribute equi-depth histograms ([`wol_model::histogram`]) — exact
-//!    on skewed value heads, where the uniform model is most wrong — and
-//!    estimated ndv is propagated through join outputs (capped by each
-//!    component's estimated rows). [`CostModel::FlatNdv`] keeps the plain
-//!    `1/ndv` selectivities from the attribute indexes' distinct counts
-//!    ([`wol_model::index`]) as the differential baseline. Inequalities and
-//!    boolean tests use fixed heuristics in both models.
+//!    extents via a [`Statistics`] handle. Equality selectivities come from
+//!    lazy per-attribute equi-depth histograms ([`wol_model::histogram`]) —
+//!    exact on skewed value heads, where a uniform `1/ndv` guess is most
+//!    wrong — and estimated ndv is propagated through join outputs (capped by
+//!    each component's estimated rows). An equality no histogram answers
+//!    (identity joins, computed keys) is uniform over the propagated distinct
+//!    counts; `!=`, `<` and `=<` use fixed heuristics. Without instances
+//!    ([`Statistics::empty`]) every estimate falls back to fixed defaults.
 //! 4. **Greedily join** the cheapest *connected* pair of components next
 //!    (the same greedy selectivity discipline `wol_engine::env::build_plan`
 //!    applies to clause bodies), folding **every** cross-side equality into a
@@ -74,43 +73,36 @@ const SEL_EQ_DEFAULT: f64 = 0.1;
 const SEL_CMP: f64 = 0.3;
 /// Selectivity of `!=`.
 const SEL_NEQ: f64 = 0.9;
-/// Selectivity of boolean attribute tests, negations, and anything else.
+/// Selectivity of a conjunct that is no comparison. Lowering refuses such a
+/// plan before its first row; the estimate only has to be defined.
 const SEL_BOOL: f64 = 0.5;
 /// Floor for every estimated selectivity, so a provably-empty histogram
 /// estimate (disjoint domains) still leaves plans comparable instead of
 /// collapsing whole subtrees to an exact zero.
 const SEL_FLOOR: f64 = 1e-9;
 
-/// Which cardinality model the planner estimates with.
+/// The planner's cardinality model. There is one: per-attribute equi-depth
+/// histograms (`wol_model::histogram`), constant filters answered by
+/// per-value frequencies, and estimated ndv propagated and capped through
+/// join outputs.
+/// Kept only for the benchmark's frozen surface (ROADMAP item 1A).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CostModel {
-    /// The PR-2 baseline: flat `1/ndv` equality selectivities from the
-    /// attribute indexes' distinct counts, no distribution information, no
-    /// propagation of ndv through join outputs. Kept bit-for-bit as the
-    /// differential baseline the histogram model is tested against.
-    /// Kept only for the benchmark's frozen surface (ROADMAP item 1A).
-    /// The E7 guards in `tests/perf_regression.rs` and the planner
-    /// differentials select it too.
-    FlatNdv,
-    /// Per-attribute equi-depth histograms (`wol_model::histogram`):
-    /// equality selectivities come from the actual value distribution (exact
-    /// for the skew head), constant filters use per-value frequencies, and
-    /// estimated ndv is propagated and capped through join outputs.
+    /// Histogram-fed estimation, the only model.
     #[default]
     Histogram,
 }
 
 /// A handle over the live source instances from which the planner reads
-/// extent sizes, per-attribute distinct-value counts, and (under
-/// [`CostModel::Histogram`]) per-attribute equi-depth histograms. Reading an
-/// attribute's statistics builds the same lazy index the executor later
-/// probes, so the work is shared, not duplicated; histograms are additionally
-/// memoised here so repeated selectivity questions during planning do not
-/// re-clone them out of the instances.
+/// extent sizes, per-attribute distinct-value counts, and per-attribute
+/// equi-depth histograms. Reading an attribute's statistics builds the same
+/// lazy index the executor later probes, so the work is shared, not
+/// duplicated; histograms are additionally memoised here so repeated
+/// selectivity questions during planning do not re-clone them out of the
+/// instances.
 #[derive(Clone, Default)]
 pub struct Statistics<'a> {
     sources: Vec<&'a Instance>,
-    cost_model: CostModel,
     /// Per-`(class, attr)` memo of the sources' histograms (one entry per
     /// source that carries the attribute at all).
     histograms: RefCell<HistogramMemo>,
@@ -138,8 +130,7 @@ impl std::fmt::Debug for Statistics<'_> {
 }
 
 impl<'a> Statistics<'a> {
-    /// Statistics over the given source instances, estimating with the
-    /// default [`CostModel::Histogram`].
+    /// Statistics over the given source instances.
     pub fn from_instances(sources: &[&'a Instance]) -> Self {
         Statistics {
             sources: sources.to_vec(),
@@ -153,15 +144,10 @@ impl<'a> Statistics<'a> {
         Statistics::default()
     }
 
-    /// Switch the cardinality model (builder style).
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = cost_model;
+    /// The statistics unchanged: [`CostModel`] has one variant. Kept only for
+    /// the benchmark's frozen surface (ROADMAP item 1A).
+    pub fn with_cost_model(self, _cost_model: CostModel) -> Self {
         self
-    }
-
-    /// The cardinality model estimates use.
-    pub(crate) fn cost_model(&self) -> CostModel {
-        self.cost_model
     }
 
     /// Attach backend-reported per-class statistics (builder style). These
@@ -388,34 +374,6 @@ fn single_hop(expr: &Expr) -> Option<(&str, &Label)> {
     }
 }
 
-/// If `expr` is a single attribute projection off a scan variable, the
-/// number of distinct values it takes; if it is a bare scan variable, the
-/// extent size (object identities are unique). `None` otherwise.
-fn expr_ndv(expr: &Expr, scans: &ScanVars<'_>, stats: &Statistics<'_>) -> Option<usize> {
-    let expr = scans.resolve(expr);
-    if let Some((v, attr)) = single_hop(expr) {
-        return stats.ndv(scans.class(scans.index(v))?, attr);
-    }
-    match expr {
-        Expr::Var(v) => stats.extent_size(scans.class(scans.index(v))?),
-        _ => None,
-    }
-}
-
-/// Selectivity of an equality under the flat `1/ndv` model (the
-/// [`CostModel::FlatNdv`] baseline the histogram model is tested against).
-fn eq_selectivity_flat(a: &Expr, b: &Expr, scans: &ScanVars<'_>, stats: &Statistics<'_>) -> f64 {
-    let ndv = match (expr_ndv(a, scans, stats), expr_ndv(b, scans, stats)) {
-        (Some(x), Some(y)) => Some(x.max(y)),
-        (Some(x), None) | (None, Some(x)) => Some(x),
-        (None, None) => None,
-    };
-    match ndv {
-        Some(n) => 1.0 / n.max(1) as f64,
-        None => SEL_EQ_DEFAULT,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Histogram-fed estimation with ndv propagation.
 // ---------------------------------------------------------------------------
@@ -426,9 +384,7 @@ fn eq_selectivity_flat(a: &Expr, b: &Expr, scans: &ScanVars<'_>, stats: &Statist
 type AttrKey = (usize, Option<Label>);
 
 /// What a sub-plan is estimated to look like: output rows plus the estimated
-/// number of distinct values each attribute still takes *in that output* —
-/// the join-output ndv propagation the flat model lacks (there, only base
-/// scans carry ndv and everything above the leaves guesses).
+/// number of distinct values each attribute still takes *in that output*.
 #[derive(Clone, Debug, Default)]
 struct CardEst {
     rows: f64,
@@ -497,17 +453,13 @@ impl CardEst {
 }
 
 /// The estimator: the plan's scan variables plus the statistics handle. All
-/// selectivity logic lives here; the flat model changes equalities only.
+/// selectivity logic lives here.
 struct Estimator<'a, 'b> {
     scans: &'b ScanVars<'b>,
     stats: &'b Statistics<'a>,
 }
 
 impl Estimator<'_, '_> {
-    fn histogram_model(&self) -> bool {
-        self.stats.cost_model() == CostModel::Histogram
-    }
-
     /// The attr key of an expression, if it has one.
     fn attr_key(&self, expr: &Expr) -> Option<AttrKey> {
         let expr = self.scans.resolve(expr);
@@ -537,8 +489,7 @@ impl Estimator<'_, '_> {
 
     /// Selectivity of an equality conjunct, given the (optional) estimates
     /// of the side(s) its expressions range over. Returns the selectivity
-    /// and records propagated-ndv updates for the joined output into `out`
-    /// (the flat model records none).
+    /// and records propagated-ndv updates for the joined output into `out`.
     fn eq_selectivity(
         &self,
         a: &Expr,
@@ -546,9 +497,6 @@ impl Estimator<'_, '_> {
         sides: &[&CardEst],
         out: &mut Vec<(AttrKey, f64)>,
     ) -> f64 {
-        if !self.histogram_model() {
-            return eq_selectivity_flat(a, b, self.scans, self.stats);
-        }
         // An attr key's expression ranges over its one scan variable: it is
         // read on the first side producing that variable.
         let eff_ndv = |e: &Expr| -> Option<f64> {
@@ -616,7 +564,7 @@ impl Estimator<'_, '_> {
 
     /// Selectivity of an arbitrary conjunct against the given side
     /// estimates, recording ndv propagation updates into `out`. Only
-    /// equalities depend on the cost model; the rest are fixed heuristics.
+    /// equalities read the statistics; the rest are fixed heuristics.
     fn conjunct_selectivity(
         &self,
         conjunct: &Expr,
@@ -1565,7 +1513,7 @@ mod tests {
             Expr::var("Y").proj("k"),
             Expr::var("X").proj("k"),
         );
-        for stats in [stats.clone(), stats.with_cost_model(CostModel::FlatNdv)] {
+        for stats in [stats, Statistics::empty()] {
             assert_eq!(
                 estimate_plan(&planned, &stats),
                 estimate_plan(&written_out, &stats)
@@ -1619,6 +1567,16 @@ mod tests {
         let empty = Statistics::empty();
         assert_eq!(empty.extent_size(&ClassName::new("CityE")), None);
         assert_eq!(empty.ndv(&ClassName::new("CityE"), "name"), None);
+        // Histograms are memoised per (class, attr): the second request
+        // returns the same shared vector.
+        let a = stats.attr_histograms(&ClassName::new("CityE"), &"name".into());
+        let b = stats.attr_histograms(&ClassName::new("CityE"), &"name".into());
+        assert!(std::rc::Rc::ptr_eq(&a, &b));
+        assert_eq!(a.len(), 1);
+        // Empty statistics expose no histograms.
+        assert!(empty
+            .attr_histograms(&ClassName::new("CityE"), &"name".into())
+            .is_empty());
     }
 
     /// A small skewed instance: class `A` and class `B` both carry a `k`
@@ -1651,57 +1609,35 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_is_a_statistics_builder_knob() {
-        let inst = instance();
-        let refs = [&inst];
-        let stats = Statistics::from_instances(&refs);
-        assert_eq!(stats.cost_model(), CostModel::Histogram);
-        let flat = stats.clone().with_cost_model(CostModel::FlatNdv);
-        assert_eq!(flat.cost_model(), CostModel::FlatNdv);
-        // Histograms are memoised per (class, attr): the second request
-        // returns the same shared vector.
-        let a = stats.attr_histograms(&ClassName::new("CityE"), &"name".into());
-        let b = stats.attr_histograms(&ClassName::new("CityE"), &"name".into());
-        assert!(std::rc::Rc::ptr_eq(&a, &b));
-        assert_eq!(a.len(), 1);
-        // Empty statistics expose no histograms.
-        assert!(Statistics::empty()
-            .attr_histograms(&ClassName::new("CityE"), &"name".into())
-            .is_empty());
-    }
-
-    #[test]
-    fn histogram_model_sees_skew_the_flat_model_misses() {
+    fn histogram_estimates_see_the_skew_the_statistics_blind_planner_misses() {
         let inst = skewed_instance();
         let refs = [&inst];
         let hist = Statistics::from_instances(&refs);
-        let flat = Statistics::from_instances(&refs).with_cost_model(CostModel::FlatNdv);
+        let blind = Statistics::empty();
         let join = Plan::scan("A", "X").hash_join(
             Plan::scan("B", "Y"),
             Expr::var("X").proj("k"),
             Expr::var("Y").proj("k"),
         );
-        // True join size: 40*20 (hot) + ~0 tail = 800. The flat model
-        // guesses |A|*|B|/ndv = 60*30/21 ~ 86.
+        // The join's true size: 40*20 on the hot value, nothing in the tail.
+        let actual = rows_of(&join, &inst).len() as f64;
+        assert_eq!(actual, 800.0);
+        let within_2x = |est: f64| est <= 2.0 * actual && actual <= 2.0 * est;
         let hist_est = estimate_rows(&join, &hist);
-        let flat_est = estimate_rows(&join, &flat);
         assert!(
-            (hist_est - 800.0).abs() < 80.0,
-            "histogram estimate {hist_est} strays from ~800"
+            within_2x(hist_est),
+            "histogram estimate {hist_est} strays from {actual}"
         );
+        let blind_est = estimate_rows(&join, &blind);
         assert!(
-            flat_est < 150.0,
-            "flat estimate {flat_est} unexpectedly saw the skew"
+            !within_2x(blind_est),
+            "the statistics-blind estimate {blind_est} unexpectedly saw the skew"
         );
 
-        // Constant filters on the hot value are exact under the histogram
-        // model, and flat-uniform under the flat model.
+        // Constant filters on the hot value are exact.
         let filter = Plan::scan("A", "X")
             .filter(Expr::var("X").proj("k").eq(Expr::Const(Value::str("hot"))));
-        let hist_filter = estimate_rows(&filter, &hist);
-        let flat_filter = estimate_rows(&filter, &flat);
-        assert_eq!(hist_filter, 40.0);
-        assert!(flat_filter < 5.0);
+        assert_eq!(estimate_rows(&filter, &hist), 40.0);
         // A value outside the domain estimates to (almost) nothing.
         let miss = Plan::scan("A", "X").filter(
             Expr::var("X")

@@ -92,8 +92,8 @@
 //!
 //! **Conflicts fail in place.** When rows assert different values for one
 //! attribute of one object, settling fails with an error naming the least
-//! conflicting `(object, attribute)`: the same at every thread count and
-//! under either cost model, and the same error a fresh run over the same
+//! conflicting `(object, attribute)`: the same at every thread count,
+//! planned or raw, and the same error a fresh run over the same
 //! sources reports. A failing batch poisons the pipeline, and a build over
 //! conflicting sources fails.
 //!
@@ -601,7 +601,7 @@ fn build_state(
 ) -> Result<Core> {
     let refs: Vec<&Instance> = sources.iter().collect();
     let augmented = &front.augmented;
-    let stats = cpl::Statistics::from_instances(&refs).with_cost_model(options.cost_model);
+    let stats = cpl::Statistics::from_instances(&refs);
     let queries = plan_queries(options, &front.normal, &stats)?;
     front.check_sources(options, &refs)?;
     let schemas = augmented.schemas();
@@ -1561,7 +1561,7 @@ mod tests {
     }
 
     /// Contributions that genuinely conflict fail the batch in place: at
-    /// every thread count and under either cost model the error is the same
+    /// every thread count, planned or raw, the error is the same
     /// text, naming the least conflicting `(oid, label)`; the batch is not
     /// absorbed and the pipeline is poisoned. A build over sources that
     /// already conflict, a fresh run over them and the poisoned pipeline's
@@ -1594,35 +1594,56 @@ mod tests {
         let expected = MorphaseError::Execution(format!(
             "object {least} receives conflicting values for `length`"
         ));
+        // Planned and raw: the raw translation is the second plan shape.
+        let mut plans = Vec::new();
         for threads in [1, 2, 4, 8] {
-            for cost_model in [cpl::CostModel::Histogram, cpl::CostModel::FlatNdv] {
+            for optimize_plans in [true, false] {
                 let options = PipelineOptions {
                     parallelism: cpl::Parallelism::new(threads).with_min_items(1),
-                    cost_model,
+                    optimize_plans,
                     ..PipelineOptions::default()
                 };
                 let mut pipeline =
                     MaterializedPipeline::new(&genome::program(), vec![source.clone()], options)
                         .unwrap();
+                if threads == 1 {
+                    plans.push(pipeline.rerun_oracle().unwrap().plans);
+                }
                 let err = pipeline.apply_batch(&batch).unwrap_err();
-                assert_eq!(err, expected, "{threads} threads, {cost_model:?}");
+                assert_eq!(
+                    err, expected,
+                    "{threads} threads, optimized {optimize_plans}"
+                );
                 assert_eq!(pipeline.stats().inplace_batches, 0);
                 assert!(pipeline.is_poisoned());
                 let err = pipeline.rerun_oracle().unwrap_err();
-                assert_eq!(err, expected, "oracle: {threads} threads, {cost_model:?}");
+                assert_eq!(
+                    err, expected,
+                    "oracle: {threads} threads, optimized {optimize_plans}"
+                );
 
                 let mut conflicted = source.clone();
                 conflicted.apply_batch(&batch).unwrap();
                 let err = Morphase::with_options(options)
                     .transform(&genome::program(), &[&conflicted][..])
                     .unwrap_err();
-                assert_eq!(err, expected, "fresh: {threads} threads, {cost_model:?}");
+                assert_eq!(
+                    err, expected,
+                    "fresh: {threads} threads, optimized {optimize_plans}"
+                );
                 let err = MaterializedPipeline::new(&genome::program(), vec![conflicted], options)
                     .err()
                     .unwrap();
-                assert_eq!(err, expected, "build: {threads} threads, {cost_model:?}");
+                assert_eq!(
+                    err, expected,
+                    "build: {threads} threads, optimized {optimize_plans}"
+                );
             }
         }
+        assert_ne!(
+            plans[0], plans[1],
+            "the raw plans render as the planned ones"
+        );
     }
 
     /// A foreign read as `read class <- slot class.attribute` for each hop

@@ -70,10 +70,8 @@ pub struct PipelineOptions {
     pub generate_metadata_constraints: bool,
     /// Run the CPL plan optimiser on compiled plans.
     pub optimize_plans: bool,
-    /// Cardinality model the planner estimates with: histogram-backed (the
-    /// default) or the flat `1/ndv` baseline. The flat model is kept
-    /// selectable so skew regressions can be measured differentially (the E7
-    /// tests and bench run both over identical sources).
+    /// Unread: the planner has one cardinality model ([`cpl::CostModel`]).
+    /// Kept only for the benchmark's frozen surface (ROADMAP item 1A).
     pub cost_model: cpl::CostModel,
     /// Check the program's source constraints against the source data before
     /// executing. The check runs once, at the point where the sources are
@@ -539,9 +537,8 @@ pub(crate) fn run_pipeline(
     // them here keeps the execute timing honest.
     let start = Instant::now();
     let external = federation.as_ref().map(|f| f.external.clone());
-    let stats = cpl::Statistics::from_instances(resident)
-        .with_external(external.unwrap_or_default())
-        .with_cost_model(options.cost_model);
+    let stats =
+        cpl::Statistics::from_instances(resident).with_external(external.unwrap_or_default());
     let queries = plan_queries(options, &front.normal, &stats)?;
     let plans: Vec<String> = queries.iter().map(|q| q.plan.render()).collect();
     let (estimated_rows, join_estimates): (Vec<u64>, Vec<Vec<cpl::JoinEstimate>>) = queries

@@ -604,41 +604,35 @@ fn classify_atom<'a>(
     }
 }
 
-/// Check a fully-bound atom against the current frame. Missing optional
-/// attributes make equalities and memberships fail quietly; comparison atoms
-/// keep their hard-error semantics.
+/// Check a fully-bound atom against the current frame. The run-time rule is
+/// cpl's: a bad value — a missing optional attribute, a dangling identity,
+/// an uncomparable pair — makes the atom false.
 fn check_bound_atom(
     atom: &Atom,
     frame: &Slots<'_>,
     dbs: &Databases<'_>,
     skolem: &mut SkolemFactory,
 ) -> Result<bool> {
+    let mut compare = |op: PushOp, s: &Term, t: &Term| {
+        let a = eval(s, frame, dbs, skolem).ok();
+        let b = eval(t, frame, dbs, skolem).ok();
+        match (a, b) {
+            (Some(a), Some(b)) => op.holds((&*a).into(), (&*b).into()) == Some(true),
+            _ => false,
+        }
+    };
     match atom {
-        Atom::Member(term, class) => Ok(match try_eval(term, frame, dbs, skolem).as_deref() {
+        Atom::Eq(s, t) => Ok(compare(PushOp::Eq, s, t)),
+        Atom::Neq(s, t) => Ok(compare(PushOp::Neq, s, t)),
+        Atom::Lt(s, t) => Ok(compare(PushOp::Lt, s, t)),
+        Atom::Leq(s, t) => Ok(compare(PushOp::Leq, s, t)),
+        Atom::Member(term, class) => Ok(match eval(term, frame, dbs, skolem).ok().as_deref() {
             Some(Value::Oid(oid)) => oid.class() == class && dbs.contains(oid),
             _ => false,
         }),
-        Atom::Eq(s, t) => {
-            let sv = try_eval(s, frame, dbs, skolem);
-            let tv = try_eval(t, frame, dbs, skolem);
-            Ok(match (sv, tv) {
-                (Some(a), Some(b)) => holds(PushOp::Eq, &a, &b)?,
-                _ => false,
-            })
-        }
-        Atom::Neq(s, t) | Atom::Lt(s, t) | Atom::Leq(s, t) => {
-            let a = eval(s, frame, dbs, skolem)?;
-            let b = eval(t, frame, dbs, skolem)?;
-            let op = match atom {
-                Atom::Neq(_, _) => PushOp::Neq,
-                Atom::Lt(_, _) => PushOp::Lt,
-                _ => PushOp::Leq,
-            };
-            holds(op, &a, &b)
-        }
         Atom::InSet(elem, set) => {
             let set_value = eval(set, frame, dbs, skolem)?;
-            let Some(elem_value) = try_eval(elem, frame, dbs, skolem) else {
+            let Ok(elem_value) = eval(elem, frame, dbs, skolem) else {
                 return Ok(false);
             };
             match set_value.as_ref() {
@@ -656,18 +650,6 @@ fn not_a_set(value: &Value) -> EngineError {
         "`member` applied to a non-set value of kind `{}`",
         value.kind()
     ))
-}
-
-/// `a op b` by the query language's one comparison ([`PushOp::holds`]); an
-/// uncomparable pair is an evaluation error here, not a failed match.
-fn holds(op: PushOp, a: &Value, b: &Value) -> Result<bool> {
-    op.holds(a.into(), b.into()).ok_or_else(|| {
-        EngineError::Eval(format!(
-            "cannot compare values of kinds `{}` and `{}`",
-            a.kind(),
-            b.kind()
-        ))
-    })
 }
 
 /// The state of one match: the caller's Skolem factory and counters, the

@@ -23,7 +23,7 @@
 //! `attr = constant`, [`eq_join_rows`](AttrHistogram::eq_join_rows) for
 //! `l.attr = r.attr` joins) answer from singleton buckets exactly and fall
 //! back to the uniform-within-bucket assumption elsewhere, so the estimates
-//! degrade gracefully to the flat `1/ndv` model on genuinely uniform data.
+//! degrade gracefully to a uniform `1/ndv` estimate on genuinely uniform data.
 //!
 //! Histograms are built lazily per `(class, attribute)` by
 //! [`Instance::attr_histogram`](crate::Instance::attr_histogram) and cached in
@@ -395,7 +395,7 @@ mod tests {
         let h = ints(values);
         assert_eq!(h.eq_count(&Value::int(0)), 500.0);
         assert_eq!(h.eq_count(&Value::int(1)), 250.0);
-        // The flat model would estimate the self-join at n^2/ndv = 1M/252
+        // A uniform `1/ndv` estimate would put the self-join at n^2/ndv = 1M/252
         // ~ 4k rows; the true size is 500^2 + 250^2 + 250 = 312,750.
         let est = h.eq_join_rows(&h);
         let truth = 500.0f64 * 500.0 + 250.0 * 250.0 + 250.0;

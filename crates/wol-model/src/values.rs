@@ -29,9 +29,8 @@
 //! The query language's `=`, `!=`, `<` and `=<` have one definition,
 //! [`PushOp::holds`], over borrowed [`ValueRef`] views, so a typed column
 //! cell compares without becoming a [`Value`]. The row executor, the
-//! columnar kernels, the clause matcher and the scan providers all call it;
-//! only what an uncomparable pair *means* (a false predicate or an error) is
-//! theirs.
+//! columnar kernels, the clause matcher and the scan providers all call it,
+//! and all read an uncomparable pair as a false predicate.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -134,9 +133,8 @@ impl PushOp {
     ///   different kinds are simply unequal — never an error.
     /// * The ordered comparisons take integers, reals — the int/real mixes
     ///   promote the integer — and strings. Any other pairing is
-    ///   uncomparable: `None`, which each caller maps to its own policy (a
-    ///   false predicate in the executor and the providers, an error in the
-    ///   clause matcher).
+    ///   uncomparable: `None`, which every caller — the executor, the
+    ///   providers and the clause matcher — reads as a false predicate.
     pub fn holds(self, left: ValueRef<'_>, right: ValueRef<'_>) -> Option<bool> {
         use std::cmp::Ordering;
         use ValueRef::{Bool, Int, Other, Real, Str};

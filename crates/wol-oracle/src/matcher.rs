@@ -149,28 +149,20 @@ fn match_atom(
                 }
             }
         }
-        Atom::Neq(s, t) => {
-            let a = eval_term(s, bindings, dbs, skolem)?;
-            let b = eval_term(t, bindings, dbs, skolem)?;
-            Ok(if a != b {
-                vec![bindings.clone()]
-            } else {
-                vec![]
-            })
-        }
-        Atom::Lt(s, t) | Atom::Leq(s, t) => {
-            let a = eval_term(s, bindings, dbs, skolem)?;
-            let b = eval_term(t, bindings, dbs, skolem)?;
-            let ordering = a.ordered_cmp(&b).ok_or_else(|| {
-                EngineError::Eval(format!(
-                    "cannot compare values of kinds `{}` and `{}`",
-                    a.kind(),
-                    b.kind()
-                ))
-            })?;
+        Atom::Neq(s, t) | Atom::Lt(s, t) | Atom::Leq(s, t) => {
+            // A bad value (a missing optional attribute, a dangling
+            // identity) or an uncomparable pair: the comparison is false.
+            let a = eval_term(s, bindings, dbs, skolem).ok();
+            let b = eval_term(t, bindings, dbs, skolem).ok();
+            let (Some(a), Some(b)) = (a, b) else {
+                return Ok(vec![]);
+            };
             let holds = match atom {
-                Atom::Lt(_, _) => ordering == std::cmp::Ordering::Less,
-                _ => ordering != std::cmp::Ordering::Greater,
+                Atom::Neq(_, _) => a != b,
+                Atom::Lt(_, _) => a.ordered_cmp(&b) == Some(std::cmp::Ordering::Less),
+                _ => a
+                    .ordered_cmp(&b)
+                    .is_some_and(|o| o != std::cmp::Ordering::Greater),
             };
             Ok(if holds {
                 vec![bindings.clone()]

@@ -26,9 +26,9 @@
 //!   selective comparison the planner can push into its provider, feeding
 //!   the federated-pushdown bench and test suites.
 //! * [`skewed`] — E7: the genome theme with a *zipfian* marker-per-clone
-//!   distribution and a triangle join whose ordering the flat `1/ndv` cost
-//!   model provably gets wrong; the workload behind the histogram-estimation
-//!   regression tests and bench.
+//!   distribution and a triangle join whose ordering a planner blind to the
+//!   value distribution provably gets wrong; the workload behind the
+//!   histogram-estimation regression tests and bench.
 //! * [`variants`] — the variant family V(k) used to reproduce the claim that
 //!   complete-clause languages need exponentially many clauses in the number
 //!   of variants while WOL's partial clauses stay linear (Section 3.2).

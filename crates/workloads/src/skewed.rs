@@ -1,5 +1,5 @@
-//! E7 — a *skewed* genome workload where the flat `1/ndv` cost model
-//! provably misorders joins.
+//! E7 — a *skewed* genome workload where a planner blind to the value
+//! distribution provably misorders joins.
 //!
 //! The paper's Section 6 trials (Chr22DB → ACe22DB) are exactly the
 //! workloads where real data is skewed: a few clones carry most markers.
@@ -20,13 +20,14 @@
 //! ```
 //!
 //! The zipfian clone attribute has *more* measured distinct values than the
-//! uniform `bin`/`lane` attributes, so the flat model scores the
-//! marker–probe join as the cheapest pair and joins the two skewed sides
-//! first — materialising the `Σ m_c · p_c` blow-up. The histogram model sees
-//! the skew head exactly, scores that join as the most expensive, and
-//! anchors on the small `LaneS` relation instead. The two plans produce
-//! identical targets; `tests/perf_regression.rs` pins the ≥3× gap in peak
-//! intermediate rows and execute time.
+//! uniform `bin`/`lane` attributes, so a uniform `1/ndv` estimate scores the
+//! marker–probe join as the cheapest pair, and the statistics-blind planner
+//! (`Statistics::empty()`) picks the same order: both join the two skewed
+//! sides first, materialising the `Σ m_c · p_c` blow-up. The planner's
+//! histograms see the skew head exactly, score that join as the most
+//! expensive, and anchor on the small `LaneS` relation instead. The plans
+//! produce identical targets; `tests/perf_regression.rs` pins the ≥3× gap in
+//! peak intermediate rows against the statistics-blind plan.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

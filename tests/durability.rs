@@ -745,8 +745,8 @@ fn three_query_source(conflicting: bool) -> Instance {
 }
 
 /// A durable run whose k-th query conflicts commits exactly the queries
-/// before k and fails with a fresh run's error, at every thread count under
-/// both cost models.
+/// before k and fails with a fresh run's error, at every thread count,
+/// planned or raw.
 /// Reopening the journal resumes at k and fails with the same error; with
 /// the conflict gone, it resumes at k and finishes with the plain target.
 #[test]
@@ -783,19 +783,25 @@ fn a_conflicting_query_stops_durable_commits_where_it_conflicts() {
         })
         .collect()
     };
-    let cost_models = [cpl::CostModel::Histogram, cpl::CostModel::FlatNdv];
-    for (threads, cost_model) in [1usize, 2, 4, 8]
+    for (threads, optimize_plans) in [1usize, 2, 4, 8]
         .into_iter()
-        .flat_map(|t| cost_models.map(|c| (t, c)))
+        .flat_map(|t| [(t, true), (t, false)])
     {
-        let at = format!("{threads} threads, {cost_model:?}");
+        let at = format!("{threads} threads, optimized {optimize_plans}");
         let options = PipelineOptions {
             parallelism: cpl::Parallelism::new(threads).with_min_items(1),
-            cost_model,
+            optimize_plans,
             ..PipelineOptions::default()
         };
         let morphase = Morphase::with_options(options);
-        let dir = temp_dir(&format!("conflict-{threads}-{cost_model:?}"));
+        if threads == 1 && !optimize_plans {
+            let raw = morphase.compile(&program).expect("the program compiles");
+            assert_ne!(
+                raw.plans, plain.plans,
+                "the raw plans render as the planned ones"
+            );
+        }
+        let dir = temp_dir(&format!("conflict-{threads}-{optimize_plans}"));
         let durable = DurableOptions::new(&dir);
         for attempt in 0..2 {
             let err = morphase

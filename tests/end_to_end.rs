@@ -184,3 +184,101 @@ fn omitting_constraints_blows_up_but_preserves_semantics() {
         assert_eq!(value.as_record().unwrap().len(), n + 1);
     }
 }
+
+/// The run-time rule over clause bodies, as one table: a comparison reads a
+/// bad value — a missing optional attribute, a dangling reference, an
+/// uncomparable value — as false, under every operator and in either operand
+/// order, wherever the body runs. The naive semantics and Morphase derive
+/// equivalent targets, and a constraint with the same body neither errors nor
+/// reports a violation.
+#[test]
+fn a_body_comparison_reads_a_bad_value_as_false_everywhere() {
+    use wol_repro::wol_engine::{check_constraints, instances_equivalent, Databases};
+    use wol_repro::wol_lang::parse_clause;
+    use wol_repro::wol_lang::program::{Program, SchemaBinding};
+    use wol_repro::wol_model::{Instance, Schema, Type};
+
+    let person_s = ClassName::new("PersonS");
+    let person = Type::record([
+        ("name", Type::str()),
+        ("age", Type::optional(Type::int())),
+        ("friend", Type::optional(Type::class("PersonS"))),
+    ]);
+    let source_schema = Schema::new("src").with_class("PersonS", person);
+    let target_schema =
+        Schema::new("tgt").with_class("PersonT", Type::record([("name", Type::str())]));
+    // Two well-formed persons, and one more that carries the bad value.
+    let source_with = |bad: &str| -> Instance {
+        let mut source = Instance::new("src");
+        let ann = source.insert_fresh(
+            &person_s,
+            Value::record([("name", Value::str("ann")), ("age", Value::int(20))]),
+        );
+        let bob = Value::record([
+            ("name", Value::str("bob")),
+            ("age", Value::int(40)),
+            ("friend", Value::oid(ann)),
+        ]);
+        source.insert_fresh(&person_s, bob);
+        let cid = match bad {
+            "missing" => Value::record([("name", Value::str("cid"))]),
+            "uncomparable" => {
+                Value::record([("name", Value::str("cid")), ("age", Value::str("x"))])
+            }
+            "dangling" => {
+                let gone =
+                    source.insert_fresh(&person_s, Value::record([("name", Value::str("x"))]));
+                source.remove(&gone);
+                Value::record([("name", Value::str("cid")), ("friend", Value::oid(gone))])
+            }
+            other => unreachable!("no bad value named {other}"),
+        };
+        source.insert_fresh(&person_s, cid);
+        source
+    };
+    let comparisons = [
+        "{t} = 20",
+        "20 = {t}",
+        "{t} != 99",
+        "99 != {t}",
+        "{t} < 30",
+        "30 < {t}",
+        "{t} =< 30",
+        "30 =< {t}",
+    ];
+    for (bad, term) in [
+        ("missing", "Y.age"),
+        ("dangling", "Y.friend.age"),
+        ("uncomparable", "Y.age"),
+    ] {
+        let source = source_with(bad);
+        for comparison in comparisons {
+            let comparison = comparison.replace("{t}", term);
+            let case = format!("{comparison} over a {bad} value");
+            let program = Program::new(
+                "probe",
+                vec![SchemaBinding::new(source_schema.clone())],
+                SchemaBinding::new(target_schema.clone()),
+            )
+            .with_text(&format!(
+                "T: X in PersonT, X.name = N <= Y in PersonS, N = Y.name, {comparison};\n\
+                 K: X = Mk_PersonT(N) <= X in PersonT, N = X.name;"
+            ));
+            let naive = naive_transform(&program, &[&source][..], "tgt")
+                .unwrap_or_else(|e| panic!("{case}: naive semantics failed: {e}"));
+            let run = Morphase::new()
+                .transform(&program, &[&source][..])
+                .unwrap_or_else(|e| panic!("{case}: Morphase failed: {e}"));
+            assert!(
+                instances_equivalent(&naive, &run.target, 2),
+                "{case}: the naive and Morphase targets diverge"
+            );
+            let constraint =
+                parse_clause(&format!("C: Y in PersonS <= Y in PersonS, {comparison}")).unwrap();
+            let dbs = Databases::new(&[&source]);
+            let violations = check_constraints(&[&constraint], &dbs)
+                .unwrap_or_else(|e| panic!("{case}: the constraint check failed: {e}"));
+            assert!(violations.is_empty(), "{case}: {violations:?}");
+        }
+    }
+}

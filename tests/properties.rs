@@ -1,6 +1,7 @@
 //! Property-based tests over the core invariants of the reproduction.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use proptest::prelude::*;
 
@@ -372,6 +373,47 @@ fn run_query_with_threads(
     (rows, target)
 }
 
+/// Cases of each cpl-level planner differential.
+const PLANNER_CASES: u32 = 24;
+
+/// The two plan shapes the cpl-level join differentials run: the
+/// histogram-fed plan, and the statistics-blind one (`Statistics::empty()`:
+/// every extent and selectivity a fixed default), which often joins in
+/// another order.
+fn histogram_and_blind_plans(raw: &Plan, refs: &[&Instance]) -> [Plan; 2] {
+    let stats = cpl::Statistics::from_instances(refs);
+    [&stats, &cpl::Statistics::empty()].map(|stats| cpl::optimize_with_stats(raw.clone(), stats))
+}
+
+/// Counts one differential's cases, and those whose two plan shapes render
+/// differently; the last of `PLANNER_CASES` fails if none did, so a
+/// differential cannot silently lose its second shape.
+struct ShapeCount {
+    cases: AtomicU32,
+    differing: AtomicU32,
+}
+
+impl ShapeCount {
+    const fn new() -> Self {
+        ShapeCount {
+            cases: AtomicU32::new(0),
+            differing: AtomicU32::new(0),
+        }
+    }
+
+    fn record(&self, first: &Plan, second: &Plan) -> Result<(), String> {
+        let differs = u32::from(first.render() != second.render());
+        let differing = self.differing.fetch_add(differs, Ordering::Relaxed) + differs;
+        let cases = self.cases.fetch_add(1, Ordering::Relaxed) + 1;
+        if cases == PLANNER_CASES && differing == 0 {
+            return Err(format!(
+                "no case of {cases} rendered its two plan shapes differently"
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// A scan→filter→project tower over the skewed `MarkerS` class — the plan
 /// shape the columnar executor answers batch-at-a-time. Mixes an integer
 /// range predicate, an optional dictionary-string equality or inequality,
@@ -435,15 +477,15 @@ fn run_with_columnar(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(PLANNER_CASES))]
 
     /// The columnar differential: on scan→filter→project towers over
     /// zipf-skewed instances, the batch-at-a-time columnar executor and the
     /// row-at-a-time executor produce the identical row stream (order
     /// included), the bit-identical target instance and equal merged
-    /// `ExecStats`, at every thread count in {1, 2, 4, 8} and under both
-    /// planner cost models. The columnar path must actually engage — a
-    /// silently disqualified pipeline would make this test vacuous.
+    /// `ExecStats`, at every thread count in {1, 2, 4, 8}, planned and raw.
+    /// The columnar path must actually engage — a silently disqualified
+    /// pipeline would make this test vacuous.
     #[test]
     fn columnar_execution_matches_row_major_across_the_thread_matrix(
         bin_cut in 0i64..6,
@@ -466,14 +508,18 @@ proptest! {
         let source = skewed::generate_source(&params);
         let refs = [&source];
         let tower = marker_tower_plan(bin_cut, with_str_eq == 1, negate == 1);
-        for cost_model in [cpl::CostModel::Histogram, cpl::CostModel::FlatNdv] {
-            let stats = cpl::Statistics::from_instances(&refs[..]).with_cost_model(cost_model);
-            let planned = cpl::optimize_with_stats(tower.clone(), &stats);
+        // A lone scan has one join order, so the second shape is the raw
+        // tower: its filters stacked as written.
+        let stats = cpl::Statistics::from_instances(&refs[..]);
+        let plans = [cpl::optimize_with_stats(tower.clone(), &stats), tower];
+        static SHAPES: ShapeCount = ShapeCount::new();
+        SHAPES.record(&plans[0], &plans[1])?;
+        for planned in &plans {
             let (base_rows, base_target, base_stats, _) =
-                run_with_columnar(&planned, &refs[..], 1, false);
+                run_with_columnar(planned, &refs[..], 1, false);
             for threads in [1usize, 2, 4, 8] {
                 let (rows, target, stats, columnar_stats) =
-                    run_with_columnar(&planned, &refs[..], threads, true);
+                    run_with_columnar(planned, &refs[..], threads, true);
                 prop_assert!(columnar_stats.pipelines > 0,
                     "the columnar path never engaged on:\n{}", planned.render());
                 prop_assert_eq!(&rows, &base_rows);
@@ -481,7 +527,7 @@ proptest! {
                 prop_assert_eq!(&stats, &base_stats);
                 // The row path itself is thread-invariant too.
                 let (rows, target, stats, _) =
-                    run_with_columnar(&planned, &refs[..], threads, false);
+                    run_with_columnar(planned, &refs[..], threads, false);
                 prop_assert_eq!(&rows, &base_rows);
                 prop_assert_eq!(&target, &base_target);
                 prop_assert_eq!(&stats, &base_stats);
@@ -705,7 +751,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(PLANNER_CASES))]
 
     /// The join-graph planner (with live statistics) produces exactly the
     /// row multiset of the raw plan — the reference semantics — for every
@@ -733,12 +779,12 @@ proptest! {
 
     /// The histogram-driven planner is differentially verified, not just
     /// benchmarked: over zipfian-skewed instances, for every scan order of
-    /// 2-5 scans, planning with histogram statistics and planning with flat
-    /// `1/ndv` statistics both produce exactly the raw plan's row multiset —
-    /// and the planner leaves no product behind on these connected graphs
-    /// under either cost model.
+    /// 2-5 scans, planning with histogram statistics and planning blind
+    /// (`Statistics::empty()`) both produce exactly the raw plan's row
+    /// multiset — and the planner leaves no product behind on these
+    /// connected graphs either way.
     #[test]
-    fn histogram_and_flat_planners_preserve_raw_row_multisets_on_skew(
+    fn histogram_and_statistics_blind_planners_preserve_raw_row_multisets_on_skew(
         k in 2usize..6,
         rotation in 0usize..6,
         clones in 1usize..5,
@@ -759,23 +805,25 @@ proptest! {
         let refs = [&source];
         let raw = skew_chain_raw_plan(k, rotation % k);
         let expected = sorted_rows(&raw, &refs[..]);
-        for cost_model in [cpl::CostModel::Histogram, cpl::CostModel::FlatNdv] {
-            let stats = cpl::Statistics::from_instances(&refs[..]).with_cost_model(cost_model);
-            let planned = cpl::optimize_with_stats(raw.clone(), &stats);
-            prop_assert_eq!(&sorted_rows(&planned, &refs[..]), &expected);
+        let plans = histogram_and_blind_plans(&raw, &refs[..]);
+        static SHAPES: ShapeCount = ShapeCount::new();
+        SHAPES.record(&plans[0], &plans[1])?;
+        for planned in &plans {
+            prop_assert_eq!(&sorted_rows(planned, &refs[..]), &expected);
             let rendered = planned.render();
             prop_assert!(!rendered.contains("CrossJoin") && !rendered.contains("NestedLoopJoin"),
-                "a product survived planning under {:?}:\n{}", cost_model, rendered);
+                "a product survived planning:\n{}", rendered);
         }
     }
 
     /// The thread-matrix differential: over zipf-skewed E7-style instances,
     /// parallel execution at every thread count in {1, 2, 4, 8} produces the
     /// *identical row stream and target instance* as the sequential executor
-    /// — for the cost-based plan under both cost models *and* for the raw plan
-    /// itself (products, predicate-less nested loops and filters above them)
-    /// — and the row multiset always equals the raw plan's. The row stream is
-    /// compared directly, so parallel row order is exactly sequential.
+    /// — for the histogram-fed and the statistics-blind plan *and* for the
+    /// raw plan itself (products, predicate-less nested loops and filters
+    /// above them) — and the row multiset always equals the raw plan's. The
+    /// row stream is compared directly, so parallel row order is exactly
+    /// sequential.
     #[test]
     fn parallel_execution_is_deterministic_across_the_thread_matrix(
         k in 2usize..5,
@@ -798,22 +846,21 @@ proptest! {
         let refs = [&source];
         let raw = skew_chain_raw_plan(k, rotation % k);
         let raw_multiset = sorted_rows(&raw, &refs[..]);
-        for cost_model in [cpl::CostModel::Histogram, cpl::CostModel::FlatNdv] {
-            let stats = cpl::Statistics::from_instances(&refs[..]).with_cost_model(cost_model);
-            let planned = cpl::optimize_with_stats(raw.clone(), &stats);
-            for plan in [&planned, &raw] {
-                let (base_rows, base_target) = run_query_with_threads(plan, &refs[..], 1);
-                for threads in [2usize, 4, 8] {
-                    let (rows, target) = run_query_with_threads(plan, &refs[..], threads);
-                    // Divergence at any thread count under either cost model
-                    // is a determinism bug.
-                    prop_assert_eq!(&rows, &base_rows);
-                    prop_assert_eq!(&target, &base_target);
-                }
-                let mut multiset = base_rows;
-                multiset.sort();
-                prop_assert_eq!(&multiset, &raw_multiset);
+        let [hist, blind] = histogram_and_blind_plans(&raw, &refs[..]);
+        static SHAPES: ShapeCount = ShapeCount::new();
+        SHAPES.record(&hist, &blind)?;
+        for plan in [&hist, &blind, &raw] {
+            let (base_rows, base_target) = run_query_with_threads(plan, &refs[..], 1);
+            for threads in [2usize, 4, 8] {
+                let (rows, target) = run_query_with_threads(plan, &refs[..], threads);
+                // Divergence at any thread count under any plan shape is a
+                // determinism bug.
+                prop_assert_eq!(&rows, &base_rows);
+                prop_assert_eq!(&target, &base_target);
             }
+            let mut multiset = base_rows;
+            multiset.sort();
+            prop_assert_eq!(&multiset, &raw_multiset);
         }
     }
 
@@ -826,8 +873,9 @@ proptest! {
     /// identities interleaved with the key mints — must produce the
     /// bit-identical row stream, bit-identical target instance (identities
     /// included) and equal merged `ExecStats` at every thread count in
-    /// {1, 2, 4, 8}, under both cost models. Any divergence means partitions
-    /// merged out of input order, or an identity depended on its context.
+    /// {1, 2, 4, 8}, planned with and without statistics. Any divergence
+    /// means partitions merged out of input order, or an identity depended
+    /// on its context.
     #[test]
     fn skolem_insertion_soak_is_deterministic_across_the_thread_matrix(
         k in 2usize..5,
@@ -849,10 +897,11 @@ proptest! {
         let source = skewed::generate_source(&params);
         let refs = [&source];
         let raw = skew_chain_raw_plan(k, rotation % k);
-        for cost_model in [cpl::CostModel::Histogram, cpl::CostModel::FlatNdv] {
-            let stats = cpl::Statistics::from_instances(&refs[..]).with_cost_model(cost_model);
-            let planned = cpl::optimize_with_stats(raw.clone(), &stats);
-            let query = skolem_heavy_query(&planned);
+        let plans = histogram_and_blind_plans(&raw, &refs[..]);
+        static SHAPES: ShapeCount = ShapeCount::new();
+        SHAPES.record(&plans[0], &plans[1])?;
+        for planned in &plans {
+            let query = skolem_heavy_query(planned);
             let (base_rows, base_target, base_stats, base_memo) =
                 run_skolem_query(&query, &refs[..], 1);
             // Sanity: the generated program really is Skolem-heavy, and its
@@ -872,7 +921,7 @@ proptest! {
                 drivers.len()
             );
             for threads in [2usize, 4, 8] {
-                // Divergence at any thread count under either cost model —
+                // Divergence at any thread count under either plan shape —
                 // in the row stream, the target, or the stats — is a bug in
                 // the partitioned executor.
                 let (rows, target, stats, memo) = run_skolem_query(&query, &refs[..], threads);
@@ -1016,6 +1065,18 @@ proptest! {
     }
 }
 
+/// The raw translation's plans for `program`, the second plan shape of the
+/// pipeline-level differentials (the raw plan reads no statistics).
+fn raw_plans(program: &wol_repro::wol_lang::program::Program) -> Vec<String> {
+    use wol_repro::morphase::{Morphase, PipelineOptions};
+    let options = PipelineOptions {
+        optimize_plans: false,
+        ..PipelineOptions::default()
+    };
+    let run = Morphase::with_options(options).compile(program);
+    run.expect("the program compiles").plans
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -1025,7 +1086,8 @@ proptest! {
     /// incrementally maintained pipeline's target is bit-identical to a
     /// from-scratch re-run after every batch — and the final target and the
     /// cumulative `MaintainStats` are identical at every thread count in
-    /// {1, 2, 4, 8} and the outcome counters under both planner cost models.
+    /// {1, 2, 4, 8}, and the outcome counters are the same whether the
+    /// pipeline runs planned or raw plans.
     #[test]
     fn incremental_maintenance_matches_from_scratch_reruns(
         clones in 2usize..8,
@@ -1057,14 +1119,15 @@ proptest! {
         let mut gen = TrafficGen::new(&source, stream_seed, weights);
         let stream: Vec<_> = (0..batches).map(|_| gen.next_batch(ops)).collect();
 
-        // Canonical run: one thread, default cost model, oracle-checked
-        // after every single batch.
+        // Canonical run: planned, oracle-checked after every single batch.
         let mut canonical = MaterializedPipeline::new(
             &program,
             vec![source.clone()],
             PipelineOptions::default(),
         )
         .unwrap();
+        let planned = canonical.rerun_oracle().unwrap().plans;
+        prop_assert!(planned != raw_plans(&program), "the raw plans render as the planned ones");
         for batch in &stream {
             canonical.apply_batch(batch).unwrap();
             let oracle = canonical.rerun_oracle().unwrap();
@@ -1074,11 +1137,11 @@ proptest! {
         }
         let canonical_stats = canonical.stats().clone();
 
-        for cost_model in [cpl::CostModel::Histogram, cpl::CostModel::FlatNdv] {
+        for optimize_plans in [true, false] {
             for threads in [1usize, 2, 4, 8] {
                 let options = PipelineOptions {
                     parallelism: cpl::Parallelism::new(threads),
-                    cost_model,
+                    optimize_plans,
                     ..PipelineOptions::default()
                 };
                 let mut pipeline =
@@ -1089,8 +1152,8 @@ proptest! {
                 if let Some(report) = pipeline.target().deep_eq_report(canonical.target()) {
                     prop_assert!(
                         false,
-                        "target diverged at {} threads / {:?}: {}",
-                        threads, cost_model, report
+                        "target diverged at {} threads / optimized {}: {}",
+                        threads, optimize_plans, report
                     );
                 }
                 let stats = pipeline.stats();
@@ -1101,8 +1164,8 @@ proptest! {
                 prop_assert_eq!(stats.rows_removed, canonical_stats.rows_removed);
                 prop_assert_eq!(stats.rows_added, canonical_stats.rows_added);
                 prop_assert_eq!(stats.objects_repaired, canonical_stats.objects_repaired);
-                if cost_model == cpl::CostModel::default() {
-                    // Within one cost model the full stats block — execution
+                if optimize_plans {
+                    // Within one plan shape the full stats block — execution
                     // counters included — is thread-invariant.
                     prop_assert_eq!(stats, &canonical_stats);
                 }
@@ -2232,8 +2295,8 @@ proptest! {
     /// violation list is identical (set *and* order) to a full
     /// `check_constraints` rescan after every batch, its certificate replays
     /// cleanly through `recheck`, and both the violations and the *encoded
-    /// certificate bytes* are identical at every thread count in {1, 2, 4, 8}
-    /// under both planner cost models.
+    /// certificate bytes* are identical at every thread count in {1, 2, 4, 8},
+    /// planned or raw.
     #[test]
     fn incremental_constraint_checks_match_full_rescans(
         users in 3usize..12,
@@ -2266,7 +2329,7 @@ proptest! {
             stream.push(gen.next_batch(ops));
         }
 
-        // Canonical run: one thread, default cost model, Report mode. After
+        // Canonical run: one thread, planned, Report mode. After
         // every batch the attached check must agree with a from-scratch
         // rescan of the post-batch source, and its certificate must replay.
         let canonical_options = PipelineOptions {
@@ -2276,6 +2339,8 @@ proptest! {
         };
         let mut canonical =
             MaterializedPipeline::new(&program, vec![source.clone()], canonical_options).unwrap();
+        let planned = canonical.rerun_oracle().unwrap().plans;
+        prop_assert!(planned != raw_plans(&program), "the raw plans render as the planned ones");
         let mut checks = Vec::new();
         for batch in &stream {
             let report = canonical.apply_batch(batch).unwrap();
@@ -2296,12 +2361,12 @@ proptest! {
         }
         let canonical_stats = canonical.stats().clone();
 
-        for cost_model in [cpl::CostModel::Histogram, cpl::CostModel::FlatNdv] {
+        for optimize_plans in [true, false] {
             for threads in [1usize, 2, 4, 8] {
                 let options = PipelineOptions {
                     batch_constraints: BatchConstraintMode::Report,
                     parallelism: cpl::Parallelism::new(threads).with_min_items(1),
-                    cost_model,
+                    optimize_plans,
                     ..PipelineOptions::default()
                 };
                 let mut pipeline =
@@ -2311,15 +2376,15 @@ proptest! {
                     let check = report.constraints.expect("report mode attaches a check");
                     prop_assert!(
                         check.violations == checks[i].violations,
-                        "violations diverged at {} threads / {:?}",
+                        "violations diverged at {} threads / optimized {}",
                         threads,
-                        cost_model
+                        optimize_plans
                     );
                     prop_assert!(
                         check.certificate.encode() == checks[i].certificate.encode(),
-                        "certificate bytes diverged at {} threads / {:?}",
+                        "certificate bytes diverged at {} threads / optimized {}",
                         threads,
-                        cost_model
+                        optimize_plans
                     );
                 }
                 let stats = pipeline.stats();
@@ -2340,8 +2405,8 @@ proptest! {
 /// Constraints over the registry source beside its own `S1`–`S3`: a
 /// comparison (`G1`); a general constraint over two objects (`G2`); a
 /// witness whose projection fails on a dangling reference, which makes the
-/// binding a violation (`G3`); a body that fails on one, which fails the
-/// check (`G4`); a Skolem key that fails on one, and otherwise names one
+/// binding a violation (`G3`); a body comparison that reads one, which is
+/// false there (`G4`); a Skolem key that fails on one, and otherwise names one
 /// key for several objects (`G5`); and a Skolem key that gives a user with
 /// several profiles several key values (`G6`).
 const REGISTRY_EXTRA_CONSTRAINTS: &str = "G1: U.tier < 99 <= U in UserS;\n\
