@@ -16,8 +16,9 @@
 //!    eligible classes, compute a per-class projection from every attribute
 //!    the normal clauses read ([`wol_engine::ReadSet`]), and stream each
 //!    provider class chunk-at-a-time ([`storage::ingest_class`]) into one
-//!    resident instance, building attribute indexes and histograms
-//!    alongside the stream.
+//!    resident instance. Ingest builds no index, histogram or column: the
+//!    executor builds those lazily for the attributes its plans read, as
+//!    over any resident source.
 //!
 //! Everything after that — source-constraint check, execution, verification —
 //! is the body's, identical to a run over resident instances.

@@ -123,8 +123,9 @@
 //!   the same rows in the same backend-native order on every call (file order,
 //!   store order, row order — never hash order), and chunk boundaries fall
 //!   every `chunk_rows` surviving rows without reordering. Streaming ingest
-//!   therefore produces extents, attribute indexes and histograms
-//!   bit-identical to a bulk load of the same filtered row set.
+//!   therefore produces extents bit-identical to a bulk load of the same
+//!   filtered row set; it builds nothing else, so every attribute index,
+//!   histogram and column is the instance's lazy build over that extent.
 //! * **Chunk ordering** — the sink sees chunks in stream order; concatenating
 //!   them reproduces the unchunked stream exactly. Chunking is a memory
 //!   knob, never a semantic one.

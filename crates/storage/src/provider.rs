@@ -40,10 +40,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wol_model::{
-    value_hash, AttrHistogram, AttrIndex, ClassName, Instance, Label, Oid, Record, Value,
-    SAMPLE_THRESHOLD,
-};
+use wol_model::{ClassName, Instance, Label, Oid, Record, Value};
 
 use crate::acedb::{AceMapping, AceStore, AceValue};
 use crate::csv::{decode_checked, CsvReader};
@@ -708,7 +705,7 @@ impl ScanProvider for RelationalProvider {
 // Streaming ingest.
 // ---------------------------------------------------------------------------
 
-/// Row and cache accounting of one [`ingest_class`] call.
+/// Row accounting of one [`ingest_class`] call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Backend rows the provider read (before pushed filters).
@@ -717,20 +714,18 @@ pub struct IngestStats {
     pub rows_out: usize,
     /// Chunks streamed.
     pub chunks: usize,
-    /// Attribute indexes (and histograms) built chunk-at-a-time and
-    /// installed on the instance.
-    pub indexed_attrs: usize,
 }
 
 /// Stream one provider class into `instance`, chunk-at-a-time: each chunk is
 /// applied with [`Instance::bulk_insert`] under sequential fresh identities,
-/// while per-attribute hash indexes and value streams accumulate alongside.
-/// After the last chunk the indexes and equi-depth histograms are installed
-/// ([`Instance::install_attr_index`] / [`Instance::install_attr_histogram`])
-/// with contents bit-identical to what a later lazy build over the finished
-/// extent would produce — rows arrive in ascending-identity order, which *is*
-/// extent order, and the exact-vs-sampled histogram rule matches the lazy
-/// path's.
+/// and nothing else is built. Attribute indexes, histograms and columns come
+/// from the instance's lazy cache when a plan first reads them, exactly as
+/// for an instance loaded any other way; rows arrive in ascending-identity
+/// order, which *is* extent order.
+///
+/// All or nothing: when the provider or an insert fails, the chunks already
+/// inserted are removed again and the class's identity counter is left
+/// where it was, so the instance is as the call found it.
 pub fn ingest_class(
     instance: &mut Instance,
     provider: &dyn ScanProvider,
@@ -738,55 +733,42 @@ pub fn ingest_class(
     pushdown: &Pushdown,
     chunk_rows: usize,
 ) -> Result<IngestStats> {
-    let mut next_id = instance.oid_counter(class);
-    let mut indexes: BTreeMap<Label, AttrIndex> = BTreeMap::new();
-    let mut attr_values: BTreeMap<Label, Vec<Value>> = BTreeMap::new();
+    let declared = instance.populated_classes().contains(class);
+    let first_id = instance.oid_counter(class);
+    // Identities below `inserted` were minted by this call and are present.
+    let mut inserted = first_id;
     let mut chunks = 0usize;
-    let mut ingest = |values: Vec<Value>| -> Result<()> {
+    let scanned = provider.scan(class, pushdown, chunk_rows, &mut |values: Vec<Value>| {
         chunks += 1;
-        let mut batch = Vec::with_capacity(values.len());
-        for value in values {
-            let oid = Oid::new(class.clone(), next_id);
-            next_id += 1;
-            if let Some(record) = value.as_record() {
-                for (attr, attr_value) in record {
-                    indexes
-                        .entry(attr.clone())
-                        .or_default()
-                        .add(value_hash(attr_value), oid.clone());
-                    attr_values
-                        .entry(attr.clone())
-                        .or_default()
-                        .push(attr_value.clone());
-                }
-            }
-            batch.push((oid, value));
-        }
+        let batch = (inserted..)
+            .zip(values)
+            .map(|(id, value)| (Oid::new(class.clone(), id), value))
+            .collect::<Vec<_>>();
+        let next = inserted + batch.len() as u64;
         instance
             .bulk_insert(class, batch)
-            .map_err(|e| StorageError::Model(e.to_string()))
+            .map_err(|e| StorageError::Model(e.to_string()))?;
+        inserted = next;
+        Ok(())
+    });
+    let summary = match scanned {
+        Ok(summary) => summary,
+        Err(e) => {
+            for id in first_id..inserted {
+                instance.remove(&Oid::new(class.clone(), id));
+            }
+            if !declared {
+                instance.forget_empty_class(class);
+            }
+            return Err(e);
+        }
     };
-    let summary = provider.scan(class, pushdown, chunk_rows, &mut ingest)?;
-    instance.restore_oid_counter(class, next_id);
+    instance.restore_oid_counter(class, inserted);
     instance.ensure_class(class);
-    let extent = instance.extent_size(class);
-    let indexed_attrs = indexes.len();
-    for (attr, index) in indexes {
-        instance.install_attr_index(class, &attr, index);
-    }
-    for (attr, values) in attr_values {
-        let histogram = if extent > SAMPLE_THRESHOLD {
-            AttrHistogram::build_sampled(|| values.iter().cloned())
-        } else {
-            AttrHistogram::build(values)
-        };
-        instance.install_attr_histogram(class, &attr, histogram);
-    }
     Ok(IngestStats {
         rows_in: summary.rows_in,
         rows_out: summary.rows_out,
         chunks,
-        indexed_attrs,
     })
 }
 
@@ -1074,10 +1056,9 @@ mod tests {
         assert_eq!(rows[0].project("lab"), Some(&Value::str("Sanger")));
     }
 
-    /// The tentpole equivalence: a streamed ingest (with chunked index and
-    /// histogram construction) produces an instance bit-identical to a bulk
-    /// materialization, with the installed caches matching what the lazy
-    /// path would build.
+    /// A streamed ingest produces an instance bit-identical to a bulk
+    /// materialization, builds no derived structure, and the lazily built
+    /// histograms, distinct counts and lookups answer as the reference's.
     #[test]
     fn streamed_ingest_matches_bulk_load_and_lazy_caches() {
         let provider = csv_provider();
@@ -1088,10 +1069,9 @@ mod tests {
         assert_eq!(stats.rows_in, 3);
         assert_eq!(stats.rows_out, 3);
         assert_eq!(stats.chunks, 2);
-        assert_eq!(stats.indexed_attrs, 3);
 
-        // Reference: parse the same text into a table, load row-by-row with
-        // fresh identities, and build the caches lazily.
+        // Reference: parse the same text into a table and load it row by row
+        // with fresh identities.
         let text =
             "name,length,lab\n\"c1\",100,\"Sanger\"\n\"c2\",250,\"LANL\"\n\"c3\",50,\"Sanger\"\n";
         let table = parse_csv("CloneC", text).unwrap();
@@ -1103,9 +1083,15 @@ mod tests {
         assert_eq!(streamed.deep_eq_report(&reference), None);
         assert_eq!(streamed.oid_counter(&class), reference.oid_counter(&class));
 
-        // Installed caches answer identically to lazily built ones.
+        // Ingest built nothing.
+        assert_eq!(streamed.attr_index_count(), 0);
         for attr in ["name", "length", "lab"] {
-            assert!(streamed.has_attr_histogram(&class, attr));
+            assert!(!streamed.has_attr_histogram(&class, attr));
+            assert!(!streamed.has_attr_column(&class, attr));
+        }
+
+        // What the lazy path builds on first read answers as the reference's.
+        for attr in ["name", "length", "lab"] {
             assert_eq!(
                 streamed.attr_histogram(&class, attr),
                 reference.attr_histogram(&class, attr),
@@ -1121,6 +1107,83 @@ mod tests {
             streamed.lookup_by_attr(&class, "lab", &Value::str("Sanger")),
             reference.lookup_by_attr(&class, "lab", &Value::str("Sanger"))
         );
+    }
+
+    /// Streams `rows` in chunks, then fails as a backend that went away.
+    struct FailsAfter {
+        rows: Vec<Value>,
+    }
+
+    impl ScanProvider for FailsAfter {
+        fn name(&self) -> &str {
+            "fails-after"
+        }
+
+        fn classes(&self) -> Vec<ClassName> {
+            vec![ClassName::new("T")]
+        }
+
+        fn stats(&self, _class: &ClassName) -> Option<ClassStats> {
+            None
+        }
+
+        fn scan(
+            &self,
+            _class: &ClassName,
+            _pushdown: &Pushdown,
+            chunk_rows: usize,
+            sink: &mut dyn FnMut(Vec<Value>) -> Result<()>,
+        ) -> Result<ScanSummary> {
+            for chunk in self.rows.chunks(chunk_rows) {
+                sink(chunk.to_vec())?;
+            }
+            Err(StorageError::Model("backend went away".to_string()))
+        }
+    }
+
+    /// A failed ingest leaves the instance as it found it: the chunks it
+    /// inserted are gone, the identity counter has not moved, and the next
+    /// fresh identity lands beside the objects already there.
+    #[test]
+    fn a_failed_ingest_leaves_the_instance_as_it_found_it() {
+        let class = ClassName::new("T");
+        let row = |n: i64| Value::record([("n", Value::int(n))]);
+        let failing = FailsAfter {
+            rows: vec![row(1), row(2)],
+        };
+
+        // The class not yet declared: it stays undeclared.
+        let mut empty = Instance::new("fed");
+        let before = empty.clone();
+        assert!(ingest_class(&mut empty, &failing, &class, &Pushdown::none(), 2).is_err());
+        assert_eq!(empty.deep_eq_report(&before), None);
+        assert_eq!(empty, before);
+
+        // The class holding an object: the counter stays at 1, and the next
+        // fresh identity is `#T:1`, displacing nothing.
+        let mut held = Instance::new("fed");
+        let first = held.insert_fresh(&class, row(0));
+        let before = held.clone();
+        assert!(ingest_class(&mut held, &failing, &class, &Pushdown::none(), 2).is_err());
+        assert_eq!(held.deep_eq_report(&before), None);
+        assert_eq!(held, before);
+        assert_eq!(held.oid_counter(&class), 1);
+        let next = held.insert_fresh(&class, row(9));
+        assert_eq!(next, Oid::new(class.clone(), 1));
+        assert_eq!(held.value(&first), Some(&row(0)));
+        assert_eq!(held.extent_size(&class), 2);
+
+        // An insert that fails mid-stream — a fresh identity already held —
+        // takes back the chunks before it and keeps the object it hit.
+        let clones = ClassName::new("CloneC");
+        let mut taken = Instance::new("fed");
+        let explicit = Oid::new(clones.clone(), 2);
+        taken.insert(explicit.clone(), row(7)).unwrap();
+        let before = taken.clone();
+        assert!(ingest_class(&mut taken, &csv_provider(), &clones, &Pushdown::none(), 2).is_err());
+        assert_eq!(taken.deep_eq_report(&before), None);
+        assert_eq!(taken, before);
+        assert_eq!(taken.value(&explicit), Some(&row(7)));
     }
 
     /// A filtered ingest produces exactly the instance a full ingest plus an

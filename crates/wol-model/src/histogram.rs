@@ -43,7 +43,7 @@ pub(crate) const DEFAULT_BUCKETS: usize = 32;
 
 /// Extent size above which [`Instance::attr_histogram`](crate::Instance::attr_histogram)
 /// switches from an exact build to [`AttrHistogram::build_sampled`].
-pub const SAMPLE_THRESHOLD: usize = 32_768;
+pub(crate) const SAMPLE_THRESHOLD: usize = 32_768;
 
 /// Reservoir size used by [`AttrHistogram::build_sampled`]. Large enough
 /// that a bucket's expected sample depth (`SAMPLE_SIZE / DEFAULT_BUCKETS` =

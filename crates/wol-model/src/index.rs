@@ -8,8 +8,7 @@
 //! the tuple's values to the object identities carrying them. A bucket is
 //! the whole conjunction, so a join with several keys on one scanned class
 //! looks up one bucket instead of intersecting several; a one-attribute index
-//! is the one-element tuple, and its buckets hash exactly as
-//! [`value_hash`] does.
+//! is the one-element tuple.
 //!
 //! Design:
 //!
@@ -56,12 +55,6 @@ use crate::oid::Oid;
 use crate::types::{ClassName, Label};
 use crate::values::Value;
 
-/// Hash of an attribute value, as used by the buckets of a one-attribute
-/// index.
-pub fn value_hash(value: &Value) -> u64 {
-    tuple_hash(&[value])
-}
-
 /// Hash of a tuple of attribute values, as used by the buckets of the index
 /// keyed by those attributes: the values fed in order to one hasher.
 pub(crate) fn tuple_hash(values: &[&Value]) -> u64 {
@@ -100,7 +93,7 @@ type Shard = HashMap<u64, Vec<Oid>>;
 /// the spine and the one shard they touch, leaving the other copy's answers
 /// exactly as they were. Probes never copy.
 #[derive(Clone, Debug)]
-pub struct AttrIndex {
+pub(crate) struct AttrIndex {
     shards: Arc<Vec<Arc<Shard>>>,
     entries: usize,
     distinct: usize,
@@ -156,7 +149,7 @@ impl AttrIndex {
 
     /// Record that `oid`'s attribute value hashes to `hash`. Builders call
     /// this in extent (ascending identity) order.
-    pub fn add(&mut self, hash: u64, oid: Oid) {
+    pub(crate) fn add(&mut self, hash: u64, oid: Oid) {
         let bucket = self.shard_mut(hash).entry(hash).or_default();
         let opened = bucket.is_empty();
         bucket.push(oid);
@@ -274,11 +267,6 @@ impl IndexCache {
     /// Whether an index keyed by `attrs` on `class` exists.
     pub(crate) fn contains<A: AsRef<str>>(&self, class: &ClassName, attrs: &[A]) -> bool {
         self.get(class, attrs).is_some()
-    }
-
-    /// Install a freshly built index.
-    pub(crate) fn insert(&mut self, class: ClassName, attrs: Box<[Label]>, index: AttrIndex) {
-        self.indexes.entry(class).or_default().insert(attrs, index);
     }
 
     /// The index keyed by `attrs`, installing `built` if none is there yet:
@@ -413,6 +401,11 @@ impl IndexCache {
 mod tests {
     use super::*;
 
+    /// The bucket hash of one attribute value: the one-element tuple.
+    fn value_hash(value: &Value) -> u64 {
+        tuple_hash(&[value])
+    }
+
     impl AttrIndex {
         /// Every bucket by hash, with the two counts: what "bit-identical to
         /// a rebuild" compares.
@@ -514,8 +507,8 @@ mod tests {
         let mut cache = IndexCache::default();
         let a = ClassName::new("A");
         let b = ClassName::new("B");
-        cache.insert(a.clone(), Box::new(["name".into()]), AttrIndex::default());
-        cache.insert(b.clone(), Box::new(["name".into()]), AttrIndex::default());
+        cache.get_or_insert(&a, Box::new(["name".into()]), AttrIndex::default());
+        cache.get_or_insert(&b, Box::new(["name".into()]), AttrIndex::default());
         assert_eq!(cache.len(), 2);
         cache.invalidate_class(&a);
         assert!(!cache.contains(&a, &["name"]));

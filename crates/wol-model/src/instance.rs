@@ -432,7 +432,7 @@ impl Instance {
     /// (at most ~2× `histogram::DEFAULT_BUCKETS`
     /// buckets, so the copy is cheap); callers that estimate repeatedly
     /// should memoise on their side, as `cpl`'s planner statistics do.
-    /// Above [`SAMPLE_THRESHOLD`] rows the build switches to deterministic
+    /// Above `histogram::SAMPLE_THRESHOLD` rows the build switches to deterministic
     /// reservoir sampling with exact heavy-hitter counts (see
     /// [`AttrHistogram::build_sampled`]), capping build cost on very large
     /// extents.
@@ -572,34 +572,6 @@ impl Instance {
                 index.insert_sorted(hash, oid.clone());
             }
         }
-    }
-
-    /// Install a pre-built attribute index for `(class, attr)`, as the
-    /// streaming ingest path does chunk-at-a-time instead of re-scanning the
-    /// whole extent afterwards. The caller must have built the index exactly
-    /// as the lazy path would: one `add(value_hash(v), oid)` per object
-    /// carrying the attribute, in extent (ascending-identity) order — probes
-    /// then answer bit-identically to a lazy rebuild. Any later mutation of
-    /// the class maintains or invalidates it like a lazily built one.
-    pub fn install_attr_index(&mut self, class: &ClassName, attr: &str, index: AttrIndex) {
-        self.cache_write()
-            .insert(class.clone(), Box::new([Label::new(attr)]), index);
-    }
-
-    /// Install a pre-built equi-depth histogram for `(class, attr)` (see
-    /// [`attr_histogram`](Instance::attr_histogram)). The caller must apply
-    /// the same exact-vs-sampled build rule the lazy path uses
-    /// ([`AttrHistogram::build_sampled`] above `SAMPLE_THRESHOLD` rows,
-    /// [`AttrHistogram::build`] otherwise) so planner estimates cannot
-    /// depend on which path populated the cache.
-    pub fn install_attr_histogram(
-        &mut self,
-        class: &ClassName,
-        attr: &str,
-        histogram: AttrHistogram,
-    ) {
-        self.cache_write()
-            .insert_histogram(class.clone(), Label::new(attr), histogram);
     }
 
     /// Run `probe` against the index keyed by `attrs` on `class`, building it

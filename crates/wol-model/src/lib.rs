@@ -31,7 +31,7 @@
 //! for the hot read paths: per-(class, attribute) typed column chunks with
 //! missing-value bitmaps and a shared string dictionary (`column`,
 //! [`Instance::attr_column`]), per-attribute hash indexes, and equi-depth
-//! histograms (sampled above [`histogram::SAMPLE_THRESHOLD`] rows). All of
+//! histograms (sampled above `histogram::SAMPLE_THRESHOLD` rows). All of
 //! them hang off the same `index::IndexCache`, owned by one version and
 //! maintained (attribute indexes) or dropped (the rest) on mutation, so a
 //! derived view can never outlive the rows it was built from. Row-major
@@ -75,8 +75,7 @@ mod values;
 pub use column::{AttrColumn, ColumnChunk, ColumnData, ColumnKind, CHUNK_ROWS};
 pub use error::{Conflict, ModelError};
 pub use fingerprint::Fingerprint;
-pub use histogram::{AttrHistogram, SAMPLE_THRESHOLD};
-pub use index::{value_hash, AttrIndex};
+pub use histogram::AttrHistogram;
 pub use instance::{AttrStats, ClassStats, Instance, Mutation, StorageSharing};
 pub use keys::{skolem_id, KeyExpr, KeySpec, SkolemFactory, SkolemState};
 pub use mutate::{

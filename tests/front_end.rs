@@ -6,13 +6,15 @@
 //! by its rendering. A change to the typechecker, normaliser, translator or
 //! planner that is meant to be a pure speed-up must leave all of it alone.
 //! Where the planner places `Map` bindings is held for every suite program,
-//! and the federated program's estimates over a fixed instance exactly.
+//! and the federated program's estimates over a fixed instance exactly, with
+//! the attribute indexes, histograms and columns that run builds.
 
 mod compile_suite;
 mod federated_source;
 
 use compile_suite::SUITE;
 use wol_repro::morphase::Morphase;
+use wol_repro::wol_model::{Instance, Label, Type};
 use wol_repro::workloads::federated::{self, FederatedParams};
 use wol_repro::workloads::wide;
 
@@ -144,5 +146,75 @@ fn federated_estimates_are_pinned() {
             ("F3 (#2)", "HashJoin", 27, 192),
             ("F3 (#2)", "HashJoin", 540, 414),
         ]
+    );
+}
+
+/// The `(class, attribute)` pairs of the federated source holding an
+/// attribute index, a histogram and a column, each as `Class.attr` (an
+/// index on an attribute tuple joins them with `,`).
+fn derived_structures(source: &Instance) -> [Vec<String>; 3] {
+    let indexes = source
+        .built_attr_indexes()
+        .into_iter()
+        .map(|(class, attrs)| {
+            let attrs: Vec<&str> = attrs.iter().map(Label::as_str).collect();
+            format!("{class}.{}", attrs.join(","))
+        });
+    let (mut histograms, mut columns) = (Vec::new(), Vec::new());
+    for (class, ty) in federated::source_schema().classes() {
+        let Type::Record(fields) = ty else {
+            panic!("{class} is not a record class");
+        };
+        for (attr, _) in fields {
+            if source.has_attr_histogram(class, attr) {
+                histograms.push(format!("{class}.{attr}"));
+            }
+            if source.has_attr_column(class, attr) {
+                columns.push(format!("{class}.{attr}"));
+            }
+        }
+    }
+    [indexes.collect(), histograms, columns]
+}
+
+/// Ingest builds no index, histogram or column; one transform of the
+/// federated program builds exactly those its plans read, lazily. An eager
+/// build creeping back into ingest, or a planner that starts reading
+/// another attribute, shows here as a diff.
+#[test]
+fn federated_derived_structures_are_pinned() {
+    let source = federated_source::fully_ingested(&FederatedParams::scaled(1));
+    let nothing: [Vec<String>; 3] = Default::default();
+    assert_eq!(derived_structures(&source), nothing, "built by ingest");
+
+    Morphase::new()
+        .transform(&federated::program(), &[&source])
+        .expect("transforms");
+    let [indexes, mut histograms, columns] = derived_structures(&source);
+    let read = [
+        "AssayC.marker",
+        "CloneR.name",
+        "MarkerA.clone_name",
+        "MarkerA.name",
+    ];
+    assert_eq!(indexes, read, "indexes");
+    histograms.sort();
+    assert_eq!(histograms, read, "histograms");
+    // Every attribute but `AssayC.batch`, in schema order.
+    assert_eq!(
+        columns,
+        [
+            "AssayC.sample",
+            "AssayC.marker",
+            "AssayC.tissue",
+            "AssayC.level",
+            "CloneR.name",
+            "CloneR.length",
+            "CloneR.lab",
+            "MarkerA.name",
+            "MarkerA.position",
+            "MarkerA.clone_name",
+        ],
+        "columns"
     );
 }

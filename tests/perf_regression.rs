@@ -440,8 +440,11 @@ fn e11_incremental_repair_is_at_least_10x_full_rerun() {
 /// must be at least 3× faster end-to-end than the same pipeline with
 /// pushdown off, while the produced target stays bit-identical. The saving
 /// is upstream of the executor: the pushed `length`/`position`/`level`
-/// guards trim the provider streams before ingest and indexing. Debug
-/// builds assert only the differential (the ratio there measures the
+/// guards trim the provider streams before ingest, so the off side streams,
+/// inserts and column-builds ~30× the rows. Ingest builds no index or
+/// histogram, so the ratio is smaller than when it built one of each per
+/// attribute (14.5× then, ~7× since) and the 3× bound holds with room.
+/// Debug builds assert only the differential (the ratio there measures the
 /// allocator, not the ingest path).
 #[test]
 fn e13_federated_pushdown_is_at_least_3x_full_ingest() {
