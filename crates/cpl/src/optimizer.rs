@@ -52,9 +52,8 @@
 //! every planner property test compares against, so it is also the safe
 //! answer. The translator emits neither shape.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
+use std::sync::Arc;
 
 use wol_model::{AttrHistogram, ClassName, Instance, Label, Value};
 
@@ -94,18 +93,14 @@ pub enum CostModel {
 }
 
 /// A handle over the live source instances from which the planner reads
-/// extent sizes, per-attribute distinct-value counts, and per-attribute
-/// equi-depth histograms. Reading an attribute's statistics builds the same
-/// lazy index the executor later probes, so the work is shared, not
-/// duplicated; histograms are additionally memoised here so repeated
-/// selectivity questions during planning do not re-clone them out of the
-/// instances.
+/// extent sizes and per-attribute equi-depth histograms. The histogram is
+/// the one per-attribute statistic: an attribute's distinct-value count is
+/// its histograms' [`distinct`](AttrHistogram::distinct). Reading statistics
+/// builds (once, in each instance's cache) the histograms it reads and no
+/// index: an index is built only when the executor probes it.
 #[derive(Clone, Default)]
 pub struct Statistics<'a> {
     sources: Vec<&'a Instance>,
-    /// Per-`(class, attr)` memo of the sources' histograms (one entry per
-    /// source that carries the attribute at all).
-    histograms: RefCell<HistogramMemo>,
     /// Backend-reported statistics for classes that are *not* resident in any
     /// attached instance yet (federated sources, consulted before ingest).
     /// An external entry takes precedence over the instances for its class.
@@ -117,9 +112,6 @@ pub struct Statistics<'a> {
 /// ingested into an [`Instance`]: the record the backends themselves produce
 /// (`storage`'s `ClassStats`), defined once in `wol_model`.
 pub use wol_model::ClassStats as ExternalClassStats;
-
-/// The per-`(class, attribute)` histogram memo inside [`Statistics`].
-type HistogramMemo = BTreeMap<(ClassName, Label), Rc<Vec<AttrHistogram>>>;
 
 impl std::fmt::Debug for Statistics<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -173,8 +165,9 @@ impl<'a> Statistics<'a> {
     }
 
     /// Approximate number of distinct values of `class.attr` across the
-    /// sources; `None` when no instances are attached (or the external
-    /// statistics for the class do not cover the attribute).
+    /// sources: the sum of their histograms' distinct counts. `None` when no
+    /// instances are attached (or the external statistics for the class do
+    /// not cover the attribute).
     pub(crate) fn ndv(&self, class: &ClassName, attr: &str) -> Option<usize> {
         if let Some(external) = self.external.get(class) {
             return external.ndvs.get(attr).copied();
@@ -182,7 +175,11 @@ impl<'a> Statistics<'a> {
         if self.sources.is_empty() {
             return None;
         }
-        Some(self.sources.iter().map(|i| i.attr_ndv(class, attr)).sum())
+        let distinct = self
+            .sources
+            .iter()
+            .map(|i| i.attr_histogram(class, attr).distinct());
+        Some(distinct.sum())
     }
 
     fn extent_estimate(&self, class: &ClassName) -> f64 {
@@ -192,36 +189,28 @@ impl<'a> Statistics<'a> {
     }
 
     /// The sources' equi-depth histograms of `class.attr` (one per source
-    /// that carries the attribute), memoised. Empty when no instances are
-    /// attached or no object carries the attribute.
+    /// that carries the attribute), each the one its instance caches. Empty
+    /// when no instances are attached or no object carries the attribute.
     pub(crate) fn attr_histograms(
         &self,
         class: &ClassName,
         attr: &Label,
-    ) -> Rc<Vec<AttrHistogram>> {
-        let key = (class.clone(), attr.clone());
-        if let Some(cached) = self.histograms.borrow().get(&key) {
-            return Rc::clone(cached);
-        }
-        let built: Vec<AttrHistogram> = self
-            .sources
+    ) -> Vec<Arc<AttrHistogram>> {
+        self.sources
             .iter()
             .map(|i| i.attr_histogram(class, attr))
             .filter(|h| !h.is_empty())
-            .collect();
-        let built = Rc::new(built);
-        self.histograms.borrow_mut().insert(key, Rc::clone(&built));
-        built
+            .collect()
     }
 }
 
 /// Total entries summarised by a set of per-source histograms.
-fn hist_entries(hists: &[AttrHistogram]) -> f64 {
+fn hist_entries(hists: &[Arc<AttrHistogram>]) -> f64 {
     hists.iter().map(|h| h.entries() as f64).sum()
 }
 
 /// Estimated `Σ_v count_l(v) · count_r(v)` across all source pairs.
-fn hist_join_rows(left: &[AttrHistogram], right: &[AttrHistogram]) -> f64 {
+fn hist_join_rows(left: &[Arc<AttrHistogram>], right: &[Arc<AttrHistogram>]) -> f64 {
     let mut rows = 0.0;
     for l in left {
         for r in right {
@@ -406,8 +395,8 @@ impl CardEst {
         }
     }
 
-    /// The base ndv of `key` from the statistics (histogram when built,
-    /// distinct counts otherwise; extent size for bare identities).
+    /// The base ndv of `key` from the statistics (the histograms' distinct
+    /// count for an attribute, the extent size for a bare identity).
     fn base_ndv(key: &AttrKey, scans: &ScanVars<'_>, stats: &Statistics<'_>) -> Option<f64> {
         let class = scans.class(key.0)?;
         match &key.1 {
@@ -475,7 +464,7 @@ impl Estimator<'_, '_> {
     /// The per-source histograms behind an attr-key expression (only for
     /// genuine attribute projections — bare identities are uniform by
     /// construction, which the ndv path already models exactly).
-    fn histograms_of(&self, expr: &Expr) -> Option<Rc<Vec<AttrHistogram>>> {
+    fn histograms_of(&self, expr: &Expr) -> Option<Vec<Arc<AttrHistogram>>> {
         let (index, Some(attr)) = self.attr_key(expr)? else {
             return None;
         };
@@ -1567,12 +1556,13 @@ mod tests {
         let empty = Statistics::empty();
         assert_eq!(empty.extent_size(&ClassName::new("CityE")), None);
         assert_eq!(empty.ndv(&ClassName::new("CityE"), "name"), None);
-        // Histograms are memoised per (class, attr): the second request
-        // returns the same shared vector.
+        // Statistics read histograms, each built once in its instance's
+        // cache, and build no index.
         let a = stats.attr_histograms(&ClassName::new("CityE"), &"name".into());
         let b = stats.attr_histograms(&ClassName::new("CityE"), &"name".into());
-        assert!(std::rc::Rc::ptr_eq(&a, &b));
         assert_eq!(a.len(), 1);
+        assert!(Arc::ptr_eq(&a[0], &b[0]));
+        assert_eq!(inst.attr_index_count(), 0);
         // Empty statistics expose no histograms.
         assert!(empty
             .attr_histograms(&ClassName::new("CityE"), &"name".into())

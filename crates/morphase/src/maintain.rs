@@ -25,13 +25,13 @@
 //!   names its row across runs, whichever join order the planner chose. The
 //!   row cache is a map over these keys; its order is only the order rows
 //!   replay in, which makes the first replay error deterministic.
-//! * A cached row is the compiled plan's whole output row, and replay
-//!   evaluates only the insert actions on it; the cache keeps what each row
-//!   contributed. A plan that mints — in a `Map` binding, a filter or a join
-//!   key — is cached like any other: `Mk_C(k)` is a function of `(C, k)`
-//!   ([`wol_model::skolem_id`]) and every build mints through a fresh,
-//!   unseeded factory, so a row derived under any scan restriction binds
-//!   exactly the identities a fresh run binds for it.
+//! * A derived row is the compiled plan's whole output row, and replay
+//!   evaluates only the insert actions on it; the cache keeps, per key, only
+//!   what the row contributed. A plan that mints — in a `Map` binding, a
+//!   filter or a join key — is cached like any other: `Mk_C(k)` is a
+//!   function of `(C, k)` ([`wol_model::skolem_id`]) and every build mints
+//!   through a fresh, unseeded factory, so a row derived under any scan
+//!   restriction binds exactly the identities a fresh run binds for it.
 //! * What a query reads is the read set ([`wol_engine::ReadSet`]) of the
 //!   normal clause it was compiled from — the one walk the federation and
 //!   the incremental constraint checker read too. (The planner's witness
@@ -513,25 +513,23 @@ fn analyze_query(query: Query, foreign: Vec<ForeignRead>) -> Result<QueryAnalysi
     })
 }
 
-/// One cached row of one query's plan.
-#[derive(Clone, Debug, Default)]
-struct CachedRow {
-    /// The plan's output row.
-    row: SlotRow,
-    /// Target contributions this row's inserts performed, in action order.
-    contribs: Vec<(Oid, Record)>,
-}
+/// The target contributions one row's inserts performed, in action order.
+type Contributions = Vec<(Oid, Record)>;
 
-/// One query's cached rows by key.
-type RowCache = BTreeMap<Vec<Oid>, CachedRow>;
+/// One query's cached rows: each row's key and its contributions. The row
+/// itself is not kept; a batch re-derives the rows it adds.
+type RowCache = BTreeMap<Vec<Oid>, Contributions>;
 
-/// Run the plan under `ctx`'s scan restrictions and add its rows,
-/// keyed and with no contributions yet, to `out`.
+/// Plan rows by key, as [`derive`] hands them to [`replay`].
+type KeyedRows = BTreeMap<Vec<Oid>, SlotRow>;
+
+/// Run the plan under `ctx`'s scan restrictions and add its rows, keyed, to
+/// `out`.
 fn derive(
     analysis: &QueryAnalysis,
     ctx: &mut EvalCtx<'_>,
     exec: &mut ExecStats,
-    out: &mut RowCache,
+    out: &mut KeyedRows,
 ) -> Result<()> {
     for row in run_slots(&analysis.plan, ctx, exec)? {
         let key = analysis
@@ -546,36 +544,33 @@ fn derive(
                 ))),
             })
             .collect::<Result<_>>()?;
-        out.insert(
-            key,
-            CachedRow {
-                row,
-                contribs: Vec::new(),
-            },
-        );
+        out.insert(key, row);
     }
     Ok(())
 }
 
-/// Replay rows through the query's insert actions — exactly what the
-/// executor evaluates for them — recording each row's contributions and
-/// adding their supports to the ledger.
-fn replay<'r>(
+/// Replay rows, in key order, through the query's insert actions — exactly
+/// what the executor evaluates for them — adding their contributions'
+/// supports to the ledger, and return each row's contributions by key.
+fn replay(
     analysis: &QueryAnalysis,
     ctx: &mut EvalCtx<'_>,
     ledger: &mut TargetLedger,
-    rows: impl IntoIterator<Item = &'r mut CachedRow>,
-) -> Result<()> {
-    for cached in rows {
+    rows: KeyedRows,
+) -> Result<RowCache> {
+    let mut replayed = RowCache::new();
+    for (key, row) in rows {
+        let mut contribs = Contributions::with_capacity(analysis.inserts.len());
         for action in &analysis.inserts {
             // The executor's insert loop propagates every error, bad values
             // included.
-            let (oid, record) = action.evaluate(&cached.row, ctx)?;
+            let (oid, record) = action.evaluate(&row, ctx)?;
             ledger.add(&oid, &record);
-            cached.contribs.push((oid, record));
+            contribs.push((oid, record));
         }
+        replayed.insert(key, contribs);
     }
-    Ok(())
+    Ok(replayed)
 }
 
 /// The standing state of a maintained pipeline.
@@ -618,8 +613,9 @@ fn build_state(
     let mut ledger = TargetLedger::default();
     let mut ctx = EvalCtx::new(&refs).with_parallelism(options.parallelism);
     for (analysis, cache) in analyses.iter().zip(&mut caches) {
-        derive(analysis, &mut ctx, exec, cache)?;
-        replay(analysis, &mut ctx, &mut ledger, cache.values_mut())?;
+        let mut rows = KeyedRows::new();
+        derive(analysis, &mut ctx, exec, &mut rows)?;
+        *cache = replay(analysis, &mut ctx, &mut ledger, rows)?;
     }
     let every: BTreeSet<Oid> = ledger.contributions.keys().cloned().collect();
     let mut target = Instance::new(augmented.target.schema.name());
@@ -662,15 +658,15 @@ fn repair_incremental(
             continue;
         }
         let mut swept = Vec::new();
-        cache.retain(|key, row| {
+        cache.retain(|key, contribs| {
             let hit = key.iter().zip(&stale).any(|(oid, s)| s.contains(oid));
             if hit {
-                swept.push(std::mem::take(row));
+                swept.push(std::mem::take(contribs));
             }
             !hit
         });
         rows_removed += swept.len() as u64;
-        for (oid, record) in swept.iter().flat_map(|row| &row.contribs) {
+        for (oid, record) in swept.iter().flatten() {
             core.ledger.remove(oid, record)?;
             touched.insert(oid.clone());
         }
@@ -680,7 +676,7 @@ fn repair_incremental(
     let mut ctx = EvalCtx::new(&refs).with_parallelism(options.parallelism);
     ctx.factory = std::mem::take(&mut core.factory);
     for ((analysis, cache), delta) in core.analyses.iter().zip(&mut core.caches).zip(&deltas) {
-        let mut added = RowCache::new();
+        let mut added = KeyedRows::new();
         let chains = analysis.foreign.iter().filter_map(|read| match read {
             ForeignRead::Chain(chain) => Some(chain.clone()),
             ForeignRead::Whole { .. } => None,
@@ -702,11 +698,10 @@ fn repair_incremental(
             )));
         }
         rows_added += added.len() as u64;
-        replay(analysis, &mut ctx, &mut core.ledger, added.values_mut())?;
-        for (key, row) in added {
-            touched.extend(row.contribs.iter().map(|(oid, _)| oid.clone()));
+        for (key, contribs) in replay(analysis, &mut ctx, &mut core.ledger, added)? {
+            touched.extend(contribs.iter().map(|(oid, _)| oid.clone()));
             // One insert per row: `append` would rebuild the whole cache.
-            cache.insert(key, row);
+            cache.insert(key, contribs);
         }
     }
     core.factory = std::mem::take(&mut ctx.factory);
@@ -1809,7 +1804,7 @@ mod tests {
         );
         let refs = [&source];
         let mut ctx = EvalCtx::new(&refs);
-        let mut rows = RowCache::new();
+        let mut rows = KeyedRows::new();
         derive(&analysis, &mut ctx, &mut ExecStats::default(), &mut rows).unwrap();
         // The oracle: every marker whose clone reference resolves.
         let oracle: BTreeSet<Vec<Oid>> = source
@@ -1821,9 +1816,9 @@ mod tests {
             .collect();
         assert!(!oracle.is_empty());
         assert_eq!(rows.keys().cloned().collect::<BTreeSet<_>>(), oracle);
-        for (key, cached) in &rows {
+        for (key, row) in &rows {
             for (oid, &slot) in key.iter().zip(&analysis.key_slots) {
-                assert_eq!(cached.row[slot], Value::Oid(oid.clone()));
+                assert_eq!(row[slot], Value::Oid(oid.clone()));
             }
         }
     }

@@ -32,8 +32,9 @@
 //! mislead estimates, never correctness, but the tests still pin the
 //! invalidation down.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
+use crate::index::tuple_hash;
 use crate::values::Value;
 
 /// Default number of buckets a histogram aims for. Enough resolution to
@@ -182,14 +183,17 @@ impl AttrHistogram {
     /// large to aggregate exactly. `make_values` must produce the same value
     /// sequence on each call (the build takes two passes):
     ///
-    /// 1. One pass counts the population and fills a deterministic
-    ///    reservoir (algorithm R driven by a fixed-seed SplitMix64).
+    /// 1. One pass counts the population and its distinct values, and fills
+    ///    a deterministic reservoir (algorithm R driven by a fixed-seed
+    ///    SplitMix64).
     /// 2. Values that look heavy in the sample (at least one expected bucket
     ///    depth of sample entries) get their **exact** population counts
     ///    from a second pass — the skew head, where estimates matter most,
     ///    stays precise.
     ///
     /// The light tail is scaled from the sample (`count · n / SAMPLE_SIZE`).
+    /// [`distinct`](Self::distinct) is the population's, counted by value
+    /// hash as the attribute index buckets values, not the sample's.
     /// Populations of at most `SAMPLE_SIZE` fall back to the exact build.
     /// The construction is fully deterministic for a given value sequence.
     pub fn build_sampled<I, F>(make_values: F) -> Self
@@ -198,9 +202,11 @@ impl AttrHistogram {
         F: Fn() -> I,
     {
         let mut n = 0usize;
+        let mut hashes: HashSet<u64> = HashSet::new();
         let mut reservoir: Vec<Value> = Vec::with_capacity(SAMPLE_SIZE);
         let mut rng: u64 = 0;
         for value in make_values() {
+            hashes.insert(tuple_hash(&[&value]));
             if reservoir.len() < SAMPLE_SIZE {
                 reservoir.push(value);
             } else {
@@ -238,7 +244,10 @@ impl AttrHistogram {
                 .entry(value)
                 .or_insert_with(|| ((count as f64 * scale).round() as usize).max(1));
         }
-        Self::from_counts(counts, DEFAULT_BUCKETS)
+        AttrHistogram {
+            distinct: hashes.len(),
+            ..Self::from_counts(counts, DEFAULT_BUCKETS)
+        }
     }
 
     /// Total entries (attribute occurrences) summarised.
@@ -246,7 +255,11 @@ impl AttrHistogram {
         self.entries
     }
 
-    /// Total distinct values summarised.
+    /// Distinct values among the entries: exact when the histogram was
+    /// built from every value, and from a sample
+    /// ([`build_sampled`](Self::build_sampled)) the population's count of
+    /// distinct value hashes. The planner's ndv of an attribute is this
+    /// count, so reading it builds nothing but the histogram.
     pub fn distinct(&self) -> usize {
         self.distinct
     }

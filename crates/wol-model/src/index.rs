@@ -13,8 +13,9 @@
 //! Design:
 //!
 //! * **Lazy** — an index is built the first time `(class, attributes)` is
-//!   probed, by one pass over the class's extent. Workloads that never join on
-//!   an attribute never pay for indexing it. An object lacking one of the
+//!   probed, by one pass over the class's extent, and only then: planning
+//!   reads histograms, never indexes. Workloads that never join on an
+//!   attribute never pay for indexing it. An object lacking one of the
 //!   attributes sits in no bucket: no equality on the tuple can hold for it.
 //! * **Maintained across single-object mutations** — insert / update /
 //!   remove adjust the affected entries of every built index of the class,
@@ -38,7 +39,9 @@
 //! probing takes `&self`, so the read path of the engine stays
 //! borrow-friendly, and shared references can be handed to scoped worker
 //! threads (the parallel executors probe one instance from many workers at
-//! once). Every instance owns its cache: equality ignores it (it is derived
+//! once). A missing structure is built under the write lock, after looking
+//! again, so readers racing to the first probe build it once. Every
+//! instance owns its cache: equality ignores it (it is derived
 //! data), a clone starts with an empty one, a snapshot with one holding only
 //! the origin's attribute indexes — so whatever a version builds lazily is
 //! installed in that version's cache alone and never becomes visible on the
@@ -96,7 +99,6 @@ type Shard = HashMap<u64, Vec<Oid>>;
 pub(crate) struct AttrIndex {
     shards: Arc<Vec<Arc<Shard>>>,
     entries: usize,
-    distinct: usize,
 }
 
 impl Default for AttrIndex {
@@ -113,7 +115,6 @@ impl AttrIndex {
         AttrIndex {
             shards: Arc::new((0..shards).map(|_| Arc::default()).collect()),
             entries: 0,
-            distinct: 0,
         }
     }
 
@@ -150,11 +151,8 @@ impl AttrIndex {
     /// Record that `oid`'s attribute value hashes to `hash`. Builders call
     /// this in extent (ascending identity) order.
     pub(crate) fn add(&mut self, hash: u64, oid: Oid) {
-        let bucket = self.shard_mut(hash).entry(hash).or_default();
-        let opened = bucket.is_empty();
-        bucket.push(oid);
+        self.shard_mut(hash).entry(hash).or_default().push(oid);
         self.entries += 1;
-        self.distinct += usize::from(opened);
         self.grow_if_crowded();
     }
 
@@ -176,16 +174,16 @@ impl AttrIndex {
         let Err(pos) = self.candidates(hash).binary_search(&oid) else {
             return;
         };
-        let bucket = self.shard_mut(hash).entry(hash).or_default();
-        let opened = bucket.is_empty();
-        bucket.insert(pos, oid);
+        self.shard_mut(hash)
+            .entry(hash)
+            .or_default()
+            .insert(pos, oid);
         self.entries += 1;
-        self.distinct += usize::from(opened);
         self.grow_if_crowded();
     }
 
-    /// Remove `oid` from `hash`'s bucket. Emptied buckets are dropped so
-    /// [`distinct`](AttrIndex::distinct) matches a fresh rebuild.
+    /// Remove `oid` from `hash`'s bucket. Emptied buckets are dropped, so a
+    /// maintained index holds exactly the buckets of a fresh rebuild.
     pub(crate) fn remove_entry(&mut self, hash: u64, oid: &Oid) {
         let Ok(pos) = self.candidates(hash).binary_search(oid) else {
             return;
@@ -195,25 +193,10 @@ impl AttrIndex {
             return;
         };
         bucket.remove(pos);
-        let emptied = bucket.is_empty();
-        if emptied {
+        if bucket.is_empty() {
             shard.remove(&hash);
         }
         self.entries -= 1;
-        self.distinct -= usize::from(emptied);
-    }
-
-    /// Number of indexed `(value, oid)` entries.
-    pub(crate) fn len(&self) -> usize {
-        self.entries
-    }
-
-    /// Number of distinct value hashes present. Hash collisions can only
-    /// merge buckets, so this is a (tight in practice) *lower bound* on the
-    /// attribute's number of distinct values — exactly the quantity the query
-    /// planner's `1/ndv` equality selectivities need.
-    pub(crate) fn distinct(&self) -> usize {
-        self.distinct
     }
 
     /// Shard count and how many of those shards `other` holds too (the same
@@ -236,7 +219,9 @@ impl AttrIndex {
 /// projections** (row indexes + attribute columns, see [`crate::column`]),
 /// keyed by class and then by attribute tuple (indexes) or label (the rest).
 /// The nesting lets probes — the hot path — look up with borrowed keys,
-/// allocation-free. All
+/// allocation-free. Each `insert_*` installs a structure its caller built
+/// under the instance's write lock after finding none there, and returns
+/// it. All
 /// derived structures ride in the same cache so one `invalidate_class` drops
 /// them together: a mutation can never leave a stale histogram or column
 /// behind an up-to-date index or vice versa. The string interner is the one
@@ -245,10 +230,13 @@ impl AttrIndex {
 #[derive(Debug, Default)]
 pub(crate) struct IndexCache {
     indexes: BTreeMap<ClassName, BTreeMap<Box<[Label]>, AttrIndex>>,
-    histograms: BTreeMap<ClassName, BTreeMap<Label, AttrHistogram>>,
+    histograms: BTreeMap<ClassName, BTreeMap<Label, Arc<AttrHistogram>>>,
     columns: BTreeMap<ClassName, BTreeMap<Label, Arc<AttrColumn>>>,
     row_indexes: BTreeMap<ClassName, Arc<Vec<Oid>>>,
     interner: StringInterner,
+    /// Structures built into this cache, of every kind.
+    #[cfg(test)]
+    pub(crate) builds: usize,
 }
 
 impl IndexCache {
@@ -264,24 +252,15 @@ impl IndexCache {
             .map(|(_, index)| index)
     }
 
-    /// Whether an index keyed by `attrs` on `class` exists.
-    pub(crate) fn contains<A: AsRef<str>>(&self, class: &ClassName, attrs: &[A]) -> bool {
-        self.get(class, attrs).is_some()
-    }
-
-    /// The index keyed by `attrs`, installing `built` if none is there yet:
-    /// when two readers race to build, both end up probing the first.
-    pub(crate) fn get_or_insert(
+    /// Install a freshly built index keyed by `attrs`.
+    pub(crate) fn insert_index(
         &mut self,
-        class: &ClassName,
+        class: ClassName,
         attrs: Box<[Label]>,
-        built: AttrIndex,
+        index: AttrIndex,
     ) -> &AttrIndex {
-        self.indexes
-            .entry(class.clone())
-            .or_default()
-            .entry(attrs)
-            .or_insert(built)
+        let by_attrs = self.indexes.entry(class).or_default();
+        by_attrs.entry(attrs).insert_entry(index).into_mut()
     }
 
     /// Every built `(class, attribute tuple)` index, in key order.
@@ -305,13 +284,12 @@ impl IndexCache {
     }
 
     /// The histogram for `(class, attr)`, if it has been built.
-    pub(crate) fn get_histogram(&self, class: &ClassName, attr: &str) -> Option<&AttrHistogram> {
+    pub(crate) fn get_histogram(
+        &self,
+        class: &ClassName,
+        attr: &str,
+    ) -> Option<&Arc<AttrHistogram>> {
         self.histograms.get(class)?.get(attr)
-    }
-
-    /// Whether a histogram for `(class, attr)` exists.
-    pub(crate) fn contains_histogram(&self, class: &ClassName, attr: &str) -> bool {
-        self.get_histogram(class, attr).is_some()
     }
 
     /// Install a freshly built histogram.
@@ -319,12 +297,10 @@ impl IndexCache {
         &mut self,
         class: ClassName,
         attr: Label,
-        histogram: AttrHistogram,
-    ) {
-        self.histograms
-            .entry(class)
-            .or_default()
-            .insert(attr, histogram);
+        histogram: Arc<AttrHistogram>,
+    ) -> &Arc<AttrHistogram> {
+        let by_attr = self.histograms.entry(class).or_default();
+        by_attr.entry(attr).insert_entry(histogram).into_mut()
     }
 
     /// The columnar projection of `(class, attr)`, if it has been built.
@@ -332,14 +308,15 @@ impl IndexCache {
         self.columns.get(class)?.get(attr)
     }
 
-    /// Whether a column for `(class, attr)` exists.
-    pub(crate) fn contains_column(&self, class: &ClassName, attr: &str) -> bool {
-        self.get_column(class, attr).is_some()
-    }
-
     /// Install a freshly built column.
-    pub(crate) fn insert_column(&mut self, class: ClassName, attr: Label, column: Arc<AttrColumn>) {
-        self.columns.entry(class).or_default().insert(attr, column);
+    pub(crate) fn insert_column(
+        &mut self,
+        class: ClassName,
+        attr: Label,
+        column: Arc<AttrColumn>,
+    ) -> &Arc<AttrColumn> {
+        let by_attr = self.columns.entry(class).or_default();
+        by_attr.entry(attr).insert_entry(column).into_mut()
     }
 
     /// The row index (extent identities in extent order) of `class`, if built.
@@ -348,8 +325,12 @@ impl IndexCache {
     }
 
     /// Install a freshly built row index.
-    pub(crate) fn insert_row_index(&mut self, class: ClassName, rows: Arc<Vec<Oid>>) {
-        self.row_indexes.insert(class, rows);
+    pub(crate) fn insert_row_index(
+        &mut self,
+        class: ClassName,
+        rows: Arc<Vec<Oid>>,
+    ) -> &Arc<Vec<Oid>> {
+        self.row_indexes.entry(class).insert_entry(rows).into_mut()
     }
 
     /// The shared string dictionary of the columnar cache.
@@ -407,12 +388,12 @@ mod tests {
     }
 
     impl AttrIndex {
-        /// Every bucket by hash, with the two counts: what "bit-identical to
-        /// a rebuild" compares.
-        pub(crate) fn contents(&self) -> (BTreeMap<u64, Vec<Oid>>, usize, usize) {
+        /// Every bucket by hash, with the entry count: what "bit-identical
+        /// to a rebuild" compares.
+        pub(crate) fn contents(&self) -> (BTreeMap<u64, Vec<Oid>>, usize) {
             let shards = self.shards.iter();
             let buckets = shards.flat_map(|shard| shard.iter().map(|(h, b)| (*h, b.clone())));
-            (buckets.collect(), self.entries, self.distinct)
+            (buckets.collect(), self.entries)
         }
     }
 
@@ -425,7 +406,7 @@ mod tests {
         idx.add(h, Oid::new(class.clone(), 0));
         idx.add(h, Oid::new(class.clone(), 1));
         assert_eq!(idx.candidates(h).len(), 2);
-        assert_eq!(idx.len(), 2);
+        assert_eq!(idx.entries, 2);
         assert!(idx.candidates(h ^ 1).is_empty());
     }
 
@@ -447,8 +428,8 @@ mod tests {
         assert!(grown.shards.len() > 1);
         assert_eq!(sized.shards.len(), shards_when_sized);
         for index in [&grown, &sized] {
-            assert_eq!(index.len(), n as usize);
-            assert_eq!(index.distinct(), n as usize / 2);
+            let (buckets, entries) = index.contents();
+            assert_eq!((buckets.len(), entries), (n as usize / 2, n as usize));
             for key in 0..n / 2 {
                 let ids: Vec<u64> = index
                     .candidates(value_hash(&Value::int(key as i64)))
@@ -498,8 +479,10 @@ mod tests {
         assert!(held.candidates(value_hash(&Value::int(to))).is_empty());
         assert!(writer.candidates(value_hash(&Value::int(from))).is_empty());
         assert_eq!(writer.candidates(value_hash(&Value::int(to))), [moved]);
-        assert_eq!((held.len(), held.distinct()), (n as usize, n as usize));
-        assert_eq!((writer.len(), writer.distinct()), (n as usize, n as usize));
+        for index in [&held, &writer] {
+            let (buckets, entries) = index.contents();
+            assert_eq!((buckets.len(), entries), (n as usize, n as usize));
+        }
     }
 
     #[test]
@@ -507,12 +490,12 @@ mod tests {
         let mut cache = IndexCache::default();
         let a = ClassName::new("A");
         let b = ClassName::new("B");
-        cache.get_or_insert(&a, Box::new(["name".into()]), AttrIndex::default());
-        cache.get_or_insert(&b, Box::new(["name".into()]), AttrIndex::default());
+        cache.insert_index(a.clone(), Box::new(["name".into()]), AttrIndex::default());
+        cache.insert_index(b.clone(), Box::new(["name".into()]), AttrIndex::default());
         assert_eq!(cache.len(), 2);
         cache.invalidate_class(&a);
-        assert!(!cache.contains(&a, &["name"]));
-        assert!(cache.contains(&b, &["name"]));
+        assert!(cache.get(&a, &["name"]).is_none());
+        assert!(cache.get(&b, &["name"]).is_some());
     }
 
     #[test]
@@ -520,12 +503,12 @@ mod tests {
         let mut cache = IndexCache::default();
         let a = ClassName::new("A");
         let b = ClassName::new("B");
-        cache.insert_histogram(a.clone(), "x".into(), AttrHistogram::default());
-        cache.insert_histogram(b.clone(), "x".into(), AttrHistogram::default());
-        assert!(cache.contains_histogram(&a, "x"));
+        cache.insert_histogram(a.clone(), "x".into(), Arc::default());
+        cache.insert_histogram(b.clone(), "x".into(), Arc::default());
+        assert!(cache.get_histogram(&a, "x").is_some());
         cache.invalidate_class(&a);
-        assert!(!cache.contains_histogram(&a, "x"));
-        assert!(cache.contains_histogram(&b, "x"));
+        assert!(cache.get_histogram(&a, "x").is_none());
+        assert!(cache.get_histogram(&b, "x").is_some());
     }
 
     #[test]
@@ -538,10 +521,10 @@ mod tests {
         let col = Arc::new(AttrColumn::build(&refs, cache.interner_mut()));
         cache.insert_column(a.clone(), "t".into(), col);
         cache.insert_row_index(a.clone(), Arc::new(vec![Oid::new(a.clone(), 0)]));
-        assert!(cache.contains_column(&a, "t"));
+        assert!(cache.get_column(&a, "t").is_some());
         assert!(cache.get_row_index(&a).is_some());
         cache.invalidate_class(&a);
-        assert!(!cache.contains_column(&a, "t"));
+        assert!(cache.get_column(&a, "t").is_none());
         assert!(cache.get_row_index(&a).is_none());
         // Append-only dictionary survives invalidation: same string, same code.
         assert_eq!(cache.interner().code_of("hot"), Some(code));

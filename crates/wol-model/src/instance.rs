@@ -46,18 +46,6 @@ use crate::types::{ClassName, Label};
 use crate::values::Value;
 use crate::Result;
 
-/// Per-`(class, attribute)` statistics derived from the lazy attribute index,
-/// consumed by cost-based query planning (see
-/// [`attr_stats`](Instance::attr_stats)).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AttrStats {
-    /// Objects of the class that carry the attribute (optional attributes
-    /// make this smaller than the extent).
-    pub entries: usize,
-    /// Approximate number of distinct values the attribute takes.
-    pub distinct: usize,
-}
-
 /// Cardinality and distinct-value statistics of one class as a scan backend
 /// reports them — describing the *unfiltered* stream it would produce — so a
 /// planner can cost scans (and decide join order and pushdown splits)
@@ -120,7 +108,8 @@ pub struct StorageSharing {
 /// which probe extents, attribute indexes and histograms concurrently.
 /// Mutation still requires `&mut self`, so a read-only parallel section can
 /// never observe a write — the lock exists only to let concurrent readers
-/// build missing index entries lazily.
+/// build missing structures lazily, each once: a reader that finds one
+/// missing builds it under the write lock after looking again.
 #[derive(Debug, Default)]
 pub struct Instance {
     schema_name: String,
@@ -406,60 +395,39 @@ impl Instance {
         });
     }
 
-    /// Cheap per-attribute statistics for cost-based planning: the number of
-    /// objects of `class` that carry attribute `attr` at all, and the
-    /// (approximate) number of distinct values it takes. Built from the same
-    /// lazy attribute index the join machinery probes, so asking for the
-    /// statistics of an attribute that will later be joined on costs nothing
-    /// extra — the one pass over the extent is shared.
-    pub fn attr_stats(&self, class: &ClassName, attr: &str) -> AttrStats {
-        self.with_attr_index(class, &[attr], |index| AttrStats {
-            entries: index.len(),
-            distinct: index.distinct(),
-        })
-    }
-
-    /// Approximate number of distinct values attribute `attr` takes across
-    /// the extent of `class` (see [`attr_stats`](Instance::attr_stats)).
-    pub fn attr_ndv(&self, class: &ClassName, attr: &str) -> usize {
-        self.attr_stats(class, attr).distinct
-    }
-
     /// The equi-depth histogram of attribute `attr` over the extent of
-    /// `class` (see `crate::histogram`), built lazily on first request and
-    /// cached alongside the attribute indexes — any mutation of the class
-    /// invalidates both together. Returns a clone of the cached histogram
-    /// (at most ~2× `histogram::DEFAULT_BUCKETS`
-    /// buckets, so the copy is cheap); callers that estimate repeatedly
-    /// should memoise on their side, as `cpl`'s planner statistics do.
-    /// Above `histogram::SAMPLE_THRESHOLD` rows the build switches to deterministic
-    /// reservoir sampling with exact heavy-hitter counts (see
+    /// `class` (see `crate::histogram`), built on first request and cached
+    /// alongside the attribute indexes — any mutation of the class
+    /// invalidates it. Every caller shares the one cached histogram; its
+    /// [`distinct`](AttrHistogram::distinct) is the attribute's ndv, which
+    /// the planner reads instead of building an index. Above
+    /// `histogram::SAMPLE_THRESHOLD` rows the build switches to
+    /// deterministic reservoir sampling with exact heavy-hitter counts (see
     /// [`AttrHistogram::build_sampled`]), capping build cost on very large
     /// extents.
-    pub fn attr_histogram(&self, class: &ClassName, attr: &str) -> AttrHistogram {
-        if let Some(h) = self.cache_read().get_histogram(class, attr) {
-            return h.clone();
-        }
-        let built = if self.extent_size(class) > SAMPLE_THRESHOLD {
-            AttrHistogram::build_sampled(|| {
-                self.objects(class)
-                    .filter_map(|(_, value)| value.project(attr).cloned())
-            })
-        } else {
-            AttrHistogram::build(
-                self.objects(class)
-                    .filter_map(|(_, value)| value.project(attr).cloned()),
-            )
+    pub fn attr_histogram(&self, class: &ClassName, attr: &str) -> Arc<AttrHistogram> {
+        let values = || {
+            self.objects(class)
+                .filter_map(|(_, value)| value.project(attr).cloned())
         };
-        self.cache_write()
-            .insert_histogram(class.clone(), Label::new(attr), built.clone());
-        built
+        self.cached(
+            |cache| cache.get_histogram(class, attr),
+            |cache| {
+                let built = if self.extent_size(class) > SAMPLE_THRESHOLD {
+                    AttrHistogram::build_sampled(values)
+                } else {
+                    AttrHistogram::build(values())
+                };
+                cache.insert_histogram(class.clone(), Label::new(attr), Arc::new(built))
+            },
+            Arc::clone,
+        )
     }
 
     /// Whether a histogram for `(class, attr)` is currently cached. Exposed
     /// for the stale-histogram invalidation tests.
     pub fn has_attr_histogram(&self, class: &ClassName, attr: &str) -> bool {
-        self.cache_read().contains_histogram(class, attr)
+        self.cache_read().get_histogram(class, attr).is_some()
     }
 
     /// The columnar projection of attribute `attr` over the extent of
@@ -469,41 +437,38 @@ impl Instance {
     /// the column corresponds to row `i` of
     /// [`class_row_index`](Instance::class_row_index).
     pub fn attr_column(&self, class: &ClassName, attr: &str) -> Arc<AttrColumn> {
-        if let Some(col) = self.cache_read().get_column(class, attr) {
-            return col.clone();
-        }
-        let mut cache = self.cache_write();
-        // Another reader may have built the column while we waited for the
-        // write lock; keep the first build so Arc identity stays stable.
-        if let Some(col) = cache.get_column(class, attr) {
-            return col.clone();
-        }
-        let values: Vec<Option<&Value>> = self
-            .objects(class)
-            .map(|(_, value)| value.project(attr))
-            .collect();
-        let built = Arc::new(AttrColumn::build(&values, cache.interner_mut()));
-        cache.insert_column(class.clone(), Label::new(attr), built.clone());
-        built
+        self.cached(
+            |cache| cache.get_column(class, attr),
+            |cache| {
+                let values: Vec<Option<&Value>> = self
+                    .objects(class)
+                    .map(|(_, value)| value.project(attr))
+                    .collect();
+                let built = AttrColumn::build(&values, cache.interner_mut());
+                cache.insert_column(class.clone(), Label::new(attr), Arc::new(built))
+            },
+            Arc::clone,
+        )
     }
 
     /// The extent of `class` as a shared, positionally indexable vector in
     /// extent (ascending identity) order — the row ids of the class's
     /// columns. Cached with the columns and invalidated with them.
     pub fn class_row_index(&self, class: &ClassName) -> Arc<Vec<Oid>> {
-        if let Some(rows) = self.cache_read().get_row_index(class) {
-            return rows.clone();
-        }
-        let rows = Arc::new(self.extent(class).cloned().collect::<Vec<_>>());
-        self.cache_write()
-            .insert_row_index(class.clone(), rows.clone());
-        rows
+        self.cached(
+            |cache| cache.get_row_index(class),
+            |cache| {
+                let rows = self.extent(class).cloned().collect();
+                cache.insert_row_index(class.clone(), Arc::new(rows))
+            },
+            Arc::clone,
+        )
     }
 
     /// Whether a column for `(class, attr)` is currently cached. Exposed for
     /// the invalidation tests.
     pub fn has_attr_column(&self, class: &ClassName, attr: &str) -> bool {
-        self.cache_read().contains_column(class, attr)
+        self.cache_read().get_column(class, attr).is_some()
     }
 
     /// A snapshot of the columnar string dictionary (code → string). O(1)
@@ -520,7 +485,7 @@ impl Instance {
     /// Whether a probe for `(class, attr)` would hit an already-built index.
     /// Exposed for tests and diagnostics.
     pub fn has_attr_index(&self, class: &ClassName, attr: &str) -> bool {
-        self.cache_read().contains(class, &[attr])
+        self.cache_read().get(class, &[attr]).is_some()
     }
 
     /// Number of `(class, attribute tuple)` indexes currently built.
@@ -539,6 +504,32 @@ impl Instance {
     /// Write access to the derived-data cache (see [`cache_read`](Self::cache_read)).
     fn cache_write(&self) -> std::sync::RwLockWriteGuard<'_, IndexCache> {
         self.index.write().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The one build path of the derived-data cache: `read` the structure
+    /// `find` locates, first building and installing it with `build` if this
+    /// version has none. The build runs under the write lock, after looking
+    /// again, so readers racing to a missing structure build it once and all
+    /// read that build. `build` and `read` run under the lock and must not
+    /// reach back into the cache.
+    fn cached<T, R>(
+        &self,
+        find: impl for<'c> Fn(&'c IndexCache) -> Option<&'c T>,
+        build: impl for<'c> FnOnce(&'c mut IndexCache) -> &'c T,
+        read: impl FnOnce(&T) -> R,
+    ) -> R {
+        if let Some(found) = find(&self.cache_read()) {
+            return read(found);
+        }
+        let mut cache = self.cache_write();
+        if let Some(found) = find(&cache) {
+            return read(found);
+        }
+        #[cfg(test)]
+        {
+            cache.builds += 1;
+        }
+        read(build(&mut cache))
     }
 
     /// Maintain the class's built attribute indexes across a single-object
@@ -583,17 +574,20 @@ impl Instance {
         attrs: &[A],
         probe: impl FnOnce(&AttrIndex) -> R,
     ) -> R {
-        if let Some(index) = self.cache_read().get(class, attrs) {
-            return probe(index);
-        }
-        let attrs: Box<[Label]> = attrs.iter().map(|a| Label::new(a.as_ref())).collect();
-        let mut built = AttrIndex::with_capacity(self.extent_size(class));
-        for (oid, value) in self.objects(class) {
-            if let Some(hash) = bucket_of(value, &attrs) {
-                built.add(hash, oid.clone());
-            }
-        }
-        probe(self.cache_write().get_or_insert(class, attrs, built))
+        self.cached(
+            |cache| cache.get(class, attrs),
+            |cache| {
+                let attrs: Box<[Label]> = attrs.iter().map(|a| Label::new(a.as_ref())).collect();
+                let mut built = AttrIndex::with_capacity(self.extent_size(class));
+                for (oid, value) in self.objects(class) {
+                    if let Some(hash) = bucket_of(value, &attrs) {
+                        built.add(hash, oid.clone());
+                    }
+                }
+                cache.insert_index(class.clone(), attrs, built)
+            },
+            probe,
+        )
     }
 
     /// The keys of every attribute index this version has built.
@@ -1467,10 +1461,13 @@ mod tests {
                 assert_eq!(&version.lookup_by_attr(&country, "currency", &probe), hits);
                 assert_eq!(&rebuilt.lookup_by_attr(&country, "currency", &probe), hits);
             }
-            assert_eq!(
-                version.attr_stats(&country, "currency"),
-                rebuilt.attr_stats(&country, "currency")
-            );
+            let contents = |version: &Instance| {
+                version
+                    .cache_read()
+                    .get(&country, &["currency"])
+                    .map(AttrIndex::contents)
+            };
+            assert_eq!(contents(version), contents(&rebuilt));
         }
         assert!(held.contains(&fr) && !held.contains(&spain));
 
@@ -1495,7 +1492,8 @@ mod tests {
     }
 
     /// Concurrent probes of a shared instance build the lazy index and
-    /// histogram caches safely and agree with a sequential probe.
+    /// histogram caches safely and agree with a sequential probe; every
+    /// reader holds the one cached histogram.
     #[test]
     fn concurrent_reads_share_the_lazy_caches() {
         let (inst, _, fr) = euro_instance();
@@ -1509,19 +1507,72 @@ mod tests {
             for _ in 0..4 {
                 handles.push(scope.spawn(move || {
                     let hits = shared.lookup_by_attr(country, "name", &Value::str("France"));
-                    let stats = shared.attr_stats(city, "is_capital");
-                    let hist = shared.attr_histogram(city, "is_capital");
-                    (hits, stats, hist)
+                    (hits, shared.attr_histogram(city, "is_capital"))
                 }));
             }
+            let cached = inst.attr_histogram(city, "is_capital");
             for handle in handles {
-                let (hits, stats, hist) = handle.join().expect("reader thread panicked");
+                let (hits, hist) = handle.join().expect("reader thread panicked");
                 assert_eq!(hits, expected);
-                assert_eq!(stats.entries, 3);
+                assert!(Arc::ptr_eq(&hist, &cached));
                 assert_eq!(hist.eq_count(&Value::bool(true)), 2.0);
             }
         });
         assert_eq!(expected, vec![fr]);
+    }
+
+    /// `n` objects of class `Wide`, object `i` carrying a unique `key` `i`
+    /// and `bin` `i mod 64`.
+    fn wide_instance(n: usize) -> (Instance, ClassName) {
+        let class = ClassName::new("Wide");
+        let objects = (0..n as u64)
+            .map(|id| {
+                let (key, bin) = (Value::int(id as i64), Value::int((id % 64) as i64));
+                (
+                    Oid::new(class.clone(), id),
+                    Value::record([("key", key), ("bin", bin)]),
+                )
+            })
+            .collect();
+        let mut inst = Instance::new("wide");
+        inst.bulk_insert(&class, objects).unwrap();
+        (inst, class)
+    }
+
+    /// Readers released together at the first probe of one composite index
+    /// build it once, and every one of them reads that build.
+    #[test]
+    fn racing_first_probes_build_an_index_once() {
+        let (inst, class) = wide_instance(20_000);
+        let (attrs, values) = (["bin", "key"], [&Value::int(7), &Value::int(10_119)]);
+        let start = std::sync::Barrier::new(8);
+        let answers: Vec<Vec<Oid>> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let mut found = Vec::new();
+                        inst.lookup_by_attrs(&class, &attrs, &values, &mut found);
+                        found
+                    })
+                })
+                .collect();
+            let answers = readers.into_iter().map(|reader| reader.join());
+            answers.collect::<std::thread::Result<_>>().unwrap()
+        });
+        assert_eq!(inst.cache_read().builds, 1);
+        assert!(answers
+            .iter()
+            .all(|found| *found == [Oid::new(class.clone(), 10_119)]));
+    }
+
+    /// A histogram sampled over more objects than the threshold reports the
+    /// population's distinct values, not the sample's.
+    #[test]
+    fn a_sampled_histogram_counts_every_distinct_value() {
+        let n = SAMPLE_THRESHOLD + 1_000;
+        let (inst, class) = wide_instance(n);
+        assert_eq!(inst.attr_histogram(&class, "key").distinct(), n);
     }
 
     #[test]

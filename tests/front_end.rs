@@ -7,15 +7,17 @@
 //! planner that is meant to be a pure speed-up must leave all of it alone.
 //! Where the planner places `Map` bindings is held for every suite program,
 //! and the federated program's estimates over a fixed instance exactly, with
-//! the attribute indexes, histograms and columns that run builds.
+//! the attribute indexes, histograms and columns that run and one skewed
+//! run build.
 
 mod compile_suite;
 mod federated_source;
 
 use compile_suite::SUITE;
 use wol_repro::morphase::Morphase;
-use wol_repro::wol_model::{Instance, Label, Type};
+use wol_repro::wol_model::{Instance, Label, Schema, Type};
 use wol_repro::workloads::federated::{self, FederatedParams};
+use wol_repro::workloads::skewed::{self, SkewedParams};
 use wol_repro::workloads::wide;
 
 #[test]
@@ -149,10 +151,10 @@ fn federated_estimates_are_pinned() {
     );
 }
 
-/// The `(class, attribute)` pairs of the federated source holding an
+/// The `(class, attribute)` pairs of a source of `schema` holding an
 /// attribute index, a histogram and a column, each as `Class.attr` (an
 /// index on an attribute tuple joins them with `,`).
-fn derived_structures(source: &Instance) -> [Vec<String>; 3] {
+fn derived_structures(source: &Instance, schema: &Schema) -> [Vec<String>; 3] {
     let indexes = source
         .built_attr_indexes()
         .into_iter()
@@ -161,7 +163,7 @@ fn derived_structures(source: &Instance) -> [Vec<String>; 3] {
             format!("{class}.{}", attrs.join(","))
         });
     let (mut histograms, mut columns) = (Vec::new(), Vec::new());
-    for (class, ty) in federated::source_schema().classes() {
+    for (class, ty) in schema.classes() {
         let Type::Record(fields) = ty else {
             panic!("{class} is not a record class");
         };
@@ -178,28 +180,38 @@ fn derived_structures(source: &Instance) -> [Vec<String>; 3] {
 }
 
 /// Ingest builds no index, histogram or column; one transform of the
-/// federated program builds exactly those its plans read, lazily. An eager
-/// build creeping back into ingest, or a planner that starts reading
-/// another attribute, shows here as a diff.
+/// federated program builds exactly those its plans read, lazily: the
+/// planner reads histograms, and its plans hash-join filtered sides, so no
+/// index is probed and none is built. An eager build creeping back into
+/// ingest or planning, or a planner that starts reading another attribute,
+/// shows here as a diff.
 #[test]
 fn federated_derived_structures_are_pinned() {
+    let schema = federated::source_schema();
     let source = federated_source::fully_ingested(&FederatedParams::scaled(1));
     let nothing: [Vec<String>; 3] = Default::default();
-    assert_eq!(derived_structures(&source), nothing, "built by ingest");
+    assert_eq!(
+        derived_structures(&source, &schema),
+        nothing,
+        "built by ingest"
+    );
 
     Morphase::new()
         .transform(&federated::program(), &[&source])
         .expect("transforms");
-    let [indexes, mut histograms, columns] = derived_structures(&source);
-    let read = [
-        "AssayC.marker",
-        "CloneR.name",
-        "MarkerA.clone_name",
-        "MarkerA.name",
-    ];
-    assert_eq!(indexes, read, "indexes");
+    let [indexes, mut histograms, columns] = derived_structures(&source, &schema);
+    assert!(indexes.is_empty(), "indexes: {indexes:?}");
     histograms.sort();
-    assert_eq!(histograms, read, "histograms");
+    assert_eq!(
+        histograms,
+        [
+            "AssayC.marker",
+            "CloneR.name",
+            "MarkerA.clone_name",
+            "MarkerA.name",
+        ],
+        "histograms"
+    );
     // Every attribute but `AssayC.batch`, in schema order.
     assert_eq!(
         columns,
@@ -216,5 +228,33 @@ fn federated_derived_structures_are_pinned() {
             "MarkerA.clone_name",
         ],
         "columns"
+    );
+}
+
+/// One transform of the skewed triangle builds the two indexes its plan
+/// probes — the lane lookup and the root join's composite key on the
+/// markers — and the histograms of the six joined attributes it was planned
+/// with; planning builds no index.
+#[test]
+fn skewed_derived_structures_are_pinned() {
+    let program = skewed::program();
+    let source = skewed::generate_source(&SkewedParams::reduced());
+    Morphase::new()
+        .transform(&program, &[&source])
+        .expect("transforms");
+    let [indexes, mut histograms, _] = derived_structures(&source, &program.sources[0].schema);
+    assert_eq!(indexes, ["LaneS.lane", "MarkerS.bin,clone_name"], "indexes");
+    histograms.sort();
+    assert_eq!(
+        histograms,
+        [
+            "LaneS.bin",
+            "LaneS.lane",
+            "MarkerS.bin",
+            "MarkerS.clone_name",
+            "ProbeS.clone_name",
+            "ProbeS.lane",
+        ],
+        "histograms"
     );
 }

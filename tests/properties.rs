@@ -2846,7 +2846,7 @@ proptest! {
             for (class, attr) in &keys {
                 version.attr_histogram(class, attr);
                 version.attr_column(class, attr);
-                cold.attr_stats(class, attr);
+                cold.lookup_by_attr(class, attr, &Value::str("\u{0}absent"));
                 prop_assert!(!sibling.has_attr_histogram(class, attr));
                 prop_assert!(!sibling.has_attr_column(class, attr));
                 prop_assert!(!pipeline.target().has_attr_histogram(class, attr));
