@@ -3,8 +3,9 @@
 //! including the keyless exponential case) compiled through
 //! `Morphase::compile`, with each program's normal-form clause count and
 //! node count held exactly, and the plan of the largest keyless clause held
-//! by its rendering. A change to the typechecker, normaliser, translator or
-//! planner that is meant to be a pure speed-up must leave all of it alone.
+//! by its rendering; every normal clause and plan, as rendered, is held by
+//! one hash. A change to the typechecker, normaliser, translator or planner
+//! that is meant to be a pure speed-up must leave all of it alone.
 //! Where the planner places `Map` bindings is held for every suite program,
 //! and the federated program's estimates over a fixed instance exactly, with
 //! the attribute indexes, histograms and columns that run and one skewed
@@ -15,7 +16,7 @@ mod federated_source;
 
 use compile_suite::SUITE;
 use wol_repro::morphase::Morphase;
-use wol_repro::wol_model::{Instance, Label, Schema, Type};
+use wol_repro::wol_model::{Fingerprint, Instance, Label, Schema, Type};
 use wol_repro::workloads::federated::{self, FederatedParams};
 use wol_repro::workloads::skewed::{self, SkewedParams};
 use wol_repro::workloads::wide;
@@ -33,6 +34,27 @@ fn compile_suite_normal_forms_are_pinned() {
         totals = (totals.0 + got.0, totals.1 + got.1);
     }
     assert_eq!(totals, (371, 35_104));
+}
+
+/// Every normal clause and every plan of the suite, as rendered, folded into
+/// one hash: the counts above do not see a reordered binding or a renamed
+/// variable, this does.
+#[test]
+fn compile_suite_renderings_are_pinned() {
+    let mut fp = Fingerprint::new();
+    for (name, build, _) in SUITE {
+        let run = Morphase::new()
+            .compile(&build())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        fp.str(name);
+        for clause in &run.normal.clauses {
+            fp.str(&clause.render());
+        }
+        for plan in &run.plans {
+            fp.str(plan);
+        }
+    }
+    assert_eq!(fp.finish(), 0x694e_7532_1dd8_8f79);
 }
 
 /// The keyless 8-partial program's one clause that combines all eight
