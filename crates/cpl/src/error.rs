@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use wol_model::Label;
+use wol_model::{Label, Var};
 
 /// Errors from lowering a plan or running it.
 ///
@@ -17,7 +17,7 @@ use wol_model::Label;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CplError {
     /// An expression names a row variable its layout does not bind.
-    UnknownVariable(String),
+    UnknownVariable(Var),
     /// A projection or operation was applied to a value of the wrong shape.
     BadValue(String),
     /// A projection found no such attribute: a [`BadValue`](CplError::BadValue)

@@ -8,8 +8,10 @@
 //! ## Rows and layouts
 //!
 //! A normal-form query's binding structure is static, so every plan node has
-//! a **layout** ([`layout`]): its rows' variable names, ordered, each once.
-//! Rows are [`SlotRow`]s in layout order. Before any row runs, every
+//! a **layout** ([`layout`]): a `Vec<Var>` of its rows' variables, ordered,
+//! each once. A [`wol_model::Var`] is an interned name, so a layout copies
+//! pointers, finding a name's slot compares pointers, and the executor
+//! interns nothing. Rows are [`SlotRow`]s in layout order. Before any row runs, every
 //! expression of the plan and of its inserts is lowered against the layout
 //! it reads ([`crate::expr::Lowered`], [`crate::expr::Predicate`]): an
 //! ill-formed plan is refused there, on every path, and no row is searched
@@ -51,7 +53,7 @@ use std::hash::{Hash, Hasher};
 
 use wol_model::{
     chunk_ranges, ClassName, Conflict, Instance, Label, Oid, Record, ScanRestriction,
-    SkolemFactory, Value,
+    SkolemFactory, Value, Var,
 };
 
 use crate::error::CplError;
@@ -297,12 +299,12 @@ struct Splice {
 }
 
 impl Splice {
-    fn new(out: &[String], left: &[String], right: &[String], capacity: usize) -> Splice {
+    fn new(out: &[Var], left: &[Var], right: &[Var], capacity: usize) -> Splice {
         let mut names = out.to_vec();
         let slots = left
             .iter()
             .chain(right)
-            .map(|n| bind_slot(&mut names, n))
+            .map(|&n| bind_slot(&mut names, n))
             .collect();
         let width = names.len();
         Splice {
@@ -345,7 +347,7 @@ struct IndexableSide {
     /// The class the composite index is on: the scanned class, or the class
     /// a reference chain reaches.
     class: wol_model::ClassName,
-    var: String,
+    var: Var,
     /// The attributes the composite index is keyed by: ascending, each once.
     attrs: Vec<Label>,
     /// For each of `attrs`, the key pair whose value it is probed with. The
@@ -408,11 +410,11 @@ pub fn invert_chain(
 
 /// The attribute `key` projects off scan variable `var`, if it is such a
 /// single projection: the one key shape an attribute index answers.
-fn probed_attr<'k>(var: &str, key: &'k Expr) -> Option<&'k Label> {
+fn probed_attr(var: Var, key: &Expr) -> Option<&Label> {
     let Expr::Proj(base, attr) = key else {
         return None;
     };
-    matches!(base.as_ref(), Expr::Var(v) if v == var).then_some(attr)
+    matches!(base.as_ref(), Expr::Var(v) if *v == var).then_some(attr)
 }
 
 /// The scanned variable of `plan` when the index fast path answers it: a
@@ -421,15 +423,15 @@ fn probed_attr<'k>(var: &str, key: &'k Expr) -> Option<&'k Label> {
 /// ([`crate::optimizer`]), which orients hash-join sides precisely so this
 /// fast path fires, and with [`layout`] — they must never diverge from
 /// [`indexable_side`] without chains, which is `Some` exactly when this is.
-pub(crate) fn indexable_var<'p, 'k>(
-    plan: &'p Plan,
+pub(crate) fn indexable_var<'k>(
+    plan: &Plan,
     mut keys: impl Iterator<Item = &'k Expr>,
-) -> Option<&'p str> {
+) -> Option<Var> {
     let Plan::Scan { var, .. } = plan else {
         return None;
     };
-    keys.any(|key| probed_attr(var, key).is_some())
-        .then_some(var)
+    keys.any(|key| probed_attr(*var, key).is_some())
+        .then_some(*var)
 }
 
 /// Which projection base `base` is off the scan of `class` bound to `var`:
@@ -437,7 +439,7 @@ pub(crate) fn indexable_var<'p, 'k>(
 /// variable followed by one of `chains` off `class`, `None` for anything
 /// else.
 fn chain_of<'c>(
-    var: &str,
+    var: Var,
     class: &ClassName,
     base: &Expr,
     chains: &'c [RefChain],
@@ -448,7 +450,7 @@ fn chain_of<'c>(
         labels.push(label);
         holder = inner;
     }
-    if !matches!(holder, Expr::Var(v) if v == var) {
+    if !matches!(holder, Expr::Var(v) if *v == var) {
         return None;
     }
     if labels.is_empty() {
@@ -484,7 +486,7 @@ fn indexable_side<'k>(
             let Expr::Proj(base, attr) = key else {
                 return None;
             };
-            Some((chain_of(var, class, base, chains)?, attr, i))
+            Some((chain_of(*var, class, base, chains)?, attr, i))
         })
         .collect();
     let via = reached
@@ -506,7 +508,7 @@ fn indexable_side<'k>(
     };
     Some(IndexableSide {
         class,
-        var: var.clone(),
+        var: *var,
         attrs,
         probed,
         hops,
@@ -537,7 +539,7 @@ fn scan_cardinality(plan: &Plan, ctx: &EvalCtx<'_>) -> Option<usize> {
                     .filter(|oid| scans(class, sources, oid))
                     .count()
             };
-            Some(match ctx.scan_restriction(var) {
+            Some(match ctx.scan_restriction(*var) {
                 Some(ScanRestriction::Only(delta)) => held(delta),
                 Some(ScanRestriction::Except(delta)) => extent().saturating_sub(held(delta)),
                 None => extent(),
@@ -548,25 +550,26 @@ fn scan_cardinality(plan: &Plan, ctx: &EvalCtx<'_>) -> Option<usize> {
     }
 }
 
-/// The layout of a plan's rows: the variable each slot holds. A scan has one
+/// The layout of a plan's rows: the variable each slot holds, as interned
+/// [`Var`]s. A scan has one
 /// slot; a `Map` binding overwrites its name's slot or appends one; a join
 /// is left ++ right, a name on both sides keeping the right value in the left
 /// slot; an index-probe join (the path an unrestricted run takes whenever
 /// `indexable_var` finds one) appends, or overwrites, the probed variable
 /// to the driving side's layout — and a delta-restricted run that drives
 /// from the other side writes into the same layout.
-pub fn layout(plan: &Plan) -> Vec<String> {
-    let joined = |mut left: Vec<String>, right: Vec<String>| {
-        for name in &right {
+pub fn layout(plan: &Plan) -> Vec<Var> {
+    let joined = |mut left: Vec<Var>, right: Vec<Var>| {
+        for name in right {
             bind_slot(&mut left, name);
         }
         left
     };
     match plan {
-        Plan::Scan { var, .. } => vec![var.clone()],
+        Plan::Scan { var, .. } => vec![*var],
         Plan::Filter { input, .. } => layout(input),
         Plan::Map { input, bindings } => {
-            let names = bindings.iter().map(|(name, _)| name.clone()).collect();
+            let names = bindings.iter().map(|(name, _)| *name).collect();
             joined(layout(input), names)
         }
         Plan::NestedLoopJoin { left, right, .. } | Plan::CrossJoin { left, right } => {
@@ -574,9 +577,9 @@ pub fn layout(plan: &Plan) -> Vec<String> {
         }
         Plan::HashJoin { left, right, keys } => {
             if let Some(var) = indexable_var(left, keys.iter().map(|(l, _)| l)) {
-                joined(layout(right), vec![var.to_string()])
+                joined(layout(right), vec![var])
             } else if let Some(var) = indexable_var(right, keys.iter().map(|(_, r)| r)) {
-                joined(layout(left), vec![var.to_string()])
+                joined(layout(left), vec![var])
             } else {
                 joined(layout(left), layout(right))
             }
@@ -608,7 +611,7 @@ fn probe_join(
     driving_keys: &[Lowered],
     scan_keys: &[Lowered],
     side: &IndexableSide,
-    (out, width): (&[String], usize),
+    (out, width): (&[Var], usize),
     ctx: &mut EvalCtx<'_>,
     stats: &mut ExecStats,
 ) -> Result<Vec<SlotRow>> {
@@ -712,7 +715,7 @@ impl Probe<'_> {
         // The probed scan's delta restriction applies here, as a candidate
         // filter: the index answers from the full extent, so membership in
         // the restriction set is re-checked per candidate identity.
-        let restriction = ctx.scan_restriction(&side.var).cloned();
+        let restriction = ctx.scan_restriction(side.var).cloned();
         if restriction.is_none() && self.residual.is_empty() {
             return Ok(());
         }
@@ -825,7 +828,7 @@ fn eval_keys<'r, 'a: 'r>(
 /// enter), so each identity is emitted once.
 fn scan_extent<T>(
     class: &wol_model::ClassName,
-    var: &str,
+    var: Var,
     ctx: &EvalCtx<'_>,
     stats: &mut ExecStats,
     emit: impl FnMut(&Oid) -> T,
@@ -863,7 +866,7 @@ pub(crate) struct Prepared<'p> {
 /// A nested-loop join and a cross join are one loop; a cross join's
 /// predicate has no conjunct.
 pub(crate) enum Step<'p> {
-    Scan(&'p ClassName, &'p str),
+    Scan(&'p ClassName, Var),
     Filter(Box<Prepared<'p>>, Predicate),
     Map(Box<Prepared<'p>>, Vec<(usize, Lowered)>),
     Loop(Box<Prepared<'p>>, Box<Prepared<'p>>, Predicate),
@@ -882,7 +885,7 @@ impl<'p> Prepared<'p> {
     pub(crate) fn new(plan: &'p Plan) -> Result<Prepared<'p>> {
         let prepare = |plan: &'p Plan| Prepared::new(plan).map(Box::new);
         let step = match plan {
-            Plan::Scan { class, var } => Step::Scan(class, var),
+            Plan::Scan { class, var } => Step::Scan(class, *var),
             Plan::Filter { input, predicate } => {
                 let input = prepare(input)?;
                 let predicate = Predicate::new(predicate, &layout(input.plan))?;
@@ -954,7 +957,7 @@ fn rows_of(
         return Ok(rows);
     }
     let rows = match &prepared.step {
-        Step::Scan(class, var) => scan_extent(class, var, ctx, stats, |oid| scan_row(oid, width)),
+        Step::Scan(class, var) => scan_extent(class, *var, ctx, stats, |oid| scan_row(oid, width)),
         Step::Filter(input, predicate) => {
             // Fused scan+filter: partition the class extent itself into
             // contiguous chunks, so row construction and the predicate both
@@ -1150,7 +1153,7 @@ pub struct LoweredInsert {
 impl LoweredInsert {
     /// Lower insert actions against the layout of the rows they read: each
     /// key and attribute is a value, refused as [`Lowered::new`] refuses.
-    pub fn lower(inserts: &[InsertAction], layout: &[String]) -> Result<Vec<LoweredInsert>> {
+    pub fn lower(inserts: &[InsertAction], layout: &[Var]) -> Result<Vec<LoweredInsert>> {
         let lower = |(label, e): &(Label, Expr)| Ok((label.clone(), Lowered::new(e, layout)?));
         (inserts.iter())
             .map(|insert| {
@@ -1289,7 +1292,7 @@ pub(crate) mod tests {
     use wol_model::{ClassName, Oid, Parallelism};
 
     /// A row with each slot under its layout variable's name.
-    pub(crate) type NamedRow = BTreeMap<String, Value>;
+    pub(crate) type NamedRow = BTreeMap<Var, Value>;
 
     /// [`run_slots`], with each row's slots named by the plan's [`layout`]:
     /// the same rows in the same order, or the same error. The executor
@@ -1303,7 +1306,7 @@ pub(crate) mod tests {
         let rows = run_slots(plan, ctx, stats)?;
         Ok(rows
             .into_iter()
-            .map(|row| names.iter().cloned().zip(row).collect())
+            .map(|row| names.iter().copied().zip(row).collect())
             .collect())
     }
 
@@ -1357,7 +1360,7 @@ pub(crate) mod tests {
         let mut stats = ExecStats::default();
         let plan = Plan::scan("CityE", "E")
             .filter(capital("E"))
-            .map(vec![("N".to_string(), Expr::var("E").proj("name"))]);
+            .map(vec![("N".into(), Expr::var("E").proj("name"))]);
         let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().any(|r| r["N"] == Value::str("London")));
@@ -1438,8 +1441,7 @@ pub(crate) mod tests {
         // the CPL-level counterpart of partial clauses merged through keys.
         let q1 = Query {
             name: "T4".to_string(),
-            plan: Plan::scan("CountryE", "C")
-                .map(vec![("N".to_string(), Expr::var("C").proj("name"))]),
+            plan: Plan::scan("CountryE", "C").map(vec![("N".into(), Expr::var("C").proj("name"))]),
             inserts: vec![InsertAction {
                 class: ClassName::new("CountryT"),
                 key: Expr::var("N"),
@@ -1451,8 +1453,7 @@ pub(crate) mod tests {
         };
         let q2 = Query {
             name: "T5".to_string(),
-            plan: Plan::scan("CountryE", "C")
-                .map(vec![("N".to_string(), Expr::var("C").proj("name"))]),
+            plan: Plan::scan("CountryE", "C").map(vec![("N".into(), Expr::var("C").proj("name"))]),
             inserts: vec![InsertAction {
                 class: ClassName::new("CountryT"),
                 key: Expr::var("N"),
@@ -1483,8 +1484,7 @@ pub(crate) mod tests {
         let mut target = Instance::new("target");
         let make = |name: &str, value: Expr| Query {
             name: name.to_string(),
-            plan: Plan::scan("CountryE", "C")
-                .map(vec![("N".to_string(), Expr::var("C").proj("name"))]),
+            plan: Plan::scan("CountryE", "C").map(vec![("N".into(), Expr::var("C").proj("name"))]),
             inserts: vec![InsertAction {
                 class: ClassName::new("CountryT"),
                 key: Expr::var("N"),
@@ -1545,8 +1545,8 @@ pub(crate) mod tests {
         let refs = [&inst];
         let mut ctx = EvalCtx::new(&refs);
         let mut stats = ExecStats::default();
-        let plan = Plan::scan("CityE", "E")
-            .map(vec![("N".to_string(), Expr::var("E").path("country.name"))]);
+        let plan =
+            Plan::scan("CityE", "E").map(vec![("N".into(), Expr::var("E").path("country.name"))]);
         // The dangling reference surfaces as a BadValue, which Map treats as a
         // non-contributing row rather than a hard error.
         let rows = named_rows(&plan, &mut ctx, &mut stats).unwrap();
@@ -1659,9 +1659,9 @@ pub(crate) mod tests {
         assert_eq!(stats.probe_cache_hits, 8);
         // Same rows as the generic hash join over pre-materialised sides.
         let generic = Plan::scan("MarkerS", "M")
-            .map(vec![("K".to_string(), Expr::var("M").proj("clone_name"))])
+            .map(vec![("K".into(), Expr::var("M").proj("clone_name"))])
             .hash_join(
-                Plan::scan("CloneS", "C").map(vec![("N".to_string(), Expr::var("C").proj("name"))]),
+                Plan::scan("CloneS", "C").map(vec![("N".into(), Expr::var("C").proj("name"))]),
                 Expr::var("K"),
                 Expr::var("N"),
             );
@@ -1811,8 +1811,8 @@ pub(crate) mod tests {
         Expr::Skolem(ClassName::new(class), Box::new(key))
     }
 
-    fn bind(var: &str, expr: Expr) -> (String, Expr) {
-        (var.to_string(), expr)
+    fn bind(var: &str, expr: Expr) -> (Var, Expr) {
+        (Var::new(var), expr)
     }
 
     fn attr(label: &str, expr: Expr) -> (Label, Expr) {
@@ -2286,7 +2286,7 @@ pub(crate) mod tests {
             // row probes its key tuple once, every repeat is a cache hit.
             let left: Vec<Oid> = inst.extent(&ClassName::new("L")).cloned().collect();
             let driving_keys: Vec<Lowered> = (keys.iter())
-                .map(|(l, _)| Lowered::new(l, &["X".to_string()]).unwrap())
+                .map(|(l, _)| Lowered::new(l, &[Var::new("X")]).unwrap())
                 .collect();
             let mut ctx = context(1);
             let keyed: Vec<Vec<Value>> = (left.iter())
@@ -2612,7 +2612,7 @@ pub(crate) mod tests {
             )
         };
         let plan = Plan::scan("CityE", "E")
-            .map(vec![("T".to_string(), mk())])
+            .map(vec![("T".into(), mk())])
             .filter(mk().eq(Expr::var("T")));
         let mut seq_ctx = EvalCtx::new(&refs).with_parallelism(Parallelism::sequential());
         let mut seq_stats = ExecStats::default();
@@ -2668,8 +2668,7 @@ pub(crate) mod tests {
         let refs = [&inst];
         let query = Query {
             name: "T2".to_string(),
-            plan: Plan::scan("CityE", "E")
-                .map(vec![("N".to_string(), Expr::var("E").proj("name"))]),
+            plan: Plan::scan("CityE", "E").map(vec![("N".into(), Expr::var("E").proj("name"))]),
             inserts: vec![InsertAction {
                 class: ClassName::new("CityT"),
                 key: Expr::var("N"),
@@ -2994,7 +2993,7 @@ pub(crate) mod tests {
             }],
         };
         let plan = |plan: Plan| query(plan, Expr::var("E"), Vec::new());
-        let unknown = |name: &str| Some(CplError::UnknownVariable(name.to_string()));
+        let unknown = |name: &str| Some(CplError::UnknownVariable(Var::new(name)));
         let cases = [
             (
                 "a name in a filter",
@@ -3103,8 +3102,8 @@ pub(crate) mod tests {
     #[test]
     fn a_rebinding_map_overwrites_the_scanned_slot() {
         let inst = partition_fixture();
-        let plan = Plan::scan("MarkerS", "M")
-            .map(vec![("M".to_string(), Expr::var("M").proj("clone_name"))]);
+        let plan =
+            Plan::scan("MarkerS", "M").map(vec![("M".into(), Expr::var("M").proj("clone_name"))]);
         assert_eq!(layout(&plan), ["M"]);
         let rows = run_both_ways(&plan, &inst).unwrap();
         assert!(rows.iter().all(|row| row.len() == 1));

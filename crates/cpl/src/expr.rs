@@ -27,7 +27,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use wol_model::{
-    ClassName, Instance, Label, Oid, PushOp, Record, ScanRestriction, SkolemFactory, Value,
+    ClassName, Instance, Label, Oid, PushOp, Record, ScanRestriction, SkolemFactory, Value, Var,
 };
 
 use crate::error::CplError;
@@ -41,7 +41,7 @@ pub type SlotRow = Vec<Value>;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Expr {
     /// A row variable.
-    Var(String),
+    Var(Var),
     /// A constant value.
     Const(Value),
     /// Project an attribute, dereferencing object identities through the
@@ -68,7 +68,7 @@ pub enum Expr {
 
 impl Expr {
     /// A row variable.
-    pub fn var(name: impl Into<String>) -> Expr {
+    pub fn var(name: impl Into<Var>) -> Expr {
         Expr::Var(name.into())
     }
 
@@ -93,10 +93,10 @@ impl Expr {
     }
 
     /// Visit every row variable this expression references, repeats
-    /// included, without copying a name.
-    pub(crate) fn for_each_var<'e>(&'e self, f: &mut impl FnMut(&'e str)) {
+    /// included.
+    pub(crate) fn for_each_var(&self, f: &mut impl FnMut(Var)) {
         match self {
-            Expr::Var(v) => f(v),
+            Expr::Var(v) => f(*v),
             Expr::Const(_) => {}
             Expr::Proj(e, _) | Expr::Variant(_, e) | Expr::Skolem(_, e) => e.for_each_var(f),
             Expr::Record(fields) => fields.iter().for_each(|(_, e)| e.for_each_var(f)),
@@ -127,10 +127,10 @@ impl Expr {
     /// returns. The query planner uses this to inline `Map` bindings into
     /// filter predicates so join equalities range over base scan variables
     /// only.
-    pub(crate) fn substitute(&self, defs: &mut dyn FnMut(&str) -> Option<Expr>) -> Expr {
+    pub(crate) fn substitute(&self, defs: &mut dyn FnMut(Var) -> Option<Expr>) -> Expr {
         let mut sub = |e: &Expr| Box::new(e.substitute(defs));
         match self {
-            Expr::Var(v) => defs(v).unwrap_or_else(|| self.clone()),
+            Expr::Var(v) => defs(*v).unwrap_or_else(|| self.clone()),
             Expr::Const(_) => self.clone(),
             Expr::Proj(e, l) => Expr::Proj(sub(e), l.clone()),
             Expr::Record(fields) => Expr::Record(
@@ -193,7 +193,7 @@ pub struct EvalCtx<'a> {
     /// restriction (the attribute indexes answer from the full extent and do
     /// not see it themselves). Only the columnar tower steps aside while any
     /// restriction is active.
-    scan_restrictions: BTreeMap<String, ScanRestriction>,
+    scan_restrictions: BTreeMap<Var, ScanRestriction>,
     /// Typed reference chains through the source schemas, handed in with a
     /// rotation's restrictions ([`EvalCtx::set_reference_chains`]): while a
     /// restriction is active, a probe join may answer a key that projects
@@ -329,7 +329,7 @@ impl<'a> EvalCtx<'a> {
     /// identities and later changed slots to the extent `Except` theirs).
     /// The restriction is keyed by scan *variable*, so two scans of the same
     /// class restrict independently.
-    pub fn restrict_scan(&mut self, var: impl Into<String>, restriction: ScanRestriction) {
+    pub fn restrict_scan(&mut self, var: impl Into<Var>, restriction: ScanRestriction) {
         self.scan_restrictions.insert(var.into(), restriction);
     }
 
@@ -339,8 +339,8 @@ impl<'a> EvalCtx<'a> {
     }
 
     /// The active restriction for a scan variable, if any.
-    pub(crate) fn scan_restriction(&self, var: &str) -> Option<&ScanRestriction> {
-        self.scan_restrictions.get(var)
+    pub(crate) fn scan_restriction(&self, var: Var) -> Option<&ScanRestriction> {
+        self.scan_restrictions.get(&var)
     }
 
     /// Whether any scan restriction is active (gates the columnar tower,
@@ -365,12 +365,12 @@ impl<'a> EvalCtx<'a> {
     /// The full restriction map, for handing to worker contexts (partitions
     /// evaluate probe candidates off the calling context and must observe
     /// the same deltas).
-    pub(crate) fn scan_restrictions_map(&self) -> &BTreeMap<String, ScanRestriction> {
+    pub(crate) fn scan_restrictions_map(&self) -> &BTreeMap<Var, ScanRestriction> {
         &self.scan_restrictions
     }
 
     /// Install a restriction map wholesale (worker-context setup).
-    pub(crate) fn set_scan_restrictions(&mut self, map: BTreeMap<String, ScanRestriction>) {
+    pub(crate) fn set_scan_restrictions(&mut self, map: BTreeMap<Var, ScanRestriction>) {
         self.scan_restrictions = map;
     }
 
@@ -400,9 +400,9 @@ impl<'a> EvalCtx<'a> {
 
 /// The slot a binding of `name` writes in `layout`: the name's own, which it
 /// overwrites, or a new one appended — a layout never holds a name twice.
-pub(crate) fn bind_slot(layout: &mut Vec<String>, name: &str) -> usize {
-    layout.iter().position(|n| n == name).unwrap_or_else(|| {
-        layout.push(name.to_string());
+pub(crate) fn bind_slot(layout: &mut Vec<Var>, name: Var) -> usize {
+    layout.iter().position(|&n| n == name).unwrap_or_else(|| {
+        layout.push(name);
         layout.len() - 1
     })
 }
@@ -418,13 +418,13 @@ pub(crate) fn store(row: &mut SlotRow, slot: usize, value: Value) {
 /// Lower a `Map`'s bindings in order — each sees the ones before it —
 /// extending `layout`; returns each binding's slot and lowered expression.
 pub(crate) fn lower_bindings(
-    bindings: &[(String, Expr)],
-    layout: &mut Vec<String>,
+    bindings: &[(Var, Expr)],
+    layout: &mut Vec<Var>,
 ) -> Result<Vec<(usize, Lowered)>> {
     let mut lowered = Vec::with_capacity(bindings.len());
     for (name, expr) in bindings {
         let expr = Lowered::new(expr, layout)?;
-        lowered.push((bind_slot(layout, name), expr));
+        lowered.push((bind_slot(layout, *name), expr));
     }
     Ok(lowered)
 }
@@ -510,7 +510,7 @@ impl Lowered {
     /// Lower `expr` as a value against the row layout `layout`. A name the
     /// layout lacks is [`CplError::UnknownVariable`]; a comparison or `And`
     /// is a predicate, no value, and is [`CplError::BadPlan`].
-    pub fn new(expr: &Expr, layout: &[String]) -> Result<Lowered> {
+    pub fn new(expr: &Expr, layout: &[Var]) -> Result<Lowered> {
         Ok(Lowered {
             node: Node::lower(expr, layout)?,
         })
@@ -535,8 +535,8 @@ impl Lowered {
 impl Predicate {
     /// Lower `expr` as a predicate against the row layout `layout`: each
     /// conjunct must be a comparison of two values, or an `And` of such.
-    pub fn new(expr: &Expr, layout: &[String]) -> Result<Predicate> {
-        fn flatten(expr: &Expr, layout: &[String], out: &mut Vec<Comparison>) -> Result<()> {
+    pub fn new(expr: &Expr, layout: &[Var]) -> Result<Predicate> {
+        fn flatten(expr: &Expr, layout: &[Var], out: &mut Vec<Comparison>) -> Result<()> {
             let (op, a, b) = match expr {
                 Expr::And(conjuncts) => {
                     return conjuncts.iter().try_for_each(|e| flatten(e, layout, out))
@@ -581,12 +581,12 @@ impl Predicate {
 }
 
 impl Node {
-    fn lower(expr: &Expr, layout: &[String]) -> Result<Node> {
+    fn lower(expr: &Expr, layout: &[Var]) -> Result<Node> {
         let lower = |e: &Expr| Node::lower(e, layout).map(Box::new);
         Ok(match expr {
             Expr::Var(v) => match layout.iter().position(|name| name == v) {
                 Some(slot) => Node::Slot(slot),
-                None => return Err(CplError::UnknownVariable(v.clone())),
+                None => return Err(CplError::UnknownVariable(*v)),
             },
             Expr::Const(value) => Node::Const(value.clone()),
             Expr::Proj(base, label) => Node::Proj(lower(base)?, label.clone()),
@@ -676,7 +676,7 @@ mod tests {
 
     /// Lower against the named row's own layout and evaluate.
     fn eval(expr: &Expr, row: &NamedRow, ctx: &mut EvalCtx<'_>) -> Result<Value> {
-        let layout: Vec<String> = row.keys().cloned().collect();
+        let layout: Vec<Var> = row.keys().copied().collect();
         let slots: SlotRow = row.values().cloned().collect();
         Lowered::new(expr, &layout)?
             .eval(&slots, ctx)
@@ -684,7 +684,7 @@ mod tests {
     }
 
     fn eval_predicate(expr: &Expr, row: &NamedRow, ctx: &mut EvalCtx<'_>) -> Result<bool> {
-        let layout: Vec<String> = row.keys().cloned().collect();
+        let layout: Vec<Var> = row.keys().copied().collect();
         let slots: SlotRow = row.values().cloned().collect();
         Predicate::new(expr, &layout)?.holds(&slots, ctx)
     }
@@ -714,7 +714,7 @@ mod tests {
         let (inst, _, paris) = sample();
         let refs = [&inst];
         let mut ctx = EvalCtx::new(&refs);
-        let row = NamedRow::from([("E".to_string(), Value::oid(paris))]);
+        let row = NamedRow::from([(Var::new("E"), Value::oid(paris))]);
         let expr = Expr::var("E").path("country.name");
         assert_eq!(eval(&expr, &row, &mut ctx).unwrap(), Value::str("France"));
     }
@@ -724,7 +724,7 @@ mod tests {
         let (inst, _, _) = sample();
         let refs = [&inst];
         let mut ctx = EvalCtx::new(&refs);
-        let row = NamedRow::from([("N".to_string(), Value::str("France"))]);
+        let row = NamedRow::from([(Var::new("N"), Value::str("France"))]);
         let expr = Expr::Record(vec![
             ("name".into(), Expr::var("N")),
             (
@@ -747,8 +747,8 @@ mod tests {
         let refs = [&inst];
         let mut ctx = EvalCtx::new(&refs);
         let row = NamedRow::from([
-            ("E".to_string(), Value::oid(paris)),
-            ("N".to_string(), Value::int(3)),
+            (Var::new("E"), Value::oid(paris)),
+            (Var::new("N"), Value::int(3)),
         ]);
         let p = Expr::var("E")
             .proj("is_capital")
@@ -784,7 +784,7 @@ mod tests {
         let (inst, fr, _) = sample();
         let refs = [&inst];
         let mut ctx = EvalCtx::new(&refs);
-        let row = NamedRow::from([("C".to_string(), Value::oid(fr))]);
+        let row = NamedRow::from([(Var::new("C"), Value::oid(fr))]);
         let expr = Expr::var("C")
             .proj("population")
             .eq(Expr::Const(Value::int(1)));
@@ -805,7 +805,7 @@ mod tests {
         let (inst, _, paris) = sample();
         let refs = [&inst];
         let mut ctx = EvalCtx::new(&refs);
-        let layout = ["E".to_string()];
+        let layout = [Var::new("E")];
         let row: SlotRow = vec![Value::oid(paris.clone())];
         let var = Lowered::new(&Expr::var("E"), &layout).unwrap();
         assert!(
@@ -848,9 +848,9 @@ mod tests {
 
     #[test]
     fn substitute_inlines_definitions() {
-        let defs = BTreeMap::from([("N".to_string(), Expr::var("C").proj("name"))]);
+        let defs = BTreeMap::from([(Var::new("N"), Expr::var("C").proj("name"))]);
         let pred = Expr::var("E").path("country.name").eq(Expr::var("N"));
-        let inlined = pred.substitute(&mut |v| defs.get(v).cloned());
+        let inlined = pred.substitute(&mut |v| defs.get(&v).cloned());
         assert_eq!(
             inlined,
             Expr::var("E")
@@ -871,7 +871,7 @@ mod tests {
                 .eq(Expr::Variant("t".into(), Box::new(Expr::var("N")))),
             Expr::Skolem(ClassName::new("T"), Box::new(Expr::var("N"))).eq(Expr::var("X")),
         ]);
-        let inlined = all.substitute(&mut |v| defs.get(v).cloned());
+        let inlined = all.substitute(&mut |v| defs.get(&v).cloned());
         assert!(!inlined.var_set().contains("N"));
         assert!(inlined.var_set().contains("X"));
     }
@@ -881,7 +881,7 @@ mod tests {
     /// belongs, and a name the layout lacks — in either form.
     #[test]
     fn lowering_refuses_ill_formed_predicates_and_values() {
-        let layout = ["C".to_string()];
+        let layout = [Var::new("C")];
         let name = || Expr::var("C").proj("name");
         let cmp = || name().eq(Expr::Const(Value::str("France")));
         let bad_plan = |r: Result<_>| matches!(r, Err(CplError::BadPlan(_)));

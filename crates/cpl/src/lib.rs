@@ -9,10 +9,11 @@
 //! * row expressions over complex values ([`expr::Expr`]): projection through
 //!   object identities, record/variant construction, Skolem object creation,
 //!   and predicates, which are conjunctions of comparisons. Each plan is
-//!   lowered whole against its nodes' slot layouts ([`Lowered`] values,
-//!   [`Predicate`]s) before its first row runs; a comparison is decided by
-//!   [`wol_model::PushOp::holds`], the one definition the clause matcher and
-//!   the scan providers share;
+//!   lowered whole against its nodes' slot layouts ([`layout`]: a
+//!   `Vec<Var>` per node, each [`wol_model::Var`] an interned name) into
+//!   [`Lowered`] values and [`Predicate`]s before its first row runs; a
+//!   comparison is decided by [`wol_model::PushOp::holds`], the one
+//!   definition the clause matcher and the scan providers share;
 //! * a physical algebra ([`plan::Plan`]): class scans, filters, binding maps,
 //!   predicated nested-loop (theta), hash (single- or composite-key) and
 //!   cross joins — a product has the one spelling [`Plan::CrossJoin`];

@@ -55,7 +55,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use wol_model::{AttrHistogram, ClassName, Instance, Label, Value};
+use wol_model::{AttrHistogram, ClassName, Instance, Label, Value, Var};
 
 use crate::expr::Expr;
 use crate::plan::Plan;
@@ -230,8 +230,8 @@ fn hist_join_rows(left: &[Arc<AttrHistogram>], right: &[Arc<AttrHistogram>]) -> 
 /// `l = r` is `(l, Some(r))`.
 #[derive(Default)]
 struct Pool<'p> {
-    scans: Vec<(&'p ClassName, &'p str)>,
-    maps: Vec<&'p (String, Expr)>,
+    scans: Vec<(&'p ClassName, Var)>,
+    maps: Vec<&'p (Var, Expr)>,
     conjuncts: Vec<(&'p Expr, Option<&'p Expr>)>,
 }
 
@@ -255,7 +255,7 @@ fn conjunction(mut exprs: Vec<Expr>) -> Option<Expr> {
 /// Flatten a plan into the pool.
 fn decompose<'p>(plan: &'p Plan, pool: &mut Pool<'p>) {
     match plan {
-        Plan::Scan { class, var } => pool.scans.push((class, var)),
+        Plan::Scan { class, var } => pool.scans.push((class, *var)),
         Plan::Filter { input, predicate } => {
             decompose(input, pool);
             split_conjuncts(predicate, &mut pool.conjuncts);
@@ -294,14 +294,14 @@ const UNBOUND: usize = usize::MAX;
 /// first-scan order, with its class (the last scan's, as
 /// [`Plan::scan_classes`] keeps it).
 struct ScanVars<'p> {
-    vars: Vec<(&'p str, &'p ClassName)>,
+    vars: Vec<(Var, &'p ClassName)>,
     /// The plan's `Map` definitions, which the estimator reads through.
-    defs: BTreeMap<&'p str, &'p Expr>,
+    defs: BTreeMap<Var, &'p Expr>,
 }
 
 impl<'p> ScanVars<'p> {
-    fn new(scans: &[(&'p ClassName, &'p str)]) -> Self {
-        let mut vars: Vec<(&str, &ClassName)> = Vec::with_capacity(scans.len());
+    fn new(scans: &[(&'p ClassName, Var)]) -> Self {
+        let mut vars: Vec<(Var, &ClassName)> = Vec::with_capacity(scans.len());
         for &(class, var) in scans {
             match vars.iter_mut().find(|(v, _)| *v == var) {
                 Some(entry) => entry.1 = class,
@@ -319,15 +319,13 @@ impl<'p> ScanVars<'p> {
     /// projection it stands for.
     fn resolve<'e>(&'e self, expr: &'e Expr) -> &'e Expr {
         match expr {
-            Expr::Var(v) if self.index(v) == UNBOUND => {
-                self.defs.get(v.as_str()).copied().unwrap_or(expr)
-            }
+            Expr::Var(v) if self.index(*v) == UNBOUND => self.defs.get(v).copied().unwrap_or(expr),
             _ => expr,
         }
     }
 
     /// The index of `var`, [`UNBOUND`] when no scan binds it.
-    fn index(&self, var: &str) -> usize {
+    fn index(&self, var: Var) -> usize {
         self.vars
             .iter()
             .position(|(v, _)| *v == var)
@@ -353,10 +351,10 @@ impl<'p> ScanVars<'p> {
 // ---------------------------------------------------------------------------
 
 /// `var.attr` as `(var, attr)`: a single attribute projection off a variable.
-fn single_hop(expr: &Expr) -> Option<(&str, &Label)> {
+fn single_hop(expr: &Expr) -> Option<(Var, &Label)> {
     match expr {
         Expr::Proj(base, attr) => match base.as_ref() {
-            Expr::Var(v) => Some((v, attr)),
+            Expr::Var(v) => Some((*v, attr)),
             _ => None,
         },
         _ => None,
@@ -456,7 +454,7 @@ impl Estimator<'_, '_> {
             return Some((self.scans.index(v), Some(attr.clone())));
         }
         match expr {
-            Expr::Var(v) => Some((self.scans.index(v), None)),
+            Expr::Var(v) => Some((self.scans.index(*v), None)),
             _ => None,
         }
     }
@@ -604,7 +602,7 @@ pub fn estimate_plan(plan: &Plan, stats: &Statistics<'_>) -> PlanEstimate {
     fn go(plan: &Plan, est: &Estimator<'_, '_>, joins: &mut Vec<JoinEstimate>) -> CardEst {
         let (kind, l, r, rows, updates) = match plan {
             Plan::Scan { class, var } => {
-                return CardEst::scan(class, est.scans.index(var), est.stats)
+                return CardEst::scan(class, est.scans.index(*var), est.stats)
             }
             Plan::Filter { input, predicate } => {
                 let mut card = go(input, est, joins);
@@ -656,7 +654,7 @@ pub fn estimate_plan(plan: &Plan, stats: &Statistics<'_>) -> PlanEstimate {
     let mut pool = Pool::default();
     decompose(plan, &mut pool);
     let mut scans = ScanVars::new(&pool.scans);
-    scans.defs = pool.maps.iter().map(|(v, e)| (v.as_str(), e)).collect();
+    scans.defs = pool.maps.iter().map(|(v, e)| (*v, e)).collect();
     let est = Estimator {
         scans: &scans,
         stats,
@@ -721,7 +719,7 @@ pub use wol_model::PushOp as PushCmp;
 #[derive(Clone, Debug, PartialEq)]
 pub struct PushedPredicate {
     /// The scan variable the conjunct ranged over.
-    pub var: String,
+    pub var: Var,
     /// The scanned class the backend serves.
     pub class: ClassName,
     /// The attribute compared.
@@ -761,11 +759,11 @@ impl PushdownCatalog {
 /// backend serving `class` can evaluate, per the catalog.
 fn as_pushable(
     conjunct: &Expr,
-    var: &str,
+    var: Var,
     class: &ClassName,
     catalog: &PushdownCatalog,
 ) -> Option<PushedPredicate> {
-    fn attr_of<'e>(e: &'e Expr, var: &str) -> Option<&'e str> {
+    fn attr_of(e: &Expr, var: Var) -> Option<&str> {
         single_hop(e).and_then(|(v, attr)| (v == var).then_some(attr.as_str()))
     }
     let (a, b, fwd, rev) = match conjunct {
@@ -784,7 +782,7 @@ fn as_pushable(
         return None;
     }
     Some(PushedPredicate {
-        var: var.to_string(),
+        var,
         class: class.clone(),
         attr: attr.to_string(),
         cmp,
@@ -809,9 +807,9 @@ pub fn pushable_predicates(plan: &Plan, catalog: &PushdownCatalog) -> Vec<Pushed
         plan: &'p Plan,
         catalog: &PushdownCatalog,
         out: &mut Vec<PushedPredicate>,
-    ) -> Option<(&'p ClassName, &'p str)> {
+    ) -> Option<(&'p ClassName, Var)> {
         match plan {
-            Plan::Scan { class, var } => Some((class, var)),
+            Plan::Scan { class, var } => Some((class, *var)),
             Plan::Filter { input, predicate } => {
                 let (class, var) = walk(input, catalog, out)?;
                 let mut conjuncts = Vec::new();
@@ -852,8 +850,8 @@ pub fn optimize_with_stats(mut plan: Plan, stats: &Statistics<'_>) -> Plan {
     // scan variable (or an earlier binding) changes what conjuncts below it
     // referred to. The translator never emits such plans, but the planner is
     // a public API — rebinding shapes keep their raw form.
-    let mut seen: BTreeSet<&str> = pool.scans.iter().map(|(_, var)| *var).collect();
-    if !pool.maps.iter().all(|(var, _)| seen.insert(var)) {
+    let mut seen: BTreeSet<Var> = pool.scans.iter().map(|(_, var)| *var).collect();
+    if !pool.maps.iter().all(|(var, _)| seen.insert(*var)) {
         return plan;
     }
     let Some((mut planned, bound)) = plan_pool(pool, stats) else {
@@ -873,7 +871,7 @@ pub fn optimize_with_stats(mut plan: Plan, stats: &Statistics<'_>) -> Plan {
 }
 
 /// Move every `Map` binding out of `plan`, in [`decompose`] order.
-fn take_maps(plan: &mut Plan, out: &mut Vec<(String, Expr)>) {
+fn take_maps(plan: &mut Plan, out: &mut Vec<(Var, Expr)>) {
     match plan {
         Plan::Scan { .. } => {}
         Plan::Filter { input, .. } => take_maps(input, out),
@@ -891,13 +889,13 @@ fn take_maps(plan: &mut Plan, out: &mut Vec<(String, Expr)>) {
 }
 
 /// The map definitions by variable: each binding's position and expression.
-type Defs<'p> = BTreeMap<&'p str, (usize, &'p Expr)>;
+type Defs<'p> = BTreeMap<Var, (usize, &'p Expr)>;
 
 /// `expr` with every variable bound by one of the maps before `limit`
 /// replaced by its definition, itself resolved through the bindings before
 /// it — what substituting the bindings one by one, in order, gives.
 fn inline(expr: &Expr, defs: &Defs<'_>, limit: usize) -> Expr {
-    expr.substitute(&mut |v| match defs.get(v) {
+    expr.substitute(&mut |v| match defs.get(&v) {
         Some(&(position, def)) if position < limit => Some(inline(def, defs, position)),
         _ => None,
     })
@@ -916,7 +914,7 @@ fn plan_pool(pool: Pool<'_>, stats: &Statistics<'_>) -> Option<(Plan, Vec<bool>)
         .maps
         .iter()
         .enumerate()
-        .map(|(position, (var, expr))| (var.as_str(), (position, expr)))
+        .map(|(position, (var, expr))| (*var, (position, expr)))
         .collect();
     let scans = ScanVars::new(&pool.scans);
     // Each conjunct's reach is computed once; a conjunct leaves the pool
@@ -965,7 +963,7 @@ fn plan_pool(pool: Pool<'_>, stats: &Statistics<'_>) -> Option<(Plan, Vec<bool>)
             }
         }
         if distinct && !matches!(plan, Plan::Scan { .. }) {
-            let bindings: Vec<(String, Expr)> = pool
+            let bindings: Vec<(Var, Expr)> = pool
                 .maps
                 .iter()
                 .zip(&mut bound)
@@ -982,12 +980,12 @@ fn plan_pool(pool: Pool<'_>, stats: &Statistics<'_>) -> Option<(Plan, Vec<bool>)
         components.push(Component { plan, card });
     }
     // A join key equal to a bound definition reads the bound variable.
-    let defined: Vec<(&str, &Expr)> = pool
+    let defined: Vec<(Var, &Expr)> = pool
         .maps
         .iter()
         .zip(&bound)
         .filter(|(_, &bound)| bound)
-        .map(|((var, def), _)| (var.as_str(), def))
+        .map(|((var, def), _)| (*var, def))
         .collect();
 
     // Greedy join loop: always join the cheapest connected pair next; fall
@@ -1112,10 +1110,10 @@ fn join_components(
     est: f64,
     updates: Vec<(AttrKey, f64)>,
     scans: &ScanVars<'_>,
-    defined: &[(&str, &Expr)],
+    defined: &[(Var, &Expr)],
 ) -> Component {
     let read = |key: Box<Expr>| match defined.iter().find(|(_, def)| **def == *key) {
-        Some((var, _)) => Expr::var(*var),
+        Some((var, _)) => Expr::Var(*var),
         None => *key,
     };
     let mut keys: Vec<(Expr, Expr)> = Vec::new();
@@ -1313,7 +1311,7 @@ mod tests {
                         .eq(Expr::Const(Value::bool(true))),
                 ]),
             )
-            .map(vec![("N".to_string(), Expr::var("C").proj("language"))]);
+            .map(vec![("N".into(), Expr::var("C").proj("language"))]);
         let expected = rows_of(&original, &inst);
         assert_eq!(expected.len(), 2);
         let refs = [&inst];
@@ -1334,7 +1332,7 @@ mod tests {
         let inst = instance();
         let plan = Plan::scan("CityE", "E")
             .cross(Plan::scan("CountryE", "C"))
-            .map(vec![("N".to_string(), Expr::var("C").proj("name"))])
+            .map(vec![("N".into(), Expr::var("C").proj("name"))])
             .filter(Expr::var("E").path("country.name").eq(Expr::var("N")));
         let refs = [&inst];
         let stats = Statistics::from_instances(&refs);
@@ -1459,9 +1457,9 @@ mod tests {
         let raw = Plan::scan("A", "X")
             .cross(Plan::scan("B", "Y"))
             .map(vec![
-                ("NX".to_string(), Expr::var("X").proj("name")),
-                ("KX".to_string(), Expr::var("X").proj("k")),
-                ("NY".to_string(), Expr::var("Y").proj("name")),
+                ("NX".into(), Expr::var("X").proj("name")),
+                ("KX".into(), Expr::var("X").proj("k")),
+                ("NY".into(), Expr::var("Y").proj("name")),
             ])
             .filter(Expr::and(vec![
                 not_a0.clone(),
@@ -1472,10 +1470,7 @@ mod tests {
         let Plan::Map { input, bindings } = &planned else {
             panic!("expected a Map at the root:\n{}", planned.render());
         };
-        assert_eq!(
-            bindings,
-            &vec![("NY".to_string(), Expr::var("Y").proj("name"))]
-        );
+        assert_eq!(bindings, &vec![("NY".into(), Expr::var("Y").proj("name"))]);
         let Plan::HashJoin { left, right, keys } = input.as_ref() else {
             panic!("expected a hash join:\n{}", planned.render());
         };
@@ -1487,8 +1482,8 @@ mod tests {
         assert_eq!(
             **right,
             filtered.clone().map(vec![
-                ("NX".to_string(), Expr::var("X").proj("name")),
-                ("KX".to_string(), Expr::var("X").proj("k")),
+                ("NX".into(), Expr::var("X").proj("name")),
+                ("KX".into(), Expr::var("X").proj("k")),
             ])
         );
         // ... and the key equal to a bound definition reads its variable.
@@ -1531,7 +1526,7 @@ mod tests {
                     .proj("is_capital")
                     .eq(Expr::Const(Value::bool(true))),
             )
-            .map(vec![("E".to_string(), Expr::var("E").proj("country"))]);
+            .map(vec![("E".into(), Expr::var("E").proj("country"))]);
         let expected = rows_of(&plan, &inst);
         assert_eq!(expected.len(), 2);
         let refs = [&inst];
@@ -1718,8 +1713,8 @@ mod tests {
             });
         }
         let mut plan = plan.expect("k >= 2").map(vec![
-            ("N".to_string(), Expr::var(var_of(0)).proj("country")),
-            ("M".to_string(), Expr::var(var_of(1)).proj("name")),
+            ("N".into(), Expr::var(var_of(0)).proj("country")),
+            ("M".into(), Expr::var(var_of(1)).proj("name")),
         ]);
         let mut expected: Vec<Expected> = Vec::new();
         // Through the Map: `M = "France"` is `V1.name = "France"` once inlined.
@@ -1802,11 +1797,15 @@ mod tests {
         plan: &Plan,
         catalog: &PushdownCatalog,
     ) -> Vec<(String, String, String, String, Value)> {
-        normalised(
-            pushable_predicates(plan, catalog)
-                .into_iter()
-                .map(|p| (p.var, p.class.to_string(), p.attr, p.cmp, p.value)),
-        )
+        normalised(pushable_predicates(plan, catalog).into_iter().map(|p| {
+            (
+                p.var.to_string(),
+                p.class.to_string(),
+                p.attr,
+                p.cmp,
+                p.value,
+            )
+        }))
     }
 
     #[test]
@@ -1866,7 +1865,7 @@ mod tests {
             .filter(Expr::var("E").proj("name").eq(Expr::Const("Paris".into())))
             .cross(Plan::scan("CountryE", "C"))
             .filter(Expr::var("C").proj("name").eq(Expr::Const("France".into())))
-            .map(vec![("E".to_string(), Expr::var("E").proj("country"))])
+            .map(vec![("E".into(), Expr::var("E").proj("country"))])
             .filter(Expr::var("E").proj("name").eq(Expr::Const("France".into())));
         let inst = instance();
         let refs = [&inst];

@@ -4,7 +4,7 @@
 //! *insert actions* that build target objects from each row. Queries are the
 //! unit Morphase compiles one normal-form WOL clause into.
 
-use wol_model::{ClassName, Label};
+use wol_model::{ClassName, Label, Var};
 
 use crate::expr::Expr;
 
@@ -16,7 +16,7 @@ pub enum Plan {
         /// Class to scan.
         class: ClassName,
         /// Row variable receiving each object identity.
-        var: String,
+        var: Var,
     },
     /// Keep only rows satisfying the predicate.
     Filter {
@@ -30,7 +30,7 @@ pub enum Plan {
         /// Input plan.
         input: Box<Plan>,
         /// New row variables and their defining expressions.
-        bindings: Vec<(String, Expr)>,
+        bindings: Vec<(Var, Expr)>,
     },
     /// Nested-loop join on a predicate that is no key equality: the planner's
     /// theta join. (A product is a [`Plan::CrossJoin`].)
@@ -70,7 +70,7 @@ pub enum Plan {
 
 impl Plan {
     /// Scan helper.
-    pub fn scan(class: impl Into<ClassName>, var: impl Into<String>) -> Plan {
+    pub fn scan(class: impl Into<ClassName>, var: impl Into<Var>) -> Plan {
         Plan::Scan {
             class: class.into(),
             var: var.into(),
@@ -86,7 +86,7 @@ impl Plan {
     }
 
     /// Map helper.
-    pub fn map(self, bindings: Vec<(String, Expr)>) -> Plan {
+    pub fn map(self, bindings: Vec<(Var, Expr)>) -> Plan {
         Plan::Map {
             input: Box::new(self),
             bindings,
@@ -127,10 +127,10 @@ impl Plan {
     /// Every scan in the plan as `(class, row variable)`, left to right. The
     /// one walk behind the plan's read set and every variable → class map
     /// (planner estimates, projection analysis, maintenance slots).
-    pub fn scans(&self) -> Vec<(&ClassName, &str)> {
-        fn go<'p>(plan: &'p Plan, out: &mut Vec<(&'p ClassName, &'p str)>) {
+    pub fn scans(&self) -> Vec<(&ClassName, Var)> {
+        fn go<'p>(plan: &'p Plan, out: &mut Vec<(&'p ClassName, Var)>) {
             match plan {
-                Plan::Scan { class, var } => out.push((class, var)),
+                Plan::Scan { class, var } => out.push((class, *var)),
                 Plan::Filter { input, .. } | Plan::Map { input, .. } => go(input, out),
                 Plan::NestedLoopJoin { left, right, .. }
                 | Plan::HashJoin { left, right, .. }
@@ -146,10 +146,10 @@ impl Plan {
     }
 
     /// Each scan variable's class.
-    pub fn scan_classes(&self) -> std::collections::BTreeMap<String, ClassName> {
+    pub fn scan_classes(&self) -> std::collections::BTreeMap<Var, ClassName> {
         self.scans()
             .into_iter()
-            .map(|(class, var)| (var.to_string(), class.clone()))
+            .map(|(class, var)| (var, class.clone()))
             .collect()
     }
 
@@ -268,9 +268,12 @@ mod tests {
     #[test]
     fn builders_scans_and_expressions() {
         let plan = Plan::scan("CountryE", "C")
-            .map(vec![("N".to_string(), Expr::var("C").proj("name"))])
+            .map(vec![("N".into(), Expr::var("C").proj("name"))])
             .filter(Expr::var("C").proj("name").eq(Expr::Const("France".into())));
-        assert_eq!(plan.scans(), vec![(&ClassName::new("CountryE"), "C")]);
+        assert_eq!(
+            plan.scans(),
+            vec![(&ClassName::new("CountryE"), Var::new("C"))]
+        );
         assert_eq!(plan.expressions().len(), 2);
     }
 

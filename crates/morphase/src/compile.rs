@@ -37,7 +37,7 @@ use cpl::InsertAction;
 use cpl::{Expr, Plan, Query, Statistics};
 use wol_engine::fold_witnesses;
 use wol_engine::normalize::{NormalClause, NormalProgram};
-use wol_lang::ast::{Atom, SkolemArgs, Term};
+use wol_lang::ast::{Atom, SkolemArgs, Term, Var};
 use wol_model::Label;
 
 use crate::error::MorphaseError;
@@ -60,7 +60,7 @@ pub enum PlanMode<'a> {
 /// Translate a WOL term over body variables into a CPL row expression.
 pub(crate) fn translate_term(term: &Term) -> Expr {
     match term {
-        Term::Var(v) => Expr::Var(v.clone()),
+        Term::Var(v) => Expr::Var(*v),
         Term::Const(value) => Expr::Const(value.clone()),
         Term::Proj(base, label) => Expr::Proj(Box::new(translate_term(base)), label.clone()),
         Term::Record(fields) => Expr::Record(
@@ -96,7 +96,22 @@ pub(crate) fn translate_key(args: &SkolemArgs) -> Expr {
     }
 }
 
-fn translate_atom_predicate(atom: &Atom) -> Result<Expr> {
+/// The translator's refusal of `atoms` in `clause`, naming the clauses the
+/// normal clause derives from and each atom as its normal form spells it.
+fn refused<'a>(
+    clause: &NormalClause,
+    why: &str,
+    atoms: impl IntoIterator<Item = &'a Atom>,
+) -> MorphaseError {
+    let atoms: Vec<String> = atoms.into_iter().map(wol_lang::render_atom).collect();
+    MorphaseError::Compilation(format!(
+        "clause {}: {why}: `{}`",
+        clause.provenance.join("+"),
+        atoms.join("`, `")
+    ))
+}
+
+fn translate_atom_predicate(clause: &NormalClause, atom: &Atom) -> Result<Expr> {
     Ok(match atom {
         Atom::Eq(s, t) => Expr::Eq(Box::new(translate_term(s)), Box::new(translate_term(t))),
         Atom::Neq(s, t) => Expr::Neq(Box::new(translate_term(s)), Box::new(translate_term(t))),
@@ -108,9 +123,8 @@ fn translate_atom_predicate(atom: &Atom) -> Result<Expr> {
             )))
         }
         Atom::InSet(_, _) => {
-            return Err(MorphaseError::Compilation(
-                "`member` atoms are not supported by the CPL translator".to_string(),
-            ))
+            let why = "`member` atoms are not supported by the CPL translator";
+            return Err(refused(clause, why, [atom]));
         }
     })
 }
@@ -132,22 +146,22 @@ pub(crate) fn compile_clause(clause: &NormalClause, mode: PlanMode<'_>) -> Resul
 fn translate_clause(clause: &NormalClause) -> Result<Query> {
     // 1. Scans for every membership atom.
     let mut plan: Option<Plan> = None;
-    let mut produced: BTreeSet<&str> = BTreeSet::new();
+    let mut produced: BTreeSet<Var> = BTreeSet::new();
     let mut rest: Vec<&Atom> = Vec::new();
     for atom in &clause.body {
         match atom {
             Atom::Member(Term::Var(v), class) => {
-                let scan = Plan::scan(class.clone(), v.clone());
-                produced.insert(v);
+                let scan = Plan::scan(class.clone(), *v);
+                produced.insert(*v);
                 plan = Some(match plan {
                     None => scan,
                     Some(existing) => existing.cross(scan),
                 });
             }
             Atom::Member(_, class) => {
-                return Err(MorphaseError::Compilation(format!(
-                    "membership of a non-variable term in `{class}` is not supported"
-                )))
+                let why =
+                    format!("membership of a non-variable term in `{class}` is not supported");
+                return Err(refused(clause, &why, [atom]));
             }
             other => rest.push(other),
         }
@@ -169,38 +183,34 @@ fn translate_clause(clause: &NormalClause) -> Result<Query> {
         for atom in remaining.drain(..) {
             // A defining equation `V = t` (or `t = V`) with V fresh and t computable.
             let defining = match atom {
-                Atom::Eq(Term::Var(v), t)
-                    if !produced.contains(v.as_str()) && covered(t, &produced) =>
+                Atom::Eq(Term::Var(v), t) | Atom::Eq(t, Term::Var(v))
+                    if !produced.contains(v) && covered(t, &produced) =>
                 {
-                    Some((v, t))
-                }
-                Atom::Eq(t, Term::Var(v))
-                    if !produced.contains(v.as_str()) && covered(t, &produced) =>
-                {
-                    Some((v, t))
+                    Some((*v, t))
                 }
                 _ => None,
             };
             if let Some((var, term)) = defining {
-                plan = plan.map(vec![(var.clone(), translate_term(term))]);
+                plan = plan.map(vec![(var, translate_term(term))]);
                 produced.insert(var);
                 progressed = true;
                 continue;
             }
             // A filter whose variables are all available.
             if atom_terms(atom).all(|t| covered(t, &produced)) {
-                plan = plan.filter(translate_atom_predicate(atom)?);
+                plan = plan.filter(translate_atom_predicate(clause, atom)?);
                 progressed = true;
                 continue;
             }
             deferred.push(atom);
         }
         if !progressed && !deferred.is_empty() {
-            return Err(MorphaseError::Compilation(format!(
+            let why = format!(
                 "cannot order the body atoms of the clause for `{}`: {} atoms remain unplaced",
                 clause.class,
                 deferred.len()
-            )));
+            );
+            return Err(refused(clause, &why, deferred));
         }
         remaining = deferred;
     }
@@ -234,9 +244,9 @@ fn atom_terms(atom: &Atom) -> impl Iterator<Item = &Term> {
 }
 
 /// Whether every variable of `term` is produced.
-fn covered(term: &Term, produced: &BTreeSet<&str>) -> bool {
+fn covered(term: &Term, produced: &BTreeSet<Var>) -> bool {
     match term {
-        Term::Var(v) => produced.contains(v.as_str()),
+        Term::Var(v) => produced.contains(v),
         Term::Const(_) => true,
         Term::Proj(t, _) | Term::Variant(_, t) => covered(t, produced),
         Term::Record(fields) | Term::Skolem(_, SkolemArgs::Named(fields)) => {
@@ -381,7 +391,7 @@ mod tests {
     #[test]
     fn translate_key_styles() {
         let single = SkolemArgs::Positional(vec![Term::var("N")]);
-        assert_eq!(translate_key(&single), Expr::Var("N".to_string()));
+        assert_eq!(translate_key(&single), Expr::var("N"));
         let multi = SkolemArgs::Positional(vec![Term::var("A"), Term::var("B")]);
         assert!(matches!(translate_key(&multi), Expr::Record(fields) if fields.len() == 2));
         let named = SkolemArgs::Named(vec![("name".into(), Term::var("N"))]);
@@ -405,21 +415,46 @@ mod tests {
         );
     }
 
+    /// Each refusal names the clause and renders the atom it rejects: a
+    /// `member` atom over bound terms, a membership of a non-variable term,
+    /// and an atom no variable order places.
     #[test]
     fn unsupported_member_atom_reported() {
         use std::collections::BTreeMap;
-        let clause = NormalClause {
-            class: ClassName::new("Tgt"),
-            key: SkolemArgs::Positional(vec![Term::var("N")]),
-            attrs: BTreeMap::new(),
-            body: vec![
+        let src = || ClassName::new("Src");
+        let cases = [
+            (
+                Atom::InSet(Term::var("S").proj("a"), Term::var("S").proj("b")),
+                "`member` atoms are not supported",
+                "S.a member S.b",
+            ),
+            (
+                Atom::Member(Term::var("S").proj("a"), src()),
+                "membership of a non-variable term in `Src`",
+                "S.a in Src",
+            ),
+            (
                 Atom::InSet(Term::var("X"), Term::var("S")),
-                Atom::Member(Term::var("S"), ClassName::new("Src")),
-            ],
-            creates: true,
-            provenance: vec!["t".to_string()],
-        };
-        let err = compile_clause(&clause, PlanMode::Raw).unwrap_err();
-        assert!(matches!(err, MorphaseError::Compilation(_)));
+                "1 atoms remain unplaced",
+                "X member S",
+            ),
+        ];
+        for (atom, why, text) in cases {
+            let clause = NormalClause {
+                class: ClassName::new("Tgt"),
+                key: SkolemArgs::Positional(vec![Term::var("S")]),
+                attrs: BTreeMap::new(),
+                body: vec![Atom::Member(Term::var("S"), src()), atom],
+                creates: true,
+                provenance: vec!["T7".to_string()],
+            };
+            let err = compile_clause(&clause, PlanMode::Raw).unwrap_err();
+            let MorphaseError::Compilation(message) = err else {
+                panic!("{text}: {err}");
+            };
+            assert!(message.starts_with("clause T7: "), "{message}");
+            assert!(message.contains(why), "{message}");
+            assert!(message.ends_with(&format!(": `{text}`")), "{message}");
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! `X = Y <= X in C, Y in C, X.p = Y.p, ...` that the optimiser consumes for
 //! source databases.
 
-use wol_lang::ast::{Atom, Clause, SkolemArgs, Term};
+use wol_lang::ast::{Atom, Clause, SkolemArgs, Term, Var};
 use wol_model::{KeyExpr, KeySpec, Schema};
 
 /// Generate Skolem-style key constraint clauses (target side) from a key
@@ -38,7 +38,7 @@ pub fn generate_key_clauses(schema: &Schema, keys: &KeySpec) -> Vec<Clause> {
                 let mut named = Vec::new();
                 for (i, (label, sub)) in fields.iter().enumerate() {
                     let KeyExpr::Path(path) = sub else { continue };
-                    let var = Term::var(format!("K{i}"));
+                    let var = Term::Var(Var::format(format_args!("K{i}")));
                     body.push(Atom::Eq(var.clone(), project_path(&object, path)));
                     named.push((label.clone(), var));
                 }

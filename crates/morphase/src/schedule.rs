@@ -115,7 +115,7 @@ mod tests {
         let t = || Expr::Skolem(ClassName::new("T"), Box::new(Expr::var("a").proj("k")));
         let minting = |name: &str, writes: &str, next: fn(Plan) -> Plan| Query {
             name: name.to_string(),
-            plan: next(Plan::scan("A", "a").map(vec![("t".to_string(), t())])),
+            plan: next(Plan::scan("A", "a").map(vec![("t".into(), t())])),
             inserts: vec![InsertAction {
                 class: ClassName::new(writes),
                 key: Expr::var("a").proj("k"),
@@ -140,7 +140,7 @@ mod tests {
                 p.filter(Expr::var("t").eq(Expr::var("a")))
             }),
             minting("relayed", "R", |p| {
-                p.map(vec![("u".to_string(), Expr::var("t"))])
+                p.map(vec![("u".into(), Expr::var("t"))])
                     .filter(Expr::var("u").eq(Expr::var("t")))
             }),
             minting("filtered", "N", |p| {

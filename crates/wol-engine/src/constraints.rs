@@ -73,14 +73,14 @@ pub enum ConstraintClass {
 
 /// Decide whether an equality atom equates `var.path` with some term,
 /// returning the path and the other term.
-fn as_projection_of<'a>(atom: &'a Atom, var: &str) -> Option<(Path, &'a Term)> {
+fn as_projection_of(atom: &Atom, var: Var) -> Option<(Path, &Term)> {
     let (s, t) = match atom {
         Atom::Eq(s, t) => (s, t),
         _ => return None,
     };
     for (proj, other) in [(s, t), (t, s)] {
         if let Some((base, labels)) = proj.as_var_path() {
-            if base == var && !labels.is_empty() {
+            if *base == var && !labels.is_empty() {
                 let path = Path::new(labels.iter().map(|l| l.to_string()));
                 return Some((path, other));
             }
@@ -107,7 +107,7 @@ pub fn classify_constraint(clause: &Clause) -> ConstraintClass {
                     .iter()
                     .any(|a| matches!(a, Atom::Member(Term::Var(m), c) if m == v && c == class));
                 if member_ok {
-                    if let Some(parts) = skolem_key_parts(v, class, args, &clause.body) {
+                    if let Some(parts) = skolem_key_parts(*v, class, args, &clause.body) {
                         return ConstraintClass::SkolemKey(ObjectKey {
                             class: class.clone(),
                             parts,
@@ -118,7 +118,7 @@ pub fn classify_constraint(clause: &Clause) -> ConstraintClass {
         }
         // Merge-style key: head `X = Y`, body `X in C, Y in C` plus path equations.
         if let Atom::Eq(Term::Var(x), Term::Var(y)) = &clause.head[0] {
-            if let Some((class, paths)) = merge_key_parts(x, y, &clause.body) {
+            if let Some((class, paths)) = merge_key_parts(*x, *y, &clause.body) {
                 return ConstraintClass::MergeKey { class, paths };
             }
         }
@@ -139,7 +139,7 @@ pub fn classify_constraint(clause: &Clause) -> ConstraintClass {
 }
 
 fn skolem_key_parts(
-    object_var: &str,
+    object_var: Var,
     _class: &ClassName,
     args: &SkolemArgs,
     body: &[Atom],
@@ -150,7 +150,7 @@ fn skolem_key_parts(
             // Direct projection of the object: Mk_C(... = X.name ...)
             Term::Proj(_, _) => {
                 let (base, labels) = term.as_var_path()?;
-                if base == object_var {
+                if *base == object_var {
                     Some(Path::new(labels.iter().map(|l| l.to_string())))
                 } else {
                     None
@@ -192,11 +192,11 @@ fn skolem_key_parts(
     }
 }
 
-fn merge_key_parts(x: &str, y: &str, body: &[Atom]) -> Option<(ClassName, Vec<Path>)> {
+fn merge_key_parts(x: Var, y: Var, body: &[Atom]) -> Option<(ClassName, Vec<Path>)> {
     // Both X and Y must be members of the same class.
-    let class_of = |v: &str| {
+    let class_of = |v: Var| {
         body.iter().find_map(|a| match a {
-            Atom::Member(Term::Var(m), c) if m == v => Some(c.clone()),
+            Atom::Member(Term::Var(m), c) if *m == v => Some(c.clone()),
             _ => None,
         })
     };
@@ -215,12 +215,12 @@ fn merge_key_parts(x: &str, y: &str, body: &[Atom]) -> Option<(ClassName, Vec<Pa
     let mut x_bindings: BTreeMap<String, Vec<(usize, Path, Var)>> = BTreeMap::new();
     for (i, atom) in body.iter().enumerate() {
         match atom {
-            Atom::Member(Term::Var(m), _) if m == x || m == y => used[i] = true,
+            Atom::Member(Term::Var(m), _) if *m == x || *m == y => used[i] = true,
             _ => {}
         }
         if let Some((path, other)) = as_projection_of(atom, x) {
             if let Some((base, labels)) = other.as_var_path() {
-                if base == y {
+                if *base == y {
                     let other_path = Path::new(labels.iter().map(|l| l.to_string()));
                     if other_path == path {
                         paths.push(path);
@@ -231,7 +231,7 @@ fn merge_key_parts(x: &str, y: &str, body: &[Atom]) -> Option<(ClassName, Vec<Pa
                     x_bindings
                         .entry(path.to_string())
                         .or_default()
-                        .push((i, path, base.clone()));
+                        .push((i, path, *base));
                 }
             }
         }
@@ -508,7 +508,7 @@ pub fn enforce_constraints(clauses: &[&Clause], dbs: &Databases<'_>) -> Result<(
     }
 }
 
-fn describe_binding(binding: &[(&str, &Value)]) -> String {
+fn describe_binding(binding: &[(Var, &Value)]) -> String {
     let parts: Vec<String> = binding
         .iter()
         .map(|(k, v)| format!("{k} = {}", wol_model::display::render_value(v)))

@@ -437,7 +437,7 @@ fn plan_constraint(
             for (var, class) in body_members {
                 if let Some(d) = delta.class(class) {
                     for oid in d.changed() {
-                        seeds.push(((*var).clone(), oid));
+                        seeds.push(((*var), oid));
                     }
                 }
             }
@@ -498,7 +498,7 @@ fn detect_seeded(dbs: &Databases<'_>, clause: &Clause, seeds: &[(Var, Oid)]) -> 
     let mut out = Detection::default();
     for (var, oid) in seeds {
         out.checked += 1;
-        let seed = Bindings::from([(var.clone(), Value::Oid(oid.clone()))]);
+        let seed = Bindings::from([(*var, Value::Oid(oid.clone()))]);
         out.dirty |= !check_constraint_counted(clause, dbs, seed)?.0.is_empty();
     }
     Ok(out)
@@ -887,7 +887,7 @@ mod tests {
                 for oid in seeds.iter().map(|(_, oid)| oid).collect::<BTreeSet<_>>() {
                     let mut through_seeds = Vec::new();
                     for (var, _) in seeds.iter().filter(|(_, seed)| seed == oid) {
-                        let seed = Bindings::from([(var.clone(), Value::Oid(oid.clone()))]);
+                        let seed = Bindings::from([(*var, Value::Oid(oid.clone()))]);
                         through_seeds
                             .extend(check_constraint_counted(clause, &dbs, seed).unwrap().0);
                     }

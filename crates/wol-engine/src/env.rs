@@ -164,21 +164,21 @@ impl FromIterator<(Var, Value)> for Bindings {
 /// What the term evaluator reads variables from.
 pub(crate) trait Frame {
     /// The value bound to `var`, if any.
-    fn lookup(&self, var: &str) -> Option<&Value>;
+    fn lookup(&self, var: Var) -> Option<&Value>;
 }
 
 impl Frame for Bindings {
-    fn lookup(&self, var: &str) -> Option<&Value> {
-        self.get(var)
+    fn lookup(&self, var: Var) -> Option<&Value> {
+        self.get(&var)
     }
 }
 
 /// The matcher's frame (see the module docs); a caller's initial values
 /// are borrowed.
-pub(crate) struct Slots<'t>(pub(crate) Vec<(&'t str, Cow<'t, Value>)>);
+pub(crate) struct Slots<'t>(pub(crate) Vec<(Var, Cow<'t, Value>)>);
 
 impl Frame for Slots<'_> {
-    fn lookup(&self, var: &str) -> Option<&Value> {
+    fn lookup(&self, var: Var) -> Option<&Value> {
         let slot = self.0.iter().find(|(name, _)| *name == var);
         slot.map(|(_, value)| value.as_ref())
     }
@@ -206,7 +206,7 @@ fn eval<'v>(
 ) -> Result<Cow<'v, Value>> {
     match term {
         Term::Var(v) => frame
-            .lookup(v)
+            .lookup(*v)
             .map(Cow::Borrowed)
             .ok_or_else(|| EngineError::Eval(format!("unbound variable {v}"))),
         Term::Const(value) => Ok(Cow::Borrowed(value)),
@@ -283,7 +283,7 @@ pub(crate) fn try_eval<'v>(
     dbs: &Databases<'v>,
     skolem: &mut SkolemFactory,
 ) -> Option<Cow<'v, Value>> {
-    let bound = term.all_vars(&mut |v| frame.lookup(v).is_some());
+    let bound = term.all_vars(&mut |v| frame.lookup(*v).is_some());
     bound.then(|| eval(term, frame, dbs, skolem).ok()).flatten()
 }
 
@@ -332,10 +332,10 @@ fn bind_pattern<'t>(
     skolem: &mut SkolemFactory,
 ) -> bool {
     match pattern {
-        Term::Var(v) => match frame.lookup(v) {
+        Term::Var(v) => match frame.lookup(*v) {
             Some(existing) => *existing == *value,
             None => {
-                frame.0.push((v.as_str(), Cow::Owned(value.into_owned())));
+                frame.0.push((*v, Cow::Owned(value.into_owned())));
                 true
             }
         },
@@ -432,10 +432,10 @@ const DEAD_SCAN_COST: u64 = 1 << 40;
 
 /// If `term` is a single projection `v.attr` off the given variable, return
 /// the attribute.
-fn single_proj_attr<'t>(term: &'t Term, var: &str) -> Option<&'t Label> {
+fn single_proj_attr(term: &Term, var: Var) -> Option<&Label> {
     match term {
         Term::Proj(base, label) => match base.as_ref() {
-            Term::Var(v) if v == var => Some(label),
+            Term::Var(v) if *v == var => Some(label),
             _ => None,
         },
         _ => None,
@@ -537,7 +537,8 @@ fn classify_atom<'a>(
                     let Atom::Eq(left, right) = other else {
                         continue;
                     };
-                    let probe = match (single_proj_attr(left, var), single_proj_attr(right, var)) {
+                    let probe = match (single_proj_attr(left, *var), single_proj_attr(right, *var))
+                    {
                         (Some(attr), _) if term_bound(right) => Some((attr, right)),
                         (_, Some(attr)) if term_bound(left) => Some((attr, left)),
                         _ => None,
@@ -551,7 +552,7 @@ fn classify_atom<'a>(
                                 attr,
                                 key,
                             },
-                            binds: vec![var.clone()],
+                            binds: vec![*var],
                             consumes: Some(j),
                         });
                     }
@@ -669,9 +670,7 @@ impl<'p, 't> Search<'p, 't> {
         stats: &'p mut MatchStats,
         initial: &'t Bindings,
     ) -> Self {
-        let frame = initial
-            .iter()
-            .map(|(var, v)| (var.as_str(), Cow::Borrowed(v)));
+        let frame = initial.iter().map(|(var, v)| (*var, Cow::Borrowed(v)));
         Search {
             skolem,
             stats,
@@ -792,7 +791,7 @@ pub fn match_body(
         let slots = search.frame.0.iter();
         out.push(
             slots
-                .map(|(var, value)| (var.to_string(), value.as_ref().clone()))
+                .map(|(var, value)| (*var, value.as_ref().clone()))
                 .collect(),
         );
         Ok(())
@@ -851,7 +850,7 @@ mod tests {
         let (inst, _, fr) = euro_instance();
         let dbs = Databases::new(&[&inst][..]);
         let mut sk = SkolemFactory::new();
-        let bindings = Bindings::from([("X".to_string(), Value::oid(fr))]);
+        let bindings = Bindings::from([(Var::new("X"), Value::oid(fr))]);
         let term = Term::var("X").path("name");
         assert_eq!(
             eval_term(&term, &bindings, &dbs, &mut sk).unwrap(),
@@ -873,7 +872,7 @@ mod tests {
         let (inst, _, _) = euro_instance();
         let dbs = Databases::new(&[&inst][..]);
         let mut sk = SkolemFactory::new();
-        let bindings = Bindings::from([("N".to_string(), Value::str("France"))]);
+        let bindings = Bindings::from([(Var::new("N"), Value::str("France"))]);
         let term = Term::record([("name", Term::var("N")), ("kind", Term::tag("euro"))]);
         let value = eval_term(&term, &bindings, &dbs, &mut sk).unwrap();
         assert_eq!(
@@ -897,8 +896,8 @@ mod tests {
         let dbs = Databases::new(&[&inst][..]);
         let mut sk = SkolemFactory::new();
         let bindings = Bindings::from([
-            ("N".to_string(), Value::str("Paris")),
-            ("C".to_string(), Value::str("France")),
+            (Var::new("N"), Value::str("Paris")),
+            (Var::new("C"), Value::str("France")),
         ]);
         let positional = SkolemArgs::Positional(vec![Term::var("N"), Term::var("C")]);
         assert_eq!(
@@ -964,7 +963,7 @@ mod tests {
         let dbs = Databases::new(&[&inst][..]);
         let mut sk = SkolemFactory::new();
         let clause = parse_clause("Z = Y.name <= Y in CityE, Y.country = X").unwrap();
-        let initial = Bindings::from([("X".to_string(), Value::oid(uk))]);
+        let initial = Bindings::from([(Var::new("X"), Value::oid(uk))]);
         let results = match_body(
             &clause.body,
             &dbs,
@@ -1099,14 +1098,11 @@ mod tests {
         let mut frame = Slots(
             initial
                 .iter()
-                .map(|(k, v)| (k.as_str(), Cow::Borrowed(v)))
+                .map(|(k, v)| (*k, Cow::Borrowed(v)))
                 .collect(),
         );
         let matched = bind_pattern(pattern, Cow::Borrowed(value), &mut frame, dbs, sk);
-        let bound = frame
-            .0
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.as_ref().clone()));
+        let bound = frame.0.iter().map(|(k, v)| (*k, v.as_ref().clone()));
         matched.then(|| bound.collect())
     }
 
@@ -1124,7 +1120,7 @@ mod tests {
         assert_eq!(bound.get("N"), Some(&Value::str("Paris")));
         assert_eq!(bound.get("C"), Some(&Value::str("France")));
         // A conflicting existing binding rejects the match.
-        let existing = Bindings::from([("N".to_string(), Value::str("Lyon"))]);
+        let existing = Bindings::from([(Var::new("N"), Value::str("Lyon"))]);
         assert!(match_pattern(&pattern, &value, &existing, &dbs, &mut sk).is_none());
         // Matching a non-record fails.
         assert!(match_pattern(&pattern, &Value::int(1), &Bindings::new(), &dbs, &mut sk).is_none());
@@ -1173,11 +1169,8 @@ mod tests {
         assert_eq!(bindings.get("X"), Some(&Value::int(1)));
         let previous = bindings.insert("X", Value::int(2)).unwrap();
         assert_eq!(*previous, Value::int(1));
-        let collected: Vec<(String, Value)> = bindings
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        assert_eq!(collected, vec![("X".to_string(), Value::int(2))]);
+        let collected: Vec<(Var, Value)> = bindings.iter().map(|(k, v)| (*k, v.clone())).collect();
+        assert_eq!(collected, vec![(Var::new("X"), Value::int(2))]);
         assert_eq!(bindings.keys().collect::<Vec<_>>(), vec!["X"]);
     }
 }

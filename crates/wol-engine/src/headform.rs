@@ -67,7 +67,7 @@ pub(crate) fn analyze_head(
             pos
         } else {
             objects.push(HeadObject {
-                var: var.clone(),
+                var: *var,
                 class,
                 explicit_key: None,
                 attrs: BTreeMap::new(),

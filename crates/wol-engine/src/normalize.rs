@@ -189,7 +189,7 @@ pub fn normalize(program: &Program, options: &NormalizeOptions) -> Result<Normal
     // Step 1: extract partial descriptions from every transformation clause.
     let mut partials: Vec<Partial> = Vec::new();
     for (index, (id, clause)) in program.transformation_clauses().into_iter().enumerate() {
-        let renamed = clause.rename_vars(|v| format!("c{index}_{v}"));
+        let renamed = clause.rename_vars(|v| Var::format(format_args!("c{index}_{v}")));
         let env = check_clause_types(&renamed, &schemas)?;
         let analysis = analyze_head(&renamed, &env, &target_classes)?;
         if analysis.objects.is_empty() {
@@ -198,10 +198,13 @@ pub fn normalize(program: &Program, options: &NormalizeOptions) -> Result<Normal
                 id.describe()
             )));
         }
-        if !analysis.residual.is_empty() {
+        if let Some(atom) = analysis.residual.first() {
+            // The head atom as written: renaming kept the head's order.
+            let written = renamed.head.iter().position(|a| a == atom);
             return Err(EngineError::Normalisation(format!(
-                "clause {} has head atoms outside the supported normal-form fragment",
-                id.describe()
+                "clause {} has head atom `{}` outside the supported normal-form fragment",
+                id.describe(),
+                wol_lang::render_atom(written.map_or(atom, |i| &clause.head[i]))
             )));
         }
         for object in analysis.objects {
@@ -368,7 +371,7 @@ fn unfold_partial(
         .enumerate()
         .find_map(|(position, atom)| match atom {
             Atom::Member(Term::Var(v), c) if target_classes.contains(c) => {
-                Some((position, v.clone(), c.clone()))
+                Some((position, *v, c.clone()))
             }
             _ => None,
         });
@@ -388,14 +391,15 @@ fn unfold_partial(
     let mut results = Vec::new();
     for def in defining {
         *counter += 1;
-        let prefix = format!("u{counter}_");
-        let renamed_key = rename_skolem_args(&def.key, &prefix);
+        let n = *counter;
+        let mut rename = |v| Some(Term::Var(Var::format(format_args!("u{n}_{v}"))));
+        let renamed_key = def.key.map(|t| t.substitute(&mut rename));
         let renamed_attrs: BTreeMap<Label, Term> = def
             .attrs
             .iter()
-            .map(|(l, t)| (l.clone(), rename_term(t, &prefix)))
+            .map(|(l, t)| (l.clone(), t.substitute(&mut rename)))
             .collect();
-        let renamed_body: Vec<Atom> = def.body.iter().map(|a| rename_atom(a, &prefix)).collect();
+        let renamed_body: Vec<Atom> = def.body.iter().map(|a| a.substitute(&mut rename)).collect();
         let identity = Term::Skolem(class.clone(), renamed_key.clone());
 
         // Rewrite the remaining body, attributes and keys of the partial:
@@ -409,7 +413,7 @@ fn unfold_partial(
             }
             new_body.push(rewrite_atom(
                 atom,
-                &object_var,
+                object_var,
                 &identity,
                 &renamed_attrs,
                 &mut ok,
@@ -422,12 +426,12 @@ fn unfold_partial(
             .map(|(l, t)| {
                 (
                     l.clone(),
-                    rewrite_object_refs(t, &object_var, &identity, &renamed_attrs, &mut ok),
+                    rewrite_object_refs(t, object_var, &identity, &renamed_attrs, &mut ok),
                 )
             })
             .collect();
         let new_explicit = partial.explicit_key.as_ref().map(|k| {
-            k.map(|t| rewrite_object_refs(t, &object_var, &identity, &renamed_attrs, &mut ok))
+            k.map(|t| rewrite_object_refs(t, object_var, &identity, &renamed_attrs, &mut ok))
         });
         if !ok {
             // Some attribute of the unfolded object is not defined by this
@@ -443,7 +447,7 @@ fn unfold_partial(
         };
         let unfolded = Partial {
             class: partial.class.clone(),
-            object_var: partial.object_var.clone(),
+            object_var: partial.object_var,
             explicit_key: new_explicit,
             derived_key,
             attrs: new_attrs,
@@ -461,44 +465,22 @@ fn unfold_partial(
     Ok(results)
 }
 
-fn rename_term(term: &Term, prefix: &str) -> Term {
-    let subst: BTreeMap<Var, Term> = term
-        .var_set()
-        .into_iter()
-        .map(|v| (v.clone(), Term::Var(format!("{prefix}{v}"))))
-        .collect();
-    term.substitute(&subst)
-}
-
-fn rename_atom(atom: &Atom, prefix: &str) -> Atom {
-    let subst: BTreeMap<Var, Term> = atom
-        .var_set()
-        .into_iter()
-        .map(|v| (v.clone(), Term::Var(format!("{prefix}{v}"))))
-        .collect();
-    atom.substitute(&subst)
-}
-
-fn rename_skolem_args(args: &SkolemArgs, prefix: &str) -> SkolemArgs {
-    args.map(|t| rename_term(t, prefix))
-}
-
 /// Replace references to `object_var` in a term: `object_var.a` becomes the
 /// defining clause's term for `a` (setting `ok = false` if the attribute is
 /// not defined), and a bare `object_var` becomes the Skolem identity.
 fn rewrite_object_refs(
     term: &Term,
-    object_var: &str,
+    object_var: Var,
     identity: &Term,
     attrs: &BTreeMap<Label, Term>,
     ok: &mut bool,
 ) -> Term {
     match term {
-        Term::Var(v) if v == object_var => identity.clone(),
+        Term::Var(v) if *v == object_var => identity.clone(),
         Term::Var(_) | Term::Const(_) => term.clone(),
         Term::Proj(base, label) => {
             if let Term::Var(v) = base.as_ref() {
-                if v == object_var {
+                if *v == object_var {
                     return match attrs.get(label) {
                         Some(defined) => defined.clone(),
                         None => {
@@ -539,7 +521,7 @@ fn rewrite_object_refs(
 
 fn rewrite_atom(
     atom: &Atom,
-    object_var: &str,
+    object_var: Var,
     identity: &Term,
     attrs: &BTreeMap<Label, Term>,
     ok: &mut bool,

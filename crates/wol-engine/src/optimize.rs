@@ -162,7 +162,7 @@ const SUMMARISED: usize = 16;
 /// walk that allocates nothing: per variable, its class and a bit per
 /// projected path, by a hash of the path's labels.
 struct Paths<'a> {
-    vars: [&'a str; SUMMARISED],
+    vars: [Option<Var>; SUMMARISED],
     classes: [Option<&'a ClassName>; SUMMARISED],
     bits: [u64; SUMMARISED],
     len: usize,
@@ -178,7 +178,7 @@ impl<'a> Paths<'a> {
     /// walk. A variable in several memberships goes to the exact search.
     fn nest(clause: &'a NormalClause) -> bool {
         let mut paths = Paths {
-            vars: [""; SUMMARISED],
+            vars: [None; SUMMARISED],
             classes: [None; SUMMARISED],
             bits: [0; SUMMARISED],
             len: 0,
@@ -186,10 +186,10 @@ impl<'a> Paths<'a> {
         };
         for atom in &clause.body {
             if let Atom::Member(Term::Var(v), class) = atom {
-                if paths.len == SUMMARISED || paths.ordinal(v).is_some() {
+                if paths.len == SUMMARISED || paths.ordinal(*v).is_some() {
                     return true;
                 }
-                paths.vars[paths.len] = v;
+                paths.vars[paths.len] = Some(*v);
                 paths.classes[paths.len] = Some(class);
                 paths.len += 1;
             }
@@ -222,13 +222,13 @@ impl<'a> Paths<'a> {
         (0..self.len).any(|i| (i + 1..self.len).any(|j| classes[i] == classes[j] && nested(i, j)))
     }
 
-    fn ordinal(&self, var: &str) -> Option<usize> {
+    fn ordinal(&self, var: Var) -> Option<usize> {
         // A member's projections tend to follow one another: try the last
         // one found first.
-        if self.vars[self.last] == var {
+        if self.vars[self.last] == Some(var) {
             return Some(self.last);
         }
-        self.vars[..self.len].iter().position(|v| *v == var)
+        self.vars[..self.len].iter().position(|v| *v == Some(var))
     }
 
     /// Note the member paths `term` projects.
@@ -259,12 +259,15 @@ impl<'a> Paths<'a> {
 /// `body`, which becomes the clause's body less the atoms that became
 /// duplicates.
 fn merge(clause: &mut NormalClause, body: &[Atom], keep: Var, drop: Var) {
-    let subst = BTreeMap::from([(drop, Term::Var(keep))]);
-    clause.body = body.iter().map(|atom| atom.substitute(&subst)).collect();
+    let mut subst = |v: Var| (v == drop).then_some(Term::Var(keep));
+    clause.body = body
+        .iter()
+        .map(|atom| atom.substitute(&mut subst))
+        .collect();
     dedup_atoms(&mut clause.body, true);
-    clause.key = clause.key.map(|t| t.substitute(&subst));
+    clause.key = clause.key.map(|t| t.substitute(&mut subst));
     for term in clause.attrs.values_mut() {
-        *term = term.substitute(&subst);
+        *term = term.substitute(&mut subst);
     }
 }
 
@@ -303,27 +306,26 @@ fn split_equality(s: Term, t: Term, out: &mut Vec<Atom>) -> bool {
 /// until it finds one.
 fn find_pair<'a>(
     body: &'a [Atom],
-    mergeable: impl Fn(&ClassName, &'a Var, &'a Var) -> Option<(&'a Var, &'a Var)>,
+    mergeable: impl Fn(&ClassName, Var, Var) -> Option<(Var, Var)>,
 ) -> Option<(Var, Var)> {
     let member = |atom: &'a Atom| match atom {
-        Atom::Member(Term::Var(v), class) => Some((v, class)),
+        Atom::Member(Term::Var(v), class) => Some((*v, class)),
         _ => None,
     };
-    let (keep, drop) = body.iter().enumerate().find_map(|(i, atom)| {
+    body.iter().enumerate().find_map(|(i, atom)| {
         let (a, class) = member(atom)?;
         body[i + 1..]
             .iter()
             .filter_map(member)
             .filter(|&(b, c)| c == class && b != a)
             .find_map(|(b, _)| mergeable(class, a, b))
-    })?;
-    Some((keep.clone(), drop.clone()))
+    })
 }
 
 /// Is `a.p` known to equal `b.p` in the body — either directly
 /// (`a.p = b.p`) or through a shared variable or constant
 /// (`a.p = N, b.p = N`)? `at(t, v)` says whether term `t` is `v.p`.
-fn paths_equated(body: &[Atom], a: &str, b: &str, at: impl Fn(&Term, &str) -> bool) -> bool {
+fn paths_equated(body: &[Atom], a: Var, b: Var, at: impl Fn(&Term, Var) -> bool) -> bool {
     // The other side of every equality with `v.p` on one side.
     let others = |v| {
         let at = &at;
@@ -343,7 +345,7 @@ fn paths_equated(body: &[Atom], a: &str, b: &str, at: impl Fn(&Term, &str) -> bo
 
 /// Whether `term` is a projection `var.p` of at least one label, where
 /// `labels` lists `p` outermost first: `Y.a.b` is `Y` with `[b, a]`.
-fn is_projection<'l>(term: &Term, var: &str, mut labels: impl Iterator<Item = &'l Label>) -> bool {
+fn is_projection<'l>(term: &Term, var: Var, mut labels: impl Iterator<Item = &'l Label>) -> bool {
     let mut term = term;
     let mut projected = false;
     loop {
@@ -352,7 +354,7 @@ fn is_projection<'l>(term: &Term, var: &str, mut labels: impl Iterator<Item = &'
                 term = base;
                 projected = true;
             }
-            Term::Var(v) => return projected && v == var && labels.next().is_none(),
+            Term::Var(v) => return projected && *v == var && labels.next().is_none(),
             _ => return false,
         }
     }
@@ -372,10 +374,10 @@ fn labels(term: &Term) -> impl Iterator<Item = &Label> {
 
 /// The variable a projection chain starts from: `Y` for `Y.a.b`, `None` for
 /// a term that is not a projection off a variable.
-fn projected_var(term: &Term) -> Option<&Var> {
+fn projected_var(term: &Term) -> Option<Var> {
     match term {
         Term::Proj(base, _) => match &**base {
-            Term::Var(v) => Some(v),
+            Term::Var(v) => Some(*v),
             base => projected_var(base),
         },
         _ => None,
@@ -385,20 +387,20 @@ fn projected_var(term: &Term) -> Option<&Var> {
 /// Whether member `z` is a witness for member `y` of its class: every use
 /// of `z` in the clause's body and head, other than a membership in that
 /// class, is a projection `z.p` equated with `y.p`.
-fn is_witness(clause: &NormalClause, z: &str, y: &str) -> bool {
+fn is_witness(clause: &NormalClause, z: Var, y: Var) -> bool {
     let covered = |projection: &Term| {
         paths_equated(&clause.body, z, y, |t, v| {
             is_projection(t, v, labels(projection))
         })
     };
     let body_covered = clause.body.iter().all(|atom| match atom {
-        Atom::Member(Term::Var(v), _) if v == y => true,
-        Atom::Member(Term::Var(v), class) if v == z => {
+        Atom::Member(Term::Var(v), _) if *v == y => true,
+        Atom::Member(Term::Var(v), class) if *v == z => {
             // A membership of `z` in `y`'s class.
             clause
                 .body
                 .iter()
-                .any(|a| matches!(a, Atom::Member(Term::Var(w), c) if w == y && c == class))
+                .any(|a| matches!(a, Atom::Member(Term::Var(w), c) if *w == y && c == class))
         }
         Atom::Member(t, _) => uses_covered(t, z, &covered),
         Atom::Eq(s, t) | Atom::Neq(s, t) | Atom::Lt(s, t) | Atom::Leq(s, t) | Atom::InSet(s, t) => {
@@ -416,9 +418,9 @@ fn is_witness(clause: &NormalClause, z: &str, y: &str) -> bool {
 
 /// Whether every use of `z` in `term` is a projection `z.p` that `covered`
 /// accepts.
-fn uses_covered(term: &Term, z: &str, covered: &impl Fn(&Term) -> bool) -> bool {
+fn uses_covered(term: &Term, z: Var, covered: &impl Fn(&Term) -> bool) -> bool {
     match term {
-        Term::Var(v) => v != z,
+        Term::Var(v) => *v != z,
         Term::Const(_) => true,
         Term::Proj(base, _) => match projected_var(term) {
             Some(v) if v == z => covered(term),

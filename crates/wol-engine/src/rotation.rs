@@ -31,21 +31,21 @@
 
 use std::sync::Arc;
 
-use wol_model::{BatchDelta, ClassName, ScanRestriction};
+use wol_model::{BatchDelta, ClassName, ScanRestriction, Var};
 
 /// One scanned variable of a query. The maintainer lists a query's slots in
 /// variable-name order, the order of its row key.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Slot {
     /// The row variable the scan binds.
-    pub var: String,
+    pub var: Var,
     /// The class whose extent it scans.
     pub class: ClassName,
 }
 
 impl Slot {
     /// Convenience constructor.
-    pub fn new(var: impl Into<String>, class: impl Into<ClassName>) -> Slot {
+    pub fn new(var: impl Into<Var>, class: impl Into<ClassName>) -> Slot {
         Slot {
             var: var.into(),
             class: class.into(),
@@ -59,7 +59,7 @@ impl Slot {
 #[derive(Clone, Debug)]
 pub struct Rotation {
     /// Per-variable scan restrictions.
-    pub restrictions: Vec<(String, ScanRestriction)>,
+    pub restrictions: Vec<(Var, ScanRestriction)>,
 }
 
 /// Compute the rotation schedule for a query over a mutated source.
@@ -87,11 +87,11 @@ pub fn delta_rotations(slots: &[Slot], delta: &BatchDelta) -> Vec<Rotation> {
         let Some(pivot) = &changed[i] else {
             continue;
         };
-        let mut restrictions = vec![(slot.var.clone(), ScanRestriction::Only(Arc::clone(pivot)))];
+        let mut restrictions = vec![(slot.var, ScanRestriction::Only(Arc::clone(pivot)))];
         for (later, delta) in slots.iter().zip(&changed).skip(i + 1) {
             if let Some(delta) = delta {
                 let except = ScanRestriction::Except(Arc::clone(delta));
-                restrictions.push((later.var.clone(), except));
+                restrictions.push((later.var, except));
             }
         }
         rotations.push(Rotation { restrictions });
@@ -199,16 +199,16 @@ mod tests {
         // Δ, the very set its own rotation pins; an earlier one is free.
         let delta_a = Arc::new(delta.class(&a).unwrap().changed());
         let delta_b = Arc::new(delta.class(&b).unwrap().changed());
-        let shapes: Vec<Vec<(String, ScanRestriction)>> =
+        let shapes: Vec<Vec<(Var, ScanRestriction)>> =
             rotations.iter().map(|r| r.restrictions.clone()).collect();
         assert_eq!(
             shapes,
             vec![
                 vec![
-                    ("X".to_string(), ScanRestriction::Only(delta_a)),
-                    ("Y".to_string(), ScanRestriction::Except(delta_b.clone())),
+                    (Var::new("X"), ScanRestriction::Only(delta_a)),
+                    (Var::new("Y"), ScanRestriction::Except(delta_b.clone())),
                 ],
-                vec![("Y".to_string(), ScanRestriction::Only(delta_b))],
+                vec![(Var::new("Y"), ScanRestriction::Only(delta_b))],
             ]
         );
         // Every pair with at least one new identity, exactly once.

@@ -37,7 +37,7 @@ impl FreshVars {
 
     /// Produce a fresh variable name.
     pub(crate) fn fresh(&mut self) -> Var {
-        let v = format!("_snf{}", self.counter);
+        let v = Var::format(format_args!("_snf{}", self.counter));
         self.counter += 1;
         v
     }
@@ -56,7 +56,7 @@ fn flatten_term(term: &Term, fresh: &mut FreshVars, out: &mut Vec<Atom>) -> Term
             let base_simple = flatten_to_var(base, fresh, out);
             let v = fresh.fresh();
             out.push(Atom::Eq(
-                Term::Var(v.clone()),
+                Term::Var(v),
                 Term::Proj(Box::new(base_simple), label.clone()),
             ));
             Term::Var(v)
@@ -69,7 +69,7 @@ fn flatten_term(term: &Term, fresh: &mut FreshVars, out: &mut Vec<Atom>) -> Term
             };
             let v = fresh.fresh();
             out.push(Atom::Eq(
-                Term::Var(v.clone()),
+                Term::Var(v),
                 Term::Variant(label.clone(), Box::new(payload_simple)),
             ));
             Term::Var(v)
@@ -80,7 +80,7 @@ fn flatten_term(term: &Term, fresh: &mut FreshVars, out: &mut Vec<Atom>) -> Term
                 .map(|(l, t)| (l.clone(), flatten_term(t, fresh, out)))
                 .collect();
             let v = fresh.fresh();
-            out.push(Atom::Eq(Term::Var(v.clone()), Term::Record(flat_fields)));
+            out.push(Atom::Eq(Term::Var(v), Term::Record(flat_fields)));
             Term::Var(v)
         }
         Term::Skolem(class, args) => {
@@ -96,7 +96,7 @@ fn flatten_term(term: &Term, fresh: &mut FreshVars, out: &mut Vec<Atom>) -> Term
             };
             let v = fresh.fresh();
             out.push(Atom::Eq(
-                Term::Var(v.clone()),
+                Term::Var(v),
                 Term::Skolem(class.clone(), flat_args),
             ));
             Term::Var(v)

@@ -2,10 +2,8 @@
 
 use std::collections::BTreeSet;
 
+pub use wol_model::Var;
 use wol_model::{ClassName, Label, Value};
-
-/// A logical variable.
-pub type Var = String;
 
 /// An identifier for a clause within a program (its index plus an optional
 /// user-supplied label such as `"T1"` or `"C3"`).
@@ -171,7 +169,7 @@ impl Term {
     /// Collect the free variables of the term.
     pub(crate) fn variables(&self, out: &mut BTreeSet<Var>) {
         self.all_vars(&mut |v| {
-            out.insert(v.clone());
+            out.insert(*v);
             true
         });
     }
@@ -198,10 +196,10 @@ impl Term {
         }
     }
 
-    /// Apply a variable renaming / substitution of variables by terms.
-    pub fn substitute(&self, subst: &std::collections::BTreeMap<Var, Term>) -> Term {
+    /// Replace each variable `subst` maps to a term; the others stay.
+    pub fn substitute(&self, subst: &mut impl FnMut(Var) -> Option<Term>) -> Term {
         match self {
-            Term::Var(v) => subst.get(v).cloned().unwrap_or_else(|| self.clone()),
+            Term::Var(v) => subst(*v).unwrap_or_else(|| self.clone()),
             Term::Const(_) => self.clone(),
             Term::Proj(t, l) => Term::Proj(Box::new(t.substitute(subst)), l.clone()),
             Term::Record(fields) => Term::Record(
@@ -268,7 +266,7 @@ impl Atom {
     }
 
     /// Apply a substitution to both sides of the atom.
-    pub fn substitute(&self, subst: &std::collections::BTreeMap<Var, Term>) -> Atom {
+    pub fn substitute(&self, subst: &mut impl FnMut(Var) -> Option<Term>) -> Atom {
         match self {
             Atom::Member(t, c) => Atom::Member(t.substitute(subst), c.clone()),
             Atom::Eq(s, t) => Atom::Eq(s.substitute(subst), t.substitute(subst)),
@@ -398,7 +396,7 @@ impl Clause {
     }
 
     /// Apply a substitution to every atom of the clause.
-    pub(crate) fn substitute(&self, subst: &std::collections::BTreeMap<Var, Term>) -> Clause {
+    pub(crate) fn substitute(&self, subst: &mut impl FnMut(Var) -> Option<Term>) -> Clause {
         Clause {
             head: self.head.iter().map(|a| a.substitute(subst)).collect(),
             body: self.body.iter().map(|a| a.substitute(subst)).collect(),
@@ -408,16 +406,8 @@ impl Clause {
 
     /// Rename every variable by applying `f`; used to give clauses disjoint
     /// variable names before unification.
-    pub fn rename_vars(&self, f: impl Fn(&Var) -> Var) -> Clause {
-        let subst: std::collections::BTreeMap<Var, Term> = self
-            .variables()
-            .into_iter()
-            .map(|v| {
-                let renamed = f(&v);
-                (v, Term::Var(renamed))
-            })
-            .collect();
-        self.substitute(&subst)
+    pub fn rename_vars(&self, f: impl Fn(Var) -> Var) -> Clause {
+        self.substitute(&mut |v| Some(Term::Var(f(v))))
     }
 
     /// Total number of atoms.
@@ -505,8 +495,7 @@ mod tests {
     #[test]
     fn substitution_replaces_variables() {
         let c = clause_c1();
-        let subst = std::collections::BTreeMap::from([("X".to_string(), Term::var("City7"))]);
-        let renamed = c.substitute(&subst);
+        let renamed = c.substitute(&mut |v| (v == "X").then(|| Term::var("City7")));
         assert!(renamed.variables().contains("City7"));
         assert!(!renamed.variables().contains("X"));
         assert!(renamed.variables().contains("Y"));
@@ -515,10 +504,47 @@ mod tests {
     #[test]
     fn rename_vars_prefixes() {
         let c = clause_c1();
-        let renamed = c.rename_vars(|v| format!("c1_{v}"));
+        let renamed = c.rename_vars(|v| Var::format(format_args!("c1_{v}")));
         assert!(renamed.variables().contains("c1_X"));
         assert!(renamed.variables().contains("c1_Y"));
         assert_eq!(renamed.variables().len(), 2);
+    }
+
+    /// Variables interned in reverse text order still sort, and iterate in
+    /// sets and maps, by their text.
+    #[test]
+    fn variables_order_by_text_whatever_the_interning_order() {
+        let names = [
+            "var_order_z9",
+            "var_order_b",
+            "var_order_a10",
+            "var_order_a1",
+        ];
+        let vars: Vec<Var> = names.iter().map(|&n| Var::new(n)).collect();
+        let mut sorted = names;
+        sorted.sort_unstable();
+        let by_var: BTreeSet<Var> = vars.iter().copied().collect();
+        assert!(by_var.iter().map(Var::as_str).eq(sorted));
+        assert_eq!(Var::new("x").cmp(&Var::new("x")), std::cmp::Ordering::Equal);
+        assert_eq!(Var::new("c10_V") < Var::new("c1_V"), "c10_V" < "c1_V");
+        // One text, one pointer: a name built again is the name interned.
+        let built = Var::format(format_args!("var_order_{}{}", "a", 10));
+        assert!(std::ptr::eq(built.as_str(), vars[2].as_str()));
+        assert_eq!(built, vars[2]);
+    }
+
+    /// A variable hashes as its text, so a hash set of variables answers
+    /// lookups by string slice.
+    #[test]
+    fn variables_hash_as_their_text() {
+        use std::collections::HashSet;
+        use std::hash::{BuildHasher, RandomState};
+        let state = RandomState::new();
+        for name in ["X", "c0_S", "u12_c3_V7", ""] {
+            assert_eq!(state.hash_one(Var::new(name)), state.hash_one(name));
+        }
+        let set: HashSet<Var> = ["N", "S"].map(Var::new).into();
+        assert!(set.contains("N") && set.contains("S") && !set.contains("X"));
     }
 
     #[test]
@@ -552,10 +578,10 @@ mod tests {
     fn atom_size_and_substitute() {
         let a = Atom::Lt(Term::var("X"), Term::var("Y").proj("population"));
         assert_eq!(a.size(), 1 + 1 + 2);
-        let subst = std::collections::BTreeMap::from([("X".to_string(), Term::int(3))]);
-        let b = a.substitute(&subst);
+        let mut subst = |v: Var| (v == "X").then(|| Term::int(3));
+        let b = a.substitute(&mut subst);
         assert_eq!(b, Atom::Lt(Term::int(3), Term::var("Y").proj("population")));
-        let c = Atom::InSet(Term::var("X"), Term::var("S")).substitute(&subst);
+        let c = Atom::InSet(Term::var("X"), Term::var("S")).substitute(&mut subst);
         assert_eq!(c, Atom::InSet(Term::int(3), Term::var("S")));
     }
 }

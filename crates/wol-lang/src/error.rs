@@ -31,7 +31,7 @@ pub enum LangError {
         /// Clause identifier (index or label) the error refers to.
         clause: String,
         /// The variables that could not be bound.
-        unbound: Vec<String>,
+        unbound: Vec<crate::ast::Var>,
     },
     /// A schema required by the program is missing or inconsistent.
     Schema(String),

@@ -242,7 +242,7 @@ impl Parser {
                 }
                 // Otherwise a plain variable.
                 self.bump();
-                Ok(Term::Var(name))
+                Ok(Term::var(name))
             }
             Token::Str(s) => {
                 self.bump();

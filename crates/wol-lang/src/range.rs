@@ -54,7 +54,7 @@ impl RangeReport {
 fn invertible_vars(term: &Term, out: &mut BTreeSet<Var>) {
     match term {
         Term::Var(v) => {
-            out.insert(v.clone());
+            out.insert(*v);
         }
         Term::Const(_) => {}
         // Projections are not invertible: knowing `X.a` does not determine `X`.
@@ -146,7 +146,7 @@ pub fn check_range_restricted(clause: &Clause) -> Result<RangeReport> {
                 .label
                 .clone()
                 .unwrap_or_else(|| "<unlabelled>".to_string()),
-            unbound: report.unbound.iter().cloned().collect(),
+            unbound: report.unbound.iter().copied().collect(),
         })
     }
 }

@@ -15,12 +15,12 @@ use std::collections::BTreeMap;
 
 use wol_model::{BaseType, ClassName, Schema, Type, Value};
 
-use crate::ast::{Atom, Clause, Term};
+use crate::ast::{Atom, Clause, Term, Var};
 use crate::error::LangError;
 use crate::Result;
 
 /// A typing of the variables of a clause.
-pub type TypeEnv = BTreeMap<String, Type>;
+pub type TypeEnv = BTreeMap<Var, Type>;
 
 /// Look up a class's value type across several schemas (WOL clauses may span
 /// one or more source databases plus the target database).
@@ -69,8 +69,8 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn bind(&mut self, var: &str, ty: &Type) -> Result<()> {
-        match self.env.get(var) {
+    fn bind(&mut self, var: Var, ty: &Type) -> Result<()> {
+        match self.env.get(&var) {
             Some(existing) => {
                 if !compatible(existing, ty) {
                     return Err(self.error(format!(
@@ -82,7 +82,7 @@ impl<'a> Checker<'a> {
                 Ok(())
             }
             None => {
-                self.env.insert(var.to_string(), ty.clone());
+                self.env.insert(var, ty.clone());
                 self.changed = true;
                 Ok(())
             }
@@ -158,7 +158,7 @@ impl<'a> Checker<'a> {
             return self.check_against(term, inner);
         }
         match term {
-            Term::Var(v) => self.bind(v, expected),
+            Term::Var(v) => self.bind(*v, expected),
             Term::Const(value) => match type_of_const(value) {
                 Some(actual) if compatible(&actual, expected) => Ok(()),
                 Some(actual) => Err(self.error(format!(
@@ -636,7 +636,7 @@ mod tests {
         assert_eq!(env["X"], Type::class("Wide"));
         for i in 0..48 {
             let want = if i % 2 == 0 { Type::int() } else { Type::str() };
-            assert_eq!(env[&format!("V{i}")], want, "V{i}");
+            assert_eq!(env[format!("V{i}").as_str()], want, "V{i}");
         }
     }
 

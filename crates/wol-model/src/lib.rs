@@ -85,7 +85,7 @@ pub use oid::Oid;
 pub use parallel::{chunk_ranges, Job, Parallelism, WorkerPool};
 pub use path::Path;
 pub use schema::Schema;
-pub use types::{interner_lookups, BaseType, ClassName, Label, Type};
+pub use types::{interner_lookups, BaseType, ClassName, Label, Type, Var};
 pub use values::{Fields, PushOp, RealVal, Record, SharedValue, Value, ValueRef};
 
 /// Crate-wide result alias.

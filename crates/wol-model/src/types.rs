@@ -7,7 +7,7 @@
 //!
 //! Class names and the labels of values are schema vocabulary, not data:
 //! both are pointers into one process-wide interner ([`ClassName`],
-//! [`Label`]). A name is interned where the vocabulary is read — a program,
+//! [`Label`]), as are the variables of programs and plans ([`Var`]). A name is interned where the vocabulary is read — a program,
 //! a provider's `open`, an expression's lowering, a decoder's first sight of
 //! it — and copied as a pointer from then on. No per-row path interns (see
 //! [`crate::values`] for the record side of that rule); [`interner_lookups`]
@@ -58,14 +58,15 @@ impl ClassName {
 /// Lookups made in the interner since the process started.
 static LOOKUPS: AtomicU64 = AtomicU64::new(0);
 
-/// How many times the process-wide interner behind [`ClassName::new`] and
-/// [`Label::new`] has been consulted. A counter, not a clock: a path that
+/// How many times the process-wide interner behind [`ClassName::new`],
+/// [`Label::new`] and [`Var::new`] has been consulted. A counter, not a clock: a path that
 /// resolves its names once reads the same count at any row count.
 pub fn interner_lookups() -> u64 {
     LOOKUPS.load(AtomicOrdering::Relaxed)
 }
 
-/// The process-wide interner behind [`ClassName::new`] and [`Label::new`].
+/// The process-wide interner behind [`ClassName::new`], [`Label::new`] and
+/// [`Var::new`].
 fn intern(name: &str) -> &'static str {
     static NAMES: OnceLock<RwLock<HashSet<&'static str>>> = OnceLock::new();
     LOOKUPS.fetch_add(1, AtomicOrdering::Relaxed);
@@ -266,6 +267,147 @@ impl PartialEq<String> for Label {
 impl PartialEq<Label> for String {
     fn eq(&self, other: &Label) -> bool {
         self == other.0
+    }
+}
+
+/// A logical variable of a program, a normal form or a plan.
+///
+/// A variable is interned on the same process-wide interner as [`Label`]
+/// and [`ClassName`], and is `Copy`: copying one copies a pointer, and
+/// equality compares pointers. Ordering and hashing follow the *text*, so
+/// sets and maps of variables iterate, and every clause and plan renders,
+/// exactly as over plain strings. A variable dereferences to `str` and
+/// compares with string slices.
+///
+/// Only the parser, renaming and generated names intern ([`Var::new`],
+/// [`Var::format`]); everything downstream copies the pointer.
+#[derive(Clone, Copy)]
+pub struct Var(&'static str);
+
+impl Var {
+    /// Create (or look up) a variable.
+    pub fn new(name: impl AsRef<str>) -> Self {
+        Var(intern(name.as_ref()))
+    }
+
+    /// The variable whose name `args` formats to, built in one reused
+    /// per-thread buffer: a name already interned costs a lookup, not an
+    /// allocation. Formatting `args` must not build a variable itself.
+    pub fn format(args: fmt::Arguments<'_>) -> Self {
+        use std::cell::RefCell;
+        use std::fmt::Write;
+        thread_local! {
+            static BUFFER: RefCell<String> = const { RefCell::new(String::new()) };
+        }
+        BUFFER.with(|buffer| {
+            let mut buffer = buffer.borrow_mut();
+            buffer.clear();
+            // Writing into a `String` cannot fail.
+            let _ = buffer.write_fmt(args);
+            Var::new(buffer.as_str())
+        })
+    }
+
+    /// The variable's name as a string slice.
+    pub fn as_str(&self) -> &'static str {
+        self.0
+    }
+}
+
+impl PartialEq for Var {
+    /// Interned variables are equal exactly when they are the same pointer.
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self.0, other.0)
+    }
+}
+
+impl Eq for Var {}
+
+impl PartialOrd for Var {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Var {
+    fn cmp(&self, other: &Self) -> Ordering {
+        interned_cmp(self.0, other.0)
+    }
+}
+
+impl Hash for Var {
+    /// Hashes as its text does, so `Borrow<str>` lookups agree.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+impl Deref for Var {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.0
+    }
+}
+
+impl AsRef<str> for Var {
+    fn as_ref(&self) -> &str {
+        self.0
+    }
+}
+
+impl Borrow<str> for Var {
+    fn borrow(&self) -> &str {
+        self.0
+    }
+}
+
+impl fmt::Display for Var {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+impl fmt::Debug for Var {
+    /// Quoted, as the text debug-prints.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.0, f)
+    }
+}
+
+impl From<&str> for Var {
+    fn from(s: &str) -> Self {
+        Var::new(s)
+    }
+}
+
+impl From<String> for Var {
+    fn from(s: String) -> Self {
+        Var::new(s)
+    }
+}
+
+impl From<&String> for Var {
+    fn from(s: &String) -> Self {
+        Var::new(s)
+    }
+}
+
+impl PartialEq<str> for Var {
+    fn eq(&self, other: &str) -> bool {
+        self.0 == other
+    }
+}
+
+impl PartialEq<&str> for Var {
+    fn eq(&self, other: &&str) -> bool {
+        self.0 == *other
+    }
+}
+
+impl PartialEq<String> for Var {
+    fn eq(&self, other: &String) -> bool {
+        self.0 == other
     }
 }
 

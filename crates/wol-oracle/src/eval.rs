@@ -15,18 +15,15 @@ use std::collections::BTreeMap;
 
 use cpl::expr::EvalCtx;
 use cpl::{CplError, Expr, Result};
-use wol_model::Value;
+use wol_model::{Value, Var};
 
 /// A named row: each variable's value under its name.
-type Row = BTreeMap<String, Value>;
+type Row = BTreeMap<Var, Value>;
 
 /// Evaluate a value expression against a named row; a comparison is no value.
 pub fn eval(expr: &Expr, row: &Row, ctx: &mut EvalCtx<'_>) -> Result<Value> {
     match expr {
-        Expr::Var(v) => row
-            .get(v)
-            .cloned()
-            .ok_or_else(|| CplError::UnknownVariable(v.clone())),
+        Expr::Var(v) => row.get(v).cloned().ok_or(CplError::UnknownVariable(*v)),
         Expr::Const(value) => Ok(value.clone()),
         Expr::Proj(base, label) => {
             let base_value = eval(base, row, ctx)?;
@@ -250,7 +247,7 @@ mod tests {
             record(&mut rng, &bs)
         };
         // A layout out of name order, so slots are not the named row's order.
-        let layout = ["Z", "X", "Y"].map(String::from);
+        let layout = ["Z", "X", "Y"].map(Var::new);
         let x = rng.pick(&xs).clone();
         let b = rng.pick(&bs).clone();
         let y = rng.pick(&[b, dangling]).clone();

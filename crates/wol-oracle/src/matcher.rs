@@ -33,7 +33,7 @@ fn match_pattern(
     ) -> bool {
         match (pattern, value) {
             (Term::Var(var), _) if !bindings.contains_key(var) => {
-                bindings.insert(var.clone(), value.clone());
+                bindings.insert(*var, value.clone());
                 true
             }
             (Term::Record(fields), Value::Record(actual)) => fields.iter().all(|(label, sub)| {

@@ -282,3 +282,58 @@ fn a_body_comparison_reads_a_bad_value_as_false_everywhere() {
         }
     }
 }
+
+/// The two `member` shapes the CPL translator cannot run yet (ROADMAP item
+/// 14) are refused by name: each error names the clause and renders the
+/// atom it rejects — the unnesting body atom as the clause's normal form
+/// spells it (the clause's `c0_` names), the set-building head atom as
+/// written. The naive semantics runs both.
+#[test]
+fn translator_rejections_name_the_clause_and_the_atom() {
+    use wol_repro::wol_lang::program::{Program, SchemaBinding};
+    use wol_repro::wol_model::{Instance, Schema, Type};
+
+    let named_set = || Type::record([("name", Type::str()), ("aliases", Type::set(Type::str()))]);
+    let source_schema = Schema::new("src").with_class("MarkerS", named_set());
+    let target = Schema::new("tgt")
+        .with_class("AliasT", Type::record([("name", Type::str())]))
+        .with_class("MarkerT", named_set());
+    let mut source = Instance::new("src");
+    for (name, aliases) in [("m1", ["a", "b"]), ("m2", ["b", "c"])] {
+        let aliases = Value::set(aliases.map(Value::str));
+        let marker = Value::record([("name", Value::str(name)), ("aliases", aliases)]);
+        source.insert_fresh(&ClassName::new("MarkerS"), marker);
+    }
+    let cases = [
+        (
+            "UN: X in AliasT, X.name = N <= S in MarkerS, N member S.aliases;\n\
+             KA: X = Mk_AliasT(N) <= X in AliasT, N = X.name;",
+            "UN",
+            "c0_N member c0_S.aliases",
+        ),
+        (
+            "SET: X in MarkerT, X.name = S.name, A member X.aliases \
+                 <= S in MarkerS, A member S.aliases;\n\
+             KM: X = Mk_MarkerT(N) <= X in MarkerT, N = X.name;",
+            "SET",
+            "A member X.aliases",
+        ),
+    ];
+    for (text, label, atom) in cases {
+        let program = Program::new(
+            "member_shapes",
+            vec![SchemaBinding::new(source_schema.clone())],
+            SchemaBinding::new(target.clone()),
+        )
+        .with_text(text);
+        naive_transform(&program, &[&source][..], "tgt").unwrap_or_else(|e| panic!("{label}: {e}"));
+        let error = Morphase::new()
+            .transform(&program, &[&source])
+            .expect_err("the translator refuses a member atom")
+            .to_string();
+        assert!(
+            error.contains(label) && error.contains(&format!("`{atom}`")),
+            "{label}: {error}"
+        );
+    }
+}

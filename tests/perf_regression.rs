@@ -330,8 +330,8 @@ fn e10_columnar_scan_filter_is_at_least_3x_row_at_a_time() {
             Box::new(Expr::Const(Value::int(25_000_000))),
         ))
         .map(vec![
-            ("NAME".to_string(), Expr::var("M").proj("name")),
-            ("POS".to_string(), Expr::var("M").proj("position")),
+            ("NAME".into(), Expr::var("M").proj("name")),
+            ("POS".into(), Expr::var("M").proj("position")),
         ]);
     let run = |columnar: bool| -> (Vec<cpl::SlotRow>, Duration) {
         let mut ctx =

@@ -164,10 +164,9 @@ fn chain_join_raw_plan(k: usize, rotation: usize) -> Plan {
             Some(p) => p.cross(scan),
         });
     }
-    let mut plan = plan.expect("at least two scans").map(vec![(
-        "N".to_string(),
-        Expr::var(var_of(0)).proj("country"),
-    )]);
+    let mut plan = plan
+        .expect("at least two scans")
+        .map(vec![("N".into(), Expr::var(var_of(0)).proj("country"))]);
     let capital = Expr::var(var_of(0)).proj("is_capital");
     plan = plan.filter(capital.eq(Expr::Const(Value::bool(true))));
     for i in 1..k {
@@ -210,10 +209,9 @@ fn skew_chain_raw_plan(k: usize, rotation: usize) -> Plan {
     }
     // V0 is always a MarkerS scan; N goes through a Map definition so the
     // planner must inline it to see the first join edge.
-    let mut plan = plan.expect("at least two scans").map(vec![(
-        "N".to_string(),
-        Expr::var(var_of(0)).proj("clone_name"),
-    )]);
+    let mut plan = plan
+        .expect("at least two scans")
+        .map(vec![("N".into(), Expr::var(var_of(0)).proj("clone_name"))]);
     plan = plan.filter(Expr::Leq(
         Box::new(Expr::var(var_of(0)).proj("bin")),
         Box::new(Expr::Const(wol_repro::wol_model::Value::int(64))),
@@ -239,7 +237,7 @@ fn skew_chain_raw_plan(k: usize, rotation: usize) -> Plan {
 }
 
 /// A row with each slot under its plan layout's variable name.
-type NamedRow = std::collections::BTreeMap<String, Value>;
+type NamedRow = std::collections::BTreeMap<wol_repro::wol_model::Var, Value>;
 
 /// `cpl::run_slots` with each row's slots named by the plan's layout: the
 /// one place this suite names rows — the same rows in the same order, or the
@@ -253,7 +251,7 @@ fn named_rows(
     let rows = cpl::run_slots(plan, ctx, stats)?;
     Ok(rows
         .into_iter()
-        .map(|row| names.iter().cloned().zip(row).collect())
+        .map(|row| names.iter().copied().zip(row).collect())
         .collect())
 }
 
@@ -275,7 +273,7 @@ fn sorted_rows(plan: &Plan, refs: &[&wol_repro::wol_model::Instance]) -> Vec<Nam
 /// keys through factories of their own, which fold into the caller's.
 fn skolem_heavy_query(plan: &Plan) -> cpl::Query {
     let mapped = plan.clone().map(vec![(
-        "GRP".to_string(),
+        "GRP".into(),
         Expr::Skolem(
             ClassName::new("GroupT"),
             Box::new(Expr::var("V0").proj("clone_name")),
@@ -435,9 +433,9 @@ fn marker_tower_plan(bin_cut: i64, with_str_eq: bool, negate: bool) -> Plan {
         });
     }
     plan.map(vec![
-        ("V0".to_string(), Expr::var("M")),
-        ("NAME".to_string(), Expr::var("M").proj("name")),
-        ("BIN".to_string(), Expr::var("M").proj("bin")),
+        ("V0".into(), Expr::var("M")),
+        ("NAME".into(), Expr::var("M").proj("name")),
+        ("BIN".into(), Expr::var("M").proj("bin")),
     ])
 }
 
@@ -671,8 +669,8 @@ proptest! {
         // `Q` reads the optional `p`: the map drops the objects lacking it.
         let tower = |predicate: Expr| {
             Plan::scan("KindS", "M").filter(predicate).map(vec![
-                ("K".to_string(), Expr::var("M").proj("k")),
-                ("Q".to_string(), Expr::var("M").proj("p")),
+                ("K".into(), Expr::var("M").proj("k")),
+                ("Q".into(), Expr::var("M").proj("p")),
             ])
         };
         let check = |plan: &Plan, must_engage: bool| -> Result<Vec<NamedRow>, String> {
@@ -1029,7 +1027,7 @@ proptest! {
             .iter()
             .map(|(text, seed)| {
                 let initial: Bindings = seed
-                    .map(|var| (var.to_string(), Value::oid(first_country.clone())))
+                    .map(|var| (var.into(), Value::oid(first_country.clone())))
                     .into_iter()
                     .collect();
                 (text.to_string(), parse_clause(text).unwrap().body, initial, &source_only[..])
