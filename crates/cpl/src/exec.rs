@@ -11,11 +11,12 @@
 //! a **layout** ([`layout`]): a `Vec<Var>` of its rows' variables, ordered,
 //! each once. A [`wol_model::Var`] is an interned name, so a layout copies
 //! pointers, finding a name's slot compares pointers, and the executor
-//! interns nothing. Rows are [`SlotRow`]s in layout order. Before any row runs, every
-//! expression of the plan and of its inserts is lowered against the layout
-//! it reads ([`crate::expr::Lowered`], [`crate::expr::Predicate`]): an
-//! ill-formed plan is refused there, on every path, and no row is searched
-//! by name. Evaluation borrows instead of copying.
+//! interns nothing. Rows are [`SlotRow`]s in layout order. Before any row
+//! runs, every expression of the plan and of its inserts is lowered against
+//! the layout it reads ([`crate::expr::Lowered`],
+//! [`crate::expr::Predicate`]): an ill-formed plan is refused there, on
+//! every path, and no row is searched by name. Evaluation borrows instead of
+//! copying.
 //!
 //! ## Partitioned execution
 //!
@@ -551,13 +552,13 @@ fn scan_cardinality(plan: &Plan, ctx: &EvalCtx<'_>) -> Option<usize> {
 }
 
 /// The layout of a plan's rows: the variable each slot holds, as interned
-/// [`Var`]s. A scan has one
-/// slot; a `Map` binding overwrites its name's slot or appends one; a join
-/// is left ++ right, a name on both sides keeping the right value in the left
-/// slot; an index-probe join (the path an unrestricted run takes whenever
-/// `indexable_var` finds one) appends, or overwrites, the probed variable
-/// to the driving side's layout — and a delta-restricted run that drives
-/// from the other side writes into the same layout.
+/// [`Var`]s. A scan has one slot; a `Map` binding overwrites its name's slot
+/// or appends one; a join is left ++ right, a name on both sides keeping the
+/// right value in the left slot; an index-probe join (the path an
+/// unrestricted run takes whenever `indexable_var` finds one) appends, or
+/// overwrites, the probed variable to the driving side's layout — and a
+/// delta-restricted run that drives from the other side writes into the
+/// same layout.
 pub fn layout(plan: &Plan) -> Vec<Var> {
     let joined = |mut left: Vec<Var>, right: Vec<Var>| {
         for name in right {

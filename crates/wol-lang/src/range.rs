@@ -172,7 +172,7 @@ mod tests {
         let err = check_range_restricted(&c).unwrap_err();
         match err {
             LangError::RangeRestriction { unbound, .. } => {
-                assert_eq!(unbound, vec!["Y".to_string()])
+                assert_eq!(unbound, vec![Var::new("Y")])
             }
             other => panic!("expected range-restriction error, got {other:?}"),
         }

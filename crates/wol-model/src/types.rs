@@ -387,12 +387,6 @@ impl From<String> for Var {
     }
 }
 
-impl From<&String> for Var {
-    fn from(s: &String) -> Self {
-        Var::new(s)
-    }
-}
-
 impl PartialEq<str> for Var {
     fn eq(&self, other: &str) -> bool {
         self.0 == other
@@ -402,12 +396,6 @@ impl PartialEq<str> for Var {
 impl PartialEq<&str> for Var {
     fn eq(&self, other: &&str) -> bool {
         self.0 == *other
-    }
-}
-
-impl PartialEq<String> for Var {
-    fn eq(&self, other: &String) -> bool {
-        self.0 == other
     }
 }
 
