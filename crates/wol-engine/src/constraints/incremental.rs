@@ -437,7 +437,7 @@ fn plan_constraint(
             for (var, class) in body_members {
                 if let Some(d) = delta.class(class) {
                     for oid in d.changed() {
-                        seeds.push(((*var), oid));
+                        seeds.push((*var, oid));
                     }
                 }
             }
