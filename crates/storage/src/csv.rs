@@ -24,8 +24,8 @@
 //! fields may span lines), used by the federated scan provider to ingest
 //! large files chunk-at-a-time without materializing a [`Table`]. It reports
 //! each record's byte offset and can be re-seated there, so the provider
-//! records the offsets in its one validating pass (`decode_checked`) and
-//! later lexes only the records a scan keeps.
+//! records the offsets and lines in its one validating pass
+//! (`decode_checked`) and later lexes only the records a scan keeps.
 
 use wol_model::Value;
 
@@ -145,10 +145,6 @@ impl<'a> CsvReader<'a> {
     /// reported. Line numbers stay exact: the newlines in between are
     /// counted. An offset past the end or inside a character is an error.
     pub fn seek(&mut self, offset: usize) -> Result<()> {
-        let rest = self.text.get(offset..).ok_or_else(|| {
-            let found = "an offset past the end or inside a character";
-            StorageError::corrupt_at_offset(&self.source, offset as u64, "a record start", found)
-        })?;
         // Byte-wide sums over runs of ≤ 255 bytes cannot overflow and vectorise.
         let newlines = |from: usize, to: usize| -> usize {
             let bytes = self.text.as_bytes().get(from..to).unwrap_or_default();
@@ -156,7 +152,18 @@ impl<'a> CsvReader<'a> {
             bytes.chunks(255).map(|run| usize::from(count(run))).sum()
         };
         let here = self.position();
-        self.line = self.line + newlines(here, offset) - newlines(offset, here);
+        let line = self.line + newlines(here, offset) - newlines(offset, here);
+        self.seek_to(offset, line)
+    }
+
+    /// [`seek`](Self::seek) to a record start whose line is known — as the
+    /// validating pass reports them (`decode_checked`) — counting nothing.
+    pub(crate) fn seek_to(&mut self, offset: usize, line: usize) -> Result<()> {
+        let rest = self.text.get(offset..).ok_or_else(|| {
+            let found = "an offset past the end or inside a character";
+            StorageError::corrupt_at_offset(&self.source, offset as u64, "a record start", found)
+        })?;
+        self.line = line;
         self.chars = rest.chars();
         Ok(())
     }
@@ -287,7 +294,7 @@ pub fn parse_csv(name: &str, text: &str) -> Result<Table> {
 /// with its line number.
 pub fn parse_csv_from(name: &str, source: &str, text: &str) -> Result<Table> {
     let mut rows: Vec<Vec<Value>> = Vec::new();
-    let (names, types) = decode_checked(source, text, |_, row| rows.push(row))?;
+    let (names, types) = decode_checked(source, text, |_, _, row| rows.push(row))?;
     let columns = names
         .iter()
         .enumerate()
@@ -309,17 +316,18 @@ pub fn parse_csv_from(name: &str, source: &str, text: &str) -> Result<Table> {
 }
 
 /// The one validating pass, behind [`parse_csv_from`] and the scan provider:
-/// `each` gets every record's start offset and typed values, in file order;
-/// returns the column names and the types the first row fixed.
+/// `each` gets every record's start offset (blank lines before it
+/// included), the line that offset is on and the record's typed values, in
+/// file order; returns the column names and the types the first row fixed.
 pub(crate) fn decode_checked(
     source: &str,
     text: &str,
-    mut each: impl FnMut(usize, Vec<Value>),
+    mut each: impl FnMut(usize, usize, Vec<Value>),
 ) -> Result<(Vec<String>, Vec<Option<ColumnType>>)> {
     let mut reader = CsvReader::new(source, text)?;
     let names = reader.columns().to_vec();
     let mut types: Vec<Option<ColumnType>> = vec![None; names.len()];
-    let mut start = reader.position();
+    let mut start = (reader.position(), reader.line);
     while let Some(record) = reader.next_record()? {
         if record.fields.len() != names.len() {
             return Err(StorageError::corrupt_at_line(
@@ -347,8 +355,8 @@ pub(crate) fn decode_checked(
             }
             row.push(value);
         }
-        each(start, row);
-        start = reader.position();
+        each(start.0, start.1, row);
+        start = (reader.position(), reader.line);
     }
     Ok((names, types))
 }
@@ -624,5 +632,27 @@ mod tests {
         assert!(reader.seek(text.len() + 1).is_err());
         reader.seek(text.len()).unwrap();
         assert!(reader.next_record().unwrap().is_none());
+    }
+
+    /// The validating pass reports each record's start with the line it is
+    /// on, and seating a reader there with `seek_to` re-lexes the same record
+    /// on the line `next_record` gave it, in any order.
+    #[test]
+    fn validated_starts_re_seat_a_reader_without_recounting() {
+        let text = "k,v\r\n\"a\nb\",1\n\nc,2\n\"é\",3";
+        let mut starts = Vec::new();
+        decode_checked("t.csv", text, |offset, line, _| starts.push((offset, line))).unwrap();
+        let mut reader = CsvReader::new("t.csv", text).unwrap();
+        let mut records = Vec::new();
+        while let Some(record) = reader.next_record().unwrap() {
+            records.push((record.line, record.fields));
+        }
+        for i in [2, 0, 1, 2, 1] {
+            let (offset, line) = starts[i];
+            reader.seek_to(offset, line).unwrap();
+            let record = reader.next_record().unwrap().unwrap();
+            assert_eq!((record.line, record.fields), records[i]);
+        }
+        assert!(reader.seek_to(text.len() + 1, 1).is_err());
     }
 }

@@ -243,19 +243,21 @@ struct CsvClass {
     text: String,
     /// The header's names, interned once here.
     columns: Vec<Label>,
-    /// Start offset into `text` of every record, in file order.
-    offsets: Vec<usize>,
+    /// Start offset into `text` and 1-based line of every record, in file
+    /// order.
+    starts: Vec<(usize, usize)>,
     /// Per column, its lane if it is an Int or Bool column.
     lanes: Vec<Option<Lane>>,
 }
 
 /// A directory of `*.csv` files, one class per file (named by file stem),
 /// alphabetically ordered. Construction makes the one validating pass over
-/// each text, keeping the statistics, each record's offset and a typed lane
-/// per Int or Bool column. A scan evaluates pushed filters on laned columns
-/// from the lanes, lexes only the records passing them all (one reader,
-/// re-seated over the gaps), and evaluates string-column filters on those:
-/// an unfiltered scan reads the text sequentially, once.
+/// each text, keeping the statistics, each record's offset and line and a
+/// typed lane per Int or Bool column. A scan evaluates pushed filters on
+/// laned columns from the lanes, lexes only the records passing them all
+/// (one reader, re-seated over the gaps at the lines recorded, so nothing
+/// is recounted), and evaluates string-column filters on those: an
+/// unfiltered scan reads the text sequentially, once.
 pub struct CsvDirProvider {
     classes: Vec<CsvClass>,
 }
@@ -299,17 +301,17 @@ impl CsvDirProvider {
 
 impl CsvClass {
     /// The one validating pass over the text, keeping the statistics, the
-    /// record offsets and the lanes.
+    /// record starts and the lanes.
     fn build(name: &str, source: &str, text: String) -> Result<CsvClass> {
-        let mut offsets = Vec::new();
+        let mut starts = Vec::new();
         let mut lanes: Vec<Option<Lane>> = Vec::new();
         let mut distinct: Vec<BTreeSet<Value>> = Vec::new();
-        let (columns, _) = decode_checked(source, &text, |offset, row| {
-            if offsets.is_empty() {
+        let (columns, _) = decode_checked(source, &text, |offset, line, row| {
+            if starts.is_empty() {
                 lanes = row.iter().map(Lane::of).collect();
                 distinct = vec![BTreeSet::new(); row.len()];
             }
-            offsets.push(offset);
+            starts.push((offset, line));
             for ((value, lane), set) in row.into_iter().zip(&mut lanes).zip(&mut distinct) {
                 match (lane, &value) {
                     (Some(Lane::Int(lane)), Value::Int(i)) => lane.push(*i),
@@ -327,13 +329,13 @@ impl CsvClass {
         Ok(CsvClass {
             stats: ClassStats {
                 class: ClassName::new(name),
-                rows: offsets.len(),
+                rows: starts.len(),
                 ndvs,
             },
             source: source.to_string(),
             text,
             columns: columns.iter().map(Label::new).collect(),
-            offsets,
+            starts,
             lanes,
         })
     }
@@ -377,7 +379,7 @@ impl ScanProvider for CsvDirProvider {
         let mut reader = CsvReader::new(&c.source, &c.text)?;
         let mut summary = ScanSummary::default();
         let mut chunk = Vec::new();
-        for (row, &offset) in c.offsets.iter().enumerate() {
+        for (row, &(offset, line)) in c.starts.iter().enumerate() {
             summary.rows_in += 1;
             let keep =
                 |(lane, filter): &(&Lane, &PushedFilter)| filter.matches(lane.value(row).as_ref());
@@ -386,7 +388,7 @@ impl ScanProvider for CsvDirProvider {
             }
             // Having lexed record `row - 1`, the reader stands at `offset`.
             if reader.position() != offset {
-                reader.seek(offset)?;
+                reader.seek_to(offset, line)?;
             }
             let Some(record) = reader.next_record()? else {
                 let missing = format!("csv record at byte {offset} of `{class}`");

@@ -18,10 +18,33 @@
 //! * [`incremental`]: delta-restricted constraint checking for mutation
 //!   batches, on the calling thread, with auditable
 //!   [`ConstraintCertificate`](incremental::ConstraintCertificate)s.
+//!
+//! # Two ways to check a clause in full
+//!
+//! An instance satisfies a key iff distinct objects of the class carry
+//! distinct key values (Section 2.2), which the attribute index on the key's
+//! attributes answers by itself. So a full check of a key over plain
+//! attributes of one class, with nothing else in its body — a merge key
+//! `X = Y <= X in C, Y in C, X.a = Y.a, …` or a Skolem key
+//! `X = Mk_C(N, …) <= X in C, N = X.a, …` — walks the buckets of the
+//! `(C, a…)` index once and reads the objects sharing a key off it
+//! (`check_key_by_index`), where the matcher would join the extent with
+//! itself. It reports what the matcher's pass would: the same violations in
+//! binding order with the same `detail` and `oids`, and as `checked` the
+//! matcher's count of body bindings — Σ group size² for a merge key (each
+//! keyed object binds with every object sharing its key, itself included),
+//! one per keyed object for a Skolem key. An object lacking a key attribute
+//! binds nothing, and lies in no bucket.
+//!
+//! Everything else is one streaming pass of the matcher: existence and
+//! general constraints, a key through a reference (`X.user.email`), a
+//! conditional key (a further body atom), a merge key whose sides meet in a
+//! shared variable, a class whose objects several instances hold, and every
+//! check seeded with a changed object.
 
 pub(crate) mod incremental;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use wol_lang::ast::{Atom, Clause, SkolemArgs, Term, Var};
 use wol_model::{ClassName, Label, Oid, Path, SkolemFactory, Value};
@@ -323,7 +346,7 @@ pub(crate) fn clause_name(clause: &Clause) -> String {
 
 /// Check a single constraint clause against the given databases.
 pub fn check_constraint(clause: &Clause, dbs: &Databases<'_>) -> Result<Vec<Violation>> {
-    Ok(check_constraint_counted(clause, dbs, Bindings::new())?.0)
+    Ok(check_constraint_counted(clause, dbs, Bindings::new())?.violations)
 }
 
 /// A head equality with a Skolem side, `object = Mk_class(args)`: read as a
@@ -354,17 +377,77 @@ fn split_head(head: &[Atom]) -> (Vec<KeyAtom<'_>>, Vec<Atom>) {
     (key_atoms, witness_atoms)
 }
 
+/// What one constraint check found.
+pub(crate) struct Checked {
+    /// The violations, in binding order.
+    pub(crate) violations: Vec<Violation>,
+    /// Body bindings examined: the work metric constraint certificates
+    /// record.
+    pub(crate) bindings: u64,
+    /// Whether the attribute index answered the check rather than the
+    /// matcher (see [`check_key_by_index`]).
+    pub(crate) by_index: bool,
+}
+
 /// [`check_constraint`] restricted to the body bindings that extend
 /// `initial` — empty for the full check, `{var ↦ oid}` to examine one
-/// delta-touched object — also reporting how many body bindings were
-/// examined (the work metric recorded in constraint certificates).
+/// delta-touched object — also counting the body bindings examined.
 ///
-/// One streaming pass: body and witness atoms are each planned once, and a
-/// body binding is checked on the matcher's frame where its plan completes
-/// it. Witnesses are counted to the end, so an error matching them makes a
-/// violation; a Skolem key error fails the check after the body's last
-/// binding, so a body error takes precedence.
+/// A full check of a key over plain attributes is answered from the
+/// class's attribute index ([`check_key_by_index`]); every other check is
+/// one pass of the matcher ([`check_by_matching`]). The two agree on the
+/// violations, their order, `detail` and `oids`, and the count.
 pub(crate) fn check_constraint_counted(
+    clause: &Clause,
+    dbs: &Databases<'_>,
+    initial: Bindings,
+) -> Result<Checked> {
+    if initial.is_empty() {
+        if let Some(checked) = check_key_by_index(clause, dbs) {
+            return Ok(checked);
+        }
+    }
+    let (violations, bindings) = check_by_matching(clause, dbs, initial)?;
+    Ok(Checked {
+        violations,
+        bindings,
+        by_index: false,
+    })
+}
+
+/// The violation of a binding no head witness extends.
+fn no_witness(clause_name: &str, mut binding: Vec<(Var, &Value)>) -> Violation {
+    binding.sort_unstable_by_key(|(var, _)| *var);
+    Violation {
+        clause: clause_name.to_string(),
+        detail: format!("no head witness for binding {}", describe_binding(&binding)),
+        oids: oid_witnesses(binding.iter().map(|(_, v)| *v)),
+    }
+}
+
+/// The violation of a key value naming `object` after it named `previous`.
+fn two_objects(
+    clause_name: &str,
+    class: &ClassName,
+    key_value: &Value,
+    previous: &Value,
+    object: &Value,
+) -> Violation {
+    Violation {
+        clause: clause_name.to_string(),
+        detail: format!(
+            "key {key_value:?} of class `{class}` is associated with two distinct objects"
+        ),
+        oids: oid_witnesses([previous, object]),
+    }
+}
+
+/// The matcher's check: one streaming pass in which body and witness atoms
+/// are each planned once, and a body binding is checked on the matcher's
+/// frame where its plan completes it. Witnesses are counted to the end, so
+/// an error matching them makes a violation; a Skolem key error fails the
+/// check after the body's last binding, so a body error takes precedence.
+fn check_by_matching(
     clause: &Clause,
     dbs: &Databases<'_>,
     initial: Bindings,
@@ -413,13 +496,9 @@ pub(crate) fn check_constraint_counted(
             let maps = &mut keys[at].1;
             let known = match maps.key_to_obj.get(&key_value) {
                 Some((previous, _)) if previous != &object_value => {
-                    violations.push(Violation {
-                        clause: clause_name.clone(),
-                        detail: format!(
-                            "key {key_value:?} of class `{class}` is associated with two distinct objects"
-                        ),
-                        oids: oid_witnesses([previous, &object_value]),
-                    });
+                    let violation =
+                        two_objects(&clause_name, class, &key_value, previous, &object_value);
+                    violations.push(violation);
                     continue;
                 }
                 known => known.map(|(_, number)| *number),
@@ -453,17 +532,221 @@ pub(crate) fn check_constraint_counted(
             Ok(())
         });
         if matched.is_err() || witnesses == 0 {
-            let mut binding: Vec<_> = search.frame.0.iter().map(|(k, v)| (*k, &**v)).collect();
-            binding.sort_unstable_by_key(|(var, _)| *var);
-            violations.push(Violation {
-                clause: clause_name.clone(),
-                detail: format!("no head witness for binding {}", describe_binding(&binding)),
-                oids: oid_witnesses(binding.iter().map(|(_, v)| *v)),
-            });
+            let binding = search.frame.0.iter().map(|(k, v)| (*k, &**v)).collect();
+            violations.push(no_witness(&clause_name, binding));
         }
         Ok(())
     })?;
     key_error.map_or(Ok((violations, checked)), Err)
+}
+
+/// A key constraint over plain attributes of one class whose body holds
+/// nothing else: the shapes [`check_key_by_index`] answers. Each is a
+/// [`ConstraintClass::MergeKey`] or [`ConstraintClass::SkolemKey`] whose
+/// parts are single attributes; a part through a reference, a further body
+/// atom (which would make the key conditional) or a part bound through a
+/// variable the merge key shares between its sides stays with the matcher.
+enum IndexedKey<'c> {
+    /// `X = Y <= X in C, Y in C, X.a = Y.a, …`. The matcher scans `outer`,
+    /// the variable of the first member atom, and probes `inner`.
+    Merge {
+        class: &'c ClassName,
+        attrs: Vec<Label>,
+        outer: Var,
+        inner: Var,
+    },
+    /// `X = Mk_C(args) <= X in C, N = X.a, …`: every argument a variable
+    /// that one body equation reads off an attribute (`vars[i]` off
+    /// `attrs[i]`).
+    Skolem {
+        class: &'c ClassName,
+        attrs: Vec<Label>,
+        vars: Vec<Var>,
+        args: &'c SkolemArgs,
+    },
+}
+
+/// The variable and attribute of a one-step projection `V.a`.
+fn attr_of(term: &Term) -> Option<(Var, &Label)> {
+    match term {
+        Term::Proj(base, label) => match base.as_ref() {
+            Term::Var(var) => Some((*var, label)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+fn indexed_key(clause: &Clause) -> Option<IndexedKey<'_>> {
+    let [Atom::Eq(left, right)] = clause.head.as_slice() else {
+        return None;
+    };
+    match (left, right) {
+        (Term::Var(x), Term::Var(y)) if x != y => indexed_merge_key(*x, *y, &clause.body),
+        (Term::Var(object), Term::Skolem(class, args))
+        | (Term::Skolem(class, args), Term::Var(object)) => {
+            indexed_skolem_key(*object, class, args, &clause.body)
+        }
+        _ => None,
+    }
+}
+
+fn indexed_merge_key(x: Var, y: Var, body: &[Atom]) -> Option<IndexedKey<'_>> {
+    let mut members = Vec::new();
+    let mut attrs = Vec::new();
+    for atom in body {
+        match atom {
+            Atom::Member(Term::Var(var), class) => members.push((*var, class)),
+            Atom::Eq(s, t) => {
+                let ((u, a), (w, b)) = (attr_of(s)?, attr_of(t)?);
+                if a != b || !(u == x && w == y || u == y && w == x) {
+                    return None;
+                }
+                attrs.push(a.clone());
+            }
+            _ => return None,
+        }
+    }
+    let [(outer, class), (inner, other)] = members[..] else {
+        return None;
+    };
+    let sides = outer == x && inner == y || outer == y && inner == x;
+    (sides && class == other && !attrs.is_empty()).then_some(IndexedKey::Merge {
+        class,
+        attrs,
+        outer,
+        inner,
+    })
+}
+
+fn indexed_skolem_key<'c>(
+    object: Var,
+    class: &'c ClassName,
+    args: &'c SkolemArgs,
+    body: &'c [Atom],
+) -> Option<IndexedKey<'c>> {
+    let var_of = |term: &Term| match term {
+        Term::Var(var) if *var != object => Some(*var),
+        _ => None,
+    };
+    let arg_vars: Vec<Var> = match args {
+        SkolemArgs::Positional(terms) => terms.iter().map(var_of).collect::<Option<_>>()?,
+        // A repeated label would keep one of its values in the key record.
+        SkolemArgs::Named(fields) => {
+            let labels: BTreeSet<&Label> = fields.iter().map(|(label, _)| label).collect();
+            if labels.len() < fields.len() {
+                return None;
+            }
+            fields
+                .iter()
+                .map(|(_, t)| var_of(t))
+                .collect::<Option<_>>()?
+        }
+    };
+    let (mut member, mut vars, mut attrs) = (false, Vec::new(), Vec::new());
+    for atom in body {
+        match atom {
+            Atom::Member(Term::Var(var), c) if *var == object && c == class && !member => {
+                member = true;
+            }
+            Atom::Eq(Term::Var(var), proj) | Atom::Eq(proj, Term::Var(var)) => {
+                let (base, attr) = attr_of(proj)?;
+                if base != object || *var == object || vars.contains(var) {
+                    return None;
+                }
+                vars.push(*var);
+                attrs.push(attr.clone());
+            }
+            _ => return None,
+        }
+    }
+    let defined = |var: &Var| vars.contains(var);
+    let exact = arg_vars.iter().all(defined) && vars.iter().all(|v| arg_vars.contains(v));
+    (member && exact && !vars.is_empty()).then_some(IndexedKey::Skolem {
+        class,
+        attrs,
+        vars,
+        args,
+    })
+}
+
+/// The full check of a key over plain attributes (see [`IndexedKey`]),
+/// answered by one walk over the buckets of the class's attribute index on
+/// the key's attributes — the index key probes already maintain — instead
+/// of the matcher's pass over the extent. `None` for any other clause, and
+/// where several instances hold objects of the class.
+///
+/// It reproduces the matcher's pass exactly. The matcher binds only objects
+/// carrying every key attribute, and compares them structurally, as the
+/// index groups them.
+///
+/// * A merge key binds each keyed object once per object sharing its key,
+///   itself included (`checked` = Σ group size²), and every pair of two
+///   distinct objects lacks its witness: `outer` in extent order, `inner` in
+///   probe (ascending identity) order.
+/// * A Skolem key binds each keyed object once (`checked` = the keyed
+///   objects); the first object of a group claims the key and every later
+///   one, in extent order, is a second object for it.
+fn check_key_by_index(clause: &Clause, dbs: &Databases<'_>) -> Option<Checked> {
+    let key = indexed_key(clause)?;
+    let (class, attrs) = match &key {
+        IndexedKey::Merge { class, attrs, .. } | IndexedKey::Skolem { class, attrs, .. } => {
+            (*class, attrs)
+        }
+    };
+    let groups = dbs.key_groups(class, attrs)?;
+    let name = clause_name(clause);
+    let mut violations = Vec::new();
+    let bindings = match key {
+        IndexedKey::Merge { outer, inner, .. } => {
+            let mut members: Vec<(&Oid, &[Oid])> = groups
+                .shared
+                .iter()
+                .flat_map(|group| group.iter().map(move |oid| (oid, &group[..])))
+                .collect();
+            members.sort_unstable_by_key(|(oid, _)| *oid);
+            for (x, group) in members {
+                let x = Value::Oid(x.clone());
+                for y in group.iter().map(|y| Value::Oid(y.clone())) {
+                    if x != y {
+                        violations.push(no_witness(&name, vec![(outer, &x), (inner, &y)]));
+                    }
+                }
+            }
+            let shared = groups.shared.iter().map(Vec::len);
+            let extra: usize = shared.map(|n| n * n - n).sum();
+            (groups.keyed + extra) as u64
+        }
+        IndexedKey::Skolem {
+            attrs, vars, args, ..
+        } => {
+            let mut later: Vec<(&Oid, &Oid)> = groups
+                .shared
+                .iter()
+                .flat_map(|group| group[1..].iter().map(move |oid| (&group[0], oid)))
+                .collect();
+            later.sort_unstable_by_key(|(_, oid)| *oid);
+            let mut skolem = SkolemFactory::new();
+            for (first, oid) in later {
+                let record = dbs.value_of(oid)?;
+                let parts = attrs.iter().map(|attr| record.project(attr).cloned());
+                let frame: Bindings = vars
+                    .iter()
+                    .copied()
+                    .zip(parts.collect::<Option<Vec<_>>>()?)
+                    .collect();
+                let key_value = skolem_key(args, &frame, dbs, &mut skolem).ok()?;
+                let (first, oid) = (Value::Oid(first.clone()), Value::Oid(oid.clone()));
+                violations.push(two_objects(&name, class, &key_value, &first, &oid));
+            }
+            groups.keyed as u64
+        }
+    };
+    Some(Checked {
+        violations,
+        bindings,
+        by_index: true,
+    })
 }
 
 /// One class's Skolem key state across a check's bindings: the object each
@@ -755,6 +1038,49 @@ mod tests {
         inst.update(&phl, broken).unwrap();
         let dbs = Databases::new(&[&inst][..]);
         assert!(!check_constraint(&c1, &dbs).unwrap().is_empty());
+    }
+
+    /// The index answers keys over plain attributes of one class with
+    /// nothing else in the body, each a key `classify_constraint` reads;
+    /// their neighbours stay with the matcher.
+    #[test]
+    fn the_index_answers_keys_over_plain_attributes_only() {
+        let cases = [
+            ("X = Y <= X in C, Y in C, X.a = Y.a", true),
+            ("Y = X <= Y in C, X in C, X.a = Y.a, Y.b = X.b", true),
+            ("X = Mk_C(N) <= X in C, N = X.a", true),
+            ("Mk_C(a = N, b = M) = X <= X in C, M = X.b, X.a = N", true),
+            ("X = Mk_C(N, M, N) <= X in C, X.a = N, M = X.a", true),
+            // A key through a reference.
+            ("X = Y <= X in C, Y in C, X.a.b = Y.a.b", false),
+            ("X = Mk_C(N) <= X in C, N = X.a.b", false),
+            // Sides meeting in a shared variable.
+            ("X = Y <= X in C, Y in C, X.a = E, Y.a = E", false),
+            // Conditional keys: a further atom, a second member atom.
+            ("X = Y <= X in C, Y in C, X.a = Y.a, X.b = 1", false),
+            ("X = Y <= X in C, Y in C, X in D, X.a = Y.a", false),
+            ("X = Mk_C(N) <= X in C, N = X.a, M = X.b", false),
+            ("X = Mk_C(N) <= X in C, N = X.a, N = X.b", false),
+            // Not one class, or not a key.
+            ("X = Y <= X in C, Y in D, X.a = Y.a", false),
+            ("X = Y <= X in C, Y in C, X.a = Y.b", false),
+            ("X = Mk_D(N) <= X in C, N = X.a", false),
+            // An argument that is no variable: a missing attribute is an
+            // error there, not a missing binding.
+            ("X = Mk_C(X.a) <= X in C", false),
+            ("X = Mk_C() <= X in C", false),
+            // A repeated label keeps one of its values in the key.
+            ("X = Mk_C(a = N, a = M) <= X in C, N = X.a, M = X.b", false),
+        ];
+        for (text, answered) in cases {
+            let clause = parse_clause(text).unwrap();
+            assert_eq!(indexed_key(&clause).is_some(), answered, "{text}");
+            let key = matches!(
+                classify_constraint(&clause),
+                ConstraintClass::MergeKey { .. } | ConstraintClass::SkolemKey(_)
+            );
+            assert!(key || !answered, "{text}");
+        }
     }
 
     #[test]

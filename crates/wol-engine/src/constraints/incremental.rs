@@ -50,12 +50,20 @@
 //! "dirty" means its violation list is non-empty, so the two cannot disagree
 //! about what a missing head witness is.
 //!
-//! An escalation costs one full check: one streaming pass that checks each
-//! body binding on the matcher's frame and collects none. It is linear in
-//! the body bindings and allocates nothing per binding for a merge key or an
-//! existence constraint, so a refused batch pays about 3 ms for the 6,400
-//! bindings of the constrained workload's `S1` at scale 16 (2-vCPU box),
-//! against tens of microseconds for an accepted batch's delta detection.
+//! An escalation costs one full check, and so does each entry [`recheck`]
+//! replays. A key over plain attributes — the shapes a `KeyProbe` plan
+//! detects, Skolem keys and merge keys whose every part is one attribute,
+//! with nothing else in the body — is answered by one walk over the buckets
+//! of the same attribute index its detection probed (see the
+//! [`constraints`](super) module docs), with the matcher's violations and
+//! its count of body bindings as `checked` (Σ group size² for a merge key,
+//! one per keyed object for a Skolem key). Every other clause is one
+//! streaming pass that checks each body binding on the matcher's frame and
+//! collects none. For the constrained workload at scale 16 (2-vCPU box) a
+//! full check of `S1`'s 6,400 users takes about 0.023 ms from the index
+//! against 3.4 ms through the matcher, `S3`'s 6,400 accounts 0.025 ms
+//! against 5.4 ms, and `S2` (a general constraint, still matched) 3.0 ms.
+//! [`BatchCheck::index_answered`] counts the full checks the index answered.
 //!
 //! # Suspects
 //!
@@ -291,6 +299,10 @@ pub struct BatchCheck {
     pub violations: Vec<Violation>,
     /// The auditable per-constraint record.
     pub certificate: ConstraintCertificate,
+    /// Full checks the attribute index answered instead of the matcher (see
+    /// the module docs). Not part of the certificate, whose bytes are the
+    /// same either way.
+    pub index_answered: usize,
 }
 
 /// The outcome of replaying a certificate against a snapshot.
@@ -499,7 +511,9 @@ fn detect_seeded(dbs: &Databases<'_>, clause: &Clause, seeds: &[(Var, Oid)]) -> 
     for (var, oid) in seeds {
         out.checked += 1;
         let seed = Bindings::from([(*var, Value::Oid(oid.clone()))]);
-        out.dirty |= !check_constraint_counted(clause, dbs, seed)?.0.is_empty();
+        out.dirty |= !check_constraint_counted(clause, dbs, seed)?
+            .violations
+            .is_empty();
     }
     Ok(out)
 }
@@ -527,6 +541,7 @@ pub fn check_batch(
 ) -> Result<BatchCheck> {
     let mut entries = Vec::with_capacity(clauses.len());
     let mut violations = Vec::new();
+    let mut index_answered = 0;
     for (idx, clause) in clauses.iter().enumerate() {
         let plan = plan_constraint(idx, clause, delta, suspects);
         let detection = match &plan {
@@ -551,13 +566,14 @@ pub fn check_batch(
                 violations: Vec::new(),
             },
             Plan::KeyProbe { .. } | Plan::Seeded { .. } | Plan::Full => {
-                let (found, full_checked) = check_constraint_counted(clause, dbs, Bindings::new())?;
+                let full = check_constraint_counted(clause, dbs, Bindings::new())?;
+                index_answered += usize::from(full.by_index);
                 CertEntry {
                     constraint,
                     mode: CheckMode::Full,
-                    checked: detection.checked + full_checked,
+                    checked: detection.checked + full.bindings,
                     probes: detection.probes,
-                    violations: found,
+                    violations: full.violations,
                 }
             }
         };
@@ -567,6 +583,7 @@ pub fn check_batch(
     Ok(BatchCheck {
         violations,
         certificate: ConstraintCertificate { entries },
+        index_answered,
     })
 }
 
@@ -595,7 +612,7 @@ pub fn recheck(
                 entry.constraint
             )));
         }
-        let (found, _) = check_constraint_counted(clause, dbs, Bindings::new())?;
+        let found = check_constraint_counted(clause, dbs, Bindings::new())?.violations;
         if found != entry.violations {
             return Err(EngineError::Certificate(format!(
                 "constraint `{name}`: certificate records {} violation(s) but the snapshot \
@@ -882,14 +899,16 @@ mod tests {
                     continue;
                 };
                 seeded_plans += 1;
-                let (full, _) = check_constraint_counted(clause, &dbs, Bindings::new()).unwrap();
+                let full = check_constraint_counted(clause, &dbs, Bindings::new())
+                    .unwrap()
+                    .violations;
                 let mut dirty = false;
                 for oid in seeds.iter().map(|(_, oid)| oid).collect::<BTreeSet<_>>() {
                     let mut through_seeds = Vec::new();
                     for (var, _) in seeds.iter().filter(|(_, seed)| seed == oid) {
                         let seed = Bindings::from([(*var, Value::Oid(oid.clone()))]);
-                        through_seeds
-                            .extend(check_constraint_counted(clause, &dbs, seed).unwrap().0);
+                        let seeded = check_constraint_counted(clause, &dbs, seed).unwrap();
+                        through_seeds.extend(seeded.violations);
                     }
                     let in_full: Vec<&Violation> =
                         full.iter().filter(|v| v.oids.contains(oid)).collect();

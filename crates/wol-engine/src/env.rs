@@ -44,7 +44,9 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use wol_lang::ast::{Atom, SkolemArgs, Term, Var};
-use wol_model::{ClassName, Instance, Label, Oid, PushOp, SharedValue, SkolemFactory, Value};
+use wol_model::{
+    ClassName, Instance, KeyGroups, Label, Oid, PushOp, SharedValue, SkolemFactory, Value,
+};
 
 use crate::error::EngineError;
 use crate::Result;
@@ -91,6 +93,18 @@ impl<'a> Databases<'a> {
     ) {
         for instance in &self.instances {
             instance.lookup_by_attrs(class, attrs, values, found);
+        }
+    }
+
+    /// The objects of `class` grouped by their `attrs` values
+    /// ([`Instance::key_groups`]), or `None` when several instances hold
+    /// objects of `class`: no one index then sees them all.
+    pub(crate) fn key_groups(&self, class: &ClassName, attrs: &[Label]) -> Option<KeyGroups> {
+        let mut holders = self.instances.iter().filter(|i| i.extent_size(class) > 0);
+        match (holders.next(), holders.next()) {
+            (Some(only), None) => Some(only.key_groups(class, attrs)),
+            (None, _) => Some(KeyGroups::default()),
+            (Some(_), Some(_)) => None,
         }
     }
 
@@ -141,6 +155,11 @@ impl Bindings {
     /// The bound variables.
     pub(crate) fn keys(&self) -> impl Iterator<Item = &Var> {
         self.map.keys()
+    }
+
+    /// Whether no variable is bound.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.map.is_empty()
     }
 }
 

@@ -38,8 +38,10 @@
 //!
 //! # Constraint checking
 //!
-//! [`check_constraints`] validates constraint clauses by full extent scans;
-//! [`enforce_constraints`] fails with the **full** violation list (clause
+//! [`check_constraints`] validates constraint clauses by full checks — a
+//! key over plain attributes read off the attribute index on them, anything
+//! else by the matcher's pass over the extents (see the `constraints` module
+//! docs); [`enforce_constraints`] fails with the **full** violation list (clause
 //! order, then binding order) when any constraint is violated.
 //! `constraints::incremental` validates a mutation batch by examining only
 //! the delta — read-set analysis decides per constraint whether to skip,

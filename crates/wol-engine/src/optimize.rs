@@ -446,7 +446,8 @@ fn dedup_atoms(body: &mut Vec<Atom>, flipped: bool) {
         Eq(&'a Term, &'a Term),
         Atom(&'a Atom),
     }
-    let mut seen = HashSet::new();
+    // Sized up front: every growth would re-hash whole `Term` trees.
+    let mut seen = HashSet::with_capacity(body.len());
     let first: Vec<bool> = body
         .iter()
         .map(|atom| {

@@ -165,6 +165,13 @@ impl AttrIndex {
             .unwrap_or(&[])
     }
 
+    /// Every bucket, each in ascending identity order, the buckets in no
+    /// particular order.
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = &[Oid]> {
+        let shards = self.shards.iter();
+        shards.flat_map(|shard| shard.values().map(Vec::as_slice))
+    }
+
     /// Insert `oid` into `hash`'s bucket, keeping the bucket in ascending
     /// identity order — the order a fresh extent-order build produces, so a
     /// maintained index stays bit-identical to a rebuilt one. A no-op if the

@@ -94,6 +94,18 @@ pub struct StorageSharing {
     pub shared_index_shards: usize,
 }
 
+/// The objects of one class grouped by the values of an attribute tuple, as
+/// the attribute index keyed by that tuple holds them (see
+/// [`Instance::key_groups`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct KeyGroups {
+    /// Objects carrying every attribute of the tuple: the index's entries.
+    pub keyed: usize,
+    /// Every set of two or more objects whose tuples are equal, each in
+    /// ascending identity order, the sets in order of their first identity.
+    pub shared: Vec<Vec<Oid>>,
+}
+
 /// A database instance: extents of object identities per class, plus the value
 /// associated with each identity.
 ///
@@ -393,6 +405,43 @@ impl Instance {
                     .cloned(),
             );
         });
+    }
+
+    /// The objects of `class` grouped by their `attrs` values, read off the
+    /// index keyed by that tuple (built first, like a probe's, if this
+    /// version has none): one walk over its buckets, looking at values only
+    /// where a bucket holds several objects — a bucket is one hash, so it is
+    /// split by the values themselves. An object lacking one of the
+    /// attributes is in no bucket and no group.
+    pub fn key_groups(&self, class: &ClassName, attrs: &[Label]) -> KeyGroups {
+        let tuple = |oid: &Oid| -> Vec<Option<&Value>> {
+            let record = self.value(oid);
+            let project = |attr: &Label| record.and_then(|r| r.project(attr));
+            attrs.iter().map(project).collect()
+        };
+        let mut groups = KeyGroups::default();
+        self.with_attr_index(class, attrs, |index| {
+            for bucket in index.buckets() {
+                groups.keyed += bucket.len();
+                if bucket.len() < 2 {
+                    continue;
+                }
+                let mut split: Vec<(Vec<Option<&Value>>, Vec<Oid>)> = Vec::new();
+                for oid in bucket {
+                    let values = tuple(oid);
+                    match split.iter_mut().find(|(key, _)| *key == values) {
+                        Some((_, members)) => members.push(oid.clone()),
+                        None => split.push((values, vec![oid.clone()])),
+                    }
+                }
+                let shared = split.into_iter().map(|(_, members)| members);
+                groups
+                    .shared
+                    .extend(shared.filter(|members| members.len() > 1));
+            }
+        });
+        groups.shared.sort_unstable_by(|a, b| a[0].cmp(&b[0]));
+        groups
     }
 
     /// The equi-depth histogram of attribute `attr` over the extent of
@@ -1169,6 +1218,71 @@ mod tests {
         assert_eq!(contents(&inst), contents(&inst.clone()));
         assert_ne!(contents(&inst), before);
         assert_eq!(contents(&held), before);
+    }
+
+    /// `key_groups` is the extent grouped by attribute tuple: through random
+    /// inserts, updates and removals of values of two kinds, some lacking an
+    /// attribute, on the maintained index, and on an index whose every entry
+    /// sits in one bucket (a bucket is one hash, not one value).
+    #[test]
+    fn key_groups_are_the_extent_grouped_by_attribute_tuple() {
+        let class = ClassName::new("C");
+        let attrs: [Label; 2] = ["a".into(), "b".into()];
+        let expected = |inst: &Instance| {
+            let mut by_tuple: BTreeMap<Vec<&Value>, Vec<Oid>> = BTreeMap::new();
+            for (oid, value) in inst.objects(&class) {
+                let tuple: Option<Vec<&Value>> = attrs.iter().map(|a| value.project(a)).collect();
+                if let Some(tuple) = tuple {
+                    by_tuple.entry(tuple).or_default().push(oid.clone());
+                }
+            }
+            let keyed = by_tuple.values().map(Vec::len).sum();
+            let mut shared: Vec<Vec<Oid>> =
+                by_tuple.into_values().filter(|g| g.len() > 1).collect();
+            shared.sort();
+            KeyGroups { keyed, shared }
+        };
+        let mut inst = Instance::new("s");
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for round in 0..300 {
+            let a = [Value::int(1), Value::str("1"), Value::int(2)][next(3)].clone();
+            let mut fields = vec![("a", a)];
+            if next(4) != 0 {
+                fields.push(("b", Value::bool(next(2) == 0)));
+            }
+            let value = Value::record(fields);
+            let ids: Vec<Oid> = inst.extent(&class).cloned().collect();
+            match next(4) {
+                0 if !ids.is_empty() => drop(inst.remove(&ids[next(ids.len())])),
+                1 if !ids.is_empty() => inst.update(&ids[next(ids.len())], value).unwrap(),
+                _ => drop(inst.insert_fresh(&class, value)),
+            }
+            if round % 25 == 0 {
+                assert_eq!(inst.key_groups(&class, &attrs), expected(&inst));
+            }
+        }
+        let groups = inst.key_groups(&class, &attrs);
+        assert_eq!(groups, expected(&inst));
+        assert!(groups.shared.iter().any(|g| g.len() > 2));
+        let collided = inst.clone();
+        let mut one_bucket = AttrIndex::default();
+        for oid in collided.extent(&class).filter(|oid| {
+            let value = collided.value(oid).unwrap();
+            attrs.iter().all(|a| value.project(a).is_some())
+        }) {
+            one_bucket.add(0, oid.clone());
+        }
+        let key: Box<[Label]> = attrs.iter().cloned().collect();
+        collided
+            .cache_write()
+            .insert_index(class.clone(), key, one_bucket);
+        assert_eq!(collided.key_groups(&class, &attrs), groups);
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub use column::{AttrColumn, ColumnChunk, ColumnData, ColumnKind, CHUNK_ROWS};
 pub use error::{Conflict, ModelError};
 pub use fingerprint::Fingerprint;
 pub use histogram::AttrHistogram;
-pub use instance::{ClassStats, Instance, Mutation, StorageSharing};
+pub use instance::{ClassStats, Instance, KeyGroups, Mutation, StorageSharing};
 pub use keys::{skolem_id, KeyExpr, KeySpec, SkolemFactory, SkolemState};
 pub use mutate::{
     BatchDelta, BatchPreimages, ClassDelta, MutationBatch, ScanRestriction, SourceOp,

@@ -126,9 +126,14 @@ impl Parallelism {
         raw.trim().parse::<usize>().ok().map(Parallelism::new)
     }
 
-    /// The machine's available cores, ignoring `WOL_THREADS`.
+    /// The machine's available cores, ignoring `WOL_THREADS`: read once per
+    /// process, since the standard library re-reads the cgroup quota files
+    /// on every call.
     pub(crate) fn available() -> Self {
-        Self::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores =
+            CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        Self::new(*cores)
     }
 
     /// The number of worker threads.

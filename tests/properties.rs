@@ -2414,6 +2414,20 @@ const REGISTRY_EXTRA_CONSTRAINTS: &str = "G1: U.tier < 99 <= U in UserS;\n\
     G5: P = Mk_ProfileS(P.user.name) <= P in ProfileS;\n\
     G6: U = Mk_UserS(N) <= U in UserS, P in ProfileS, P.user = U, N = P.nick;";
 
+/// Key constraints over the registry source whose full checks the attribute
+/// index answers (`IX…`) or the matcher (`MX…`): two-attribute merge keys
+/// with either variable scanned first (`IX1`, `IX4`), a named and a
+/// positional two-attribute Skolem key (`IX2`, `IX3`); a merge key through
+/// the `user` reference (`MX1`) and one whose sides meet in a shared
+/// variable (`MX2`).
+const REGISTRY_KEY_CONSTRAINTS: &str =
+    "IX1: X = Y <= X in UserS, Y in UserS, X.tier = Y.tier, Y.email = X.email;\n\
+    IX2: U = Mk_UserS(email = E, tier = T) <= U in UserS, E = U.email, T = U.tier;\n\
+    IX3: A = Mk_AccountS(C, R) <= A in AccountS, R = A.region, C = A.code;\n\
+    IX4: Y = X <= Y in ProfileS, X in ProfileS, X.nick = Y.nick, X.user = Y.user;\n\
+    MX1: X = Y <= X in ProfileS, Y in ProfileS, X.user.email = Y.user.email;\n\
+    MX2: X = Y <= X in UserS, Y in UserS, X.email = E, Y.email = E;";
+
 /// The `index`-th object of `class` (modulo the extent), if any.
 fn nth_object(instance: &Instance, class: &str, index: usize) -> Option<(Oid, Value)> {
     let class = ClassName::new(class);
@@ -2432,9 +2446,44 @@ fn with_field(record: Value, label: &str, value: Value) -> Value {
     Value::Record(fields)
 }
 
+/// `record` without `label`.
+fn without_field(record: Value, label: &str) -> Value {
+    let Value::Record(fields) = record else {
+        panic!("objects are records");
+    };
+    let kept = fields.iter().filter(|(l, _)| l.as_str() != label);
+    Value::Record(kept.map(|(l, v)| (l.clone(), v.clone())).collect())
+}
+
+/// Insert into `source` copies of random objects of `class` changed by
+/// `change` (given the copy's number): 0 to `most - 1` of them, and with
+/// them — in one case in three — three copies of one object.
+fn inject(
+    g: &mut proptest::Gen,
+    source: &mut Instance,
+    class: &str,
+    most: usize,
+    change: impl Fn(usize, Value) -> Value,
+) {
+    let mut copies = Vec::new();
+    for _ in 0..g.usize_in(0, most) {
+        copies.push(nth_object(source, class, g.usize_in(0, 64)).unwrap().1);
+    }
+    if g.usize_in(0, 3) == 0 {
+        let (_, value) = nth_object(source, class, g.usize_in(0, 64)).unwrap();
+        copies.extend([value.clone(), value.clone(), value]);
+    }
+    for (i, value) in copies.into_iter().enumerate() {
+        source.insert_fresh(&ClassName::new(class), change(i, value));
+    }
+}
+
 /// A small registry source with injected violations: users sharing an
-/// email, profiles referencing no user, and accounts sharing a code; the
-/// registry program's constraints, the extra ones above, and the key
+/// email (some of them in threes, some with another tier), profiles
+/// referencing no user or copying another profile, and accounts sharing a
+/// code; users and accounts lacking their key attribute or holding one of
+/// another kind (an integer email or code, which may repeat); the registry
+/// program's constraints, the extra and key ones above, and the key
 /// constraints of its target, checked over the source and its target with
 /// duplicated directory entries.
 fn registry_constraint_case(g: &mut proptest::Gen) -> (Vec<Clause>, Vec<Instance>) {
@@ -2450,11 +2499,17 @@ fn registry_constraint_case(g: &mut proptest::Gen) -> (Vec<Clause>, Vec<Instance
     let program = constrained::program();
     let mut source = constrained::generate_source(&params);
     let mut target = naive_transform(&program, &[&source][..], "target").unwrap();
-    for i in 0..g.usize_in(0, 3) {
-        let (_, user) = nth_object(&source, "UserS", g.usize_in(0, 64)).unwrap();
-        let twin = with_field(user, "name", Value::str(format!("twin {i}")));
-        source.insert_fresh(&ClassName::new("UserS"), twin);
-    }
+    inject(g, &mut source, "UserS", 3, |i, user| {
+        with_field(user, "name", Value::str(format!("twin {i}")))
+    });
+    inject(g, &mut source, "UserS", 2, |i, user| {
+        with_field(user, "tier", Value::int(100 + i as i64))
+    });
+    inject(g, &mut source, "UserS", 3, |i, user| match i % 2 {
+        0 => without_field(user, "email"),
+        _ => with_field(user, "email", Value::int(i as i64 / 4)),
+    });
+    inject(g, &mut source, "ProfileS", 3, |_, profile| profile);
     for i in 0..g.usize_in(0, 3) {
         let ghost = Oid::new(ClassName::new("UserS"), 9_999_000 + i as u64);
         let orphan = Value::record([
@@ -2463,10 +2518,11 @@ fn registry_constraint_case(g: &mut proptest::Gen) -> (Vec<Clause>, Vec<Instance
         ]);
         source.insert_fresh(&ClassName::new("ProfileS"), orphan);
     }
-    for _ in 0..g.usize_in(0, 3) {
-        let (_, account) = nth_object(&source, "AccountS", g.usize_in(0, 64)).unwrap();
-        source.insert_fresh(&ClassName::new("AccountS"), account);
-    }
+    inject(g, &mut source, "AccountS", 3, |_, account| account);
+    inject(g, &mut source, "AccountS", 3, |i, account| match i % 2 {
+        0 => without_field(account, "code"),
+        _ => with_field(account, "code", Value::int(i as i64 / 4)),
+    });
     for _ in 0..g.usize_in(0, 2) {
         let (_, entry) = nth_object(&target, "UserD", g.usize_in(0, 64)).unwrap();
         target.insert_fresh(&ClassName::new("UserD"), entry);
@@ -2477,6 +2533,7 @@ fn registry_constraint_case(g: &mut proptest::Gen) -> (Vec<Clause>, Vec<Instance
         .map(|(_, clause)| clause.clone())
         .collect();
     clauses.extend(parse_program(REGISTRY_EXTRA_CONSTRAINTS).unwrap());
+    clauses.extend(parse_program(REGISTRY_KEY_CONSTRAINTS).unwrap());
     clauses.extend(generate_key_clauses(
         &program.target.schema,
         &program.target.keys,
@@ -2550,12 +2607,13 @@ fn cities_constraint_case(g: &mut proptest::Gen) -> (Vec<Clause>, Vec<Instance>)
 
 /// Check `clauses` over `instances` with the streaming check and with the
 /// materialising reference, and hold them equal (see the test below).
-/// Returns the violations and the number of clause errors the reference
-/// found.
+/// Returns the violations, the number of clause errors the reference found
+/// and the labels of the clauses whose full check the attribute index
+/// answered.
 fn compare_with_the_reference(
     clauses: &[Clause],
     instances: &[Instance],
-) -> (Vec<wol_repro::wol_engine::Violation>, usize) {
+) -> (Vec<wol_repro::wol_engine::Violation>, usize, Vec<String>) {
     use wol_oracle::check_constraint_reference;
     use wol_repro::wol_engine::{check_batch, check_constraints, CheckMode};
     use wol_repro::wol_model::{BatchDelta, Parallelism};
@@ -2605,7 +2663,23 @@ fn compare_with_the_reference(
             entry.constraint
         );
     }
-    (expected, errors)
+    let suspect: BTreeSet<usize> = [0].into_iter().collect();
+    let mut answered = Vec::new();
+    for clause in &checkable {
+        let alone = check_batch(
+            &[clause],
+            &dbs,
+            &BatchDelta::default(),
+            Parallelism::sequential(),
+            &suspect,
+        )
+        .unwrap();
+        if alone.index_answered == 1 {
+            answered.push(alone.certificate.entries[0].constraint.clone());
+        }
+    }
+    assert_eq!(batch.index_answered, answered.len());
+    (expected, errors, answered)
 }
 
 /// The streaming constraint check against the materialising reference
@@ -2618,21 +2692,34 @@ fn compare_with_the_reference(
 /// suspect (so each runs in full), give the concatenated lists; and each
 /// certificate entry's `checked` is the reference's count of body bindings.
 /// The cases reach clause errors and every kind of violation: a missing
-/// witness, and a key naming two objects or an object with two keys.
+/// witness, and a key naming two objects or an object with two keys. Key
+/// constraints over plain attributes are answered from the attribute index
+/// (`S1`, `S3`, every `IX…` in every case), the rest by the matcher (`MX…`
+/// in none).
 #[test]
 fn streaming_constraint_checks_equal_the_materialising_reference() {
-    let (mut violations, mut errors) = (Vec::new(), 0);
+    let (mut violations, mut errors, mut answered) = (Vec::new(), 0, Vec::new());
     for seed in 0..24 {
         let mut g = proptest::Gen::new(seed);
         for (clauses, instances) in [
             registry_constraint_case(&mut g),
             cities_constraint_case(&mut g),
         ] {
-            let (found, failed) = compare_with_the_reference(&clauses, &instances);
+            let (found, failed, by_index) = compare_with_the_reference(&clauses, &instances);
             violations.extend(found);
             errors += failed;
+            answered.extend(by_index);
         }
     }
+    let count = |label: &str| answered.iter().filter(|a| *a == label).count();
+    for label in ["S1", "S3", "IX1", "IX2", "IX3", "IX4"] {
+        assert_eq!(count(label), 24, "{label} answered by the index");
+    }
+    assert_eq!(count("MX1") + count("MX2"), 0, "MX… answered by the index");
+    eprintln!(
+        "[reference differential] {} full checks answered by the index",
+        answered.len()
+    );
     let kinds = [
         "no head witness for binding",
         "is associated with two distinct objects",
