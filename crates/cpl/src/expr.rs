@@ -123,29 +123,25 @@ impl Expr {
         }
     }
 
-    /// Replace every row variable `defs` defines by the expression it
-    /// returns. The query planner uses this to inline `Map` bindings into
-    /// filter predicates so join equalities range over base scan variables
-    /// only.
-    pub(crate) fn substitute(&self, defs: &mut dyn FnMut(Var) -> Option<Expr>) -> Expr {
-        let mut sub = |e: &Expr| Box::new(e.substitute(defs));
+    /// Replace, in place, every row variable `defs` defines by the
+    /// expression it returns. The query planner uses this to inline `Map`
+    /// bindings into filter predicates so join equalities range over base
+    /// scan variables only.
+    pub(crate) fn substitute(&mut self, defs: &mut dyn FnMut(Var) -> Option<Expr>) {
         match self {
-            Expr::Var(v) => defs(*v).unwrap_or_else(|| self.clone()),
-            Expr::Const(_) => self.clone(),
-            Expr::Proj(e, l) => Expr::Proj(sub(e), l.clone()),
-            Expr::Record(fields) => Expr::Record(
-                fields
-                    .iter()
-                    .map(|(l, e)| (l.clone(), e.substitute(defs)))
-                    .collect(),
-            ),
-            Expr::Variant(l, e) => Expr::Variant(l.clone(), sub(e)),
-            Expr::Skolem(c, e) => Expr::Skolem(c.clone(), sub(e)),
-            Expr::Eq(a, b) => Expr::Eq(sub(a), sub(b)),
-            Expr::Neq(a, b) => Expr::Neq(sub(a), sub(b)),
-            Expr::Lt(a, b) => Expr::Lt(sub(a), sub(b)),
-            Expr::Leq(a, b) => Expr::Leq(sub(a), sub(b)),
-            Expr::And(es) => Expr::And(es.iter().map(|e| e.substitute(defs)).collect()),
+            Expr::Var(v) => {
+                if let Some(def) = defs(*v) {
+                    *self = def;
+                }
+            }
+            Expr::Const(_) => {}
+            Expr::Proj(e, _) | Expr::Variant(_, e) | Expr::Skolem(_, e) => e.substitute(defs),
+            Expr::Record(fields) => fields.iter_mut().for_each(|(_, e)| e.substitute(defs)),
+            Expr::Eq(a, b) | Expr::Neq(a, b) | Expr::Lt(a, b) | Expr::Leq(a, b) => {
+                a.substitute(defs);
+                b.substitute(defs);
+            }
+            Expr::And(es) => es.iter_mut().for_each(|e| e.substitute(defs)),
         }
     }
 }
@@ -849,8 +845,8 @@ mod tests {
     #[test]
     fn substitute_inlines_definitions() {
         let defs = BTreeMap::from([(Var::new("N"), Expr::var("C").proj("name"))]);
-        let pred = Expr::var("E").path("country.name").eq(Expr::var("N"));
-        let inlined = pred.substitute(&mut |v| defs.get(&v).cloned());
+        let mut inlined = Expr::var("E").path("country.name").eq(Expr::var("N"));
+        inlined.substitute(&mut |v| defs.get(&v).cloned());
         assert_eq!(
             inlined,
             Expr::var("E")
@@ -860,7 +856,7 @@ mod tests {
         assert!(inlined.var_set().contains("C"));
         assert!(!inlined.var_set().contains("N"));
         // Variables without a definition are untouched, across all shapes.
-        let all = Expr::and(vec![
+        let mut inlined = Expr::and(vec![
             Expr::Neq(
                 Box::new(Expr::var("N")),
                 Box::new(Expr::Const(Value::int(1))),
@@ -871,7 +867,7 @@ mod tests {
                 .eq(Expr::Variant("t".into(), Box::new(Expr::var("N")))),
             Expr::Skolem(ClassName::new("T"), Box::new(Expr::var("N"))).eq(Expr::var("X")),
         ]);
-        let inlined = all.substitute(&mut |v| defs.get(&v).cloned());
+        inlined.substitute(&mut |v| defs.get(&v).cloned());
         assert!(!inlined.var_set().contains("N"));
         assert!(inlined.var_set().contains("X"));
     }

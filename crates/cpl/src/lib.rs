@@ -24,9 +24,10 @@
 //!   definition the maintainer settles through too; and a columnar driver
 //!   (`columnar`) that runs the same lowered expressions of
 //!   scan→filter→map towers batch-at-a-time over typed columns;
-//! * a cost-based join-graph planner (`optimizer`): decomposes a compiled
-//!   plan into scans plus a conjunct pool and greedily re-joins the cheapest
-//!   connected pair, fed by extent statistics and per-attribute equi-depth
+//! * a cost-based join-graph planner (`optimizer`): takes a query's scans,
+//!   definitions and conjuncts ([`PlanParts`], written by the translator or
+//!   moved out of a plan) and greedily joins the cheapest connected pair of
+//!   scans, fed by extent statistics and per-attribute equi-depth
 //!   histograms over the live instances ([`optimizer::Statistics`]) with
 //!   ndv propagated through join outputs — one cardinality model. It is the
 //!   only optimiser: a shape it does not take runs as compiled;
@@ -108,7 +109,7 @@ pub use exec::{
 pub use expr::{Expr, Lowered, Predicate};
 pub use optimizer::{
     estimate_join_outputs, estimate_plan, estimate_rows, optimize_with_stats, pushable_predicates,
-    CostModel, ExternalClassStats, JoinEstimate, PlanEstimate, PushCmp, PushdownCatalog,
+    CostModel, ExternalClassStats, JoinEstimate, PlanEstimate, PlanParts, PushCmp, PushdownCatalog,
     PushedPredicate, Statistics,
 };
 pub use plan::{InsertAction, Plan, Query};

@@ -1,22 +1,20 @@
 //! A cost-based join-graph planner.
 //!
 //! The paper relies on "the Kleisli optimizer \[rewriting\] the CPL code to a
-//! more efficient form" (Section 6). This module is that substitute. The
-//! primary entry point is [`optimize_with_stats`], a **join-graph planner**:
+//! more efficient form" (Section 6). This module is that substitute: one
+//! **join-graph planner**, [`PlanParts::plan`], with two ways in. Morphase's
+//! translator writes a clause's [`PlanParts`] (its scans, defining bindings
+//! and conjuncts) directly; [`optimize_with_stats`] moves them out of any
+//! plan, a hash-join key pair `l = r` becoming that conjunct. Then:
 //!
-//! 1. **Decompose** the compiled plan, by reference, into a pool of base
-//!    scans, defining `Map` bindings, and filter/join conjuncts (wherever
-//!    they sat in the original operator tree). The plan is consumed: the
-//!    finished plan re-applies its `Map` bindings, moved out of it (see
-//!    below for where each lands).
-//! 2. **Inline** the `Map` definitions into the conjunct pool, so every
-//!    conjunct ranges over base scan variables only — this is what lets an
-//!    equality like `C.name = N` (with `N` defined as `D.name` by a map)
-//!    become a join edge between the two scans instead of a post-product
-//!    filter. From here on a variable is addressed by its scan's index:
-//!    each conjunct's scan set is computed once, and estimates propagate
-//!    per `(scan index, attribute)`.
-//! 3. **Estimate**: per-scan cardinalities come from the live [`Instance`]
+//! 1. **Inline** the definitions into the conjunct pool, so every conjunct
+//!    ranges over base scan variables only — this is what lets an equality
+//!    like `C.name = N` (with `N` defined as `D.name`) become a join edge
+//!    between the two scans instead of a post-product filter. From here on a
+//!    variable is addressed by its scan's index: each conjunct's scan set is
+//!    a bitset computed once, and estimates propagate per `(scan index,
+//!    attribute)`.
+//! 2. **Estimate**: per-scan cardinalities come from the live [`Instance`]
 //!    extents via a [`Statistics`] handle. Equality selectivities come from
 //!    lazy per-attribute equi-depth histograms ([`wol_model::histogram`]) —
 //!    exact on skewed value heads, where a uniform `1/ndv` guess is most
@@ -25,7 +23,7 @@
 //!    (identity joins, computed keys) is uniform over the propagated distinct
 //!    counts; `!=`, `<` and `=<` use fixed heuristics. Without instances
 //!    ([`Statistics::empty`]) every estimate falls back to fixed defaults.
-//! 4. **Greedily join** the cheapest *connected* pair of components next
+//! 3. **Greedily join** the cheapest *connected* pair of components next
 //!    (the same greedy selectivity discipline `wol_engine::env::build_plan`
 //!    applies to clause bodies), folding **every** cross-side equality into a
 //!    (possibly composite) [`Plan::HashJoin`] key and keeping the rest as a
@@ -47,10 +45,11 @@
 //! index-probeable and free to drive a delta join. The estimator reads a
 //! bound variable as its definition, so placement never moves an estimate.
 //!
-//! A plan the planner does not take — no scan at all, or a `Map` that
-//! rebinds a variable — is returned unchanged: the raw plan is the semantics
-//! every planner property test compares against, so it is also the safe
-//! answer. The translator emits neither shape.
+//! Inlining a binding that rebinds a variable would change what the
+//! conjuncts before it read, so such a plan comes back unchanged (such parts,
+//! [raw](PlanParts::raw)): the raw plan is the semantics every planner
+//! property test compares against, so it is also the safe answer. The
+//! translator writes no such parts.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -221,25 +220,118 @@ fn hist_join_rows(left: &[Arc<AttrHistogram>], right: &[Arc<AttrHistogram>]) -> 
 }
 
 // ---------------------------------------------------------------------------
-// Decomposition: plan -> scans + maps + conjunct pool.
+// The planner's input: scans, definitions and conjuncts.
 // ---------------------------------------------------------------------------
 
-/// The raw material of a query, read off a compiled plan by reference: base
-/// scans, defining `Map` bindings (in dependency order), and the pooled
-/// filter/join conjuncts. A conjunct is `(e, None)`; a hash-join key pair
-/// `l = r` is `(l, Some(r))`.
-#[derive(Default)]
-struct Pool<'p> {
-    scans: Vec<(&'p ClassName, Var)>,
-    maps: Vec<&'p (Var, Expr)>,
-    conjuncts: Vec<(&'p Expr, Option<&'p Expr>)>,
+/// A query's raw material, as the planner reads it: its base scans, its
+/// defining bindings and its conjuncts, each list in the order written.
+/// Morphase's translator writes one per clause; [`optimize_with_stats`]
+/// moves one out of a plan. [`PlanParts::raw`] writes the parts out as the
+/// plan they spell, [`PlanParts::plan`] joins them with the planner.
+#[derive(Clone, Debug)]
+pub struct PlanParts {
+    first: (ClassName, Var),
+    /// The scans after the first.
+    rest: Vec<(ClassName, Var)>,
+    bindings: Vec<(Var, Expr)>,
+    /// Each conjunct, with the number of bindings written before it.
+    conjuncts: Vec<(usize, Expr)>,
 }
 
-/// Split a predicate into its conjuncts.
-fn split_conjuncts<'p>(expr: &'p Expr, out: &mut Vec<(&'p Expr, Option<&'p Expr>)>) {
+impl PlanParts {
+    /// Parts whose first scan binds `var` to each object of `class`.
+    pub fn new(class: ClassName, var: Var) -> Self {
+        PlanParts {
+            first: (class, var),
+            rest: Vec::new(),
+            bindings: Vec::new(),
+            conjuncts: Vec::new(),
+        }
+    }
+
+    /// Add a scan of `class`, binding `var`.
+    pub fn scan(&mut self, class: ClassName, var: Var) {
+        self.rest.push((class, var));
+    }
+
+    /// Define `var` as `expr` in every row. Parts in which a binding
+    /// redefines a scan's variable or an earlier binding's are not planned
+    /// (see [`PlanParts::plan`]).
+    pub fn bind(&mut self, var: Var, expr: Expr) {
+        self.bindings.push((var, expr));
+    }
+
+    /// Keep only the rows satisfying `predicate`, conjunct by conjunct.
+    pub fn filter(&mut self, predicate: Expr) {
+        match predicate {
+            Expr::And(conjuncts) => conjuncts.into_iter().for_each(|c| self.filter(c)),
+            conjunct => self.conjuncts.push((self.bindings.len(), conjunct)),
+        }
+    }
+
+    /// The plan the parts spell, unplanned: the scans' left-deep product,
+    /// then each binding and conjunct in the order written, a `Map` or a
+    /// `Filter` node each.
+    pub fn raw(self) -> Plan {
+        let mut plan = self.rest.into_iter().fold(
+            Plan::scan(self.first.0, self.first.1),
+            |plan, (class, var)| plan.cross(Plan::scan(class, var)),
+        );
+        let mut conjuncts = self.conjuncts.into_iter().peekable();
+        for (position, binding) in self.bindings.into_iter().enumerate() {
+            while let Some((_, conjunct)) = conjuncts.next_if(|(at, _)| *at == position) {
+                plan = plan.filter(conjunct);
+            }
+            plan = plan.map(vec![binding]);
+        }
+        conjuncts.fold(plan, |plan, (_, conjunct)| plan.filter(conjunct))
+    }
+
+    /// Read the parts off `plan`, moving its expressions out: scans left to
+    /// right, and each node's bindings and conjuncts after its inputs'. A
+    /// hash-join key pair `l = r` is the conjunct `l = r`.
+    fn of(plan: Plan) -> PlanParts {
+        let (left, right, predicate, keys) = match plan {
+            Plan::Scan { class, var } => return PlanParts::new(class, var),
+            Plan::Filter { input, predicate } => {
+                let mut parts = PlanParts::of(*input);
+                parts.filter(predicate);
+                return parts;
+            }
+            Plan::Map { input, bindings } => {
+                let mut parts = PlanParts::of(*input);
+                parts.bindings.extend(bindings);
+                return parts;
+            }
+            Plan::NestedLoopJoin {
+                left,
+                right,
+                predicate,
+            } => (left, right, Some(predicate), Vec::new()),
+            Plan::HashJoin { left, right, keys } => (left, right, None, keys),
+            Plan::CrossJoin { left, right } => (left, right, None, Vec::new()),
+        };
+        let (mut parts, right) = (PlanParts::of(*left), PlanParts::of(*right));
+        let before = parts.bindings.len();
+        parts
+            .rest
+            .extend(std::iter::once(right.first).chain(right.rest));
+        parts.bindings.extend(right.bindings);
+        let moved = right.conjuncts.into_iter().map(|(at, c)| (before + at, c));
+        parts.conjuncts.extend(moved);
+        predicate.into_iter().for_each(|p| parts.filter(p));
+        for (l, r) in keys {
+            parts.filter(Expr::Eq(Box::new(l), Box::new(r)));
+        }
+        parts
+    }
+}
+
+/// Visit each conjunct of a predicate.
+fn for_each_conjunct<'p>(expr: &'p Expr, f: &mut impl FnMut(&'p Expr)) {
     match expr {
-        Expr::And(es) => es.iter().for_each(|e| split_conjuncts(e, out)),
-        other => out.push((other, None)),
+        Expr::And(es) => es.iter().for_each(|e| for_each_conjunct(e, f)),
+        other => f(other),
     }
 }
 
@@ -252,43 +344,77 @@ fn conjunction(mut exprs: Vec<Expr>) -> Option<Expr> {
     }
 }
 
-/// Flatten a plan into the pool.
-fn decompose<'p>(plan: &'p Plan, pool: &mut Pool<'p>) {
-    match plan {
-        Plan::Scan { class, var } => pool.scans.push((class, *var)),
-        Plan::Filter { input, predicate } => {
-            decompose(input, pool);
-            split_conjuncts(predicate, &mut pool.conjuncts);
-        }
-        Plan::Map { input, bindings } => {
-            decompose(input, pool);
-            pool.maps.extend(bindings);
-        }
-        Plan::NestedLoopJoin {
-            left,
-            right,
-            predicate,
-        } => {
-            decompose(left, pool);
-            decompose(right, pool);
-            split_conjuncts(predicate, &mut pool.conjuncts);
-        }
-        Plan::HashJoin { left, right, keys } => {
-            decompose(left, pool);
-            decompose(right, pool);
-            pool.conjuncts
-                .extend(keys.iter().map(|(l, r)| (l, Some(r))));
-        }
-        Plan::CrossJoin { left, right } => {
-            decompose(left, pool);
-            decompose(right, pool);
-        }
-    }
-}
-
 /// The index of a variable no scan binds: no estimate side holds it and no
 /// class belongs to it.
 const UNBOUND: usize = usize::MAX;
+
+/// A set of scan indexes, one bit each: bit `i % 64` of word `i / 64`. The
+/// first word is held inline and the later ones grow on insert; every
+/// operation reads the words alike, however many there are.
+#[derive(Clone, Debug, Default)]
+struct ScanSet {
+    first: u64,
+    rest: Vec<u64>,
+}
+
+impl ScanSet {
+    fn of(index: usize) -> ScanSet {
+        let mut set = ScanSet::default();
+        set.insert(index);
+        set
+    }
+
+    /// Word `w`, zero past the last.
+    fn word(&self, w: usize) -> u64 {
+        match w {
+            0 => self.first,
+            _ => self.rest.get(w - 1).copied().unwrap_or(0),
+        }
+    }
+
+    fn word_mut(&mut self, w: usize) -> &mut u64 {
+        if w == 0 {
+            return &mut self.first;
+        }
+        if self.rest.len() < w {
+            self.rest.resize(w, 0);
+        }
+        &mut self.rest[w - 1]
+    }
+
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        std::iter::once(self.first).chain(self.rest.iter().copied())
+    }
+
+    fn insert(&mut self, index: usize) {
+        *self.word_mut(index / 64) |= 1 << (index % 64);
+    }
+
+    fn contains(&self, index: usize) -> bool {
+        self.word(index / 64) >> (index % 64) & 1 == 1
+    }
+
+    fn union_with(&mut self, other: &ScanSet) {
+        other
+            .words()
+            .enumerate()
+            .for_each(|(w, word)| *self.word_mut(w) |= word);
+    }
+
+    /// Whether a conjunct reaching this set connects `left` and `right`:
+    /// every index in one of them, and each touched. Asked of one set
+    /// twice, whether this is a non-empty subset of it.
+    fn connects(&self, left: &ScanSet, right: &ScanSet) -> bool {
+        let (mut outside, mut in_left, mut in_right) = (0, 0, 0);
+        for (w, word) in self.words().enumerate() {
+            let (l, r) = (left.word(w), right.word(w));
+            outside |= word & !(l | r);
+            in_left |= word & l;
+            in_right |= word & r;
+        }
+        outside == 0 && in_left != 0 && in_right != 0
+    }
+}
 
 /// A plan's scan variables, addressed by index: each distinct variable in
 /// first-scan order, with its class (the last scan's, as
@@ -300,9 +426,9 @@ struct ScanVars<'p> {
 }
 
 impl<'p> ScanVars<'p> {
-    fn new(scans: &[(&'p ClassName, Var)]) -> Self {
-        let mut vars: Vec<(Var, &ClassName)> = Vec::with_capacity(scans.len());
-        for &(class, var) in scans {
+    fn new(scans: impl Iterator<Item = (&'p ClassName, Var)>) -> Self {
+        let mut vars: Vec<(Var, &ClassName)> = Vec::with_capacity(scans.size_hint().0);
+        for (class, var) in scans {
             match vars.iter_mut().find(|(v, _)| *v == var) {
                 Some(entry) => entry.1 = class,
                 None => vars.push((var, class)),
@@ -336,29 +462,25 @@ impl<'p> ScanVars<'p> {
         self.vars.get(index).map(|(_, class)| *class)
     }
 
-    /// The indexes of the variables `expr` references.
-    fn indexes_of(&self, expr: &Expr) -> BTreeSet<usize> {
-        let mut out = BTreeSet::new();
-        expr.for_each_var(&mut |v| {
-            out.insert(self.index(v));
-        });
+    /// The indexes of the variables `expr` references. A variable no scan
+    /// binds reaches the index after the last scan's, which no component
+    /// holds: a conjunct that reaches it never joins or pushes down.
+    fn reach(&self, expr: &Expr) -> ScanSet {
+        let mut out = ScanSet::default();
+        expr.for_each_var(&mut |v| out.insert(self.index(v).min(self.vars.len())));
         out
     }
 }
 
-// ---------------------------------------------------------------------------
-// Selectivity and cardinality estimation.
-// ---------------------------------------------------------------------------
-
 /// `var.attr` as `(var, attr)`: a single attribute projection off a variable.
 fn single_hop(expr: &Expr) -> Option<(Var, &Label)> {
-    match expr {
-        Expr::Proj(base, attr) => match base.as_ref() {
-            Expr::Var(v) => Some((*v, attr)),
-            _ => None,
-        },
-        _ => None,
-    }
+    let Expr::Proj(base, attr) = expr else {
+        return None;
+    };
+    let Expr::Var(v) = base.as_ref() else {
+        return None;
+    };
+    Some((*v, attr))
 }
 
 // ---------------------------------------------------------------------------
@@ -381,7 +503,7 @@ struct CardEst {
     ndvs: BTreeMap<AttrKey, f64>,
     /// Indexes of the scan variables this sub-plan produces (for routing
     /// conjunct sides).
-    vars: BTreeSet<usize>,
+    vars: ScanSet,
 }
 
 impl CardEst {
@@ -389,7 +511,7 @@ impl CardEst {
         CardEst {
             rows: stats.extent_estimate(class),
             ndvs: BTreeMap::new(),
-            vars: BTreeSet::from([index]),
+            vars: ScanSet::of(index),
         }
     }
 
@@ -422,7 +544,7 @@ impl CardEst {
     /// `rows` rows.
     fn absorb_join(&mut self, other: CardEst, rows: f64) {
         self.rows = rows;
-        self.vars.extend(other.vars);
+        self.vars.union_with(&other.vars);
         self.apply_updates(other.ndvs);
     }
 
@@ -488,7 +610,7 @@ impl Estimator<'_, '_> {
         // read on the first side producing that variable.
         let eff_ndv = |e: &Expr| -> Option<f64> {
             let key = self.attr_key(e)?;
-            match sides.iter().find(|s| s.vars.contains(&key.0)) {
+            match sides.iter().find(|s| s.vars.contains(key.0)) {
                 Some(side) => side.effective_ndv(&key, self.scans, self.stats),
                 None => CardEst::base_ndv(&key, self.scans, self.stats),
             }
@@ -651,10 +773,8 @@ pub fn estimate_plan(plan: &Plan, stats: &Statistics<'_>) -> PlanEstimate {
         });
         card
     }
-    let mut pool = Pool::default();
-    decompose(plan, &mut pool);
-    let mut scans = ScanVars::new(&pool.scans);
-    scans.defs = pool.maps.iter().map(|(v, e)| (*v, e)).collect();
+    let mut scans = ScanVars::new(plan.scans().into_iter());
+    scans.defs = plan.bindings().into_iter().map(|(v, e)| (*v, e)).collect();
     let est = Estimator {
         scans: &scans,
         stats,
@@ -691,16 +811,6 @@ pub fn estimate_join_outputs(plan: &Plan, stats: &Statistics<'_>) -> Vec<JoinEst
 struct Component {
     plan: Plan,
     card: CardEst,
-}
-
-impl Component {
-    /// Whether the executor's attribute-index fast path could answer this
-    /// side of a hash join keyed by `keys` (this side's expressions). Defers
-    /// to the executor's own detection so planning and execution cannot
-    /// drift apart.
-    fn indexable<'k>(&self, keys: impl Iterator<Item = &'k Expr>) -> bool {
-        crate::exec::indexable_var(&self.plan, keys).is_some()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -802,284 +912,203 @@ fn as_pushable(
 /// the executor as a residual re-check that admits every row the backend
 /// already filtered.
 pub fn pushable_predicates(plan: &Plan, catalog: &PushdownCatalog) -> Vec<PushedPredicate> {
-    /// Walks `plan`; returns the scan it is a pure filter chain over, if any.
-    fn walk<'p>(
-        plan: &'p Plan,
-        catalog: &PushdownCatalog,
-        out: &mut Vec<PushedPredicate>,
-    ) -> Option<(&'p ClassName, Var)> {
-        match plan {
-            Plan::Scan { class, var } => Some((class, *var)),
-            Plan::Filter { input, predicate } => {
-                let (class, var) = walk(input, catalog, out)?;
-                let mut conjuncts = Vec::new();
-                split_conjuncts(predicate, &mut conjuncts);
-                for (conjunct, _) in conjuncts {
-                    out.extend(as_pushable(conjunct, var, class, catalog));
-                }
-                Some((class, var))
-            }
-            Plan::Map { input, .. } => {
-                walk(input, catalog, out);
-                None
-            }
-            Plan::NestedLoopJoin { left, right, .. }
-            | Plan::HashJoin { left, right, .. }
-            | Plan::CrossJoin { left, right } => {
-                walk(left, catalog, out);
-                walk(right, catalog, out);
-                None
-            }
-        }
-    }
     let mut out = Vec::new();
-    walk(plan, catalog, &mut out);
+    plan.for_each_node(&mut |node| {
+        let Plan::Filter { input, predicate } = node else {
+            return;
+        };
+        let mut below = input.as_ref();
+        while let Plan::Filter { input, .. } = below {
+            below = input;
+        }
+        if let Plan::Scan { class, var } = below {
+            for_each_conjunct(predicate, &mut |conjunct| {
+                out.extend(as_pushable(conjunct, *var, class, catalog));
+            });
+        }
+    });
     out
 }
 
 /// Optimise a plan with the join-graph planner, fed by extent and
 /// distinct-value statistics over the live source instances
 /// ([`Statistics::empty`] when none are at hand: every estimate then uses
-/// fixed defaults). A shape the planner does not take comes back
-/// unchanged (see the module docs).
-pub fn optimize_with_stats(mut plan: Plan, stats: &Statistics<'_>) -> Plan {
-    let mut pool = Pool::default();
-    decompose(&plan, &mut pool);
-    // Inlining map definitions into the conjunct pool is only sound when
-    // every binding introduces a *fresh* variable: a binding that shadows a
-    // scan variable (or an earlier binding) changes what conjuncts below it
-    // referred to. The translator never emits such plans, but the planner is
-    // a public API — rebinding shapes keep their raw form.
-    let mut seen: BTreeSet<Var> = pool.scans.iter().map(|(_, var)| *var).collect();
-    if !pool.maps.iter().all(|(var, _)| seen.insert(*var)) {
+/// fixed defaults): the plan's parts are moved out of it and planned by
+/// [`PlanParts::plan`]. A plan in which a `Map` rebinds a variable comes
+/// back unchanged (see the module docs).
+pub fn optimize_with_stats(plan: Plan, stats: &Statistics<'_>) -> Plan {
+    let (scans, bindings) = (plan.scans(), plan.bindings());
+    if rebinds(
+        scans.iter().map(|(_, var)| *var),
+        bindings.iter().map(|(var, _)| *var),
+    ) {
         return plan;
     }
-    let Some((mut planned, bound)) = plan_pool(pool, stats) else {
-        return plan;
-    };
-    // Re-apply the defining maps the scans did not bind (original,
-    // unsubstituted form — the executor evaluates a Map's bindings in order,
-    // so intra-map dependencies are preserved), moved out of the raw plan.
-    let mut maps = Vec::new();
-    take_maps(&mut plan, &mut maps);
-    let mut bound = bound.into_iter();
-    maps.retain(|_| !bound.next().unwrap_or(false));
-    if !maps.is_empty() {
-        planned = planned.map(maps);
-    }
-    planned
+    PlanParts::of(plan).plan(stats)
 }
 
-/// Move every `Map` binding out of `plan`, in [`decompose`] order.
-fn take_maps(plan: &mut Plan, out: &mut Vec<(Var, Expr)>) {
-    match plan {
-        Plan::Scan { .. } => {}
-        Plan::Filter { input, .. } => take_maps(input, out),
-        Plan::Map { input, bindings } => {
-            take_maps(input, out);
-            out.append(bindings);
-        }
-        Plan::NestedLoopJoin { left, right, .. }
-        | Plan::HashJoin { left, right, .. }
-        | Plan::CrossJoin { left, right } => {
-            take_maps(left, out);
-            take_maps(right, out);
-        }
-    }
+/// Whether a binding redefines a variable a scan or an earlier binding
+/// defines. Inlining such a binding would change what the conjuncts written
+/// before it read.
+fn rebinds(
+    scans: impl Iterator<Item = Var> + Clone,
+    bindings: impl Iterator<Item = Var> + Clone,
+) -> bool {
+    bindings.clone().enumerate().any(|(position, var)| {
+        scans.clone().any(|v| v == var) || bindings.clone().take(position).any(|v| v == var)
+    })
 }
 
-/// The map definitions by variable: each binding's position and expression.
-type Defs<'p> = BTreeMap<Var, (usize, &'p Expr)>;
-
-/// `expr` with every variable bound by one of the maps before `limit`
-/// replaced by its definition, itself resolved through the bindings before
-/// it — what substituting the bindings one by one, in order, gives.
-fn inline(expr: &Expr, defs: &Defs<'_>, limit: usize) -> Expr {
-    expr.substitute(&mut |v| match defs.get(&v) {
-        Some(&(position, def)) if position < limit => Some(inline(def, defs, position)),
-        _ => None,
+/// `expr` with every variable one of `bindings` defines replaced by its
+/// definition, itself resolved through the bindings before it — what
+/// substituting the bindings one by one, in order, gives.
+fn inline(expr: &mut Expr, bindings: &[(Var, Expr)]) {
+    expr.substitute(&mut |v| {
+        let position = bindings.iter().position(|(var, _)| *var == v)?;
+        let mut def = bindings[position].1.clone();
+        inline(&mut def, &bindings[..position]);
+        Some(def)
     })
 }
 
 /// A pooled conjunct, with the indexes of the scan variables it reaches.
-type Pooled = (Expr, BTreeSet<usize>);
+type Pooled = (Expr, ScanSet);
 
-/// Build the cheapest join tree the greedy strategy finds for a decomposed
-/// pool (`None` for a pool without scans), with which of its maps' bindings
-/// the tree binds itself: those go in a `Map` over their filtered scan.
-fn plan_pool(pool: Pool<'_>, stats: &Statistics<'_>) -> Option<(Plan, Vec<bool>)> {
-    // Inline the map definitions into the conjunct pool, so every conjunct
-    // ranges over scan variables only.
-    let defs: Defs<'_> = pool
-        .maps
-        .iter()
-        .enumerate()
-        .map(|(position, (var, expr))| (*var, (position, expr)))
-        .collect();
-    let scans = ScanVars::new(&pool.scans);
-    // Each conjunct's reach is computed once; a conjunct leaves the pool
-    // (`None`) when a plan node takes it.
-    let mut conjuncts: Vec<Option<Pooled>> = pool
-        .conjuncts
-        .iter()
-        .map(|&(e, key)| {
-            let expr = match key {
-                None => inline(e, &defs, usize::MAX),
-                Some(r) => Expr::Eq(
-                    Box::new(inline(e, &defs, usize::MAX)),
-                    Box::new(inline(r, &defs, usize::MAX)),
-                ),
-            };
-            let reach = scans.indexes_of(&expr);
-            Some((expr, reach))
-        })
-        .collect();
-    let estimator = Estimator {
-        scans: &scans,
-        stats,
-    };
-
-    // One component per scan, with its single-variable conjuncts pushed down.
-    // A filtered scan also binds each definition that is one projection off
-    // its variable, so its columnar tower reads the column for the survivors
-    // and nothing above it dereferences the object again. A bare scan binds
-    // nothing: it stays index-probeable and free to drive a delta join. (A
-    // variable scanned twice keeps every binding above the joins.)
-    let mut bound = vec![false; pool.maps.len()];
-    let distinct = scans.vars.len() == pool.scans.len();
-    let mut components: Vec<Component> = Vec::new();
-    for &(class, var) in &pool.scans {
-        let index = scans.index(var);
-        let mut card = CardEst::scan(class, index, stats);
-        let mut plan = Plan::scan(class.clone(), var);
-        for slot in conjuncts.iter_mut() {
-            let single =
-                |(_, reach): &mut Pooled| !reach.is_empty() && reach.iter().all(|&v| v == index);
-            if let Some((conjunct, _)) = slot.take_if(single) {
-                let mut updates = Vec::new();
-                card.rows *= estimator.conjunct_selectivity(&conjunct, &[&card], &mut updates);
-                card.apply_updates(updates);
-                plan = plan.filter(conjunct);
-            }
+impl PlanParts {
+    /// The cheapest join tree the greedy strategy finds for the parts (see
+    /// the module docs). Parts in which a binding redefines a variable are
+    /// returned [raw](PlanParts::raw).
+    pub fn plan(self, stats: &Statistics<'_>) -> Plan {
+        let scanned = std::iter::once(&self.first).chain(&self.rest);
+        let bound = self.bindings.iter().map(|(var, _)| *var);
+        if rebinds(scanned.map(|(_, var)| *var), bound) {
+            return self.raw();
         }
-        if distinct && !matches!(plan, Plan::Scan { .. }) {
-            let bindings: Vec<(Var, Expr)> = pool
-                .maps
-                .iter()
-                .zip(&mut bound)
-                .filter(|((_, def), _)| single_hop(def).is_some_and(|(v, _)| v == var))
-                .map(|(binding, bound)| {
-                    *bound = true;
-                    (*binding).clone()
-                })
-                .collect();
-            if !bindings.is_empty() {
-                plan = plan.map(bindings);
-            }
-        }
-        components.push(Component { plan, card });
-    }
-    // A join key equal to a bound definition reads the bound variable.
-    let defined: Vec<(Var, &Expr)> = pool
-        .maps
-        .iter()
-        .zip(&bound)
-        .filter(|(_, &bound)| bound)
-        .map(|((var, def), _)| (*var, def))
-        .collect();
-
-    // Greedy join loop: always join the cheapest connected pair next; fall
-    // back to an explicit cross join of the two smallest components only
-    // when nothing connects what remains.
-    while components.len() > 1 {
-        /// The best pair found so far: estimated output rows, the two
-        /// component positions, the applicable conjunct indexes, and the
-        /// ndv-propagation updates the winning estimate produced.
-        type BestPair = (f64, usize, usize, Vec<usize>, Vec<(AttrKey, f64)>);
-        let mut best: Option<BestPair> = None;
-        let (mut applicable, mut updates) = (Vec::new(), Vec::new());
-        for i in 0..components.len() {
-            for j in (i + 1)..components.len() {
-                let (left, right) = (&components[i].card, &components[j].card);
-                applicable_conjuncts(&conjuncts, &left.vars, &right.vars, &mut applicable);
-                if applicable.is_empty() {
-                    continue;
-                }
-                let mut est = left.rows * right.rows;
-                updates.clear();
-                for (conjunct, _) in applicable.iter().filter_map(|&k| conjuncts[k].as_ref()) {
-                    est *= estimator.conjunct_selectivity(conjunct, &[left, right], &mut updates);
-                }
-                if best.as_ref().is_none_or(|(cost, ..)| est < *cost) {
-                    best = Some((est, i, j, applicable.clone(), updates.clone()));
-                }
-            }
-        }
-        match best {
-            Some((est, i, j, applicable, updates)) => {
-                let right = components.remove(j);
-                let left = components.remove(i);
-                let picked: Vec<Expr> = applicable
-                    .iter()
-                    .filter_map(|&k| conjuncts[k].take())
-                    .map(|(conjunct, _)| conjunct)
-                    .collect();
-                let joined = join_components(left, right, picked, est, updates, &scans, &defined);
-                components.insert(i, joined);
-            }
-            None => {
-                // Genuinely disconnected: cross-join the two smallest.
-                let (i, j) = two_smallest(&components);
-                let right = components.remove(j);
-                let left = components.remove(i);
-                let est = left.card.rows * right.card.rows;
-                let mut card = left.card;
-                card.absorb_join(right.card, est);
-                components.insert(
-                    i,
-                    Component {
-                        plan: left.plan.cross(right.plan),
-                        card,
-                    },
-                );
-            }
-        }
-    }
-    let mut plan = components.pop()?.plan;
-
-    // Anything left in the pool (variable-free predicates, or conjuncts over
-    // variables no scan produces) runs as a final filter.
-    let leftovers: Vec<Expr> = conjuncts.into_iter().flatten().map(|(c, _)| c).collect();
-    if let Some(residual) = conjunction(leftovers) {
-        plan = plan.filter(residual);
-    }
-    Some((plan, bound))
-}
-
-/// Indexes of the pooled conjuncts that connect two components, into `out`:
-/// fully evaluable over the union of their variables while touching both
-/// sides.
-fn applicable_conjuncts(
-    conjuncts: &[Option<Pooled>],
-    left: &BTreeSet<usize>,
-    right: &BTreeSet<usize>,
-    out: &mut Vec<usize>,
-) {
-    out.clear();
-    out.extend(
-        conjuncts
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| {
-                c.as_ref().is_some_and(|(_, vars)| {
-                    !vars.is_empty()
-                        && vars.iter().all(|v| left.contains(v) || right.contains(v))
-                        && vars.iter().any(|v| left.contains(v))
-                        && vars.iter().any(|v| right.contains(v))
-                })
+        let PlanParts {
+            first,
+            rest,
+            mut bindings,
+            conjuncts,
+        } = self;
+        let all = || std::iter::once(&first).chain(&rest);
+        let scans = ScanVars::new(all().map(|(class, var)| (class, *var)));
+        // Inline the definitions into the conjunct pool, so every conjunct
+        // ranges over scan variables only. Each conjunct's reach is computed
+        // once; a conjunct leaves the pool (`None`) when a plan node takes
+        // it.
+        let mut conjuncts: Vec<Option<Pooled>> = conjuncts
+            .into_iter()
+            .map(|(_, mut conjunct)| {
+                inline(&mut conjunct, &bindings);
+                let reach = scans.reach(&conjunct);
+                Some((conjunct, reach))
             })
-            .map(|(i, _)| i),
-    );
+            .collect();
+        let estimator = Estimator {
+            scans: &scans,
+            stats,
+        };
+
+        // One component per scan, with its single-variable conjuncts pushed
+        // down. A filtered scan also binds each definition that is one
+        // projection off its variable (see the module docs; a variable
+        // scanned twice keeps every binding at the root). A join key equal
+        // to a bound definition reads its variable: `defined` holds each as
+        // (variable, (scan variable, attribute)).
+        let distinct = scans.vars.len() == 1 + rest.len();
+        let mut defined: Vec<(Var, (Var, Label))> = Vec::new();
+        let mut components: Vec<Component> = Vec::with_capacity(1 + rest.len());
+        for &(ref class, var) in all() {
+            let index = scans.index(var);
+            let mut card = CardEst::scan(class, index, stats);
+            let mut plan = Plan::scan(class.clone(), var);
+            for slot in conjuncts.iter_mut() {
+                let single = |(_, reach): &mut Pooled| reach.connects(&card.vars, &card.vars);
+                if let Some((conjunct, _)) = slot.take_if(single) {
+                    let mut updates = Vec::new();
+                    card.rows *= estimator.conjunct_selectivity(&conjunct, &[&card], &mut updates);
+                    card.apply_updates(updates);
+                    plan = plan.filter(conjunct);
+                }
+            }
+            if distinct && !matches!(plan, Plan::Scan { .. }) {
+                let own =
+                    |(_, def): &mut (Var, Expr)| single_hop(def).is_some_and(|(v, _)| v == var);
+                let own: Vec<(Var, Expr)> = bindings.extract_if(.., own).collect();
+                if !own.is_empty() {
+                    defined.extend(own.iter().filter_map(|(bound, def)| {
+                        single_hop(def).map(|(v, attr)| (*bound, (v, attr.clone())))
+                    }));
+                    plan = plan.map(own);
+                }
+            }
+            components.push(Component { plan, card });
+        }
+
+        // Greedy join loop: always join the cheapest connected pair next;
+        // fall back to an explicit cross join of the two smallest components
+        // only when nothing connects what remains.
+        while components.len() > 1 {
+            /// The best pair found so far: estimated output rows, the two
+            /// component positions, the applicable conjunct indexes, and the
+            /// ndv-propagation updates the winning estimate produced.
+            type BestPair = (f64, usize, usize, Vec<usize>, Vec<(AttrKey, f64)>);
+            let mut best: Option<BestPair> = None;
+            let (mut applicable, mut updates) = (Vec::new(), Vec::new());
+            for i in 0..components.len() {
+                for j in (i + 1)..components.len() {
+                    let (left, right) = (&components[i].card, &components[j].card);
+                    applicable.clear();
+                    applicable.extend((conjuncts.iter().enumerate()).filter_map(|(k, c)| {
+                        let (_, reach) = c.as_ref()?;
+                        reach.connects(&left.vars, &right.vars).then_some(k)
+                    }));
+                    if applicable.is_empty() {
+                        continue;
+                    }
+                    let mut est = left.rows * right.rows;
+                    updates.clear();
+                    for (conjunct, _) in applicable.iter().filter_map(|&k| conjuncts[k].as_ref()) {
+                        est *=
+                            estimator.conjunct_selectivity(conjunct, &[left, right], &mut updates);
+                    }
+                    if best.as_ref().is_none_or(|(cost, ..)| est < *cost) {
+                        best = Some((est, i, j, applicable.clone(), updates.clone()));
+                    }
+                }
+            }
+            // Nothing connects what remains: cross-join the two smallest.
+            let (est, i, j, applicable, updates) = best.unwrap_or_else(|| {
+                let (i, j) = two_smallest(&components);
+                let est = components[i].card.rows * components[j].card.rows;
+                (est, i, j, Vec::new(), Vec::new())
+            });
+            let right = components.remove(j);
+            let left = components.remove(i);
+            let picked: Vec<Expr> = applicable
+                .iter()
+                .filter_map(|&k| conjuncts[k].take())
+                .map(|(conjunct, _)| conjunct)
+                .collect();
+            let joined = join_components(left, right, picked, est, updates, &scans, &defined);
+            components.insert(i, joined);
+        }
+        // One component per scan, and the parts have a first scan.
+        let mut plan = components.swap_remove(0).plan;
+
+        // Anything left in the pool (variable-free predicates, or conjuncts
+        // over variables no scan produces) runs as a final filter.
+        let leftovers: Vec<Expr> = conjuncts.into_iter().flatten().map(|(c, _)| c).collect();
+        if let Some(residual) = conjunction(leftovers) {
+            plan = plan.filter(residual);
+        }
+        // The definitions no scan bound, at the root in the order written:
+        // the executor evaluates a `Map`'s bindings in order.
+        if !bindings.is_empty() {
+            plan = plan.map(bindings);
+        }
+        plan
+    }
 }
 
 /// Positions of the two cheapest components.
@@ -1110,11 +1139,17 @@ fn join_components(
     est: f64,
     updates: Vec<(AttrKey, f64)>,
     scans: &ScanVars<'_>,
-    defined: &[(Var, &Expr)],
+    defined: &[(Var, (Var, Label))],
 ) -> Component {
-    let read = |key: Box<Expr>| match defined.iter().find(|(_, def)| **def == *key) {
-        Some((var, _)) => Expr::Var(*var),
-        None => *key,
+    let read = |key: Box<Expr>| {
+        let hop = single_hop(&key);
+        match defined
+            .iter()
+            .find(|(_, (v, attr))| hop == Some((*v, attr)))
+        {
+            Some((var, _)) => Expr::Var(*var),
+            None => *key,
+        }
     };
     let mut keys: Vec<(Expr, Expr)> = Vec::new();
     let mut residual: Vec<Expr> = Vec::new();
@@ -1122,12 +1157,7 @@ fn join_components(
         if let Expr::Eq(a, b) = conjunct {
             // Whether `e` has variables, all produced by `side`.
             let within = |e: &Expr, side: &Component| {
-                let (mut any, mut all) = (false, true);
-                e.for_each_var(&mut |v| {
-                    any = true;
-                    all &= side.card.vars.contains(&scans.index(v));
-                });
-                any && all
+                (scans.reach(e)).connects(&side.card.vars, &side.card.vars)
             };
             if within(&a, &left) && within(&b, &right) {
                 keys.push((read(a), read(b)));
@@ -1140,46 +1170,43 @@ fn join_components(
             residual.push(conjunct);
         }
     }
-    let left_rows = left.card.rows;
-    let right_rows = right.card.rows;
-    let left_indexable = left.indexable(keys.iter().map(|(l, _)| l));
-    let right_indexable = right.indexable(keys.iter().map(|(_, r)| r));
+    let (left_rows, right_rows) = (left.card.rows, right.card.rows);
     let mut card = left.card;
     card.absorb_join(right.card, est);
     card.apply_updates(updates);
-    let mut plan = if keys.is_empty() {
-        // Connected only by non-equality conjuncts (at least one): a
-        // predicated nested loop.
-        let (outer, inner) = if left_rows <= right_rows {
-            (left.plan, right.plan)
-        } else {
-            (right.plan, left.plan)
-        };
-        let predicate = conjunction(std::mem::take(&mut residual));
-        let plan = outer.join(inner, predicate.unwrap_or(Expr::And(Vec::new())));
-        return Component { plan, card };
+    let residual = conjunction(residual);
+    let plan = if keys.is_empty() {
+        match residual {
+            None => left.plan.cross(right.plan),
+            // Connected only by non-equality conjuncts: a predicated nested
+            // loop, the smaller side outer.
+            Some(predicate) if left_rows <= right_rows => left.plan.join(right.plan, predicate),
+            Some(predicate) => right.plan.join(left.plan, predicate),
+        }
     } else {
         // Orient the hash join: a bare indexable scan goes where the executor
         // probes it through the attribute index (preferring to probe the
         // larger side — the driving side is materialised in full); otherwise
-        // build the hash table over the smaller side.
-        let swap = match (left_indexable, right_indexable) {
+        // build the hash table over the smaller side. The executor's own
+        // detection decides, so planning and execution cannot drift apart.
+        use crate::exec::indexable_var;
+        let swap = match (
+            indexable_var(&left.plan, keys.iter().map(|(l, _)| l)).is_some(),
+            indexable_var(&right.plan, keys.iter().map(|(_, r)| r)).is_some(),
+        ) {
             (true, false) => false,
             (false, true) => true,
             (true, true) => left_rows < right_rows,
             (false, false) => left_rows > right_rows,
         };
-        let (build, probe) = if swap {
-            keys = keys.into_iter().map(|(l, r)| (r, l)).collect();
-            (right.plan, left.plan)
+        let plan = if swap {
+            let keys = keys.into_iter().map(|(l, r)| (r, l)).collect();
+            right.plan.hash_join_multi(left.plan, keys)
         } else {
-            (left.plan, right.plan)
+            left.plan.hash_join_multi(right.plan, keys)
         };
-        build.hash_join_multi(probe, keys)
+        residual.into_iter().fold(plan, Plan::filter)
     };
-    if let Some(residual_pred) = conjunction(residual) {
-        plan = plan.filter(residual_pred);
-    }
     Component { plan, card }
 }
 
@@ -1445,8 +1472,8 @@ mod tests {
 
     #[test]
     fn a_filtered_scan_binds_its_own_projections_and_a_bare_scan_stays_probed() {
-        // As the translator writes a clause: a product, one `Map` of
-        // definitions, every conjunct on top. `X` carries a filter, `Y` none.
+        // A raw plan: a product, one `Map` of definitions, every conjunct
+        // on top. `X` carries a filter, `Y` none.
         let inst = skewed_instance();
         let refs = [&inst];
         let stats = Statistics::from_instances(&refs);
@@ -1512,6 +1539,67 @@ mod tests {
         assert!(exec.index_probes > 0, "{exec:?}");
         assert_eq!(rows.len(), 39 * 20);
         assert_eq!(rows, rows_of(&raw, &inst));
+    }
+
+    /// Past 64 scans a scan set takes a second word. Seventy scans, read in
+    /// a rotated order, chained by equalities on `k`: the scans of `Two`
+    /// (index 68 and 69, both past the first word) carry the pushed-down
+    /// filter and the binding a join key reads, and one equality spans both
+    /// words. Planned with and without statistics, the chain joins with no
+    /// product and yields exactly the raw plan's rows.
+    #[test]
+    fn a_plan_of_more_than_64_scans_plans_to_the_raw_plans_rows() {
+        let mut inst = Instance::new("wide");
+        let record =
+            |k: i64, name: &str| Value::record([("k", Value::int(k)), ("name", name.into())]);
+        inst.insert_fresh(&ClassName::new("One"), record(1, "a"));
+        for (k, name) in [(1, "b"), (2, "c")] {
+            inst.insert_fresh(&ClassName::new("Two"), record(k, name));
+        }
+        let var = |i: usize| Expr::var(format!("V{i}"));
+        let k = |i: usize| var(i).proj("k");
+        let mut parts: Option<PlanParts> = None;
+        for i in (0..70).map(|step| (step + 5) % 70) {
+            let class = ClassName::new(if i < 68 { "One" } else { "Two" });
+            let v = Var::new(format!("V{i}"));
+            match &mut parts {
+                None => parts = Some(PlanParts::new(class, v)),
+                Some(parts) => parts.scan(class, v),
+            }
+        }
+        let mut parts = parts.expect("seventy scans");
+        parts.bind("N".into(), k(69));
+        parts.bind("M".into(), var(0).proj("name"));
+        parts.filter(Expr::Lt(
+            Box::new(k(69)),
+            Box::new(Expr::Const(Value::int(2))),
+        ));
+        for i in 0..67 {
+            parts.filter(k(i).eq(k(i + 1)));
+        }
+        parts.filter(k(67).eq(k(68)));
+        parts.filter(k(68).eq(Expr::var("N")));
+        parts.filter(k(0).eq(k(69)));
+        let raw = parts.clone().raw();
+        let expected = rows_of(&raw, &inst);
+        assert_eq!(expected.len(), 1);
+        let refs = [&inst];
+        let mut catalog = PushdownCatalog::default();
+        catalog.allow(&ClassName::new("Two"), "k");
+        for stats in [Statistics::from_instances(&refs), Statistics::empty()] {
+            let planned = parts.clone().plan(&stats);
+            assert_eq!(planned, optimize_with_stats(raw.clone(), &stats));
+            let rendered = planned.render();
+            assert_eq!(rendered.matches("Scan ").count(), 70);
+            assert!(!rendered.contains("CrossJoin") && !rendered.contains("NestedLoopJoin"));
+            let pushed = pushable_predicates(&planned, &catalog);
+            assert_eq!(pushed.len(), 1, "{rendered}");
+            assert_eq!(
+                (pushed[0].var, pushed[0].cmp),
+                (Var::new("V69"), PushCmp::Lt)
+            );
+            assert_eq!(rows_of(&planned, &inst), expected);
+        }
     }
 
     #[test]

@@ -124,24 +124,45 @@ impl Plan {
         }
     }
 
+    /// The plan's inputs, left first.
+    fn inputs(&self) -> impl Iterator<Item = &Plan> {
+        let (left, right) = match self {
+            Plan::Scan { .. } => (None, None),
+            Plan::Filter { input, .. } | Plan::Map { input, .. } => (Some(input), None),
+            Plan::NestedLoopJoin { left, right, .. }
+            | Plan::HashJoin { left, right, .. }
+            | Plan::CrossJoin { left, right } => (Some(left), Some(right)),
+        };
+        left.into_iter().chain(right).map(Box::as_ref)
+    }
+
+    /// Visit every node of the plan, each after its inputs, left to right.
+    pub(crate) fn for_each_node<'p>(&'p self, f: &mut impl FnMut(&'p Plan)) {
+        self.inputs().for_each(|input| input.for_each_node(f));
+        f(self);
+    }
+
     /// Every scan in the plan as `(class, row variable)`, left to right. The
     /// one walk behind the plan's read set and every variable → class map
     /// (planner estimates, projection analysis, maintenance slots).
     pub fn scans(&self) -> Vec<(&ClassName, Var)> {
-        fn go<'p>(plan: &'p Plan, out: &mut Vec<(&'p ClassName, Var)>) {
-            match plan {
-                Plan::Scan { class, var } => out.push((class, *var)),
-                Plan::Filter { input, .. } | Plan::Map { input, .. } => go(input, out),
-                Plan::NestedLoopJoin { left, right, .. }
-                | Plan::HashJoin { left, right, .. }
-                | Plan::CrossJoin { left, right } => {
-                    go(left, out);
-                    go(right, out);
-                }
-            }
-        }
         let mut out = Vec::new();
-        go(self, &mut out);
+        self.for_each_node(&mut |node| {
+            if let Plan::Scan { class, var } = node {
+                out.push((class, *var));
+            }
+        });
+        out
+    }
+
+    /// Every `Map` binding in the plan, each node's after its inputs'.
+    pub(crate) fn bindings(&self) -> Vec<&(Var, Expr)> {
+        let mut out = Vec::new();
+        self.for_each_node(&mut |node| {
+            if let Plan::Map { bindings, .. } = node {
+                out.extend(bindings);
+            }
+        });
         out
     }
 
@@ -157,79 +178,39 @@ impl Plan {
     /// bindings, join predicates and keys), for whole-plan analyses like the
     /// federation's pushdown eligibility.
     pub fn expressions(&self) -> Vec<&Expr> {
-        fn go<'p>(plan: &'p Plan, out: &mut Vec<&'p Expr>) {
-            match plan {
-                Plan::Scan { .. } => {}
-                Plan::Filter { input, predicate } => {
-                    out.push(predicate);
-                    go(input, out);
-                }
-                Plan::Map { input, bindings } => {
-                    out.extend(bindings.iter().map(|(_, e)| e));
-                    go(input, out);
-                }
-                Plan::NestedLoopJoin {
-                    left,
-                    right,
-                    predicate,
-                } => {
-                    out.push(predicate);
-                    go(left, out);
-                    go(right, out);
-                }
-                Plan::HashJoin { left, right, keys } => {
-                    out.extend(keys.iter().flat_map(|(l, r)| [l, r]));
-                    go(left, out);
-                    go(right, out);
-                }
-                Plan::CrossJoin { left, right } => {
-                    go(left, out);
-                    go(right, out);
-                }
-            }
-        }
         let mut out = Vec::new();
-        go(self, &mut out);
+        self.for_each_node(&mut |node| match node {
+            Plan::Filter { predicate, .. } | Plan::NestedLoopJoin { predicate, .. } => {
+                out.push(predicate)
+            }
+            Plan::Map { bindings, .. } => out.extend(bindings.iter().map(|(_, e)| e)),
+            Plan::HashJoin { keys, .. } => out.extend(keys.iter().flat_map(|(l, r)| [l, r])),
+            Plan::Scan { .. } | Plan::CrossJoin { .. } => {}
+        });
         out
     }
 
     /// Render the plan as an indented tree (for reports and debugging).
     pub fn render(&self) -> String {
         fn go(plan: &Plan, indent: usize, out: &mut String) {
-            let pad = "  ".repeat(indent);
-            match plan {
-                Plan::Scan { class, var } => out.push_str(&format!("{pad}Scan {class} as {var}\n")),
-                Plan::Filter { input, .. } => {
-                    out.push_str(&format!("{pad}Filter\n"));
-                    go(input, indent + 1, out);
+            use std::fmt::Write as _;
+            (0..indent).for_each(|_| out.push_str("  "));
+            let _ = match plan {
+                Plan::Scan { class, var } => writeln!(out, "Scan {class} as {var}"),
+                Plan::Filter { .. } => writeln!(out, "Filter"),
+                Plan::Map { bindings, .. } => {
+                    out.push_str("Map [");
+                    for (i, (var, _)) in bindings.iter().enumerate() {
+                        out.push_str(if i == 0 { "" } else { ", " });
+                        out.push_str(var.as_str());
+                    }
+                    writeln!(out, "]")
                 }
-                Plan::Map { input, bindings } => {
-                    out.push_str(&format!(
-                        "{pad}Map [{}]\n",
-                        bindings
-                            .iter()
-                            .map(|(v, _)| v.as_str())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ));
-                    go(input, indent + 1, out);
-                }
-                Plan::NestedLoopJoin { left, right, .. } => {
-                    out.push_str(&format!("{pad}NestedLoopJoin\n"));
-                    go(left, indent + 1, out);
-                    go(right, indent + 1, out);
-                }
-                Plan::HashJoin { left, right, keys } => {
-                    out.push_str(&format!("{pad}HashJoin ({} key(s))\n", keys.len()));
-                    go(left, indent + 1, out);
-                    go(right, indent + 1, out);
-                }
-                Plan::CrossJoin { left, right } => {
-                    out.push_str(&format!("{pad}CrossJoin\n"));
-                    go(left, indent + 1, out);
-                    go(right, indent + 1, out);
-                }
-            }
+                Plan::NestedLoopJoin { .. } => writeln!(out, "NestedLoopJoin"),
+                Plan::HashJoin { keys, .. } => writeln!(out, "HashJoin ({} key(s))", keys.len()),
+                Plan::CrossJoin { .. } => writeln!(out, "CrossJoin"),
+            };
+            plan.inputs().for_each(|input| go(input, indent + 1, out));
         }
         let mut out = String::new();
         go(self, 0, &mut out);

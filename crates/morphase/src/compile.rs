@@ -1,40 +1,36 @@
 //! Translation of normal-form WOL clauses into CPL queries (Figure 6's
 //! "Translator to CPL").
 //!
-//! Each [`NormalClause`] becomes one [`cpl::Query`]: its body's class
-//! membership atoms become scans, equality atoms become either binding maps
-//! (when they define a fresh variable) or filters, and the clause's key and
-//! attribute terms become the query's insert action. The translator does
-//! **not** order the joins itself — it emits the scans as a raw product (the
-//! atom pool) and hands the result to the CPL join-graph planner
-//! ([`cpl::optimize_with_stats`]), which reorders the scans by estimated
-//! cardinality and selectivity — the role the paper assigns to the Kleisli
-//! optimiser. [`PlanMode`] says whether the planner runs at all: the raw
-//! translation is the baseline the regression tests measure against. There
-//! is one way to plan; what a federated run pushes into its scan providers is
-//! read off the finished plans afterwards ([`cpl::pushable_predicates`]), and
-//! every pushed conjunct stays in its plan as a residual re-check. Where a
-//! defining equation is bound is the planner's call too: the translator puts
-//! every one in a single `Map`, and the planner moves those projecting one
-//! attribute off a filtered scan into that scan's columnar tower, leaving the
-//! rest at the root.
+//! Each [`NormalClause`] becomes one [`cpl::Query`]. The translator hands
+//! the CPL join-graph planner the clause's [`PlanParts`]: its class
+//! membership atoms as scans, its defining equations (those that define a
+//! fresh variable) as bindings and its other atoms as conjuncts, each in
+//! dependency order. The clause's key and attribute terms become the
+//! query's insert action. The planner ([`PlanParts::plan`]) orders the joins
+//! by estimated cardinality and selectivity — the role the paper assigns to
+//! the Kleisli optimiser — and places each binding: over the filtered scan
+//! it projects one attribute off, in that scan's columnar tower, or in one
+//! `Map` at the root. [`PlanMode::Raw`] writes the same parts out unplanned
+//! ([`PlanParts::raw`]: a product of the scans under a `Map` or `Filter` per
+//! binding or conjunct), the baseline the regression tests measure against.
+//! What a federated run pushes into its scan providers is read off the
+//! finished plans ([`cpl::pushable_predicates`]), and every pushed conjunct
+//! stays in its plan as a residual re-check.
 //!
 //! Two scans of one source class merge under either of two sufficient
 //! conditions ([`wol_engine::optimize`]). A source key merges them while
 //! normalising (the paper's §4.2), so the normal form already reflects it.
-//! Coverage merges them here, when a clause is planned: a *witness* scan,
-//! whose every use is a projection equated with another scan's of its class,
-//! adds nothing to the target under set semantics, and
-//! [`fold_witnesses`] drops it before the plan is built. The normal form
-//! therefore stays the paper's. [`PlanMode::Raw`] keeps every witness scan:
-//! it is the baseline the planner is measured against, and `cpl`'s planner
-//! is held to the row multisets of the plan it is handed, which the fold
-//! precedes.
+//! Coverage merges them when a clause is planned: a *witness* scan, whose
+//! every use is a projection equated with another scan's of its class, adds
+//! nothing to the target under set semantics, and [`fold_witnesses`] drops
+//! it before the parts are written. [`PlanMode::Raw`] keeps every witness
+//! scan, and `cpl`'s planner is held to the row multisets of the raw plan
+//! of the folded clause.
 
 use std::collections::BTreeSet;
 
 use cpl::InsertAction;
-use cpl::{Expr, Plan, Query, Statistics};
+use cpl::{Expr, Plan, PlanParts, Query, Statistics};
 use wol_engine::fold_witnesses;
 use wol_engine::normalize::{NormalClause, NormalProgram};
 use wol_lang::ast::{Atom, SkolemArgs, Term, Var};
@@ -117,12 +113,9 @@ fn translate_atom_predicate(clause: &NormalClause, atom: &Atom) -> Result<Expr> 
         Atom::Neq(s, t) => Expr::Neq(Box::new(translate_term(s)), Box::new(translate_term(t))),
         Atom::Lt(s, t) => Expr::Lt(Box::new(translate_term(s)), Box::new(translate_term(t))),
         Atom::Leq(s, t) => Expr::Leq(Box::new(translate_term(s)), Box::new(translate_term(t))),
-        Atom::Member(_, c) => {
-            return Err(MorphaseError::Compilation(format!(
-                "membership in `{c}` cannot appear as a filter predicate"
-            )))
-        }
-        Atom::InSet(_, _) => {
+        // A `member` atom: every membership atom is a scan, or refused,
+        // before any filter is placed.
+        _ => {
             let why = "`member` atoms are not supported by the CPL translator";
             return Err(refused(clause, why, [atom]));
         }
@@ -132,51 +125,46 @@ fn translate_atom_predicate(clause: &NormalClause, atom: &Atom) -> Result<Expr> 
 /// Compile one normal clause into a CPL query.
 pub(crate) fn compile_clause(clause: &NormalClause, mode: PlanMode<'_>) -> Result<Query> {
     match mode {
-        PlanMode::Raw => translate_clause(clause),
+        PlanMode::Raw => translate_clause(clause, PlanParts::raw),
         PlanMode::PlannerWithStats(stats) => {
             let folded = fold_witnesses(clause);
-            let mut query = translate_clause(folded.as_ref().unwrap_or(clause))?;
-            query.plan = cpl::optimize_with_stats(query.plan, stats);
-            Ok(query)
+            translate_clause(folded.as_ref().unwrap_or(clause), |parts| parts.plan(stats))
         }
     }
 }
 
-/// Translate one normal clause into its raw (unoptimised) CPL query.
-fn translate_clause(clause: &NormalClause) -> Result<Query> {
+/// Translate one normal clause into the planner's parts, and those into its
+/// query's plan with `plan`.
+fn translate_clause(clause: &NormalClause, plan: impl FnOnce(PlanParts) -> Plan) -> Result<Query> {
     // 1. Scans for every membership atom.
-    let mut plan: Option<Plan> = None;
+    let mut parts: Option<PlanParts> = None;
     let mut produced: BTreeSet<Var> = BTreeSet::new();
-    let mut rest: Vec<&Atom> = Vec::new();
+    let mut remaining: Vec<&Atom> = Vec::new();
     for atom in &clause.body {
         match atom {
             Atom::Member(Term::Var(v), class) => {
-                let scan = Plan::scan(class.clone(), *v);
                 produced.insert(*v);
-                plan = Some(match plan {
-                    None => scan,
-                    Some(existing) => existing.cross(scan),
-                });
+                match &mut parts {
+                    None => parts = Some(PlanParts::new(class.clone(), *v)),
+                    Some(parts) => parts.scan(class.clone(), *v),
+                }
             }
             Atom::Member(_, class) => {
                 let why =
                     format!("membership of a non-variable term in `{class}` is not supported");
                 return Err(refused(clause, &why, [atom]));
             }
-            other => rest.push(other),
+            other => remaining.push(other),
         }
     }
-    let mut plan = plan.ok_or_else(|| {
-        MorphaseError::Compilation(format!(
-            "clause for `{}` has no source membership atoms",
-            clause.class
-        ))
-    })?;
+    let Some(mut parts) = parts else {
+        let why = "the body has no source membership atom to scan";
+        return Err(refused(clause, why, &clause.body));
+    };
 
-    // 2. Remaining atoms: binding maps (defining equations) or filters, in
+    // 2. Remaining atoms: definitions (defining equations) or conjuncts, in
     //    dependency order. Variables are checked by reference, building no
     //    set per atom or pass.
-    let mut remaining: Vec<&Atom> = rest;
     while !remaining.is_empty() {
         let mut progressed = false;
         let mut deferred: Vec<&Atom> = Vec::new();
@@ -191,14 +179,14 @@ fn translate_clause(clause: &NormalClause) -> Result<Query> {
                 _ => None,
             };
             if let Some((var, term)) = defining {
-                plan = plan.map(vec![(var, translate_term(term))]);
+                parts.bind(var, translate_term(term));
                 produced.insert(var);
                 progressed = true;
                 continue;
             }
-            // A filter whose variables are all available.
+            // A conjunct whose variables are all available.
             if atom_terms(atom).all(|t| covered(t, &produced)) {
-                plan = plan.filter(translate_atom_predicate(clause, atom)?);
+                parts.filter(translate_atom_predicate(clause, atom)?);
                 progressed = true;
                 continue;
             }
@@ -227,7 +215,7 @@ fn translate_clause(clause: &NormalClause) -> Result<Query> {
     };
     Ok(Query {
         name: clause.provenance.join("+"),
-        plan,
+        plan: plan(parts),
         inserts: vec![insert],
     })
 }
@@ -455,6 +443,34 @@ mod tests {
             assert!(message.starts_with("clause T7: "), "{message}");
             assert!(message.contains(why), "{message}");
             assert!(message.ends_with(&format!(": `{text}`")), "{message}");
+        }
+    }
+
+    /// A clause whose body has no membership atom has nothing to scan: the
+    /// refusal names the clause and renders the atoms it does have.
+    #[test]
+    fn a_clause_without_a_scan_is_refused_by_label() {
+        let clause = NormalClause {
+            class: ClassName::new("Tgt"),
+            key: SkolemArgs::Positional(vec![Term::var("N")]),
+            attrs: Default::default(),
+            body: vec![Atom::Eq(Term::var("N"), Term::Const(Value::int(3)))],
+            creates: true,
+            provenance: vec!["T8".to_string(), "T9".to_string()],
+        };
+        for mode in [
+            PlanMode::Raw,
+            PlanMode::PlannerWithStats(&Statistics::empty()),
+        ] {
+            let err = compile_clause(&clause, mode).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                MorphaseError::Compilation(
+                    "clause T8+T9: the body has no source membership atom to scan: `N = 3`"
+                        .to_string()
+                )
+                .to_string()
+            );
         }
     }
 }

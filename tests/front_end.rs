@@ -9,17 +9,27 @@
 //! Where the planner places `Map` bindings is held for every suite program,
 //! and the federated program's estimates over a fixed instance exactly, with
 //! the attribute indexes, histograms and columns that run and one skewed
-//! run build.
+//! run build. The planner's two ways in agree on every normal clause of the
+//! suite and of every workload program: the parts the translator writes and
+//! the raw plan it spells plan to equal queries.
 
 mod compile_suite;
 mod federated_source;
 
 use compile_suite::SUITE;
-use wol_repro::morphase::Morphase;
+use wol_repro::cpl::{self, Query, Statistics};
+use wol_repro::morphase::{compile_program_with, Morphase, PlanMode};
+use wol_repro::wol_engine::fold_witnesses;
+use wol_repro::wol_engine::normalize::NormalProgram;
+use wol_repro::wol_lang::program::Program;
 use wol_repro::wol_model::{Fingerprint, Instance, Label, Schema, Type};
+use wol_repro::workloads::cities::{generate_euro, CitiesWorkload};
+use wol_repro::workloads::constrained::{self, ConstrainedParams};
 use wol_repro::workloads::federated::{self, FederatedParams};
+use wol_repro::workloads::genome::{self, GenomeParams};
+use wol_repro::workloads::people::{generate_couples, PeopleWorkload};
 use wol_repro::workloads::skewed::{self, SkewedParams};
-use wol_repro::workloads::wide;
+use wol_repro::workloads::{variants, wide};
 
 #[test]
 fn compile_suite_normal_forms_are_pinned() {
@@ -55,6 +65,116 @@ fn compile_suite_renderings_are_pinned() {
         }
     }
     assert_eq!(fp.finish(), 0x694e_7532_1dd8_8f79);
+}
+
+/// The planner has two ways in, and they agree. Every normal clause of the
+/// suite and of each workload program is planned from the parts the
+/// translator writes (`PlanMode::PlannerWithStats`), and must equal, by
+/// `==`, `cpl::optimize_with_stats` applied to the clause's
+/// `PlanMode::Raw` translation after `fold_witnesses` (planning folds
+/// witness scans first). Every clause is planned without statistics, and
+/// each workload program's also over a source generated for it.
+#[test]
+fn planning_the_translators_parts_equals_planning_its_raw_plan() {
+    let small_skew = SkewedParams {
+        clones: 40,
+        markers: 100,
+        probes: 35,
+        lanes: 120,
+        bins: 20,
+        zipf_exponent: 1.1,
+        seed: 22,
+    };
+    let genome_params = GenomeParams {
+        clones: 10,
+        markers: 30,
+        density: 0.6,
+        seed: 22,
+    };
+    let (cities, people) = (CitiesWorkload::new(), PeopleWorkload::new());
+    let mut programs: Vec<(String, Program, Option<Instance>)> = SUITE
+        .iter()
+        .map(|(name, build, _)| (name.to_string(), build(), None))
+        .collect();
+    let workloads = [
+        (
+            "genome",
+            genome::program(),
+            genome::generate_source(&genome_params),
+        ),
+        (
+            "skewed",
+            skewed::program(),
+            skewed::generate_source(&small_skew),
+        ),
+        (
+            "federated",
+            federated::program(),
+            federated_source::fully_ingested(&FederatedParams::scaled(1)),
+        ),
+        (
+            "constrained",
+            constrained::program(),
+            constrained::generate_source(&ConstrainedParams::default()),
+        ),
+        (
+            "variants",
+            variants::wol_program(8),
+            variants::generate_source(8, 40, 7),
+        ),
+        (
+            "cities_euro",
+            cities.euro_program(),
+            generate_euro(4, 3, 17),
+        ),
+        ("cities_us", cities.us_program(), cities.small_us_instance()),
+        ("people", people.program(), generate_couples(12, 5)),
+    ];
+    programs.extend(
+        workloads
+            .into_iter()
+            .map(|(name, program, source)| (name.to_string(), program, Some(source))),
+    );
+
+    let mut planned_clauses = 0;
+    for (name, program, source) in &programs {
+        let normal = Morphase::new()
+            .compile(program)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .normal;
+        let folded = NormalProgram {
+            clauses: (normal.clauses.iter())
+                .map(|c| fold_witnesses(c).unwrap_or_else(|| c.clone()))
+                .collect(),
+            keys: normal.keys.clone(),
+        };
+        let raw = compile_program_with(&folded, PlanMode::Raw).expect("translates");
+        let refs: Vec<&Instance> = source.iter().collect();
+        let mut all_stats = vec![Statistics::empty()];
+        all_stats.extend(source.is_some().then(|| Statistics::from_instances(&refs)));
+        for stats in &all_stats {
+            let planned = compile_program_with(&normal, PlanMode::PlannerWithStats(stats))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(planned.len(), raw.len(), "{name}: one query per clause");
+            for (planned, raw) in planned.iter().zip(&raw) {
+                let reference = Query {
+                    plan: cpl::optimize_with_stats(raw.plan.clone(), stats),
+                    ..raw.clone()
+                };
+                assert_eq!(
+                    planned,
+                    &reference,
+                    "{name}: {}\nplanned from the parts:\n{}planned from the raw plan:\n{}",
+                    planned.name,
+                    planned.plan.render(),
+                    reference.plan.render()
+                );
+                planned_clauses += 1;
+            }
+        }
+    }
+    // The suite's 371 clauses blind, and the workloads' 37 twice.
+    assert_eq!(planned_clauses, 371 + 2 * 37, "clauses planned");
 }
 
 /// The keyless 8-partial program's one clause that combines all eight
